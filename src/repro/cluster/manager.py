@@ -25,7 +25,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.gatekeeper import Gatekeeper
 from ..core.vclock import VectorTimestamp
-from ..db.operations import graph_state_from_store
+from ..db.operations import (
+    graph_state_from_store,
+    load_partition,
+    partition_image,
+)
 from ..errors import ClusterError
 from ..store.kvstore import TransactionalStore
 from ..store.mapping import ShardMapping
@@ -159,7 +163,13 @@ class ClusterManager:
             recovery_ts = self._gatekeepers[0].issue_timestamp()
         else:
             recovery_ts = recovery_ts_factory()
-        self._load_partition(replacement, index, recovery_ts)
+        load_partition(
+            replacement.graph,
+            partition_image(
+                self._store.snapshot(), dict(self._mapping.items()), index
+            ),
+            recovery_ts,
+        )
         # The barrier also lets every surviving shard drop old-epoch
         # stragglers (a partitioned channel can deliver them arbitrarily
         # late, after later-ordered work was already applied at the
@@ -257,21 +267,3 @@ class ClusterManager:
                     patched += 1
         self.reconciled_records += patched
         return patched
-
-    def _load_partition(
-        self, shard: ShardServer, index: int, ts: VectorTimestamp
-    ) -> None:
-        placement = {v: s for v, s in self._mapping.items()}
-        vertices, edges = graph_state_from_store(self._store.snapshot())
-        for handle, props in vertices.items():
-            if placement.get(handle) != index:
-                continue
-            shard.graph.create_vertex(handle, ts)
-            for key, value in props.items():
-                shard.graph.set_vertex_property(handle, key, value, ts)
-        for (src, handle), record in edges.items():
-            if placement.get(src) != index:
-                continue
-            shard.graph.create_edge(handle, src, record["dst"], ts)
-            for key, value in record.get("props", {}).items():
-                shard.graph.set_edge_property(src, handle, key, value, ts)

@@ -1,12 +1,16 @@
 """The real multiprocess Weaver deployment.
 
-:class:`ProcessWeaver` is the concurrent counterpart of the in-process
-:class:`~repro.db.database.Weaver` and the deterministic
-:class:`~repro.sim.deployment.SimulatedWeaver` — same parts from the
-same :func:`~repro.cluster.builder.build_cluster`, but every shard
-server and the timeline oracle run as separate OS processes speaking
-length-prefixed :mod:`~repro.cluster.wire` frames over UNIX sockets
-(:class:`~repro.cluster.transport.ProcessTransport`).
+:class:`ProcessWeaver` runs the same client-side
+:class:`~repro.db.database.Coordinator` as the in-process
+:class:`~repro.db.database.Weaver` — same parts from the same
+:func:`~repro.cluster.builder.build_cluster`, same commit / heartbeat /
+readiness / GC protocol — over a
+:class:`~repro.cluster.transport.ProcessTransport`: every shard server
+and the timeline oracle run as separate OS processes speaking
+length-prefixed :mod:`~repro.cluster.wire` frames over UNIX sockets.
+What lives here is process lifecycle only: spawning and reaping
+workers, SIGKILL recovery, placement gossip, program dispatch to the
+workers, and folding their stats back into the client registry.
 
 Division of labour per node program (``config.program_execution``):
 
@@ -31,7 +35,6 @@ parallel resolution.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import socket
@@ -39,25 +42,22 @@ import tempfile
 from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from ..core.gatekeeper import Gatekeeper, sync_announce_all
+# sync_announce_all, shard_worker_main and oracle_worker_main are module
+# bindings on purpose: the benchmark's tracing hooks wrap them here.
+from ..core.gatekeeper import sync_announce_all  # noqa: F401
 from ..core.vclock import VectorTimestamp
 from ..db.config import WeaverConfig
-from ..db.operations import graph_state_from_store
+from ..db.database import Coordinator, StartSpec
+from ..db.operations import partition_image
 from ..db.transactions import Transaction
-from ..errors import ClusterError, NoSuchVertex, ProgramError
+from ..errors import ClusterError, ProgramError
 from ..obs.collect import scalar_fields
-from ..programs.caching import ProgramCache
 from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.library import resident_eligible
-from ..programs.state import WatermarkRegistry
 from .builder import build_cluster
-from .messages import ProgramRequest, ProgramStart, QueuedTransaction
+from .messages import ProgramRequest, ProgramStart
 from .transport import ProcessTransport, TransportError
 from .worker import OracleProxy, oracle_worker_main, shard_worker_main
-
-import dataclasses
-
-StartSpec = Any
 
 
 # -- remote vertex views -------------------------------------------------
@@ -229,7 +229,7 @@ class ProcessShardResolver:
 # -- the deployment -------------------------------------------------------
 
 
-class ProcessWeaver:
+class ProcessWeaver(Coordinator):
     """A Weaver deployment whose shards and oracle are OS processes."""
 
     def __init__(self, config: Optional[WeaverConfig] = None):
@@ -239,7 +239,7 @@ class ProcessWeaver:
             raise ClusterError(
                 "process deployment requires the fork start method"
             ) from exc
-        self.transport = ProcessTransport()
+        transport = ProcessTransport()
         self._tmpdir = tempfile.mkdtemp(prefix="weaver-")
         self._oracle_path = os.path.join(self._tmpdir, "oracle.sock")
         # Bind + listen before forking: connects succeed via the backlog
@@ -252,28 +252,18 @@ class ProcessWeaver:
         )
         self._oracle_proc.start()
         listener.close()
-        self.oracle = OracleProxy(self._oracle_path)
-
-        parts = build_cluster(
-            config,
-            oracle=self.oracle,
-            with_shards=False,
-            transport_stats=self.transport.stats,
-            extra=self._process_metrics,
+        super().__init__(
+            build_cluster(
+                config,
+                oracle=OracleProxy(self._oracle_path),
+                with_shards=False,
+                transport_stats=transport.stats,
+                extra=self._process_metrics,
+            ),
+            transport,
         )
-        self.parts = parts
-        self.config = parts.config
-        cfg = self.config
-        self.store = parts.store
-        self.mapping = parts.mapping
-        self.gatekeepers: List[Gatekeeper] = parts.gatekeepers
-        self.manager = parts.manager
-        self.executor = parts.executor
-        self.metrics = parts.metrics
-        self.tracer = parts.tracer
-        self.transport._registry = self.metrics
-        self.transport.register("client", self._on_worker_events)
-        self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
+        transport._registry = self.metrics
+        transport.register("client", self._on_worker_events)
 
         self._procs: Dict[int, Any] = {}
         #: Worker↔worker listening-socket paths, one per shard index.
@@ -281,34 +271,20 @@ class ProcessWeaver:
         #: in the backlog no matter when the worker reaches accept().
         self._peer_paths: Dict[int, str] = {
             index: os.path.join(self._tmpdir, f"peer{index}.sock")
-            for index in range(cfg.num_shards)
+            for index in range(self.config.num_shards)
         }
         #: Last absorbed worker-side metrics (dotted names) and program
         #: counter sums — kept so `repro stats` after close() still
         #: reports worker work (deployment-neutral program.* metrics).
         self._worker_metrics: Dict[str, float] = {}
         self._worker_prog_sum: Dict[str, float] = {}
-        for index in range(cfg.num_shards):
-            self._spawn_worker(index)
-
-        self._handle_counter = itertools.count()
-        self._query_counter = itertools.count(1)
-        self._next_gk = itertools.count()
-        self._send_rank = itertools.count()
-        self._commits = 0
-        self._commits_since_drain = 0
-        self._channel_seqno: Dict[Tuple[int, int], int] = {}
-        self._placement: Dict[str, int] = {}
         self._epoch = 0
         self.recoveries = 0
-        self.programs_run = 0
         self._closed = False
+        for index in range(self.config.num_shards):
+            self._spawn_worker(index)
 
     # -- workers --------------------------------------------------------
-
-    @staticmethod
-    def shard_name(index: int) -> str:
-        return f"shard{index}"
 
     def _spawn_worker(
         self,
@@ -374,149 +350,25 @@ class ProcessWeaver:
             if self.shard_name(i) in names
         ]
 
-    def _request_all_shards(self, kind: str, payload: Any) -> List[Any]:
-        calls = [
-            (self.shard_name(i), kind, payload) for i in self._live_shards()
-        ]
-        return self.transport.request_all("client", calls)
+    # The benchmark's layer spans wrap these where each deployment
+    # class defines them, so each binds the shared implementation in its
+    # own class body.
+    begin_transaction = Coordinator.begin_transaction
+    collect_garbage = Coordinator.collect_garbage
 
-    # -- identifiers ----------------------------------------------------
-
-    def new_handle(self, prefix: str = "v") -> str:
-        return f"{prefix}{next(self._handle_counter)}"
-
-    def _pick_gatekeeper(self) -> int:
-        return next(self._next_gk) % len(self.gatekeepers)
-
-    # -- transactions ---------------------------------------------------
-
-    def begin_transaction(
-        self, gatekeeper: Optional[int] = None
-    ) -> Transaction:
-        index = (
-            gatekeeper if gatekeeper is not None else self._pick_gatekeeper()
-        )
-        if not 0 <= index < len(self.gatekeepers):
-            raise ClusterError(f"no gatekeeper {index}")
-        tx = Transaction(self, index)
-        tx.trace_id = self.tracer.next_trace_id()
-        self.tracer.emit(
-            tx.trace_id, "client.submit", node="client", gk=index
-        )
-        return tx
-
-    def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
-        gk = self.gatekeepers[tx.gatekeeper_index]
-        delta: Dict[str, int] = {}
-        for vertex in tx.created_vertices:
-            shard = self.mapping.assign(vertex, tx=tx.store_tx)
-            self._placement[vertex] = shard
-            delta[vertex] = shard
-        if delta:
-            # One-way placement gossip: every worker partitions next
-            # frontiers locally, so each must know who owns new
-            # vertices.  FIFO per channel — the delta is flushed before
-            # any later request (e.g. advance_to) on the same socket.
+    def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
+        # One-way placement gossip: every worker partitions next
+        # frontiers locally, so each must know who owns new vertices.
+        # FIFO per channel — the delta is flushed before any later
+        # request (e.g. program_start) on the same socket.
+        if placed:
             for shard_index in self._live_shards():
                 self.transport.send(
                     "client", self.shard_name(shard_index),
-                    "placement", delta,
+                    "placement", placed,
                 )
-        ts = gk.commit_prepared(
-            tx.store_tx, tx.touched_vertices, trace_id=tx.trace_id
-        )
-        per_shard: Dict[int, List] = {}
-        for op in tx.operations:
-            (owner,) = op.touched()
-            shard = self._shard_of(owner)
-            if shard is None:
-                raise NoSuchVertex(owner)
-            per_shard.setdefault(shard, []).append(op)
-        for shard_index, ops_list in per_shard.items():
-            self._enqueue(
-                gk.index,
-                shard_index,
-                QueuedTransaction(ts, tuple(ops_list), trace_id=tx.trace_id),
-            )
-        self._commits += 1
-        if self._commits % self.config.announce_every == 0:
-            sync_announce_all(self.gatekeepers)
-        self._commits_since_drain += 1
-        if self._commits_since_drain >= self.config.drain_every:
-            self.drain()
-        return ts
-
-    def _shard_of(self, vertex: str) -> Optional[int]:
-        shard = self._placement.get(vertex)
-        if shard is None:
-            shard = self.mapping.lookup(vertex)
-            if shard is not None:
-                self._placement[vertex] = shard
-        return shard
-
-    def _enqueue(
-        self, gk_index: int, shard_index: int, qtx: QueuedTransaction
-    ) -> None:
-        """Stamp the channel seqno and buffer the enqueue on the worker's
-        socket; the transport flushes it (batched with its channel-mates)
-        before the next request on that channel, preserving FIFO."""
-        channel = (gk_index, shard_index)
-        seqno = self._channel_seqno.get(channel, 0)
-        self._channel_seqno[channel] = seqno + 1
-        stamped = dataclasses.replace(
-            qtx, seqno=seqno, tiebreak=next(self._send_rank)
-        )
-        self.transport.send(
-            self.gatekeepers[gk_index].name,
-            self.shard_name(shard_index),
-            "enqueue",
-            (gk_index, stamped),
-        )
-
-    # -- queue pumping --------------------------------------------------
-
-    def _send_nops(self) -> None:
-        """One NOP from every gatekeeper to every shard, vector-clock
-        chained exactly like the direct deployment's (the announce
-        rounds run client-side; only the enqueues cross the wire)."""
-        sync_announce_all(self.gatekeepers)
-        previous: Optional[VectorTimestamp] = None
-        live = self._live_shards()
-        for gk in self.gatekeepers:
-            if previous is not None:
-                gk.receive_announce(previous.clocks)
-            nop_ts = gk.make_nop()
-            previous = nop_ts
-            for shard_index in live:
-                self._enqueue(gk.index, shard_index, QueuedTransaction(nop_ts))
-        sync_announce_all(self.gatekeepers)
-
-    def drain(self) -> int:
-        """Heartbeat every queue, then apply everything applicable on
-        every worker (one pipelined fan-out)."""
-        self._send_nops()
-        self._commits_since_drain = 0
-        return sum(self._request_all_shards("drain", None))
 
     # -- node programs --------------------------------------------------
-
-    def _make_shards_ready(self, ts: VectorTimestamp) -> None:
-        stats = self.executor.stats
-        if all(self._request_all_shards("advance_to", ts)):
-            stats.readiness_fastpath_hits += 1
-            return
-        stats.readiness_storms += 1
-        self._send_nops()
-        ready = self._request_all_shards("advance_to", ts)
-        if not all(ready):
-            bad = [
-                self.shard_name(i)
-                for i, ok in zip(self._live_shards(), ready)
-                if not ok
-            ]
-            raise ClusterError(
-                f"{bad} not ready for {ts} despite heartbeats"
-            )
 
     def run_program(
         self,
@@ -537,22 +389,10 @@ class ProcessWeaver:
         coordinating worker may serve a memoized result after
         revalidating every fragment's change counters.
         """
-        frontier = (
-            [(start, params)] if isinstance(start, str) else list(start)
+        frontier, query_id, trace_id = self._submit_program(
+            program, start, params
         )
-        query_id = next(self._query_counter)
-        trace_id = self.tracer.next_trace_id()
-        self.tracer.emit(
-            trace_id, "program.submit", node="client",
-            query_id=query_id, program=program.name,
-        )
-        gk = self.gatekeepers[self._pick_gatekeeper()]
-        ts = at if at is not None else gk.issue_timestamp()
-        self.tracer.emit(
-            trace_id, "program.stamp", node=gk.name,
-            ts=ts, query_id=query_id,
-        )
-        self._make_shards_ready(ts)
+        ts = self._stamp_program(trace_id, query_id, at)
         if (
             self.config.program_execution == "resident"
             and frontier
@@ -560,14 +400,7 @@ class ProcessWeaver:
         ):
             cache_tail: Optional[Hashable] = None
             if use_cache and self.config.enable_program_cache:
-                key_tail = (
-                    cache_key if cache_key is not None else repr(params)
-                )
-                # Historical queries read a different cut of the graph:
-                # the snapshot identity is part of the key (section 4.6).
-                if at is not None:
-                    key_tail = (key_tail, at.id)
-                cache_tail = key_tail
+                cache_tail = self._cache_tail(params, at, cache_key)
             return self._run_resident(
                 program, frontier, ts, query_id, trace_id, cache_tail
             )
@@ -585,10 +418,7 @@ class ProcessWeaver:
                     "client", self.shard_name(shard_index),
                     "finish", query_id,
                 )
-        self.programs_run += 1
-        self.tracer.emit(
-            trace_id, "program.complete", node="client", query_id=query_id
-        )
+        self._complete_program(trace_id, query_id)
         return result
 
     def _run_resident(
@@ -631,17 +461,10 @@ class ProcessWeaver:
             self.watermarks.finish(query_id)
         if payload.get("error"):
             raise ProgramError(payload["error"])
-        self.programs_run += 1
         if payload.get("cache_hit"):
-            self.tracer.emit(
-                trace_id, "program.complete", node="client",
-                query_id=query_id, cache_hit=True,
-            )
+            self._complete_program(trace_id, query_id, cache_hit=True)
         else:
-            self.tracer.emit(
-                trace_id, "program.complete", node="client",
-                query_id=query_id,
-            )
+            self._complete_program(trace_id, query_id)
         ctx = SimpleNamespace(
             query_id=payload["query_id"],
             ts=payload["ts"],
@@ -654,44 +477,6 @@ class ProcessWeaver:
             rounds=payload["rounds"],
         )
         return ProgramResult(ctx)
-
-    def checkpoint(self) -> VectorTimestamp:
-        sync_announce_all(self.gatekeepers)
-        ts = self.gatekeepers[self._pick_gatekeeper()].issue_timestamp()
-        sync_announce_all(self.gatekeepers)
-        return ts
-
-    # -- garbage collection ---------------------------------------------
-
-    def collect_garbage(self) -> Dict[str, int]:
-        sync_announce_all(self.gatekeepers)
-        fallback = self.gatekeepers[0].current_watermark()
-        watermark = self.watermarks.watermark(fallback)
-        if watermark is None:
-            return {"graph": 0, "oracle": 0}
-        self.drain()
-        # After the drain every worker span below the watermark has been
-        # replayed locally; announcing the watermark now lets an attached
-        # online checker settle those events against decisions that the
-        # collect_below calls are about to discard.
-        self.tracer.emit(None, "gc.watermark", node="gc", ts=watermark)
-        graph_reclaimed = sum(
-            self._request_all_shards("collect_below", watermark)
-        )
-        oracle_reclaimed = self.oracle.collect_below(watermark)
-        if getattr(self.store, "background_compaction_active", False):
-            # The opportunistic compactor owns store reclamation; the
-            # GC tick must not double-compact under it.
-            store_reclaimed = 0
-        else:
-            store_reclaimed = self.store.collect_below(
-                self.store.safe_compact_version()
-            )
-        return {
-            "graph": graph_reclaimed,
-            "oracle": oracle_reclaimed,
-            "store": store_reclaimed,
-        }
 
     # -- failure handling -----------------------------------------------
 
@@ -725,7 +510,7 @@ class ProcessWeaver:
         self._epoch = self.manager.advance_epoch()
         self.transport.flush()
         self._request_all_shards("advance_epoch", self._epoch)
-        self._channel_seqno.clear()
+        self._reset_channels()
         recovery_ts = self.gatekeepers[0].issue_timestamp()
         if (
             self.config.store_backend == "sqlite"
@@ -744,20 +529,12 @@ class ProcessWeaver:
                 store_path=self.config.store_path,
             )
         else:
-            placement = {v: s for v, s in self.mapping.items()}
-            vertices, edges = graph_state_from_store(self.store.snapshot())
-            image = (
-                {
-                    h: props for h, props in vertices.items()
-                    if placement.get(h) == index
-                },
-                {
-                    key: record for key, record in edges.items()
-                    if placement.get(key[0]) == index
-                },
-            )
+            placement = dict(self.mapping.items())
             self._spawn_worker(
-                index, epoch=self._epoch, image=image,
+                index, epoch=self._epoch,
+                image=partition_image(
+                    self.store.snapshot(), placement, index
+                ),
                 recovery_ts=recovery_ts, placement=placement,
             )
         self.recoveries += 1

@@ -2,8 +2,10 @@
 
 Three implementations of one interface:
 
-* :class:`LocalTransport` — synchronous in-process delivery, the direct
-  path unit tests exercise the contract against;
+* :class:`LocalTransport` — synchronous in-process delivery: the
+  direct deployment's transport (:class:`~repro.db.database.Weaver`
+  registers one shard endpoint per live ``ShardServer``) and the
+  contract's reference implementation;
 * :class:`SimTransport` — an adapter over the deterministic
   :class:`~repro.sim.network.Network` simulator: sends become scheduled
   FIFO deliveries with latency and fault injection, requests pay a
@@ -17,10 +19,11 @@ Three implementations of one interface:
   concurrently).
 
 The contract is intentionally small — ``register`` a delivery callback
-per node name, ``send`` one-way, ``request`` round-trip, ``broadcast``
-to many — because that is exactly what the Weaver deployments need:
-gatekeeper→shard enqueues are sends, program resolution and readiness
-barriers are requests, announces and NOPs are broadcasts.
+per node name, ``send`` one-way, ``request`` round-trip, ``request_all``
+fan-out, ``broadcast`` to many — because that is exactly what the one
+client-side coordinator (:class:`~repro.db.database.Coordinator`)
+needs: gatekeeper→shard enqueues and placement gossip are sends,
+readiness barriers, drains, GC and epoch barriers are fan-out requests.
 
 Backpressure rules (process transport): one-way sends never block (they
 buffer); a buffer flushes when its channel issues a request, when it
@@ -95,6 +98,17 @@ class Transport:
         reply only through ``on_reply``, after two latency charges."""
         raise NotImplementedError
 
+    def request_all(
+        self, src: str, calls: List[Tuple[str, str, Any]]
+    ) -> List[Any]:
+        """Fan-out of ``(dst, kind, payload)`` requests; replies in
+        ``calls`` order.  Sequential here; transports that can overlap
+        the round trips override it."""
+        return [
+            self.request(src, dst, kind, payload)
+            for dst, kind, payload in calls
+        ]
+
     def broadcast(self, src: str, dsts, kind: str, payload: Any) -> None:
         for dst in dsts:
             self.send(src, dst, kind, payload)
@@ -108,8 +122,8 @@ class Transport:
 
 
 class LocalTransport(Transport):
-    """Synchronous in-process delivery — the contract's reference
-    implementation and the direct-mode test double."""
+    """Synchronous in-process delivery — the direct deployment's
+    transport and the contract's reference implementation."""
 
     def __init__(self) -> None:
         self._handlers: Dict[str, Handler] = {}

@@ -5,9 +5,11 @@ Two worker mains live here, each speaking length-prefixed
 
 * :func:`shard_worker_main` — one OS process per shard: owns a real
   :class:`~repro.cluster.shard.ShardServer` (the same event loop the
-  simulator drives), enqueues gatekeeper-forwarded transactions,
-  advances to program timestamps, and serves **batch vertex
-  resolution**: for a program round it materializes each requested
+  simulator drives) behind a :class:`ShardEndpoint` — the one shard
+  side of the coordinator protocol, which the direct deployment
+  registers in-process too — that enqueues gatekeeper-forwarded
+  transactions, advances to program timestamps, and serves **batch
+  vertex resolution**: for a program round it materializes each requested
   vertex's snapshot image (visible properties and out-edges at the
   program timestamp) so the expensive multi-version visibility work
   runs in the worker, in parallel across shards, while the client-side
@@ -36,7 +38,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.oracle import TimelineOracle
 from ..core.vclock import Ordering, VectorTimestamp
-from ..db.operations import touched_vertices
+from ..db.operations import (
+    load_partition,
+    partition_image,
+    touched_vertices,
+)
 from ..errors import WeaverError
 from ..obs.metrics import MetricsRegistry
 from ..programs.caching import ChangeTracker, ProgramCache
@@ -176,123 +182,68 @@ def _vertex_image(node) -> dict:
     }
 
 
-class _ShardWorker:
-    """The request loop around one ShardServer."""
+class ShardEndpoint:
+    """The shard side of the coordinator protocol: one
+    :class:`ShardServer` behind the transport's handler signature.
 
-    def __init__(
-        self,
-        index: int,
-        num_gatekeepers: int,
-        oracle,
-        use_ordering_cache: bool,
-        epoch: int = 0,
-        image: Optional[tuple] = None,
-        recovery_ts: Optional[VectorTimestamp] = None,
-        store_path: Optional[str] = None,
-    ):
-        self.shard = ShardServer(
-            index, num_gatekeepers, oracle, use_ordering_cache
-        )
-        self.tracer = BufferTracer()
-        self.shard.tracer = self.tracer
+    Both deployments register it — the direct one over each live
+    in-process shard on a ``LocalTransport``, the process one inside
+    every shard worker (the engine below routes whatever is not
+    worker-to-worker program traffic here) — so the one client-side
+    coordinator (:class:`~repro.db.database.Coordinator`) talks to the
+    same endpoint wherever the shard lives.
+    """
+
+    def __init__(self, shard: ShardServer):
+        self.shard = shard
         self.stragglers_dropped = 0
-        #: Full vertex→shard placement recovered from a durable store,
-        #: handed to the resident engine when the client could not ship
-        #: one across the fork (sqlite crash recovery).
-        self.recovered_placement: Optional[Dict[str, int]] = None
-        if epoch > 0:
-            self.shard.advance_epoch(epoch)
-        if store_path is not None and recovery_ts is not None:
-            image = self._image_from_store(store_path)
-        if image is not None and recovery_ts is not None:
-            self._load_image(image, recovery_ts)
-        # Per-query snapshot views (+ resolved-vertex memo), dropped on
-        # the client's finish message.
+        # Per-query snapshot views, dropped on the client's finish
+        # message.
         self._queries: Dict[int, tuple] = {}
 
-    def _image_from_store(self, store_path: str) -> tuple:
-        """Reopen the durable database and carve out this shard's
-        partition — real crash recovery: the WAL-backed file on disk,
-        not a dict snapshot pickled across the fork, is the image."""
-        from ..db.operations import graph_state_from_store
-        from ..store.durable import DurableStore
-        from ..store.mapping import placement_from_store
-
-        with DurableStore(store_path, read_only=True) as store:
-            placement = placement_from_store(store)
-            vertices, edges = graph_state_from_store(store.snapshot())
-        self.recovered_placement = dict(placement)
-        index = self.shard.index
-        return (
-            {
-                h: props for h, props in vertices.items()
-                if placement.get(h) == index
-            },
-            {
-                key: record for key, record in edges.items()
-                if placement.get(key[0]) == index
-            },
-        )
-
-    def _load_image(self, image: tuple, ts: VectorTimestamp) -> None:
-        """Install a recovery image (``graph_state_from_store`` shape,
-        pre-filtered to this shard) stamped at the recovery timestamp —
-        the process-mode mirror of ``ClusterManager._load_partition``."""
-        vertices, edges = image
-        graph = self.shard.graph
-        for handle, props in vertices.items():
-            graph.create_vertex(handle, ts)
-            for key, value in props.items():
-                graph.set_vertex_property(handle, key, value, ts)
-        for (src, handle), record in edges.items():
-            graph.create_edge(handle, src, record["dst"], ts)
-            for key, value in record.get("props", {}).items():
-                graph.set_edge_property(src, handle, key, value, ts)
-
-    # -- message handling ----------------------------------------------
-
-    def handle_send(self, kind: str, payload: Any) -> None:
+    def deliver(self, src: Optional[str], kind: str, payload: Any) -> Any:
+        """Handle one message; the return value is a request's reply
+        (one-way kinds return None)."""
+        shard = self.shard
         if kind == "enqueue":
             gk_index, qtx = payload
-            if qtx.ts.epoch < self.shard.epoch:
+            if qtx.ts.epoch < shard.epoch:
                 # Pre-recovery straggler: its effects are already in the
-                # reloaded state (defensive — the FIFO socket makes this
-                # unreachable in the current client).
+                # reloaded state (defensive — FIFO channels make this
+                # unreachable in the current coordinator).
                 self.stragglers_dropped += 1
-                return
-            self.shard.enqueue(gk_index, qtx)
-        elif kind == "finish":
-            self._queries.pop(payload, None)
-        else:
-            raise WeaverError(f"unknown one-way message {kind!r}")
-
-    def handle_request(self, kind: str, payload: Any) -> Any:
-        shard = self.shard
-        if kind == "resolve":
-            return self._resolve(payload)
+                return None
+            shard.enqueue(gk_index, qtx)
+            return None
         if kind == "advance_to":
             return shard.advance_to(payload)
         if kind == "drain":
             return shard.apply_available()
+        if kind == "resolve":
+            return self._resolve(payload)
+        if kind == "finish":
+            self._queries.pop(payload, None)
+            return None
+        if kind == "collect_below":
+            # (graph records reclaimed, ordering-cache entries evicted):
+            # the shard-local decision cache holds entries keyed on
+            # collected events, so it is swept at the same watermark.
+            cache = shard.ordering.cache
+            return (
+                shard.collect_below(payload),
+                cache.evict_below(payload) if cache is not None else 0,
+            )
         if kind == "advance_epoch":
             self._queries.clear()
             shard.advance_epoch(payload)
             return True
-        if kind == "collect_below":
-            reclaimed = shard.collect_below(payload)
-            cache = shard.ordering.cache
-            if cache is not None:
-                cache.evict_below(payload)
-            return reclaimed
         if kind == "stats":
             return self._stats()
-        if kind == "ping":
+        if kind in ("ping", "shutdown"):
+            # shutdown is a request (not a one-way send) so the client
+            # can await the acknowledgement before reaping the process.
             return True
-        if kind == "shutdown":
-            # A request (not a one-way send) so the client can await the
-            # acknowledgement before reaping the process.
-            return True
-        raise WeaverError(f"unknown request {kind!r}")
+        raise WeaverError(f"unknown shard message {kind!r}")
 
     def _resolve(self, request: ProgramRequest) -> Dict[str, Any]:
         """One shard's share of one scatter-gather round.
@@ -484,7 +435,7 @@ class _ResidentEngine:
 
     def __init__(
         self,
-        worker: _ShardWorker,
+        worker: ShardEndpoint,
         client_sock,
         index: int,
         peer_listener=None,
@@ -494,6 +445,7 @@ class _ResidentEngine:
         program_cache_capacity: int = 4096,
     ):
         self.worker = worker
+        self.tracer: BufferTracer = worker.shard.tracer
         self.client = client_sock
         self.index = index
         self.listener = peer_listener
@@ -657,7 +609,7 @@ class _ResidentEngine:
             # Trace events only ride client replies: the peer transport
             # has no client handler, so events on peer frames would be
             # silently dropped (peers return theirs inside payloads).
-            reply["ev"] = self.worker.tracer.drain()
+            reply["ev"] = self.tracer.drain()
         try:
             wire.write_frame(conn, wire.encode(reply))
         except OSError:
@@ -674,7 +626,7 @@ class _ResidentEngine:
         elif kind == "round_report":
             self._on_round_report(payload)
         else:
-            self.worker.handle_send(kind, payload)
+            self.worker.deliver(None, kind, payload)
 
     def _handle_request(self, kind: str, payload):
         if kind == "counters":
@@ -688,8 +640,7 @@ class _ResidentEngine:
             return self._extended_stats()
         if kind == "advance_epoch":
             self._clear_resident_state()
-            return self.worker.handle_request(kind, payload)
-        return self.worker.handle_request(kind, payload)
+        return self.worker.deliver(None, kind, payload)
 
     def _clear_resident_state(self) -> None:
         """Epoch barrier: drop in-flight programs and cached evidence —
@@ -860,7 +811,7 @@ class _ResidentEngine:
         self.resident.rounds_executed += 1
         self.prog_stats.batch_rounds += 1
         if query.trace_id is not None:
-            self.worker.tracer.emit(
+            self.tracer.emit(
                 query.trace_id, "program.round",
                 node=self.worker.shard.name, query_id=query.qid,
                 round=round_no, frontier=len(frontier), shard=self.index,
@@ -987,7 +938,7 @@ class _ResidentEngine:
             "visited": visited,
             "hops": hops_total,
             "counters": self.tracker.snapshot(read),
-            "events": self.worker.tracer.drain(),
+            "events": self.tracer.drain(),
         }
 
     # -- coordinator side -----------------------------------------------
@@ -1177,7 +1128,7 @@ class _ResidentEngine:
             hops_total += fragment["hops"]
             counters[worker_index] = fragment["counters"]
             for event in fragment.get("events", ()):
-                self.worker.tracer.events.append(tuple(event))
+                self.tracer.events.append(tuple(event))
         tagged.sort(key=lambda t: (t[0], t[1], t[2]))
         payload = {
             "query_id": coord.qid,
@@ -1232,15 +1183,27 @@ def shard_worker_main(
     oracle = (
         OracleProxy(oracle_path) if oracle_path else TimelineOracle()
     )
-    worker = _ShardWorker(
-        index, num_gatekeepers, oracle, use_ordering_cache,
-        epoch=epoch, image=image, recovery_ts=recovery_ts,
-        store_path=store_path,
-    )
-    if placement is None:
-        placement = worker.recovered_placement
+    shard = ShardServer(index, num_gatekeepers, oracle, use_ordering_cache)
+    shard.tracer = BufferTracer()
+    if epoch > 0:
+        shard.advance_epoch(epoch)
+    if store_path is not None and recovery_ts is not None:
+        # Real crash recovery: reopen the WAL-backed database and carve
+        # this shard's partition (and the full placement the resident
+        # engine routes by) out of the file on disk — nothing
+        # graph-shaped was pickled across the fork.
+        from ..store.durable import DurableStore
+        from ..store.mapping import placement_from_store
+
+        with DurableStore(store_path, read_only=True) as store:
+            recovered = placement_from_store(store)
+            image = partition_image(store.snapshot(), recovered, index)
+        if placement is None:
+            placement = recovered
+    if image is not None and recovery_ts is not None:
+        load_partition(shard.graph, image, recovery_ts)
     engine = _ResidentEngine(
-        worker, sock, index,
+        ShardEndpoint(shard), sock, index,
         peer_listener=peer_listener, peer_paths=peer_paths,
         placement=placement, enable_program_cache=enable_program_cache,
         program_cache_capacity=program_cache_capacity,

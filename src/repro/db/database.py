@@ -1,20 +1,30 @@
 """The Weaver database: gatekeepers + shards + oracle + backing store.
 
-This is the top-level assembly (Fig 4).  It owns:
+The paper's client-side write/read protocol (section 4.2) does not
+depend on where the shards live, so it is written once:
 
-* a bank of **gatekeepers** that stamp and commit transactions,
-* **shard servers** holding in-memory multi-version graph partitions,
-* the **timeline oracle** (optionally chain-replicated),
-* the transactional **backing store** and the vertex→shard mapping,
-* the **cluster manager** for failure handling,
-* the node-program **executor**, the GC **watermark registry**, and the
-  optional program **cache**.
+* :class:`Coordinator` — gatekeeper stamp → backing-store commit →
+  per-(gatekeeper, shard) FIFO enqueue with sequence numbers → NOP
+  heartbeats so every queue is non-empty → readiness barrier before a
+  node program; plus drain, checkpoint and the GC tick.  It reaches
+  shards only through the :class:`~repro.cluster.transport.Transport`
+  contract (``send`` for enqueues, one ``request_all`` fan-out for
+  ``advance_to`` / ``drain`` / ``collect_below`` / ``advance_epoch``),
+  and every shard answers through the same
+  :class:`~repro.cluster.worker.ShardEndpoint`.
+* :class:`Weaver` (this module) — the deployment in one process: a
+  ``LocalTransport`` over endpoints wrapping its live ``ShardServer``
+  list, and what genuinely needs in-process shards (the local snapshot
+  resolver and client-side program cache, migration, read replicas,
+  demand paging, crash drills).
+* :class:`~repro.cluster.process.ProcessWeaver` — the same coordinator
+  over a ``ProcessTransport`` to forked shard workers.
 
-Direct mode (this class) executes the full protocol synchronously —
-announce rounds every ``announce_every`` commits play the role of the τ
-timer, and NOP heartbeats are issued eagerly when a node program needs
-every queue non-empty.  The benchmark harness wraps the same servers in
-the discrete-event simulator to charge latencies and service times.
+Both execute the protocol synchronously — announce rounds every
+``announce_every`` commits play the role of the τ timer, and NOP
+heartbeats are issued eagerly when a node program needs every queue
+non-empty.  The discrete-event :class:`~repro.sim.deployment.
+SimulatedWeaver` drives the same servers from its own clock.
 """
 
 from __future__ import annotations
@@ -23,58 +33,56 @@ import dataclasses
 import itertools
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
-from ..cluster.builder import build_cluster
+from ..cluster.builder import ClusterParts, build_cluster
 from ..cluster.messages import QueuedTransaction
 from ..cluster.shard import ShardServer
+from ..cluster.transport import LocalTransport, Transport
+from ..cluster.worker import ShardEndpoint
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import VectorTimestamp
 from ..errors import ClusterError, NoSuchVertex
 from ..graph.partition import HashPartitioner, LdgPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
-from ..programs.framework import NodeProgram, ProgramExecutor, ProgramResult
+from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import WatermarkRegistry
-from ..store.kvstore import TransactionalStore
-from ..store.mapping import ShardMapping
 from .config import WeaverConfig
 from .transactions import Transaction
 
 StartSpec = Union[str, Iterable[Tuple[str, Any]]]
 
 
-class Weaver:
-    """A complete Weaver deployment in one process."""
+class Coordinator:
+    """The client-side protocol of section 4.2 over a transport.
 
-    def __init__(self, config: Optional[WeaverConfig] = None):
-        # One deployment-neutral assembly (cluster/builder.py) shared
-        # with the simulated and multiprocess deployments; the parts
-        # lists are the live ones (recovery replaces elements in place,
-        # and the registered collectors follow).
-        parts = build_cluster(config)
+    Subclasses choose the transport and own whatever depends on where
+    the shards live; nothing here does.
+    """
+
+    def __init__(self, parts: ClusterParts, transport: Transport):
+        # One deployment-neutral assembly (cluster/builder.py); the
+        # parts lists are the live ones (recovery replaces elements in
+        # place, and the registered collectors follow).
         self.parts = parts
-        self.config = parts.config
-        cfg = self.config
-        self.store: TransactionalStore = parts.store
+        self.config = cfg = parts.config
+        self.store = parts.store
         self.mapping = parts.mapping
         self.oracle = parts.oracle
         self.gatekeepers: List[Gatekeeper] = parts.gatekeepers
-        self.shards: List[ShardServer] = parts.shards
         self.manager = parts.manager
         self.executor = parts.executor
-        self.watermarks = WatermarkRegistry(
-            cmp=lambda a, b: a.compare(b)
-        )
-        self.changes = ChangeTracker()
-        self.program_cache: Optional[ProgramCache] = (
-            ProgramCache(self.changes, cfg.program_cache_capacity)
-            if cfg.enable_program_cache
-            else None
-        )
-        # Observability: one registry + tracer per deployment.  Direct
-        # mode has no time axis, so spans default to their emission
-        # sequence number as the timestamp (still a total order).
+        # Observability: one registry + tracer per deployment.  There is
+        # no time axis here, so spans default to their emission sequence
+        # number as the timestamp (still a total order).
         self.metrics = parts.metrics
         self.tracer = parts.tracer
+        self.transport = transport
+        self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
+        self._all_shards = list(range(cfg.num_shards))
+        # Transport addresses, by index (a replacement server keeps its
+        # predecessor's name).
+        self._shard_names = [self.shard_name(i) for i in self._all_shards]
+        self._gk_names = [gk.name for gk in self.gatekeepers]
         self._handle_counter = itertools.count()
         self._query_counter = itertools.count(1)
         self._next_gk = itertools.count()
@@ -88,9 +96,27 @@ class Weaver:
         self._placement: Dict[str, int] = {}
         self._hash_partitioner = HashPartitioner(cfg.num_shards)
         self._ldg_partitioner = LdgPartitioner(cfg.num_shards)
-        self._paging_enabled = False
-        self._replicas: list = []
         self.programs_run = 0
+
+    # -- shards, by name ------------------------------------------------
+
+    @staticmethod
+    def shard_name(index: int) -> str:
+        return f"shard{index}"
+
+    def _live_shards(self) -> List[int]:
+        """Indices of the shards that can be reached right now: all of
+        them, unless the deployment can lose one."""
+        return self._all_shards
+
+    def _request_all_shards(self, kind: str, payload: Any) -> List[Any]:
+        """One fan-out request to every live shard; replies in
+        :meth:`_live_shards` order."""
+        names = self._shard_names
+        return self.transport.request_all(
+            "client",
+            [(names[i], kind, payload) for i in self._live_shards()],
+        )
 
     # -- identifiers ------------------------------------------------------
 
@@ -121,12 +147,12 @@ class Weaver:
     # Transaction.commit() lands here.
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
         gk = self.gatekeepers[tx.gatekeeper_index]
-        self._place_new_vertices(tx)
+        placed = self._place_new_vertices(tx)
         ts = gk.commit_prepared(
             tx.store_tx, tx.touched_vertices, trace_id=tx.trace_id
         )
         self._forward_to_shards(gk.index, ts, tx)
-        self.changes.bump_all(tx.touched_vertices)
+        self._on_commit(tx, placed)
         self._commits += 1
         if self._commits % self.config.announce_every == 0:
             sync_announce_all(self.gatekeepers)
@@ -135,19 +161,27 @@ class Weaver:
             self.drain()
         return ts
 
-    def _place_new_vertices(self, tx: Transaction) -> None:
+    def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
+        """Deployment bookkeeping for a transaction that is durable and
+        forwarded; ``placed`` maps the vertices it created to shards."""
+
+    def _place_new_vertices(self, tx: Transaction) -> Dict[str, int]:
         """Install shard assignments for created vertices, atomically with
         the transaction itself (they share the store transaction)."""
+        partitioner = self.config.partitioner
+        placed: Dict[str, int] = {}
         for vertex in tx.created_vertices:
-            if self.config.partitioner == "hash":
+            if partitioner == "hash":
                 shard = self._hash_partitioner.assign(vertex)
-                self.mapping.assign(vertex, tx=tx.store_tx, shard=shard)
-            elif self.config.partitioner == "ldg":
+            elif partitioner == "ldg":
                 shard = self._ldg_partitioner.assign(vertex, ())
-                self.mapping.assign(vertex, tx=tx.store_tx, shard=shard)
             else:
-                shard = self.mapping.assign(vertex, tx=tx.store_tx)
-            self._placement[vertex] = shard
+                shard = None  # the mapping's round-robin cursor
+            placed[vertex] = self.mapping.assign(
+                vertex, tx=tx.store_tx, shard=shard
+            )
+        self._placement.update(placed)
+        return placed
 
     def _shard_of(self, vertex: str) -> Optional[int]:
         shard = self._placement.get(vertex)
@@ -181,13 +215,26 @@ class Weaver:
     def _enqueue(
         self, gk_index: int, shard_index: int, qtx: QueuedTransaction
     ) -> None:
+        """Stamp the channel seqno and send-order rank, then send; a
+        batching transport flushes it before the next request on that
+        channel, preserving FIFO."""
         channel = (gk_index, shard_index)
         seqno = self._channel_seqno.get(channel, 0)
         self._channel_seqno[channel] = seqno + 1
         stamped = dataclasses.replace(
             qtx, seqno=seqno, tiebreak=next(self._send_rank)
         )
-        self.shards[shard_index].enqueue(gk_index, stamped)
+        self.transport.send(
+            self._gk_names[gk_index],
+            self._shard_names[shard_index],
+            "enqueue",
+            (gk_index, stamped),
+        )
+
+    def _reset_channels(self) -> None:
+        # An epoch barrier cleared every shard queue and its expected
+        # sequence numbers; restart the sender side to match.
+        self._channel_seqno.clear()
 
     # -- queue pumping -----------------------------------------------------
 
@@ -206,21 +253,189 @@ class Weaver:
         """
         sync_announce_all(self.gatekeepers)
         previous: Optional[VectorTimestamp] = None
+        live = self._live_shards()
         for gk in self.gatekeepers:
             if previous is not None:
                 gk.receive_announce(previous.clocks)
             nop_ts = gk.make_nop()
             previous = nop_ts
-            for shard in self.shards:
-                self._enqueue(gk.index, shard.index, QueuedTransaction(nop_ts))
+            for shard_index in live:
+                self._enqueue(gk.index, shard_index, QueuedTransaction(nop_ts))
         # Announce the final NOP too, so every later stamp dominates it.
         sync_announce_all(self.gatekeepers)
 
     def drain(self) -> int:
-        """Announce, heartbeat, and apply everything applicable."""
+        """Announce, heartbeat, and apply everything applicable on every
+        shard (one fan-out)."""
         self._send_nops()
         self._commits_since_drain = 0
-        return sum(shard.apply_available() for shard in self.shards)
+        return sum(self._request_all_shards("drain", None))
+
+    def checkpoint(self) -> VectorTimestamp:
+        """A timestamp usable for stable historical queries.
+
+        The returned stamp dominates every committed write, and the
+        announce round after issuing it guarantees every *later* stamp
+        dominates it — so a query ``at=checkpoint`` always sees exactly
+        the writes committed before the call, no matter when it runs
+        (section 3.1's multi-version historical reads).
+        """
+        sync_announce_all(self.gatekeepers)
+        ts = self.gatekeepers[self._pick_gatekeeper()].issue_timestamp()
+        sync_announce_all(self.gatekeepers)
+        return ts
+
+    # -- node programs: the shared prologue/epilogue (section 4.1) --------
+
+    def _submit_program(
+        self, program: NodeProgram, start: StartSpec, params: Any
+    ) -> Tuple[List[Tuple[str, Any]], int, int]:
+        """Normalize ``start`` and open the trace: (frontier, query id,
+        trace id)."""
+        frontier = (
+            [(start, params)] if isinstance(start, str) else list(start)
+        )
+        query_id = next(self._query_counter)
+        trace_id = self.tracer.next_trace_id()
+        self.tracer.emit(
+            trace_id, "program.submit", node="client",
+            query_id=query_id, program=program.name,
+        )
+        return frontier, query_id, trace_id
+
+    def _stamp_program(
+        self, trace_id: int, query_id: int, at: Optional[VectorTimestamp]
+    ) -> VectorTimestamp:
+        """Stamp the program (or adopt the historical ``at``) and hold
+        until every shard may execute at that timestamp."""
+        gk = self.gatekeepers[self._pick_gatekeeper()]
+        ts = at if at is not None else gk.issue_timestamp()
+        self.tracer.emit(
+            trace_id, "program.stamp", node=gk.name,
+            ts=ts, query_id=query_id,
+        )
+        self._make_shards_ready(ts)
+        return ts
+
+    def _complete_program(
+        self, trace_id: int, query_id: int, **attrs: Any
+    ) -> None:
+        # A cache hit is still a client-observed run: count it and close
+        # the trace so `repro stats`/`repro trace` agree with what
+        # clients saw.
+        self.programs_run += 1
+        self.tracer.emit(
+            trace_id, "program.complete", node="client",
+            query_id=query_id, **attrs,
+        )
+
+    @staticmethod
+    def _cache_tail(
+        params: Any, at: Optional[VectorTimestamp],
+        cache_key: Optional[Hashable],
+    ) -> Hashable:
+        """The caller-chosen part of a program-cache key.  Historical
+        queries read a different cut of the graph; a current-time result
+        must never serve an ``at=`` query (or vice versa), so the
+        snapshot identity is part of the key (section 4.6)."""
+        tail = cache_key if cache_key is not None else repr(params)
+        return tail if at is None else (tail, at.id)
+
+    def _make_shards_ready(self, ts: VectorTimestamp) -> None:
+        """Block (logically) until every shard may execute at ``ts``.
+
+        Fast path first: when every shard can already execute at ``ts``
+        (all queues non-empty with heads ordered after ``ts``, typically
+        because a recent drain or program left fresh heartbeats behind),
+        skip the announce/NOP storm entirely.  Otherwise announce so
+        later heartbeats dominate ``ts``, heartbeat so every queue is
+        non-empty, then apply all work ordered before ``ts``.
+        """
+        stats = self.executor.stats
+        if all(self._request_all_shards("advance_to", ts)):
+            stats.readiness_fastpath_hits += 1
+            return
+        stats.readiness_storms += 1
+        self._send_nops()
+        ready = self._request_all_shards("advance_to", ts)
+        if not all(ready):
+            bad = [
+                self._shard_names[i]
+                for i, ok in zip(self._live_shards(), ready)
+                if not ok
+            ]
+            raise ClusterError(
+                f"{bad} not ready for {ts} despite heartbeats"
+            )
+
+    # -- garbage collection (section 4.5) -----------------------------------
+
+    def collect_garbage(self) -> Dict[str, int]:
+        """Reclaim multi-version state below the GC watermark.
+
+        The watermark is the oldest in-flight node program, or — when the
+        system is idle — a fresh clock snapshot that dominates every
+        issued timestamp (everything old is reclaimable).
+        """
+        reclaimed = {"graph": 0, "oracle": 0, "ordering_cache": 0, "store": 0}
+        sync_announce_all(self.gatekeepers)
+        watermark = self.watermarks.watermark(
+            self.gatekeepers[0].current_watermark()
+        )
+        self.drain()
+        # After the drain every shard span below the watermark has
+        # reached the tracer; announcing the watermark now lets an
+        # attached online checker settle those events against decisions
+        # that the collect_below calls are about to discard.
+        self.tracer.emit(None, "gc.watermark", node="gc", ts=watermark)
+        for graph, cache in self._request_all_shards(
+            "collect_below", watermark
+        ):
+            reclaimed["graph"] += graph
+            reclaimed["ordering_cache"] += cache
+        reclaimed["oracle"] = self.oracle.collect_below(watermark)
+        # Store compaction uses the store's own commit counter, not the
+        # vector watermark: every version below the oldest open store
+        # snapshot is superseded for all future readers.  When the
+        # opportunistic background compactor owns reclamation, the GC
+        # tick must not double-compact under it.
+        if not getattr(self.store, "background_compaction_active", False):
+            reclaimed["store"] = self.store.collect_below(
+                self.store.safe_compact_version()
+            )
+        return reclaimed
+
+
+class Weaver(Coordinator):
+    """A complete Weaver deployment in one process."""
+
+    def __init__(self, config: Optional[WeaverConfig] = None):
+        parts = build_cluster(config)
+        super().__init__(parts, LocalTransport())
+        self.shards: List[ShardServer] = parts.shards
+        for shard in self.shards:
+            self._register_shard(shard)
+        self.changes = ChangeTracker()
+        cfg = self.config
+        self.program_cache: Optional[ProgramCache] = (
+            ProgramCache(self.changes, cfg.program_cache_capacity)
+            if cfg.enable_program_cache
+            else None
+        )
+        self._paging_enabled = False
+        self._replicas: list = []
+
+    def _register_shard(self, shard: ShardServer) -> None:
+        self.transport.register(shard.name, ShardEndpoint(shard).deliver)
+
+    # The benchmark's layer spans wrap these where each deployment
+    # class defines them, so each binds the shared implementation in its
+    # own class body.
+    begin_transaction = Coordinator.begin_transaction
+    collect_garbage = Coordinator.collect_garbage
+
+    def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
+        self.changes.bump_all(tx.touched_vertices)
 
     # -- node programs (section 4.1) ---------------------------------------
 
@@ -241,43 +456,20 @@ class Weaver:
         memoized result for (program, start, cache_key) is returned
         without touching the graph.
         """
-        frontier = (
-            [(start, params)] if isinstance(start, str) else list(start)
-        )
-        query_id = next(self._query_counter)
-        trace_id = self.tracer.next_trace_id()
-        self.tracer.emit(
-            trace_id, "program.submit", node="client",
-            query_id=query_id, program=program.name,
+        frontier, query_id, trace_id = self._submit_program(
+            program, start, params
         )
         cache_entry_key = None
         if use_cache and self.program_cache is not None:
             first = frontier[0][0] if frontier else ""
-            key_tail = cache_key if cache_key is not None else repr(params)
-            # Historical queries read a different cut of the graph; a
-            # current-time result must never serve an ``at=`` query (or
-            # vice versa), so the snapshot identity is part of the key.
-            if at is not None:
-                key_tail = (key_tail, at.id)
-            cache_entry_key = ProgramCache.key(program.name, first, key_tail)
+            cache_entry_key = ProgramCache.key(
+                program.name, first, self._cache_tail(params, at, cache_key)
+            )
             cached = self.program_cache.get(cache_entry_key)
             if cached is not None:
-                # A hit is still a client-observed run: count it and
-                # close the trace so `repro stats`/`repro trace` agree
-                # with what clients saw.
-                self.programs_run += 1
-                self.tracer.emit(
-                    trace_id, "program.complete", node="client",
-                    query_id=query_id, cache_hit=True,
-                )
+                self._complete_program(trace_id, query_id, cache_hit=True)
                 return cached
-        gk = self.gatekeepers[self._pick_gatekeeper()]
-        ts = at if at is not None else gk.issue_timestamp()
-        self.tracer.emit(
-            trace_id, "program.stamp", node=gk.name,
-            ts=ts, query_id=query_id,
-        )
-        self._make_shards_ready(ts)
+        ts = self._stamp_program(trace_id, query_id, at)
         self.watermarks.start(query_id, ts)
         try:
             result = self.executor.execute(
@@ -285,13 +477,19 @@ class Weaver:
             )
         finally:
             self.watermarks.finish(query_id)
-        self.programs_run += 1
-        self.tracer.emit(
-            trace_id, "program.complete", node="client", query_id=query_id
-        )
+        self._complete_program(trace_id, query_id)
         if cache_entry_key is not None:
             self.program_cache.put(cache_entry_key, result, result.read_set)
         return result
+
+    def _resolver(self, ts: VectorTimestamp) -> ShardSnapshotResolver:
+        return ShardSnapshotResolver(
+            ts,
+            self._shard_of,
+            self.shards,
+            stats=self.executor.stats,
+            page_in=True,
+        )
 
     # -- dynamic repartitioning (section 4.6) ------------------------------
 
@@ -445,95 +643,6 @@ class Weaver:
             "pages_out": sum(s.stats.pages_out for s in self.shards),
         }
 
-    def checkpoint(self) -> VectorTimestamp:
-        """A timestamp usable for stable historical queries.
-
-        The returned stamp dominates every committed write, and the
-        announce round after issuing it guarantees every *later* stamp
-        dominates it — so a query ``at=checkpoint`` always sees exactly
-        the writes committed before the call, no matter when it runs
-        (section 3.1's multi-version historical reads).
-        """
-        sync_announce_all(self.gatekeepers)
-        ts = self.gatekeepers[self._pick_gatekeeper()].issue_timestamp()
-        sync_announce_all(self.gatekeepers)
-        return ts
-
-    def _make_shards_ready(self, ts: VectorTimestamp) -> None:
-        """Block (logically) until every shard may execute at ``ts``.
-
-        Fast path first: when every shard can already execute at ``ts``
-        (all queues non-empty with heads ordered after ``ts``, typically
-        because a recent drain or program left fresh heartbeats behind),
-        skip the announce/NOP storm entirely.  Otherwise announce so
-        later heartbeats dominate ``ts``, heartbeat so every queue is
-        non-empty, then apply all work ordered before ``ts``.
-        """
-        if all(shard.advance_to(ts) for shard in self.shards):
-            self.executor.stats.readiness_fastpath_hits += 1
-            return
-        self.executor.stats.readiness_storms += 1
-        self._send_nops()
-        for shard in self.shards:
-            if not shard.advance_to(ts):
-                raise ClusterError(
-                    f"{shard.name} not ready for {ts} despite heartbeats"
-                )
-
-    def _resolver(self, ts: VectorTimestamp) -> ShardSnapshotResolver:
-        return ShardSnapshotResolver(
-            ts,
-            self._shard_of,
-            self.shards,
-            stats=self.executor.stats,
-            page_in=True,
-        )
-
-    # -- garbage collection (section 4.5) -----------------------------------
-
-    def collect_garbage(self) -> Dict[str, int]:
-        """Reclaim multi-version state below the GC watermark.
-
-        The watermark is the oldest in-flight node program, or — when the
-        system is idle — a fresh clock snapshot that dominates every
-        issued timestamp (everything old is reclaimable).
-        """
-        sync_announce_all(self.gatekeepers)
-        fallback = self.gatekeepers[0].current_watermark()
-        watermark = self.watermarks.watermark(fallback)
-        if watermark is None:
-            return {"graph": 0, "oracle": 0}
-        self.drain()
-        graph_reclaimed = sum(
-            shard.collect_below(watermark) for shard in self.shards
-        )
-        oracle_reclaimed = self.oracle.collect_below(watermark)
-        # Shard-local decision caches hold entries keyed on collected
-        # events; evict the ones the watermark dominates so the caches
-        # stay bounded within an epoch too.
-        cache_evicted = sum(
-            shard.ordering.cache.evict_below(watermark)
-            for shard in self.shards
-            if shard.ordering.cache is not None
-        )
-        # Store compaction uses the store's own commit counter, not the
-        # vector watermark: every version below the oldest open store
-        # snapshot is superseded for all future readers.  When the
-        # opportunistic background compactor owns reclamation, the GC
-        # tick must not double-compact under it.
-        if getattr(self.store, "background_compaction_active", False):
-            store_reclaimed = 0
-        else:
-            store_reclaimed = self.store.collect_below(
-                self.store.safe_compact_version()
-            )
-        return {
-            "graph": graph_reclaimed,
-            "oracle": oracle_reclaimed,
-            "ordering_cache": cache_evicted,
-            "store": store_reclaimed,
-        }
-
     # -- failure handling (section 4.3) -----------------------------------
 
     def fail_shard(self, index: int) -> ShardServer:
@@ -547,6 +656,7 @@ class Weaver:
         replacement = self.manager.recover_shard(index)
         replacement.tracer = self.tracer
         self.shards[index] = replacement
+        self._register_shard(replacement)
         if self._paging_enabled:
             replacement.set_pager(self._load_vertex_image)
         self._reset_channels()
@@ -560,11 +670,6 @@ class Weaver:
         self.gatekeepers[index] = replacement
         self._reset_channels()
         return replacement
-
-    def _reset_channels(self) -> None:
-        # The epoch barrier cleared every shard queue and its expected
-        # sequence numbers; restart the sender side to match.
-        self._channel_seqno.clear()
 
     # -- statistics -----------------------------------------------------
 

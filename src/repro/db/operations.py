@@ -246,9 +246,12 @@ def touched_vertices(operations) -> FrozenSet[str]:
     return touched
 
 
-def graph_state_from_store(store_snapshot: Dict[str, Any]) -> Tuple[
+GraphState = Tuple[
     Dict[str, Dict[str, Any]], Dict[Tuple[str, str], Dict[str, Any]]
-]:
+]
+
+
+def graph_state_from_store(store_snapshot: Dict[str, Any]) -> GraphState:
     """Decode a backing-store snapshot into vertex and edge tables.
 
     Used by shard recovery (section 4.3): a replacement shard reloads its
@@ -265,3 +268,32 @@ def graph_state_from_store(store_snapshot: Dict[str, Any]) -> Tuple[
             src, handle = key[2:].split(":", 1)
             edges[(src, handle)] = value
     return vertices, edges
+
+
+def partition_image(
+    store_snapshot: Dict[str, Any], placement: Dict[str, int], index: int
+) -> GraphState:
+    """Shard ``index``'s share of a backing-store snapshot: the
+    :func:`graph_state_from_store` tables filtered by ``placement``
+    (an edge lives with its source vertex)."""
+    vertices, edges = graph_state_from_store(store_snapshot)
+    return (
+        {h: p for h, p in vertices.items() if placement.get(h) == index},
+        {k: r for k, r in edges.items() if placement.get(k[0]) == index},
+    )
+
+
+def load_partition(
+    graph: MultiVersionGraph, image: GraphState, ts: VectorTimestamp
+) -> None:
+    """Install a :func:`partition_image` into a (replacement) shard's
+    graph, every record stamped at the recovery timestamp ``ts``."""
+    vertices, edges = image
+    for handle, props in vertices.items():
+        graph.create_vertex(handle, ts)
+        for key, value in props.items():
+            graph.set_vertex_property(handle, key, value, ts)
+    for (src, handle), record in edges.items():
+        graph.create_edge(handle, src, record["dst"], ts)
+        for key, value in record.get("props", {}).items():
+            graph.set_edge_property(src, handle, key, value, ts)

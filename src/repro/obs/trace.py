@@ -11,7 +11,7 @@ what makes the checker a consumer of the trace stream rather than a
 parallel bespoke recorder.
 
 Span kinds (the stable catalog; paper cross-references in
-docs/ARCHITECTURE.md):
+ARCHITECTURE.md):
 
 ========================  ====================================================
 kind                      emitted when

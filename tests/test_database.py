@@ -198,6 +198,36 @@ class TestGarbageCollection:
         assert db2.oracle_head().num_events == 0
 
 
+    def test_gc_reports_the_same_keys_on_both_deployments(self):
+        # One collect_garbage flow: the shard endpoint's collect_below
+        # reply carries the ordering-cache eviction count, so neither
+        # deployment drops it.
+        from repro.cluster.process import ProcessWeaver
+        from repro.db import WeaverClient
+
+        def reclaim(db):
+            client = WeaverClient(db)
+            client.create_vertex("a")
+            for i in range(6):
+                client.set_property("a", "k", i)
+            db.drain()
+            return db.collect_garbage()
+
+        def config():
+            return WeaverConfig(
+                num_gatekeepers=2, num_shards=2, announce_every=10
+            )
+
+        direct = reclaim(Weaver(config()))
+        with ProcessWeaver(config()) as db:
+            process = reclaim(db)
+        assert sorted(direct) == ["graph", "oracle", "ordering_cache", "store"]
+        assert direct["ordering_cache"] > 0
+        assert process == direct
+        # An idle second tick still answers with every key.
+        assert sorted(Weaver(config()).collect_garbage()) == sorted(direct)
+
+
 class TestStats:
     def test_ordering_stats_aggregate(self, db, client):
         client.create_vertex("a")

@@ -232,6 +232,52 @@ class TestWatermarkSettlement:
         assert online.finalize() == []
 
 
+    def test_direct_weaver_gc_settles_an_attached_checker(self):
+        # The shared collect_garbage emits gc.watermark after its drain
+        # and before any collect_below on every deployment, so a checker
+        # attached to a direct Weaver settles and prunes at GC with no
+        # manual advance_watermark.
+        from repro.db import Weaver, WeaverConfig
+        from repro.programs.library import GetNode
+        from repro.verify.history import decided_order
+
+        db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=2))
+        online = OnlineChecker(decided_order(db.oracle))
+        online.attach(db.tracer)
+        order = []
+        db.tracer.add_sink(lambda span: order.append(span.kind))
+        tx = db.begin_transaction()
+        tx.create_vertex("a")
+        tx.commit()
+        for tag in range(8):
+            tx = db.begin_transaction()
+            tx.set_property("a", "w", tag)
+            ts = tx.commit()
+            db.tracer.emit(
+                tx.trace_id, "txn.commit", node="client", at=float(tag),
+                tag=tag, ts=ts, writes=(("a", tag),),
+                submitted_at=float(tag) - 0.5,
+            )
+        result = db.run_program(GetNode(), "a")
+        db.tracer.emit(
+            db.tracer.next_trace_id(), "program.read", node="client",
+            query_id=900, at=9.0, ts=result.timestamp,
+            reads=(("a", result.value["properties"]["w"]),),
+            submitted_at=8.5,
+        )
+        assert online.watermark is None
+        db.collect_garbage()
+        assert online.watermark is not None
+        assert online.stats.window_pending == 0
+        assert online.stats.pruned > 0
+        assert online.finalize() == []
+        # Announced after the drain's applies, exactly once.
+        assert order.count("gc.watermark") == 1
+        assert order.index("gc.watermark") > max(
+            i for i, kind in enumerate(order) if kind == "shard.apply"
+        )
+
+
 class TestSoakMemoryBound:
     """Satellite: retained window stays flat while the history grows."""
 

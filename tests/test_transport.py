@@ -48,6 +48,27 @@ def test_local_unregistered_destination_raises():
         LocalTransport().send("a", "ghost", "ping", None)
 
 
+def test_local_request_all_replies_in_destination_order():
+    transport = LocalTransport()
+    for name in ("x", "y", "z"):
+        transport.register(name, lambda s, k, p, name=name: (name, k, p))
+    calls = [("z", "ask", 1), ("x", "ask", 2), ("y", "tell", 3)]
+    assert transport.request_all("a", calls) == [
+        ("z", "ask", 1), ("x", "ask", 2), ("y", "tell", 3),
+    ]
+    assert transport.stats.requests == 3
+    assert transport.request_all("a", []) == []
+
+
+def test_local_request_all_names_the_unregistered_channel():
+    transport = LocalTransport()
+    transport.register("x", lambda s, k, p: p)
+    with pytest.raises(TransportError) as info:
+        transport.request_all("a", [("x", "ask", 1), ("ghost", "ask", 2)])
+    assert info.value.channel == "ghost"
+    assert "ghost" in str(info.value)
+
+
 def test_broadcast_fans_out():
     transport = LocalTransport()
     got = []
