@@ -4,10 +4,11 @@ Deliberately small configurations (seconds, not minutes) suitable for
 every CI run: the skyline-indexed oracle must not be slower than the
 seed-equivalent reference, and the batched scatter-gather program
 executor must keep its structural wins (O(shards) snapshots per query,
-batch messages, hop dedup, readiness fast path) — counts, not wall
-clock, so the guard is stable on loaded CI machines.  The full-size
-measurements (with the ≥ 3x acceptance bars) live in
-``test_micro_ordering.py`` and ``test_micro_programs.py``.
+batch messages, hop dedup, readiness fast path, one round trip per
+read on the process transport) — counts, not wall clock, so the guard
+is stable on loaded CI machines.  The full-size measurements (with the
+≥ 3x acceptance bars) live in ``test_micro_ordering.py`` and
+``test_micro_programs.py``.
 
 Run with::
 
@@ -120,6 +121,28 @@ def test_transport_structural_counters():
     # The per-round resolve fan-out writes every request before reading
     # any reply, so requests overlap whenever >1 shard is involved.
     assert snap["transport.requests_pipelined"] > 0
+
+
+def test_single_vertex_read_is_one_round_trip():
+    """Readiness rides the program request: a single-vertex read on two
+    shard processes is one request/reply pair plus one one-way frame to
+    the other shard — no probe, no second fan-out."""
+    from repro.cluster.process import ProcessWeaver
+    from repro.db.client import WeaverClient
+    from repro.db.config import WeaverConfig
+
+    with ProcessWeaver(WeaverConfig(num_shards=2)) as db:
+        client = WeaverClient(db)
+        handles = [client.create_vertex(f"r{i}") for i in range(10)]
+        db.drain()
+        stats = db.transport.stats
+        requests = stats.requests
+        frames = stats.frames_sent + stats.frames_received
+        for i in range(100):
+            handle = handles[i % 10]
+            assert client.get_node(handle)["handle"] == handle
+        assert stats.requests - requests == 100
+        assert stats.frames_sent + stats.frames_received - frames <= 300
 
 
 def test_page_cache_structural_counters():

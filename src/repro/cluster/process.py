@@ -4,7 +4,7 @@
 :class:`~repro.db.database.Coordinator` as the in-process
 :class:`~repro.db.database.Weaver` — same parts from the same
 :func:`~repro.cluster.builder.build_cluster`, same commit / heartbeat /
-readiness / GC protocol — over a
+advance / GC protocol — over a
 :class:`~repro.cluster.transport.ProcessTransport`: every shard server
 and the timeline oracle run as separate OS processes speaking
 length-prefixed :mod:`~repro.cluster.wire` frames over UNIX sockets.
@@ -16,12 +16,14 @@ Division of labour per node program (``config.program_execution``):
 
 * ``"resident"`` (the default) ships the program *to the data*: the
   client submits one :class:`~repro.cluster.messages.ProgramStart` to
-  the start vertex's owning shard, each worker runs its slice of every
-  scatter-gather round against its local snapshot, and next frontiers
-  travel worker-to-worker as ``FrontierForward`` frames — O(shards)
-  wire messages per round instead of O(frontier).  The coordinating
-  worker detects round quiescence and replies with only the aggregated
-  result and read set (section 4's shard-to-shard propagation);
+  the start vertex's owning shard (the frame also carries that shard's
+  heartbeats and ``advance_to`` — one round trip per read), each worker
+  runs its slice of every scatter-gather round against its local
+  snapshot, and next frontiers travel worker-to-worker as
+  ``FrontierForward`` frames — O(shards) wire messages per round
+  instead of O(frontier).  The coordinating worker detects round
+  quiescence and replies with only the aggregated result and read set
+  (section 4's shard-to-shard propagation);
 * ``"images"`` keeps the legacy split: the client-side
   :class:`~repro.programs.framework.ProgramExecutor` runs program logic
   on plain vertex images pulled per round via pipelined ``resolve``
@@ -199,6 +201,8 @@ class ProcessShardResolver:
         ]
         replies = db.transport.request_all("client", calls)
         for shard_index, reply in zip(order, replies):
+            if reply.get("error"):
+                raise ClusterError(reply["error"])
             batch = per_shard[shard_index]
             self.shards_touched.add(shard_index)
             fresh = reply["fresh"]
@@ -281,6 +285,7 @@ class ProcessWeaver(Coordinator):
         self._epoch = 0
         self.recoveries = 0
         self._closed = False
+        self._live: Optional[List[int]] = None
         for index in range(self.config.num_shards):
             self._spawn_worker(index)
 
@@ -335,6 +340,7 @@ class ProcessWeaver(Coordinator):
         peer_listener.close()
         self._procs[index] = proc
         self.transport.add_channel(self.shard_name(index), parent_sock)
+        self._live = None
 
     def _on_worker_events(self, src: str, kind: str, events) -> None:
         """Replay worker-side spans (ridden on reply frames) into the
@@ -344,11 +350,21 @@ class ProcessWeaver(Coordinator):
             self.tracer.emit(trace_id, span_kind, node=node, **attrs)
 
     def _live_shards(self) -> List[int]:
-        names = set(self.transport.channels())
-        return [
-            i for i in range(self.config.num_shards)
-            if self.shard_name(i) in names
-        ]
+        # Cached between channel changes (spawn, recovery, close).
+        if self._live is None:
+            names = set(self.transport.channels())
+            self._live = [
+                i for i in self._all_shards
+                if self._shard_names[i] in names
+            ]
+        return self._live
+
+    def _flush_except(self, busy) -> None:
+        """Write out what is buffered for every live shard not in
+        ``busy`` (those get it inside their next request frame)."""
+        for shard_index in self._live_shards():
+            if shard_index not in busy:
+                self.transport.flush(self._shard_names[shard_index])
 
     # The benchmark's layer spans wrap these where each deployment
     # class defines them, so each binds the shared implementation in its
@@ -393,6 +409,9 @@ class ProcessWeaver(Coordinator):
             program, start, params
         )
         ts = self._stamp_program(trace_id, query_id, at)
+        # Heartbeats and advance_to are now buffered per channel: they
+        # ride inside the first request a shard gets, or go out alone
+        # to the shards that get none.
         if (
             self.config.program_execution == "resident"
             and frontier
@@ -418,6 +437,8 @@ class ProcessWeaver(Coordinator):
                     "client", self.shard_name(shard_index),
                     "finish", query_id,
                 )
+        # Shards the program never resolved on get their frame now.
+        self._flush_except(resolver.shards_touched)
         self._complete_program(trace_id, query_id)
         return result
 
@@ -450,6 +471,10 @@ class ProcessWeaver(Coordinator):
             ts, query_id, program.name, keyed, trace_id=trace_id,
             cache_tail=cache_tail, max_visits=self.executor._max_visits,
         )
+        # Every other shard's heartbeats go out first, so they sit in
+        # its socket buffer before the coordinator can forward it any
+        # of this program; the coordinator's own ride in the request.
+        self._flush_except({coordinator})
         self.watermarks.start(query_id, ts)
         try:
             payload = self.transport.request(
@@ -498,6 +523,7 @@ class ProcessWeaver(Coordinator):
         """
         name = self.shard_name(index)
         self.transport.remove_channel(name)
+        self._live = None
         proc = self._procs.pop(index, None)
         if proc is not None:
             if proc.is_alive():
@@ -640,6 +666,7 @@ class ProcessWeaver(Coordinator):
             except TransportError:
                 pass
         self.transport.close()
+        self._live = None
         for proc in self._procs.values():
             proc.join(timeout=10)
             if proc.is_alive():

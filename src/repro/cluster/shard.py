@@ -284,6 +284,17 @@ class ShardServer:
             for h in heads
         )
 
+    def not_ready(self, prog_ts: VectorTimestamp) -> Optional[ClusterError]:
+        """The named error a program stamped ``prog_ts`` fails with
+        instead of reading a stale snapshot; None when the shard may
+        execute it.  Whoever takes a program snapshot here asks first —
+        nobody upstream vouches for the shard."""
+        if self.ready_for(prog_ts):
+            return None
+        return ClusterError(
+            f"{self.name} not ready for {prog_ts} despite heartbeats"
+        )
+
     def advance_to(self, prog_ts: VectorTimestamp) -> bool:
         """Apply everything ordered before ``prog_ts``; True when ready."""
         self.apply_available(stop_before=prog_ts)

@@ -13,23 +13,24 @@ Three implementations of one interface:
 * :class:`ProcessTransport` — the real thing: length-prefixed
   :mod:`~repro.cluster.wire` frames over UNIX sockets to worker
   processes, with **in-flight batching** (one-way messages buffer per
-  channel and flush as a single frame before the next request on that
-  channel, preserving FIFO) and **request pipelining** (fan-outs write
-  every request before reading any reply, so worker processes crunch
-  concurrently).
+  channel and ride *inside* the next request frame on that channel,
+  delivered before the request, preserving FIFO) and **request
+  pipelining** (fan-outs write every request before reading any reply,
+  so worker processes crunch concurrently).
 
 The contract is intentionally small — ``register`` a delivery callback
 per node name, ``send`` one-way, ``request`` round-trip, ``request_all``
 fan-out, ``broadcast`` to many — because that is exactly what the one
 client-side coordinator (:class:`~repro.db.database.Coordinator`)
-needs: gatekeeper→shard enqueues and placement gossip are sends,
-readiness barriers, drains, GC and epoch barriers are fan-out requests.
+needs: gatekeeper→shard enqueues, heartbeats, ``advance_to`` and
+placement gossip are sends; drains, GC and epoch barriers are fan-out
+requests.
 
 Backpressure rules (process transport): one-way sends never block (they
-buffer); a buffer flushes when its channel issues a request, when it
-reaches ``max_batch`` messages, or on an explicit ``flush()``.  Requests
-block the caller until the matching reply, bounding client-side
-outstanding work to one pipelined fan-out.
+buffer); a buffer leaves when its channel issues a request (in the same
+frame), when it reaches ``max_batch`` messages, or on an explicit
+``flush()``.  Requests block the caller until the matching reply,
+bounding client-side outstanding work to one pipelined fan-out.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class TransportStats:
     ``requests_pipelined`` counts requests issued while at least one
     other request was already in flight — the overlap the fan-out path
     exists to create.  ``batched_messages`` counts one-way messages that
-    rode a multi-message frame instead of paying their own syscall.
+    rode a multi-message frame (a batch of several, or a request frame
+    carrying them) instead of paying their own syscall.
     """
 
     def __init__(self) -> None:
@@ -206,9 +208,9 @@ class _Channel:
     """Client end of one worker connection."""
 
     __slots__ = ("name", "sock", "buffer", "pending", "replies",
-                 "next_id", "dead")
+                 "next_id", "dead", "gauge")
 
-    def __init__(self, name: str, sock) -> None:
+    def __init__(self, name: str, sock, gauge=None) -> None:
         self.name = name
         self.sock = sock
         self.buffer: List[Tuple[str, Any]] = []   # unsent one-way msgs
@@ -216,6 +218,11 @@ class _Channel:
         self.replies: Dict[int, dict] = {}
         self.next_id = 0
         self.dead = False
+        self.gauge = gauge                         # queue-depth Gauge
+
+    def update_gauge(self) -> None:
+        if self.gauge is not None:
+            self.gauge.set(len(self.buffer) + len(self.pending))
 
 
 class ProcessTransport(Transport):
@@ -230,14 +237,21 @@ class ProcessTransport(Transport):
         self._max_batch = max_batch
         self._timeout = timeout
         self._closed = False
+        self._in_flight = 0     # requests awaiting a reply, all channels
 
     # -- wiring ---------------------------------------------------------
+
+    def _queue_depth_gauge(self, name: str):
+        if self._registry is None:
+            return None
+        return self._registry.gauge(f"transport.queue_depth.{name}")
 
     def add_channel(self, name: str, sock) -> None:
         """Adopt the client end of a worker's socket."""
         sock.settimeout(self._timeout)
-        self._channels[name] = _Channel(name, sock)
-        self._gauge(name)
+        channel = _Channel(name, sock, self._queue_depth_gauge(name))
+        self._channels[name] = channel
+        channel.update_gauge()
 
     def remove_channel(self, name: str) -> None:
         """Drop a channel (dead worker); buffered messages are discarded
@@ -245,12 +259,14 @@ class ProcessTransport(Transport):
         recovery reloads from there."""
         channel = self._channels.pop(name, None)
         if channel is not None:
+            self._in_flight -= len(channel.pending)
             try:
                 channel.sock.close()
             except OSError:
                 pass
-        if self._registry is not None:
-            self._registry.gauge(f"transport.queue_depth.{name}").set(0)
+        gauge = self._queue_depth_gauge(name)
+        if gauge is not None:
+            gauge.set(0)
 
     def register(self, name: str, handler: Handler) -> None:
         """Delivery callback for worker-initiated traffic addressed to
@@ -259,16 +275,6 @@ class ProcessTransport(Transport):
 
     def channels(self) -> List[str]:
         return sorted(self._channels)
-
-    def _gauge(self, name: str) -> None:
-        if self._registry is None:
-            return
-        channel = self._channels.get(name)
-        depth = (
-            0 if channel is None
-            else len(channel.buffer) + len(channel.pending)
-        )
-        self._registry.gauge(f"transport.queue_depth.{name}").set(depth)
 
     def _channel(self, dst: str) -> _Channel:
         channel = self._channels.get(dst)
@@ -308,16 +314,24 @@ class ProcessTransport(Transport):
         self.stats.messages_received += 1
         return envelope
 
-    def _flush_channel(self, channel: _Channel) -> None:
-        if not channel.buffer:
-            return
+    def _take_buffer(
+        self, channel: _Channel, with_request: bool = False
+    ) -> List[Tuple[str, Any]]:
+        """Empty the channel's buffer for one outgoing frame, counting
+        it as a batch when the frame holds more than one message."""
         batch = channel.buffer
-        channel.buffer = []
-        if len(batch) > 1:
-            self.stats.batches_sent += 1
-            self.stats.batched_messages += len(batch)
-        self._write(channel, {"k": "b", "m": batch})
-        self._gauge(channel.name)
+        if batch:
+            channel.buffer = []
+            if with_request or len(batch) > 1:
+                self.stats.batches_sent += 1
+                self.stats.batched_messages += len(batch)
+        return batch
+
+    def _flush_channel(self, channel: _Channel) -> None:
+        batch = self._take_buffer(channel)
+        if batch:
+            self._write(channel, {"k": "b", "m": batch})
+            channel.update_gauge()
 
     # -- one-way sends (buffered; FIFO per channel) ---------------------
 
@@ -328,7 +342,7 @@ class ProcessTransport(Transport):
         if len(channel.buffer) >= self._max_batch:
             self._flush_channel(channel)
         else:
-            self._gauge(dst)
+            channel.update_gauge()
 
     def flush(self, dst: Optional[str] = None) -> None:
         names = [dst] if dst is not None else list(self._channels)
@@ -339,27 +353,28 @@ class ProcessTransport(Transport):
 
     # -- requests (pipelined) -------------------------------------------
 
-    def _outstanding(self) -> int:
-        return sum(len(c.pending) for c in self._channels.values())
-
     def request_async(
         self, src: str, dst: str, kind: str, payload: Any
     ) -> Tuple[str, int]:
         """Issue a request without waiting; returns a token for
-        :meth:`collect`.  Buffered one-way messages on the channel go
-        first (FIFO with the request)."""
+        :meth:`collect`.  Buffered one-way messages on the channel ride
+        in the same frame (``"m"``) and are delivered first — FIFO with
+        the request, one write and one decode instead of two."""
         channel = self._channel(dst)
-        self._flush_channel(channel)
-        if self._outstanding() > 0:
+        if self._in_flight > 0:
             self.stats.requests_pipelined += 1
         rid = channel.next_id
         channel.next_id += 1
         self.stats.requests += 1
         self.stats.messages_sent += 1
-        self._write(channel, {"k": "r", "id": rid, "kind": kind,
-                              "p": payload})
+        envelope = {"k": "r", "id": rid, "kind": kind, "p": payload}
+        batch = self._take_buffer(channel, with_request=True)
+        if batch:
+            envelope["m"] = batch
+        self._write(channel, envelope)
         channel.pending.append(rid)
-        self._gauge(dst)
+        self._in_flight += 1
+        channel.update_gauge()
         return (dst, rid)
 
     def collect(self, token: Tuple[str, int]) -> Any:
@@ -382,7 +397,8 @@ class ProcessTransport(Transport):
             channel.replies[envelope["id"]] = envelope
             if envelope["id"] in channel.pending:
                 channel.pending.remove(envelope["id"])
-            self._gauge(dst)
+                self._in_flight -= 1
+            channel.update_gauge()
         envelope = channel.replies.pop(rid)
         if envelope["k"] == "e":
             raise TransportError(

@@ -252,11 +252,17 @@ class ShardEndpoint:
         round and reused for the query's lifetime, exactly like
         :class:`~repro.programs.routing.ShardSnapshotResolver` does
         in-process; ``fresh`` tells the client whether this batch paid
-        the snapshot construction."""
+        the snapshot construction.  The client's heartbeats and
+        ``advance_to`` precede this request on the channel; a shard
+        they did not make ready answers ``error`` instead of reading a
+        stale snapshot."""
         shard = self.shard
         entry = self._queries.get(request.query_id)
         fresh = entry is None
         if fresh:
+            error = shard.not_ready(request.ts)
+            if error is not None:
+                return {"error": str(error)}
             view = shard.snapshot(request.ts)
             entry = (view,)
             self._queries[request.query_id] = entry
@@ -432,6 +438,9 @@ class _ResidentEngine:
     """
 
     FINISHED_MEMORY = 4096
+    #: How long peer program traffic that outran this worker's own
+    #: client frames is held before the query fails by name.
+    READY_DEADLINE = 5.0
 
     def __init__(
         self,
@@ -577,14 +586,30 @@ class _ResidentEngine:
 
     def _dispatch(self, conn, envelope: dict) -> None:
         kind = envelope.get("k")
-        if kind == "b":
-            for msg_kind, payload in envelope["m"]:
-                self._handle_send(msg_kind, payload)
+        if kind not in ("b", "r"):
             return
+        # One-way messages first: a request frame carries the ones that
+        # were buffered on its channel, FIFO ahead of the request.
+        messages = envelope.pop("m", None) or ()
+        for position, (msg_kind, payload) in enumerate(messages):
+            error = self._not_ready(msg_kind, payload)
+            if error is not None:
+                envelope["m"] = messages[position:]
+                if self._hold(conn, envelope):
+                    return
+                # round_go is the only one-way kind that waits.
+                self._report_failure(payload, str(error))
+                continue
+            self._handle_send(msg_kind, payload)
         if kind != "r":
             return
         rid = envelope["id"]
         req = envelope["kind"]
+        error = self._not_ready(req, envelope.get("p"))
+        if error is not None:
+            if not self._hold(conn, envelope):
+                self._reply(conn, rid, error=str(error))
+            return
         if req == "program_start":
             try:
                 self._handle_program_start(conn, rid, envelope.get("p"))
@@ -599,6 +624,46 @@ class _ResidentEngine:
             self._reply(conn, rid, result=result)
         if req == "shutdown":
             self.running = False
+
+    def _not_ready(self, kind: str, payload) -> Optional[WeaverError]:
+        """The named error when a peer's program message needs this
+        shard ready for a timestamp it is not ready for yet: a query's
+        first ``round_go`` builds its snapshot resolver (a ``forward``
+        only buffers hops until then), and a ``counters`` check vouches
+        for a cached result as of ``ts``."""
+        if kind == "round_go":
+            qid = payload["q"]
+            query = self.queries.get(qid)
+            if (
+                qid in self.coordinated  # program_start already asked
+                or qid in self.finished
+                or (query is not None and query.program is not None)
+            ):
+                return None
+        elif kind != "counters":
+            return None
+        return self.worker.shard.not_ready(payload["ts"])
+
+    def _hold(self, conn, envelope: dict) -> bool:
+        """Requeue a message that outran this worker's own client
+        frames; False once it has waited out the deadline.
+
+        The client flushes every channel before it writes
+        ``program_start``, so the heartbeats and ``advance_to`` that
+        make this shard ready are already in the client socket's
+        buffer: pump it and put the message back behind them.
+        """
+        now = time.monotonic()
+        deadline = envelope.setdefault("until", now + self.READY_DEADLINE)
+        if now >= deadline:
+            return False
+        if all("until" in queued for _conn, queued in self.pending):
+            # Nothing but held messages is queued, so nothing queued
+            # can make the shard ready: wait for the client's bytes.
+            if select.select([self.client], [], [], deadline - now)[0]:
+                self._pump(self.client)
+        self.pending.append((conn, envelope))
+        return True
 
     def _reply(self, conn, rid: int, result=None, error=None) -> None:
         if error is not None:
@@ -768,12 +833,9 @@ class _ResidentEngine:
         if query.program is None:
             cls = PROGRAM_REGISTRY.get(payload["program"])
             if cls is None:
-                self._send_report(payload["coordinator"], {
-                    "q": payload["q"], "round": payload["round"],
-                    "worker": self.index, "sent": {}, "halt": None,
-                    "processed": 0,
-                    "error": f"unknown program {payload['program']!r}",
-                })
+                self._report_failure(
+                    payload, f"unknown program {payload['program']!r}"
+                )
                 return
             query.program = cls()
             query.ctx = ProgramContext(payload["q"], payload["ts"])
@@ -786,6 +848,13 @@ class _ResidentEngine:
             self.resident.programs_participated += 1
         query.go[payload["round"]] = payload
         self._maybe_execute(query, payload["round"])
+
+    def _report_failure(self, go: dict, message: str) -> None:
+        """Answer a ``round_go`` this worker cannot execute."""
+        self._send_report(go["coordinator"], {
+            "q": go["q"], "round": go["round"], "worker": self.index,
+            "sent": {}, "halt": None, "processed": 0, "error": message,
+        })
 
     def _maybe_execute(self, query: _ResidentQuery, round_no: int) -> None:
         if round_no in query.executed:
@@ -947,6 +1016,12 @@ class _ResidentEngine:
         self, conn, rid: int, ps: ProgramStart
     ) -> None:
         self.resident.programs_coordinated += 1
+        # The heartbeats and advance_to for ps.ts rode in ahead of this
+        # request; if they did not make the shard ready nothing will.
+        error = self.worker.shard.not_ready(ps.ts)
+        if error is not None:
+            self._reply(conn, rid, result={"error": str(error)})
+            return
         cache_key = None
         if (
             self.cache is not None
@@ -959,7 +1034,9 @@ class _ResidentEngine:
             cached = self.cache.get(cache_key)
             if cached is not None:
                 payload, remote_fragments = cached
-                if self._remote_fragments_valid(cache_key, remote_fragments):
+                if self._remote_fragments_valid(
+                    cache_key, remote_fragments, ps.ts
+                ):
                     self.resident.cache_hits += 1
                     hit = dict(payload)
                     hit["cache_hit"] = True
@@ -992,17 +1069,19 @@ class _ResidentEngine:
         })
 
     def _remote_fragments_valid(
-        self, cache_key, remote_fragments: Dict[int, dict]
+        self, cache_key, remote_fragments: Dict[int, dict],
+        ts: VectorTimestamp,
     ) -> bool:
         """Validate a cached result's remote read-set fragments against
-        the owning workers' live change counters."""
+        the owning workers' change counters as of ``ts`` (a worker
+        answers once it has applied everything ordered before it)."""
         for dst, observed in remote_fragments.items():
             if not observed:
                 continue
             self.resident.counter_checks += 1
             try:
                 reply = self._peer_request(
-                    dst, "counters", {"observed": observed}
+                    dst, "counters", {"observed": observed, "ts": ts}
                 )
             except (TransportError, OSError, socket.timeout):
                 reply = None

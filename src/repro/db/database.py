@@ -5,12 +5,13 @@ depend on where the shards live, so it is written once:
 
 * :class:`Coordinator` — gatekeeper stamp → backing-store commit →
   per-(gatekeeper, shard) FIFO enqueue with sequence numbers → NOP
-  heartbeats so every queue is non-empty → readiness barrier before a
-  node program; plus drain, checkpoint and the GC tick.  It reaches
-  shards only through the :class:`~repro.cluster.transport.Transport`
-  contract (``send`` for enqueues, one ``request_all`` fan-out for
-  ``advance_to`` / ``drain`` / ``collect_below`` / ``advance_epoch``),
-  and every shard answers through the same
+  heartbeats so every queue is non-empty → a one-way ``advance_to``
+  ahead of a node program, which the shard checks for itself; plus
+  drain, checkpoint and the GC tick.  It reaches shards only through
+  the :class:`~repro.cluster.transport.Transport` contract (``send``
+  for enqueues, heartbeats and ``advance_to``; one ``request_all``
+  fan-out for ``drain`` / ``collect_below`` / ``advance_epoch``), and
+  every shard answers through the same
   :class:`~repro.cluster.worker.ShardEndpoint`.
 * :class:`Weaver` (this module) — the deployment in one process: a
   ``LocalTransport`` over endpoints wrapping its live ``ShardServer``
@@ -29,7 +30,6 @@ SimulatedWeaver` drives the same servers from its own clock.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
@@ -39,7 +39,7 @@ from ..cluster.shard import ShardServer
 from ..cluster.transport import LocalTransport, Transport
 from ..cluster.worker import ShardEndpoint
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
-from ..core.vclock import VectorTimestamp
+from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, NoSuchVertex
 from ..graph.partition import HashPartitioner, LdgPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
@@ -93,6 +93,9 @@ class Coordinator:
         self._commits = 0
         self._commits_since_drain = 0
         self._channel_seqno: Dict[Tuple[int, int], int] = {}
+        # The timestamp every live shard was last advanced to, while
+        # that round's heartbeats are still queued behind it.
+        self._advanced_to: Optional[VectorTimestamp] = None
         self._placement: Dict[str, int] = {}
         self._hash_partitioner = HashPartitioner(cfg.num_shards)
         self._ldg_partitioner = LdgPartitioner(cfg.num_shards)
@@ -221,8 +224,11 @@ class Coordinator:
         channel = (gk_index, shard_index)
         seqno = self._channel_seqno.get(channel, 0)
         self._channel_seqno[channel] = seqno + 1
-        stamped = dataclasses.replace(
-            qtx, seqno=seqno, tiebreak=next(self._send_rank)
+        # Built directly: dataclasses.replace costs several times the
+        # constructor, and every heartbeat passes through here.
+        stamped = QueuedTransaction(
+            qtx.ts, qtx.operations, seqno, next(self._send_rank),
+            qtx.trace_id,
         )
         self.transport.send(
             self._gk_names[gk_index],
@@ -235,6 +241,7 @@ class Coordinator:
         # An epoch barrier cleared every shard queue and its expected
         # sequence numbers; restart the sender side to match.
         self._channel_seqno.clear()
+        self._advanced_to = None
 
     # -- queue pumping -----------------------------------------------------
 
@@ -269,6 +276,7 @@ class Coordinator:
         shard (one fan-out)."""
         self._send_nops()
         self._commits_since_drain = 0
+        self._advanced_to = None
         return sum(self._request_all_shards("drain", None))
 
     def checkpoint(self) -> VectorTimestamp:
@@ -306,8 +314,8 @@ class Coordinator:
     def _stamp_program(
         self, trace_id: int, query_id: int, at: Optional[VectorTimestamp]
     ) -> VectorTimestamp:
-        """Stamp the program (or adopt the historical ``at``) and hold
-        until every shard may execute at that timestamp."""
+        """Stamp the program (or adopt the historical ``at``) and send
+        every shard what it needs to execute at that timestamp."""
         gk = self.gatekeepers[self._pick_gatekeeper()]
         ts = at if at is not None else gk.issue_timestamp()
         self.tracer.emit(
@@ -342,31 +350,38 @@ class Coordinator:
         return tail if at is None else (tail, at.id)
 
     def _make_shards_ready(self, ts: VectorTimestamp) -> None:
-        """Block (logically) until every shard may execute at ``ts``.
+        """Send every live shard what makes it ready for ``ts``, and
+        ask nothing (sections 4.1-4.2: the program waits at the shard;
+        the client negotiates no readiness in rounds before it).
 
-        Fast path first: when every shard can already execute at ``ts``
-        (all queues non-empty with heads ordered after ``ts``, typically
-        because a recent drain or program left fresh heartbeats behind),
-        skip the announce/NOP storm entirely.  Otherwise announce so
-        later heartbeats dominate ``ts``, heartbeat so every queue is
-        non-empty, then apply all work ordered before ``ts``.
+        Announce so later heartbeats dominate ``ts``, heartbeat so every
+        queue is non-empty, then a one-way ``advance_to`` so the shard
+        applies all work ordered before ``ts``.  Whoever snapshots at
+        the shard verifies ``ready_for(ts)`` there and fails by name.  A
+        batching transport carries all of this inside the next request
+        frame on each channel; the caller flushes the channels it is
+        not about to make a request on.
+
+        Fast path: at or before the timestamp the shards were last
+        advanced to, everything ordered before ``ts`` is applied and
+        that round's heartbeats are still queued after it (a drain, an
+        epoch reset or a recovery forgets the mark) — nothing to send.
         """
         stats = self.executor.stats
-        if all(self._request_all_shards("advance_to", ts)):
+        mark = self._advanced_to
+        if mark is not None and ts.compare(mark) in (
+            Ordering.BEFORE, Ordering.EQUAL
+        ):
             stats.readiness_fastpath_hits += 1
             return
         stats.readiness_storms += 1
         self._send_nops()
-        ready = self._request_all_shards("advance_to", ts)
-        if not all(ready):
-            bad = [
-                self._shard_names[i]
-                for i, ok in zip(self._live_shards(), ready)
-                if not ok
-            ]
-            raise ClusterError(
-                f"{bad} not ready for {ts} despite heartbeats"
+        names = self._shard_names
+        for shard_index in self._live_shards():
+            self.transport.send(
+                "client", names[shard_index], "advance_to", ts
             )
+        self._advanced_to = ts
 
     # -- garbage collection (section 4.5) -----------------------------------
 
@@ -483,6 +498,13 @@ class Weaver(Coordinator):
         return result
 
     def _resolver(self, ts: VectorTimestamp) -> ShardSnapshotResolver:
+        # The shard-side readiness check, in process: the heartbeats
+        # and advance_to were delivered synchronously, so a shard that
+        # is not ready now never will be.
+        for shard in self.shards:
+            error = shard.not_ready(ts)
+            if error is not None:
+                raise error
         return ShardSnapshotResolver(
             ts,
             self._shard_of,

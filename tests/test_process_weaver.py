@@ -376,3 +376,104 @@ class TestOneCoordinator:
         if partitioner == "hash":
             # Not the round-robin fallback ProcessWeaver used to apply.
             assert direct["placement"] != [i % 3 for i in range(12)]
+
+
+MODES = ["resident", "images"]
+
+
+class TestOneWayReadiness:
+    """The client asks no shard whether it is ready: heartbeats and a
+    one-way ``advance_to`` ride ahead of (or inside) the program
+    request, and the shards check for themselves."""
+
+    @staticmethod
+    def two_shards(mode):
+        return ProcessWeaver(WeaverConfig(
+            num_shards=2, num_gatekeepers=2, program_execution=mode
+        ))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fresh_cross_shard_write_is_always_seen(self, mode):
+        """Commit an edge on a shard-1 vertex, then at once traverse
+        from a shard-0 root through it: shard 1 may hear of the program
+        from shard 0 before it has read the client's frame carrying the
+        write, and must catch up first."""
+        from repro.db.client import WeaverClient
+
+        with self.two_shards(mode) as db:
+            client = WeaverClient(db)
+            tx = db.begin_transaction()
+            root = tx.create_vertex("root")     # round robin: shard 0
+            hub = tx.create_vertex("hub")       # shard 1
+            leaves = [tx.create_vertex(f"leaf{i}") for i in range(200)]
+            tx.create_edge(root, hub)
+            tx.commit()
+            assert (db._shard_of(root), db._shard_of(hub)) == (0, 1)
+            for leaf in leaves:
+                client.create_edge(hub, leaf)
+                assert leaf in client.traverse(root, max_depth=2)
+
+    def test_cold_shard_stays_drained(self):
+        """1,000 reads that all land on shard 0 still advance shard 1,
+        one frame per read: its queues hold the last heartbeats only."""
+        with self.two_shards("resident") as db:
+            tx = db.begin_transaction()
+            hot = tx.create_vertex("hot")
+            tx.create_vertex("cold")
+            tx.commit()
+            assert db._shard_of(hot) == 0
+            for _ in range(1000):
+                db.run_program(GetNode(), hot)
+            stats = db.transport.request("client", "shard1", "stats", None)
+            assert sum(stats["queue_depths"]) <= 2 * len(db.gatekeepers)
+            assert stats["shard"]["nops_applied"] >= 1000
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_repeated_checkpoint_read_sends_nothing_but_the_program(
+        self, mode
+    ):
+        with self.two_shards(mode) as db:
+            load_tree(db, n=6)
+            point = db.checkpoint()
+            first = db.run_program(GetNode(), "p0", at=point).value
+            stats, wire_stats = db.executor.stats, db.transport.stats
+            storms = stats.readiness_storms
+            hits = stats.readiness_fastpath_hits
+            nops = sum(gk.stats.nops_sent for gk in db.gatekeepers)
+            before = (wire_stats.requests, wire_stats.frames_sent)
+            assert db.run_program(GetNode(), "p0", at=point).value == first
+            assert stats.readiness_storms == storms
+            assert stats.readiness_fastpath_hits == hits + 1
+            assert sum(gk.stats.nops_sent for gk in db.gatekeepers) == nops
+            # One request (program_start, or the one resolve) in one
+            # frame; the images path's one-way "finish" stays buffered.
+            assert wire_stats.requests == before[0] + 1
+            assert wire_stats.frames_sent == before[1] + 1
+
+    @pytest.mark.parametrize("mode,error", [
+        ("resident", "ProgramError"), ("images", "ClusterError"),
+    ])
+    def test_unready_shard_fails_by_name_not_stale(self, mode, error):
+        """No heartbeats reach the shards: they must refuse to snapshot,
+        and the refusal must come back as the named error."""
+        from repro import errors
+
+        with self.two_shards(mode) as db:
+            load_tree(db, n=6)
+            db._send_nops = lambda: None        # client side only
+            with pytest.raises(
+                getattr(errors, error),
+                match="shard[01] not ready for .* despite heartbeats",
+            ):
+                db.run_program(GetNode(), "p0")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_flush_to_killed_worker_raises_transport_error(self, mode):
+        from repro.cluster.transport import TransportError
+
+        with self.two_shards(mode) as db:
+            load_tree(db, n=6)
+            assert db._shard_of("p0") == 0
+            db.kill_shard_worker(1)
+            with pytest.raises(TransportError):
+                db.run_program(GetNode(), "p0")

@@ -130,9 +130,11 @@ def echo_worker(sock, received):
             envelope = wire.decode(wire.read_frame(sock))
         except (wire.WireError, OSError):
             return
+        # One-way messages: a batch frame, or riding a request frame
+        # ahead of the request itself.
+        for kind, payload in envelope.get("m", ()):
+            received.append((kind, payload))
         if envelope["k"] == "b":
-            for kind, payload in envelope["m"]:
-                received.append((kind, payload))
             continue
         rid = envelope["id"]
         kind = envelope["kind"]
@@ -188,12 +190,25 @@ def test_process_sends_flush_before_request_fifo(process_transport):
     assert received == []  # buffered, nothing on the wire yet
     reply = transport.request("client", "w0", "ask", "now")
     assert reply == "now"
-    # The buffered sends went out first, in order, before the request.
+    # The buffered sends rode inside the request frame — one frame out,
+    # one back — and were delivered first, in order.
     assert received == [
         ("enqueue", 1), ("enqueue", 2), ("request:ask", "now")
     ]
+    assert transport.stats.frames_sent == 1
+    assert transport.stats.frames_received == 1
     assert transport.stats.batches_sent == 1
     assert transport.stats.batched_messages == 2
+    # FIFO holds across frames too: an explicit flush, then more sends
+    # carried by the next request.
+    transport.send("gk0", "w0", "enqueue", 3)
+    transport.flush("w0")
+    transport.send("gk0", "w0", "enqueue", 4)
+    transport.request("client", "w0", "ask", "again")
+    assert received[3:] == [
+        ("enqueue", 3), ("enqueue", 4), ("request:ask", "again")
+    ]
+    assert transport.stats.frames_sent == 3
 
 
 def test_process_request_pipelining_counts_overlap(process_transport):
