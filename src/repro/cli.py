@@ -231,7 +231,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_soak(args) -> int:
-    """Long-running chaos soak with the online checker always on."""
+    """Long-running chaos soak with the referee always on."""
     from .sim.clock import MSEC
     from .workloads.chaos import run_soak
 
@@ -243,8 +243,6 @@ def _cmd_soak(args) -> int:
         chunk_horizon=args.chunk * MSEC,
         num_vertices=args.vertices,
         skew=args.skew,
-        parity=not args.no_parity,
-        offline_check=not args.no_offline,
         store=args.store,
         store_cache_bytes=args.store_cache,
     )
@@ -263,23 +261,22 @@ def _cmd_soak(args) -> int:
         ("window peak", report.window_peak),
         ("window final", report.window_final),
         ("records pruned", report.pruned),
-        ("parity checks", report.parity_checks),
-        ("parity failures", report.parity_failures),
-        ("online digest", report.digest[:16]),
-        ("violations (online)", len(report.online_violations)),
-        ("violations (offline)", len(report.offline_violations)),
+        # The price of leaving the referee on (timed around its sink).
+        ("referee events", report.referee_events),
+        ("referee time (s)", round(report.referee_seconds, 4)),
+        ("referee events/s", round(
+            report.referee_events / report.referee_seconds
+            if report.referee_seconds else 0.0
+        )),
+        ("history digest", report.digest[:16]),
+        ("violations", len(report.violations)),
     ]
     print(format_table(
-        "Soak run (online referee attached)", ["metric", "value"], rows
+        "Soak run (referee attached)", ["metric", "value"], rows
     ))
-    for violation in report.online_violations:
-        print(f"  VIOLATION (online) {violation}")
-    for violation in report.offline_violations:
-        print(f"  VIOLATION (offline) {violation}")
+    for violation in report.violations:
+        print(f"  VIOLATION {violation}")
     if not report.ok:
-        if report.parity_failures:
-            print("  PARITY FAILURE: online digest diverged from the "
-                  "offline history")
         return 1
     print("strict serializability: OK (checked online, on every prefix)")
     return 0
@@ -332,8 +329,7 @@ def _cmd_geo(args) -> int:
         print(f"  VIOLATION: {violations} referee violations; "
               f"all_consistent={result['all_consistent']}")
         return 1
-    print("strict serializability: OK on every point, both modes "
-          "(referee + digest parity)")
+    print("strict serializability: OK on every point, both modes")
     return 0
 
 
@@ -579,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak = sub.add_parser(
         "soak",
-        help="long-running chaos soak, online checker always on",
+        help="long-running chaos soak, referee always on",
     )
     soak.add_argument("--seed", type=int, default=1)
     soak.add_argument("--duration", type=float, default=8.0,
@@ -601,13 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--vertices", type=int, default=12)
     soak.add_argument("--skew", type=float, default=0.8,
                       help="Zipf skew of write/read targets")
-    soak.add_argument("--no-parity", action="store_true",
-                      help="skip the offline History twin (faster, "
-                           "less memory on very long runs)")
-    soak.add_argument("--no-offline", action="store_true",
-                      help="skip the end-of-run offline HistoryChecker "
-                           "sweep — it is quadratic in history size, so "
-                           "long soaks should rely on the online verdict")
     soak.set_defaults(func=_cmd_soak)
 
     geo = sub.add_parser(

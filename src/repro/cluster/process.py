@@ -547,7 +547,7 @@ class ProcessWeaver(Coordinator):
             # nothing graph-shaped crosses the fork.  Checkpoint first
             # so the worker's read-only open sees every commit even if
             # the WAL file is sidestepped by its snapshot read.
-            self.store._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
+            self.store.wal_checkpoint()
             self._spawn_worker(
                 index,
                 epoch=self._epoch,

@@ -55,8 +55,6 @@ from .messages import FrontierForward, ProgramRequest, ProgramStart
 from .shard import ShardServer
 from .transport import ProcessTransport, TransportError
 
-_RESOLVE_KINDS = ("resolve",)
-
 
 class BufferTracer:
     """Tracer shim for worker processes: buffers spans as plain tuples

@@ -161,6 +161,14 @@ class DurableStore(TransactionalStore):
                 self._conn.close()
                 self._conn = None  # type: ignore[assignment]
 
+    def wal_checkpoint(self) -> None:
+        """Copy committed WAL frames into the main database file, so a
+        process that opens the file afresh sees every commit.  Passive:
+        never waits on readers; under the store lock like every other
+        statement on the shared connection."""
+        with self._lock:
+            self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
+
     # -- background compaction -------------------------------------------
 
     @property

@@ -1,21 +1,21 @@
-"""History recording and strict-serializability checking.
+"""History recording: the span-to-record adapter the referee is built on.
 
 The paper's headline guarantee (sections 3-4) is that Weaver executions
 are **strictly serializable**: there is one total order over committed
 transactions and node programs that (a) every replica's behaviour is
 consistent with and (b) respects real time.  The refinable-timestamp
-machinery is supposed to deliver this through failures; this module is
-the referee that says whether it actually did.
+machinery is supposed to deliver this through failures; the referee in
+:mod:`repro.verify.online` says whether it actually did.  This module is
+its intake: it turns a run's observable events into order-keyed records.
 
 Approach (after the online timestamp-based checkers of Li et al.,
 arXiv:2504.01477): record, during a run, every committed transaction
 (with its refinable timestamp and its position in backing-store commit
 order), every node-program read (with its execution timestamp and the
-writer tags it observed), and every shard's apply sequence.  Afterwards,
-compare each relevant pair against the *decided* timestamp order — vector
-clocks plus the timeline oracle's irreversible commitments and their
-transitive closure, never minting new decisions — and report the first
-violating pair per check.
+writer tags it observed), and every shard's apply sequence.  The records
+are then compared against the *decided* timestamp order — vector clocks
+plus the timeline oracle's irreversible commitments and their transitive
+closure, never minting new decisions.
 
 The serialization order for writes to one vertex is anchored on the
 backing store's commit order (section 4.2: the store's acyclic
@@ -24,12 +24,18 @@ tiebreak extends that order to the shards).  A pair the oracle never
 decided is reported as consistent: an undecided pair is by construction
 one that no shard and no program ever had to order, so no observer could
 distinguish the two serializations.
+
+There is one rule set, in :class:`~repro.verify.online.OnlineChecker`,
+which *is* a :class:`History`: handed ``gc.watermark`` spans it settles
+and forgets as it goes; handed none — a plain :class:`History` never
+forwards one — it retains the whole run and its ``finalize()`` is the
+end-of-run verdict :class:`HistoryChecker` returns.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.vclock import Ordering, VectorTimestamp
@@ -38,6 +44,8 @@ from ..core.vclock import Ordering, VectorTimestamp
 DecidedOrder = Callable[
     [VectorTimestamp, VectorTimestamp], Optional[Ordering]
 ]
+
+StampId = Tuple[int, int, int]
 
 
 def decided_order(oracle) -> DecidedOrder:
@@ -63,9 +71,13 @@ def decided_order(oracle) -> DecidedOrder:
     return compare
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CommittedWrite:
-    """One committed transaction, as the client and store saw it."""
+    """One committed transaction, as the client and store saw it.
+
+    Mutable: ``commit_seq`` is provisional until the matching
+    ``store.commit`` span back-patches it.  Compared by identity.
+    """
 
     tag: int
     ts: VectorTimestamp
@@ -73,9 +85,11 @@ class CommittedWrite:
     writes: Tuple[Tuple[str, Any], ...]  # (vertex, value written)
     submitted_at: float
     acked_at: float
+    arrival: int  # position in the stream; breaks commit_seq ties
+    refs: int = 0  # referee write windows currently retaining this
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ProgramRead:
     """One node-program execution and the writer tags it observed."""
 
@@ -86,14 +100,29 @@ class ProgramRead:
     completed_at: float
 
 
+@dataclass(eq=False)
+class ShardApply:
+    """One shard apply, positioned by the shard's own order key."""
+
+    shard: int
+    key: Tuple[int, int]  # (epoch, apply_seq)
+    ts: VectorTimestamp
+    arrival: int  # position in the stream; breaks key ties
+
+
 @dataclass(frozen=True)
 class Violation:
-    """One strict-serializability violation: the first offending pair."""
+    """One strict-serializability violation: the first offending pair.
+
+    ``subject`` is what the rule fired on: a vertex (write rules), a
+    shard (apply order), ``(query_id, vertex)`` (read rules), a stamp id.
+    """
 
     kind: str
     detail: str
     first: Any
     second: Any
+    subject: Any = None
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.detail}"
@@ -139,7 +168,7 @@ class StreamDigest:
         return (self._count, self._acc)
 
 
-def commit_entry(c) -> Tuple:
+def commit_entry(c: CommittedWrite) -> Tuple:
     """Canonical encoding of one commit record (order key embedded)."""
     return (
         "commit", c.tag, c.ts.epoch, c.ts.issuer, c.ts.clocks,
@@ -147,61 +176,69 @@ def commit_entry(c) -> Tuple:
     )
 
 
-def read_entry(r) -> Tuple:
+def read_entry(r: ProgramRead) -> Tuple:
     return (
         "read", r.query_id, r.ts.epoch, r.ts.issuer, r.ts.clocks,
         r.reads, r.submitted_at, r.completed_at,
     )
 
 
-def apply_entry(shard: int, key: Tuple[int, int], ts_id: Tuple) -> Tuple:
-    return ("apply", shard, key, ts_id)
+def apply_entry(a: ShardApply) -> Tuple:
+    return ("apply", a.shard, a.key, a.ts.id)
 
 
-def combined_digest(
-    commits: StreamDigest,
-    reads: StreamDigest,
-    applies: Dict[int, StreamDigest],
-) -> str:
-    """SHA-256 over the three accumulator states.
+class CheckerStats:
+    """Counters and window gauges, exported as ``checker.*``: intake
+    counts are kept by :class:`History`, the rest by the referee."""
 
-    Equal digests mean the two consumers folded the same multiset of
-    order-keyed records — the arrival order they saw them in does not
-    matter, which is what lets the offline :class:`History` and the
-    online checker agree bit-for-bit on every finite prefix even when
-    process-transport replies reorder spans.
-    """
-    parts = (
-        "history-v2",
-        commits.state(),
-        reads.state(),
-        tuple((shard, applies[shard].state()) for shard in sorted(applies)),
-    )
-    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+    def __init__(self) -> None:
+        self.events = 0
+        self.commits = 0
+        self.reads = 0
+        self.applies = 0
+        self.store_joins = 0
+        self.watermarks = 0
+        self.settled = 0
+        self.pruned = 0
+        self.violations = 0
+        self.evidence_records = 0
+        self.evidence_hits = 0
+        self.window_pending = 0
+        self.window_writes = 0
+        self.window_frontier = 0
+        self.window_total = 0
+        self.window_peak = 0
 
 
 class History:
-    """An append-only record of one run's observable events."""
+    """One run's observable events as order-keyed records.
+
+    A tracer sink (:meth:`attach`) or a direct recorder (``record_*``).
+    ``commits`` / ``reads`` / ``applies`` hold, in arrival order, every
+    record that has not been settled; only the referee subclass settles,
+    so on a plain History they are the whole run.
+    """
 
     def __init__(self) -> None:
         self.commits: List[CommittedWrite] = []
         self.reads: List[ProgramRead] = []
-        # Per-shard apply sequences: lists of timestamp ids in the order
-        # the spans *arrived* (NOPs excluded); the true apply order is
-        # recovered from the parallel key lists (see apply_sequence).
-        self.applies: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._commit_seq = 0
+        # Per shard, NOPs excluded.
+        self.applies: Dict[int, List[ShardApply]] = {}
+        # Cumulative intake counts; ``commits`` and ``applies`` double as
+        # the next record's arrival index.
+        self.stats = CheckerStats()
         self._commit_digest = StreamDigest()
         self._read_digest = StreamDigest()
         self._apply_digests: Dict[int, StreamDigest] = {}
-        # (epoch, apply_seq) per recorded apply, parallel to `applies`.
-        self._apply_keys: Dict[int, List[Tuple[int, int]]] = {}
         self._apply_fallback: Dict[int, int] = {}
-        # store.commit versions seen before their txn.commit span
-        # (ts.id -> FIFO of versions), and commits recorded before their
-        # store.commit span (ts.id -> FIFO of indices into `commits`).
-        self._store_seqs: Dict[Tuple[int, int, int], List[int]] = {}
-        self._unpatched: Dict[Tuple[int, int, int], List[int]] = {}
+        # The store.commit <-> txn.commit join, free of arrival order:
+        # versions seen before their txn.commit span (ts.id -> the stamp
+        # and a FIFO of versions), and commits recorded before their
+        # store.commit span (ts.id -> FIFO of provisional records).
+        self._store_seqs: Dict[
+            StampId, Tuple[VectorTimestamp, List[int]]
+        ] = {}
+        self._unpatched: Dict[StampId, List[CommittedWrite]] = {}
 
     # -- recording ------------------------------------------------------
 
@@ -213,37 +250,42 @@ class History:
         submitted_at: float,
         acked_at: float,
         commit_seq: Optional[int] = None,
-    ) -> int:
-        """Record one committed transaction; returns its commit_seq.
+    ) -> CommittedWrite:
+        """Record one committed transaction.
 
         ``commit_seq`` is the backing store's commit version when known
         (the ``store.commit`` span carries it).  Without one, the
         arrival counter stands in — exact for callers that invoke this
-        in backing-store commit order (the original contract), and
-        provisional for span streams, where a later
-        :meth:`record_store_commit` back-patches the true version.
+        in backing-store commit order, and provisional for span streams,
+        where a later :meth:`record_store_commit` back-patches the true
+        version.
         """
-        arrival = self._commit_seq
-        self._commit_seq += 1
+        arrival = self.stats.commits
+        self.stats.commits += 1
+        self.stats.events += 1
         seq = commit_seq
-        provisional = seq is None
-        if provisional:
+        if seq is None:
             queued = self._store_seqs.get(ts.id)
             if queued:
-                seq = queued.pop(0)
-                provisional = False
-                if not queued:
+                seq = queued[1].pop(0)
+                if not queued[1]:
                     del self._store_seqs[ts.id]
             else:
-                seq = arrival
+                seq = self._recall_seq(ts.id)
         commit = CommittedWrite(
-            tag, ts, seq, tuple(writes), submitted_at, acked_at
+            tag, ts, arrival if seq is None else seq, tuple(writes),
+            submitted_at, acked_at, arrival,
         )
-        if provisional:
-            self._unpatched.setdefault(ts.id, []).append(len(self.commits))
+        if seq is None:
+            self._unpatched.setdefault(ts.id, []).append(commit)
         self.commits.append(commit)
         self._commit_digest.add(commit_entry(commit))
-        return seq
+        return commit
+
+    def _recall_seq(self, stamp_id: StampId) -> Optional[int]:
+        """A store version this record stream no longer holds live.
+        A plain History forgets nothing, so there is never one."""
+        return None
 
     def record_store_commit(self, ts: VectorTimestamp, seq: int) -> None:
         """Join one backing-store commit version to its commit record.
@@ -252,18 +294,18 @@ class History:
         the matching :meth:`record_commit`; one arriving second
         back-patches the provisional record (and its digest entry).
         """
+        self.stats.store_joins += 1
+        self.stats.events += 1
         pending = self._unpatched.get(ts.id)
         if pending:
-            index = pending.pop(0)
+            commit = pending.pop(0)
             if not pending:
                 del self._unpatched[ts.id]
-            old = self.commits[index]
-            self._commit_digest.discard(commit_entry(old))
-            patched = replace(old, commit_seq=seq)
-            self.commits[index] = patched
-            self._commit_digest.add(commit_entry(patched))
+            self._commit_digest.discard(commit_entry(commit))
+            commit.commit_seq = seq
+            self._commit_digest.add(commit_entry(commit))
         else:
-            self._store_seqs.setdefault(ts.id, []).append(seq)
+            self._store_seqs.setdefault(ts.id, (ts, []))[1].append(seq)
 
     def record_read(
         self,
@@ -276,6 +318,8 @@ class History:
         read = ProgramRead(
             query_id, ts, tuple(reads), submitted_at, completed_at
         )
+        self.stats.reads += 1
+        self.stats.events += 1
         self.reads.append(read)
         self._read_digest.add(read_entry(read))
 
@@ -289,41 +333,28 @@ class History:
 
         ``key`` is the shard's own ``(epoch, apply_seq)`` position when
         the span carries one; otherwise arrival order stands in (exact
-        for in-order streams and hand-built histories).
+        for in-order streams and hand-built histories).  The true apply
+        order is the records sorted by ``(key, arrival)`` — identical to
+        arrival order for in-order streams, and the recovered order when
+        process-transport replies delivered spans shuffled.
         """
         if key is None:
             n = self._apply_fallback.get(shard_index, 0)
             self._apply_fallback[shard_index] = n + 1
             key = (0, n)
-        self.applies.setdefault(shard_index, []).append(ts.id)
-        self._apply_keys.setdefault(shard_index, []).append(key)
+        record = ShardApply(shard_index, key, ts, self.stats.applies)
+        self.stats.applies += 1
+        self.stats.events += 1
+        self.applies.setdefault(shard_index, []).append(record)
         self._apply_digests.setdefault(shard_index, StreamDigest()).add(
-            apply_entry(shard_index, key, ts.id)
+            apply_entry(record)
         )
-
-    def apply_sequence(
-        self, shard_index: int
-    ) -> List[Tuple[int, int, int]]:
-        """The shard's apply sequence in true apply order.
-
-        Sorted by the per-shard ``(epoch, apply_seq)`` keys — identical
-        to arrival order for in-order streams, and the recovered order
-        when process-transport replies delivered spans shuffled.
-        """
-        ids = self.applies.get(shard_index, [])
-        keys = self._apply_keys.get(shard_index, [])
-        order = sorted(range(len(ids)), key=lambda i: (keys[i], i))
-        return [ids[i] for i in order]
 
     # -- trace-stream consumption ---------------------------------------
 
     def attach(self, tracer) -> None:
-        """Subscribe this history to a trace stream (``repro.obs``).
+        """Subscribe :meth:`consume` to a trace stream (``repro.obs``).
 
-        The referee becomes a tracer sink: ``shard.apply`` spans feed the
-        per-shard apply sequences, ``store.commit`` spans supply the
-        backing store's commit versions, and the workload-level
-        ``txn.commit`` / ``program.read`` spans feed commits and reads.
         Spans may arrive out of trace order (process-transport replies
         batch worker spans): records carry their own order keys, so the
         recovered history is delivery-order independent.
@@ -331,7 +362,9 @@ class History:
         tracer.add_sink(self.consume)
 
     def consume(self, span) -> None:
-        """Fold one span into the history; unrelated kinds are ignored."""
+        """Fold one span into the history: deployment spans
+        (``shard.apply``, ``store.commit``) and the workload-level
+        ``txn.commit`` / ``program.read``; other kinds are ignored."""
         kind = span.kind
         if kind == "shard.apply":
             apply_seq = span.attr("apply_seq")
@@ -367,35 +400,10 @@ class History:
     def canonical(self) -> Tuple:
         """A deterministic, value-only rendering of the whole history."""
         return (
+            tuple(commit_entry(c) for c in self.commits),
+            tuple(read_entry(r) for r in self.reads),
             tuple(
-                (
-                    "commit",
-                    c.tag,
-                    c.ts.epoch,
-                    c.ts.issuer,
-                    c.ts.clocks,
-                    c.commit_seq,
-                    c.writes,
-                    c.submitted_at,
-                    c.acked_at,
-                )
-                for c in self.commits
-            ),
-            tuple(
-                (
-                    "read",
-                    r.query_id,
-                    r.ts.epoch,
-                    r.ts.issuer,
-                    r.ts.clocks,
-                    r.reads,
-                    r.submitted_at,
-                    r.completed_at,
-                )
-                for r in self.reads
-            ),
-            tuple(
-                (shard, tuple(seq))
+                (shard, tuple(a.ts.id for a in seq))
                 for shard, seq in sorted(self.applies.items())
             ),
         )
@@ -405,236 +413,51 @@ class History:
 
         Equal digests mean bit-for-bit identical histories up to span
         delivery order: every record embeds its own logical position
-        (commit version, apply key), so a shuffled stream of the same
-        spans digests identically — and so does the online checker's
-        incremental accumulator (see :mod:`repro.verify.online`), which
-        is the cross-check the soak harness runs on every prefix.
+        (commit version, apply key) and folds into a commutative
+        accumulator.  Settling and pruning never touch the accumulators,
+        so a referee that is handed watermarks digests the same as one
+        that is not, on every prefix.
         """
-        return combined_digest(
-            self._commit_digest, self._read_digest, self._apply_digests
+        parts = (
+            "history-v2",
+            self._commit_digest.state(),
+            self._read_digest.state(),
+            tuple(
+                (shard, digest.state())
+                for shard, digest in sorted(self._apply_digests.items())
+            ),
         )
+        return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
 class HistoryChecker:
-    """Checks one :class:`History` for strict-serializability violations.
+    """The end-of-run verdict on one :class:`History`.
 
     ``compare`` is the decided-order relation (see :func:`decided_order`).
     :meth:`check` returns every violation found, first offending pair per
-    (check, pair); an empty list certifies the history.
+    (rule, subject); an empty list certifies the history.
     """
 
     def __init__(self, history: History, compare: DecidedOrder):
         self.history = history
         self.compare = compare
-        self._memo: Dict[Tuple, Optional[Ordering]] = {}
-
-    # -- decided order, memoized ---------------------------------------
-
-    def _order(
-        self, a: VectorTimestamp, b: VectorTimestamp
-    ) -> Optional[Ordering]:
-        key = (a.id, b.id)
-        if key not in self._memo:
-            self._memo[key] = self.compare(a, b)
-        return self._memo[key]
-
-    # -- the checks -----------------------------------------------------
 
     def check(self) -> List[Violation]:
-        violations: List[Violation] = []
-        violations.extend(self._check_unique_stamps())
-        violations.extend(self._check_commit_order())
-        violations.extend(self._check_apply_order())
-        violations.extend(self._check_reads())
-        violations.extend(self._check_real_time())
-        return violations
+        """Replay the records into a referee that never sees a
+        watermark, and return its final verdict."""
+        from .online import OnlineChecker  # which builds on this module
 
-    def _writes_by_vertex(self) -> Dict[str, List[CommittedWrite]]:
-        per_vertex: Dict[str, List[CommittedWrite]] = {}
-        for commit in self.history.commits:
-            for vertex, _value in commit.writes:
-                per_vertex.setdefault(vertex, []).append(commit)
-        for chain in per_vertex.values():
-            chain.sort(key=lambda c: c.commit_seq)
-        return per_vertex
-
-    def _check_unique_stamps(self) -> List[Violation]:
-        """Committed timestamps are transaction identities (section 3.3):
-        two commits must never share one."""
-        seen: Dict[Tuple[int, int, int], CommittedWrite] = {}
-        out: List[Violation] = []
-        for commit in self.history.commits:
-            other = seen.get(commit.ts.id)
-            if other is not None:
-                out.append(
-                    Violation(
-                        "duplicate-stamp",
-                        f"transactions {other.tag} and {commit.tag} share "
-                        f"timestamp {commit.ts}",
-                        other,
-                        commit,
-                    )
-                )
-            else:
-                seen[commit.ts.id] = commit
-        return out
-
-    def _check_commit_order(self) -> List[Violation]:
-        """Same-vertex commits: decided timestamp order must agree with
-        backing-store commit order (section 4.2's monotonicity rule)."""
-        out: List[Violation] = []
-        for vertex, chain in sorted(self._writes_by_vertex().items()):
-            for i, earlier in enumerate(chain):
-                for later in chain[i + 1 :]:
-                    if self._order(earlier.ts, later.ts) is Ordering.AFTER:
-                        out.append(
-                            Violation(
-                                "commit-order",
-                                f"writes to {vertex!r}: tx {earlier.tag} "
-                                f"committed before tx {later.tag} but its "
-                                f"timestamp is decided after",
-                                earlier,
-                                later,
-                            )
-                        )
-                        break
-                else:
-                    continue
-                break
-        return out
-
-    def _check_apply_order(self) -> List[Violation]:
-        """Each shard's apply sequence must be a linear extension of the
-        decided order (the Fig 6 loop's whole job)."""
-        by_id = {c.ts.id: c for c in self.history.commits}
-        out: List[Violation] = []
-        for shard in sorted(self.history.applies):
-            sequence = self.history.apply_sequence(shard)
-            commits = [by_id[i] for i in sequence if i in by_id]
-            stop = False
-            for i, earlier in enumerate(commits):
-                for later in commits[i + 1 :]:
-                    if self._order(earlier.ts, later.ts) is Ordering.AFTER:
-                        out.append(
-                            Violation(
-                                "apply-order",
-                                f"shard {shard} applied tx {earlier.tag} "
-                                f"before tx {later.tag} against the "
-                                f"decided timestamp order",
-                                earlier,
-                                later,
-                            )
-                        )
-                        stop = True
-                        break
-                if stop:
-                    break
-        return out
-
-    def _check_reads(self) -> List[Violation]:
-        """Each program read must land exactly at its timestamp: it sees
-        the newest same-vertex write decided before it, and nothing
-        decided after it."""
-        out: List[Violation] = []
-        per_vertex = self._writes_by_vertex()
-        by_tag: Dict[Any, CommittedWrite] = {}
-        for commit in self.history.commits:
-            by_tag[commit.tag] = commit
-        for read in self.history.reads:
-            for vertex, observed_tag in read.reads:
-                chain = per_vertex.get(vertex, [])
-                observed: Optional[CommittedWrite] = None
-                if observed_tag is not None:
-                    observed = by_tag.get(observed_tag)
-                    if observed is None:
-                        out.append(
-                            Violation(
-                                "phantom-read",
-                                f"program {read.query_id} read tag "
-                                f"{observed_tag!r} on {vertex!r}, which no "
-                                f"committed transaction wrote",
-                                read,
-                                None,
-                            )
-                        )
-                        continue
-                    if self._order(observed.ts, read.ts) is Ordering.AFTER:
-                        out.append(
-                            Violation(
-                                "future-read",
-                                f"program {read.query_id} on {vertex!r} "
-                                f"observed tx {observed.tag}, decided "
-                                f"after the program's timestamp",
-                                read,
-                                observed,
-                            )
-                        )
-                        continue
-                floor = observed.commit_seq if observed is not None else -1
-                for newer in chain:
-                    if newer.commit_seq <= floor:
-                        continue
-                    if self._order(newer.ts, read.ts) is Ordering.BEFORE:
-                        out.append(
-                            Violation(
-                                "stale-read",
-                                f"program {read.query_id} on {vertex!r} "
-                                f"missed tx {newer.tag}, decided before "
-                                f"the program's timestamp",
-                                read,
-                                newer,
-                            )
-                        )
-                        break
-        return out
-
-    def _check_real_time(self) -> List[Violation]:
-        """Strictness on conflicting pairs: an operation acknowledged
-        before another begins must not serialize after it."""
-        out: List[Violation] = []
-        per_vertex = self._writes_by_vertex()
-        # Write acked before a conflicting write was submitted.
-        for vertex, chain in sorted(per_vertex.items()):
-            stop = False
-            for first in chain:
-                for second in chain:
-                    if first.acked_at >= second.submitted_at:
-                        continue
-                    if self._order(first.ts, second.ts) is Ordering.AFTER:
-                        out.append(
-                            Violation(
-                                "real-time-write",
-                                f"tx {first.tag} on {vertex!r} was acked "
-                                f"before tx {second.tag} was submitted, "
-                                f"yet is decided after it",
-                                first,
-                                second,
-                            )
-                        )
-                        stop = True
-                        break
-                if stop:
-                    break
-        # Write acked before a read was submitted: the read must see the
-        # write's effects (its observed state must not be older).
-        by_tag = {c.tag: c for c in self.history.commits}
-        for read in self.history.reads:
-            for vertex, observed_tag in read.reads:
-                observed = by_tag.get(observed_tag)
-                floor = observed.commit_seq if observed is not None else -1
-                for write in per_vertex.get(vertex, []):
-                    if write.acked_at >= read.submitted_at:
-                        continue
-                    if write.commit_seq > floor:
-                        out.append(
-                            Violation(
-                                "real-time-read",
-                                f"program {read.query_id} on {vertex!r} "
-                                f"missed tx {write.tag}, acked before the "
-                                f"program was submitted",
-                                read,
-                                write,
-                            )
-                        )
-                        break
-        return out
+        referee = OnlineChecker(self.compare)
+        for c in self.history.commits:
+            referee.record_commit(
+                c.tag, c.ts, c.writes, c.submitted_at, c.acked_at,
+                c.commit_seq,
+            )
+        for r in self.history.reads:
+            referee.record_read(
+                r.query_id, r.ts, r.reads, r.submitted_at, r.completed_at
+            )
+        for shard, sequence in self.history.applies.items():
+            for a in sequence:
+                referee.record_apply(shard, a.ts, a.key)
+        return referee.finalize()

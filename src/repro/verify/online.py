@@ -1,17 +1,19 @@
-"""Streaming strict-serializability checking with bounded memory.
+"""The referee: one strict-serializability rule set, streaming or not.
 
-The offline :class:`~repro.verify.history.HistoryChecker` is a pairwise
-referee: it retains the whole run and compares O(n^2) pairs at the end,
-which caps chaos runs at seconds.  This module is the same referee
-rebuilt as a *stream processor* (after the online timestamp-based
-checkers of arXiv:2504.01477 and the vector-clock atomicity checkers of
-arXiv:2001.04961): it attaches to the obs tracer as a span sink — the
-exact contract ``History.attach`` uses — folds every span into
-vector-clock windows keyed by the refinable-timestamp order, and emits
-the same :class:`~repro.verify.history.Violation` taxonomy while the
-run is still going.
+:class:`OnlineChecker` is a :class:`~repro.verify.history.History` (the
+span-to-record adapter: join, order keys, digests) plus the only
+statement of the eight violation rules in the repo.  After the online
+timestamp-based checkers of arXiv:2504.01477, the streaming mode is not
+a second algorithm: it is the end-of-run algorithm plus out-of-order
+arrival and garbage collection.  After the vector-clock atomicity
+checkers of arXiv:2001.04961, commit order and real time are one pass
+over per-vertex windows.
 
-Three ideas make it linear:
+* **No watermark: the offline referee.**  Records stay *pending* until
+  a watermark or ``finalize()`` settles them, so a referee that is never
+  handed a ``gc.watermark`` span retains the whole run and settles it
+  all at the end — the verdict ``HistoryChecker`` returns.  There is no
+  ``prune`` switch: withholding the watermark is the switch.
 
 * **Order-keyed records.**  Every span carries its own logical position
   (the backing store's commit version on ``store.commit``, the shard's
@@ -19,29 +21,22 @@ Three ideas make it linear:
   irrelevant: records are compared in *logical* order no matter how the
   transport shuffled their spans.
 
-* **Watermark settlement.**  Events stay *pending* until a
-  ``gc.watermark`` span announces that everything below a timestamp is
-  final (the deployment emits it just before the oracle's
-  ``collect_below`` — i.e. while the decisions the checks need are
-  still queryable).  A settled event is checked once, against the
-  retained window, and never revisited: amortized O(1) comparisons per
-  event when the watermark advances steadily, because the window holds
-  only the events of one watermark interval plus one *floor* write per
-  live vertex and each shard's apply frontier.
-
-* **Commutative digests.**  Commit/read/apply records fold into the
-  same order-independent accumulator :class:`History` uses, so
-  ``OnlineChecker.digest() == History.digest()`` holds bit-for-bit on
-  every finite prefix of the same span stream — the parity invariant
-  the soak harness asserts after every chunk.
+* **Watermark settlement.**  A ``gc.watermark`` span announces that
+  everything below a timestamp is final (the deployment emits it just
+  before the oracle's ``collect_below`` — i.e. while the decisions the
+  checks need are still queryable).  A settled event is checked once,
+  against the retained window, and never revisited: amortized O(1)
+  comparisons per event when the watermark advances steadily, because
+  the window holds only the events of one watermark interval plus one
+  *floor* write per live vertex and each shard's apply frontier.
 
 What windowing gives up: pairs that straddle a pruned window boundary
 (two same-vertex writes more than one floor apart) are not re-compared,
-so the online verdict can miss a violation the unbounded offline
-checker would catch — and conversely it can *catch* one whose oracle
-decision a later GC discards before an end-of-run offline check runs.
-The differential suite pins both checkers to identical verdicts in the
-no-GC configurations where they see the same evidence.
+so a referee given watermarks can miss a violation the same referee
+without them would catch — and conversely it can *catch* one whose
+oracle decision a later GC discards before an end-of-run check runs.
+Neither settling nor pruning touches the digest accumulators, so the two
+digest identically on every prefix (``tests/test_online_checker.py``).
 """
 
 from __future__ import annotations
@@ -50,82 +45,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.vclock import Ordering, VectorTimestamp
 from .history import (
+    CommittedWrite,
     DecidedOrder,
-    StreamDigest,
+    History,
+    ShardApply,
+    StampId,
     Violation,
-    apply_entry,
-    combined_digest,
-    commit_entry,
-    read_entry,
 )
-
-StampId = Tuple[int, int, int]
-
-
-class _Commit:
-    """One pending-or-retained commit (mutable: the seq back-patches)."""
-
-    __slots__ = (
-        "tag", "ts", "commit_seq", "writes", "submitted_at", "acked_at",
-        "arrival", "refs",
-    )
-
-    def __init__(self, tag, ts, commit_seq, writes, submitted_at,
-                 acked_at, arrival):
-        self.tag = tag
-        self.ts = ts
-        self.commit_seq = commit_seq
-        self.writes = writes
-        self.submitted_at = submitted_at
-        self.acked_at = acked_at
-        self.arrival = arrival
-        self.refs = 0  # windows currently retaining this commit
-
-    def __repr__(self):
-        return f"_Commit(tag={self.tag}, seq={self.commit_seq})"
-
-
-class _Read:
-    __slots__ = ("query_id", "ts", "reads", "submitted_at", "completed_at")
-
-    def __init__(self, query_id, ts, reads, submitted_at, completed_at):
-        self.query_id = query_id
-        self.ts = ts
-        self.reads = reads
-        self.submitted_at = submitted_at
-        self.completed_at = completed_at
-
-
-class _Apply:
-    __slots__ = ("shard", "key", "ts", "arrival")
-
-    def __init__(self, shard, key, ts, arrival):
-        self.shard = shard
-        self.key = key
-        self.ts = ts
-        self.arrival = arrival
-
-
-class CheckerStats:
-    """Counters and window gauges, exported as ``checker.*``."""
-
-    def __init__(self) -> None:
-        self.events = 0
-        self.commits = 0
-        self.reads = 0
-        self.applies = 0
-        self.store_joins = 0
-        self.watermarks = 0
-        self.settled = 0
-        self.pruned = 0
-        self.violations = 0
-        self.evidence_records = 0
-        self.evidence_hits = 0
-        self.window_pending = 0
-        self.window_writes = 0
-        self.window_frontier = 0
-        self.window_total = 0
-        self.window_peak = 0
 
 
 class EvidenceCache:
@@ -135,7 +61,7 @@ class EvidenceCache:
     write window references it, which used to cost the checker its
     fine-grained verdict: a read settling *below* the pruning floor that
     observed a pruned tag could no longer be told apart from a read of a
-    tag nobody ever committed, so both were convicted as "phantom-read".
+    tag nobody ever committed, so both were convicted as phantom reads.
     This cache keeps the evidence needed to tell them apart — the pruned
     commit's tag, stamp id, and store commit seq — in a
     :class:`~repro.store.durable.DurableStore` version chain (the
@@ -146,58 +72,49 @@ class EvidenceCache:
     PREFIX = "__evidence__:"
     SEQ_PREFIX = "__seq__:"
 
-    def __init__(self, store=None, capacity: int = 4096):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("evidence capacity must be >= 1")
-        if store is None:
-            from ..store.durable import DurableStore
+        from ..store.durable import DurableStore
 
-            store = DurableStore(":memory:")
-        self._store = store
+        self._store = DurableStore(":memory:")
         self._capacity = capacity
         self._order: List[Any] = []  # tags, insertion order
         self._seq_order: List[StampId] = []  # stamp ids, insertion order
 
-    def __len__(self) -> int:
-        return len(self._order) + len(self._seq_order)
+    def _put(self, prefix: str, order: list, ident, merge) -> None:
+        """Write ``merge(existing)`` under ``ident``, then evict the
+        namespace's oldest entries down to capacity."""
+        tx = self._store.begin()
+        existing = tx.get(prefix + repr(ident))
+        if existing is None:
+            order.append(ident)
+        tx.put(prefix + repr(ident), merge(existing))
+        while len(order) > self._capacity:
+            tx.delete(prefix + repr(order.pop(0)))
+        tx.commit()
 
     def record(self, tag, stamp_id: StampId, commit_seq: int) -> None:
         """Retain one pruned commit's identity, evicting the oldest."""
-        tx = self._store.begin()
-        if tx.get(self.PREFIX + repr(tag)) is None:
-            self._order.append(tag)
-        tx.put(self.PREFIX + repr(tag), (stamp_id, commit_seq))
-        while len(self._order) > self._capacity:
-            victim = self._order.pop(0)
-            tx.delete(self.PREFIX + repr(victim))
-        tx.commit()
+        self._put(
+            self.PREFIX, self._order, tag,
+            lambda _old: (stamp_id, commit_seq),
+        )
 
     def lookup(self, tag) -> Optional[Tuple[StampId, int]]:
         """The (stamp id, commit seq) evidence for ``tag``, or None."""
-        tx = self._store.begin()
-        try:
-            return tx.get(self.PREFIX + repr(tag))
-        finally:
-            tx.abort()
+        return self._store.get(self.PREFIX + repr(tag))
 
     def record_seqs(self, stamp_id: StampId, seqs: List[int]) -> None:
         """Retain store commit seqs whose ``txn.commit`` span is still
         in flight when the watermark covers them — routine under
         deadline-delayed geo acks, where the client span trails the
         store span by up to the region's reach."""
-        if not seqs:
-            return
-        tx = self._store.begin()
-        key = self.SEQ_PREFIX + repr(stamp_id)
-        existing = tx.get(key)
-        if existing is None:
-            self._seq_order.append(stamp_id)
-            existing = []
-        tx.put(key, list(existing) + list(seqs))
-        while len(self._seq_order) > self._capacity:
-            victim = self._seq_order.pop(0)
-            tx.delete(self.SEQ_PREFIX + repr(victim))
-        tx.commit()
+        if seqs:
+            self._put(
+                self.SEQ_PREFIX, self._seq_order, stamp_id,
+                lambda old: list(old or ()) + list(seqs),
+            )
 
     def take_seq(self, stamp_id: StampId) -> Optional[int]:
         """Pop the oldest retained seq for ``stamp_id``, or None."""
@@ -217,171 +134,86 @@ class EvidenceCache:
         return seq
 
 
-class OnlineChecker:
-    """Streaming referee: same taxonomy as ``HistoryChecker``, O(1) amortized.
+def _store_order(commit: CommittedWrite):
+    """Backing-store commit order; arrival breaks provisional ties."""
+    return (commit.commit_seq, commit.arrival)
+
+
+class OnlineChecker(History):
+    """The referee: a History that settles, checks, and may forget.
 
     ``compare`` is the decided-order relation (see
     :func:`~repro.verify.history.decided_order`).  Attach with
-    :meth:`attach` (or feed spans to :meth:`consume` directly), let the
-    deployment's ``gc.watermark`` spans drive settlement, and call
-    :meth:`finalize` at end of run to settle the remaining tail and get
-    the verdict.
+    :meth:`attach` (or feed :meth:`consume` / ``record_*`` directly), let
+    the deployment's ``gc.watermark`` spans, if any, drive settlement,
+    and call :meth:`finalize` at end of run to settle the rest and get
+    the verdict.  The inherited ``commits`` / ``reads`` / ``applies``
+    are the pending (unsettled) records.
     """
 
-    def __init__(
-        self,
-        compare: DecidedOrder,
-        registry=None,
-        evidence: Optional[EvidenceCache] = None,
-        evidence_capacity: int = 4096,
-    ) -> None:
+    def __init__(self, compare: DecidedOrder, registry=None) -> None:
+        super().__init__()
         self.compare = compare
-        self.stats = CheckerStats()
         # Pruned-commit evidence: lets reads settling below the pruning
         # floor keep the fine-grained stale-vs-phantom verdict.  Created
-        # lazily (first prune) unless one is injected, so checkers on
-        # runs that never prune pay nothing.
-        self._evidence = evidence
-        self._evidence_capacity = evidence_capacity
-        self.watermark: Optional[VectorTimestamp] = None
-        # Digest accumulators, kept in lockstep with History's.
-        self._commit_digest = StreamDigest()
-        self._read_digest = StreamDigest()
-        self._apply_digests: Dict[int, StreamDigest] = {}
-        # Pending (unsettled) events.
-        self._pending_commits: List[_Commit] = []
-        self._pending_reads: List[_Read] = []
-        self._pending_applies: Dict[int, List[_Apply]] = {}
-        self._pending_by_vertex: Dict[str, List[_Commit]] = {}
-        # store.commit join state, mirroring History's exactly (digest
-        # parity depends on identical provisional-seq behaviour).
-        self._arrivals = 0
-        self._apply_fallback: Dict[int, int] = {}
-        self._store_seqs: Dict[
-            StampId, Tuple[VectorTimestamp, List[int]]
-        ] = {}
-        self._unpatched: Dict[StampId, List[_Commit]] = {}
+        # lazily (first prune), so checkers on runs that never prune pay
+        # nothing.
+        self._evidence: Optional[EvidenceCache] = None
+        # Pending commits by vertex: a read settling now must still see
+        # the same-vertex writes that have not settled yet.
+        self._pending_by_vertex: Dict[str, List[CommittedWrite]] = {}
         # Settled, retained context (watermark-pruned).
-        self._writes: Dict[str, List[_Commit]] = {}  # per-vertex windows
-        self._frontier: Dict[int, List[_Apply]] = {}  # maximal applies
-        self._stamps: Dict[StampId, _Commit] = {}  # pending + retained
-        self._tags: Dict[Any, _Commit] = {}
+        self._writes: Dict[str, List[CommittedWrite]] = {}  # per vertex
+        self._frontier: Dict[int, List[ShardApply]] = {}  # maximal applies
+        self._stamps: Dict[StampId, CommittedWrite] = {}  # pending+retained
+        self._tags: Dict[Any, CommittedWrite] = {}
         self._violations: List[Violation] = []
         self._fired: set = set()
         if registry is not None:
             self.register_metrics(registry)
 
-    # -- span intake ----------------------------------------------------
-
-    def attach(self, tracer) -> None:
-        """Subscribe to a trace stream (same contract as History.attach)."""
-        tracer.add_sink(self.consume)
+    # -- intake (the join and its counters are History's) ---------------
 
     def consume(self, span) -> None:
         """Fold one span into the checker; unrelated kinds are ignored."""
-        kind = span.kind
-        if kind == "shard.apply":
-            self._consume_apply(span)
-        elif kind == "store.commit":
-            self._consume_store_commit(span)
-        elif kind == "txn.commit":
-            self._consume_commit(span)
-        elif kind == "program.read":
-            self._consume_read(span)
-        elif kind == "gc.watermark":
+        if span.kind == "gc.watermark":
             self.advance_watermark(span.attr("ts"))
+        else:
+            super().consume(span)
 
-    def _consume_commit(self, span) -> None:
-        self.stats.events += 1
-        self.stats.commits += 1
-        ts = span.attr("ts")
-        arrival = self._arrivals
-        self._arrivals += 1
-        seq: Optional[int] = None
-        queued = self._store_seqs.get(ts.id)
-        if queued:
-            seq = queued[1].pop(0)
-            if not queued[1]:
-                del self._store_seqs[ts.id]
-        elif self._evidence is not None:
-            # The store span may have been watermark-pruned while this
-            # deadline-delayed ack was in flight; the evidence cache
-            # kept its seq.
-            seq = self._evidence.take_seq(ts.id)
-            if seq is not None:
-                self.stats.evidence_hits += 1
-        provisional = seq is None
-        if provisional:
-            seq = arrival
-        commit = _Commit(
-            span.attr("tag"), ts, seq, tuple(span.attr("writes")),
-            span.attr("submitted_at"), span.at, arrival,
+    def record_commit(
+        self, tag, ts, writes, submitted_at, acked_at, commit_seq=None
+    ) -> CommittedWrite:
+        commit = super().record_commit(
+            tag, ts, writes, submitted_at, acked_at, commit_seq
         )
-        if provisional:
-            self._unpatched.setdefault(ts.id, []).append(commit)
         other = self._stamps.get(ts.id)
         if other is not None:
+            # Committed timestamps are transaction identities (section
+            # 3.3): two commits must never share one.
             self._fire(
-                "duplicate-stamp",
-                None,
+                "duplicate-stamp", ts.id,
                 f"transactions {other.tag} and {commit.tag} share "
                 f"timestamp {ts}",
-                other,
-                commit,
+                other, commit, repeat=True,
             )
         else:
             self._stamps[ts.id] = commit
         self._tags[commit.tag] = commit
-        self._pending_commits.append(commit)
         for vertex in dict(commit.writes):
             self._pending_by_vertex.setdefault(vertex, []).append(commit)
-        self._commit_digest.add(commit_entry(commit))
+        return commit
 
-    def _consume_store_commit(self, span) -> None:
-        seq = span.attr("commit_seq")
-        if seq is None:
-            return
-        self.stats.events += 1
-        self.stats.store_joins += 1
-        ts = span.attr("ts")
-        pending = self._unpatched.get(ts.id)
-        if pending:
-            commit = pending.pop(0)
-            if not pending:
-                del self._unpatched[ts.id]
-            self._commit_digest.discard(commit_entry(commit))
-            commit.commit_seq = seq
-            self._commit_digest.add(commit_entry(commit))
-        else:
-            self._store_seqs.setdefault(ts.id, (ts, []))[1].append(seq)
-
-    def _consume_apply(self, span) -> None:
-        self.stats.events += 1
-        self.stats.applies += 1
-        shard = span.attr("shard")
-        ts = span.attr("ts")
-        apply_seq = span.attr("apply_seq")
-        if apply_seq is not None:
-            key = (span.attr("epoch", 0), apply_seq)
-        else:
-            n = self._apply_fallback.get(shard, 0)
-            self._apply_fallback[shard] = n + 1
-            key = (0, n)
-        record = _Apply(shard, key, ts, self.stats.applies)
-        self._pending_applies.setdefault(shard, []).append(record)
-        self._apply_digests.setdefault(shard, StreamDigest()).add(
-            apply_entry(shard, key, ts.id)
-        )
-
-    def _consume_read(self, span) -> None:
-        self.stats.events += 1
-        self.stats.reads += 1
-        read = _Read(
-            span.attr("query_id"), span.attr("ts"),
-            tuple(span.attr("reads")), span.attr("submitted_at"), span.at,
-        )
-        self._pending_reads.append(read)
-        self._read_digest.add(read_entry(read))
+    def _recall_seq(self, stamp_id: StampId) -> Optional[int]:
+        # The store span may have been watermark-pruned while this
+        # deadline-delayed ack was in flight; the evidence cache kept
+        # its seq.
+        if self._evidence is None:
+            return None
+        seq = self._evidence.take_seq(stamp_id)
+        if seq is not None:
+            self.stats.evidence_hits += 1
+        return seq
 
     # -- settlement -----------------------------------------------------
 
@@ -393,7 +225,6 @@ class OnlineChecker:
         ``collect_below``, so an attached checker gets this for free).
         """
         self.stats.watermarks += 1
-        self.watermark = watermark
         self._settle(watermark)
         self._prune(watermark)
         self._refresh_window()
@@ -403,16 +234,6 @@ class OnlineChecker:
         self._settle(None)
         self._refresh_window()
         return list(self._violations)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return list(self._violations)
-
-    def digest(self) -> str:
-        """Bit-for-bit equal to ``History.digest()`` on the same stream."""
-        return combined_digest(
-            self._commit_digest, self._read_digest, self._apply_digests
-        )
 
     def window_size(self) -> int:
         """Retained records: pending events + write windows + frontiers."""
@@ -429,20 +250,17 @@ class OnlineChecker:
         # (oracle.collect_below): strictly happens-before the watermark.
         return watermark is None or ts.compare(watermark) is Ordering.BEFORE
 
-    def _fire(self, kind, dedup_key, detail, first, second) -> None:
-        if dedup_key is not None:
-            if (kind, dedup_key) in self._fired:
+    def _fire(self, kind, subject, detail, first, second, repeat=False):
+        """Record one violation; unless ``repeat``, the first offending
+        pair per (rule, subject) speaks for the rest."""
+        if not repeat:
+            if (kind, subject) in self._fired:
                 return
-            self._fired.add((kind, dedup_key))
+            self._fired.add((kind, subject))
         self.stats.violations += 1
-        self._violations.append(Violation(kind, detail, first, second))
-
-    def _reversed(self, order: Optional[Ordering]) -> Optional[Ordering]:
-        if order is Ordering.AFTER:
-            return Ordering.BEFORE
-        if order is Ordering.BEFORE:
-            return Ordering.AFTER
-        return order
+        self._violations.append(
+            Violation(kind, detail, first, second, subject)
+        )
 
     def _settle(self, watermark: Optional[VectorTimestamp]) -> None:
         self._settle_commits(watermark)
@@ -450,48 +268,55 @@ class OnlineChecker:
         self._settle_reads(watermark)
 
     def _take_covered(self, pending: list, watermark) -> list:
-        if watermark is None:
-            taken, pending[:] = list(pending), []
-            return taken
-        taken = [e for e in pending if self._covered(e.ts, watermark)]
+        taken, kept = [], []
+        for event in pending:
+            if self._covered(event.ts, watermark):
+                taken.append(event)
+            else:
+                kept.append(event)
         if taken:
-            pending[:] = [
-                e for e in pending if not self._covered(e.ts, watermark)
-            ]
+            pending[:] = kept
         return taken
 
     def _settle_commits(self, watermark) -> None:
-        batch = self._take_covered(self._pending_commits, watermark)
+        batch = self._take_covered(self.commits, watermark)
         if not batch:
             return
         self.stats.settled += len(batch)
-        batch.sort(key=lambda c: (c.commit_seq, c.arrival))
+        batch.sort(key=_store_order)
+        touched = set()
         for commit in batch:
-            vertices = list(dict(commit.writes))
-            for vertex in vertices:
+            for vertex in dict(commit.writes):
                 window = self._writes.setdefault(vertex, [])
                 self._check_commit(vertex, window, commit)
-                # Insert in (seq, arrival) position; windows are short
-                # and batches arrive mostly sorted, so scan from the end.
+                # Insert in store order; windows are short and batches
+                # arrive mostly sorted, so scan from the end.
                 i = len(window)
-                key = (commit.commit_seq, commit.arrival)
-                while i > 0 and (
-                    window[i - 1].commit_seq, window[i - 1].arrival
-                ) > key:
+                while i and _store_order(window[i - 1]) > _store_order(commit):
                     i -= 1
                 window.insert(i, commit)
                 commit.refs += 1
-                pend = self._pending_by_vertex.get(vertex)
-                if pend is not None:
-                    pend.remove(commit)
-                    if not pend:
-                        del self._pending_by_vertex[vertex]
+                touched.add(vertex)
+        # One rebuild per touched vertex per batch: removing commit by
+        # commit is quadratic when nothing was ever settled before.
+        settled = set(map(id, batch))
+        for vertex in touched:
+            left = [
+                c for c in self._pending_by_vertex[vertex]
+                if id(c) not in settled
+            ]
+            if left:
+                self._pending_by_vertex[vertex] = left
+            else:
+                del self._pending_by_vertex[vertex]
 
     def _check_commit(self, vertex, window, commit) -> None:
+        """Same-vertex commits: decided timestamp order must agree with
+        backing-store commit order (section 4.2's monotonicity rule),
+        and with real time (strictness: an operation acknowledged before
+        another begins must not serialize after it)."""
         for other in window:
-            if (other.commit_seq, other.arrival) <= (
-                commit.commit_seq, commit.arrival
-            ):
+            if _store_order(other) <= _store_order(commit):
                 earlier, later = other, commit
             else:
                 earlier, later = commit, other
@@ -504,29 +329,23 @@ class OnlineChecker:
                     f"after",
                     earlier, later,
                 )
-            if (
-                earlier.acked_at < later.submitted_at
-                and order is Ordering.AFTER
+            for first, second, decided_after in (
+                (earlier, later, order is Ordering.AFTER),
+                (later, earlier, order is Ordering.BEFORE),
             ):
-                self._fire(
-                    "real-time-write", vertex,
-                    f"tx {earlier.tag} on {vertex!r} was acked before tx "
-                    f"{later.tag} was submitted, yet is decided after it",
-                    earlier, later,
-                )
-            if (
-                later.acked_at < earlier.submitted_at
-                and self._reversed(order) is Ordering.AFTER
-            ):
-                self._fire(
-                    "real-time-write", vertex,
-                    f"tx {later.tag} on {vertex!r} was acked before tx "
-                    f"{earlier.tag} was submitted, yet is decided after it",
-                    later, earlier,
-                )
+                if decided_after and first.acked_at < second.submitted_at:
+                    self._fire(
+                        "real-time-write", vertex,
+                        f"tx {first.tag} on {vertex!r} was acked before "
+                        f"tx {second.tag} was submitted, yet is decided "
+                        f"after it",
+                        first, second,
+                    )
 
     def _settle_applies(self, watermark) -> None:
-        for shard, pending in list(self._pending_applies.items()):
+        """Each shard's apply sequence must be a linear extension of the
+        decided order (the Fig 6 loop's whole job)."""
+        for shard, pending in list(self.applies.items()):
             batch = self._take_covered(pending, watermark)
             if not batch:
                 continue
@@ -534,126 +353,117 @@ class OnlineChecker:
             batch.sort(key=lambda a: (a.key, a.arrival))
             frontier = self._frontier.setdefault(shard, [])
             for record in batch:
-                # Offline parity: only applies of *known* commits are
-                # order-checked (a commit whose txn.commit span never
-                # arrived has no decided position to defend).
+                # Only applies of *known* commits are order-checked (a
+                # commit whose txn.commit span never arrived has no
+                # decided position to defend).
                 if record.ts.id not in self._stamps:
                     continue
-                kept: List[_Apply] = []
+                kept: List[ShardApply] = []
                 for front in frontier:
+                    # `record` may be a late straggler: applied earlier
+                    # by key even though it settles after `front`.
                     if front.key <= record.key:
-                        order = self.compare(front.ts, record.ts)
-                        if order is Ordering.AFTER:
-                            self._fire_apply(shard, front, record)
-                        if order is Ordering.BEFORE:
-                            continue  # dominated: safe to forget
+                        earlier, later = front, record
                     else:
-                        # A late straggler: `record` was applied earlier
-                        # by key even though it settles after `front`.
-                        if self.compare(
-                            record.ts, front.ts
-                        ) is Ordering.AFTER:
-                            self._fire_apply(shard, record, front)
+                        earlier, later = record, front
+                    order = self.compare(earlier.ts, later.ts)
+                    if order is Ordering.AFTER:
+                        first = self._stamps.get(earlier.ts.id, earlier)
+                        second = self._stamps.get(later.ts.id, later)
+                        tag_a = getattr(first, "tag", earlier.ts.id)
+                        tag_b = getattr(second, "tag", later.ts.id)
+                        self._fire(
+                            "apply-order", shard,
+                            f"shard {shard} applied tx {tag_a} before tx "
+                            f"{tag_b} against the decided timestamp order",
+                            first, second,
+                        )
+                    if order is Ordering.BEFORE and earlier is front:
+                        continue  # dominated: safe to forget
                     kept.append(front)
                 kept.append(record)
                 self._frontier[shard] = frontier = kept
             if not pending:
-                del self._pending_applies[shard]
-
-    def _fire_apply(self, shard, earlier: _Apply, later: _Apply) -> None:
-        first = self._stamps.get(earlier.ts.id, earlier)
-        second = self._stamps.get(later.ts.id, later)
-        tag_a = getattr(first, "tag", earlier.ts.id)
-        tag_b = getattr(second, "tag", later.ts.id)
-        self._fire(
-            "apply-order", shard,
-            f"shard {shard} applied tx {tag_a} before tx {tag_b} "
-            f"against the decided timestamp order",
-            first, second,
-        )
-
-    def _vertex_chain(self, vertex: str):
-        yield from self._writes.get(vertex, ())
-        yield from self._pending_by_vertex.get(vertex, ())
+                del self.applies[shard]
 
     def _settle_reads(self, watermark) -> None:
-        batch = self._take_covered(self._pending_reads, watermark)
-        if not batch:
-            return
+        """Each program read must land exactly at its timestamp: it sees
+        the newest same-vertex write decided before it, nothing decided
+        after it, and every write acked before it was submitted."""
+        batch = self._take_covered(self.reads, watermark)
         self.stats.settled += len(batch)
         for read in batch:
             for vertex, observed_tag in read.reads:
-                observed: Optional[_Commit] = None
-                evidence_floor: Optional[int] = None
-                if observed_tag is not None:
-                    observed = self._tags.get(observed_tag)
-                    if observed is None:
-                        evidence = (
-                            self._evidence.lookup(observed_tag)
-                            if self._evidence is not None
-                            else None
-                        )
-                        if evidence is None:
-                            self._fire(
-                                "phantom-read", None,
-                                f"program {read.query_id} read tag "
-                                f"{observed_tag!r} on {vertex!r}, which no "
-                                f"committed transaction wrote",
-                                read, None,
-                            )
-                            continue
-                        # The tag was real but pruned: judge the read
-                        # with the evidenced seq floor.  (The future-read
-                        # check needs the pruned stamp itself and is
-                        # skipped — a pruned commit settled far below
-                        # this read's watermark interval.)
-                        self.stats.evidence_hits += 1
-                        evidence_floor = evidence[1]
-                    elif self.compare(
-                        observed.ts, read.ts
-                    ) is Ordering.AFTER:
-                        self._fire(
-                            "future-read", None,
-                            f"program {read.query_id} on {vertex!r} "
-                            f"observed tx {observed.tag}, decided after "
-                            f"the program's timestamp",
-                            read, observed,
-                        )
-                        continue
-                if observed is not None:
-                    floor = observed.commit_seq
-                elif evidence_floor is not None:
-                    floor = evidence_floor
-                else:
-                    floor = -1
-                for newer in self._vertex_chain(vertex):
-                    if newer.commit_seq <= floor:
-                        continue
-                    if self.compare(newer.ts, read.ts) is Ordering.BEFORE:
-                        self._fire(
-                            "stale-read", (read.query_id, vertex),
-                            f"program {read.query_id} on {vertex!r} "
-                            f"missed tx {newer.tag}, decided before the "
-                            f"program's timestamp",
-                            read, newer,
-                        )
-                        break
-                for write in self._vertex_chain(vertex):
-                    if write.acked_at >= read.submitted_at:
-                        continue
-                    if write.commit_seq > floor:
-                        self._fire(
-                            "real-time-read", (read.query_id, vertex),
-                            f"program {read.query_id} on {vertex!r} "
-                            f"missed tx {write.tag}, acked before the "
-                            f"program was submitted",
-                            read, write,
-                        )
-                        break
+                self._check_read(read, vertex, observed_tag)
+
+    def _check_read(self, read, vertex, observed_tag) -> None:
+        subject = (read.query_id, vertex)
+        floor = -1  # newest commit_seq the read is known to have seen
+        placed = True  # False once the observed tag itself is convicted
+        observed = self._tags.get(observed_tag)
+        if observed is not None:
+            floor = observed.commit_seq
+            if self.compare(observed.ts, read.ts) is Ordering.AFTER:
+                placed = False
+                self._fire(
+                    "future-read", subject,
+                    f"program {read.query_id} on {vertex!r} observed tx "
+                    f"{observed.tag}, decided after the program's "
+                    f"timestamp",
+                    read, observed, repeat=True,
+                )
+        elif observed_tag is not None:
+            evidence = (
+                self._evidence.lookup(observed_tag)
+                if self._evidence is not None
+                else None
+            )
+            if evidence is None:
+                placed = False
+                self._fire(
+                    "phantom-read", subject,
+                    f"program {read.query_id} read tag {observed_tag!r} "
+                    f"on {vertex!r}, which no committed transaction wrote",
+                    read, None, repeat=True,
+                )
+            else:
+                # The tag was real but pruned: judge the read with the
+                # evidenced seq floor.  (The decided-after check needs the
+                # pruned stamp itself and is skipped — a pruned commit
+                # settled far below this read's watermark interval.)
+                self.stats.evidence_hits += 1
+                floor = evidence[1]
+        chain = self._writes.get(vertex, []) + self._pending_by_vertex.get(
+            vertex, []
+        )
+        if placed:
+            for newer in chain:
+                if newer.commit_seq > floor and self.compare(
+                    newer.ts, read.ts
+                ) is Ordering.BEFORE:
+                    self._fire(
+                        "stale-read", subject,
+                        f"program {read.query_id} on {vertex!r} missed tx "
+                        f"{newer.tag}, decided before the program's "
+                        f"timestamp",
+                        read, newer,
+                    )
+                    break
+        for write in chain:
+            if write.commit_seq > floor and (
+                write.acked_at < read.submitted_at
+            ):
+                self._fire(
+                    "real-time-read", subject,
+                    f"program {read.query_id} on {vertex!r} missed tx "
+                    f"{write.tag}, acked before the program was submitted",
+                    read, write,
+                )
+                break
 
     # -- pruning --------------------------------------------------------
 
-    def _release(self, commit: _Commit) -> None:
+    def _release(self, commit: CommittedWrite) -> None:
         commit.refs -= 1
         if commit.refs > 0:
             return
@@ -663,7 +473,7 @@ class OnlineChecker:
             # The tag leaves the live index; keep its identity in the
             # bounded evidence cache so a later-settling read of this
             # tag is judged stale (with the right seq floor), not
-            # hallucinated ("phantom-read", PR 7's downgrade).
+            # hallucinated (a phantom, PR 7's downgrade).
             self._ensure_evidence().record(
                 commit.tag, commit.ts.id, commit.commit_seq
             )
@@ -672,9 +482,7 @@ class OnlineChecker:
 
     def _ensure_evidence(self) -> EvidenceCache:
         if self._evidence is None:
-            self._evidence = EvidenceCache(
-                capacity=self._evidence_capacity
-            )
+            self._evidence = EvidenceCache()
         return self._evidence
 
     def _prune(self, watermark: VectorTimestamp) -> None:
@@ -704,7 +512,7 @@ class OnlineChecker:
         # but their evidence is retained: under deadline-delayed geo
         # acks the client's txn.commit span routinely trails the store
         # span past a GC tick, and the join must still land on the real
-        # seq or the digest diverges from the never-pruning History.
+        # seq or the digest diverges from a referee that never prunes.
         for stamp_id, (ts, seqs) in list(self._store_seqs.items()):
             if self._covered(ts, watermark):
                 self._ensure_evidence().record_seqs(stamp_id, seqs)
@@ -718,9 +526,9 @@ class OnlineChecker:
     def _refresh_window(self) -> None:
         stats = self.stats
         stats.window_pending = (
-            len(self._pending_commits)
-            + len(self._pending_reads)
-            + sum(len(v) for v in self._pending_applies.values())
+            len(self.commits)
+            + len(self.reads)
+            + sum(len(v) for v in self.applies.values())
         )
         stats.window_writes = sum(len(w) for w in self._writes.values())
         stats.window_frontier = sum(

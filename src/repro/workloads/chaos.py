@@ -4,8 +4,16 @@ One :func:`run_chaos` call builds a :class:`SimulatedWeaver` with a
 :class:`~repro.sim.faults.FaultPlan` (message drops, duplicates, delays,
 a partition, and at least one gatekeeper crash and one shard crash),
 drives a Zipf-contended write/read mix against it, records everything
-observable into a :class:`~repro.verify.history.History`, and checks the
-history for strict-serializability violations.
+observable into a :class:`~repro.verify.history.History`, and asks the
+referee for the end-of-run verdict.  :func:`run_soak` is the long-form
+variant: the same traffic in chunks with live GC, the referee
+(:class:`~repro.verify.online.OnlineChecker`) attached directly so the
+deployment's watermarks settle and prune it as the run goes.
+
+Every driver here and in :mod:`repro.workloads.geo` feeds the referee
+one way: a :class:`SimClient` or :class:`ProcessClient` submits the
+tagged writes and reads and reports each acknowledgement to the tracer
+as a ``txn.commit`` / ``program.read`` span.
 
 Everything is derived from the single ``seed``: the fault schedule, the
 Zipf targets, the submission times.  Two runs with the same seed produce
@@ -28,7 +36,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..db.config import WeaverConfig
 from ..db.operations import CreateVertex, SetVertexProperty
@@ -104,15 +112,170 @@ class ChaosReport:
     read_latency: Dict[str, float] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
     tracer: Optional[object] = None
-    # With ``online=True``: the streaming checker's verdict and digest,
-    # plus the checker itself (window gauges, stats).
-    online_violations: List[Violation] = field(default_factory=list)
-    online_digest: str = ""
-    online: Optional[OnlineChecker] = None
 
     @property
     def consistent(self) -> bool:
-        return not self.violations and not self.online_violations
+        return not self.violations
+
+
+class _RefereedClient:
+    """The tagged Zipf client behind every chaos, soak and geo driver.
+
+    Tags and query ids come from one counter and targets from one seeded
+    sampler, so a seed fixes the whole request stream.  Subclasses
+    submit the operations; this class reports the acknowledgements to
+    the deployment's tracer, which is all the referee ever sees of the
+    workload.  ``report`` collects the aborted / lost / completed counts.
+    """
+
+    def __init__(self, db, report, num_vertices: int, skew: float,
+                 seed: int) -> None:
+        self.db = db
+        self.report = report
+        self.vertices = [f"v{i}" for i in range(num_vertices)]
+        self.sampler = ZipfSampler(num_vertices, skew, seed=seed)
+        self.tags = iter(range(10**9))
+
+    def sample(self) -> str:
+        return self.vertices[self.sampler.sample()]
+
+    def write_targets(self) -> List[str]:
+        first, second = self.sample(), self.sample()
+        return [first] if first == second else [first, second]
+
+    def committed(self, trace_id, tag, ts, targets, submitted_at,
+                  at=None) -> None:
+        self.db.tracer.emit(
+            trace_id, "txn.commit", node="client", at=at,
+            tag=tag, ts=ts, writes=tuple((v, tag) for v in targets),
+            submitted_at=submitted_at,
+        )
+
+    def completed(self, trace_id, query_id, ts, target, observed,
+                  submitted_at, at=None) -> None:
+        self.db.tracer.emit(
+            trace_id, "program.read", node="client", at=at,
+            query_id=query_id, ts=ts, reads=((target, observed),),
+            submitted_at=submitted_at,
+        )
+        self.report.reads_completed += 1
+
+
+class SimClient(_RefereedClient):
+    """Open-loop client of a :class:`SimulatedWeaver`: submissions are
+    callbacks on the simulated clock, which also stamps the spans."""
+
+    def _submit(self, targets: Sequence[str], create: bool = False) -> None:
+        tag = next(self.tags)
+        submitted_at = self.db.simulator.now
+        ops = []
+        for vertex in targets:
+            if create:
+                ops.append(CreateVertex(vertex))
+            ops.append(SetVertexProperty(vertex, "w", tag))
+
+        def on_commit(ok: bool, ts_or_exc) -> None:
+            if ok:
+                self.committed(
+                    trace_id, tag, ts_or_exc, targets, submitted_at
+                )
+            elif not create:
+                # ``aborted`` counts the measured workload, not setup.
+                self.report.aborted += 1
+
+        trace_id = self.db.submit_transaction(
+            ops, callback=on_commit,
+            new_vertices=tuple(targets) if create else (),
+        )
+
+    def setup(self, step: float, settle: float) -> None:
+        """Create every vertex with an initial tag, ``step`` apart, then
+        let the forwards (and any deadline-delayed acks) land."""
+        for vertex in self.vertices:
+            self._submit((vertex,), create=True)
+            self.db.run(step)
+        self.db.run(settle)
+
+    def write(self) -> None:
+        self._submit(self.write_targets())
+
+    def read(self) -> None:
+        target = self.sample()
+        query_id = next(self.tags)
+        submitted_at = self.db.simulator.now
+
+        def on_result(result) -> None:
+            if result is None:
+                self.report.reads_lost += 1
+                return
+            observed = None
+            if result.results:
+                observed = result.results[0]["properties"].get("w")
+            self.completed(
+                trace_id, query_id, result.timestamp, target, observed,
+                submitted_at,
+            )
+
+        trace_id = self.db.submit_program(
+            GetNode(), target, callback=on_result
+        )
+
+    def drive(self, duration: float, tx_period: float,
+              read_period: float) -> float:
+        """Interleave writers and readers for ``duration`` simulated
+        seconds; returns the horizon, which the last submission precedes."""
+        sim = self.db
+        horizon = sim.simulator.now + duration
+        next_tx = sim.simulator.now + tx_period
+        next_read = sim.simulator.now + read_period
+        while min(next_tx, next_read) < horizon:
+            if next_tx <= next_read:
+                sim.run(next_tx - sim.simulator.now)
+                self.write()
+                next_tx += tx_period
+            else:
+                sim.run(next_read - sim.simulator.now)
+                self.read()
+                next_read += read_period
+        return horizon
+
+
+class ProcessClient(_RefereedClient):
+    """Closed-loop client of a :class:`ProcessWeaver`: calls block, and
+    the wall clock stamps the spans on both sides of each call."""
+
+    def _commit(self, targets: Sequence[str], create: bool = False) -> None:
+        tag = next(self.tags)
+        submitted_at = time.perf_counter()
+        tx = self.db.begin_transaction()
+        for vertex in targets:
+            if create:
+                tx.create_vertex(vertex)
+            tx.set_property(vertex, "w", tag)
+        ts = tx.commit()
+        self.committed(
+            tx.trace_id, tag, ts, targets, submitted_at,
+            at=time.perf_counter(),
+        )
+
+    def setup(self) -> None:
+        for vertex in self.vertices:
+            self._commit((vertex,), create=True)
+        self.db.drain()
+
+    def write(self) -> None:
+        self._commit(self.write_targets())
+
+    def read(self, target: Optional[str] = None) -> None:
+        target = target or self.sample()
+        query_id = next(self.tags)
+        submitted_at = time.perf_counter()
+        result = self.db.run_program(GetNode(), target)
+        self.completed(
+            self.db.tracer.next_trace_id(), query_id, result.timestamp,
+            target, result.value["properties"].get("w"), submitted_at,
+            at=time.perf_counter(),
+        )
 
 
 def run_chaos(
@@ -128,7 +291,6 @@ def run_chaos(
     drain: float = 80 * MSEC,
     tau: float = 100 * USEC,
     nop_period: float = 100 * USEC,
-    online: bool = False,
 ) -> ChaosReport:
     """One seeded chaos run; returns the checked :class:`ChaosReport`.
 
@@ -157,113 +319,17 @@ def run_chaos(
         gc_period=10 * duration + drain,
         fault_plan=plan,
     )
+    # The record keeper consumes the trace stream: shard.apply and
+    # store.commit spans come from the deployment, txn.commit and
+    # program.read from the client below.
     history = History()
-    # The referee consumes the trace stream: shard.apply spans feed the
-    # apply sequences, and the workload emits txn.commit / program.read
-    # spans below instead of calling record_* directly.
     history.attach(sim.tracer)
-    checker: Optional[OnlineChecker] = None
-    if online:
-        # The streaming referee rides the same stream; with chaos's
-        # one-pass-after-the-horizon GC it settles everything at
-        # finalize, so its verdict and digest must match the offline
-        # checker's exactly (the differential suite's invariant).
-        checker = OnlineChecker(
-            decided_order(sim.oracle), registry=sim.metrics
-        )
-        checker.attach(sim.tracer)
     report = ChaosReport(seed=seed, duration=duration)
+    client = SimClient(sim, report, num_vertices, skew, seed)
 
-    vertices = [f"v{i}" for i in range(num_vertices)]
-    sampler = ZipfSampler(num_vertices, skew, seed=seed)
-    tags = iter(range(10**9))
-
-    def submit_write(targets: List[str]) -> None:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        ops = [SetVertexProperty(v, "w", tag) for v in targets]
-
-        def on_commit(ok: bool, ts_or_exc) -> None:
-            if ok:
-                sim.tracer.emit(
-                    trace_id, "txn.commit", node="client",
-                    tag=tag,
-                    ts=ts_or_exc,
-                    writes=tuple((v, tag) for v in targets),
-                    submitted_at=submitted_at,
-                )
-            else:
-                report.aborted += 1
-
-        trace_id = sim.submit_transaction(ops, callback=on_commit)
-
-    def submit_read(target: str) -> None:
-        query_id = next(tags)
-        submitted_at = sim.simulator.now
-
-        def on_result(result) -> None:
-            if result is None:
-                report.reads_lost += 1
-                return
-            observed = None
-            if result.results:
-                observed = result.results[0]["properties"].get("w")
-            sim.tracer.emit(
-                trace_id, "program.read", node="client",
-                query_id=query_id,
-                ts=result.timestamp,
-                reads=((target, observed),),
-                submitted_at=submitted_at,
-            )
-            report.reads_completed += 1
-
-        trace_id = sim.submit_program(GetNode(), target, callback=on_result)
-
-    # -- setup: create every vertex with an initial tag ------------------
-
-    for vertex in vertices:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        setup_trace = []
-
-        def on_setup(ok, ts_or_exc, tag=tag, vertex=vertex,
-                     submitted_at=submitted_at,
-                     setup_trace=setup_trace) -> None:
-            if ok:
-                sim.tracer.emit(
-                    setup_trace[0], "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc, writes=((vertex, tag),),
-                    submitted_at=submitted_at,
-                )
-
-        setup_trace.append(sim.submit_transaction(
-            [CreateVertex(vertex), SetVertexProperty(vertex, "w", tag)],
-            callback=on_setup,
-            new_vertices=(vertex,),
-        ))
-        sim.run(100 * USEC)
-    sim.run(2 * MSEC)  # let setup forwards land everywhere
-
-    # -- chaos: interleaved writers and readers --------------------------
-
-    horizon = sim.simulator.now + duration
-    next_tx = sim.simulator.now + tx_period
-    next_read = sim.simulator.now + read_period
-    while min(next_tx, next_read) < horizon:
-        if next_tx <= next_read:
-            sim.run(next_tx - sim.simulator.now)
-            first = vertices[sampler.sample()]
-            second = vertices[sampler.sample()]
-            targets = [first] if first == second else [first, second]
-            submit_write(targets)
-            next_tx += tx_period
-        else:
-            sim.run(next_read - sim.simulator.now)
-            submit_read(vertices[sampler.sample()])
-            next_read += read_period
-
-    # -- drain: heal, recover, complete ----------------------------------
-
+    client.setup(step=100 * USEC, settle=2 * MSEC)
+    client.drive(duration, tx_period, read_period)
+    # Drain: heal, recover, complete.
     sim.run(duration * 0.5)
     sim.run_until_quiet(max_extra=drain)
 
@@ -276,12 +342,9 @@ def run_chaos(
     report.faults = dict(sim.network.stats.faults)
     report.history = history
     report.digest = history.digest()
-    offline = HistoryChecker(history, decided_order(sim.oracle))
-    report.violations = offline.check()
-    if checker is not None:
-        report.online_violations = checker.finalize()
-        report.online_digest = checker.digest()
-        report.online = checker
+    report.violations = HistoryChecker(
+        history, decided_order(sim.oracle)
+    ).check()
     report.tx_latency = sim.latency_tx.summary()
     report.read_latency = sim.latency_program.summary()
     report.metrics = sim.metrics.snapshot()
@@ -290,7 +353,7 @@ def run_chaos(
 
 
 # ---------------------------------------------------------------------------
-# Soak: long-running chunked workload with the online referee always on.
+# Soak: long-running chunked workload with the referee always on.
 # ---------------------------------------------------------------------------
 
 
@@ -310,13 +373,8 @@ class SoakReport:
     watermarks: int = 0
     wall_seconds: float = 0.0
     throughput: float = 0.0  # commits per wall-clock second
-    # Parity: online digest vs offline History digest, per chunk + final.
-    parity_checks: int = 0
-    parity_failures: int = 0
     digest: str = ""
-    offline_digest: str = ""
-    online_violations: List[Violation] = field(default_factory=list)
-    offline_violations: List[Violation] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
     # Memory bound: retained-window size sampled after each chunk, and
     # the commit count at the same instants (growth vs flatness).
     window_samples: List[int] = field(default_factory=list)
@@ -324,15 +382,62 @@ class SoakReport:
     window_peak: int = 0
     window_final: int = 0
     pruned: int = 0
+    # The price of "always on": events the referee consumed and the
+    # wall-clock seconds spent inside it (consume, settle, finalize).
+    referee_events: int = 0
+    referee_seconds: float = 0.0
     metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.online_violations
-            and not self.offline_violations
-            and self.parity_failures == 0
+        return not self.violations
+
+
+class _SoakReferee:
+    """The soak harness's hold on its :class:`OnlineChecker`: attaches it
+    as a timed tracer sink, samples it per chunk, and folds its verdict
+    and gauges into the :class:`SoakReport`."""
+
+    def __init__(self, db, report: SoakReport) -> None:
+        self.report = report
+        self.checker = OnlineChecker(
+            decided_order(db.oracle), registry=db.metrics
         )
+        db.tracer.add_sink(self._consume)
+
+    def _consume(self, span) -> None:
+        started = time.perf_counter()
+        self.checker.consume(span)
+        self.report.referee_seconds += time.perf_counter() - started
+
+    def sample(self) -> None:
+        self.report.window_samples.append(self.checker.window_size())
+        self.report.committed_samples.append(self.checker.stats.commits)
+
+    def finish(self, chunks: int, started: float, recoveries: int) -> None:
+        report, checker = self.report, self.checker
+        report.chunks = chunks
+        report.wall_seconds = time.monotonic() - started
+        finalize_started = time.perf_counter()
+        report.violations = checker.finalize()
+        report.referee_seconds += time.perf_counter() - finalize_started
+        report.referee_events = checker.stats.events
+        report.digest = checker.digest()
+        report.committed = checker.stats.commits
+        report.recoveries = recoveries
+        report.watermarks = checker.stats.watermarks
+        report.pruned = checker.stats.pruned
+        report.window_peak = checker.stats.window_peak
+        report.window_final = checker.window_size()
+        if report.wall_seconds > 0:
+            report.throughput = report.committed / report.wall_seconds
+
+
+def _more_chunks(chunk: int, chunks: Optional[int],
+                 deadline: Optional[float]) -> bool:
+    if chunks is not None and chunk >= chunks:
+        return False
+    return deadline is None or time.monotonic() < deadline
 
 
 def run_soak(
@@ -347,8 +452,6 @@ def run_soak(
     read_period: float = 1900 * USEC,
     crash_every: int = 4,
     config: Optional[WeaverConfig] = None,
-    parity: bool = True,
-    offline_check: bool = True,
     store: str = "memory",
     store_cache_bytes: Optional[int] = None,
 ) -> SoakReport:
@@ -360,8 +463,7 @@ def run_soak(
     watermark advancing throughout — so the :class:`OnlineChecker`
     settles and prunes continuously instead of buffering the whole run.
     After every chunk the harness samples the checker's retained-window
-    size and asserts digest parity against the offline :class:`History`
-    fed from the same span stream.
+    size; the report prices the referee (events, seconds inside it).
 
     Stop condition: ``chunks`` (deterministic, used by tests) or
     ``wall_seconds`` (the CLI's ``repro soak --duration``); with
@@ -395,15 +497,35 @@ def run_soak(
         )
     try:
         if transport == "sim":
-            report = _soak_sim(
-                seed, chunks, wall_seconds, chunk_horizon, num_vertices,
-                skew, tx_period, read_period, crash_every, config, parity,
-                offline_check,
+            config = config or WeaverConfig()
+            # Message-level faults stay on for the whole run; crashes
+            # are injected per chunk so an unbounded run keeps faulting.
+            plan = (
+                FaultPlan(seed=seed)
+                .drop(0.03)
+                .duplicate(0.03)
+                .delay(0.08, extra_delay=200 * USEC)
+            )
+            sim = SimulatedWeaver(
+                config=config,
+                tau=100 * USEC,
+                nop_period=100 * USEC,
+                heartbeat_period=2 * MSEC,
+                # Live GC: the watermark advances twice per chunk, which
+                # is the whole point — the referee must keep up with it.
+                gc_period=chunk_horizon / 2,
+                fault_plan=plan,
+            )
+            report = soak_sim(
+                sim, seed, chunks=chunks, wall_seconds=wall_seconds,
+                chunk_horizon=chunk_horizon, num_vertices=num_vertices,
+                skew=skew, tx_period=tx_period, read_period=read_period,
+                crash_every=crash_every, setup_step=100 * USEC,
             )
         else:
             report = _soak_process(
                 seed, chunks, wall_seconds, num_vertices, skew,
-                crash_every, config, parity, offline_check,
+                crash_every, config,
             )
     finally:
         if tmpdir is not None:
@@ -412,110 +534,26 @@ def run_soak(
     return report
 
 
-def _soak_sim(
-    seed, chunks, wall_seconds, chunk_horizon, num_vertices, skew,
-    tx_period, read_period, crash_every, config, parity, offline_check,
+def soak_sim(
+    sim: SimulatedWeaver, seed, *, chunks, wall_seconds, chunk_horizon,
+    num_vertices, skew, tx_period, read_period, crash_every,
+    setup_step: float, reach: float = 0.0,
 ) -> SoakReport:
-    config = config or WeaverConfig()
-    # Message-level faults stay on for the whole run; crashes are
-    # injected per chunk below so an unbounded run keeps faulting.
-    plan = (
-        FaultPlan(seed=seed)
-        .drop(0.03)
-        .duplicate(0.03)
-        .delay(0.08, extra_delay=200 * USEC)
-    )
-    sim = SimulatedWeaver(
-        config=config,
-        tau=100 * USEC,
-        nop_period=100 * USEC,
-        heartbeat_period=2 * MSEC,
-        # Live GC: the watermark advances twice per chunk, which is the
-        # whole point — the online checker must keep up with pruning.
-        gc_period=chunk_horizon / 2,
-        fault_plan=plan,
-    )
+    """The chunked soak loop on an already-built simulated deployment.
+
+    ``reach`` is the deployment's worst one-way latency (geo): setup and
+    the final drain wait it out so deadline-delayed acks land.
+    """
+    config = sim.config
     report = SoakReport(seed=seed, transport="sim")
-    checker = OnlineChecker(decided_order(sim.oracle), registry=sim.metrics)
-    checker.attach(sim.tracer)
-    history: Optional[History] = None
-    if parity:
-        history = History()
-        history.attach(sim.tracer)
-
-    vertices = [f"v{i}" for i in range(num_vertices)]
-    sampler = ZipfSampler(num_vertices, skew, seed=seed)
-    tags = iter(range(10**9))
-
-    def submit_write(targets: List[str]) -> None:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        ops = [SetVertexProperty(v, "w", tag) for v in targets]
-
-        def on_commit(ok: bool, ts_or_exc) -> None:
-            if ok:
-                sim.tracer.emit(
-                    trace_id, "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc,
-                    writes=tuple((v, tag) for v in targets),
-                    submitted_at=submitted_at,
-                )
-            else:
-                report.aborted += 1
-
-        trace_id = sim.submit_transaction(ops, callback=on_commit)
-
-    def submit_read(target: str) -> None:
-        query_id = next(tags)
-        submitted_at = sim.simulator.now
-
-        def on_result(result) -> None:
-            if result is None:
-                report.reads_lost += 1
-                return
-            observed = None
-            if result.results:
-                observed = result.results[0]["properties"].get("w")
-            sim.tracer.emit(
-                trace_id, "program.read", node="client",
-                query_id=query_id, ts=result.timestamp,
-                reads=((target, observed),), submitted_at=submitted_at,
-            )
-            report.reads_completed += 1
-
-        trace_id = sim.submit_program(GetNode(), target, callback=on_result)
-
-    for vertex in vertices:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        setup_trace = []
-
-        def on_setup(ok, ts_or_exc, tag=tag, vertex=vertex,
-                     submitted_at=submitted_at,
-                     setup_trace=setup_trace) -> None:
-            if ok:
-                sim.tracer.emit(
-                    setup_trace[0], "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc, writes=((vertex, tag),),
-                    submitted_at=submitted_at,
-                )
-
-        setup_trace.append(sim.submit_transaction(
-            [CreateVertex(vertex), SetVertexProperty(vertex, "w", tag)],
-            callback=on_setup,
-            new_vertices=(vertex,),
-        ))
-        sim.run(100 * USEC)
-    sim.run(2 * MSEC)
+    referee = _SoakReferee(sim, report)
+    client = SimClient(sim, report, num_vertices, skew, seed)
+    client.setup(step=setup_step, settle=2 * MSEC + reach)
 
     started = time.monotonic()
     deadline = None if wall_seconds is None else started + wall_seconds
     chunk = 0
-    while True:
-        if chunks is not None and chunk >= chunks:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
+    while _more_chunks(chunk, chunks, deadline):
         if crash_every and chunk % crash_every == crash_every - 1:
             cycle = chunk // crash_every
             if cycle % 2 == 0:
@@ -524,178 +562,54 @@ def _soak_sim(
                 sim.crash_gatekeeper(
                     (seed + cycle) % config.num_gatekeepers
                 )
-        horizon = sim.simulator.now + chunk_horizon
-        next_tx = sim.simulator.now + tx_period
-        next_read = sim.simulator.now + read_period
-        while min(next_tx, next_read) < horizon:
-            if next_tx <= next_read:
-                sim.run(next_tx - sim.simulator.now)
-                first = vertices[sampler.sample()]
-                second = vertices[sampler.sample()]
-                submit_write(
-                    [first] if first == second else [first, second]
-                )
-                next_tx += tx_period
-            else:
-                sim.run(next_read - sim.simulator.now)
-                submit_read(vertices[sampler.sample()])
-                next_read += read_period
+        horizon = client.drive(chunk_horizon, tx_period, read_period)
         sim.run(horizon - sim.simulator.now)
         chunk += 1
-        report.window_samples.append(checker.window_size())
-        report.committed_samples.append(checker.stats.commits)
-        if history is not None:
-            report.parity_checks += 1
-            if history.digest() != checker.digest():
-                report.parity_failures += 1
+        referee.sample()
 
-    sim.run(chunk_horizon * 0.5)
+    sim.run(chunk_horizon * 0.5 + reach)
     sim.run_until_quiet(max_extra=80 * MSEC)
-    report.chunks = chunk
-    report.wall_seconds = time.monotonic() - started
-    report.online_violations = checker.finalize()
-    report.digest = checker.digest()
-    if history is not None:
-        report.offline_digest = history.digest()
-        report.parity_checks += 1
-        if report.offline_digest != report.digest:
-            report.parity_failures += 1
-        if offline_check:
-            # Mid-run GC already collected old decisions, so this pass
-            # is weaker than the online one — but still sound, and it
-            # cross-checks the shared taxonomy end to end.
-            offline = HistoryChecker(history, decided_order(sim.oracle))
-            report.offline_violations = offline.check()
-    report.committed = checker.stats.commits
-    report.recoveries = sim.recoveries
-    report.watermarks = checker.stats.watermarks
-    report.pruned = checker.stats.pruned
-    report.window_peak = checker.stats.window_peak
-    report.window_final = checker.window_size()
-    if report.wall_seconds > 0:
-        report.throughput = report.committed / report.wall_seconds
+    referee.finish(chunk, started, sim.recoveries)
     report.metrics = sim.metrics.snapshot()
     return report
 
 
 def _soak_process(
     seed, chunks, wall_seconds, num_vertices, skew, crash_every, config,
-    parity, offline_check, writes_per_chunk: int = 10,
-    reads_per_chunk: int = 3,
+    writes_per_chunk: int = 10, reads_per_chunk: int = 3,
 ) -> SoakReport:
     from ..cluster.process import ProcessWeaver
 
     config = config or WeaverConfig(num_shards=2, num_gatekeepers=2)
     report = SoakReport(seed=seed, transport="process")
-    vertices = [f"v{i}" for i in range(num_vertices)]
-    sampler = ZipfSampler(num_vertices, skew, seed=seed)
-    tags = iter(range(10**9))
 
     with ProcessWeaver(config) as db:
-        checker = OnlineChecker(
-            decided_order(db.oracle), registry=db.metrics
-        )
-        checker.attach(db.tracer)
-        history: Optional[History] = None
-        if parity:
-            history = History()
-            history.attach(db.tracer)
-
-        def write(targets: List[str]) -> None:
-            tag = next(tags)
-            submitted_at = time.perf_counter()
-            tx = db.begin_transaction()
-            for target in targets:
-                tx.set_property(target, "w", tag)
-            ts = tx.commit()
-            db.tracer.emit(
-                tx.trace_id, "txn.commit", node="client",
-                at=time.perf_counter(), tag=tag, ts=ts,
-                writes=tuple((t, tag) for t in targets),
-                submitted_at=submitted_at,
-            )
-
-        def read(target: str) -> None:
-            query_id = next(tags)
-            submitted_at = time.perf_counter()
-            result = db.run_program(GetNode(), target)
-            observed = result.value["properties"].get("w")
-            db.tracer.emit(
-                db.tracer.next_trace_id(), "program.read", node="client",
-                at=time.perf_counter(), query_id=query_id,
-                ts=result.timestamp, reads=((target, observed),),
-                submitted_at=submitted_at,
-            )
-            report.reads_completed += 1
-
-        for vertex in vertices:
-            tag = next(tags)
-            submitted_at = time.perf_counter()
-            tx = db.begin_transaction()
-            tx.create_vertex(vertex)
-            tx.set_property(vertex, "w", tag)
-            ts = tx.commit()
-            db.tracer.emit(
-                tx.trace_id, "txn.commit", node="client",
-                at=time.perf_counter(), tag=tag, ts=ts,
-                writes=((vertex, tag),), submitted_at=submitted_at,
-            )
-        db.drain()
+        referee = _SoakReferee(db, report)
+        client = ProcessClient(db, report, num_vertices, skew, seed)
+        client.setup()
 
         started = time.monotonic()
         deadline = None if wall_seconds is None else started + wall_seconds
         chunk = 0
-        while True:
-            if chunks is not None and chunk >= chunks:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
+        while _more_chunks(chunk, chunks, deadline):
             if crash_every and chunk % crash_every == crash_every - 1:
                 victim = (seed + chunk // crash_every) % config.num_shards
                 db.kill_shard_worker(victim)
                 db.recover_shard(victim)
             for i in range(writes_per_chunk):
-                first = vertices[sampler.sample()]
-                second = vertices[sampler.sample()]
-                write([first] if first == second else [first, second])
+                client.write()
                 if i % (writes_per_chunk // reads_per_chunk + 1) == 1:
-                    read(vertices[sampler.sample()])
+                    client.read()
             db.drain()
             # Advance the GC watermark: emits the gc.watermark span the
             # checker settles on, then collects below it.
             db.collect_garbage()
             chunk += 1
-            report.window_samples.append(checker.window_size())
-            report.committed_samples.append(checker.stats.commits)
-            if history is not None:
-                report.parity_checks += 1
-                if history.digest() != checker.digest():
-                    report.parity_failures += 1
+            referee.sample()
 
         db.drain()
-        read(vertices[0])
-        read(vertices[1])
-        report.chunks = chunk
-        report.wall_seconds = time.monotonic() - started
-        report.online_violations = checker.finalize()
-        report.digest = checker.digest()
-        if history is not None:
-            report.offline_digest = history.digest()
-            report.parity_checks += 1
-            if report.offline_digest != report.digest:
-                report.parity_failures += 1
-            if offline_check:
-                offline = HistoryChecker(
-                    history, decided_order(db.oracle)
-                )
-                report.offline_violations = offline.check()
-        report.committed = checker.stats.commits
-        report.recoveries = db.recoveries
-        report.watermarks = checker.stats.watermarks
-        report.pruned = checker.stats.pruned
-        report.window_peak = checker.stats.window_peak
-        report.window_final = checker.window_size()
-        if report.wall_seconds > 0:
-            report.throughput = report.committed / report.wall_seconds
+        client.read(client.vertices[0])
+        client.read(client.vertices[1])
+        referee.finish(chunk, started, db.recoveries)
         report.metrics = db.metrics.snapshot()
     return report

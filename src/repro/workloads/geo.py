@@ -16,17 +16,17 @@ can be switched off per run, so :func:`geo_sweep` produces matched
 fastpath/oracle-only pairs at equal tau — the comparison recorded in
 ``BENCH_geo.json``.
 
-Every run keeps the chaos referee attached: the offline
-:class:`~repro.verify.history.History` checker and the streaming
-:class:`~repro.verify.online.OnlineChecker` both verdict every recorded
-run, and their digests must agree.
+Every run is refereed the way the chaos runs are: the same
+:class:`~repro.workloads.chaos.SimClient` feeds a
+:class:`~repro.verify.history.History`, and the run's verdict is the
+referee's end-of-run one.
 
 :func:`run_geo_soak` is the long-form variant — :func:`~repro.workloads.
 chaos.run_soak`'s chunked Zipf traffic transplanted into the geo
-cluster, with per-chunk crashes and a full region partition, digest
-parity asserted after every chunk.  ``transport="process"`` runs the
-standard soak against a real multiprocess cluster built with the geo
-config (regions shape the oracle wiring; the latency matrix is
+cluster, with per-chunk crashes and a full region partition, the
+referee settling on the live GC watermarks.  ``transport="process"``
+runs the standard soak against a real multiprocess cluster built with
+the geo config (regions shape the oracle wiring; the latency matrix is
 simulator-only).
 """
 
@@ -36,16 +36,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..db.config import WeaverConfig
-from ..db.operations import CreateVertex, SetVertexProperty
-from ..programs.library import GetNode
 from ..sim.clock import MSEC, USEC
 from ..sim.deployment import SimulatedWeaver
 from ..sim.faults import FaultPlan
 from ..sim.network import RegionTopology
 from ..verify.history import History, HistoryChecker, Violation, decided_order
-from ..verify.online import OnlineChecker
-from .chaos import SoakReport, run_soak
-from .contention import ZipfSampler
+from .chaos import SimClient, SoakReport, run_soak, soak_sim
 
 
 def default_geo_topology(
@@ -111,17 +107,11 @@ class GeoReport:
     read_latency: Dict[str, float] = field(default_factory=dict)
     region_metrics: Dict[str, float] = field(default_factory=dict)
     digest: str = ""
-    online_digest: str = ""
     violations: List[Violation] = field(default_factory=list)
-    online_violations: List[Violation] = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
-        return (
-            not self.violations
-            and not self.online_violations
-            and self.digest == self.online_digest
-        )
+        return not self.violations
 
     @property
     def oracle_rate(self) -> float:
@@ -145,7 +135,7 @@ def run_geo(
     drain: float = 60 * MSEC,
     config: Optional[WeaverConfig] = None,
 ) -> GeoReport:
-    """One seeded geo run; returns the double-checked :class:`GeoReport`.
+    """One seeded geo run; returns the checked :class:`GeoReport`.
 
     ``fastpath=False`` is the oracle-only baseline at equal tau: the
     deployment is identical (same topology, same deadline stamps, same
@@ -174,100 +164,16 @@ def run_geo(
             shard.ordering.skew_bound = None
     history = History()
     history.attach(sim.tracer)
-    checker = OnlineChecker(decided_order(sim.oracle), registry=sim.metrics)
-    checker.attach(sim.tracer)
     report = GeoReport(
         seed=seed, num_regions=num_regions, tau=tau,
         fastpath=fastpath, duration=duration,
     )
+    client = SimClient(sim, report, num_vertices, skew, seed)
 
-    vertices = [f"v{i}" for i in range(num_vertices)]
-    sampler = ZipfSampler(num_vertices, skew, seed=seed)
-    tags = iter(range(10**9))
-
-    def submit_write(targets: List[str]) -> None:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        ops = [SetVertexProperty(v, "w", tag) for v in targets]
-
-        def on_commit(ok: bool, ts_or_exc) -> None:
-            if ok:
-                sim.tracer.emit(
-                    trace_id, "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc,
-                    writes=tuple((v, tag) for v in targets),
-                    submitted_at=submitted_at,
-                )
-            else:
-                report.aborted += 1
-
-        trace_id = sim.submit_transaction(ops, callback=on_commit)
-
-    def submit_read(target: str) -> None:
-        query_id = next(tags)
-        submitted_at = sim.simulator.now
-
-        def on_result(result) -> None:
-            if result is None:
-                report.reads_lost += 1
-                return
-            observed = None
-            if result.results:
-                observed = result.results[0]["properties"].get("w")
-            sim.tracer.emit(
-                trace_id, "program.read", node="client",
-                query_id=query_id, ts=result.timestamp,
-                reads=((target, observed),), submitted_at=submitted_at,
-            )
-            report.reads_completed += 1
-
-        trace_id = sim.submit_program(GetNode(), target, callback=on_result)
-
-    # -- setup ----------------------------------------------------------
-
-    for vertex in vertices:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        setup_trace = []
-
-        def on_setup(ok, ts_or_exc, tag=tag, vertex=vertex,
-                     submitted_at=submitted_at,
-                     setup_trace=setup_trace) -> None:
-            if ok:
-                sim.tracer.emit(
-                    setup_trace[0], "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc, writes=((vertex, tag),),
-                    submitted_at=submitted_at,
-                )
-
-        setup_trace.append(sim.submit_transaction(
-            [CreateVertex(vertex), SetVertexProperty(vertex, "w", tag)],
-            callback=on_setup,
-            new_vertices=(vertex,),
-        ))
-        sim.run(200 * USEC)
     # Deadline-delayed acks: let every setup commit land before timing.
-    sim.run(2 * MSEC + topology.max_reach())
-
-    # -- measured phase: cross-region writers and readers ---------------
-
-    horizon = sim.simulator.now + duration
-    next_tx = sim.simulator.now + tx_period
-    next_read = sim.simulator.now + read_period
-    while min(next_tx, next_read) < horizon:
-        if next_tx <= next_read:
-            sim.run(next_tx - sim.simulator.now)
-            first = vertices[sampler.sample()]
-            second = vertices[sampler.sample()]
-            submit_write([first] if first == second else [first, second])
-            next_tx += tx_period
-        else:
-            sim.run(next_read - sim.simulator.now)
-            submit_read(vertices[sampler.sample()])
-            next_read += read_period
-
-    # -- drain ----------------------------------------------------------
-
+    client.setup(step=200 * USEC, settle=2 * MSEC + topology.max_reach())
+    # Measured phase: cross-region writers and readers.
+    client.drive(duration, tx_period, read_period)
     sim.run(topology.max_reach() + duration * 0.25)
     sim.run_until_quiet(max_extra=drain)
 
@@ -288,8 +194,6 @@ def run_geo(
     report.violations = HistoryChecker(
         history, decided_order(sim.oracle)
     ).check()
-    report.online_violations = checker.finalize()
-    report.online_digest = checker.digest()
     return report
 
 
@@ -304,7 +208,7 @@ def geo_sweep(
 
     Each tau gets two runs differing only in the ordering's deadline
     fast path.  The returned dict is JSON-ready; ``consistent`` must be
-    True on every point (referee + digest parity), and the acceptance
+    True on every point (the referee's verdict), and the acceptance
     claim lives in ``oracle_reduction`` (baseline calls / fastpath
     calls, per tau).
     """
@@ -331,9 +235,7 @@ def geo_sweep(
                 "tx_p50": rep.tx_latency.get("p50", 0.0),
                 "tx_p99": rep.tx_latency.get("p99", 0.0),
                 "digest": rep.digest,
-                "online_digest": rep.online_digest,
-                "violations": len(rep.violations)
-                + len(rep.online_violations),
+                "violations": len(rep.violations),
                 "consistent": rep.consistent,
             }
         base = pair["baseline"]["oracle_calls"]
@@ -404,8 +306,8 @@ def run_geo_soak(
     ``transport="sim"`` mirrors :func:`~repro.workloads.chaos.run_soak`'s
     sim arm on a geo deployment: a scaled-down wide-area topology, a
     gatekeeper/shard crash every ``crash_every`` chunks, and a full
-    region partition across the middle chunks, with History vs
-    OnlineChecker digest parity asserted after every chunk.
+    region partition across the middle chunks, through the same
+    :func:`~repro.workloads.chaos.soak_sim` loop.
     ``transport="process"`` delegates to :func:`run_soak` with the geo
     cluster shape (``num_regions`` in the config wires the region oracle
     clients; a real network brings its own latencies).
@@ -430,7 +332,7 @@ def run_geo_soak(
         num_regions=num_regions,
     )
     # A smaller world than run_geo's: deadline-delayed acks must clear
-    # well inside one chunk horizon or the parity samples starve.
+    # well inside one chunk horizon or the per-chunk samples starve.
     topology = default_geo_topology(num_regions, scale=0.25)
     # Placement happens inside SimulatedWeaver, but the partition plan
     # needs it up front — mirror the builder's round-robin here.
@@ -452,134 +354,10 @@ def run_geo_soak(
         fault_plan=plan,
         topology=topology,
     )
-    report = SoakReport(seed=seed, transport="sim")
-    checker = OnlineChecker(decided_order(sim.oracle), registry=sim.metrics)
-    checker.attach(sim.tracer)
-    history = History()
-    history.attach(sim.tracer)
-
-    vertices = [f"v{i}" for i in range(num_vertices)]
-    sampler = ZipfSampler(num_vertices, skew, seed=seed)
-    tags = iter(range(10**9))
-    tx_period = 900 * USEC
-    read_period = 2100 * USEC
-
-    def submit_write(targets: List[str]) -> None:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        ops = [SetVertexProperty(v, "w", tag) for v in targets]
-
-        def on_commit(ok: bool, ts_or_exc) -> None:
-            if ok:
-                sim.tracer.emit(
-                    trace_id, "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc,
-                    writes=tuple((v, tag) for v in targets),
-                    submitted_at=submitted_at,
-                )
-            else:
-                report.aborted += 1
-
-        trace_id = sim.submit_transaction(ops, callback=on_commit)
-
-    def submit_read(target: str) -> None:
-        query_id = next(tags)
-        submitted_at = sim.simulator.now
-
-        def on_result(result) -> None:
-            if result is None:
-                report.reads_lost += 1
-                return
-            observed = None
-            if result.results:
-                observed = result.results[0]["properties"].get("w")
-            sim.tracer.emit(
-                trace_id, "program.read", node="client",
-                query_id=query_id, ts=result.timestamp,
-                reads=((target, observed),), submitted_at=submitted_at,
-            )
-            report.reads_completed += 1
-
-        trace_id = sim.submit_program(GetNode(), target, callback=on_result)
-
-    for vertex in vertices:
-        tag = next(tags)
-        submitted_at = sim.simulator.now
-        setup_trace = []
-
-        def on_setup(ok, ts_or_exc, tag=tag, vertex=vertex,
-                     submitted_at=submitted_at,
-                     setup_trace=setup_trace) -> None:
-            if ok:
-                sim.tracer.emit(
-                    setup_trace[0], "txn.commit", node="client",
-                    tag=tag, ts=ts_or_exc, writes=((vertex, tag),),
-                    submitted_at=submitted_at,
-                )
-
-        setup_trace.append(sim.submit_transaction(
-            [CreateVertex(vertex), SetVertexProperty(vertex, "w", tag)],
-            callback=on_setup,
-            new_vertices=(vertex,),
-        ))
-        sim.run(200 * USEC)
-    sim.run(2 * MSEC + topology.max_reach())
-
-    import time
-
-    started = time.monotonic()
-    for chunk in range(chunks):
-        if crash_every and chunk % crash_every == crash_every - 1:
-            cycle = chunk // crash_every
-            if cycle % 2 == 0:
-                sim.crash_shard((seed + cycle) % config.num_shards)
-            else:
-                sim.crash_gatekeeper(
-                    (seed + cycle) % config.num_gatekeepers
-                )
-        horizon = sim.simulator.now + chunk_horizon
-        next_tx = sim.simulator.now + tx_period
-        next_read = sim.simulator.now + read_period
-        while min(next_tx, next_read) < horizon:
-            if next_tx <= next_read:
-                sim.run(next_tx - sim.simulator.now)
-                first = vertices[sampler.sample()]
-                second = vertices[sampler.sample()]
-                submit_write(
-                    [first] if first == second else [first, second]
-                )
-                next_tx += tx_period
-            else:
-                sim.run(next_read - sim.simulator.now)
-                submit_read(vertices[sampler.sample()])
-                next_read += read_period
-        sim.run(horizon - sim.simulator.now)
-        report.window_samples.append(checker.window_size())
-        report.committed_samples.append(checker.stats.commits)
-        report.parity_checks += 1
-        if history.digest() != checker.digest():
-            report.parity_failures += 1
-
-    sim.run(chunk_horizon * 0.5 + topology.max_reach())
-    sim.run_until_quiet(max_extra=80 * MSEC)
-    report.chunks = chunks
-    report.wall_seconds = time.monotonic() - started
-    report.online_violations = checker.finalize()
-    report.digest = checker.digest()
-    report.offline_digest = history.digest()
-    report.parity_checks += 1
-    if report.offline_digest != report.digest:
-        report.parity_failures += 1
-    report.offline_violations = HistoryChecker(
-        history, decided_order(sim.oracle)
-    ).check()
-    report.committed = checker.stats.commits
-    report.recoveries = sim.recoveries
-    report.watermarks = checker.stats.watermarks
-    report.pruned = checker.stats.pruned
-    report.window_peak = checker.stats.window_peak
-    report.window_final = checker.window_size()
-    if report.wall_seconds > 0:
-        report.throughput = report.committed / report.wall_seconds
-    report.metrics = sim.metrics.snapshot()
-    return report
+    return soak_sim(
+        sim, seed, chunks=chunks, wall_seconds=None,
+        chunk_horizon=chunk_horizon, num_vertices=num_vertices, skew=skew,
+        tx_period=900 * USEC, read_period=2100 * USEC,
+        crash_every=crash_every, setup_step=200 * USEC,
+        reach=topology.max_reach(),
+    )

@@ -4,9 +4,12 @@ A verifier that never fires is indistinguishable from one that works.
 Each test here hand-builds a minimal history containing exactly one
 class of serializability violation — a duplicated timestamp, an apply
 against the decided order, a stale or future or phantom read, a
-real-time inversion — and asserts that BOTH checkers (offline
-``HistoryChecker`` and streaming ``OnlineChecker``) convict it, with
-the same violation kinds, under in-order and shuffled span delivery.
+real-time inversion — and asserts that the one referee
+(``OnlineChecker``) AND the brute-force reference under ``tests/``
+convict it, with the same violation kinds: under in-order and shuffled
+span delivery, with no watermark (the offline verdict), with a watermark
+after the offending span, and with one before it (so the conviction
+must survive settlement and pruning of everything earlier).
 """
 
 import random
@@ -18,6 +21,8 @@ from repro.core.vclock import VectorClock
 from repro.obs.trace import Span
 from repro.verify.history import History, HistoryChecker, decided_order
 from repro.verify.online import OnlineChecker
+
+from .reference_checker import reference_check
 
 
 def make_span(kind, at=0.0, **attrs):
@@ -54,35 +59,61 @@ def read_span(query_id, ts, reads, submitted, done):
     )
 
 
-def verdicts(spans, compare):
-    """Kind-sets from both checkers over the same stream."""
+def watermark_span(ts):
+    return make_span("gc.watermark", ts=ts)
+
+
+def kinds(violations):
+    return {v.kind for v in violations}
+
+
+def referee_kinds(stream, compare):
+    """The one referee over a span stream (watermarks included)."""
+    referee = OnlineChecker(compare)
+    for span in stream:
+        referee.consume(span)
+    return kinds(referee.finalize())
+
+
+def reference_kinds(stream, compare):
+    """The brute-force reference over the same records.  A plain History
+    never forwards a watermark, so it is also the adapter here; its own
+    end-of-run verdict (the referee, replayed) must agree."""
     history = History()
-    online = OnlineChecker(compare)
-    for span in spans:
+    for span in stream:
         history.consume(span)
-        online.consume(span)
-    offline_kinds = {v.kind for v in HistoryChecker(history, compare).check()}
-    online_kinds = {v.kind for v in online.finalize()}
-    return offline_kinds, online_kinds
+    found = kinds(reference_check(history, compare))
+    assert kinds(HistoryChecker(history, compare).check()) == found
+    return found
 
 
-def convicts(spans, compare, expected, exact=True):
-    """Both checkers must fire ``expected``, in order and shuffled."""
+def streams(m, spans):
+    """Every delivery the conviction must survive.
+
+    The offending span is the last of ``spans``.  ``m.before`` covers
+    what precedes it and is delivered just ahead of it, in order only: a
+    watermark promises that the store versions of everything below it
+    have arrived, which an arbitrary shuffle cannot honour.
+    """
+    after = watermark_span(m.dominating())
+    yield "in order", list(spans)
+    yield "in order, watermark after", list(spans) + [after]
+    yield "in order, watermark before", (
+        list(spans[:-1]) + [watermark_span(m.before), spans[-1]]
+    )
     rng = random.Random(42)
-    streams = [list(spans)]
-    for _ in range(2):
+    for i in range(2):
         shuffled = list(spans)
         rng.shuffle(shuffled)
-        streams.append(shuffled)
-    for stream in streams:
-        offline_kinds, online_kinds = verdicts(stream, compare)
-        assert expected in offline_kinds, (offline_kinds, stream)
-        assert expected in online_kinds, (online_kinds, stream)
-        if exact:
-            assert offline_kinds == {expected}
-            assert online_kinds == {expected}
-        else:
-            assert offline_kinds == online_kinds
+        yield f"shuffled {i}", shuffled
+        yield f"shuffled {i}, watermark after", shuffled + [after]
+
+
+def convicts(m, spans, expected):
+    """Referee and reference must fire exactly ``expected``."""
+    for label, stream in streams(m, spans):
+        assert referee_kinds(stream, m.compare) == {expected}, label
+        assert reference_kinds(stream, m.compare) == {expected}, label
 
 
 class Mutations:
@@ -92,17 +123,24 @@ class Mutations:
         self.oracle = TimelineOracle()
         self.compare = decided_order(self.oracle)
         self.clocks = [VectorClock(2, 0), VectorClock(2, 1)]
+        self.before = None  # set by each test: see streams()
+
+    def dominating(self):
+        """A stamp after everything issued so far, on both clocks."""
+        self.clocks[0].observe(self.clocks[1].announce())
+        return self.clocks[0].tick()
 
 
 def test_duplicate_stamp_convicted():
     m = Mutations()
     ts = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     spans = [
         store(ts, 1, at=1.0),
         txn(0, ts, [("x", 0)], submitted=0.0, acked=1.0),
         txn(1, ts, [("y", 1)], submitted=2.0, acked=3.0),
     ]
-    convicts(spans, m.compare, "duplicate-stamp")
+    convicts(m, spans, "duplicate-stamp")
 
 
 def test_commit_order_inversion_convicted():
@@ -110,6 +148,7 @@ def test_commit_order_inversion_convicted():
     # Submissions overlap in real time, so only commit-order fires.
     m = Mutations()
     ts_a = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()  # covers a, concurrent with b
     ts_b = m.clocks[1].tick()
     m.oracle.assign_order(ts_b, ts_a)
     spans = [
@@ -118,14 +157,17 @@ def test_commit_order_inversion_convicted():
         store(ts_b, 2, at=11.0),
         txn(1, ts_b, [("x", 1)], submitted=1.0, acked=11.0),
     ]
-    convicts(spans, m.compare, "commit-order")
+    convicts(m, spans, "commit-order")
 
 
 def test_reordered_apply_convicted():
     # a is decided before b (same issuer), but shard 0 applied b first.
+    # With the watermark ahead of it, a's apply is a straggler arriving
+    # below a frontier that was already pruned down to b.
     m = Mutations()
     ts_a = m.clocks[0].tick()
     ts_b = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     spans = [
         store(ts_a, 1, at=1.0),
         txn(0, ts_a, [("x", 0)], submitted=0.0, acked=1.0),
@@ -134,16 +176,18 @@ def test_reordered_apply_convicted():
         apply_span(0, ts_b, seq=1),
         apply_span(0, ts_a, seq=2),
     ]
-    convicts(spans, m.compare, "apply-order")
+    convicts(m, spans, "apply-order")
 
 
 def test_stale_read_convicted():
     # The read's timestamp is decided after both writes, yet it observed
     # the older one.  It overlaps the newer write in real time, so the
-    # only conviction is stale-read.
+    # only conviction is stale-read.  With the watermark ahead of it the
+    # observed write is already pruned to evidence.
     m = Mutations()
     ts_0 = m.clocks[0].tick()
     ts_1 = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     ts_read = m.clocks[0].tick()
     spans = [
         store(ts_0, 1, at=1.0),
@@ -152,7 +196,7 @@ def test_stale_read_convicted():
         txn(1, ts_1, [("x", 1)], submitted=2.0, acked=4.0),
         read_span(7, ts_read, [("x", 0)], submitted=3.0, done=5.0),
     ]
-    convicts(spans, m.compare, "stale-read")
+    convicts(m, spans, "stale-read")
 
 
 def test_future_read_convicted():
@@ -161,25 +205,27 @@ def test_future_read_convicted():
     m = Mutations()
     ts_read = m.clocks[0].tick()
     ts_0 = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     spans = [
         store(ts_0, 1, at=2.0),
         txn(0, ts_0, [("x", 0)], submitted=1.0, acked=2.0),
         read_span(7, ts_read, [("x", 0)], submitted=0.0, done=3.0),
     ]
-    convicts(spans, m.compare, "future-read")
+    convicts(m, spans, "future-read")
 
 
 def test_phantom_read_convicted():
     # The read reports a tag no committed transaction wrote.
     m = Mutations()
     ts_0 = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     ts_read = m.clocks[0].tick()
     spans = [
         store(ts_0, 1, at=2.0),
         txn(0, ts_0, [("x", 0)], submitted=1.0, acked=2.0),
         read_span(7, ts_read, [("x", 99)], submitted=1.5, done=3.0),
     ]
-    convicts(spans, m.compare, "phantom-read")
+    convicts(m, spans, "phantom-read")
 
 
 def test_real_time_write_inversion_convicted():
@@ -190,6 +236,7 @@ def test_real_time_write_inversion_convicted():
     m = Mutations()
     ts_a = m.clocks[0].tick()
     ts_b = m.clocks[1].tick()
+    m.before = m.clocks[1].tick()  # covers b, concurrent with a
     m.oracle.assign_order(ts_b, ts_a)
     spans = [
         store(ts_b, 1, at=3.0),
@@ -197,7 +244,7 @@ def test_real_time_write_inversion_convicted():
         store(ts_a, 2, at=1.0),
         txn(0, ts_a, [("x", 0)], submitted=0.0, acked=1.0),
     ]
-    convicts(spans, m.compare, "real-time-write")
+    convicts(m, spans, "real-time-write")
 
 
 def test_real_time_read_convicted():
@@ -208,6 +255,7 @@ def test_real_time_read_convicted():
     m = Mutations()
     ts_0 = m.clocks[0].tick()
     ts_1 = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     ts_read = m.clocks[1].tick()
     spans = [
         store(ts_0, 1, at=1.0),
@@ -216,14 +264,40 @@ def test_real_time_read_convicted():
         txn(1, ts_1, [("x", 1)], submitted=1.5, acked=2.0),
         read_span(7, ts_read, [("x", 0)], submitted=5.0, done=6.0),
     ]
-    convicts(spans, m.compare, "real-time-read")
+    convicts(m, spans, "real-time-read")
+
+
+def test_read_convicted_on_its_tag_still_owes_real_time():
+    # A phantom or future read is convicted on the tag it reported, and
+    # that must not excuse it from the real-time clause: it also missed
+    # a write acked long before it was submitted.
+    m = Mutations()
+    ts_read = m.clocks[0].tick()
+    ts_1 = m.clocks[0].tick()  # both writes are decided after the read
+    ts_2 = m.clocks[0].tick()
+    writes = [
+        store(ts_1, 1, at=2.0),
+        txn(1, ts_1, [("x", 1)], submitted=1.5, acked=2.0),
+        store(ts_2, 2, at=3.0),
+        txn(2, ts_2, [("x", 2)], submitted=2.5, acked=3.0),
+    ]
+    for observed_tag, expected in ((99, "phantom-read"), (1, "future-read")):
+        spans = writes + [
+            read_span(7, ts_read, [("x", observed_tag)],
+                      submitted=9.0, done=9.5),
+        ]
+        want = {expected, "real-time-read"}
+        assert referee_kinds(spans, m.compare) == want
+        assert reference_kinds(spans, m.compare) == want
 
 
 def test_clean_history_acquitted():
-    # Control: the same shapes with the inversion removed convict nobody.
+    # Control: the same shapes with the inversion removed convict nobody,
+    # under every delivery.
     m = Mutations()
     ts_0 = m.clocks[0].tick()
     ts_1 = m.clocks[0].tick()
+    m.before = m.clocks[0].tick()
     ts_read = m.clocks[0].tick()
     spans = [
         store(ts_0, 1, at=1.0),
@@ -234,9 +308,9 @@ def test_clean_history_acquitted():
         apply_span(0, ts_1, seq=2),
         read_span(7, ts_read, [("x", 1)], submitted=4.0, done=5.0),
     ]
-    offline_kinds, online_kinds = verdicts(spans, m.compare)
-    assert offline_kinds == set()
-    assert online_kinds == set()
+    for label, stream in streams(m, spans):
+        assert referee_kinds(stream, m.compare) == set(), label
+        assert reference_kinds(stream, m.compare) == set(), label
 
 
 @pytest.mark.parametrize("watermark_first", (False, True))
@@ -267,8 +341,7 @@ def test_conviction_survives_watermark_pruning(watermark_first):
     online.consume(
         read_span(7, ts_read, [("x", 0)], submitted=3.0, done=5.0)
     )
-    kinds = {v.kind for v in online.finalize()}
-    assert kinds == {"stale-read"}
+    assert kinds(online.finalize()) == {"stale-read"}
     if watermark_first:
         assert online.stats.evidence_hits > 0
 
@@ -326,5 +399,4 @@ def test_phantom_read_still_fires_for_unknown_tag():
     online.consume(
         read_span(9, ts_read, [("x", 999)], submitted=3.0, done=5.0)
     )
-    kinds = {v.kind for v in online.finalize()}
-    assert "phantom-read" in kinds
+    assert "phantom-read" in kinds(online.finalize())

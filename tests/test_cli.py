@@ -62,6 +62,35 @@ class TestCommands:
         assert "history digest" in out
         assert "strict serializability: OK" in out
 
+    def test_pinned_digests(self, capsys):
+        # The values CI greps for: any intake change that alters a
+        # record (or the soak's settlement/pruning schedule) fails here
+        # by name, before it reaches the workflow.
+        assert main(["chaos", "--seed", "1", "--duration", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "history digest | ad234338dc5f2f5d" in out
+        assert "violations |                0" in out
+        assert main(["soak", "--seed", "1", "--chunks", "3"]) == 0
+        rows = dict(
+            (cell.strip() for cell in line.split("|"))
+            for line in capsys.readouterr().out.splitlines()
+            if line.count("|") == 1
+        )
+        assert rows["history digest"] == "fdf1f8d51ab48dd3"
+        assert rows["watermarks"] == "7"
+        assert rows["records pruned"] == "212"
+        assert (rows["window peak"], rows["window final"]) == ("27", "14")
+        assert rows["violations"] == "0"
+        # The price of "always on" is on the report.
+        assert int(rows["referee events"]) > int(rows["committed"])
+        assert float(rows["referee time (s)"]) > 0
+
+    def test_soak_has_no_cross_check_flags(self):
+        # One referee: nothing to cross-check, so nothing to switch off.
+        for flag in ("--no-parity", "--no-offline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["soak", flag])
+
     def test_simulate(self, capsys):
         assert main(["simulate", "--writes", "10"]) == 0
         out = capsys.readouterr().out

@@ -3,12 +3,11 @@
 The differential suite from the issue: a :class:`ProcessWeaver` backed
 by the SQLite/WAL store loses a shard worker to SIGKILL mid-workload;
 the replacement worker reopens the database itself (no dict snapshot
-crosses the fork) and the run must finish with clean
-:class:`HistoryChecker` / :class:`OnlineChecker` verdicts and matching
-digests across the recovery epoch boundary.
+crosses the fork) and the run must finish with a clean verdict from the
+referee both streamed (:class:`OnlineChecker` on the tracer) and at end
+of run (:class:`HistoryChecker` over the retained :class:`History`),
+with matching digests across the recovery epoch boundary.
 """
-
-import time
 
 import pytest
 
@@ -17,8 +16,7 @@ from repro.db import WeaverConfig
 from repro.programs.library import GetNode
 from repro.verify.history import History, HistoryChecker, decided_order
 from repro.verify.online import OnlineChecker
-from repro.workloads.chaos import run_soak
-from repro.workloads.contention import ZipfSampler
+from repro.workloads.chaos import ProcessClient, SoakReport, run_soak
 
 
 @pytest.fixture
@@ -35,9 +33,7 @@ def sqlite_config(tmp_path):
 class TestKillNineReopenResume:
     def test_worker_kill_recovers_from_database(self, sqlite_config):
         history = History()
-        tags = iter(range(10**6))
-        vertices = [f"v{i}" for i in range(10)]
-        sampler = ZipfSampler(len(vertices), 0.8, seed=41)
+        report = SoakReport(seed=41, transport="process")
 
         with ProcessWeaver(sqlite_config) as db:
             history.attach(db.tracer)
@@ -45,55 +41,16 @@ class TestKillNineReopenResume:
                 decided_order(db.oracle), registry=db.metrics
             )
             checker.attach(db.tracer)
-
-            def write(targets):
-                tag = next(tags)
-                submitted_at = time.perf_counter()
-                tx = db.begin_transaction()
-                for target in targets:
-                    tx.set_property(target, "w", tag)
-                ts = tx.commit()
-                db.tracer.emit(
-                    tx.trace_id, "txn.commit", node="client",
-                    at=time.perf_counter(), tag=tag, ts=ts,
-                    writes=tuple((t, tag) for t in targets),
-                    submitted_at=submitted_at,
-                )
-
-            def read(target):
-                query_id = next(tags)
-                submitted_at = time.perf_counter()
-                result = db.run_program(GetNode(), target)
-                observed = result.value["properties"].get("w")
-                db.tracer.emit(
-                    db.tracer.next_trace_id(), "program.read",
-                    node="client", query_id=query_id,
-                    at=time.perf_counter(), ts=result.timestamp,
-                    reads=((target, observed),),
-                    submitted_at=submitted_at,
-                )
-
-            for vertex in vertices:
-                tag = next(tags)
-                submitted_at = time.perf_counter()
-                tx = db.begin_transaction()
-                tx.create_vertex(vertex)
-                tx.set_property(vertex, "w", tag)
-                ts = tx.commit()
-                db.tracer.emit(
-                    tx.trace_id, "txn.commit", node="client",
-                    at=time.perf_counter(), tag=tag, ts=ts,
-                    writes=((vertex, tag),), submitted_at=submitted_at,
-                )
-            db.drain()
+            # The soak's own refereed client: same tagged writes, same
+            # txn.commit / program.read spans.
+            client = ProcessClient(db, report, 10, 0.8, seed=41)
+            client.setup()
 
             def mix(rounds):
                 for i in range(rounds):
-                    first = vertices[sampler.sample()]
-                    second = vertices[sampler.sample()]
-                    write([first] if first == second else [first, second])
+                    client.write()
                     if i % 3 == 2:
-                        read(vertices[sampler.sample()])
+                        client.read()
 
             mix(12)
             db.kill_shard_worker(0)
@@ -102,8 +59,8 @@ class TestKillNineReopenResume:
             db.drain()
             # Reads that cross the epoch boundary: every vertex, both
             # partitions, after the replacement reopened the database.
-            for vertex in vertices:
-                read(vertex)
+            for vertex in client.vertices:
+                client.read(vertex)
 
             assert db.recoveries == 1
             online_violations = checker.finalize()
@@ -117,8 +74,8 @@ class TestKillNineReopenResume:
         assert online_violations == [], "\n".join(
             str(v) for v in online_violations
         )
-        # Digest parity across the recovery epoch boundary: the online
-        # and offline referees saw the same record multiset.
+        # Digest parity across the recovery epoch boundary: the streamed
+        # referee and the plain History saw the same record multiset.
         assert online_digest == history.digest()
         assert len(history.commits) >= 25
         assert len(history.reads) >= 10
@@ -146,10 +103,11 @@ class TestKillNineReopenResume:
 
 
 class TestSqliteSoak:
-    """Acceptance: the soak passes both checkers on the durable store
-    with a dataset larger than the configured page-cache budget."""
+    """Acceptance: the soak passes the referee, pruned and (the
+    ``soak_twin`` fixture) unpruned, on the durable store with a dataset
+    larger than the configured page-cache budget."""
 
-    def test_process_soak_on_sqlite_with_tiny_cache(self):
+    def test_process_soak_on_sqlite_with_tiny_cache(self, soak_twin):
         report = run_soak(
             seed=5,
             transport="process",
@@ -160,11 +118,9 @@ class TestSqliteSoak:
             store_cache_bytes=2048,
         )
         assert report.store == "sqlite"
-        assert report.ok, (
-            report.online_violations,
-            report.offline_violations,
-            report.parity_failures,
-        )
+        assert report.ok, report.violations
+        assert soak_twin["twin"].digest() == report.digest
+        assert soak_twin["twin"].finalize() == []
         assert report.recoveries >= 1
         assert report.committed > 0
         # Dataset larger than the cache budget: the store actually paged.

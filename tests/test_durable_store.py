@@ -9,6 +9,7 @@ reclaims rows in the database itself.
 
 import multiprocessing
 import os
+import shutil
 import time
 
 import pytest
@@ -72,6 +73,26 @@ class TestReopen:
             assert ro.version == 1
             with pytest.raises((StoreError, Exception)):
                 ro.transact(lambda t: t.put("b", 2))
+
+    def test_wal_checkpoint_moves_commits_into_the_main_file(
+        self, db_path, tmp_path
+    ):
+        """What ProcessWeaver.recover_shard relies on before it forks a
+        replacement worker: after the checkpoint the commits are in the
+        database file itself, not only in the WAL beside it — with the
+        writer still open and a compactor thread sharing its connection."""
+        with DurableStore(db_path) as store:
+            store.enable_background_compaction(interval=0.001)
+            for i in range(20):
+                store.transact(lambda t, i=i: t.put(f"k{i}", i))
+            store.wal_checkpoint()
+            store.disable_background_compaction()
+            store.wal_checkpoint()
+            main_file_only = str(tmp_path / "copy.db")
+            shutil.copy(db_path, main_file_only)
+            with DurableStore(main_file_only) as copy:
+                assert copy.get("k19") == 19
+                assert copy.version == store.version
 
 
 class TestPageCache:

@@ -208,7 +208,7 @@ class TestGeoDeployment:
     def test_fastpath_orders_without_oracle(self):
         rep = run_geo(seed=11, num_regions=2, tau=200 * USEC,
                       duration=10 * MSEC)
-        assert rep.consistent, (rep.violations, rep.online_violations)
+        assert rep.consistent, rep.violations
         assert rep.committed > 0
         assert rep.reads_completed > 0
         assert rep.deadline_fastpath > 0
@@ -219,7 +219,7 @@ class TestGeoDeployment:
                        duration=10 * MSEC)
         base = run_geo(seed=11, num_regions=2, tau=200 * USEC,
                        duration=10 * MSEC, fastpath=False)
-        assert base.consistent, (base.violations, base.online_violations)
+        assert base.consistent, base.violations
         assert base.committed == fast.committed
         assert base.oracle_calls > fast.oracle_calls
         assert base.deadline_fastpath == 0

@@ -1,14 +1,18 @@
-"""The streaming referee must agree with the offline one, bit for bit.
+"""One referee, with and without watermarks, against a reference.
 
-Four claims: (1) on every chaos seed the online checker reaches the
-same verdict and the same digest as the offline ``HistoryChecker`` fed
-from the same span stream; (2) both are invariant under span delivery
-order — a shuffled stream produces identical digests and verdicts,
-because every record carries its own order key; (3) watermark
-settlement prunes the retained window down to floors and frontiers
-without changing the verdict; (4) a chunked soak run (Zipf + crashes +
-live GC) keeps the window flat while the history grows without bound —
-the memory-bound property that makes an always-on referee possible.
+Five claims: (1) on every chaos seed the referee's end-of-run verdict
+equals the brute-force reference's (``tests/reference_checker.py``) over
+the same records; (2) both are invariant under span delivery order — a
+shuffled stream produces identical digests and verdicts, because every
+record carries its own order key; (3) on random histories with injected
+violations the referee and the reference agree on every (rule, subject)
+pair, not just on the kinds; (4) a referee that is handed watermarks
+digests identically, on every prefix, to one of the same class that is
+handed none — settlement, pruning and the evidence cache are check
+state only — and reaches the same verdict; (5) a chunked soak run
+(Zipf + crashes + live GC) keeps the window flat while the history
+grows without bound — the memory-bound property that makes an always-on
+referee possible.
 """
 
 import random
@@ -21,7 +25,10 @@ from repro.obs.trace import Span
 from repro.sim.clock import MSEC
 from repro.verify.history import History, HistoryChecker, decided_order
 from repro.verify.online import OnlineChecker
+from repro.workloads import chaos as chaos_module
 from repro.workloads.chaos import run_chaos, run_soak
+
+from .reference_checker import reference_check, subjects
 
 HORIZON = 30 * MSEC
 SEEDS = (1, 2, 3)
@@ -30,8 +37,22 @@ _cache = {}
 
 
 def chaos(seed):
+    """One chaos run, plus the decided-order relation it was checked
+    against (the report does not carry the oracle)."""
     if seed not in _cache:
-        _cache[seed] = run_chaos(seed, duration=HORIZON, online=True)
+        captured = []
+        real = chaos_module.decided_order
+
+        def capture(oracle):
+            captured.append(real(oracle))
+            return captured[-1]
+
+        chaos_module.decided_order = capture
+        try:
+            report = run_chaos(seed, duration=HORIZON)
+        finally:
+            chaos_module.decided_order = real
+        _cache[seed] = (report, captured[-1])
     return _cache[seed]
 
 
@@ -42,6 +63,13 @@ def make_span(kind, at=0.0, **attrs):
     )
 
 
+def respan(span, at=None, **changes):
+    """``span`` with some attributes (and optionally ``at``) replaced."""
+    attrs = span.attrs_dict()
+    attrs.update(changes)
+    return make_span(span.kind, span.at if at is None else at, **attrs)
+
+
 class SynthRun:
     """A randomly generated small history, clean by construction.
 
@@ -50,10 +78,12 @@ class SynthRun:
     consecutive concurrent pair in the same order (what the real
     deployments do); both shards apply every commit in store order; and
     reads run after a full clock exchange, observing the newest write —
-    so every check passes, under any delivery order of the spans.
+    so every check passes, under any delivery order of the spans.  With
+    ``gc_every``, a ``gc.watermark`` span dominating everything issued
+    so far follows every that-many commits.
     """
 
-    def __init__(self, seed, commits=14, reads=4, vertices=4):
+    def __init__(self, seed, commits=14, reads=4, vertices=4, gc_every=0):
         rng = random.Random(seed)
         self.oracle = TimelineOracle()
         self.compare = decided_order(self.oracle)
@@ -91,6 +121,10 @@ class SynthRun:
             ))
             for vertex in targets:
                 latest[vertex] = tag
+            if gc_every and tag % gc_every == gc_every - 1:
+                self.spans.append(
+                    make_span("gc.watermark", at=t, ts=self.watermark())
+                )
         for shard in (0, 1):
             for i, ts in enumerate(issued, start=1):
                 self.spans.append(make_span(
@@ -117,47 +151,27 @@ class SynthRun:
 
 
 def feed(spans, compare):
+    """A plain History and the referee over the same stream."""
     history = History()
-    online = OnlineChecker(compare)
+    referee = OnlineChecker(compare)
     for span in spans:
         history.consume(span)
-        online.consume(span)
-    return history, online
+        referee.consume(span)
+    return history, referee
 
 
 class TestDifferentialOnChaosSeeds:
-    """Satellite: every chaos seed through both checkers."""
+    """Satellite: every chaos seed through the referee and the reference."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_same_verdict(self, seed):
-        report = chaos(seed)
-        offline_kinds = {v.kind for v in report.violations}
-        online_kinds = {v.kind for v in report.online_violations}
-        assert online_kinds == offline_kinds
+        report, compare = chaos(seed)
+        reference = reference_check(report.history, compare)
+        assert subjects(report.violations) == subjects(reference)
         assert report.violations == []
-        assert report.online_violations == []
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_same_digest(self, seed):
-        report = chaos(seed)
-        assert report.online_digest == report.digest
-        assert len(report.online_digest) == 64
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_same_record_counts(self, seed):
-        report = chaos(seed)
-        stats = report.online.stats
-        assert stats.commits == len(report.history.commits)
-        assert stats.reads == len(report.history.reads)
-        assert stats.applies == sum(
-            len(seq) for seq in report.history.applies.values()
-        )
-
-    def test_checker_metrics_exported(self):
-        report = chaos(SEEDS[0])
-        assert report.metrics["checker.commits"] == report.committed
-        assert "checker.window.total" in report.metrics
-        assert "checker.window.peak" in report.metrics
+        assert reference == []
+        assert report.committed == len(report.history.commits) > 0
+        assert len(report.digest) == 64
 
 
 class TestPermutationInvariance:
@@ -166,32 +180,137 @@ class TestPermutationInvariance:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_histories_clean_under_any_order(self, seed):
         run = SynthRun(seed)
-        history, online = feed(run.spans, run.compare)
+        history, referee = feed(run.spans, run.compare)
         base_digest = history.digest()
-        assert online.digest() == base_digest
-        assert online.finalize() == []
+        assert referee.digest() == base_digest
+        assert referee.finalize() == []
         assert HistoryChecker(history, run.compare).check() == []
+        assert reference_check(history, run.compare) == []
 
         rng = random.Random(seed * 977 + 13)
         for _ in range(3):
             shuffled = list(run.spans)
             rng.shuffle(shuffled)
-            history2, online2 = feed(shuffled, run.compare)
+            history2, referee2 = feed(shuffled, run.compare)
             assert history2.digest() == base_digest
-            assert online2.digest() == base_digest
-            assert online2.finalize() == []
+            assert referee2.digest() == base_digest
+            assert referee2.finalize() == []
             assert HistoryChecker(history2, run.compare).check() == []
+            assert reference_check(history2, run.compare) == []
 
-    def test_prefix_digest_parity_at_every_step(self):
-        # The soak invariant, at its finest grain: after *every* span,
-        # online and offline digests agree.
-        run = SynthRun(99)
-        history = History()
-        online = OnlineChecker(run.compare)
+
+def mutate(run, rng):
+    """Break a clean SynthRun in 1-3 random ways; returns the spans.
+
+    Only records are edited (store versions, apply positions, observed
+    tags, stamps, wall-clock times) — the decided order stays the
+    transitive relation the run built, which the referee's apply
+    frontier is entitled to assume.
+    """
+    spans = list(run.spans)
+
+    def where(kind):
+        return [i for i, s in enumerate(spans) if s.kind == kind]
+
+    def swap_attr(kind, attr, same=None):
+        i, j = rng.sample(where(kind), 2)
+        if same and spans[i].attr(same) != spans[j].attr(same):
+            return
+        a, b = spans[i].attr(attr), spans[j].attr(attr)
+        spans[i] = respan(spans[i], **{attr: b})
+        spans[j] = respan(spans[j], **{attr: a})
+
+    commits = [spans[i] for i in where("txn.commit")]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(7)
+        if op == 0:  # the store serialized two commits the other way
+            swap_attr("store.commit", "commit_seq")
+        elif op == 1:  # a shard applied two transactions the other way
+            swap_attr("shard.apply", "apply_seq", same="shard")
+        elif op == 2:  # a read observed something else
+            i = rng.choice(where("program.read"))
+            (vertex, _tag), = spans[i].attr("reads")
+            tag = rng.choice([None, 9999, rng.choice(commits).attr("tag")])
+            spans[i] = respan(spans[i], reads=((vertex, tag),))
+        elif op == 3:  # a read ran at some commit's (early) stamp
+            i = rng.choice(where("program.read"))
+            spans[i] = respan(spans[i], ts=rng.choice(commits).attr("ts"))
+        elif op == 4:  # a commit happened at another wall-clock time
+            i = rng.choice(where("txn.commit"))
+            t = rng.choice([-50.0, 500.0])
+            spans[i] = respan(spans[i], at=t + 1.0, submitted_at=t)
+        elif op == 5:  # a read was submitted at another wall-clock time
+            i = rng.choice(where("program.read"))
+            t = rng.choice([-50.0, 500.0])
+            spans[i] = respan(spans[i], at=t + 1.0, submitted_at=t)
+        else:  # two transactions share one stamp
+            i = rng.choice(where("txn.commit"))
+            spans[i] = respan(spans[i], ts=rng.choice(commits).attr("ts"))
+    return spans
+
+
+class TestRandomHistoriesAgainstReference:
+    """Satellite: seeded random histories, broken at random; the referee
+    and the reference must name the same (rule, subject) pairs."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_rule_and_subject_pairs(self, seed):
+        rng = random.Random(seed * 7919 + 1)
+        run = SynthRun(seed, commits=16, reads=6, vertices=3)
+        spans = mutate(run, rng)
+        for _ in range(2):
+            history, referee = feed(spans, run.compare)
+            found = subjects(referee.finalize())
+            assert found == subjects(reference_check(history, run.compare))
+            assert found == subjects(
+                HistoryChecker(history, run.compare).check()
+            )
+            rng.shuffle(spans)
+
+    def test_the_mutations_reach_every_rule(self):
+        # The property above is only as good as its generator: across
+        # the seeds, every one of the eight rules must have fired.
+        kinds = set()
+        for seed in range(60):
+            run = SynthRun(seed, commits=16, reads=6, vertices=3)
+            spans = mutate(run, random.Random(seed * 7919 + 1))
+            history, _referee = feed(spans, run.compare)
+            kinds |= {v.kind for v in reference_check(history, run.compare)}
+        assert kinds == {
+            "duplicate-stamp", "commit-order", "apply-order",
+            "phantom-read", "future-read", "stale-read",
+            "real-time-write", "real-time-read",
+        }
+
+
+class TestWatermarksNeverChangeTheDigest:
+    """What the soak harness's offline twin used to guard: two instances
+    of the one class, one given the watermarks and one not."""
+
+    @pytest.mark.parametrize("seed", (99, 100, 101))
+    def test_prefix_digest_parity_at_every_step(self, seed):
+        run = SynthRun(seed, commits=24, reads=4, gc_every=5)
+        pruned = OnlineChecker(run.compare)
+        unpruned = OnlineChecker(run.compare)
         for span in run.spans:
-            history.consume(span)
-            online.consume(span)
-            assert online.digest() == history.digest()
+            pruned.consume(span)
+            if span.kind != "gc.watermark":
+                unpruned.consume(span)
+            assert pruned.digest() == unpruned.digest()
+        assert pruned.stats.watermarks == 4
+        assert pruned.stats.pruned > 0
+        assert unpruned.stats.watermarks == unpruned.stats.pruned == 0
+        assert unpruned.window_size() > pruned.window_size()
+        assert pruned.finalize() == unpruned.finalize() == []
+
+    def test_a_plain_history_is_the_unpruned_twin(self):
+        # History never forwards a watermark: same digest as a referee
+        # that got every one of them.
+        run = SynthRun(7, commits=20, reads=3, gc_every=4)
+        history, referee = feed(run.spans, run.compare)
+        assert referee.stats.pruned > 0
+        assert history.digest() == referee.digest()
+        assert len(history.commits) == 20  # retained, not settled away
 
 
 class TestWatermarkSettlement:
@@ -265,9 +384,9 @@ class TestWatermarkSettlement:
             reads=(("a", result.value["properties"]["w"]),),
             submitted_at=8.5,
         )
-        assert online.watermark is None
+        assert online.stats.watermarks == 0
         db.collect_garbage()
-        assert online.watermark is not None
+        assert online.stats.watermarks == 1
         assert online.stats.window_pending == 0
         assert online.stats.pruned > 0
         assert online.finalize() == []
@@ -283,10 +402,7 @@ class TestSoakMemoryBound:
 
     def test_sim_soak_window_flat_after_watermark(self):
         report = run_soak(5, chunks=9)
-        assert report.ok, (
-            report.online_violations, report.offline_violations,
-            report.parity_failures,
-        )
+        assert report.ok, report.violations
         assert report.watermarks > 0
         assert report.pruned > 0
         # The history kept growing...
@@ -300,20 +416,27 @@ class TestSoakMemoryBound:
         assert "checker.window.total" in report.metrics
         assert "checker.window.peak" in report.metrics
         assert report.metrics["checker.watermarks"] == report.watermarks
+        assert report.metrics["checker.commits"] == report.committed
+        # "Always on" has a price tag, measured around the sink.
+        assert report.referee_events == report.metrics["checker.events"]
+        assert 0 < report.referee_seconds < report.wall_seconds
 
-    def test_sim_soak_parity_on_every_chunk(self):
+    def test_sim_soak_parity_on_every_prefix(self, soak_twin):
+        # An unpruned twin of the soak's referee (see conftest): equal
+        # digest after every span, and a clean end-of-run verdict of its
+        # own once the run is over.
         report = run_soak(6, chunks=6)
-        assert report.parity_checks == report.chunks + 1
-        assert report.parity_failures == 0
-        assert report.digest == report.offline_digest
+        assert report.ok, report.violations
+        assert soak_twin["withheld"] == report.watermarks > 0
+        assert soak_twin["prefixes"] > report.committed
+        assert soak_twin["twin"].digest() == report.digest
+        assert soak_twin["twin"].finalize() == []
 
-    def test_process_soak_smoke(self):
+    def test_process_soak_smoke(self, soak_twin):
         report = run_soak(3, transport="process", chunks=4)
-        assert report.ok, (
-            report.online_violations, report.offline_violations,
-            report.parity_failures,
-        )
+        assert report.ok, report.violations
         assert report.recoveries == 1
         assert report.watermarks >= report.chunks  # one GC per chunk
-        assert report.parity_failures == 0
+        assert soak_twin["twin"].digest() == report.digest
+        assert soak_twin["twin"].finalize() == []
         assert report.window_final <= report.window_peak

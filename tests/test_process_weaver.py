@@ -12,7 +12,6 @@ clean history digest.
 """
 
 import random
-import time
 
 import pytest
 
@@ -28,7 +27,7 @@ from repro.programs.library import (
     Reachability,
     params,
 )
-from repro.workloads.contention import ZipfSampler
+from repro.workloads.chaos import ProcessClient, SoakReport
 
 
 def load_tree(db, n=24, fanout=3):
@@ -144,73 +143,29 @@ class TestChaosKillAndRecover:
     def test_zipf_workload_survives_worker_kill(self):
         config = WeaverConfig(num_shards=2, num_gatekeepers=2)
         history = History()
-        tags = iter(range(10**6))
-        vertices = [f"v{i}" for i in range(10)]
-        sampler = ZipfSampler(len(vertices), 0.8, seed=17)
+        report = SoakReport(seed=17, transport="process")
 
         with ProcessWeaver(config) as db:
             history.attach(db.tracer)
-
-            def write(targets):
-                tag = next(tags)
-                submitted_at = time.perf_counter()
-                tx = db.begin_transaction()
-                for target in targets:
-                    tx.set_property(target, "w", tag)
-                ts = tx.commit()
-                db.tracer.emit(
-                    tx.trace_id, "txn.commit", node="client",
-                    at=time.perf_counter(),
-                    tag=tag, ts=ts,
-                    writes=tuple((t, tag) for t in targets),
-                    submitted_at=submitted_at,
-                )
-
-            def read(target):
-                query_id = next(tags)
-                submitted_at = time.perf_counter()
-                result = db.run_program(GetNode(), target)
-                observed = result.value["properties"].get("w")
-                db.tracer.emit(
-                    db.tracer.next_trace_id(), "program.read",
-                    node="client", query_id=query_id,
-                    at=time.perf_counter(),
-                    ts=result.timestamp,
-                    reads=((target, observed),),
-                    submitted_at=submitted_at,
-                )
-
+            # The soak's own refereed client: tagged Zipf writes, GetNode
+            # reads, one txn.commit / program.read span per ack.
+            client = ProcessClient(db, report, 10, 0.8, seed=17)
             # Setup: every vertex exists and carries an initial tag.
-            for vertex in vertices:
-                tag = next(tags)
-                submitted_at = time.perf_counter()
-                tx = db.begin_transaction()
-                tx.create_vertex(vertex)
-                tx.set_property(vertex, "w", tag)
-                ts = tx.commit()
-                db.tracer.emit(
-                    tx.trace_id, "txn.commit", node="client",
-                    at=time.perf_counter(),
-                    tag=tag, ts=ts, writes=((vertex, tag),),
-                    submitted_at=submitted_at,
-                )
-            db.drain()
+            client.setup()
 
             def mix(rounds):
                 for i in range(rounds):
-                    first = vertices[sampler.sample()]
-                    second = vertices[sampler.sample()]
-                    write([first] if first == second else [first, second])
+                    client.write()
                     if i % 3 == 2:
-                        read(vertices[sampler.sample()])
+                        client.read()
 
             mix(15)
             db.kill_shard_worker(0)
             db.recover_shard(0)
             mix(15)
             db.drain()
-            read(vertices[0])
-            read(vertices[1])
+            client.read(client.vertices[0])
+            client.read(client.vertices[1])
 
             assert db.recoveries == 1
             checker = HistoryChecker(history, decided_order(db.oracle))
@@ -236,72 +191,26 @@ class TestShuffledSpanDelivery:
         config = WeaverConfig(num_shards=2, num_gatekeepers=2)
         history = History()
         recorded = []
-        tags = iter(range(10**6))
-        vertices = [f"s{i}" for i in range(6)]
-        sampler = ZipfSampler(len(vertices), 0.8, seed=23)
+        report = SoakReport(seed=23, transport="process")
 
         with ProcessWeaver(config) as db:
             db.tracer.add_sink(recorded.append)
             history.attach(db.tracer)
-
-            def write(targets):
-                tag = next(tags)
-                submitted_at = time.perf_counter()
-                tx = db.begin_transaction()
-                for target in targets:
-                    tx.set_property(target, "w", tag)
-                ts = tx.commit()
-                db.tracer.emit(
-                    tx.trace_id, "txn.commit", node="client",
-                    at=time.perf_counter(),
-                    tag=tag, ts=ts,
-                    writes=tuple((t, tag) for t in targets),
-                    submitted_at=submitted_at,
-                )
-
-            def read(target):
-                query_id = next(tags)
-                submitted_at = time.perf_counter()
-                result = db.run_program(GetNode(), target)
-                observed = result.value["properties"].get("w")
-                db.tracer.emit(
-                    db.tracer.next_trace_id(), "program.read",
-                    node="client", query_id=query_id,
-                    at=time.perf_counter(),
-                    ts=result.timestamp,
-                    reads=((target, observed),),
-                    submitted_at=submitted_at,
-                )
-
-            for vertex in vertices:
-                tag = next(tags)
-                submitted_at = time.perf_counter()
-                tx = db.begin_transaction()
-                tx.create_vertex(vertex)
-                tx.set_property(vertex, "w", tag)
-                ts = tx.commit()
-                db.tracer.emit(
-                    tx.trace_id, "txn.commit", node="client",
-                    at=time.perf_counter(),
-                    tag=tag, ts=ts, writes=((vertex, tag),),
-                    submitted_at=submitted_at,
-                )
-            db.drain()
+            client = ProcessClient(db, report, 6, 0.8, seed=23)
+            client.setup()
 
             for i in range(8):
-                first = vertices[sampler.sample()]
-                second = vertices[sampler.sample()]
-                write([first] if first == second else [first, second])
+                client.write()
                 if i % 3 == 2:
-                    read(vertices[sampler.sample()])
+                    client.read()
             # A kill/recover mid-run puts applies from two shard epochs
             # in the stream — the hard case for order reconstruction.
             db.kill_shard_worker(1)
             db.recover_shard(1)
             for _ in range(4):
-                write([vertices[sampler.sample()]])
+                client.write()
             db.drain()
-            read(vertices[0])
+            client.read(client.vertices[0])
 
             compare = decided_order(db.oracle)
             base_digest = history.digest()

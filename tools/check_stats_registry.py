@@ -38,8 +38,10 @@ ABSORBED = {
     "ProgramStats": "program.*",
     "TransportStats": "transport.*",
     "StoreStats": "store.*",
-    # Exported by OnlineChecker.register_metrics, not the collect-layer
-    # helper: the checker rides whichever deployment it is attached to.
+    # Defined in verify/history.py (History keeps the intake counts, the
+    # referee the rest) and exported by OnlineChecker.register_metrics,
+    # not the collect-layer helper: the checker rides whichever
+    # deployment it is attached to.
     "CheckerStats": "checker.*",
     # Geo deployments only: registered when num_regions > 1, so the
     # single-region golden metric surface stays unchanged.
