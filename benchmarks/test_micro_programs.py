@@ -13,6 +13,7 @@ import json
 import pathlib
 
 from repro.bench.programs_bench import compare_traversal
+from tests.reference_executor import execute_sequential
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,7 +25,7 @@ _ATTEMPTS = 3
 def test_batched_traversal_speedup(show):
     best = None
     for attempt in range(_ATTEMPTS):
-        result = compare_traversal()
+        result = compare_traversal(execute_sequential)
         if best is None or result["speedup"] > best["speedup"]:
             best = result
         if best["speedup"] >= 3.0:

@@ -22,6 +22,7 @@ import pathlib
 from repro.bench.ordering_bench import compare_fastpath
 from repro.bench.programs_bench import build_database, compare_traversal
 from repro.programs.library import Bfs, params
+from tests.reference_executor import execute_sequential
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -59,7 +60,9 @@ def test_index_actually_prunes():
 def test_batched_not_slower_than_seed():
     best = None
     for attempt in range(_ATTEMPTS):
-        result = compare_traversal(num_vertices=200, avg_degree=6)
+        result = compare_traversal(
+            execute_sequential, num_vertices=200, avg_degree=6
+        )
         if best is None or result["speedup"] > best["speedup"]:
             best = result
         if best["speedup"] >= 1.5:
@@ -79,7 +82,9 @@ def test_batched_structural_counters():
     behavior — one snapshot per resolution, one message per hop, or no
     same-round dedup.
     """
-    result = compare_traversal(num_vertices=200, avg_degree=6)
+    result = compare_traversal(
+        execute_sequential, num_vertices=200, avg_degree=6
+    )
     batched = result["batched_counters"]
     seeded = result["seed_counters"]
     # O(shards) snapshot views per query, not O(vertices visited).
@@ -177,7 +182,9 @@ def test_record_guard_context():
     archived number's context explicit.
     """
     ordering = compare_fastpath(num_events=300, num_pairs=700, seed=11)
-    traversal = compare_traversal(num_vertices=200, avg_degree=6)
+    traversal = compare_traversal(
+        execute_sequential, num_vertices=200, avg_degree=6
+    )
     (REPO_ROOT / "BENCH_perf_guard.json").write_text(json.dumps({
         "cpu_count": os.cpu_count() or 1,
         "ordering_speedup": ordering["speedup"],

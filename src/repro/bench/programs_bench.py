@@ -3,14 +3,17 @@
 Builds a multi-shard Weaver holding a seeded random connected graph and
 runs the same BFS node program two ways at the same checkpoint:
 
-* **batched** — the round-based executor path with a
+* **batched** — the round-based executor with a
   :class:`~repro.programs.routing.ShardSnapshotResolver`, which resolves
   each round's frontier per owning shard against one long-lived snapshot
   view per (query, shard), so the per-snapshot comparison memo persists
   across the whole traversal and same-round duplicate hops are deduped;
-* **seed** — the per-vertex closure both resolvers used before this
-  optimization: a brand-new ``SnapshotView`` (and a brand-new cold
-  comparison memo) per vertex resolution, one resolution per queued hop.
+* **seed** — what programs ran on before rounds: the per-vertex loop
+  (no longer under ``src/``; the caller passes it in, the benchmarks use
+  ``tests/reference_executor.py``) over the per-vertex closure both
+  resolvers used then — a brand-new ``SnapshotView`` (and a brand-new
+  cold comparison memo) per vertex resolution, one resolution per
+  queued hop.
 
 ``benchmarks/test_micro_programs.py`` records the result as
 ``BENCH_programs.json``; ``benchmarks/test_perf_guard.py`` runs a small
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..db import Weaver, WeaverConfig
 from ..programs.framework import ProgramExecutor
@@ -115,6 +118,7 @@ def _seed_resolver(db: Weaver, point, counters: Dict[str, int]):
 
 
 def compare_traversal(
+    seed_execute: Callable,
     num_vertices: int = 800,
     avg_degree: int = 12,
     num_shards: int = 4,
@@ -124,9 +128,11 @@ def compare_traversal(
 ) -> Dict:
     """Time the same BFS both ways at one checkpoint; report the speedup.
 
-    Both runs traverse the identical frontier from the first vertex and
-    must produce identical results and read sets (asserted structurally
-    here and exhaustively in ``tests/test_program_differential.py``).
+    ``seed_execute(program, start, resolve, ts)`` is the per-vertex
+    reference loop.  Both runs traverse the identical frontier from the
+    first vertex and must produce identical results and read sets
+    (asserted structurally here and exhaustively in
+    ``tests/test_program_differential.py``).
     """
     db, handles = build_database(
         num_vertices=num_vertices,
@@ -160,14 +166,13 @@ def compare_traversal(
         last_resolver = resolver
 
     seed_seconds = float("inf")
-    seed_executor = ProgramExecutor()
     seed_counters = {"snapshots_created": 0, "resolutions": 0}
     seed_result = None
     for _ in range(repeats):
         counters = {"snapshots_created": 0, "resolutions": 0}
         resolve = _seed_resolver(db, point, counters)
         started = time.perf_counter()
-        result = seed_executor.execute(Bfs(), start, resolve, point)
+        result = seed_execute(Bfs(), start, resolve, point)
         seed_seconds = min(seed_seconds, time.perf_counter() - started)
         seed_result = result
         seed_counters = counters

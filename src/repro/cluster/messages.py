@@ -64,7 +64,8 @@ class AnnounceMessage:
 
 @dataclass(frozen=True)
 class ProgramRequest:
-    """A node program dispatched to a shard (section 4.1).
+    """One image-pull round's vertices, asked of the shard that owns
+    them (section 4.1).
 
     ``trace_id`` is carried explicitly so shard-side spans attribute to
     the submitting client's trace even across a process boundary, where
@@ -74,7 +75,7 @@ class ProgramRequest:
 
     ts: VectorTimestamp
     query_id: int
-    vertices: Tuple[Tuple[str, Any], ...]  # (vertex handle, prog params)
+    vertices: Tuple[str, ...]  # vertex handles
     trace_id: Optional[int] = None
 
 
@@ -97,10 +98,10 @@ class ProgramStart:
     frontiers travel worker-to-worker as :class:`FrontierForward`
     frames instead of vertex images travelling to the client.
 
-    ``frontier`` is the keyed initial frontier: ``(order_key, handle,
-    params)`` triples, where ``order_key`` is the tuple that totally
-    orders entries exactly like the batched executor's append order
-    (children extend their parent's key with the hop index).
+    ``frontier`` is the keyed initial frontier: ``(handle, params,
+    order_key)`` triples, where ``order_key`` is the tuple that totally
+    orders entries exactly like the executor's append order (children
+    extend their parent's key with the hop index).
     ``cache_tail`` is the client-computed program-cache key tail
     (section 4.6); None disables caching for this run.
     """
@@ -108,7 +109,7 @@ class ProgramStart:
     ts: VectorTimestamp
     query_id: int
     program: str
-    frontier: Tuple[Tuple[Any, str, Any], ...]
+    frontier: Tuple[Tuple[str, Any, Any], ...]
     trace_id: Optional[int] = None
     cache_tail: Optional[Any] = None
     max_visits: int = 10_000_000
@@ -119,7 +120,7 @@ class FrontierForward:
     """One worker's next-round hops for another worker (section 4.1).
 
     The peer-to-peer frontier frame of shard-resident execution:
-    ``hops`` carries the ``(order_key, handle, params)`` triples owned
+    ``hops`` carries the ``(handle, params, order_key)`` triples owned
     by the destination shard for ``round``.  Per (src, dst, round) there
     is exactly one of these — per-round wire traffic is O(shards), not
     O(frontier).
@@ -127,7 +128,7 @@ class FrontierForward:
 
     query_id: int
     round: int
-    hops: Tuple[Tuple[Any, str, Any], ...]
+    hops: Tuple[Tuple[str, Any, Any], ...]
 
 
 @dataclass(frozen=True)

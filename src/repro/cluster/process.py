@@ -12,23 +12,26 @@ What lives here is process lifecycle only: spawning and reaping
 workers, SIGKILL recovery, placement gossip, program dispatch to the
 workers, and folding their stats back into the client registry.
 
-Division of labour per node program (``config.program_execution``):
+A round of a node program is one body everywhere
+(:func:`~repro.programs.framework.run_round`); what this deployment
+chooses per program is the frontier exchange
+(``config.program_execution``):
 
 * ``"resident"`` (the default) ships the program *to the data*: the
   client submits one :class:`~repro.cluster.messages.ProgramStart` to
   the start vertex's owning shard (the frame also carries that shard's
   heartbeats and ``advance_to`` — one round trip per read), each worker
-  runs its slice of every scatter-gather round against its local
-  snapshot, and next frontiers travel worker-to-worker as
-  ``FrontierForward`` frames — O(shards) wire messages per round
-  instead of O(frontier).  The coordinating worker detects round
-  quiescence and replies with only the aggregated result and read set
-  (section 4's shard-to-shard propagation);
-* ``"images"`` keeps the legacy split: the client-side
-  :class:`~repro.programs.framework.ProgramExecutor` runs program logic
-  on plain vertex images pulled per round via pipelined ``resolve``
-  requests.  Programs carrying constructor state (not reconstructible
-  from their name) always fall back to this path.
+  runs its slice of every round against its local snapshot, and next
+  frontiers travel worker-to-worker as ``FrontierForward`` frames —
+  O(shards) wire messages per round instead of O(frontier).  The
+  coordinating worker detects round quiescence and replies with only
+  the aggregated result and read set (section 4's shard-to-shard
+  propagation);
+* ``"images"`` runs the rounds in the client-side
+  :class:`~repro.programs.framework.ProgramExecutor` on plain vertex
+  images, :class:`ProcessShardResolver` fetching each round's batch with
+  pipelined ``resolve`` requests.  Programs carrying constructor state
+  (not reconstructible from their name) always take this path.
 
 Either way results stay byte-identical to the simulated twin; the
 Fig 13-style scaling benchmark measures what residency buys on top of
@@ -41,8 +44,9 @@ import multiprocessing
 import os
 import socket
 import tempfile
+from collections import Counter
 from types import SimpleNamespace
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 # sync_announce_all, shard_worker_main and oracle_worker_main are module
 # bindings on purpose: the benchmark's tracing hooks wrap them here.
@@ -56,6 +60,7 @@ from ..errors import ClusterError, ProgramError
 from ..obs.collect import scalar_fields
 from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.library import resident_eligible
+from ..programs.routing import ShardSnapshotResolver
 from .builder import build_cluster
 from .messages import ProgramRequest, ProgramStart
 from .transport import ProcessTransport, TransportError
@@ -137,97 +142,53 @@ class RemoteVertexView:
         return dict(self._props)
 
 
-class ProcessShardResolver:
+class ProcessShardResolver(ShardSnapshotResolver):
     """The executor's resolver over worker processes.
 
-    ``resolve_many`` groups one round's frontier by owning shard and
-    issues one pipelined ``resolve`` request per shard — every request
+    The one :meth:`~ShardSnapshotResolver.resolve_many` groups a round's
+    frontier by owning shard and keeps the per-query vertex cache, so
+    cross-round revisits cost no request; only the per-shard fetch
+    differs: one pipelined ``resolve`` request per shard — every request
     is written before any reply is read, so workers run their share of
     the round concurrently.  Workers keep one snapshot view per (query,
-    shard) across rounds (their ``fresh`` flag tells the client when the
-    snapshot construction was actually paid); the client keeps a
-    per-query vertex cache so cross-round revisits cost no request.
+    shard) across rounds; their ``fresh`` flag tells the client when the
+    snapshot construction was actually paid.
     """
 
     def __init__(self, db: "ProcessWeaver", ts: VectorTimestamp,
                  query_id: int, trace_id: Optional[int]):
+        super().__init__(ts, db._shard_of, (), stats=db.executor.stats)
         self._db = db
-        self._ts = ts
         self._query_id = query_id
         self._trace_id = trace_id
-        self._vertices: Dict[str, Optional[RemoteVertexView]] = {}
-        #: Shard indices holding a snapshot for this query (told fresh).
+        #: Shard indices holding a snapshot for this query.
         self.shards_touched: set = set()
-        self.shard_rounds: List[Dict[int, int]] = []
 
-    @property
-    def timestamp(self) -> VectorTimestamp:
-        return self._ts
-
-    def resolve_many(
-        self, handles: Iterable[str]
-    ) -> Dict[str, Optional[RemoteVertexView]]:
+    def _fetch(self, per_shard: Dict[int, List[str]]):
         db = self._db
-        stats = db.executor.stats
-        out: Dict[str, Optional[RemoteVertexView]] = {}
-        per_shard: Dict[int, List[str]] = {}
-        cache = self._vertices
-        cache_hits = 0
-        for handle in handles:
-            if handle in out:
-                continue
-            if handle in cache:
-                out[handle] = cache[handle]
-                cache_hits += 1
-                continue
-            out[handle] = None
-            shard_index = db._shard_of(handle)
-            if shard_index is not None:
-                per_shard.setdefault(shard_index, []).append(handle)
-        round_counts: Dict[int, int] = {}
         order = sorted(per_shard)
-        calls = [
+        replies = db.transport.request_all("client", [
             (
                 db.shard_name(shard_index),
                 "resolve",
                 ProgramRequest(
                     self._ts,
                     self._query_id,
-                    tuple((h, None) for h in per_shard[shard_index]),
+                    tuple(per_shard[shard_index]),
                     self._trace_id,
                 ),
             )
             for shard_index in order
-        ]
-        replies = db.transport.request_all("client", calls)
+        ])
         for shard_index, reply in zip(order, replies):
             if reply.get("error"):
                 raise ClusterError(reply["error"])
-            batch = per_shard[shard_index]
             self.shards_touched.add(shard_index)
-            fresh = reply["fresh"]
-            if fresh:
-                stats.snapshots_created += 1
-            for handle in batch:
-                image = reply["images"].get(handle)
-                node = None if image is None else RemoteVertexView(image)
-                cache[handle] = node
-                out[handle] = node
-            round_counts[shard_index] = len(batch)
-            stats.shard_batches += 1
-            stats.vertices_resolved += len(batch)
-            stats.snapshot_reuse_hits += len(batch) - (1 if fresh else 0)
-            stats.round_messages_saved += len(batch) - 1
-        if round_counts:
-            self.shard_rounds.append(round_counts)
-        if cache_hits:
-            stats.vertices_resolved += cache_hits
-            stats.snapshot_reuse_hits += cache_hits
-            stats.round_messages_saved += cache_hits
-        return out
-
-    def __call__(self, handle: str) -> Optional[RemoteVertexView]:
-        return self.resolve_many([handle])[handle]
+            images = reply["images"]
+            yield shard_index, reply["fresh"], [
+                None if images[h] is None else RemoteVertexView(images[h])
+                for h in per_shard[shard_index]
+            ]
 
 
 # -- the deployment -------------------------------------------------------
@@ -277,11 +238,10 @@ class ProcessWeaver(Coordinator):
             index: os.path.join(self._tmpdir, f"peer{index}.sock")
             for index in range(self.config.num_shards)
         }
-        #: Last absorbed worker-side metrics (dotted names) and program
-        #: counter sums — kept so `repro stats` after close() still
-        #: reports worker work (deployment-neutral program.* metrics).
+        #: Last absorbed worker-side metrics (dotted names, summed over
+        #: workers) — kept so `repro stats` after close() still reports
+        #: worker work (deployment-neutral program.* metrics).
         self._worker_metrics: Dict[str, float] = {}
-        self._worker_prog_sum: Dict[str, float] = {}
         self._epoch = 0
         self.recoveries = 0
         self._closed = False
@@ -459,9 +419,9 @@ class ProcessWeaver(Coordinator):
             raise ClusterError("no live shard workers")
         # Initial frontier entry i carries order key (i,): children
         # append their hop index, so sorting a round's entries by key
-        # reproduces the batched executor's append order exactly.
+        # reproduces the executor's append order exactly.
         keyed = tuple(
-            ((i,), handle, entry_params)
+            (handle, entry_params, (i,))
             for i, (handle, entry_params) in enumerate(frontier)
         )
         coordinator = self._shard_of(frontier[0][0])
@@ -490,18 +450,10 @@ class ProcessWeaver(Coordinator):
             self._complete_program(trace_id, query_id, cache_hit=True)
         else:
             self._complete_program(trace_id, query_id)
-        ctx = SimpleNamespace(
-            query_id=payload["query_id"],
-            ts=payload["ts"],
-            results=list(payload["results"]),
-            states=dict(payload["states"]),
-            vertices_visited=payload["vertices_visited"],
-            hops=payload["hops"],
-            halted=payload["halted"],
-            read_set=set(payload["read_set"]),
-            rounds=payload["rounds"],
-        )
-        return ProgramResult(ctx)
+        # The coordinator's payload is a program context by field name,
+        # its read set sorted for the wire.
+        payload["read_set"] = set(payload["read_set"])
+        return ProgramResult(SimpleNamespace(**payload))
 
     # -- failure handling -----------------------------------------------
 
@@ -567,55 +519,19 @@ class ProcessWeaver(Coordinator):
 
     # -- statistics ------------------------------------------------------
 
-    def _absorb_worker_stats(self, replies: List[dict]) -> None:
-        """Fold the workers' extended stats snapshots into the cached
-        dotted-metric aggregate (wholesale: worker counters are
-        cumulative since worker start)."""
-        metrics: Dict[str, float] = {}
-        prog_sum: Dict[str, float] = {}
-        stragglers = 0
-        cache_hits = cache_misses = cache_entries = 0
-        pc_hits = pc_misses = pc_invalidations = pc_entries = 0
+    def _absorb_worker_stats(self, replies: List[Dict[str, float]]) -> None:
+        """Sum the workers' flat metric snapshots by name into the
+        cached aggregate (wholesale: worker counters are cumulative
+        since worker start)."""
+        totals: Counter = Counter()
         for snap in replies:
-            for key, value in snap["shard"].items():
-                out_key = f"shard.{key}"
-                metrics[out_key] = metrics.get(out_key, 0) + value
-            for key, value in snap["ordering"].items():
-                out_key = f"ordering.{key}"
-                metrics[out_key] = metrics.get(out_key, 0) + value
-            stragglers += snap["stragglers_dropped"]
-            hits, misses, entries = snap["cache"]
-            cache_hits += hits
-            cache_misses += misses
-            cache_entries += entries
-            for key, value in snap.get("program", {}).items():
-                prog_sum[key] = prog_sum.get(key, 0) + value
-            for key, value in snap.get("resident", {}).items():
-                out_key = f"program.resident.{key}"
-                metrics[out_key] = metrics.get(out_key, 0) + value
-            for key, value in snap.get("peer_transport", {}).items():
-                out_key = f"transport.worker.{key}"
-                metrics[out_key] = metrics.get(out_key, 0) + value
-            ph, pm, pi, pl = snap.get("prog_cache", (0, 0, 0, 0))
-            pc_hits += ph
-            pc_misses += pm
-            pc_invalidations += pi
-            pc_entries += pl
-        metrics["ordering.cache_hits"] = cache_hits
-        metrics["ordering.cache_misses"] = cache_misses
-        metrics["ordering.cache_entries"] = cache_entries
-        metrics["process.stragglers_dropped"] = stragglers
-        if self.config.enable_program_cache:
-            metrics["program.cache.hits"] = pc_hits
-            metrics["program.cache.misses"] = pc_misses
-            metrics["program.cache.invalidations"] = pc_invalidations
-            metrics["program.cache.entries"] = pc_entries
-        self._worker_metrics = metrics
-        self._worker_prog_sum = prog_sum
+            totals.update(snap)
+        self._worker_metrics = dict(totals)
 
     def _process_metrics(self) -> Dict[str, float]:
-        """Aggregate worker-side counters over RPC, under the same
-        dotted names the in-process deployments export.
+        """Aggregate worker-side counters over RPC; each worker names
+        its own through the same collectors the in-process deployments
+        register.
 
         Registered *last* with the metrics registry, so the merged
         ``program.*`` values emitted here (client executor + worker
@@ -636,11 +552,9 @@ class ProcessWeaver(Coordinator):
             except TransportError:
                 pass
         out.update(self._worker_metrics)
-        if self._worker_prog_sum:
-            for key, value in scalar_fields(self.executor.stats).items():
-                out[f"program.{key}"] = (
-                    value + self._worker_prog_sum.get(key, 0)
-                )
+        for key, value in scalar_fields(self.executor.stats).items():
+            name = f"program.{key}"
+            out[name] = value + out.get(name, 0)
         return out
 
     # -- lifecycle -------------------------------------------------------

@@ -44,9 +44,14 @@ from ..db.operations import (
     touched_vertices,
 )
 from ..errors import WeaverError
+from ..obs.collect import register_stats_collectors, scalar_fields
 from ..obs.metrics import MetricsRegistry
 from ..programs.caching import ChangeTracker, ProgramCache
-from ..programs.framework import ProgramStats, dedup_round, run_entry
+from ..programs.framework import (
+    VISIT_BUDGET_EXHAUSTED,
+    ProgramStats,
+    run_round,
+)
 from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import ProgramContext
@@ -195,9 +200,9 @@ class ShardEndpoint:
     def __init__(self, shard: ShardServer):
         self.shard = shard
         self.stragglers_dropped = 0
-        # Per-query snapshot views, dropped on the client's finish
+        # Per-query snapshot resolvers, dropped on the client's finish
         # message.
-        self._queries: Dict[int, tuple] = {}
+        self._queries: Dict[int, ShardSnapshotResolver] = {}
 
     def deliver(self, src: Optional[str], kind: str, payload: Any) -> Any:
         """Handle one message; the return value is a request's reply
@@ -235,66 +240,47 @@ class ShardEndpoint:
             self._queries.clear()
             shard.advance_epoch(payload)
             return True
-        if kind == "stats":
-            return self._stats()
         if kind in ("ping", "shutdown"):
             # shutdown is a request (not a one-way send) so the client
             # can await the acknowledgement before reaping the process.
             return True
         raise WeaverError(f"unknown shard message {kind!r}")
 
-    def _resolve(self, request: ProgramRequest) -> Dict[str, Any]:
-        """One shard's share of one scatter-gather round.
+    def resolver(
+        self, ts: VectorTimestamp, stats: Optional[ProgramStats] = None
+    ) -> ShardSnapshotResolver:
+        """This shard's per-query snapshot holder: the one resolver
+        class, over a placement that is always "here"."""
+        return ShardSnapshotResolver(
+            ts, lambda handle: 0, [self.shard], stats=stats
+        )
 
-        The per-(query, shard) snapshot view is created on the first
-        round and reused for the query's lifetime, exactly like
-        :class:`~repro.programs.routing.ShardSnapshotResolver` does
-        in-process; ``fresh`` tells the client whether this batch paid
-        the snapshot construction.  The client's heartbeats and
-        ``advance_to`` precede this request on the channel; a shard
-        they did not make ready answers ``error`` instead of reading a
-        stale snapshot."""
-        shard = self.shard
-        entry = self._queries.get(request.query_id)
-        fresh = entry is None
+    def _resolve(self, request: ProgramRequest) -> Dict[str, Any]:
+        """One shard's share of one image-pull round.
+
+        The per-query resolver is created on the first round and kept
+        for the query's lifetime; ``fresh`` tells the client whether
+        this batch paid the snapshot construction.  The client's
+        heartbeats and ``advance_to`` precede this request on the
+        channel; a shard they did not make ready answers ``error``
+        instead of reading a stale snapshot."""
+        resolver = self._queries.get(request.query_id)
+        fresh = resolver is None
         if fresh:
-            error = shard.not_ready(request.ts)
+            error = self.shard.not_ready(request.ts)
             if error is not None:
                 return {"error": str(error)}
-            view = shard.snapshot(request.ts)
-            entry = (view,)
-            self._queries[request.query_id] = entry
-        (view,) = entry
-        images: Dict[str, Any] = {}
-        for handle, _params in request.vertices:
-            shard.stats.vertices_read += 1
-            node = view.try_vertex(handle)
-            images[handle] = None if node is None else _vertex_image(node)
-        return {"images": images, "fresh": fresh}
-
-    def _stats(self) -> dict:
-        shard = self.shard
-        out = {
-            "shard": {
-                key: value
-                for key, value in vars(shard.stats).items()
-                if isinstance(value, (int, float))
+            resolver = self._queries[request.query_id] = self.resolver(
+                request.ts
+            )
+        views = resolver.resolve_many(request.vertices)
+        return {
+            "images": {
+                handle: None if node is None else _vertex_image(node)
+                for handle, node in views.items()
             },
-            "ordering": {
-                key: value
-                for key, value in vars(shard.ordering.stats).items()
-                if isinstance(value, (int, float))
-            },
-            "queue_depths": shard.queue_depths(),
-            "epoch": shard.epoch,
-            "stragglers_dropped": self.stragglers_dropped,
+            "fresh": fresh,
         }
-        cache = shard.ordering.cache
-        out["cache"] = (
-            (cache.hits, cache.misses, len(cache))
-            if cache is not None else (0, 0, 0)
-        )
-        return out
 
 
 # -- shard-resident program execution (section 4) ------------------------
@@ -386,7 +372,7 @@ class _ResidentQuery:
         self.resolver = None
         self.trace_id: Optional[int] = None
         self.coordinator: Optional[int] = None
-        self.buf: Dict[int, list] = {}       # round -> keyed hop triples
+        self.buf: Dict[int, list] = {}       # round -> (handle, params, key)
         self.received: Dict[int, int] = {}   # round -> hops from peers
         self.go: Dict[int, dict] = {}        # round -> round_go payload
         self.executed: set = set()
@@ -425,14 +411,15 @@ class _Coordination:
 class _ResidentEngine:
     """The shard worker's event loop with shard-resident programs.
 
-    Extends the request/reply protocol of the legacy blocking loop with
-    worker↔worker traffic: the client submits one ``program_start`` to
-    the start vertex's owner (the *coordinator*), each worker executes
-    its slice of every scatter-gather round against its local snapshot,
-    next frontiers travel peer-to-peer as :class:`FrontierForward`
-    frames (one per (src, dst, round) — O(shards) wire messages per
-    round), and the coordinator detects round quiescence, aggregates
-    the per-worker fragments, and replies with only the result.
+    Adds worker↔worker traffic to the request/reply protocol: the
+    client submits one ``program_start`` to the start vertex's owner
+    (the *coordinator*), each worker runs
+    :func:`~repro.programs.framework.run_round` on its slice of every
+    scatter-gather round against its local snapshot, next frontiers
+    travel peer-to-peer as :class:`FrontierForward` frames (one per
+    (src, dst, round) — O(shards) wire messages per round), and the
+    coordinator detects round quiescence, aggregates the per-worker
+    fragments, and replies with only the result.
     """
 
     FINISHED_MEMORY = 4096
@@ -460,8 +447,16 @@ class _ResidentEngine:
         self.placement: Dict[str, int] = dict(placement or {})
         self.prog_stats = ProgramStats()
         self.resident = ResidentStats()
+        self.transport = ProcessTransport()
+        # The ``stats`` reply: this worker's counters under the names
+        # every deployment exports; the client sums workers by name.
         self.registry = MetricsRegistry()
-        self.transport = ProcessTransport(registry=self.registry)
+        register_stats_collectors(
+            self.registry,
+            shards=lambda: [worker.shard],
+            programs=lambda: self.prog_stats,
+            extra=self._worker_only_metrics,
+        )
         self.tracker = ChangeTracker()
         self.cache = (
             ProgramCache(self.tracker, program_cache_capacity)
@@ -700,7 +695,7 @@ class _ResidentEngine:
                 payload["q"], payload["halt_round"], payload["halt_key"]
             )
         if kind == "stats":
-            return self._extended_stats()
+            return self.registry.snapshot()
         if kind == "advance_epoch":
             self._clear_resident_state()
         return self.worker.deliver(None, kind, payload)
@@ -715,28 +710,23 @@ class _ResidentEngine:
         if self.cache is not None:
             self.cache.clear()
 
-    def _extended_stats(self) -> dict:
-        out = self.worker._stats()
-        out["program"] = {
-            key: value
-            for key, value in vars(self.prog_stats).items()
-            if isinstance(value, (int, float))
+    def _worker_only_metrics(self) -> Dict[str, float]:
+        """What only a shard worker counts."""
+        out: Dict[str, float] = {
+            "process.stragglers_dropped": self.worker.stragglers_dropped,
         }
-        out["resident"] = {
-            key: value
-            for key, value in vars(self.resident).items()
-            if isinstance(value, (int, float))
-        }
-        out["peer_transport"] = {
-            key: value
-            for key, value in vars(self.transport.stats).items()
-            if isinstance(value, (int, float))
-        }
+        for prefix, stats in (
+            ("program.resident", self.resident),
+            ("transport.worker", self.transport.stats),
+        ):
+            for key, value in scalar_fields(stats).items():
+                out[f"{prefix}.{key}"] = value
         cache = self.cache
-        out["prog_cache"] = (
-            (cache.hits, cache.misses, cache.invalidations, len(cache))
-            if cache is not None else (0, 0, 0, 0)
-        )
+        if cache is not None:
+            out["program.cache.hits"] = cache.hits
+            out["program.cache.misses"] = cache.misses
+            out["program.cache.invalidations"] = cache.invalidations
+            out["program.cache.entries"] = len(cache)
         return out
 
     # -- peer channels --------------------------------------------------
@@ -837,9 +827,8 @@ class _ResidentEngine:
                 return
             query.program = cls()
             query.ctx = ProgramContext(payload["q"], payload["ts"])
-            query.resolver = ShardSnapshotResolver(
-                payload["ts"], lambda handle: 0, [self.worker.shard],
-                stats=self.prog_stats,
+            query.resolver = self.worker.resolver(
+                payload["ts"], self.prog_stats
             )
             query.trace_id = payload.get("trace_id")
             query.coordinator = payload["coordinator"]
@@ -865,18 +854,16 @@ class _ResidentEngine:
         self._execute_round(query, round_no)
 
     def _execute_round(self, query: _ResidentQuery, round_no: int) -> None:
+        """This worker's slice of one round: the one round body plus the
+        resident frontier exchange (order-keyed hops partitioned to the
+        workers that own them)."""
         query.executed.add(round_no)
         # Same-length order keys make the per-worker sort reproduce the
-        # batched executor's append order within the round slice.
-        frontier = sorted(query.buf.pop(round_no, []), key=lambda e: e[0])
-        program, ctx = query.program, query.ctx
-        if program.dedup_hops:
-            frontier = dedup_round(
-                frontier, self.prog_stats,
-                hop_of=lambda entry: (entry[1], entry[2]),
-            )
+        # executor's append order within the round slice.
+        frontier = sorted(query.buf.pop(round_no, []), key=lambda e: e[2])
+        ctx = query.ctx
+        ctx.visits_left = query.go[round_no]["budget"]
         self.resident.rounds_executed += 1
-        self.prog_stats.batch_rounds += 1
         if query.trace_id is not None:
             self.tracer.emit(
                 query.trace_id, "program.round",
@@ -884,63 +871,41 @@ class _ResidentEngine:
                 round=round_no, frontier=len(frontier), shard=self.index,
             )
         next_by_dst: Dict[int, list] = {}
-        processed = 0
-        halt_key = None
-        error = None
-        try:
-            views = query.resolver.resolve_many(
-                [handle for _key, handle, _params in frontier]
-            )
-        except Exception as exc:  # noqa: BLE001 - reported upstream
-            views = {}
-            frontier = []
-            error = str(exc)
-        for key, handle, params in frontier:
-            processed += 1
-            self.resident.entries_processed += 1
-            node = views.get(handle)
-            result_base = len(ctx.results)
-            try:
-                hops = run_entry(program, handle, params, node, ctx)
-            except Exception as exc:  # noqa: BLE001 - reported upstream
-                error = str(exc)
-                break
-            for seq in range(len(ctx.results) - result_base):
-                query.tagged.append(
-                    (round_no, key, seq, ctx.results[result_base + seq])
-                )
-            query.entries.append(
+        entries, tagged = query.entries, query.tagged
+        already = len(entries)
+
+        def deliver(entry, node, hops) -> None:
+            handle, _params, key = entry
+            # Every result so far is tagged, so the untagged tail is
+            # what this entry emitted.
+            for seq, value in enumerate(ctx.results[len(tagged):]):
+                tagged.append((round_no, key, seq, value))
+            entries.append(
                 (round_no, key, handle, node is not None, len(hops))
             )
-            if node is None:
-                # Mirrors the batched executor exactly: a missing vertex
-                # skips the mid-round halt check (``continue``).
-                continue
             for i, (next_handle, next_params) in enumerate(hops):
                 dst = self.placement.get(next_handle, self.index)
                 next_by_dst.setdefault(dst, []).append(
-                    (key + (i,), next_handle, next_params)
+                    (next_handle, next_params, key + (i,))
                 )
-            if ctx.halted:
-                halt_key = key
-                break
+
+        halt_key = error = None
+        try:
+            halted_at = run_round(
+                query.program, frontier, query.resolver.resolve_many,
+                ctx, self.prog_stats, deliver,
+            )
+            if halted_at is not None:
+                halt_key = halted_at[2]
+        except Exception as exc:  # noqa: BLE001 - reported upstream
+            error = str(exc)
+        processed = len(entries) - already
+        self.resident.entries_processed += processed
         sent: Dict[int, int] = {}
         if error is None and halt_key is None:
             try:
-                for dst, hops_list in next_by_dst.items():
-                    sent[dst] = len(hops_list)
-                    if dst == self.index:
-                        query.buf.setdefault(round_no + 1, []).extend(
-                            hops_list
-                        )
-                    else:
-                        self._peer_send(dst, "forward", FrontierForward(
-                            query.qid, round_no + 1, tuple(hops_list)
-                        ))
-                        self.resident.forwards_sent += 1
-                        self.resident.hops_forwarded += len(hops_list)
+                sent = self._forward(query, round_no + 1, next_by_dst)
             except (TransportError, OSError, socket.timeout) as exc:
-                sent = {}
                 error = f"frontier forward failed: {exc}"
         try:
             self._send_report(query.coordinator, {
@@ -953,6 +918,23 @@ class _ResidentEngine:
             # Coordinator unreachable: nothing to report to.  The client
             # will surface the failure through its own channel.
             pass
+
+    def _forward(
+        self, query: _ResidentQuery, round_no: int, by_dst: Dict[int, list]
+    ) -> Dict[int, int]:
+        """Hand ``round_no``'s hops to the workers that own them — kept
+        here, or one :class:`FrontierForward` per peer; returns the hop
+        count per destination."""
+        for dst, hops_list in by_dst.items():
+            if dst == self.index:
+                query.buf.setdefault(round_no, []).extend(hops_list)
+            else:
+                self._peer_send(dst, "forward", FrontierForward(
+                    query.qid, round_no, tuple(hops_list)
+                ))
+                self.resident.forwards_sent += 1
+                self.resident.hops_forwarded += len(hops_list)
+        return {dst: len(hops_list) for dst, hops_list in by_dst.items()}
 
     def _send_report(self, coordinator: int, report: dict) -> None:
         self._deliver(coordinator, "round_report", report)
@@ -1027,7 +1009,7 @@ class _ResidentEngine:
             and ps.frontier
         ):
             cache_key = ProgramCache.key(
-                ps.program, ps.frontier[0][1], ps.cache_tail
+                ps.program, ps.frontier[0][0], ps.cache_tail
             )
             cached = self.cache.get(cache_key)
             if cached is not None:
@@ -1047,23 +1029,13 @@ class _ResidentEngine:
             self._finish(coord, None, None)
             return
         by_dst: Dict[int, list] = {}
-        for key, handle, params in ps.frontier:
-            dst = self.placement.get(handle, self.index)
-            by_dst.setdefault(dst, []).append((key, handle, params))
-        query = self._ensure_query(ps.query_id)
-        for dst, hops_list in by_dst.items():
-            if dst == self.index:
-                query.buf.setdefault(0, []).extend(hops_list)
-            else:
-                self._peer_send(dst, "forward", FrontierForward(
-                    ps.query_id, 0, tuple(hops_list)
-                ))
-                self.resident.forwards_sent += 1
-                self.resident.hops_forwarded += len(hops_list)
-        coord.involved.update(by_dst)
+        for entry in ps.frontier:
+            dst = self.placement.get(entry[0], self.index)
+            by_dst.setdefault(dst, []).append(entry)
+        sent = self._forward(self._ensure_query(ps.query_id), 0, by_dst)
+        coord.involved.update(sent)
         self._issue_round(coord, 0, {
-            dst: (0 if dst == self.index else len(hops_list))
-            for dst, hops_list in by_dst.items()
+            dst: (0 if dst == self.index else n) for dst, n in sent.items()
         })
 
     def _remote_fragments_valid(
@@ -1103,6 +1075,10 @@ class _ResidentEngine:
                 "q": coord.qid, "round": round_no, "expect": expect[dst],
                 "program": coord.ps.program, "ts": coord.ps.ts,
                 "trace_id": coord.ps.trace_id, "coordinator": self.index,
+                # Visits the program may still make: a participant's
+                # round stops on it instead of running an exploding
+                # frontier in full.
+                "budget": coord.ps.max_visits - coord.processed_total,
             })
         self.transport.flush()
 
@@ -1146,9 +1122,7 @@ class _ResidentEngine:
         if coord.processed_total > max_visits or (
             coord.processed_total >= max_visits and more
         ):
-            self._finish_error(
-                coord, f"visit budget exhausted ({max_visits})"
-            )
+            self._finish_error(coord, VISIT_BUDGET_EXHAUSTED)
             return
         if not more:
             self._finish(coord, None, None)

@@ -10,28 +10,24 @@ application directs all propagation.
 
 The executor is routing-agnostic: it pulls vertices through a resolver
 supplied by the database layer, which is where shard routing and the
-wait-for-preceding-transactions logic live.  This keeps the engine
-testable against a bare in-memory graph.  Two resolver shapes are
-supported:
+wait-for-preceding-transactions logic live.  A resolver exposes
+``resolve_many(handles) -> dict`` (e.g.
+:class:`~repro.programs.routing.ShardSnapshotResolver`); a bare callable
+``resolve(handle) -> Optional[VertexView]`` is adapted to that shape, so
+the engine stays testable against a bare in-memory graph.
 
-* a plain callable ``resolve(handle) -> Optional[VertexView]`` drives the
-  seed per-vertex loop (bare-graph tests, reference comparisons);
-* an object additionally exposing ``resolve_many(handles) -> dict``
-  (e.g. :class:`~repro.programs.routing.ShardSnapshotResolver`) switches
-  the executor to **round-based scatter-gather**: the frontier is
-  processed one BFS round at a time and each round's next-hops resolve as
-  one batch, which is what lets the routing layer group them by owning
-  shard and reuse one snapshot (and its comparison memo) per shard for
-  the whole traversal — the paper's shard-to-shard batch propagation.
-
-Both paths visit vertices in the same order and produce identical
-results: a round is exactly the contiguous run of same-depth entries the
-sequential deque would pop.
+Execution is **round-based scatter-gather**, written once in
+:func:`run_round`: the frontier is processed one BFS round at a time and
+each round's handles resolve as one batch, which is what lets the
+routing layer group them by owning shard and reuse one snapshot (and its
+comparison memo) per shard for the whole traversal — the paper's
+shard-to-shard batch propagation.  :class:`ProgramExecutor` and the
+shard-resident engine (:mod:`repro.cluster.worker`) are its two callers;
+each adds only its frontier exchange.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -102,7 +98,6 @@ class ProgramStats:
 
     def __init__(self) -> None:
         self.executions = 0            # programs driven to completion
-        self.sequential_executions = 0  # via the per-vertex compat shim
         self.batch_rounds = 0          # scatter-gather rounds processed
         self.shard_batches = 0         # (shard, round) batch resolutions
         self.vertices_resolved = 0     # resolutions through the batch path
@@ -165,16 +160,6 @@ def _params_key(params: Any) -> Optional[Hashable]:
     return (False, params)
 
 
-def _hop_key(handle: str, params: Any) -> Optional[Hashable]:
-    """A value-equality key for one hop, or None when params defy
-    hashing (kept for direct use in tests; the executor's dedup pass
-    memoizes the params part by object identity)."""
-    pkey = _params_key(params)
-    if pkey is None:
-        return None
-    return (handle, pkey)
-
-
 def run_entry(
     program: NodeProgram,
     handle: str,
@@ -182,8 +167,7 @@ def run_entry(
     node: Optional[VertexView],
     ctx: ProgramContext,
 ) -> List[Tuple[str, Any]]:
-    """Process one frontier entry — the per-entry semantics shared by
-    every execution path (sequential, round-batched, shard-resident).
+    """Process one frontier entry (:func:`run_round` is the one caller).
 
     Adds ``handle`` to the read set, dispatches invisible vertices to
     ``on_missing``, binds per-vertex state, runs the program, and
@@ -212,21 +196,14 @@ def run_entry(
     return out
 
 
-def dedup_round(
-    entries: List[Any],
-    stats: Optional[ProgramStats] = None,
-    hop_of: Optional[Callable[[Any], Tuple[str, Any]]] = None,
-) -> List[Any]:
+def dedup_round(entries: List[tuple], stats: ProgramStats) -> List[tuple]:
     """Drop same-round repeats of one (vertex, params) hop.
 
-    ``entries`` are (handle, params) pairs by default; ``hop_of``
-    extracts the pair from richer records (the shard-resident engine
-    dedups keyed ``(order_key, handle, params)`` triples).  First
-    occurrence wins; hops whose params resist value-hashing pass
+    First occurrence wins; hops whose params resist value-hashing pass
     through untouched.  ``stats.dedup_hits`` counts the drops.
     """
     seen: set = set()
-    kept: List[Any] = []
+    kept: List[tuple] = []
     # Params content keys memoized by object identity: one program run
     # emits many hops sharing one params object, and the ids stay
     # unique for the pass because ``entries`` keeps every object alive.
@@ -235,9 +212,8 @@ def dedup_round(
     param_key_ids: Dict[int, Optional[int]] = {}
     interned: Dict[Hashable, int] = {}
     missing = param_key_ids.get
-    dropped = 0
     for entry in entries:
-        handle, params = entry if hop_of is None else hop_of(entry)
+        params = entry[1]
         pid = id(params)
         kid = missing(pid, -1)
         if kid == -1:
@@ -250,15 +226,56 @@ def dedup_round(
         if kid is None:
             kept.append(entry)
             continue
-        key = (handle, kid)
-        if key in seen:
-            dropped += 1
-        else:
+        key = (entry[0], kid)
+        if key not in seen:
             seen.add(key)
             kept.append(entry)
-    if stats is not None:
-        stats.dedup_hits += dropped
+    stats.dedup_hits += len(entries) - len(kept)
     return kept
+
+
+VISIT_BUDGET_EXHAUSTED = "visit budget exhausted"
+
+
+def run_round(
+    program: NodeProgram,
+    frontier: List[tuple],
+    resolve_many: Callable[[List[str]], Dict[str, Optional[VertexView]]],
+    ctx: ProgramContext,
+    stats: ProgramStats,
+    deliver: Callable[[tuple, Optional[VertexView], List[tuple]], None],
+) -> Optional[tuple]:
+    """One scatter-gather round (sections 2.3, 4.1) — the only place a
+    frontier is executed.
+
+    ``frontier`` entries are tuples that start ``(handle, params)``;
+    whatever follows (the resident exchange's order key) rides along.
+    Same-round repeats are dropped for programs declaring
+    ``dedup_hops``, every handle resolves in one batch, and the entries
+    run in order, each handed to ``deliver(entry, node, hops)`` — the
+    caller's frontier exchange.  Returns the entry that halted the
+    program (nothing after it ran), else None.  ``ctx.visits_left`` is
+    the runaway guard: the round raises before running one entry more.
+    """
+    if program.dedup_hops:
+        frontier = dedup_round(frontier, stats)
+    ctx.rounds += 1
+    stats.batch_rounds += 1
+    views_get = resolve_many([entry[0] for entry in frontier]).get
+    for entry in frontier:
+        if ctx.visits_left <= 0:
+            raise ProgramError(VISIT_BUDGET_EXHAUSTED)
+        ctx.visits_left -= 1
+        handle = entry[0]
+        node = views_get(handle)
+        hops = run_entry(program, handle, entry[1], node, ctx)
+        ctx.hops += len(hops)
+        deliver(entry, node, hops)
+        # A missing vertex does not observe a mid-round halt: whatever
+        # its ``on_missing`` did, the round goes on to the next entry.
+        if node is not None and ctx.halted:
+            return entry
+    return None
 
 
 class ProgramExecutor:
@@ -278,95 +295,27 @@ class ProgramExecutor:
     ) -> ProgramResult:
         """Run ``program`` from the ``start`` frontier to completion.
 
-        ``resolve(handle)`` returns the vertex view at the program's
-        snapshot, or None when the vertex is invisible there; a resolver
-        exposing ``resolve_many`` gets the frontier one round at a time.
+        ``resolve.resolve_many(handles)`` maps one round's handles to
+        their vertex views at the program's snapshot (None where the
+        vertex is invisible there); a bare ``resolve(handle)`` callable
+        is asked once per entry instead.
         Propagation ends when the frontier drains, the program halts, or
         the visit budget (a runaway guard) is exhausted.
         """
-        ctx = ProgramContext(query_id, ts)
         resolve_many = getattr(resolve, "resolve_many", None)
         if resolve_many is None:
-            result = self._execute_sequential(program, start, resolve, ctx)
-        else:
-            result = self._execute_rounds(program, start, resolve_many, ctx)
-        self.stats.executions += 1
-        return result
-
-    # -- round-based scatter-gather (sections 2.3, 4.1) -------------------
-
-    def _execute_rounds(
-        self,
-        program: NodeProgram,
-        start: Iterable[Tuple[str, Any]],
-        resolve_many,
-        ctx: ProgramContext,
-    ) -> ProgramResult:
+            def resolve_many(handles):
+                return {handle: resolve(handle) for handle in handles}
+        ctx = ProgramContext(query_id, ts)
+        ctx.visits_left = self._max_visits
         frontier: List[Tuple[str, Any]] = list(start)
-        visits = 0
-        max_visits = self._max_visits
-        dedup = program.dedup_hops
         while frontier and not ctx.halted:
-            if dedup:
-                frontier = self._dedup_round(frontier)
-            ctx.rounds += 1
-            self.stats.batch_rounds += 1
-            views = resolve_many([handle for handle, _ in frontier])
-            views_get = views.get
+            # The exchange: this round's hops are the next frontier.
             next_frontier: List[Tuple[str, Any]] = []
-            round_hops = 0
-            for handle, params in frontier:
-                if visits >= max_visits:
-                    raise ProgramError(
-                        f"visit budget exhausted ({max_visits})"
-                    )
-                visits += 1
-                node = views_get(handle)
-                hops = run_entry(program, handle, params, node, ctx)
-                if node is None:
-                    # Missing vertices do not observe a mid-round halt:
-                    # the sequential twin's ``continue`` skips its halt
-                    # check too, and equivalence is exact.
-                    continue
-                round_hops += len(hops)
-                next_frontier.extend(hops)
-                if ctx.halted:
-                    break
-            ctx.hops += round_hops
+            run_round(
+                program, frontier, resolve_many, ctx, self.stats,
+                lambda _entry, _node, hops: next_frontier.extend(hops),
+            )
             frontier = next_frontier
-        return ProgramResult(ctx)
-
-    def _dedup_round(
-        self, frontier: List[Tuple[str, Any]]
-    ) -> List[Tuple[str, Any]]:
-        """Drop same-round repeats of one (vertex, params) hop.
-
-        Only for programs declaring ``dedup_hops``; hops whose params
-        resist value-hashing pass through untouched.
-        """
-        return dedup_round(frontier, self.stats)
-
-    # -- the seed per-vertex loop (compatibility shim) --------------------
-
-    def _execute_sequential(
-        self,
-        program: NodeProgram,
-        start: Iterable[Tuple[str, Any]],
-        resolve: Resolver,
-        ctx: ProgramContext,
-    ) -> ProgramResult:
-        self.stats.sequential_executions += 1
-        frontier = deque(start)
-        visits = 0
-        while frontier and not ctx.halted:
-            handle, params = frontier.popleft()
-            if visits >= self._max_visits:
-                raise ProgramError(
-                    f"visit budget exhausted ({self._max_visits})"
-                )
-            visits += 1
-            node = resolve(handle)
-            hops = run_entry(program, handle, params, node, ctx)
-            ctx.hops += len(hops)
-            frontier.extend(hops)
+        self.stats.executions += 1
         return ProgramResult(ctx)

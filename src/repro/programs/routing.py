@@ -4,22 +4,28 @@ The seed resolvers constructed a brand-new
 :class:`~repro.graph.mvgraph.SnapshotView` — and therefore a brand-new
 per-snapshot comparison memo — for every vertex resolved, discarding
 exactly the visibility-check reuse the memo exists for.
-:class:`ShardSnapshotResolver` is the batched replacement both the direct
-database and the simulated deployment hand to the program executor: it
-groups each scatter-gather round's frontier by owning shard, resolves
-every shard's batch against **one long-lived snapshot view per (query,
-shard)**, and keeps the per-(shard, round) batch sizes that the
-simulator's cost model charges as messages (one per batch, not one per
-vertex — the paper's shard-to-shard batch propagation, section 4.1).
-
-The resolver is also a plain callable, so it drops into the executor's
-single-vertex compatibility path (and any other ``resolve(handle)``
-consumer) while still reusing its views.
+:class:`ShardSnapshotResolver` is the one resolver every deployment
+hands to :func:`~repro.programs.framework.run_round`: it groups each
+scatter-gather round's frontier by owning shard, resolves every shard's
+batch against **one long-lived snapshot view per (query, shard)**, and
+keeps the per-(shard, round) batch sizes that the simulator's cost model
+charges as messages (one per batch, not one per vertex — the paper's
+shard-to-shard batch propagation, section 4.1).  Where the shards are
+other processes, a subclass replaces only :meth:`_fetch`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.vclock import VectorTimestamp
 from ..graph.mvgraph import SnapshotView, VertexView
@@ -47,48 +53,44 @@ class ShardSnapshotResolver:
         self._ts = ts
         self._shard_of = shard_of
         self._shards = shards
-        self._stats = stats
+        self._stats = stats if stats is not None else ProgramStats()
         self._page_in = page_in
         self._views: Dict[int, SnapshotView] = {}
         # Per-query vertex-view cache: the snapshot is fixed, so a
         # handle's visibility (and its view, with its visible-edge
         # cache) never changes across rounds — cross-round revisits are
-        # served locally, with no repeat shard request.
+        # served locally, with no repeat shard request or placement
+        # lookup.
         self._vertices: Dict[str, Optional[VertexView]] = {}
         #: One entry per scatter-gather round: {shard_index: batch size}.
         #: The simulator charges one inter-shard message per entry item.
         self.shard_rounds: List[Dict[int, int]] = []
 
     @property
-    def timestamp(self) -> VectorTimestamp:
-        return self._ts
-
-    @property
     def snapshots_created(self) -> int:
         """Snapshot views this query built — O(shards), not O(vertices)."""
         return len(self._views)
 
-    def _view_for(self, shard_index: int) -> SnapshotView:
-        view = self._views.get(shard_index)
-        if view is None:
+    def _fetch(
+        self, per_shard: Dict[int, List[str]]
+    ) -> Iterator[Tuple[int, bool, List[Optional[VertexView]]]]:
+        """Resolve every shard's batch of one round: yields
+        ``(shard_index, fresh, nodes)`` in shard order, ``nodes``
+        aligned with the batch and ``fresh`` set when this batch paid
+        for the shard's snapshot view."""
+        for shard_index in sorted(per_shard):
             shard = self._shards[shard_index]
-            view = shard.graph.at(self._ts, memo_stats=shard.ordering.stats)
-            self._views[shard_index] = view
-            if self._stats is not None:
-                self._stats.snapshots_created += 1
-        return view
-
-    def _resolve_on(self, shard_index: int, handle: str):
-        shard = self._shards[shard_index]
-        shard.stats.vertices_read += 1
-        if self._page_in:
-            shard.ensure_paged(handle)
-        view = self._view_for(shard_index)
-        node = view.try_vertex(handle)
-        self._vertices[handle] = node
-        return node
-
-    # -- batch API (one scatter-gather round) ---------------------------
+            view = self._views.get(shard_index)
+            fresh = view is None
+            if fresh:
+                view = self._views[shard_index] = shard.snapshot(self._ts)
+            nodes = []
+            for handle in per_shard[shard_index]:
+                shard.stats.vertices_read += 1
+                if self._page_in:
+                    shard.ensure_paged(handle)
+                nodes.append(view.try_vertex(handle))
+            yield shard_index, fresh, nodes
 
     def resolve_many(
         self, handles: Iterable[str]
@@ -102,6 +104,7 @@ class ShardSnapshotResolver:
         out: Dict[str, Optional[VertexView]] = {}
         per_shard: Dict[int, List[str]] = {}
         cache = self._vertices
+        stats = self._stats
         cache_hits = 0
         for handle in handles:
             if handle in out:
@@ -112,48 +115,28 @@ class ShardSnapshotResolver:
                 continue
             out[handle] = None
             shard_index = self._shard_of(handle)
-            if shard_index is not None:
+            if shard_index is None:
+                cache[handle] = None
+            else:
                 per_shard.setdefault(shard_index, []).append(handle)
         round_counts: Dict[int, int] = {}
-        for shard_index in sorted(per_shard):
+        for shard_index, fresh, nodes in self._fetch(per_shard):
             batch = per_shard[shard_index]
-            fresh = shard_index not in self._views
-            for handle in batch:
-                out[handle] = self._resolve_on(shard_index, handle)
+            for handle, node in zip(batch, nodes):
+                cache[handle] = out[handle] = node
             round_counts[shard_index] = len(batch)
-            if self._stats is not None:
-                self._stats.shard_batches += 1
-                self._stats.vertices_resolved += len(batch)
-                # Every resolution after the view's first rides the memo.
-                self._stats.snapshot_reuse_hits += len(batch) - (
-                    1 if fresh else 0
-                )
-                # One message per (shard, round) replaces one per vertex.
-                self._stats.round_messages_saved += len(batch) - 1
+            stats.shard_batches += 1
+            stats.vertices_resolved += len(batch)
+            # Every resolution after the view's first rides the memo.
+            stats.snapshots_created += fresh
+            stats.snapshot_reuse_hits += len(batch) - fresh
+            # One message per (shard, round) replaces one per vertex.
+            stats.round_messages_saved += len(batch) - 1
         if round_counts:
             self.shard_rounds.append(round_counts)
-        if cache_hits and self._stats is not None:
-            self._stats.vertices_resolved += cache_hits
-            self._stats.snapshot_reuse_hits += cache_hits
+        if cache_hits:
+            stats.vertices_resolved += cache_hits
+            stats.snapshot_reuse_hits += cache_hits
             # A cached revisit needs no shard message at all.
-            self._stats.round_messages_saved += cache_hits
+            stats.round_messages_saved += cache_hits
         return out
-
-    # -- single-vertex compatibility ------------------------------------
-
-    def __call__(self, handle: str) -> Optional[VertexView]:
-        if handle in self._vertices:
-            if self._stats is not None:
-                self._stats.vertices_resolved += 1
-                self._stats.snapshot_reuse_hits += 1
-            return self._vertices[handle]
-        shard_index = self._shard_of(handle)
-        if shard_index is None:
-            return None
-        fresh = shard_index not in self._views
-        node = self._resolve_on(shard_index, handle)
-        if self._stats is not None:
-            self._stats.vertices_resolved += 1
-            if not fresh:
-                self._stats.snapshot_reuse_hits += 1
-        return node

@@ -23,7 +23,10 @@ class ProgramContext:
       persisted across repeated visits of the same vertex;
     * ``results`` — values the program emitted;
     * ``halted`` — set by :meth:`halt` for early termination (e.g. a
-      reachability query that found its target).
+      reachability query that found its target);
+    * ``visits_left`` — frontier entries the program may still run, the
+      runaway guard :func:`~repro.programs.framework.run_round` enforces
+      (whoever drives the rounds sets it; unlimited until then).
     """
 
     def __init__(self, query_id: int, ts: VectorTimestamp):
@@ -32,9 +35,10 @@ class ProgramContext:
         self.states: Dict[str, Any] = {}
         self.results: List[Any] = []
         self.halted = False
+        self.visits_left = float("inf")
         self.vertices_visited = 0
         self.hops = 0
-        # Scatter-gather rounds driven (0 on the sequential shim path).
+        # Scatter-gather rounds driven.
         self.rounds = 0
         # Every vertex handle the program touched (visible or not): the
         # cache's read set for change-based invalidation (section 4.6).

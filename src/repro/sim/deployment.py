@@ -871,7 +871,7 @@ class SimulatedWeaver:
                 result = self.executor.execute(
                     program, frontier, resolver, ts, query_id
                 )
-                completion = self._charge_program_reads(result, resolver)
+                completion = self._charge_program_reads(resolver)
                 if completion <= self.simulator.now:
                     self._finish_program(result, submitted, callback, tid)
                 else:
@@ -884,40 +884,25 @@ class SimulatedWeaver:
                 still_waiting.append(entry)
         self._pending_programs = still_waiting
 
-    def _charge_program_reads(self, result, resolver=None) -> float:
+    def _charge_program_reads(self, resolver) -> float:
         """Occupy the shards a program read; returns its completion time
         (now, when no cost model is attached).
 
-        With a batching resolver (one that recorded ``shard_rounds``),
-        inter-shard communication is charged per (shard, round): each
+        Inter-shard communication is charged per (shard, round): each
         batch pays one message-handling cost plus per-vertex read service
         — the paper's shard-to-shard batch propagation, instead of one
-        message per vertex.  Without round data (the seed per-vertex
-        path), fall back to charging each read-set vertex individually.
+        message per vertex.
         """
-        if self.costs is None:
-            return self.simulator.now
         completion = self.simulator.now
-        shard_rounds = getattr(resolver, "shard_rounds", None)
-        if shard_rounds:
-            for round_counts in shard_rounds:
-                for shard_index, count in round_counts.items():
-                    done = self._shard_servers[shard_index].occupy(
-                        self.costs.shard_op_service
-                        + count * self.costs.vertex_read_service
-                    )
-                    completion = max(completion, done)
+        if self.costs is None:
             return completion
-        per_shard: Dict[int, int] = {}
-        for handle in result.read_set:
-            shard_index = self.mapping.lookup(handle)
-            if shard_index is not None:
-                per_shard[shard_index] = per_shard.get(shard_index, 0) + 1
-        for shard_index, count in per_shard.items():
-            done = self._shard_servers[shard_index].occupy(
-                count * self.costs.vertex_read_service
-            )
-            completion = max(completion, done)
+        for round_counts in resolver.shard_rounds:
+            for shard_index, count in round_counts.items():
+                done = self._shard_servers[shard_index].occupy(
+                    self.costs.shard_op_service
+                    + count * self.costs.vertex_read_service
+                )
+                completion = max(completion, done)
         return completion
 
     def _finish_program(

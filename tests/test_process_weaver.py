@@ -334,8 +334,12 @@ class TestOneWayReadiness:
             for _ in range(1000):
                 db.run_program(GetNode(), hot)
             stats = db.transport.request("client", "shard1", "stats", None)
-            assert sum(stats["queue_depths"]) <= 2 * len(db.gatekeepers)
-            assert stats["shard"]["nops_applied"] >= 1000
+            assert stats["shard.nops_applied"] >= 1000
+            # Every gatekeeper NOP goes to every shard: what shard 1 has
+            # not applied yet is what its queues still hold.
+            sent = sum(gk.stats.nops_sent for gk in db.gatekeepers)
+            queued = sent - stats["shard.nops_applied"]
+            assert 0 <= queued <= 2 * len(db.gatekeepers)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_repeated_checkpoint_read_sends_nothing_but_the_program(

@@ -1,11 +1,14 @@
-"""Differential tests: batched scatter-gather vs the seed per-vertex path.
+"""Differential tests: the one round body vs the seed per-vertex loop.
 
 The round-based executor plus :class:`ShardSnapshotResolver` promises the
-exact observable behavior of the seed sequential loop — same results,
-same read set, same set of vertices visited — while resolving whole
-rounds per shard against reused snapshots.  These tests run the library
-programs both ways over seeded random multi-shard graphs at the same
-checkpoint and compare.
+exact observable behavior of the seed sequential loop (kept as a test
+reference in ``tests/reference_executor.py``) — same results, same read
+set, same set of vertices visited — while resolving whole rounds per
+shard against reused snapshots.  These tests run the library programs
+both ways over seeded random multi-shard graphs at the same checkpoint
+and compare; the rules the round body states once (same-round dedup, a
+halt ends the round, a missing vertex does not observe it) are pinned
+through :func:`run_round` directly.
 
 What is deliberately NOT compared:
 
@@ -23,7 +26,13 @@ import pytest
 
 from repro.bench.programs_bench import build_database
 from repro.db import Weaver, WeaverConfig
-from repro.programs.framework import ProgramExecutor
+from repro.errors import ProgramError
+from repro.programs.framework import (
+    NodeProgram,
+    ProgramExecutor,
+    ProgramStats,
+    run_round,
+)
 from repro.programs.library import (
     Bfs,
     ClusteringCoefficient,
@@ -35,6 +44,9 @@ from repro.programs.library import (
     params,
 )
 from repro.programs.routing import ShardSnapshotResolver
+from repro.programs.state import ProgramContext
+
+from .reference_executor import execute_sequential
 
 
 def _seed_resolver(db, point):
@@ -64,7 +76,7 @@ def _run_both(db, make_program, start, point):
         ShardSnapshotResolver(point, db._shard_of, db.shards, page_in=True),
         point,
     )
-    sequential = ProgramExecutor().execute(
+    sequential = execute_sequential(
         make_program(), list(start), _seed_resolver(db, point), point
     )
     return batched, sequential
@@ -208,12 +220,105 @@ def test_run_program_drives_the_batched_path():
     point = db.checkpoint()
     result = db.run_program(Bfs(), "a", params(depth=0), at=point)
     assert db.executor.stats.batch_rounds > 0
-    assert db.executor.stats.sequential_executions == 0
     assert result.rounds > 0
 
     _, sequential = _run_both(db, Bfs, [("a", params(depth=0))], point)
     assert result.results == sequential.results
     assert result.read_set == sequential.read_set
+
+
+class HaltOnMissing(NodeProgram):
+    """Emits every visible vertex; a missing one halts the program."""
+
+    name = "halt_on_missing"
+    dedup_hops = True
+
+    def run(self, node, p, ctx):
+        ctx.emit(node.handle)
+        return ()
+
+    def on_missing(self, handle, p, ctx):
+        ctx.halt()
+
+
+#: One round exercising every rule the round body states: a missing
+#: vertex halts but does not end the round, the next visible entry
+#: observes the halt and is the last to run, and the repeated hop to it
+#: was dropped before anything resolved.
+RULES_FRONTIER = [("ghost", None), ("b", None), ("b", None), ("c", None)]
+
+
+def test_round_body_rules_through_run_round_and_the_executor():
+    db, _ = _linked_db()
+    point = db.checkpoint()
+    db._make_shards_ready(point)
+
+    stats = ProgramStats()
+    ctx = ProgramContext(0, point)
+    ran = []
+    halted_at = run_round(
+        HaltOnMissing(),
+        list(RULES_FRONTIER),
+        ShardSnapshotResolver(point, db._shard_of, db.shards).resolve_many,
+        ctx,
+        stats,
+        lambda entry, node, hops: ran.append((entry[0], node is not None)),
+    )
+    assert ran == [("ghost", False), ("b", True)]
+    assert halted_at == ("b", None)
+    assert stats.dedup_hits == 1
+    assert ctx.results == ["b"]
+    assert ctx.read_set == {"ghost", "b"}
+
+    # The executor adds nothing but its list exchange.
+    result = ProgramExecutor().execute(
+        HaltOnMissing(),
+        list(RULES_FRONTIER),
+        ShardSnapshotResolver(point, db._shard_of, db.shards),
+        point,
+    )
+    assert (result.results, result.read_set) == (ctx.results, ctx.read_set)
+    assert result.halted and result.rounds == 1
+    assert result.vertices_visited == 1
+
+
+class GhostEveryHop(NodeProgram):
+    """Follows every edge and, from each vertex, one dangling one."""
+
+    name = "ghost_every_hop"
+
+    def run(self, node, p, ctx):
+        return [(e.nbr, p) for e in node.neighbors] + [("ghost", p)]
+
+
+def test_unknown_vertex_is_looked_up_once_per_query(monkeypatch):
+    """A handle no shard owns reappears every round; only its first
+    appearance may cost a placement lookup (a store read)."""
+    db, _ = _linked_db()
+    lookups = []
+    lookup = db.mapping.lookup
+    monkeypatch.setattr(
+        db.mapping, "lookup",
+        lambda vertex, tx=None: lookups.append(vertex) or lookup(vertex, tx),
+    )
+    result = db.run_program(GhostEveryHop(), "a")
+    assert result.rounds >= 3
+    assert "ghost" in result.read_set
+    assert lookups.count("ghost") == 1
+
+
+@pytest.mark.parametrize("budget", [1, 5])
+def test_visit_budget_stops_before_the_visit_past_it(budget):
+    """Six entries in round two: a budget of 1 is spent before that
+    round, a budget of 5 runs out in the middle of it."""
+    db, _ = _linked_db()
+    tx = db.begin_transaction()
+    for dst in "defg":
+        tx.create_edge("a", dst)
+    tx.commit()
+    db.executor._max_visits = budget
+    with pytest.raises(ProgramError, match="visit budget exhausted"):
+        db.run_program(CollectReachable(), "a", params())
 
 
 class TestProgramCacheWithHistory:

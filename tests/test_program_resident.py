@@ -22,6 +22,7 @@ import pytest
 
 from repro.cluster.process import ProcessWeaver
 from repro.db import WeaverConfig
+from repro.errors import ProgramError
 from repro.programs.library import (
     Bfs,
     ClusteringCoefficient,
@@ -180,6 +181,35 @@ def test_ineligible_program_falls_back_to_image_pull(graph):
     stock = db.run_program(Bfs(), handles[0], params(depth=0), at=point)
     assert result.results == stock.results
     assert result.read_set == stock.read_set
+
+
+@pytest.mark.parametrize("mode", ["resident", "images"])
+def test_visit_budget_is_enforced_inside_the_round(mode):
+    """A hub fans out to 60 leaves with 10 visits allowed: both
+    deployments fail with the executor's error, and no worker runs its
+    share of the exploding round in full."""
+    config = WeaverConfig(
+        num_shards=2, num_gatekeepers=2, partitioner="hash",
+        program_execution=mode,
+    )
+    budget = 10
+    with ProcessWeaver(config) as db:
+        tx = db.begin_transaction()
+        hub = tx.create_vertex("hub")
+        for i in range(60):
+            tx.create_edge(hub, tx.create_vertex(f"leaf{i}"))
+        tx.commit()
+        db.executor._max_visits = budget
+        with pytest.raises(ProgramError, match="^visit budget exhausted$"):
+            db.run_program(CollectReachable(), hub, params())
+        for name in ("shard0", "shard1"):
+            stats = db.transport.request("client", name, "stats", None)
+            assert stats["program.resident.entries_processed"] <= budget
+        # The deployment still serves programs afterwards.
+        db.executor._max_visits = 1000
+        assert len(
+            db.run_program(CollectReachable(), hub, params()).results
+        ) == 61
 
 
 class TestHistoricalReads:

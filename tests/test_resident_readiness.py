@@ -8,7 +8,10 @@ frames.  These tests feed one ``_ResidentEngine`` its messages in a
 chosen order — no event loop, no second process — and check that it
 (a) catches up on the client socket and answers exactly as it does
 under in-order delivery, and (b) without heartbeats fails the query by
-name inside the deadline instead of snapshotting or hanging.
+name inside the deadline instead of snapshotting or hanging.  The same
+rig pins what the participant inherits from the one round body
+(``run_round``): the halt / missing-vertex / dedup rules and the visit
+budget carried by ``round_go``.
 """
 
 import socket
@@ -23,6 +26,9 @@ from repro.cluster.worker import BufferTracer, ShardEndpoint, _ResidentEngine
 from repro.core.gatekeeper import Gatekeeper, sync_announce_all
 from repro.core.oracle import TimelineOracle
 from repro.db.operations import CreateVertex, SetVertexProperty
+from repro.programs.library import PROGRAM_REGISTRY
+
+from .test_program_differential import HaltOnMissing
 
 QUERY = 7
 
@@ -65,12 +71,13 @@ class Rig:
     # -- the client's side ------------------------------------------------
 
     def write_and_stamp(self):
-        """Commit a write to vertex ``w``, then stamp a program after
-        it; returns the program timestamp."""
+        """Commit a write to vertices ``w`` and ``v``, then stamp a
+        program after it; returns the program timestamp."""
         gk0, gk1 = self.gks
         self.write = QueuedTransaction(
             gk0.issue_timestamp(),
-            (CreateVertex("w"), SetVertexProperty("w", "color", "red")),
+            (CreateVertex("w"), SetVertexProperty("w", "color", "red"),
+             CreateVertex("v")),
             seqno=0, tiebreak=0,
         )
         sync_announce_all(self.gks)
@@ -94,12 +101,13 @@ class Rig:
 
     # -- the coordinator's side ------------------------------------------
 
-    def peer_traffic(self, ts):
+    def peer_traffic(self, ts, hops=(("w", None, (0,)),),
+                     program="get_node"):
         """Round 0 as shard 0 sends it: the frontier, then the go."""
-        forward = FrontierForward(QUERY, 0, (((0,), "w", None),))
+        forward = FrontierForward(QUERY, 0, hops)
         go = {
-            "q": QUERY, "round": 0, "expect": 1, "program": "get_node",
-            "ts": ts, "trace_id": None, "coordinator": 0,
+            "q": QUERY, "round": 0, "expect": len(hops), "program": program,
+            "ts": ts, "trace_id": None, "coordinator": 0, "budget": 100,
         }
         return [
             {"k": "b", "m": [("forward", forward)]},
@@ -120,10 +128,11 @@ class Rig:
         assert kind == "round_report"
         return report
 
-    def collect_fragment(self):
+    def collect_fragment(self, halt_round=None, halt_key=None):
         self.engine._dispatch(self._reply_here, {
             "k": "r", "id": 1, "kind": "collect_result",
-            "p": {"q": QUERY, "halt_round": None, "halt_key": None},
+            "p": {"q": QUERY, "halt_round": halt_round,
+                  "halt_key": halt_key},
         })
         return wire.decode(wire.read_frame(self._reply_there))["p"]
 
@@ -172,6 +181,52 @@ def test_peer_traffic_ahead_of_heartbeats_matches_ordered_delivery(tmp_path):
     # ... and it is the post-write snapshot, not a stale one.
     ((_round, _key, _seq, value),) = early["results"]
     assert value["properties"] == {"color": "red"}
+
+
+def test_participant_round_obeys_the_round_body_rules(rig, monkeypatch):
+    """The resident participant runs the same ``run_round`` the executor
+    does, so the frontier ``test_program_differential.py`` pins there
+    (order keys added) has the same outcome here: the missing vertex
+    halts without ending the round, ``w`` observes it and is the last
+    entry run, and the repeated hop to ``w`` never resolved."""
+    monkeypatch.setitem(PROGRAM_REGISTRY, HaltOnMissing.name, HaltOnMissing)
+    ts = rig.write_and_stamp()
+    rig.send_client_batch(ts)
+    hops = tuple(
+        (handle, params, (i,))
+        for i, (handle, params) in enumerate(
+            [("ghost", None), ("w", None), ("w", None), ("v", None)]
+        )
+    )
+    for envelope in rig.peer_traffic(ts, hops, HaltOnMissing.name):
+        rig.engine._dispatch(None, envelope)
+    rig.drive()
+    report = rig.read_report()
+    assert report["error"] is None
+    assert (report["halt"], report["processed"]) == ((1,), 2)
+    assert report["sent"] == {}
+    assert rig.engine.prog_stats.dedup_hits == 1
+    fragment = rig.collect_fragment(halt_round=0, halt_key=(1,))
+    assert [t[3] for t in fragment["results"]] == ["w"]
+    assert fragment["read"] == ["ghost", "w"]
+    assert fragment["visited"] == 1
+
+
+def test_round_go_budget_stops_the_round_by_name(rig):
+    """The coordinator's remaining visit budget rides ``round_go``; the
+    participant stops on it instead of running the whole slice."""
+    ts = rig.write_and_stamp()
+    rig.send_client_batch(ts)
+    forward, go = rig.peer_traffic(
+        ts, (("w", None, (0,)), ("v", None, (1,)))
+    )
+    go["m"][0][1]["budget"] = 1
+    for envelope in (forward, go):
+        rig.engine._dispatch(None, envelope)
+    rig.drive()
+    report = rig.read_report()
+    assert report["error"] == "visit budget exhausted"
+    assert rig.engine.resident.entries_processed == 1
 
 
 def test_write_without_heartbeats_fails_by_name_within_deadline(rig):

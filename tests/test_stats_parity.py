@@ -168,7 +168,6 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "program.readiness_fastpath_hits",
     "program.readiness_storms",
     "program.round_messages_saved",
-    "program.sequential_executions",
     "program.shard_batches",
     "program.snapshot_reuse_hits",
     "program.snapshots_created",

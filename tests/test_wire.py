@@ -51,16 +51,15 @@ ALL_MESSAGES = [
                       trace_id=99),
     QueuedTransaction(TS2),  # a NOP: defaults everywhere
     AnnounceMessage(1, (3, 1, 4)),
-    ProgramRequest(TS, 5, (("v1", None), ("v2", SimpleNamespace(d=1))),
-                   trace_id=12),
+    ProgramRequest(TS, 5, ("v1", "v2"), trace_id=12),
     ProgramRequest(TS, 6, ()),  # trace_id defaults to None
     ProgramResponse(5, [("v2", None)], ["v1", {"k": (1, 2)}]),
     ProgramStart(TS, 7, "bfs",
-                 (((0,), "v1", SimpleNamespace(depth=0)),
-                  ((1,), "v2", None)),
+                 (("v1", SimpleNamespace(depth=0), (0,)),
+                  ("v2", None, (1,))),
                  trace_id=3, cache_tail=("repr", 9), max_visits=100),
     ProgramStart(TS2, 8, "reachability", ()),  # defaults everywhere
-    FrontierForward(7, 2, (((0, 1, 0), "v2", None),)),
+    FrontierForward(7, 2, (("v2", None, (0, 1, 0)),)),
     Heartbeat("shard0", 3, 1.25),
 ]
 
