@@ -5,10 +5,11 @@ every CI run: the skyline-indexed oracle must not be slower than the
 seed-equivalent reference, and the batched scatter-gather program
 executor must keep its structural wins (O(shards) snapshots per query,
 batch messages, hop dedup, readiness fast path, one round trip per
-read on the process transport) — counts, not wall clock, so the guard
-is stable on loaded CI machines.  The full-size measurements (with the
-≥ 3x acceptance bars) live in ``test_micro_ordering.py`` and
-``test_micro_programs.py``.
+read on the process transport, a compiled wire codec) — counts, not
+wall clock, so the guard is stable on loaded CI machines.  The
+full-size measurements (with the ≥ 3x acceptance bars) live in
+``test_micro_ordering.py`` and ``test_micro_programs.py``; the codec's
+µs and bytes per read in ``test_micro_wire.py``.
 
 Run with::
 
@@ -18,6 +19,7 @@ Run with::
 import json
 import os
 import pathlib
+import sys
 
 from repro.bench.ordering_bench import compare_fastpath
 from repro.bench.programs_bench import build_database, compare_traversal
@@ -148,6 +150,55 @@ def test_single_vertex_read_is_one_round_trip():
             assert client.get_node(handle)["handle"] == handle
         assert stats.requests - requests == 100
         assert stats.frames_sent + stats.frames_received - frames <= 300
+
+
+# -- the wire codec ------------------------------------------------------
+
+# What the six codec calls of the canonical read (tests/wire_fixtures.py)
+# cost under the tagged if-chain of wire format 2, measured at the commit
+# before the codec was compiled: 1,375 bytes and 1,636 Python-level call
+# events (``call`` + ``c_call`` under ``sys.setprofile``).
+_IF_CHAIN_CALL_EVENTS = 1636
+_CANONICAL_READ_BYTES = 960
+
+
+def test_wire_bytes_for_the_canonical_read_are_pinned():
+    """Exactly: a frame that grows (or shrinks) is a format change and
+    moves ``wire.bytes_per_op`` on every process workload."""
+    from repro.cluster import wire
+    from tests.wire_fixtures import CANONICAL_READ
+
+    sizes = [len(wire.encode(frame)) for frame in CANONICAL_READ]
+    assert sum(sizes) == _CANONICAL_READ_BYTES, sizes
+
+
+def test_wire_codec_call_events_stay_under_half_the_if_chain():
+    """Counts, not clocks: encoding and decoding the canonical read's
+    three frames must make at most half the Python-level call events
+    the if-chain made — the codec degrading to one call (and a few
+    appends) per scalar, key and timestamp clock fails here."""
+    from repro.cluster import wire
+    from tests.wire_fixtures import CANONICAL_READ
+
+    payloads = [wire.encode(frame) for frame in CANONICAL_READ]
+    for payload in payloads:        # warm the key-run memos both ways
+        wire.decode(payload)
+    events = 0
+
+    def count(_frame, event, _arg):
+        nonlocal events
+        if event in ("call", "c_call"):
+            events += 1
+
+    sys.setprofile(count)
+    try:
+        for frame in CANONICAL_READ:
+            wire.encode(frame)
+        for payload in payloads:
+            wire.decode(payload)
+    finally:
+        sys.setprofile(None)
+    assert events <= _IF_CHAIN_CALL_EVENTS // 2, events
 
 
 def test_page_cache_structural_counters():

@@ -301,16 +301,18 @@ class ProcessTransport(Transport):
     def _read(self, channel: _Channel) -> dict:
         try:
             payload = wire.read_frame(channel.sock)
+            start = time.perf_counter()
+            envelope = wire.decode(payload)
         except (OSError, wire.WireError) as exc:
+            # A frame that does not decode leaves the stream's state
+            # unknown: the channel is as dead as a closed one.
             channel.dead = True
             raise TransportError(
                 f"channel to {channel.name!r} broke: {exc}", channel.name
             ) from exc
+        self.stats.deserialize_seconds += time.perf_counter() - start
         self.stats.frames_received += 1
         self.stats.bytes_received += len(payload) + 4
-        start = time.perf_counter()
-        envelope = wire.decode(payload)
-        self.stats.deserialize_seconds += time.perf_counter() - start
         self.stats.messages_received += 1
         return envelope
 

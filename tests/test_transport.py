@@ -124,7 +124,8 @@ def test_sim_dead_letter_is_dropped():
 def echo_worker(sock, received):
     """Minimal wire-speaking worker: records one-way messages in order,
     replies to requests (pipelined-safe), errors on kind 'boom', and
-    piggybacks events on kind 'traced'."""
+    piggybacks events on kind 'traced', and answers kind 'garbage' with
+    a frame that does not decode."""
     while True:
         try:
             envelope = wire.decode(wire.read_frame(sock))
@@ -139,6 +140,10 @@ def echo_worker(sock, received):
         rid = envelope["id"]
         kind = envelope["kind"]
         received.append(("request:" + kind, envelope.get("p")))
+        if kind == "garbage":
+            # A frame that is not a wire payload: right version, no value.
+            wire.write_frame(sock, bytes([wire.WIRE_VERSION]) + b"s\x09ab")
+            continue
         if kind == "boom":
             reply = {"k": "e", "id": rid, "e": "kaboom"}
         elif kind == "traced":
@@ -245,6 +250,19 @@ def test_process_error_envelope_raises(process_transport):
         transport.request("client", "w0", "boom", None)
     # The channel survives a worker-reported error.
     assert transport.request("client", "w0", "ask", 5) == 5
+
+
+def test_process_corrupt_reply_kills_the_channel_by_name(process_transport):
+    """A reply that does not decode surfaces as a TransportError naming
+    the channel — not a raw codec exception — and the channel is dead:
+    the stream's state is unknown after a bad frame."""
+    transport, _registry, add = process_transport
+    add("w0")
+    with pytest.raises(TransportError, match="'w0'") as caught:
+        transport.request("client", "w0", "garbage", None)
+    assert isinstance(caught.value.__cause__, wire.WireError)
+    with pytest.raises(TransportError, match="no live channel"):
+        transport.send("client", "w0", "enqueue", 1)
 
 
 def test_process_piggybacked_events_reach_client_handler(process_transport):
