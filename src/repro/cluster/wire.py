@@ -36,7 +36,6 @@ strings' UTF-8 concatenated.  Values (1-byte tag, big-endian scalars)::
     l list | t tuple | e set | z frozenset: count + values
         (sets in sorted-encoding order, so equal sets are equal bytes)
     L list | U tuple of 3+ strings, each under 256 bytes: strings
-    I list | J tuple of 3 to 255 ints, none a bigint: u8 count + i64s
     d dict: count + (key value)*
     D dict whose keys are all strings under 256 bytes: strings + values
     p SimpleNamespace: strings (the names, sorted) + values
@@ -170,7 +169,7 @@ _DECODERS: List[Decoder] = [_bad_tag] * 256
 #: escape a u32 follows.
 _HEAD = {
     tag: [bytes((ord(tag), n)) for n in range(256)]
-    for tag in "nsbltezLUIJdDp"
+    for tag in "nsbltezLUdDp"
 }
 
 
@@ -181,7 +180,6 @@ def _count_head(head: List[bytes], n: int) -> bytes:
 
 
 _STR_ONLY = {str}
-_INT_ONLY = {int}
 
 
 def _encode_none(value, append) -> None:
@@ -268,47 +266,20 @@ def _string_run(head: List[bytes], strings, n: int):
     return _count_head(head, n) + lengths + blob
 
 
-#: count -> Struct of that many i64s, for int runs (one-byte counts
-#: only, so at most 256 entries and no Struct sized by a garbage frame).
-_I64_RUNS: Dict[int, struct.Struct] = {}
-
-
-def _i64_run(count: int) -> struct.Struct:
-    packer = _I64_RUNS.get(count)
-    if packer is None:
-        packer = _I64_RUNS[count] = struct.Struct(f">{count}q")
-    return packer
-
-
-def _sequence_encoder(tag: str, str_tag: str, int_tag: str) -> Encoder:
-    head, str_head, int_head = _HEAD[tag], _HEAD[str_tag], _HEAD[int_tag]
+def _sequence_encoder(tag: str, str_tag: str) -> Encoder:
+    head, str_head = _HEAD[tag], _HEAD[str_tag]
 
     def encode_sequence(value, append) -> None:
         n = len(value)
-        if n > 2:
-            # A homogeneous run of strings or ints is packed in one
-            # call; the first and last item rule most others out cheaply.
-            kind = type(value[0])
-            if kind is int:
-                if n < 256 and type(value[-1]) is int and (
-                    set(map(type, value)) == _INT_ONLY
-                ):
-                    try:
-                        run = _i64_run(n).pack(*value)
-                    except struct.error:    # a bigint: item by item
-                        pass
-                    else:
-                        append(int_head[n])
-                        append(run)
-                        return
-            elif kind is str:
-                if type(value[-1]) is str and (
-                    set(map(type, value)) == _STR_ONLY
-                ):
-                    run = _string_run(str_head, value, n)
-                    if run is not None:
-                        append(run)
-                        return
+        # A homogeneous run of strings is packed in one call; the first
+        # and last item rule most other sequences out cheaply.
+        if n > 2 and type(value[0]) is str and type(value[-1]) is str and (
+            set(map(type, value)) == _STR_ONLY
+        ):
+            run = _string_run(str_head, value, n)
+            if run is not None:
+                append(run)
+                return
         append(head[n] if n < 255 else head[255] + _U32.pack(n))
         encoders = _ENCODERS
         for item in value:
@@ -548,16 +519,6 @@ def _decode_string_tuple(data, pos):
     return tuple(items), pos
 
 
-def _decode_int_tuple(data, pos):
-    n = data[pos]
-    return _i64_run(n).unpack_from(data, pos + 1), pos + 1 + 8 * n
-
-
-def _decode_int_list(data, pos):
-    items, pos = _decode_int_tuple(data, pos)
-    return list(items), pos
-
-
 def _decode_dict(data, pos):
     n, pos = _decode_count(data, pos)
     mapping = {}
@@ -603,7 +564,11 @@ def _decode_namespace(data, pos):
 
 
 def _offset_of(exc: BaseException):
-    """Where the innermost decoder was reading when ``exc`` left it."""
+    """Where the innermost decoder was reading when ``exc`` left it.
+
+    Read off the traceback, so the hot path carries no bookkeeping for
+    it — which is why every decoder, the generated ones included, must
+    name its cursor ``pos``."""
     offset = None
     trace = exc.__traceback__
     while trace is not None:
@@ -687,8 +652,8 @@ def _compile_class(class_id: int, cls: Type, fields: Tuple[str, ...]):
 _BUILTIN_ENCODERS: Dict[type, Encoder] = {
     type(None): _encode_none, bool: _encode_bool, int: _encode_int,
     float: _encode_float, str: _encode_str, bytes: _encode_bytes,
-    list: _sequence_encoder("l", "L", "I"),
-    tuple: _sequence_encoder("t", "U", "J"),
+    list: _sequence_encoder("l", "L"),
+    tuple: _sequence_encoder("t", "U"),
     set: _set_encoder("e"), frozenset: _set_encoder("z"),
     dict: _encode_dict, SimpleNamespace: _encode_namespace,
     VectorTimestamp: _encode_timestamp, Ordering: _encode_ordering,
@@ -700,7 +665,6 @@ _BUILTIN_DECODERS: Dict[str, Decoder] = {
     "l": _sequence_decoder(list), "t": _decode_tuple,
     "e": _sequence_decoder(set), "z": _sequence_decoder(frozenset),
     "L": _decode_string_run, "U": _decode_string_tuple,
-    "I": _decode_int_list, "J": _decode_int_tuple,
     "d": _decode_dict, "D": _decode_string_dict, "p": _decode_namespace,
     "V": _decode_timestamp, "O": _decode_ordering,
 }

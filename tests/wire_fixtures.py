@@ -139,7 +139,7 @@ GOLDEN_HEX = {
         "030509096465707468656467655f70726f706d61785f64657074686900000000"
         "000000014e690000000000000002740269000000000000000069000000000000"
         "00017403730376383170030509096465707468656467655f70726f706d61785f"
-        "64657074686900000000000000014e6900000000000000024a03000000000000"
-        "000000000000000000020000000000000007"
+        "64657074686900000000000000014e6900000000000000027403690000000000"
+        "000000690000000000000002690000000000000007"
     ),
 }
