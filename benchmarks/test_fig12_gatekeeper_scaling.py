@@ -55,7 +55,6 @@ def run_protocol_level(gk_counts=(1, 2, 4), ops_per_point=100, clients=16):
         sw.submit_transaction(
             [ops.CreateVertex("a")],
             callback=lambda ok, v: done.append(ok),
-            new_vertices=("a",),
         )
         sw.run(0.05)
         assert done == [True]

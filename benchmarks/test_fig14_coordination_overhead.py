@@ -3,18 +3,30 @@
 Paper's claim: with a small announce period τ, gatekeeper announce
 traffic is high but vector clocks order nearly everything (few oracle
 calls); as τ grows, announce traffic falls and reliance on the timeline
-oracle rises toward ~1.2 messages per query.  An intermediate τ
-balances the two.
+oracle rises (toward ~1.2 messages per query in the paper's
+accounting).  An intermediate τ balances the two.
+
+Our accounting is one oracle message per reactive decision, and the
+experiment orders consecutive arrivals from G uniformly chosen
+gatekeepers.  Once τ outlasts the run nothing is ever announced, so a
+pair is concurrent exactly when two different gatekeepers stamped it:
+the ceiling is the cross-gatekeeper pair fraction (G − 1) / G (measured
+0.49 / 0.66 / 0.74 / 0.83 at G = 2 / 3 / 4 / 6), not 1.2.
 """
+
+import pytest
 
 from repro.bench import harness
 from repro.sim.clock import MSEC, USEC
 
 TAUS = (10 * USEC, 100 * USEC, 1 * MSEC, 10 * MSEC, 100 * MSEC, 1.0)
+GATEKEEPERS = 3
 
 
 def run_experiment():
-    return harness.experiment_fig14(taus=TAUS, num_txs=3_000)
+    return harness.experiment_fig14(
+        taus=TAUS, num_gatekeepers=GATEKEEPERS, num_txs=3_000
+    )
 
 
 def test_fig14_coordination_overhead(benchmark, show):
@@ -32,9 +44,12 @@ def test_fig14_coordination_overhead(benchmark, show):
     oracle = [o for _, _, o in rows]
     # Announce overhead strictly falls with tau.
     assert all(x >= y for x, y in zip(announces, announces[1:]))
-    # Oracle reliance climbs from near zero to ~1+ message per query.
+    # Oracle reliance climbs from near zero to the cross-gatekeeper pair
+    # fraction (3,000 sampled pairs: within 0.05 is over five sigma).
     assert oracle[0] < 0.2
-    assert oracle[-1] > 0.8
+    assert oracle[-1] == pytest.approx(
+        (GATEKEEPERS - 1) / GATEKEEPERS, abs=0.05
+    )
     # Crossover exists: some intermediate tau has both overheads low.
     combined = [a + o for _, a, o in rows]
     assert min(combined) < combined[0]
@@ -58,9 +73,7 @@ def run_event_driven(taus=(100 * USEC, 1 * MSEC, 5 * MSEC)):
         )
         n_txs = 60
         for i in range(n_txs):
-            sw.submit_transaction(
-                [ops.CreateVertex(f"v{i}")], new_vertices=(f"v{i}",)
-            )
+            sw.submit_transaction([ops.CreateVertex(f"v{i}")])
             sw.run(500 * USEC)
         sw.run(5 * MSEC)
         rows.append(

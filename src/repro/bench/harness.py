@@ -967,9 +967,7 @@ def ablation_adaptive_tau(
         for _ in range(txs_per_window):
             handle = f"v{n}"
             n += 1
-            sw.submit_transaction(
-                [ops.CreateVertex(handle)], new_vertices=(handle,)
-            )
+            sw.submit_transaction([ops.CreateVertex(handle)])
         sw.run(sw.adapt_window)
     return AdaptiveTauResult(
         start_tau=start_tau,

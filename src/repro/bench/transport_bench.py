@@ -161,21 +161,20 @@ def run_simulated(
     )
     sim = SimulatedWeaver(config)
 
-    def submit(ops, new):
-        sim.submit_transaction(ops, new_vertices=new)
+    def submit(ops):
+        sim.submit_transaction(ops)
         sim.run(0.01)
 
     for base in range(0, len(handles), ops_per_tx):
         chunk = handles[base:base + ops_per_tx]
-        submit([CreateVertex(h) for h in chunk], tuple(chunk))
+        submit([CreateVertex(h) for h in chunk])
     for base in range(0, len(edges), ops_per_tx):
         chunk = edges[base:base + ops_per_tx]
         submit(
             [
                 CreateEdge(f"b{base}_{i}", src, dst)
                 for i, (src, dst) in enumerate(chunk)
-            ],
-            (),
+            ]
         )
     results: List[Tuple[str, ...]] = []
 

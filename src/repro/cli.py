@@ -163,9 +163,7 @@ def _cmd_simulate(args) -> int:
         heartbeat_period=5 * MSEC,
     )
     for i in range(args.writes):
-        sw.submit_transaction(
-            [ops.CreateVertex(f"v{i}")], new_vertices=(f"v{i}",)
-        )
+        sw.submit_transaction([ops.CreateVertex(f"v{i}")])
         sw.run(300 * USEC)
     sw.run(5 * MSEC)
     print(f"[t={sw.simulator.now * 1000:.1f} ms] committed "

@@ -3,11 +3,12 @@
 Three deployments share one server wiring: the direct-mode
 :class:`~repro.db.database.Weaver`, the discrete-event
 :class:`~repro.sim.deployment.SimulatedWeaver`, and the multiprocess
-:class:`~repro.cluster.process.ProcessWeaver`.  Each used to assemble
-store / mapping / oracle / gatekeepers / shards / manager / executor /
-metrics / tracer by hand; :func:`build_cluster` is that assembly lifted
-out, so the simulated deployment is the *deterministic twin* of the
-process deployment — same parts, different transport.
+:class:`~repro.cluster.process.ProcessWeaver`.  :func:`build_cluster`
+assembles store / mapping / oracle / gatekeepers / shards / manager /
+executor / metrics / tracer once, and every deployment hands the parts
+to :class:`~repro.db.database.WritePath` with its transport — so the
+simulated deployment is the *deterministic twin* of the process
+deployment: same parts, same write path, different transport and clock.
 
 The parts object keeps **live lists**: deployments replace gatekeepers
 and shards in place on recovery, and the registered stats collectors

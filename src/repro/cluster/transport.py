@@ -6,7 +6,8 @@ Three implementations of one interface:
   direct deployment's transport (:class:`~repro.db.database.Weaver`
   registers one shard endpoint per live ``ShardServer``) and the
   contract's reference implementation;
-* :class:`SimTransport` — an adapter over the deterministic
+* :class:`SimTransport` — :class:`~repro.sim.deployment.
+  SimulatedWeaver`'s adapter over the deterministic
   :class:`~repro.sim.network.Network` simulator: sends become scheduled
   FIFO deliveries with latency and fault injection, requests pay a
   round trip before their reply callback fires;
@@ -20,11 +21,13 @@ Three implementations of one interface:
 
 The contract is intentionally small — ``register`` a delivery callback
 per node name, ``send`` one-way, ``request`` round-trip, ``request_all``
-fan-out, ``broadcast`` to many — because that is exactly what the one
-client-side coordinator (:class:`~repro.db.database.Coordinator`)
-needs: gatekeeper→shard enqueues, heartbeats, ``advance_to`` and
-placement gossip are sends; drains, GC and epoch barriers are fan-out
-requests.
+fan-out, ``broadcast`` to many — because that is exactly what the
+client side needs: the write path every deployment shares
+(:class:`~repro.db.database.WritePath`) only sends — gatekeeper→shard
+enqueues, heartbeats — and the blocking
+:class:`~repro.db.database.Coordinator` adds ``advance_to`` and
+placement gossip (sends) and drains, GC and epoch barriers (fan-out
+requests).
 
 Backpressure rules (process transport): one-way sends never block (they
 buffer); a buffer leaves when its channel issues a request (in the same
@@ -160,8 +163,9 @@ class SimTransport(Transport):
 
     Payloads stay Python objects (no serialization — determinism and
     fault injection are the simulator's job); ``kind`` maps straight to
-    the network's per-kind counters and fault matching, so existing
-    Fig 14 accounting and chaos plans apply unchanged.
+    the network's per-kind counters and fault matching, except that an
+    ``"enqueue"`` counts as ``"tx"`` or ``"nop"`` by what it carries
+    (Fig 14's accounting and ``FaultPlan(kinds=...)`` rules).
     """
 
     def __init__(self, network) -> None:
@@ -181,8 +185,13 @@ class SimTransport(Transport):
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> None:
         self.stats.messages_sent += 1
+        # The network counts and faults shard-bound traffic as the paper
+        # names it: heartbeats ("nop") apart from transactions ("tx").
+        named = kind
+        if kind == "enqueue":
+            named = "nop" if payload[1].is_nop else "tx"
         self.network.send(
-            src, dst, self._dispatch, dst, src, kind, payload, kind=kind
+            src, dst, self._dispatch, dst, src, kind, payload, kind=named
         )
 
     def request(self, src, dst, kind, payload, on_reply=None):

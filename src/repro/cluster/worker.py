@@ -6,8 +6,8 @@ Two worker mains live here, each speaking length-prefixed
 * :func:`shard_worker_main` — one OS process per shard: owns a real
   :class:`~repro.cluster.shard.ShardServer` (the same event loop the
   simulator drives) behind a :class:`ShardEndpoint` — the one shard
-  side of the coordinator protocol, which the direct deployment
-  registers in-process too — that enqueues gatekeeper-forwarded
+  side of the coordinator protocol, which the direct and simulated
+  deployments register in-process too — that enqueues gatekeeper-forwarded
   transactions, advances to program timestamps, and serves **batch
   vertex resolution**: for a program round it materializes each requested
   vertex's snapshot image (visible properties and out-edges at the
@@ -189,12 +189,13 @@ class ShardEndpoint:
     """The shard side of the coordinator protocol: one
     :class:`ShardServer` behind the transport's handler signature.
 
-    Both deployments register it — the direct one over each live
-    in-process shard on a ``LocalTransport``, the process one inside
+    Every deployment registers it — the direct one over each live
+    in-process shard on a ``LocalTransport``, the simulated one on a
+    ``SimTransport`` (behind its crash check), the process one inside
     every shard worker (the engine below routes whatever is not
-    worker-to-worker program traffic here) — so the one client-side
-    coordinator (:class:`~repro.db.database.Coordinator`) talks to the
-    same endpoint wherever the shard lives.
+    worker-to-worker program traffic here) — so the one write path
+    (:class:`~repro.db.database.WritePath`) talks to the same endpoint
+    wherever the shard lives.
     """
 
     def __init__(self, shard: ShardServer):
@@ -211,9 +212,12 @@ class ShardEndpoint:
         if kind == "enqueue":
             gk_index, qtx = payload
             if qtx.ts.epoch < shard.epoch:
-                # Pre-recovery straggler: its effects are already in the
-                # reloaded state (defensive — FIFO channels make this
-                # unreachable in the current coordinator).
+                # Pre-recovery straggler: its committed effects are
+                # already in the reloaded or reconciled state, and
+                # applying it now would violate decided order.  The
+                # blocking coordinators drain before the barrier, so
+                # only the simulator (a partitioned channel holding a
+                # message past a recovery) gets here.
                 self.stragglers_dropped += 1
                 return None
             shard.enqueue(gk_index, qtx)

@@ -1,13 +1,19 @@
 """The Weaver database: gatekeepers + shards + oracle + backing store.
 
 The paper's client-side write/read protocol (section 4.2) does not
-depend on where the shards live, so it is written once:
+depend on where the shards live, so it is written once, split where
+deployments differ — whether anything may wait:
 
-* :class:`Coordinator` — gatekeeper stamp → backing-store commit →
-  per-(gatekeeper, shard) FIFO enqueue with sequence numbers → NOP
+* :class:`WritePath` — the clock-free part: place new vertices →
+  gatekeeper stamp and backing-store commit → per-(gatekeeper, shard)
+  FIFO enqueue with sequence numbers and one global send rank; plus
+  the oracle + store tail every GC pass ends with.  It only ever calls
+  ``transport.send``, so every deployment inherits it.
+* :class:`Coordinator` (a ``WritePath``) — everything that blocks:
+  ``begin_transaction``, announce / drain pacing by commit count, NOP
   heartbeats so every queue is non-empty → a one-way ``advance_to``
   ahead of a node program, which the shard checks for itself; plus
-  drain, checkpoint and the GC tick.  It reaches shards only through
+  drain, checkpoint and the GC fan-out.  It reaches shards only through
   the :class:`~repro.cluster.transport.Transport` contract (``send``
   for enqueues, heartbeats and ``advance_to``; one ``request_all``
   fan-out for ``drain`` / ``collect_below`` / ``advance_epoch``), and
@@ -21,11 +27,12 @@ depend on where the shards live, so it is written once:
 * :class:`~repro.cluster.process.ProcessWeaver` — the same coordinator
   over a ``ProcessTransport`` to forked shard workers.
 
-Both execute the protocol synchronously — announce rounds every
-``announce_every`` commits play the role of the τ timer, and NOP
+Both coordinators execute the protocol synchronously — announce rounds
+every ``announce_every`` commits play the role of the τ timer, and NOP
 heartbeats are issued eagerly when a node program needs every queue
 non-empty.  The discrete-event :class:`~repro.sim.deployment.
-SimulatedWeaver` drives the same servers from its own clock.
+SimulatedWeaver` is a ``WritePath`` over a ``SimTransport``: the same
+commit, channel stamping and shard endpoint, fired by its own timers.
 """
 
 from __future__ import annotations
@@ -52,11 +59,13 @@ from .transactions import Transaction
 StartSpec = Union[str, Iterable[Tuple[str, Any]]]
 
 
-class Coordinator:
-    """The client-side protocol of section 4.2 over a transport.
+class WritePath:
+    """The clock-free write path of section 4.2: gatekeeper stamp →
+    backing-store commit → per-(gatekeeper, shard) FIFO enqueue.
 
-    Subclasses choose the transport and own whatever depends on where
-    the shards live; nothing here does.
+    Nothing here blocks, waits for a reply or decides *when* gatekeepers
+    announce, so the blocking :class:`Coordinator` and the discrete-event
+    :class:`~repro.sim.deployment.SimulatedWeaver` both inherit it.
     """
 
     def __init__(self, parts: ClusterParts, transport: Transport):
@@ -71,17 +80,15 @@ class Coordinator:
         self.gatekeepers: List[Gatekeeper] = parts.gatekeepers
         self.manager = parts.manager
         self.executor = parts.executor
-        # Observability: one registry + tracer per deployment.  There is
-        # no time axis here, so spans default to their emission sequence
-        # number as the timestamp (still a total order).
+        # Observability: one registry + tracer per deployment.
         self.metrics = parts.metrics
         self.tracer = parts.tracer
         self.transport = transport
-        self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
-        self._all_shards = list(range(cfg.num_shards))
         # Transport addresses, by index (a replacement server keeps its
         # predecessor's name).
-        self._shard_names = [self.shard_name(i) for i in self._all_shards]
+        self._shard_names = [
+            self.shard_name(i) for i in range(cfg.num_shards)
+        ]
         self._gk_names = [gk.name for gk in self.gatekeepers]
         self._handle_counter = itertools.count()
         self._query_counter = itertools.count(1)
@@ -90,36 +97,14 @@ class Coordinator:
         # all channels, which extends backing-store commit order because
         # forwarding happens synchronously at commit.
         self._send_rank = itertools.count()
-        self._commits = 0
-        self._commits_since_drain = 0
         self._channel_seqno: Dict[Tuple[int, int], int] = {}
-        # The timestamp every live shard was last advanced to, while
-        # that round's heartbeats are still queued behind it.
-        self._advanced_to: Optional[VectorTimestamp] = None
         self._placement: Dict[str, int] = {}
         self._hash_partitioner = HashPartitioner(cfg.num_shards)
         self._ldg_partitioner = LdgPartitioner(cfg.num_shards)
-        self.programs_run = 0
-
-    # -- shards, by name ------------------------------------------------
 
     @staticmethod
     def shard_name(index: int) -> str:
         return f"shard{index}"
-
-    def _live_shards(self) -> List[int]:
-        """Indices of the shards that can be reached right now: all of
-        them, unless the deployment can lose one."""
-        return self._all_shards
-
-    def _request_all_shards(self, kind: str, payload: Any) -> List[Any]:
-        """One fan-out request to every live shard; replies in
-        :meth:`_live_shards` order."""
-        names = self._shard_names
-        return self.transport.request_all(
-            "client",
-            [(names[i], kind, payload) for i in self._live_shards()],
-        )
 
     # -- identifiers ------------------------------------------------------
 
@@ -131,22 +116,6 @@ class Coordinator:
 
     # -- transactions (section 4.2) ----------------------------------------
 
-    def begin_transaction(
-        self, gatekeeper: Optional[int] = None
-    ) -> Transaction:
-        """Open a read-write transaction routed through one gatekeeper."""
-        index = (
-            gatekeeper if gatekeeper is not None else self._pick_gatekeeper()
-        )
-        if not 0 <= index < len(self.gatekeepers):
-            raise ClusterError(f"no gatekeeper {index}")
-        tx = Transaction(self, index)
-        tx.trace_id = self.tracer.next_trace_id()
-        self.tracer.emit(
-            tx.trace_id, "client.submit", node="client", gk=index
-        )
-        return tx
-
     # Transaction.commit() lands here.
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
         gk = self.gatekeepers[tx.gatekeeper_index]
@@ -156,12 +125,6 @@ class Coordinator:
         )
         self._forward_to_shards(gk.index, ts, tx)
         self._on_commit(tx, placed)
-        self._commits += 1
-        if self._commits % self.config.announce_every == 0:
-            sync_announce_all(self.gatekeepers)
-        self._commits_since_drain += 1
-        if self._commits_since_drain >= self.config.drain_every:
-            self.drain()
         return ts
 
     def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
@@ -236,6 +199,93 @@ class Coordinator:
             "enqueue",
             (gk_index, stamped),
         )
+
+    # -- garbage collection (section 4.5) -----------------------------------
+
+    def _collect_oracle_and_store(
+        self, watermark: VectorTimestamp
+    ) -> Tuple[int, int]:
+        """What every GC pass ends with: (oracle events, store records)
+        reclaimed.  Store compaction uses the store's own commit
+        counter, not the vector watermark: every version below the
+        oldest open store snapshot is superseded for all future readers.
+        When the opportunistic background compactor owns reclamation,
+        the GC tick must not double-compact under it."""
+        events = self.oracle.collect_below(watermark)
+        records = 0
+        if not getattr(self.store, "background_compaction_active", False):
+            records = self.store.collect_below(
+                self.store.safe_compact_version()
+            )
+        return events, records
+
+
+class Coordinator(WritePath):
+    """The blocking client-side protocol: the write path plus everything
+    that waits — announce/drain pacing, eager NOP heartbeats, readiness
+    ahead of a node program, drain, checkpoint and the GC fan-out.
+    There is no time axis: spans are stamped with their emission
+    sequence number (still a total order).
+
+    Subclasses choose the transport and own whatever depends on where
+    the shards live; nothing here does.
+    """
+
+    def __init__(self, parts: ClusterParts, transport: Transport):
+        super().__init__(parts, transport)
+        self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
+        self._all_shards = list(range(self.config.num_shards))
+        self._commits = 0
+        self._commits_since_drain = 0
+        # The timestamp every live shard was last advanced to, while
+        # that round's heartbeats are still queued behind it.
+        self._advanced_to: Optional[VectorTimestamp] = None
+        self.programs_run = 0
+
+    # -- shards, by name ------------------------------------------------
+
+    def _live_shards(self) -> List[int]:
+        """Indices of the shards that can be reached right now: all of
+        them, unless the deployment can lose one."""
+        return self._all_shards
+
+    def _request_all_shards(self, kind: str, payload: Any) -> List[Any]:
+        """One fan-out request to every live shard; replies in
+        :meth:`_live_shards` order."""
+        names = self._shard_names
+        return self.transport.request_all(
+            "client",
+            [(names[i], kind, payload) for i in self._live_shards()],
+        )
+
+    # -- transactions (section 4.2) ----------------------------------------
+
+    def begin_transaction(
+        self, gatekeeper: Optional[int] = None
+    ) -> Transaction:
+        """Open a read-write transaction routed through one gatekeeper."""
+        index = (
+            gatekeeper if gatekeeper is not None else self._pick_gatekeeper()
+        )
+        if not 0 <= index < len(self.gatekeepers):
+            raise ClusterError(f"no gatekeeper {index}")
+        tx = Transaction(self, index)
+        tx.trace_id = self.tracer.next_trace_id()
+        self.tracer.emit(
+            tx.trace_id, "client.submit", node="client", gk=index
+        )
+        return tx
+
+    def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
+        # Commit counts stand in for the τ timer and the apply loop.
+        ts = super()._commit_transaction(tx)
+        self._commits += 1
+        if self._commits % self.config.announce_every == 0:
+            sync_announce_all(self.gatekeepers)
+        self._commits_since_drain += 1
+        if self._commits_since_drain >= self.config.drain_every:
+            self.drain()
+        return ts
 
     def _reset_channels(self) -> None:
         # An epoch barrier cleared every shard queue and its expected
@@ -408,16 +458,9 @@ class Coordinator:
         ):
             reclaimed["graph"] += graph
             reclaimed["ordering_cache"] += cache
-        reclaimed["oracle"] = self.oracle.collect_below(watermark)
-        # Store compaction uses the store's own commit counter, not the
-        # vector watermark: every version below the oldest open store
-        # snapshot is superseded for all future readers.  When the
-        # opportunistic background compactor owns reclamation, the GC
-        # tick must not double-compact under it.
-        if not getattr(self.store, "background_compaction_active", False):
-            reclaimed["store"] = self.store.collect_below(
-                self.store.safe_compact_version()
-            )
+        reclaimed["oracle"], reclaimed["store"] = (
+            self._collect_oracle_and_store(watermark)
+        )
         return reclaimed
 
 

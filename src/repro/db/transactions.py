@@ -28,7 +28,6 @@ class Transaction:
         self.gatekeeper_index = gatekeeper_index
         self.store_tx: StoreTransaction = db.store.begin()
         self.operations: List[Operation] = []
-        self._created_vertices: List[str] = []
         self._state = "open"
         self.timestamp: Optional[VectorTimestamp] = None
         # Observability id assigned by the database at begin; carried to
@@ -81,7 +80,8 @@ class Transaction:
 
     # -- graph writes ------------------------------------------------------
 
-    def _record(self, operation: Operation) -> None:
+    def record(self, operation: Operation) -> None:
+        """Buffer one operation, validating it against the store now."""
         self._check_open()
         # Applying immediately gives early validity errors and makes the
         # operation visible to this transaction's own later reads.
@@ -92,40 +92,39 @@ class Transaction:
         """Create a vertex; generates a handle when none is given."""
         if handle is None:
             handle = self._db.new_handle("v")
-        self._record(ops.CreateVertex(handle))
-        self._created_vertices.append(handle)
+        self.record(ops.CreateVertex(handle))
         return handle
 
     # The paper's API calls vertices "nodes"; keep both spellings.
     create_node = create_vertex
 
     def delete_vertex(self, handle: str) -> None:
-        self._record(ops.DeleteVertex(handle))
+        self.record(ops.DeleteVertex(handle))
 
     def create_edge(
         self, src: str, dst: str, handle: Optional[str] = None
     ) -> str:
         if handle is None:
             handle = self._db.new_handle("e")
-        self._record(ops.CreateEdge(handle, src, dst))
+        self.record(ops.CreateEdge(handle, src, dst))
         return handle
 
     def delete_edge(self, src: str, handle: str) -> None:
-        self._record(ops.DeleteEdge(src, handle))
+        self.record(ops.DeleteEdge(src, handle))
 
     def set_property(self, vertex: str, key: str, value: Any) -> None:
-        self._record(ops.SetVertexProperty(vertex, key, value))
+        self.record(ops.SetVertexProperty(vertex, key, value))
 
     def delete_property(self, vertex: str, key: str) -> None:
-        self._record(ops.DeleteVertexProperty(vertex, key))
+        self.record(ops.DeleteVertexProperty(vertex, key))
 
     def set_edge_property(
         self, src: str, edge: str, key: str, value: Any
     ) -> None:
-        self._record(ops.SetEdgeProperty(src, edge, key, value))
+        self.record(ops.SetEdgeProperty(src, edge, key, value))
 
     def delete_edge_property(self, src: str, edge: str, key: str) -> None:
-        self._record(ops.DeleteEdgeProperty(src, edge, key))
+        self.record(ops.DeleteEdgeProperty(src, edge, key))
 
     def assign_property(self, edge: str, src: str, key: str, value: Any = True) -> None:
         """The paper's ``assign_property(edge, "OWNS")`` convenience: tag
@@ -162,7 +161,10 @@ class Transaction:
 
     @property
     def created_vertices(self) -> List[str]:
-        return list(self._created_vertices)
+        return [
+            op.handle for op in self.operations
+            if isinstance(op, ops.CreateVertex)
+        ]
 
     def __len__(self) -> int:
         return len(self.operations)

@@ -3,8 +3,11 @@
 The direct-mode :class:`~repro.db.database.Weaver` executes the protocol
 synchronously (announce rounds stand in for the τ timer).  This module
 runs the *same server objects* — gatekeepers, shard servers, the
-timeline oracle, the backing store — asynchronously over the simulated
-network:
+timeline oracle, the backing store — and the *same write path*
+(:class:`~repro.db.database.WritePath`: place, commit, stamp the FIFO
+channels; shards receive through
+:class:`~repro.cluster.worker.ShardEndpoint`) asynchronously over the
+simulated network:
 
 * announce timers fire every ``tau`` simulated seconds per gatekeeper,
   and announce messages pay network latency like everything else;
@@ -18,6 +21,13 @@ network:
 * heartbeats flow to the cluster manager, whose failure detector runs
   on simulated time.
 
+The simulator's own is what fires on simulated time: the τ / NOP /
+heartbeat / detector / GC timers, service-time charging, fault hooks,
+:class:`TauController`, the deadline-delayed commit ack and the
+pending-program table (the simulated clock's version of readiness: a
+program waits for the timers, where the blocking
+:class:`~repro.db.database.Coordinator` heartbeats eagerly).
+
 This is the substrate for protocol-fidelity experiments: the Fig 14
 tradeoff emerges here from actual timers rather than from a modelling
 shortcut.
@@ -25,17 +35,20 @@ shortcut.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.builder import build_cluster
 from ..cluster.messages import AnnounceMessage, Heartbeat, QueuedTransaction
+from ..cluster.shard import ShardServer
 from ..cluster.transport import SimTransport
+from ..cluster.worker import ShardEndpoint
 from ..core.gatekeeper import DeadlineStamper
 from ..core.vclock import VectorTimestamp
 from ..db.config import WeaverConfig
-from ..db.operations import Operation, touched_vertices
+from ..db.database import WritePath
+from ..db.operations import Operation
+from ..db.transactions import Transaction
 from ..errors import TransactionAborted
 from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.routing import ShardSnapshotResolver
@@ -116,7 +129,7 @@ class TauController:
         return self.tau
 
 
-class SimulatedWeaver:
+class SimulatedWeaver(WritePath):
     """The full protocol running on simulated time."""
 
     def __init__(
@@ -130,14 +143,11 @@ class SimulatedWeaver:
         tau_controller: Optional[TauController] = None,
         adapt_window: float = 2e-3,
         costs=None,
-        run_timers_for: float = 0.0,
         fault_plan: Optional[FaultPlan] = None,
         topology: Optional[RegionTopology] = None,
-        skew_bound: Optional[float] = None,
-        region_tau_controllers: Optional[List[TauController]] = None,
         rng=None,
     ):
-        self.config = config or WeaverConfig()
+        config = config or WeaverConfig()
         self.tau = tau_controller.tau if tau_controller is not None else tau
         self.nop_period = nop_period
         self.heartbeat_period = heartbeat_period
@@ -146,7 +156,7 @@ class SimulatedWeaver:
         self.adapt_window = adapt_window
         self.simulator = Simulator()
         self.fault_plan = fault_plan
-        num_regions = self.config.num_regions
+        num_regions = config.num_regions
         if topology is None and num_regions > 1:
             # Uniform geo topology: every region edge pays the global
             # latency, so the deployment shape is geo but the timing is
@@ -168,42 +178,28 @@ class SimulatedWeaver:
             topology=topology, rng=rng,
         )
         # The deterministic twin of the process deployment: same parts
-        # from the same builder, with the message contract routed over
-        # the simulated network instead of sockets.
-        self.transport = SimTransport(self.network)
+        # from the same builder, the same write path, with the message
+        # contract routed over the simulated network instead of sockets.
+        # Spans are stamped with simulated time.
+        transport = SimTransport(self.network)
         parts = build_cluster(
             config,
             heartbeat_timeout=2.5 * heartbeat_period,
             tracer_clock=lambda: self.simulator.now,
             network=self.network,
-            transport_stats=self.transport.stats,
+            transport_stats=transport.stats,
             extra=self._sim_metrics,
             use_store_nodes=False,
         )
-        self.parts = parts
-        self.config = parts.config
-        self.store = parts.store
-        self.mapping = parts.mapping
-        self.oracle = parts.oracle
-        self.gatekeepers = parts.gatekeepers
-        self.shards = parts.shards
-        self.manager = parts.manager
-        self.executor = parts.executor
+        super().__init__(parts, transport)
+        self.shards: List[ShardServer] = parts.shards
         # Geo deployment (config.num_regions > 1): place every server in
         # its region, give each region one deadline stamper (it survives
-        # gatekeeper recovery) and optionally one tau controller, and arm
-        # the shard orderings' deadline fast path.
-        self._geo = self.config.num_regions > 1
-        self.skew_bound = (
-            skew_bound
-            if skew_bound is not None
-            else (DEFAULT_SKEW_BOUND if self._geo else None)
-        )
+        # gatekeeper recovery), and arm the shard orderings' deadline
+        # fast path.
+        self._geo = num_regions > 1
+        self.skew_bound = DEFAULT_SKEW_BOUND if self._geo else None
         self._deadline_stampers: List[DeadlineStamper] = []
-        self._region_controllers = region_tau_controllers or []
-        self._region_tau: List[float] = []
-        self._region_committed: List[int] = []
-        self._region_window_base: List[Tuple[int, int, int]] = []
         if self._geo:
             for name, region in parts.region_of.items():
                 self.topology.assign(name, region)
@@ -211,7 +207,7 @@ class SimulatedWeaver:
                 DeadlineStamper(
                     lambda: self.simulator.now, self.topology.reach(r)
                 )
-                for r in range(self.config.num_regions)
+                for r in range(num_regions)
             ]
             for gk in self.gatekeepers:
                 gk.deadline_stamper = self._deadline_stampers[
@@ -219,20 +215,6 @@ class SimulatedWeaver:
                 ]
             for shard in self.shards:
                 shard.ordering.skew_bound = self.skew_bound
-            if self._region_controllers:
-                if len(self._region_controllers) != self.config.num_regions:
-                    raise ValueError(
-                        "need one tau controller per region"
-                    )
-                self._region_tau = [
-                    c.tau for c in self._region_controllers
-                ]
-            else:
-                self._region_tau = [self.tau] * self.config.num_regions
-            self._region_committed = [0] * self.config.num_regions
-            self._region_window_base = [
-                (0, 0, 0) for _ in range(self.config.num_regions)
-            ]
         # Optional service-time accounting: with a CostParams attached,
         # gatekeepers and shards become serially-busy resources and the
         # deployment yields protocol-level *performance*, not just
@@ -244,34 +226,22 @@ class SimulatedWeaver:
         self._shard_servers = [
             Server(self.simulator, s.name) for s in self.shards
         ]
-        # Observability: spans are stamped with simulated time, and the
-        # latency histograms filled from the trace timings are the data
-        # source for the Fig 10/11 latency CDFs.
-        self.metrics = parts.metrics
-        self.tracer = parts.tracer
-        # Delivery callbacks, keyed by stable server *names* (handlers
-        # re-fetch by index, so recovery replacements are reached without
-        # re-registration).
+        self._crashed: set = set()
+        # Delivery callbacks, keyed by stable server *names*: gatekeeper
+        # handlers re-fetch by index and a replacement shard registers
+        # its own endpoint, so in-flight messages reach the replacement.
         self.transport.register("manager", self._on_manager_message)
         for gk in self.gatekeepers:
             self.transport.register(
                 gk.name, self._make_gk_handler(gk.index)
             )
+        self._endpoints: Dict[int, ShardEndpoint] = {}
         for shard in self.shards:
-            self.transport.register(
-                shard.name, self._make_shard_handler(shard.index)
-            )
+            self._register_shard(shard)
+        # The latency histograms are the data source for the Fig 10/11
+        # latency CDFs.
         self.latency_tx = self.metrics.histogram("latency.tx_commit")
         self.latency_program = self.metrics.histogram("latency.program")
-        self._seqnos: Dict[Tuple[int, int], int] = {}
-        # Global send rank for shard-bound messages: the oracle tiebreak
-        # for concurrent pairs.  Send order extends store commit order
-        # (forwarding is synchronous with commit), so the preference
-        # stays commit-order-faithful under injected message delays.
-        self._send_rank = itertools.count()
-        self._handle_counter = itertools.count()
-        self._query_counter = itertools.count(1)
-        self._gk_rr = itertools.count()
         # Waiting node programs: (ts, frontier, program, query_id, cb).
         self._pending_programs: List[Tuple] = []
         # Submitted but not yet completed (includes in-flight
@@ -279,20 +249,8 @@ class SimulatedWeaver:
         self._programs_outstanding = 0
         self.committed = 0
         self.aborted = 0
-        self.program_latencies: List[float] = []
-        self._crashed: set = set()
-        # Per-shard epoch floor: a recovered shard reloaded everything
-        # committed before its recovery, so straggler deliveries stamped
-        # in earlier epochs must be dropped, not replayed.
-        self._min_epoch: Dict[int, int] = {}
         self.recoveries = 0
-        self.stragglers_dropped = 0
-        # Observer re-attached to replacement shards on recovery.
-        self._apply_observer: Optional[Callable] = None
-        self._timers_started = False
-        self.start_timers()
-        if run_timers_for:
-            self.simulator.run(until=run_timers_for)
+        self._start_timers()
 
     # -- delivery callbacks (the transport contract) ----------------------
 
@@ -310,12 +268,31 @@ class SimulatedWeaver:
 
         return handle
 
-    def _make_shard_handler(self, index: int):
-        def handle(src: str, kind: str, payload: Any) -> None:
-            gk_index, qtx = payload
-            self._deliver(index, gk_index, qtx)
+    def _register_shard(self, shard: ShardServer) -> None:
+        """Put ``shard`` on the transport behind the coordinator's own
+        :class:`ShardEndpoint`, which enqueues and drops pre-epoch
+        stragglers (a partitioned channel can hold a message past a
+        recovery barrier; the manager reconciled its effects from the
+        store).  The simulator adds the crash check and the pump a real
+        shard's event loop would run."""
+        endpoint = ShardEndpoint(shard)
+        retired = self._endpoints.get(shard.index)
+        if retired is not None:
+            # A replacement continues its predecessor's count.
+            endpoint.stragglers_dropped = retired.stragglers_dropped
+        self._endpoints[shard.index] = endpoint
 
-        return handle
+        def handle(src: str, kind: str, payload: Any) -> Any:
+            if shard.name in self._crashed:
+                return None  # messages to a dead server vanish
+            reply = endpoint.deliver(src, kind, payload)
+            shard.apply_available(
+                stop_before=self._earliest_pending_program_ts()
+            )
+            self._check_pending_programs()
+            return reply
+
+        self.transport.register(shard.name, handle)
 
     def _on_manager_message(self, src: str, kind: str, payload: Any) -> None:
         if kind == "heartbeat":
@@ -323,34 +300,26 @@ class SimulatedWeaver:
 
     # -- timers -------------------------------------------------------------
 
-    def start_timers(self) -> None:
-        if self._timers_started:
-            return
-        self._timers_started = True
+    def _start_timers(self) -> None:
         # Stagger per-gatekeeper timers: real servers' clocks are not
         # phase-aligned, and alignment would make every NOP round a set
-        # of mutually concurrent stamps no τ could ever order.  Geo
-        # deployments stagger announce phases *within* each region over
-        # that region's own τ (regions announce independently).
+        # of mutually concurrent stamps no τ could ever order.  Announce
+        # phases stagger *within* each region (regions announce
+        # independently; without regions everyone is in region 0).
         count = len(self.gatekeepers)
-        if self._geo:
-            members: Dict[int, List[int]] = {}
-            for gk in self.gatekeepers:
-                members.setdefault(
-                    self.topology.region_of(gk.name), []
-                ).append(gk.index)
-            announce_phase = {}
-            for region, indices in members.items():
-                for pos, gk_index in enumerate(sorted(indices)):
-                    announce_phase[gk_index] = (
-                        self._region_tau[region]
-                        * (pos + 1) / len(indices)
-                    )
+        regions: Dict[int, List[int]] = {}
+        for gk in self.gatekeepers:
+            region = self.topology.region_of(gk.name) if self._geo else 0
+            regions.setdefault(region, []).append(gk.index)
+        announce_phase = {
+            gk_index: (pos + 1) / len(members)
+            for members in regions.values()
+            for pos, gk_index in enumerate(members)
+        }
         for gk in self.gatekeepers:
             phase = (gk.index + 1) / count
             self.simulator.schedule(
-                announce_phase[gk.index] if self._geo
-                else self.tau * phase,
+                self.tau * announce_phase[gk.index],
                 self._announce_tick, gk.index,
             )
             self.simulator.schedule(
@@ -378,10 +347,6 @@ class SimulatedWeaver:
         if self.tau_controller is not None:
             self._window_base = (0, 0, 0)
             self.simulator.schedule(self.adapt_window, self._adapt_tick)
-        if self._region_controllers:
-            self.simulator.schedule(
-                self.adapt_window, self._region_adapt_tick
-            )
 
     def _adapt_tick(self) -> None:
         """One feedback-control window of the adaptive τ (section 3.5)."""
@@ -396,39 +361,6 @@ class SimulatedWeaver:
         )
         self._window_base = (oracle_now, announce_now, committed_now)
         self.simulator.schedule(self.adapt_window, self._adapt_tick)
-
-    def _region_adapt_tick(self) -> None:
-        """Per-region τ feedback, on per-region counters.
-
-        Each region's controller sees only that region's coordination
-        traffic: oracle requests its shards issued (through the region
-        oracle client, local reads included) and announces its
-        gatekeepers sent, against its gatekeepers' commits.
-        """
-        for region, controller in enumerate(self._region_controllers):
-            oracle_now = self.parts.region_stats[region].oracle_messages
-            announce_now = self.network.stats.region_count(
-                region, "announce"
-            )
-            committed_now = self._region_committed[region]
-            base_o, base_a, base_c = self._region_window_base[region]
-            self._region_tau[region] = controller.observe(
-                oracle_now - base_o,
-                announce_now - base_a,
-                committed_now - base_c,
-            )
-            self._region_window_base[region] = (
-                oracle_now, announce_now, committed_now
-            )
-        self.simulator.schedule(self.adapt_window, self._region_adapt_tick)
-
-    def _tau_for(self, gk_index: int) -> float:
-        if self._geo:
-            region = self.topology.region_of(
-                self.gatekeepers[gk_index].name
-            )
-            return self._region_tau[region]
-        return self.tau
 
     def _announce_tick(self, gk_index: int) -> None:
         gk = self.gatekeepers[gk_index]
@@ -451,9 +383,7 @@ class SimulatedWeaver:
             self.transport.send(
                 gk.name, peer.name, "announce", (announce, epoch, deadline)
             )
-        self.simulator.schedule(
-            self._tau_for(gk_index), self._announce_tick, gk_index
-        )
+        self.simulator.schedule(self.tau, self._announce_tick, gk_index)
 
     def _deliver_announce(
         self, peer_index: int, epoch: int, vector, deadline=None
@@ -478,9 +408,9 @@ class SimulatedWeaver:
         gk = self.gatekeepers[gk_index]
         if gk.name in self._crashed:
             return
-        nop_ts = gk.make_nop()
+        nop = QueuedTransaction(gk.make_nop())
         for shard in self.shards:
-            self._send_to_shard(gk_index, shard.index, nop_ts, (), "nop")
+            self._enqueue(gk_index, shard.index, nop)
         self.simulator.schedule(self.nop_period, self._nop_tick, gk_index)
 
     def _heartbeat_tick(self, name: str) -> None:
@@ -525,38 +455,13 @@ class SimulatedWeaver:
         # prunes its windows while the decisions below the watermark are
         # still queryable (they vanish in collect_below right after).
         self.tracer.emit(None, "gc.watermark", node="gc", ts=watermark)
-        # Oracle GC only: it uses pure vector-clock comparison, so the
-        # (non-unique) peeked watermark cannot mint new oracle decisions.
-        # Graph GC goes through refinable comparison and needs a real
-        # stamped watermark; callers run it explicitly when they care.
-        self.oracle.collect_below(watermark)
-        # Store compaction rides the same timer, on the store's own
-        # commit counter (bounded by the oldest open store snapshot) —
-        # unless the opportunistic background compactor owns it.
-        if not getattr(self.store, "background_compaction_active", False):
-            self.store.collect_below(self.store.safe_compact_version())
+        # Oracle and store GC only: the oracle's uses pure vector-clock
+        # comparison, so the (non-unique) peeked watermark cannot mint
+        # new oracle decisions.  Graph GC goes through refinable
+        # comparison and needs a real stamped watermark; callers run it
+        # explicitly when they care.
+        self._collect_oracle_and_store(watermark)
         self.simulator.schedule(self.gc_period, self._gc_tick)
-
-    # -- channels -------------------------------------------------------
-
-    def _send_to_shard(
-        self,
-        gk_index: int,
-        shard_index: int,
-        ts: VectorTimestamp,
-        operations: Tuple[Operation, ...],
-        kind: str,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        channel = (gk_index, shard_index)
-        seqno = self._seqnos.get(channel, 0)
-        self._seqnos[channel] = seqno + 1
-        qtx = QueuedTransaction(
-            ts, operations, seqno, next(self._send_rank), trace_id
-        )
-        gk_name = self.gatekeepers[gk_index].name
-        shard = self.shards[shard_index]
-        self.transport.send(gk_name, shard.name, kind, (gk_index, qtx))
 
     # -- failure injection (section 4.3, live) ---------------------------
 
@@ -602,19 +507,14 @@ class SimulatedWeaver:
             replacement = self.manager.recover_shard(
                 index, recovery_ts_factory=self._recovery_stamp
             )
-            replacement.on_apply = self._apply_observer
             replacement.tracer = self.tracer
             if self._geo:
                 replacement.ordering.skew_bound = self.skew_bound
             self.shards[index] = replacement
-        # Old-epoch messages still in flight (a partitioned channel can
-        # hold one past the barrier) must not apply after the barrier
-        # flush — they would land out of decided order.  Every shard
-        # drops them; the manager just reconciled their committed
-        # effects from the backing store.
-        for i in range(len(self.shards)):
-            self._min_epoch[i] = self.manager.epoch
-        # Channel sequence numbers keep counting across the barrier —
+            self._register_shard(replacement)
+        # The barrier moved every shard into the manager's new epoch, so
+        # old-epoch messages still in flight are dropped at the
+        # endpoints.  Channel sequence numbers keep counting across it —
         # each (gatekeeper, shard) stream stays FIFO and monotone, and
         # shards re-baseline their expected numbers after the epoch
         # switch — so the sender side is left untouched.
@@ -635,31 +535,6 @@ class SimulatedWeaver:
                 self.nop_period, self._nop_tick, index
             )
 
-    def _deliver(
-        self, shard_index: int, gk_index: int, qtx: QueuedTransaction
-    ) -> None:
-        shard = self.shards[shard_index]
-        if shard.name in self._crashed:
-            return  # messages to a dead server vanish
-        if qtx.ts.epoch < self._min_epoch.get(shard_index, 0):
-            # Pre-barrier straggler: its committed effects are already
-            # in the reloaded (replacement) or reconciled (survivor)
-            # state; applying it now would violate decided order.
-            self.stragglers_dropped += 1
-            return
-        shard.enqueue(gk_index, qtx)
-        shard.apply_available(
-            stop_before=self._earliest_pending_program_ts()
-        )
-        self._check_pending_programs()
-
-    def set_apply_observer(self, observer: Optional[Callable]) -> None:
-        """Install ``observer(shard_index, qtx)`` on every shard, called
-        for each non-NOP transaction applied; survives shard recovery."""
-        self._apply_observer = observer
-        for shard in self.shards:
-            shard.on_apply = observer
-
     def _earliest_pending_program_ts(self) -> Optional[VectorTimestamp]:
         if not self._pending_programs:
             return None
@@ -669,14 +544,10 @@ class SimulatedWeaver:
 
     # -- client operations ---------------------------------------------
 
-    def new_handle(self, prefix: str = "v") -> str:
-        return f"{prefix}{next(self._handle_counter)}"
-
     def submit_transaction(
         self,
         operations: List[Operation],
         callback: Optional[Callable[[bool, Any], None]] = None,
-        new_vertices: Tuple[str, ...] = (),
     ) -> int:
         """Submit buffered operations from a client at current sim time.
 
@@ -684,23 +555,16 @@ class SimulatedWeaver:
         every hop's spans (stamp, store commit, shard enqueue/apply,
         ordering decisions) can be reassembled.
         """
-        gk_index = next(self._gk_rr) % len(self.gatekeepers)
-        gk = self.gatekeepers[gk_index]
+        gk_index = self._pick_gatekeeper()
         trace_id = self.tracer.next_trace_id()
         self.tracer.emit(
             trace_id, "client.submit", node="client", gk=gk_index
         )
         self.transport.send(
             "client",
-            gk.name,
+            self._gk_names[gk_index],
             "tx-submit",
-            (
-                tuple(operations),
-                tuple(new_vertices),
-                callback,
-                trace_id,
-                self.simulator.now,
-            ),
+            (tuple(operations), callback, trace_id, self.simulator.now),
         )
         return trace_id
 
@@ -708,10 +572,9 @@ class SimulatedWeaver:
         self,
         gk_index: int,
         operations: Tuple[Operation, ...],
-        new_vertices: Tuple[str, ...],
         callback,
-        trace_id: Optional[int] = None,
-        submitted: float = 0.0,
+        trace_id: Optional[int],
+        submitted: float,
         charged: bool = False,
     ) -> None:
         gk = self.gatekeepers[gk_index]
@@ -725,8 +588,7 @@ class SimulatedWeaver:
             self.simulator.schedule_at(
                 done,
                 self._gatekeeper_commit,
-                gk_index, operations, new_vertices, callback,
-                trace_id, submitted, True,
+                gk_index, operations, callback, trace_id, submitted, True,
             )
             return
         if gk.name in self._crashed:
@@ -736,39 +598,22 @@ class SimulatedWeaver:
             if callback is not None:
                 callback(False, None)
             return
-        store_tx = self.store.begin()
+        # The coordinator's write path, run at the gatekeeper's event:
+        # validate against the store, place, commit, forward.
+        tx = Transaction(self, gk_index)
+        tx.trace_id = trace_id
         try:
-            for vertex in new_vertices:
-                self.mapping.assign(vertex, tx=store_tx)
             for op in operations:
-                op.apply_store(store_tx, None)
-            ts = gk.commit_prepared(
-                store_tx, touched_vertices(operations), trace_id=trace_id
-            )
+                tx.record(op)
+            ts = tx.commit()
         except TransactionAborted as exc:
             self.aborted += 1
-            # commit_prepared aborts the store tx itself; belt-and-braces
-            # for aborts raised before it was reached.
-            if store_tx.is_open:
-                store_tx.abort()
+            if tx.is_open:
+                tx.abort()
             if callback is not None:
                 callback(False, exc)
             return
         self.committed += 1
-        if self._geo:
-            self._region_committed[
-                self.topology.region_of(gk.name)
-            ] += 1
-        per_shard: Dict[int, List[Operation]] = {}
-        for op in operations:
-            (owner,) = op.touched()
-            shard = self.mapping.lookup(owner)
-            per_shard.setdefault(shard, []).append(op)
-        for shard_index, ops_list in per_shard.items():
-            self._send_to_shard(
-                gk_index, shard_index, ts, tuple(ops_list), "tx",
-                trace_id=trace_id,
-            )
         # Tiga commit rule: a deadline-stamped transaction is not acked
         # to the client until its deadline passes, so the deadline order
         # can never contradict client-observed real time — the ack delay
@@ -798,8 +643,7 @@ class SimulatedWeaver:
 
         Returns the trace id assigned to the submission.
         """
-        gk_index = next(self._gk_rr) % len(self.gatekeepers)
-        gk_name = self.gatekeepers[gk_index].name
+        gk_index = self._pick_gatekeeper()
         self._programs_outstanding += 1
         trace_id = self.tracer.next_trace_id()
         self.tracer.emit(
@@ -843,7 +687,9 @@ class SimulatedWeaver:
             )
             self._check_pending_programs()
 
-        self.transport.send("client", gk_name, "prog-submit", stamp_and_queue)
+        self.transport.send(
+            "client", self._gk_names[gk_index], "prog-submit", stamp_and_queue
+        )
         return trace_id
 
     def _restamp_pending_programs(self) -> None:
@@ -908,9 +754,7 @@ class SimulatedWeaver:
     def _finish_program(
         self, result, submitted: float, callback, trace_id=None
     ) -> None:
-        latency = self.simulator.now - submitted
-        self.program_latencies.append(latency)
-        self.latency_program.observe(latency)
+        self.latency_program.observe(self.simulator.now - submitted)
         if trace_id is not None:
             self.tracer.emit(
                 trace_id, "program.complete", node="client",
@@ -953,6 +797,13 @@ class SimulatedWeaver:
             "sim.stragglers_dropped": self.stragglers_dropped,
             "sim.tau": self.tau,
         }
+
+    @property
+    def stragglers_dropped(self) -> int:
+        """Pre-epoch deliveries the shard endpoints refused."""
+        return sum(
+            e.stragglers_dropped for e in self._endpoints.values()
+        )
 
     def announce_messages(self) -> int:
         return self.network.stats.count("announce")

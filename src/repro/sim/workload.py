@@ -17,7 +17,7 @@ from ..bench.metrics import LatencyRecorder
 from .deployment import SimulatedWeaver
 
 # An operation descriptor returned by the op factory:
-#   ("tx", operations, new_vertices)       — a write transaction
+#   ("tx", operations)                     — a write transaction
 #   ("prog", program, start, params)       — a node program
 OpSpec = Tuple
 
@@ -64,11 +64,9 @@ class SimClients:
             self._complete(client_id, submitted, ok)
 
         if spec[0] == "tx":
-            _, operations, new_vertices = spec
+            _, operations = spec
             self.deployment.submit_transaction(
-                list(operations),
-                callback=lambda ok, v: done(ok, v),
-                new_vertices=tuple(new_vertices),
+                list(operations), callback=lambda ok, v: done(ok, v)
             )
         elif spec[0] == "prog":
             _, program, start, params = spec

@@ -183,10 +183,7 @@ class SimClient(_RefereedClient):
                 # ``aborted`` counts the measured workload, not setup.
                 self.report.aborted += 1
 
-        trace_id = self.db.submit_transaction(
-            ops, callback=on_commit,
-            new_vertices=tuple(targets) if create else (),
-        )
+        trace_id = self.db.submit_transaction(ops, callback=on_commit)
 
     def setup(self, step: float, settle: float) -> None:
         """Create every vertex with an initial tag, ``step`` apart, then

@@ -72,9 +72,7 @@ class TestAdaptiveDeployment:
             for _ in range(txs_per_window):
                 handle = f"v{n}"
                 n += 1
-                sw.submit_transaction(
-                    [ops.CreateVertex(handle)], new_vertices=(handle,)
-                )
+                sw.submit_transaction([ops.CreateVertex(handle)])
             sw.run(window)
 
     def test_oracle_heavy_start_converges_down(self):

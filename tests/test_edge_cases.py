@@ -140,9 +140,7 @@ class TestDeploymentDriving:
             tau=200 * USEC,
             nop_period=200 * USEC,
         )
-        sw.submit_transaction(
-            [ops.CreateVertex("a")], new_vertices=("a",)
-        )
+        sw.submit_transaction([ops.CreateVertex("a")])
         sw.run(2 * MSEC)
         box = {}
         sw.submit_program(

@@ -117,7 +117,6 @@ class TestRecoveryBarrier:
         sw.submit_transaction(
             [ops.CreateVertex("a"), ops.SetVertexProperty("a", "k", 1)],
             callback=lambda ok, v: box.update(ok=ok),
-            new_vertices=("a",),
         )
         sw.run(2 * MSEC)
         assert box["ok"]
@@ -133,7 +132,9 @@ class TestRecoveryBarrier:
         )
         before = sw.stragglers_dropped
         depths = sw.shards[0].queue_depths()
-        sw._deliver(0, 0, straggler)
+        # Delivered the way the network would: through the handler the
+        # deployment registered for shard0 on its transport.
+        sw.transport._dispatch("shard0", "gk0", "enqueue", (0, straggler))
         # Dropped by the epoch barrier, not queued or applied: the
         # reloaded store state already reflects everything pre-epoch.
         assert sw.stragglers_dropped == before + 1
@@ -145,7 +146,6 @@ class TestRecoveryBarrier:
         sw.submit_transaction(
             [ops.CreateVertex("a"), ops.SetVertexProperty("a", "k", 1)],
             callback=lambda ok, v: box.update(pre=v),
-            new_vertices=("a",),
         )
         sw.run(2 * MSEC)
         sw.crash_shard(0)

@@ -183,7 +183,6 @@ class TestGeoDeployment:
         sw.submit_transaction(
             [CreateVertex("a"), SetVertexProperty("a", "w", 1)],
             callback=lambda ok, ts: stamps.append((ok, ts)),
-            new_vertices=("a",),
         )
         sw.run(20 * MSEC)
         (ok, ts), = stamps
@@ -195,9 +194,7 @@ class TestGeoDeployment:
 
     def test_region_metric_surface(self):
         sw = self.make()
-        sw.submit_transaction(
-            [CreateVertex("a")], new_vertices=("a",)
-        )
+        sw.submit_transaction([CreateVertex("a")])
         sw.run(10 * MSEC)
         snap = sw.metrics.snapshot()
         for region in range(2):
@@ -311,7 +308,6 @@ class TestRecoveryReconcile:
         sw.submit_transaction(
             [CreateVertex(target), SetVertexProperty(target, "w", 1)],
             callback=lambda ok, ts: box.update(setup=ok),
-            new_vertices=(target,),
         )
         sw.run(4 * MSEC)
         assert box["setup"]

@@ -1,0 +1,34 @@
+"""Every digest ROADMAP calls the referee, pinned by value in one table.
+
+A digest covers everything a run's history recorded (commits, reads,
+shard applies), so one that moves means some message was sent, ordered
+or applied differently.  A change that moves one has to say which
+reordering did it (EXPERIMENTS.md, "Which digests moved and why") and
+re-pin it here; the verdict must stay clean either way.
+"""
+
+import pytest
+
+from repro.sim.clock import MSEC
+from repro.workloads.chaos import run_chaos, run_soak
+from repro.workloads.geo import run_geo
+
+
+@pytest.mark.parametrize("run,digest", [
+    pytest.param(lambda: run_chaos(1, duration=20 * MSEC),
+                 "ee74fbdb8e11012a", id="chaos-1"),
+    pytest.param(lambda: run_chaos(2, duration=20 * MSEC),
+                 "99729fc8ea08394c", id="chaos-2"),
+    pytest.param(lambda: run_chaos(3, duration=20 * MSEC),
+                 "592989ef09064964", id="chaos-3"),
+    pytest.param(lambda: run_chaos(7, duration=20 * MSEC),
+                 "fa9623a98263f0b2", id="chaos-7"),
+    pytest.param(lambda: run_soak(1, chunks=3),
+                 "fdf1f8d51ab48dd3", id="soak-1x3"),
+    pytest.param(lambda: run_geo(1), "adb119b34fab4c55", id="geo-1"),
+    pytest.param(lambda: run_geo(2), "13892064b8775103", id="geo-2"),
+])
+def test_referee_digest(run, digest):
+    report = run()
+    assert report.digest[:16] == digest
+    assert report.violations == []

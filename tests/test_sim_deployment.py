@@ -4,9 +4,11 @@ import pytest
 
 from repro.db import operations as ops
 from repro.db.config import WeaverConfig
-from repro.programs import Bfs, GetNode, Reachability, params
+from repro.db.database import Weaver, WritePath
+from repro.programs import Bfs, GetEdges, GetNode, Reachability, params
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
+from repro.sim.faults import FaultPlan
 
 
 def make(tau=200 * USEC, nop_period=100 * USEC, gks=2, shards=2):
@@ -17,12 +19,11 @@ def make(tau=200 * USEC, nop_period=100 * USEC, gks=2, shards=2):
     )
 
 
-def commit(sw, operations, new_vertices=()):
+def commit(sw, operations):
     outcome = {}
     sw.submit_transaction(
         operations,
         callback=lambda ok, value: outcome.update(ok=ok, value=value),
-        new_vertices=new_vertices,
     )
     sw.run(2 * MSEC)
     return outcome
@@ -40,25 +41,21 @@ def ask(sw, program, start, prog_params=None):
 class TestTransactions:
     def test_commit_through_network(self):
         sw = make()
-        outcome = commit(
-            sw,
-            [ops.CreateVertex("a")],
-            new_vertices=("a",),
-        )
+        outcome = commit(sw, [ops.CreateVertex("a")])
         assert outcome["ok"]
         assert sw.committed == 1
         assert sw.store.exists("v:a")
 
     def test_invalid_transaction_aborts(self):
         sw = make()
-        commit(sw, [ops.CreateVertex("a")], ("a",))
-        outcome = commit(sw, [ops.CreateVertex("a")], ())
+        commit(sw, [ops.CreateVertex("a")])
+        outcome = commit(sw, [ops.CreateVertex("a")])
         assert not outcome["ok"]
         assert sw.aborted == 1
 
     def test_writes_reach_shards_in_memory(self):
         sw = make()
-        commit(sw, [ops.CreateVertex("a")], ("a",))
+        commit(sw, [ops.CreateVertex("a")])
         sw.run(2 * MSEC)
         shard = sw.shards[sw.mapping.lookup("a")]
         assert "a" in shard.graph
@@ -74,7 +71,6 @@ class TestPrograms:
                 ops.CreateVertex("b"),
                 ops.CreateEdge("e", "a", "b"),
             ],
-            ("a", "b"),
         )
         result = ask(sw, Reachability(), "a", params(target="b"))
         assert result.results == [True]
@@ -84,11 +80,11 @@ class TestPrograms:
         # issuing gatekeeper's announce) + a NOP period + network hops.
         tau, nop = 200 * USEC, 100 * USEC
         sw = make(tau=tau, nop_period=nop)
-        commit(sw, [ops.CreateVertex("a")], ("a",))
+        commit(sw, [ops.CreateVertex("a")])
         ask(sw, GetNode(), "a")
-        assert len(sw.program_latencies) == 1
+        assert sw.latency_program.count == 1
         bound = tau + 2 * nop + 6 * 100 * USEC  # generous hop budget
-        assert sw.program_latencies[0] <= bound
+        assert sw.latency_program.max <= bound
 
     def test_multi_hop_traversal(self):
         sw = make()
@@ -101,7 +97,6 @@ class TestPrograms:
                 ops.CreateEdge("ab", "a", "b"),
                 ops.CreateEdge("bc", "b", "c"),
             ],
-            ("a", "b", "c"),
         )
         result = ask(sw, Bfs(), "a", params(depth=0))
         assert result.results == ["a", "b", "c"]
@@ -110,7 +105,7 @@ class TestPrograms:
         # Submit a write and a program back-to-back: the program's
         # snapshot must include the write (it committed first).
         sw = make()
-        commit(sw, [ops.CreateVertex("a")], ("a",))
+        commit(sw, [ops.CreateVertex("a")])
         box = {}
         sw.submit_transaction(
             [ops.SetVertexProperty("a", "k", 42)],
@@ -145,7 +140,7 @@ class TestTimers:
         # slow announces they stay concurrent and hit the oracle.
         def oracle_traffic(tau):
             sw = make(tau=tau, nop_period=200 * USEC)
-            commit(sw, [ops.CreateVertex("a")], ("a",))
+            commit(sw, [ops.CreateVertex("a")])
             ask(sw, GetNode(), "a")
             sw.run(5 * MSEC)
             return sw.oracle_messages()
@@ -157,12 +152,121 @@ class TestTimers:
     def test_fifo_channels_hold_under_load(self):
         sw = make()
         for i in range(10):
-            sw.submit_transaction(
-                [ops.CreateVertex(f"v{i}")],
-                new_vertices=(f"v{i}",),
-            )
+            sw.submit_transaction([ops.CreateVertex(f"v{i}")])
         sw.run(10 * MSEC)
         assert sw.committed == 10
         assert all(
             shard.stats.out_of_order_rejected == 0 for shard in sw.shards
         )
+
+
+# One script: creates across both gatekeepers (submissions alternate),
+# property writes, edges, a delete.
+SCRIPT = [
+    [ops.CreateVertex("ann"), ops.CreateVertex("bob"),
+     ops.CreateVertex("cat")],
+    [ops.CreateVertex("dan"), ops.SetVertexProperty("dan", "k", 1)],
+    [ops.SetVertexProperty("ann", "color", "red"),
+     ops.CreateEdge("ab", "ann", "bob")],
+    [ops.CreateEdge("bc", "bob", "cat"),
+     ops.SetEdgeProperty("bob", "bc", "weight", 3)],
+    [ops.CreateEdge("ad", "ann", "dan"), ops.CreateVertex("eve")],
+    [ops.DeleteEdge("ann", "ad"), ops.DeleteVertex("dan")],
+]
+SCRIPT_VERTICES = ("ann", "bob", "cat", "eve")
+
+
+def observed(db, answers):
+    """What a deployment holds after SCRIPT, in comparable form."""
+    return {
+        "mapping": sorted(db.mapping.items()),
+        "store": ops.graph_state_from_store(db.store.snapshot()),
+        "answers": answers,
+        # Which gatekeeper's channel fed each shard, in arrival order.
+        # Raw seqnos differ by design: the sim's timer NOPs share the
+        # channels with the transactions.
+        "channels": [
+            [
+                span.attr("gk")
+                for span in db.tracer.spans(kind="shard.enqueue")
+                if span.attr("shard") == index
+            ]
+            for index in range(db.config.num_shards)
+        ],
+    }
+
+
+class TestOneWritePath:
+    """The sim is held to the coordinator, not to itself."""
+
+    @pytest.mark.parametrize("partitioner", ["round_robin", "hash"])
+    def test_same_script_same_state_as_weaver(self, partitioner):
+        def config():
+            return WeaverConfig(
+                num_gatekeepers=2, num_shards=2, partitioner=partitioner
+            )
+
+        db = Weaver(config())
+        for operations in SCRIPT:
+            tx = db.begin_transaction()
+            for op in operations:
+                tx.record(op)
+            tx.commit()
+        direct = observed(db, [
+            db.run_program(program, v).results
+            for v in SCRIPT_VERTICES for program in (GetNode(), GetEdges())
+        ])
+
+        sw = SimulatedWeaver(config(), tau=200 * USEC, nop_period=100 * USEC)
+        for operations in SCRIPT:
+            assert commit(sw, operations)["ok"]
+        simulated = observed(sw, [
+            ask(sw, program, v).results
+            for v in SCRIPT_VERTICES for program in (GetNode(), GetEdges())
+        ])
+
+        assert simulated == direct
+        assert len({shard for _, shard in direct["mapping"]}) == 2
+        assert all(direct["channels"])
+
+    def test_inherits_nothing_it_cannot_run(self):
+        sw = make()
+        for blocking in ("drain", "checkpoint", "begin_transaction",
+                         "collect_garbage", "_make_shards_ready"):
+            assert not hasattr(sw, blocking)
+        for inherited in ("_commit_transaction", "_enqueue",
+                          "_forward_to_shards", "_place_new_vertices"):
+            assert inherited not in vars(SimulatedWeaver)
+            assert inherited in vars(WritePath)
+
+    def test_bare_create_commits_and_is_readable(self):
+        sw = make()
+        assert commit(sw, [ops.CreateVertex("a")])["ok"]
+        assert ask(sw, GetNode(), "a").value["handle"] == "a"
+
+    def test_create_with_writes_places_once(self):
+        sw = make()
+        assert commit(sw, [
+            ops.CreateVertex("a"),
+            ops.SetVertexProperty("a", "k", 1),
+            ops.SetVertexProperty("a", "k", 2),
+        ])["ok"]
+        assert sw.mapping.load() == {0: 1, 1: 0}
+        assert commit(sw, [ops.CreateVertex("b")])["ok"]
+        assert sw.mapping.lookup("b") == 1  # the next slot, not the third
+
+    def test_aborted_create_burns_no_placement_slot(self):
+        # Every submission arrives twice; the copy aborts ("vertex
+        # exists") and must not advance the round-robin cursor.
+        plan = FaultPlan(seed=1).duplicate(
+            1.0, kinds=frozenset({"tx-submit"})
+        )
+        sw = SimulatedWeaver(
+            WeaverConfig(num_gatekeepers=2, num_shards=2),
+            tau=200 * USEC, nop_period=100 * USEC, fault_plan=plan,
+        )
+        for i in range(4):
+            sw.submit_transaction([ops.CreateVertex(f"v{i}")])
+            sw.run(2 * MSEC)
+        assert (sw.committed, sw.aborted) == (4, 4)
+        assert sw.mapping.load() == {0: 2, 1: 2}

@@ -23,12 +23,11 @@ def make():
     )
 
 
-def commit(sw, operations, new_vertices=()):
+def commit(sw, operations):
     box = {}
     sw.submit_transaction(
         operations,
         callback=lambda ok, v: box.update(ok=ok, value=v),
-        new_vertices=new_vertices,
     )
     sw.run(2 * MSEC)
     return box
@@ -52,7 +51,6 @@ def populate(sw):
             ops.CreateEdge("e", "a", "b"),
             ops.SetVertexProperty("a", "k", 1),
         ],
-        ("a", "b"),
     )
 
 
@@ -131,7 +129,7 @@ class TestGatekeeperCrash:
         sw.crash_gatekeeper(0)
         sw.run(60 * MSEC)
         outcomes = [
-            commit(sw, [ops.CreateVertex(f"post{i}")], (f"post{i}",))
+            commit(sw, [ops.CreateVertex(f"post{i}")])
             for i in range(4)
         ]
         # Requests routed to the dead server before recovery die; the

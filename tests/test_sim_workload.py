@@ -27,7 +27,6 @@ def preload(sw, names):
         sw.submit_transaction(
             [ops.CreateVertex(name)],
             callback=lambda ok, v: done.append(ok),
-            new_vertices=(name,),
         )
     sw.run(50 * MSEC)
     assert all(done)
@@ -51,7 +50,7 @@ class TestSimClients:
         preload(sw, ["a"])
         specs = []
         for i in range(6):
-            specs.append(("tx", [ops.CreateVertex(f"w{i}")], (f"w{i}",)))
+            specs.append(("tx", [ops.CreateVertex(f"w{i}")]))
             specs.append(("prog", GetNode(), "a", None))
         clients = SimClients(sw, 2, finite_stream(specs))
         clients.start()
@@ -92,12 +91,10 @@ class TestServiceCosts:
         fast.submit_transaction(
             [ops.CreateVertex("a")],
             callback=lambda ok, v: box_fast.append(fast.simulator.now),
-            new_vertices=("a",),
         )
         slow.submit_transaction(
             [ops.CreateVertex("a")],
             callback=lambda ok, v: box_slow.append(slow.simulator.now),
-            new_vertices=("a",),
         )
         fast.run(100 * MSEC)
         slow.run(100 * MSEC)
@@ -111,7 +108,7 @@ class TestServiceCosts:
         def measure(gks):
             sw = make(gks=gks, shards=2)
             specs = [
-                ("tx", [ops.CreateVertex(f"v{i}")], (f"v{i}",))
+                ("tx", [ops.CreateVertex(f"v{i}")])
                 for i in range(120)
             ]
             clients = SimClients(sw, 16, finite_stream(specs))

@@ -30,6 +30,16 @@ class TestBasics:
         assert handle == "n"
         tx.commit()
 
+    def test_created_vertices_follow_the_create_operations(self, db):
+        tx = db.begin_transaction()
+        first = tx.create_vertex()
+        tx.create_node("n")
+        tx.set_property("n", "k", 1)
+        tx.create_edge(first, "n")
+        assert tx.created_vertices == [first, "n"]
+        tx.commit()
+        assert tx.created_vertices == [first, "n"]
+
     def test_len_counts_operations(self, db):
         tx = db.begin_transaction()
         tx.create_vertex("a")

@@ -20,7 +20,11 @@ from repro.cluster.transport import (
     SimTransport,
     TransportError,
 )
+from repro.cluster.messages import QueuedTransaction
+from repro.core.vclock import VectorTimestamp
+from repro.db.operations import CreateVertex
 from repro.obs import MetricsRegistry
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 
@@ -92,6 +96,32 @@ def test_sim_send_pays_latency_and_counts_kind():
     simulator.run(until=1.0)
     assert got == [("gk0", "nop", 11)]
     assert network.stats.count("nop") == 1
+
+
+def test_sim_enqueue_is_counted_and_faulted_as_tx_or_nop():
+    # The coordinator's write path sends every shard-bound message as
+    # "enqueue"; the network still tells heartbeats from transactions.
+    simulator = Simulator()
+    plan = FaultPlan(seed=1).duplicate(1.0, kinds=frozenset({"nop"}))
+    network = Network(
+        simulator, latency=0.5, fault_injector=FaultInjector(plan)
+    )
+    transport = SimTransport(network)
+    got = []
+    transport.register("shard0", lambda s, k, p: got.append((k, p[1])))
+    ts = VectorTimestamp(0, (1, 0), 0)
+    nop = QueuedTransaction(ts)
+    tx = QueuedTransaction(ts, (CreateVertex("a"),))
+    transport.send("gk0", "shard0", "enqueue", (0, nop))
+    transport.send("gk0", "shard0", "enqueue", (0, tx))
+    simulator.run(until=1.0)
+    assert network.stats.count("nop") == 1
+    assert network.stats.count("tx") == 1
+    assert network.stats.count("enqueue") == 0
+    # The kinds={"nop"} rule fired on the heartbeat only; receivers are
+    # still handed the contract's kind.
+    assert network.stats.faults == {"duplicate": 1}
+    assert got == [("enqueue", nop), ("enqueue", nop), ("enqueue", tx)]
 
 
 def test_sim_request_replies_after_round_trip():
