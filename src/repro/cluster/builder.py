@@ -126,10 +126,7 @@ def build_cluster(
     ]
     shards: List[ShardServer] = (
         [
-            ShardServer(
-                i, cfg.num_gatekeepers, shard_oracle(i),
-                cfg.use_ordering_cache,
-            )
+            ShardServer(i, cfg.num_gatekeepers, shard_oracle(i))
             for i in range(cfg.num_shards)
         ]
         if with_shards

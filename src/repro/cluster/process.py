@@ -26,7 +26,9 @@ chooses per program is the frontier exchange
   O(shards) wire messages per round instead of O(frontier).  The
   coordinating worker detects round quiescence and replies with only
   the aggregated result and read set (section 4's shard-to-shard
-  propagation);
+  propagation).  The request and the reading of the reply are
+  ``WritePath._program_start`` / ``_program_result``, which the
+  simulated twin — hosting the same engine — goes through too;
 * ``"images"`` runs the rounds in the client-side
   :class:`~repro.programs.framework.ProgramExecutor` on plain vertex
   images, :class:`ProcessShardResolver` fetching each round's batch with
@@ -45,7 +47,6 @@ import os
 import socket
 import tempfile
 from collections import Counter
-from types import SimpleNamespace
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 # sync_announce_all, shard_worker_main and oracle_worker_main are module
@@ -62,7 +63,7 @@ from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.library import resident_eligible
 from ..programs.routing import ShardSnapshotResolver
 from .builder import build_cluster
-from .messages import ProgramRequest, ProgramStart
+from .messages import ProgramRequest
 from .transport import ProcessTransport, TransportError
 from .worker import OracleProxy, oracle_worker_main, shard_worker_main
 
@@ -279,7 +280,6 @@ class ProcessWeaver(Coordinator):
                 child_sock,
                 index,
                 self.config.num_gatekeepers,
-                self.config.use_ordering_cache,
                 self._oracle_path,
                 epoch,
                 image,
@@ -291,7 +291,6 @@ class ProcessWeaver(Coordinator):
                 peer_paths=dict(self._peer_paths),
                 placement=placement,
                 enable_program_cache=self.config.enable_program_cache,
-                program_cache_capacity=self.config.program_cache_capacity,
             ),
             daemon=True,
         )
@@ -417,19 +416,8 @@ class ProcessWeaver(Coordinator):
         live = self._live_shards()
         if not live:
             raise ClusterError("no live shard workers")
-        # Initial frontier entry i carries order key (i,): children
-        # append their hop index, so sorting a round's entries by key
-        # reproduces the executor's append order exactly.
-        keyed = tuple(
-            (handle, entry_params, (i,))
-            for i, (handle, entry_params) in enumerate(frontier)
-        )
-        coordinator = self._shard_of(frontier[0][0])
-        if coordinator is None or coordinator not in live:
-            coordinator = live[0]
-        ps = ProgramStart(
-            ts, query_id, program.name, keyed, trace_id=trace_id,
-            cache_tail=cache_tail, max_visits=self.executor._max_visits,
+        coordinator, ps = self._program_start(
+            program.name, frontier, ts, query_id, trace_id, cache_tail, live
         )
         # Every other shard's heartbeats go out first, so they sit in
         # its socket buffer before the coordinator can forward it any
@@ -444,16 +432,12 @@ class ProcessWeaver(Coordinator):
             raise ProgramError(str(exc)) from exc
         finally:
             self.watermarks.finish(query_id)
-        if payload.get("error"):
-            raise ProgramError(payload["error"])
+        result = self._program_result(payload)
         if payload.get("cache_hit"):
             self._complete_program(trace_id, query_id, cache_hit=True)
         else:
             self._complete_program(trace_id, query_id)
-        # The coordinator's payload is a program context by field name,
-        # its read set sorted for the wire.
-        payload["read_set"] = set(payload["read_set"])
-        return ProgramResult(SimpleNamespace(**payload))
+        return result
 
     # -- failure handling -----------------------------------------------
 

@@ -58,16 +58,10 @@ class ShardStats:
 class ShardServer:
     """One shard: a graph partition plus the ordering event loop."""
 
-    def __init__(
-        self,
-        index: int,
-        num_gatekeepers: int,
-        oracle,
-        use_ordering_cache: bool = True,
-    ):
+    def __init__(self, index: int, num_gatekeepers: int, oracle):
         self.index = index
         self.num_gatekeepers = num_gatekeepers
-        self.ordering = RefinableOrdering(oracle, use_ordering_cache)
+        self.ordering = RefinableOrdering(oracle)
         self.graph = MultiVersionGraph(cmp=self._read_compare)
         self.stats = ShardStats()
         self._queues: List[List[Tuple[Tuple[int, int], QueuedTransaction]]] = [

@@ -9,8 +9,9 @@ Three implementations of one interface:
 * :class:`SimTransport` — :class:`~repro.sim.deployment.
   SimulatedWeaver`'s adapter over the deterministic
   :class:`~repro.sim.network.Network` simulator: sends become scheduled
-  FIFO deliveries with latency and fault injection, requests pay a
-  round trip before their reply callback fires;
+  FIFO deliveries with latency and fault injection (the resident
+  engine's frames exactly once, whatever the fault plan duplicates),
+  requests pay a round trip before their reply callback fires;
 * :class:`ProcessTransport` — the real thing: length-prefixed
   :mod:`~repro.cluster.wire` frames over UNIX sockets to worker
   processes, with **in-flight batching** (one-way messages buffer per
@@ -24,9 +25,9 @@ per node name, ``send`` one-way, ``request`` round-trip, ``request_all``
 fan-out, ``broadcast`` to many — because that is exactly what the
 client side needs: the write path every deployment shares
 (:class:`~repro.db.database.WritePath`) only sends — gatekeeper→shard
-enqueues, heartbeats — and the blocking
-:class:`~repro.db.database.Coordinator` adds ``advance_to`` and
-placement gossip (sends) and drains, GC and epoch barriers (fan-out
+enqueues, heartbeats, the simulator's ``program_start`` — and the
+blocking :class:`~repro.db.database.Coordinator` adds ``advance_to``
+and placement gossip (sends) and drains, GC and epoch barriers (fan-out
 requests).
 
 Backpressure rules (process transport): one-way sends never block (they
@@ -38,6 +39,7 @@ bounding client-side outstanding work to one pipelined fan-out.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -168,18 +170,39 @@ class SimTransport(Transport):
     (Fig 14's accounting and ``FaultPlan(kinds=...)`` rules).
     """
 
+    #: The resident engine's frames are written for a socket's byte
+    #: stream, which delivers each exactly once; the simulated network
+    #: delivers a duplicated message twice, so the second copy of one
+    #: send of these kinds is dropped at delivery.  (``enqueue`` is left
+    #: to the shard's own sequence-number check; announces and
+    #: heartbeats are idempotent.)
+    EXACTLY_ONCE = frozenset({
+        "program_start", "forward", "round_go", "round_report",
+        "prog-reply",
+    })
+
     def __init__(self, network) -> None:
         self.network = network
         self._handlers: Dict[str, Handler] = {}
         self.stats = TransportStats()
+        self._send_ids = itertools.count()
+        # Copies of one send arrive back to back on their channel, so
+        # the last delivered send per (src, dst) is all there is to
+        # remember.
+        self._last_delivered: Dict[Tuple[str, str], int] = {}
 
     def register(self, name: str, handler: Handler) -> None:
         self._handlers[name] = handler
 
-    def _dispatch(self, dst: str, src: str, kind: str, payload: Any) -> Any:
+    def _dispatch(self, dst: str, src: str, kind: str, payload: Any,
+                  send_id: Optional[int] = None) -> Any:
         handler = self._handlers.get(dst)
         if handler is None:
             return None  # dead letter: destination never registered
+        if kind in self.EXACTLY_ONCE:
+            if self._last_delivered.get((src, dst), -1) == send_id:
+                return None
+            self._last_delivered[(src, dst)] = send_id
         self.stats.messages_received += 1
         return handler(src, kind, payload)
 
@@ -191,7 +214,8 @@ class SimTransport(Transport):
         if kind == "enqueue":
             named = "nop" if payload[1].is_nop else "tx"
         self.network.send(
-            src, dst, self._dispatch, dst, src, kind, payload, kind=named
+            src, dst, self._dispatch, dst, src, kind, payload,
+            next(self._send_ids), kind=named,
         )
 
     def request(self, src, dst, kind, payload, on_reply=None):

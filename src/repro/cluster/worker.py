@@ -13,7 +13,10 @@ Two worker mains live here, each speaking length-prefixed
   vertex's snapshot image (visible properties and out-edges at the
   program timestamp) so the expensive multi-version visibility work
   runs in the worker, in parallel across shards, while the client-side
-  executor runs the program logic on plain data.
+  executor runs the program logic on plain data.  Shard-resident
+  programs are the socket-free :class:`ResidentEngine` (the protocol;
+  four host methods are its only ways out), hosted on sockets by the
+  worker's event loop :class:`_ResidentEngine` and by the simulator.
 * :func:`oracle_worker_main` — the timeline oracle as its own process
   behind a UNIX listening socket; every shard worker (and the client,
   for the referee and GC) connects and speaks the small RPC surface of
@@ -21,10 +24,10 @@ Two worker mains live here, each speaking length-prefixed
 
 Shard-side trace spans (``shard.enqueue`` / ``shard.apply``) are
 buffered by a :class:`BufferTracer` and piggybacked on the next reply
-frame; the client re-emits them into its own tracer under the original
-``trace_id``, which is how ``repro trace`` chains and the
-strict-serializability referee see one coherent story across process
-boundaries.
+frame (a peer keeps what it receives for its own next reply); the
+client re-emits them under the original ``trace_id``, which is how
+``repro trace`` chains and the strict-serializability referee see one
+coherent story across process boundaries.
 """
 
 from __future__ import annotations
@@ -313,54 +316,6 @@ class ResidentStats:
     def reset(self) -> None:
         self.__init__()
 
-
-class _CoopSocket:
-    """Peer-channel socket adapter that keeps pumping inbound traffic.
-
-    Worker↔worker channels can form send cycles (A forwarding a big
-    frontier to B while B forwards to A): a plain blocking ``sendall``
-    on both sides deadlocks once the kernel buffers fill.  This wrapper
-    keeps the underlying socket non-blocking and, whenever a send or a
-    reply-read would block, drains *inbound* peer bytes into the
-    engine's frame buffers (buffering only — no message is executed
-    re-entrantly), so every participant keeps consuming and the cycle
-    always makes progress.
-    """
-
-    def __init__(self, sock, engine: "_ResidentEngine"):
-        self._sock = sock
-        self._engine = engine
-        self._timeout = 60.0
-        sock.setblocking(False)
-
-    def settimeout(self, timeout) -> None:
-        self._timeout = timeout or 60.0
-
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
-    def sendall(self, data) -> None:
-        view = memoryview(data)
-        deadline = time.monotonic() + self._timeout
-        while view:
-            try:
-                sent = self._sock.send(view)
-                view = view[sent:]
-            except (BlockingIOError, InterruptedError):
-                self._engine._coop_wait(self._sock, True, deadline)
-
-    def recv(self, n: int) -> bytes:
-        deadline = time.monotonic() + self._timeout
-        while True:
-            try:
-                return self._sock.recv(n)
-            except (BlockingIOError, InterruptedError):
-                self._engine._coop_wait(self._sock, False, deadline)
-
-    def close(self) -> None:
-        self._sock.close()
-
-
 class _ResidentQuery:
     """One in-flight program's state on one participating worker."""
 
@@ -412,66 +367,48 @@ class _Coordination:
         self.done = False
 
 
-class _ResidentEngine:
-    """The shard worker's event loop with shard-resident programs.
+class ResidentEngine:
+    """Shard-resident node programs: the protocol, with no transport.
 
-    Adds worker↔worker traffic to the request/reply protocol: the
-    client submits one ``program_start`` to the start vertex's owner
-    (the *coordinator*), each worker runs
+    The client submits one ``program_start`` to the start vertex's owner
+    (the *coordinator*), each shard runs
     :func:`~repro.programs.framework.run_round` on its slice of every
     scatter-gather round against its local snapshot, next frontiers
-    travel peer-to-peer as :class:`FrontierForward` frames (one per
-    (src, dst, round) — O(shards) wire messages per round), and the
-    coordinator detects round quiescence, aggregates the per-worker
+    travel shard-to-shard as :class:`FrontierForward` frames (one per
+    (src, dst, round) — O(shards) messages per round), and the
+    coordinator detects round quiescence, aggregates the per-shard
     fragments, and replies with only the result.
+
+    A host feeds it envelopes (:meth:`_dispatch`, then :meth:`drain` for
+    what the engine queued for itself) and supplies the four ways out:
+    :meth:`_peer_send`, :meth:`_peer_request`, :meth:`_reply`,
+    :meth:`_hold`.  The two hosts are the shard worker's socket loop
+    (:class:`_ResidentEngine`) and :mod:`repro.sim.deployment`.
     """
 
     FINISHED_MEMORY = 4096
-    #: How long peer program traffic that outran this worker's own
-    #: client frames is held before the query fails by name.
+    #: Seconds (host clock) a program message that outran what makes
+    #: this shard ready is held before it fails by name.
     READY_DEADLINE = 5.0
 
-    def __init__(
-        self,
-        worker: ShardEndpoint,
-        client_sock,
-        index: int,
-        peer_listener=None,
-        peer_paths: Optional[Dict[int, str]] = None,
-        placement: Optional[Dict[str, int]] = None,
-        enable_program_cache: bool = False,
-        program_cache_capacity: int = 4096,
-    ):
+    def __init__(self, worker: ShardEndpoint, index: int, owner_of,
+                 enable_program_cache: bool = False):
         self.worker = worker
-        self.tracer: BufferTracer = worker.shard.tracer
-        self.client = client_sock
+        self.tracer = worker.shard.tracer
         self.index = index
-        self.listener = peer_listener
-        self.peer_paths = dict(peer_paths or {})
-        self.placement: Dict[str, int] = dict(placement or {})
+        #: ``owner_of(handle)`` is the owning shard's index, None for a
+        #: vertex nobody placed (it resolves as missing, here).
+        self.owner_of = owner_of
         self.prog_stats = ProgramStats()
         self.resident = ResidentStats()
-        self.transport = ProcessTransport()
-        # The ``stats`` reply: this worker's counters under the names
-        # every deployment exports; the client sums workers by name.
-        self.registry = MetricsRegistry()
-        register_stats_collectors(
-            self.registry,
-            shards=lambda: [worker.shard],
-            programs=lambda: self.prog_stats,
-            extra=self._worker_only_metrics,
-        )
         self.tracker = ChangeTracker()
         self.cache = (
-            ProgramCache(self.tracker, program_cache_capacity)
-            if enable_program_cache else None
+            ProgramCache(self.tracker) if enable_program_cache else None
         )
         self.queries: Dict[int, _ResidentQuery] = {}
         self.coordinated: Dict[int, _Coordination] = {}
         self.finished: "OrderedDict[int, bool]" = OrderedDict()
         self.pending: deque = deque()
-        self.buffers: Dict[Any, wire.FrameBuffer] = {}
-        self.sel = selectors.DefaultSelector()
         self.running = True
         # Change counters feed the shard-side program cache (section
         # 4.6): every applied transaction bumps the vertices it touched.
@@ -484,102 +421,33 @@ class _ResidentEngine:
 
         worker.shard.on_apply = _on_apply
 
-    # -- event loop -----------------------------------------------------
+    # -- the host's side ------------------------------------------------
 
-    def run(self) -> None:
-        self.client.setblocking(True)
-        self.sel.register(self.client, selectors.EVENT_READ)
-        self.buffers[self.client] = wire.FrameBuffer()
-        if self.listener is not None:
-            self.listener.setblocking(True)
-            self.sel.register(self.listener, selectors.EVENT_READ)
-        while self.running:
-            while self.pending and self.running:
-                conn, envelope = self.pending.popleft()
-                self._dispatch(conn, envelope)
-            if not self.running:
-                break
-            events = self.sel.select(timeout=1.0)
-            if not events:
-                self._check_stalled()
-                continue
-            for key, _mask in events:
-                conn = key.fileobj
-                if conn is self.listener:
-                    peer, _ = self.listener.accept()
-                    peer.setblocking(True)
-                    self.sel.register(peer, selectors.EVENT_READ)
-                    self.buffers[peer] = wire.FrameBuffer()
-                    continue
-                self._pump(conn)
+    def _peer_send(self, dst: int, kind: str, payload) -> None:
+        """One-way ``kind`` to shard ``dst``'s engine, FIFO per peer."""
+        raise NotImplementedError
 
-    def _pump(self, conn) -> None:
-        try:
-            chunk = conn.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            chunk = b""
-        if not chunk:
-            if conn is self.client:
-                self.running = False
-                return
-            try:
-                self.sel.unregister(conn)
-            except (KeyError, ValueError):
-                pass
-            self.buffers.pop(conn, None)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            return
-        buffer = self.buffers.get(conn)
-        if buffer is None:
-            return
-        for frame in buffer.feed(chunk):
-            self.pending.append((conn, wire.decode(frame)))
+    def _peer_request(self, dst: int, kind: str, payload):
+        """Shard ``dst``'s answer to ``kind``, synchronously."""
+        raise NotImplementedError
 
-    def _coop_wait(self, sock, writable: bool, deadline: float) -> None:
-        """Wait for ``sock`` while pumping inbound connections (buffer
-        only — nothing dispatches until the main loop resumes)."""
-        while True:
-            timeout = min(1.0, deadline - time.monotonic())
-            if timeout <= 0:
-                raise socket.timeout("peer channel stalled")
-            reads = list(self.buffers)
-            if not writable:
-                reads.append(sock)
-            r, w, _ = select.select(
-                reads, [sock] if writable else [], [], timeout
-            )
-            for conn in r:
-                if conn is sock and not writable:
-                    return
-                self._pump(conn)
-            if writable and w:
-                return
+    def _reply(self, conn, rid: int, result=None, error=None) -> None:
+        """Answer request ``rid`` that arrived on ``conn``."""
+        raise NotImplementedError
 
-    def _check_stalled(self) -> None:
-        """Probe reporters a coordinated query is still waiting on; a
-        dead peer turns a silent stall into a prompt client error."""
-        now = time.monotonic()
-        for coord in list(self.coordinated.values()):
-            if coord.done or now - coord.last_activity < 5.0:
-                continue
-            awaited = coord.participants.get(coord.rounds_issued - 1, set())
-            reported = set(coord.reports.get(coord.rounds_issued - 1, {}))
-            for dst in sorted(awaited - reported - {self.index}):
-                try:
-                    self._peer_request(dst, "ping", None)
-                except (TransportError, OSError, socket.timeout):
-                    self._finish_error(
-                        coord, f"worker shard{dst} died mid-program"
-                    )
-                    break
-            coord.last_activity = now
+    def _hold(self, conn, envelope: dict, ts: VectorTimestamp) -> bool:
+        """Take a message this shard is not ready for at ``ts`` and
+        dispatch it again later; False once ``READY_DEADLINE`` has
+        passed (``envelope["until"]``) or waiting cannot help."""
+        raise NotImplementedError
 
     # -- dispatch -------------------------------------------------------
+
+    def drain(self) -> None:
+        """Dispatch what is queued: frames read, self-deliveries."""
+        while self.pending and self.running:
+            conn, envelope = self.pending.popleft()
+            self._dispatch(conn, envelope)
 
     def _dispatch(self, conn, envelope: dict) -> None:
         kind = envelope.get("k")
@@ -589,32 +457,31 @@ class _ResidentEngine:
         # were buffered on its channel, FIFO ahead of the request.
         messages = envelope.pop("m", None) or ()
         for position, (msg_kind, payload) in enumerate(messages):
-            error = self._not_ready(msg_kind, payload)
-            if error is not None:
+            waiting = self._not_ready(msg_kind, payload)
+            if waiting is not None:
                 envelope["m"] = messages[position:]
-                if self._hold(conn, envelope):
+                if self._hold(conn, envelope, waiting[0]):
                     return
                 # round_go is the only one-way kind that waits.
-                self._report_failure(payload, str(error))
+                self._report_failure(payload, str(waiting[1]))
                 continue
             self._handle_send(msg_kind, payload)
         if kind != "r":
             return
         rid = envelope["id"]
         req = envelope["kind"]
-        error = self._not_ready(req, envelope.get("p"))
-        if error is not None:
-            if not self._hold(conn, envelope):
-                self._reply(conn, rid, error=str(error))
-            return
-        if req == "program_start":
-            try:
-                self._handle_program_start(conn, rid, envelope.get("p"))
-            except Exception as exc:  # noqa: BLE001 - report, keep serving
-                self._reply(conn, rid, error=repr(exc))
+        payload = envelope.get("p")
+        waiting = self._not_ready(req, payload)
+        if waiting is not None:
+            if not self._hold(conn, envelope, waiting[0]):
+                self._reply(conn, rid, error=str(waiting[1]))
             return
         try:
-            result = self._handle_request(req, envelope.get("p"))
+            if req == "program_start":
+                # Replies for itself, once the rounds are done.
+                self._handle_program_start(conn, rid, payload)
+                return
+            result = self._handle_request(req, payload)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             self._reply(conn, rid, error=repr(exc))
         else:
@@ -622,12 +489,15 @@ class _ResidentEngine:
         if req == "shutdown":
             self.running = False
 
-    def _not_ready(self, kind: str, payload) -> Optional[WeaverError]:
-        """The named error when a peer's program message needs this
-        shard ready for a timestamp it is not ready for yet: a query's
-        first ``round_go`` builds its snapshot resolver (a ``forward``
-        only buffers hops until then), and a ``counters`` check vouches
-        for a cached result as of ``ts``."""
+    def _not_ready(
+        self, kind: str, payload
+    ) -> Optional[Tuple[VectorTimestamp, WeaverError]]:
+        """(timestamp, named error) when a program message needs this
+        shard ready for a timestamp it is not ready for yet:
+        ``program_start`` and a query's first ``round_go`` build its
+        snapshot resolver (a ``forward`` only buffers hops until then),
+        and a ``counters`` check vouches for a cached result as of
+        ``ts``."""
         if kind == "round_go":
             qid = payload["q"]
             query = self.queries.get(qid)
@@ -637,51 +507,14 @@ class _ResidentEngine:
                 or (query is not None and query.program is not None)
             ):
                 return None
-        elif kind != "counters":
+        elif kind not in ("program_start", "counters"):
             return None
-        return self.worker.shard.not_ready(payload["ts"])
-
-    def _hold(self, conn, envelope: dict) -> bool:
-        """Requeue a message that outran this worker's own client
-        frames; False once it has waited out the deadline.
-
-        The client flushes every channel before it writes
-        ``program_start``, so the heartbeats and ``advance_to`` that
-        make this shard ready are already in the client socket's
-        buffer: pump it and put the message back behind them.
-        """
-        now = time.monotonic()
-        deadline = envelope.setdefault("until", now + self.READY_DEADLINE)
-        if now >= deadline:
-            return False
-        if all("until" in queued for _conn, queued in self.pending):
-            # Nothing but held messages is queued, so nothing queued
-            # can make the shard ready: wait for the client's bytes.
-            if select.select([self.client], [], [], deadline - now)[0]:
-                self._pump(self.client)
-        self.pending.append((conn, envelope))
-        return True
-
-    def _reply(self, conn, rid: int, result=None, error=None) -> None:
-        if error is not None:
-            reply = {"k": "e", "id": rid, "e": error}
-        else:
-            reply = {"k": "p", "id": rid, "p": result}
-        if conn is self.client:
-            # Trace events only ride client replies: the peer transport
-            # has no client handler, so events on peer frames would be
-            # silently dropped (peers return theirs inside payloads).
-            reply["ev"] = self.tracer.drain()
-        try:
-            wire.write_frame(conn, wire.encode(reply))
-        except OSError:
-            if conn is self.client:
-                self.running = False
+        ts = payload.ts if kind == "program_start" else payload["ts"]
+        error = self.worker.shard.not_ready(ts)
+        return None if error is None else (ts, error)
 
     def _handle_send(self, kind: str, payload) -> None:
-        if kind == "placement":
-            self.placement.update(payload)
-        elif kind == "forward":
+        if kind == "forward":
             self._on_forward(payload)
         elif kind == "round_go":
             self._on_round_go(payload)
@@ -698,8 +531,6 @@ class _ResidentEngine:
             return self._fragment(
                 payload["q"], payload["halt_round"], payload["halt_key"]
             )
-        if kind == "stats":
-            return self.registry.snapshot()
         if kind == "advance_epoch":
             self._clear_resident_state()
         return self.worker.deliver(None, kind, payload)
@@ -714,73 +545,10 @@ class _ResidentEngine:
         if self.cache is not None:
             self.cache.clear()
 
-    def _worker_only_metrics(self) -> Dict[str, float]:
-        """What only a shard worker counts."""
-        out: Dict[str, float] = {
-            "process.stragglers_dropped": self.worker.stragglers_dropped,
-        }
-        for prefix, stats in (
-            ("program.resident", self.resident),
-            ("transport.worker", self.transport.stats),
-        ):
-            for key, value in scalar_fields(stats).items():
-                out[f"{prefix}.{key}"] = value
-        cache = self.cache
-        if cache is not None:
-            out["program.cache.hits"] = cache.hits
-            out["program.cache.misses"] = cache.misses
-            out["program.cache.invalidations"] = cache.invalidations
-            out["program.cache.entries"] = len(cache)
-        return out
-
-    # -- peer channels --------------------------------------------------
-
-    def _peer_channel(self, dst: int) -> str:
-        name = f"peer{dst}"
-        channel = self.transport._channels.get(name)
-        if channel is None or channel.dead:
-            if channel is not None:
-                self.transport.remove_channel(name)
-                self.resident.peer_reconnects += 1
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(self.peer_paths[dst])
-            self.transport.add_channel(name, _CoopSocket(sock, self))
-        return name
-
-    def _peer_send(self, dst: int, kind: str, payload) -> None:
-        # Flush inside the retry loop: buffering cannot fail, so a stale
-        # channel to a SIGKILLed-and-replaced peer only surfaces at the
-        # write.  Flushing here turns that into a reconnect-and-resend
-        # instead of a silently dropped frame (the coordinator would
-        # wait forever on the lost round report).
-        src = self.worker.shard.name
-        for attempt in (0, 1):
-            name = self._peer_channel(dst)
-            try:
-                self.transport.send(src, name, kind, payload)
-                self.transport.flush(name)
-                return
-            except TransportError:
-                self.transport.remove_channel(name)
-                self.resident.peer_reconnects += 1
-                if attempt:
-                    raise
-
-    def _peer_request(self, dst: int, kind: str, payload):
-        src = self.worker.shard.name
-        for attempt in (0, 1):
-            name = self._peer_channel(dst)
-            try:
-                return self.transport.request(src, name, kind, payload)
-            except TransportError:
-                self.transport.remove_channel(name)
-                self.resident.peer_reconnects += 1
-                if attempt:
-                    raise
-
     def _local(self, kind: str, payload) -> None:
-        """Self-delivery: enqueue for the main loop instead of calling
-        inline, so deep traversals never recurse through rounds."""
+        """Self-delivery: enqueue for the host's next drain instead of
+        calling inline, so deep traversals never recurse through
+        rounds."""
         self.pending.append((None, {"k": "b", "m": [(kind, payload)]}))
 
     def _deliver(self, dst: int, kind: str, payload) -> None:
@@ -842,7 +610,7 @@ class _ResidentEngine:
 
     def _report_failure(self, go: dict, message: str) -> None:
         """Answer a ``round_go`` this worker cannot execute."""
-        self._send_report(go["coordinator"], {
+        self._deliver(go["coordinator"], "round_report", {
             "q": go["q"], "round": go["round"], "worker": self.index,
             "sent": {}, "halt": None, "processed": 0, "error": message,
         })
@@ -877,6 +645,7 @@ class _ResidentEngine:
         next_by_dst: Dict[int, list] = {}
         entries, tagged = query.entries, query.tagged
         already = len(entries)
+        owner_of, here = self.owner_of, self.index
 
         def deliver(entry, node, hops) -> None:
             handle, _params, key = entry
@@ -888,10 +657,10 @@ class _ResidentEngine:
                 (round_no, key, handle, node is not None, len(hops))
             )
             for i, (next_handle, next_params) in enumerate(hops):
-                dst = self.placement.get(next_handle, self.index)
-                next_by_dst.setdefault(dst, []).append(
-                    (next_handle, next_params, key + (i,))
-                )
+                dst = owner_of(next_handle)
+                next_by_dst.setdefault(
+                    here if dst is None else dst, []
+                ).append((next_handle, next_params, key + (i,)))
 
         halt_key = error = None
         try:
@@ -912,12 +681,11 @@ class _ResidentEngine:
             except (TransportError, OSError, socket.timeout) as exc:
                 error = f"frontier forward failed: {exc}"
         try:
-            self._send_report(query.coordinator, {
+            self._deliver(query.coordinator, "round_report", {
                 "q": query.qid, "round": round_no, "worker": self.index,
                 "sent": sent, "halt": halt_key, "processed": processed,
                 "error": error,
             })
-            self.transport.flush()
         except (TransportError, OSError, socket.timeout):
             # Coordinator unreachable: nothing to report to.  The client
             # will surface the failure through its own channel.
@@ -940,11 +708,6 @@ class _ResidentEngine:
                 self.resident.hops_forwarded += len(hops_list)
         return {dst: len(hops_list) for dst, hops_list in by_dst.items()}
 
-    def _send_report(self, coordinator: int, report: dict) -> None:
-        self._deliver(coordinator, "round_report", report)
-        if coordinator != self.index:
-            self.transport.flush()
-
     def _fragment(
         self, qid: int, halt_round: Optional[int], halt_key
     ) -> dict:
@@ -960,7 +723,7 @@ class _ResidentEngine:
         self._mark_finished(qid)
         empty = {
             "results": [], "read": [], "states": {}, "visited": 0,
-            "hops": 0, "counters": {}, "events": [],
+            "hops": 0, "counters": {},
         }
         if query is None or query.ctx is None:
             return empty
@@ -991,7 +754,6 @@ class _ResidentEngine:
             "visited": visited,
             "hops": hops_total,
             "counters": self.tracker.snapshot(read),
-            "events": self.tracer.drain(),
         }
 
     # -- coordinator side -----------------------------------------------
@@ -1000,12 +762,6 @@ class _ResidentEngine:
         self, conn, rid: int, ps: ProgramStart
     ) -> None:
         self.resident.programs_coordinated += 1
-        # The heartbeats and advance_to for ps.ts rode in ahead of this
-        # request; if they did not make the shard ready nothing will.
-        error = self.worker.shard.not_ready(ps.ts)
-        if error is not None:
-            self._reply(conn, rid, result={"error": str(error)})
-            return
         cache_key = None
         if (
             self.cache is not None
@@ -1034,8 +790,10 @@ class _ResidentEngine:
             return
         by_dst: Dict[int, list] = {}
         for entry in ps.frontier:
-            dst = self.placement.get(entry[0], self.index)
-            by_dst.setdefault(dst, []).append(entry)
+            dst = self.owner_of(entry[0])
+            by_dst.setdefault(
+                self.index if dst is None else dst, []
+            ).append(entry)
         sent = self._forward(self._ensure_query(ps.query_id), 0, by_dst)
         coord.involved.update(sent)
         self._issue_round(coord, 0, {
@@ -1084,7 +842,6 @@ class _ResidentEngine:
                 # frontier in full.
                 "budget": coord.ps.max_visits - coord.processed_total,
             })
-        self.transport.flush()
 
     def _on_round_report(self, report: dict) -> None:
         coord = self.coordinated.get(report["q"])
@@ -1182,8 +939,6 @@ class _ResidentEngine:
             visited += fragment["visited"]
             hops_total += fragment["hops"]
             counters[worker_index] = fragment["counters"]
-            for event in fragment.get("events", ()):
-                self.tracer.events.append(tuple(event))
         tagged.sort(key=lambda t: (t[0], t[1], t[2]))
         payload = {
             "query_id": coord.qid,
@@ -1218,11 +973,312 @@ class _ResidentEngine:
         self._reply(coord.conn, coord.rid, result={"error": message})
 
 
+class _CoopSocket:
+    """Peer-channel socket adapter that keeps pumping inbound traffic.
+
+    Worker↔worker channels can form send cycles (A forwarding a big
+    frontier to B while B forwards to A): a plain blocking ``sendall``
+    on both sides deadlocks once the kernel buffers fill.  This wrapper
+    keeps the underlying socket non-blocking and, whenever a send or a
+    reply-read would block, drains *inbound* peer bytes into the
+    engine's frame buffers (buffering only — no message is executed
+    re-entrantly), so every participant keeps consuming and the cycle
+    always makes progress.
+    """
+
+    def __init__(self, sock, engine: "_ResidentEngine"):
+        self._sock = sock
+        self._engine = engine
+        self._timeout = 60.0
+        sock.setblocking(False)
+
+    def settimeout(self, timeout) -> None:
+        self._timeout = timeout or 60.0
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def sendall(self, data) -> None:
+        view = memoryview(data)
+        deadline = time.monotonic() + self._timeout
+        while view:
+            try:
+                sent = self._sock.send(view)
+                view = view[sent:]
+            except (BlockingIOError, InterruptedError):
+                self._engine._coop_wait(self._sock, True, deadline)
+
+    def recv(self, n: int) -> bytes:
+        deadline = time.monotonic() + self._timeout
+        while True:
+            try:
+                return self._sock.recv(n)
+            except (BlockingIOError, InterruptedError):
+                self._engine._coop_wait(self._sock, False, deadline)
+
+    def close(self) -> None:
+        self._sock.close()
+
+
+class _ResidentEngine(ResidentEngine):
+    """The shard worker's event loop: :class:`ResidentEngine` hosted on
+    sockets.  Everything with a file descriptor lives here — the
+    selector loop, worker↔worker channels (reconnected once when a peer
+    was replaced), the wall-clock hold — plus the two message kinds only
+    this host receives: the client's placement gossip (the ``owner_of``
+    the protocol routes by) and its ``stats`` request.
+    """
+
+    def __init__(
+        self,
+        worker: ShardEndpoint,
+        client_sock,
+        index: int,
+        peer_listener=None,
+        peer_paths: Optional[Dict[int, str]] = None,
+        placement: Optional[Dict[str, int]] = None,
+        enable_program_cache: bool = False,
+    ):
+        self.placement: Dict[str, int] = dict(placement or {})
+        super().__init__(
+            worker, index, self.placement.get, enable_program_cache
+        )
+        self.client = client_sock
+        self.listener = peer_listener
+        self.peer_paths = dict(peer_paths or {})
+        self.transport = ProcessTransport()
+        self.transport.register("client", self._on_peer_spans)
+        # The ``stats`` reply: this worker's counters under the names
+        # every deployment exports; the client sums workers by name.
+        self.registry = MetricsRegistry()
+        register_stats_collectors(
+            self.registry,
+            shards=lambda: [worker.shard],
+            programs=lambda: self.prog_stats,
+            extra=self._worker_only_metrics,
+        )
+        self.buffers: Dict[Any, wire.FrameBuffer] = {}
+        self.sel = selectors.DefaultSelector()
+
+    # -- event loop -----------------------------------------------------
+
+    def run(self) -> None:
+        self.client.setblocking(True)
+        self.sel.register(self.client, selectors.EVENT_READ)
+        self.buffers[self.client] = wire.FrameBuffer()
+        if self.listener is not None:
+            self.listener.setblocking(True)
+            self.sel.register(self.listener, selectors.EVENT_READ)
+        while self.running:
+            self.drain()
+            if not self.running:
+                break
+            events = self.sel.select(timeout=1.0)
+            if not events:
+                self._check_stalled()
+                continue
+            for key, _mask in events:
+                conn = key.fileobj
+                if conn is self.listener:
+                    peer, _ = self.listener.accept()
+                    peer.setblocking(True)
+                    self.sel.register(peer, selectors.EVENT_READ)
+                    self.buffers[peer] = wire.FrameBuffer()
+                    continue
+                self._pump(conn)
+
+    def _pump(self, conn) -> None:
+        try:
+            chunk = conn.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            if conn is self.client:
+                self.running = False
+                return
+            try:
+                self.sel.unregister(conn)
+            except (KeyError, ValueError):
+                pass
+            self.buffers.pop(conn, None)
+            try:
+                conn.close()
+            except OSError:
+                pass
+            return
+        buffer = self.buffers.get(conn)
+        if buffer is None:
+            return
+        for frame in buffer.feed(chunk):
+            self.pending.append((conn, wire.decode(frame)))
+
+    def _coop_wait(self, sock, writable: bool, deadline: float) -> None:
+        """Wait for ``sock`` while pumping inbound connections (buffer
+        only — nothing dispatches until the main loop resumes)."""
+        while True:
+            timeout = min(1.0, deadline - time.monotonic())
+            if timeout <= 0:
+                raise socket.timeout("peer channel stalled")
+            reads = list(self.buffers)
+            if not writable:
+                reads.append(sock)
+            r, w, _ = select.select(
+                reads, [sock] if writable else [], [], timeout
+            )
+            for conn in r:
+                if conn is sock and not writable:
+                    return
+                self._pump(conn)
+            if writable and w:
+                return
+
+    def _check_stalled(self) -> None:
+        """Probe reporters a coordinated query is still waiting on; a
+        dead peer turns a silent stall into a prompt client error."""
+        now = time.monotonic()
+        for coord in list(self.coordinated.values()):
+            if coord.done or now - coord.last_activity < 5.0:
+                continue
+            awaited = coord.participants.get(coord.rounds_issued - 1, set())
+            reported = set(coord.reports.get(coord.rounds_issued - 1, {}))
+            for dst in sorted(awaited - reported - {self.index}):
+                try:
+                    self._peer_request(dst, "ping", None)
+                except (TransportError, OSError, socket.timeout):
+                    self._finish_error(
+                        coord, f"worker shard{dst} died mid-program"
+                    )
+                    break
+            coord.last_activity = now
+
+    # -- the four ways out ----------------------------------------------
+
+    def _hold(self, conn, envelope: dict, ts: VectorTimestamp) -> bool:
+        """Requeue a peer's message that outran this worker's own client
+        frames; False once it has waited out the deadline.
+
+        The client flushes every channel before it writes
+        ``program_start``, so the heartbeats and ``advance_to`` that
+        make this shard ready are already in the client socket's
+        buffer: pump it and put the message back behind them.  A message
+        that arrived *on* the client connection is refused: what makes
+        the shard ready precedes it there, so pumping cannot help.
+        """
+        if conn is self.client:
+            return False
+        now = time.monotonic()
+        deadline = envelope.setdefault("until", now + self.READY_DEADLINE)
+        if now >= deadline:
+            return False
+        if all("until" in queued for _conn, queued in self.pending):
+            # Nothing but held messages is queued, so nothing queued
+            # can make the shard ready: wait for the client's bytes.
+            if select.select([self.client], [], [], deadline - now)[0]:
+                self._pump(self.client)
+        self.pending.append((conn, envelope))
+        return True
+
+    def _reply(self, conn, rid: int, result=None, error=None) -> None:
+        if error is not None:
+            reply = {"k": "e", "id": rid, "e": error}
+        else:
+            reply = {"k": "p", "id": rid, "p": result}
+        # Buffered spans ride every reply: the client re-emits them, a
+        # peer keeps them for its own next reply (_on_peer_spans).
+        reply["ev"] = self.tracer.drain()
+        try:
+            wire.write_frame(conn, wire.encode(reply))
+        except OSError:
+            if conn is self.client:
+                self.running = False
+
+    def _peer_channel(self, dst: int) -> str:
+        name = f"peer{dst}"
+        channel = self.transport._channels.get(name)
+        if channel is None or channel.dead:
+            if channel is not None:
+                self.transport.remove_channel(name)
+                self.resident.peer_reconnects += 1
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(self.peer_paths[dst])
+            self.transport.add_channel(name, _CoopSocket(sock, self))
+        return name
+
+    def _peer_send(self, dst: int, kind: str, payload) -> None:
+        # Flush inside the retry loop: buffering cannot fail, so a stale
+        # channel to a SIGKILLed-and-replaced peer only surfaces at the
+        # write.  Flushing here turns that into a reconnect-and-resend
+        # instead of a silently dropped frame (the coordinator would
+        # wait forever on the lost round report).
+        src = self.worker.shard.name
+        for attempt in (0, 1):
+            name = self._peer_channel(dst)
+            try:
+                self.transport.send(src, name, kind, payload)
+                self.transport.flush(name)
+                return
+            except TransportError:
+                self.transport.remove_channel(name)
+                self.resident.peer_reconnects += 1
+                if attempt:
+                    raise
+
+    def _peer_request(self, dst: int, kind: str, payload):
+        src = self.worker.shard.name
+        for attempt in (0, 1):
+            name = self._peer_channel(dst)
+            try:
+                return self.transport.request(src, name, kind, payload)
+            except TransportError:
+                self.transport.remove_channel(name)
+                self.resident.peer_reconnects += 1
+                if attempt:
+                    raise
+
+    def _on_peer_spans(self, src: str, kind: str, events) -> None:
+        """Spans a peer's reply carried: buffered here, so they reach
+        the client on this worker's next reply to it."""
+        self.tracer.events.extend(tuple(event) for event in events)
+
+    # -- this host's own message kinds ----------------------------------
+
+    def _handle_send(self, kind: str, payload) -> None:
+        if kind == "placement":
+            self.placement.update(payload)
+        else:
+            super()._handle_send(kind, payload)
+
+    def _handle_request(self, kind: str, payload):
+        if kind == "stats":
+            return self.registry.snapshot()
+        return super()._handle_request(kind, payload)
+
+    def _worker_only_metrics(self) -> Dict[str, float]:
+        """What only a shard worker counts."""
+        out: Dict[str, float] = {
+            "process.stragglers_dropped": self.worker.stragglers_dropped,
+        }
+        for prefix, stats in (
+            ("program.resident", self.resident),
+            ("transport.worker", self.transport.stats),
+        ):
+            for key, value in scalar_fields(stats).items():
+                out[f"{prefix}.{key}"] = value
+        cache = self.cache
+        if cache is not None:
+            out["program.cache.hits"] = cache.hits
+            out["program.cache.misses"] = cache.misses
+            out["program.cache.invalidations"] = cache.invalidations
+            out["program.cache.entries"] = len(cache)
+        return out
+
+
 def shard_worker_main(
     sock,
     index: int,
     num_gatekeepers: int,
-    use_ordering_cache: bool = True,
     oracle_path: Optional[str] = None,
     epoch: int = 0,
     image: Optional[tuple] = None,
@@ -1232,13 +1288,12 @@ def shard_worker_main(
     peer_paths: Optional[Dict[int, str]] = None,
     placement: Optional[Dict[str, int]] = None,
     enable_program_cache: bool = False,
-    program_cache_capacity: int = 4096,
 ) -> None:
     """Entry point of one shard worker process."""
     oracle = (
         OracleProxy(oracle_path) if oracle_path else TimelineOracle()
     )
-    shard = ShardServer(index, num_gatekeepers, oracle, use_ordering_cache)
+    shard = ShardServer(index, num_gatekeepers, oracle)
     shard.tracer = BufferTracer()
     if epoch > 0:
         shard.advance_epoch(epoch)
@@ -1261,7 +1316,6 @@ def shard_worker_main(
         ShardEndpoint(shard), sock, index,
         peer_listener=peer_listener, peer_paths=peer_paths,
         placement=placement, enable_program_cache=enable_program_cache,
-        program_cache_capacity=program_cache_capacity,
     )
     try:
         engine.run()

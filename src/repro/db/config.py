@@ -19,12 +19,9 @@ class WeaverConfig:
             tradeoff Fig 14 sweeps.
         oracle_chain_length: replicas in the timeline oracle chain
             (1 = unreplicated; 3 = the paper's fault-tolerant setup).
-        use_ordering_cache: let shards cache oracle decisions
-            (section 4.2; ablation A3).
         enable_program_cache: memoize node-program results at vertices
             (section 4.6; disabled by default, as in the paper's
             evaluation; ablation A1).
-        program_cache_capacity: LRU capacity of the program cache.
         partitioner: vertex placement — "round_robin" (balanced,
             locality-blind; the paper's evaluation setting), "hash", or
             "ldg" (streaming greedy colocation, section 4.6).
@@ -67,9 +64,7 @@ class WeaverConfig:
     num_shards: int = 2
     announce_every: int = 1
     oracle_chain_length: int = 1
-    use_ordering_cache: bool = True
     enable_program_cache: bool = False
-    program_cache_capacity: int = 4096
     partitioner: str = "round_robin"
     drain_every: int = 256
     store_nodes: int = 0

@@ -7,8 +7,10 @@ deployments differ — whether anything may wait:
 * :class:`WritePath` — the clock-free part: place new vertices →
   gatekeeper stamp and backing-store commit → per-(gatekeeper, shard)
   FIFO enqueue with sequence numbers and one global send rank; plus
-  the oracle + store tail every GC pass ends with.  It only ever calls
-  ``transport.send``, so every deployment inherits it.
+  the oracle + store tail every GC pass ends with and the two ends of
+  a shard-resident program (the ``program_start`` request, the reply
+  as a result).  It only ever calls ``transport.send``, so every
+  deployment inherits it.
 * :class:`Coordinator` (a ``WritePath``) — everything that blocks:
   ``begin_transaction``, announce / drain pacing by commit count, NOP
   heartbeats so every queue is non-empty → a one-way ``advance_to``
@@ -38,16 +40,17 @@ commit, channel stamping and shard endpoint, fired by its own timers.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from ..cluster.builder import ClusterParts, build_cluster
-from ..cluster.messages import QueuedTransaction
+from ..cluster.messages import ProgramStart, QueuedTransaction
 from ..cluster.shard import ShardServer
 from ..cluster.transport import LocalTransport, Transport
 from ..cluster.worker import ShardEndpoint
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import Ordering, VectorTimestamp
-from ..errors import ClusterError, NoSuchVertex
+from ..errors import ClusterError, NoSuchVertex, ProgramError
 from ..graph.partition import HashPartitioner, LdgPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
 from ..programs.framework import NodeProgram, ProgramResult
@@ -86,9 +89,8 @@ class WritePath:
         self.transport = transport
         # Transport addresses, by index (a replacement server keeps its
         # predecessor's name).
-        self._shard_names = [
-            self.shard_name(i) for i in range(cfg.num_shards)
-        ]
+        self._all_shards = list(range(cfg.num_shards))
+        self._shard_names = [self.shard_name(i) for i in self._all_shards]
         self._gk_names = [gk.name for gk in self.gatekeepers]
         self._handle_counter = itertools.count()
         self._query_counter = itertools.count(1)
@@ -200,6 +202,46 @@ class WritePath:
             (gk_index, stamped),
         )
 
+    # -- shard-resident node programs (section 4.1) ------------------------
+
+    def _program_start(
+        self,
+        program: str,
+        frontier: List[Tuple[str, Any]],
+        ts: VectorTimestamp,
+        query_id: int,
+        trace_id: Optional[int],
+        cache_tail: Optional[Hashable],
+        live: List[int],
+    ) -> Tuple[int, ProgramStart]:
+        """The request that ships ``program`` to the data, and the shard
+        that coordinates it: the start vertex's owner if it is in
+        ``live``, else the first live shard."""
+        # Initial frontier entry i carries order key (i,): children
+        # append their hop index, so sorting a round's entries by key
+        # reproduces the executor's append order exactly.
+        keyed = tuple(
+            (handle, entry_params, (i,))
+            for i, (handle, entry_params) in enumerate(frontier)
+        )
+        coordinator = self._shard_of(frontier[0][0])
+        if coordinator is None or coordinator not in live:
+            coordinator = live[0]
+        return coordinator, ProgramStart(
+            ts, query_id, program, keyed, trace_id=trace_id,
+            cache_tail=cache_tail, max_visits=self.executor._max_visits,
+        )
+
+    @staticmethod
+    def _program_result(payload: dict) -> ProgramResult:
+        """The coordinating shard's reply as the caller's result: its
+        payload is a program context by field name, the read set sorted
+        for the wire; a failed program raises by the shard's text."""
+        if payload.get("error"):
+            raise ProgramError(payload["error"])
+        payload["read_set"] = set(payload["read_set"])
+        return ProgramResult(SimpleNamespace(**payload))
+
     # -- garbage collection (section 4.5) -----------------------------------
 
     def _collect_oracle_and_store(
@@ -234,7 +276,6 @@ class Coordinator(WritePath):
     def __init__(self, parts: ClusterParts, transport: Transport):
         super().__init__(parts, transport)
         self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
-        self._all_shards = list(range(self.config.num_shards))
         self._commits = 0
         self._commits_since_drain = 0
         # The timestamp every live shard was last advanced to, while
@@ -474,10 +515,9 @@ class Weaver(Coordinator):
         for shard in self.shards:
             self._register_shard(shard)
         self.changes = ChangeTracker()
-        cfg = self.config
         self.program_cache: Optional[ProgramCache] = (
-            ProgramCache(self.changes, cfg.program_cache_capacity)
-            if cfg.enable_program_cache
+            ProgramCache(self.changes)
+            if self.config.enable_program_cache
             else None
         )
         self._paging_enabled = False

@@ -7,11 +7,10 @@ exactly the visibility-check reuse the memo exists for.
 :class:`ShardSnapshotResolver` is the one resolver every deployment
 hands to :func:`~repro.programs.framework.run_round`: it groups each
 scatter-gather round's frontier by owning shard, resolves every shard's
-batch against **one long-lived snapshot view per (query, shard)**, and
-keeps the per-(shard, round) batch sizes that the simulator's cost model
-charges as messages (one per batch, not one per vertex — the paper's
-shard-to-shard batch propagation, section 4.1).  Where the shards are
-other processes, a subclass replaces only :meth:`_fetch`.
+batch against **one long-lived snapshot view per (query, shard)** (one
+message per batch, not one per vertex — the paper's shard-to-shard batch
+propagation, section 4.1).  Where the shards are other processes, a
+subclass replaces only :meth:`_fetch`.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ class ShardSnapshotResolver:
         # served locally, with no repeat shard request or placement
         # lookup.
         self._vertices: Dict[str, Optional[VertexView]] = {}
-        #: One entry per scatter-gather round: {shard_index: batch size}.
-        #: The simulator charges one inter-shard message per entry item.
-        self.shard_rounds: List[Dict[int, int]] = []
 
     @property
     def snapshots_created(self) -> int:
@@ -119,12 +115,10 @@ class ShardSnapshotResolver:
                 cache[handle] = None
             else:
                 per_shard.setdefault(shard_index, []).append(handle)
-        round_counts: Dict[int, int] = {}
         for shard_index, fresh, nodes in self._fetch(per_shard):
             batch = per_shard[shard_index]
             for handle, node in zip(batch, nodes):
                 cache[handle] = out[handle] = node
-            round_counts[shard_index] = len(batch)
             stats.shard_batches += 1
             stats.vertices_resolved += len(batch)
             # Every resolution after the view's first rides the memo.
@@ -132,8 +126,6 @@ class ShardSnapshotResolver:
             stats.snapshot_reuse_hits += len(batch) - fresh
             # One message per (shard, round) replaces one per vertex.
             stats.round_messages_saved += len(batch) - 1
-        if round_counts:
-            self.shard_rounds.append(round_counts)
         if cache_hits:
             stats.vertices_resolved += cache_hits
             stats.snapshot_reuse_hits += cache_hits

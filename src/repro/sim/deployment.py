@@ -6,8 +6,10 @@ runs the *same server objects* — gatekeepers, shard servers, the
 timeline oracle, the backing store — and the *same write path*
 (:class:`~repro.db.database.WritePath`: place, commit, stamp the FIFO
 channels; shards receive through
-:class:`~repro.cluster.worker.ShardEndpoint`) asynchronously over the
-simulated network:
+:class:`~repro.cluster.worker.ShardEndpoint`) and the *same program
+engine* (:class:`~repro.cluster.worker.ResidentEngine`, one per shard,
+hosted by :class:`_ShardHost`) asynchronously over the simulated
+network:
 
 * announce timers fire every ``tau`` simulated seconds per gatekeeper,
   and announce messages pay network latency like everything else;
@@ -15,17 +17,19 @@ simulated network:
   (section 4.2's 10 µs default), keeping shard queues non-empty;
 * transactions travel client -> gatekeeper -> (store commit) -> shards
   on FIFO channels with sequence numbers;
-* node programs wait at the shards until every queue head is ordered
-  after them — the wait is real simulated time, bounded by τ plus the
-  NOP period, which the tests verify;
+* node programs travel client -> gatekeeper (stamp) -> the start
+  vertex's shard, wait *there* until every queue head is ordered after
+  them — the wait is real simulated time, bounded by τ plus the NOP
+  period, which the tests verify — then propagate shard to shard and
+  reply shard -> client;
 * heartbeats flow to the cluster manager, whose failure detector runs
   on simulated time.
 
 The simulator's own is what fires on simulated time: the τ / NOP /
 heartbeat / detector / GC timers, service-time charging, fault hooks,
-:class:`TauController`, the deadline-delayed commit ack and the
-pending-program table (the simulated clock's version of readiness: a
-program waits for the timers, where the blocking
+:class:`TauController`, the deadline-delayed commit ack and the engine
+host's parked messages (the simulated clock's version of readiness: a
+program message waits at its shard for the timers, where the blocking
 :class:`~repro.db.database.Coordinator` heartbeats eagerly).
 
 This is the substrate for protocol-fidelity experiments: the Fig 14
@@ -35,23 +39,24 @@ shortcut.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.builder import build_cluster
 from ..cluster.messages import AnnounceMessage, Heartbeat, QueuedTransaction
 from ..cluster.shard import ShardServer
-from ..cluster.transport import SimTransport
-from ..cluster.worker import ShardEndpoint
+from ..cluster.transport import SimTransport, TransportError
+from ..cluster.worker import ResidentEngine, ShardEndpoint
 from ..core.gatekeeper import DeadlineStamper
 from ..core.vclock import VectorTimestamp
 from ..db.config import WeaverConfig
 from ..db.database import WritePath
 from ..db.operations import Operation
 from ..db.transactions import Transaction
-from ..errors import TransactionAborted
+from ..errors import ProgramError, TransactionAborted
+from ..obs.collect import scalar_fields
 from ..programs.framework import NodeProgram, ProgramResult
-from ..programs.routing import ShardSnapshotResolver
+from ..programs.library import resident_eligible
 from .clock import USEC
 from .faults import FaultInjector, FaultPlan, GATEKEEPER
 from .network import Network, RegionTopology
@@ -127,6 +132,130 @@ class TauController:
             self.tau = min(high, self.tau * self.factor)
         self.adjustments.append((self.tau, oracle_messages))
         return self.tau
+
+
+@dataclass
+class _SimProgram:
+    """One submitted node program, client side: what a gatekeeper needs
+    to stamp and launch it (again, after a recovery) and what the reply
+    completes."""
+
+    program: str
+    frontier: List[Tuple[str, Any]]
+    callback: Optional[Callable[[Optional[ProgramResult]], None]]
+    submitted: float
+    trace_id: int
+    ts: Optional[VectorTimestamp] = None  # the latest stamp
+
+
+class _ShardHost(ResidentEngine):
+    """One shard on simulated time: the resident engine, hosted by the
+    simulator.
+
+    Peers and the client are reached through the deployment's
+    ``SimTransport`` (latency, faults, service time); the wait for
+    readiness is a parked message the handler's pump retries after every
+    delivery — here the heartbeats that make a shard ready arrive on
+    their own timers, not ahead of the program on one socket.  The
+    shard-side program cache stays off (the simulator never had one).
+    """
+
+    def __init__(self, db: "SimulatedWeaver", shard: ShardServer):
+        super().__init__(ShardEndpoint(shard), shard.index, db._shard_of)
+        self.db = db
+        self.prog_stats = db.executor.stats
+        #: (timestamp, conn, envelope) this shard is not ready for yet.
+        self.parked: List[tuple] = []
+        # (rounds, entries) of ``resident`` already charged as service.
+        self._charged = (0, 0)
+
+    def handle(self, src: str, kind: str, payload: Any) -> None:
+        """The transport handler: the crash check, the message into the
+        engine, and the pump a real shard's event loop would run —
+        whatever the delivery made applicable is applied, and every
+        parked message ``advance_to`` now admits (or whose deadline
+        passed) is dispatched again."""
+        shard = self.worker.shard
+        if shard.name in self.db._crashed:
+            return  # messages to a dead server vanish
+        if kind == "program_start":
+            self._dispatch(src, {
+                "k": "r", "id": payload.query_id, "kind": kind, "p": payload,
+            })
+        else:
+            self._dispatch(src, {"k": "b", "m": [(kind, payload)]})
+        self.drain()
+        now = self.db.simulator.now
+        parked, self.parked = self.parked, []
+        for held in parked:
+            ts, conn, envelope = held
+            if shard.advance_to(ts) or now >= envelope["until"]:
+                self._dispatch(conn, envelope)
+            else:
+                self.parked.append(held)
+        if not self.parked:
+            shard.apply_available()
+        self.drain()
+
+    def reset(self) -> None:
+        """Epoch barrier: every in-flight program is forgotten."""
+        self._clear_resident_state()
+        self.parked.clear()
+        self.pending.clear()
+
+    # -- the four ways out ----------------------------------------------
+
+    def _hold(self, conn, envelope: dict, ts: VectorTimestamp) -> bool:
+        now = self.db.simulator.now
+        if now >= envelope.setdefault("until", now + self.READY_DEADLINE):
+            return False
+        self.parked.append((ts, conn, envelope))
+        return True
+
+    def _send(self, dst: str, kind: str, payload: Any) -> None:
+        """``transport.send`` — with a cost model attached, at the end
+        of this shard's service time: the round slices run since the
+        last message left occupy the shard first, one job each, paying
+        one message-handling cost plus per-vertex read service (the
+        paper's shard-to-shard batch propagation, not one message per
+        vertex; slices run back to back, so each is charged their mean
+        size)."""
+        db = self.db
+        src = self.worker.shard.name
+        if db.costs is None:
+            db.transport.send(src, dst, kind, payload)
+            return
+        server = db._shard_servers[self.index]
+        stats = self.resident
+        rounds = stats.rounds_executed - self._charged[0]
+        if rounds:
+            entries = stats.entries_processed - self._charged[1]
+            for _ in range(rounds):
+                server.occupy(
+                    db.costs.shard_op_service
+                    + entries / rounds * db.costs.vertex_read_service
+                )
+            self._charged = (stats.rounds_executed, stats.entries_processed)
+        db.simulator.schedule_at(
+            max(db.simulator.now, server.busy_until),
+            db.transport.send, src, dst, kind, payload,
+        )
+
+    def _peer_send(self, dst: int, kind: str, payload: Any) -> None:
+        self._send(self.db._shard_names[dst], kind, payload)
+
+    def _reply(self, conn, rid: int, result=None, error=None) -> None:
+        if error is not None:
+            result = {"error": error}
+        self._send("client", "prog-reply", (rid, result))
+
+    def _peer_request(self, dst: int, kind: str, payload: Any) -> Any:
+        """The gather, which the engine makes synchronously: a direct
+        call that only a crashed peer can fail."""
+        name = self.db._shard_names[dst]
+        if name in self.db._crashed:
+            raise TransportError(f"{name} is down", name)
+        return self.db._engines[dst]._handle_request(kind, payload)
 
 
 class SimulatedWeaver(WritePath):
@@ -235,18 +364,19 @@ class SimulatedWeaver(WritePath):
             self.transport.register(
                 gk.name, self._make_gk_handler(gk.index)
             )
-        self._endpoints: Dict[int, ShardEndpoint] = {}
+        self.transport.register("client", self._on_program_reply)
+        self._engines: Dict[int, _ShardHost] = {}
         for shard in self.shards:
             self._register_shard(shard)
         # The latency histograms are the data source for the Fig 10/11
         # latency CDFs.
         self.latency_tx = self.metrics.histogram("latency.tx_commit")
         self.latency_program = self.metrics.histogram("latency.program")
-        # Waiting node programs: (ts, frontier, program, query_id, cb).
-        self._pending_programs: List[Tuple] = []
-        # Submitted but not yet completed (includes in-flight
-        # submissions that have not reached a gatekeeper yet).
-        self._programs_outstanding = 0
+        # Node programs in flight, as data: on their way to a gatekeeper
+        # (by the token the submission carries), then stamped and running
+        # at the shards (by query id, oldest stamp first).
+        self._submitted: Dict[int, _SimProgram] = {}
+        self._stamped: Dict[int, _SimProgram] = {}
         self.committed = 0
         self.aborted = 0
         self.recoveries = 0
@@ -264,35 +394,24 @@ class SimulatedWeaver(WritePath):
             elif kind == "tx-submit":
                 self._gatekeeper_commit(index, *payload)
             elif kind == "prog-submit":
-                payload()  # the stamp-and-queue thunk, run at the server
+                self._gatekeeper_stamp(index, payload)
 
         return handle
 
     def _register_shard(self, shard: ShardServer) -> None:
-        """Put ``shard`` on the transport behind the coordinator's own
-        :class:`ShardEndpoint`, which enqueues and drops pre-epoch
-        stragglers (a partitioned channel can hold a message past a
-        recovery barrier; the manager reconciled its effects from the
-        store).  The simulator adds the crash check and the pump a real
-        shard's event loop would run."""
-        endpoint = ShardEndpoint(shard)
-        retired = self._endpoints.get(shard.index)
+        """Put ``shard`` on the transport as a resident engine behind
+        the coordinator's own :class:`ShardEndpoint`, which enqueues and
+        drops pre-epoch stragglers (a partitioned channel can hold a
+        message past a recovery barrier; the manager reconciled its
+        effects from the store)."""
+        retired = self._engines.get(shard.index)
+        engine = self._engines[shard.index] = _ShardHost(self, shard)
         if retired is not None:
             # A replacement continues its predecessor's count.
-            endpoint.stragglers_dropped = retired.stragglers_dropped
-        self._endpoints[shard.index] = endpoint
-
-        def handle(src: str, kind: str, payload: Any) -> Any:
-            if shard.name in self._crashed:
-                return None  # messages to a dead server vanish
-            reply = endpoint.deliver(src, kind, payload)
-            shard.apply_available(
-                stop_before=self._earliest_pending_program_ts()
+            engine.worker.stragglers_dropped = (
+                retired.worker.stragglers_dropped
             )
-            self._check_pending_programs()
-            return reply
-
-        self.transport.register(shard.name, handle)
+        self.transport.register(shard.name, engine.handle)
 
     def _on_manager_message(self, src: str, kind: str, payload: Any) -> None:
         if kind == "heartbeat":
@@ -446,8 +565,8 @@ class SimulatedWeaver(WritePath):
         be read again.  Without this, the oracle's event DAG would grow
         with every concurrent heartbeat pair for the run's lifetime.
         """
-        if self._pending_programs:
-            watermark = self._pending_programs[0][0]
+        if self._stamped:
+            watermark = next(iter(self._stamped.values())).ts
         else:
             watermark = self.gatekeepers[0].current_watermark()
         # Announce the watermark on the trace stream *before* collecting:
@@ -522,9 +641,19 @@ class SimulatedWeaver(WritePath):
         self.recoveries += 1
         # In-flight node programs die with the epoch: their snapshots
         # predate the recovery timestamp and would miss reloaded state.
-        # Re-execute them with fresh stamps (section 4.3), as the client
-        # library would on resubmission.
-        self._restamp_pending_programs()
+        # Every engine forgets them, and each is launched again with a
+        # fresh stamp (section 4.3), as the client library would on
+        # resubmission — under a fresh query id, so a pre-recovery frame
+        # can never be taken for the relaunch.
+        for engine in self._engines.values():
+            engine.reset()
+        live = [
+            gk for gk in self.gatekeepers if gk.name not in self._crashed
+        ]
+        if live:
+            stamped, self._stamped = self._stamped, {}
+            for query_id, entry in stamped.items():
+                self._launch_program(live[query_id % len(live)], entry)
         self.manager.heartbeat(name, self.simulator.now)
         self.simulator.schedule(
             self.heartbeat_period, self._heartbeat_tick, name
@@ -534,13 +663,6 @@ class SimulatedWeaver(WritePath):
             self.simulator.schedule(
                 self.nop_period, self._nop_tick, index
             )
-
-    def _earliest_pending_program_ts(self) -> Optional[VectorTimestamp]:
-        if not self._pending_programs:
-            return None
-        # Conservative: stop applying before ANY pending program; the
-        # readiness check per program refines this.
-        return self._pending_programs[0][0]
 
     # -- client operations ---------------------------------------------
 
@@ -639,136 +761,92 @@ class SimulatedWeaver(WritePath):
         params: Any = None,
         callback: Optional[Callable[[ProgramResult], None]] = None,
     ) -> int:
-        """Submit a node program; executes once every shard is ready.
+        """Submit a node program: stamped at a gatekeeper, shipped to
+        the start vertex's shard, where it waits until the shard is
+        ready for its timestamp and then runs shard to shard.
 
-        Returns the trace id assigned to the submission.
+        Returns the trace id assigned to the submission (also the token
+        the submission travels under).  ``callback`` gets the result, or
+        None when the request died with its gatekeeper; a program that
+        fails at the shards raises :class:`ProgramError` out of
+        :meth:`run`.
         """
+        if not resident_eligible(program):
+            raise ProgramError(
+                f"the shards cannot construct {program.name!r} by name"
+            )
         gk_index = self._pick_gatekeeper()
-        self._programs_outstanding += 1
         trace_id = self.tracer.next_trace_id()
         self.tracer.emit(
             trace_id, "program.submit", node="client",
             program=program.name, gk=gk_index,
         )
-        user_callback = callback
-
-        def callback(result) -> None:  # noqa: F811 — completion wrapper
-            self._programs_outstanding -= 1
-            if user_callback is not None:
-                user_callback(result)
-
-        def stamp_and_queue(charged: bool = False) -> None:
-            # Re-fetch by index: the gatekeeper bound at submit time may
-            # have crashed (and been replaced) while this message was in
-            # flight; stamping from the stale object would issue a
-            # dead-epoch timestamp.
-            gk = self.gatekeepers[gk_index]
-            if gk.name in self._crashed:
-                # The request dies with the server (section 4.3); the
-                # completion wrapper must still run or the program leaks
-                # as forever-outstanding.
-                callback(None)
-                return
-            if self.costs is not None and not charged:
-                done = self._gk_servers[gk_index].occupy(
-                    self.costs.gatekeeper_service
-                )
-                self.simulator.schedule_at(done, stamp_and_queue, True)
-                return
-            ts = gk.issue_timestamp()
-            query_id = next(self._query_counter)
-            self.tracer.emit(
-                trace_id, "program.stamp", node=gk.name,
-                ts=ts, query_id=query_id,
-            )
-            self._pending_programs.append(
-                (ts, [(start, params)], program, query_id,
-                 callback, self.simulator.now, trace_id)
-            )
-            self._check_pending_programs()
-
+        self._submitted[trace_id] = _SimProgram(
+            program.name, [(start, params)], callback,
+            self.simulator.now, trace_id,
+        )
         self.transport.send(
-            "client", self._gk_names[gk_index], "prog-submit", stamp_and_queue
+            "client", self._gk_names[gk_index], "prog-submit", trace_id
         )
         return trace_id
 
-    def _restamp_pending_programs(self) -> None:
-        live = [
-            gk for gk in self.gatekeepers if gk.name not in self._crashed
-        ]
-        if not live:
-            return
-        restamped = []
-        for entry in self._pending_programs:
-            ts, frontier, program, query_id, callback, submitted, tid = entry
-            fresh = live[query_id % len(live)].issue_timestamp()
-            restamped.append(
-                (fresh, frontier, program, query_id, callback, submitted,
-                 tid)
-            )
-        self._pending_programs = restamped
-
-    def _check_pending_programs(self) -> None:
-        still_waiting = []
-        for entry in self._pending_programs:
-            ts, frontier, program, query_id, callback, submitted, tid = entry
-            if all(shard.advance_to(ts) for shard in self.shards):
-                resolver = self._resolver(ts)
-                result = self.executor.execute(
-                    program, frontier, resolver, ts, query_id
-                )
-                completion = self._charge_program_reads(resolver)
-                if completion <= self.simulator.now:
-                    self._finish_program(result, submitted, callback, tid)
-                else:
-                    self.simulator.schedule_at(
-                        completion,
-                        self._finish_program,
-                        result, submitted, callback, tid,
-                    )
-            else:
-                still_waiting.append(entry)
-        self._pending_programs = still_waiting
-
-    def _charge_program_reads(self, resolver) -> float:
-        """Occupy the shards a program read; returns its completion time
-        (now, when no cost model is attached).
-
-        Inter-shard communication is charged per (shard, round): each
-        batch pays one message-handling cost plus per-vertex read service
-        — the paper's shard-to-shard batch propagation, instead of one
-        message per vertex.
-        """
-        completion = self.simulator.now
-        if self.costs is None:
-            return completion
-        for round_counts in resolver.shard_rounds:
-            for shard_index, count in round_counts.items():
-                done = self._shard_servers[shard_index].occupy(
-                    self.costs.shard_op_service
-                    + count * self.costs.vertex_read_service
-                )
-                completion = max(completion, done)
-        return completion
-
-    def _finish_program(
-        self, result, submitted: float, callback, trace_id=None
+    def _gatekeeper_stamp(
+        self, gk_index: int, token: int, charged: bool = False
     ) -> None:
-        self.latency_program.observe(self.simulator.now - submitted)
-        if trace_id is not None:
-            self.tracer.emit(
-                trace_id, "program.complete", node="client",
+        if token not in self._submitted:
+            return  # a duplicated submission: already stamped
+        # Re-fetched by index: the gatekeeper bound at submit time may
+        # have crashed (and been replaced) while the message was in
+        # flight; stamping from the stale object would issue a
+        # dead-epoch timestamp.
+        gk = self.gatekeepers[gk_index]
+        if gk.name in self._crashed:
+            # The request dies with the server (section 4.3); the client
+            # still hears, or the program leaks as forever-outstanding.
+            entry = self._submitted.pop(token)
+            if entry.callback is not None:
+                entry.callback(None)
+            return
+        if self.costs is not None and not charged:
+            done = self._gk_servers[gk_index].occupy(
+                self.costs.gatekeeper_service
             )
-        if callback is not None:
-            callback(result)
+            self.simulator.schedule_at(
+                done, self._gatekeeper_stamp, gk_index, token, True
+            )
+            return
+        self._launch_program(gk, self._submitted.pop(token))
 
-    def _resolver(self, ts: VectorTimestamp) -> ShardSnapshotResolver:
-        return ShardSnapshotResolver(
-            ts,
-            self.mapping.lookup,
-            self.shards,
-            stats=self.executor.stats,
+    def _launch_program(self, gk, entry: _SimProgram) -> None:
+        """Stamp ``entry`` at ``gk`` and send ``program_start`` to the
+        coordinating shard.  Crashes are silent, so the gatekeeper takes
+        every shard for live: a request to a dead one vanishes and the
+        recovery relaunches it."""
+        entry.ts = gk.issue_timestamp()
+        query_id = next(self._query_counter)
+        self.tracer.emit(
+            entry.trace_id, "program.stamp", node=gk.name,
+            ts=entry.ts, query_id=query_id,
         )
+        self._stamped[query_id] = entry
+        coordinator, ps = self._program_start(
+            entry.program, entry.frontier, entry.ts, query_id,
+            entry.trace_id, None, self._all_shards,
+        )
+        self.transport.send(
+            gk.name, self._shard_names[coordinator], "program_start", ps
+        )
+
+    def _on_program_reply(self, src: str, kind: str, payload: Any) -> None:
+        query_id, reply = payload
+        entry = self._stamped.pop(query_id, None)
+        if entry is None:
+            return  # a pre-recovery launch; its relaunch has a fresh id
+        result = self._program_result(reply)
+        self.latency_program.observe(self.simulator.now - entry.submitted)
+        self.tracer.emit(entry.trace_id, "program.complete", node="client")
+        if entry.callback is not None:
+            entry.callback(result)
 
     # -- driving -------------------------------------------------------
 
@@ -782,7 +860,7 @@ class SimulatedWeaver(WritePath):
         deadline = self.simulator.now + max_extra
         step = max(self.nop_period, self.tau)
         while (
-            self._programs_outstanding > 0
+            (self._submitted or self._stamped)
             and self.simulator.now < deadline
         ):
             self.simulator.run(until=self.simulator.now + step)
@@ -790,19 +868,26 @@ class SimulatedWeaver(WritePath):
     # -- introspection --------------------------------------------------
 
     def _sim_metrics(self) -> Dict[str, float]:
-        return {
+        out: Dict[str, float] = {
             "sim.committed": self.committed,
             "sim.aborted": self.aborted,
             "sim.recoveries": self.recoveries,
             "sim.stragglers_dropped": self.stragglers_dropped,
             "sim.tau": self.tau,
         }
+        # The engines' counters, summed under the names the process
+        # deployment exports for its workers.
+        for engine in self._engines.values():
+            for key, value in scalar_fields(engine.resident).items():
+                name = f"program.resident.{key}"
+                out[name] = out.get(name, 0) + value
+        return out
 
     @property
     def stragglers_dropped(self) -> int:
         """Pre-epoch deliveries the shard endpoints refused."""
         return sum(
-            e.stragglers_dropped for e in self._endpoints.values()
+            e.worker.stragglers_dropped for e in self._engines.values()
         )
 
     def announce_messages(self) -> int:

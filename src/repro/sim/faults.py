@@ -30,7 +30,11 @@ Kinds listed in :data:`LOSSY_KINDS` (periodic announces and heartbeats,
 which the protocol genuinely tolerates losing) are truly dropped.
 Duplicates are delivered twice — receivers must deduplicate, which the
 sequence-number check on shard queues and the idempotent announce fold
-both do.
+both do.  The resident engine's frames (``program_start``, ``forward``,
+``round_go``, ``round_report``, ``prog-reply``) are the exception: the
+engine is written for a socket's byte stream, so
+:class:`~repro.cluster.transport.SimTransport` delivers them exactly
+once and drops a duplicate's second copy at delivery.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ class TestCommands:
         # referee digests is tests/test_referee_digests.py.
         assert main(["chaos", "--seed", "1", "--duration", "20"]) == 0
         out = capsys.readouterr().out
-        assert "history digest | ee74fbdb8e11012a" in out
+        assert "history digest | 7240c1e127891a83" in out
         assert "violations |                0" in out
         assert main(["soak", "--seed", "1", "--chunks", "3"]) == 0
         rows = dict(
@@ -77,10 +77,10 @@ class TestCommands:
             for line in capsys.readouterr().out.splitlines()
             if line.count("|") == 1
         )
-        assert rows["history digest"] == "fdf1f8d51ab48dd3"
+        assert rows["history digest"] == "493b5c7dba69200f"
         assert rows["watermarks"] == "7"
-        assert rows["records pruned"] == "212"
-        assert (rows["window peak"], rows["window final"]) == ("27", "14")
+        assert rows["records pruned"] == "216"
+        assert (rows["window peak"], rows["window final"]) == ("32", "14")
         assert rows["violations"] == "0"
         # The price of "always on" is on the report.
         assert int(rows["referee events"]) > int(rows["committed"])

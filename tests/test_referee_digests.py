@@ -16,17 +16,17 @@ from repro.workloads.geo import run_geo
 
 @pytest.mark.parametrize("run,digest", [
     pytest.param(lambda: run_chaos(1, duration=20 * MSEC),
-                 "ee74fbdb8e11012a", id="chaos-1"),
+                 "7240c1e127891a83", id="chaos-1"),
     pytest.param(lambda: run_chaos(2, duration=20 * MSEC),
-                 "99729fc8ea08394c", id="chaos-2"),
+                 "bfa415e2a4d938e5", id="chaos-2"),
     pytest.param(lambda: run_chaos(3, duration=20 * MSEC),
-                 "592989ef09064964", id="chaos-3"),
+                 "99db29f9a6dbee43", id="chaos-3"),
     pytest.param(lambda: run_chaos(7, duration=20 * MSEC),
-                 "fa9623a98263f0b2", id="chaos-7"),
+                 "b6a6331c92b60d8d", id="chaos-7"),
     pytest.param(lambda: run_soak(1, chunks=3),
-                 "fdf1f8d51ab48dd3", id="soak-1x3"),
-    pytest.param(lambda: run_geo(1), "adb119b34fab4c55", id="geo-1"),
-    pytest.param(lambda: run_geo(2), "13892064b8775103", id="geo-2"),
+                 "493b5c7dba69200f", id="soak-1x3"),
+    pytest.param(lambda: run_geo(1), "035493d3feef51f9", id="geo-1"),
+    pytest.param(lambda: run_geo(2), "33b4d94ae263e8fe", id="geo-2"),
 ])
 def test_referee_digest(run, digest):
     report = run()

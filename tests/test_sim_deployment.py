@@ -1,11 +1,21 @@
 """The event-driven simulated deployment: the protocol on real timers."""
 
+import random
+
 import pytest
 
+from repro.cluster.messages import ProgramStart, QueuedTransaction
+from repro.cluster.shard import ShardServer
+from repro.cluster.worker import ResidentEngine, ShardEndpoint
+from repro.core.gatekeeper import Gatekeeper
+from repro.core.oracle import TimelineOracle
 from repro.db import operations as ops
 from repro.db.config import WeaverConfig
 from repro.db.database import Weaver, WritePath
+from repro.errors import ProgramError
 from repro.programs import Bfs, GetEdges, GetNode, Reachability, params
+from repro.programs.framework import NodeProgram
+from repro.programs.library import PROGRAM_REGISTRY
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.sim.faults import FaultPlan
@@ -270,3 +280,184 @@ class TestOneWritePath:
             sw.run(2 * MSEC)
         assert (sw.committed, sw.aborted) == (4, 4)
         assert sw.mapping.load() == {0: 2, 1: 2}
+
+
+# -- one program engine -------------------------------------------------
+
+# Start parameters for the registry programs that need some; the rest
+# take None.
+PROGRAM_PARAMS = {
+    "bfs": lambda h: params(depth=0),
+    "reachability": lambda h: params(target=h[-1]),
+    "shortest_path": lambda h: params(target=h[len(h) // 2], dist=0),
+    "path_discovery": lambda h: params(target=h[-1]),
+    "k_hop_neighborhood": lambda h: params(k=2),
+    "degree_histogram": lambda h: params(k=2),
+}
+
+
+class BadHop(NodeProgram):
+    """Where the reference raises: a malformed next-hop."""
+
+    name = "bad_hop"
+
+    def run(self, node, params, ctx):
+        return [node.handle]
+
+
+def seeded_edges(seed, num_vertices=24, degree=3):
+    rng = random.Random(seed)
+    handles = [f"v{i}" for i in range(num_vertices)]
+    edges = [
+        (src, handles[rng.randrange(num_vertices)])
+        for src in handles for _ in range(degree)
+    ]
+    return handles, [(src, dst) for src, dst in edges if src != dst]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(seed, shards) for seed in (3, 21, 99) for shards in (2, 3)],
+    ids=lambda p: f"seed{p[0]}-{p[1]}shards",
+)
+def twin_graphs(request):
+    """The same seeded graph in a ``Weaver`` (the reference executor)
+    and in a fault-free ``SimulatedWeaver`` (the resident engine)."""
+    seed, shards = request.param
+    handles, edges = seeded_edges(seed)
+    creates = [ops.CreateVertex(h) for h in handles]
+    links = [
+        ops.CreateEdge(f"e{i}", src, dst)
+        for i, (src, dst) in enumerate(edges)
+    ]
+
+    def config():
+        return WeaverConfig(
+            num_gatekeepers=2, num_shards=shards, partitioner="hash"
+        )
+
+    db = Weaver(config())
+    for operations in (creates, links):
+        tx = db.begin_transaction()
+        for op in operations:
+            tx.record(op)
+        tx.commit()
+    sw = SimulatedWeaver(config(), tau=200 * USEC, nop_period=100 * USEC)
+    for operations in (creates, links):
+        assert commit(sw, operations)["ok"]
+    return db, sw, handles
+
+
+class TestEngineMatchesExecutor:
+    """The engine the sim hosts is held to ``Weaver.run_program``."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(PROGRAM_REGISTRY) + [BadHop.name]
+    )
+    def test_registry_program_equals_the_reference(
+        self, twin_graphs, name, monkeypatch
+    ):
+        monkeypatch.setitem(PROGRAM_REGISTRY, BadHop.name, BadHop)
+        db, sw, handles = twin_graphs
+        cls = PROGRAM_REGISTRY[name]
+        prog_params = PROGRAM_PARAMS.get(name, lambda h: None)(handles)
+        box = {}
+        sw.submit_program(
+            cls(), handles[0], prog_params,
+            callback=lambda r: box.update(r=r),
+        )
+        try:
+            reference = db.run_program(cls(), handles[0], prog_params)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            with pytest.raises(type(exc)) as raised:
+                sw.run_until_quiet()
+            assert str(raised.value) == str(exc)
+            assert not sw._submitted and not sw._stamped
+            return
+        sw.run_until_quiet()
+        result = box["r"]
+        for field in ("results", "read_set", "vertices_visited", "hops",
+                      "halted"):
+            assert getattr(result, field) == getattr(reference, field), field
+
+    def test_program_the_shards_cannot_construct_is_refused(self):
+        class Configured(Bfs):
+            def __init__(self, flavor):
+                self.flavor = flavor
+
+        with pytest.raises(ProgramError, match="by name"):
+            make().submit_program(Configured("x"), "a")
+
+    def test_the_twin_has_one_program_model(self):
+        sw = make()
+        for gone in ("_pending_programs", "_programs_outstanding",
+                     "_check_pending_programs", "_restamp_pending_programs",
+                     "_charge_program_reads", "_resolver", "_endpoints"):
+            assert not hasattr(sw, gone), gone
+        # Every shard handler on the transport ends in the one engine.
+        for shard in sw.shards:
+            handler = sw.transport._handlers[shard.name]
+            assert isinstance(handler.__self__, ResidentEngine)
+
+    def test_engine_runs_on_four_lists_and_no_socket(self):
+        """The seam is the whole interface: a host that only appends to
+        lists drives a two-round BFS across a peer it plays by hand."""
+        sends, requests, replies, held = [], [], [], []
+
+        class ListHost(ResidentEngine):
+            def _peer_send(self, dst, kind, payload):
+                sends.append((dst, kind, payload))
+
+            def _peer_request(self, dst, kind, payload):
+                requests.append((dst, kind, payload))
+                return {
+                    "results": [(1, (0, 0), 0, "b")], "read": ["b"],
+                    "states": {}, "visited": 1, "hops": 0, "counters": {},
+                }
+
+            def _reply(self, conn, rid, result=None, error=None):
+                replies.append((conn, rid, result, error))
+
+            def _hold(self, conn, envelope, ts):
+                held.append((conn, envelope, ts))
+                return True
+
+        gk = Gatekeeper(0, 1)
+        shard = ShardServer(0, 1, TimelineOracle())
+        engine = ListHost(ShardEndpoint(shard), 0, {"a": 0, "b": 1}.get)
+        write = QueuedTransaction(
+            gk.issue_timestamp(),
+            (ops.CreateVertex("a"), ops.CreateEdge("ab", "a", "b")),
+            seqno=0, tiebreak=0,
+        )
+        ts = gk.issue_timestamp()
+        start = {"k": "r", "id": 9, "kind": "program_start", "p": ProgramStart(
+            ts, 5, "bfs", (("a", params(depth=0), (0,)),)
+        )}
+        engine._dispatch("gk0", {"k": "b", "m": [("enqueue", (0, write))]})
+        engine._dispatch("gk0", start)
+        # No heartbeat after the stamp yet: held, by the host's choice.
+        ((conn, envelope, waits_for),) = held
+        assert (conn, waits_for, replies) == ("gk0", ts, [])
+        nop = QueuedTransaction(gk.make_nop(), seqno=1, tiebreak=1)
+        engine._dispatch("gk0", {"k": "b", "m": [("enqueue", (0, nop))]})
+        assert shard.advance_to(ts)
+        engine._dispatch(conn, envelope)
+        engine.drain()
+        # Round 0 ran here; b's hop and the next round's go left for
+        # shard 1.
+        assert [(dst, kind) for dst, kind, _p in sends] == [
+            (1, "forward"), (1, "round_go"),
+        ]
+        engine._dispatch(None, {"k": "b", "m": [("round_report", {
+            "q": 5, "round": 1, "worker": 1, "sent": {}, "halt": None,
+            "processed": 1, "error": None,
+        })]})
+        engine.drain()
+        assert [(dst, kind) for dst, kind, _p in requests] == [
+            (1, "collect_result"),
+        ]
+        ((conn, rid, result, error),) = replies
+        assert (conn, rid, error) == ("gk0", 9, None)
+        assert result["results"] == ["a", "b"]
+        assert result["read_set"] == ["a", "b"]

@@ -269,3 +269,35 @@ class TestTraceChainUnderChaos:
         # object that double- or under-counts (the TauController call
         # site regression).
         assert report.metrics["oracle.messages"] > 0
+
+
+class TestTwinMetricParity:
+    def test_sim_exports_the_process_deployments_program_names(self):
+        """The simulated twin hosts the same engine, so it exports the
+        same ``program.*`` names — and counts into them."""
+        from repro.cluster.process import ProcessWeaver
+        from repro.db import operations as ops
+        from repro.programs import GetNode
+        from repro.sim.deployment import SimulatedWeaver
+
+        def program_names(db):
+            return {
+                name for name in db.metrics.snapshot()
+                if name.startswith("program.")
+            }
+
+        config = WeaverConfig(num_gatekeepers=2, num_shards=2)
+        with ProcessWeaver(config) as db:
+            process = program_names(db)
+        sw = SimulatedWeaver(config)
+        assert program_names(sw) == process
+        assert "program.resident.rounds_executed" in process
+        sw.submit_transaction([ops.CreateVertex("a")])
+        sw.run(2 * MSEC)
+        sw.submit_program(GetNode(), "a")
+        sw.run_until_quiet()
+        snap = sw.metrics.snapshot()
+        for name in ("program.executions", "program.shard_batches",
+                     "program.resident.programs_coordinated",
+                     "program.resident.rounds_executed"):
+            assert snap[name] == 1, name

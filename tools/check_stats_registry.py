@@ -48,7 +48,8 @@ ABSORBED = {
     "RegionStats": "region.<r>.*",
     # Shard-resident program engine: worker-side counters summed by the
     # client's _process_metrics collector (program.resident.*, plus the
-    # peer-channel TransportStats as transport.worker.*).
+    # peer-channel TransportStats as transport.worker.*), and the
+    # simulated shards' by SimulatedWeaver._sim_metrics.
     "ResidentStats": "program.resident.*",
 }
 
