@@ -9,10 +9,11 @@ nothing but ``wire.encode`` / ``wire.decode``.
 
 Reported and recorded into ``BENCH_wire.json`` (with the ``cpu_count``
 it was measured on): µs per read for the six calls, µs per call, bytes
-per read, and the same for one ``FrontierForward`` frame of a
-traversal.  No wall-clock bar is asserted — the deterministic guards
-for the codec (bytes pinned, call events under a ceiling) live in
-``test_perf_guard.py``.  Run with::
+per read, and the same for two ``FrontierForward`` frames of a
+traversal — the 3-hop ``forward`` and ``forward_64``, the 64-hop frame
+a depth-2 ``traverse`` actually sends.  No wall-clock bar is asserted —
+the deterministic guards for the codec (bytes pinned, call events under
+a ceiling) live in ``test_perf_guard.py``.  Run with::
 
     python -m pytest benchmarks/test_micro_wire.py -q -s
 """
@@ -23,7 +24,7 @@ import time
 
 from repro.bench.transport_bench import record_bench
 from repro.cluster import wire
-from tests.wire_fixtures import CANONICAL_READ, FORWARD, FRAMES
+from tests.wire_fixtures import CANONICAL_READ, FORWARD_64, FRAMES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_wire.json"
@@ -46,7 +47,7 @@ def _best_us(fn, argument) -> float:
 def test_micro_wire_canonical_read(show):
     rows = []
     per_call = {}
-    for name, frame in FRAMES.items():
+    for name, frame in {**FRAMES, "forward_64": FORWARD_64}.items():
         payload = wire.encode(frame)
         assert wire.decode(payload) == frame
         per_call[name] = {
@@ -61,7 +62,7 @@ def test_micro_wire_canonical_read(show):
         ])
     read = [
         per_call[name] for name, frame in FRAMES.items()
-        if frame is not FORWARD
+        if frame in CANONICAL_READ
     ]
     result = {
         "cpu_count": os.cpu_count() or 1,

@@ -159,7 +159,14 @@ def test_single_vertex_read_is_one_round_trip():
 # before the codec was compiled: 1,375 bytes and 1,636 Python-level call
 # events (``call`` + ``c_call`` under ``sys.setprofile``).
 _IF_CHAIN_CALL_EVENTS = 1636
-_CANONICAL_READ_BYTES = 960
+_CANONICAL_READ_BYTES = 955
+# The frame a traversal actually sends (``FORWARD_64``: 8 parents x 8
+# hops) when it crossed as 64 ``(handle, namespace, tuple of ints)``
+# triples under wire format 3: 5,447 bytes, 3,960 call events to encode
+# and decode.  In columns, with byte keys and each parent's params once,
+# it is 1,929 bytes and 790 events, ``rows()`` included.
+_TRIPLES_CALL_EVENTS = 3960
+_FORWARD_64_BYTES = 1929
 
 
 def test_wire_bytes_for_the_canonical_read_are_pinned():
@@ -170,6 +177,23 @@ def test_wire_bytes_for_the_canonical_read_are_pinned():
 
     sizes = [len(wire.encode(frame)) for frame in CANONICAL_READ]
     assert sum(sizes) == _CANONICAL_READ_BYTES, sizes
+
+
+def _call_events(work) -> int:
+    """Python-level call events (``call`` + ``c_call``) ``work()`` makes."""
+    events = 0
+
+    def count(_frame, event, _arg):
+        nonlocal events
+        if event in ("call", "c_call"):
+            events += 1
+
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return events
 
 
 def test_wire_codec_call_events_stay_under_half_the_if_chain():
@@ -183,22 +207,38 @@ def test_wire_codec_call_events_stay_under_half_the_if_chain():
     payloads = [wire.encode(frame) for frame in CANONICAL_READ]
     for payload in payloads:        # warm the key-run memos both ways
         wire.decode(payload)
-    events = 0
 
-    def count(_frame, event, _arg):
-        nonlocal events
-        if event in ("call", "c_call"):
-            events += 1
-
-    sys.setprofile(count)
-    try:
+    def six_codec_calls():
         for frame in CANONICAL_READ:
             wire.encode(frame)
         for payload in payloads:
             wire.decode(payload)
-    finally:
-        sys.setprofile(None)
+
+    events = _call_events(six_codec_calls)
     assert events <= _IF_CHAIN_CALL_EVENTS // 2, events
+
+
+def test_the_forward_a_traversal_sends_is_pinned_by_count():
+    """Bytes exactly, call events under a quarter of what the triples
+    cost: a frontier that goes back to one namespace and one tagged
+    tuple per hop — or a ``rows()`` that loops in Python per field —
+    fails here, on any machine, without a clock."""
+    from repro.cluster import wire
+    from tests.wire_fixtures import FORWARD_64
+
+    payload = wire.encode(FORWARD_64)
+    assert len(payload) == _FORWARD_64_BYTES
+    wire.decode(payload)            # warm the key-run memos
+    decoded = []
+
+    def there_and_back():
+        wire.encode(FORWARD_64)
+        ((_kind, forward),) = wire.decode(payload)["m"]
+        decoded.extend(forward.rows())
+
+    events = _call_events(there_and_back)
+    assert decoded == FORWARD_64["m"][0][1].rows()
+    assert events <= _TRIPLES_CALL_EVENTS // 4, events
 
 
 def test_page_cache_structural_counters():

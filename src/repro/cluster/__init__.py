@@ -4,7 +4,6 @@ from .messages import (
     AnnounceMessage,
     Heartbeat,
     ProgramRequest,
-    ProgramResponse,
     QueuedTransaction,
 )
 from .shard import ShardServer, ShardStats
@@ -15,7 +14,6 @@ __all__ = [
     "AnnounceMessage",
     "Heartbeat",
     "ProgramRequest",
-    "ProgramResponse",
     "QueuedTransaction",
     "ShardServer",
     "ShardStats",

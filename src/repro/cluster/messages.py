@@ -6,11 +6,33 @@ simulated network or direct calls) is supplied by the database layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..core.vclock import VectorTimestamp
 from ..db.operations import Operation
+from ..errors import ProgramError
+
+#: One level of an order key: a big-endian ``u32``.
+_LEVEL = struct.Struct(">I")
+#: What a level cannot reach.  A name, so a test can lower it.
+LEVEL_LIMIT = 2**32
+
+
+def pack_level(index: int, what: str) -> bytes:
+    """One order-key level: ``index`` as four big-endian bytes.
+
+    An order key is the concatenation of its levels — the start
+    entry's index, then one hop index per round — so the keys of one
+    round share a length, and for byte strings of one length ``memcmp``
+    order is the order of the integer tuples they spell: they sort,
+    compare (``key <= halt_key``) and take ``min`` exactly as tuples
+    would, and cross the wire as one blob.  An index a level cannot
+    hold fails by name (``what`` says which count overflowed)."""
+    if index >= LEVEL_LIMIT:
+        raise ProgramError(f"more than 2**32 {what}")
+    return _LEVEL.pack(index)
 
 
 @dataclass(frozen=True)
@@ -79,15 +101,6 @@ class ProgramRequest:
     trace_id: Optional[int] = None
 
 
-@dataclass
-class ProgramResponse:
-    """What one shard round of a node program produced."""
-
-    query_id: int
-    next_hops: List[Tuple[str, Any]] = field(default_factory=list)
-    emitted: List[Any] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class ProgramStart:
     """Ship a node program to the start vertex's owning shard (section 4).
@@ -99,9 +112,10 @@ class ProgramStart:
     frames instead of vertex images travelling to the client.
 
     ``frontier`` is the keyed initial frontier: ``(handle, params,
-    order_key)`` triples, where ``order_key`` is the tuple that totally
-    orders entries exactly like the executor's append order (children
-    extend their parent's key with the hop index).
+    order_key)`` rows, where ``order_key`` is the byte string
+    (:func:`pack_level`) that totally orders entries exactly like the
+    executor's append order (children extend their parent's key with
+    the hop index).
     ``cache_tail`` is the client-computed program-cache key tail
     (section 4.6); None disables caching for this run.
     """
@@ -119,16 +133,62 @@ class ProgramStart:
 class FrontierForward:
     """One worker's next-round hops for another worker (section 4.1).
 
-    The peer-to-peer frontier frame of shard-resident execution:
-    ``hops`` carries the ``(handle, params, order_key)`` triples owned
-    by the destination shard for ``round``.  Per (src, dst, round) there
-    is exactly one of these — per-round wire traffic is O(shards), not
-    O(frontier).
+    The peer-to-peer frontier frame of shard-resident execution: the
+    ``(handle, params, order_key)`` rows owned by the destination shard
+    for ``round``, in columns.  ``handles`` and ``keys`` hold one item
+    per hop; ``params`` holds each *distinct* params object of the
+    frame once (distinct by identity, which is how programs share one
+    params object among a parent's hops) and ``param_of`` one packed
+    ``u32`` per hop indexing into it.  :meth:`from_rows` and
+    :meth:`rows` are the only two places that know this layout.  Per
+    (src, dst, round) there is exactly one of these — per-round wire
+    traffic is O(shards), not O(frontier).
     """
 
     query_id: int
     round: int
-    hops: Tuple[Tuple[str, Any, Any], ...]
+    handles: Tuple[str, ...]
+    keys: Tuple[bytes, ...]
+    params: Tuple[Any, ...]
+    param_of: bytes
+
+    @classmethod
+    def from_rows(
+        cls, query_id: int, round_no: int,
+        rows: List[Tuple[str, Any, bytes]],
+    ) -> "FrontierForward":
+        handles, params, keys = zip(*rows) if rows else ((), (), ())
+        # Insertion order numbers the distinct objects; the rows keep
+        # every one of them alive, so an id names one object.
+        distinct = {id(item): item for item in params}
+        slot = {ident: i for i, ident in enumerate(distinct)}
+        return cls(
+            query_id, round_no, handles, keys, tuple(distinct.values()),
+            struct.pack(
+                f">{len(params)}I", *map(slot.__getitem__, map(id, params))
+            ),
+        )
+
+    def rows(self) -> List[Tuple[str, Any, bytes]]:
+        """The hops as ``(handle, params, order_key)`` rows.  Columns
+        that do not describe one set of hops are refused by name: ``zip``
+        would quietly drop the tail."""
+        hops = len(self.handles)
+        if len(self.keys) != hops or len(self.param_of) != 4 * hops:
+            raise ProgramError(
+                f"malformed frontier forward: {hops} handles, "
+                f"{len(self.keys)} keys, {len(self.param_of)} index bytes"
+            )
+        slots = struct.unpack(f">{hops}I", self.param_of)
+        params = self.params
+        if hops and max(slots) >= len(params):
+            raise ProgramError(
+                f"malformed frontier forward: params index {max(slots)} "
+                f"of {len(params)}"
+            )
+        return list(zip(
+            self.handles, map(params.__getitem__, slots), self.keys
+        ))
 
 
 @dataclass(frozen=True)

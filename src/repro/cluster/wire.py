@@ -22,7 +22,7 @@ the golden digest in ``tests/test_wire.py``) is an import-time or
 test-time error — old frames would otherwise decode into silently
 shifted fields.
 
-Frame format (format 3)::
+Frame format (format 4)::
 
     u32 length | u8 version | value
 
@@ -46,6 +46,16 @@ strings' UTF-8 concatenated.  Values (1-byte tag, big-endian scalars)::
 
 Types match exactly (a subclass of ``str`` or of a registered class does
 not encode), and :func:`decode` raises nothing but :class:`WireError`.
+
+Format 4 has format 3's tags and bodies; what changed is the classes.
+The per-round program response nothing constructed left the schema
+(every later class id moved down by one, which is why a class leaves
+only with a version bump), and ``FrontierForward`` carries its hops in columns — the handles as one
+string run, every order key as one ``b`` value, each distinct params
+object once, one ``b`` value of packed ``u32`` indices — where it
+carried a tuple of ``(handle, namespace, tuple of ints)`` triples
+(:mod:`~repro.cluster.messages` owns that layout).  There is no
+format-3 decoder.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ from . import messages
 #: Bump whenever a registered class's field tuple changes, whenever a
 #: class is added, removed or renumbered, or whenever a tag's encoding
 #: changes.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 _VERSION_BYTE = bytes((WIRE_VERSION,))
 
 #: The largest payload a frame may carry.  A length prefix above it is
@@ -80,7 +90,7 @@ _F64 = struct.Struct(">d")
 
 #: The pinned wire schema: class name -> field names in wire order.  A
 #: class's position here is its one-byte wire id, so append, never
-#: insert.  This is the contract with already-encoded frames;
+#: insert, and remove only together with a version bump.  This is the contract with already-encoded frames;
 #: ``verify_schema`` fails the import when the live dataclasses drift
 #: from it.
 WIRE_SCHEMA: Dict[str, Tuple[str, ...]] = {
@@ -89,10 +99,10 @@ WIRE_SCHEMA: Dict[str, Tuple[str, ...]] = {
                           "trace_id"),
     "AnnounceMessage": ("src", "vector"),
     "ProgramRequest": ("ts", "query_id", "vertices", "trace_id"),
-    "ProgramResponse": ("query_id", "next_hops", "emitted"),
     "ProgramStart": ("ts", "query_id", "program", "frontier", "trace_id",
                      "cache_tail", "max_visits"),
-    "FrontierForward": ("query_id", "round", "hops"),
+    "FrontierForward": ("query_id", "round", "handles", "keys", "params",
+                        "param_of"),
     "Heartbeat": ("server", "epoch", "sent_at"),
     # db/operations.py — the payloads of a QueuedTransaction.
     "CreateVertex": ("handle",),
@@ -112,7 +122,6 @@ _CLASSES: Dict[str, Type] = {
         messages.QueuedTransaction,
         messages.AnnounceMessage,
         messages.ProgramRequest,
-        messages.ProgramResponse,
         messages.ProgramStart,
         messages.FrontierForward,
         messages.Heartbeat,

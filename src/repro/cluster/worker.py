@@ -37,6 +37,7 @@ import selectors
 import socket
 import time
 from collections import OrderedDict, deque
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.oracle import TimelineOracle
@@ -46,7 +47,7 @@ from ..db.operations import (
     partition_image,
     touched_vertices,
 )
-from ..errors import WeaverError
+from ..errors import ProgramError, WeaverError
 from ..obs.collect import register_stats_collectors, scalar_fields
 from ..obs.metrics import MetricsRegistry
 from ..programs.caching import ChangeTracker, ProgramCache
@@ -59,7 +60,7 @@ from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import ProgramContext
 from . import wire
-from .messages import FrontierForward, ProgramRequest, ProgramStart
+from .messages import FrontierForward, ProgramRequest, ProgramStart, pack_level
 from .shard import ShardServer
 from .transport import ProcessTransport, TransportError
 
@@ -321,7 +322,8 @@ class _ResidentQuery:
 
     __slots__ = (
         "qid", "program", "ctx", "resolver", "trace_id", "coordinator",
-        "buf", "received", "go", "executed", "entries", "tagged",
+        "buf", "received", "go", "executed", "entries", "tags", "values",
+        "error",
     )
 
     def __init__(self, qid: int):
@@ -331,16 +333,24 @@ class _ResidentQuery:
         self.resolver = None
         self.trace_id: Optional[int] = None
         self.coordinator: Optional[int] = None
-        self.buf: Dict[int, list] = {}       # round -> (handle, params, key)
+        # round -> (handle, params, key) rows, kept here or unpacked
+        # from a peer's columns; a key is pack_level bytes, one level
+        # per round, so one round's keys share a length.
+        self.buf: Dict[int, list] = {}
         self.received: Dict[int, int] = {}   # round -> hops from peers
         self.go: Dict[int, dict] = {}        # round -> round_go payload
         self.executed: set = set()
-        # Per-entry log: (round, key, handle, visible, n_hops) — the
-        # evidence halt filtering replays (see _fragment).
+        # Per-entry log: (pack(round) + key, handle, visible, n_hops) —
+        # the evidence halt filtering replays (see _fragment).
         self.entries: List[tuple] = []
-        # Emitted results tagged (round, key, seq, value) for global
-        # deterministic ordering at the coordinator.
-        self.tagged: List[tuple] = []
+        # Emitted results in two columns: values[i] was emitted under
+        # tags[i] = pack(round) + key + pack(seq), whose byte order is
+        # the global deterministic order the coordinator sorts into.
+        self.tags: List[bytes] = []
+        self.values: list = []
+        # Why a peer's forward was refused; fails the query's next
+        # round_go (see _maybe_execute).
+        self.error: Optional[str] = None
 
 
 class _Coordination:
@@ -375,9 +385,10 @@ class ResidentEngine:
     :func:`~repro.programs.framework.run_round` on its slice of every
     scatter-gather round against its local snapshot, next frontiers
     travel shard-to-shard as :class:`FrontierForward` frames (one per
-    (src, dst, round) — O(shards) messages per round), and the
-    coordinator detects round quiescence, aggregates the per-shard
-    fragments, and replies with only the result.
+    (src, dst, round) — O(shards) messages per round; rows here, columns
+    on the wire), and the coordinator detects round quiescence, sorts
+    the per-shard fragments' ``tags`` / ``values`` columns into one
+    result, and replies with only that.
 
     A host feeds it envelopes (:meth:`_dispatch`, then :meth:`drain` for
     what the engine queued for itself) and supplies the four ways out:
@@ -528,9 +539,7 @@ class ResidentEngine:
             self.resident.counter_checks += 1
             return {"unchanged": self.tracker.unchanged(payload["observed"])}
         if kind == "collect_result":
-            return self._fragment(
-                payload["q"], payload["halt_round"], payload["halt_key"]
-            )
+            return self._fragment(**payload)
         if kind == "advance_epoch":
             self._clear_resident_state()
         return self.worker.deliver(None, kind, payload)
@@ -579,11 +588,16 @@ class ResidentEngine:
         if query is None:
             return
         self.resident.forwards_received += 1
-        self.resident.hops_received += len(forward.hops)
-        query.buf.setdefault(forward.round, []).extend(forward.hops)
-        query.received[forward.round] = (
-            query.received.get(forward.round, 0) + len(forward.hops)
-        )
+        try:
+            rows = forward.rows()
+        except ProgramError as exc:
+            query.error = str(exc)
+        else:
+            self.resident.hops_received += len(rows)
+            query.buf.setdefault(forward.round, []).extend(rows)
+            query.received[forward.round] = (
+                query.received.get(forward.round, 0) + len(rows)
+            )
         self._maybe_execute(query, forward.round)
 
     def _on_round_go(self, payload: dict) -> None:
@@ -621,6 +635,12 @@ class ResidentEngine:
         go = query.go.get(round_no)
         if go is None or query.program is None:
             return
+        if query.error is not None:
+            # A refused forward: its hops will never be counted, so the
+            # round fails here instead of waiting for them.
+            query.executed.add(round_no)
+            self._report_failure(go, query.error)
+            return
         if query.received.get(round_no, 0) < go["expect"]:
             return
         self._execute_round(query, round_no)
@@ -632,7 +652,7 @@ class ResidentEngine:
         query.executed.add(round_no)
         # Same-length order keys make the per-worker sort reproduce the
         # executor's append order within the round slice.
-        frontier = sorted(query.buf.pop(round_no, []), key=lambda e: e[2])
+        frontier = sorted(query.buf.pop(round_no, []), key=itemgetter(2))
         ctx = query.ctx
         ctx.visits_left = query.go[round_no]["budget"]
         self.resident.rounds_executed += 1
@@ -643,27 +663,29 @@ class ResidentEngine:
                 round=round_no, frontier=len(frontier), shard=self.index,
             )
         next_by_dst: Dict[int, list] = {}
-        entries, tagged = query.entries, query.tagged
+        entries, tags, values = query.entries, query.tags, query.values
         already = len(entries)
         owner_of, here = self.owner_of, self.index
 
         def deliver(entry, node, hops) -> None:
             handle, _params, key = entry
+            tag = round_tag + key
             # Every result so far is tagged, so the untagged tail is
             # what this entry emitted.
-            for seq, value in enumerate(ctx.results[len(tagged):]):
-                tagged.append((round_no, key, seq, value))
-            entries.append(
-                (round_no, key, handle, node is not None, len(hops))
-            )
+            for seq, value in enumerate(ctx.results[len(values):]):
+                tags.append(tag + pack_level(seq, "results from one vertex"))
+                values.append(value)
+            entries.append((tag, handle, node is not None, len(hops)))
             for i, (next_handle, next_params) in enumerate(hops):
                 dst = owner_of(next_handle)
+                next_key = key + pack_level(i, "hops from one vertex")
                 next_by_dst.setdefault(
                     here if dst is None else dst, []
-                ).append((next_handle, next_params, key + (i,)))
+                ).append((next_handle, next_params, next_key))
 
         halt_key = error = None
         try:
+            round_tag = pack_level(round_no, "rounds")
             halted_at = run_round(
                 query.program, frontier, query.resolver.resolve_many,
                 ctx, self.prog_stats, deliver,
@@ -701,59 +723,61 @@ class ResidentEngine:
             if dst == self.index:
                 query.buf.setdefault(round_no, []).extend(hops_list)
             else:
-                self._peer_send(dst, "forward", FrontierForward(
-                    query.qid, round_no, tuple(hops_list)
+                self._peer_send(dst, "forward", FrontierForward.from_rows(
+                    query.qid, round_no, hops_list
                 ))
                 self.resident.forwards_sent += 1
                 self.resident.hops_forwarded += len(hops_list)
         return {dst: len(hops_list) for dst, hops_list in by_dst.items()}
 
     def _fragment(
-        self, qid: int, halt_round: Optional[int], halt_key
+        self, q: int, halt_round: Optional[int], halt_key: Optional[bytes],
+        counters: bool,
     ) -> dict:
-        """This worker's filtered share of a finished program.
+        """This worker's filtered share of finished program ``q`` (the
+        parameters are a ``collect_result`` payload's keys): results in
+        two columns (``values[i]`` emitted under ``tags[i]``), and the
+        read set's change counters when the coordinator will cache
+        (``counters``; only ``cache.put`` reads them).
 
         Halt filtering is by (round, key): every entry of rounds before
         the halt round counts, plus halt-round entries at or before the
         globally-minimal halt key — order keys are only comparable
         within one round (they share a length there), so a bare key
-        comparison across rounds would be wrong.
+        comparison across rounds would be wrong.  An entry's tag is
+        ``pack(round) + key``, so both rules are the one byte comparison
+        ``tag <= pack(halt_round) + halt_key``.
         """
-        query = self.queries.pop(qid, None)
-        self._mark_finished(qid)
-        empty = {
-            "results": [], "read": [], "states": {}, "visited": 0,
-            "hops": 0, "counters": {},
-        }
+        query = self.queries.pop(q, None)
+        self._mark_finished(q)
         if query is None or query.ctx is None:
-            return empty
-
-        def keep(round_no: int, key) -> bool:
-            if halt_round is None:
-                return True
-            if round_no < halt_round:
-                return True
-            return round_no == halt_round and key <= halt_key
-
+            return {
+                "tags": [], "values": [], "read": [], "states": {},
+                "visited": 0, "hops": 0, "counters": {},
+            }
+        entries, tags, values = query.entries, query.tags, query.values
+        if halt_round is not None:
+            halt = pack_level(halt_round, "rounds") + halt_key
+            entries = [entry for entry in entries if entry[0] <= halt]
+            kept = [i for i, tag in enumerate(tags) if tag[:-4] <= halt]
+            tags = [tags[i] for i in kept]
+            values = [values[i] for i in kept]
         read: set = set()
-        visited = 0
-        hops_total = 0
-        for round_no, key, handle, visible, n_hops in query.entries:
-            if not keep(round_no, key):
-                continue
+        visited = hops_total = 0
+        for _tag, handle, visible, n_hops in entries:
             read.add(handle)
-            if visible:
-                visited += 1
+            visited += visible
             hops_total += n_hops
         return {
-            "results": [t for t in query.tagged if keep(t[0], t[1])],
+            "tags": tags,
+            "values": values,
             "read": sorted(read),
             "states": {
                 h: s for h, s in query.ctx.states.items() if h in read
             },
             "visited": visited,
             "hops": hops_total,
-            "counters": self.tracker.snapshot(read),
+            "counters": self.tracker.snapshot(read) if counters else {},
         }
 
     # -- coordinator side -----------------------------------------------
@@ -900,12 +924,12 @@ class ResidentEngine:
     def _collect_fragments(
         self, coord: _Coordination, halt_round, halt_key
     ) -> List[Tuple[int, dict]]:
-        fragments = [
-            (self.index, self._fragment(coord.qid, halt_round, halt_key))
-        ]
         request = {
             "q": coord.qid, "halt_round": halt_round, "halt_key": halt_key,
+            # Change counters ride only when a cache will read them.
+            "counters": coord.cache_key is not None,
         }
+        fragments = [(self.index, self._fragment(**request))]
         for dst in sorted(coord.involved - {self.index}):
             fragments.append(
                 (dst, self._peer_request(dst, "collect_result", request))
@@ -926,24 +950,28 @@ class ResidentEngine:
                 result={"error": f"worker died during gather: {exc}"},
             )
             return
-        tagged: List[tuple] = []
+        tags: List[bytes] = []
+        values: list = []
         read: set = set()
         states: Dict[str, Any] = {}
         visited = 0
         hops_total = 0
         counters: Dict[int, dict] = {}
         for worker_index, fragment in fragments:
-            tagged.extend(tuple(t) for t in fragment["results"])
+            tags.extend(fragment["tags"])
+            values.extend(fragment["values"])
             read.update(fragment["read"])
             states.update(fragment["states"])
             visited += fragment["visited"]
             hops_total += fragment["hops"]
             counters[worker_index] = fragment["counters"]
-        tagged.sort(key=lambda t: (t[0], t[1], t[2]))
+        # A tag's byte order is the (round, key, seq) order; a stable
+        # sort on the tag alone never compares two values.
+        ordered = sorted(zip(tags, values), key=itemgetter(0))
         payload = {
             "query_id": coord.qid,
             "ts": coord.ps.ts,
-            "results": [t[3] for t in tagged],
+            "results": [value for _tag, value in ordered],
             "states": states,
             "vertices_visited": visited,
             "hops": hops_total,
@@ -966,7 +994,8 @@ class ResidentEngine:
         coord.done = True
         self.coordinated.pop(coord.qid, None)
         try:
-            self._collect_fragments(coord, -1, None)  # cleanup only
+            # Cleanup only: pack(0) + b"" sorts before every entry.
+            self._collect_fragments(coord, 0, b"")
         except (TransportError, OSError, socket.timeout):
             pass
         self._mark_finished(coord.qid)

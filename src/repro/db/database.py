@@ -44,7 +44,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from ..cluster.builder import ClusterParts, build_cluster
-from ..cluster.messages import ProgramStart, QueuedTransaction
+from ..cluster.messages import ProgramStart, QueuedTransaction, pack_level
 from ..cluster.shard import ShardServer
 from ..cluster.transport import LocalTransport, Transport
 from ..cluster.worker import ShardEndpoint
@@ -217,11 +217,11 @@ class WritePath:
         """The request that ships ``program`` to the data, and the shard
         that coordinates it: the start vertex's owner if it is in
         ``live``, else the first live shard."""
-        # Initial frontier entry i carries order key (i,): children
-        # append their hop index, so sorting a round's entries by key
-        # reproduces the executor's append order exactly.
+        # Initial frontier entry i carries the one-level order key
+        # pack(i): children append their hop index, so sorting a round's
+        # entries by key reproduces the executor's append order exactly.
         keyed = tuple(
-            (handle, entry_params, (i,))
+            (handle, entry_params, pack_level(i, "start vertices"))
             for i, (handle, entry_params) in enumerate(frontier)
         )
         coordinator = self._shard_of(frontier[0][0])

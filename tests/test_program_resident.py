@@ -16,14 +16,17 @@ entry (2 workers, BFS + cached re-run, trace-chain assertion).
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
 from repro.cluster.process import ProcessWeaver
-from repro.db import WeaverConfig
+from repro.db import Weaver, WeaverConfig
 from repro.errors import ProgramError
+from repro.programs.analytics import PushPageRank
 from repro.programs.library import (
+    PROGRAM_REGISTRY,
     Bfs,
     ClusteringCoefficient,
     CollectReachable,
@@ -210,6 +213,179 @@ def test_visit_budget_is_enforced_inside_the_round(mode):
         assert len(
             db.run_program(CollectReachable(), hub, params()).results
         ) == 61
+
+
+# -- byte keys, column frames and requested counters, end to end ----------
+
+POOL = [f"n{i}" for i in range(24)]
+
+
+def split_pool(shard_of):
+    """``(root, here, there)``: the pool's first vertex, the others its
+    shard owns, and the ones some other shard owns."""
+    root, rest = POOL[0], POOL[1:]
+    here = [h for h in rest if shard_of(h) == shard_of(root)]
+    there = [h for h in rest if shard_of(h) != shard_of(root)]
+    assert len(here) >= 5 and len(there) >= 5
+    return root, here, there
+
+
+def halting_edges(shard_of):
+    """``(edges, root, target, unread)`` for a ``Reachability`` that
+    halts in the middle of round 2, on a shard the root does not live
+    on: three middles fan out to leaves on both shards, the target is
+    the fourth of seven.  The root's shard has no halt of its own, so
+    it runs its whole slice; the entries ordered after the target
+    (``unread``) count only if halt filtering compares byte keys
+    wrongly."""
+    root, here, there = split_pool(shard_of)
+    target = there[0]
+    leaves = {
+        here[0]: [here[2], there[2]],
+        there[1]: [there[3], target, here[3]],
+        here[1]: [here[4], there[4]],
+    }
+    edges = [(root, middle) for middle in leaves] + [
+        (middle, leaf) for middle, hops in leaves.items() for leaf in hops
+    ]
+    return edges, root, target, {here[3], here[4], there[4]}
+
+
+class StockPageRank(PushPageRank):
+    """``PushPageRank`` at its defaults, constructible by name — the
+    shards build a program from its class alone.  Every push is a fresh
+    params object (one per parent, shared by that parent's hops), and
+    vertices are revisited until the residual dies out."""
+
+    name = "stock_pagerank"
+    damping, epsilon = 0.85, 1e-3
+    __init__ = object.__init__
+
+
+def pagerank_edges(shard_of):
+    """``(edges, root)`` of a small strongly connected graph over both
+    shards."""
+    root, here, there = split_pool(shard_of)
+    ring = [root, there[0], here[0], there[1], here[1], there[2]]
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    edges += [(root, here[0]), (root, there[1]), (there[0], root),
+              (here[1], there[0]), (there[2], here[0])]
+    return edges, root
+
+
+def load(db, edges):
+    tx = db.begin_transaction()
+    for index, (src, dst) in enumerate(edges):
+        tx.create_edge(src, dst, f"edge{index}")
+    tx.commit()
+    db.drain()
+
+
+@contextlib.contextmanager
+def pooled(cls, **config):
+    """A deployment holding the pool's vertices, no edges yet."""
+    db = cls(WeaverConfig(
+        num_shards=2, num_gatekeepers=2, partitioner="hash", **config
+    ))
+    try:
+        tx = db.begin_transaction()
+        for handle in POOL:
+            tx.create_vertex(handle)
+        tx.commit()
+        db.drain()
+        yield db
+    finally:
+        if cls is ProcessWeaver:
+            db.close()
+
+
+def entries_processed(db):
+    return sum(
+        db.transport.request("client", name, "stats", None)[
+            "program.resident.entries_processed"
+        ]
+        for name in ("shard0", "shard1")
+    )
+
+
+class TestKeysColumnsAndCounters:
+    """One ``Weaver`` (the reference executor, which builds no order
+    key at all) and one 2-worker ``ProcessWeaver`` per case; the 3-shard
+    ``SimulatedWeaver`` twins are in ``test_sim_deployment.py``."""
+
+    def test_halt_on_the_other_shard_filters_by_byte_key(self):
+        with pooled(Weaver) as reference_db, pooled(ProcessWeaver) as db:
+            edges, root, target, unread = halting_edges(db._shard_of)
+            load(reference_db, edges)
+            load(db, edges)
+            prm = params(target=target)
+            reference = reference_db.run_program(Reachability(), root, prm)
+            assert reference.results == [True] and reference.halted
+            assert reference.vertices_visited == 8
+            assert not reference.read_set & unread
+            before = entries_processed(db)
+            result = db.run_program(Reachability(), root, prm)
+            _assert_equivalent(result, reference)
+            # The root's shard ran entries ordered after the halt; the
+            # gather dropped them.
+            assert entries_processed(db) - before > result.vertices_visited
+
+    def test_revisits_with_a_params_object_per_parent(self, monkeypatch):
+        monkeypatch.setitem(
+            PROGRAM_REGISTRY, StockPageRank.name, StockPageRank
+        )
+        with pooled(Weaver) as reference_db, pooled(ProcessWeaver) as db:
+            edges, root = pagerank_edges(db._shard_of)
+            load(reference_db, edges)
+            load(db, edges)
+            reference = reference_db.run_program(
+                StockPageRank(), root, params(mass=1.0)
+            )
+            assert reference.vertices_visited > 10 * len(reference.read_set)
+            result = db.run_program(StockPageRank(), root, params(mass=1.0))
+            _assert_equivalent(result, reference)
+            # Same pushes in the same order: the floats are identical.
+            assert StockPageRank.scores(result) == StockPageRank.scores(
+                reference
+            )
+            stats = db.metrics.snapshot()
+            assert stats["program.resident.forwards_sent"] > 10
+
+    @pytest.mark.parametrize("deployment", [Weaver, ProcessWeaver])
+    def test_cached_rerun_is_validated_then_invalidated_remotely(
+        self, deployment
+    ):
+        with pooled(deployment, enable_program_cache=True) as db:
+            root, here, there = split_pool(db._shard_of)
+            load(db, [(root, there[0]), (there[0], here[0])])
+            prm = params(depth=0)
+
+            def run():
+                result = db.run_program(Bfs(), root, prm, use_cache=True)
+                last = db.tracer.spans(kind="program.complete")[-1]
+                return result, last.attr("cache_hit")
+
+            first, hit = run()
+            assert (first.results, hit) == ([root, there[0], here[0]], None)
+            again, hit = run()
+            assert (again.results, hit) == (first.results, True)
+            assert again.read_set == first.read_set
+            if deployment is ProcessWeaver:
+                # The fragments carried their counters (asked for only
+                # because a cache reads them), and the hit was vouched
+                # for by the remote shard.
+                stats = db.metrics.snapshot()
+                assert stats["program.resident.cache_hits"] == 1
+                assert stats["program.resident.counter_checks"] >= 2
+            # A write the coordinating shard never sees: only the
+            # remote fragment's counters can refute the entry.
+            load(db, [(there[0], there[1])])
+            fresh, hit = run()
+            assert hit is None
+            assert fresh.results == [root, there[0], here[0], there[1]]
+            if deployment is ProcessWeaver:
+                stats = db.metrics.snapshot()
+                assert stats["program.resident.cache_invalidations"] == 1
 
 
 class TestHistoricalReads:

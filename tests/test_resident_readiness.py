@@ -29,6 +29,7 @@ from repro.db.operations import CreateVertex, SetVertexProperty
 from repro.programs.library import PROGRAM_REGISTRY
 
 from .test_program_differential import HaltOnMissing
+from .wire_fixtures import order_key
 
 QUERY = 7
 
@@ -101,10 +102,10 @@ class Rig:
 
     # -- the coordinator's side ------------------------------------------
 
-    def peer_traffic(self, ts, hops=(("w", None, (0,)),),
+    def peer_traffic(self, ts, hops=(("w", None, order_key(0)),),
                      program="get_node"):
         """Round 0 as shard 0 sends it: the frontier, then the go."""
-        forward = FrontierForward(QUERY, 0, hops)
+        forward = FrontierForward.from_rows(QUERY, 0, hops)
         go = {
             "q": QUERY, "round": 0, "expect": len(hops), "program": program,
             "ts": ts, "trace_id": None, "coordinator": 0, "budget": 100,
@@ -132,7 +133,7 @@ class Rig:
         self.engine._dispatch(self._reply_here, {
             "k": "r", "id": 1, "kind": "collect_result",
             "p": {"q": QUERY, "halt_round": halt_round,
-                  "halt_key": halt_key},
+                  "halt_key": halt_key, "counters": False},
         })
         return wire.decode(wire.read_frame(self._reply_there))["p"]
 
@@ -179,7 +180,8 @@ def test_peer_traffic_ahead_of_heartbeats_matches_ordered_delivery(tmp_path):
     assert early_report == ordered_report
     assert early == ordered
     # ... and it is the post-write snapshot, not a stale one.
-    ((_round, _key, _seq, value),) = early["results"]
+    assert early["tags"] == [order_key(0, 0, 0)]       # round, key, seq
+    (value,) = early["values"]
     assert value["properties"] == {"color": "red"}
 
 
@@ -193,7 +195,7 @@ def test_participant_round_obeys_the_round_body_rules(rig, monkeypatch):
     ts = rig.write_and_stamp()
     rig.send_client_batch(ts)
     hops = tuple(
-        (handle, params, (i,))
+        (handle, params, order_key(i))
         for i, (handle, params) in enumerate(
             [("ghost", None), ("w", None), ("w", None), ("v", None)]
         )
@@ -203,11 +205,11 @@ def test_participant_round_obeys_the_round_body_rules(rig, monkeypatch):
     rig.drive()
     report = rig.read_report()
     assert report["error"] is None
-    assert (report["halt"], report["processed"]) == ((1,), 2)
+    assert (report["halt"], report["processed"]) == (order_key(1), 2)
     assert report["sent"] == {}
     assert rig.engine.prog_stats.dedup_hits == 1
-    fragment = rig.collect_fragment(halt_round=0, halt_key=(1,))
-    assert [t[3] for t in fragment["results"]] == ["w"]
+    fragment = rig.collect_fragment(halt_round=0, halt_key=order_key(1))
+    assert fragment["values"] == ["w"]
     assert fragment["read"] == ["ghost", "w"]
     assert fragment["visited"] == 1
 
@@ -218,7 +220,7 @@ def test_round_go_budget_stops_the_round_by_name(rig):
     ts = rig.write_and_stamp()
     rig.send_client_batch(ts)
     forward, go = rig.peer_traffic(
-        ts, (("w", None, (0,)), ("v", None, (1,)))
+        ts, (("w", None, order_key(0)), ("v", None, order_key(1)))
     )
     go["m"][0][1]["budget"] = 1
     for envelope in (forward, go):

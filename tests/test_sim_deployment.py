@@ -1,10 +1,16 @@
 """The event-driven simulated deployment: the protocol on real timers."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.cluster.messages import ProgramStart, QueuedTransaction
+from repro.cluster import messages
+from repro.cluster.messages import (
+    FrontierForward,
+    ProgramStart,
+    QueuedTransaction,
+)
 from repro.cluster.shard import ShardServer
 from repro.cluster.worker import ResidentEngine, ShardEndpoint
 from repro.core.gatekeeper import Gatekeeper
@@ -19,6 +25,14 @@ from repro.programs.library import PROGRAM_REGISTRY
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.sim.faults import FaultPlan
+from tests.test_program_resident import (
+    POOL,
+    StockPageRank,
+    _assert_equivalent,
+    halting_edges,
+    pagerank_edges,
+)
+from tests.wire_fixtures import order_key
 
 
 def make(tau=200 * USEC, nop_period=100 * USEC, gks=2, shards=2):
@@ -411,8 +425,9 @@ class TestEngineMatchesExecutor:
             def _peer_request(self, dst, kind, payload):
                 requests.append((dst, kind, payload))
                 return {
-                    "results": [(1, (0, 0), 0, "b")], "read": ["b"],
-                    "states": {}, "visited": 1, "hops": 0, "counters": {},
+                    "tags": [order_key(1, 0, 0, 0)], "values": ["b"],
+                    "read": ["b"], "states": {}, "visited": 1, "hops": 0,
+                    "counters": {},
                 }
 
             def _reply(self, conn, rid, result=None, error=None):
@@ -432,7 +447,7 @@ class TestEngineMatchesExecutor:
         )
         ts = gk.issue_timestamp()
         start = {"k": "r", "id": 9, "kind": "program_start", "p": ProgramStart(
-            ts, 5, "bfs", (("a", params(depth=0), (0,)),)
+            ts, 5, "bfs", (("a", params(depth=0), order_key(0)),)
         )}
         engine._dispatch("gk0", {"k": "b", "m": [("enqueue", (0, write))]})
         engine._dispatch("gk0", start)
@@ -461,3 +476,265 @@ class TestEngineMatchesExecutor:
         assert (conn, rid, error) == ("gk0", 9, None)
         assert result["results"] == ["a", "b"]
         assert result["read_set"] == ["a", "b"]
+
+
+class ListHost(ResidentEngine):
+    """A host that only appends to four lists (and answers a gather
+    with an empty fragment), over a one-gatekeeper shard made ready for
+    ``self.ts`` after ``operations`` applied."""
+
+    def __init__(self, index, placement, operations=(), caching=False):
+        self.sends, self.requests, self.replies, self.held = [], [], [], []
+        shard = ShardServer(index, 1, TimelineOracle())
+        super().__init__(
+            ShardEndpoint(shard), index, placement.get, caching
+        )
+        gk = Gatekeeper(0, 1)
+        write = QueuedTransaction(
+            gk.issue_timestamp(), tuple(operations), seqno=0, tiebreak=0
+        )
+        self.ts = gk.issue_timestamp()
+        nop = QueuedTransaction(gk.make_nop(), seqno=1, tiebreak=1)
+        self._dispatch("gk0", {"k": "b", "m": [
+            ("enqueue", (0, write)), ("enqueue", (0, nop)),
+        ]})
+        assert shard.advance_to(self.ts)
+
+    def _peer_send(self, dst, kind, payload):
+        self.sends.append((dst, kind, payload))
+
+    def _peer_request(self, dst, kind, payload):
+        self.requests.append((dst, kind, payload))
+        return {
+            "tags": [], "values": [], "read": [], "states": {},
+            "visited": 0, "hops": 0, "counters": {},
+        }
+
+    def _reply(self, conn, rid, result=None, error=None):
+        self.replies.append((conn, rid, result, error))
+
+    def _hold(self, conn, envelope, ts):
+        self.held.append((conn, envelope, ts))
+        return True
+
+    def go(self, query_id, round_no, expect, program="bfs"):
+        return ("round_go", {
+            "q": query_id, "round": round_no, "expect": expect,
+            "program": program, "ts": self.ts, "trace_id": None,
+            "coordinator": 0, "budget": 100,
+        })
+
+
+class TestAFailedFrameFailsItsQuery:
+    """A forward ``rows()`` refuses, or a hop index a key level cannot
+    hold, ends one query by name — not the engine's ``drain()``, which
+    for a shard worker is the process."""
+
+    @pytest.mark.parametrize("forward_first", [True, False])
+    def test_refused_forward_is_reported_at_the_round_go(self, forward_first):
+        engine = ListHost(1, {"a": 0, "b": 1}, [ops.CreateVertex("b")])
+        good = FrontierForward.from_rows(
+            5, 1, [("b", params(depth=1), order_key(0, 0))]
+        )
+        refused = dataclasses.replace(good, keys=())
+        messages = [("forward", refused), engine.go(5, 1, expect=1)]
+        for message in messages if forward_first else reversed(messages):
+            engine._dispatch(None, {"k": "b", "m": [message]})
+            engine.drain()
+        ((dst, kind, report),) = engine.sends
+        assert (dst, kind) == (0, "round_report")
+        assert report["error"] == (
+            "malformed frontier forward: 1 handles, 0 keys, 4 index bytes"
+        )
+        assert (report["q"], report["round"], report["worker"]) == (5, 1, 1)
+        assert (report["processed"], report["sent"], report["halt"]) == (
+            0, {}, None
+        )
+        assert engine.resident.rounds_executed == 0
+        assert engine.resident.hops_received == 0
+        # The coordinator's clean-up gather finds nothing to keep ...
+        engine._dispatch("shard0", {
+            "k": "r", "id": 3, "kind": "collect_result",
+            "p": {"q": 5, "halt_round": 0, "halt_key": b"",
+                  "counters": False},
+        })
+        ((_conn, rid, fragment, error),) = engine.replies
+        assert (rid, error, fragment["values"]) == (3, None, [])
+        # ... and the engine serves the next query as if nothing happened.
+        for message in (("forward", dataclasses.replace(good, query_id=6)),
+                        engine.go(6, 1, expect=1)):
+            engine._dispatch(None, {"k": "b", "m": [message]})
+        engine.drain()
+        _dst, _kind, report = engine.sends[-1]
+        assert (report["q"], report["error"], report["processed"]) == (
+            6, None, 1
+        )
+
+    def test_refused_forward_ends_the_program_on_the_twin(self, monkeypatch):
+        """End to end on ``SimulatedWeaver``: the sender's columns lose
+        a key, the receiving shard refuses them, the coordinator ends
+        the query with the refusal's text and keeps serving."""
+        sw = make(shards=3)
+        handles = [f"n{i}" for i in range(12)]
+        assert commit(sw, [ops.CreateVertex(h) for h in handles])["ok"]
+        root = handles[0]
+        far = next(
+            h for h in handles
+            if sw.mapping.lookup(h) != sw.mapping.lookup(root)
+        )
+        assert commit(sw, [ops.CreateEdge("e", root, far)])["ok"]
+        intact = FrontierForward.from_rows.__func__
+
+        def short_a_key(cls, query_id, round_no, rows):
+            forward = intact(cls, query_id, round_no, rows)
+            return dataclasses.replace(forward, keys=forward.keys[:-1])
+
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                FrontierForward, "from_rows", classmethod(short_a_key)
+            )
+            sw.submit_program(Bfs(), root, params(depth=0))
+            with pytest.raises(
+                ProgramError,
+                match="^malformed frontier forward: 1 handles, 0 keys",
+            ):
+                sw.run_until_quiet()
+        assert ask(sw, Bfs(), root, params(depth=0)).results == [root, far]
+
+    def test_hop_index_beyond_a_key_level_fails_by_name(self, monkeypatch):
+        """The bound of ``pack_level``, lowered so three hops cross it:
+        the client sees ``ProgramError`` by name, not ``struct.error``'s
+        text, and the engine is still there."""
+        engine = ListHost(0, {"a": 0}, [ops.CreateVertex("a")] + [
+            ops.CreateEdge(f"e{i}", "a", f"x{i}") for i in range(3)
+        ])
+        start = {"k": "r", "id": 9, "kind": "program_start", "p": ProgramStart(
+            engine.ts, 5, "bfs", (("a", params(depth=0), order_key(0)),)
+        )}
+        monkeypatch.setattr(messages, "LEVEL_LIMIT", 2)
+        engine._dispatch("gk0", dict(start))
+        engine.drain()
+        ((conn, rid, result, error),) = engine.replies
+        assert (conn, rid, error) == ("gk0", 9, None)
+        assert result == {"error": "more than 2**32 hops from one vertex"}
+        with pytest.raises(ProgramError, match=r"2\*\*32 hops from one vertex"):
+            WritePath._program_result(result)
+        monkeypatch.setattr(messages, "LEVEL_LIMIT", 2**32)
+        again = dataclasses.replace(start["p"], query_id=6)
+        engine._dispatch("gk0", dict(start, id=10, p=again))
+        engine.drain()
+        assert engine.replies[-1][2]["results"] == ["a"]
+
+
+class TestCountersRideOnRequest:
+    """Only ``cache.put`` reads a fragment's change counters, so the
+    coordinator asks for them only when it will cache."""
+
+    @pytest.mark.parametrize("caching", [False, True])
+    def test_the_gather_asks_only_when_the_coordinator_caches(self, caching):
+        engine = ListHost(0, {"a": 0, "b": 1}, [
+            ops.CreateVertex("a"), ops.CreateEdge("ab", "a", "b"),
+        ], caching=caching)
+        engine._dispatch("gk0", {
+            "k": "r", "id": 9, "kind": "program_start", "p": ProgramStart(
+                engine.ts, 5, "bfs", (("a", params(depth=0), order_key(0)),),
+                cache_tail=("bfs", "depth=0"),
+            ),
+        })
+        engine.drain()
+        engine._dispatch(None, {"k": "b", "m": [("round_report", {
+            "q": 5, "round": 1, "worker": 1, "sent": {}, "halt": None,
+            "processed": 1, "error": None,
+        })]})
+        engine.drain()
+        ((dst, kind, request),) = engine.requests
+        assert (dst, kind, request["counters"]) == (
+            1, "collect_result", caching
+        )
+        assert engine.replies[-1][2]["results"] == ["a"]
+        if caching:
+            assert len(engine.cache) == 1
+        else:
+            assert engine.cache is None
+
+    @pytest.mark.parametrize("asked", [False, True])
+    def test_a_fragment_snapshots_its_read_set_only_when_asked(self, asked):
+        engine = ListHost(1, {"a": 0, "b": 1}, [ops.CreateVertex("b")])
+        forward = FrontierForward.from_rows(
+            5, 1, [("b", params(depth=1), order_key(0, 0))]
+        )
+        for message in (("forward", forward), engine.go(5, 1, expect=1)):
+            engine._dispatch(None, {"k": "b", "m": [message]})
+        engine.drain()
+        engine._dispatch("shard0", {
+            "k": "r", "id": 3, "kind": "collect_result",
+            "p": {"q": 5, "halt_round": None, "halt_key": None,
+                  "counters": asked},
+        })
+        fragment = engine.replies[-1][2]
+        assert fragment["values"] == ["b"]
+        assert fragment["tags"] == [order_key(1, 0, 0, 0)]
+        assert fragment["counters"] == ({"b": 1} if asked else {})
+
+
+class TestKeysAndColumnsOnTheTwin:
+    """The 3-shard ``SimulatedWeaver`` twins of the cases
+    ``test_program_resident.py`` runs on processes, against the same
+    ``Weaver`` reference.  (No cached re-run here: the simulator hosts
+    the engine with the shard-side program cache off.)"""
+
+    @staticmethod
+    def twins(edges_for):
+        """``(db, sw, what edges_for returned after the edges)``, the
+        edges loaded into both."""
+        def config():
+            return WeaverConfig(
+                num_gatekeepers=2, num_shards=3, partitioner="hash"
+            )
+
+        db = Weaver(config())
+        sw = SimulatedWeaver(config(), tau=200 * USEC, nop_period=100 * USEC)
+        creates = [ops.CreateVertex(h) for h in POOL]
+        assert commit(sw, creates)["ok"]
+        edges, *roles = edges_for(sw.mapping.lookup)
+        links = [
+            ops.CreateEdge(f"edge{i}", src, dst)
+            for i, (src, dst) in enumerate(edges)
+        ]
+        assert commit(sw, links)["ok"]
+        for operations in (creates, links):
+            tx = db.begin_transaction()
+            for op in operations:
+                tx.record(op)
+            tx.commit()
+        return db, sw, roles
+
+    def test_halt_on_another_shard_filters_by_byte_key(self):
+        db, sw, (root, target, unread) = self.twins(halting_edges)
+        prm = params(target=target)
+        reference = db.run_program(Reachability(), root, prm)
+        assert reference.halted and not reference.read_set & unread
+        result = ask(sw, Reachability(), root, prm)
+        _assert_equivalent(result, reference)
+        processed = sum(
+            engine.resident.entries_processed
+            for engine in sw._engines.values()
+        )
+        assert processed > result.vertices_visited
+
+    def test_revisits_with_a_params_object_per_parent(self, monkeypatch):
+        monkeypatch.setitem(
+            PROGRAM_REGISTRY, StockPageRank.name, StockPageRank
+        )
+        db, sw, (root,) = self.twins(pagerank_edges)
+        reference = db.run_program(StockPageRank(), root, params(mass=1.0))
+        box = {}
+        sw.submit_program(
+            StockPageRank(), root, params(mass=1.0),
+            callback=lambda r: box.update(r=r),
+        )
+        sw.run_until_quiet()
+        _assert_equivalent(box["r"], reference)
+        assert StockPageRank.scores(box["r"]) == StockPageRank.scores(
+            reference
+        )

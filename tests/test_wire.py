@@ -23,20 +23,20 @@ from repro.cluster.messages import (
     FrontierForward,
     Heartbeat,
     ProgramRequest,
-    ProgramResponse,
     ProgramStart,
     QueuedTransaction,
 )
 from repro.core.vclock import Ordering, VectorTimestamp
 from repro.db import operations as ops
 from tests import wire_fixtures
+from tests.wire_fixtures import order_key
 
 # The golden schema digest: (WIRE_VERSION, the tag table, and every
 # class's wire id, name and field...) hashed.  A change here means old
 # frames no longer decode the same way — bump wire.WIRE_VERSION, update
 # WIRE_SCHEMA, and re-pin this value (and wire_fixtures.GOLDEN_HEX).
 GOLDEN_SCHEMA_DIGEST = (
-    "c3a2a322f39a211298f178fe4c11fcce8050168b1abb7e9ae7934f6fcfd80168"
+    "e8d253b2b5bf09636902850d0abb0fa21c9db45b72142dbcb8111e0620f93470"
 )
 
 TS = VectorTimestamp(epoch=2, clocks=(3, 1, 4), issuer=1)
@@ -60,13 +60,12 @@ ALL_MESSAGES = [
     AnnounceMessage(1, (3, 1, 4)),
     ProgramRequest(TS, 5, ("v1", "v2"), trace_id=12),
     ProgramRequest(TS, 6, ()),  # trace_id defaults to None
-    ProgramResponse(5, [("v2", None)], ["v1", {"k": (1, 2)}]),
     ProgramStart(TS, 7, "bfs",
-                 (("v1", SimpleNamespace(depth=0), (0,)),
-                  ("v2", None, (1,))),
+                 (("v1", SimpleNamespace(depth=0), order_key(0)),
+                  ("v2", None, order_key(1))),
                  trace_id=3, cache_tail=("repr", 9), max_visits=100),
     ProgramStart(TS2, 8, "reachability", ()),  # defaults everywhere
-    FrontierForward(7, 2, (("v2", None, (0, 1, 0)),)),
+    FrontierForward.from_rows(7, 2, [("v2", None, order_key(0, 1, 0))]),
     Heartbeat("shard0", 3, 1.25),
 ]
 
@@ -340,9 +339,10 @@ def _random_value(rng, depth=0):
         return QueuedTransaction(
             _random_scalar(rng), tuple(items), rng.randrange(99), None,
         )
-    return FrontierForward(rng.randrange(99), 1, tuple(
-        (_random_string(rng), item, (0, i)) for i, item in enumerate(items)
-    ))
+    return FrontierForward.from_rows(rng.randrange(99), 1, [
+        (_random_string(rng), item, order_key(0, i))
+        for i, item in enumerate(items)
+    ])
 
 
 def _typed(value):

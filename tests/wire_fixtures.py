@@ -15,6 +15,7 @@ from repro.cluster.messages import (
     FrontierForward,
     ProgramStart,
     QueuedTransaction,
+    pack_level,
 )
 from repro.core.vclock import VectorTimestamp
 
@@ -23,6 +24,11 @@ NOP_TS = (
     VectorTimestamp(epoch=0, clocks=(842, 840), issuer=0),
     VectorTimestamp(epoch=0, clocks=(842, 841), issuer=1),
 )
+
+
+def order_key(*levels) -> bytes:
+    """The order key of a hop reached through ``levels``."""
+    return b"".join(pack_level(level, "levels") for level in levels)
 
 
 def _nops(tiebreaks):
@@ -46,7 +52,7 @@ REQUEST = {
     "k": "r", "id": 242, "kind": "program_start",
     "p": ProgramStart(
         ts=READ_TS, query_id=501, program="get_edges",
-        frontier=(("v955", SimpleNamespace(edge_prop=None), (0,)),),
+        frontier=(("v955", SimpleNamespace(edge_prop=None), order_key(0)),),
         trace_id=681, cache_tail=None, max_visits=10_000_000,
     ),
     "m": _nops((2360, 2362)) + [("advance_to", READ_TS)],
@@ -74,14 +80,30 @@ _HOP = dict(depth=1, edge_prop=None, max_depth=2)
 
 #: A peer-to-peer frontier frame of a ``traverse`` (not part of a
 #: single-vertex read; pinned because it is the resident engine's bulk).
-FORWARD = {"k": "b", "m": [("forward", FrontierForward(
-    query_id=454, round=1,
-    hops=(
-        ("v451", SimpleNamespace(**_HOP), (0, 0)),
-        ("v447", SimpleNamespace(**_HOP), (0, 1)),
-        ("v81", SimpleNamespace(**_HOP), (0, 2, 7)),
-    ),
-))]}
+FORWARD = {"k": "b", "m": [("forward", FrontierForward.from_rows(454, 1, [
+    ("v451", SimpleNamespace(**_HOP), order_key(0, 0)),
+    ("v447", SimpleNamespace(**_HOP), order_key(0, 1)),
+    ("v81", SimpleNamespace(**_HOP), order_key(0, 2, 7)),
+]))]}
+
+
+def _forward_64():
+    """The round-2 forward of a depth-2 ``traverse``: 8 parents × 8
+    hops, each parent's hops sharing one params object, 3-level keys."""
+    rows = []
+    for parent in range(8):
+        shared = SimpleNamespace(depth=2, edge_prop=None, max_depth=2)
+        rows += [
+            (f"v{(131 * (8 * parent + hop) + 7) % 2000}", shared,
+             order_key(0, parent, hop))
+            for hop in range(8)
+        ]
+    return FrontierForward.from_rows(454, 2, rows)
+
+
+#: The frame a traversal actually sends: what ``test_perf_guard.py``
+#: pins by bytes and call events and ``test_micro_wire.py`` times.
+FORWARD_64 = {"k": "b", "m": [("forward", _forward_64())]}
 
 #: The three frames of one read, in the order the client produces them.
 #: Each is encoded once and decoded once: six codec calls per read.
@@ -91,11 +113,11 @@ FRAMES = {
     "batch": BATCH, "request": REQUEST, "reply": REPLY, "forward": FORWARD,
 }
 
-#: ``wire.encode(frame).hex()`` at WIRE_VERSION 3.  Regenerate only
+#: ``wire.encode(frame).hex()`` at WIRE_VERSION 4.  Regenerate only
 #: together with a version bump.
 GOLDEN_HEX = {
     "batch": (
-        "03440201016b6d7301626c0374027307656e7175657565740269000000000000"
+        "04440201016b6d7301626c0374027307656e7175657565740269000000000000"
         "000080560200000000000000000000000000000000000000034a000000000000"
         "0348740069000000000000024e6900000000000009394e74027307656e717565"
         "7565740269000000000000000180560200000000000000000000000001000000"
@@ -104,20 +126,20 @@ GOLDEN_HEX = {
         "000000000003490000000000000348"
     ),
     "request": (
-        "03440501020401016b69646b696e64706d7301726900000000000000f2730d70"
-        "726f6772616d5f73746172748456020000000000000000000000000000000000"
+        "04440501020401016b69646b696e64706d7301726900000000000000f2730d70"
+        "726f6772616d5f73746172748356020000000000000000000000000000000000"
         "0000034900000000000003486900000000000001f573096765745f6564676573"
-        "74017403730476393535700109656467655f70726f704e740169000000000000"
-        "00006900000000000002a94e6900000000009896806c0374027307656e717565"
-        "7565740269000000000000000080560200000000000000000000000000000000"
-        "000000034a0000000000000348740069000000000000024e6900000000000009"
-        "384e74027307656e717565756574026900000000000000018056020000000000"
-        "0000000000000001000000000000034a00000000000003497400690000000000"
-        "00024e69000000000000093a4e7402730a616476616e63655f746f5602000000"
-        "0000000000000000000000000000000003490000000000000348"
+        "74017403730476393535700109656467655f70726f704e620400000000690000"
+        "0000000002a94e6900000000009896806c0374027307656e7175657565740269"
+        "000000000000000080560200000000000000000000000000000000000000034a"
+        "0000000000000348740069000000000000024e6900000000000009384e740273"
+        "07656e7175657565740269000000000000000180560200000000000000000000"
+        "000001000000000000034a0000000000000349740069000000000000024e6900"
+        "0000000000093a4e7402730a616476616e63655f746f56020000000000000000"
+        "000000000000000000000003490000000000000348"
     ),
     "reply": (
-        "034404010201026b69647065767301706900000000000000f244090802070610"
+        "044404010201026b69647065767301706900000000000000f244090802070610"
         "0406080671756572795f69647473726573756c74737374617465737665727469"
         "6365735f76697369746564686f707368616c746564726561645f736574726f75"
         "6e64736900000000000001f55602000000000000000000000000000000000000"
@@ -132,14 +154,13 @@ GOLDEN_HEX = {
         "0000000000690000000000000001690000000000000000"
     ),
     "forward": (
-        "03440201016b6d7301626c0174027307666f7277617264856900000000000001"
-        "c669000000000000000174037403730476343531700305090964657074686564"
-        "67655f70726f706d61785f64657074686900000000000000014e690000000000"
-        "0000027402690000000000000000690000000000000000740373047634343770"
-        "030509096465707468656467655f70726f706d61785f64657074686900000000"
-        "000000014e690000000000000002740269000000000000000069000000000000"
-        "00017403730376383170030509096465707468656467655f70726f706d61785f"
-        "64657074686900000000000000014e6900000000000000027403690000000000"
-        "000000690000000000000002690000000000000007"
+        "04440201016b6d7301626c0174027307666f7277617264846900000000000001"
+        "c669000000000000000155030404037634353176343437763831740362080000"
+        "00000000000062080000000000000001620c0000000000000002000000077403"
+        "70030509096465707468656467655f70726f706d61785f646570746869000000"
+        "00000000014e69000000000000000270030509096465707468656467655f7072"
+        "6f706d61785f64657074686900000000000000014e6900000000000000027003"
+        "0509096465707468656467655f70726f706d61785f6465707468690000000000"
+        "0000014e690000000000000002620c000000000000000100000002"
     ),
 }
