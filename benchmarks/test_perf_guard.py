@@ -293,3 +293,59 @@ def test_readiness_fastpath_skips_second_storm():
     db.run_program(Bfs(), handles[0], params(depth=0), at=point)
     assert db.executor.stats.readiness_fastpath_hits >= 1
     assert db.executor.stats.readiness_storms == storms
+
+
+# -- reads ride the ready stamp ------------------------------------------
+
+# Ordering compares one reused single-vertex read makes on 4 gatekeepers
+# and 2 shards: each shard's ``ready_for`` looks at its 4 queue heads and
+# the snapshot orders 2 more — 10, against 47 for a read that storms.
+_REUSED_READ_COMPARES = 10
+
+
+def _four_by_two():
+    from repro.db import Weaver, WeaverClient, WeaverConfig
+
+    db = Weaver(WeaverConfig(num_gatekeepers=4, num_shards=2))
+    client = WeaverClient(db)
+    with client.transaction() as tx:
+        for i in range(10):
+            tx.create_vertex(f"v{i}")
+        for i in range(1, 10):
+            tx.create_edge("v0", f"v{i}")
+    return db, client
+
+
+def test_reads_after_one_commit_storm_once():
+    """Exactly: 200 reads after one commit are one announce + NOP storm
+    (4 NOPs sent, one per gatekeeper; 8 enqueued, one per queue), and a
+    reused read costs the shards' own readiness checks and nothing
+    else.  A rule that under-reuses (a storm per read) fails here."""
+    db, client = _four_by_two()
+    client.get_node("v0")
+    compares = sum(db.ordering_stats().values())
+    for _ in range(199):
+        assert client.get_node("v0")["out_degree"] == 9
+    per_read = (sum(db.ordering_stats().values()) - compares) / 199
+    stats = db.executor.stats
+    assert stats.readiness_storms == 1
+    assert stats.readiness_fastpath_hits == 199
+    assert sum(gk.stats.nops_sent for gk in db.gatekeepers) == 4
+    # Enqueued = still queued behind the read stamp + already applied.
+    assert sum(
+        sum(shard.queue_depths()) + shard.stats.nops_applied
+        for shard in db.shards
+    ) == 8
+    assert per_read <= _REUSED_READ_COMPARES, per_read
+
+
+def test_every_read_after_a_commit_storms():
+    """Exactly: 100 x (commit, read) is 100 storms — the rule must not
+    over-reuse any more than under-reuse."""
+    db, client = _four_by_two()
+    for i in range(100):
+        client.set_property("v1", "n", i)
+        assert client.get_node("v1")["properties"] == {"n": i}
+    stats = db.executor.stats
+    assert stats.readiness_storms == 100
+    assert stats.readiness_fastpath_hits == 0

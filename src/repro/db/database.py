@@ -14,8 +14,11 @@ deployments differ — whether anything may wait:
 * :class:`Coordinator` (a ``WritePath``) — everything that blocks:
   ``begin_transaction``, announce / drain pacing by commit count, NOP
   heartbeats so every queue is non-empty → a one-way ``advance_to``
-  ahead of a node program, which the shard checks for itself; plus
-  drain, checkpoint and the GC fan-out.  It reaches shards only through
+  ahead of a node program, which the shard checks for itself — once
+  per change to the graph, not once per read: until a commit is
+  attempted, programs run at the stamp the shards were last made
+  ready for; plus drain, checkpoint and the GC fan-out.  It reaches
+  shards only through
   the :class:`~repro.cluster.transport.Transport` contract (``send``
   for enqueues, heartbeats and ``advance_to``; one ``request_all``
   fan-out for ``drain`` / ``collect_below`` / ``advance_epoch``), and
@@ -32,9 +35,11 @@ deployments differ — whether anything may wait:
 Both coordinators execute the protocol synchronously — announce rounds
 every ``announce_every`` commits play the role of the τ timer, and NOP
 heartbeats are issued eagerly when a node program needs every queue
-non-empty.  The discrete-event :class:`~repro.sim.deployment.
-SimulatedWeaver` is a ``WritePath`` over a ``SimTransport``: the same
-commit, channel stamping and shard endpoint, fired by its own timers.
+non-empty and the last ones no longer serve (the paper's timers are
+background traffic, never a per-read cost).  The discrete-event
+:class:`~repro.sim.deployment.SimulatedWeaver` is a ``WritePath`` over
+a ``SimTransport``: the same commit, channel stamping and shard
+endpoint, fired by its own timers.
 """
 
 from __future__ import annotations
@@ -281,6 +286,9 @@ class Coordinator(WritePath):
         # The timestamp every live shard was last advanced to, while
         # that round's heartbeats are still queued behind it.
         self._advanced_to: Optional[VectorTimestamp] = None
+        # The last stamp _stamp_program issued itself; any commit
+        # attempt forgets it.  Reusable only while it is also the mark.
+        self._read_stamp: Optional[VectorTimestamp] = None
         self.programs_run = 0
 
     # -- shards, by name ------------------------------------------------
@@ -318,6 +326,11 @@ class Coordinator(WritePath):
         return tx
 
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
+        # First, before the gatekeeper stamps: whatever happens to this
+        # attempt (a forward may raise after the store committed), no
+        # later program reads at a stamp issued before it.  An aborted
+        # attempt costs one spare storm, the safe side.
+        self._read_stamp = None
         # Commit counts stand in for the τ timer and the apply loop.
         ts = super()._commit_transaction(tx)
         self._commits += 1
@@ -405,13 +418,39 @@ class Coordinator(WritePath):
     def _stamp_program(
         self, trace_id: int, query_id: int, at: Optional[VectorTimestamp]
     ) -> VectorTimestamp:
-        """Stamp the program (or adopt the historical ``at``) and send
-        every shard what it needs to execute at that timestamp."""
+        """The timestamp the program runs at — the historical ``at``,
+        the last stamp issued here while nothing has changed, or a fresh
+        one — with every shard sent what it needs to execute there.
+
+        A current read reuses the stamp this method last issued, sending
+        and announcing nothing, while (i) that stamp ``is`` still the
+        readiness mark — a drain, an epoch reset, a recovery or an
+        ``at=`` read that advanced the shards past it all move the mark,
+        and an ``at=`` stamp never becomes the reusable one — and (ii)
+        no commit has entered :meth:`_commit_transaction` since.  Every
+        write acknowledged before the stamp was issued is ordered before
+        it (vector clock, or section 4.1's transaction-first rule for a
+        concurrent pair); every later write is stamped after the storm's
+        final announce, so after it; with no commit in between, a read
+        there sees every acknowledged write and nothing else, and two
+        programs on one stamp read one snapshot.  ``checkpoint()`` is
+        how a caller asks for a stamp of its own.
+        """
+        # The round robin moves per program either way, so the next
+        # commit lands on the gatekeeper it always did.
         gk = self.gatekeepers[self._pick_gatekeeper()]
-        ts = at if at is not None else gk.issue_timestamp()
+        reused = {}
+        if at is not None:
+            ts = at
+        elif self._read_stamp is not None and (
+            self._read_stamp is self._advanced_to
+        ):
+            ts, reused = self._read_stamp, {"reused": True}
+        else:
+            ts = self._read_stamp = gk.issue_timestamp()
         self.tracer.emit(
-            trace_id, "program.stamp", node=gk.name,
-            ts=ts, query_id=query_id,
+            trace_id, "program.stamp", node=f"gk{ts.issuer}",
+            ts=ts, query_id=query_id, **reused,
         )
         self._make_shards_ready(ts)
         return ts
@@ -457,6 +496,9 @@ class Coordinator(WritePath):
         advanced to, everything ordered before ``ts`` is applied and
         that round's heartbeats are still queued after it (a drain, an
         epoch reset or a recovery forgets the mark) — nothing to send.
+        A reused read stamp (:meth:`_stamp_program`) *is* the mark, so
+        it always lands here; a fresh one dominates the mark (both
+        storms and ``checkpoint`` end in an announce) and never does.
         """
         stats = self.executor.stats
         mark = self._advanced_to

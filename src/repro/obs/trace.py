@@ -25,7 +25,9 @@ kind                      emitted when
 ``shard.apply``           a shard applied it to the multi-version graph
 ``oracle.decide``         the timeline oracle committed a new order
 ``program.submit``        a node program leaves the client
-``program.stamp``         a gatekeeper stamps the program
+``program.stamp``         the program has its timestamp; ``node`` is the
+                          gatekeeper that issued it, ``reused=True`` when
+                          it is the last ready stamp and nothing was issued
 ``program.round``         a shard worker executed one resident round
 ``program.complete``      the program's gather finished
 ``txn.commit``            workload-level commit record (tag + writes)

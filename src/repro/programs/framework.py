@@ -105,7 +105,9 @@ class ProgramStats:
         self.snapshot_reuse_hits = 0   # resolutions on a reused view
         self.dedup_hits = 0            # same-round duplicate hops dropped
         self.round_messages_saved = 0  # per-vertex msgs a batch replaced
-        self.readiness_fastpath_hits = 0  # storms skipped: already ready
+        # Programs that sent no heartbeats: they ran at (a reused read
+        # stamp) or before (a repeated ``at=``) the readiness mark.
+        self.readiness_fastpath_hits = 0
         self.readiness_storms = 0      # announce+NOP storms performed
 
     def reset(self) -> None:

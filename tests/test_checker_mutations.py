@@ -267,6 +267,56 @@ def test_real_time_read_convicted():
     convicts(m, spans, "real-time-read")
 
 
+def two_reads_on_one_stamp(m, write_between):
+    """The span shape a reused read stamp leaves (db/database.py,
+    ``Coordinator._stamp_program``): a write, then two ``program.read``
+    records carrying one timestamp object under two query ids.  With
+    ``write_between`` a second write to the vertex is stamped after the
+    read stamp and acknowledged between the reads, and the second read
+    — still on the old stamp — does not observe it."""
+    ts_0 = m.clocks[0].tick()
+    m.clocks[1].observe(m.clocks[0].announce())
+    ts_read = m.clocks[1].tick()            # dominates ts_0
+    m.clocks[0].observe(m.clocks[1].announce())
+    spans = [
+        store(ts_0, 1, at=1.0),
+        txn(0, ts_0, [("x", 0)], submitted=0.0, acked=1.0),
+        apply_span(0, ts_0, seq=1),
+        read_span(7, ts_read, [("x", 0)], submitted=2.0, done=3.0),
+    ]
+    if write_between:
+        ts_1 = m.clocks[0].tick()           # dominates ts_read
+        spans += [
+            store(ts_1, 2, at=5.0),
+            txn(1, ts_1, [("x", 1)], submitted=4.0, acked=5.0),
+        ]
+    m.before = m.clocks[0].tick()
+    spans.append(
+        read_span(8, ts_read, [("x", 0)], submitted=6.0, done=7.0)
+    )
+    return spans
+
+
+def test_two_reads_on_one_stamp_acquitted():
+    # Nothing was acknowledged between them: one snapshot read twice is
+    # what a reused stamp means, and it convicts nobody.
+    m = Mutations()
+    spans = two_reads_on_one_stamp(m, write_between=False)
+    for label, stream in streams(m, spans):
+        assert referee_kinds(stream, m.compare) == set(), label
+        assert reference_kinds(stream, m.compare) == set(), label
+
+
+def test_read_on_a_stamp_a_commit_should_have_retired_convicted():
+    # The mutation for the reuse rule: had a commit failed to retire the
+    # read stamp, the second read would run below an acknowledged write.
+    # Timestamp order is silent (the read is decided before the write it
+    # missed), so the real-time clause is what must catch it.
+    m = Mutations()
+    spans = two_reads_on_one_stamp(m, write_between=True)
+    convicts(m, spans, "real-time-read")
+
+
 def test_read_convicted_on_its_tag_still_owes_real_time():
     # A phantom or future read is convicted on the tag it reported, and
     # that must not excuse it from the real-time clause: it also missed

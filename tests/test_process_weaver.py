@@ -322,24 +322,69 @@ class TestOneWayReadiness:
                 client.create_edge(hub, leaf)
                 assert leaf in client.traverse(root, max_depth=2)
 
-    def test_cold_shard_stays_drained(self):
-        """1,000 reads that all land on shard 0 still advance shard 1,
-        one frame per read: its queues hold the last heartbeats only."""
+    @staticmethod
+    def hot_and_cold(db):
+        """One vertex per shard; returns the one on shard 0."""
+        tx = db.begin_transaction()
+        hot = tx.create_vertex("hot")
+        tx.create_vertex("cold")
+        tx.commit()
+        assert db._shard_of(hot) == 0
+        return hot
+
+    def test_cold_shard_keeps_up_with_a_hot_neighbour(self):
+        """1,000 x (commit on shard 0, read on shard 0): every read
+        storms, so shard 1 is advanced once per read and its queues
+        hold the last storm's heartbeats only."""
         with self.two_shards("resident") as db:
-            tx = db.begin_transaction()
-            hot = tx.create_vertex("hot")
-            tx.create_vertex("cold")
-            tx.commit()
-            assert db._shard_of(hot) == 0
-            for _ in range(1000):
-                db.run_program(GetNode(), hot)
+            hot = self.hot_and_cold(db)
+            for i in range(1000):
+                tx = db.begin_transaction()
+                tx.set_property(hot, "n", i)
+                tx.commit()
+                read = db.run_program(GetNode(), hot).value
+                assert read["properties"]["n"] == i
+            assert db.executor.stats.readiness_storms == 1000
             stats = db.transport.request("client", "shard1", "stats", None)
             assert stats["shard.nops_applied"] >= 1000
             # Every gatekeeper NOP goes to every shard: what shard 1 has
             # not applied yet is what its queues still hold.
             sent = sum(gk.stats.nops_sent for gk in db.gatekeepers)
             queued = sent - stats["shard.nops_applied"]
-            assert 0 <= queued <= 2 * len(db.gatekeepers)
+            assert 0 <= queued <= len(db.gatekeepers)
+
+    def test_cold_shard_hears_nothing_while_nothing_changes(self):
+        """1,000 reads after one commit: the first makes both shards
+        ready, the other 999 are one frame each to shard 0 — shard 1's
+        whole stats reply stands where the first read left it."""
+        with self.two_shards("resident") as db:
+            hot = self.hot_and_cold(db)
+            db.run_program(GetNode(), hot)
+            after_first = db.transport.request(
+                "client", "shard1", "stats", None
+            )
+            assert after_first["shard.transactions_applied"] == 1
+            frames = db.transport.stats.frames_sent
+            for _ in range(999):
+                db.run_program(GetNode(), hot)
+            # One frame per read, and shard 0 got every one of them.
+            assert db.transport.stats.frames_sent == frames + 999
+            after_last = db.transport.request(
+                "client", "shard1", "stats", None
+            )
+            assert after_last == after_first
+            # ... which compares, among the rest, its receive side:
+            for name in (
+                "shard.nops_applied", "shard.transactions_applied",
+                "transport.worker.frames_received",
+                "transport.worker.messages_received",
+                "transport.worker.bytes_received",
+            ):
+                assert name in after_last
+            assert db.executor.stats.readiness_storms == 1
+            assert sum(gk.stats.nops_sent for gk in db.gatekeepers) == (
+                len(db.gatekeepers)
+            )
 
     @pytest.mark.parametrize("mode", MODES)
     def test_repeated_checkpoint_read_sends_nothing_but_the_program(
