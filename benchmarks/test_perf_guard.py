@@ -5,7 +5,8 @@ every CI run: the skyline-indexed oracle must not be slower than the
 seed-equivalent reference, and the batched scatter-gather program
 executor must keep its structural wins (O(shards) snapshots per query,
 batch messages, hop dedup, readiness fast path, one round trip per
-read on the process transport, a compiled wire codec) — counts, not
+read on the process transport, a compiled wire codec, replies that
+carry no per-vertex program state) — counts, not
 wall clock, so the guard is stable on loaded CI machines.  The
 full-size measurements (with the ≥ 3x acceptance bars) live in
 ``test_micro_ordering.py`` and ``test_micro_programs.py``; the codec's
@@ -157,9 +158,10 @@ def test_single_vertex_read_is_one_round_trip():
 # What the six codec calls of the canonical read (tests/wire_fixtures.py)
 # cost under the tagged if-chain of wire format 2, measured at the commit
 # before the codec was compiled: 1,375 bytes and 1,636 Python-level call
-# events (``call`` + ``c_call`` under ``sys.setprofile``).
+# events (``call`` + ``c_call`` under ``sys.setprofile``).  Today: 949
+# bytes and 657 events.
 _IF_CHAIN_CALL_EVENTS = 1636
-_CANONICAL_READ_BYTES = 955
+_CANONICAL_READ_BYTES = 949
 # The frame a traversal actually sends (``FORWARD_64``: 8 parents x 8
 # hops) when it crossed as 64 ``(handle, namespace, tuple of ints)``
 # triples under wire format 3: 5,447 bytes, 3,960 call events to encode
@@ -239,6 +241,49 @@ def test_the_forward_a_traversal_sends_is_pinned_by_count():
     events = _call_events(there_and_back)
     assert decoded == FORWARD_64["m"][0][1].rows()
     assert events <= _TRIPLES_CALL_EVENTS // 4, events
+
+
+# The reply to a depth-2 ``Bfs`` over a root, 8 middles and 64 leaves on
+# two shard processes: 73 results, a 73-handle read set, no state — 713
+# bytes, against 1,798 when it carried 73 ``prog_state`` namespaces.
+_TRAVERSE_REPLY_BYTES = 713
+
+
+def test_a_traversal_reply_carries_what_was_emitted_not_per_vertex_state():
+    """Exactly: ``Bfs`` does not declare ``returns_state``, so the
+    payload ``ResidentEngine._finish`` sends holds no ``prog_state`` and
+    its encoding is pinned.  One ``SimpleNamespace(visited=True)`` per
+    vertex read coming back — encoded at each participant, merged at
+    the coordinator, encoded again, decoded here — fails this."""
+    from repro.cluster import wire
+    from repro.cluster.process import ProcessWeaver
+    from repro.db.config import WeaverConfig
+
+    replies = []
+    with ProcessWeaver(WeaverConfig(num_shards=2)) as db:
+        tx = db.begin_transaction()
+        root = tx.create_vertex("g")
+        for middle in range(8):
+            parent = tx.create_vertex(f"g{middle}")
+            tx.create_edge(root, parent)
+            for leaf in range(8):
+                tx.create_edge(parent, tx.create_vertex(f"g{middle}{leaf}"))
+        tx.commit()
+        db.drain()
+        request = db.transport.request
+
+        def spy(src, dst, kind, payload):
+            reply = request(src, dst, kind, payload)
+            if kind == "program_start":
+                replies.append(dict(reply))
+            return reply
+
+        db.transport.request = spy
+        result = db.run_program(Bfs(), root, params(depth=0, max_depth=2))
+    (payload,) = replies
+    assert len(result.results) == len(payload["read_set"]) == 73
+    assert payload["states"] == {} == result.states
+    assert len(wire.encode(payload)) == _TRAVERSE_REPLY_BYTES
 
 
 def test_page_cache_structural_counters():

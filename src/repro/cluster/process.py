@@ -65,6 +65,7 @@ from ..programs.routing import ShardSnapshotResolver
 from .builder import build_cluster
 from .messages import ProgramRequest
 from .transport import ProcessTransport, TransportError
+from .wire import WireError
 from .worker import OracleProxy, oracle_worker_main, shard_worker_main
 
 
@@ -428,7 +429,8 @@ class ProcessWeaver(Coordinator):
             payload = self.transport.request(
                 "client", self.shard_name(coordinator), "program_start", ps
             )
-        except TransportError as exc:
+        except (TransportError, WireError) as exc:
+            # WireError: start params the wire refuses to carry.
             raise ProgramError(str(exc)) from exc
         finally:
             self.watermarks.finish(query_id)

@@ -40,6 +40,7 @@ bounding client-side outstanding work to one pipelined fan-out.
 from __future__ import annotations
 
 import itertools
+import socket
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -49,6 +50,11 @@ from . import wire
 
 #: Delivery callback: handler(src, kind, payload) -> optional reply.
 Handler = Callable[[str, str, Any], Any]
+
+#: Seconds a blocking receive on a process channel — a client's or a
+#: peer's wait for a reply, an oracle call — waits before the channel
+#: fails by name.
+REPLY_DEADLINE = 60.0
 
 
 class TransportError(WeaverError):
@@ -262,7 +268,7 @@ class ProcessTransport(Transport):
     """Length-prefixed wire frames to worker processes over sockets."""
 
     def __init__(self, registry=None, max_batch: int = 512,
-                 timeout: float = 60.0):
+                 timeout: float = REPLY_DEADLINE):
         self.stats = TransportStats()
         self._channels: Dict[str, _Channel] = {}
         self._handlers: Dict[str, Handler] = {}
@@ -340,8 +346,11 @@ class ProcessTransport(Transport):
             # A frame that does not decode leaves the stream's state
             # unknown: the channel is as dead as a closed one.
             channel.dead = True
+            why = str(exc)
+            if isinstance(exc, socket.timeout):
+                why = f"no reply within REPLY_DEADLINE ({self._timeout:g} s)"
             raise TransportError(
-                f"channel to {channel.name!r} broke: {exc}", channel.name
+                f"channel to {channel.name!r} broke: {why}", channel.name
             ) from exc
         self.stats.deserialize_seconds += time.perf_counter() - start
         self.stats.frames_received += 1
@@ -406,7 +415,13 @@ class ProcessTransport(Transport):
         batch = self._take_buffer(channel, with_request=True)
         if batch:
             envelope["m"] = batch
-        self._write(channel, envelope)
+        try:
+            self._write(channel, envelope)
+        except wire.WireError:
+            # A payload the wire refuses: nothing was written, so the
+            # one-way messages (a shard's heartbeats) still wait.
+            channel.buffer = batch + channel.buffer
+            raise
         channel.pending.append(rid)
         self._in_flight += 1
         channel.update_gauge()

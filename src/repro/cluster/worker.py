@@ -62,7 +62,7 @@ from ..programs.state import ProgramContext
 from . import wire
 from .messages import FrontierForward, ProgramRequest, ProgramStart, pack_level
 from .shard import ShardServer
-from .transport import ProcessTransport, TransportError
+from .transport import REPLY_DEADLINE, ProcessTransport, TransportError
 
 
 class BufferTracer:
@@ -92,7 +92,7 @@ class OracleProxy:
     def __init__(self, path: str):
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.connect(path)
-        self._sock.settimeout(60.0)
+        self._sock.settimeout(REPLY_DEADLINE)
         self._next_id = 0
         # Builder wiring assigns a tracer; decisions are traced in the
         # oracle process, so the client-side attribute is inert.
@@ -700,7 +700,10 @@ class ResidentEngine:
         if error is None and halt_key is None:
             try:
                 sent = self._forward(query, round_no + 1, next_by_dst)
-            except (TransportError, OSError, socket.timeout) as exc:
+            except (
+                TransportError, OSError, socket.timeout, wire.WireError
+            ) as exc:
+                # WireError: hop params the wire refuses to carry.
                 error = f"frontier forward failed: {exc}"
         try:
             self._deliver(query.coordinator, "round_report", {
@@ -738,7 +741,10 @@ class ResidentEngine:
         parameters are a ``collect_result`` payload's keys): results in
         two columns (``values[i]`` emitted under ``tags[i]``), and the
         read set's change counters when the coordinator will cache
-        (``counters``; only ``cache.put`` reads them).
+        (``counters``; only ``cache.put`` reads them).  Per-vertex
+        state stays here and goes with the query unless the program
+        declares ``returns_state``: then the state of the vertices that
+        count leaves as ``states``.
 
         Halt filtering is by (round, key): every entry of rounds before
         the halt round counts, plus halt-round entries at or before the
@@ -774,7 +780,7 @@ class ResidentEngine:
             "read": sorted(read),
             "states": {
                 h: s for h, s in query.ctx.states.items() if h in read
-            },
+            } if query.program.returns_state else {},
             "visited": visited,
             "hops": hops_total,
             "counters": self.tracker.snapshot(read) if counters else {},
@@ -947,7 +953,7 @@ class ResidentEngine:
             self._mark_finished(coord.qid)
             self._reply(
                 coord.conn, coord.rid,
-                result={"error": f"worker died during gather: {exc}"},
+                result={"error": f"result gather failed: {exc}"},
             )
             return
         tags: List[bytes] = []
@@ -1018,11 +1024,11 @@ class _CoopSocket:
     def __init__(self, sock, engine: "_ResidentEngine"):
         self._sock = sock
         self._engine = engine
-        self._timeout = 60.0
+        self._timeout = REPLY_DEADLINE
         sock.setblocking(False)
 
     def settimeout(self, timeout) -> None:
-        self._timeout = timeout or 60.0
+        self._timeout = timeout or REPLY_DEADLINE
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -1218,7 +1224,15 @@ class _ResidentEngine(ResidentEngine):
         # peer keeps them for its own next reply (_on_peer_spans).
         reply["ev"] = self.tracer.drain()
         try:
-            wire.write_frame(conn, wire.encode(reply))
+            frame = wire.encode(reply)
+        except wire.WireError as exc:
+            # A result, fragment or declared state the wire refuses
+            # fails its request by name; this worker keeps serving.
+            frame = wire.encode(
+                {"k": "e", "id": rid, "e": str(exc), "ev": reply["ev"]}
+            )
+        try:
+            wire.write_frame(conn, frame)
         except OSError:
             if conn is self.client:
                 self.running = False
@@ -1261,6 +1275,10 @@ class _ResidentEngine(ResidentEngine):
             try:
                 return self.transport.request(src, name, kind, payload)
             except TransportError:
+                if not self.transport._channels[name].dead:
+                    # The peer answered with an error: asking again
+                    # would find its fragment already collected.
+                    raise
                 self.transport.remove_channel(name)
                 self.resident.peer_reconnects += 1
                 if attempt:

@@ -181,10 +181,12 @@ class PushPageRank(NodeProgram):
     forwards ``damping * residual / out_degree`` to its neighbours,
     revisiting them until residuals fall under ``epsilon``.  Run from a
     seed vertex it computes personalized PageRank; final scores live in
-    the per-vertex program state (``result.states``).
+    the per-vertex program state (``result.states``), which is why this
+    program declares ``returns_state``.
     """
 
     name = "push_pagerank"
+    returns_state = True
 
     def __init__(self, damping: float = 0.85, epsilon: float = 1e-4):
         if not 0 < damping < 1:

@@ -70,6 +70,13 @@ class NodeProgram:
     #: number of times", and programs that emit per visit rely on it.
     dedup_hops = False
 
+    #: Declares that the caller reads the per-vertex ``prog_state`` the
+    #: program leaves behind (``ProgramResult.states``).  Off by default:
+    #: state lives with the query at the shard that ran it and is dropped
+    #: when the query ends (sections 2.3, 4.5); a result carries what the
+    #: program emitted.
+    returns_state = False
+
     def init_state(self) -> Any:
         """A fresh per-vertex ``prog_state`` (default: None)."""
         return None
@@ -115,13 +122,20 @@ class ProgramStats:
 
 
 class ProgramResult:
-    """Outcome of one node-program execution."""
+    """Outcome of one node-program execution.
 
-    def __init__(self, ctx: ProgramContext):
+    ``states`` holds per-vertex ``prog_state`` only for a program that
+    declares ``returns_state``, on every deployment: whoever makes a
+    result from a context the program ran in passes the declaration, and
+    the resident engine applies the same rule before a fragment leaves
+    its shard (``ResidentEngine._fragment``).
+    """
+
+    def __init__(self, ctx: ProgramContext, returns_state: bool = True):
         self.query_id = ctx.query_id
         self.timestamp = ctx.ts
         self.results = ctx.results
-        self.states = ctx.states
+        self.states = ctx.states if returns_state else {}
         self.vertices_visited = ctx.vertices_visited
         self.hops = ctx.hops
         self.halted = ctx.halted
@@ -320,4 +334,4 @@ class ProgramExecutor:
             )
             frontier = next_frontier
         self.stats.executions += 1
-        return ProgramResult(ctx)
+        return ProgramResult(ctx, program.returns_state)

@@ -36,4 +36,4 @@ def execute_sequential(
         hops = run_entry(program, handle, params, node, ctx)
         ctx.hops += len(hops)
         frontier.extend(hops)
-    return ProgramResult(ctx)
+    return ProgramResult(ctx, program.returns_state)

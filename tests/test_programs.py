@@ -60,6 +60,8 @@ class TestExecutor:
         _, _, ts, resolve = world
 
         class CountVisits(NodeProgram):
+            returns_state = True
+
             def init_state(self):
                 return {"n": 0}
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster import wire
 from repro.cluster.transport import (
+    REPLY_DEADLINE,
     LocalTransport,
     ProcessTransport,
     SimTransport,
@@ -293,6 +294,28 @@ def test_process_corrupt_reply_kills_the_channel_by_name(process_transport):
     assert isinstance(caught.value.__cause__, wire.WireError)
     with pytest.raises(TransportError, match="no live channel"):
         transport.send("client", "w0", "enqueue", 1)
+
+
+def test_process_silent_worker_fails_by_the_named_deadline():
+    """A reply that never comes is a TransportError that names the
+    channel and ``REPLY_DEADLINE`` (the one default every blocking
+    receive on a process channel shares), and the channel is dead."""
+    assert ProcessTransport()._timeout == REPLY_DEADLINE == 60.0
+    transport = ProcessTransport(timeout=0.05)
+    parent, silent = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        transport.add_channel("w0", parent)
+        with pytest.raises(
+            TransportError,
+            match=r"'w0' broke: no reply within REPLY_DEADLINE \(0\.05 s\)",
+        ) as caught:
+            transport.request("client", "w0", "ask", None)
+        assert isinstance(caught.value.__cause__, socket.timeout)
+        with pytest.raises(TransportError, match="no live channel"):
+            transport.send("client", "w0", "enqueue", 1)
+    finally:
+        transport.close()
+        silent.close()
 
 
 def test_process_piggybacked_events_reach_client_handler(process_transport):
