@@ -8,24 +8,22 @@ graph and queries also run on the deterministic
 process runs must match exactly (``results_equal``) — the simulator is
 the correctness referee, the processes are the performance claim.
 
-Node-program execution splits client/worker (see
-:mod:`~repro.cluster.process`): program logic runs in the client, while
-the multi-version visibility work runs in the shard workers, one
-pipelined request per shard per round.  Adding workers therefore adds
-resolution throughput **only on multi-core hardware** — the recorded
-``cpu_count`` tells the consumer whether the scaling number means
-anything on the host that produced it.
+Node programs run at the shard workers (see
+:mod:`~repro.cluster.process`): the client sends one request per query
+and the workers run the rounds among themselves.  Adding workers adds
+throughput **only on multi-core hardware** — the recorded ``cpu_count``
+tells the consumer whether the scaling number means anything on the
+host that produced it.
 
-``benchmarks/test_transport_scaling.py`` records the results as
-``BENCH_transport.json`` at the repo root (one section per experiment,
-each carrying the ``cpu_count`` it was measured on; see
-:func:`record_bench` for the provenance rules).
+``benchmarks/test_transport_scaling.py`` records the scaling result as
+``BENCH_transport.json``'s ``scaling`` section (carrying the
+``cpu_count`` it was measured on; see :func:`record_bench` for the
+provenance rules).  That file's ``resident`` section is history: the
+last comparison against the deleted client-side image pull.
 
-:func:`resident_comparison` times the same query batch in both
-execution modes against the same worker processes: ``images`` pulls
-vertex images to the client every round, ``resident`` ships the program
-to the shards and forwards frontiers peer-to-peer, so only O(shards)
-coordination frames per round touch the wire the client can see.
+:func:`resident_experiment` counts what one query batch puts on the
+wire — one client request per query, O(shards) coordination frames per
+round among the workers — and checks its results against the twin.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import Dict, List, Tuple
 from ..cluster.process import ProcessWeaver
 from ..db.config import WeaverConfig
 from ..db.operations import CreateEdge, CreateVertex
-from ..programs.library import Bfs, CollectReachable, params
+from ..programs.library import CollectReachable
 from ..sim.deployment import SimulatedWeaver
 
 #: Scaling/speedup bars only mean something with real parallel hardware.
@@ -83,50 +81,51 @@ def query_roots(
     ]
 
 
+def _load_graph(db: ProcessWeaver, handles, edges, ops_per_tx=100) -> None:
+    calls = [("create_vertex", (handle,)) for handle in handles]
+    calls += [("create_edge", edge) for edge in edges]
+    for base in range(0, len(calls), ops_per_tx):
+        tx = db.begin_transaction()
+        for method, args in calls[base:base + ops_per_tx]:
+            getattr(tx, method)(*args)
+        tx.commit()
+    db.drain()
+
+
 def run_process(
     num_shards: int,
     handles: List[str],
     edges: List[Tuple[str, str]],
     roots: List[str],
     num_gatekeepers: int = 2,
-    ops_per_tx: int = 100,
+    partitioner: str = "round_robin",
 ) -> Dict:
     """Load the graph and time the query batch at one worker count."""
     config = WeaverConfig(
-        num_shards=num_shards, num_gatekeepers=num_gatekeepers
+        num_shards=num_shards, num_gatekeepers=num_gatekeepers,
+        partitioner=partitioner,
     )
     with ProcessWeaver(config) as db:
-        tx = db.begin_transaction()
-        pending = 0
-        for handle in handles:
-            tx.create_vertex(handle)
-            pending += 1
-            if pending >= ops_per_tx:
-                tx.commit()
-                tx = db.begin_transaction()
-                pending = 0
-        for src, dst in edges:
-            tx.create_edge(src, dst)
-            pending += 1
-            if pending >= ops_per_tx:
-                tx.commit()
-                tx = db.begin_transaction()
-                pending = 0
-        if pending:
-            tx.commit()
-        else:
-            tx.abort()
-        db.drain()
+        _load_graph(db, handles, edges)
         # Warm-up query: pays the readiness storm and worker page-in so
-        # the timed batch measures steady-state resolution throughput.
+        # the timed batch measures steady-state throughput.
         db.run_program(CollectReachable(), roots[0])
+        before = db.metrics.snapshot()
+        requests = db.transport.stats.requests
         results: QueryResults = []
         started = time.perf_counter()
         for root in roots:
             outcome = db.run_program(CollectReachable(), root)
             results.append(tuple(sorted(outcome.results)))
         elapsed = time.perf_counter() - started
+        requests = db.transport.stats.requests - requests
         snap = db.metrics.snapshot()
+
+        def delta(key: str) -> float:
+            return snap.get(key, 0) - before.get(key, 0)
+
+        rounds = delta("program.resident.rounds_executed")
+        forwards = delta("program.resident.forwards_sent")
         return {
             "shards": num_shards,
             "elapsed_seconds": elapsed,
@@ -143,6 +142,17 @@ def run_process(
                 "batched_messages": snap.get(
                     "transport.batched_messages", 0
                 ),
+            },
+            # The timed batch alone.  Peer coordination per round slice:
+            # forwards + round reports, each bounded by the shard count,
+            # not the frontier size.
+            "batch": {
+                "client_requests": requests,
+                "forwards_sent": forwards,
+                "round_slices": rounds,
+                "wire_messages_per_round": (
+                    forwards + delta("program.resident.round_reports")
+                ) / rounds if rounds else 0.0,
             },
         }
 
@@ -220,116 +230,32 @@ def scaling_experiment(
     }
 
 
-def _load_graph(db: ProcessWeaver, handles, edges, ops_per_tx=100) -> None:
-    tx = db.begin_transaction()
-    pending = 0
-    for handle in handles:
-        tx.create_vertex(handle)
-        pending += 1
-        if pending >= ops_per_tx:
-            tx.commit()
-            tx = db.begin_transaction()
-            pending = 0
-    for src, dst in edges:
-        tx.create_edge(src, dst)
-        pending += 1
-        if pending >= ops_per_tx:
-            tx.commit()
-            tx = db.begin_transaction()
-            pending = 0
-    if pending:
-        tx.commit()
-    else:
-        tx.abort()
-    db.drain()
-
-
-def _time_mode(db: ProcessWeaver, mode: str, roots) -> Dict:
-    """Time the query batch in one execution mode on live workers."""
-    db.config.program_execution = mode
-    # Warm-up pays the readiness storm / page-in / first-connect costs.
-    db.run_program(Bfs(), roots[0], params(depth=0))
-    before = db.metrics.snapshot()
-    results: QueryResults = []
-    started = time.perf_counter()
-    for root in roots:
-        outcome = db.run_program(Bfs(), root, params(depth=0))
-        results.append(tuple(sorted(outcome.results)))
-    elapsed = time.perf_counter() - started
-    after = db.metrics.snapshot()
-
-    def delta(key: str) -> float:
-        return after.get(key, 0) - before.get(key, 0)
-
-    point = {
-        "elapsed_seconds": elapsed,
-        "throughput_qps": len(roots) / elapsed if elapsed > 0 else 0.0,
-        "client_requests": delta("transport.requests"),
-        "client_bytes_sent": delta("transport.bytes_sent"),
-        "client_bytes_received": delta("transport.bytes_received"),
-        "rounds": delta("program.batch_rounds"),
-        "results": results,
-    }
-    rounds = point["rounds"]
-    if mode == "resident":
-        # Peer coordination per round: forwards + round_go + reports,
-        # every one bounded by the shard count, not the frontier size.
-        coordination = (
-            delta("program.resident.forwards_sent")
-            + delta("program.resident.round_reports")
-        )
-        point["forwards_sent"] = delta("program.resident.forwards_sent")
-        point["wire_messages_per_round"] = (
-            coordination / rounds if rounds else 0.0
-        )
-    else:
-        # Image pulls: one resolve request per touched shard per round,
-        # whose replies carry O(frontier) vertex images back.
-        point["wire_messages_per_round"] = (
-            delta("program.shard_batches") / rounds if rounds else 0.0
-        )
-        point["images_pulled"] = delta("program.vertices_resolved")
-    return point
-
-
-def resident_comparison(
+def resident_experiment(
     num_vertices: int = 800,
     avg_degree: int = 12,
     num_shards: int = 4,
     num_queries: int = 12,
     seed: int = 37,
 ) -> Dict:
-    """Images vs resident on the same graph and the same workers.
-
-    Multi-shard BFS batch, hash-partitioned so every query crosses
-    shards.  ``speedup`` is images-elapsed / resident-elapsed; on hosts
-    below :data:`MIN_MEANINGFUL_CORES` the number is recorded but makes
-    no parallelism claim.
-    """
+    """What a multi-shard traversal batch puts on the wire: hash
+    partitioned so every query crosses shards, results checked against
+    the simulated twin."""
     handles, edges = graph_spec(num_vertices, avg_degree, seed)
     roots = query_roots(handles, num_queries, seed + 2)
-    config = WeaverConfig(
-        num_shards=num_shards, num_gatekeepers=2, partitioner="hash"
+    point = run_process(
+        num_shards, handles, edges, roots, partitioner="hash"
     )
-    with ProcessWeaver(config) as db:
-        _load_graph(db, handles, edges)
-        images = _time_mode(db, "images", roots)
-        resident = _time_mode(db, "resident", roots)
-    results_equal = images.pop("results") == resident.pop("results")
+    results = point.pop("results")
     return {
         "cpu_count": os.cpu_count(),
         "num_vertices": num_vertices,
         "num_edges": len(edges),
         "num_shards": num_shards,
         "num_queries": num_queries,
-        "images": images,
-        "resident": resident,
-        "speedup": (
-            images["elapsed_seconds"] / resident["elapsed_seconds"]
-            if resident["elapsed_seconds"] > 0
-            else 0.0
+        "resident": point,
+        "results_equal": results == run_simulated(
+            num_shards, handles, edges, roots
         ),
-        "results_equal": results_equal,
     }
 
 

@@ -3,7 +3,6 @@
 from .messages import (
     AnnounceMessage,
     Heartbeat,
-    ProgramRequest,
     QueuedTransaction,
 )
 from .shard import ShardServer, ShardStats
@@ -13,7 +12,6 @@ from .replica import ReadReplica
 __all__ = [
     "AnnounceMessage",
     "Heartbeat",
-    "ProgramRequest",
     "QueuedTransaction",
     "ShardServer",
     "ShardStats",

@@ -85,23 +85,6 @@ class AnnounceMessage:
 
 
 @dataclass(frozen=True)
-class ProgramRequest:
-    """One image-pull round's vertices, asked of the shard that owns
-    them (section 4.1).
-
-    ``trace_id`` is carried explicitly so shard-side spans attribute to
-    the submitting client's trace even across a process boundary, where
-    no ambient context survives — ``repro trace`` chains must assemble
-    identically under the in-process and multiprocess transports.
-    """
-
-    ts: VectorTimestamp
-    query_id: int
-    vertices: Tuple[str, ...]  # vertex handles
-    trace_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class ProgramStart:
     """Ship a node program to the start vertex's owning shard (section 4).
 
@@ -118,6 +101,14 @@ class ProgramStart:
     the hop index).
     ``cache_tail`` is the client-computed program-cache key tail
     (section 4.6); None disables caching for this run.
+
+    A program on the wire is ``(program, init)``: its registered name
+    and the instance's own ``vars()``, from which every participating
+    shard rebuilds it as ``PROGRAM_REGISTRY[program](**init)``.  ``init``
+    is None for a program with no instance state.  ``trace_id`` is
+    carried explicitly so shard-side spans attribute to the submitting
+    client's trace across a process boundary, where no ambient context
+    survives.
     """
 
     ts: VectorTimestamp
@@ -127,6 +118,7 @@ class ProgramStart:
     trace_id: Optional[int] = None
     cache_tail: Optional[Any] = None
     max_visits: int = 10_000_000
+    init: Optional[dict] = None
 
 
 @dataclass(frozen=True)

@@ -12,32 +12,20 @@ What lives here is process lifecycle only: spawning and reaping
 workers, SIGKILL recovery, placement gossip, program dispatch to the
 workers, and folding their stats back into the client registry.
 
-A round of a node program is one body everywhere
-(:func:`~repro.programs.framework.run_round`); what this deployment
-chooses per program is the frontier exchange
-(``config.program_execution``):
-
-* ``"resident"`` (the default) ships the program *to the data*: the
-  client submits one :class:`~repro.cluster.messages.ProgramStart` to
-  the start vertex's owning shard (the frame also carries that shard's
-  heartbeats and ``advance_to`` — one round trip per read), each worker
-  runs its slice of every round against its local snapshot, and next
-  frontiers travel worker-to-worker as ``FrontierForward`` frames —
-  O(shards) wire messages per round instead of O(frontier).  The
-  coordinating worker detects round quiescence and replies with only
-  the aggregated result and read set (section 4's shard-to-shard
-  propagation).  The request and the reading of the reply are
-  ``WritePath._program_start`` / ``_program_result``, which the
-  simulated twin — hosting the same engine — goes through too;
-* ``"images"`` runs the rounds in the client-side
-  :class:`~repro.programs.framework.ProgramExecutor` on plain vertex
-  images, :class:`ProcessShardResolver` fetching each round's batch with
-  pipelined ``resolve`` requests.  Programs carrying constructor state
-  (not reconstructible from their name) always take this path.
-
-Either way results stay byte-identical to the simulated twin; the
-Fig 13-style scaling benchmark measures what residency buys on top of
-parallel resolution.
+Node programs run at the shards (section 4.1), on this deployment as
+on the simulated twin that hosts the same engine: a program crosses the
+wire as ``(name, init)`` — its registered name and the instance's own
+``vars()`` — in one :class:`~repro.cluster.messages.ProgramStart` to
+the start vertex's owning shard (the frame also carries that shard's
+heartbeats and ``advance_to`` — one round trip per read).  Each worker
+rebuilds the program, runs its slice of every round
+(:func:`~repro.programs.framework.run_round`) against its local
+snapshot, and hands next frontiers worker-to-worker as
+``FrontierForward`` frames — O(shards) wire messages per round, not
+O(frontier).  The coordinating worker detects round quiescence and
+replies with only the aggregated result and read set.  The request and
+the reading of the reply are ``WritePath._program_start`` /
+``_program_result``; there is no client-side way to run a program here.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ import os
 import socket
 import tempfile
 from collections import Counter
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
 # sync_announce_all, shard_worker_main and oracle_worker_main are module
 # bindings on purpose: the benchmark's tracing hooks wrap them here.
@@ -60,137 +48,10 @@ from ..db.transactions import Transaction
 from ..errors import ClusterError, ProgramError
 from ..obs.collect import scalar_fields
 from ..programs.framework import NodeProgram, ProgramResult
-from ..programs.library import resident_eligible
-from ..programs.routing import ShardSnapshotResolver
 from .builder import build_cluster
-from .messages import ProgramRequest
 from .transport import ProcessTransport, TransportError
 from .wire import WireError
 from .worker import OracleProxy, oracle_worker_main, shard_worker_main
-
-
-# -- remote vertex views -------------------------------------------------
-
-
-class RemoteEdgeView:
-    """A visible out-edge decoded from a worker's vertex image.
-
-    Duck-types :class:`~repro.graph.mvgraph.EdgeView`: the worker already
-    resolved visibility at the program timestamp, so properties are a
-    plain dict here.
-    """
-
-    __slots__ = ("handle", "src", "nbr", "_props")
-
-    def __init__(self, handle: str, src: str, nbr: str, props: dict):
-        self.handle = handle
-        self.src = src
-        self.nbr = nbr
-        self._props = props
-
-    @property
-    def dst(self) -> str:
-        return self.nbr
-
-    def check(self, key: str, value: Any = None) -> bool:
-        if key not in self._props:
-            return False
-        return value is None or self._props[key] == value
-
-    def get_property(self, key: str, default: Any = None) -> Any:
-        return self._props.get(key, default)
-
-    def properties(self) -> dict:
-        return dict(self._props)
-
-
-class RemoteVertexView:
-    """A visible vertex decoded from a worker's image — what the
-    client-side executor hands to ``program.run``."""
-
-    __slots__ = ("handle", "_props", "_edges", "prog_state")
-
-    def __init__(self, image: dict):
-        self.handle = image["handle"]
-        self._props = image["properties"]
-        self._edges = [
-            RemoteEdgeView(handle, self.handle, nbr, props)
-            for handle, nbr, props in image["edges"]
-        ]
-        self.prog_state: Any = None
-
-    @property
-    def neighbors(self) -> List[RemoteEdgeView]:
-        return list(self._edges)
-
-    def out_degree(self) -> int:
-        return len(self._edges)
-
-    def get_edge(self, handle: str) -> Optional[RemoteEdgeView]:
-        for edge in self._edges:
-            if edge.handle == handle:
-                return edge
-        return None
-
-    def get_property(self, key: str, default: Any = None) -> Any:
-        return self._props.get(key, default)
-
-    def check(self, key: str, value: Any = None) -> bool:
-        if key not in self._props:
-            return False
-        return value is None or self._props[key] == value
-
-    def properties(self) -> dict:
-        return dict(self._props)
-
-
-class ProcessShardResolver(ShardSnapshotResolver):
-    """The executor's resolver over worker processes.
-
-    The one :meth:`~ShardSnapshotResolver.resolve_many` groups a round's
-    frontier by owning shard and keeps the per-query vertex cache, so
-    cross-round revisits cost no request; only the per-shard fetch
-    differs: one pipelined ``resolve`` request per shard — every request
-    is written before any reply is read, so workers run their share of
-    the round concurrently.  Workers keep one snapshot view per (query,
-    shard) across rounds; their ``fresh`` flag tells the client when the
-    snapshot construction was actually paid.
-    """
-
-    def __init__(self, db: "ProcessWeaver", ts: VectorTimestamp,
-                 query_id: int, trace_id: Optional[int]):
-        super().__init__(ts, db._shard_of, (), stats=db.executor.stats)
-        self._db = db
-        self._query_id = query_id
-        self._trace_id = trace_id
-        #: Shard indices holding a snapshot for this query.
-        self.shards_touched: set = set()
-
-    def _fetch(self, per_shard: Dict[int, List[str]]):
-        db = self._db
-        order = sorted(per_shard)
-        replies = db.transport.request_all("client", [
-            (
-                db.shard_name(shard_index),
-                "resolve",
-                ProgramRequest(
-                    self._ts,
-                    self._query_id,
-                    tuple(per_shard[shard_index]),
-                    self._trace_id,
-                ),
-            )
-            for shard_index in order
-        ])
-        for shard_index, reply in zip(order, replies):
-            if reply.get("error"):
-                raise ClusterError(reply["error"])
-            self.shards_touched.add(shard_index)
-            images = reply["images"]
-            yield shard_index, reply["fresh"], [
-                None if images[h] is None else RemoteVertexView(images[h])
-                for h in per_shard[shard_index]
-            ]
 
 
 # -- the deployment -------------------------------------------------------
@@ -355,74 +216,37 @@ class ProcessWeaver(Coordinator):
         use_cache: bool = False,
         cache_key: Optional[Hashable] = None,
     ) -> ProgramResult:
-        """Execute a node program on a consistent snapshot.
+        """Execute a node program on a consistent snapshot, at the
+        shards: one ``program_start`` request to the start vertex's
+        owner, which coordinates the rounds (frontiers travel
+        peer-to-peer) and replies with the aggregated result.
 
-        With ``config.program_execution == "resident"`` and a stock
-        program, execution is shipped to the shard workers (one
-        ``program_start`` request; frontiers travel peer-to-peer);
-        otherwise the client-side executor pulls vertex images.  With
+        ``program`` must be an instance of its ``PROGRAM_REGISTRY``
+        class that its own ``vars()`` rebuild
+        (:meth:`~repro.db.database.WritePath._wire_program`); anything
+        else is a :class:`ProgramError` before a frame is written.  With
         ``use_cache`` (requires ``enable_program_cache``), the
         coordinating worker may serve a memoized result after
         revalidating every fragment's change counters.
         """
+        shipped = self._wire_program(program)
         frontier, query_id, trace_id = self._submit_program(
             program, start, params
         )
         ts = self._stamp_program(trace_id, query_id, at)
-        # Heartbeats and advance_to are now buffered per channel: they
-        # ride inside the first request a shard gets, or go out alone
-        # to the shards that get none.
-        if (
-            self.config.program_execution == "resident"
-            and frontier
-            and resident_eligible(program)
-        ):
-            cache_tail: Optional[Hashable] = None
-            if use_cache and self.config.enable_program_cache:
-                cache_tail = self._cache_tail(params, at, cache_key)
-            return self._run_resident(
-                program, frontier, ts, query_id, trace_id, cache_tail
-            )
-        self.watermarks.start(query_id, ts)
-        resolver = ProcessShardResolver(self, ts, query_id, trace_id)
-        try:
-            result = self.executor.execute(
-                program, frontier, resolver, ts, query_id
-            )
-        finally:
-            self.watermarks.finish(query_id)
-            # One-way: workers drop their per-query snapshot views.
-            for shard_index in resolver.shards_touched:
-                self.transport.send(
-                    "client", self.shard_name(shard_index),
-                    "finish", query_id,
-                )
-        # Shards the program never resolved on get their frame now.
-        self._flush_except(resolver.shards_touched)
-        self._complete_program(trace_id, query_id)
-        return result
-
-    def _run_resident(
-        self,
-        program: NodeProgram,
-        frontier: List[Tuple[str, Any]],
-        ts: VectorTimestamp,
-        query_id: int,
-        trace_id: int,
-        cache_tail: Optional[Hashable],
-    ) -> ProgramResult:
-        """Ship the program to the data: one ``program_start`` request
-        to the start vertex's owner, which coordinates the rounds and
-        replies with the aggregated result."""
         live = self._live_shards()
         if not live:
             raise ClusterError("no live shard workers")
+        cache_tail: Optional[Hashable] = None
+        if use_cache and self.config.enable_program_cache:
+            cache_tail = self._cache_tail(params, at, cache_key)
         coordinator, ps = self._program_start(
-            program.name, frontier, ts, query_id, trace_id, cache_tail, live
+            shipped, frontier, ts, query_id, trace_id, cache_tail, live
         )
-        # Every other shard's heartbeats go out first, so they sit in
-        # its socket buffer before the coordinator can forward it any
-        # of this program; the coordinator's own ride in the request.
+        # Heartbeats and advance_to are buffered per channel.  Every
+        # other shard's go out first, so they sit in its socket buffer
+        # before the coordinator can forward it any of this program; the
+        # coordinator's own ride in the request.
         self._flush_except({coordinator})
         self.watermarks.start(query_id, ts)
         try:
@@ -520,11 +344,11 @@ class ProcessWeaver(Coordinator):
         register.
 
         Registered *last* with the metrics registry, so the merged
-        ``program.*`` values emitted here (client executor + worker
-        residents) override the client-only collector — program metrics
-        stay deployment-neutral.  After ``close()`` the last absorbed
-        worker aggregate is served from cache, so a final ``repro
-        stats`` still sees worker-side work.
+        ``program.*`` values emitted here (the client's readiness
+        counters + the workers' rounds) override the client-only
+        collector — program metrics stay deployment-neutral.  After
+        ``close()`` the last absorbed worker aggregate is served from
+        cache, so a final ``repro stats`` still sees worker-side work.
         """
         out: Dict[str, float] = {
             "process.workers": len(self._live_shards()),

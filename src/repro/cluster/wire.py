@@ -22,7 +22,7 @@ the golden digest in ``tests/test_wire.py``) is an import-time or
 test-time error — old frames would otherwise decode into silently
 shifted fields.
 
-Frame format (format 4)::
+Frame format (format 5)::
 
     u32 length | u8 version | value
 
@@ -47,15 +47,15 @@ strings' UTF-8 concatenated.  Values (1-byte tag, big-endian scalars)::
 Types match exactly (a subclass of ``str`` or of a registered class does
 not encode), and :func:`decode` raises nothing but :class:`WireError`.
 
-Format 4 has format 3's tags and bodies; what changed is the classes.
-The per-round program response nothing constructed left the schema
+Format 5 has format 4's tags and bodies; what changed is the classes.
+The image-pull round request left the schema with the path it served
 (every later class id moved down by one, which is why a class leaves
-only with a version bump), and ``FrontierForward`` carries its hops in columns — the handles as one
+only with a version bump) and ``ProgramStart`` gained ``init``.
+``FrontierForward`` carries its hops in columns — the handles as one
 string run, every order key as one ``b`` value, each distinct params
-object once, one ``b`` value of packed ``u32`` indices — where it
-carried a tuple of ``(handle, namespace, tuple of ints)`` triples
+object once, one ``b`` value of packed ``u32`` indices
 (:mod:`~repro.cluster.messages` owns that layout).  There is no
-format-3 decoder.
+format-4 decoder.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from . import messages
 #: Bump whenever a registered class's field tuple changes, whenever a
 #: class is added, removed or renumbered, or whenever a tag's encoding
 #: changes.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 _VERSION_BYTE = bytes((WIRE_VERSION,))
 
 #: The largest payload a frame may carry.  A length prefix above it is
@@ -98,9 +98,8 @@ WIRE_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "QueuedTransaction": ("ts", "operations", "seqno", "tiebreak",
                           "trace_id"),
     "AnnounceMessage": ("src", "vector"),
-    "ProgramRequest": ("ts", "query_id", "vertices", "trace_id"),
     "ProgramStart": ("ts", "query_id", "program", "frontier", "trace_id",
-                     "cache_tail", "max_visits"),
+                     "cache_tail", "max_visits", "init"),
     "FrontierForward": ("query_id", "round", "handles", "keys", "params",
                         "param_of"),
     "Heartbeat": ("server", "epoch", "sent_at"),
@@ -121,7 +120,6 @@ _CLASSES: Dict[str, Type] = {
     for cls in (
         messages.QueuedTransaction,
         messages.AnnounceMessage,
-        messages.ProgramRequest,
         messages.ProgramStart,
         messages.FrontierForward,
         messages.Heartbeat,

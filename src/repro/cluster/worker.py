@@ -8,15 +8,11 @@ Two worker mains live here, each speaking length-prefixed
   simulator drives) behind a :class:`ShardEndpoint` — the one shard
   side of the coordinator protocol, which the direct and simulated
   deployments register in-process too — that enqueues gatekeeper-forwarded
-  transactions, advances to program timestamps, and serves **batch
-  vertex resolution**: for a program round it materializes each requested
-  vertex's snapshot image (visible properties and out-edges at the
-  program timestamp) so the expensive multi-version visibility work
-  runs in the worker, in parallel across shards, while the client-side
-  executor runs the program logic on plain data.  Shard-resident
-  programs are the socket-free :class:`ResidentEngine` (the protocol;
-  four host methods are its only ways out), hosted on sockets by the
-  worker's event loop :class:`_ResidentEngine` and by the simulator.
+  transactions and advances to program timestamps.  Node programs are
+  shard-resident: the socket-free :class:`ResidentEngine` (the
+  protocol; four host methods are its only ways out), hosted on sockets
+  by the worker's event loop :class:`_ResidentEngine` and by the
+  simulator.
 * :func:`oracle_worker_main` — the timeline oracle as its own process
   behind a UNIX listening socket; every shard worker (and the client,
   for the referee and GC) connects and speaks the small RPC surface of
@@ -60,7 +56,7 @@ from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import ProgramContext
 from . import wire
-from .messages import FrontierForward, ProgramRequest, ProgramStart, pack_level
+from .messages import FrontierForward, ProgramStart, pack_level
 from .shard import ShardServer
 from .transport import REPLY_DEADLINE, ProcessTransport, TransportError
 
@@ -176,19 +172,6 @@ class _AttrView:
 # -- the shard worker ----------------------------------------------------
 
 
-def _vertex_image(node) -> dict:
-    """A plain-data snapshot of one visible vertex: what crosses the
-    wire back to the client-side executor."""
-    return {
-        "handle": node.handle,
-        "properties": node.properties(),
-        "edges": [
-            (edge.handle, edge.nbr, edge.properties())
-            for edge in node.neighbors
-        ],
-    }
-
-
 class ShardEndpoint:
     """The shard side of the coordinator protocol: one
     :class:`ShardServer` behind the transport's handler signature.
@@ -205,9 +188,6 @@ class ShardEndpoint:
     def __init__(self, shard: ShardServer):
         self.shard = shard
         self.stragglers_dropped = 0
-        # Per-query snapshot resolvers, dropped on the client's finish
-        # message.
-        self._queries: Dict[int, ShardSnapshotResolver] = {}
 
     def deliver(self, src: Optional[str], kind: str, payload: Any) -> Any:
         """Handle one message; the return value is a request's reply
@@ -230,11 +210,6 @@ class ShardEndpoint:
             return shard.advance_to(payload)
         if kind == "drain":
             return shard.apply_available()
-        if kind == "resolve":
-            return self._resolve(payload)
-        if kind == "finish":
-            self._queries.pop(payload, None)
-            return None
         if kind == "collect_below":
             # (graph records reclaimed, ordering-cache entries evicted):
             # the shard-local decision cache holds entries keyed on
@@ -245,7 +220,6 @@ class ShardEndpoint:
                 cache.evict_below(payload) if cache is not None else 0,
             )
         if kind == "advance_epoch":
-            self._queries.clear()
             shard.advance_epoch(payload)
             return True
         if kind in ("ping", "shutdown"):
@@ -253,42 +227,6 @@ class ShardEndpoint:
             # can await the acknowledgement before reaping the process.
             return True
         raise WeaverError(f"unknown shard message {kind!r}")
-
-    def resolver(
-        self, ts: VectorTimestamp, stats: Optional[ProgramStats] = None
-    ) -> ShardSnapshotResolver:
-        """This shard's per-query snapshot holder: the one resolver
-        class, over a placement that is always "here"."""
-        return ShardSnapshotResolver(
-            ts, lambda handle: 0, [self.shard], stats=stats
-        )
-
-    def _resolve(self, request: ProgramRequest) -> Dict[str, Any]:
-        """One shard's share of one image-pull round.
-
-        The per-query resolver is created on the first round and kept
-        for the query's lifetime; ``fresh`` tells the client whether
-        this batch paid the snapshot construction.  The client's
-        heartbeats and ``advance_to`` precede this request on the
-        channel; a shard they did not make ready answers ``error``
-        instead of reading a stale snapshot."""
-        resolver = self._queries.get(request.query_id)
-        fresh = resolver is None
-        if fresh:
-            error = self.shard.not_ready(request.ts)
-            if error is not None:
-                return {"error": str(error)}
-            resolver = self._queries[request.query_id] = self.resolver(
-                request.ts
-            )
-        views = resolver.resolve_many(request.vertices)
-        return {
-            "images": {
-                handle: None if node is None else _vertex_image(node)
-                for handle, node in views.items()
-            },
-            "fresh": fresh,
-        }
 
 
 # -- shard-resident program execution (section 4) ------------------------
@@ -605,16 +543,21 @@ class ResidentEngine:
         if query is None:
             return
         if query.program is None:
+            # The registry is this process's own: a class registered at
+            # the client after the workers forked is unknown here.
             cls = PROGRAM_REGISTRY.get(payload["program"])
             if cls is None:
                 self._report_failure(
                     payload, f"unknown program {payload['program']!r}"
                 )
                 return
-            query.program = cls()
+            query.program = cls(**(payload["init"] or {}))
             query.ctx = ProgramContext(payload["q"], payload["ts"])
-            query.resolver = self.worker.resolver(
-                payload["ts"], self.prog_stats
+            # The one resolver class, over a placement that is always
+            # "here".
+            query.resolver = ShardSnapshotResolver(
+                payload["ts"], lambda handle: 0, [self.worker.shard],
+                stats=self.prog_stats,
             )
             query.trace_id = payload.get("trace_id")
             query.coordinator = payload["coordinator"]
@@ -799,7 +742,7 @@ class ResidentEngine:
             and ps.frontier
         ):
             cache_key = ProgramCache.key(
-                ps.program, ps.frontier[0][0], ps.cache_tail
+                ps.program, ps.init, ps.frontier[0][0], ps.cache_tail
             )
             cached = self.cache.get(cache_key)
             if cached is not None:
@@ -865,7 +808,8 @@ class ResidentEngine:
         for dst in sorted(expect):
             self._deliver(dst, "round_go", {
                 "q": coord.qid, "round": round_no, "expect": expect[dst],
-                "program": coord.ps.program, "ts": coord.ps.ts,
+                "program": coord.ps.program, "init": coord.ps.init,
+                "ts": coord.ps.ts,
                 "trace_id": coord.ps.trace_id, "coordinator": self.index,
                 # Visits the program may still make: a participant's
                 # round stops on it instead of running an exploding

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ConfigError
+
 
 @dataclass
 class WeaverConfig:
@@ -41,13 +43,11 @@ class WeaverConfig:
             for an ephemeral database; required to be a real path for
             multiprocess recovery, where workers reopen the file).
         store_cache_bytes: page-cache budget of the sqlite backend.
-        program_execution: where the process deployment runs node
-            programs — "resident" ships eligible programs to the shard
-            workers (rounds execute at the data, frontiers travel
-            worker-to-worker, O(shards) wire messages per round);
-            "images" forces the legacy client-side executor that pulls
-            vertex images (O(frontier) messages per round).  In-process
-            deployments ignore this knob.
+        program_execution: selects nothing.  Node programs run at the
+            shards on every deployment whose shards are not in the
+            client's process; ``"resident"``, the one value accepted,
+            is what ``bench_e2e/workloads.py`` still passes.  The field
+            goes when ROADMAP 6(b) drops that last reader.
         store_background_compaction: run durable-store compaction on an
             opportunistic background thread instead of synchronously
             inside every garbage-collection tick (watermark-safe via
@@ -78,43 +78,44 @@ class WeaverConfig:
 
     def __post_init__(self) -> None:
         if self.num_gatekeepers < 1:
-            raise ValueError("need at least one gatekeeper")
+            raise ConfigError("need at least one gatekeeper")
         if self.num_shards < 1:
-            raise ValueError("need at least one shard")
+            raise ConfigError("need at least one shard")
         if self.announce_every < 1:
-            raise ValueError("announce_every must be >= 1")
+            raise ConfigError("announce_every must be >= 1")
         if self.oracle_chain_length < 1:
-            raise ValueError("oracle chain needs a replica")
+            raise ConfigError("oracle chain needs a replica")
         if self.partitioner not in ("round_robin", "hash", "ldg"):
-            raise ValueError(f"unknown partitioner {self.partitioner!r}")
+            raise ConfigError(f"unknown partitioner {self.partitioner!r}")
         if self.drain_every < 1:
-            raise ValueError("drain_every must be >= 1")
+            raise ConfigError("drain_every must be >= 1")
         if self.store_nodes < 0:
-            raise ValueError("store_nodes must be >= 0")
+            raise ConfigError("store_nodes must be >= 0")
         if self.store_nodes and not (
             1 <= self.store_replication <= self.store_nodes
         ):
-            raise ValueError(
+            raise ConfigError(
                 "store_replication must be in [1, store_nodes]"
             )
         if self.store_backend not in ("memory", "sqlite"):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown store backend {self.store_backend!r}"
             )
         if self.store_backend == "sqlite" and self.store_nodes:
-            raise ValueError(
+            raise ConfigError(
                 "store_backend='sqlite' is incompatible with store_nodes"
             )
         if self.store_cache_bytes < 0:
-            raise ValueError("store_cache_bytes must be >= 0")
-        if self.program_execution not in ("resident", "images"):
-            raise ValueError(
-                f"unknown program_execution {self.program_execution!r}"
+            raise ConfigError("store_cache_bytes must be >= 0")
+        if self.program_execution != "resident":
+            raise ConfigError(
+                f"program_execution={self.program_execution!r}: the only "
+                "value is 'resident' (node programs run at the shards)"
             )
         if self.num_regions < 1:
-            raise ValueError("num_regions must be >= 1")
+            raise ConfigError("num_regions must be >= 1")
         if self.num_regions > self.num_gatekeepers:
-            raise ValueError(
+            raise ConfigError(
                 "num_regions cannot exceed num_gatekeepers: every region "
                 "needs at least one gatekeeper"
             )

@@ -48,6 +48,7 @@ import itertools
 from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
+from ..cluster import wire
 from ..cluster.builder import ClusterParts, build_cluster
 from ..cluster.messages import ProgramStart, QueuedTransaction, pack_level
 from ..cluster.shard import ShardServer
@@ -59,6 +60,7 @@ from ..errors import ClusterError, NoSuchVertex, ProgramError
 from ..graph.partition import HashPartitioner, LdgPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
 from ..programs.framework import NodeProgram, ProgramResult
+from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import WatermarkRegistry
 from .config import WeaverConfig
@@ -209,9 +211,41 @@ class WritePath:
 
     # -- shard-resident node programs (section 4.1) ------------------------
 
+    @staticmethod
+    def _wire_program(program: NodeProgram) -> Tuple[str, Optional[dict]]:
+        """``program`` as it crosses the wire: ``(name, init)``, its
+        registered name and the instance's own ``vars()`` (None when
+        there are none), from which a shard rebuilds it as
+        ``PROGRAM_REGISTRY[name](**init)``.  Checked here, once, at
+        submit — a class the registry does not hold under that name, an
+        instance its ``vars()`` do not rebuild, or ``vars()`` the wire
+        refuses all fail by name before anything is sent."""
+        name, init = program.name, dict(vars(program)) or None
+        cls = PROGRAM_REGISTRY.get(name)
+        if type(program) is not cls:
+            raise ProgramError(
+                f"{type(program).__name__} is not registered as {name!r}: "
+                "the shards cannot construct it"
+            )
+        if init is not None:
+            try:
+                rebuilt = vars(cls(**init))
+                wire.encode(init)
+            except Exception as exc:  # noqa: BLE001 - any refusal, by name
+                raise ProgramError(
+                    f"program {name!r} cannot be shipped as its vars(): "
+                    f"{exc}"
+                ) from exc
+            if rebuilt != init:
+                raise ProgramError(
+                    f"vars() of program {name!r} do not rebuild it: "
+                    f"{rebuilt!r} != {init!r}"
+                )
+        return name, init
+
     def _program_start(
         self,
-        program: str,
+        program: Tuple[str, Optional[dict]],
         frontier: List[Tuple[str, Any]],
         ts: VectorTimestamp,
         query_id: int,
@@ -219,9 +253,10 @@ class WritePath:
         cache_tail: Optional[Hashable],
         live: List[int],
     ) -> Tuple[int, ProgramStart]:
-        """The request that ships ``program`` to the data, and the shard
-        that coordinates it: the start vertex's owner if it is in
-        ``live``, else the first live shard."""
+        """The request that ships ``program`` (:meth:`_wire_program`'s
+        pair) to the data, and the shard that coordinates it: the start
+        vertex's owner if it is in ``live``, else the first live
+        shard."""
         # Initial frontier entry i carries the one-level order key
         # pack(i): children append their hop index, so sorting a round's
         # entries by key reproduces the executor's append order exactly.
@@ -229,12 +264,15 @@ class WritePath:
             (handle, entry_params, pack_level(i, "start vertices"))
             for i, (handle, entry_params) in enumerate(frontier)
         )
-        coordinator = self._shard_of(frontier[0][0])
+        # No start vertex: the first live shard replies with nothing.
+        coordinator = self._shard_of(frontier[0][0]) if frontier else None
         if coordinator is None or coordinator not in live:
             coordinator = live[0]
+        name, init = program
         return coordinator, ProgramStart(
-            ts, query_id, program, keyed, trace_id=trace_id,
+            ts, query_id, name, keyed, trace_id=trace_id,
             cache_tail=cache_tail, max_visits=self.executor._max_visits,
+            init=init,
         )
 
     @staticmethod
@@ -603,7 +641,8 @@ class Weaver(Coordinator):
         if use_cache and self.program_cache is not None:
             first = frontier[0][0] if frontier else ""
             cache_entry_key = ProgramCache.key(
-                program.name, first, self._cache_tail(params, at, cache_key)
+                program.name, vars(program), first,
+                self._cache_tail(params, at, cache_key),
             )
             cached = self.program_cache.get(cache_entry_key)
             if cached is not None:
@@ -757,9 +796,9 @@ class Weaver(Coordinator):
         of blockchain into 704 GB of cluster memory."""
         self._paging_enabled = True
         for shard in self.shards:
-            shard.set_pager(self._load_vertex_image)
+            shard.set_pager(self._load_committed_vertex)
 
-    def _load_vertex_image(self, handle: str):
+    def _load_committed_vertex(self, handle: str):
         from .operations import vertex_key
 
         record = self.store.get(vertex_key(handle))
@@ -805,7 +844,7 @@ class Weaver(Coordinator):
         self.shards[index] = replacement
         self._register_shard(replacement)
         if self._paging_enabled:
-            replacement.set_pager(self._load_vertex_image)
+            replacement.set_pager(self._load_committed_vertex)
         self._reset_channels()
         return replacement
 

@@ -63,6 +63,11 @@ class ClusterError(WeaverError):
     """Cluster-management failure: unknown server, bad epoch, etc."""
 
 
+class ConfigError(WeaverError, ValueError):
+    """A :class:`~repro.db.config.WeaverConfig` field holds a value no
+    deployment accepts."""
+
+
 class StoreError(WeaverError):
     """Backing-store failure unrelated to transaction conflicts."""
 

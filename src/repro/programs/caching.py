@@ -5,8 +5,8 @@ later executions, provided the application can detect that the graph
 changed underneath the cached value.  This module implements that
 contract:
 
-* :class:`ProgramCache` stores results keyed by (program, start vertex,
-  params key);
+* :class:`ProgramCache` stores results keyed by (program name, program
+  instance state, start vertex, params key);
 * every cached entry records the set of vertices the program read and a
   per-vertex *change counter* captured at caching time;
 * the database bumps a vertex's change counter on every write to it, so a
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
-CacheKey = Tuple[str, str, Hashable]
+CacheKey = Tuple[str, Optional[str], str, Hashable]
 
 
 class ChangeTracker:
@@ -85,8 +85,15 @@ class ProgramCache:
         return len(self._entries)
 
     @staticmethod
-    def key(program_name: str, start: str, params_key: Hashable) -> CacheKey:
-        return (program_name, start, params_key)
+    def key(
+        program_name: str, init: Optional[dict], start: str,
+        params_key: Hashable,
+    ) -> CacheKey:
+        """A program is its name *and* its instance state (``init``, its
+        ``vars()``): ``WeightedShortestPath("cost")`` and ``("lat")``
+        share a name and must not share an entry."""
+        identity = repr(sorted(init.items())) if init else None
+        return (program_name, identity, start, params_key)
 
     def get(self, key: CacheKey) -> Optional[Any]:
         """The cached value, or None when absent or stale.

@@ -5,6 +5,11 @@ count_edges — Table 1 and Fig 12), traversal queries (BFS / reachability —
 Figs 1, 11), local clustering coefficient (Fig 13), and the CoinGraph
 block-render program (Figs 7, 8), plus generic path discovery used by the
 network-topology example.
+
+:data:`PROGRAM_REGISTRY` names every class here and in
+:mod:`~repro.programs.analytics`: the deployments whose shards are not
+in the client's process run a program only by rebuilding it there from
+``(name, init)``, so the registry is the set of programs they run.
 """
 
 from __future__ import annotations
@@ -279,14 +284,15 @@ def params(**kwargs: Any) -> SimpleNamespace:
 
 
 def _build_registry() -> dict:
-    """Name → class for every configuration-free stock program.
+    """Name → class for every stock program.
 
-    The shard-resident path ships a program *by name* and the worker
-    instantiates it locally, so only classes whose instances carry no
-    constructor state are eligible — a ``WeightedShortestPath`` built
-    with a custom ``weight_prop`` would silently lose its configuration.
-    Classes defining their own ``__init__`` are therefore excluded, and
-    the client falls back to image-pull execution for them.
+    A program crosses the wire as ``(name, init)`` — ``init`` being the
+    instance's own ``vars()`` — and each shard rebuilds it as
+    ``PROGRAM_REGISTRY[name](**init)``, so a class belongs here when its
+    constructor stores every argument under the argument's name
+    (``WritePath._wire_program`` checks each instance at submit).  The
+    shard workers fork with the registry as it stands then: a class
+    added afterwards is unknown to them.
     """
     from . import analytics
 
@@ -297,20 +303,10 @@ def _build_registry() -> dict:
                 isinstance(value, type)
                 and issubclass(value, NodeProgram)
                 and value is not NodeProgram
-                and value.__init__ is object.__init__
             ):
                 registry[value.name] = value
     return registry
 
 
-#: Programs eligible for shard-resident execution (ship-by-name).
+#: The programs the shards can construct (shipped as ``(name, init)``).
 PROGRAM_REGISTRY = _build_registry()
-
-
-def resident_eligible(program: NodeProgram) -> bool:
-    """True when ``program`` can be reconstructed at a shard from its
-    name alone: a stock class with no instance configuration."""
-    return (
-        type(program) is PROGRAM_REGISTRY.get(program.name)
-        and not vars(program)
-    )

@@ -9,22 +9,13 @@ hands to :func:`~repro.programs.framework.run_round`: it groups each
 scatter-gather round's frontier by owning shard, resolves every shard's
 batch against **one long-lived snapshot view per (query, shard)** (one
 message per batch, not one per vertex — the paper's shard-to-shard batch
-propagation, section 4.1).  Where the shards are other processes, a
-subclass replaces only :meth:`_fetch`.
+propagation, section 4.1).  The shards are always in the resolver's own
+process: the in-process deployment's, or the one shard of a worker.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.vclock import VectorTimestamp
 from ..graph.mvgraph import SnapshotView, VertexView
@@ -67,27 +58,6 @@ class ShardSnapshotResolver:
         """Snapshot views this query built — O(shards), not O(vertices)."""
         return len(self._views)
 
-    def _fetch(
-        self, per_shard: Dict[int, List[str]]
-    ) -> Iterator[Tuple[int, bool, List[Optional[VertexView]]]]:
-        """Resolve every shard's batch of one round: yields
-        ``(shard_index, fresh, nodes)`` in shard order, ``nodes``
-        aligned with the batch and ``fresh`` set when this batch paid
-        for the shard's snapshot view."""
-        for shard_index in sorted(per_shard):
-            shard = self._shards[shard_index]
-            view = self._views.get(shard_index)
-            fresh = view is None
-            if fresh:
-                view = self._views[shard_index] = shard.snapshot(self._ts)
-            nodes = []
-            for handle in per_shard[shard_index]:
-                shard.stats.vertices_read += 1
-                if self._page_in:
-                    shard.ensure_paged(handle)
-                nodes.append(view.try_vertex(handle))
-            yield shard_index, fresh, nodes
-
     def resolve_many(
         self, handles: Iterable[str]
     ) -> Dict[str, Optional[VertexView]]:
@@ -115,10 +85,19 @@ class ShardSnapshotResolver:
                 cache[handle] = None
             else:
                 per_shard.setdefault(shard_index, []).append(handle)
-        for shard_index, fresh, nodes in self._fetch(per_shard):
+        for shard_index in sorted(per_shard):
             batch = per_shard[shard_index]
-            for handle, node in zip(batch, nodes):
-                cache[handle] = out[handle] = node
+            shard = self._shards[shard_index]
+            view = self._views.get(shard_index)
+            # Set when this batch pays for the shard's snapshot view.
+            fresh = view is None
+            if fresh:
+                view = self._views[shard_index] = shard.snapshot(self._ts)
+            for handle in batch:
+                shard.stats.vertices_read += 1
+                if self._page_in:
+                    shard.ensure_paged(handle)
+                cache[handle] = out[handle] = view.try_vertex(handle)
             stats.shard_batches += 1
             stats.vertices_resolved += len(batch)
             # Every resolution after the view's first rides the memo.

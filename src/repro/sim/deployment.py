@@ -53,10 +53,9 @@ from ..db.config import WeaverConfig
 from ..db.database import WritePath
 from ..db.operations import Operation
 from ..db.transactions import Transaction
-from ..errors import ProgramError, TransactionAborted
+from ..errors import TransactionAborted
 from ..obs.collect import scalar_fields
 from ..programs.framework import NodeProgram, ProgramResult
-from ..programs.library import resident_eligible
 from .clock import USEC
 from .faults import FaultInjector, FaultPlan, GATEKEEPER
 from .network import Network, RegionTopology
@@ -140,7 +139,7 @@ class _SimProgram:
     to stamp and launch it (again, after a recovery) and what the reply
     completes."""
 
-    program: str
+    program: Tuple[str, Optional[dict]]  # (name, init), as on the wire
     frontier: List[Tuple[str, Any]]
     callback: Optional[Callable[[Optional[ProgramResult]], None]]
     submitted: float
@@ -767,14 +766,12 @@ class SimulatedWeaver(WritePath):
 
         Returns the trace id assigned to the submission (also the token
         the submission travels under).  ``callback`` gets the result, or
-        None when the request died with its gatekeeper; a program that
-        fails at the shards raises :class:`ProgramError` out of
-        :meth:`run`.
+        None when the request died with its gatekeeper; a program the
+        shards cannot rebuild (:meth:`_wire_program`) raises
+        :class:`ProgramError` here, one that fails at the shards raises
+        it out of :meth:`run`.
         """
-        if not resident_eligible(program):
-            raise ProgramError(
-                f"the shards cannot construct {program.name!r} by name"
-            )
+        shipped = self._wire_program(program)
         gk_index = self._pick_gatekeeper()
         trace_id = self.tracer.next_trace_id()
         self.tracer.emit(
@@ -782,7 +779,7 @@ class SimulatedWeaver(WritePath):
             program=program.name, gk=gk_index,
         )
         self._submitted[trace_id] = _SimProgram(
-            program.name, [(start, params)], callback,
+            shipped, [(start, params)], callback,
             self.simulator.now, trace_id,
         )
         self.transport.send(

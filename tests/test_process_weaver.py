@@ -287,29 +287,23 @@ class TestOneCoordinator:
             assert direct["placement"] != [i % 3 for i in range(12)]
 
 
-MODES = ["resident", "images"]
-
-
 class TestOneWayReadiness:
     """The client asks no shard whether it is ready: heartbeats and a
     one-way ``advance_to`` ride ahead of (or inside) the program
     request, and the shards check for themselves."""
 
     @staticmethod
-    def two_shards(mode):
-        return ProcessWeaver(WeaverConfig(
-            num_shards=2, num_gatekeepers=2, program_execution=mode
-        ))
+    def two_shards():
+        return ProcessWeaver(WeaverConfig(num_shards=2, num_gatekeepers=2))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_fresh_cross_shard_write_is_always_seen(self, mode):
+    def test_fresh_cross_shard_write_is_always_seen(self):
         """Commit an edge on a shard-1 vertex, then at once traverse
         from a shard-0 root through it: shard 1 may hear of the program
         from shard 0 before it has read the client's frame carrying the
         write, and must catch up first."""
         from repro.db.client import WeaverClient
 
-        with self.two_shards(mode) as db:
+        with self.two_shards() as db:
             client = WeaverClient(db)
             tx = db.begin_transaction()
             root = tx.create_vertex("root")     # round robin: shard 0
@@ -336,7 +330,7 @@ class TestOneWayReadiness:
         """1,000 x (commit on shard 0, read on shard 0): every read
         storms, so shard 1 is advanced once per read and its queues
         hold the last storm's heartbeats only."""
-        with self.two_shards("resident") as db:
+        with self.two_shards() as db:
             hot = self.hot_and_cold(db)
             for i in range(1000):
                 tx = db.begin_transaction()
@@ -357,7 +351,7 @@ class TestOneWayReadiness:
         """1,000 reads after one commit: the first makes both shards
         ready, the other 999 are one frame each to shard 0 — shard 1's
         whole stats reply stands where the first read left it."""
-        with self.two_shards("resident") as db:
+        with self.two_shards() as db:
             hot = self.hot_and_cold(db)
             db.run_program(GetNode(), hot)
             after_first = db.transport.request(
@@ -386,11 +380,8 @@ class TestOneWayReadiness:
                 len(db.gatekeepers)
             )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_repeated_checkpoint_read_sends_nothing_but_the_program(
-        self, mode
-    ):
-        with self.two_shards(mode) as db:
+    def test_repeated_checkpoint_read_sends_nothing_but_the_program(self):
+        with self.two_shards() as db:
             load_tree(db, n=6)
             point = db.checkpoint()
             first = db.run_program(GetNode(), "p0", at=point).value
@@ -403,33 +394,28 @@ class TestOneWayReadiness:
             assert stats.readiness_storms == storms
             assert stats.readiness_fastpath_hits == hits + 1
             assert sum(gk.stats.nops_sent for gk in db.gatekeepers) == nops
-            # One request (program_start, or the one resolve) in one
-            # frame; the images path's one-way "finish" stays buffered.
+            # One request (program_start) in one frame.
             assert wire_stats.requests == before[0] + 1
             assert wire_stats.frames_sent == before[1] + 1
 
-    @pytest.mark.parametrize("mode,error", [
-        ("resident", "ProgramError"), ("images", "ClusterError"),
-    ])
-    def test_unready_shard_fails_by_name_not_stale(self, mode, error):
+    def test_unready_shard_fails_by_name_not_stale(self):
         """No heartbeats reach the shards: they must refuse to snapshot,
-        and the refusal must come back as the named error."""
-        from repro import errors
+        and the refusal must come back as a ``ProgramError``."""
+        from repro.errors import ProgramError
 
-        with self.two_shards(mode) as db:
+        with self.two_shards() as db:
             load_tree(db, n=6)
             db._send_nops = lambda: None        # client side only
             with pytest.raises(
-                getattr(errors, error),
+                ProgramError,
                 match="shard[01] not ready for .* despite heartbeats",
             ):
                 db.run_program(GetNode(), "p0")
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_flush_to_killed_worker_raises_transport_error(self, mode):
+    def test_flush_to_killed_worker_raises_transport_error(self):
         from repro.cluster.transport import TransportError
 
-        with self.two_shards(mode) as db:
+        with self.two_shards() as db:
             load_tree(db, n=6)
             assert db._shard_of("p0") == 0
             db.kill_shard_worker(1)

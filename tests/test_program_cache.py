@@ -39,44 +39,44 @@ class TestChangeTracker:
 
 class TestProgramCache:
     def test_miss_then_hit(self, cache):
-        key = ProgramCache.key("bfs", "a", "p")
+        key = ProgramCache.key("bfs", None, "a", "p")
         assert cache.get(key) is None
         cache.put(key, "result", ["a", "b"])
         assert cache.get(key) == "result"
         assert cache.hits == 1 and cache.misses == 1
 
     def test_invalidated_by_read_set_change(self, cache, tracker):
-        key = ProgramCache.key("bfs", "a", "p")
+        key = ProgramCache.key("bfs", None, "a", "p")
         cache.put(key, "result", ["a", "b"])
         tracker.bump("b")
         assert cache.get(key) is None
         assert cache.invalidations == 1
 
     def test_unrelated_change_does_not_invalidate(self, cache, tracker):
-        key = ProgramCache.key("bfs", "a", "p")
+        key = ProgramCache.key("bfs", None, "a", "p")
         cache.put(key, "result", ["a", "b"])
         tracker.bump("zzz")
         assert cache.get(key) == "result"
 
     def test_lru_eviction(self, cache):
         for i in range(5):
-            cache.put(ProgramCache.key("p", f"v{i}", None), i, [f"v{i}"])
+            cache.put(ProgramCache.key("p", None, f"v{i}", None), i, [f"v{i}"])
         assert len(cache) == 4
-        assert cache.get(ProgramCache.key("p", "v0", None)) is None
+        assert cache.get(ProgramCache.key("p", None, "v0", None)) is None
 
     def test_get_refreshes_lru_position(self, cache):
         for i in range(4):
-            cache.put(ProgramCache.key("p", f"v{i}", None), i, [f"v{i}"])
-        cache.get(ProgramCache.key("p", "v0", None))  # refresh v0
-        cache.put(ProgramCache.key("p", "v9", None), 9, ["v9"])
-        assert cache.get(ProgramCache.key("p", "v0", None)) == 0
-        assert cache.get(ProgramCache.key("p", "v1", None)) is None
+            cache.put(ProgramCache.key("p", None, f"v{i}", None), i, [f"v{i}"])
+        cache.get(ProgramCache.key("p", None, "v0", None))  # refresh v0
+        cache.put(ProgramCache.key("p", None, "v9", None), 9, ["v9"])
+        assert cache.get(ProgramCache.key("p", None, "v0", None)) == 0
+        assert cache.get(ProgramCache.key("p", None, "v1", None)) is None
 
     def test_hit_rate(self, cache):
-        key = ProgramCache.key("p", "a", None)
+        key = ProgramCache.key("p", None, "a", None)
         cache.put(key, 1, ["a"])
         cache.get(key)
-        cache.get(ProgramCache.key("p", "zzz", None))
+        cache.get(ProgramCache.key("p", None, "zzz", None))
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_zero_capacity_rejected(self, tracker):
@@ -84,7 +84,7 @@ class TestProgramCache:
             ProgramCache(tracker, capacity=0)
 
     def test_clear(self, cache):
-        cache.put(ProgramCache.key("p", "a", None), 1, ["a"])
+        cache.put(ProgramCache.key("p", None, "a", None), 1, ["a"])
         cache.clear()
         assert len(cache) == 0
 

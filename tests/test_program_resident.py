@@ -1,17 +1,20 @@
-"""Differential tests: shard-resident execution vs the image-pull path.
+"""Differential tests: shard-resident execution vs the executor.
 
 The resident engine promises the exact observable behavior of the
 batched client-side executor — same results, same read set, same halt
 reason, hop-for-hop identical visit counts — while running every round
-at the shards and forwarding frontiers peer-to-peer.  Both paths live
-behind the same ``run_program`` entry point on one :class:`ProcessWeaver`
-(``config.program_execution`` picks per call), so each comparison runs
-against literally the same worker processes and the same snapshot.
+at the shards and forwarding frontiers peer-to-peer.  The executor is
+the in-process :class:`Weaver`'s: every comparison runs the same program
+on a :class:`ProcessWeaver` and on an identically loaded ``Weaver``
+(the simulated host of the same engine is held the same way in
+``test_sim_deployment.py``).
 
-Covered axes: library programs × seeded multi-shard graphs × historical
-``at=`` reads × the shard-side program cache × a SIGKILL/recover epoch
-boundary.  ``TestResidentSmoke`` doubles as the CI transport-smoke
-entry (2 workers, BFS + cached re-run, trace-chain assertion).
+Covered axes: every ``PROGRAM_REGISTRY`` class (the parametrised ones
+built with non-default arguments) × seeded multi-shard graphs ×
+historical ``at=`` reads × the shard-side program cache × a
+SIGKILL/recover epoch boundary × what the deployment refuses to ship.
+``TestResidentSmoke`` doubles as the CI transport-smoke entry (2
+workers, BFS + cached re-run, trace-chain assertion).
 """
 
 from __future__ import annotations
@@ -24,12 +27,23 @@ import pytest
 from repro.cluster.process import ProcessWeaver
 from repro.db import Weaver, WeaverConfig
 from repro.errors import ProgramError
-from repro.programs.analytics import PushPageRank
+from repro.programs.analytics import (
+    ComponentSize,
+    DegreeHistogram,
+    KHopNeighborhood,
+    LabelPropagation,
+    PushPageRank,
+    TriangleCount,
+    WeightedShortestPath,
+)
 from repro.programs.library import (
     PROGRAM_REGISTRY,
     Bfs,
+    BlockRender,
     ClusteringCoefficient,
     CollectReachable,
+    CountEdges,
+    GetEdges,
     GetNode,
     PathDiscovery,
     Reachability,
@@ -39,8 +53,10 @@ from repro.programs.library import (
 
 
 def build_graph(db, num_vertices, avg_degree, seed):
-    """Seeded random graph, loaded through ordinary transactions."""
+    """Seeded random graph with a ``cost`` on every edge, loaded through
+    ordinary transactions."""
     rng = random.Random(seed)
+    costs = random.Random(seed + 1)
     handles = [f"v{i}" for i in range(num_vertices)]
     tx = db.begin_transaction()
     for handle in handles:
@@ -51,50 +67,52 @@ def build_graph(db, num_vertices, avg_degree, seed):
         for _ in range(avg_degree):
             dst = handles[rng.randrange(num_vertices)]
             if dst != src:
-                tx.create_edge(src, dst)
+                edge = tx.create_edge(src, dst)
+                tx.set_edge_property(
+                    src, edge, "cost", float(costs.randrange(1, 9))
+                )
     tx.commit()
     db.drain()
     return handles
 
 
-def _run_both(db, make_program, start, point, **kwargs):
-    """Execute the same program resident and image-pull at ``point``."""
-    db.config.program_execution = "resident"
-    try:
-        resident = db.run_program(
-            make_program(), list(start), at=point, **kwargs
-        )
-        db.config.program_execution = "images"
-        images = db.run_program(
-            make_program(), list(start), at=point, **kwargs
-        )
-    finally:
-        db.config.program_execution = "resident"
-    return resident, images
+def _run_both(pair, make_program, start, **kwargs):
+    """Execute the same program at the shards and in the reference
+    executor; ``pair`` is ``((ProcessWeaver, at), (Weaver, at))``."""
+    return tuple(
+        db.run_program(make_program(), list(start), at=point, **kwargs)
+        for db, point in pair
+    )
 
 
-def _assert_equivalent(resident, images):
-    assert resident.results == images.results
-    assert resident.read_set == images.read_set
-    assert sorted(resident.states) == sorted(images.states)
-    assert resident.halted == images.halted
+def _assert_equivalent(resident, reference):
+    assert resident.results == reference.results
+    assert resident.read_set == reference.read_set
+    assert resident.states == reference.states
+    assert resident.halted == reference.halted
     # Both paths apply the same same-round hop dedup, so the raw counts
     # match exactly, not just the distinct-visited sets.
-    assert resident.vertices_visited == images.vertices_visited
-    assert resident.hops == images.hops
+    assert resident.vertices_visited == reference.vertices_visited
+    assert resident.hops == reference.hops
+
+
+def hash_config(**overrides):
+    settings = dict(num_shards=3, num_gatekeepers=2, partitioner="hash")
+    settings.update(overrides)
+    return WeaverConfig(**settings)
 
 
 @pytest.fixture(scope="module", params=[3, 21, 99])
 def graph(request):
-    config = WeaverConfig(
-        num_shards=3,
-        num_gatekeepers=2,
-        partitioner="hash",
-        enable_program_cache=True,
-    )
-    with ProcessWeaver(config) as db:
-        handles = build_graph(db, 60, 4, seed=request.param)
-        yield db, handles, db.checkpoint()
+    """``(pair, handles)``: one seeded graph in a ``ProcessWeaver`` and
+    in the reference ``Weaver``, each with a checkpoint of its own."""
+    reference = Weaver(hash_config(enable_program_cache=True))
+    with ProcessWeaver(hash_config(enable_program_cache=True)) as db:
+        for deployment in (db, reference):
+            handles = build_graph(deployment, 60, 4, seed=request.param)
+        yield (
+            (db, db.checkpoint()), (reference, reference.checkpoint())
+        ), handles
 
 
 CASES = [
@@ -132,7 +150,33 @@ CASES = [
         Bfs,
         lambda h: [(h[0], params(depth=0)), (h[-1], params(depth=0))],
     ),
+    ("no_start", Bfs, lambda h: []),
+    ("get_edges", GetEdges, lambda h: [(h[0], params(edge_prop="cost"))]),
+    ("count_edges", CountEdges, lambda h: [(h[0], None)]),
+    ("block_render", BlockRender, lambda h: [(h[0], params())]),
+    ("k_hop", KHopNeighborhood, lambda h: [(h[0], params(k=2))]),
+    ("label_propagation", LabelPropagation, lambda h: [(h[0], params())]),
+    ("component_size", ComponentSize, lambda h: [(h[0], None)]),
+    ("triangle_count", TriangleCount, lambda h: [(h[0], params())]),
+    ("degree_histogram", DegreeHistogram, lambda h: [(h[0], params(k=2))]),
+    # The two whose instances carry state, built away from the defaults.
+    (
+        "weighted_shortest_path",
+        lambda: WeightedShortestPath("cost"),
+        lambda h: [(h[0], params(target=h[-1]))],
+    ),
+    (
+        "push_pagerank",
+        lambda: PushPageRank(damping=0.6, epsilon=1e-2),
+        lambda h: [(h[0], params(mass=1.0))],
+    ),
 ]
+
+
+def test_the_cases_cover_the_registry():
+    assert {make().name for _id, make, _start in CASES} == set(
+        PROGRAM_REGISTRY
+    )
 
 
 @pytest.mark.parametrize(
@@ -140,18 +184,29 @@ CASES = [
     [case[1:] for case in CASES],
     ids=[case[0] for case in CASES],
 )
-def test_library_programs_match_image_pull(graph, prog, make_start):
-    db, handles, point = graph
-    resident, images = _run_both(db, prog, make_start(handles), point)
-    _assert_equivalent(resident, images)
+def test_library_programs_match_the_executor(graph, prog, make_start):
+    pair, handles = graph
+    resident, reference = _run_both(pair, prog, make_start(handles))
+    _assert_equivalent(resident, reference)
+
+
+def test_instance_state_reaches_the_shards(graph):
+    """The parity above would also hold if both sides dropped ``init``:
+    the weights really change the answer."""
+    ((db, point), _reference), handles = graph
+    start = [(handles[0], params(target=handles[-1]))]
+    by_cost = db.run_program(WeightedShortestPath("cost"), start, at=point)
+    by_hops = db.run_program(WeightedShortestPath(), start, at=point)
+    assert WeightedShortestPath.distance(by_cost) > (
+        WeightedShortestPath.distance(by_hops)
+    )
 
 
 def test_resident_path_actually_ran_at_the_shards(graph):
-    """The parity above is only meaningful if the resident runs really
+    """The parity above is only meaningful if the process runs really
     bypassed the client-side executor."""
-    db, handles, point = graph
+    ((db, point), _reference), handles = graph
     before = db.executor.stats.batch_rounds
-    db.config.program_execution = "resident"
     result = db.run_program(Bfs(), handles[0], params(depth=0), at=point)
     assert result.rounds > 0
     assert db.executor.stats.batch_rounds == before  # no client rounds
@@ -162,41 +217,12 @@ def test_resident_path_actually_ran_at_the_shards(graph):
     assert snap["program.resident.forwards_sent"] > 0
 
 
-class ConfiguredBfs(Bfs):
-    """Not in the registry: resident shipping would lose instance state."""
-
-    name = "configured_bfs"
-
-    def __init__(self, flavor):
-        self.flavor = flavor
-
-
-def test_ineligible_program_falls_back_to_image_pull(graph):
-    db, handles, point = graph
-    db.config.program_execution = "resident"
-    before = db.executor.stats.batch_rounds
-    result = db.run_program(
-        ConfiguredBfs("x"), handles[0], params(depth=0), at=point
-    )
-    # The client-side executor ran it (round counter moved) and the
-    # answer matches the stock program's.
-    assert db.executor.stats.batch_rounds > before
-    stock = db.run_program(Bfs(), handles[0], params(depth=0), at=point)
-    assert result.results == stock.results
-    assert result.read_set == stock.read_set
-
-
-@pytest.mark.parametrize("mode", ["resident", "images"])
-def test_visit_budget_is_enforced_inside_the_round(mode):
-    """A hub fans out to 60 leaves with 10 visits allowed: both
-    deployments fail with the executor's error, and no worker runs its
-    share of the exploding round in full."""
-    config = WeaverConfig(
-        num_shards=2, num_gatekeepers=2, partitioner="hash",
-        program_execution=mode,
-    )
+def test_visit_budget_is_enforced_inside_the_round():
+    """A hub fans out to 60 leaves with 10 visits allowed: the program
+    fails with the executor's error, and no worker runs its share of
+    the exploding round in full."""
     budget = 10
-    with ProcessWeaver(config) as db:
+    with ProcessWeaver(hash_config(num_shards=2)) as db:
         tx = db.begin_transaction()
         hub = tx.create_vertex("hub")
         for i in range(60):
@@ -251,15 +277,11 @@ def halting_edges(shard_of):
     return edges, root, target, {here[3], here[4], there[4]}
 
 
-class StockPageRank(PushPageRank):
-    """``PushPageRank`` at its defaults, constructible by name — the
-    shards build a program from its class alone.  Every push is a fresh
-    params object (one per parent, shared by that parent's hops), and
-    vertices are revisited until the residual dies out."""
-
-    name = "stock_pagerank"
-    damping, epsilon = 0.85, 1e-3
-    __init__ = object.__init__
+def pagerank():
+    """Every push is a fresh params object (one per parent, shared by
+    that parent's hops), and vertices are revisited until the residual
+    dies out."""
+    return PushPageRank(epsilon=1e-3)
 
 
 def pagerank_edges(shard_of):
@@ -330,22 +352,19 @@ class TestKeysColumnsAndCounters:
             # gather dropped them.
             assert entries_processed(db) - before > result.vertices_visited
 
-    def test_revisits_with_a_params_object_per_parent(self, monkeypatch):
-        monkeypatch.setitem(
-            PROGRAM_REGISTRY, StockPageRank.name, StockPageRank
-        )
+    def test_revisits_with_a_params_object_per_parent(self):
         with pooled(Weaver) as reference_db, pooled(ProcessWeaver) as db:
             edges, root = pagerank_edges(db._shard_of)
             load(reference_db, edges)
             load(db, edges)
             reference = reference_db.run_program(
-                StockPageRank(), root, params(mass=1.0)
+                pagerank(), root, params(mass=1.0)
             )
             assert reference.vertices_visited > 10 * len(reference.read_set)
-            result = db.run_program(StockPageRank(), root, params(mass=1.0))
-            _assert_equivalent(result, reference)
+            result = db.run_program(pagerank(), root, params(mass=1.0))
             # Same pushes in the same order: the floats are identical.
-            assert StockPageRank.scores(result) == StockPageRank.scores(
+            _assert_equivalent(result, reference)
+            assert PushPageRank.scores(result) == PushPageRank.scores(
                 reference
             )
             stats = db.metrics.snapshot()
@@ -389,45 +408,51 @@ class TestKeysColumnsAndCounters:
 
 
 class TestHistoricalReads:
-    """Resident ≡ image-pull at every snapshot — and the snapshots are
+    """Resident ≡ executor at every snapshot — and the snapshots are
     really distinct cuts of the graph."""
 
+    @staticmethod
+    def two_cuts(db):
+        tx = db.begin_transaction()
+        for h in "abcdefg":
+            tx.create_vertex(h)
+        edges = {}
+        for src, dst in [
+            ("a", "b"), ("a", "c"), ("b", "d"),
+            ("c", "e"), ("d", "f"), ("e", "g"),
+        ]:
+            edges[(src, dst)] = tx.create_edge(src, dst)
+        tx.commit()
+        point1 = db.checkpoint()
+
+        tx = db.begin_transaction()
+        tx.delete_edge("b", edges[("b", "d")])
+        tx.create_vertex("h")
+        tx.create_edge("a", "h")
+        tx.commit()
+        return point1, db.checkpoint()
+
     def test_both_paths_agree_at_both_checkpoints(self):
-        config = WeaverConfig(
-            num_shards=3, num_gatekeepers=2, partitioner="hash"
-        )
-        with ProcessWeaver(config) as db:
-            tx = db.begin_transaction()
-            for h in "abcdefg":
-                tx.create_vertex(h)
-            edges = {}
-            for src, dst in [
-                ("a", "b"), ("a", "c"), ("b", "d"),
-                ("c", "e"), ("d", "f"), ("e", "g"),
-            ]:
-                edges[(src, dst)] = tx.create_edge(src, dst)
-            tx.commit()
-            point1 = db.checkpoint()
-
-            tx = db.begin_transaction()
-            tx.delete_edge("b", edges[("b", "d")])
-            tx.create_vertex("h")
-            tx.create_edge("a", "h")
-            tx.commit()
-            point2 = db.checkpoint()
-
+        reference_db = Weaver(hash_config())
+        with ProcessWeaver(hash_config()) as db:
+            cuts = list(zip(self.two_cuts(db), self.two_cuts(reference_db)))
             start = [("a", params(depth=0))]
-            old_resident, old_images = _run_both(db, Bfs, start, point1)
-            _assert_equivalent(old_resident, old_images)
-            new_resident, new_images = _run_both(db, Bfs, start, point2)
-            _assert_equivalent(new_resident, new_images)
+            (old, old_reference), (new, new_reference) = (
+                _run_both(
+                    ((db, point), (reference_db, reference_point)),
+                    Bfs, start,
+                )
+                for point, reference_point in cuts
+            )
+            _assert_equivalent(old, old_reference)
+            _assert_equivalent(new, new_reference)
 
-            # The mutation separated the two cuts for the resident path
-            # just as it does for image pulls.
-            assert "d" in old_resident.results
-            assert "h" not in old_resident.results
-            assert "h" in new_resident.results
-            assert "d" not in new_resident.results
+            # The mutation separated the two cuts at the shards just as
+            # it does for the executor.
+            assert "d" in old.results
+            assert "h" not in old.results
+            assert "h" in new.results
+            assert "d" not in new.results
 
 
 class TestResidentProgramCache:
@@ -508,35 +533,36 @@ class TestResidentProgramCache:
 
 class TestKillRecoverParity:
     """The differential holds across a SIGKILL/recover epoch boundary:
-    the replacement worker rejoins the peer mesh and the resident path
-    still matches image pulls on the recovered partition."""
+    the replacement worker rejoins the peer mesh and the shards still
+    match the executor on the recovered partition."""
 
-    def test_resident_matches_images_after_recovery(self):
-        config = WeaverConfig(
-            num_shards=3, num_gatekeepers=2, partitioner="hash"
-        )
-        with ProcessWeaver(config) as db:
-            handles = build_graph(db, 30, 3, seed=7)
-            point = db.checkpoint()
+    def test_resident_matches_the_executor_after_recovery(self):
+        reference_db = Weaver(hash_config())
+        with ProcessWeaver(hash_config()) as db:
+            for deployment in (db, reference_db):
+                handles = build_graph(deployment, 30, 3, seed=7)
+            reference_point = reference_db.checkpoint()
             start = [(handles[0], params(depth=0))]
-            before_resident, before_images = _run_both(
-                db, Bfs, start, point
-            )
-            _assert_equivalent(before_resident, before_images)
+
+            def run_both():
+                return _run_both(
+                    ((db, db.checkpoint()), (reference_db, reference_point)),
+                    Bfs, start,
+                )
+
+            before, reference = run_both()
+            _assert_equivalent(before, reference)
 
             db.kill_shard_worker(0)
             db.recover_shard(0)
             assert db.recoveries == 1
 
-            after_point = db.checkpoint()
-            after_resident, after_images = _run_both(
-                db, Bfs, start, after_point
-            )
-            _assert_equivalent(after_resident, after_images)
             # The graph is static, so the recovered partition must
             # reproduce the pre-kill answer bit for bit.
-            assert after_resident.results == before_resident.results
-            assert after_resident.read_set == before_resident.read_set
+            after, reference = run_both()
+            _assert_equivalent(after, reference)
+            assert after.results == before.results
+            assert after.read_set == before.read_set
 
 
 class TestResidentSmoke:

@@ -1,14 +1,16 @@
-"""Program state stays at the shard — one rule, four hosts.
+"""Program state stays at the shard — one rule, three hosts.
 
 ``ProgramResult.states`` holds per-vertex ``prog_state`` only for a
 program that declares ``returns_state``.  The rule is stated where a
 result is made (``programs/framework.py:ProgramResult``) and applied
 before a fragment leaves its shard (``ResidentEngine._fragment``), so it
-must read the same on the in-process ``Weaver``, on ``ProcessWeaver`` in
-both execution modes, and on the simulated host:
+must read the same on the in-process ``Weaver``, on ``ProcessWeaver``
+and on the simulated host:
 
-* every registry program returns ``states == {}`` on all four;
-* a declaring program returns equal state *values* on all four, also
+* every registry program that does not declare it returns
+  ``states == {}`` on all three (the one that does, ``PushPageRank``,
+  is under (b));
+* a declaring program returns equal state *values* on all three, also
   when it halted on another shard and the root's shard ran entries the
   gather drops;
 * a value the wire refuses — emitted, declared as state, or sent as a
@@ -30,6 +32,7 @@ from repro.cluster.process import ProcessWeaver
 from repro.db import Weaver, WeaverConfig
 from repro.db import operations as ops
 from repro.errors import ProgramError
+from repro.programs.analytics import PushPageRank
 from repro.programs.framework import NodeProgram
 from repro.programs.library import (
     PROGRAM_REGISTRY,
@@ -42,25 +45,31 @@ from repro.sim.clock import USEC
 from repro.sim.deployment import SimulatedWeaver
 from tests.test_program_resident import (
     POOL,
-    StockPageRank,
     entries_processed,
     halting_edges,
+    pagerank,
     pagerank_edges,
     split_pool,
 )
-from tests.test_sim_deployment import PROGRAM_PARAMS, commit, seeded_edges
+from tests.test_sim_deployment import (
+    PROGRAM_PARAMS,
+    build_program,
+    commit,
+    seeded_edges,
+)
 
-HOSTS = ["weaver", "resident", "images", "sim"]
+HOSTS = ["weaver", "process", "sim"]
 
 
 class Hosts:
     """The same vertices, then the same edges, in three deployments;
-    ``run`` asks one of four hosts."""
+    ``run`` asks one of them."""
 
-    def __init__(self, handles):
+    def __init__(self, handles, **overrides):
         def config():
             return WeaverConfig(
-                num_gatekeepers=2, num_shards=2, partitioner="hash"
+                num_gatekeepers=2, num_shards=2, partitioner="hash",
+                **overrides,
             )
 
         self.weaver = Weaver(config())
@@ -86,8 +95,6 @@ class Hosts:
         assert commit(self.sim, operations)["ok"]
 
     def run(self, host, program, start, prog_params):
-        if host == "weaver":
-            return self.weaver.run_program(program, start, prog_params)
         if host == "sim":
             box = {}
             self.sim.submit_program(
@@ -96,16 +103,12 @@ class Hosts:
             )
             self.sim.run_until_quiet()
             return box["r"]
-        self.process.config.program_execution = host
-        try:
-            return self.process.run_program(program, start, prog_params)
-        finally:
-            self.process.config.program_execution = "resident"
+        return getattr(self, host).run_program(program, start, prog_params)
 
 
 @contextlib.contextmanager
-def hosts(handles):
-    built = Hosts(handles)
+def hosts(handles, **overrides):
+    built = Hosts(handles, **overrides)
     try:
         yield built
     finally:
@@ -149,13 +152,13 @@ def seeded(request):
 
 
 @pytest.mark.parametrize("host", HOSTS)
-@pytest.mark.parametrize("name", sorted(PROGRAM_REGISTRY))
+@pytest.mark.parametrize("name", sorted(
+    name for name, cls in PROGRAM_REGISTRY.items() if not cls.returns_state
+))
 def test_a_registry_program_returns_no_state(seeded, name, host):
     built, handles = seeded
-    program = PROGRAM_REGISTRY[name]()
-    assert not program.returns_state
     prog_params = PROGRAM_PARAMS.get(name, lambda h: None)(handles)
-    result = built.run(host, program, handles[0], prog_params)
+    result = built.run(host, build_program(name), handles[0], prog_params)
     assert result.vertices_visited >= 1
     assert result.states == {}
 
@@ -197,19 +200,19 @@ class TestDeclaredStateIsTheSameEverywhere:
             assert ran > reference.vertices_visited
 
     def test_ranks_and_residuals_of_a_revisiting_program(self):
-        with pool_hosts(pagerank_edges, [StockPageRank]) as (built, (root,)):
+        with pool_hosts(pagerank_edges) as (built, (root,)):
             prm = params(mass=1.0)
-            reference = built.run("weaver", StockPageRank(), root, prm)
+            reference = built.run("weaver", pagerank(), root, prm)
             assert reference.vertices_visited > 10 * len(reference.states)
             assert all(
                 vars(state).keys() == {"rank", "residual"}
                 for state in reference.states.values()
             )
             for host in HOSTS[1:]:
-                result = built.run(host, StockPageRank(), root, prm)
+                result = built.run(host, pagerank(), root, prm)
                 # Same pushes in the same order: identical floats.
                 assert result.states == reference.states, host
-                assert StockPageRank.scores(result) == StockPageRank.scores(
+                assert PushPageRank.scores(result) == PushPageRank.scores(
                     reference
                 )
 

@@ -5,8 +5,8 @@ attempted since; anything else stamps afresh and storms.
 
 The rule is one ``if`` in ``db/database.py``; this file is its proof by
 cases.  Deterministic, on the in-process :class:`Weaver` and on a
-2-worker :class:`ProcessWeaver` in both execution modes (test ids carry
-``process`` so CI's transport job can select them): the counts of a
+2-worker :class:`ProcessWeaver` (test ids carry ``process`` so CI's
+transport job can select them): the counts of a
 quiet stretch, every source of invalidation, the ``at=`` read that must
 not become the reusable stamp, a dead worker, a traversal on a reused
 stamp.  Random: a ``hypothesis`` state machine against a dict model, in
@@ -18,6 +18,7 @@ soak, are not.
 
 import copy
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -25,7 +26,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
-from repro.cluster.process import ProcessWeaver, RemoteVertexView
+from repro.cluster.process import ProcessWeaver
 from repro.cluster.transport import TransportError
 from repro.cluster.worker import ResidentEngine
 from repro.db import Weaver, WeaverClient, WeaverConfig
@@ -37,16 +38,13 @@ from repro.workloads.chaos import ProcessClient, SoakReport, run_soak
 from .reference_executor import execute_sequential
 
 G, S = 4, 2
-DEPLOYMENTS = ("weaver", "process-resident", "process-images")
+DEPLOYMENTS = ("weaver", "process")
 
 
 def deploy(kind):
     if kind == "weaver":
         return Weaver(WeaverConfig(num_gatekeepers=G, num_shards=S))
-    return ProcessWeaver(WeaverConfig(
-        num_gatekeepers=G, num_shards=S,
-        program_execution=kind.split("-")[1],
-    ))
+    return ProcessWeaver(WeaverConfig(num_gatekeepers=G, num_shards=S))
 
 
 def _deployment(request):
@@ -277,14 +275,14 @@ TREE = {
 
 
 def model_view(edges, handle):
-    """A vertex of a plain ``{src: {edge: dst}}`` model as the view a
-    program runs on (the process deployment's image view)."""
+    """A vertex of a plain ``{src: {edge: dst}}`` model as the view
+    ``Bfs`` runs on: a handle, a state slot, property-less out-edges."""
     if handle not in edges:
         return None
-    return RemoteVertexView({
-        "handle": handle, "properties": {},
-        "edges": [(e, dst, {}) for e, dst in edges[handle].items()],
-    })
+    return SimpleNamespace(handle=handle, prog_state=None, neighbors=[
+        SimpleNamespace(handle=edge, nbr=dst)
+        for edge, dst in edges[handle].items()
+    ])
 
 
 def reference_bfs(edges, root, max_depth):
@@ -317,10 +315,7 @@ class TestTraversalOnAReusedStamp:
         assert stamp_spans(db)[-1].attr("reused") is True
         # Nobody waited for heartbeats that were never coming.
         assert elapsed < ResidentEngine.READY_DEADLINE / 5
-        if (
-            isinstance(db, ProcessWeaver)
-            and db.config.program_execution == "resident"
-        ):
+        if isinstance(db, ProcessWeaver):
             metrics = db.metrics.snapshot()
             assert metrics["program.resident.programs_participated"] >= 1
             assert metrics["program.resident.forwards_sent"] >= 1

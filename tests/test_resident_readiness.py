@@ -108,7 +108,8 @@ class Rig:
         forward = FrontierForward.from_rows(QUERY, 0, hops)
         go = {
             "q": QUERY, "round": 0, "expect": len(hops), "program": program,
-            "ts": ts, "trace_id": None, "coordinator": 0, "budget": 100,
+            "init": None, "ts": ts, "trace_id": None, "coordinator": 0,
+            "budget": 100,
         }
         return [
             {"k": "b", "m": [("forward", forward)]},

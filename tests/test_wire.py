@@ -22,7 +22,6 @@ from repro.cluster.messages import (
     AnnounceMessage,
     FrontierForward,
     Heartbeat,
-    ProgramRequest,
     ProgramStart,
     QueuedTransaction,
 )
@@ -36,7 +35,7 @@ from tests.wire_fixtures import order_key
 # frames no longer decode the same way — bump wire.WIRE_VERSION, update
 # WIRE_SCHEMA, and re-pin this value (and wire_fixtures.GOLDEN_HEX).
 GOLDEN_SCHEMA_DIGEST = (
-    "e8d253b2b5bf09636902850d0abb0fa21c9db45b72142dbcb8111e0620f93470"
+    "6109ce36a6fd1e332765062575b92e43a5308cb56c7b6b144132ee2875bf55cf"
 )
 
 TS = VectorTimestamp(epoch=2, clocks=(3, 1, 4), issuer=1)
@@ -58,13 +57,13 @@ ALL_MESSAGES = [
                       trace_id=99),
     QueuedTransaction(TS2),  # a NOP: defaults everywhere
     AnnounceMessage(1, (3, 1, 4)),
-    ProgramRequest(TS, 5, ("v1", "v2"), trace_id=12),
-    ProgramRequest(TS, 6, ()),  # trace_id defaults to None
     ProgramStart(TS, 7, "bfs",
                  (("v1", SimpleNamespace(depth=0), order_key(0)),
                   ("v2", None, order_key(1))),
                  trace_id=3, cache_tail=("repr", 9), max_visits=100),
-    ProgramStart(TS2, 8, "reachability", ()),  # defaults everywhere
+    ProgramStart(TS2, 8, "reachability", ()),  # defaults: init is None
+    ProgramStart(TS2, 9, "push_pagerank", (),
+                 init={"damping": 0.6, "epsilon": 1e-2}),
     FrontierForward.from_rows(7, 2, [("v2", None, order_key(0, 1, 0))]),
     Heartbeat("shard0", 3, 1.25),
 ]

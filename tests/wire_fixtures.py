@@ -53,7 +53,7 @@ REQUEST = {
     "p": ProgramStart(
         ts=READ_TS, query_id=501, program="get_edges",
         frontier=(("v955", SimpleNamespace(edge_prop=None), order_key(0)),),
-        trace_id=681, cache_tail=None, max_visits=10_000_000,
+        trace_id=681, cache_tail=None, max_visits=10_000_000, init=None,
     ),
     "m": _nops((2360, 2362)) + [("advance_to", READ_TS)],
 }
@@ -114,12 +114,12 @@ FRAMES = {
     "batch": BATCH, "request": REQUEST, "reply": REPLY, "forward": FORWARD,
 }
 
-#: ``wire.encode(frame).hex()`` at WIRE_VERSION 4.  Regenerate only
+#: ``wire.encode(frame).hex()`` at WIRE_VERSION 5.  Regenerate only
 #: together with a version bump, or for a fixture above that changed
 #: what it says (its other bytes must stay as they were).
 GOLDEN_HEX = {
     "batch": (
-        "04440201016b6d7301626c0374027307656e7175657565740269000000000000"
+        "05440201016b6d7301626c0374027307656e7175657565740269000000000000"
         "000080560200000000000000000000000000000000000000034a000000000000"
         "0348740069000000000000024e6900000000000009394e74027307656e717565"
         "7565740269000000000000000180560200000000000000000000000001000000"
@@ -128,20 +128,20 @@ GOLDEN_HEX = {
         "000000000003490000000000000348"
     ),
     "request": (
-        "04440501020401016b69646b696e64706d7301726900000000000000f2730d70"
-        "726f6772616d5f73746172748356020000000000000000000000000000000000"
+        "05440501020401016b69646b696e64706d7301726900000000000000f2730d70"
+        "726f6772616d5f73746172748256020000000000000000000000000000000000"
         "0000034900000000000003486900000000000001f573096765745f6564676573"
         "74017403730476393535700109656467655f70726f704e620400000000690000"
-        "0000000002a94e6900000000009896806c0374027307656e7175657565740269"
-        "000000000000000080560200000000000000000000000000000000000000034a"
-        "0000000000000348740069000000000000024e6900000000000009384e740273"
-        "07656e7175657565740269000000000000000180560200000000000000000000"
-        "000001000000000000034a0000000000000349740069000000000000024e6900"
-        "0000000000093a4e7402730a616476616e63655f746f56020000000000000000"
-        "000000000000000000000003490000000000000348"
+        "0000000002a94e6900000000009896804e6c0374027307656e71756575657402"
+        "6900000000000000008056020000000000000000000000000000000000000003"
+        "4a0000000000000348740069000000000000024e6900000000000009384e7402"
+        "7307656e71756575657402690000000000000001805602000000000000000000"
+        "00000001000000000000034a0000000000000349740069000000000000024e69"
+        "000000000000093a4e7402730a616476616e63655f746f560200000000000000"
+        "00000000000000000000000003490000000000000348"
     ),
     "reply": (
-        "044404010201026b69647065767301706900000000000000f244090802070610"
+        "054404010201026b69647065767301706900000000000000f244090802070610"
         "0406080671756572795f69647473726573756c74737374617465737665727469"
         "6365735f76697369746564686f707368616c746564726561645f736574726f75"
         "6e64736900000000000001f55602000000000000000000000000000000000000"
@@ -156,7 +156,7 @@ GOLDEN_HEX = {
         "0000000000000001690000000000000000"
     ),
     "forward": (
-        "04440201016b6d7301626c0174027307666f7277617264846900000000000001"
+        "05440201016b6d7301626c0174027307666f7277617264836900000000000001"
         "c669000000000000000155030404037634353176343437763831740362080000"
         "00000000000062080000000000000001620c0000000000000002000000077403"
         "70030509096465707468656467655f70726f706d61785f646570746869000000"
