@@ -10,6 +10,7 @@ import json
 import pathlib
 
 from repro.bench.ordering_bench import build_workload, compare_fastpath
+from tests.oracle_reference import reference_oracle
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -22,7 +23,7 @@ def test_workload_shape():
 
 
 def test_indexed_oracle_speedup(show):
-    result = compare_fastpath()
+    result = compare_fastpath(reference_oracle)
     (REPO_ROOT / "BENCH_ordering.json").write_text(
         json.dumps(result, indent=2) + "\n"
     )

@@ -25,6 +25,7 @@ import sys
 from repro.bench.ordering_bench import compare_fastpath
 from repro.bench.programs_bench import build_database, compare_traversal
 from repro.programs.library import Bfs, params
+from tests.oracle_reference import reference_oracle
 from tests.reference_executor import execute_sequential
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,7 +38,9 @@ _TOLERANCE = 1.10
 def test_indexed_not_slower_than_reference():
     best = None
     for attempt in range(_ATTEMPTS):
-        result = compare_fastpath(num_events=300, num_pairs=700, seed=11)
+        result = compare_fastpath(
+            reference_oracle, num_events=300, num_pairs=700, seed=11
+        )
         if best is None or result["speedup"] > best["speedup"]:
             best = result
         if best["speedup"] >= 1.5:
@@ -51,7 +54,9 @@ def test_indexed_not_slower_than_reference():
 
 def test_index_actually_prunes():
     """The guard fails loudly if the index silently degrades to a scan."""
-    result = compare_fastpath(num_events=300, num_pairs=700, seed=11)
+    result = compare_fastpath(
+        reference_oracle, num_events=300, num_pairs=700, seed=11
+    )
     counters = result["indexed_counters"]
     assert counters["bfs_pruned"] > counters["bfs_expansions"]
     assert counters["reach_cache_hits"] > 0
@@ -317,7 +322,9 @@ def test_record_guard_context():
     ``cpu_count`` next to the guard's own measurements makes every
     archived number's context explicit.
     """
-    ordering = compare_fastpath(num_events=300, num_pairs=700, seed=11)
+    ordering = compare_fastpath(
+        reference_oracle, num_events=300, num_pairs=700, seed=11
+    )
     traversal = compare_traversal(
         execute_sequential, num_vertices=200, avg_degree=6
     )

@@ -1,8 +1,7 @@
-"""Benchmark harness: cost models, metrics, and per-figure experiments."""
+"""Benchmark harness: cost models and per-figure experiments."""
 
 from .costmodel import ClosedLoop, ClosedLoopResult, CostParams, LockTable, Resource
-from .metrics import LatencyRecorder, percentile, throughput
-from .models import CoinGraphModel, WeaverModel
+from .models import CoinGraphModel
 from .report import format_series, format_table, print_table, ratio_check
 
 # NOTE: `repro.bench.harness` is imported on demand (it depends on the
@@ -13,11 +12,7 @@ __all__ = [
     "CostParams",
     "LockTable",
     "Resource",
-    "LatencyRecorder",
-    "percentile",
-    "throughput",
     "CoinGraphModel",
-    "WeaverModel",
     "format_series",
     "format_table",
     "print_table",

@@ -1,11 +1,19 @@
 """Experiment harness: one function per table/figure in section 6.
 
-Each ``experiment_*`` function runs the *functional* systems to establish
-ground truth (answers, protocol statistics like the reactive-ordering
-fraction) and the *cost models* to produce simulated-time throughput and
-latency, then returns a result object whose ``rows()`` method yields the
-same series the paper's figure plots.  The benchmark files under
-``benchmarks/`` call these and print the tables.
+Each ``experiment_*`` function returns a result object whose ``rows()``
+method (or fields) yield the same series the paper's figure plots.  The
+benchmark files under ``benchmarks/`` call these and print the tables.
+
+Weaver's series in Figs 9-13 and A7 are measured on the simulated twin:
+a :class:`~repro.sim.deployment.SimulatedWeaver` with a
+:class:`~repro.bench.costmodel.CostParams` attached runs the real write
+path and shard engine on simulated time, driven by
+:class:`~repro.sim.workload.SimClients`; its throughput and
+``obs`` latency histograms are the figure.  The baselines (Titan,
+GraphLab, Blockchain.info, Kineograph) and CoinGraph's paging (Figs 7,
+8) are cost models on ``Resource`` / ``LockTable`` / ``ClosedLoop``.
+Fig 9's reactively-ordered fraction is measured on the functional
+:class:`~repro.db.database.Weaver`.
 
 Scales default to laptop-sized datasets; every function takes explicit
 size parameters so the suites can run fast under pytest while remaining
@@ -14,6 +22,7 @@ faithful at larger settings.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,6 +32,7 @@ from ..baselines.titan import TitanGraph
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.ordering import RefinableOrdering
 from ..core.oracle import TimelineOracle
+from ..db import operations as ops
 from ..db.client import WeaverClient
 from ..db.config import WeaverConfig
 from ..db.database import Weaver
@@ -33,13 +43,87 @@ from ..graph.partition import (
     edge_cut,
     restream,
 )
+from ..obs.metrics import Histogram
+from ..programs import library
 from ..sim.clock import MSEC, USEC
+from ..sim.deployment import SimulatedWeaver
+from ..sim.workload import SimClients, finite_stream
 from ..workloads import bitcoin, graphs
 from ..workloads.runner import run_tao
 from ..workloads.tao import TaoWorkload
 from .costmodel import ClosedLoop, CostParams
-from .metrics import LatencyRecorder
-from .models import CoinGraphModel, WeaverModel
+from .models import CoinGraphModel
+
+# The twin's announce period τ and NOP heartbeat period in every figure:
+# the values the service-cost tests ran with before any figure's shape
+# was measured on the twin.
+TWIN_TAU = 200 * USEC
+TWIN_NOP_PERIOD = 200 * USEC
+
+_TAO_READS = {
+    "get_node": library.GetNode,
+    "get_edges": library.GetEdges,
+    "count_edges": library.CountEdges,
+}
+
+
+def _closed_loop(twin: SimulatedWeaver, clients: int, specs) -> SimClients:
+    """Run the op specs through ``clients`` closed-loop clients."""
+    run = SimClients(twin, clients, finite_stream(specs))
+    run.start()
+    run.run_to_completion()
+    return run
+
+
+def _twin(
+    num_gatekeepers: int,
+    num_shards: int,
+    costs: CostParams,
+    edges: Sequence[Tuple[str, str]] = (),
+) -> SimulatedWeaver:
+    """A costed twin holding the graph ``edges``, loaded by one client
+    in two transactions (the vertices, then the edges); the load's
+    commit latencies are cleared."""
+    twin = SimulatedWeaver(
+        WeaverConfig(num_gatekeepers=num_gatekeepers, num_shards=num_shards),
+        tau=TWIN_TAU,
+        nop_period=TWIN_NOP_PERIOD,
+        costs=costs,
+    )
+    if edges:
+        load = _closed_loop(twin, 1, [
+            ("tx", [ops.CreateVertex(v) for v in graphs.vertices_of(edges)]),
+            ("tx", [
+                ops.CreateEdge(f"e{i}", src, dst)
+                for i, (src, dst) in enumerate(edges)
+            ]),
+        ])
+        if load.failed:
+            raise RuntimeError("loading the twin aborted")
+        twin.latency_tx.reset()
+    return twin
+
+
+def _tao_spec(op) -> tuple:
+    """A TAO op (:mod:`repro.workloads.tao`) as a twin op spec."""
+    kind = op[0]
+    if kind == "create_edge":
+        _, src, dst, handle = op
+        return ("tx", [ops.CreateEdge(handle, src, dst)])
+    if kind == "delete_edge":
+        _, src, handle = op
+        return ("tx", [ops.DeleteEdge(src, handle)])
+    return ("prog", _TAO_READS[kind](), op[1], None)
+
+
+@dataclass
+class Rows:
+    """A figure's series: ``rows()`` yields the points the paper plots."""
+
+    rows_data: List[tuple] = field(default_factory=list)
+
+    def rows(self):
+        return list(self.rows_data)
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +131,8 @@ from .models import CoinGraphModel, WeaverModel
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Fig7Result:
-    rows_data: List[Tuple[int, int, float, float, float]] = field(
-        default_factory=list
-    )
+class Fig7Result(Rows):
     functional_blocks_checked: int = 0
-
-    def rows(self):
-        return [
-            (h, ntx, cg, bc, speed)
-            for h, ntx, cg, bc, speed in self.rows_data
-        ]
 
     @property
     def speedup_at_max_height(self) -> float:
@@ -104,14 +179,6 @@ def experiment_fig7(
     return result
 
 
-@dataclass
-class Fig8Result:
-    rows_data: List[Tuple[int, float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
-
 def experiment_fig8(
     base_heights: Sequence[int] = (
         1_000, 100_000, 200_000, 300_000, 350_000
@@ -120,7 +187,7 @@ def experiment_fig8(
     clients: int = 16,
     num_shards: int = 8,
     costs: Optional[CostParams] = None,
-) -> Fig8Result:
+) -> Rows:
     """Block-render throughput vs block height (Fig 8).
 
     For each base height x, renders blocks drawn uniformly from
@@ -129,7 +196,7 @@ def experiment_fig8(
     vertex-read rate stays within a band — the paper's 5k-20k reads/s.
     """
     costs = costs or CostParams()
-    result = Fig8Result()
+    result = Rows()
     for base in base_heights:
         model = CoinGraphModel(num_shards=num_shards, costs=costs)
         rng = random.Random(base)
@@ -164,13 +231,26 @@ class SocialRunResult:
     read_fraction: float
     clients_weaver: int
     clients_titan: int
-    weaver_throughput: float
+    weaver_run: SimClients
     titan_throughput: float
-    weaver_latencies: LatencyRecorder
-    titan_latencies: LatencyRecorder
-    weaver_read_latencies: LatencyRecorder
-    weaver_write_latencies: LatencyRecorder
+    titan_latencies: Histogram
     reactive_fraction: float
+
+    @property
+    def weaver_throughput(self) -> float:
+        return self.weaver_run.throughput
+
+    @property
+    def weaver_latencies(self) -> Histogram:
+        return self.weaver_run.latencies
+
+    @property
+    def weaver_read_latencies(self) -> Histogram:
+        return self.weaver_run.deployment.latency_program
+
+    @property
+    def weaver_write_latencies(self) -> Histogram:
+        return self.weaver_run.deployment.latency_tx
 
     @property
     def speedup(self) -> float:
@@ -221,8 +301,9 @@ def experiment_fig9(
     """Throughput on the TAO mix (Fig 9a at 99.8% reads; Fig 9b at 75%).
 
     Runs the functional Weaver first to measure the reactive-ordering
-    fraction for this mix, then drives both cost models under a closed
-    loop of the same operation stream.
+    fraction for this mix, then drives the twin (3 gatekeepers, 8
+    shards) and the Titan model under closed loops of the same
+    operation stream.
     """
     costs = costs or CostParams()
     reactive = (
@@ -233,55 +314,24 @@ def experiment_fig9(
         else 0.0
     )
     edges = graphs.social_graph(num_vertices, 5, seed)
-    vertices = graphs.vertices_of(edges)
-    degree = {v: 0 for v in vertices}
-    for src, _ in edges:
-        degree[src] += 1
-
-    # --- Weaver model run ---
-    weaver = WeaverModel(
-        num_gatekeepers=3,
-        num_shards=8,
-        costs=costs,
-        reactive_fraction=reactive,
-        seed=seed,
+    workload = TaoWorkload(
+        graphs.vertices_of(edges), read_fraction=read_fraction, seed=seed
     )
-    workload = TaoWorkload(vertices, read_fraction=read_fraction, seed=seed)
-    ops = list(workload.stream(total_ops))
-    weaver_lat = LatencyRecorder()
-    weaver_read_lat = LatencyRecorder()
-    weaver_write_lat = LatencyRecorder()
+    stream = list(workload.stream(total_ops))
 
-    def weaver_issue(client_id: int, i: int, start: float) -> float:
-        op = ops[i]
-        if op[0] in ("get_edges", "count_edges", "get_node"):
-            scan = max(1, degree.get(op[1], 1))
-            finish = weaver.read_program(
-                start,
-                vertices_read=1,
-                work_per_vertex=costs.vertex_read_service * scan,
-                shards_involved=1,
-            )
-            weaver_read_lat.record(finish - start)
-        else:
-            finish = weaver.write_tx(start, num_ops=2)
-            weaver_write_lat.record(finish - start)
-        weaver_lat.record(finish - start)
-        return finish
-
-    weaver_run = ClosedLoop(clients_weaver).run(total_ops, weaver_issue)
+    weaver_run = _closed_loop(
+        _twin(3, 8, costs, edges),
+        clients_weaver,
+        [_tao_spec(op) for op in stream],
+    )
 
     # --- Titan run (functional + cost in one) ---
     titan = TitanGraph(num_shards=8, costs=costs)
     titan.load(edges)
-    titan_workload = TaoWorkload(
-        vertices, read_fraction=read_fraction, seed=seed
-    )
-    titan_ops = list(titan_workload.stream(total_ops))
-    titan_lat = LatencyRecorder()
+    titan_lat = Histogram("titan.latency")
 
     def titan_issue(client_id: int, i: int, start: float) -> float:
-        op = titan_ops[i]
+        op = stream[i]
         kind = op[0]
         try:
             if kind == "get_node":
@@ -295,13 +345,12 @@ def experiment_fig9(
                 finish = titan.execute(
                     [("create_edge", handle, src, dst)], start
                 )
-                titan_workload.note_created(src, handle)
             else:
                 _, src, handle = op
                 finish = titan.execute([("delete_edge", src, handle)], start)
         except Exception:
             finish = start + costs.rtt  # failed op still takes a trip
-        titan_lat.record(finish - start)
+        titan_lat.observe(finish - start)
         return finish
 
     titan_run = ClosedLoop(clients_titan).run(total_ops, titan_issue)
@@ -310,12 +359,9 @@ def experiment_fig9(
         read_fraction=read_fraction,
         clients_weaver=clients_weaver,
         clients_titan=clients_titan,
-        weaver_throughput=weaver_run.throughput,
+        weaver_run=weaver_run,
         titan_throughput=titan_run.throughput,
-        weaver_latencies=weaver_lat,
         titan_latencies=titan_lat,
-        weaver_read_latencies=weaver_read_lat,
-        weaver_write_latencies=weaver_write_lat,
         reactive_fraction=reactive,
     )
 
@@ -344,10 +390,14 @@ def experiment_fig10(
 
 @dataclass
 class Fig11Result:
-    weaver: LatencyRecorder
-    graphlab_async: LatencyRecorder
-    graphlab_sync: LatencyRecorder
+    weaver_run: SimClients
+    graphlab_async: Histogram
+    graphlab_sync: Histogram
     answers_agree: bool
+
+    @property
+    def weaver(self) -> Histogram:
+        return self.weaver_run.latencies
 
     @property
     def speedup_vs_async(self) -> float:
@@ -373,9 +423,9 @@ def experiment_fig11(
     """Reachability traversals, sequential single client (Fig 11).
 
     All three systems answer every query on the same graph; answers are
-    cross-checked.  Weaver's per-query cost is derived from the
-    *functional* traversal's visit count (vertices actually read at the
-    snapshot); GraphLab's engines charge their own coordination.
+    cross-checked.  Weaver's queries run on the twin (2 gatekeepers,
+    ``num_shards`` shards), round by round across its shards;
+    GraphLab's engines charge their own coordination.
     """
     costs = costs or CostParams()
     edges = graphs.twitter_graph(num_vertices, 4, seed)
@@ -387,49 +437,27 @@ def experiment_fig11(
         for _ in range(num_queries)
     ]
 
-    # Functional Weaver: real traversals for answers and visit counts.
-    db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=num_shards))
-    client = WeaverClient(db)
-    graphs.load_into_weaver(client, edges)
-    weaver_model = WeaverModel(
-        num_gatekeepers=2, num_shards=num_shards, costs=costs, seed=seed
-    )
-    weaver_lat = LatencyRecorder()
-    weaver_answers = []
-    from ..programs import library
-
-    t = 0.0  # sequential single client, as in the paper's setup
-    for src, dst in pairs:
-        result = db.run_program(
-            library.Reachability(), src, library.params(target=dst)
-        )
-        reached = bool(result.results)
-        weaver_answers.append(reached)
-        finish = weaver_model.read_program(
-            t,
-            vertices_read=max(1, result.vertices_visited),
-            work_per_vertex=costs.vertex_read_service,
-            shards_involved=num_shards,
-            hops=max(1, result.hops // max(1, result.vertices_visited)),
-        )
-        weaver_lat.record(finish - t)
-        t = finish
+    # One sequential client, as in the paper's setup.
+    weaver_run = _closed_loop(_twin(2, num_shards, costs, edges), 1, [
+        ("prog", library.Reachability(), src, library.params(target=dst))
+        for src, dst in pairs
+    ])
 
     # GraphLab, both engines (functional + cost).
     agree = True
-    lat_async = LatencyRecorder()
-    lat_sync = LatencyRecorder()
+    lat_async = Histogram("graphlab.async.latency")
+    lat_sync = Histogram("graphlab.sync.latency")
     for mode, recorder in (("async", lat_async), ("sync", lat_sync)):
         engine = GraphLab(mode=mode, num_machines=num_machines, costs=costs)
         engine.load(edges)
         t = 0.0
-        for (src, dst), expected in zip(pairs, weaver_answers):
+        for i, (src, dst) in enumerate(pairs):
             reached, finish = engine.reachability(src, dst, t)
-            recorder.record(finish - t)
+            recorder.observe(finish - t)
             t = finish
-            if reached != expected:
+            if reached != bool(weaver_run.results[i].results):
                 agree = False
-    return Fig11Result(weaver_lat, lat_async, lat_sync, agree)
+    return Fig11Result(weaver_run, lat_async, lat_sync, agree)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +465,12 @@ def experiment_fig11(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ScalingResult:
-    rows_data: List[Tuple[int, float]] = field(default_factory=list)
+class ScalingResult(Rows):
+    runs: List[SimClients] = field(default_factory=list)
 
-    def rows(self):
-        return list(self.rows_data)
+    def add(self, servers: int, run: SimClients) -> None:
+        self.rows_data.append((servers, run.throughput))
+        self.runs.append(run)
 
     @property
     def linearity(self) -> float:
@@ -465,20 +494,14 @@ def experiment_fig12(
 
     get_node is vertex-local: shards do almost nothing, so the
     gatekeeper bank is the bottleneck and throughput grows linearly.
+    One vertex serves every read, on twins of 8 shards.
     """
     costs = costs or CostParams()
     result = ScalingResult()
+    stream = [("prog", library.GetNode(), "a", None)] * ops
     for count in gatekeeper_counts:
-        model = WeaverModel(
-            num_gatekeepers=count, num_shards=8, costs=costs
-        )
-        run = ClosedLoop(clients).run(
-            ops,
-            lambda c, i, start: model.read_program(
-                start, vertices_read=1, shards_involved=1
-            ),
-        )
-        result.rows_data.append((count, run.throughput))
+        twin = _twin(count, 8, costs, [("a", "b")])
+        result.add(count, _closed_loop(twin, clients, stream))
     return result
 
 
@@ -492,52 +515,36 @@ def experiment_fig13(
 ) -> ScalingResult:
     """Clustering-coefficient throughput vs shard count (Fig 13).
 
-    The work per query (centre scan plus every neighbour's scan) comes
-    from the actual degree structure of the generated graph, so heavier
-    tails genuinely shift the curve.
+    Each query fans out from a random centre to its neighbours on twins
+    of 6 gatekeepers, so the degree structure of the generated graph
+    sets the work.  Vertex reads cost ten times ``vertex_read_service``
+    (a neighbour's scan is the whole out-edge list); at the default the
+    gatekeeper bank, not the shards, caps the curve.
     """
-    costs = costs or CostParams()
-    adjacency = graphs.adjacency(graphs.twitter_graph(num_vertices, 4, seed))
-    names = list(adjacency)
+    costs = copy.copy(costs or CostParams())
+    costs.vertex_read_service *= 10
+    edges = graphs.twitter_graph(num_vertices, 4, seed)
+    names = graphs.vertices_of(edges)
     rng = random.Random(seed)
-    # Vertex-read units per clustering query at a random centre.
-    work_units = []
-    for _ in range(ops):
-        centre = names[rng.randrange(len(names))]
-        neighbors = adjacency[centre]
-        work_units.append(
-            1 + len(neighbors) + sum(len(adjacency[n]) for n in neighbors)
+    stream = [
+        (
+            "prog",
+            library.ClusteringCoefficient(),
+            names[rng.randrange(len(names))],
+            library.params(phase="center"),
         )
+        for _ in range(ops)
+    ]
     result = ScalingResult()
     for count in shard_counts:
-        model = WeaverModel(
-            num_gatekeepers=6, num_shards=count, costs=costs
-        )
-        run = ClosedLoop(clients).run(
-            ops,
-            lambda c, i, start: model.read_program(
-                start,
-                vertices_read=work_units[i],
-                work_per_vertex=costs.vertex_read_service * 10,
-                shards_involved=count,
-                hops=2,
-            ),
-        )
-        result.rows_data.append((count, run.throughput))
+        twin = _twin(6, count, costs, edges)
+        result.add(count, _closed_loop(twin, clients, stream))
     return result
 
 
 # ---------------------------------------------------------------------------
 # Figure 14: coordination overhead vs announce period tau
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Fig14Result:
-    rows_data: List[Tuple[float, float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
 
 def experiment_fig14(
     taus: Sequence[float] = (
@@ -547,7 +554,7 @@ def experiment_fig14(
     num_txs: int = 2_000,
     arrival_rate: float = 10_000.0,
     seed: int = 3,
-) -> Fig14Result:
+) -> Rows:
     """Announce vs oracle messages per query as τ sweeps (Fig 14).
 
     Fully functional: transactions arrive Poisson at the gatekeeper
@@ -556,7 +563,7 @@ def experiment_fig14(
     are ordered through a real RefinableOrdering — oracle messages are
     whatever the oracle actually had to serve.
     """
-    result = Fig14Result()
+    result = Rows()
     rng = random.Random(seed)
     for tau in taus:
         gatekeepers = [
@@ -664,12 +671,7 @@ def ablation_caching(
 
 
 @dataclass
-class PartitionAblationResult:
-    rows_data: List[Tuple[str, float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
+class PartitionAblationResult(Rows):
     def cut_of(self, name: str) -> float:
         for row_name, cut, _ in self.rows_data:
             if row_name == name:
@@ -765,28 +767,12 @@ def ablation_oracle_cache(
     )
 
 
-@dataclass
-class NopAblationResult:
-    rows_data: List[Tuple[float, float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
-
-@dataclass
-class ContentionResult:
-    rows_data: List[Tuple[float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
-
 def ablation_contention(
     skews: Sequence[float] = (0.0, 0.8, 1.6, 2.4),
     num_vertices: int = 40,
     rounds: int = 60,
     seed: int = 61,
-) -> ContentionResult:
+) -> Rows:
     """A6: OCC abort rate vs write skew.
 
     Interleaved read-modify-write transactions target Zipf-sampled
@@ -796,7 +782,7 @@ def ablation_contention(
     """
     from ..workloads.contention import run_contention
 
-    result = ContentionResult()
+    result = Rows()
     for skew in skews:
         db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=2))
         client = WeaverClient(db)
@@ -811,32 +797,27 @@ def ablation_contention(
     return result
 
 
-@dataclass
-class FreshnessResult:
-    rows_data: List[Tuple[float, float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
-
 def ablation_freshness(
     epoch_intervals: Sequence[float] = (1.0, 5.0, 10.0),
     num_updates: int = 200,
     seed: int = 71,
-) -> FreshnessResult:
+) -> Rows:
     """A7: update-visibility lag, Weaver vs a Kineograph-like system.
 
     Kineograph buffers updates until the epoch turns, so a write becomes
     query-visible only at the next boundary (mean lag = interval / 2);
     Weaver's refinable timestamps make it visible as soon as the commit
-    response returns (a few network hops).  Rows: (epoch interval,
-    Kineograph mean lag, Weaver lag).
+    response returns: one commit's latency on the twin.  Rows: (epoch
+    interval, Kineograph mean lag, Weaver lag).
     """
     from ..baselines.kineograph import Kineograph
 
     rng = random.Random(seed)
-    weaver_lag = WeaverModel().write_tx(0.0)  # commit response time
-    result = FreshnessResult()
+    commit = _closed_loop(
+        _twin(3, 8, CostParams()), 1, [("tx", [ops.CreateVertex("v")])]
+    )
+    weaver_lag = commit.latencies.mean
+    result = Rows()
     for interval in epoch_intervals:
         kg = Kineograph(epoch_interval=interval)
         lags = []
@@ -886,21 +867,13 @@ def ablation_rebalance(
     return RebalanceResult(cut_before, cut_after, total, moves)
 
 
-@dataclass
-class StoreChainResult:
-    rows_data: List[Tuple[int, float, float]] = field(default_factory=list)
-
-    def rows(self):
-        return list(self.rows_data)
-
-
 def ablation_store_chains(
     keys_per_tx: Sequence[int] = (1, 2, 4, 8),
     num_nodes: int = 8,
     replication: int = 2,
     txs_per_point: int = 100,
     seed: int = 81,
-) -> StoreChainResult:
+) -> Rows:
     """A8: linear-transaction chain cost in the distributed store.
 
     Warp-style commits pay one validation+application pass through every
@@ -911,7 +884,7 @@ def ablation_store_chains(
     from ..store.distributed import DistributedStore
 
     rng = random.Random(seed)
-    result = StoreChainResult()
+    result = Rows()
     for k in keys_per_tx:
         store = DistributedStore(num_nodes, replication)
         for _ in range(txs_per_point):
@@ -983,7 +956,7 @@ def ablation_nop_period(
     num_gatekeepers: int = 3,
     num_shards: int = 4,
     seed: int = 53,
-) -> NopAblationResult:
+) -> Rows:
     """A4: NOP period vs node-program delay and heartbeat overhead.
 
     Under light load a node program waits for the next NOP on every
@@ -994,7 +967,7 @@ def ablation_nop_period(
     """
     rng = random.Random(seed)
     net = 100 * USEC
-    result = NopAblationResult()
+    result = Rows()
     for period in periods:
         # Expected wait until the last of G independent uniformly-phased
         # NOP timers fires: period * G/(G+1), estimated by sampling.

@@ -1,164 +1,17 @@
-"""The Weaver cost model: protocol-faithful timing for the figures.
+"""The CoinGraph cost model: block-query timing for Figs 7 and 8.
 
-Weaver's functional implementation (:class:`repro.db.database.Weaver`)
-establishes *what happens* — which operations commit, how many ordering
-decisions escalate to the oracle.  This model charges *how long it
-takes* on a simulated cluster, mirroring the protocol hop by hop:
-
-* a **read (node program)**: client -> gatekeeper (stamp) -> shard(s);
-  vertex-read work is spread across the involved shards; a configurable
-  fraction of operations (measured from the functional run) pays a
-  timeline-oracle round trip; response returns to the client.
-* a **write transaction**: client -> gatekeeper -> backing-store commit
-  (the durable, OCC multi-key commit — the expensive step, spread over
-  ``store_nodes``) -> response; the in-memory shard apply happens off
-  the critical path, exactly as in section 4.2.
-
-Throughput bottlenecks emerge from resource saturation: the gatekeeper
-bank caps stamp throughput (Fig 12), shard capacity caps traversal
-throughput (Fig 13), and the store caps write-heavy mixes (Fig 9b).
+CoinGraph's block queries are dominated by demand paging of Bitcoin
+transaction vertices, which the simulated twin does not model, so these
+two figures keep an analytic model on ``costmodel.Resource`` queues.
+Every other Weaver series is measured on the twin
+(:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from typing import Optional
 
 from .costmodel import CostParams, Resource
-
-
-class WeaverModel:
-    """Timing model of one Weaver deployment."""
-
-    def __init__(
-        self,
-        num_gatekeepers: int = 3,
-        num_shards: int = 8,
-        costs: Optional[CostParams] = None,
-        reactive_fraction: float = 0.0,
-        seed: int = 99,
-    ):
-        if num_gatekeepers < 1 or num_shards < 1:
-            raise ValueError("need at least one gatekeeper and one shard")
-        if not 0.0 <= reactive_fraction <= 1.0:
-            raise ValueError("reactive fraction must be in [0, 1]")
-        self.costs = costs or CostParams()
-        self.gatekeepers = [
-            Resource(f"gk{i}") for i in range(num_gatekeepers)
-        ]
-        self.shards = [Resource(f"shard{i}") for i in range(num_shards)]
-        self.store_nodes = [
-            Resource(f"store{i}") for i in range(self.costs.store_nodes)
-        ]
-        self.oracle = Resource("oracle")
-        self.reactive_fraction = reactive_fraction
-        self._rng = random.Random(seed)
-        self._gk_rr = itertools.count()
-        self._store_rr = itertools.count()
-        self.reads = 0
-        self.writes = 0
-        self.oracle_trips = 0
-
-    # -- routing ---------------------------------------------------------
-
-    def _gatekeeper(self) -> Resource:
-        return self.gatekeepers[
-            next(self._gk_rr) % len(self.gatekeepers)
-        ]
-
-    def _store_node(self) -> Resource:
-        return self.store_nodes[
-            next(self._store_rr) % len(self.store_nodes)
-        ]
-
-    def _maybe_oracle(self, t: float) -> float:
-        if (
-            self.reactive_fraction > 0
-            and self._rng.random() < self.reactive_fraction
-        ):
-            self.oracle_trips += 1
-            t = self.oracle.acquire(
-                t + self.costs.net_latency, self.costs.oracle_service
-            )
-            t += self.costs.net_latency
-        return t
-
-    # -- operations --------------------------------------------------------
-
-    def read_program(
-        self,
-        start: float,
-        vertices_read: int = 1,
-        work_per_vertex: Optional[float] = None,
-        shards_involved: Optional[int] = None,
-        hops: int = 1,
-    ) -> float:
-        """One node program; returns its completion time.
-
-        ``vertices_read`` units of per-vertex work are spread across
-        ``shards_involved`` shard servers (default: all of them, capped
-        at the vertex count); ``hops`` charges inter-shard propagation
-        latency for multi-hop traversals.
-        """
-        c = self.costs
-        self.reads += 1
-        work = (
-            work_per_vertex
-            if work_per_vertex is not None
-            else c.vertex_read_service
-        )
-        t = start + c.net_latency
-        t = self._gatekeeper().acquire(t, c.gatekeeper_service)
-        t += c.net_latency
-        t = self._maybe_oracle(t)
-        involved = shards_involved or min(len(self.shards), vertices_read)
-        involved = max(1, min(involved, len(self.shards)))
-        # Spread the vertex reads over the least-loaded shards; the
-        # program finishes when the slowest involved shard finishes.
-        per_shard = (vertices_read * work) / involved
-        chosen = sorted(self.shards, key=lambda s: s.free_at)[:involved]
-        t = max(shard.acquire(t, per_shard) for shard in chosen)
-        t += max(0, hops - 1) * c.net_latency
-        return t + c.net_latency
-
-    def write_tx(
-        self,
-        start: float,
-        num_ops: int = 1,
-        shards_touched: int = 1,
-    ) -> float:
-        """One read-write transaction; returns its client-visible
-        completion time (the durable store commit, section 4.2)."""
-        c = self.costs
-        self.writes += 1
-        t = start + c.net_latency
-        t = self._gatekeeper().acquire(t, c.gatekeeper_service)
-        t = self._maybe_oracle(t)
-        # Durable OCC commit at the backing store.
-        t = self._store_node().acquire(
-            t + c.net_latency, c.store_commit_service
-        )
-        finish = t + c.net_latency
-        # In-memory shard apply is off the critical path: charge the
-        # shard resources (they do the work) but do not delay the client.
-        for _ in range(max(1, shards_touched)):
-            shard = min(self.shards, key=lambda s: s.free_at)
-            shard.acquire(finish, c.shard_op_service * max(1, num_ops))
-        return finish
-
-    # -- capacity introspection (used by scaling benches) ----------------
-
-    def busiest_utilization(self, horizon: float) -> dict:
-        groups = {
-            "gatekeepers": self.gatekeepers,
-            "shards": self.shards,
-            "store": self.store_nodes,
-        }
-        return {
-            name: max(r.utilization(horizon) for r in resources)
-            for name, resources in groups.items()
-        }
 
 
 class CoinGraphModel:

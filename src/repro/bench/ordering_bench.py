@@ -4,8 +4,8 @@ Builds an oracle-heavy workload — hundreds of events from loosely
 synchronized gatekeeper clocks, with a pair schedule whose concurrent
 fraction is measured, not assumed — and times the same schedule against
 the skyline-indexed :class:`~repro.core.oracle.EventDependencyGraph` and
-the seed-equivalent
-:class:`~repro.core.oracle_reference.ReferenceEventDependencyGraph`.
+the seed-equivalent scan-all search (no longer under ``src/``; the
+caller passes it in, the benchmarks use ``tests/oracle_reference.py``).
 
 ``benchmarks/test_micro_ordering.py`` records the result as
 ``BENCH_ordering.json``; ``benchmarks/test_perf_guard.py`` runs a small
@@ -17,10 +17,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.oracle import TimelineOracle
-from ..core.oracle_reference import reference_oracle
 from ..core.vclock import Ordering, VectorClock, VectorTimestamp
 
 
@@ -79,13 +78,18 @@ def run_schedule(oracle: TimelineOracle, workload: OrderingWorkload) -> float:
 
 
 def compare_fastpath(
+    reference_oracle: Callable[[], TimelineOracle],
     num_events: int = 800,
     num_pairs: int = 2000,
     num_gatekeepers: int = 3,
     observe_probability: float = 0.02,
     seed: int = 7,
 ) -> Dict:
-    """Run the schedule on both implementations and report the speedup."""
+    """Run the schedule on both implementations and report the speedup.
+
+    ``reference_oracle()`` builds the oracle on the seed's scan-all
+    reachability.
+    """
     workload = build_workload(
         num_events=num_events,
         num_pairs=num_pairs,

@@ -418,6 +418,11 @@ def _bench_process_transport(args) -> int:
     return 0 if result["results_equal"] else 1
 
 
+def _ms(histogram, *quantiles):
+    """A latency histogram's quantiles in milliseconds, for a table row."""
+    return [round(histogram.quantile(q) * 1000, 2) for q in quantiles]
+
+
 def _run_figure(harness, figure: str) -> None:
     if figure == "fig7":
         result = harness.experiment_fig7(functional_scale=0.01)
@@ -437,35 +442,31 @@ def _run_figure(harness, figure: str) -> None:
     elif figure == "fig9":
         for fraction, cw, ct in ((0.998, 50, 60), (0.75, 45, 50)):
             run = harness.experiment_fig9(
-                fraction, cw, ct, total_ops=6000,
+                fraction, cw, ct, total_ops=2000,
                 num_vertices=200, functional_ops=200,
             )
             print(format_table(
                 f"Fig 9: throughput at {fraction:.1%} reads",
-                ["system", "tx/s"],
-                [("Weaver", round(run.weaver_throughput)),
-                 ("Titan", round(run.titan_throughput))],
+                ["system", "tx/s", "p50 (ms)", "p99 (ms)"],
+                [("Weaver", round(run.weaver_throughput),
+                  *_ms(run.weaver_latencies, 0.5, 0.99)),
+                 ("Titan", round(run.titan_throughput),
+                  *_ms(run.titan_latencies, 0.5, 0.99))],
             ))
             print(f"speedup: {run.speedup:.1f}x; "
                   f"reactive: {run.reactive_fraction:.5f}")
     elif figure == "fig10":
-        runs = harness.experiment_fig10(total_ops=4000)
+        runs = harness.experiment_fig10(total_ops=400)
         rows = []
         for fraction, run in sorted(runs.items(), reverse=True):
-            rows.append(
-                (
-                    f"Weaver ({fraction:.1%} reads)",
-                    round(run.weaver_latencies.median * 1000, 2),
-                    round(run.weaver_latencies.quantile(99) * 1000, 2),
-                )
-            )
-            rows.append(
-                (
-                    f"Titan ({fraction:.1%} reads)",
-                    round(run.titan_latencies.median * 1000, 2),
-                    round(run.titan_latencies.quantile(99) * 1000, 2),
-                )
-            )
+            for system, latencies in (
+                ("Weaver", run.weaver_latencies),
+                ("Titan", run.titan_latencies),
+            ):
+                rows.append((
+                    f"{system} ({fraction:.1%} reads)",
+                    *_ms(latencies, 0.5, 0.99),
+                ))
         print(format_table(
             "Fig 10: transaction latency",
             ["system (workload)", "p50 (ms)", "p99 (ms)"],
@@ -483,14 +484,15 @@ def _run_figure(harness, figure: str) -> None:
               round(result.graphlab_sync.mean * 1000, 3))],
         ))
     elif figure == "fig12":
-        result = harness.experiment_fig12()
+        result = harness.experiment_fig12(ops=2000)
         print(format_table(
-            "Fig 12: gatekeeper scaling",
-            ["gatekeepers", "tx/s"],
-            [(n, round(t)) for n, t in result.rows()],
+            "Fig 12: gatekeeper scaling (simulated twin)",
+            ["gatekeepers", "tx/s", "completed", "failed"],
+            [(n, round(t), run.completed, run.failed)
+             for (n, t), run in zip(result.rows(), result.runs)],
         ))
     elif figure == "fig13":
-        result = harness.experiment_fig13()
+        result = harness.experiment_fig13(ops=1000)
         print(format_table(
             "Fig 13: shard scaling",
             ["shards", "tx/s"],

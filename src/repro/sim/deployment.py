@@ -39,6 +39,7 @@ shortcut.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -344,9 +345,9 @@ class SimulatedWeaver(WritePath):
             for shard in self.shards:
                 shard.ordering.skew_bound = self.skew_bound
         # Optional service-time accounting: with a CostParams attached,
-        # gatekeepers and shards become serially-busy resources and the
-        # deployment yields protocol-level *performance*, not just
-        # protocol-level behaviour.
+        # gatekeepers, shards and the backing store's nodes become
+        # serially-busy resources and the deployment yields
+        # protocol-level *performance*, not just protocol-level behaviour.
         self.costs = costs
         self._gk_servers = [
             Server(self.simulator, gk.name) for gk in self.gatekeepers
@@ -354,6 +355,11 @@ class SimulatedWeaver(WritePath):
         self._shard_servers = [
             Server(self.simulator, s.name) for s in self.shards
         ]
+        self._store_servers = [
+            Server(self.simulator, f"store{i}")
+            for i in range(costs.store_nodes if costs is not None else 0)
+        ]
+        self._next_store = itertools.count()
         self._crashed: set = set()
         # Delivery callbacks, keyed by stable server *names*: gatekeeper
         # handlers re-fetch by index and a replacement shard registers
@@ -700,16 +706,17 @@ class SimulatedWeaver(WritePath):
     ) -> None:
         gk = self.gatekeepers[gk_index]
         if self.costs is not None and not charged:
-            # Queue for the gatekeeper's service time (stamping + the
-            # backing-store commit round), then run the commit.
+            # Queue for the gatekeeper's service time, then for one node
+            # of the backing store (section 4.2: the store is its own
+            # cluster), then run the commit: the gatekeeper serves its
+            # next request while this one commits.
             done = self._gk_servers[gk_index].occupy(
                 self.costs.gatekeeper_service
-                + self.costs.store_commit_service
             )
             self.simulator.schedule_at(
                 done,
-                self._gatekeeper_commit,
-                gk_index, operations, callback, trace_id, submitted, True,
+                self._store_commit,
+                gk_index, operations, callback, trace_id, submitted,
             )
             return
         if gk.name in self._crashed:
@@ -747,6 +754,17 @@ class SimulatedWeaver(WritePath):
             )
         else:
             self._ack_commit(ts, callback, submitted)
+
+    def _store_commit(self, *request) -> None:
+        """Occupy the store bank's next node, round robin, for one
+        commit; then run it."""
+        store = self._store_servers[
+            next(self._next_store) % len(self._store_servers)
+        ]
+        done = store.occupy(self.costs.store_commit_service)
+        self.simulator.schedule_at(
+            done, self._gatekeeper_commit, *request, True
+        )
 
     def _ack_commit(self, ts, callback, submitted: float) -> None:
         self.latency_tx.observe(self.simulator.now - submitted)

@@ -3,17 +3,18 @@
 Drives a :class:`~repro.sim.deployment.SimulatedWeaver` the way the
 paper's throughput experiments drive the real system: N clients, each
 submitting its next operation the moment the previous one completes.
-Because the deployment (with a cost model attached) charges gatekeeper
-and shard service time, the measured throughput comes from the *actual
-protocol* — stamps, queues, NOPs, oracle calls and all — rather than
-from an analytic model.
+Because the deployment (with a cost model attached) charges gatekeeper,
+store and shard service time, the measured throughput comes from the
+*actual protocol* — stamps, queues, NOPs, oracle calls and all — rather
+than from an analytic model.  This is where the Weaver series of the
+paper's figures are measured (:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..bench.metrics import LatencyRecorder
+from ..obs.metrics import Histogram
 from .deployment import SimulatedWeaver
 
 # An operation descriptor returned by the op factory:
@@ -37,7 +38,11 @@ class SimClients:
         self.num_clients = num_clients
         self._op_factory = op_factory
         self._op_index = 0
-        self.latencies = LatencyRecorder()
+        self.latencies = Histogram("clients.latency")
+        #: What each op's callback delivered, by op index: a program's
+        #: result (None if it died with its gatekeeper), a commit's
+        #: timestamp or abort.
+        self.results: Dict[int, Any] = {}
         self.completed = 0
         self.failed = 0
         self._outstanding = 0
@@ -53,25 +58,26 @@ class SimClients:
             self._issue(client_id)
 
     def _issue(self, client_id: int) -> None:
-        spec = self._op_factory(client_id, self._op_index)
+        index = self._op_index
+        spec = self._op_factory(client_id, index)
         if spec is None:
             return  # this client is done
         self._op_index += 1
         self._outstanding += 1
         submitted = self.deployment.simulator.now
 
-        def done(ok: bool = True, value=None) -> None:
+        def done(ok: bool, value) -> None:
+            self.results[index] = value
             self._complete(client_id, submitted, ok)
 
         if spec[0] == "tx":
             _, operations = spec
-            self.deployment.submit_transaction(
-                list(operations), callback=lambda ok, v: done(ok, v)
-            )
+            self.deployment.submit_transaction(list(operations), callback=done)
         elif spec[0] == "prog":
             _, program, start, params = spec
             self.deployment.submit_program(
-                program, start, params, callback=lambda r: done(True, r)
+                program, start, params,
+                callback=lambda r: done(r is not None, r),
             )
         else:
             raise ValueError(f"unknown op spec {spec[0]!r}")
@@ -79,7 +85,7 @@ class SimClients:
     def _complete(self, client_id: int, submitted: float, ok: bool) -> None:
         now = self.deployment.simulator.now
         self._outstanding -= 1
-        self.latencies.record(now - submitted)
+        self.latencies.observe(now - submitted)
         self._finished_at = max(self._finished_at, now)
         if ok:
             self.completed += 1

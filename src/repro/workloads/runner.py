@@ -3,9 +3,9 @@
 Runs an operation stream against a live :class:`~repro.db.client.
 WeaverClient`, recording per-op success and the protocol statistics the
 figures report (reactive-ordering fraction, abort counts).  Timing for
-the throughput/latency figures comes from the cost models in
-:mod:`repro.bench.models`; this driver establishes the *functional*
-ground truth those models are parameterized with.
+the throughput/latency figures is measured on the simulated twin
+(:mod:`repro.bench.harness`); the only number Fig 9 takes from this
+driver is the reactively-ordered fraction.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ exists for two reasons:
   including across ``remove_event``/``collect_below``;
 * the ordering microbenchmark and perf guard
   (``benchmarks/test_micro_ordering.py``, ``benchmarks/test_perf_guard.py``)
-  use it as the before-side of the before/after measurement.
+  pass it to :func:`repro.bench.ordering_bench.compare_fastpath` as the
+  before-side of the before/after measurement.
 
 Both graphs answer every ``reaches`` query identically; only the work
 they do differs.
@@ -21,8 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Set
 
-from .oracle import EventDependencyGraph, EventId, TimelineOracle
-from .vclock import VectorTimestamp
+from repro.core.oracle import EventDependencyGraph, EventId, TimelineOracle
+from repro.core.vclock import VectorTimestamp
 
 
 class ReferenceEventDependencyGraph(EventDependencyGraph):

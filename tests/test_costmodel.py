@@ -1,4 +1,4 @@
-"""The analytic cost model: resources, locks, closed loops, metrics."""
+"""The analytic cost model: resources, locks, closed loops, reports."""
 
 import pytest
 
@@ -8,8 +8,7 @@ from repro.bench.costmodel import (
     LockTable,
     Resource,
 )
-from repro.bench.metrics import LatencyRecorder, percentile, throughput
-from repro.bench.models import CoinGraphModel, WeaverModel
+from repro.bench.models import CoinGraphModel
 from repro.bench.report import format_series, format_table, ratio_check
 
 
@@ -100,65 +99,6 @@ class TestClosedLoop:
             loop.run(1, lambda c, i, s: s - 1)
 
 
-class TestWeaverModel:
-    def test_read_hits_gatekeeper_and_shard(self):
-        model = WeaverModel(num_gatekeepers=1, num_shards=1)
-        finish = model.read_program(0.0)
-        assert finish > 0
-        assert model.gatekeepers[0].jobs == 1
-        assert model.shards[0].jobs == 1
-
-    def test_write_hits_store(self):
-        model = WeaverModel()
-        model.write_tx(0.0)
-        assert sum(node.jobs for node in model.store_nodes) == 1
-
-    def test_write_latency_dominated_by_store_commit(self):
-        model = WeaverModel()
-        finish = model.write_tx(0.0)
-        assert finish >= model.costs.store_commit_service
-
-    def test_reads_cheaper_than_writes(self):
-        model = WeaverModel()
-        read = model.read_program(0.0)
-        model2 = WeaverModel()
-        write = model2.write_tx(0.0)
-        assert read < write
-
-    def test_reactive_fraction_pays_oracle(self):
-        model = WeaverModel(reactive_fraction=1.0)
-        model.read_program(0.0)
-        assert model.oracle.jobs == 1
-        assert model.oracle_trips == 1
-
-    def test_zero_reactive_never_touches_oracle(self):
-        model = WeaverModel(reactive_fraction=0.0)
-        for _ in range(10):
-            model.read_program(0.0)
-        assert model.oracle.jobs == 0
-
-    def test_gatekeepers_round_robin(self):
-        model = WeaverModel(num_gatekeepers=2)
-        model.read_program(0.0)
-        model.read_program(0.0)
-        assert model.gatekeepers[0].jobs == 1
-        assert model.gatekeepers[1].jobs == 1
-
-    def test_multi_shard_read_parallelizes(self):
-        serial = WeaverModel(num_gatekeepers=1, num_shards=1)
-        parallel = WeaverModel(num_gatekeepers=1, num_shards=8)
-        work = dict(vertices_read=1000, work_per_vertex=1e-5)
-        t_serial = serial.read_program(0.0, shards_involved=1, **work)
-        t_parallel = parallel.read_program(0.0, shards_involved=8, **work)
-        assert t_parallel < t_serial
-
-    def test_invalid_args_rejected(self):
-        with pytest.raises(ValueError):
-            WeaverModel(num_gatekeepers=0)
-        with pytest.raises(ValueError):
-            WeaverModel(reactive_fraction=2.0)
-
-
 class TestCoinGraphModel:
     def test_latency_linear_in_txs(self):
         model = CoinGraphModel()
@@ -172,46 +112,6 @@ class TestCoinGraphModel:
         model.block_query(10, 0.0)
         assert model.shards[0].jobs == 1
         assert model.shards[1].jobs == 1
-
-
-class TestMetrics:
-    def test_percentile_interpolation(self):
-        data = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 4.0
-        assert percentile(data, 50) == pytest.approx(2.5)
-
-    def test_percentile_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_percentile_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 150)
-
-    def test_recorder_summary(self):
-        recorder = LatencyRecorder()
-        recorder.extend([0.1, 0.2, 0.3])
-        summary = recorder.summary()
-        assert summary["count"] == 3
-        assert summary["mean"] == pytest.approx(0.2)
-        assert summary["max"] == pytest.approx(0.3)
-
-    def test_recorder_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder().record(-1)
-
-    def test_cdf_monotone_and_complete(self):
-        recorder = LatencyRecorder()
-        recorder.extend([3.0, 1.0, 2.0])
-        cdf = recorder.cdf(points=3)
-        fractions = [f for _, f in cdf]
-        assert fractions == sorted(fractions)
-        assert cdf[-1][1] == 1.0
-
-    def test_throughput(self):
-        assert throughput(100, 2.0) == 50.0
-        assert throughput(100, 0.0) == 0.0
 
 
 class TestReport:

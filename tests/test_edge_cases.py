@@ -5,7 +5,6 @@ import pytest
 from repro import errors
 from repro.baselines.titan import TitanGraph
 from repro.bench.costmodel import CostParams
-from repro.bench.models import WeaverModel
 from repro.core.vclock import Ordering, VectorTimestamp
 from repro.db import Weaver, WeaverClient, WeaverConfig
 from repro.sim.clock import MSEC, USEC
@@ -73,15 +72,7 @@ class TestNetworkJitter:
             Network(Simulator(), jitter=-1)
 
 
-class TestWeaverModelIntrospection:
-    def test_busiest_utilization_groups(self):
-        model = WeaverModel(num_gatekeepers=2, num_shards=2)
-        model.read_program(0.0)
-        model.write_tx(0.0)
-        util = model.busiest_utilization(horizon=1.0)
-        assert set(util) == {"gatekeepers", "shards", "store"}
-        assert all(0 <= u <= 1 for u in util.values())
-
+class TestCostParams:
     def test_costparams_rtt(self):
         costs = CostParams(net_latency=1 * MSEC)
         assert costs.rtt == pytest.approx(2 * MSEC)

@@ -69,6 +69,45 @@ class TestHistogram:
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0)
 
+    def test_quantile_out_of_range_rejected(self):
+        h = Histogram("lat")
+        h.observe(1.0)
+        # q is a fraction in [0, 1], not a percentile in [0, 100].
+        for q in (-0.1, 1.5, 50):
+            with pytest.raises(ValueError):
+                h.quantile(q)
+
+    def test_quantile_extremes_are_min_and_max(self):
+        h = Histogram("lat")
+        for v in (0.004, 0.001, 0.003, 0.002):
+            h.observe(v)
+        assert h.quantile(0.0) == pytest.approx(0.001)
+        assert h.quantile(1.0) == pytest.approx(0.004)
+
+    def test_empty_quantile_mean_and_cdf(self):
+        h = Histogram("lat")
+        assert h.quantile(0.5) == 0.0
+        assert h.mean == 0.0
+        assert h.cdf() == []
+
+    def test_cdf_points_keeps_the_tail(self):
+        h = Histogram("lat", buckets=[1.0, 2.0, 3.0, 4.0, 5.0])
+        for v in (0.5, 1.5, 2.5, 3.5, 4.5):
+            h.observe(v)
+        curve = h.cdf(points=3)
+        assert len(curve) == 3
+        assert curve[-1] == (4.5, 1.0)
+
+    def test_summary_counts_and_bounds(self):
+        h = Histogram("lat")
+        for v in (0.1, 0.2, 0.3):
+            h.observe(v)
+        s = h.summary()
+        assert s["count"] == 3
+        assert s["sum"] == pytest.approx(0.6)
+        assert s["max"] == pytest.approx(0.3)
+        assert s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
+
     def test_buckets_must_increase(self):
         with pytest.raises(ValueError):
             Histogram("lat", buckets=[2.0, 1.0])

@@ -14,9 +14,10 @@ import random
 import pytest
 
 from repro.core.oracle import TimelineOracle
-from repro.core.oracle_reference import reference_oracle
 from repro.core.ordering import Ordering
 from repro.core.vclock import VectorClock
+
+from .oracle_reference import reference_oracle
 
 
 def _issue_stamps(rng, num_gatekeepers, num_events, max_epoch=2):

@@ -7,17 +7,18 @@ from repro.bench.costmodel import CostParams
 from repro.db import operations as ops
 from repro.db.config import WeaverConfig
 from repro.programs import GetNode
+from repro.programs.library import ClusteringCoefficient, params
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.sim.workload import SimClients, finite_stream
 
 
-def make(gks=2, shards=2, with_costs=True):
+def make(gks=2, shards=2, with_costs=True, store_nodes=4):
     return SimulatedWeaver(
         WeaverConfig(num_gatekeepers=gks, num_shards=shards),
         tau=200 * USEC,
         nop_period=200 * USEC,
-        costs=CostParams() if with_costs else None,
+        costs=CostParams(store_nodes=store_nodes) if with_costs else None,
     )
 
 
@@ -43,7 +44,10 @@ class TestSimClients:
         clients.start()
         clients.run_to_completion()
         assert clients.completed == 12
-        assert len(clients.latencies) == 12
+        assert clients.latencies.count == 12
+        assert all(
+            clients.results[i].value["handle"] == "a" for i in range(12)
+        )
 
     def test_mixed_ops(self):
         sw = make()
@@ -100,25 +104,47 @@ class TestServiceCosts:
         slow.run(100 * MSEC)
         assert box_slow[0] > box_fast[0]
 
-    def test_more_gatekeepers_more_write_throughput(self):
-        """Protocol-level scaling: the gatekeeper bank is the write
-        bottleneck once service time is charged (the Fig 12 mechanism,
-        straight from the protocol)."""
+    def test_store_nodes_set_write_throughput(self):
+        """The durable commit occupies one node of the backing store's
+        bank, not the gatekeeper (section 4.2): one node caps writes at
+        1 / ``store_commit_service``, four lift the cap fourfold."""
 
-        def measure(gks):
-            sw = make(gks=gks, shards=2)
+        def measure(store_nodes):
+            sw = make(store_nodes=store_nodes)
             specs = [
-                ("tx", [ops.CreateVertex(f"v{i}")])
-                for i in range(120)
+                ("tx", [ops.CreateVertex(f"v{i}")]) for i in range(60)
             ]
             clients = SimClients(sw, 16, finite_stream(specs))
             clients.start()
-            clients.run_to_completion(max_sim_seconds=60)
+            clients.run_to_completion()
+            assert clients.completed == 60
             return clients.throughput
 
         one = measure(1)
         four = measure(4)
-        assert four > 2 * one
+        assert one < 1.05 / CostParams().store_commit_service
+        assert four > 3 * one
+
+    def test_reads_do_not_queue_behind_store_commits(self):
+        """A gatekeeper is free once it has stamped: get_node throughput
+        holds while commits queue at the store."""
+
+        def reads_per_second(writers):
+            sw = make()
+            preload(sw, ["a"])
+            if writers:
+                SimClients(sw, writers, finite_stream([
+                    ("tx", [ops.CreateVertex(f"w{i}")]) for i in range(400)
+                ])).start()
+            reads = SimClients(sw, 8, finite_stream(
+                [("prog", GetNode(), "a", None)] * 200
+            ))
+            reads.start()
+            reads.run_to_completion()
+            assert reads.completed == 200
+            return reads.throughput
+
+        assert reads_per_second(16) >= 0.9 * reads_per_second(0)
 
     def test_program_reads_occupy_shards(self):
         sw = make()
@@ -130,3 +156,108 @@ class TestServiceCosts:
         clients.run_to_completion()
         shard = sw.mapping.lookup("a")
         assert sw._shard_servers[shard].jobs >= 6
+
+
+def drive(sw, specs, clients=1):
+    run = SimClients(sw, clients, finite_stream(specs))
+    run.start()
+    run.run_to_completion()
+    assert run.completed == len(specs)
+    return run
+
+
+class TestCostAccounting:
+    """Which server each request occupies on the costed twin, and for
+    how long: the charges the figures' Weaver series are made of."""
+
+    def test_read_hits_gatekeeper_and_shard(self):
+        sw = make(gks=1, shards=1)
+        preload(sw, ["a"])
+        gk, shard = sw._gk_servers[0].jobs, sw._shard_servers[0].jobs
+        drive(sw, [("prog", GetNode(), "a", None)])
+        assert sw._gk_servers[0].jobs == gk + 1
+        assert sw._shard_servers[0].jobs > shard
+
+    def test_read_never_touches_the_store(self):
+        sw = make()
+        preload(sw, ["a"])
+        commits = [s.jobs for s in sw._store_servers]
+        drive(sw, [("prog", GetNode(), "a", None)] * 4)
+        assert [s.jobs for s in sw._store_servers] == commits
+
+    def test_write_hits_store_once(self):
+        sw = make()
+        drive(sw, [("tx", [ops.CreateVertex("a"), ops.CreateVertex("b")])])
+        assert sum(s.jobs for s in sw._store_servers) == 1
+
+    def test_store_commits_round_robin(self):
+        sw = make(store_nodes=4)
+        drive(sw, [
+            ("tx", [ops.CreateVertex(f"v{i}")]) for i in range(8)
+        ], clients=8)
+        assert [s.jobs for s in sw._store_servers] == [2, 2, 2, 2]
+
+    def test_gatekeepers_round_robin(self):
+        sw = make(gks=2)
+        preload(sw, ["a"])
+        before = [s.jobs for s in sw._gk_servers]
+        drive(sw, [("prog", GetNode(), "a", None)] * 2)
+        assert [s.jobs - b for s, b in zip(sw._gk_servers, before)] == [1, 1]
+
+    def test_write_latency_dominated_by_store_commit(self):
+        sw = make()
+        drive(sw, [("tx", [ops.CreateVertex("a")])])
+        assert sw.latency_tx.min >= CostParams().store_commit_service
+
+    def test_reads_cheaper_than_writes(self):
+        sw = make()
+        preload(sw, ["a"])
+        sw.latency_tx.reset()
+        drive(sw, [
+            ("tx", [ops.CreateVertex("b")]), ("prog", GetNode(), "a", None)
+        ])
+        assert sw.latency_program.max < sw.latency_tx.min
+
+    def test_multi_shard_read_parallelizes(self):
+        """A fan-out's vertex reads split across the shards holding the
+        neighbours: the busiest shard does a fraction of one shard's
+        work, and the program finishes sooner."""
+
+        def fan_out(shards):
+            sw = SimulatedWeaver(
+                WeaverConfig(num_gatekeepers=1, num_shards=shards),
+                tau=200 * USEC,
+                nop_period=200 * USEC,
+                costs=CostParams(vertex_read_service=20 * USEC),
+            )
+            leaves = [f"l{i}" for i in range(64)]
+            drive(sw, [
+                ("tx", [ops.CreateVertex(v) for v in ["c"] + leaves]),
+                ("tx", [
+                    ops.CreateEdge(f"e{i}", "c", v)
+                    for i, v in enumerate(leaves)
+                ]),
+            ])
+            before = [s.busy_time for s in sw._shard_servers]
+            run = drive(sw, [(
+                "prog", ClusteringCoefficient(), "c", params(phase="center")
+            )])
+            assert run.results[0].results[0] == ("k", 64)
+            busiest = max(
+                s.busy_time - b for s, b in zip(sw._shard_servers, before)
+            )
+            return busiest, run.latencies.mean
+
+        serial_busy, serial_latency = fan_out(1)
+        parallel_busy, parallel_latency = fan_out(4)
+        assert parallel_busy < serial_busy / 2
+        assert parallel_latency < serial_latency
+
+    def test_nothing_charged_without_costs(self):
+        sw = make(with_costs=False)
+        preload(sw, ["a"])
+        drive(sw, [("prog", GetNode(), "a", None)] * 3)
+        assert sw._store_servers == []
+        assert all(
+            s.jobs == 0 for s in sw._gk_servers + sw._shard_servers
+        )
