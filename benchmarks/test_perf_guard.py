@@ -291,6 +291,97 @@ def test_a_traversal_reply_carries_what_was_emitted_not_per_vertex_state():
     assert len(wire.encode(payload)) == _TRAVERSE_REPLY_BYTES
 
 
+# -- the coordinator's own shard is not a peer ---------------------------
+
+# One ``get_node`` through ``ResidentEngine`` on one in-process shard,
+# ``program_start`` to reply, when the coordinator sent itself
+# ``round_go`` / ``round_report`` envelopes through ``_dispatch`` and
+# merged its one fragment as a gather: 186 call events, 43-50 µs a read
+# (least of 7 x 20,000 reads, 2-vCPU Xeon @ 2.10 GHz, Python 3.11).  By
+# queued call, quiescence by count and the fragment read as it stands:
+# 147 events, 32-38 µs.
+_ONE_VERTEX_READ_CALL_EVENTS = 156
+
+
+def test_a_one_vertex_read_runs_its_round_by_call():
+    """Counts, not clocks: the one-participant read is the general
+    round with nothing to wait for.  An own slice that goes back through
+    ``_dispatch`` / ``_not_ready``, a per-round dict of reports, or a
+    ``collect_result`` dict to itself fails here."""
+    from repro.cluster.messages import ProgramStart, QueuedTransaction
+    from repro.cluster.shard import ShardServer
+    from repro.cluster.worker import ResidentEngine, ShardEndpoint
+    from repro.core.gatekeeper import Gatekeeper
+    from repro.core.oracle import TimelineOracle
+    from repro.db import Weaver, WeaverConfig
+    from repro.db import operations as ops
+    from repro.db.database import WritePath
+    from repro.obs.collect import scalar_fields
+    from repro.programs.library import GetNode
+    from tests.wire_fixtures import order_key
+
+    class StubHost(ResidentEngine):
+        """One shard, no peers: every way out but the reply is unused."""
+
+        def __init__(self):
+            self.replies = []
+            super().__init__(
+                ShardEndpoint(ShardServer(0, 1, TimelineOracle())), 0,
+                {"v": 0}.get,
+            )
+
+        def _reply(self, conn, rid, result=None, error=None):
+            self.replies.append((rid, result, error))
+
+    writes = (ops.CreateVertex("v"), ops.SetVertexProperty("v", "c", "red"))
+    engine = StubHost()
+    gk = Gatekeeper(0, 1)
+    write = QueuedTransaction(gk.issue_timestamp(), writes, seqno=0, tiebreak=0)
+    ts = gk.issue_timestamp()
+    nop = QueuedTransaction(gk.make_nop(), seqno=1, tiebreak=1)
+    engine._dispatch("gk0", {"k": "b", "m": [
+        ("enqueue", (0, write)), ("enqueue", (0, nop)), ("advance_to", ts),
+    ]})
+
+    def start(query_id):
+        return {"k": "r", "id": query_id, "kind": "program_start",
+                "p": ProgramStart(ts, query_id, "get_node",
+                                  (("v", None, order_key(0)),))}
+
+    engine._dispatch("client", start(1))            # warm-up read
+    engine.drain()
+    read = start(2)
+    before = scalar_fields(engine.resident)
+
+    def one_read():
+        engine._dispatch("client", read)
+        engine.drain()
+
+    events = _call_events(one_read)
+    counters = {
+        key: value - before[key]
+        for key, value in scalar_fields(engine.resident).items()
+    }
+    assert events <= _ONE_VERTEX_READ_CALL_EVENTS, events
+    (rid, payload, error), = engine.replies[1:]
+    assert (rid, error) == (2, None)
+    db = Weaver(WeaverConfig(num_shards=1))
+    tx = db.begin_transaction()
+    for op in writes:
+        tx.record(op)
+    tx.commit()
+    expected = db.run_program(GetNode(), "v")
+    got = WritePath._program_result(payload)
+    for field in ("results", "read_set", "vertices_visited", "hops",
+                  "halted", "rounds", "states"):
+        assert getattr(got, field) == getattr(expected, field), field
+    # The twin charges a shard's service from these.
+    assert {key: n for key, n in counters.items() if n} == {
+        "programs_coordinated": 1, "programs_participated": 1,
+        "rounds_executed": 1, "entries_processed": 1, "round_reports": 1,
+    }
+
+
 def test_page_cache_structural_counters():
     """The durable store's page cache must keep its structural wins:
     hot reads are served from memory, a budget smaller than the data

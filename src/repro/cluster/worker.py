@@ -238,7 +238,7 @@ class ResidentStats:
 
     def __init__(self) -> None:
         self.programs_coordinated = 0  # ProgramStart handled here
-        self.programs_participated = 0  # queries this worker executed in
+        self.programs_participated = 0  # queries this worker took part in
         self.rounds_executed = 0       # local round slices run
         self.entries_processed = 0     # frontier entries run locally
         self.forwards_sent = 0         # FrontierForward frames sent
@@ -252,16 +252,13 @@ class ResidentStats:
         self.counter_checks = 0        # peer change-counter validations
         self.peer_reconnects = 0       # worker channels rebuilt
 
-    def reset(self) -> None:
-        self.__init__()
 
 class _ResidentQuery:
     """One in-flight program's state on one participating worker."""
 
     __slots__ = (
         "qid", "program", "ctx", "resolver", "trace_id", "coordinator",
-        "buf", "received", "go", "executed", "entries", "tags", "values",
-        "error",
+        "buf", "received", "go", "entries", "tags", "values", "error",
     )
 
     def __init__(self, qid: int):
@@ -276,8 +273,7 @@ class _ResidentQuery:
         # per round, so one round's keys share a length.
         self.buf: Dict[int, list] = {}
         self.received: Dict[int, int] = {}   # round -> hops from peers
-        self.go: Dict[int, dict] = {}        # round -> round_go payload
-        self.executed: set = set()
+        self.go: Dict[int, dict] = {}        # round -> go not yet run
         # Per-entry log: (pack(round) + key, handle, visible, n_hops) —
         # the evidence halt filtering replays (see _fragment).
         self.entries: List[tuple] = []
@@ -286,32 +282,35 @@ class _ResidentQuery:
         # the global deterministic order the coordinator sorts into.
         self.tags: List[bytes] = []
         self.values: list = []
-        # Why a peer's forward was refused; fails the query's next
-        # round_go (see _maybe_execute).
+        # Why a forward failed; fails its round (see _maybe_execute).
         self.error: Optional[str] = None
 
 
 class _Coordination:
-    """Coordinator-side bookkeeping for one program."""
+    """Coordinator-side bookkeeping for one program: reports fold in as
+    they arrive, so quiescence is ``awaiting`` running empty."""
 
     __slots__ = (
-        "qid", "conn", "rid", "ps", "reports", "participants",
+        "qid", "conn", "rid", "ps", "awaiting", "sent", "halt", "error",
         "processed_total", "involved", "rounds_issued", "cache_key",
         "last_activity", "done",
     )
 
-    def __init__(self, qid: int, conn, rid: int, ps: ProgramStart):
-        self.qid = qid
+    def __init__(self, conn, rid: int, ps: ProgramStart, cache_key):
+        self.qid = ps.query_id
         self.conn = conn
         self.rid = rid
         self.ps = ps
-        self.reports: Dict[int, Dict[int, dict]] = {}
-        self.participants: Dict[int, set] = {}
+        self.cache_key = cache_key
+        self.awaiting: set = set()      # workers yet to report the round
+        # Hops sent per destination, by peers: the next round's expects.
+        self.sent: Dict[int, int] = {}
+        self.halt: Optional[bytes] = None   # minimal halt key so far
+        self.error: Optional[str] = None    # first error reported
         self.processed_total = 0
         self.involved: set = set()
         self.rounds_issued = 0
-        self.cache_key = None
-        self.last_activity = time.monotonic()
+        self.last_activity = 0.0        # set as each round is issued
         self.done = False
 
 
@@ -332,13 +331,19 @@ class ResidentEngine:
     what the engine queued for itself) and supplies the four ways out:
     :meth:`_peer_send`, :meth:`_peer_request`, :meth:`_reply`,
     :meth:`_hold`.  The two hosts are the shard worker's socket loop
-    (:class:`_ResidentEngine`) and :mod:`repro.sim.deployment`.
+    (:class:`_ResidentEngine`) and :mod:`repro.sim.deployment`.  The
+    coordinator is a participant like any other, minus the wire: its
+    own ``round_go`` / ``round_report`` are queued handler calls, and
+    its own fragment is read from its query.
     """
 
     FINISHED_MEMORY = 4096
     #: Seconds (host clock) a program message that outran what makes
     #: this shard ready is held before it fails by name.
     READY_DEADLINE = 5.0
+    #: Seconds (host clock) a coordinated round may go without a report
+    #: before the workers it awaits are pinged; a dead one fails it.
+    STALL_DEADLINE = 5.0
 
     def __init__(self, worker: ShardEndpoint, index: int, owner_of,
                  enable_program_cache: bool = False):
@@ -357,7 +362,11 @@ class ResidentEngine:
         self.queries: Dict[int, _ResidentQuery] = {}
         self.coordinated: Dict[int, _Coordination] = {}
         self.finished: "OrderedDict[int, bool]" = OrderedDict()
+        # (conn, envelope) frames read, (handler, payload) own calls.
         self.pending: deque = deque()
+        self._handlers = {"forward": self._on_forward,
+                          "round_go": self._on_round_go,
+                          "round_report": self._on_round_report}
         self.running = True
         # Change counters feed the shard-side program cache (section
         # 4.6): every applied transaction bumps the vertices it touched.
@@ -393,12 +402,16 @@ class ResidentEngine:
     # -- dispatch -------------------------------------------------------
 
     def drain(self) -> None:
-        """Dispatch what is queued: frames read, self-deliveries."""
+        """Run what is queued: frames read, and this engine's own calls."""
         while self.pending and self.running:
-            conn, envelope = self.pending.popleft()
-            self._dispatch(conn, envelope)
+            head, item = self.pending.popleft()
+            if callable(head):
+                head(item)
+            else:
+                self._dispatch(head, item)
 
     def _dispatch(self, conn, envelope: dict) -> None:
+        """A frame that arrived on ``conn``."""
         kind = envelope.get("k")
         if kind not in ("b", "r"):
             return
@@ -443,17 +456,15 @@ class ResidentEngine:
     ) -> Optional[Tuple[VectorTimestamp, WeaverError]]:
         """(timestamp, named error) when a program message needs this
         shard ready for a timestamp it is not ready for yet:
-        ``program_start`` and a query's first ``round_go`` build its
-        snapshot resolver (a ``forward`` only buffers hops until then),
-        and a ``counters`` check vouches for a cached result as of
-        ``ts``."""
+        ``program_start`` and a peer's first ``round_go`` build the
+        query's snapshot resolver (a ``forward`` only buffers hops until
+        then), and a ``counters`` check vouches for a cached result as
+        of ``ts``."""
         if kind == "round_go":
             qid = payload["q"]
             query = self.queries.get(qid)
-            if (
-                qid in self.coordinated  # program_start already asked
-                or qid in self.finished
-                or (query is not None and query.program is not None)
+            if qid in self.finished or (
+                query is not None and query.program is not None
             ):
                 return None
         elif kind not in ("program_start", "counters"):
@@ -463,14 +474,13 @@ class ResidentEngine:
         return None if error is None else (ts, error)
 
     def _handle_send(self, kind: str, payload) -> None:
-        if kind == "forward":
-            self._on_forward(payload)
-        elif kind == "round_go":
-            self._on_round_go(payload)
-        elif kind == "round_report":
-            self._on_round_report(payload)
-        else:
+        """A program kind's handler fails just its query if it raises;
+        anything else raising ends the host, loudly."""
+        handler = self._handlers.get(kind)
+        if handler is None:
             self.worker.deliver(None, kind, payload)
+        else:
+            handler(payload)
 
     def _handle_request(self, kind: str, payload):
         if kind == "counters":
@@ -492,15 +502,12 @@ class ResidentEngine:
         if self.cache is not None:
             self.cache.clear()
 
-    def _local(self, kind: str, payload) -> None:
-        """Self-delivery: enqueue for the host's next drain instead of
-        calling inline, so deep traversals never recurse through
-        rounds."""
-        self.pending.append((None, {"k": "b", "m": [(kind, payload)]}))
-
     def _deliver(self, dst: int, kind: str, payload) -> None:
+        """To shard ``dst``'s engine.  To this one it is a call of the
+        kind's handler, queued for the host's next drain instead of made
+        inline, so deep traversals never recurse through rounds."""
         if dst == self.index:
-            self._local(kind, payload)
+            self.pending.append((self._handlers[kind], payload))
         else:
             self._peer_send(dst, kind, payload)
 
@@ -512,8 +519,7 @@ class ResidentEngine:
             return None
         query = self.queries.get(qid)
         if query is None:
-            query = _ResidentQuery(qid)
-            self.queries[qid] = query
+            query = self.queries[qid] = _ResidentQuery(qid)
         return query
 
     def _mark_finished(self, qid: int) -> None:
@@ -528,76 +534,98 @@ class ResidentEngine:
         self.resident.forwards_received += 1
         try:
             rows = forward.rows()
-        except ProgramError as exc:
-            query.error = str(exc)
-        else:
             self.resident.hops_received += len(rows)
             query.buf.setdefault(forward.round, []).extend(rows)
             query.received[forward.round] = (
                 query.received.get(forward.round, 0) + len(rows)
             )
-        self._maybe_execute(query, forward.round)
+            self._maybe_execute(query, forward.round)
+        except Exception as exc:  # noqa: BLE001 - this query only
+            # The round fails at its go: here already, or when it comes.
+            query.error = str(exc) if isinstance(exc, ProgramError) else (
+                f"forward failed: {exc!r}"
+            )
+            self._maybe_execute(query, forward.round)
 
     def _on_round_go(self, payload: dict) -> None:
-        query = self._ensure_query(payload["q"])
-        if query is None:
-            return
-        if query.program is None:
-            # The registry is this process's own: a class registered at
-            # the client after the workers forked is unknown here.
-            cls = PROGRAM_REGISTRY.get(payload["program"])
-            if cls is None:
-                self._report_failure(
-                    payload, f"unknown program {payload['program']!r}"
-                )
+        try:
+            query = self._ensure_query(payload["q"])
+            if query is None:
                 return
-            query.program = cls(**(payload["init"] or {}))
-            query.ctx = ProgramContext(payload["q"], payload["ts"])
-            # The one resolver class, over a placement that is always
-            # "here".
-            query.resolver = ShardSnapshotResolver(
-                payload["ts"], lambda handle: 0, [self.worker.shard],
-                stats=self.prog_stats,
-            )
-            query.trace_id = payload.get("trace_id")
-            query.coordinator = payload["coordinator"]
-            self.resident.programs_participated += 1
-        query.go[payload["round"]] = payload
-        self._maybe_execute(query, payload["round"])
+            if query.program is None:
+                error = self._build(
+                    query, payload["program"], payload["init"],
+                    payload["ts"], payload.get("trace_id"),
+                    payload["coordinator"],
+                )
+                if error is not None:
+                    self._report_failure(payload, error)
+                    return
+            query.go[payload["round"]] = payload
+            self._maybe_execute(query, payload["round"])
+        except Exception as exc:  # noqa: BLE001 - this query only
+            self._report_failure(payload, f"round_go failed: {exc!r}")
+
+    def _build(self, query: _ResidentQuery, name: str, init, ts,
+               trace_id, coordinator: int) -> Optional[str]:
+        """Ready ``query`` to run here, once: the program rebuilt from its
+        wire form, a context, a resolver whose placement is all "here";
+        else why not (a class registered after the fork is unknown)."""
+        cls = PROGRAM_REGISTRY.get(name)
+        if cls is None:
+            return f"unknown program {name!r}"
+        try:
+            query.program = cls(**(init or {}))
+        except Exception as exc:  # noqa: BLE001 - refused by name
+            return f"program {name!r} refused its init: {exc!r}"
+        query.ctx = ProgramContext(query.qid, ts)
+        query.resolver = ShardSnapshotResolver(
+            ts, lambda handle: 0, [self.worker.shard], stats=self.prog_stats,
+        )
+        query.trace_id = trace_id
+        query.coordinator = coordinator
+        self.resident.programs_participated += 1
+        return None
 
     def _report_failure(self, go: dict, message: str) -> None:
-        """Answer a ``round_go`` this worker cannot execute."""
-        self._deliver(go["coordinator"], "round_report", {
+        """Answer a ``round_go`` this worker cannot execute; it never
+        will."""
+        if go["q"] in self.queries:
+            self.queries[go["q"]].go.pop(go["round"], None)
+        self._report(go["coordinator"], {
             "q": go["q"], "round": go["round"], "worker": self.index,
             "sent": {}, "halt": None, "processed": 0, "error": message,
         })
 
+    def _report(self, coordinator: int, report: dict) -> None:
+        """A round report; to an unreachable coordinator, none (the
+        client surfaces the failure through its own channel)."""
+        try:
+            self._deliver(coordinator, "round_report", report)
+        except (TransportError, OSError, socket.timeout):
+            pass
+
     def _maybe_execute(self, query: _ResidentQuery, round_no: int) -> None:
-        if round_no in query.executed:
-            return
         go = query.go.get(round_no)
         if go is None or query.program is None:
             return
         if query.error is not None:
-            # A refused forward: its hops will never be counted, so the
+            # A failed forward: its hops will never be counted, so the
             # round fails here instead of waiting for them.
-            query.executed.add(round_no)
             self._report_failure(go, query.error)
-            return
-        if query.received.get(round_no, 0) < go["expect"]:
-            return
-        self._execute_round(query, round_no)
+        elif query.received.get(round_no, 0) >= go["expect"]:
+            del query.go[round_no]
+            query.ctx.visits_left = go["budget"]
+            self._execute_round(query, round_no)
 
     def _execute_round(self, query: _ResidentQuery, round_no: int) -> None:
         """This worker's slice of one round: the one round body plus the
         resident frontier exchange (order-keyed hops partitioned to the
         workers that own them)."""
-        query.executed.add(round_no)
         # Same-length order keys make the per-worker sort reproduce the
         # executor's append order within the round slice.
         frontier = sorted(query.buf.pop(round_no, []), key=itemgetter(2))
         ctx = query.ctx
-        ctx.visits_left = query.go[round_no]["budget"]
         self.resident.rounds_executed += 1
         if query.trace_id is not None:
             self.tracer.emit(
@@ -640,7 +668,7 @@ class ResidentEngine:
         processed = len(entries) - already
         self.resident.entries_processed += processed
         sent: Dict[int, int] = {}
-        if error is None and halt_key is None:
+        if next_by_dst and error is None and halt_key is None:
             try:
                 sent = self._forward(query, round_no + 1, next_by_dst)
             except (
@@ -648,16 +676,11 @@ class ResidentEngine:
             ) as exc:
                 # WireError: hop params the wire refuses to carry.
                 error = f"frontier forward failed: {exc}"
-        try:
-            self._deliver(query.coordinator, "round_report", {
-                "q": query.qid, "round": round_no, "worker": self.index,
-                "sent": sent, "halt": halt_key, "processed": processed,
-                "error": error,
-            })
-        except (TransportError, OSError, socket.timeout):
-            # Coordinator unreachable: nothing to report to.  The client
-            # will surface the failure through its own channel.
-            pass
+        self._report(query.coordinator, {
+            "q": query.qid, "round": round_no, "worker": self.index,
+            "sent": sent, "halt": halt_key, "processed": processed,
+            "error": error,
+        })
 
     def _forward(
         self, query: _ResidentQuery, round_no: int, by_dst: Dict[int, list]
@@ -665,7 +688,9 @@ class ResidentEngine:
         """Hand ``round_no``'s hops to the workers that own them — kept
         here, or one :class:`FrontierForward` per peer; returns the hop
         count per destination."""
+        sent: Dict[int, int] = {}
         for dst, hops_list in by_dst.items():
+            sent[dst] = len(hops_list)
             if dst == self.index:
                 query.buf.setdefault(round_no, []).extend(hops_list)
             else:
@@ -673,8 +698,8 @@ class ResidentEngine:
                     query.qid, round_no, hops_list
                 ))
                 self.resident.forwards_sent += 1
-                self.resident.hops_forwarded += len(hops_list)
-        return {dst: len(hops_list) for dst, hops_list in by_dst.items()}
+                self.resident.hops_forwarded += sent[dst]
+        return sent
 
     def _fragment(
         self, q: int, halt_round: Optional[int], halt_key: Optional[bytes],
@@ -755,11 +780,17 @@ class ResidentEngine:
                     hit["cache_hit"] = True
                     self._reply(conn, rid, result=hit)
                     return
-        coord = _Coordination(ps.query_id, conn, rid, ps)
-        coord.cache_key = cache_key
+        coord = _Coordination(conn, rid, ps, cache_key)
         self.coordinated[ps.query_id] = coord
         if not ps.frontier:
             self._finish(coord, None, None)
+            return
+        query = self._ensure_query(ps.query_id)
+        error = self._build(
+            query, ps.program, ps.init, ps.ts, ps.trace_id, self.index
+        )
+        if error is not None:
+            self._finish_error(coord, error)
             return
         by_dst: Dict[int, list] = {}
         for entry in ps.frontier:
@@ -767,7 +798,7 @@ class ResidentEngine:
             by_dst.setdefault(
                 self.index if dst is None else dst, []
             ).append(entry)
-        sent = self._forward(self._ensure_query(ps.query_id), 0, by_dst)
+        sent = self._forward(query, 0, by_dst)
         coord.involved.update(sent)
         self._issue_round(coord, 0, {
             dst: (0 if dst == self.index else n) for dst, n in sent.items()
@@ -796,13 +827,12 @@ class ResidentEngine:
                 return False
         return True
 
-    def _issue_round(
-        self, coord: _Coordination, round_no: int,
-        expect: Dict[int, int],
-    ) -> None:
+    def _issue_round(self, coord: _Coordination, round_no: int,
+                     expect: Dict[int, int]) -> None:
         """Tell every round participant how many peer hops to await;
         participants with only self-retained work get expect 0."""
-        coord.participants[round_no] = set(expect)
+        coord.awaiting = set(expect)
+        coord.sent = {}
         coord.rounds_issued = round_no + 1
         coord.last_activity = time.monotonic()
         for dst in sorted(expect):
@@ -818,138 +848,112 @@ class ResidentEngine:
             })
 
     def _on_round_report(self, report: dict) -> None:
+        """Fold one report into its round as it arrives; the last one
+        decides: an error, then a halt, then the visit budget, then
+        whether any hop was sent."""
         coord = self.coordinated.get(report["q"])
-        if coord is None or coord.done:
-            return
-        self.resident.round_reports += 1
-        coord.last_activity = time.monotonic()
-        round_no = report["round"]
-        coord.reports.setdefault(round_no, {})[report["worker"]] = report
-        participants = coord.participants.get(round_no)
-        reports = coord.reports.get(round_no, {})
-        if participants is None or not participants <= set(reports):
-            return
-        # Round quiescence: every participant reported.
-        for peer_report in reports.values():
-            coord.involved.update(
-                dst for dst, n in peer_report["sent"].items() if n > 0
-            )
-        errors = [r["error"] for r in reports.values() if r["error"]]
-        if errors:
-            self._finish_error(coord, errors[0])
-            return
-        coord.processed_total += sum(
-            r["processed"] for r in reports.values()
-        )
-        halts = [
-            r["halt"] for r in reports.values() if r["halt"] is not None
-        ]
-        if halts:
-            self._finish(coord, round_no, min(halts))
-            return
-        totals: Dict[int, int] = {}
-        for peer_report in reports.values():
-            for dst, n in peer_report["sent"].items():
-                if n > 0:
-                    totals[dst] = totals.get(dst, 0) + n
-        more = bool(totals)
-        max_visits = coord.ps.max_visits
-        if coord.processed_total > max_visits or (
-            coord.processed_total >= max_visits and more
+        worker, round_no = report["worker"], report["round"]
+        if coord is None or worker not in coord.awaiting or (
+            round_no != coord.rounds_issued - 1
         ):
-            self._finish_error(coord, VISIT_BUDGET_EXHAUSTED)
-            return
-        if not more:
-            self._finish(coord, None, None)
-            return
-        self._issue_round(coord, round_no + 1, {
-            dst: sum(
-                r["sent"].get(dst, 0)
-                for worker_index, r in reports.items()
-                if worker_index != dst
-            )
-            for dst in totals
-        })
+            return  # finished, or a report this round already counted
+        try:
+            self.resident.round_reports += 1
+            coord.awaiting.discard(worker)
+            if report["error"] and coord.error is None:
+                coord.error = report["error"]
+            coord.processed_total += report["processed"]
+            halt = report["halt"]
+            if halt is not None and (coord.halt is None or halt < coord.halt):
+                coord.halt = halt
+            sent = coord.sent
+            for dst, n in report["sent"].items():
+                # Hops a worker kept are not awaited from a peer.
+                sent[dst] = sent.get(dst, 0) + (0 if dst == worker else n)
+            if coord.awaiting:
+                coord.last_activity = time.monotonic()
+                return
+            coord.involved.update(sent)
+            max_visits = coord.ps.max_visits
+            if coord.error is not None:
+                self._finish_error(coord, coord.error)
+            elif coord.halt is not None:
+                self._finish(coord, round_no, coord.halt)
+            elif coord.processed_total > max_visits or (
+                coord.processed_total >= max_visits and sent
+            ):
+                self._finish_error(coord, VISIT_BUDGET_EXHAUSTED)
+            elif sent:
+                self._issue_round(coord, round_no + 1, sent)
+            else:
+                self._finish(coord, None, None)
+        except Exception as exc:  # noqa: BLE001 - this query only
+            if not coord.done:
+                self._finish_error(coord, f"round_report failed: {exc!r}")
 
     def _collect_fragments(
         self, coord: _Coordination, halt_round, halt_key
-    ) -> List[Tuple[int, dict]]:
-        request = {
+    ) -> Tuple[dict, List[Tuple[int, dict]]]:
+        """This worker's fragment, read from its own query, and every
+        other involved worker's, gathered by request."""
+        # Change counters ride only when a cache will read them.
+        counters = coord.cache_key is not None
+        own = self._fragment(coord.qid, halt_round, halt_key, counters)
+        return own, [(dst, self._peer_request(dst, "collect_result", {
             "q": coord.qid, "halt_round": halt_round, "halt_key": halt_key,
-            # Change counters ride only when a cache will read them.
-            "counters": coord.cache_key is not None,
-        }
-        fragments = [(self.index, self._fragment(**request))]
-        for dst in sorted(coord.involved - {self.index}):
-            fragments.append(
-                (dst, self._peer_request(dst, "collect_result", request))
-            )
-        return fragments
+            "counters": counters,
+        })) for dst in sorted(coord.involved - {self.index})]
 
-    def _finish(
-        self, coord: _Coordination, halt_round, halt_key
-    ) -> None:
+    def _finish(self, coord: _Coordination, halt_round, halt_key,
+                error: Optional[str] = None) -> None:
+        """Gather the fragments and reply with the result, or with
+        ``error`` (the gather is then clean-up only)."""
         coord.done = True
         self.coordinated.pop(coord.qid, None)
         try:
-            fragments = self._collect_fragments(coord, halt_round, halt_key)
-        except (TransportError, OSError, socket.timeout) as exc:
-            self._mark_finished(coord.qid)
-            self._reply(
-                coord.conn, coord.rid,
-                result={"error": f"result gather failed: {exc}"},
+            own, gathered = self._collect_fragments(
+                coord, halt_round, halt_key
             )
+        except (TransportError, OSError, socket.timeout) as exc:
+            error = error or f"result gather failed: {exc}"
+        if error is not None:
+            self._reply(coord.conn, coord.rid, result={"error": error})
             return
-        tags: List[bytes] = []
-        values: list = []
-        read: set = set()
-        states: Dict[str, Any] = {}
-        visited = 0
-        hops_total = 0
-        counters: Dict[int, dict] = {}
-        for worker_index, fragment in fragments:
-            tags.extend(fragment["tags"])
-            values.extend(fragment["values"])
-            read.update(fragment["read"])
-            states.update(fragment["states"])
-            visited += fragment["visited"]
-            hops_total += fragment["hops"]
-            counters[worker_index] = fragment["counters"]
-        # A tag's byte order is the (round, key, seq) order; a stable
-        # sort on the tag alone never compares two values.
-        ordered = sorted(zip(tags, values), key=itemgetter(0))
+        # One worker's tags are already in byte order, which is the
+        # (round, key, seq) order — it runs rounds in turn, each sorted —
+        # so a fragment alone is the result as it stands.
+        tags, values, read = own["tags"], own["values"], own["read"]
+        states = own["states"]
+        visited, hops_total = own["visited"], own["hops"]
+        if gathered:
+            read = set(read)
+            for _dst, fragment in gathered:
+                tags.extend(fragment["tags"])
+                values.extend(fragment["values"])
+                read.update(fragment["read"])
+                states.update(fragment["states"])
+                visited += fragment["visited"]
+                hops_total += fragment["hops"]
+            # A stable sort on the tag alone never compares two values.
+            ordered = sorted(zip(tags, values), key=itemgetter(0))
+            values = [value for _tag, value in ordered]
+            read = sorted(read)
         payload = {
-            "query_id": coord.qid,
-            "ts": coord.ps.ts,
-            "results": [value for _tag, value in ordered],
-            "states": states,
-            "vertices_visited": visited,
-            "hops": hops_total,
-            "halted": halt_key is not None,
-            "read_set": sorted(read),
-            "rounds": coord.rounds_issued,
+            "query_id": coord.qid, "ts": coord.ps.ts, "results": values,
+            "states": states, "vertices_visited": visited,
+            "hops": hops_total, "halted": halt_key is not None,
+            "read_set": read, "rounds": coord.rounds_issued,
         }
         self.prog_stats.executions += 1
         if coord.cache_key is not None:
-            remote_fragments = {
-                w: c for w, c in counters.items() if w != self.index
-            }
-            self.cache.put(
-                coord.cache_key, (payload, remote_fragments),
-                counters.get(self.index, {}),
-            )
+            self.cache.put(coord.cache_key, (payload, {
+                dst: fragment["counters"] for dst, fragment in gathered
+            }), own["counters"])
         self._reply(coord.conn, coord.rid, result=payload)
 
     def _finish_error(self, coord: _Coordination, message: str) -> None:
-        coord.done = True
-        self.coordinated.pop(coord.qid, None)
-        try:
-            # Cleanup only: pack(0) + b"" sorts before every entry.
-            self._collect_fragments(coord, 0, b"")
-        except (TransportError, OSError, socket.timeout):
-            pass
-        self._mark_finished(coord.qid)
-        self._reply(coord.conn, coord.rid, result={"error": message})
+        # Halting at pack(0) + b"", which sorts before every entry.
+        self._finish(coord, 0, b"", message)
 
 
 class _CoopSocket:
@@ -1022,6 +1026,7 @@ class _ResidentEngine(ResidentEngine):
         super().__init__(
             worker, index, self.placement.get, enable_program_cache
         )
+        self._handlers["placement"] = self.placement.update
         self.client = client_sock
         self.listener = peer_listener
         self.peer_paths = dict(peer_paths or {})
@@ -1118,11 +1123,9 @@ class _ResidentEngine(ResidentEngine):
         dead peer turns a silent stall into a prompt client error."""
         now = time.monotonic()
         for coord in list(self.coordinated.values()):
-            if coord.done or now - coord.last_activity < 5.0:
+            if coord.done or now - coord.last_activity < self.STALL_DEADLINE:
                 continue
-            awaited = coord.participants.get(coord.rounds_issued - 1, set())
-            reported = set(coord.reports.get(coord.rounds_issued - 1, {}))
-            for dst in sorted(awaited - reported - {self.index}):
+            for dst in sorted(coord.awaiting - {self.index}):
                 try:
                     self._peer_request(dst, "ping", None)
                 except (TransportError, OSError, socket.timeout):
@@ -1151,9 +1154,12 @@ class _ResidentEngine(ResidentEngine):
         deadline = envelope.setdefault("until", now + self.READY_DEADLINE)
         if now >= deadline:
             return False
-        if all("until" in queued for _conn, queued in self.pending):
-            # Nothing but held messages is queued, so nothing queued
-            # can make the shard ready: wait for the client's bytes.
+        if all(
+            not callable(head) and "until" in item
+            for head, item in self.pending
+        ):
+            # Nothing but held frames is queued, so nothing queued can
+            # make the shard ready: wait for the client's bytes.
             if select.select([self.client], [], [], deadline - now)[0]:
                 self._pump(self.client)
         self.pending.append((conn, envelope))
@@ -1234,12 +1240,6 @@ class _ResidentEngine(ResidentEngine):
         self.tracer.events.extend(tuple(event) for event in events)
 
     # -- this host's own message kinds ----------------------------------
-
-    def _handle_send(self, kind: str, payload) -> None:
-        if kind == "placement":
-            self.placement.update(payload)
-        else:
-            super()._handle_send(kind, payload)
 
     def _handle_request(self, kind: str, payload):
         if kind == "stats":
