@@ -1,15 +1,17 @@
 """Batched scatter-gather traversal microbenchmark (ISSUE: batched
 scatter-gather node programs with per-shard snapshot reuse).
 
-Runs the same multi-shard BFS through the round-based executor (one
-long-lived snapshot view per (query, shard), same-round hop dedup,
+Runs the same multi-shard BFS through the round-based executor (the
+shard's shared snapshot view of the stamp, same-round hop dedup,
 per-shard batch messages) and through the seed per-vertex resolver (one
 fresh snapshot view — and cold comparison memo — per resolution),
-asserts the ≥ 3x speedup acceptance bar, and records the result as
-``BENCH_programs.json`` at the repo root.
+asserts the ≥ 3x speedup acceptance bar, and records the result, with
+the ``cpu_count`` it was measured on, as ``BENCH_programs.json`` at the
+repo root.
 """
 
 import json
+import os
 import pathlib
 
 from repro.bench.programs_bench import compare_traversal
@@ -31,7 +33,8 @@ def test_batched_traversal_speedup(show):
         if best["speedup"] >= 3.0:
             break
     (REPO_ROOT / "BENCH_programs.json").write_text(
-        json.dumps(best, indent=2) + "\n"
+        json.dumps({"cpu_count": os.cpu_count() or 1, **best}, indent=2)
+        + "\n"
     )
     batched = best["batched_counters"]
     seeded = best["seed_counters"]

@@ -291,6 +291,63 @@ def test_a_traversal_reply_carries_what_was_emitted_not_per_vertex_state():
     assert len(wire.encode(payload)) == _TRAVERSE_REPLY_BYTES
 
 
+def _one_shard_engine(writes):
+    """A ``ResidentEngine`` on one in-process shard with no peers, every
+    way out but the reply unused, that has applied ``writes``; and a
+    stamp it is ready for, so ``start`` frames run as they arrive."""
+    from repro.cluster.messages import ProgramStart, QueuedTransaction
+    from repro.cluster.shard import ShardServer
+    from repro.cluster.worker import ResidentEngine, ShardEndpoint
+    from repro.core.gatekeeper import Gatekeeper
+    from repro.core.oracle import TimelineOracle
+    from tests.wire_fixtures import order_key
+
+    class StubHost(ResidentEngine):
+        def __init__(self):
+            self.replies = []
+            super().__init__(
+                ShardEndpoint(ShardServer(0, 1, TimelineOracle())), 0,
+                lambda handle: 0,
+            )
+
+        def _reply(self, conn, rid, result=None, error=None):
+            self.replies.append((rid, result, error))
+
+        def start(self, query_id, program, handle, start_params=None):
+            return {"k": "r", "id": query_id, "kind": "program_start",
+                    "p": ProgramStart(self.ts, query_id, program, (
+                        (handle, start_params, order_key(0)),
+                    ))}
+
+    engine = StubHost()
+    gk = Gatekeeper(0, 1)
+    write = QueuedTransaction(gk.issue_timestamp(), writes, seqno=0, tiebreak=0)
+    engine.ts = gk.issue_timestamp()
+    nop = QueuedTransaction(gk.make_nop(), seqno=1, tiebreak=1)
+    engine._dispatch("gk0", {"k": "b", "m": [
+        ("enqueue", (0, write)), ("enqueue", (0, nop)),
+        ("advance_to", engine.ts),
+    ]})
+    return engine
+
+
+def _matches_weaver(payload, writes, program, handle, start_params=None):
+    """The engine's reply equals ``Weaver.run_program``'s result."""
+    from repro.db import Weaver, WeaverConfig
+    from repro.db.database import WritePath
+
+    db = Weaver(WeaverConfig(num_shards=1))
+    tx = db.begin_transaction()
+    for op in writes:
+        tx.record(op)
+    tx.commit()
+    expected = db.run_program(program, handle, start_params)
+    got = WritePath._program_result(payload)
+    for field in ("results", "read_set", "vertices_visited", "hops",
+                  "halted", "rounds", "states"):
+        assert getattr(got, field) == getattr(expected, field), field
+
+
 # -- the coordinator's own shard is not a peer ---------------------------
 
 # One ``get_node`` through ``ResidentEngine`` on one in-process shard,
@@ -299,7 +356,7 @@ def test_a_traversal_reply_carries_what_was_emitted_not_per_vertex_state():
 # merged its one fragment as a gather: 186 call events, 43-50 µs a read
 # (least of 7 x 20,000 reads, 2-vCPU Xeon @ 2.10 GHz, Python 3.11).  By
 # queued call, quiescence by count and the fragment read as it stands:
-# 147 events, 32-38 µs.
+# 147 events, 32-38 µs; with the shared view and the one-pass round, 129.
 _ONE_VERTEX_READ_CALL_EVENTS = 156
 
 
@@ -308,49 +365,15 @@ def test_a_one_vertex_read_runs_its_round_by_call():
     round with nothing to wait for.  An own slice that goes back through
     ``_dispatch`` / ``_not_ready``, a per-round dict of reports, or a
     ``collect_result`` dict to itself fails here."""
-    from repro.cluster.messages import ProgramStart, QueuedTransaction
-    from repro.cluster.shard import ShardServer
-    from repro.cluster.worker import ResidentEngine, ShardEndpoint
-    from repro.core.gatekeeper import Gatekeeper
-    from repro.core.oracle import TimelineOracle
-    from repro.db import Weaver, WeaverConfig
     from repro.db import operations as ops
-    from repro.db.database import WritePath
     from repro.obs.collect import scalar_fields
     from repro.programs.library import GetNode
-    from tests.wire_fixtures import order_key
-
-    class StubHost(ResidentEngine):
-        """One shard, no peers: every way out but the reply is unused."""
-
-        def __init__(self):
-            self.replies = []
-            super().__init__(
-                ShardEndpoint(ShardServer(0, 1, TimelineOracle())), 0,
-                {"v": 0}.get,
-            )
-
-        def _reply(self, conn, rid, result=None, error=None):
-            self.replies.append((rid, result, error))
 
     writes = (ops.CreateVertex("v"), ops.SetVertexProperty("v", "c", "red"))
-    engine = StubHost()
-    gk = Gatekeeper(0, 1)
-    write = QueuedTransaction(gk.issue_timestamp(), writes, seqno=0, tiebreak=0)
-    ts = gk.issue_timestamp()
-    nop = QueuedTransaction(gk.make_nop(), seqno=1, tiebreak=1)
-    engine._dispatch("gk0", {"k": "b", "m": [
-        ("enqueue", (0, write)), ("enqueue", (0, nop)), ("advance_to", ts),
-    ]})
-
-    def start(query_id):
-        return {"k": "r", "id": query_id, "kind": "program_start",
-                "p": ProgramStart(ts, query_id, "get_node",
-                                  (("v", None, order_key(0)),))}
-
-    engine._dispatch("client", start(1))            # warm-up read
+    engine = _one_shard_engine(writes)
+    engine._dispatch("client", engine.start(1, "get_node", "v"))  # warm-up
     engine.drain()
-    read = start(2)
+    read = engine.start(2, "get_node", "v")
     before = scalar_fields(engine.resident)
 
     def one_read():
@@ -365,21 +388,75 @@ def test_a_one_vertex_read_runs_its_round_by_call():
     assert events <= _ONE_VERTEX_READ_CALL_EVENTS, events
     (rid, payload, error), = engine.replies[1:]
     assert (rid, error) == (2, None)
-    db = Weaver(WeaverConfig(num_shards=1))
-    tx = db.begin_transaction()
-    for op in writes:
-        tx.record(op)
-    tx.commit()
-    expected = db.run_program(GetNode(), "v")
-    got = WritePath._program_result(payload)
-    for field in ("results", "read_set", "vertices_visited", "hops",
-                  "halted", "rounds", "states"):
-        assert getattr(got, field) == getattr(expected, field), field
+    _matches_weaver(payload, writes, GetNode(), "v")
     # The twin charges a shard's service from these.
     assert {key: n for key, n in counters.items() if n} == {
         "programs_coordinated": 1, "programs_participated": 1,
         "rounds_executed": 1, "entries_processed": 1, "round_reports": 1,
     }
+
+
+# -- a snapshot belongs to the shard and its stamp -----------------------
+
+# A depth-2 ``Bfs`` through a one-shard ``ResidentEngine`` at a stamp it
+# has already read at, over 400 vertices of out-degree 6 (seed 7): 43
+# entries.  When every query built its own view, memo included, and ran
+# each entry through a helper, it made 2,541 call events, 59.1 per entry;
+# with the shared view and the one-pass round, 1,858 (43.2).
+_PARENT_BFS_EVENTS_PER_ENTRY = 2541 / 43
+
+
+def test_a_traversal_at_a_served_stamp_reads_the_shared_view():
+    """Counts, not clocks: a second read at one stamp builds no view,
+    makes no ordering compare beyond the readiness check of the shard's
+    queue head, and runs each entry in one pass.  A view per query, a
+    per-entry helper call, or a key level checked per hop fails here."""
+    import random
+
+    from repro.db import operations as ops
+    from repro.obs.collect import scalar_fields
+
+    rng = random.Random(7)
+    writes = [ops.CreateVertex(f"v{i}") for i in range(400)]
+    for i in range(400):
+        for j, dst in enumerate(rng.sample(range(400), 6)):
+            writes.append(ops.CreateEdge(f"e{i}.{j}", f"v{i}", f"v{dst}"))
+    engine = _one_shard_engine(tuple(writes))
+    shard = engine.worker.shard
+    start_params = params(depth=0, max_depth=2)
+    engine._dispatch("client", engine.start(1, "bfs", "v0", start_params))
+    engine.drain()                                      # warm-up
+    built = []
+    build = shard.graph.at
+
+    def at(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    shard.graph.at = at
+    stats = shard.ordering.stats
+    compares = stats.total
+    assert shard.not_ready(engine.ts) is None
+    readiness = stats.total - compares
+    read = engine.start(2, "bfs", "v0", start_params)
+    before = scalar_fields(engine.resident)["entries_processed"]
+    compares = stats.total
+
+    def one_read():
+        engine._dispatch("client", read)
+        engine.drain()
+
+    events = _call_events(one_read)
+    entries = scalar_fields(engine.resident)["entries_processed"] - before
+    (rid, payload, error), = engine.replies[1:]
+    assert (rid, error) == (2, None)
+    assert entries == 43
+    assert built == []
+    assert stats.total - compares == readiness == 1
+    assert events / entries <= 0.8 * _PARENT_BFS_EVENTS_PER_ENTRY, (
+        events / entries
+    )
+    _matches_weaver(payload, tuple(writes), Bfs(), "v0", start_params)
 
 
 def test_page_cache_structural_counters():
@@ -441,9 +518,11 @@ def test_readiness_fastpath_skips_second_storm():
 # -- reads ride the ready stamp ------------------------------------------
 
 # Ordering compares one reused single-vertex read makes on 4 gatekeepers
-# and 2 shards: each shard's ``ready_for`` looks at its 4 queue heads and
-# the snapshot orders 2 more — 10, against 47 for a read that storms.
-_REUSED_READ_COMPARES = 10
+# and 2 shards: each shard's ``ready_for`` looks at its 4 queue heads — 8,
+# against 47 for a read that storms.  The snapshot orders none: the
+# shard's view of the stamp decided them on the first read (when every
+# read built its own view, it ordered 2 more: 10).
+_REUSED_READ_COMPARES = 8
 
 
 def _four_by_two():

@@ -5,9 +5,9 @@ runs the same BFS node program two ways at the same checkpoint:
 
 * **batched** — the round-based executor with a
   :class:`~repro.programs.routing.ShardSnapshotResolver`, which resolves
-  each round's frontier per owning shard against one long-lived snapshot
-  view per (query, shard), so the per-snapshot comparison memo persists
-  across the whole traversal and same-round duplicate hops are deduped;
+  each round's frontier per owning shard against the shard's shared
+  view of the stamp, so its comparison memo persists across the
+  traversal (and the repeats) and same-round duplicate hops are deduped;
 * **seed** — what programs ran on before rounds: the per-vertex loop
   (no longer under ``src/``; the caller passes it in, the benchmarks use
   ``tests/reference_executor.py``) over the per-vertex closure both

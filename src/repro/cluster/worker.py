@@ -55,8 +55,8 @@ from ..programs.framework import (
 from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import ProgramContext
-from . import wire
-from .messages import FrontierForward, ProgramStart, pack_level
+from . import messages, wire
+from .messages import FrontierForward, ProgramStart
 from .shard import ShardServer
 from .transport import REPLY_DEADLINE, ProcessTransport, TransportError
 
@@ -417,11 +417,11 @@ class ResidentEngine:
             return
         # One-way messages first: a request frame carries the ones that
         # were buffered on its channel, FIFO ahead of the request.
-        messages = envelope.pop("m", None) or ()
-        for position, (msg_kind, payload) in enumerate(messages):
+        one_way = envelope.pop("m", None) or ()
+        for position, (msg_kind, payload) in enumerate(one_way):
             waiting = self._not_ready(msg_kind, payload)
             if waiting is not None:
-                envelope["m"] = messages[position:]
+                envelope["m"] = one_way[position:]
                 if self._hold(conn, envelope, waiting[0]):
                     return
                 # round_go is the only one-way kind that waits.
@@ -635,28 +635,38 @@ class ResidentEngine:
             )
         next_by_dst: Dict[int, list] = {}
         entries, tags, values = query.entries, query.tags, query.values
-        already = len(entries)
+        results = ctx.results
+        already, tagged = len(entries), len(values)
         owner_of, here = self.owner_of, self.index
+        pack = messages._LEVEL.pack
 
         def deliver(entry, node, hops) -> None:
+            nonlocal tagged
             handle, _params, key = entry
             tag = round_tag + key
-            # Every result so far is tagged, so the untagged tail is
-            # what this entry emitted.
-            for seq, value in enumerate(ctx.results[len(values):]):
-                tags.append(tag + pack_level(seq, "results from one vertex"))
-                values.append(value)
-            entries.append((tag, handle, node is not None, len(hops)))
+            # Every result before ``tagged`` is tagged, so the tail is
+            # what this entry emitted.  pack_level's bound is checked
+            # once per entry, through the module so a test can lower it.
+            emitted, n_hops = len(results) - tagged, len(hops)
+            limit = messages.LEVEL_LIMIT
+            if emitted > limit or n_hops > limit:
+                what = "hops" if n_hops > limit else "results"
+                raise ProgramError(f"more than 2**32 {what} from one vertex")
+            if emitted:
+                for seq in range(emitted):
+                    tags.append(tag + pack(seq))
+                values.extend(results[tagged:])
+                tagged += emitted
+            entries.append((tag, handle, node is not None, n_hops))
             for i, (next_handle, next_params) in enumerate(hops):
                 dst = owner_of(next_handle)
-                next_key = key + pack_level(i, "hops from one vertex")
                 next_by_dst.setdefault(
                     here if dst is None else dst, []
-                ).append((next_handle, next_params, next_key))
+                ).append((next_handle, next_params, key + pack(i)))
 
         halt_key = error = None
         try:
-            round_tag = pack_level(round_no, "rounds")
+            round_tag = messages.pack_level(round_no, "rounds")
             halted_at = run_round(
                 query.program, frontier, query.resolver.resolve_many,
                 ctx, self.prog_stats, deliver,
@@ -731,7 +741,7 @@ class ResidentEngine:
             }
         entries, tags, values = query.entries, query.tags, query.values
         if halt_round is not None:
-            halt = pack_level(halt_round, "rounds") + halt_key
+            halt = messages.pack_level(halt_round, "rounds") + halt_key
             entries = [entry for entry in entries if entry[0] <= halt]
             kept = [i for i, tag in enumerate(tags) if tag[:-4] <= halt]
             tags = [tags[i] for i in kept]
@@ -1078,25 +1088,34 @@ class _ResidentEngine(ResidentEngine):
             return
         except OSError:
             chunk = b""
-        if not chunk:
-            if conn is self.client:
-                self.running = False
-                return
-            try:
-                self.sel.unregister(conn)
-            except (KeyError, ValueError):
-                pass
-            self.buffers.pop(conn, None)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            return
         buffer = self.buffers.get(conn)
-        if buffer is None:
+        if chunk and buffer is not None:
+            try:
+                for frame in buffer.feed(chunk):
+                    self.pending.append((conn, wire.decode(frame)))
+                return
+            except wire.WireError:
+                if conn is self.client:
+                    # What makes this shard ready, and every reply, ride
+                    # the client's stream: the worker ends, and the
+                    # client's read fails naming this shard.
+                    self.running = False
+                    raise
+                # A peer's stream is unreadable from here on: drop that
+                # connection only.  Hops it carried starve their round's
+                # go, which _check_stalled fails by name.
+        if conn is self.client:
+            self.running = False
             return
-        for frame in buffer.feed(chunk):
-            self.pending.append((conn, wire.decode(frame)))
+        try:
+            self.sel.unregister(conn)
+        except (KeyError, ValueError):
+            pass
+        self.buffers.pop(conn, None)
+        try:
+            conn.close()
+        except OSError:
+            pass
 
     def _coop_wait(self, sock, writable: bool, deadline: float) -> None:
         """Wait for ``sock`` while pumping inbound connections (buffer
@@ -1120,8 +1139,18 @@ class _ResidentEngine(ResidentEngine):
 
     def _check_stalled(self) -> None:
         """Probe reporters a coordinated query is still waiting on; a
-        dead peer turns a silent stall into a prompt client error."""
+        dead peer turns a silent stall into a prompt client error.  And
+        fail a round whose go has waited ``STALL_DEADLINE`` for hops:
+        peers send a round's hops before they report the round before
+        it, so they are not late but lost (a dropped peer frame)."""
         now = time.monotonic()
+        for query in list(self.queries.values()):
+            for go in list(query.go.values()):
+                since = go.setdefault("starved_since", now)
+                if now - since >= self.STALL_DEADLINE:
+                    self._report_failure(
+                        go, f"round {go['round']}: hops never arrived"
+                    )
         for coord in list(self.coordinated.values()):
             if coord.done or now - coord.last_activity < self.STALL_DEADLINE:
                 continue

@@ -29,6 +29,9 @@ class MultiVersionGraph:
         # snapshots between its creation and deletion still see it.
         self._archive: Dict[str, List[Vertex]] = {}
         self._cmp = cmp
+        #: Bumped by every mutation below, whoever calls it: a view built
+        #: at one generation answers for the graph while it stands.
+        self.generation = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -60,7 +63,7 @@ class MultiVersionGraph:
         cmp: Optional[Comparator] = None,
     ) -> Optional[Vertex]:
         """The incarnation of ``handle`` visible at ``ts``, if any."""
-        cmp = cmp or self._cmp
+        cmp = self._cmp if cmp is None else cmp
         current = self._vertices.get(handle)
         if current is not None and current.visible_at(ts, cmp):
             return current
@@ -75,6 +78,7 @@ class MultiVersionGraph:
     # -- mutations (each stamped with the writer's timestamp) ---------------
 
     def create_vertex(self, handle: str, ts: VectorTimestamp) -> Vertex:
+        self.generation += 1
         existing = self._vertices.get(handle)
         if existing is not None:
             if not existing.span.is_deleted:
@@ -86,6 +90,7 @@ class MultiVersionGraph:
         return vertex
 
     def delete_vertex(self, handle: str, ts: VectorTimestamp) -> None:
+        self.generation += 1
         vertex = self._live_vertex(handle)
         for edge in vertex.edges.values():
             if not edge.span.is_deleted:
@@ -95,33 +100,39 @@ class MultiVersionGraph:
     def create_edge(
         self, handle: str, src: str, dst: str, ts: VectorTimestamp
     ) -> Edge:
+        self.generation += 1
         vertex = self._live_vertex(src)
         edge = Edge(handle, src, dst, ts)
         vertex.add_edge(edge)
         return edge
 
     def delete_edge(self, src: str, handle: str, ts: VectorTimestamp) -> None:
+        self.generation += 1
         edge = self._live_edge(src, handle)
         edge.span.delete(ts)
 
     def set_vertex_property(
         self, handle: str, key: str, value: Any, ts: VectorTimestamp
     ) -> None:
+        self.generation += 1
         self._live_vertex(handle).properties.assign(key, value, ts)
 
     def delete_vertex_property(
         self, handle: str, key: str, ts: VectorTimestamp
     ) -> bool:
+        self.generation += 1
         return self._live_vertex(handle).properties.remove(key, ts)
 
     def set_edge_property(
         self, src: str, handle: str, key: str, value: Any, ts: VectorTimestamp
     ) -> None:
+        self.generation += 1
         self._live_edge(src, handle).properties.assign(key, value, ts)
 
     def delete_edge_property(
         self, src: str, handle: str, key: str, ts: VectorTimestamp
     ) -> bool:
+        self.generation += 1
         return self._live_edge(src, handle).properties.remove(key, ts)
 
     # -- reads ----------------------------------------------------------
@@ -137,7 +148,9 @@ class MultiVersionGraph:
         ``memo_stats`` (an ``OrderingStats``-like object) receives the
         view's snapshot-memo hit counts, if given.
         """
-        return SnapshotView(self, ts, cmp or self._cmp, memo_stats)
+        return SnapshotView(
+            self, ts, self._cmp if cmp is None else cmp, memo_stats
+        )
 
     def release_vertex(self, handle: str):
         """Detach a vertex record (with its archived incarnations) for
@@ -147,6 +160,7 @@ class MultiVersionGraph:
         Returns ``(vertex, archived_incarnations)``; raises if the
         handle is unknown.
         """
+        self.generation += 1
         vertex = self._vertices.pop(handle, None)
         if vertex is None:
             raise NoSuchVertex(handle)
@@ -154,6 +168,7 @@ class MultiVersionGraph:
 
     def adopt_vertex(self, vertex: Vertex, archived=None) -> None:
         """Install a migrated vertex record (see :meth:`release_vertex`)."""
+        self.generation += 1
         if vertex.handle in self._vertices:
             raise ValueError(f"vertex {vertex.handle!r} already here")
         self._vertices[vertex.handle] = vertex
@@ -168,6 +183,7 @@ class MultiVersionGraph:
         paged back in on access.  Returns the number of versioned
         records released.
         """
+        self.generation += 1
         vertex = self._vertices.pop(handle, None)
         released = vertex.version_count() if vertex is not None else 0
         for old in self._archive.pop(handle, ()):
@@ -180,6 +196,7 @@ class MultiVersionGraph:
         """Drop tombstoned state invisible to every query at or after the
         watermark (the oldest ongoing node program).  Returns the number of
         records reclaimed."""
+        self.generation += 1
         reclaimed = 0
         for handle in list(self._archive):
             incarnations = self._archive[handle]
@@ -231,8 +248,12 @@ class MultiVersionGraph:
         return edge
 
 
+_UNSEEN = object()
+
+
 class EdgeView:
-    """A read-only edge as seen by a snapshot (what node programs get)."""
+    """A read-only edge as seen by a snapshot (what node programs get);
+    immutable, so one instance serves every reader of the view."""
 
     __slots__ = ("_edge", "_ts", "_cmp")
 
@@ -270,77 +291,58 @@ class EdgeView:
 
 
 class VertexView:
-    """A read-only vertex as seen by a snapshot."""
+    """A read-only vertex as one query sees it: the shared view's record
+    plus this query's ``prog_state`` (installed by the round body).  It
+    is built per query and never cached by the shared view, so no
+    query's state outlives the query."""
 
-    __slots__ = ("_vertex", "_ts", "_cmp", "_edges", "prog_state")
+    __slots__ = ("handle", "_vertex", "_view", "prog_state")
 
-    def __init__(self, vertex: Vertex, ts: VectorTimestamp, cmp: Comparator):
+    def __init__(self, vertex: Vertex, view: "SnapshotView"):
+        self.handle = vertex.handle
         self._vertex = vertex
-        self._ts = ts
-        self._cmp = cmp
-        # Visible-edge cache: the view is bound to one timestamp, so the
-        # edges_at scan is the same every time — neighbors/out_degree share
-        # one pass.  Safe within a query: programs read a fixed snapshot.
-        self._edges: Optional[tuple] = None
-        # Per-query mutable state, installed by the node-program executor.
+        self._view = view
         self.prog_state: Any = None
-
-    @property
-    def handle(self) -> str:
-        return self._vertex.handle
-
-    def _visible_edges(self) -> tuple:
-        if self._edges is None:
-            # Inlined LifeSpan.visible_at: this scan runs once per vertex
-            # per traversal and the per-edge call chain dominates it.
-            ts = self._ts
-            cmp = self._cmp
-            before = Ordering.BEFORE
-            vertex = self._vertex
-            visible = []
-            for edge in vertex.edges.values():
-                span = edge.span
-                if cmp(span.created_at, ts) is not before:
-                    continue
-                deleted = span.deleted_at
-                if deleted is not None and cmp(deleted, ts) is before:
-                    continue
-                visible.append(edge)
-            for edge in vertex.archived_edges:
-                if edge.visible_at(ts, cmp):
-                    visible.append(edge)
-            self._edges = tuple(visible)
-        return self._edges
 
     @property
     def neighbors(self) -> List[EdgeView]:
         """Visible out-edges — paper's ``node.neighbors``."""
-        return [
-            EdgeView(edge, self._ts, self._cmp)
-            for edge in self._visible_edges()
-        ]
+        return list(self._view.edges_of(self._vertex))
 
     def out_degree(self) -> int:
-        return len(self._visible_edges())
+        return len(self._view.edges_of(self._vertex))
 
     def get_edge(self, handle: str) -> Optional[EdgeView]:
-        edge = self._vertex.visible_edge(handle, self._ts, self._cmp)
+        view = self._view
+        edge = self._vertex.visible_edge(handle, view._ts, view._cmp)
         if edge is None:
             return None
-        return EdgeView(edge, self._ts, self._cmp)
+        return EdgeView(edge, view._ts, view._cmp)
 
     def get_property(self, key: str, default: Any = None) -> Any:
-        return self._vertex.properties.get(key, self._ts, self._cmp, default)
+        view = self._view
+        return self._vertex.properties.get(key, view._ts, view._cmp, default)
 
     def check(self, key: str, value: Any = None) -> bool:
-        return self._vertex.properties.check(key, self._ts, self._cmp, value)
+        view = self._view
+        return self._vertex.properties.check(key, view._ts, view._cmp, value)
 
     def properties(self) -> Dict[str, Any]:
-        return self._vertex.properties.items_at(self._ts, self._cmp)
+        view = self._view
+        return self._vertex.properties.items_at(view._ts, view._cmp)
 
 
 class SnapshotView:
-    """The whole graph at one timestamp."""
+    """The whole graph at one timestamp, shared by every reader of it.
+
+    A view remembers what it has worked out — each comparator decision
+    against its timestamp, each handle's visible incarnation (or None),
+    each vertex's visible out-edges as immutable :class:`EdgeView`
+    objects — so the readers of one stamp pay for each once.  Those
+    answers hold while the graph's ``generation`` is the one the view
+    was built at (:meth:`repro.cluster.shard.ShardServer.snapshot` says
+    why).
+    """
 
     def __init__(
         self,
@@ -351,48 +353,62 @@ class SnapshotView:
     ):
         self._graph = graph
         self._ts = ts
-        # Every visibility check this view (and the vertex/edge views it
-        # hands out) performs compares some write timestamp against the
-        # one fixed snapshot timestamp; a bounded per-snapshot memo makes
-        # the repeats cost one dict lookup.  Safe because comparator
+        # Every visibility check compares some write timestamp against
+        # the one fixed snapshot timestamp; a bounded memo makes the
+        # repeats cost one dict lookup.  Safe because comparator
         # decisions never change once made.
         if not isinstance(cmp, MemoizedComparator):
             cmp = MemoizedComparator(cmp, stats=memo_stats)
         self._cmp = cmp
+        self._visible: Dict[str, Optional[Vertex]] = {}
+        self._edges: Dict[Vertex, tuple] = {}
 
-    @property
-    def timestamp(self) -> VectorTimestamp:
-        return self._ts
-
-    @property
-    def memo_hits(self) -> int:
-        """Visibility checks answered by the per-snapshot memo."""
-        return self._cmp.hits if isinstance(self._cmp, MemoizedComparator) else 0
+    def edges_of(self, vertex: Vertex) -> tuple:
+        """``vertex``'s visible out-edges, scanned once per view."""
+        edges = self._edges.get(vertex)
+        if edges is None:
+            # Inlined LifeSpan.visible_at: the per-edge call chain
+            # dominates this scan.
+            ts = self._ts
+            cmp = self._cmp
+            before = Ordering.BEFORE
+            visible = []
+            for edge in vertex.edges.values():
+                span = edge.span
+                if cmp(span.created_at, ts) is not before:
+                    continue
+                deleted = span.deleted_at
+                if deleted is not None and cmp(deleted, ts) is before:
+                    continue
+                visible.append(EdgeView(edge, ts, cmp))
+            for edge in vertex.archived_edges:
+                if edge.visible_at(ts, cmp):
+                    visible.append(EdgeView(edge, ts, cmp))
+            edges = self._edges[vertex] = tuple(visible)
+        return edges
 
     def has_vertex(self, handle: str) -> bool:
-        return (
-            self._graph.visible_vertex(handle, self._ts, self._cmp)
-            is not None
-        )
+        return self.try_vertex(handle) is not None
 
     def vertex(self, handle: str) -> VertexView:
-        vertex = self._graph.visible_vertex(handle, self._ts, self._cmp)
-        if vertex is None:
+        view = self.try_vertex(handle)
+        if view is None:
             raise NoSuchVertex(handle)
-        return VertexView(vertex, self._ts, self._cmp)
+        return view
 
     def try_vertex(self, handle: str) -> Optional[VertexView]:
-        """The view of ``handle``, or None — one visibility check where
-        ``has_vertex`` + ``vertex`` would pay two."""
-        vertex = self._graph.visible_vertex(handle, self._ts, self._cmp)
-        if vertex is None:
-            return None
-        return VertexView(vertex, self._ts, self._cmp)
+        """The view of ``handle``, or None when it is invisible here."""
+        vertex = self._visible.get(handle, _UNSEEN)
+        if vertex is _UNSEEN:
+            vertex = self._visible[handle] = self._graph.visible_vertex(
+                handle, self._ts, self._cmp
+            )
+        return None if vertex is None else VertexView(vertex, self)
 
     def vertices(self) -> Iterator[VertexView]:
         for vertex in self._graph.vertices():
             if vertex.visible_at(self._ts, self._cmp):
-                yield VertexView(vertex, self._ts, self._cmp)
+                yield VertexView(vertex, self)
 
     def edge_count(self) -> int:
         return sum(v.out_degree() for v in self.vertices())

@@ -19,9 +19,9 @@ the engine stays testable against a bare in-memory graph.
 Execution is **round-based scatter-gather**, written once in
 :func:`run_round`: the frontier is processed one BFS round at a time and
 each round's handles resolve as one batch, which is what lets the
-routing layer group them by owning shard and reuse one snapshot (and its
-comparison memo) per shard for the whole traversal — the paper's
-shard-to-shard batch propagation.  :class:`ProgramExecutor` and the
+routing layer group them by owning shard and read each shard's view of
+the stamp once per query — the paper's shard-to-shard batch
+propagation.  :class:`ProgramExecutor` and the
 shard-resident engine (:mod:`repro.cluster.worker`) are its two callers;
 each adds only its frontier exchange.
 """
@@ -97,10 +97,10 @@ class ProgramStats:
 
     Absorbed into the metrics registry under ``program.*`` (see
     ``repro.obs.collect``).  The headline pair is ``snapshots_created``
-    vs ``snapshot_reuse_hits``: per query the batched path constructs
-    O(shards) snapshot views where the seed path constructed O(vertices
-    visited), and every resolution served by an already-built view counts
-    as one reuse hit.
+    vs ``snapshot_reuse_hits``: per query the batched path asks for
+    O(shards) snapshot views where the seed path built O(vertices
+    visited), and every resolution served by a view already asked for
+    counts as one reuse hit.
     """
 
     def __init__(self) -> None:
@@ -108,7 +108,7 @@ class ProgramStats:
         self.batch_rounds = 0          # scatter-gather rounds processed
         self.shard_batches = 0         # (shard, round) batch resolutions
         self.vertices_resolved = 0     # resolutions through the batch path
-        self.snapshots_created = 0     # snapshot views built
+        self.snapshots_created = 0     # (query, shard) views asked for
         self.snapshot_reuse_hits = 0   # resolutions on a reused view
         self.dedup_hits = 0            # same-round duplicate hops dropped
         self.round_messages_saved = 0  # per-vertex msgs a batch replaced
@@ -176,42 +176,6 @@ def _params_key(params: Any) -> Optional[Hashable]:
     return (False, params)
 
 
-def run_entry(
-    program: NodeProgram,
-    handle: str,
-    params: Any,
-    node: Optional[VertexView],
-    ctx: ProgramContext,
-) -> List[Tuple[str, Any]]:
-    """Process one frontier entry (:func:`run_round` is the one caller).
-
-    Adds ``handle`` to the read set, dispatches invisible vertices to
-    ``on_missing``, binds per-vertex state, runs the program, and
-    returns the validated next-hop list (empty for missing vertices).
-    """
-    ctx.read_set.add(handle)
-    if node is None:
-        program.on_missing(handle, params, ctx)
-        return []
-    node.prog_state = ctx.state_for(handle, program.init_state)
-    ctx.vertices_visited += 1
-    hops = program.run(node, params, ctx)
-    if hops is None:
-        return []
-    out: List[Tuple[str, Any]] = []
-    for hop in hops:
-        if (
-            not isinstance(hop, tuple)
-            or len(hop) != 2
-            or not isinstance(hop[0], str)
-        ):
-            raise ProgramError(
-                f"{program.name} returned a bad next-hop: {hop!r}"
-            )
-        out.append(hop)
-    return out
-
-
 def dedup_round(entries: List[tuple], stats: ProgramStats) -> List[tuple]:
     """Drop same-round repeats of one (vertex, params) hop.
 
@@ -251,6 +215,9 @@ def dedup_round(entries: List[tuple], stats: ProgramStats) -> List[tuple]:
 
 
 VISIT_BUDGET_EXHAUSTED = "visit budget exhausted"
+_NO_STATE = object()
+# What a program's hops may come back as without being copied.
+_SEQUENCES = (list, tuple)
 
 
 def run_round(
@@ -269,7 +236,9 @@ def run_round(
     Same-round repeats are dropped for programs declaring
     ``dedup_hops``, every handle resolves in one batch, and the entries
     run in order, each handed to ``deliver(entry, node, hops)`` — the
-    caller's frontier exchange.  Returns the entry that halted the
+    caller's frontier exchange, with the entry's validated next hops
+    (empty for a vertex invisible at the snapshot, which goes to
+    ``on_missing`` instead of ``run``).  Returns the entry that halted the
     program (nothing after it ran), else None.  ``ctx.visits_left`` is
     the runaway guard: the round raises before running one entry more.
     """
@@ -278,18 +247,38 @@ def run_round(
     ctx.rounds += 1
     stats.batch_rounds += 1
     views_get = resolve_many([entry[0] for entry in frontier]).get
+    read = ctx.read_set.add
+    states = ctx.states
     for entry in frontier:
         if ctx.visits_left <= 0:
             raise ProgramError(VISIT_BUDGET_EXHAUSTED)
         ctx.visits_left -= 1
         handle = entry[0]
+        read(handle)
         node = views_get(handle)
-        hops = run_entry(program, handle, entry[1], node, ctx)
+        if node is None:
+            program.on_missing(handle, entry[1], ctx)
+            deliver(entry, None, ())
+            # A missing vertex does not observe a mid-round halt: whatever
+            # its ``on_missing`` did, the round goes on to the next entry.
+            continue
+        state = states.get(handle, _NO_STATE)
+        if state is _NO_STATE:
+            state = states[handle] = program.init_state()
+        node.prog_state = state
+        ctx.vertices_visited += 1
+        hops = program.run(node, entry[1], ctx)
+        if hops.__class__ not in _SEQUENCES:
+            hops = () if hops is None else list(hops)
+        for hop in hops:
+            if not (isinstance(hop, tuple) and len(hop) == 2
+                    and isinstance(hop[0], str)):
+                raise ProgramError(
+                    f"{program.name} returned a bad next-hop: {hop!r}"
+                )
         ctx.hops += len(hops)
         deliver(entry, node, hops)
-        # A missing vertex does not observe a mid-round halt: whatever
-        # its ``on_missing`` did, the round goes on to the next entry.
-        if node is not None and ctx.halted:
+        if ctx.halted:
             return entry
     return None
 

@@ -1,16 +1,14 @@
-"""Shard-routed batch resolution with per-(query, shard) snapshot reuse.
+"""Shard-routed batch resolution over shared snapshot views.
 
-The seed resolvers constructed a brand-new
-:class:`~repro.graph.mvgraph.SnapshotView` — and therefore a brand-new
-per-snapshot comparison memo — for every vertex resolved, discarding
-exactly the visibility-check reuse the memo exists for.
 :class:`ShardSnapshotResolver` is the one resolver every deployment
 hands to :func:`~repro.programs.framework.run_round`: it groups each
-scatter-gather round's frontier by owning shard, resolves every shard's
-batch against **one long-lived snapshot view per (query, shard)** (one
-message per batch, not one per vertex — the paper's shard-to-shard batch
-propagation, section 4.1).  The shards are always in the resolver's own
-process: the in-process deployment's, or the one shard of a worker.
+scatter-gather round's frontier by owning shard and resolves every
+shard's batch against the view that shard keeps for the query's stamp
+(:meth:`~repro.cluster.shard.ShardServer.snapshot`), asked for once per
+(query, shard) — one message per batch, not one per vertex, the paper's
+shard-to-shard batch propagation (section 4.1).  The shards are always
+in the resolver's own process: the in-process deployment's, or the one
+shard of a worker.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .framework import ProgramStats
 
 
 class ShardSnapshotResolver:
-    """Resolve program vertices against reusable per-shard snapshots.
+    """Resolve program vertices against the shards' shared snapshots.
 
     ``shard_of(handle)`` maps a vertex to its owning shard index (None
     for unknown vertices); ``shards`` is the live shard-server list (held
@@ -47,15 +45,15 @@ class ShardSnapshotResolver:
         self._page_in = page_in
         self._views: Dict[int, SnapshotView] = {}
         # Per-query vertex-view cache: the snapshot is fixed, so a
-        # handle's visibility (and its view, with its visible-edge
-        # cache) never changes across rounds — cross-round revisits are
-        # served locally, with no repeat shard request or placement
-        # lookup.
+        # handle's visibility never changes across rounds — cross-round
+        # revisits are served locally, with no repeat shard request or
+        # placement lookup.
         self._vertices: Dict[str, Optional[VertexView]] = {}
 
     @property
     def snapshots_created(self) -> int:
-        """Snapshot views this query built — O(shards), not O(vertices)."""
+        """Snapshot views this query asked for — O(shards), not
+        O(vertices)."""
         return len(self._views)
 
     def resolve_many(
@@ -93,11 +91,12 @@ class ShardSnapshotResolver:
             fresh = view is None
             if fresh:
                 view = self._views[shard_index] = shard.snapshot(self._ts)
+            shard.stats.vertices_read += len(batch)
+            try_vertex = view.try_vertex
             for handle in batch:
-                shard.stats.vertices_read += 1
                 if self._page_in:
                     shard.ensure_paged(handle)
-                cache[handle] = out[handle] = view.try_vertex(handle)
+                cache[handle] = out[handle] = try_vertex(handle)
             stats.shard_batches += 1
             stats.vertices_resolved += len(batch)
             # Every resolution after the view's first rides the memo.

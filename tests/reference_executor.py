@@ -16,7 +16,7 @@ or None when the vertex is invisible there.
 from collections import deque
 
 from repro.errors import ProgramError
-from repro.programs.framework import ProgramResult, run_entry
+from repro.programs.framework import ProgramResult
 from repro.programs.state import ProgramContext
 
 
@@ -32,8 +32,22 @@ def execute_sequential(
         if visits >= max_visits:
             raise ProgramError("visit budget exhausted")
         visits += 1
+        ctx.read_set.add(handle)
         node = resolve(handle)
-        hops = run_entry(program, handle, params, node, ctx)
+        if node is None:
+            program.on_missing(handle, params, ctx)
+            continue
+        node.prog_state = ctx.state_for(handle, program.init_state)
+        ctx.vertices_visited += 1
+        hops = list(program.run(node, params, ctx) or ())
+        for hop in hops:
+            if not (
+                isinstance(hop, tuple) and len(hop) == 2
+                and isinstance(hop[0], str)
+            ):
+                raise ProgramError(
+                    f"{program.name} returned a bad next-hop: {hop!r}"
+                )
         ctx.hops += len(hops)
         frontier.extend(hops)
     return ProgramResult(ctx, program.returns_state)

@@ -9,6 +9,12 @@ by hand: no event loop, no second process.
   ``STALL_DEADLINE`` has passed without its report, and the query fails
   with "worker shard1 died mid-program" instead of waiting out the
   client's ``REPLY_DEADLINE``.
+* A peer frame that does not decode (a garbage body, or a length over
+  ``MAX_FRAME_BYTES``) closes that connection only: the worker keeps
+  serving, and the round whose hops it carried fails by name once its
+  go has waited ``STALL_DEADLINE``.  The same bytes on the client's
+  connection end the worker, and the client's ``TransportError`` names
+  the shard.
 * The coordinator's own round is a queued handler call, never a nested
   one: a 3,000-round chain completes with the executor's answer on one
   shard, where every round is the coordinator's own, and on two that
@@ -17,7 +23,10 @@ by hand: no event loop, no second process.
 
 import dataclasses
 import select
+import selectors
 import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -25,11 +34,13 @@ import pytest
 from repro.cluster import wire
 from repro.cluster.messages import FrontierForward, ProgramStart, QueuedTransaction
 from repro.cluster.shard import ShardServer
+from repro.cluster.transport import ProcessTransport, TransportError
 from repro.cluster.worker import (
     BufferTracer,
     ResidentEngine,
     ShardEndpoint,
     _ResidentEngine,
+    shard_worker_main,
 )
 from repro.core.gatekeeper import Gatekeeper
 from repro.core.oracle import TimelineOracle
@@ -230,6 +241,83 @@ def test_a_stalled_participant_fails_the_query_by_name(tmp_path):
         engine.transport.close()
         for sock in (client, worker_end, peer):
             sock.close()
+
+
+# -- a frame that does not decode ----------------------------------------------
+
+CORRUPT = [
+    pytest.param(struct.pack(">I", 5) + b"\xff" * 5, id="garbage-body"),
+    pytest.param(
+        struct.pack(">I", wire.MAX_FRAME_BYTES + 1), id="over-max-length"
+    ),
+]
+
+
+@pytest.mark.parametrize("frame", CORRUPT)
+def test_a_corrupt_peer_frame_closes_that_connection_only(rig, frame):
+    """Shard 1 awaits a hop from a peer; the peer's frame is garbage.
+    The connection goes, the worker answers, and the round fails by name
+    ``STALL_DEADLINE`` after its go first found itself short."""
+    engine = rig.engine
+    engine.STALL_DEADLINE = 0.3
+    ts = rig.write_and_stamp()
+    rig.send_client_batch(ts)
+    _lost, go = traffic(ts, QUERY)
+    deliver(rig, ("round_go", go))
+    peer, accepted = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+    # What run() does for a peer it accepts.
+    engine.sel.register(accepted, selectors.EVENT_READ)
+    engine.buffers[accepted] = wire.FrameBuffer()
+    try:
+        peer.sendall(frame)
+        engine._pump(accepted)
+        assert accepted.fileno() == -1 and accepted not in engine.buffers
+        assert engine.running and answers_ping(rig, 7)
+        started = time.monotonic()
+        engine._check_stalled()         # the go is seen short ...
+        while time.monotonic() - started < engine.STALL_DEADLINE:
+            time.sleep(0.05)
+        engine._check_stalled()         # ... and one deadline later fails
+        report = rig.read_report()
+        assert report["error"] == "round 0: hops never arrived"
+        assert (report["q"], report["round"], report["worker"]) == (
+            QUERY, 0, 1
+        )
+        assert answers_ping(rig, 8)
+    finally:
+        peer.close()
+
+
+@pytest.mark.parametrize("frame", CORRUPT)
+def test_a_corrupt_client_frame_ends_the_worker(frame):
+    """The client's stream carries what makes the shard ready: a frame
+    there that does not decode ends the worker, and the client's next
+    read fails naming the shard instead of waiting ``REPLY_DEADLINE``."""
+    client, worker_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+    ended = []
+
+    def worker():
+        try:
+            shard_worker_main(worker_end, 1, 1)
+        except wire.WireError as exc:
+            ended.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    transport = ProcessTransport()
+    transport.add_channel("shard1", client)
+    try:
+        client.sendall(frame)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="'shard1' broke") as info:
+            transport.request("client", "shard1", "ping", None)
+        assert info.value.channel == "shard1"
+        assert time.monotonic() - started < 5.0
+        thread.join(5.0)
+        assert not thread.is_alive() and len(ended) == 1
+    finally:
+        transport.close()
+        thread.join(5.0)
 
 
 # -- programs thousands of rounds deep -----------------------------------------
