@@ -5,9 +5,10 @@ runs the same BFS node program two ways at the same checkpoint:
 
 * **batched** — the round-based executor with a
   :class:`~repro.programs.routing.ShardSnapshotResolver`, which resolves
-  each round's frontier per owning shard against the shard's shared
-  view of the stamp, so its comparison memo persists across the
-  traversal (and the repeats) and same-round duplicate hops are deduped;
+  each round's frontier per owning shard against the shard's view of
+  the stamp, so its comparison memo persists across the traversal and
+  same-round duplicate hops are deduped.  Each timed repeat starts with
+  no view kept, as a first read at a stamp does;
 * **seed** — what programs ran on before rounds: the per-vertex loop
   (no longer under ``src/``; the caller passes it in, the benchmarks use
   ``tests/reference_executor.py``) over the per-vertex closure both
@@ -150,6 +151,8 @@ def compare_traversal(
     batched_executor = ProgramExecutor()
     batched_result = None
     for _ in range(repeats):
+        for shard in db.shards:
+            shard._view = None          # a cold view, built in the run
         resolver = ShardSnapshotResolver(
             point,
             db._shard_of,

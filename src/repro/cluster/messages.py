@@ -35,6 +35,15 @@ def pack_level(index: int, what: str) -> bytes:
     return _LEVEL.pack(index)
 
 
+def pack_levels(prefix: bytes, count: int, what: str) -> List[bytes]:
+    """``prefix + pack_level(i, what)`` for ``i`` in ``range(count)``,
+    with the bound checked once for the whole run."""
+    if count > LEVEL_LIMIT:
+        raise ProgramError(f"more than 2**32 {what}")
+    pack = _LEVEL.pack
+    return [prefix + pack(i) for i in range(count)]
+
+
 @dataclass(frozen=True)
 class QueuedTransaction:
     """A transaction (or NOP) as it sits in a shard's gatekeeper queue.

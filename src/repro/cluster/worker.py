@@ -638,31 +638,30 @@ class ResidentEngine:
         results = ctx.results
         already, tagged = len(entries), len(values)
         owner_of, here = self.owner_of, self.index
-        pack = messages._LEVEL.pack
+        pack_levels = messages.pack_levels
 
         def deliver(entry, node, hops) -> None:
             nonlocal tagged
             handle, _params, key = entry
             tag = round_tag + key
             # Every result before ``tagged`` is tagged, so the tail is
-            # what this entry emitted.  pack_level's bound is checked
-            # once per entry, through the module so a test can lower it.
-            emitted, n_hops = len(results) - tagged, len(hops)
-            limit = messages.LEVEL_LIMIT
-            if emitted > limit or n_hops > limit:
-                what = "hops" if n_hops > limit else "results"
-                raise ProgramError(f"more than 2**32 {what} from one vertex")
+            # what this entry emitted.
+            emitted = len(results) - tagged
             if emitted:
-                for seq in range(emitted):
-                    tags.append(tag + pack(seq))
+                tags.extend(
+                    pack_levels(tag, emitted, "results from one vertex")
+                )
                 values.extend(results[tagged:])
                 tagged += emitted
-            entries.append((tag, handle, node is not None, n_hops))
-            for i, (next_handle, next_params) in enumerate(hops):
+            entries.append((tag, handle, node is not None, len(hops)))
+            if not hops:
+                return
+            next_keys = pack_levels(key, len(hops), "hops from one vertex")
+            for next_key, (next_handle, next_params) in zip(next_keys, hops):
                 dst = owner_of(next_handle)
                 next_by_dst.setdefault(
                     here if dst is None else dst, []
-                ).append((next_handle, next_params, key + pack(i)))
+                ).append((next_handle, next_params, next_key))
 
         halt_key = error = None
         try:
@@ -1063,14 +1062,18 @@ class _ResidentEngine(ResidentEngine):
         if self.listener is not None:
             self.listener.setblocking(True)
             self.sel.register(self.listener, selectors.EVENT_READ)
+        # The stall scan runs once a second whether or not traffic is
+        # flowing, so other queries' frames cannot starve it.
+        next_scan = time.monotonic() + 1.0
         while self.running:
             self.drain()
             if not self.running:
                 break
             events = self.sel.select(timeout=1.0)
-            if not events:
+            now = time.monotonic()
+            if now >= next_scan:
                 self._check_stalled()
-                continue
+                next_scan = now + 1.0
             for key, _mask in events:
                 conn = key.fileobj
                 if conn is self.listener:

@@ -10,7 +10,7 @@ boundary below which multi-version state may be reclaimed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.vclock import Ordering, VectorTimestamp
 from ..graph.properties import Comparator, vclock_compare
@@ -43,11 +43,6 @@ class ProgramContext:
         # Every vertex handle the program touched (visible or not): the
         # cache's read set for change-based invalidation (section 4.6).
         self.read_set: set = set()
-
-    def state_for(self, handle: str, factory: Callable[[], Any]) -> Any:
-        if handle not in self.states:
-            self.states[handle] = factory()
-        return self.states[handle]
 
     def emit(self, value: Any) -> None:
         self.results.append(value)

@@ -37,7 +37,9 @@ def execute_sequential(
         if node is None:
             program.on_missing(handle, params, ctx)
             continue
-        node.prog_state = ctx.state_for(handle, program.init_state)
+        if handle not in ctx.states:
+            ctx.states[handle] = program.init_state()
+        node.prog_state = ctx.states[handle]
         ctx.vertices_visited += 1
         hops = list(program.run(node, params, ctx) or ())
         for hop in hops:

@@ -218,12 +218,6 @@ class TestProgramContext:
         ctx.emit("x")
         assert ctx.results == ["x"]
 
-    def test_state_for_creates_once(self):
-        ctx = ProgramContext(1, None)
-        first = ctx.state_for("v", dict)
-        second = ctx.state_for("v", dict)
-        assert first is second
-
 
 class TestWatermarkRegistry:
     def make_ts(self, clock_values):

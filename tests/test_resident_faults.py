@@ -288,6 +288,42 @@ def test_a_corrupt_peer_frame_closes_that_connection_only(rig, frame):
         peer.close()
 
 
+def test_a_starved_go_fails_while_other_traffic_flows(rig):
+    """``run()`` itself, with a ping on the client's connection every
+    50 ms so its select never comes back empty: the go whose hop never
+    comes still fails by name, the scan being on a timer."""
+    engine = rig.engine
+    engine.STALL_DEADLINE = 0.3
+    ts = rig.write_and_stamp()
+    rig.send_client_batch(ts)
+    _lost, go = traffic(ts, QUERY)
+    wire.write_frame(
+        rig.client, wire.encode({"k": "b", "m": [("round_go", go)]})
+    )
+    thread = threading.Thread(target=engine.run)
+    thread.start()
+    started = time.monotonic()
+    try:
+        rig.client.settimeout(5.0)
+        rid = 100
+        while not select.select([rig.coordinator], [], [], 0.05)[0]:
+            rid += 1
+            wire.write_frame(rig.client, wire.encode(
+                {"k": "r", "id": rid, "kind": "ping", "p": None}
+            ))
+            assert wire.decode(wire.read_frame(rig.client))["id"] == rid
+            assert time.monotonic() - started < 5.0, "no failure report"
+        report = rig.read_report()
+        assert report["error"] == "round 0: hops never arrived"
+        # Seen short at the first scan, failed at the first scan one
+        # deadline later: scans are a second apart.
+        assert time.monotonic() - started < engine.STALL_DEADLINE + 2.5
+    finally:
+        rig.client.shutdown(socket.SHUT_WR)     # EOF ends the worker
+        thread.join(5.0)
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize("frame", CORRUPT)
 def test_a_corrupt_client_frame_ends_the_worker(frame):
     """The client's stream carries what makes the shard ready: a frame
