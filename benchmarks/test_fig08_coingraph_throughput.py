@@ -3,6 +3,9 @@
 Paper's claim: throughput of block render queries decreases as block
 height increases (later blocks hold more transactions), while the system
 sustains 5,000-20,000 vertex reads per second throughout.
+
+Measured on the simulated twin (8 shards, 16 clients), which loads
+``FIG8_BLOCKS_PER_POINT`` blocks per point and renders among them.
 """
 
 from repro.bench import harness
@@ -12,7 +15,7 @@ BASE_HEIGHTS = (1_000, 100_000, 150_000, 200_000, 250_000, 300_000, 350_000)
 
 def run_experiment():
     return harness.experiment_fig8(
-        base_heights=BASE_HEIGHTS, queries_per_point=150, clients=16
+        base_heights=BASE_HEIGHTS, queries_per_point=40, clients=16
     )
 
 
@@ -30,6 +33,6 @@ def test_fig08_block_render_throughput(benchmark, show):
     # Monotone-ish decline: every later point below the first.
     assert all(t <= throughputs[0] for t in throughputs[1:])
     assert throughputs[-1] < throughputs[0] / 10
-    # Sustained vertex-read rate stays in a healthy band.
-    for _, _, reads_s in result.rows()[1:]:
-        assert reads_s > 1_000
+    # Sustained vertex-read rate stays in the paper's band at every point.
+    for _, _, reads_s in result.rows():
+        assert 5_000 <= reads_s <= 20_000

@@ -7,8 +7,9 @@ transaction growth curve, scaled down), then:
 * renders blocks with the node program behind Fig 7/8,
 * runs taint tracking over ``spends`` edges — the flow analysis the
   paper lists among CoinGraph's algorithms,
-* compares functional results and simulated cost against the
-  Blockchain.info-like relational baseline,
+* compares functional results against the Blockchain.info-like
+  relational baseline, and prints both systems' latency at full scale
+  as the simulated twin measures it (Fig 7),
 * demonstrates why transactions matter: a block and its transactions
   appear atomically, never partially (section 5.4's fork-consistency
   argument).
@@ -18,7 +19,7 @@ Run:  python examples/coingraph.py
 
 from repro import Weaver, WeaverClient, WeaverConfig
 from repro.baselines.blockchain_info import RelationalExplorer
-from repro.bench.models import CoinGraphModel
+from repro.bench import harness
 from repro.programs import CollectReachable
 from repro.workloads import bitcoin
 
@@ -38,18 +39,15 @@ def main():
           f"{sum(len(b.transactions) for b in blocks)} transactions")
 
     # Render each block; cross-check against the relational baseline and
-    # report the simulated latency both systems would pay at full scale.
-    model = CoinGraphModel()
+    # report the latency both systems pay at full scale in simulated
+    # time: CoinGraph on the twin, Blockchain.info per row joined.
+    fig7 = harness.experiment_fig7(heights)
     print(f"{'block':>10} {'txs':>6} {'CoinGraph(s)':>13} {'BC.info(s)':>11}")
-    for block in blocks:
+    for block, (height, full_scale, cg, bc, _) in zip(blocks, fig7.rows()):
         rendered = client.render_block(block.block_id)
         reference, _ = explorer.render_block(block.block_id)
         assert rendered["n_tx"] == reference["n_tx"]
-        full_scale = bitcoin.txs_in_block(block.height)
-        cg = model.block_query_latency(full_scale)
-        bc = (2 * explorer.costs.wan_latency
-              + full_scale * explorer.costs.sql_row_service)
-        print(f"{block.height:>10} {full_scale:>6} {cg:>13.3f} {bc:>11.3f}")
+        print(f"{height:>10} {full_scale:>6} {cg:>13.3f} {bc:>11.3f}")
 
     # Taint tracking: which transactions are downstream of a tainted one?
     tainted_source = blocks[0].transactions[0].tx_id

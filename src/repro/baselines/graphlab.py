@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..bench.costmodel import CostParams, LockTable, Resource
+from ..bench.costmodel import CostParams, LockTable
+from ..sim.simulator import Server, Simulator
 
 
 class GasProgram:
@@ -87,7 +88,11 @@ class GraphLab:
         self.costs = costs or CostParams()
         self._out: Dict[str, List[str]] = {}
         self._in: Dict[str, List[str]] = {}
-        self.machines = [Resource(f"gl{i}") for i in range(num_machines)]
+        # Queries run ahead of this clock: every charge names its start.
+        self.simulator = Simulator()
+        self.machines = [
+            Server(self.simulator, f"gl{i}") for i in range(num_machines)
+        ]
         self.locks = LockTable()
         self.supersteps = 0
         self.updates = 0
@@ -172,11 +177,12 @@ class GraphLab:
         run on the least-loaded machine."""
         scope = [vertex] + self._out.get(vertex, []) + self._in.get(vertex, [])
         grant = self.locks.lock_all(scope, t)
-        machine = min(self.machines, key=lambda m: m.free_at)
+        machine = min(self.machines, key=lambda m: m.busy_until)
         # Each update pays its compute plus the lock-manager round:
         # edge-consistency locking is per-update overhead in async mode.
-        done = machine.acquire(
-            grant, self.costs.vertex_read_service + self.costs.lock_service
+        done = machine.occupy(
+            self.costs.vertex_read_service + self.costs.lock_service,
+            at=grant,
         )
         self.locks.hold_all_until(scope, done)
         return done

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..bench.costmodel import CostParams, LockTable, Resource
+from ..bench.costmodel import CostParams, LockTable
 from ..errors import NoSuchEdge, NoSuchVertex, TransactionAborted
 from ..graph.partition import HashPartitioner
+from ..sim.simulator import Server, Simulator
 
 Op = Tuple  # ("create_edge", handle, src, dst) etc.
 
@@ -60,16 +61,22 @@ class TitanGraph:
         self.num_shards = num_shards
         self._graph: Dict[str, _TitanVertex] = {}
         self._partitioner = HashPartitioner(num_shards)
-        self.shards = [Resource(f"titan-shard{i}") for i in range(num_shards)]
+        #: The clock a closed loop drives this model on; operations run
+        #: ahead of it, so every charge names its own start time.
+        self.simulator = Simulator()
+        self.shards = [
+            Server(self.simulator, f"titan-shard{i}")
+            for i in range(num_shards)
+        ]
         # The serial lock/2PC coordination path; its service time is what
         # pins Titan's measured throughput near-flat across read mixes.
-        self.coordinator = Resource("titan-coordinator")
+        self.coordinator = Server(self.simulator, "titan-coordinator")
         self.locks = LockTable()
         self.stats = TitanStats()
 
     # -- placement ---------------------------------------------------
 
-    def _shard_of(self, vertex: str) -> Resource:
+    def _shard_of(self, vertex: str) -> Server:
         return self.shards[self._partitioner.assign(vertex)]
 
     # -- functional helpers -------------------------------------------
@@ -145,7 +152,7 @@ class TitanGraph:
         c = self.costs
         # Client -> transaction coordinator (a serial resource).
         t = start + c.rtt
-        t = self.coordinator.acquire(t, c.titan_coordinator_service)
+        t = self.coordinator.occupy(c.titan_coordinator_service, at=t)
         # Lock phase: a lock-service round trip per involved partition,
         # then wait out conflicting holders.
         t += c.rtt * max(1, len(involved)) / 2 + c.lock_service
@@ -156,8 +163,8 @@ class TitanGraph:
         for _ in range(2):
             phase_end = t
             for shard_index in involved or {0}:
-                done = self.shards[shard_index].acquire(
-                    t, c.shard_op_service * max(1, len(operations))
+                done = self.shards[shard_index].occupy(
+                    c.shard_op_service * max(1, len(operations)), at=t
                 )
                 phase_end = max(phase_end, done)
             t = phase_end + c.rtt
@@ -178,10 +185,10 @@ class TitanGraph:
         t = start + c.rtt
         # Reads lock too, through the same serial coordination path —
         # which is why Titan's throughput barely moves with the read mix.
-        t = self.coordinator.acquire(t, c.titan_coordinator_service)
+        t = self.coordinator.occupy(c.titan_coordinator_service, at=t)
         t += c.lock_service
         t = self.locks.lock(vertex, t)
-        done = self._shard_of(vertex).acquire(t, work)
+        done = self._shard_of(vertex).occupy(work, at=t)
         finish = done + c.rtt
         self.locks.hold_until(vertex, finish)
         self.stats.reads += 1

@@ -1,57 +1,26 @@
-"""Analytic cost-model simulation for throughput/latency experiments.
+"""Cost parameters and lock contention for throughput/latency experiments.
 
 The evaluation's claims are about coordination economics — how many
 messages, lock waits, and barrier stalls each protocol pays per
-operation.  This module provides the minimal machinery to charge those
-costs deterministically in simulated time:
+operation.  Servers and closed loops are the simulator's
+(:class:`~repro.sim.simulator.Server`,
+:class:`~repro.sim.workload.SimClients`); this module adds what the
+cost models charge on top:
 
-* :class:`Resource` — a serially-busy server (gatekeeper, shard, lock
-  manager, machine).  ``acquire(start, cost)`` grants the next available
-  slot at or after ``start`` and returns the completion time, which
-  models FCFS queueing — the mechanism behind every throughput curve.
 * :class:`LockTable` — per-object exclusive locks on the time axis, used
   by the Titan baseline (2PL holds block conflicting transactions for
   the whole commit protocol) and by async GraphLab (edge consistency).
-* :class:`ClosedLoop` — N clients, each issuing its next operation when
-  the previous one completes; reports throughput and latency.
-
-Costs are configured in :class:`CostParams`; defaults approximate the
-paper's testbed (gigabit LAN, ~100 µs one-way hop, tens of µs of service
-time per simple operation).  Absolute values are not the point — the
-*ratios* between protocols are.
+* :class:`CostParams` — the service times and latencies; defaults
+  approximate the paper's testbed (gigabit LAN, ~100 µs one-way hop,
+  tens of µs of service time per simple operation).  Absolute values
+  are not the point — the *ratios* between protocols are.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Tuple
+from typing import Dict
 
 from ..sim.clock import MSEC, USEC
-
-
-class Resource:
-    """A serially-busy resource with FCFS queueing in simulated time."""
-
-    __slots__ = ("name", "free_at", "busy_time", "jobs")
-
-    def __init__(self, name: str = "resource"):
-        self.name = name
-        self.free_at = 0.0
-        self.busy_time = 0.0
-        self.jobs = 0
-
-    def acquire(self, start: float, cost: float) -> float:
-        """Queue for the resource at ``start``; returns completion time."""
-        if cost < 0:
-            raise ValueError("negative cost")
-        begin = max(start, self.free_at)
-        self.free_at = begin + cost
-        self.busy_time += cost
-        self.jobs += 1
-        return self.free_at
-
-    def utilization(self, horizon: float) -> float:
-        return min(1.0, self.busy_time / horizon) if horizon > 0 else 0.0
 
 
 class LockTable:
@@ -142,7 +111,8 @@ class CostParams:
         # must coordinate all machines before the first superstep.
         self.graphlab_job_startup = graphlab_job_startup
         # CoinGraph pays 0.6-0.8 ms per Bitcoin transaction per block
-        # (measured in section 6.1; dominated by demand paging).
+        # (measured in section 6.1; dominated by demand paging): the
+        # Figs 7-8 twins charge it as their vertex_read_service.
         self.coingraph_tx_service = coingraph_tx_service
         # The backing store (HyperDex Warp) is itself distributed.
         self.store_nodes = store_nodes
@@ -150,65 +120,3 @@ class CostParams:
     @property
     def rtt(self) -> float:
         return 2 * self.net_latency
-
-
-class ClosedLoopResult:
-    """Throughput and latency of one closed-loop run."""
-
-    def __init__(self, latencies: List[float], makespan: float):
-        self.latencies = latencies
-        self.makespan = makespan
-
-    @property
-    def operations(self) -> int:
-        return len(self.latencies)
-
-    @property
-    def throughput(self) -> float:
-        """Operations per simulated second."""
-        if self.makespan <= 0:
-            return 0.0
-        return self.operations / self.makespan
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-
-class ClosedLoop:
-    """Drive a system model with N always-busy clients.
-
-    ``issue(client_id, op_index, start_time)`` runs one operation through
-    the model and returns its completion time.  Clients re-issue
-    immediately on completion, which is how the paper's throughput
-    experiments load the system (50-60 concurrent clients, Fig 9).
-    """
-
-    def __init__(self, clients: int):
-        if clients <= 0:
-            raise ValueError("need at least one client")
-        self.clients = clients
-
-    def run(
-        self,
-        total_ops: int,
-        issue: Callable[[int, int, float], float],
-    ) -> ClosedLoopResult:
-        latencies: List[float] = []
-        # (ready_time, client_id); heap order = FCFS by readiness.
-        ready: List[Tuple[float, int]] = [
-            (0.0, c) for c in range(self.clients)
-        ]
-        heapq.heapify(ready)
-        makespan = 0.0
-        for op_index in range(total_ops):
-            start, client = heapq.heappop(ready)
-            finish = issue(client, op_index, start)
-            if finish < start:
-                raise ValueError("operation finished before it started")
-            latencies.append(finish - start)
-            makespan = max(makespan, finish)
-            heapq.heappush(ready, (finish, client))
-        return ClosedLoopResult(latencies, makespan)

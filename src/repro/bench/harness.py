@@ -4,16 +4,16 @@ Each ``experiment_*`` function returns a result object whose ``rows()``
 method (or fields) yield the same series the paper's figure plots.  The
 benchmark files under ``benchmarks/`` call these and print the tables.
 
-Weaver's series in Figs 9-13 and A7 are measured on the simulated twin:
+Weaver's series in Figs 7-13 and A7 are measured on the simulated twin:
 a :class:`~repro.sim.deployment.SimulatedWeaver` with a
 :class:`~repro.bench.costmodel.CostParams` attached runs the real write
 path and shard engine on simulated time, driven by
 :class:`~repro.sim.workload.SimClients`; its throughput and
 ``obs`` latency histograms are the figure.  The baselines (Titan,
-GraphLab, Blockchain.info, Kineograph) and CoinGraph's paging (Figs 7,
-8) are cost models on ``Resource`` / ``LockTable`` / ``ClosedLoop``.
-Fig 9's reactively-ordered fraction is measured on the functional
-:class:`~repro.db.database.Weaver`.
+GraphLab, Blockchain.info, Kineograph) are cost models on the
+simulator's ``Server`` and a ``LockTable``; Titan's Fig 9 run is driven
+by the same ``SimClients``.  Fig 9's reactively-ordered fraction is
+measured on the functional :class:`~repro.db.database.Weaver`.
 
 Scales default to laptop-sized datasets; every function takes explicit
 size parameters so the suites can run fast under pytest while remaining
@@ -36,6 +36,7 @@ from ..db import operations as ops
 from ..db.client import WeaverClient
 from ..db.config import WeaverConfig
 from ..db.database import Weaver
+from ..errors import NoSuchEdge, NoSuchVertex, TransactionAborted
 from ..graph.partition import (
     HashPartitioner,
     LdgPartitioner,
@@ -51,8 +52,7 @@ from ..sim.workload import SimClients, finite_stream
 from ..workloads import bitcoin, graphs
 from ..workloads.runner import run_tao
 from ..workloads.tao import TaoWorkload
-from .costmodel import ClosedLoop, CostParams
-from .models import CoinGraphModel
+from .costmodel import CostParams
 
 # The twin's announce period τ and NOP heartbeat period in every figure:
 # the values the service-cost tests ran with before any figure's shape
@@ -67,9 +67,10 @@ _TAO_READS = {
 }
 
 
-def _closed_loop(twin: SimulatedWeaver, clients: int, specs) -> SimClients:
-    """Run the op specs through ``clients`` closed-loop clients."""
-    run = SimClients(twin, clients, finite_stream(specs))
+def _closed_loop(system, clients: int, specs) -> SimClients:
+    """Run the op specs through ``clients`` closed-loop clients on
+    ``system``: a twin, or a baseline's adapter (:class:`_TitanClients`)."""
+    run = SimClients(system, clients, finite_stream(specs))
     run.start()
     run.run_to_completion()
     return run
@@ -130,6 +131,32 @@ class Rows:
 # Figures 7 & 8: CoinGraph vs Blockchain.info
 # ---------------------------------------------------------------------------
 
+# Distinct blocks a Fig 8 point loads, drawn from [x, x+100]; its queries
+# are drawn among them (EXPERIMENTS.md, Known deviations: "Fig 8").
+FIG8_BLOCKS_PER_POINT = 8
+
+
+def _coingraph(
+    num_shards: int, costs: Optional[CostParams], blocks
+) -> SimulatedWeaver:
+    """CoinGraph on the twin: ``blocks`` loaded (an edge from each block
+    to each of its transactions) on one gatekeeper and ``num_shards``
+    shards.  A CoinGraph vertex read is a demand page (section 6.1), so
+    each costs ``coingraph_tx_service``."""
+    costs = copy.copy(costs or CostParams())
+    costs.vertex_read_service = costs.coingraph_tx_service
+    return _twin(1, num_shards, costs, [
+        (block.block_id, tx.tx_id)
+        for block in blocks
+        for tx in block.transactions
+    ])
+
+
+def _render(block: bitcoin.Block) -> tuple:
+    """CoinGraph's block query as a twin op spec."""
+    return ("prog", library.BlockRender(), block.block_id, None)
+
+
 @dataclass
 class Fig7Result(Rows):
     functional_blocks_checked: int = 0
@@ -143,38 +170,37 @@ def experiment_fig7(
     heights: Sequence[int] = (
         1_000, 50_000, 100_000, 150_000, 200_000, 250_000, 300_000, 350_000
     ),
-    functional_scale: float = 0.02,
     costs: Optional[CostParams] = None,
 ) -> Fig7Result:
     """Block-query latency, CoinGraph vs Blockchain.info (Fig 7).
 
-    Functional part: a scaled-down blockchain is loaded into a live
-    Weaver and each block is rendered through a node program, verifying
-    the query returns exactly the block's transactions.  Cost part:
-    latency is charged at the *real* per-height transaction counts using
-    each system's measured per-transaction cost.
+    CoinGraph renders each block, at its real transaction count, alone
+    on a twin of one gatekeeper and one shard; every render is checked
+    to return exactly its block's transactions.  The paper's 0.6-0.8 ms
+    per transaction is the slope of per-block latency, so one shard
+    pages them in serially (on 8 shards the reads would spread and the
+    speedup at 350k would be 34x).  Blockchain.info charges its measured
+    per-row join cost.
     """
     costs = costs or CostParams()
+    blocks = bitcoin.BlockchainGenerator(seed=7).generate(heights)
+    twin = _coingraph(1, costs, blocks)
     result = Fig7Result()
-    # Functional verification on the scaled chain.
-    gen = bitcoin.BlockchainGenerator(seed=7, scale=functional_scale)
-    blocks = gen.generate(heights)
-    db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=4))
-    client = WeaverClient(db)
-    bitcoin.load_into_weaver(client, blocks)
     for block in blocks:
-        rendered = client.render_block(block.block_id)
-        assert rendered["n_tx"] == len(block.transactions)
-        assert len(rendered["transactions"]) == len(block.transactions)
+        run = _closed_loop(twin, 1, [_render(block)])
+        header, *rendered = run.results[0].results
+        txs = sorted(tx.tx_id for tx in block.transactions)
+        if header["n_tx"] != len(txs) or sorted(
+            tx["tx"] for tx in rendered
+        ) != txs:
+            raise RuntimeError(
+                f"{block.block_id} did not render exactly its transactions"
+            )
         result.functional_blocks_checked += 1
-    # Cost model at real per-block transaction counts.
-    model = CoinGraphModel(costs=costs)
-    for height in heights:
-        n_tx = bitcoin.txs_in_block(height)
-        coingraph = model.block_query_latency(n_tx)
-        bcinfo = 2 * costs.wan_latency + n_tx * costs.sql_row_service
+        coingraph = run.latencies.mean
+        bcinfo = 2 * costs.wan_latency + len(txs) * costs.sql_row_service
         result.rows_data.append(
-            (height, n_tx, coingraph, bcinfo, bcinfo / coingraph)
+            (block.height, len(txs), coingraph, bcinfo, bcinfo / coingraph)
         )
     return result
 
@@ -183,35 +209,32 @@ def experiment_fig8(
     base_heights: Sequence[int] = (
         1_000, 100_000, 200_000, 300_000, 350_000
     ),
-    queries_per_point: int = 200,
+    queries_per_point: int = 40,
     clients: int = 16,
     num_shards: int = 8,
     costs: Optional[CostParams] = None,
 ) -> Rows:
     """Block-render throughput vs block height (Fig 8).
 
-    For each base height x, renders blocks drawn uniformly from
-    [x, x+100] under a closed loop; reports queries/s and vertex
-    reads/s.  Throughput falls with height (bigger blocks) while the
-    vertex-read rate stays within a band — the paper's 5k-20k reads/s.
+    For each base height x, loads ``FIG8_BLOCKS_PER_POINT`` blocks drawn
+    from [x, x+100] into a twin and renders blocks drawn among them
+    under a closed loop; reports queries/s and vertex reads/s (a
+    render reads its block and every transaction).  Throughput falls
+    with height (bigger blocks) while the vertex-read rate stays within
+    a band — the paper's 5k-20k reads/s.
     """
-    costs = costs or CostParams()
     result = Rows()
     for base in base_heights:
-        model = CoinGraphModel(num_shards=num_shards, costs=costs)
         rng = random.Random(base)
-        tx_counts = [
-            bitcoin.txs_in_block(base + rng.randrange(100))
-            for _ in range(queries_per_point)
-        ]
-        loop = ClosedLoop(clients)
-        run = loop.run(
-            queries_per_point,
-            lambda client_id, i, start: model.block_query(
-                tx_counts[i], start
-            ),
+        blocks = bitcoin.BlockchainGenerator(seed=base).generate(sorted(
+            rng.sample(range(base, base + 100), FIG8_BLOCKS_PER_POINT)
+        ))
+        run = _closed_loop(
+            _coingraph(num_shards, costs, blocks),
+            clients,
+            [_render(rng.choice(blocks)) for _ in range(queries_per_point)],
         )
-        reads = sum(1 + n for n in tx_counts)
+        reads = sum(len(r.results) for r in run.results.values())
         result.rows_data.append(
             (
                 base,
@@ -226,15 +249,55 @@ def experiment_fig8(
 # Figures 9 & 10: social-network workload, Weaver vs Titan
 # ---------------------------------------------------------------------------
 
+class _TitanClients:
+    """Titan under :class:`SimClients`: a TAO op runs through the cost
+    model at the simulator's now and completes at the time the model
+    returns.  An op Titan refuses (an abort, a missing vertex or edge)
+    still costs a round trip and completes as failed; any other
+    exception is a bug and propagates."""
+
+    timer_period = MSEC  # Titan keeps no timers: any step drains it
+
+    def __init__(self, titan: TitanGraph):
+        self.titan = titan
+        self.simulator = titan.simulator
+
+    def submit(self, op: tuple, callback) -> None:
+        titan, start = self.titan, self.simulator.now
+        kind, value = op[0], None
+        try:
+            if kind == "create_edge":
+                _, src, dst, handle = op
+                finish = titan.execute(
+                    [("create_edge", handle, src, dst)], start
+                )
+            elif kind == "delete_edge":
+                _, src, handle = op
+                finish = titan.execute([("delete_edge", src, handle)], start)
+            else:  # get_node, get_edges, count_edges: Titan's reads
+                value, finish = getattr(titan, kind)(op[1], start)
+            ok = True
+        except (TransactionAborted, NoSuchVertex, NoSuchEdge) as exc:
+            ok, value, finish = False, exc, start + titan.costs.rtt
+        self.simulator.schedule_at(finish, callback, ok, value)
+
+
 @dataclass
 class SocialRunResult:
     read_fraction: float
     clients_weaver: int
     clients_titan: int
     weaver_run: SimClients
-    titan_throughput: float
-    titan_latencies: Histogram
+    titan_run: SimClients
     reactive_fraction: float
+
+    @property
+    def titan_throughput(self) -> float:
+        return self.titan_run.throughput
+
+    @property
+    def titan_latencies(self) -> Histogram:
+        return self.titan_run.latencies
 
     @property
     def weaver_throughput(self) -> float:
@@ -302,8 +365,8 @@ def experiment_fig9(
 
     Runs the functional Weaver first to measure the reactive-ordering
     fraction for this mix, then drives the twin (3 gatekeepers, 8
-    shards) and the Titan model under closed loops of the same
-    operation stream.
+    shards) and the Titan model (:class:`_TitanClients`) under closed
+    loops of the same operation stream.
     """
     costs = costs or CostParams()
     reactive = (
@@ -325,43 +388,16 @@ def experiment_fig9(
         [_tao_spec(op) for op in stream],
     )
 
-    # --- Titan run (functional + cost in one) ---
     titan = TitanGraph(num_shards=8, costs=costs)
     titan.load(edges)
-    titan_lat = Histogram("titan.latency")
-
-    def titan_issue(client_id: int, i: int, start: float) -> float:
-        op = stream[i]
-        kind = op[0]
-        try:
-            if kind == "get_node":
-                _, finish = titan.get_node(op[1], start)
-            elif kind == "get_edges":
-                _, finish = titan.get_edges(op[1], start)
-            elif kind == "count_edges":
-                _, finish = titan.count_edges(op[1], start)
-            elif kind == "create_edge":
-                _, src, dst, handle = op
-                finish = titan.execute(
-                    [("create_edge", handle, src, dst)], start
-                )
-            else:
-                _, src, handle = op
-                finish = titan.execute([("delete_edge", src, handle)], start)
-        except Exception:
-            finish = start + costs.rtt  # failed op still takes a trip
-        titan_lat.observe(finish - start)
-        return finish
-
-    titan_run = ClosedLoop(clients_titan).run(total_ops, titan_issue)
+    titan_run = _closed_loop(_TitanClients(titan), clients_titan, stream)
 
     return SocialRunResult(
         read_fraction=read_fraction,
         clients_weaver=clients_weaver,
         clients_titan=clients_titan,
         weaver_run=weaver_run,
-        titan_throughput=titan_run.throughput,
-        titan_latencies=titan_lat,
+        titan_run=titan_run,
         reactive_fraction=reactive,
     )
 

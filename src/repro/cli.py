@@ -425,7 +425,7 @@ def _ms(histogram, *quantiles):
 
 def _run_figure(harness, figure: str) -> None:
     if figure == "fig7":
-        result = harness.experiment_fig7(functional_scale=0.01)
+        result = harness.experiment_fig7()
         print(format_table(
             "Fig 7: block query latency",
             ["block", "txs", "CoinGraph (s)", "BC.info (s)", "speedup"],

@@ -85,8 +85,6 @@ def build_cluster(
         store: Any = DurableStore(
             cfg.store_path, cache_bytes=cfg.store_cache_bytes
         )
-        if cfg.store_background_compaction:
-            store.enable_background_compaction()
     elif use_store_nodes and cfg.store_nodes:
         from ..store.distributed import DistributedStore
 

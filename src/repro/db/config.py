@@ -48,10 +48,6 @@ class WeaverConfig:
             client's process; ``"resident"``, the one value accepted,
             is what ``bench_e2e/workloads.py`` still passes.  The field
             goes when ROADMAP 6(b) drops that last reader.
-        store_background_compaction: run durable-store compaction on an
-            opportunistic background thread instead of synchronously
-            inside every garbage-collection tick (watermark-safe via
-            the store's ``safe_compact_version`` refcounts).
         num_regions: geo-distributed regions.  1 (the default) is the
             classic single-cluster deployment; >1 spreads the gatekeeper
             bank round-robin across regions and (in the simulator)
@@ -73,7 +69,6 @@ class WeaverConfig:
     store_path: str = ":memory:"
     store_cache_bytes: int = 8 * 1024 * 1024
     program_execution: str = "resident"
-    store_background_compaction: bool = False
     num_regions: int = 1
 
     def __post_init__(self) -> None:

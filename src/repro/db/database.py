@@ -293,15 +293,9 @@ class WritePath:
         """What every GC pass ends with: (oracle events, store records)
         reclaimed.  Store compaction uses the store's own commit
         counter, not the vector watermark: every version below the
-        oldest open store snapshot is superseded for all future readers.
-        When the opportunistic background compactor owns reclamation,
-        the GC tick must not double-compact under it."""
+        oldest open store snapshot is superseded for all future readers."""
         events = self.oracle.collect_below(watermark)
-        records = 0
-        if not getattr(self.store, "background_compaction_active", False):
-            records = self.store.collect_below(
-                self.store.safe_compact_version()
-            )
+        records = self.store.collect_below(self.store.safe_compact_version())
         return events, records
 
 

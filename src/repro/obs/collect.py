@@ -171,15 +171,10 @@ def register_stats_collectors(
     if store is not None:
 
         def collect_store() -> Dict[str, Number]:
-            out: Dict[str, Number] = {}
-            for key, value in scalar_fields(store()).items():
-                if key == "compaction_background_runs":
-                    # Dotted like the knob that enables it, not like a
-                    # plain counter field.
-                    out["store.compaction.background_runs"] = value
-                else:
-                    out[f"store.{key}"] = value
-            return out
+            return {
+                f"store.{key}": value
+                for key, value in scalar_fields(store()).items()
+            }
 
         registry.register_collector(collect_store)
 

@@ -863,7 +863,32 @@ class SimulatedWeaver(WritePath):
         if entry.callback is not None:
             entry.callback(result)
 
+    def submit(
+        self, spec: tuple, callback: Callable[[bool, Any], None]
+    ) -> None:
+        """One closed-loop op (:class:`~repro.sim.workload.SimClients`):
+        ``("tx", operations)`` commits, ``callback(ok, timestamp or
+        abort)``; ``("prog", program, start, params)`` runs a node
+        program, ``callback(ok, result)``, not ok with None when it died
+        with its gatekeeper."""
+        if spec[0] == "tx":
+            self.submit_transaction(list(spec[1]), callback=callback)
+        elif spec[0] == "prog":
+            _, program, start, params = spec
+            self.submit_program(
+                program, start, params,
+                callback=lambda r: callback(r is not None, r),
+            )
+        else:
+            raise ValueError(f"unknown op spec {spec[0]!r}")
+
     # -- driving -------------------------------------------------------
+
+    @property
+    def timer_period(self) -> float:
+        """The longer of the announce and NOP periods: the step at which
+        drivers check whether what they wait for has happened."""
+        return max(self.nop_period, self.tau)
 
     def run(self, duration: float) -> None:
         """Advance simulated time by ``duration`` seconds."""
@@ -873,7 +898,7 @@ class SimulatedWeaver(WritePath):
         """Run until every submitted program has completed (bounded by
         ``max_extra`` simulated seconds)."""
         deadline = self.simulator.now + max_extra
-        step = max(self.nop_period, self.tau)
+        step = self.timer_period
         while (
             (self._submitted or self._stamped)
             and self.simulator.now < deadline

@@ -118,11 +118,14 @@ class Server:
         self.busy_time = 0.0
         self.jobs = 0
 
-    def occupy(self, cost: float) -> float:
-        """Reserve ``cost`` seconds of this server; return completion time."""
+    def occupy(self, cost: float, at: Optional[float] = None) -> float:
+        """Reserve ``cost`` seconds of this server from ``at`` (default:
+        now), or from when it frees up if later; return completion time.
+        A cost model that runs an operation ahead of the clock passes the
+        time the operation reaches this server as ``at``."""
         if cost < 0:
             raise ValueError("negative cost")
-        start = max(self.simulator.now, self.busy_until)
+        start = max(self.simulator.now if at is None else at, self.busy_until)
         finish = start + cost
         self.busy_until = finish
         self.busy_time += cost

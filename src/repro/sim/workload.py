@@ -1,13 +1,14 @@
-"""Closed-loop clients for the event-driven deployment.
+"""Closed-loop clients on the discrete-event simulator.
 
-Drives a :class:`~repro.sim.deployment.SimulatedWeaver` the way the
-paper's throughput experiments drive the real system: N clients, each
-submitting its next operation the moment the previous one completes.
-Because the deployment (with a cost model attached) charges gatekeeper,
-store and shard service time, the measured throughput comes from the
-*actual protocol* — stamps, queues, NOPs, oracle calls and all — rather
-than from an analytic model.  This is where the Weaver series of the
-paper's figures are measured (:mod:`repro.bench.harness`).
+Drives a system the way the paper's throughput experiments drive the
+real one: N clients, each submitting its next operation the moment the
+previous one completes.  Against a
+:class:`~repro.sim.deployment.SimulatedWeaver` with a cost model
+attached, which charges gatekeeper, store and shard service time, the
+measured throughput comes from the *actual protocol* — stamps, queues,
+NOPs, oracle calls and all.  The baselines' cost models run under the
+same loop through a small adapter (:mod:`repro.bench.harness`).  This is
+where every closed-loop series of the paper's figures is measured.
 """
 
 from __future__ import annotations
@@ -15,20 +16,26 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import Histogram
-from .deployment import SimulatedWeaver
 
-# An operation descriptor returned by the op factory:
+# An operation descriptor returned by the op factory, as the driven
+# system's ``submit`` reads it; for the twin:
 #   ("tx", operations)                     — a write transaction
 #   ("prog", program, start, params)       — a node program
 OpSpec = Tuple
 
 
 class SimClients:
-    """N always-busy clients against one simulated deployment."""
+    """N always-busy clients against one simulated system.
+
+    ``deployment`` is anything with a ``simulator``, a ``timer_period``
+    (completion is checked every 50 of them) and ``submit(spec,
+    callback)``, which starts one op at the simulator's now and calls
+    ``callback(ok, value)`` when it completes.
+    """
 
     def __init__(
         self,
-        deployment: SimulatedWeaver,
+        deployment,
         num_clients: int,
         op_factory: Callable[[int, int], Optional[OpSpec]],
     ):
@@ -70,17 +77,7 @@ class SimClients:
             self.results[index] = value
             self._complete(client_id, submitted, ok)
 
-        if spec[0] == "tx":
-            _, operations = spec
-            self.deployment.submit_transaction(list(operations), callback=done)
-        elif spec[0] == "prog":
-            _, program, start, params = spec
-            self.deployment.submit_program(
-                program, start, params,
-                callback=lambda r: done(r is not None, r),
-            )
-        else:
-            raise ValueError(f"unknown op spec {spec[0]!r}")
+        self.deployment.submit(spec, done)
 
     def _complete(self, client_id: int, submitted: float, ok: bool) -> None:
         now = self.deployment.simulator.now
@@ -97,9 +94,7 @@ class SimClients:
         """Advance simulated time until every issued op has completed."""
         sim = self.deployment.simulator
         deadline = sim.now + max_sim_seconds
-        step = max(
-            self.deployment.nop_period, self.deployment.tau
-        )
+        step = self.deployment.timer_period
         while self._outstanding > 0 and sim.now < deadline:
             sim.run(until=min(deadline, sim.now + 50 * step))
         if self._outstanding:

@@ -29,15 +29,8 @@ Compaction (``collect_below``) runs the watermark rules in SQL: drop
 every record strictly older than the newest record at-or-below the
 watermark for its key, then purge lone tombstones with nothing newer.
 Open transactions pin their snapshot via the base class's refcounts, so
-callers should compact at ``safe_compact_version()``.
-
-Compaction may also run *opportunistically* on a background thread
-(:meth:`DurableStore.enable_background_compaction`): instead of paying
-the SQL deletes synchronously inside every garbage-collection tick, a
-daemon thread compacts at ``safe_compact_version()`` on its own cadence.
-The refcounts make this watermark-safe, and a store-wide reentrant lock
-serializes the thread against the owning deployment's reads and commits
-(one SQLite connection cannot interleave two transactions).
+callers should compact at ``safe_compact_version()``; every garbage-
+collection pass does, synchronously.
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ import bisect
 import pickle
 import random
 import sqlite3
-import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -116,11 +108,6 @@ class DurableStore(TransactionalStore):
         self.read_only = read_only
         self._cache: "OrderedDict[str, List[_Record]]" = OrderedDict()
         self._cache_size = 0
-        #: Serializes the background compactor against reads/commits:
-        #: one connection, one transaction at a time, coherent cache.
-        self._lock = threading.RLock()
-        self._compactor: Optional[threading.Thread] = None
-        self._compactor_stop = threading.Event()
         self._conn = self._open(path, read_only)
         self._commit_version = self._load_counter()
 
@@ -155,67 +142,15 @@ class DurableStore(TransactionalStore):
 
     def close(self) -> None:
         """Release the SQLite connection (the database stays on disk)."""
-        self.disable_background_compaction()
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None  # type: ignore[assignment]
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None  # type: ignore[assignment]
 
     def wal_checkpoint(self) -> None:
         """Copy committed WAL frames into the main database file, so a
         process that opens the file afresh sees every commit.  Passive:
-        never waits on readers; under the store lock like every other
-        statement on the shared connection."""
-        with self._lock:
-            self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
-
-    # -- background compaction -------------------------------------------
-
-    @property
-    def background_compaction_active(self) -> bool:
-        """True while the opportunistic compactor thread is running —
-        GC ticks skip their synchronous ``collect_below`` under it."""
-        return self._compactor is not None and self._compactor.is_alive()
-
-    def enable_background_compaction(self, interval: float = 0.05) -> None:
-        """Start the opportunistic compactor: a daemon thread that runs
-        ``collect_below(safe_compact_version())`` every ``interval``
-        seconds.  Open-transaction refcounts bound the version it may
-        touch, so concurrent readers never lose a pinned record."""
-        if self.read_only:
-            raise StoreError("store opened read-only")
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.background_compaction_active:
-            return
-        self._compactor_stop.clear()
-
-        def _run() -> None:
-            while not self._compactor_stop.wait(interval):
-                with self._lock:
-                    if self._conn is None:
-                        return
-                    try:
-                        self.collect_below(self.safe_compact_version())
-                    except sqlite3.Error:
-                        # Transient contention (e.g. another process
-                        # holds the write lock): retry next tick.
-                        continue
-                    self.stats.compaction_background_runs += 1
-
-        self._compactor = threading.Thread(
-            target=_run, name="store-compactor", daemon=True
-        )
-        self._compactor.start()
-
-    def disable_background_compaction(self) -> None:
-        """Stop the compactor thread (idempotent; joins briefly)."""
-        thread = self._compactor
-        if thread is None:
-            return
-        self._compactor_stop.set()
-        thread.join(timeout=10)
-        self._compactor = None
+        never waits on readers."""
+        self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
 
     def __enter__(self) -> "DurableStore":
         return self
@@ -285,19 +220,18 @@ class DurableStore(TransactionalStore):
     def _read_cell(
         self, key: str, snapshot: Optional[int]
     ) -> Tuple[bool, Any, int]:
-        with self._lock:
-            chain = self._chain(key)
-            if not chain:
+        chain = self._chain(key)
+        if not chain:
+            return False, None, 0
+        if snapshot is None:
+            index = len(chain) - 1
+        else:
+            versions = [r.version for r in chain]
+            index = bisect.bisect_right(versions, snapshot) - 1
+            if index < 0:
                 return False, None, 0
-            if snapshot is None:
-                index = len(chain) - 1
-            else:
-                versions = [r.version for r in chain]
-                index = bisect.bisect_right(versions, snapshot) - 1
-                if index < 0:
-                    return False, None, 0
-            record = chain[index]
-            return record.exists, record.value, record.version
+        record = chain[index]
+        return record.exists, record.value, record.version
 
     def _latest_version(self, key: str) -> int:
         """Newest version of ``key`` without disturbing the page cache.
@@ -305,43 +239,31 @@ class DurableStore(TransactionalStore):
         OCC validation only needs the head version; loading whole cold
         chains for it would thrash the cache under memory pressure.
         """
-        with self._lock:
-            chain = self._cache.get(key)
-            if chain is not None:
-                return chain[-1].version if chain else 0
-            row = self._conn.execute(
-                "SELECT MAX(version) FROM records WHERE key = ?", (key,)
-            ).fetchone()
-            return int(row[0]) if row and row[0] is not None else 0
+        chain = self._cache.get(key)
+        if chain is not None:
+            return chain[-1].version if chain else 0
+        row = self._conn.execute(
+            "SELECT MAX(version) FROM records WHERE key = ?", (key,)
+        ).fetchone()
+        return int(row[0]) if row and row[0] is not None else 0
 
     def keys(self, prefix: str = "") -> Iterator[str]:
-        # Materialized under the lock: lazy cursor iteration would race
-        # the background compactor's deletes.
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT r.key FROM records r JOIN ("
-                "  SELECT key, MAX(version) AS head FROM records GROUP BY key"
-                ") h ON r.key = h.key AND r.version = h.head"
-                " WHERE r.tombstone = 0 ORDER BY r.key"
-            ).fetchall()
+        # Materialized: the caller may write while it iterates.
+        rows = self._conn.execute(
+            "SELECT r.key FROM records r JOIN ("
+            "  SELECT key, MAX(version) AS head FROM records GROUP BY key"
+            ") h ON r.key = h.key AND r.version = h.head"
+            " WHERE r.tombstone = 0 ORDER BY r.key"
+        ).fetchall()
         for (key,) in rows:
             if prefix and not key.startswith(prefix):
                 continue
             yield key
 
-    # -- snapshot pinning (thread-safe overrides) ------------------------
-
     def begin(self) -> StoreTransaction:
-        with self._lock:
-            return super().begin()
-
-    def _release_snapshot(self, snapshot: int) -> None:
-        with self._lock:
-            super()._release_snapshot(snapshot)
-
-    def safe_compact_version(self) -> int:
-        with self._lock:
-            return super().safe_compact_version()
+        # Kept in this class body: bench_e2e/tracing.py wraps
+        # ``DurableStore.begin`` by name.
+        return super().begin()
 
     # -- commit path -----------------------------------------------------
 
@@ -354,116 +276,113 @@ class DurableStore(TransactionalStore):
     ) -> int:
         if self.read_only:
             raise StoreError("store opened read-only")
-        with self._lock:
-            # BEGIN IMMEDIATE takes the database write lock up front, so
-            # validation and application are one atomic unit even with
-            # other processes holding connections to the same file.
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                for key, seen_version in reads.items():
-                    if self._latest_version(key) != seen_version:
-                        self.aborts += 1
-                        raise TransactionAborted(f"read conflict on {key!r}")
-                for key in set(writes) | deletes:
-                    if self._latest_version(key) > snapshot:
-                        self.aborts += 1
-                        raise TransactionAborted(f"write conflict on {key!r}")
-                version = self._commit_version + 1
-                rows = []
-                records: List[Tuple[str, _Record]] = []
-                for key, value in writes.items():
-                    blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                    rows.append((key, version, blob, 0))
-                    records.append(
-                        (
-                            key,
-                            _Record(
-                                version,
-                                True,
-                                value,
-                                len(blob) + len(key) + _RECORD_OVERHEAD,
-                            ),
-                        )
+        # BEGIN IMMEDIATE takes the database write lock up front, so
+        # validation and application are one atomic unit even with
+        # other processes holding connections to the same file.
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            for key, seen_version in reads.items():
+                if self._latest_version(key) != seen_version:
+                    self.aborts += 1
+                    raise TransactionAborted(f"read conflict on {key!r}")
+            for key in set(writes) | deletes:
+                if self._latest_version(key) > snapshot:
+                    self.aborts += 1
+                    raise TransactionAborted(f"write conflict on {key!r}")
+            version = self._commit_version + 1
+            rows = []
+            records: List[Tuple[str, _Record]] = []
+            for key, value in writes.items():
+                blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+                rows.append((key, version, blob, 0))
+                records.append(
+                    (
+                        key,
+                        _Record(
+                            version,
+                            True,
+                            value,
+                            len(blob) + len(key) + _RECORD_OVERHEAD,
+                        ),
                     )
-                for key in deletes:
-                    rows.append((key, version, None, 1))
-                    records.append(
-                        (
-                            key,
-                            _Record(
-                                version, False, None,
-                                len(key) + _RECORD_OVERHEAD,
-                            ),
-                        )
+                )
+            for key in deletes:
+                rows.append((key, version, None, 1))
+                records.append(
+                    (
+                        key,
+                        _Record(
+                            version, False, None,
+                            len(key) + _RECORD_OVERHEAD,
+                        ),
                     )
-                self._conn.executemany(
-                    "INSERT INTO records (key, version, value, tombstone)"
-                    " VALUES (?, ?, ?, ?)",
-                    rows,
                 )
-                self._conn.execute(
-                    "INSERT INTO meta (name, value) VALUES (?, ?)"
-                    " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-                    (_COUNTER, version),
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._commit_version = version
-            for key, record in records:
-                self._cache_append(key, record)
-            self.commits += 1
-            return version
+            self._conn.executemany(
+                "INSERT INTO records (key, version, value, tombstone)"
+                " VALUES (?, ?, ?, ?)",
+                rows,
+            )
+            self._conn.execute(
+                "INSERT INTO meta (name, value) VALUES (?, ?)"
+                " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
+                (_COUNTER, version),
+            )
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        self._commit_version = version
+        for key, record in records:
+            self._cache_append(key, record)
+        self.commits += 1
+        return version
 
     # -- durability / recovery -------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            state: Dict[str, Any] = {
-                META_COMMIT_VERSION: self._commit_version
-            }
-            for key in self.keys():
-                exists, value, _ = self._read_cell(key, None)
-                if exists:
-                    state[key] = value
-            return state
+        state: Dict[str, Any] = {
+            META_COMMIT_VERSION: self._commit_version
+        }
+        for key in self.keys():
+            exists, value, _ = self._read_cell(key, None)
+            if exists:
+                state[key] = value
+        return state
 
     def restore(self, state: Dict[str, Any]) -> None:
-        with self._lock:
-            head = self._conn.execute(
-                "SELECT COUNT(*) FROM records"
-            ).fetchone()[0]
-            if head:
-                raise StoreError("restore requires an empty store")
-            state = dict(state)
-            resumed = state.pop(META_COMMIT_VERSION, self._commit_version)
-            self._commit_version = max(self._commit_version, int(resumed))
-            version = self._commit_version + 1
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.executemany(
-                    "INSERT INTO records (key, version, value, tombstone)"
-                    " VALUES (?, ?, ?, 0)",
-                    [
-                        (
-                            key,
-                            version,
-                            pickle.dumps(v, pickle.HIGHEST_PROTOCOL),
-                        )
-                        for key, v in state.items()
-                    ],
-                )
-                self._conn.execute(
-                    "INSERT INTO meta (name, value) VALUES (?, ?)"
-                    " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-                    (_COUNTER, version),
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._commit_version = version
+        head = self._conn.execute(
+            "SELECT COUNT(*) FROM records"
+        ).fetchone()[0]
+        if head:
+            raise StoreError("restore requires an empty store")
+        state = dict(state)
+        resumed = state.pop(META_COMMIT_VERSION, self._commit_version)
+        self._commit_version = max(self._commit_version, int(resumed))
+        version = self._commit_version + 1
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            self._conn.executemany(
+                "INSERT INTO records (key, version, value, tombstone)"
+                " VALUES (?, ?, ?, 0)",
+                [
+                    (
+                        key,
+                        version,
+                        pickle.dumps(v, pickle.HIGHEST_PROTOCOL),
+                    )
+                    for key, v in state.items()
+                ],
+            )
+            self._conn.execute(
+                "INSERT INTO meta (name, value) VALUES (?, ?)"
+                " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
+                (_COUNTER, version),
+            )
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        self._commit_version = version
 
     def collect_below(self, version: int) -> int:
         """Watermark compaction, in SQL.
@@ -477,50 +396,49 @@ class DurableStore(TransactionalStore):
         """
         if self.read_only:
             raise StoreError("store opened read-only")
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                superseded = self._conn.execute(
-                    "DELETE FROM records WHERE version < ("
-                    "  SELECT MAX(r2.version) FROM records r2"
-                    "  WHERE r2.key = records.key AND r2.version <= ?"
-                    ")",
-                    (version,),
-                ).rowcount
-                tombstones = self._conn.execute(
-                    "DELETE FROM records WHERE tombstone = 1"
-                    " AND version <= ?"
-                    " AND NOT EXISTS ("
-                    "  SELECT 1 FROM records r2"
-                    "  WHERE r2.key = records.key"
-                    "  AND r2.version > records.version"
-                    ")",
-                    (version,),
-                ).rowcount
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            # Trim cached chains in tandem so the cache stays coherent
-            # (and sheds the same bytes the database just reclaimed).
-            for key in list(self._cache):
-                chain = self._cache[key]
-                versions = [r.version for r in chain]
-                keep_from = bisect.bisect_right(versions, version) - 1
-                if keep_from > 0:
-                    freed = sum(r.nbytes for r in chain[:keep_from])
-                    del chain[:keep_from]
-                    self._cache_size -= freed
-                if (
-                    len(chain) == 1
-                    and not chain[0].exists
-                    and chain[0].version <= version
-                ):
-                    self._cache_drop(key)
-                elif not chain:
-                    self._cache_drop(key)
-            self.stats.page_cache_bytes = self._cache_size
-            self.stats.compactions += 1
-            self.stats.records_collected += superseded + tombstones
-            self.stats.tombstones_purged += tombstones
-            return superseded + tombstones
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            superseded = self._conn.execute(
+                "DELETE FROM records WHERE version < ("
+                "  SELECT MAX(r2.version) FROM records r2"
+                "  WHERE r2.key = records.key AND r2.version <= ?"
+                ")",
+                (version,),
+            ).rowcount
+            tombstones = self._conn.execute(
+                "DELETE FROM records WHERE tombstone = 1"
+                " AND version <= ?"
+                " AND NOT EXISTS ("
+                "  SELECT 1 FROM records r2"
+                "  WHERE r2.key = records.key"
+                "  AND r2.version > records.version"
+                ")",
+                (version,),
+            ).rowcount
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        # Trim cached chains in tandem so the cache stays coherent
+        # (and sheds the same bytes the database just reclaimed).
+        for key in list(self._cache):
+            chain = self._cache[key]
+            versions = [r.version for r in chain]
+            keep_from = bisect.bisect_right(versions, version) - 1
+            if keep_from > 0:
+                freed = sum(r.nbytes for r in chain[:keep_from])
+                del chain[:keep_from]
+                self._cache_size -= freed
+            if (
+                len(chain) == 1
+                and not chain[0].exists
+                and chain[0].version <= version
+            ):
+                self._cache_drop(key)
+            elif not chain:
+                self._cache_drop(key)
+        self.stats.page_cache_bytes = self._cache_size
+        self.stats.compactions += 1
+        self.stats.records_collected += superseded + tombstones
+        self.stats.tombstones_purged += tombstones
+        return superseded + tombstones

@@ -50,9 +50,6 @@ class StoreStats:
         self.retries = 0
         #: ``collect_below`` invocations and what they reclaimed.
         self.compactions = 0
-        #: Opportunistic background-compactor passes (durable backend
-        #: with ``store_background_compaction`` enabled; else zero).
-        self.compaction_background_runs = 0
         self.records_collected = 0
         #: Cells whose only surviving record was a lone tombstone.
         self.tombstones_purged = 0
@@ -166,6 +163,9 @@ class TransactionalStore:
         rng: Optional[random.Random] = None,
     ) -> None:
         self._cells: Dict[str, VersionedCell] = {}
+        #: Keys whose cell compaction may shrink: written over, or
+        #: deleted.  A cell holding one live record has nothing to give.
+        self._collectable: Set[str] = set()
         self._commit_version = 0
         self.stats = StoreStats()
         #: snapshot version -> number of open transactions pinned to it;
@@ -317,9 +317,13 @@ class TransactionalStore:
         self._commit_version += 1
         version = self._commit_version
         for key, value in writes.items():
-            self._cells.setdefault(key, VersionedCell()).write(version, value)
+            cell = self._cells.setdefault(key, VersionedCell())
+            cell.write(version, value)
+            if len(cell) > 1:
+                self._collectable.add(key)
         for key in deletes:
             self._cells.setdefault(key, VersionedCell()).delete(version)
+            self._collectable.add(key)
         self.commits += 1
         return version
 
@@ -361,16 +365,16 @@ class TransactionalStore:
         so create/delete churn no longer grows memory without bound.
         """
         dropped = 0
-        empty = []
-        for key, cell in self._cells.items():
+        for key in list(self._collectable):
+            cell = self._cells[key]
             reclaimed = cell.collect_below(version)
             dropped += reclaimed
             if len(cell) == 0:
-                empty.append(key)
+                del self._cells[key]
                 if reclaimed:
                     self.stats.tombstones_purged += 1
-        for key in empty:
-            del self._cells[key]
+            if len(cell) == 0 or (len(cell) == 1 and cell.read(None)[0]):
+                self._collectable.discard(key)
         self.stats.compactions += 1
         self.stats.records_collected += dropped
         return dropped

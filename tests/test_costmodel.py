@@ -1,41 +1,47 @@
-"""The analytic cost model: resources, locks, closed loops, reports."""
+"""The cost models' machinery: servers, locks, closed loops, reports."""
 
 import pytest
 
-from repro.bench.costmodel import (
-    ClosedLoop,
-    CostParams,
-    LockTable,
-    Resource,
-)
-from repro.bench.models import CoinGraphModel
+from repro.bench import harness
+from repro.bench.costmodel import CostParams, LockTable
 from repro.bench.report import format_series, format_table, ratio_check
+from repro.sim.simulator import Server, Simulator
+from repro.sim.workload import SimClients, finite_stream
+from repro.workloads import bitcoin
 
 
-class TestResource:
+class TestServerAt:
+    """``Server.occupy(cost, at=)``: a cost model charging ahead of the
+    simulator's clock."""
+
     def test_idle_serves_at_start(self):
-        r = Resource()
-        assert r.acquire(1.0, 0.5) == 1.5
+        server = Server(Simulator())
+        assert server.occupy(0.5, at=1.0) == 1.5
 
     def test_queueing(self):
-        r = Resource()
-        r.acquire(0.0, 1.0)
-        assert r.acquire(0.5, 1.0) == 2.0
+        server = Server(Simulator())
+        server.occupy(1.0, at=0.0)
+        assert server.occupy(1.0, at=0.5) == 2.0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
-            Resource().acquire(0.0, -1)
+            Server(Simulator()).occupy(-1, at=0.0)
 
     def test_utilization(self):
-        r = Resource()
-        r.acquire(0.0, 1.0)
-        assert r.utilization(4.0) == pytest.approx(0.25)
+        server = Server(Simulator())
+        server.occupy(1.0, at=0.0)
+        assert server.utilization(4.0) == pytest.approx(0.25)
 
     def test_job_counter(self):
-        r = Resource()
-        r.acquire(0, 1)
-        r.acquire(0, 1)
-        assert r.jobs == 2
+        server = Server(Simulator())
+        server.occupy(1, at=0)
+        server.occupy(1, at=0)
+        assert server.jobs == 2
+
+    def test_at_defaults_to_now(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        assert Server(sim).occupy(0.5) == 2.5
 
 
 class TestLockTable:
@@ -70,48 +76,76 @@ class TestLockTable:
         assert locks.contention_rate == pytest.approx(0.5)
 
 
-class TestClosedLoop:
+class FixedLatency:
+    """A system under :class:`SimClients` whose every op takes
+    ``latency`` seconds, queued on ``server`` when one is given."""
+
+    timer_period = 0.001
+
+    def __init__(self, latency, with_server=False):
+        self.simulator = Simulator()
+        self.latency = latency
+        self.server = Server(self.simulator) if with_server else None
+
+    def submit(self, spec, callback):
+        if self.server is not None:
+            finish = self.server.occupy(self.latency)
+        else:
+            finish = self.simulator.now + self.latency
+        self.simulator.schedule_at(finish, callback, True, spec)
+
+
+def closed_loop(system, clients, ops):
+    run = SimClients(system, clients, finite_stream(list(range(ops))))
+    run.start()
+    run.run_to_completion()
+    return run
+
+
+class TestSimClientsClosedLoop:
     def test_throughput_of_fixed_latency_op(self):
-        loop = ClosedLoop(4)
-        run = loop.run(100, lambda c, i, start: start + 0.01)
+        run = closed_loop(FixedLatency(0.01), 4, 100)
         # 4 clients, 10 ms per op -> 400 ops/s.
         assert run.throughput == pytest.approx(400, rel=0.05)
 
     def test_latencies_recorded(self):
-        run = ClosedLoop(1).run(5, lambda c, i, s: s + 0.5)
-        assert run.mean_latency == pytest.approx(0.5)
-        assert run.operations == 5
+        run = closed_loop(FixedLatency(0.5), 1, 5)
+        assert run.latencies.mean == pytest.approx(0.5)
+        assert run.latencies.count == run.completed == 5
+        assert run.results == {i: i for i in range(5)}
 
-    def test_bottleneck_resource_caps_throughput(self):
-        server = Resource()
-        run = ClosedLoop(16).run(
-            200, lambda c, i, s: server.acquire(s, 0.001)
-        )
+    def test_bottleneck_server_caps_throughput(self):
+        run = closed_loop(FixedLatency(0.001, with_server=True), 16, 200)
         assert run.throughput == pytest.approx(1000, rel=0.05)
 
     def test_zero_clients_rejected(self):
         with pytest.raises(ValueError):
-            ClosedLoop(0)
+            SimClients(FixedLatency(0.01), 0, finite_stream([]))
 
-    def test_time_travel_rejected(self):
-        loop = ClosedLoop(1)
+    def test_finishing_before_the_start_rejected(self):
+        run = SimClients(FixedLatency(-1), 1, finite_stream([0]))
         with pytest.raises(ValueError):
-            loop.run(1, lambda c, i, s: s - 1)
+            run.start()
 
 
-class TestCoinGraphModel:
-    def test_latency_linear_in_txs(self):
-        model = CoinGraphModel()
-        small = model.block_query_latency(10)
-        large = model.block_query_latency(100)
+class TestCoinGraphTwin:
+    def test_latency_grows_with_height(self):
+        blocks = bitcoin.BlockchainGenerator(seed=7).generate(
+            [100_000, 200_000]
+        )
+        twin = harness._coingraph(1, None, blocks)
+        costs = CostParams()
+        assert twin.costs.vertex_read_service == costs.coingraph_tx_service
+        small, large = [
+            harness._closed_loop(twin, 1, [harness._render(block)])
+            .latencies.mean
+            for block in blocks
+        ]
         assert large > 5 * small
-
-    def test_block_query_occupies_shards(self):
-        model = CoinGraphModel(num_shards=2)
-        model.block_query(10, 0.0)
-        model.block_query(10, 0.0)
-        assert model.shards[0].jobs == 1
-        assert model.shards[1].jobs == 1
+        # Every transaction is one demand page on the one shard.
+        assert small > len(blocks[0].transactions) * (
+            costs.coingraph_tx_service
+        )
 
 
 class TestReport:

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.vclock import VectorTimestamp
+from repro.db import Weaver, WeaverClient, WeaverConfig
 from repro.errors import StoreError
 from repro.store.durable import DurableStore
 
@@ -80,13 +81,10 @@ class TestReopen:
         """What ProcessWeaver.recover_shard relies on before it forks a
         replacement worker: after the checkpoint the commits are in the
         database file itself, not only in the WAL beside it — with the
-        writer still open and a compactor thread sharing its connection."""
+        writer still open."""
         with DurableStore(db_path) as store:
-            store.enable_background_compaction(interval=0.001)
             for i in range(20):
                 store.transact(lambda t, i=i: t.put(f"k{i}", i))
-            store.wal_checkpoint()
-            store.disable_background_compaction()
             store.wal_checkpoint()
             main_file_only = str(tmp_path / "copy.db")
             shutil.copy(db_path, main_file_only)
@@ -187,6 +185,15 @@ class TestCompaction:
             # above are all intact.
             assert store.read_at("k", v1) == (True, "a")
             assert store.get("k") == "c"
+
+    def test_gc_compacts_synchronously(self):
+        db = Weaver(WeaverConfig(store_backend="sqlite"))
+        client = WeaverClient(db)
+        v = client.create_vertex()
+        for i in range(6):
+            client.set_property(v, "n", i)
+        report = db.collect_garbage()
+        assert report["store"] > 0
 
 
 def _hammer(path: str) -> None:

@@ -3,9 +3,11 @@ holds at tiny scale."""
 
 import pytest
 
+from repro.baselines.titan import TitanGraph
 from repro.bench import harness
 from repro.bench.costmodel import CostParams
 from repro.db import operations as ops
+from repro.errors import NoSuchVertex
 from repro.programs import library
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
@@ -13,9 +15,7 @@ from repro.sim.deployment import SimulatedWeaver
 
 class TestFig7:
     def test_coingraph_faster_and_latency_grows_with_height(self):
-        result = harness.experiment_fig7(
-            heights=(1_000, 200_000, 350_000), functional_scale=0.01
-        )
+        result = harness.experiment_fig7(heights=(1_000, 200_000, 350_000))
         rows = result.rows()
         assert result.functional_blocks_checked == 3
         latencies = [cg for _, _, cg, _, _ in rows]
@@ -27,8 +27,8 @@ class TestFig7:
 class TestFig8:
     def test_throughput_falls_with_block_height(self):
         result = harness.experiment_fig8(
-            base_heights=(1_000, 200_000, 350_000),
-            queries_per_point=50,
+            base_heights=(1_000, 150_000),
+            queries_per_point=16,
             clients=8,
         )
         rows = result.rows()
@@ -37,7 +37,7 @@ class TestFig8:
 
     def test_vertex_read_rate_within_band(self):
         result = harness.experiment_fig8(
-            base_heights=(200_000, 350_000), queries_per_point=50
+            base_heights=(100_000, 150_000), queries_per_point=16
         )
         for _, _, reads_per_s in result.rows():
             assert reads_per_s > 1_000  # sustained multi-k reads/s
@@ -94,6 +94,41 @@ class TestTwinHelpers:
         assert twin.latency_tx.count == twin.latency_program.count == 1
 
 
+class TestTitanClients:
+    """Titan under the closed loop (Fig 9's baseline run)."""
+
+    def test_ops_complete_at_the_models_finish_time(self):
+        titan = TitanGraph()
+        titan.load([("a", "b")])
+        run = harness._closed_loop(harness._TitanClients(titan), 1, [
+            ("get_node", "a"), ("create_edge", "a", "b", "e9"),
+        ])
+        assert run.completed == 2 and run.failed == 0
+        assert run.results[0]["out_degree"] == 1
+        # One client: the second op starts when the first completes.
+        assert run.makespan == pytest.approx(run.latencies.total)
+        assert run.latencies.min >= titan.costs.rtt
+
+    def test_refused_op_costs_a_round_trip_and_fails(self):
+        titan = TitanGraph()
+        run = harness._closed_loop(
+            harness._TitanClients(titan), 1, [("get_node", "ghost")]
+        )
+        assert run.completed == 0 and run.failed == 1
+        assert isinstance(run.results[0], NoSuchVertex)
+        assert run.latencies.mean == pytest.approx(titan.costs.rtt)
+
+    def test_any_other_exception_reaches_the_caller(self):
+        class Broken(TitanGraph):
+            def get_node(self, handle, start):
+                raise KeyError(handle)
+
+        with pytest.raises(KeyError):
+            harness._closed_loop(
+                harness._TitanClients(Broken()), 1, [("get_node", "a")]
+            )
+
+
 OPS = 400  # per Fig 9 mix: at least one write in the seeded stream
 
 
@@ -125,6 +160,14 @@ class TestFig9:
             + tao_run.weaver_write_latencies.count
             == OPS
         )
+
+    def test_titan_is_a_closed_loop_with_no_refused_op(
+        self, tao_run, mixed_run
+    ):
+        for run in (tao_run, mixed_run):
+            assert run.titan_run.completed == OPS
+            assert run.titan_run.failed == 0
+            assert run.titan_latencies.count == OPS
 
     def test_weaver_beats_titan_on_tao_mix(self, tao_run):
         # Paper: 10.9x.  Accept the right order of magnitude.

@@ -183,7 +183,6 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "shard.vertices_read",
     "store.aborts",
     "store.commits",
-    "store.compaction.background_runs",
     "store.compactions",
     "store.page_cache_bytes",
     "store.page_cache_evictions",
