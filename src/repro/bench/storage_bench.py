@@ -88,8 +88,8 @@ def paging_experiment(
             # At pressure p the live set is p times the cache budget.
             # The 1x regime must hold every version chain, not just the
             # live set: updates append records that are only trimmed at
-            # the compaction pass, so budget for all records plus their
-            # pickle/key/cache overhead.
+            # the compaction pass, so budget for all records plus each
+            # one's wire header, key and fixed cache charge.
             cache_bytes = (
                 int(dataset_bytes / pressure)
                 if pressure > 1.0
@@ -121,6 +121,7 @@ def paging_experiment(
 
     baseline = points[0]["reads_per_second"]
     return {
+        "cpu_count": os.cpu_count() or 1,
         "num_keys": num_keys,
         "value_bytes": value_bytes,
         "dataset_bytes": dataset_bytes,

@@ -10,20 +10,25 @@ flow through the involved key-owners in one canonical order (which is
 what makes conflicting transactions serialize without a global lock),
 with the message count recorded per commit.
 
-The class subclasses :class:`TransactionalStore`, overriding only the
-cell-routing internals, so everything built on the store — gatekeepers,
-shard recovery, demand paging — works unchanged on top of it, including
-after a store-node failure (any single node can be lost without losing
-committed data when ``replication`` >= 2).
+The class subclasses :class:`TransactionalStore` and supplies only where
+a key's cell lives (``_cell`` routes to the first live replica,
+``_install`` writes every live replica, ``keys``, ``collect_below``);
+validation, the commit counter, ``snapshot`` and ``restore`` are the
+base class's, and ``_commit`` adds only the chain accounting.  So
+everything built on the store — gatekeepers, shard recovery, demand
+paging — works unchanged on top of it, including after a store-node
+failure (any single node can be lost without losing committed data when
+``replication`` >= 2).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+import random
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from ..errors import StoreError
-from .kvstore import META_COMMIT_VERSION, TransactionalStore
+from .kvstore import TransactionalStore
 from .versioned import VersionedCell
 
 
@@ -47,21 +52,23 @@ class StoreNode:
     def name(self) -> str:
         return f"store{self.index}"
 
-    def cell(self, key: str, create: bool = False) -> Optional[VersionedCell]:
-        if create:
-            return self.cells.setdefault(key, VersionedCell())
-        return self.cells.get(key)
-
 
 class DistributedStore(TransactionalStore):
     """A partitioned, replicated drop-in for :class:`TransactionalStore`."""
 
-    def __init__(self, num_nodes: int = 4, replication: int = 2):
+    def __init__(
+        self,
+        num_nodes: int = 4,
+        replication: int = 2,
+        *,
+        sleep: Optional[Callable[[float], None]] = None,
+        rng: Optional[random.Random] = None,
+    ):
         if num_nodes < 1:
             raise ValueError("need at least one store node")
         if not 1 <= replication <= num_nodes:
             raise ValueError("replication must be in [1, num_nodes]")
-        super().__init__()
+        super().__init__(sleep=sleep, rng=rng)
         # The base class's _cells dict goes unused; routing replaces it.
         self.nodes = [StoreNode(i) for i in range(num_nodes)]
         self.replication = replication
@@ -81,26 +88,31 @@ class DistributedStore(TransactionalStore):
     def _live_replicas(self, key: str) -> List[StoreNode]:
         return [node for node in self.replicas_of(key) if node.alive]
 
-    def _read_replica(self, key: str) -> Optional[StoreNode]:
+    # -- where a key's cell lives ------------------------------------------
+
+    def _cell(self, key: str) -> Optional[VersionedCell]:
         live = self._live_replicas(key)
-        return live[0] if live else None
-
-    # -- routing internals (override the base class's single dict) -------
-
-    def _read_cell(
-        self, key: str, snapshot: Optional[int]
-    ) -> Tuple[bool, Any, int]:
-        node = self._read_replica(key)
-        if node is None:
+        if not live:
             raise StoreError(
                 f"all replicas of {key!r} are down "
                 f"(replication={self.replication})"
             )
-        node.reads += 1
-        cell = node.cell(key)
-        if cell is None:
-            return False, None, 0
-        return cell.read(snapshot)
+        live[0].reads += 1
+        return live[0].cells.get(key)
+
+    def _install(
+        self, version: int, writes: Dict[str, Any], deletes: Iterable[str]
+    ) -> None:
+        for key, value in writes.items():
+            for node in self._live_replicas(key):
+                node.writes += 1
+                node.cells.setdefault(key, VersionedCell()).write(
+                    version, value
+                )
+        for key in deletes:
+            for node in self._live_replicas(key):
+                node.writes += 1
+                node.cells.setdefault(key, VersionedCell()).delete(version)
 
     def _commit(
         self,
@@ -114,55 +126,18 @@ class DistributedStore(TransactionalStore):
         The involved key-owners form a chain in canonical (index) order;
         validation walks forward through the chain, application walks
         back.  Two conflicting transactions meet at their first shared
-        owner, where first-committer-wins applies — the same guarantee
-        as the base class, now with the distribution accounted.
+        owner, where first-committer-wins applies — the base class's
+        rules, with the chain's messages accounted here.
         """
-        involved: Set[int] = set()
-        for key in set(reads) | set(writes) | deletes:
-            for node in self._live_replicas(key):
-                involved.add(node.index)
-        chain = sorted(involved)
-        # Validation pass (forward through the chain).
-        for key, seen_version in reads.items():
-            _, _, current = self._latest(key)
-            if current != seen_version:
-                self.aborts += 1
-                from ..errors import TransactionAborted
-
-                raise TransactionAborted(f"read conflict on {key!r}")
-        for key in set(writes) | deletes:
-            _, _, current = self._latest(key)
-            if current > snapshot:
-                self.aborts += 1
-                from ..errors import TransactionAborted
-
-                raise TransactionAborted(f"write conflict on {key!r}")
-        # Application pass (backward), on every live replica.
-        self._commit_version += 1
-        version = self._commit_version
-        for key, value in writes.items():
-            for node in self._live_replicas(key):
-                node.writes += 1
-                node.cell(key, create=True).write(version, value)
-        for key in deletes:
-            for node in self._live_replicas(key):
-                node.writes += 1
-                node.cell(key, create=True).delete(version)
-        self.commits += 1
+        version = super()._commit(snapshot, reads, writes, deletes)
+        chain = {
+            node.index
+            for key in set(reads) | set(writes) | deletes
+            for node in self._live_replicas(key)
+        }
         self.chain_messages += 2 * len(chain)
         self.commit_chains.append(len(chain))
         return version
-
-    def _latest(self, key: str) -> Tuple[bool, Any, int]:
-        node = self._read_replica(key)
-        if node is None:
-            raise StoreError(f"all replicas of {key!r} are down")
-        cell = node.cell(key)
-        if cell is None:
-            return False, None, 0
-        return cell.read(None)
-
-    # -- whole-store operations ------------------------------------------
 
     def _all_keys(self) -> Set[str]:
         keys: Set[str] = set()
@@ -173,49 +148,27 @@ class DistributedStore(TransactionalStore):
 
     def keys(self, prefix: str = "") -> Iterator[str]:
         for key in sorted(self._all_keys()):
-            if prefix and not key.startswith(prefix):
-                continue
-            exists, _, _ = self._read_cell(key, None)
-            if exists:
+            if key.startswith(prefix) and self._read_cell(key, None)[0]:
                 yield key
 
-    def snapshot(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {META_COMMIT_VERSION: self._commit_version}
-        for key in self._all_keys():
-            exists, value, _ = self._read_cell(key, None)
-            if exists:
-                state[key] = value
-        return state
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        if self._all_keys():
-            raise StoreError("restore requires an empty store")
-        state = dict(state)
-        resumed = state.pop(META_COMMIT_VERSION, self._commit_version)
-        self._commit_version = max(self._commit_version, int(resumed))
-        self._commit_version += 1
-        for key, value in state.items():
-            for node in self._live_replicas(key):
-                node.cell(key, create=True).write(
-                    self._commit_version, value
-                )
-
     def collect_below(self, version: int) -> int:
-        reclaimed = 0
-        for node in self.nodes:
-            empty = []
-            for key, cell in node.cells.items():
-                freed = cell.collect_below(version)
-                reclaimed += freed
-                if len(cell) == 0:
-                    empty.append(key)
-                    if freed:
-                        self.stats.tombstones_purged += 1
-            for key in empty:
-                del node.cells[key]
-        self.stats.compactions += 1
-        self.stats.records_collected += reclaimed
-        return reclaimed
+        """Compact every live replica; a key's records count once, not
+        once per replica."""
+        reclaimed = purged = 0
+        for key in self._all_keys():
+            freed, emptied = 0, True
+            for node in self._live_replicas(key):
+                cell = node.cells.get(key)
+                if cell is None:
+                    continue
+                freed = max(freed, cell.collect_below(version))
+                if cell:
+                    emptied = False
+                else:
+                    del node.cells[key]
+            reclaimed += freed
+            purged += bool(freed and emptied)
+        return self._compacted(reclaimed, purged)
 
     # -- failure handling -------------------------------------------------
 

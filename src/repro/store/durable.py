@@ -1,10 +1,16 @@
 """A durable, larger-than-RAM backing store over SQLite in WAL mode.
 
 This is the reproduction's answer to HyperDex Warp's *durability* half
-(section 3.2): the same :class:`~repro.store.kvstore.TransactionalStore`
-contract — multi-versioned cells, first-committer-wins OCC, an integer
-commit counter — but with the version chains persisted as
-``(key, version, value, tombstone)`` rows in a single SQLite database.
+(section 3.2): :class:`~repro.store.kvstore.TransactionalStore`'s one
+commit body, ``snapshot`` and ``restore``, with the version chains
+persisted as ``(key, version, value, tombstone)`` rows in a single
+SQLite database.  A commit is one SQL transaction, write lock first,
+around validation and application.  A value is stored as one
+:mod:`repro.cluster.wire` payload, the codec the transport speaks: no
+code runs on reopen, and a row that does not decode (garbage, or written
+under another ``WIRE_VERSION``; there is no migration) raises
+:class:`~repro.errors.StoreError` naming its key and version on first
+read.
 
 Why SQLite/WAL is the right shape here:
 
@@ -15,15 +21,18 @@ Why SQLite/WAL is the right shape here:
 * **Single-writer / multi-reader** matches the deployment: the client
   process commits, while shard worker processes open their own
   read-only view of the same file to rebuild their partition after a
-  crash — no dict snapshot has to be pickled across the fork anymore.
+  crash — no dict snapshot has to cross the fork.
 * **The database is the recovery image.**  ``recover_shard`` becomes
   "reopen the file", which is exactly the paper's story of shards
   re-reading their partition out of Warp.
 
-Reads go through an LRU **page cache** of whole per-key version chains
-with a configurable byte budget, so the multi-version graph can exceed
-RAM: hot chains are served from memory, cold ones are a ``SELECT`` away,
-and the cache evicts least-recently-used chains when the budget is hit.
+Reads go through an LRU **page cache** of whole per-key
+:class:`~repro.store.versioned.VersionedCell`s with a configurable byte
+budget, so the multi-version graph can exceed RAM: hot chains are served
+from memory, cold ones are a ``SELECT`` away, and the cache evicts
+least-recently-used cells when the budget is hit.  A cached cell learns
+a commit's records only after its ``COMMIT``, and OCC validation reads
+``MAX(version)`` without filling the cache.
 
 Compaction (``collect_below``) runs the watermark rules in SQL: drop
 every record strictly older than the newest record at-or-below the
@@ -35,22 +44,24 @@ collection pass does, synchronously.
 
 from __future__ import annotations
 
-import bisect
-import pickle
 import random
 import sqlite3
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
-from ..errors import StoreError, TransactionAborted
-from .kvstore import META_COMMIT_VERSION, StoreTransaction, TransactionalStore
+from ..errors import StoreError
+from .kvstore import StoreTransaction, TransactionalStore
+from .versioned import VersionedCell
 
 #: Default page-cache budget: generous for tests, small enough that the
 #: paging benchmark can meaningfully oversubscribe it.
 DEFAULT_CACHE_BYTES = 8 * 1024 * 1024
 
-#: Fixed per-record overhead charged to the cache on top of the pickled
-#: value size (tuple + list-slot + version int, approximately).
+#: Fixed per-record overhead charged to the cache on top of the encoded
+#: value size (list slots + version int, approximately).
 _RECORD_OVERHEAD = 64
 
 _SCHEMA = """
@@ -70,16 +81,9 @@ CREATE TABLE IF NOT EXISTS meta (
 _COUNTER = "commit_version"
 
 
-class _Record:
-    """One decoded row of a cached version chain."""
-
-    __slots__ = ("version", "exists", "value", "nbytes")
-
-    def __init__(self, version: int, exists: bool, value: Any, nbytes: int):
-        self.version = version
-        self.exists = exists
-        self.value = value
-        self.nbytes = nbytes
+def _record_bytes(key: str, blob: Optional[bytes]) -> int:
+    """What one record costs the page cache."""
+    return len(key) + _RECORD_OVERHEAD + (len(blob) if blob else 0)
 
 
 class DurableStore(TransactionalStore):
@@ -106,8 +110,17 @@ class DurableStore(TransactionalStore):
         self.path = path
         self.cache_bytes = cache_bytes
         self.read_only = read_only
-        self._cache: "OrderedDict[str, List[_Record]]" = OrderedDict()
+        # Imported here: repro.cluster imports repro.store when it loads.
+        from ..cluster import wire
+
+        self._wire = wire
+        self._cache: "OrderedDict[str, VersionedCell]" = OrderedDict()
+        #: What each cached cell is charged; sums to ``_cache_size``.
+        self._cell_bytes: Dict[str, int] = {}
         self._cache_size = 0
+        #: (key, version, value, blob) of the commit in flight, blob None
+        #: for a tombstone: cached cells learn them after ``COMMIT``.
+        self._pending: List[Tuple[str, int, Any, Optional[bytes]]] = []
         self._conn = self._open(path, read_only)
         self._commit_version = self._load_counter()
 
@@ -160,78 +173,62 @@ class DurableStore(TransactionalStore):
 
     # -- page cache ------------------------------------------------------
 
-    def _chain(self, key: str) -> List[_Record]:
-        """The full version chain for ``key``, via the page cache."""
-        chain = self._cache.get(key)
-        if chain is not None:
+    def _cell(self, key: str) -> VersionedCell:
+        """``key``'s whole version chain, via the page cache."""
+        cell = self._cache.get(key)
+        if cell is not None:
             self.stats.page_cache_hits += 1
             self._cache.move_to_end(key)
-            return chain
+            return cell
         self.stats.page_cache_misses += 1
-        chain = [
-            _Record(
-                version,
-                not tombstone,
-                None if tombstone else pickle.loads(blob),
-                (len(blob) if blob is not None else 0)
-                + len(key)
-                + _RECORD_OVERHEAD,
-            )
-            for version, blob, tombstone in self._conn.execute(
-                "SELECT version, value, tombstone FROM records"
-                " WHERE key = ? ORDER BY version",
-                (key,),
-            )
-        ]
-        self._admit(key, chain)
-        return chain
+        cell = VersionedCell()
+        nbytes = 0
+        for version, blob, tombstone in self._conn.execute(
+            "SELECT version, value, tombstone FROM records"
+            " WHERE key = ? ORDER BY version",
+            (key,),
+        ):
+            if tombstone:
+                cell.delete(version)
+            else:
+                cell.write(version, self._decode(key, version, blob))
+            nbytes += _record_bytes(key, blob)
+        if self.cache_bytes > 0:
+            self._admit(key, cell, nbytes)
+        return cell
 
-    def _admit(self, key: str, chain: List[_Record]) -> None:
-        if self.cache_bytes <= 0:
-            return
-        self._cache[key] = chain
-        self._cache.move_to_end(key)
-        self._cache_size += sum(r.nbytes for r in chain)
+    def _admit(self, key: str, cell: VersionedCell, nbytes: int) -> None:
+        self._cache[key] = cell
+        self._cell_bytes[key] = nbytes
+        self._cache_size += nbytes
         while self._cache_size > self.cache_bytes and len(self._cache) > 1:
-            evicted_key, evicted = self._cache.popitem(last=False)
-            if evicted_key == key:  # never evict the chain being admitted
-                self._cache[key] = evicted
-                break
-            self._cache_size -= sum(r.nbytes for r in evicted)
+            evicted, _ = self._cache.popitem(last=False)
+            self._cache_size -= self._cell_bytes.pop(evicted)
             self.stats.page_cache_evictions += 1
         self.stats.page_cache_bytes = self._cache_size
 
-    def _cache_append(self, key: str, record: _Record) -> None:
-        chain = self._cache.get(key)
-        if chain is None:
-            return
-        chain.append(record)
-        self._cache_size += record.nbytes
+    def _charge(self, key: str, nbytes: int) -> None:
+        self._cell_bytes[key] += nbytes
+        self._cache_size += nbytes
         self.stats.page_cache_bytes = self._cache_size
 
-    def _cache_drop(self, key: str) -> None:
-        chain = self._cache.pop(key, None)
-        if chain is not None:
-            self._cache_size -= sum(r.nbytes for r in chain)
-            self.stats.page_cache_bytes = self._cache_size
+    def _decode(self, key: str, version: int, blob: bytes) -> Any:
+        try:
+            return self._wire.decode(blob)
+        except self._wire.WireError as exc:
+            raise StoreError(
+                f"record {key!r}@{version} does not decode: {exc}"
+            ) from exc
+
+    def _encode(self, key: str, value: Any) -> bytes:
+        try:
+            return self._wire.encode(value)
+        except self._wire.WireError as exc:
+            raise StoreError(
+                f"value of {key!r} cannot be stored: {exc}"
+            ) from exc
 
     # -- read path -------------------------------------------------------
-
-    def _read_cell(
-        self, key: str, snapshot: Optional[int]
-    ) -> Tuple[bool, Any, int]:
-        chain = self._chain(key)
-        if not chain:
-            return False, None, 0
-        if snapshot is None:
-            index = len(chain) - 1
-        else:
-            versions = [r.version for r in chain]
-            index = bisect.bisect_right(versions, snapshot) - 1
-            if index < 0:
-                return False, None, 0
-        record = chain[index]
-        return record.exists, record.value, record.version
 
     def _latest_version(self, key: str) -> int:
         """Newest version of ``key`` without disturbing the page cache.
@@ -239,13 +236,13 @@ class DurableStore(TransactionalStore):
         OCC validation only needs the head version; loading whole cold
         chains for it would thrash the cache under memory pressure.
         """
-        chain = self._cache.get(key)
-        if chain is not None:
-            return chain[-1].version if chain else 0
-        row = self._conn.execute(
+        cell = self._cache.get(key)
+        if cell is not None:
+            return cell.latest_version
+        (head,) = self._conn.execute(
             "SELECT MAX(version) FROM records WHERE key = ?", (key,)
         ).fetchone()
-        return int(row[0]) if row and row[0] is not None else 0
+        return head or 0
 
     def keys(self, prefix: str = "") -> Iterator[str]:
         # Materialized: the caller may write while it iterates.
@@ -256,9 +253,8 @@ class DurableStore(TransactionalStore):
             " WHERE r.tombstone = 0 ORDER BY r.key"
         ).fetchall()
         for (key,) in rows:
-            if prefix and not key.startswith(prefix):
-                continue
-            yield key
+            if key.startswith(prefix):
+                yield key
 
     def begin(self) -> StoreTransaction:
         # Kept in this class body: bench_e2e/tracing.py wraps
@@ -267,122 +263,52 @@ class DurableStore(TransactionalStore):
 
     # -- commit path -----------------------------------------------------
 
-    def _commit(
-        self,
-        snapshot: int,
-        reads: Dict[str, int],
-        writes: Dict[str, Any],
-        deletes: Set[str],
-    ) -> int:
+    @contextmanager
+    def _writing(self) -> Iterator[None]:
+        """One SQL transaction that takes the database write lock up
+        front, so validation and application are one atomic unit even
+        with other processes holding connections to the same file;
+        cached cells learn the new records after ``COMMIT``."""
         if self.read_only:
             raise StoreError("store opened read-only")
-        # BEGIN IMMEDIATE takes the database write lock up front, so
-        # validation and application are one atomic unit even with
-        # other processes holding connections to the same file.
         self._conn.execute("BEGIN IMMEDIATE")
         try:
-            for key, seen_version in reads.items():
-                if self._latest_version(key) != seen_version:
-                    self.aborts += 1
-                    raise TransactionAborted(f"read conflict on {key!r}")
-            for key in set(writes) | deletes:
-                if self._latest_version(key) > snapshot:
-                    self.aborts += 1
-                    raise TransactionAborted(f"write conflict on {key!r}")
-            version = self._commit_version + 1
-            rows = []
-            records: List[Tuple[str, _Record]] = []
-            for key, value in writes.items():
-                blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                rows.append((key, version, blob, 0))
-                records.append(
-                    (
-                        key,
-                        _Record(
-                            version,
-                            True,
-                            value,
-                            len(blob) + len(key) + _RECORD_OVERHEAD,
-                        ),
-                    )
-                )
-            for key in deletes:
-                rows.append((key, version, None, 1))
-                records.append(
-                    (
-                        key,
-                        _Record(
-                            version, False, None,
-                            len(key) + _RECORD_OVERHEAD,
-                        ),
-                    )
-                )
-            self._conn.executemany(
-                "INSERT INTO records (key, version, value, tombstone)"
-                " VALUES (?, ?, ?, ?)",
-                rows,
-            )
-            self._conn.execute(
-                "INSERT INTO meta (name, value) VALUES (?, ?)"
-                " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-                (_COUNTER, version),
-            )
+            yield
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")
             raise
-        self._commit_version = version
-        for key, record in records:
-            self._cache_append(key, record)
-        self.commits += 1
-        return version
+        finally:
+            pending, self._pending = self._pending, []
+        for key, version, value, blob in pending:
+            cell = self._cache.get(key)
+            if cell is None:
+                continue
+            if blob is None:
+                cell.delete(version)
+            else:
+                cell.write(version, value)
+            self._charge(key, _record_bytes(key, blob))
 
-    # -- durability / recovery -------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {
-            META_COMMIT_VERSION: self._commit_version
-        }
-        for key in self.keys():
-            exists, value, _ = self._read_cell(key, None)
-            if exists:
-                state[key] = value
-        return state
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        head = self._conn.execute(
-            "SELECT COUNT(*) FROM records"
-        ).fetchone()[0]
-        if head:
-            raise StoreError("restore requires an empty store")
-        state = dict(state)
-        resumed = state.pop(META_COMMIT_VERSION, self._commit_version)
-        self._commit_version = max(self._commit_version, int(resumed))
-        version = self._commit_version + 1
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            self._conn.executemany(
-                "INSERT INTO records (key, version, value, tombstone)"
-                " VALUES (?, ?, ?, 0)",
-                [
-                    (
-                        key,
-                        version,
-                        pickle.dumps(v, pickle.HIGHEST_PROTOCOL),
-                    )
-                    for key, v in state.items()
-                ],
-            )
-            self._conn.execute(
-                "INSERT INTO meta (name, value) VALUES (?, ?)"
-                " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-                (_COUNTER, version),
-            )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        self._commit_version = version
+    def _install(
+        self, version: int, writes: Dict[str, Any], deletes: Iterable[str]
+    ) -> None:
+        pending = [
+            (key, version, value, self._encode(key, value))
+            for key, value in writes.items()
+        ]
+        pending += [(key, version, None, None) for key in deletes]
+        self._conn.executemany(
+            "INSERT INTO records (key, version, value, tombstone)"
+            " VALUES (?, ?, ?, ?)",
+            [(key, v, blob, blob is None) for key, v, _, blob in pending],
+        )
+        self._conn.execute(
+            "INSERT INTO meta (name, value) VALUES (?, ?)"
+            " ON CONFLICT(name) DO UPDATE SET value = excluded.value",
+            (_COUNTER, version),
+        )
+        self._pending = pending
 
     def collect_below(self, version: int) -> int:
         """Watermark compaction, in SQL.
@@ -392,12 +318,11 @@ class DurableStore(TransactionalStore):
         snapshot >= watermark is answered by that newest record or
         something younger, so nothing visible is lost; (2) purge lone
         tombstones at-or-below the watermark with nothing newer — the
-        key reads as "missing" either way.
+        key reads as "missing" either way.  Cached cells apply the same
+        rules (:meth:`VersionedCell.collect_below`) and shed their bytes
+        in proportion.
         """
-        if self.read_only:
-            raise StoreError("store opened read-only")
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._writing():
             superseded = self._conn.execute(
                 "DELETE FROM records WHERE version < ("
                 "  SELECT MAX(r2.version) FROM records r2"
@@ -415,30 +340,15 @@ class DurableStore(TransactionalStore):
                 ")",
                 (version,),
             ).rowcount
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        # Trim cached chains in tandem so the cache stays coherent
-        # (and sheds the same bytes the database just reclaimed).
-        for key in list(self._cache):
-            chain = self._cache[key]
-            versions = [r.version for r in chain]
-            keep_from = bisect.bisect_right(versions, version) - 1
-            if keep_from > 0:
-                freed = sum(r.nbytes for r in chain[:keep_from])
-                del chain[:keep_from]
-                self._cache_size -= freed
-            if (
-                len(chain) == 1
-                and not chain[0].exists
-                and chain[0].version <= version
-            ):
-                self._cache_drop(key)
-            elif not chain:
-                self._cache_drop(key)
+        for key, cell in list(self._cache.items()):
+            held = len(cell)
+            if not cell.collect_below(version):
+                continue
+            if cell:
+                charged = self._cell_bytes[key]
+                self._charge(key, charged * len(cell) // held - charged)
+            else:
+                del self._cache[key]
+                self._cache_size -= self._cell_bytes.pop(key)
         self.stats.page_cache_bytes = self._cache_size
-        self.stats.compactions += 1
-        self.stats.records_collected += superseded + tombstones
-        self.stats.tombstones_purged += tombstones
-        return superseded + tombstones
+        return self._compacted(superseded + tombstones, tombstones)

@@ -11,6 +11,14 @@ for exactly two contracts, both provided here:
 * committed state survives shard failures (modelled by
   :meth:`TransactionalStore.snapshot` / :meth:`restore`).
 
+:class:`TransactionalStore` states those rules once: one commit body
+(first-committer-wins validation, application, the commit counter), one
+``snapshot`` and one ``restore``.  Its cells live in one dict; the other
+two backends differ only in where a key's :class:`VersionedCell` lives
+(``_cell``, ``_install``, ``keys``, ``collect_below``) — on replicated
+store nodes (:mod:`repro.store.distributed`) or in SQLite behind a page
+cache (:mod:`repro.store.durable`).
+
 The store is strictly a substrate: it orders commits with its own integer
 commit counter and knows nothing about vector timestamps.
 """
@@ -18,7 +26,11 @@ commit counter and knows nothing about vector timestamps.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
+from contextlib import nullcontext
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterable, Iterator, Optional, Set,
+    Tuple,
+)
 
 from ..errors import StoreError, TransactionAborted, TransactionError
 from .versioned import VersionedCell
@@ -33,6 +45,9 @@ META_COMMIT_VERSION = "__meta__:commit_version"
 DEFAULT_BACKOFF_BASE = 1e-4
 #: Backoff ceiling, so a long retry chain stays bounded.
 DEFAULT_BACKOFF_CAP = 0.05
+
+#: The in-memory commit bracket: nothing can interleave with a commit.
+_NO_BRACKET = nullcontext()
 
 
 class StoreStats:
@@ -174,23 +189,14 @@ class TransactionalStore:
         self._sleep: Callable[[float], None] = sleep or (lambda _s: None)
         self._rng: random.Random = rng or random.Random(0)
 
-    # ``commits``/``aborts`` pre-date StoreStats; keep them as aliases so
-    # existing callers (and subclasses doing ``self.aborts += 1``) work.
+    # ``commits``/``aborts`` pre-date StoreStats; kept as read-only aliases.
     @property
     def commits(self) -> int:
         return self.stats.commits
 
-    @commits.setter
-    def commits(self, value: int) -> None:
-        self.stats.commits = value
-
     @property
     def aborts(self) -> int:
         return self.stats.aborts
-
-    @aborts.setter
-    def aborts(self, value: int) -> None:
-        self.stats.aborts = value
 
     @property
     def version(self) -> int:
@@ -269,26 +275,52 @@ class TransactionalStore:
         exists, _, _ = self._read_cell(key, None)
         return exists
 
-    def keys(self, prefix: str = "") -> Iterator[str]:
-        """Currently-live keys, optionally filtered by prefix."""
-        for key, cell in self._cells.items():
-            if prefix and not key.startswith(prefix):
-                continue
-            exists, _, _ = cell.read(None)
-            if exists:
-                yield key
-
     def read_at(self, key: str, version: int) -> Tuple[bool, Any]:
         """Historical read at a specific commit version."""
         exists, value, _ = self._read_cell(key, version)
         return exists, value
 
-    # -- internals -------------------------------------------------------
+    # -- where a key's cell lives (what each backend supplies) ---------
+
+    def _cell(self, key: str) -> Optional[VersionedCell]:
+        return self._cells.get(key)
+
+    def keys(self, prefix: str = "") -> Iterator[str]:
+        """Currently-live keys, optionally filtered by prefix."""
+        for key, cell in self._cells.items():
+            if key.startswith(prefix) and cell.read(None)[0]:
+                yield key
+
+    def _install(
+        self, version: int, writes: Dict[str, Any], deletes: Iterable[str]
+    ) -> None:
+        """Append one commit's records, all at ``version``."""
+        cells = self._cells
+        for key, value in writes.items():
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = VersionedCell()
+            cell.write(version, value)
+            if len(cell) > 1:
+                self._collectable.add(key)
+        for key in deletes:
+            cells.setdefault(key, VersionedCell()).delete(version)
+            self._collectable.add(key)
+
+    def _writing(self) -> ContextManager[Any]:
+        """The bracket one commit's validation and application run in."""
+        return _NO_BRACKET
+
+    # -- the rules, once ---------------------------------------------------
+
+    def _latest_version(self, key: str) -> int:
+        cell = self._cell(key)
+        return cell.latest_version if cell is not None else 0
 
     def _read_cell(
         self, key: str, snapshot: Optional[int]
     ) -> Tuple[bool, Any, int]:
-        cell = self._cells.get(key)
+        cell = self._cell(key)
         if cell is None:
             return False, None, 0
         return cell.read(snapshot)
@@ -300,34 +332,24 @@ class TransactionalStore:
         writes: Dict[str, Any],
         deletes: Set[str],
     ) -> int:
-        # First-committer-wins validation: every key read must still be at
-        # the version we read, and every key written must not have moved
-        # past our snapshot (write-write conflicts abort too).
-        for key, seen_version in reads.items():
-            cell = self._cells.get(key)
-            current = cell.latest_version if cell is not None else 0
-            if current != seen_version:
-                self.aborts += 1
-                raise TransactionAborted(f"read conflict on {key!r}")
-        for key in set(writes) | deletes:
-            cell = self._cells.get(key)
-            if cell is not None and cell.latest_version > snapshot:
-                self.aborts += 1
-                raise TransactionAborted(f"write conflict on {key!r}")
-        self._commit_version += 1
-        version = self._commit_version
-        for key, value in writes.items():
-            cell = self._cells.setdefault(key, VersionedCell())
-            cell.write(version, value)
-            if len(cell) > 1:
-                self._collectable.add(key)
-        for key in deletes:
-            self._cells.setdefault(key, VersionedCell()).delete(version)
-            self._collectable.add(key)
-        self.commits += 1
+        latest = self._latest_version
+        with self._writing():
+            # First-committer-wins validation: every key read must still
+            # be at the version we read, and every key written must not
+            # have moved past our snapshot (write-write conflicts abort).
+            for key, seen_version in reads.items():
+                if latest(key) != seen_version:
+                    self.stats.aborts += 1
+                    raise TransactionAborted(f"read conflict on {key!r}")
+            for key in [*writes, *deletes]:  # put/delete keep them disjoint
+                if latest(key) > snapshot:
+                    self.stats.aborts += 1
+                    raise TransactionAborted(f"write conflict on {key!r}")
+            version = self._commit_version + 1
+            self._install(version, writes, deletes)
+        self._commit_version = version
+        self.stats.commits += 1
         return version
-
-    # -- durability / recovery -------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Materialize the latest committed state (for recovery tests).
@@ -338,24 +360,29 @@ class TransactionalStore:
         checkers' order-keyed digest joins included).
         """
         state: Dict[str, Any] = {META_COMMIT_VERSION: self._commit_version}
-        for key, cell in self._cells.items():
-            exists, value, _ = cell.read(None)
-            if exists:
-                state[key] = value
+        for key in self.keys():
+            state[key] = self._read_cell(key, None)[1]
         return state
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Load a snapshot into an empty store."""
-        if self._cells:
+        """Load a snapshot into an empty store, as one commit one past the
+        snapshot's counter."""
+        if next(self.keys(), None) is not None:
             raise StoreError("restore requires an empty store")
         state = dict(state)
-        resumed = state.pop(META_COMMIT_VERSION, self._commit_version)
-        self._commit_version = max(self._commit_version, int(resumed))
-        self._commit_version += 1
-        for key, value in state.items():
-            self._cells.setdefault(key, VersionedCell()).write(
-                self._commit_version, value
-            )
+        resumed = int(state.pop(META_COMMIT_VERSION, 0))
+        version = max(self._commit_version, resumed) + 1
+        with self._writing():
+            self._install(version, state, ())
+        self._commit_version = version
+
+    def _compacted(self, records: int, tombstones: int) -> int:
+        """Count one compaction pass that reclaimed ``records`` records,
+        ``tombstones`` of them a cell's lone last tombstone."""
+        self.stats.compactions += 1
+        self.stats.records_collected += records
+        self.stats.tombstones_purged += tombstones
+        return records
 
     def collect_below(self, version: int) -> int:
         """Garbage-collect versions superseded before ``version``.
@@ -364,17 +391,14 @@ class TransactionalStore:
         or below the watermark — are dropped from the key map entirely,
         so create/delete churn no longer grows memory without bound.
         """
-        dropped = 0
+        dropped = purged = 0
         for key in list(self._collectable):
             cell = self._cells[key]
             reclaimed = cell.collect_below(version)
             dropped += reclaimed
-            if len(cell) == 0:
+            if not cell:
                 del self._cells[key]
-                if reclaimed:
-                    self.stats.tombstones_purged += 1
-            if len(cell) == 0 or (len(cell) == 1 and cell.read(None)[0]):
+                purged += bool(reclaimed)
+            if not cell or (len(cell) == 1 and cell.read(None)[0]):
                 self._collectable.discard(key)
-        self.stats.compactions += 1
-        self.stats.records_collected += dropped
-        return dropped
+        return self._compacted(dropped, purged)

@@ -3,20 +3,25 @@
 Contract parity with the in-memory store is covered by the
 backend-parametrized suite in ``test_store.py``; this file tests what
 only the durable backend promises — state survives close/reopen and
-``kill -9``, the page cache honors its byte budget, and compaction
-reclaims rows in the database itself.
+``kill -9``, a commit is one SQL transaction the page cache learns only
+after ``COMMIT``, a row that does not decode fails by name, the page
+cache honors its byte budget, and compaction reclaims rows in the
+database itself.
 """
 
 import multiprocessing
 import os
+import pickle
 import shutil
+import sqlite3
 import time
 
 import pytest
 
+from repro.cluster import wire
 from repro.core.vclock import VectorTimestamp
 from repro.db import Weaver, WeaverClient, WeaverConfig
-from repro.errors import StoreError
+from repro.errors import StoreError, TransactionAborted
 from repro.store.durable import DurableStore
 
 
@@ -91,6 +96,136 @@ class TestReopen:
             with DurableStore(main_file_only) as copy:
                 assert copy.get("k19") == 19
                 assert copy.version == store.version
+
+
+def _rows(store):
+    return store._conn.execute(
+        "SELECT key, version FROM records ORDER BY key, version"
+    ).fetchall()
+
+
+class TestCommitBracket:
+    def test_validation_and_application_share_one_sql_transaction(self):
+        with DurableStore() as store:
+            store.transact(lambda t: t.put("k", 0))  # "k" is not cached
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            tx = store.begin()
+            tx.put("k", 1)
+            tx.commit()
+            store._conn.set_trace_callback(None)
+        assert statements[0] == "BEGIN IMMEDIATE"
+        assert statements[1].startswith("SELECT MAX(version)")
+        assert statements[-1] == "COMMIT"
+        assert any(s.startswith("INSERT INTO records") for s in statements)
+
+    def test_validation_never_fills_the_cache(self):
+        with DurableStore() as store:
+            store.transact(lambda t: (t.put("a", 0), t.put("b", 0)))
+            misses = store.stats.page_cache_misses
+            tx = store.begin()
+            tx.put("a", 1)
+            tx.delete("b")
+            tx.commit()
+            assert not store._cache
+            assert store.stats.page_cache_misses == misses
+
+    def test_a_conflicting_commit_leaves_counter_and_cache(self):
+        with DurableStore() as store:
+            store.transact(lambda t: t.put("k", 0))
+            tx = store.begin()
+            tx.put("k", "loser")
+            store.transact(lambda t: t.put("k", "winner"))
+            assert store.get("k") == "winner"  # cached from here on
+            version, cell = store.version, store._cache["k"]
+            before = (len(cell), cell.latest_version, store._cache_size)
+            with pytest.raises(TransactionAborted):
+                tx.commit()
+            assert store.version == version
+            assert store._cache["k"] is cell
+            assert (len(cell), cell.latest_version,
+                    store._cache_size) == before
+            assert store.get("k") == "winner"
+
+    def test_a_failed_commit_leaves_rows_counter_and_cache(self):
+        """``COMMIT`` itself fails, after every insert ran: the inserts
+        roll back, and the cache never learned them."""
+
+        class FailingCommit:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def execute(self, sql, *args):
+                if sql == "COMMIT":
+                    raise sqlite3.OperationalError("disk I/O error")
+                return self.conn.execute(sql, *args)
+
+            def executemany(self, sql, rows):
+                return self.conn.executemany(sql, rows)
+
+        with DurableStore() as store:
+            store.transact(lambda t: t.put("k", 0))
+            assert store.get("k") == 0
+            version, rows = store.version, _rows(store)
+            cell, size = store._cache["k"], store._cache_size
+            real, store._conn = store._conn, FailingCommit(store._conn)
+            with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+                store.transact(lambda t: t.put("k", 1))
+            store._conn = real
+            assert _rows(store) == rows
+            assert store.version == version
+            assert len(cell) == 1 and store._cache_size == size
+            assert store.get("k") == 0
+
+    def test_a_value_the_codec_refuses_fails_its_commit_by_name(self):
+        with DurableStore() as store:
+            store.transact(lambda t: t.put("k", 0))
+            assert store.get("k") == 0
+            version, rows = store.version, _rows(store)
+            size = store._cache_size
+            with pytest.raises(StoreError, match="value of 'k' cannot be"):
+                store.transact(lambda t: (t.put("j", 1), t.put("k", object())))
+            assert store.version == version
+            assert _rows(store) == rows  # no row written, "j" included
+            assert store._cache_size == size
+            assert store.get("k") == 0 and store.get("j") is None
+            store.transact(lambda t: t.put("k", 1))
+            assert store.version == version + 1
+            assert store.get("k") == 1
+
+
+class TestRowsThatDoNotDecode:
+    """A stored row is one wire payload.  One that is not — garbage,
+    truncated, from another ``WIRE_VERSION``, or a pickle-era file —
+    fails its first read by key and version; there is no migration."""
+
+    @pytest.mark.parametrize(
+        "blob, reason",
+        [
+            (bytes((wire.WIRE_VERSION,)) + b"Q", "unknown wire tag"),
+            (wire.encode({"a": [1, 2, 3]})[:-3], "wire payload"),
+            (bytes((wire.WIRE_VERSION - 1,)) + wire.encode(7)[1:],
+             "wire version mismatch"),
+            (pickle.dumps({"a": 1}, protocol=5),
+             f"got 128, expected {wire.WIRE_VERSION}"),
+        ],
+        ids=["garbage", "truncated", "older-version", "pickle-era"],
+    )
+    def test_raises_a_named_error_on_first_read(self, db_path, blob, reason):
+        with DurableStore(db_path) as store:
+            store._conn.execute(
+                "INSERT INTO records (key, version, value, tombstone)"
+                " VALUES ('v:a', 1, ?, 0)",
+                (blob,),
+            )
+        with DurableStore(db_path) as store:
+            with pytest.raises(StoreError) as raised:
+                store.get("v:a")
+            assert str(raised.value).startswith(
+                "record 'v:a'@1 does not decode: "
+            )
+            assert reason in str(raised.value)
+            assert "v:a" not in store._cache
 
 
 class TestPageCache:

@@ -1,25 +1,29 @@
 """The transactional backing store: MVCC cells and OCC transactions.
 
-Every transaction/utility test runs against both backends — the
-in-memory :class:`TransactionalStore` and the SQLite-backed
-:class:`DurableStore` — via the ``store`` fixture: the durable store
-implements the same contract, so the same assertions must hold.
+Every transaction/utility test runs against all three backends — the
+in-memory :class:`TransactionalStore`, the replicated
+:class:`DistributedStore` and the SQLite-backed :class:`DurableStore` —
+via the ``store`` fixture: they share one commit body and differ only in
+where a key's cell lives, so the same assertions must hold.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError, TransactionAborted, TransactionError
+from repro.store.distributed import DistributedStore
 from repro.store.durable import DurableStore
 from repro.store.kvstore import META_COMMIT_VERSION, TransactionalStore
 from repro.store.versioned import VersionedCell
 
-BACKENDS = ("memory", "sqlite")
+BACKENDS = ("memory", "sqlite", "distributed")
 
 
 def make_store(backend, **kwargs):
     if backend == "sqlite":
         return DurableStore(":memory:", **kwargs)
+    if backend == "distributed":
+        return DistributedStore(4, 2, **kwargs)
     return TransactionalStore(**kwargs)
 
 
@@ -396,6 +400,8 @@ class TestStoreUtilities:
         assert store.stats.tombstones_purged == 10
         if backend == "memory":
             assert set(store._cells) == {"keep"}
+        elif backend == "distributed":
+            assert all(set(node.cells) <= {"keep"} for node in store.nodes)
         else:
             rows = store._conn.execute(
                 "SELECT COUNT(*) FROM records"
