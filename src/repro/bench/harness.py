@@ -89,6 +89,7 @@ def _twin(
         WeaverConfig(num_gatekeepers=num_gatekeepers, num_shards=num_shards),
         tau=TWIN_TAU,
         nop_period=TWIN_NOP_PERIOD,
+        latency=costs.net_latency,
         costs=costs,
     )
     if edges:

@@ -210,15 +210,10 @@ class ClusterManager:
                 continue
             current = view.try_vertex(handle)
             if current is None:
-                shard.graph.create_vertex(handle, ts)
-                for key, value in props.items():
-                    shard.graph.set_vertex_property(handle, key, value, ts)
-                for ehandle, record in edges_by_src.get(handle, {}).items():
-                    shard.graph.create_edge(ehandle, handle, record["dst"], ts)
-                    for key, value in record.get("props", {}).items():
-                        shard.graph.set_edge_property(
-                            handle, ehandle, key, value, ts
-                        )
+                load_partition(shard.graph, ({handle: props}, {
+                    (handle, ehandle): record
+                    for ehandle, record in edges_by_src.get(handle, {}).items()
+                }), ts)
                 patched += 1
                 continue
             for key, value in props.items():
@@ -232,11 +227,9 @@ class ClusterManager:
             for ehandle, record in edges_by_src.get(handle, {}).items():
                 edge = current.get_edge(ehandle)
                 if edge is None:
-                    shard.graph.create_edge(ehandle, handle, record["dst"], ts)
-                    for key, value in record.get("props", {}).items():
-                        shard.graph.set_edge_property(
-                            handle, ehandle, key, value, ts
-                        )
+                    load_partition(
+                        shard.graph, ({}, {(handle, ehandle): record}), ts
+                    )
                     patched += 1
                     continue
                 for key, value in record.get("props", {}).items():

@@ -108,8 +108,6 @@ class ProgramStart:
     (:func:`pack_level`) that totally orders entries exactly like the
     executor's append order (children extend their parent's key with
     the hop index).
-    ``cache_tail`` is the client-computed program-cache key tail
-    (section 4.6); None disables caching for this run.
 
     A program on the wire is ``(program, init)``: its registered name
     and the instance's own ``vars()``, from which every participating
@@ -125,7 +123,6 @@ class ProgramStart:
     program: str
     frontier: Tuple[Tuple[str, Any, Any], ...]
     trace_id: Optional[int] = None
-    cache_tail: Optional[Any] = None
     max_visits: int = 10_000_000
     init: Optional[dict] = None
 

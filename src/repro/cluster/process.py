@@ -35,19 +35,19 @@ import os
 import socket
 import tempfile
 from collections import Counter
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 # sync_announce_all, shard_worker_main and oracle_worker_main are module
 # bindings on purpose: the benchmark's tracing hooks wrap them here.
 from ..core.gatekeeper import sync_announce_all  # noqa: F401
 from ..core.vclock import VectorTimestamp
 from ..db.config import WeaverConfig
-from ..db.database import Coordinator, StartSpec
+from ..db.database import Coordinator
 from ..db.operations import partition_image
 from ..db.transactions import Transaction
 from ..errors import ClusterError, ProgramError
 from ..obs.collect import scalar_fields
-from ..programs.framework import NodeProgram, ProgramResult
+from ..programs.framework import ProgramResult
 from .builder import build_cluster
 from .transport import ProcessTransport, TransportError
 from .wire import WireError
@@ -152,7 +152,6 @@ class ProcessWeaver(Coordinator):
                 peer_listener=peer_listener,
                 peer_paths=dict(self._peer_paths),
                 placement=placement,
-                enable_program_cache=self.config.enable_program_cache,
             ),
             daemon=True,
         )
@@ -192,6 +191,7 @@ class ProcessWeaver(Coordinator):
     # own class body.
     begin_transaction = Coordinator.begin_transaction
     collect_garbage = Coordinator.collect_garbage
+    run_program = Coordinator.run_program
 
     def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
         # One-way placement gossip: every worker partitions next
@@ -207,48 +207,29 @@ class ProcessWeaver(Coordinator):
 
     # -- node programs --------------------------------------------------
 
-    def run_program(
-        self,
-        program: NodeProgram,
-        start: StartSpec,
-        params: Any = None,
-        at: Optional[VectorTimestamp] = None,
-        use_cache: bool = False,
-        cache_key: Optional[Hashable] = None,
-    ) -> ProgramResult:
-        """Execute a node program on a consistent snapshot, at the
-        shards: one ``program_start`` request to the start vertex's
-        owner, which coordinates the rounds (frontiers travel
-        peer-to-peer) and replies with the aggregated result.
+    # ``program`` must be an instance of its ``PROGRAM_REGISTRY`` class
+    # that its own ``vars()`` rebuild: anything else is a ProgramError
+    # before anything is stamped.
+    _ship = staticmethod(Coordinator._wire_program)
 
-        ``program`` must be an instance of its ``PROGRAM_REGISTRY``
-        class that its own ``vars()`` rebuild
-        (:meth:`~repro.db.database.WritePath._wire_program`); anything
-        else is a :class:`ProgramError` before a frame is written.  With
-        ``use_cache`` (requires ``enable_program_cache``), the
-        coordinating worker may serve a memoized result after
-        revalidating every fragment's change counters.
-        """
-        shipped = self._wire_program(program)
-        frontier, query_id, trace_id = self._submit_program(
-            program, start, params
-        )
-        ts = self._stamp_program(trace_id, query_id, at)
+    def _execute(
+        self, shipped: tuple, frontier: List[Tuple[str, Any]],
+        ts: VectorTimestamp, query_id: int, trace_id: int,
+    ) -> ProgramResult:
+        """At the shards: one ``program_start`` request to the start
+        vertex's owner, which coordinates the rounds (frontiers travel
+        peer-to-peer) and replies with the aggregated result."""
         live = self._live_shards()
         if not live:
             raise ClusterError("no live shard workers")
-        cache_tail: Optional[Hashable] = None
-        if use_cache and self.config.enable_program_cache:
-            cache_tail = self._cache_tail(params, at, cache_key)
         coordinator, ps = self._program_start(
-            shipped, frontier, ts, query_id, trace_id, cache_tail, live
+            shipped, frontier, ts, query_id, trace_id, live
         )
         # Heartbeats and advance_to are buffered per channel.  Every
         # other shard's go out first, so they sit in its socket buffer
         # before the coordinator can forward it any of this program; the
         # coordinator's own ride in the request.
         self._flush_except({coordinator})
-        self.watermarks.start(query_id, ts)
         try:
             payload = self.transport.request(
                 "client", self.shard_name(coordinator), "program_start", ps
@@ -256,14 +237,7 @@ class ProcessWeaver(Coordinator):
         except (TransportError, WireError) as exc:
             # WireError: start params the wire refuses to carry.
             raise ProgramError(str(exc)) from exc
-        finally:
-            self.watermarks.finish(query_id)
-        result = self._program_result(payload)
-        if payload.get("cache_hit"):
-            self._complete_program(trace_id, query_id, cache_hit=True)
-        else:
-            self._complete_program(trace_id, query_id)
-        return result
+        return self._program_result(payload)
 
     # -- failure handling -----------------------------------------------
 

@@ -90,13 +90,7 @@ class ShardServer:
         self.tracer = None
         # Demand paging (section 6.1): a loader that materializes an
         # evicted vertex's committed state from the backing store.
-        self._pager: Optional[Callable[[str], Optional[dict]]] = None
-        # Persistent apply observer: called as on_apply(shard_index, qtx)
-        # for every non-NOP transaction applied, including those drained
-        # by the epoch-barrier flush.  The history checker hangs here.
-        self.on_apply: Optional[Callable[[int, QueuedTransaction], None]] = (
-            None
-        )
+        self._pager: Optional[Callable[[str], Optional[tuple]]] = None
 
     @property
     def name(self) -> str:
@@ -236,8 +230,6 @@ class ShardServer:
                 ts=qtx.ts, shard=self.index,
                 apply_seq=self._apply_seq, epoch=self._epoch,
             )
-        if self.on_apply is not None:
-            self.on_apply(self.index, qtx)
 
     def _apply_with_paging(self, op, ts: VectorTimestamp) -> None:
         """Apply one op, paging its vertex in on demand.
@@ -348,12 +340,12 @@ class ShardServer:
 
     # -- demand paging (section 6.1) --------------------------------------
 
-    def set_pager(self, loader: Callable[[str], Optional[dict]]) -> None:
+    def set_pager(self, loader: Callable[[str], Optional[tuple]]) -> None:
         """Enable demand paging.
 
-        ``loader(handle)`` returns the vertex's committed image —
-        ``{"properties": {...}, "edges": {handle: {"dst":..,
-        "props":..}}}`` — or None when the vertex does not exist.
+        ``loader(handle)`` returns the vertex's committed image
+        (:func:`~repro.db.operations.vertex_image`), or None when the
+        vertex does not exist.
         """
         self._pager = loader
 
@@ -380,18 +372,11 @@ class ShardServer:
         image = self._pager(handle)
         if image is None:
             return False
-        ancient = VectorTimestamp.ancient(self.num_gatekeepers)
-        self.graph.create_vertex(handle, ancient)
-        for key, value in image.get("properties", {}).items():
-            self.graph.set_vertex_property(handle, key, value, ancient)
-        for edge_handle, record in image.get("edges", {}).items():
-            self.graph.create_edge(
-                edge_handle, handle, record["dst"], ancient
-            )
-            for key, value in record.get("props", {}).items():
-                self.graph.set_edge_property(
-                    handle, edge_handle, key, value, ancient
-                )
+        from ..db.operations import load_partition
+
+        load_partition(
+            self.graph, image, VectorTimestamp.ancient(self.num_gatekeepers)
+        )
         self.stats.pages_in += 1
         return True
 

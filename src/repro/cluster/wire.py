@@ -22,7 +22,7 @@ the golden digest in ``tests/test_wire.py``) is an import-time or
 test-time error — old frames would otherwise decode into silently
 shifted fields.
 
-Frame format (format 5)::
+Frame format (format 6)::
 
     u32 length | u8 version | value
 
@@ -47,15 +47,13 @@ strings' UTF-8 concatenated.  Values (1-byte tag, big-endian scalars)::
 Types match exactly (a subclass of ``str`` or of a registered class does
 not encode), and :func:`decode` raises nothing but :class:`WireError`.
 
-Format 5 has format 4's tags and bodies; what changed is the classes.
-The image-pull round request left the schema with the path it served
-(every later class id moved down by one, which is why a class leaves
-only with a version bump) and ``ProgramStart`` gained ``init``.
+Format 6 has format 5's tags, bodies and classes; ``ProgramStart`` lost
+its program-cache key field when the cache moved to the client.
 ``FrontierForward`` carries its hops in columns — the handles as one
 string run, every order key as one ``b`` value, each distinct params
 object once, one ``b`` value of packed ``u32`` indices
 (:mod:`~repro.cluster.messages` owns that layout).  There is no
-format-4 decoder.
+format-5 decoder.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ from . import messages
 #: Bump whenever a registered class's field tuple changes, whenever a
 #: class is added, removed or renumbered, or whenever a tag's encoding
 #: changes.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 _VERSION_BYTE = bytes((WIRE_VERSION,))
 
 #: The largest payload a frame may carry.  A length prefix above it is
@@ -99,7 +97,7 @@ WIRE_SCHEMA: Dict[str, Tuple[str, ...]] = {
                           "trace_id"),
     "AnnounceMessage": ("src", "vector"),
     "ProgramStart": ("ts", "query_id", "program", "frontier", "trace_id",
-                     "cache_tail", "max_visits", "init"),
+                     "max_visits", "init"),
     "FrontierForward": ("query_id", "round", "handles", "keys", "params",
                         "param_of"),
     "Heartbeat": ("server", "epoch", "sent_at"),

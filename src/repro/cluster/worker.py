@@ -38,15 +38,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.oracle import TimelineOracle
 from ..core.vclock import Ordering, VectorTimestamp
-from ..db.operations import (
-    load_partition,
-    partition_image,
-    touched_vertices,
-)
+from ..db.operations import load_partition, partition_image
 from ..errors import ProgramError, WeaverError
 from ..obs.collect import register_stats_collectors, scalar_fields
 from ..obs.metrics import MetricsRegistry
-from ..programs.caching import ChangeTracker, ProgramCache
 from ..programs.framework import (
     VISIT_BUDGET_EXHAUSTED,
     ProgramStats,
@@ -247,9 +242,6 @@ class ResidentStats:
         self.hops_received = 0         # hops inside received frames
         self.round_reports = 0         # round reports processed (coord)
         self.stale_drops = 0           # frames for finished queries
-        self.cache_hits = 0            # fully validated cache hits
-        self.cache_invalidations = 0   # remote-counter refutations
-        self.counter_checks = 0        # peer change-counter validations
         self.peer_reconnects = 0       # worker channels rebuilt
 
 
@@ -292,16 +284,15 @@ class _Coordination:
 
     __slots__ = (
         "qid", "conn", "rid", "ps", "awaiting", "sent", "halt", "error",
-        "processed_total", "involved", "rounds_issued", "cache_key",
-        "last_activity", "done",
+        "processed_total", "involved", "rounds_issued", "last_activity",
+        "done",
     )
 
-    def __init__(self, conn, rid: int, ps: ProgramStart, cache_key):
+    def __init__(self, conn, rid: int, ps: ProgramStart):
         self.qid = ps.query_id
         self.conn = conn
         self.rid = rid
         self.ps = ps
-        self.cache_key = cache_key
         self.awaiting: set = set()      # workers yet to report the round
         # Hops sent per destination, by peers: the next round's expects.
         self.sent: Dict[int, int] = {}
@@ -345,8 +336,7 @@ class ResidentEngine:
     #: before the workers it awaits are pinged; a dead one fails it.
     STALL_DEADLINE = 5.0
 
-    def __init__(self, worker: ShardEndpoint, index: int, owner_of,
-                 enable_program_cache: bool = False):
+    def __init__(self, worker: ShardEndpoint, index: int, owner_of):
         self.worker = worker
         self.tracer = worker.shard.tracer
         self.index = index
@@ -355,10 +345,6 @@ class ResidentEngine:
         self.owner_of = owner_of
         self.prog_stats = ProgramStats()
         self.resident = ResidentStats()
-        self.tracker = ChangeTracker()
-        self.cache = (
-            ProgramCache(self.tracker) if enable_program_cache else None
-        )
         self.queries: Dict[int, _ResidentQuery] = {}
         self.coordinated: Dict[int, _Coordination] = {}
         self.finished: "OrderedDict[int, bool]" = OrderedDict()
@@ -368,16 +354,6 @@ class ResidentEngine:
                           "round_go": self._on_round_go,
                           "round_report": self._on_round_report}
         self.running = True
-        # Change counters feed the shard-side program cache (section
-        # 4.6): every applied transaction bumps the vertices it touched.
-        previous = worker.shard.on_apply
-
-        def _on_apply(shard_index, qtx, _previous=previous):
-            if _previous is not None:
-                _previous(shard_index, qtx)
-            self.tracker.bump_all(touched_vertices(qtx.operations))
-
-        worker.shard.on_apply = _on_apply
 
     # -- the host's side ------------------------------------------------
 
@@ -458,8 +434,7 @@ class ResidentEngine:
         shard ready for a timestamp it is not ready for yet:
         ``program_start`` and a peer's first ``round_go`` build the
         query's snapshot resolver (a ``forward`` only buffers hops until
-        then), and a ``counters`` check vouches for a cached result as
-        of ``ts``."""
+        then)."""
         if kind == "round_go":
             qid = payload["q"]
             query = self.queries.get(qid)
@@ -467,7 +442,7 @@ class ResidentEngine:
                 query is not None and query.program is not None
             ):
                 return None
-        elif kind not in ("program_start", "counters"):
+        elif kind != "program_start":
             return None
         ts = payload.ts if kind == "program_start" else payload["ts"]
         error = self.worker.shard.not_ready(ts)
@@ -483,9 +458,6 @@ class ResidentEngine:
             handler(payload)
 
     def _handle_request(self, kind: str, payload):
-        if kind == "counters":
-            self.resident.counter_checks += 1
-            return {"unchanged": self.tracker.unchanged(payload["observed"])}
         if kind == "collect_result":
             return self._fragment(**payload)
         if kind == "advance_epoch":
@@ -493,14 +465,10 @@ class ResidentEngine:
         return self.worker.deliver(None, kind, payload)
 
     def _clear_resident_state(self) -> None:
-        """Epoch barrier: drop in-flight programs and cached evidence —
-        counters recorded against the dead epoch must not validate."""
+        """Epoch barrier: drop in-flight programs."""
         self.queries.clear()
         self.coordinated.clear()
         self.finished.clear()
-        self.tracker.reset()
-        if self.cache is not None:
-            self.cache.clear()
 
     def _deliver(self, dst: int, kind: str, payload) -> None:
         """To shard ``dst``'s engine.  To this one it is a call of the
@@ -712,16 +680,13 @@ class ResidentEngine:
 
     def _fragment(
         self, q: int, halt_round: Optional[int], halt_key: Optional[bytes],
-        counters: bool,
     ) -> dict:
         """This worker's filtered share of finished program ``q`` (the
         parameters are a ``collect_result`` payload's keys): results in
-        two columns (``values[i]`` emitted under ``tags[i]``), and the
-        read set's change counters when the coordinator will cache
-        (``counters``; only ``cache.put`` reads them).  Per-vertex
-        state stays here and goes with the query unless the program
-        declares ``returns_state``: then the state of the vertices that
-        count leaves as ``states``.
+        two columns (``values[i]`` emitted under ``tags[i]``) and the
+        read set.  Per-vertex state stays here and goes with the query
+        unless the program declares ``returns_state``: then the state of
+        the vertices that count leaves as ``states``.
 
         Halt filtering is by (round, key): every entry of rounds before
         the halt round counts, plus halt-round entries at or before the
@@ -736,7 +701,7 @@ class ResidentEngine:
         if query is None or query.ctx is None:
             return {
                 "tags": [], "values": [], "read": [], "states": {},
-                "visited": 0, "hops": 0, "counters": {},
+                "visited": 0, "hops": 0,
             }
         entries, tags, values = query.entries, query.tags, query.values
         if halt_round is not None:
@@ -760,7 +725,6 @@ class ResidentEngine:
             } if query.program.returns_state else {},
             "visited": visited,
             "hops": hops_total,
-            "counters": self.tracker.snapshot(read) if counters else {},
         }
 
     # -- coordinator side -----------------------------------------------
@@ -769,27 +733,7 @@ class ResidentEngine:
         self, conn, rid: int, ps: ProgramStart
     ) -> None:
         self.resident.programs_coordinated += 1
-        cache_key = None
-        if (
-            self.cache is not None
-            and ps.cache_tail is not None
-            and ps.frontier
-        ):
-            cache_key = ProgramCache.key(
-                ps.program, ps.init, ps.frontier[0][0], ps.cache_tail
-            )
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                payload, remote_fragments = cached
-                if self._remote_fragments_valid(
-                    cache_key, remote_fragments, ps.ts
-                ):
-                    self.resident.cache_hits += 1
-                    hit = dict(payload)
-                    hit["cache_hit"] = True
-                    self._reply(conn, rid, result=hit)
-                    return
-        coord = _Coordination(conn, rid, ps, cache_key)
+        coord = _Coordination(conn, rid, ps)
         self.coordinated[ps.query_id] = coord
         if not ps.frontier:
             self._finish(coord, None, None)
@@ -812,29 +756,6 @@ class ResidentEngine:
         self._issue_round(coord, 0, {
             dst: (0 if dst == self.index else n) for dst, n in sent.items()
         })
-
-    def _remote_fragments_valid(
-        self, cache_key, remote_fragments: Dict[int, dict],
-        ts: VectorTimestamp,
-    ) -> bool:
-        """Validate a cached result's remote read-set fragments against
-        the owning workers' change counters as of ``ts`` (a worker
-        answers once it has applied everything ordered before it)."""
-        for dst, observed in remote_fragments.items():
-            if not observed:
-                continue
-            self.resident.counter_checks += 1
-            try:
-                reply = self._peer_request(
-                    dst, "counters", {"observed": observed, "ts": ts}
-                )
-            except (TransportError, OSError, socket.timeout):
-                reply = None
-            if reply is None or not reply.get("unchanged"):
-                self.cache.invalidate(cache_key)
-                self.resident.cache_invalidations += 1
-                return False
-        return True
 
     def _issue_round(self, coord: _Coordination, round_no: int,
                      expect: Dict[int, int]) -> None:
@@ -902,16 +823,13 @@ class ResidentEngine:
 
     def _collect_fragments(
         self, coord: _Coordination, halt_round, halt_key
-    ) -> Tuple[dict, List[Tuple[int, dict]]]:
+    ) -> Tuple[dict, List[dict]]:
         """This worker's fragment, read from its own query, and every
         other involved worker's, gathered by request."""
-        # Change counters ride only when a cache will read them.
-        counters = coord.cache_key is not None
-        own = self._fragment(coord.qid, halt_round, halt_key, counters)
-        return own, [(dst, self._peer_request(dst, "collect_result", {
+        own = self._fragment(coord.qid, halt_round, halt_key)
+        return own, [self._peer_request(dst, "collect_result", {
             "q": coord.qid, "halt_round": halt_round, "halt_key": halt_key,
-            "counters": counters,
-        })) for dst in sorted(coord.involved - {self.index})]
+        }) for dst in sorted(coord.involved - {self.index})]
 
     def _finish(self, coord: _Coordination, halt_round, halt_key,
                 error: Optional[str] = None) -> None:
@@ -936,7 +854,7 @@ class ResidentEngine:
         visited, hops_total = own["visited"], own["hops"]
         if gathered:
             read = set(read)
-            for _dst, fragment in gathered:
+            for fragment in gathered:
                 tags.extend(fragment["tags"])
                 values.extend(fragment["values"])
                 read.update(fragment["read"])
@@ -954,10 +872,6 @@ class ResidentEngine:
             "read_set": read, "rounds": coord.rounds_issued,
         }
         self.prog_stats.executions += 1
-        if coord.cache_key is not None:
-            self.cache.put(coord.cache_key, (payload, {
-                dst: fragment["counters"] for dst, fragment in gathered
-            }), own["counters"])
         self._reply(coord.conn, coord.rid, result=payload)
 
     def _finish_error(self, coord: _Coordination, message: str) -> None:
@@ -1029,12 +943,9 @@ class _ResidentEngine(ResidentEngine):
         peer_listener=None,
         peer_paths: Optional[Dict[int, str]] = None,
         placement: Optional[Dict[str, int]] = None,
-        enable_program_cache: bool = False,
     ):
         self.placement: Dict[str, int] = dict(placement or {})
-        super().__init__(
-            worker, index, self.placement.get, enable_program_cache
-        )
+        super().__init__(worker, index, self.placement.get)
         self._handlers["placement"] = self.placement.update
         self.client = client_sock
         self.listener = peer_listener
@@ -1289,12 +1200,6 @@ class _ResidentEngine(ResidentEngine):
         ):
             for key, value in scalar_fields(stats).items():
                 out[f"{prefix}.{key}"] = value
-        cache = self.cache
-        if cache is not None:
-            out["program.cache.hits"] = cache.hits
-            out["program.cache.misses"] = cache.misses
-            out["program.cache.invalidations"] = cache.invalidations
-            out["program.cache.entries"] = len(cache)
         return out
 
 
@@ -1310,7 +1215,6 @@ def shard_worker_main(
     peer_listener=None,
     peer_paths: Optional[Dict[int, str]] = None,
     placement: Optional[Dict[str, int]] = None,
-    enable_program_cache: bool = False,
 ) -> None:
     """Entry point of one shard worker process."""
     oracle = (
@@ -1338,7 +1242,7 @@ def shard_worker_main(
     engine = _ResidentEngine(
         ShardEndpoint(shard), sock, index,
         peer_listener=peer_listener, peer_paths=peer_paths,
-        placement=placement, enable_program_cache=enable_program_cache,
+        placement=placement,
     )
     try:
         engine.run()

@@ -21,9 +21,9 @@ class WeaverConfig:
             tradeoff Fig 14 sweeps.
         oracle_chain_length: replicas in the timeline oracle chain
             (1 = unreplicated; 3 = the paper's fault-tolerant setup).
-        enable_program_cache: memoize node-program results at vertices
-            (section 4.6; disabled by default, as in the paper's
-            evaluation; ablation A1).
+        enable_program_cache: memoize node-program results at the
+            coordinator (section 4.6; disabled by default, as in the
+            paper's evaluation; ablation A1).
         partitioner: vertex placement — "round_robin" (balanced,
             locality-blind; the paper's evaluation setting), "hash", or
             "ldg" (streaming greedy colocation, section 4.6).

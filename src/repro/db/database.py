@@ -17,8 +17,8 @@ deployments differ — whether anything may wait:
   ahead of a node program, which the shard checks for itself — once
   per change to the graph, not once per read: until a commit is
   attempted, programs run at the stamp the shards were last made
-  ready for; plus drain, checkpoint and the GC fan-out.  It reaches
-  shards only through
+  ready for; plus ``run_program`` with its program cache, drain,
+  checkpoint and the GC fan-out.  It reaches shards only through
   the :class:`~repro.cluster.transport.Transport` contract (``send``
   for enqueues, heartbeats and ``advance_to``; one ``request_all``
   fan-out for ``drain`` / ``collect_below`` / ``advance_epoch``), and
@@ -27,8 +27,7 @@ deployments differ — whether anything may wait:
 * :class:`Weaver` (this module) — the deployment in one process: a
   ``LocalTransport`` over endpoints wrapping its live ``ShardServer``
   list, and what genuinely needs in-process shards (the local snapshot
-  resolver and client-side program cache, migration, read replicas,
-  demand paging, crash drills).
+  resolver, migration, read replicas, demand paging, crash drills).
 * :class:`~repro.cluster.process.ProcessWeaver` — the same coordinator
   over a ``ProcessTransport`` to forked shard workers.
 
@@ -44,6 +43,7 @@ endpoint, fired by its own timers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
@@ -64,6 +64,7 @@ from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import WatermarkRegistry
 from .config import WeaverConfig
+from .operations import graph_state_from_store, vertex_image
 from .transactions import Transaction
 
 StartSpec = Union[str, Iterable[Tuple[str, Any]]]
@@ -250,7 +251,6 @@ class WritePath:
         ts: VectorTimestamp,
         query_id: int,
         trace_id: Optional[int],
-        cache_tail: Optional[Hashable],
         live: List[int],
     ) -> Tuple[int, ProgramStart]:
         """The request that ships ``program`` (:meth:`_wire_program`'s
@@ -271,8 +271,7 @@ class WritePath:
         name, init = program
         return coordinator, ProgramStart(
             ts, query_id, name, keyed, trace_id=trace_id,
-            cache_tail=cache_tail, max_visits=self.executor._max_visits,
-            init=init,
+            max_visits=self.executor._max_visits, init=init,
         )
 
     @staticmethod
@@ -301,13 +300,14 @@ class WritePath:
 
 class Coordinator(WritePath):
     """The blocking client-side protocol: the write path plus everything
-    that waits — announce/drain pacing, eager NOP heartbeats, readiness
-    ahead of a node program, drain, checkpoint and the GC fan-out.
-    There is no time axis: spans are stamped with their emission
-    sequence number (still a total order).
+    that waits — announce/drain pacing, eager NOP heartbeats, node
+    programs with their readiness and memoization, drain, checkpoint and
+    the GC fan-out.  There is no time axis: spans are stamped with their
+    emission sequence number (still a total order).
 
     Subclasses choose the transport and own whatever depends on where
-    the shards live; nothing here does.
+    the shards live (:meth:`_live_shards`, :meth:`_ship`,
+    :meth:`_execute`); nothing here does.
     """
 
     def __init__(self, parts: ClusterParts, transport: Transport):
@@ -322,6 +322,17 @@ class Coordinator(WritePath):
         # attempt forgets it.  Reusable only while it is also the mark.
         self._read_stamp: Optional[VectorTimestamp] = None
         self.programs_run = 0
+        # Section 4.6 memoization, off in the paper's evaluation.
+        self.changes = ChangeTracker()
+        self.program_cache: Optional[ProgramCache] = None
+        if self.config.enable_program_cache:
+            self.program_cache = cache = ProgramCache(self.changes)
+            self.metrics.register_collector(lambda: {
+                "program.cache.hits": cache.hits,
+                "program.cache.misses": cache.misses,
+                "program.cache.invalidations": cache.invalidations,
+                "program.cache.entries": len(cache),
+            })
 
     # -- shards, by name ------------------------------------------------
 
@@ -360,8 +371,11 @@ class Coordinator(WritePath):
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
         # First, before the gatekeeper stamps: whatever happens to this
         # attempt (a forward may raise after the store committed), no
-        # later program reads at a stamp issued before it.  An aborted
-        # attempt costs one spare storm, the safe side.
+        # later program reads at a stamp issued before it, and no cached
+        # result over what it writes is served.  An aborted attempt
+        # costs one spare storm and invalidation, the safe side.
+        if self.program_cache is not None:
+            self.changes.bump_all(tx.touched_vertices)
         self._read_stamp = None
         # Commit counts stand in for the τ timer and the apply loop.
         ts = super()._commit_transaction(tx)
@@ -429,13 +443,28 @@ class Coordinator(WritePath):
         sync_announce_all(self.gatekeepers)
         return ts
 
-    # -- node programs: the shared prologue/epilogue (section 4.1) --------
+    # -- node programs (sections 4.1 and 4.6) ------------------------------
 
-    def _submit_program(
-        self, program: NodeProgram, start: StartSpec, params: Any
-    ) -> Tuple[List[Tuple[str, Any]], int, int]:
-        """Normalize ``start`` and open the trace: (frontier, query id,
-        trace id)."""
+    def run_program(
+        self,
+        program: NodeProgram,
+        start: StartSpec,
+        params: Any = None,
+        at: Optional[VectorTimestamp] = None,
+        use_cache: bool = False,
+        cache_key: Optional[Hashable] = None,
+    ) -> ProgramResult:
+        """Execute a node program on a consistent snapshot.
+
+        ``start`` is a vertex handle or an iterable of (handle, params)
+        pairs.  ``at`` runs a historical query at an earlier timestamp.
+        With ``use_cache`` (requires ``enable_program_cache``), a valid
+        memoized result for (program, start, ``cache_key`` or the params)
+        is returned without stamping or sending anything.  An ``at=``
+        query reads another cut of the graph, so its stamp is part of
+        the key (section 4.6).
+        """
+        shipped = self._ship(program)
         frontier = (
             [(start, params)] if isinstance(start, str) else list(start)
         )
@@ -445,7 +474,49 @@ class Coordinator(WritePath):
             trace_id, "program.submit", node="client",
             query_id=query_id, program=program.name,
         )
-        return frontier, query_id, trace_id
+        cache, entry, result = self.program_cache, None, None
+        if use_cache and cache is not None:
+            tail = cache_key if cache_key is not None else repr(params)
+            entry = ProgramCache.key(
+                program.name, vars(program),
+                frontier[0][0] if frontier else "",
+                tail if at is None else (tail, at.id),
+            )
+            result = cache.get(entry)
+        hit = result is not None
+        if not hit:
+            ts = self._stamp_program(trace_id, query_id, at)
+            self.watermarks.start(query_id, ts)
+            try:
+                result = self._execute(
+                    shipped, frontier, ts, query_id, trace_id
+                )
+            finally:
+                self.watermarks.finish(query_id)
+            if entry is not None:
+                cache.put(entry, result, result.read_set)
+        # A cache hit is still a client-observed run: count it and close
+        # its trace, so `repro stats`/`repro trace` agree with what
+        # clients saw.
+        self.programs_run += 1
+        self.tracer.emit(
+            trace_id, "program.complete", node="client", query_id=query_id,
+            **({"cache_hit": True} if hit else {}),
+        )
+        return result
+
+    def _ship(self, program: NodeProgram) -> Any:
+        """``program`` as :meth:`_execute` takes it; a deployment whose
+        shards rebuild it refuses here, before anything is stamped."""
+        return program
+
+    def _execute(
+        self, shipped: Any, frontier: List[Tuple[str, Any]],
+        ts: VectorTimestamp, query_id: int, trace_id: int,
+    ) -> ProgramResult:
+        """Run ``shipped`` from ``frontier`` at ``ts``, which every live
+        shard has been sent what it needs to be ready for."""
+        raise NotImplementedError
 
     def _stamp_program(
         self, trace_id: int, query_id: int, at: Optional[VectorTimestamp]
@@ -486,30 +557,6 @@ class Coordinator(WritePath):
         )
         self._make_shards_ready(ts)
         return ts
-
-    def _complete_program(
-        self, trace_id: int, query_id: int, **attrs: Any
-    ) -> None:
-        # A cache hit is still a client-observed run: count it and close
-        # the trace so `repro stats`/`repro trace` agree with what
-        # clients saw.
-        self.programs_run += 1
-        self.tracer.emit(
-            trace_id, "program.complete", node="client",
-            query_id=query_id, **attrs,
-        )
-
-    @staticmethod
-    def _cache_tail(
-        params: Any, at: Optional[VectorTimestamp],
-        cache_key: Optional[Hashable],
-    ) -> Hashable:
-        """The caller-chosen part of a program-cache key.  Historical
-        queries read a different cut of the graph; a current-time result
-        must never serve an ``at=`` query (or vice versa), so the
-        snapshot identity is part of the key (section 4.6)."""
-        tail = cache_key if cache_key is not None else repr(params)
-        return tail if at is None else (tail, at.id)
 
     def _make_shards_ready(self, ts: VectorTimestamp) -> None:
         """Send every live shard what makes it ready for ``ts``, and
@@ -588,13 +635,8 @@ class Weaver(Coordinator):
         self.shards: List[ShardServer] = parts.shards
         for shard in self.shards:
             self._register_shard(shard)
-        self.changes = ChangeTracker()
-        self.program_cache: Optional[ProgramCache] = (
-            ProgramCache(self.changes)
-            if self.config.enable_program_cache
-            else None
-        )
-        self._paging_enabled = False
+        # Demand paging's loader, once enabled (section 6.1).
+        self._pager: Optional[functools.partial] = None
         self._replicas: list = []
 
     def _register_shard(self, shard: ShardServer) -> None:
@@ -605,57 +647,14 @@ class Weaver(Coordinator):
     # own class body.
     begin_transaction = Coordinator.begin_transaction
     collect_garbage = Coordinator.collect_garbage
-
-    def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
-        self.changes.bump_all(tx.touched_vertices)
+    run_program = Coordinator.run_program
 
     # -- node programs (section 4.1) ---------------------------------------
 
-    def run_program(
-        self,
-        program: NodeProgram,
-        start: StartSpec,
-        params: Any = None,
-        at: Optional[VectorTimestamp] = None,
-        use_cache: bool = False,
-        cache_key: Optional[Hashable] = None,
+    def _execute(
+        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
+        ts: VectorTimestamp, query_id: int, trace_id: int,
     ) -> ProgramResult:
-        """Execute a node program on a consistent snapshot.
-
-        ``start`` is a vertex handle or an iterable of (handle, params)
-        pairs.  ``at`` runs a historical query at an earlier timestamp.
-        With ``use_cache`` (requires ``enable_program_cache``), a valid
-        memoized result for (program, start, cache_key) is returned
-        without touching the graph.
-        """
-        frontier, query_id, trace_id = self._submit_program(
-            program, start, params
-        )
-        cache_entry_key = None
-        if use_cache and self.program_cache is not None:
-            first = frontier[0][0] if frontier else ""
-            cache_entry_key = ProgramCache.key(
-                program.name, vars(program), first,
-                self._cache_tail(params, at, cache_key),
-            )
-            cached = self.program_cache.get(cache_entry_key)
-            if cached is not None:
-                self._complete_program(trace_id, query_id, cache_hit=True)
-                return cached
-        ts = self._stamp_program(trace_id, query_id, at)
-        self.watermarks.start(query_id, ts)
-        try:
-            result = self.executor.execute(
-                program, frontier, self._resolver(ts), ts, query_id
-            )
-        finally:
-            self.watermarks.finish(query_id)
-        self._complete_program(trace_id, query_id)
-        if cache_entry_key is not None:
-            self.program_cache.put(cache_entry_key, result, result.read_set)
-        return result
-
-    def _resolver(self, ts: VectorTimestamp) -> ShardSnapshotResolver:
         # The shard-side readiness check, in process: the heartbeats
         # and advance_to were delivered synchronously, so a shard that
         # is not ready now never will be.
@@ -663,12 +662,12 @@ class Weaver(Coordinator):
             error = shard.not_ready(ts)
             if error is not None:
                 raise error
-        return ShardSnapshotResolver(
-            ts,
-            self._shard_of,
-            self.shards,
-            stats=self.executor.stats,
-            page_in=True,
+        resolver = ShardSnapshotResolver(
+            ts, self._shard_of, self.shards,
+            stats=self.executor.stats, page_in=True,
+        )
+        return self.executor.execute(
+            program, frontier, resolver, ts, query_id
         )
 
     # -- dynamic repartitioning (section 4.6) ------------------------------
@@ -711,8 +710,6 @@ class Weaver(Coordinator):
         of the offline LDG partitioner (ablation A2) and the mechanism
         sketch of section 4.6.
         """
-        from .operations import graph_state_from_store
-
         _, edges = graph_state_from_store(self.store.snapshot())
         neighbors: Dict[str, List[str]] = {}
         for (src, _), record in edges.items():
@@ -743,8 +740,6 @@ class Weaver(Coordinator):
     def edge_cut(self) -> Tuple[int, int]:
         """(cut, total) over committed edges — the locality metric the
         partitioning machinery optimizes."""
-        from .operations import graph_state_from_store
-
         _, edges = graph_state_from_store(self.store.snapshot())
         cut = 0
         for (src, _), record in edges.items():
@@ -788,22 +783,9 @@ class Weaver(Coordinator):
         """Let shards evict vertices and reload them from the backing
         store on access — how the paper's CoinGraph deployment fit 900 GB
         of blockchain into 704 GB of cluster memory."""
-        self._paging_enabled = True
+        self._pager = functools.partial(vertex_image, self.store)
         for shard in self.shards:
-            shard.set_pager(self._load_committed_vertex)
-
-    def _load_committed_vertex(self, handle: str):
-        from .operations import vertex_key
-
-        record = self.store.get(vertex_key(handle))
-        if record is None:
-            return None
-        prefix = f"e:{handle}:"
-        edges = {
-            key[len(prefix):]: self.store.get(key)
-            for key in self.store.keys(prefix)
-        }
-        return {"properties": dict(record), "edges": edges}
+            shard.set_pager(self._pager)
 
     def evict_vertex(self, handle: str) -> int:
         """Page one vertex out of shard memory.
@@ -837,8 +819,8 @@ class Weaver(Coordinator):
         replacement.tracer = self.tracer
         self.shards[index] = replacement
         self._register_shard(replacement)
-        if self._paging_enabled:
-            replacement.set_pager(self._load_committed_vertex)
+        if self._pager is not None:
+            replacement.set_pager(self._pager)
         self._reset_channels()
         return replacement
 

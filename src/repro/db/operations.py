@@ -19,7 +19,7 @@ its properties, an edge at ``e:<src>:<handle>`` as a dict with ``dst`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..core.vclock import VectorTimestamp
 from ..errors import TransactionAborted
@@ -283,11 +283,27 @@ def partition_image(
     )
 
 
+def vertex_image(store, handle: str) -> Optional[GraphState]:
+    """One vertex's committed state in :func:`partition_image`'s shape,
+    read from the backing store (demand paging, section 6.1); None when
+    the vertex does not exist."""
+    record = store.get(vertex_key(handle))
+    if record is None:
+        return None
+    prefix = edge_key(handle, "")
+    return {handle: dict(record)}, {
+        (handle, key[len(prefix):]): store.get(key)
+        for key in store.keys(prefix)
+    }
+
+
 def load_partition(
     graph: MultiVersionGraph, image: GraphState, ts: VectorTimestamp
 ) -> None:
-    """Install a :func:`partition_image` into a (replacement) shard's
-    graph, every record stamped at the recovery timestamp ``ts``."""
+    """Install a :func:`partition_image` (or any part of one) into a
+    shard's graph, every record stamped at ``ts``: the one way a shard
+    takes committed state from the store — recovery, reconciliation
+    and demand paging."""
     vertices, edges = image
     for handle, props in vertices.items():
         graph.create_vertex(handle, ts)

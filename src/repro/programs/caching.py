@@ -1,18 +1,19 @@
-"""Memoization of node-program results at vertices (section 4.6).
+"""Memoization of node-program results (section 4.6).
 
 Weaver lets applications memoize node-program results and reuse them in
 later executions, provided the application can detect that the graph
 changed underneath the cached value.  This module implements that
-contract:
+contract, held once per deployment by the client-side coordinator:
 
 * :class:`ProgramCache` stores results keyed by (program name, program
   instance state, start vertex, params key);
 * every cached entry records the set of vertices the program read and a
   per-vertex *change counter* captured at caching time;
-* the database bumps a vertex's change counter on every write to it, so a
-  lookup revalidates by comparing counters — any structural change along
-  the cached read set invalidates the entry, which is exactly the
-  invalidate-on-change discipline the paper describes for cached paths.
+* the coordinator bumps a vertex's change counter on every commit
+  attempt that writes it, so a lookup revalidates by comparing counters
+  — any structural change along the cached read set invalidates the
+  entry, which is exactly the invalidate-on-change discipline the paper
+  describes for cached paths.
 
 The paper's evaluation disables this mechanism; ablation benchmark A1
 measures what it buys and what invalidation costs.
@@ -50,11 +51,6 @@ class ChangeTracker:
             self.version(vertex) == counter
             for vertex, counter in observed.items()
         )
-
-    def reset(self) -> None:
-        """Forget all counters (epoch change: cached evidence recorded
-        against the old epoch's applies must not validate new reads)."""
-        self._counters.clear()
 
 
 class CacheEntry:
@@ -124,13 +120,6 @@ class ProgramCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
-
-    def invalidate(self, key: CacheKey) -> None:
-        """Drop one entry whose validity was refuted externally (the
-        shard-resident path revalidates remote read-set fragments with
-        peer counter checks the local tracker cannot see)."""
-        if self._entries.pop(key, None) is not None:
-            self.invalidations += 1
 
     def clear(self) -> None:
         self._entries.clear()

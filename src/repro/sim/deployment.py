@@ -156,8 +156,7 @@ class _ShardHost(ResidentEngine):
     ``SimTransport`` (latency, faults, service time); the wait for
     readiness is a parked message the handler's pump retries after every
     delivery — here the heartbeats that make a shard ready arrive on
-    their own timers, not ahead of the program on one socket.  The
-    shard-side program cache stays off (the simulator never had one).
+    their own timers, not ahead of the program on one socket.
     """
 
     def __init__(self, db: "SimulatedWeaver", shard: ShardServer):
@@ -846,7 +845,7 @@ class SimulatedWeaver(WritePath):
         self._stamped[query_id] = entry
         coordinator, ps = self._program_start(
             entry.program, entry.frontier, entry.ts, query_id,
-            entry.trace_id, None, self._all_shards,
+            entry.trace_id, self._all_shards,
         )
         self.transport.send(
             gk.name, self._shard_names[coordinator], "program_start", ps

@@ -93,6 +93,16 @@ class TestTwinHelpers:
         assert run.results[1].value["handle"] == "a"
         assert twin.latency_tx.count == twin.latency_program.count == 1
 
+    def test_twin_hop_is_the_cost_models_latency(self):
+        """A sweep of ``net_latency`` moves Weaver's series as it moves
+        the baselines'."""
+        def commit_latency(net_latency):
+            twin = harness._twin(1, 2, CostParams(net_latency=net_latency))
+            harness._closed_loop(twin, 1, [("tx", [ops.CreateVertex("a")])])
+            return twin.latency_tx.summary()["max"]
+
+        assert commit_latency(1 * MSEC) > commit_latency(100 * USEC)
+
 
 class TestTitanClients:
     """Titan under the closed loop (Fig 9's baseline run)."""

@@ -131,6 +131,54 @@ class TestEndToEndCaching:
         assert result.results == ["a", "b"]
         assert db.program_cache.invalidations == 1
 
+    @pytest.mark.parametrize("deployment", ["direct", "process"])
+    def test_write_whose_forward_raised_invalidates(self, deployment):
+        """A commit attempt invalidates what it writes before the
+        gatekeeper stamps: a write the store holds but no shard was
+        sent refutes a cached result once recovery loads it."""
+        from repro.cluster.process import ProcessWeaver
+        from repro.programs import Bfs, params
+
+        config = WeaverConfig(
+            num_gatekeepers=2, num_shards=2, enable_program_cache=True
+        )
+        db = Weaver(config) if deployment == "direct" else ProcessWeaver(
+            config
+        )
+        try:
+            with WeaverClient(db).transaction() as tx:
+                for v in "abc":
+                    tx.create_vertex(v)
+                tx.create_edge("a", "b", "ab")
+
+            def bfs(**cache):
+                return db.run_program(
+                    Bfs(), "a", params(depth=0), **cache
+                ).results
+
+            assert bfs(use_cache=True) == ["a", "b"]
+
+            def lost(*args):
+                raise RuntimeError("forward lost")
+
+            db._enqueue = lost
+            tx = db.begin_transaction()
+            tx.create_edge("b", "c", "bc")
+            with pytest.raises(RuntimeError, match="forward lost"):
+                tx.commit()
+            del db._enqueue
+            shard = db._shard_of("b")
+            if deployment == "direct":
+                db.fail_shard(shard)
+            else:
+                db.kill_shard_worker(shard)
+                db.recover_shard(shard)
+            assert bfs(use_cache=True) == ["a", "b", "c"]
+            assert bfs() == ["a", "b", "c"]
+        finally:
+            if deployment == "process":
+                db.close()
+
     def test_cache_disabled_by_default(self, db):
         assert db.program_cache is None
         # use_cache on a cache-less deployment is a silent no-op.

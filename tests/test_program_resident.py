@@ -11,7 +11,7 @@ on a :class:`ProcessWeaver` and on an identically loaded ``Weaver``
 
 Covered axes: every ``PROGRAM_REGISTRY`` class (the parametrised ones
 built with non-default arguments) × seeded multi-shard graphs ×
-historical ``at=`` reads × the shard-side program cache × a
+historical ``at=`` reads × the program cache × a
 SIGKILL/recover epoch boundary × what the deployment refuses to ship.
 ``TestResidentSmoke`` doubles as the CI transport-smoke entry (2
 workers, BFS + cached re-run, trace-chain assertion).
@@ -389,22 +389,14 @@ class TestKeysColumnsAndCounters:
             again, hit = run()
             assert (again.results, hit) == (first.results, True)
             assert again.read_set == first.read_set
-            if deployment is ProcessWeaver:
-                # The fragments carried their counters (asked for only
-                # because a cache reads them), and the hit was vouched
-                # for by the remote shard.
-                stats = db.metrics.snapshot()
-                assert stats["program.resident.cache_hits"] == 1
-                assert stats["program.resident.counter_checks"] >= 2
-            # A write the coordinating shard never sees: only the
-            # remote fragment's counters can refute the entry.
+            assert db.metrics.snapshot()["program.cache.hits"] == 1
+            # A write to a read-set vertex the start vertex's shard does
+            # not own refutes the entry all the same.
             load(db, [(there[0], there[1])])
             fresh, hit = run()
             assert hit is None
             assert fresh.results == [root, there[0], here[0], there[1]]
-            if deployment is ProcessWeaver:
-                stats = db.metrics.snapshot()
-                assert stats["program.resident.cache_invalidations"] == 1
+            assert db.metrics.snapshot()["program.cache.invalidations"] == 1
 
 
 class TestHistoricalReads:
@@ -456,8 +448,9 @@ class TestHistoricalReads:
 
 
 class TestResidentProgramCache:
-    """Section 4.6 shard-side: memoized results revalidate against
-    change counters on every fragment before being served."""
+    """Section 4.6 on the process deployment: a memoized result
+    revalidates against the coordinator's change counters, and a hit
+    is served without a frame to any worker."""
 
     def _db(self):
         config = WeaverConfig(
@@ -489,7 +482,22 @@ class TestResidentProgramCache:
             assert completes[-1].attr("cache_hit") is True
             assert completes[-2].attr("cache_hit") is None
             snap = db.metrics.snapshot()
-            assert snap["program.resident.cache_hits"] >= 1
+            assert snap["program.cache.hits"] >= 1
+
+    def test_cache_hit_costs_nothing_on_the_wire(self):
+        with self._db() as db:
+            prm = params(depth=0)
+            db.run_program(Bfs(), "a", prm, use_cache=True)
+            stats = db.transport.stats
+
+            def cost():
+                stamps = db.tracer.spans(kind="program.stamp")
+                return stats.requests, stats.frames_sent, len(stamps)
+
+            before = cost()
+            db.run_program(Bfs(), "a", prm, use_cache=True)
+            assert cost() == before
+            assert db.metrics.snapshot()["program.cache.hits"] == 1
 
     def test_write_to_read_set_invalidates(self):
         with self._db() as db:
@@ -604,7 +612,7 @@ class TestResidentSmoke:
                 span.node in ("shard0", "shard1") for span in rounds
             )
 
-            # Cached re-run: served from the shard-side cache.
+            # Cached re-run: served from the program cache.
             hit = db.run_program(Bfs(), "s0", prm, use_cache=True)
             assert hit.results == result.results
             last = db.tracer.spans(kind="program.complete")[-1]

@@ -134,7 +134,7 @@ class Rig:
         self.engine._dispatch(self._reply_here, {
             "k": "r", "id": 1, "kind": "collect_result",
             "p": {"q": QUERY, "halt_round": halt_round,
-                  "halt_key": halt_key, "counters": False},
+                  "halt_key": halt_key},
         })
         return wire.decode(wire.read_frame(self._reply_there))["p"]
 
@@ -255,17 +255,3 @@ def test_write_without_heartbeats_fails_by_name_within_deadline(rig):
     assert rig.engine.worker.shard.stats.vertices_read == 0
     assert not rig.engine.pending
 
-
-def test_counters_check_waits_for_the_same_frames(rig):
-    """A cached result's remote fragment is vouched for as of ``ts``:
-    the counters answer must come after the client's frames too."""
-    ts = rig.write_and_stamp()
-    rig.send_client_batch(ts)
-    observed = rig.engine.tracker.snapshot({"w"})     # before the write
-    rig.engine._dispatch(rig._reply_here, {
-        "k": "r", "id": 2, "kind": "counters",
-        "p": {"observed": observed, "ts": ts},
-    })
-    rig.drive()
-    reply = wire.decode(wire.read_frame(rig._reply_there))
-    assert reply["p"] == {"unchanged": False}

@@ -439,7 +439,6 @@ class TestEngineMatchesExecutor:
                 return {
                     "tags": [order_key(1, 0, 0, 0)], "values": ["b"],
                     "read": ["b"], "states": {}, "visited": 1, "hops": 0,
-                    "counters": {},
                 }
 
             def _reply(self, conn, rid, result=None, error=None):
@@ -495,12 +494,10 @@ class ListHost(ResidentEngine):
     with an empty fragment), over a one-gatekeeper shard made ready for
     ``self.ts`` after ``operations`` applied."""
 
-    def __init__(self, index, placement, operations=(), caching=False):
+    def __init__(self, index, placement, operations=()):
         self.sends, self.requests, self.replies, self.held = [], [], [], []
         shard = ShardServer(index, 1, TimelineOracle())
-        super().__init__(
-            ShardEndpoint(shard), index, placement.get, caching
-        )
+        super().__init__(ShardEndpoint(shard), index, placement.get)
         gk = Gatekeeper(0, 1)
         write = QueuedTransaction(
             gk.issue_timestamp(), tuple(operations), seqno=0, tiebreak=0
@@ -519,7 +516,7 @@ class ListHost(ResidentEngine):
         self.requests.append((dst, kind, payload))
         return {
             "tags": [], "values": [], "read": [], "states": {},
-            "visited": 0, "hops": 0, "counters": {},
+            "visited": 0, "hops": 0,
         }
 
     def _reply(self, conn, rid, result=None, error=None):
@@ -567,8 +564,7 @@ class TestAFailedFrameFailsItsQuery:
         # The coordinator's clean-up gather finds nothing to keep ...
         engine._dispatch("shard0", {
             "k": "r", "id": 3, "kind": "collect_result",
-            "p": {"q": 5, "halt_round": 0, "halt_key": b"",
-                  "counters": False},
+            "p": {"q": 5, "halt_round": 0, "halt_key": b""},
         })
         ((_conn, rid, fragment, error),) = engine.replies
         assert (rid, error, fragment["values"]) == (3, None, [])
@@ -638,62 +634,11 @@ class TestAFailedFrameFailsItsQuery:
         assert engine.replies[-1][2]["results"] == ["a"]
 
 
-class TestCountersRideOnRequest:
-    """Only ``cache.put`` reads a fragment's change counters, so the
-    coordinator asks for them only when it will cache."""
-
-    @pytest.mark.parametrize("caching", [False, True])
-    def test_the_gather_asks_only_when_the_coordinator_caches(self, caching):
-        engine = ListHost(0, {"a": 0, "b": 1}, [
-            ops.CreateVertex("a"), ops.CreateEdge("ab", "a", "b"),
-        ], caching=caching)
-        engine._dispatch("gk0", {
-            "k": "r", "id": 9, "kind": "program_start", "p": ProgramStart(
-                engine.ts, 5, "bfs", (("a", params(depth=0), order_key(0)),),
-                cache_tail=("bfs", "depth=0"),
-            ),
-        })
-        engine.drain()
-        engine._dispatch(None, {"k": "b", "m": [("round_report", {
-            "q": 5, "round": 1, "worker": 1, "sent": {}, "halt": None,
-            "processed": 1, "error": None,
-        })]})
-        engine.drain()
-        ((dst, kind, request),) = engine.requests
-        assert (dst, kind, request["counters"]) == (
-            1, "collect_result", caching
-        )
-        assert engine.replies[-1][2]["results"] == ["a"]
-        if caching:
-            assert len(engine.cache) == 1
-        else:
-            assert engine.cache is None
-
-    @pytest.mark.parametrize("asked", [False, True])
-    def test_a_fragment_snapshots_its_read_set_only_when_asked(self, asked):
-        engine = ListHost(1, {"a": 0, "b": 1}, [ops.CreateVertex("b")])
-        forward = FrontierForward.from_rows(
-            5, 1, [("b", params(depth=1), order_key(0, 0))]
-        )
-        for message in (("forward", forward), engine.go(5, 1, expect=1)):
-            engine._dispatch(None, {"k": "b", "m": [message]})
-        engine.drain()
-        engine._dispatch("shard0", {
-            "k": "r", "id": 3, "kind": "collect_result",
-            "p": {"q": 5, "halt_round": None, "halt_key": None,
-                  "counters": asked},
-        })
-        fragment = engine.replies[-1][2]
-        assert fragment["values"] == ["b"]
-        assert fragment["tags"] == [order_key(1, 0, 0, 0)]
-        assert fragment["counters"] == ({"b": 1} if asked else {})
-
-
 class TestKeysAndColumnsOnTheTwin:
     """The 3-shard ``SimulatedWeaver`` twins of the cases
     ``test_program_resident.py`` runs on processes, against the same
-    ``Weaver`` reference.  (No cached re-run here: the simulator hosts
-    the engine with the shard-side program cache off.)"""
+    ``Weaver`` reference.  (No cached re-run here: the simulator has no
+    program cache.)"""
 
     @staticmethod
     def twins(edges_for):

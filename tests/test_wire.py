@@ -35,7 +35,7 @@ from tests.wire_fixtures import order_key
 # frames no longer decode the same way — bump wire.WIRE_VERSION, update
 # WIRE_SCHEMA, and re-pin this value (and wire_fixtures.GOLDEN_HEX).
 GOLDEN_SCHEMA_DIGEST = (
-    "6109ce36a6fd1e332765062575b92e43a5308cb56c7b6b144132ee2875bf55cf"
+    "03bd33a3df536316d3c91f9fe6a2ada8169df2164ba89ab55e076bf36c73308e"
 )
 
 TS = VectorTimestamp(epoch=2, clocks=(3, 1, 4), issuer=1)
@@ -60,7 +60,7 @@ ALL_MESSAGES = [
     ProgramStart(TS, 7, "bfs",
                  (("v1", SimpleNamespace(depth=0), order_key(0)),
                   ("v2", None, order_key(1))),
-                 trace_id=3, cache_tail=("repr", 9), max_visits=100),
+                 trace_id=3, max_visits=100),
     ProgramStart(TS2, 8, "reachability", ()),  # defaults: init is None
     ProgramStart(TS2, 9, "push_pagerank", (),
                  init={"damping": 0.6, "epsilon": 1e-2}),
