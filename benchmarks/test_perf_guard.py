@@ -356,7 +356,8 @@ def _matches_weaver(payload, writes, program, handle, start_params=None):
 # merged its one fragment as a gather: 186 call events, 43-50 µs a read
 # (least of 7 x 20,000 reads, 2-vCPU Xeon @ 2.10 GHz, Python 3.11).  By
 # queued call, quiescence by count and the fragment read as it stands:
-# 147 events, 32-38 µs; with the shared view and the one-pass round, 129.
+# 147 events, 32-38 µs; with the shared view and the one-pass round, 129;
+# with the gather written into ``_finish``, 128.
 _ONE_VERTEX_READ_CALL_EVENTS = 156
 
 

@@ -821,26 +821,20 @@ class ResidentEngine:
             if not coord.done:
                 self._finish_error(coord, f"round_report failed: {exc!r}")
 
-    def _collect_fragments(
-        self, coord: _Coordination, halt_round, halt_key
-    ) -> Tuple[dict, List[dict]]:
-        """This worker's fragment, read from its own query, and every
-        other involved worker's, gathered by request."""
-        own = self._fragment(coord.qid, halt_round, halt_key)
-        return own, [self._peer_request(dst, "collect_result", {
-            "q": coord.qid, "halt_round": halt_round, "halt_key": halt_key,
-        }) for dst in sorted(coord.involved - {self.index})]
-
     def _finish(self, coord: _Coordination, halt_round, halt_key,
                 error: Optional[str] = None) -> None:
         """Gather the fragments and reply with the result, or with
         ``error`` (the gather is then clean-up only)."""
         coord.done = True
         self.coordinated.pop(coord.qid, None)
+        # This worker's fragment is read from its own query; every other
+        # involved worker's is gathered by request.
+        own = self._fragment(coord.qid, halt_round, halt_key)
         try:
-            own, gathered = self._collect_fragments(
-                coord, halt_round, halt_key
-            )
+            gathered = [self._peer_request(dst, "collect_result", {
+                "q": coord.qid, "halt_round": halt_round,
+                "halt_key": halt_key,
+            }) for dst in sorted(coord.involved - {self.index})]
         except (TransportError, OSError, socket.timeout) as exc:
             error = error or f"result gather failed: {exc}"
         if error is not None:
