@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Weaver, WeaverClient, WeaverConfig
+from repro.db.operations import partition_image, vertex_image
 from repro.errors import ClusterError, NoSuchVertex
 
 
@@ -63,6 +64,19 @@ class TestDemandPaging:
         db, _ = paged
         shard = db.shards[0]
         assert not shard.ensure_paged("never_existed")
+
+    def test_pager_image_is_the_vertex_share_of_recovery(self, paged):
+        """A page-in installs exactly what shard recovery would load
+        for that vertex, and no edge of a vertex whose handle only
+        extends it."""
+        db, client = paged
+        with client.transaction() as tx:
+            tx.create_vertex("ab")
+            tx.create_edge("ab", "a", "ab_a")
+        assert vertex_image(db.store, "a") == partition_image(
+            db.store.snapshot(), {"a": 0}, 0
+        )
+        assert vertex_image(db.store, "ghost") is None
 
     def test_eviction_survives_under_churn(self, paged):
         db, client = paged

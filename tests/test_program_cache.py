@@ -131,6 +131,46 @@ class TestEndToEndCaching:
         assert result.results == ["a", "b"]
         assert db.program_cache.invalidations == 1
 
+    def test_hit_stamps_nothing_and_is_traced(self, cached_db):
+        """A hit is looked up before the stamp, yet still counts as a
+        client-observed run and closes its trace."""
+        db, _ = cached_db
+        from repro.programs import Bfs, params
+
+        first = db.run_program(Bfs(), "a", params(depth=0), use_cache=True)
+        stamps = len(db.tracer.spans(kind="program.stamp"))
+        runs = db.programs_run
+        hit = db.run_program(Bfs(), "a", params(depth=0), use_cache=True)
+        assert (hit.results, hit.read_set) == (first.results, first.read_set)
+        assert len(db.tracer.spans(kind="program.stamp")) == stamps
+        assert db.programs_run == runs + 1
+        completes = db.tracer.spans(kind="program.complete")
+        assert completes[-1].attr("cache_hit") is True
+        assert completes[-2].attr("cache_hit") is None
+
+    def test_historical_entries_keyed_by_snapshot(self, cached_db):
+        db, client = cached_db
+        from repro.programs import Bfs, params
+
+        point = db.checkpoint()
+        with client.transaction() as tx:
+            tx.create_vertex("d")
+            tx.create_edge("a", "d", "ad")
+
+        def bfs(**at):
+            return db.run_program(
+                Bfs(), "a", params(depth=0), use_cache=True, **at
+            ).results
+
+        current = bfs()
+        historical = bfs(at=point)
+        assert "d" in current
+        assert set(historical) == {"a", "b", "c"}
+        # Each snapshot serves its own entry; neither cross-serves.
+        assert bfs(at=point) == historical
+        assert bfs() == current
+        assert db.program_cache.hits == 2
+
     @pytest.mark.parametrize("deployment", ["direct", "process"])
     def test_write_whose_forward_raised_invalidates(self, deployment):
         """A commit attempt invalidates what it writes before the
