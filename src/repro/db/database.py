@@ -389,9 +389,13 @@ class Coordinator(WritePath):
 
     def _reset_channels(self) -> None:
         # An epoch barrier cleared every shard queue and its expected
-        # sequence numbers; restart the sender side to match.
+        # sequence numbers; restart the sender side to match.  A shard
+        # reloaded from the store may hold writes no counter saw applied,
+        # so no cached result taken before the barrier is served.
         self._channel_seqno.clear()
         self._advanced_to = None
+        if self.program_cache is not None:
+            self.program_cache.clear()
 
     # -- queue pumping -----------------------------------------------------
 

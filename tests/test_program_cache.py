@@ -171,11 +171,16 @@ class TestEndToEndCaching:
         assert bfs() == current
         assert db.program_cache.hits == 2
 
+    @pytest.mark.parametrize("read_before_recovery", [False, True])
     @pytest.mark.parametrize("deployment", ["direct", "process"])
-    def test_write_whose_forward_raised_invalidates(self, deployment):
+    def test_write_whose_forward_raised_invalidates(
+        self, deployment, read_before_recovery
+    ):
         """A commit attempt invalidates what it writes before the
         gatekeeper stamps: a write the store holds but no shard was
-        sent refutes a cached result once recovery loads it."""
+        sent refutes a cached result once recovery loads it.  A result
+        cached after that attempt but before recovery is dropped by the
+        recovery's epoch barrier."""
         from repro.cluster.process import ProcessWeaver
         from repro.programs import Bfs, params
 
@@ -207,6 +212,8 @@ class TestEndToEndCaching:
             with pytest.raises(RuntimeError, match="forward lost"):
                 tx.commit()
             del db._enqueue
+            if read_before_recovery:
+                assert bfs(use_cache=True) == ["a", "b"]
             shard = db._shard_of("b")
             if deployment == "direct":
                 db.fail_shard(shard)

@@ -439,6 +439,7 @@ class TestEngineMatchesExecutor:
                 return {
                     "tags": [order_key(1, 0, 0, 0)], "values": ["b"],
                     "read": ["b"], "states": {}, "visited": 1, "hops": 0,
+                    "counters": {},
                 }
 
             def _reply(self, conn, rid, result=None, error=None):
