@@ -3,14 +3,15 @@
 Times an oracle-heavy schedule — ≥ 500 events, ≥ 30 % vclock-concurrent
 pairs — against the skyline-indexed oracle and the seed-equivalent
 reference, asserts the ≥ 3x speedup acceptance bar, and records the
-result as ``BENCH_ordering.json`` at the repo root.
+result as ``BENCH_ordering.json`` at the repo root, with the
+``cpu_count`` it was measured on.
 """
 
 import json
+import os
 import pathlib
 
-from repro.bench.ordering_bench import build_workload, compare_fastpath
-from tests.oracle_reference import reference_oracle
+from tests.oracle_reference import build_workload, compare_fastpath
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -23,7 +24,7 @@ def test_workload_shape():
 
 
 def test_indexed_oracle_speedup(show):
-    result = compare_fastpath(reference_oracle)
+    result = {"cpu_count": os.cpu_count() or 1, **compare_fastpath()}
     (REPO_ROOT / "BENCH_ordering.json").write_text(
         json.dumps(result, indent=2) + "\n"
     )

@@ -40,8 +40,10 @@ def test_storage_paging(show):
         ],
         lines=[
             f"dataset: {result['dataset_bytes']} bytes",
-            f"read slowdown at 4x pressure: "
-            f"{result['read_slowdown_at_4x']:.1f}x vs in-memory",
+            "reads/s at 4x pressure over {repeats} stores: median "
+            "{median:.0f}, quartiles {q1:.0f}-{q3:.0f}".format(
+                **result["reads_per_second_at_4x"]
+            ),
         ],
     )
     by_label = {

@@ -379,43 +379,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.transport == "process":
-        return _bench_process_transport(args)
     from .bench import harness
 
     wanted = FIGURES if args.figure == "all" else (args.figure,)
     for figure in wanted:
         _run_figure(harness, figure)
     return 0
-
-
-def _bench_process_transport(args) -> int:
-    """Fig 13-style shard scaling over the real multiprocess transport,
-    twin-checked against the deterministic simulator."""
-    from .bench.transport_bench import scaling_experiment
-
-    result = scaling_experiment(
-        num_vertices=args.vertices, num_queries=args.queries
-    )
-    print(format_table(
-        "Process transport: traversal throughput vs worker count",
-        ["workers", "queries/s", "pipelined", "bytes sent"],
-        [
-            (
-                p["shards"],
-                round(p["throughput_qps"], 1),
-                p["transport"]["requests_pipelined"],
-                p["transport"]["bytes_sent"],
-            )
-            for p in result["points"]
-        ],
-    ))
-    last = result["shard_counts"][-1]
-    print(f"cpu_count: {result['cpu_count']} "
-          f"(scaling needs real parallel cores)")
-    print(f"scaling 1→{last}: {result['scaling']:.2f}x")
-    print(f"results_equal vs simulated twin: {result['results_equal']}")
-    return 0 if result["results_equal"] else 1
 
 
 def _ms(histogram, *quantiles):
@@ -621,15 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--figure", choices=FIGURES + ("all",), default="fig7"
     )
-    bench.add_argument(
-        "--transport", choices=("sim", "process"), default="sim",
-        help="process: shard-scaling over real worker processes, "
-             "twin-checked against the simulator (ignores --figure)",
-    )
-    bench.add_argument("--vertices", type=int, default=200,
-                       help="graph size for --transport=process")
-    bench.add_argument("--queries", type=int, default=20,
-                       help="timed traversals for --transport=process")
     bench.set_defaults(func=_cmd_bench)
 
     simulate = sub.add_parser(

@@ -86,6 +86,12 @@ def _record_bytes(key: str, blob: Optional[bytes]) -> int:
     return len(key) + _RECORD_OVERHEAD + (len(blob) if blob else 0)
 
 
+def _damaged(path: str, exc: sqlite3.DatabaseError) -> StoreError:
+    """A file that is not a whole SQLite database — truncated, or never
+    one — fails its open by path; there is no repair."""
+    return StoreError(f"store {path!r} cannot be opened: {exc}")
+
+
 class DurableStore(TransactionalStore):
     """A SQLite-backed drop-in for :class:`TransactionalStore`.
 
@@ -136,12 +142,16 @@ class DurableStore(TransactionalStore):
             conn = sqlite3.connect(
                 path, isolation_level=None, check_same_thread=False
             )
-        # WAL survives a kill -9 of the writer: the main database plus
-        # the log tail replay to the last committed transaction.
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        if not read_only:
-            conn.executescript(_SCHEMA)
+        try:
+            # WAL survives a kill -9 of the writer: the main database
+            # plus the log tail replay to the last committed transaction.
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            if not read_only:
+                conn.executescript(_SCHEMA)
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            raise _damaged(path, exc) from exc
         return conn
 
     def _load_counter(self) -> int:
@@ -151,6 +161,9 @@ class DurableStore(TransactionalStore):
             ).fetchone()
         except sqlite3.OperationalError:
             return 0  # read-only open of a not-yet-created database
+        except sqlite3.DatabaseError as exc:
+            self.close()
+            raise _damaged(self.path, exc) from exc
         return int(row[0]) if row else 0
 
     def close(self) -> None:

@@ -8,10 +8,11 @@ exists for two reasons:
 * the differential test (``tests/test_oracle_differential.py``) checks
   the indexed implementation against it on randomized event DAGs,
   including across ``remove_event``/``collect_below``;
-* the ordering microbenchmark and perf guard
-  (``benchmarks/test_micro_ordering.py``, ``benchmarks/test_perf_guard.py``)
-  pass it to :func:`repro.bench.ordering_bench.compare_fastpath` as the
-  before-side of the before/after measurement.
+* :func:`compare_fastpath` times one oracle-heavy schedule on the
+  skyline-indexed :class:`~repro.core.oracle.EventDependencyGraph` and
+  on this one: ``benchmarks/test_micro_ordering.py`` records the result
+  as ``BENCH_ordering.json``, and ``benchmarks/test_perf_guard.py`` runs
+  a small configuration as a regression guard that records nothing.
 
 Both graphs answer every ``reaches`` query identically; only the work
 they do differs.
@@ -19,11 +20,14 @@ they do differs.
 
 from __future__ import annotations
 
+import random
+import time
 from collections import deque
-from typing import Set
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from repro.core.oracle import EventDependencyGraph, EventId, TimelineOracle
-from repro.core.vclock import VectorTimestamp
+from repro.core.vclock import Ordering, VectorClock, VectorTimestamp
 
 
 class ReferenceEventDependencyGraph(EventDependencyGraph):
@@ -66,3 +70,100 @@ class ReferenceEventDependencyGraph(EventDependencyGraph):
 def reference_oracle() -> TimelineOracle:
     """A timeline oracle running on the unindexed reference graph."""
     return TimelineOracle(graph=ReferenceEventDependencyGraph())
+
+
+# -- the ordering fast path, timed against the reference ---------------
+
+
+@dataclass
+class OrderingWorkload:
+    """A reproducible stamp stream plus pair schedule."""
+
+    stamps: List[VectorTimestamp]
+    pairs: List[Tuple[VectorTimestamp, VectorTimestamp]]
+    concurrent_fraction: float
+
+
+def build_workload(
+    num_events: int = 800,
+    num_pairs: int = 2000,
+    num_gatekeepers: int = 3,
+    observe_probability: float = 0.02,
+    seed: int = 7,
+) -> OrderingWorkload:
+    """Generate causally-valid stamps and a mixed pair schedule.
+
+    ``observe_probability`` tunes how often gatekeepers fold in a peer's
+    announce — lower means more concurrent (oracle-bound) pairs.
+    """
+    rng = random.Random(seed)
+    clocks = [VectorClock(num_gatekeepers, i) for i in range(num_gatekeepers)]
+    stamps: List[VectorTimestamp] = []
+    while len(stamps) < num_events:
+        actor = rng.randrange(num_gatekeepers)
+        if rng.random() < observe_probability:
+            peer = rng.randrange(num_gatekeepers)
+            clocks[actor].observe(clocks[peer].announce())
+        stamps.append(clocks[actor].tick())
+    pairs = [tuple(rng.sample(stamps, 2)) for _ in range(num_pairs)]
+    concurrent = sum(
+        1 for a, b in pairs if a.compare(b) is Ordering.CONCURRENT
+    )
+    return OrderingWorkload(stamps, pairs, concurrent / len(pairs))
+
+
+def run_schedule(oracle: TimelineOracle, workload: OrderingWorkload) -> float:
+    """Drive one oracle through the workload; returns elapsed seconds.
+
+    The schedule orders every pair (committing decisions for concurrent
+    ones), then re-queries the whole schedule — the repeat-query pattern
+    shard servers generate.
+    """
+    for ts in workload.stamps:
+        oracle.create_event(ts)
+    started = time.perf_counter()
+    for a, b in workload.pairs:
+        oracle.order(a, b)
+    for a, b in workload.pairs:
+        oracle.query_order(a, b)
+    return time.perf_counter() - started
+
+
+def compare_fastpath(
+    num_events: int = 800,
+    num_pairs: int = 2000,
+    num_gatekeepers: int = 3,
+    observe_probability: float = 0.02,
+    seed: int = 7,
+) -> Dict:
+    """Run the schedule on both implementations and report the speedup."""
+    workload = build_workload(
+        num_events=num_events,
+        num_pairs=num_pairs,
+        num_gatekeepers=num_gatekeepers,
+        observe_probability=observe_probability,
+        seed=seed,
+    )
+    indexed = TimelineOracle()
+    indexed_seconds = run_schedule(indexed, workload)
+    reference = reference_oracle()
+    reference_seconds = run_schedule(reference, workload)
+    return {
+        "num_events": num_events,
+        "num_pairs": num_pairs,
+        "num_gatekeepers": num_gatekeepers,
+        "concurrent_fraction": round(workload.concurrent_fraction, 4),
+        "indexed_seconds": indexed_seconds,
+        "reference_seconds": reference_seconds,
+        "speedup": (
+            reference_seconds / indexed_seconds
+            if indexed_seconds > 0
+            else float("inf")
+        ),
+        "indexed_counters": {
+            "bfs_expansions": indexed.stats.bfs_expansions,
+            "bfs_pruned": indexed.stats.bfs_pruned,
+            "reach_cache_hits": indexed.stats.reach_cache_hits,
+            "decisions": indexed.stats.decisions,
+        },
+    }

@@ -1,73 +1,53 @@
-"""Provenance rules for the archived transport bench recordings.
+"""One record per claim: the ``BENCH_*.json`` files at the repo root.
 
-``BENCH_transport.json`` is the evidence file for the scaling and
-shard-resident speedup claims; its numbers only mean something with the
-``cpu_count`` they were measured on.  :func:`record_bench` therefore
-refuses to let a small host's run overwrite a recording from a
-qualifying (>= 4-core) host, merges sections independently, and adopts
-the legacy flat layout in place.
+Each file is written by exactly one module under ``benchmarks/``, so no
+claim is recorded twice at two values.  The three timed on the host
+(ordering, storage, wire) carry the ``cpu_count`` they were measured
+on; the geo sweep runs on simulated time, so its record is the same on
+any host and carries none.
 """
 
 import json
+import pathlib
 
-from repro.bench.transport_bench import MIN_MEANINGFUL_CORES, record_bench
+import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+RECORDS = ("geo", "ordering", "storage", "wire")
+HOST_TIMED = ("ordering", "storage", "wire")
 
 
-def _result(cores, **extra):
-    return {"cpu_count": cores, "speedup": 1.0, **extra}
+def _record(name):
+    return json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
 
 
-class TestRecordBench:
-    def test_fresh_file_records_any_host(self, tmp_path):
-        path = tmp_path / "bench.json"
-        assert record_bench(path, "resident", _result(1))
-        assert json.loads(path.read_text())["resident"]["cpu_count"] == 1
+def test_the_records_are_exactly_these():
+    assert sorted(
+        path.name for path in REPO_ROOT.glob("BENCH_*.json")
+    ) == [f"BENCH_{name}.json" for name in RECORDS]
 
-    def test_small_host_cannot_overwrite_qualifying_recording(
-        self, tmp_path
-    ):
-        path = tmp_path / "bench.json"
-        assert record_bench(
-            path, "resident", _result(MIN_MEANINGFUL_CORES, speedup=2.4)
-        )
-        assert not record_bench(path, "resident", _result(1, speedup=0.6))
-        kept = json.loads(path.read_text())["resident"]
-        assert kept["cpu_count"] == MIN_MEANINGFUL_CORES
-        assert kept["speedup"] == 2.4
 
-    def test_qualifying_host_refreshes_and_small_hosts_swap_freely(
-        self, tmp_path
-    ):
-        path = tmp_path / "bench.json"
-        assert record_bench(path, "scaling", _result(1))
-        assert record_bench(path, "scaling", _result(2))  # 2 > 1: allowed
-        assert record_bench(
-            path, "scaling", _result(MIN_MEANINGFUL_CORES + 4)
-        )
-        assert record_bench(
-            path, "scaling", _result(MIN_MEANINGFUL_CORES)
-        )
-        assert json.loads(path.read_text())["scaling"]["cpu_count"] == (
-            MIN_MEANINGFUL_CORES
-        )
+@pytest.mark.parametrize("name", RECORDS)
+def test_each_record_has_one_writer(name):
+    writers = [
+        path.name for path in sorted((REPO_ROOT / "benchmarks").glob("*.py"))
+        if f"BENCH_{name}.json" in path.read_text()
+    ]
+    assert len(writers) == 1, writers
 
-    def test_sections_are_independent(self, tmp_path):
-        path = tmp_path / "bench.json"
-        assert record_bench(
-            path, "scaling", _result(MIN_MEANINGFUL_CORES)
-        )
-        # A 1-core resident recording lands even though the scaling
-        # section is protected.
-        assert record_bench(path, "resident", _result(1))
-        data = json.loads(path.read_text())
-        assert data["scaling"]["cpu_count"] == MIN_MEANINGFUL_CORES
-        assert data["resident"]["cpu_count"] == 1
 
-    def test_legacy_flat_layout_adopted_as_scaling_section(self, tmp_path):
-        path = tmp_path / "bench.json"
-        legacy = {"cpu_count": 1, "points": [{"shards": 1}]}
-        path.write_text(json.dumps(legacy))
-        assert record_bench(path, "resident", _result(1))
-        data = json.loads(path.read_text())
-        assert data["scaling"]["points"] == [{"shards": 1}]
-        assert data["resident"]["cpu_count"] == 1
+@pytest.mark.parametrize("name", HOST_TIMED)
+def test_a_host_timed_record_names_its_cores(name):
+    assert _record(name)["cpu_count"] >= 1
+
+
+def test_the_geo_record_is_simulated_time():
+    """No host in it: every point is two replayable runs, each pinned by
+    its history digest, and nothing names the cores it ran on."""
+    record = _record("geo")
+    assert "cpu_count" not in record
+    assert record["points"]
+    for point in record["points"]:
+        for run in (point["fastpath"], point["baseline"]):
+            assert "cpu_count" not in run
+            assert len(run["digest"]) == 64 and run["consistent"]

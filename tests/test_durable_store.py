@@ -228,6 +228,42 @@ class TestRowsThatDoNotDecode:
             assert "v:a" not in store._cache
 
 
+def _truncate(path):
+    with DurableStore(path) as store:
+        for i in range(200):
+            store.transact(lambda t, i=i: t.put(f"k{i}", "x" * 300))
+    size = os.path.getsize(path)
+    with open(path, "r+b") as f:
+        f.truncate(size // 2)
+
+
+def _garbage(path):
+    with open(path, "wb") as f:
+        f.write(b"not a database " * 100)
+
+
+class TestFilesThatAreNotAStore:
+    """A file that is not a whole SQLite database fails its open by path
+    with :class:`StoreError`, not a raw ``sqlite3`` error."""
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (_truncate, "database disk image is malformed"),
+            (_garbage, "file is not a database"),
+        ],
+        ids=["truncated", "garbage"],
+    )
+    def test_open_raises_a_named_error(self, db_path, damage, reason):
+        damage(db_path)
+        with pytest.raises(StoreError) as raised:
+            DurableStore(db_path)
+        assert str(raised.value).startswith(
+            f"store {db_path!r} cannot be opened: "
+        )
+        assert reason in str(raised.value)
+
+
 class TestPageCache:
     def test_budget_bounds_resident_bytes(self, db_path):
         budget = 4096

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.programs_bench import build_database
 from repro.db import Weaver, WeaverConfig
 from repro.errors import ProgramError
 from repro.programs.framework import (
@@ -46,7 +45,7 @@ from repro.programs.library import (
 from repro.programs.routing import ShardSnapshotResolver
 from repro.programs.state import ProgramContext
 
-from .reference_executor import execute_sequential
+from .reference_executor import build_database, execute_sequential
 
 
 def _seed_resolver(db, point):

@@ -207,7 +207,10 @@ def test_resident_path_actually_ran_at_the_shards(graph):
     bypassed the client-side executor."""
     ((db, point), _reference), handles = graph
     before = db.executor.stats.batch_rounds
+    counted = db.metrics.snapshot()
+    requests = db.transport.stats.requests
     result = db.run_program(Bfs(), handles[0], params(depth=0), at=point)
+    requests = db.transport.stats.requests - requests
     assert result.rounds > 0
     assert db.executor.stats.batch_rounds == before  # no client rounds
     snap = db.metrics.snapshot()
@@ -215,6 +218,19 @@ def test_resident_path_actually_ran_at_the_shards(graph):
     assert snap["program.resident.rounds_executed"] > 0
     # Cross-shard traversal on a 3-shard hash partition must forward.
     assert snap["program.resident.forwards_sent"] > 0
+
+    def delta(key):
+        return snap.get(key, 0) - counted.get(key, 0)
+
+    # The client talks to one coordinator once per query, and peer
+    # coordination per round slice (forwards + round reports) is bounded
+    # by the shard count, not the frontier.
+    assert requests == 1
+    slices = delta("program.resident.rounds_executed")
+    frames = delta("program.resident.forwards_sent") + delta(
+        "program.resident.round_reports"
+    )
+    assert 0 < frames <= 2 * db.config.num_shards * slices
 
 
 def test_visit_budget_is_enforced_inside_the_round():
