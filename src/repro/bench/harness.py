@@ -338,6 +338,9 @@ def _functional_reactive_fraction(
     )
     client = WeaverClient(db)
     handles = graphs.load_into_weaver(client, edges)
+    # Apply the load before counting, so the fraction is the mix's own
+    # and not the load's unannounced commits ordered by the first read.
+    db.drain()
     pool = [
         (key.split("->", 1)[0], handle) for key, handle in handles.items()
     ]

@@ -268,6 +268,11 @@ class EventDependencyGraph:
                 raise OrderingError(f"unknown event: {ts}")
         if self.reaches(b, a):
             raise CycleError(f"ordering {a} before {b} would create a cycle")
+        self.link(a, b)
+
+    def link(self, a: VectorTimestamp, b: VectorTimestamp) -> None:
+        """Commit a -> b between registered events, unchecked: for a
+        caller that has just found that ``b`` does not reach ``a``."""
         self._succ[a.id].add(b.id)
         self._pred[b.id].add(a.id)
         self._add_out(a.id)
@@ -390,6 +395,11 @@ class TimelineOracle:
         :meth:`query_order` internally, charging every decision as a
         query *and* a decision — Fig 14's oracle-message counts ran ~2x
         the real request rate.)
+
+        A decision makes two reachability searches, both inside
+        :meth:`established_order`: having found that neither event
+        reaches the other, it links them without the cycle check
+        :meth:`EventDependencyGraph.add_order` would repeat.
         """
         existing = self.established_order(a, b)
         if existing is not None:
@@ -401,7 +411,7 @@ class TimelineOracle:
             first, second = b, a
         else:
             raise OrderingError(f"cannot prefer {prefer}")
-        self._graph.add_order(first, second)
+        self._graph.link(first, second)
         self.stats.decisions += 1
         if self.tracer is not None:
             self.tracer.emit(

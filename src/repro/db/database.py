@@ -399,7 +399,9 @@ class Coordinator(WritePath):
 
     # -- queue pumping -----------------------------------------------------
 
-    def _send_nops(self) -> None:
+    def _send_nops(
+        self, stamper: Optional[Gatekeeper] = None
+    ) -> Optional[VectorTimestamp]:
         """One NOP from every gatekeeper to every shard (section 4.2's
         heartbeat, issued eagerly instead of on a 10 µs timer).
 
@@ -411,12 +413,20 @@ class Coordinator(WritePath):
         (τ ~ tens of µs) interleave the NOP timers.  Chaining costs G-1
         point-to-point folds instead of the seed's G full announce
         rounds (O(G²) messages each).
+
+        With ``stamper``, that gatekeeper stamps a program between the
+        leading announce and the first NOP, the chain starts from the
+        stamp, and the stamp is returned: it dominates every write
+        stamped before the call and every NOP dominates it, so no shard
+        meets a transaction or heartbeat it must ask the oracle about.
         """
         sync_announce_all(self.gatekeepers)
-        previous: Optional[VectorTimestamp] = None
+        previous = stamp = (
+            stamper.issue_timestamp() if stamper is not None else None
+        )
         live = self._live_shards()
         for gk in self.gatekeepers:
-            if previous is not None:
+            if previous is not None and previous.issuer != gk.index:
                 gk.receive_announce(previous.clocks)
             nop_ts = gk.make_nop()
             previous = nop_ts
@@ -424,6 +434,7 @@ class Coordinator(WritePath):
                 self._enqueue(gk.index, shard_index, QueuedTransaction(nop_ts))
         # Announce the final NOP too, so every later stamp dominates it.
         sync_announce_all(self.gatekeepers)
+        return stamp
 
     def drain(self) -> int:
         """Announce, heartbeat, and apply everything applicable on every
@@ -527,17 +538,18 @@ class Coordinator(WritePath):
     ) -> VectorTimestamp:
         """The timestamp the program runs at — the historical ``at``,
         the last stamp issued here while nothing has changed, or a fresh
-        one — with every shard sent what it needs to execute there.
+        one issued inside its storm — with every shard sent what it
+        needs to execute there.
 
         A current read reuses the stamp this method last issued, sending
         and announcing nothing, while (i) that stamp ``is`` still the
         readiness mark — a drain, an epoch reset, a recovery or an
         ``at=`` read that advanced the shards past it all move the mark,
         and an ``at=`` stamp never becomes the reusable one — and (ii)
-        no commit has entered :meth:`_commit_transaction` since.  Every
-        write acknowledged before the stamp was issued is ordered before
-        it (vector clock, or section 4.1's transaction-first rule for a
-        concurrent pair); every later write is stamped after the storm's
+        no commit has entered :meth:`_commit_transaction` since.  A
+        fresh stamp is issued after its storm's leading announce, so
+        every write acknowledged before it is ordered before it by
+        vector clock; every later write is stamped after the storm's
         final announce, so after it; with no commit in between, a read
         there sees every acknowledged write and nothing else, and two
         programs on one stamp read one snapshot.  ``checkpoint()`` is
@@ -548,27 +560,32 @@ class Coordinator(WritePath):
         gk = self.gatekeepers[self._pick_gatekeeper()]
         reused = {}
         if at is not None:
-            ts = at
+            ts = self._make_shards_ready(at)
         elif self._read_stamp is not None and (
             self._read_stamp is self._advanced_to
         ):
-            ts, reused = self._read_stamp, {"reused": True}
+            ts = self._make_shards_ready(self._read_stamp)
+            reused = {"reused": True}
         else:
-            ts = self._read_stamp = gk.issue_timestamp()
+            ts = self._read_stamp = self._make_shards_ready(None, gk)
         self.tracer.emit(
             trace_id, "program.stamp", node=f"gk{ts.issuer}",
             ts=ts, query_id=query_id, **reused,
         )
-        self._make_shards_ready(ts)
         return ts
 
-    def _make_shards_ready(self, ts: VectorTimestamp) -> None:
-        """Send every live shard what makes it ready for ``ts``, and
-        ask nothing (sections 4.1-4.2: the program waits at the shard;
-        the client negotiates no readiness in rounds before it).
+    def _make_shards_ready(
+        self, ts: Optional[VectorTimestamp],
+        stamper: Optional[Gatekeeper] = None,
+    ) -> VectorTimestamp:
+        """Send every live shard what makes it ready for ``ts`` — or,
+        with ``ts`` None, for a stamp ``stamper`` issues inside the
+        storm — ask nothing, and return the stamp (sections 4.1-4.2:
+        the program waits at the shard; the client negotiates no
+        readiness in rounds before it).
 
-        Announce so later heartbeats dominate ``ts``, heartbeat so every
-        queue is non-empty, then a one-way ``advance_to`` so the shard
+        Announce, heartbeat so every queue is non-empty with a NOP that
+        dominates ``ts``, then a one-way ``advance_to`` so the shard
         applies all work ordered before ``ts``.  Whoever snapshots at
         the shard verifies ``ready_for(ts)`` there and fails by name.  A
         batching transport carries all of this inside the next request
@@ -580,24 +597,26 @@ class Coordinator(WritePath):
         that round's heartbeats are still queued after it (a drain, an
         epoch reset or a recovery forgets the mark) — nothing to send.
         A reused read stamp (:meth:`_stamp_program`) *is* the mark, so
-        it always lands here; a fresh one dominates the mark (both
-        storms and ``checkpoint`` end in an announce) and never does.
+        it always lands here; a fresh one is always a storm.
         """
         stats = self.executor.stats
         mark = self._advanced_to
-        if mark is not None and ts.compare(mark) in (
+        if ts is not None and mark is not None and ts.compare(mark) in (
             Ordering.BEFORE, Ordering.EQUAL
         ):
             stats.readiness_fastpath_hits += 1
-            return
+            return ts
         stats.readiness_storms += 1
-        self._send_nops()
+        stamped = self._send_nops(stamper)
+        if ts is None:
+            ts = stamped
         names = self._shard_names
         for shard_index in self._live_shards():
             self.transport.send(
                 "client", names[shard_index], "advance_to", ts
             )
         self._advanced_to = ts
+        return ts
 
     # -- garbage collection (section 4.5) -----------------------------------
 

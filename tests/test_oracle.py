@@ -151,6 +151,26 @@ class TestTimelineOracle:
         oracle.order(B, A)  # B before A; A < C by vclock
         assert oracle.query_order(B, C) is Ordering.BEFORE
 
+    def test_a_decision_makes_two_searches(self, monkeypatch):
+        oracle = TimelineOracle()
+        oracle.order(C, D)      # an explicit edge, so searches expand
+        searched = []
+        search = oracle.graph._search
+
+        def counted(a, b):
+            searched.append((a.id, b.id))
+            return search(a, b)
+
+        monkeypatch.setattr(oracle.graph, "_search", counted)
+        assert oracle.order(A, B, prefer=Ordering.AFTER) is Ordering.AFTER
+        # Both directions, once each: no third search for the cycle
+        # check, which these two already answered.
+        assert searched == [(A.id, B.id), (B.id, A.id)]
+        assert oracle.stats.decisions == 2
+        assert oracle.query_order(B, A) is Ordering.BEFORE
+        with pytest.raises(CycleError):
+            oracle.assign_order(A, B)
+
     def test_prefer_equal_rejected(self):
         oracle = TimelineOracle()
         with pytest.raises(OrderingError):

@@ -405,7 +405,7 @@ class TestOneWayReadiness:
 
         with self.two_shards() as db:
             load_tree(db, n=6)
-            db._send_nops = lambda: None        # client side only
+            db._enqueue = lambda *args: None    # client side only
             with pytest.raises(
                 ProgramError,
                 match="shard[01] not ready for .* despite heartbeats",

@@ -29,6 +29,7 @@ from hypothesis.stateful import (
 from repro.cluster.process import ProcessWeaver
 from repro.cluster.transport import TransportError
 from repro.cluster.worker import ResidentEngine
+from repro.core.vclock import Ordering
 from repro.db import Weaver, WeaverClient, WeaverConfig
 from repro.errors import ProgramError, TransactionAborted
 from repro.programs.library import Bfs, GetNode, params
@@ -41,14 +42,13 @@ G, S = 4, 2
 DEPLOYMENTS = ("weaver", "process")
 
 
-def deploy(kind):
-    if kind == "weaver":
-        return Weaver(WeaverConfig(num_gatekeepers=G, num_shards=S))
-    return ProcessWeaver(WeaverConfig(num_gatekeepers=G, num_shards=S))
+def deploy(kind, **settings):
+    config = WeaverConfig(num_gatekeepers=G, num_shards=S, **settings)
+    return Weaver(config) if kind == "weaver" else ProcessWeaver(config)
 
 
-def _deployment(request):
-    deployment = deploy(request.param)
+def _deployment(request, **settings):
+    deployment = deploy(request.param, **settings)
     yield deployment
     if isinstance(deployment, ProcessWeaver):
         deployment.close()
@@ -264,6 +264,84 @@ class TestWhatRetiresTheStamp:
         assert prop(db, "hot", "n") == 1
         assert prop(db, "cold", "n") == 0
         assert (storms(db), hits(db)) == (before[0] + 1, before[1] + 2)
+
+
+# -- a fresh stamp follows every write -------------------------------------------
+
+
+@pytest.fixture(params=DEPLOYMENTS, name="lazy_db")
+def lazy_db(request):
+    """Gatekeepers that announce only every 64 commits, so writes stamped
+    at different gatekeepers between two storms stay concurrent."""
+    yield from _deployment(request, announce_every=64)
+
+
+def oracle_messages(db):
+    return db.oracle.stats.messages
+
+
+class TestAFreshStampFollowsEveryWrite:
+    """A storming read is stamped after the storm's leading announce, so
+    every write acknowledged before it is ordered before it by vector
+    clock and no program–transaction pair reaches the oracle."""
+
+    def test_a_read_after_unannounced_writes_asks_the_oracle_nothing(
+        self, lazy_db
+    ):
+        db = lazy_db
+        hot_and_cold(db)                        # gk0, not announced
+        assert prop(db, "hot", "n") == 0        # gk1 stamps
+        write(db, "hot", "n", 1)                # gk2, after that storm
+        assert prop(db, "cold", "n") == 0       # gk3 stamps
+        assert prop(db, "hot", "n") == 1
+        assert storms(db) == 2
+        assert oracle_messages(db) == 0
+
+    def test_every_stamp_is_ordered_with_every_write_by_vector_clock(
+        self, lazy_db
+    ):
+        db = lazy_db
+        hot_and_cold(db)
+        issued = []
+        for value in range(3):
+            for gk in range(G):
+                tx = db.begin_transaction(gatekeeper=gk)
+                tx.set_property(("hot", "cold")[gk % 2], "n", value)
+                issued.append(tx.commit())
+            assert prop(db, "hot", "n") == value
+            issued.append(db.checkpoint())
+        stamps = [span.attr("ts") for span in stamp_spans(db)]
+        assert len(stamps) == 3
+        for stamp in stamps:
+            assert all(
+                ts.compare(stamp) is not Ordering.CONCURRENT
+                for ts in issued
+            )
+
+    def test_only_transaction_pairs_reach_the_oracle(self, monkeypatch):
+        db = deploy("weaver", announce_every=64)
+        asked = []
+        order = db.oracle.order
+
+        def recorded(a, b, prefer=Ordering.BEFORE):
+            asked.append((a.id, b.id))
+            return order(a, b, prefer)
+
+        monkeypatch.setattr(db.oracle, "order", recorded)
+        hot_and_cold(db)
+        for value in range(4):
+            for gk in range(G):
+                tx = db.begin_transaction(gatekeeper=gk)
+                tx.set_property("hot", "n", value * G + gk)
+                tx.commit()
+            assert prop(db, "hot", "n") == value * G + G - 1
+        # Writes at four gatekeepers between storms are concurrent, and
+        # the oracle orders them; no program or heartbeat reaches it.
+        writes = {
+            span.attr("ts").id for span in db.tracer.spans(kind="store.commit")
+        }
+        assert asked
+        assert all(a in writes and b in writes for a, b in asked)
 
 
 # -- a traversal on a reused stamp -------------------------------------------
