@@ -132,10 +132,11 @@ def test_single_vertex_read_is_one_round_trip():
 # What the six codec calls of the canonical read (tests/wire_fixtures.py)
 # cost under the tagged if-chain of wire format 2, measured at the commit
 # before the codec was compiled: 1,375 bytes and 1,636 Python-level call
-# events (``call`` + ``c_call`` under ``sys.setprofile``).  Today: 949
-# bytes and 657 events.
+# events (``call`` + ``c_call`` under ``sys.setprofile``).  Today: 963
+# bytes and 611 events (the reply's spans ride as one pre-encoded
+# ``(count, bytes)`` record since wire format 7; 949 and 657 before).
 _IF_CHAIN_CALL_EVENTS = 1636
-_CANONICAL_READ_BYTES = 949
+_CANONICAL_READ_BYTES = 963
 # The frame a traversal actually sends (``FORWARD_64``: 8 parents x 8
 # hops) when it crossed as 64 ``(handle, namespace, tuple of ints)``
 # triples under wire format 3: 5,447 bytes, 3,960 call events to encode

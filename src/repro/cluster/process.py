@@ -51,7 +51,13 @@ from ..programs.framework import ProgramResult
 from .builder import build_cluster
 from .transport import ProcessTransport, TransportError
 from .wire import WireError
-from .worker import OracleProxy, oracle_worker_main, shard_worker_main
+from .worker import (
+    OracleProxy,
+    decode_spans,
+    oracle_worker_main,
+    shard_worker_main,
+    span_count,
+)
 
 
 # -- the deployment -------------------------------------------------------
@@ -162,12 +168,23 @@ class ProcessWeaver(Coordinator):
         self.transport.add_channel(self.shard_name(index), parent_sock)
         self._live = None
 
-    def _on_worker_events(self, src: str, kind: str, events) -> None:
-        """Replay worker-side spans (ridden on reply frames) into the
-        client tracer under their original trace ids — `repro trace`
-        chains then assemble identically to the in-process deployments."""
-        for trace_id, span_kind, node, attrs in events:
-            self.tracer.emit(trace_id, span_kind, node=node, **attrs)
+    def _on_worker_events(self, src: str, kind: str, record) -> None:
+        """Record the worker-side spans a reply frame carried under their
+        original trace ids — `repro trace` chains then assemble
+        identically to the in-process deployments.  With a sink they are
+        decoded and emitted now (one that does not decode fails the
+        request it rode on); without one the record is kept encoded."""
+        count = span_count(src, record)
+        tracer = self.tracer
+        if not tracer.has_sinks:
+            tracer.emit_encoded(count, lambda: decode_spans(src, record))
+            return
+        try:
+            spans = decode_spans(src, record)
+        except WireError as exc:
+            raise TransportError(str(exc), src) from exc
+        for trace_id, span_kind, node, attrs in spans:
+            tracer.emit(trace_id, span_kind, node=node, **attrs)
 
     def _live_shards(self) -> List[int]:
         # Cached between channel changes (spawn, recovery, close).

@@ -443,7 +443,14 @@ class ProcessTransport(Transport):
             if events:
                 handler = self._handlers.get("client")
                 if handler is not None:
-                    handler(dst, "trace-events", events)
+                    try:
+                        handler(dst, "trace-events", events)
+                    except TransportError as exc:
+                        # The frame is whole and the channel lives on;
+                        # only the request it answered fails.
+                        envelope = {
+                            "k": "e", "id": envelope["id"], "e": str(exc)
+                        }
             channel.replies[envelope["id"]] = envelope
             if envelope["id"] in channel.pending:
                 channel.pending.remove(envelope["id"])

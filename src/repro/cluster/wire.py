@@ -22,7 +22,7 @@ the golden digest in ``tests/test_wire.py``) is an import-time or
 test-time error — old frames would otherwise decode into silently
 shifted fields.
 
-Frame format (format 6)::
+Frame format (format 7)::
 
     u32 length | u8 version | value
 
@@ -47,13 +47,16 @@ strings' UTF-8 concatenated.  Values (1-byte tag, big-endian scalars)::
 Types match exactly (a subclass of ``str`` or of a registered class does
 not encode), and :func:`decode` raises nothing but :class:`WireError`.
 
-Format 6 has format 5's tags, bodies and classes; ``ProgramStart`` lost
-its program-cache key field when the cache moved to the client.
+Format 7 has format 6's tags, bodies and classes; the worker spans a
+reply carries (``"ev"``) became one ``(count, bytes)`` record whose
+bytes are a frame of their own, decoded only when the client reads them
+(:func:`~repro.cluster.worker.decode_spans`).  Format 6 dropped
+``ProgramStart``'s program-cache key field.
 ``FrontierForward`` carries its hops in columns — the handles as one
 string run, every order key as one ``b`` value, each distinct params
 object once, one ``b`` value of packed ``u32`` indices
 (:mod:`~repro.cluster.messages` owns that layout).  There is no
-format-5 decoder.
+format-6 decoder.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from . import messages
 #: Bump whenever a registered class's field tuple changes, whenever a
 #: class is added, removed or renumbered, or whenever a tag's encoding
 #: changes.
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 _VERSION_BYTE = bytes((WIRE_VERSION,))
 
 #: The largest payload a frame may carry.  A length prefix above it is

@@ -18,10 +18,14 @@ Two worker mains live here, each speaking length-prefixed
   for the referee and GC) connects and speaks the small RPC surface of
   :class:`OracleProxy`.
 
-Shard-side trace spans (``shard.enqueue`` / ``shard.apply``) are
-buffered by a :class:`BufferTracer` and piggybacked on the next reply
-frame (a peer keeps what it receives for its own next reply); the
-client re-emits them under the original ``trace_id``, which is how
+Worker-side trace spans (``shard.enqueue``, ``shard.apply``,
+``program.round``) are buffered by a :class:`BufferTracer` and leave on
+the next reply frame as one ``(count, bytes)`` record, encoded once.  A
+peer's record that a ``collect_result`` reply brought back is carried,
+still encoded, inside this worker's next record.  The client decodes a
+record (:func:`decode_spans`) at arrival only when its tracer has a
+sink; otherwise the record waits in its ring until someone reads it.
+Either way the spans keep their original trace ids, which is how
 ``repro trace`` chains and the strict-serializability referee see one
 coherent story across process boundaries.
 """
@@ -57,18 +61,83 @@ from .transport import REPLY_DEADLINE, ProcessTransport, TransportError
 
 
 class BufferTracer:
-    """Tracer shim for worker processes: buffers spans as plain tuples
-    ``(trace_id, kind, node, attrs)`` until a reply frame drains them."""
+    """Tracer shim for worker processes: buffers span tuples
+    ``(trace_id, kind, node, attrs)`` and the still-encoded records that
+    peers' replies carried, in arrival order, until a reply drains them
+    as one ``(count, bytes)`` record."""
 
     def __init__(self) -> None:
-        self.events: List[Tuple[Optional[int], str, str, dict]] = []
+        self.events: List[Any] = []
+        self.count = 0
 
     def emit(self, trace_id, kind: str, node: str = "", **attrs) -> None:
         self.events.append((trace_id, kind, node, attrs))
+        self.count += 1
 
-    def drain(self) -> List[Tuple[Optional[int], str, str, dict]]:
+    def carry(self, record: Tuple[int, bytes]) -> None:
+        """Keep a peer's ``(count, bytes)`` record for the next drain."""
+        count, data = record
+        self.events.append(data)
+        self.count += count
+
+    def drain(self) -> Optional[Tuple[int, bytes]]:
+        """The buffered spans as ``(count, wire.encode(events))``, a
+        carried record nested as its bytes; ``None`` when there are none."""
+        if not self.events:
+            return None
         events, self.events = self.events, []
-        return events
+        count, self.count = self.count, 0
+        return count, wire.encode(events)
+
+
+def _unpack_spans(data: bytes, out: list) -> None:
+    items = wire.decode(data)
+    if type(items) is not list:
+        raise wire.WireError("a span record is not a list")
+    for item in items:
+        if type(item) is bytes:
+            _unpack_spans(item, out)
+        elif type(item) is tuple and len(item) == 4 and type(item[3]) is dict:
+            out.append(item)
+        else:
+            raise wire.WireError(
+                f"a span record holds a {type(item).__name__}"
+            )
+
+
+def span_count(src: str, record) -> int:
+    """The span count of a reply's ``(count, bytes)`` record, checked
+    at arrival: :class:`TransportError` naming ``src`` when the record
+    is not one."""
+    if (
+        type(record) is tuple and len(record) == 2
+        and type(record[0]) is int and record[0] >= 0
+        and type(record[1]) is bytes
+    ):
+        return record[0]
+    raise TransportError(
+        f"spans from {src!r} are not a (count, bytes) record", src
+    )
+
+
+def decode_spans(src: str, record: Tuple[int, bytes]) -> List[tuple]:
+    """The ``(trace_id, kind, node, attrs)`` spans of one reply's
+    ``(count, bytes)`` record, carried records expanded where they sit.
+    :class:`~repro.cluster.wire.WireError` naming ``src`` when the bytes
+    do not decode to spans or hold another number of them."""
+    count, data = record
+    spans: list = []
+    try:
+        _unpack_spans(data, spans)
+        if len(spans) != count:
+            raise wire.WireError(
+                f"{len(spans)} spans where the record says {count}"
+            )
+    except wire.WireError as exc:
+        raise wire.WireError(
+            f"spans from {src!r} do not decode: {exc}"
+        ) from exc
+    return spans
 
 
 class OracleProxy:
@@ -1107,8 +1176,8 @@ class _ResidentEngine(ResidentEngine):
             reply = {"k": "e", "id": rid, "e": error}
         else:
             reply = {"k": "p", "id": rid, "p": result}
-        # Buffered spans ride every reply: the client re-emits them, a
-        # peer keeps them for its own next reply (_on_peer_spans).
+        # Buffered spans ride every reply: the client records them, a
+        # peer carries them in its own next reply (_on_peer_spans).
         reply["ev"] = self.tracer.drain()
         try:
             frame = wire.encode(reply)
@@ -1171,10 +1240,10 @@ class _ResidentEngine(ResidentEngine):
                 if attempt:
                     raise
 
-    def _on_peer_spans(self, src: str, kind: str, events) -> None:
-        """Spans a peer's reply carried: buffered here, so they reach
-        the client on this worker's next reply to it."""
-        self.tracer.events.extend(tuple(event) for event in events)
+    def _on_peer_spans(self, src: str, kind: str, record) -> None:
+        """The span record a peer's reply carried: kept encoded, so it
+        reaches the client inside this worker's next reply to it."""
+        self.tracer.carry(record)
 
     # -- this host's own message kinds ----------------------------------
 

@@ -3,12 +3,19 @@
 A *trace id* is assigned at the client when a transaction or node
 program is submitted; every hop it takes — stamping, backing-store
 commit, shard enqueue, ordering decision, apply, program scatter/gather
-— emits a :class:`Span` carrying that id, the simulated-time timestamp,
-and the server that emitted it.  Spans land in an in-memory ring buffer
+— emits a span carrying that id, the simulated-time timestamp, and the
+server that emitted it.  Spans land in an in-memory ring as raw records
 and are fanned out to pluggable *sinks*; the strict-serializability
 referee (``repro.verify.history.History.attach``) is a sink, which is
 what makes the checker a consumer of the trace stream rather than a
 parallel bespoke recorder.
+
+A :class:`Span` object is built only for a sink, at emission, or for a
+reader of the ring (:meth:`Tracer.spans`, :meth:`Tracer.trace_ids`,
+:func:`assemble_chain`), when it reads.  Spans that arrive encoded from
+another process (:meth:`Tracer.emit_encoded`) wait in the ring as one
+encoded record, their seqs taken at arrival, and are decoded in place
+by the first read.
 
 Span kinds (the stable catalog; paper cross-references in
 ARCHITECTURE.md):
@@ -32,6 +39,8 @@ kind                      emitted when
 ``program.complete``      the program's gather finished
 ``txn.commit``            workload-level commit record (tag + writes)
 ``program.read``          workload-level read record (observed tags)
+``gc.watermark``          a GC pass is about to collect below ``ts``
+                          (``trace_id=None``; settles the online referee)
 ========================  ====================================================
 
 ``oracle.decide`` spans carry no trace id (a decision orders *two*
@@ -44,7 +53,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,38 @@ class Span:
         return dict(self.attrs)
 
 
+def _span(record: tuple) -> Span:
+    """The :class:`Span` of one raw ring record
+    ``(trace_id, kind, at, node, seq, attrs)``."""
+    trace_id, kind, at, node, seq, attrs = record
+    return Span(trace_id, kind, at, node, seq, tuple(sorted(attrs.items())))
+
+
+class _Encoded:
+    """``count`` spans that arrived encoded, seqs ``seq`` onward, the
+    first ``skip`` of them already evicted.  ``decode()`` returns their
+    ``(trace_id, kind, node, attrs)`` tuples; it runs only when the ring
+    is read."""
+
+    __slots__ = ("seq", "count", "at", "decode", "skip")
+
+    def __init__(self, seq: int, count: int, at: Optional[float],
+                 decode: Callable[[], Sequence[tuple]]) -> None:
+        self.seq = seq
+        self.count = count
+        self.at = at
+        self.decode = decode
+        self.skip = 0
+
+    def records(self) -> List[tuple]:
+        seq, at = self.seq, self.at
+        return [
+            (trace_id, kind, float(seq + i) if at is None else at, node,
+             seq + i, attrs)
+            for i, (trace_id, kind, node, attrs) in enumerate(self.decode())
+        ][self.skip:]
+
+
 class Tracer:
     """Ring-buffered span stream with pluggable sinks.
 
@@ -75,7 +116,8 @@ class Tracer:
     ``simulator.now``; direct mode has no time axis and defaults to the
     emission sequence number, which is still a total order).  Sinks see
     every span at emission, before ring eviction, so a consumer such as
-    the history referee never loses events to buffer pressure.
+    the history referee never loses events to buffer pressure.  The
+    ring holds ``capacity`` spans, however many records carry them.
     """
 
     def __init__(
@@ -87,10 +129,13 @@ class Tracer:
         if capacity < 1:
             raise ValueError("tracer needs a positive capacity")
         self._clock = clock
-        self._buffer: deque = deque(maxlen=capacity)
+        self._capacity = capacity
+        # Raw records (tuples) and _Encoded records, in seq order.
+        self._ring: deque = deque()
+        self._size = 0
         self._sinks: List[Callable[[Span], None]] = []
         self._ids = itertools.count(1)
-        self._seq = itertools.count()
+        self._seq = 0
         self._spans_counter = (
             registry.counter("trace.spans") if registry is not None else None
         )
@@ -100,10 +145,10 @@ class Tracer:
 
     @property
     def capacity(self) -> int:
-        return self._buffer.maxlen
+        return self._capacity
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
     # -- identity -------------------------------------------------------
 
@@ -122,26 +167,74 @@ class Tracer:
         node: str = "",
         at: Optional[float] = None,
         **attrs: Any,
-    ) -> Span:
-        seq = next(self._seq)
+    ) -> None:
+        seq = self._seq
+        self._seq = seq + 1
         if at is None:
             at = self._clock() if self._clock is not None else float(seq)
-        span = Span(
-            trace_id=trace_id,
-            kind=kind,
-            at=at,
-            node=node,
-            seq=seq,
-            attrs=tuple(sorted(attrs.items())),
-        )
-        self._buffer.append(span)
+        record = (trace_id, kind, at, node, seq, attrs)
+        ring = self._ring
+        ring.append(record)
+        # The steady state of a full ring, a raw record at its head, is
+        # one popleft here; an encoded head goes through _evict.
+        if self._size < self._capacity:
+            self._size += 1
+        elif type(ring[0]) is tuple:
+            ring.popleft()
+        else:
+            self._size += 1
+            self._evict()
         if self._spans_counter is not None:
             self._spans_counter.inc()
-        for sink in self._sinks:
-            sink(span)
-        return span
+        if self._sinks:
+            span = _span(record)
+            for sink in self._sinks:
+                sink(span)
+
+    def emit_encoded(
+        self, count: int, decode: Callable[[], Sequence[tuple]]
+    ) -> None:
+        """Record ``count`` spans that arrived encoded, unread: they take
+        their seqs and ``at`` now, and ``decode()`` (returning exactly
+        ``count`` ``(trace_id, kind, node, attrs)`` tuples) runs at the
+        first read of the ring.  Only for a tracer with no sink: a sink
+        sees spans at emission, so a caller with sinks decodes and emits.
+        """
+        seq = self._seq
+        self._seq = seq + count
+        at = self._clock() if self._clock is not None else None
+        self._ring.append(_Encoded(seq, count, at, decode))
+        self._size += count
+        if self._size > self._capacity:
+            self._evict()
+        if self._spans_counter is not None:
+            self._spans_counter.inc(count)
+
+    def _evict(self) -> None:
+        """Drop the oldest spans down to ``capacity``; an encoded record
+        loses its head by count, without being decoded."""
+        ring = self._ring
+        excess = self._size - self._capacity
+        while excess:
+            head = ring[0]
+            if type(head) is tuple:
+                ring.popleft()
+                excess -= 1
+                continue
+            left = head.count - head.skip
+            if left <= excess:
+                ring.popleft()
+                excess -= left
+            else:
+                head.skip += excess
+                excess = 0
+        self._size = self._capacity
 
     # -- sinks ----------------------------------------------------------
+
+    @property
+    def has_sinks(self) -> bool:
+        return bool(self._sinks)
 
     def add_sink(self, sink: Callable[[Span], None]) -> None:
         self._sinks.append(sink)
@@ -151,29 +244,43 @@ class Tracer:
 
     # -- queries --------------------------------------------------------
 
+    def _records(self) -> deque:
+        """The ring as raw records, encoded ones decoded in place.  A
+        decode that raises leaves the ring as it was."""
+        ring = self._ring
+        if all(type(record) is tuple for record in ring):
+            return ring
+        decoded: deque = deque()
+        for record in ring:
+            if type(record) is tuple:
+                decoded.append(record)
+            else:
+                decoded.extend(record.records())
+        self._ring = decoded
+        return decoded
+
     def spans(
         self,
         trace_id: Optional[int] = None,
         kind: Optional[str] = None,
     ) -> List[Span]:
         """Buffered spans, optionally filtered, in emission order."""
-        out = []
-        for span in self._buffer:
-            if trace_id is not None and span.trace_id != trace_id:
-                continue
-            if kind is not None and span.kind != kind:
-                continue
-            out.append(span)
-        return out
+        return [
+            _span(record)
+            for record in self._records()
+            if (trace_id is None or record[0] == trace_id)
+            and (kind is None or record[1] == kind)
+        ]
 
     def trace_ids(self) -> List[int]:
         """Distinct trace ids still present in the ring, ascending."""
         return sorted(
-            {s.trace_id for s in self._buffer if s.trace_id is not None}
+            {r[0] for r in self._records() if r[0] is not None}
         )
 
     def clear(self) -> None:
-        self._buffer.clear()
+        self._ring.clear()
+        self._size = 0
 
 
 def _event_id(value: Any) -> Any:

@@ -151,6 +151,10 @@ def test_sim_dead_letter_is_dropped():
 
 # -- ProcessTransport -----------------------------------------------------
 
+#: The span record a ``traced`` reply carries; the transport hands it on
+#: as it arrived.
+TRACED = (1, wire.encode([(1, "shard.apply", "shard0", {"x": 1})]))
+
 
 def echo_worker(sock, received):
     """Minimal wire-speaking worker: records one-way messages in order,
@@ -178,8 +182,7 @@ def echo_worker(sock, received):
         if kind == "boom":
             reply = {"k": "e", "id": rid, "e": "kaboom"}
         elif kind == "traced":
-            reply = {"k": "p", "id": rid, "p": None,
-                     "ev": [(1, "shard.apply", "shard0", {"x": 1})]}
+            reply = {"k": "p", "id": rid, "p": None, "ev": TRACED}
         elif kind == "stop":
             reply = {"k": "p", "id": rid, "p": True}
         else:
@@ -327,9 +330,7 @@ def test_process_piggybacked_events_reach_client_handler(process_transport):
             (src, kind, payload))
     )
     transport.request("client", "w0", "traced", None)
-    assert events == [
-        ("w0", "trace-events", [(1, "shard.apply", "shard0", {"x": 1})])
-    ]
+    assert events == [("w0", "trace-events", TRACED)]
 
 
 def test_process_max_batch_forces_flush():

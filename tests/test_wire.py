@@ -35,7 +35,7 @@ from tests.wire_fixtures import order_key
 # frames no longer decode the same way — bump wire.WIRE_VERSION, update
 # WIRE_SCHEMA, and re-pin this value (and wire_fixtures.GOLDEN_HEX).
 GOLDEN_SCHEMA_DIGEST = (
-    "03bd33a3df536316d3c91f9fe6a2ada8169df2164ba89ab55e076bf36c73308e"
+    "9d5f991c1b24e2d8117fe36284e2b1559ada3a66d38a02cab1fb5a9c395dc0c8"
 )
 
 TS = VectorTimestamp(epoch=2, clocks=(3, 1, 4), issuer=1)

@@ -11,6 +11,7 @@ pinned, call events under a ceiling).
 
 from types import SimpleNamespace
 
+from repro.cluster import wire
 from repro.cluster.messages import (
     FrontierForward,
     ProgramStart,
@@ -60,7 +61,8 @@ REQUEST = {
 
 #: ``"p"``: the reply — the nine-key result payload ``worker._finish``
 #: builds (``get_edges`` does not declare ``returns_state``, so
-#: ``states`` is empty), and the worker's trace events riding in ``"ev"``.
+#: ``states`` is empty), and the worker's trace spans riding in ``"ev"``
+#: as the ``(count, bytes)`` record ``BufferTracer.drain`` encodes.
 REPLY = {
     "k": "p", "id": 242,
     "p": {
@@ -73,8 +75,10 @@ REPLY = {
         "states": {}, "vertices_visited": 1, "hops": 0,
         "halted": False, "read_set": ["v955"], "rounds": 1,
     },
-    "ev": [(681, "program.round", "shard0",
-            {"query_id": 501, "round": 0, "frontier": 1, "shard": 0})],
+    "ev": (1, wire.encode([
+        (681, "program.round", "shard0",
+         {"query_id": 501, "round": 0, "frontier": 1, "shard": 0}),
+    ])),
 }
 
 _HOP = dict(depth=1, edge_prop=None, max_depth=2)
@@ -114,12 +118,12 @@ FRAMES = {
     "batch": BATCH, "request": REQUEST, "reply": REPLY, "forward": FORWARD,
 }
 
-#: ``wire.encode(frame).hex()`` at WIRE_VERSION 6.  Regenerate only
+#: ``wire.encode(frame).hex()`` at WIRE_VERSION 7.  Regenerate only
 #: together with a version bump, or for a fixture above that changed
 #: what it says (its other bytes must stay as they were).
 GOLDEN_HEX = {
     "batch": (
-        "06440201016b6d7301626c0374027307656e7175657565740269000000000000"
+        "07440201016b6d7301626c0374027307656e7175657565740269000000000000"
         "000080560200000000000000000000000000000000000000034a000000000000"
         "0348740069000000000000024e6900000000000009394e74027307656e717565"
         "7565740269000000000000000180560200000000000000000000000001000000"
@@ -128,7 +132,7 @@ GOLDEN_HEX = {
         "000000000003490000000000000348"
     ),
     "request": (
-        "06440501020401016b69646b696e64706d7301726900000000000000f2730d70"
+        "07440501020401016b69646b696e64706d7301726900000000000000f2730d70"
         "726f6772616d5f73746172748256020000000000000000000000000000000000"
         "0000034900000000000003486900000000000001f573096765745f6564676573"
         "74017403730476393535700109656467655f70726f704e620400000000690000"
@@ -141,7 +145,7 @@ GOLDEN_HEX = {
         "000000000000000000000003490000000000000348"
     ),
     "reply": (
-        "064404010201026b69647065767301706900000000000000f244090802070610"
+        "074404010201026b69647065767301706900000000000000f244090802070610"
         "0406080671756572795f69647473726573756c74737374617465737665727469"
         "6365735f76697369746564686f707368616c746564726561645f736574726f75"
         "6e64736900000000000001f55602000000000000000000000000000000000000"
@@ -150,13 +154,13 @@ GOLDEN_HEX = {
         "6e627270726f706572746965737305653736303873037631316400440306030a"
         "68616e646c656e627270726f7065727469657373056539333133730576313136"
         "3864006400690000000000000001690000000000000000466c01730476393535"
-        "6900000000000000016c0174046900000000000002a9730d70726f6772616d2e"
-        "726f756e64730673686172643044040805080571756572795f6964726f756e64"
-        "66726f6e7469657273686172646900000000000001f569000000000000000069"
-        "0000000000000001690000000000000000"
+        "69000000000000000174026900000000000000016269076c0174046900000000"
+        "000002a9730d70726f6772616d2e726f756e6473067368617264304404080508"
+        "0571756572795f6964726f756e6466726f6e7469657273686172646900000000"
+        "000001f5690000000000000000690000000000000001690000000000000000"
     ),
     "forward": (
-        "06440201016b6d7301626c0174027307666f7277617264836900000000000001"
+        "07440201016b6d7301626c0174027307666f7277617264836900000000000001"
         "c669000000000000000155030404037634353176343437763831740362080000"
         "00000000000062080000000000000001620c0000000000000002000000077403"
         "70030509096465707468656467655f70726f706d61785f646570746869000000"
