@@ -39,6 +39,9 @@ class ShardStats:
         self.transactions_applied = 0
         self.nops_applied = 0
         self.programs_started = 0
+        # Snapshot views built: a ``programs_started`` that found the
+        # shard's view for its stamp built nothing.
+        self.views_built = 0
         self.vertices_read = 0
         self.out_of_order_rejected = 0
         self.duplicates_discarded = 0
@@ -323,7 +326,8 @@ class ShardServer:
         generation means the records are the ones the view was built
         over; the stamp is the same; and comparator decisions never
         change once made.  So the view answers exactly as a fresh one
-        would.  ``programs_started`` still counts one per call.
+        would.  ``programs_started`` still counts one per call,
+        ``views_built`` one per view built.
 
         One view is kept, the last built: reads share a stamp until a
         commit, so on the benchmark's workloads a second slot would hit
@@ -334,6 +338,7 @@ class ShardServer:
         kept = self._view
         if kept is not None and kept[0] == generation and kept[1] == stamp:
             return kept[2]
+        self.stats.views_built += 1
         view = self.graph.at(prog_ts, memo_stats=self.ordering.stats)
         self._view = (generation, stamp, view)
         return view

@@ -374,6 +374,10 @@ class _Coordination:
         self.done = False
 
 
+# The order-key level of an entry's first (most often only) emission.
+_FIRST_LEVEL = messages.pack_level(0, "results from one vertex")
+
+
 class ResidentEngine:
     """Shard-resident node programs: the protocol, with no transport.
 
@@ -617,7 +621,7 @@ class ResidentEngine:
             return f"program {name!r} refused its init: {exc!r}"
         query.ctx = ProgramContext(query.qid, ts)
         query.resolver = ShardSnapshotResolver(
-            ts, lambda handle: 0, [self.worker.shard], stats=self.prog_stats,
+            ts, None, [self.worker.shard], stats=self.prog_stats,
         )
         query.trace_id = trace_id
         query.coordinator = coordinator
@@ -682,9 +686,13 @@ class ResidentEngine:
             handle, _params, key = entry
             tag = round_tag + key
             # Every result before ``tagged`` is tagged, so the tail is
-            # what this entry emitted.
+            # what this entry emitted: most often one value.
             emitted = len(results) - tagged
-            if emitted:
+            if emitted == 1:
+                tags.append(tag + _FIRST_LEVEL)
+                values.append(results[tagged])
+                tagged += 1
+            elif emitted:
                 tags.extend(
                     pack_levels(tag, emitted, "results from one vertex")
                 )

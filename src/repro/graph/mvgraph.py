@@ -56,17 +56,12 @@ class MultiVersionGraph:
         for incarnations in self._archive.values():
             yield from incarnations
 
-    def visible_vertex(
-        self,
-        handle: str,
-        ts: VectorTimestamp,
-        cmp: Optional[Comparator] = None,
+    def visible_archived(
+        self, handle: str, ts: VectorTimestamp, cmp: Comparator
     ) -> Optional[Vertex]:
-        """The incarnation of ``handle`` visible at ``ts``, if any."""
-        cmp = self._cmp if cmp is None else cmp
-        current = self._vertices.get(handle)
-        if current is not None and current.visible_at(ts, cmp):
-            return current
+        """The earlier incarnation of ``handle`` visible at ``ts``, if
+        any (for when the current one is not: see
+        :meth:`SnapshotView.resolve_into`)."""
         for vertex in reversed(self._archive.get(handle, ())):
             if vertex.visible_at(ts, cmp):
                 return vertex
@@ -255,12 +250,15 @@ class EdgeView:
     """A read-only edge as seen by a snapshot (what node programs get);
     immutable, so one instance serves every reader of the view."""
 
-    __slots__ = ("_edge", "_ts", "_cmp")
+    __slots__ = ("_edge", "_ts", "_cmp", "nbr")
 
     def __init__(self, edge: Edge, ts: VectorTimestamp, cmp: Comparator):
         self._edge = edge
         self._ts = ts
         self._cmp = cmp
+        #: The neighbour (destination) vertex handle — paper's
+        #: ``edge.nbr``; a slot, since every traversal hop reads it.
+        self.nbr = edge.dst
 
     @property
     def handle(self) -> str:
@@ -269,11 +267,6 @@ class EdgeView:
     @property
     def src(self) -> str:
         return self._edge.src
-
-    @property
-    def nbr(self) -> str:
-        """The neighbour (destination) vertex handle — paper's ``edge.nbr``."""
-        return self._edge.dst
 
     @property
     def dst(self) -> str:
@@ -357,9 +350,7 @@ class SnapshotView:
         # the one fixed snapshot timestamp; a bounded memo makes the
         # repeats cost one dict lookup.  Safe because comparator
         # decisions never change once made.
-        if not isinstance(cmp, MemoizedComparator):
-            cmp = MemoizedComparator(cmp, stats=memo_stats)
-        self._cmp = cmp
+        self._cmp = MemoizedComparator(cmp, ts, stats=memo_stats)
         self._visible: Dict[str, Optional[Vertex]] = {}
         self._edges: Dict[Vertex, tuple] = {}
 
@@ -367,20 +358,31 @@ class SnapshotView:
         """``vertex``'s visible out-edges, scanned once per view."""
         edges = self._edges.get(vertex)
         if edges is None:
-            # Inlined LifeSpan.visible_at: the per-edge call chain
-            # dominates this scan.
+            # Inlined LifeSpan.visible_at, creation read from the memo
+            # (as in resolve_into, and not through a helper: a call per
+            # record is what dominated this scan); a load transaction
+            # creates thousands of edges under one stamp.
             ts = self._ts
             cmp = self._cmp
+            decided = cmp.decided
             before = Ordering.BEFORE
+            hits = 0
             visible = []
             for edge in vertex.edges.values():
                 span = edge.span
-                if cmp(span.created_at, ts) is not before:
+                created = span.created_at
+                if created._id in decided:
+                    hits += 1
+                    if decided[created._id] is not before:
+                        continue
+                elif cmp(created, ts) is not before:
                     continue
                 deleted = span.deleted_at
                 if deleted is not None and cmp(deleted, ts) is before:
                     continue
                 visible.append(EdgeView(edge, ts, cmp))
+            if hits:
+                cmp.count_hits(hits)
             for edge in vertex.archived_edges:
                 if edge.visible_at(ts, cmp):
                     visible.append(EdgeView(edge, ts, cmp))
@@ -398,12 +400,50 @@ class SnapshotView:
 
     def try_vertex(self, handle: str) -> Optional[VertexView]:
         """The view of ``handle``, or None when it is invisible here."""
-        vertex = self._visible.get(handle, _UNSEEN)
-        if vertex is _UNSEEN:
-            vertex = self._visible[handle] = self._graph.visible_vertex(
-                handle, self._ts, self._cmp
-            )
-        return None if vertex is None else VertexView(vertex, self)
+        batch = {handle: None}
+        self.resolve_into(batch)
+        return batch[handle]
+
+    def resolve_into(self, batch: Dict[str, Optional[VertexView]]) -> None:
+        """Set every key of ``batch`` to its handle's view, or to None
+        where the handle is invisible here: :meth:`try_vertex` for a
+        round's worth of handles, with no call per handle.
+
+        A handle's first sight in this view checks its current
+        incarnation's lifespan inline, creation read from the memo as
+        :meth:`edges_of` does; only a handle whose current incarnation
+        is missing or invisible walks the archived ones.
+        """
+        known = self._visible
+        records = self._graph._vertices
+        ts = self._ts
+        cmp = self._cmp
+        decided = cmp.decided
+        before = Ordering.BEFORE
+        hits = 0
+        for handle in batch:
+            vertex = known[handle] if handle in known else _UNSEEN
+            if vertex is _UNSEEN:
+                vertex = records[handle] if handle in records else None
+                if vertex is not None:
+                    span = vertex.span
+                    created = span.created_at
+                    if created._id in decided:
+                        hits += 1
+                        order = decided[created._id]
+                    else:
+                        order = cmp(created, ts)
+                    deleted = span.deleted_at
+                    if order is not before or (
+                        deleted is not None and cmp(deleted, ts) is before
+                    ):
+                        vertex = None
+                if vertex is None:
+                    vertex = self._graph.visible_archived(handle, ts, cmp)
+                known[handle] = vertex
+            batch[handle] = None if vertex is None else VertexView(vertex, self)
+        if hits:
+            cmp.count_hits(hits)
 
     def vertices(self) -> Iterator[VertexView]:
         for vertex in self._graph.vertices():

@@ -30,26 +30,34 @@ def vclock_compare(a: VectorTimestamp, b: VectorTimestamp) -> Ordering:
 
 
 class MemoizedComparator:
-    """A bounded memo over a comparator, for repeated visibility checks.
+    """A bounded memo over a comparator, for one snapshot's visibility
+    checks.
 
-    A snapshot view resolves the same (write-ts, read-ts) pair once per
-    property record it walks; since comparator outcomes are stable
-    (vector-clock comparisons are pure and oracle decisions irreversible),
-    the repeat resolutions collapse to one dict lookup.  The memo is
-    bounded and simply resets when full — it is a cache, never an
-    authority.
+    A snapshot view compares every write timestamp it walks against its
+    own timestamp ``ts``, once per property record, edge or vertex
+    incarnation; since comparator outcomes are stable (vector-clock
+    comparisons are pure and oracle decisions irreversible), the repeats
+    collapse to one dict lookup.  ``decided`` maps a write timestamp's
+    identity to its order against ``ts``; a comparison against any other
+    timestamp goes to the comparator unmemoized.  The view's record
+    scans read ``decided`` inline and report their lookups that found
+    an entry through :meth:`count_hits`, so ``hits`` counts every
+    repeat either way.  The memo is bounded and simply resets when full
+    — it is a cache, never an authority.
     """
 
-    __slots__ = ("_cmp", "_memo", "_limit", "_stats", "hits")
+    __slots__ = ("_cmp", "_ts", "decided", "_limit", "_stats", "hits")
 
     def __init__(
         self,
         cmp: Comparator,
+        ts: VectorTimestamp,
         limit: int = 8192,
         stats: Optional[Any] = None,
     ):
         self._cmp = cmp
-        self._memo: Dict[Any, Ordering] = {}
+        self._ts = ts
+        self.decided: Dict[Any, Ordering] = {}
         self._limit = limit
         # Optional OrderingStats-like sink with a snapshot_memo_hits field.
         self._stats = stats
@@ -60,23 +68,32 @@ class MemoizedComparator:
         return self._cmp
 
     def __len__(self) -> int:
-        return len(self._memo)
+        return len(self.decided)
 
     def __call__(self, a: VectorTimestamp, b: VectorTimestamp) -> Ordering:
+        ts = self._ts
         # _id is the precomputed identity behind the ``id`` property;
         # this is the hottest read path, so skip the descriptor.
-        key = (a._id, b._id)
-        found = self._memo.get(key)
+        if b is not ts and b._id != ts._id:
+            return self._cmp(a, b)
+        key = a._id
+        found = self.decided.get(key)
         if found is not None:
             self.hits += 1
             if self._stats is not None:
                 self._stats.snapshot_memo_hits += 1
             return found
         result = self._cmp(a, b)
-        if len(self._memo) >= self._limit:
-            self._memo.clear()
-        self._memo[key] = result
+        if len(self.decided) >= self._limit:
+            self.decided.clear()
+        self.decided[key] = result
         return result
+
+    def count_hits(self, hits: int) -> None:
+        """Record ``hits`` lookups of ``decided`` that found an entry."""
+        self.hits += hits
+        if self._stats is not None:
+            self._stats.snapshot_memo_hits += hits
 
 
 class LifeSpan:

@@ -156,10 +156,10 @@ def _params_key(params: Any) -> Optional[Hashable]:
     """A value-equality key for hop params, or None when they defy
     hashing.
 
-    Params are compared by *content*, not identity: BFS-style programs
-    mint a fresh namespace per parent, and the whole point of same-round
-    dedup is collapsing hops to one vertex from different parents at the
-    same depth.
+    Params are compared by *content*, not identity: a program may mint
+    a fresh namespace per parent (``ShortestPath`` does), and the whole
+    point of same-round dedup is collapsing hops to one vertex from
+    different parents at the same depth.
     """
     if isinstance(params, SimpleNamespace):
         # Attribute names are unique, so the sort never compares values.
@@ -246,41 +246,52 @@ def run_round(
         frontier = dedup_round(frontier, stats)
     ctx.rounds += 1
     stats.batch_rounds += 1
-    views_get = resolve_many([entry[0] for entry in frontier]).get
-    read = ctx.read_set.add
+    handles = [entry[0] for entry in frontier]
+    views = resolve_many(handles)
     states = ctx.states
-    for entry in frontier:
-        if ctx.visits_left <= 0:
-            raise ProgramError(VISIT_BUDGET_EXHAUSTED)
-        ctx.visits_left -= 1
-        handle = entry[0]
-        read(handle)
-        node = views_get(handle)
-        if node is None:
-            program.on_missing(handle, entry[1], ctx)
-            deliver(entry, None, ())
-            # A missing vertex does not observe a mid-round halt: whatever
-            # its ``on_missing`` did, the round goes on to the next entry.
-            continue
-        state = states.get(handle, _NO_STATE)
-        if state is _NO_STATE:
-            state = states[handle] = program.init_state()
-        node.prog_state = state
-        ctx.vertices_visited += 1
-        hops = program.run(node, entry[1], ctx)
-        if hops.__class__ not in _SEQUENCES:
-            hops = () if hops is None else list(hops)
-        for hop in hops:
-            if not (isinstance(hop, tuple) and len(hop) == 2
-                    and isinstance(hop[0], str)):
-                raise ProgramError(
-                    f"{program.name} returned a bad next-hop: {hop!r}"
-                )
-        ctx.hops += len(hops)
-        deliver(entry, node, hops)
-        if ctx.halted:
-            return entry
-    return None
+    run = program.run
+    # The loop's counters live in locals and reach ``ctx`` once, on the
+    # way out (a raise included).
+    budget = ctx.visits_left
+    ran = visited = hops_total = 0
+    try:
+        for entry in frontier:
+            if ran >= budget:
+                raise ProgramError(VISIT_BUDGET_EXHAUSTED)
+            ran += 1
+            handle = entry[0]
+            node = views[handle]
+            if node is None:
+                program.on_missing(handle, entry[1], ctx)
+                deliver(entry, None, ())
+                # A missing vertex does not observe a mid-round halt:
+                # whatever its ``on_missing`` did, the round goes on.
+                continue
+            state = states.get(handle, _NO_STATE)
+            if state is _NO_STATE:
+                state = states[handle] = program.init_state()
+            node.prog_state = state
+            visited += 1
+            hops = run(node, entry[1], ctx)
+            if hops.__class__ not in _SEQUENCES:
+                hops = () if hops is None else list(hops)
+            if hops:
+                for hop in hops:
+                    if not (isinstance(hop, tuple) and len(hop) == 2
+                            and isinstance(hop[0], str)):
+                        raise ProgramError(
+                            f"{program.name} returned a bad next-hop: {hop!r}"
+                        )
+                hops_total += len(hops)
+            deliver(entry, node, hops)
+            if ctx.halted:
+                return entry
+        return None
+    finally:
+        ctx.visits_left = budget - ran
+        ctx.read_set.update(handles[:ran])
+        ctx.vertices_visited += visited
+        ctx.hops += hops_total
 
 
 class ProgramExecutor:

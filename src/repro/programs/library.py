@@ -99,9 +99,14 @@ class Bfs(NodeProgram):
             return ()
         edge_prop = getattr(params, "edge_prop", None)
         hops = []
-        next_params = SimpleNamespace(
-            edge_prop=edge_prop, depth=depth + 1, max_depth=max_depth
-        )
+        # One next-hop params object per depth per query, not one per
+        # parent: a frontier forward carries each distinct object once.
+        key = (depth + 1, edge_prop, max_depth)
+        next_params = ctx.memo.get(key)
+        if next_params is None:
+            next_params = ctx.memo[key] = SimpleNamespace(
+                edge_prop=edge_prop, depth=depth + 1, max_depth=max_depth
+            )
         for edge in node.neighbors:
             if edge_prop is not None and not edge.check(edge_prop):
                 continue

@@ -13,7 +13,7 @@ shard of a worker.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from ..core.vclock import VectorTimestamp
 from ..graph.mvgraph import SnapshotView, VertexView
@@ -26,14 +26,17 @@ class ShardSnapshotResolver:
     ``shard_of(handle)`` maps a vertex to its owning shard index (None
     for unknown vertices); ``shards`` is the live shard-server list (held
     by reference — deployments replace entries on recovery).  With
-    ``page_in`` set, evicted vertices are paged back before the
-    visibility check (direct mode's demand paging).
+    ``shard_of`` None every vertex is the one shard's in ``shards`` (a
+    shard worker's own): a round's handles resolve against its view with
+    no placement lookup or grouping per handle.  With ``page_in`` set,
+    evicted vertices are paged back before the visibility check (direct
+    mode's demand paging).
     """
 
     def __init__(
         self,
         ts: VectorTimestamp,
-        shard_of: Callable[[str], Optional[int]],
+        shard_of: Optional[Callable[[str], Optional[int]]],
         shards: Sequence,
         stats: Optional[ProgramStats] = None,
         page_in: bool = False,
@@ -63,10 +66,13 @@ class ShardSnapshotResolver:
 
         Duplicate handles resolve once; cross-round revisits come from
         the per-query vertex cache without a shard request; unknown
-        vertices map to None.
+        vertices map to None.  Every handle is a key of the result.
         """
         out: Dict[str, Optional[VertexView]] = {}
-        per_shard: Dict[int, List[str]] = {}
+        shard_of = self._shard_of
+        # shard index -> {handle: None} batch, filled in by the view.
+        here: Optional[dict] = {} if shard_of is None else None
+        per_shard: Dict[int, dict] = {} if here is None else {0: here}
         cache = self._vertices
         stats = self._stats
         cache_hits = 0
@@ -78,13 +84,18 @@ class ShardSnapshotResolver:
                 cache_hits += 1
                 continue
             out[handle] = None
-            shard_index = self._shard_of(handle)
+            if here is not None:
+                here[handle] = None
+                continue
+            shard_index = shard_of(handle)
             if shard_index is None:
                 cache[handle] = None
             else:
-                per_shard.setdefault(shard_index, []).append(handle)
+                per_shard.setdefault(shard_index, {})[handle] = None
         for shard_index in sorted(per_shard):
             batch = per_shard[shard_index]
+            if not batch:
+                continue
             shard = self._shards[shard_index]
             view = self._views.get(shard_index)
             # Set when this batch pays for the shard's snapshot view.
@@ -92,11 +103,14 @@ class ShardSnapshotResolver:
             if fresh:
                 view = self._views[shard_index] = shard.snapshot(self._ts)
             shard.stats.vertices_read += len(batch)
-            try_vertex = view.try_vertex
-            for handle in batch:
-                if self._page_in:
+            if self._page_in:
+                # Paging in loads one vertex's image and evicts nothing,
+                # so the whole batch can page in before it resolves.
+                for handle in batch:
                     shard.ensure_paged(handle)
-                cache[handle] = out[handle] = try_vertex(handle)
+            view.resolve_into(batch)
+            out.update(batch)
+            cache.update(batch)
             stats.shard_batches += 1
             stats.vertices_resolved += len(batch)
             # Every resolution after the view's first rides the memo.

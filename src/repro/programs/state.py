@@ -26,7 +26,8 @@ class ProgramContext:
       reachability query that found its target);
     * ``visits_left`` — frontier entries the program may still run, the
       runaway guard :func:`~repro.programs.framework.run_round` enforces
-      (whoever drives the rounds sets it; unlimited until then).
+      (whoever drives the rounds sets it; unlimited until then);
+    * ``memo`` — the program's per-query scratch.
     """
 
     def __init__(self, query_id: int, ts: VectorTimestamp):
@@ -43,6 +44,10 @@ class ProgramContext:
         # Every vertex handle the program touched (visible or not): the
         # cache's read set for change-based invalidation (section 4.6).
         self.read_set: set = set()
+        # What the program derives once per query and reuses across
+        # vertices (``Bfs``'s next-hop params per depth); it is not the
+        # program's, so it goes when the query does.
+        self.memo: Dict[Any, Any] = {}
 
     def emit(self, value: Any) -> None:
         self.results.append(value)

@@ -19,18 +19,13 @@ import weakref
 
 import pytest
 
-from repro.cluster.messages import ProgramStart, QueuedTransaction
-from repro.cluster.shard import ShardServer
-from repro.cluster.worker import ResidentEngine, ShardEndpoint
-from repro.core.gatekeeper import Gatekeeper
-from repro.core.oracle import TimelineOracle
 from repro.db import Weaver, WeaverClient, WeaverConfig
 from repro.db import operations as ops
 from repro.programs import Bfs, params
 from repro.programs.framework import NodeProgram
 from repro.programs.library import PROGRAM_REGISTRY, GetNode
 
-from .wire_fixtures import order_key
+from .engine_rig import Engine
 
 
 def view_at(shard, ts):
@@ -48,57 +43,6 @@ def red(client, handle):
 
 def color(result):
     return result.results[0]["properties"].get("color")
-
-
-class Engine(ResidentEngine):
-    """One shard, one gatekeeper, no peers: :meth:`apply` commits
-    operations and readies the shard for a stamp after them."""
-
-    def __init__(self):
-        self.replies = []
-        self.gk = Gatekeeper(0, 1)
-        self.seqno = 0
-        super().__init__(
-            ShardEndpoint(ShardServer(0, 1, TimelineOracle())), 0,
-            lambda handle: 0,
-        )
-
-    def _reply(self, conn, rid, result=None, error=None):
-        self.replies.append((rid, result, error))
-
-    def apply(self, *operations):
-        seqno = self.seqno
-        self.seqno += 2
-        write = QueuedTransaction(
-            self.gk.issue_timestamp(), operations, seqno=seqno,
-            tiebreak=seqno,
-        )
-        ts = self.gk.issue_timestamp()
-        nop = QueuedTransaction(
-            self.gk.make_nop(), seqno=seqno + 1, tiebreak=seqno + 1
-        )
-        self._dispatch("gk0", {"k": "b", "m": [
-            ("enqueue", (0, write)), ("enqueue", (0, nop)),
-            ("advance_to", ts),
-        ]})
-        return ts
-
-    def read(self, ts, program, handle, start_params=None):
-        qid = len(self.replies) + 1
-        self._dispatch("client", {
-            "k": "r", "id": qid, "kind": "program_start",
-            "p": ProgramStart(ts, qid, program, (
-                (handle, start_params, order_key(0)),
-            )),
-        })
-        self.drain()
-        rid, result, error = self.replies[-1]
-        assert (rid, error) == (qid, None) and "error" not in result, result
-        return result["results"]
-
-    @property
-    def shard(self):
-        return self.worker.shard
 
 
 # -- the graph changes under a stamp already read at ---------------------

@@ -181,6 +181,7 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "shard.programs_started",
     "shard.transactions_applied",
     "shard.vertices_read",
+    "shard.views_built",
     "store.aborts",
     "store.commits",
     "store.compactions",
