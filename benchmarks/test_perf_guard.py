@@ -19,6 +19,8 @@ Run with::
 
 import sys
 
+import pytest
+
 from repro.programs.library import Bfs, params
 from tests.engine_rig import Engine, random_graph
 from tests.oracle_reference import compare_fastpath
@@ -442,10 +444,10 @@ def test_readiness_fastpath_skips_second_storm():
 _REUSED_READ_COMPARES = 8
 
 
-def _four_by_two():
+def _four_by_two(**settings):
     from repro.db import Weaver, WeaverClient, WeaverConfig
 
-    db = Weaver(WeaverConfig(num_gatekeepers=4, num_shards=2))
+    db = Weaver(WeaverConfig(num_gatekeepers=4, num_shards=2, **settings))
     client = WeaverClient(db)
     with client.transaction() as tx:
         for i in range(10):
@@ -488,3 +490,35 @@ def test_every_read_after_a_commit_storms():
     stats = db.executor.stats
     assert stats.readiness_storms == 100
     assert stats.readiness_fastpath_hits == 0
+
+
+@pytest.mark.parametrize("announce_every", (1, 64))
+def test_reads_of_a_vertex_no_commit_writes_storm_once(
+    announce_every, monkeypatch
+):
+    """Exactly: 100 x (commit to v1, read v0) is one storm (the first
+    read's, 4 NOPs sent) and one announce round per (commit, read) —
+    the commit's own at announce_every=1, the read's otherwise, never
+    both.  Every round runs through ``db/database.py``'s
+    ``sync_announce_all``."""
+    from repro.db import database
+
+    db, client = _four_by_two(announce_every=announce_every)
+    assert client.get_node("v0")["out_degree"] == 9
+    rounds = []
+    announce = database.sync_announce_all
+    monkeypatch.setattr(
+        database, "sync_announce_all",
+        lambda gatekeepers: (rounds.append(1), announce(gatekeepers)),
+    )
+    for i in range(100):
+        client.set_property("v1", "n", i)
+        assert client.get_node("v0") == {
+            "handle": "v0", "properties": {}, "out_degree": 9,
+        }
+    stats = db.executor.stats
+    assert stats.readiness_storms == 1
+    assert stats.readiness_fastpath_hits == 100
+    assert stats.readiness_reuses_across_commits == 100
+    assert sum(gk.stats.nops_sent for gk in db.gatekeepers) == 4
+    assert len(rounds) == 100

@@ -137,10 +137,17 @@ def _cmd_stats(args) -> int:
     ordering = db.ordering_stats()
     resolved = sum(ordering.values()) or 1
     fastpath = db.fastpath_stats()
+    # How reads became ready: storms, reused stamps, and reuses that
+    # crossed a commit to a vertex the read does not see.
+    readiness = {
+        k: v for k, v in vars(db.executor.stats).items()
+        if k.startswith("readiness_")
+    }
     rows = (
         [(k, v) for k, v in sorted(ordering.items())]
         + [("reactive fraction", f"{ordering['reactive'] / resolved:.5f}")]
         + [(k, v) for k, v in sorted(fastpath.items())]
+        + [(k, v) for k, v in sorted(readiness.items())]
     )
     print(format_table(
         "Ordering fast-path counters", ["counter", "value"], rows

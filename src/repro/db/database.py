@@ -15,9 +15,10 @@ deployments differ — whether anything may wait:
   ``begin_transaction``, announce / drain pacing by commit count, NOP
   heartbeats so every queue is non-empty → a one-way ``advance_to``
   ahead of a node program, which the shard checks for itself — once
-  per change to the graph, not once per read: until a commit is
-  attempted, programs run at the stamp the shards were last made
-  ready for; plus ``run_program`` with its program cache, drain,
+  per change to what a read may read, not once per read: until a
+  commit is attempted (or, for a program that reads only its start
+  vertices, one writes them), programs run at the stamp the shards
+  were last made ready for; plus ``run_program`` with its program cache, drain,
   checkpoint and the GC fan-out.  It reaches shards only through
   the :class:`~repro.cluster.transport.Transport` contract (``send``
   for enqueues, heartbeats and ``advance_to``; one ``request_all``
@@ -318,12 +319,18 @@ class Coordinator(WritePath):
         # The timestamp every live shard was last advanced to, while
         # that round's heartbeats are still queued behind it.
         self._advanced_to: Optional[VectorTimestamp] = None
-        # The last stamp _stamp_program issued itself; any commit
-        # attempt forgets it.  Reusable only while it is also the mark.
+        # The last stamp _stamp_program issued itself, and the commit
+        # attempts it was issued after.  Reusable only while it is also
+        # the mark (_reuses_read_stamp).
         self._read_stamp: Optional[VectorTimestamp] = None
+        self._read_attempt = 0
         self.programs_run = 0
-        # Section 4.6 memoization, off in the paper's evaluation.
+        # What every commit attempt writes: the read-stamp rule and the
+        # section 4.6 memoization (off in the paper's evaluation) both
+        # read it.
         self.changes = ChangeTracker()
+        # The commit attempts the last announce round covers.
+        self._announced_attempt = 0
         self.program_cache: Optional[ProgramCache] = None
         if self.config.enable_program_cache:
             self.program_cache = cache = ProgramCache(self.changes)
@@ -371,17 +378,16 @@ class Coordinator(WritePath):
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
         # First, before the gatekeeper stamps: whatever happens to this
         # attempt (a forward may raise after the store committed), no
-        # later program reads at a stamp issued before it, and no cached
-        # result over what it writes is served.  An aborted attempt
-        # costs one spare storm and invalidation, the safe side.
-        if self.program_cache is not None:
-            self.changes.bump_all(tx.touched_vertices)
-        self._read_stamp = None
+        # later program that reads what it writes runs at a stamp issued
+        # before it, and no cached result over what it writes is served.
+        # An aborted attempt costs one spare storm and invalidation, the
+        # safe side.
+        self.changes.bump_all(tx.touched_vertices)
         # Commit counts stand in for the τ timer and the apply loop.
         ts = super()._commit_transaction(tx)
         self._commits += 1
         if self._commits % self.config.announce_every == 0:
-            sync_announce_all(self.gatekeepers)
+            self._announce()
         self._commits_since_drain += 1
         if self._commits_since_drain >= self.config.drain_every:
             self.drain()
@@ -398,6 +404,12 @@ class Coordinator(WritePath):
             self.program_cache.clear()
 
     # -- queue pumping -----------------------------------------------------
+
+    def _announce(self) -> None:
+        """One synchronous announce round, covering every commit
+        attempted so far."""
+        sync_announce_all(self.gatekeepers)
+        self._announced_attempt = self.changes.attempts
 
     def _send_nops(
         self, stamper: Optional[Gatekeeper] = None
@@ -420,7 +432,7 @@ class Coordinator(WritePath):
         stamped before the call and every NOP dominates it, so no shard
         meets a transaction or heartbeat it must ask the oracle about.
         """
-        sync_announce_all(self.gatekeepers)
+        self._announce()
         previous = stamp = (
             stamper.issue_timestamp() if stamper is not None else None
         )
@@ -433,7 +445,7 @@ class Coordinator(WritePath):
             for shard_index in live:
                 self._enqueue(gk.index, shard_index, QueuedTransaction(nop_ts))
         # Announce the final NOP too, so every later stamp dominates it.
-        sync_announce_all(self.gatekeepers)
+        self._announce()
         return stamp
 
     def drain(self) -> int:
@@ -453,9 +465,9 @@ class Coordinator(WritePath):
         the writes committed before the call, no matter when it runs
         (section 3.1's multi-version historical reads).
         """
-        sync_announce_all(self.gatekeepers)
+        self._announce()
         ts = self.gatekeepers[self._pick_gatekeeper()].issue_timestamp()
-        sync_announce_all(self.gatekeepers)
+        self._announce()
         return ts
 
     # -- node programs (sections 4.1 and 4.6) ------------------------------
@@ -500,7 +512,9 @@ class Coordinator(WritePath):
             result = cache.get(entry)
         hit = result is not None
         if not hit:
-            ts = self._stamp_program(trace_id, query_id, at)
+            ts = self._stamp_program(
+                program, frontier, at, entry is not None, trace_id, query_id
+            )
             self.watermarks.start(query_id, ts)
             try:
                 result = self._execute(
@@ -534,26 +548,24 @@ class Coordinator(WritePath):
         raise NotImplementedError
 
     def _stamp_program(
-        self, trace_id: int, query_id: int, at: Optional[VectorTimestamp]
+        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
+        at: Optional[VectorTimestamp], cached: bool,
+        trace_id: int, query_id: int,
     ) -> VectorTimestamp:
         """The timestamp the program runs at — the historical ``at``,
-        the last stamp issued here while nothing has changed, or a fresh
-        one issued inside its storm — with every shard sent what it
-        needs to execute there.
+        the last stamp issued here when :meth:`_reuses_read_stamp` says
+        so, or a fresh one issued inside its storm — with every shard
+        sent what it needs to execute there.
 
-        A current read reuses the stamp this method last issued, sending
-        and announcing nothing, while (i) that stamp ``is`` still the
-        readiness mark — a drain, an epoch reset, a recovery or an
-        ``at=`` read that advanced the shards past it all move the mark,
-        and an ``at=`` stamp never becomes the reusable one — and (ii)
-        no commit has entered :meth:`_commit_transaction` since.  A
-        fresh stamp is issued after its storm's leading announce, so
+        A fresh stamp is issued after its storm's leading announce, so
         every write acknowledged before it is ordered before it by
         vector clock; every later write is stamped after the storm's
-        final announce, so after it; with no commit in between, a read
-        there sees every acknowledged write and nothing else, and two
-        programs on one stamp read one snapshot.  ``checkpoint()`` is
-        how a caller asks for a stamp of its own.
+        final announce, so after it.  A reuse sends and stamps nothing;
+        past a commit attempt it first runs the announce round the storm
+        would have begun with, if no round has covered that attempt
+        yet, so that later write stamps still dominate earlier ones and
+        the oracle is asked what it was asked before.  ``checkpoint()``
+        is how a caller asks for a stamp of its own.
         """
         # The round robin moves per program either way, so the next
         # commit lands on the gatekeeper it always did.
@@ -561,18 +573,56 @@ class Coordinator(WritePath):
         reused = {}
         if at is not None:
             ts = self._make_shards_ready(at)
-        elif self._read_stamp is not None and (
-            self._read_stamp is self._advanced_to
-        ):
+        elif self._reuses_read_stamp(program, frontier, cached):
+            attempts = self.changes.attempts
+            if attempts != self._read_attempt:
+                self.executor.stats.readiness_reuses_across_commits += 1
+                if attempts != self._announced_attempt:
+                    self._announce()
             ts = self._make_shards_ready(self._read_stamp)
             reused = {"reused": True}
         else:
+            self._read_attempt = self.changes.attempts
             ts = self._read_stamp = self._make_shards_ready(None, gk)
         self.tracer.emit(
             trace_id, "program.stamp", node=f"gk{ts.issuer}",
             ts=ts, query_id=query_id, **reused,
         )
         return ts
+
+    def _reuses_read_stamp(
+        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
+        cached: bool,
+    ) -> bool:
+        """Whether a current read of ``program`` from ``frontier`` runs
+        at the last read stamp: the clockless half of
+        :meth:`_stamp_program`, over the program, its start vertices and
+        the change record since the stamp was issued.
+
+        (i) The stamp ``is`` still the readiness mark — a drain, an
+        epoch reset, a recovery or an ``at=`` read that advanced the
+        shards past it all move the mark, and an ``at=`` stamp never
+        becomes the read stamp; and (ii) no commit attempt since it was
+        issued wrote what the program may read: none at all, or, for a
+        program declaring ``reads_only_start`` outside the program
+        cache, none that wrote one of its start vertices.  Every attempt
+        is in the record before its gatekeeper stamps.  With no attempt
+        in between, a read at the stamp sees every acknowledged write
+        and nothing else; with attempts only on other vertices, every
+        vertex it reads is in its current committed state, so the read
+        is linearizable at any point of its interval (section 4.6's
+        validity argument).
+        """
+        stamp = self._read_stamp
+        if stamp is None or stamp is not self._advanced_to:
+            return False
+        since, changes = self._read_attempt, self.changes
+        return changes.attempts == since or (
+            program.reads_only_start and not cached
+            and changes.unchanged_since(
+                [entry[0] for entry in frontier], since
+            )
+        )
 
     def _make_shards_ready(
         self, ts: Optional[VectorTimestamp],
@@ -628,7 +678,7 @@ class Coordinator(WritePath):
         issued timestamp (everything old is reclaimable).
         """
         reclaimed = {"graph": 0, "oracle": 0, "ordering_cache": 0, "store": 0}
-        sync_announce_all(self.gatekeepers)
+        self._announce()
         watermark = self.watermarks.watermark(
             self.gatekeepers[0].current_watermark()
         )

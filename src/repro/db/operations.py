@@ -19,7 +19,7 @@ its properties, an edge at ``e:<src>:<handle>`` as a dict with ``dst`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..core.vclock import VectorTimestamp
 from ..errors import TransactionAborted
@@ -240,10 +240,10 @@ class DeleteEdgeProperty(Operation):
 
 def touched_vertices(operations) -> FrozenSet[str]:
     """Union of vertices written by a list of operations."""
-    touched: FrozenSet[str] = frozenset()
+    touched: Set[str] = set()
     for op in operations:
         touched |= op.touched()
-    return touched
+    return frozenset(touched)
 
 
 GraphState = Tuple[

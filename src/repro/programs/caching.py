@@ -10,7 +10,9 @@ contract, held once per deployment by the client-side coordinator:
 * every cached entry records the set of vertices the program read and a
   per-vertex *change counter* captured at caching time;
 * the coordinator bumps a vertex's change counter on every commit
-  attempt that writes it, so a lookup revalidates by comparing counters
+  attempt that writes it (:class:`ChangeTracker`, the one change record
+  the read-stamp rule consults too), so a lookup revalidates by
+  comparing counters
   — any structural change along the cached read set invalidates the
   entry, which is exactly the invalidate-on-change discipline the paper
   describes for cached paths.
@@ -28,20 +30,32 @@ CacheKey = Tuple[str, Optional[str], str, Hashable]
 
 
 class ChangeTracker:
-    """Monotone per-vertex write counters, bumped by the database."""
+    """The per-vertex change record, bumped by the database on every
+    commit attempt.
+
+    ``attempts`` numbers the attempts; a vertex's version is the number
+    of the last attempt that wrote it (0: none did), so it is monotone
+    and moves exactly when the vertex is written.  The program cache
+    compares versions it captured; a current read compares them with
+    the attempt its stamp was issued after (:meth:`unchanged_since`).
+    """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
+        self.attempts = 0
+        self._written: Dict[str, int] = {}
 
     def bump(self, vertex: str) -> None:
-        self._counters[vertex] = self._counters.get(vertex, 0) + 1
+        self.bump_all((vertex,))
 
     def bump_all(self, vertices: Iterable[str]) -> None:
+        """One attempt, writing ``vertices``."""
+        self.attempts = attempt = self.attempts + 1
+        written = self._written
         for vertex in vertices:
-            self.bump(vertex)
+            written[vertex] = attempt
 
     def version(self, vertex: str) -> int:
-        return self._counters.get(vertex, 0)
+        return self._written.get(vertex, 0)
 
     def snapshot(self, vertices: Iterable[str]) -> Dict[str, int]:
         return {v: self.version(v) for v in vertices}
@@ -51,6 +65,11 @@ class ChangeTracker:
             self.version(vertex) == counter
             for vertex, counter in observed.items()
         )
+
+    def unchanged_since(self, vertices: Iterable[str], attempt: int) -> bool:
+        """No attempt after number ``attempt`` wrote any of ``vertices``."""
+        version = self._written.get
+        return all(version(vertex, 0) <= attempt for vertex in vertices)
 
 
 class CacheEntry:

@@ -77,6 +77,13 @@ class NodeProgram:
     #: program emitted.
     returns_state = False
 
+    #: Declares that the program reads its start vertices and nothing
+    #: else: :meth:`run` returns no hops (:func:`run_round` fails the
+    #: query if it does).  Off by default.  A current read of such a
+    #: program needs only its start vertices unchanged since the last
+    #: read stamp to run there (``Coordinator._reuses_read_stamp``).
+    reads_only_start = False
+
     def init_state(self) -> Any:
         """A fresh per-vertex ``prog_state`` (default: None)."""
         return None
@@ -116,6 +123,9 @@ class ProgramStats:
         # stamp) or before (a repeated ``at=``) the readiness mark.
         self.readiness_fastpath_hits = 0
         self.readiness_storms = 0      # announce+NOP storms performed
+        # Fast-path hits that crossed a commit attempt: a program that
+        # reads only its start vertices, none of them written since.
+        self.readiness_reuses_across_commits = 0
 
     def reset(self) -> None:
         self.__init__()
@@ -238,9 +248,11 @@ def run_round(
     run in order, each handed to ``deliver(entry, node, hops)`` — the
     caller's frontier exchange, with the entry's validated next hops
     (empty for a vertex invisible at the snapshot, which goes to
-    ``on_missing`` instead of ``run``).  Returns the entry that halted the
-    program (nothing after it ran), else None.  ``ctx.visits_left`` is
-    the runaway guard: the round raises before running one entry more.
+    ``on_missing`` instead of ``run``; a program declaring
+    ``reads_only_start`` fails the query on its first hop).  Returns the
+    entry that halted the program (nothing after it ran), else None.
+    ``ctx.visits_left`` is the runaway guard: the round raises before
+    running one entry more.
     """
     if program.dedup_hops:
         frontier = dedup_round(frontier, stats)
@@ -276,6 +288,11 @@ def run_round(
             if hops.__class__ not in _SEQUENCES:
                 hops = () if hops is None else list(hops)
             if hops:
+                if program.reads_only_start:
+                    raise ProgramError(
+                        f"{program.name} declares reads_only_start and "
+                        f"returned a next-hop: {hops[0]!r}"
+                    )
                 for hop in hops:
                     if not (isinstance(hop, tuple) and len(hop) == 2
                             and isinstance(hop[0], str)):

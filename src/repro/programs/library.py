@@ -24,6 +24,7 @@ class GetNode(NodeProgram):
     """Read one vertex: its properties and out-degree (TAO get_node)."""
 
     name = "get_node"
+    reads_only_start = True
 
     def run(self, node, params, ctx):
         ctx.emit(
@@ -41,6 +42,7 @@ class GetEdges(NodeProgram):
     (TAO get_edges / assoc_get)."""
 
     name = "get_edges"
+    reads_only_start = True
 
     def run(self, node, params, ctx):
         wanted: Optional[str] = getattr(params, "edge_prop", None)
@@ -63,6 +65,7 @@ class CountEdges(NodeProgram):
     """Count a vertex's out-edges (TAO assoc_count)."""
 
     name = "count_edges"
+    reads_only_start = True
 
     def run(self, node, params, ctx):
         wanted: Optional[str] = getattr(params, "edge_prop", None)

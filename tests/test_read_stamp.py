@@ -1,19 +1,24 @@
 """Reads ride the ready stamp: ``Coordinator._stamp_program`` reuses the
-stamp it last issued — no timestamp, announce, heartbeat or frame —
-while that stamp is still the readiness mark and no commit has been
-attempted since; anything else stamps afresh and storms.
+stamp it last issued — no timestamp, heartbeat or frame — while that
+stamp is still the readiness mark and no commit has been attempted
+since, or, for a program declaring ``reads_only_start``, none has
+written one of its start vertices (after at most one announce round);
+anything else stamps afresh and storms.
 
-The rule is one ``if`` in ``db/database.py``; this file is its proof by
+The rule is one decision in ``db/database.py``
+(``Coordinator._reuses_read_stamp``); this file is its proof by
 cases.  Deterministic, on the in-process :class:`Weaver` and on a
 2-worker :class:`ProcessWeaver` (test ids carry ``process`` so CI's
 transport job can select them): the counts of a
 quiet stretch, every source of invalidation, the ``at=`` read that must
 not become the reusable stamp, a dead worker, a traversal on a reused
-stamp.  Random: a ``hypothesis`` state machine against a dict model, in
-which every current read storms exactly when the model says something
-happened.  Referee: the rule with its invalidation patched out is
-convicted by ``HistoryChecker``; the real one, and a process-transport
-soak, are not.
+stamp, a local read past writes to other vertices, and the declaration
+refused on every host.  Random: a ``hypothesis`` state machine against
+a dict model, in which every current read storms exactly when the
+model says something happened.  Referee: the rule with its per-vertex
+invalidation patched out is convicted by ``HistoryChecker``; the real
+one, and a process-transport soak that reuses stamps across commits,
+are not.
 """
 
 import copy
@@ -31,12 +36,18 @@ from repro.cluster.transport import TransportError
 from repro.cluster.worker import ResidentEngine
 from repro.core.vclock import Ordering
 from repro.db import Weaver, WeaverClient, WeaverConfig
+from repro.db import operations as ops
 from repro.errors import ProgramError, TransactionAborted
-from repro.programs.library import Bfs, GetNode, params
+from repro.programs.library import (
+    PROGRAM_REGISTRY, Bfs, CountEdges, GetEdges, GetNode, params,
+)
+from repro.sim.clock import USEC
+from repro.sim.deployment import SimulatedWeaver
 from repro.verify.history import History, HistoryChecker, decided_order
 from repro.workloads.chaos import ProcessClient, SoakReport, run_soak
 
 from .reference_executor import execute_sequential
+from .test_sim_deployment import commit as sim_commit
 
 G, S = 4, 2
 DEPLOYMENTS = ("weaver", "process")
@@ -344,6 +355,171 @@ class TestAFreshStampFollowsEveryWrite:
         assert all(a in writes and b in writes for a, b in asked)
 
 
+# -- a local read rides past writes it cannot see -----------------------------
+
+
+@pytest.fixture(name="announces")
+def announces(monkeypatch):
+    """Every announce round the coordinator runs: each goes through
+    ``db/database.py``'s ``sync_announce_all``."""
+    from repro.db import database
+
+    rounds = []
+    real = database.sync_announce_all
+
+    def counted(gatekeepers):
+        rounds.append(len(gatekeepers))
+        return real(gatekeepers)
+
+    monkeypatch.setattr(database, "sync_announce_all", counted)
+    return rounds
+
+
+def crossed(db):
+    return db.executor.stats.readiness_reuses_across_commits
+
+
+def create(db, handle):
+    tx = db.begin_transaction()
+    tx.create_vertex(handle)
+    tx.set_property(handle, "n", 0)
+    tx.commit()
+
+
+BOTH = [("hot", None), ("cold", None)]
+
+
+def both_props(db):
+    results = db.run_program(GetNode(), BOTH).results
+    return [node["properties"]["n"] for node in results]
+
+
+class TestALocalReadRidesPastOtherWrites:
+    """``GetNode``, ``GetEdges`` and ``CountEdges`` declare
+    ``reads_only_start``: such a read reuses the stamp unless a commit
+    attempted since it was issued wrote one of its start vertices, and
+    announces once first if a commit has not been announced yet."""
+
+    def test_after_commits_to_other_vertices_it_reuses_the_stamp(
+        self, lazy_db, announces
+    ):
+        db = lazy_db
+        hot_and_cold(db)
+        assert prop(db, "hot", "n") == 0
+        for value in range(1, 4):
+            write(db, "cold", "n", value)
+        del announces[:]
+        assert prop(db, "hot", "n") == 0
+        assert db.run_program(CountEdges(), "hot").value == 0
+        assert db.run_program(GetEdges(), "hot").value == []
+        assert (storms(db), hits(db), crossed(db)) == (1, 3, 3)
+        assert nops_sent(db) == G
+        # One round before the first reuse, none once it is announced.
+        assert announces == [G]
+        first, *reused = stamp_spans(db)
+        assert [span.attr("ts") for span in reused] == [first.attr("ts")] * 3
+        assert all(span.attr("reused") is True for span in reused)
+        # The written vertex is another matter.
+        assert prop(db, "cold", "n") == 3
+        assert storms(db) == 2
+
+    def test_a_commit_that_announced_leaves_nothing_to_announce(
+        self, db, announces
+    ):
+        hot_and_cold(db)                    # announce_every=1
+        assert prop(db, "hot", "n") == 0
+        write(db, "cold", "n", 1)
+        del announces[:]
+        assert prop(db, "hot", "n") == 0
+        assert announces == []
+        assert (storms(db), crossed(db)) == (1, 1)
+
+    def test_after_a_commit_to_its_start_vertex_it_storms(self, lazy_db):
+        db = lazy_db
+        hot_and_cold(db)
+        assert prop(db, "hot", "n") == 0
+        write(db, "hot", "n", 1)
+        assert prop(db, "hot", "n") == 1
+        assert (storms(db), crossed(db)) == (2, 0)
+        assert "reused" not in stamp_spans(db)[-1].attrs_dict()
+
+    @pytest.mark.parametrize("written", ("hot", "cold"))
+    def test_a_commit_to_any_one_start_vertex_storms(self, lazy_db, written):
+        db = lazy_db
+        hot_and_cold(db)
+        create(db, "other")
+        assert both_props(db) == [0, 0]
+        write(db, "other", "n", 1)
+        assert both_props(db) == [0, 0]
+        assert (storms(db), crossed(db)) == (1, 1)
+        write(db, written, "n", 2)
+        assert both_props(db) == [2 if h == written else 0 for h, _ in BOTH]
+        assert (storms(db), crossed(db)) == (2, 1)
+
+    def test_a_bfs_after_any_commit_storms(self, lazy_db):
+        db = lazy_db
+        hot_and_cold(db)
+        create(db, "other")
+        assert prop(db, "hot", "n") == 0
+        write(db, "other", "n", 1)
+        traversal = db.run_program(Bfs(), "hot", params(depth=0))
+        assert traversal.results == ["hot"]
+        assert (storms(db), crossed(db)) == (2, 0)
+        # Nothing attempted since the traversal's storm: a plain reuse.
+        assert prop(db, "hot", "n") == 0
+        assert (storms(db), hits(db), crossed(db)) == (2, 1, 0)
+
+
+class HoppingGetNode(GetNode):
+    """``GetNode`` breaking its declaration: it returns one hop, back to
+    itself (so that, unrefused, it ends after two visits)."""
+
+    name = "hopping_get_node"
+
+    def run(self, node, params, ctx):
+        super().run(node, params, ctx)
+        return () if params == "again" else [(node.handle, "again")]
+
+
+@pytest.fixture(name="hopping")
+def hopping():
+    """``HoppingGetNode`` in the registry before any worker forks."""
+    PROGRAM_REGISTRY[HoppingGetNode.name] = HoppingGetNode
+    yield HoppingGetNode
+    del PROGRAM_REGISTRY[HoppingGetNode.name]
+
+
+REFUSED = "hopping_get_node declares reads_only_start and returned a next-hop"
+
+
+class TestTheDeclarationIsEnforced:
+    """``run_round`` fails the query of a ``reads_only_start`` program
+    that returns a hop, so every host refuses it by the program's name
+    and goes on serving."""
+
+    @pytest.mark.parametrize("kind", DEPLOYMENTS)
+    def test_a_hop_fails_the_query(self, hopping, kind):
+        db = deploy(kind)
+        try:
+            hot_and_cold(db)
+            with pytest.raises(ProgramError, match=REFUSED):
+                db.run_program(hopping(), "hot")
+            assert prop(db, "hot", "n") == 0
+        finally:
+            if isinstance(db, ProcessWeaver):
+                db.close()
+
+    def test_a_hop_fails_the_query_on_the_twin(self, hopping):
+        sw = SimulatedWeaver(
+            WeaverConfig(num_gatekeepers=G, num_shards=S),
+            tau=200 * USEC, nop_period=100 * USEC,
+        )
+        assert sim_commit(sw, [ops.CreateVertex("hot")])["ok"]
+        sw.submit_program(hopping(), "hot")
+        with pytest.raises(ProgramError, match=REFUSED):
+            sw.run_until_quiet()
+
+
 # -- a traversal on a reused stamp -------------------------------------------
 
 TREE = {
@@ -417,18 +593,16 @@ def refereed_script(db):
 
 
 class TestTheRefereeChecksReuse:
-    def test_without_the_invalidation_the_referee_convicts(self):
+    def test_without_the_invalidation_the_referee_convicts(
+        self, monkeypatch
+    ):
+        """The per-vertex invalidation patched out: every start vertex
+        reads as unwritten since the stamp, so a read of the vertex just
+        written rides the stamp from before the write."""
         db = deploy("weaver")
-        commit = db._commit_transaction
-
-        def commit_without_retiring_the_stamp(tx):
-            stamp = db._read_stamp
-            try:
-                return commit(tx)
-            finally:
-                db._read_stamp = stamp
-
-        db._commit_transaction = commit_without_retiring_the_stamp
+        monkeypatch.setattr(
+            db.changes, "unchanged_since", lambda vertices, attempt: True
+        )
         violations = refereed_script(db)
         assert {v.kind for v in violations} == {"real-time-read"}
         assert storms(db) == 1
@@ -443,6 +617,7 @@ class TestTheRefereeChecksReuse:
         assert report.ok, report.violations
         assert report.recoveries == 1
         assert report.metrics["program.readiness_fastpath_hits"] >= 1
+        assert report.metrics["program.readiness_reuses_across_commits"] >= 1
 
 
 # -- at random ------------------------------------------------------------------
@@ -453,9 +628,13 @@ vertex = st.sampled_from(VERTICES)
 
 class ReadStampMachine(RuleBasedStateMachine):
     """Random writes, reads and barriers on a ``Weaver`` against a
-    plain dict model.  ``dirty`` is the model of the rule: set by
-    whatever must retire the read stamp, cleared by a current read —
-    which must storm exactly when it is set."""
+    plain dict model.  The model of the rule: ``dirty`` is set by
+    whatever must retire the read stamp, ``attempted`` by any commit
+    attempt since the stamp was issued and ``written`` collects what
+    those attempts wrote.  A current read must storm exactly when
+    ``dirty`` is set or, for a traversal, ``attempted``, or, for a read
+    of one vertex, that vertex is ``written``; a storm clears all
+    three."""
 
     def __init__(self):
         super().__init__()
@@ -465,6 +644,9 @@ class ReadStampMachine(RuleBasedStateMachine):
         self.edges = {}             # vertex -> {edge handle: dst}
         self.points = []            # (checkpoint, props then)
         self.dirty = True
+        self.attempted = False
+        self.written = set()
+        self.crossed = 0            # reuses past a commit attempt
         self.attempts = self.barriers = self.at_reads = 0
 
     @initialize()
@@ -474,9 +656,14 @@ class ReadStampMachine(RuleBasedStateMachine):
 
     # -- writes ---------------------------------------------------------
 
-    def commit(self, fill):
+    def attempt(self, vertex):
         self.attempts += 1
-        self.dirty = True
+        self.attempted = True
+        self.written.add(vertex)
+
+    def commit(self, vertex, fill):
+        """A commit that writes ``vertex`` (an edge's source)."""
+        self.attempt(vertex)
         tx = self.db.begin_transaction()
         fill(tx)
         tx.commit()
@@ -485,7 +672,7 @@ class ReadStampMachine(RuleBasedStateMachine):
     def create_vertex(self, handle):
         if handle in self.props:
             return
-        self.commit(lambda tx: tx.create_vertex(handle))
+        self.commit(handle, lambda tx: tx.create_vertex(handle))
         self.props[handle] = {}
         self.edges[handle] = {}
 
@@ -494,14 +681,14 @@ class ReadStampMachine(RuleBasedStateMachine):
         if src not in self.props or dst not in self.props:
             return
         made = []
-        self.commit(lambda tx: made.append(tx.create_edge(src, dst)))
+        self.commit(src, lambda tx: made.append(tx.create_edge(src, dst)))
         self.edges[src][made[0]] = dst
 
     @rule(handle=vertex, key=st.sampled_from("ab"), value=st.integers(0, 9))
     def set_property(self, handle, key, value):
         if handle not in self.props:
             return
-        self.commit(lambda tx: tx.set_property(handle, key, value))
+        self.commit(handle, lambda tx: tx.set_property(handle, key, value))
         self.props[handle][key] = value
 
     @rule(src=vertex, data=st.data())
@@ -509,7 +696,7 @@ class ReadStampMachine(RuleBasedStateMachine):
         if not self.edges.get(src):
             return
         edge = data.draw(st.sampled_from(sorted(self.edges[src])))
-        self.commit(lambda tx: tx.delete_edge(src, edge))
+        self.commit(src, lambda tx: tx.delete_edge(src, edge))
         del self.edges[src][edge]
 
     @rule(handle=vertex)
@@ -519,25 +706,37 @@ class ReadStampMachine(RuleBasedStateMachine):
         loser = self.db.begin_transaction()
         loser.set_property(handle, "a", "lost")
         self.set_property(handle, "a", 0)
-        self.attempts += 1
-        self.dirty = True
+        self.attempt(handle)
         with pytest.raises(TransactionAborted):
             loser.commit()
 
     # -- current reads --------------------------------------------------
 
-    def current_read(self, read):
+    def current_read(self, read, local_to=None):
+        """``read()``, of vertex ``local_to`` alone or, with None, of
+        whatever a traversal reaches."""
         before = storms(self.db)
         answer = read()
-        assert storms(self.db) - before == int(self.dirty)
-        self.dirty = False
+        if local_to is None:
+            storm = self.dirty or self.attempted
+        else:
+            storm = self.dirty or local_to in self.written
+        assert storms(self.db) - before == int(storm)
+        if storm:
+            self.dirty = self.attempted = False
+            self.written = set()
+        elif self.attempted:
+            self.crossed += 1
+        assert crossed(self.db) == self.crossed
         return answer
 
     @rule(handle=vertex)
     def get_node(self, handle):
         if handle not in self.props:
             return
-        node = self.current_read(lambda: self.client.get_node(handle))
+        node = self.current_read(
+            lambda: self.client.get_node(handle), handle
+        )
         assert node["properties"] == self.props[handle]
         assert node["out_degree"] == len(self.edges[handle])
 
@@ -545,7 +744,9 @@ class ReadStampMachine(RuleBasedStateMachine):
     def get_edges(self, handle):
         if handle not in self.props:
             return
-        found = self.current_read(lambda: self.client.get_edges(handle))
+        found = self.current_read(
+            lambda: self.client.get_edges(handle), handle
+        )
         assert [(e["handle"], e["nbr"]) for e in found] == list(
             self.edges[handle].items()
         )
@@ -554,7 +755,9 @@ class ReadStampMachine(RuleBasedStateMachine):
     def count_edges(self, handle):
         if handle not in self.props:
             return
-        count = self.current_read(lambda: self.client.count_edges(handle))
+        count = self.current_read(
+            lambda: self.client.count_edges(handle), handle
+        )
         assert count == len(self.edges[handle])
 
     @rule(handle=vertex)

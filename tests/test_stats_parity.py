@@ -166,6 +166,7 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "program.dedup_hits",
     "program.executions",
     "program.readiness_fastpath_hits",
+    "program.readiness_reuses_across_commits",
     "program.readiness_storms",
     "program.round_messages_saved",
     "program.shard_batches",
