@@ -7,7 +7,6 @@ from .messages import (
 )
 from .shard import ShardServer, ShardStats
 from .manager import ClusterManager
-from .replica import ReadReplica
 
 __all__ = [
     "AnnounceMessage",
@@ -16,5 +15,4 @@ __all__ = [
     "ShardServer",
     "ShardStats",
     "ClusterManager",
-    "ReadReplica",
 ]

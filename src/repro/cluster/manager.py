@@ -156,6 +156,8 @@ class ClusterManager:
         replacement = ShardServer(
             index, failed.num_gatekeepers, failed.ordering.oracle
         )
+        # Demand paging outlives the crash: the loader reads the store.
+        replacement.pager = failed.pager
         self._shards[index] = replacement
         self.failovers += 1
         self.advance_epoch()

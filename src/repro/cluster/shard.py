@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.ordering import EarliestScheduler, RefinableOrdering
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError
-from ..graph.mvgraph import MultiVersionGraph, SnapshotView
+from ..graph.elements import Vertex
+from ..graph.mvgraph import MultiVersionGraph, SnapshotView, VertexView
 from .messages import QueuedTransaction
 
 
@@ -91,9 +92,10 @@ class ShardServer:
         # Optional repro.obs.Tracer: traced transactions emit
         # shard.enqueue / shard.apply spans as they move through.
         self.tracer = None
-        # Demand paging (section 6.1): a loader that materializes an
-        # evicted vertex's committed state from the backing store.
-        self._pager: Optional[Callable[[str], Optional[tuple]]] = None
+        # Demand paging (section 6.1): ``pager(handle)`` returns the
+        # vertex's committed image (``db.operations.vertex_image``), or
+        # None when it does not exist; recovery hands it on.
+        self.pager: Optional[Callable[[str], Optional[tuple]]] = None
 
     @property
     def name(self) -> str:
@@ -221,7 +223,7 @@ class ShardServer:
             self.stats.nops_applied += 1
             return
         for op in qtx.operations:
-            if self._pager is not None:
+            if self.pager is not None:
                 self._apply_with_paging(op, qtx.ts)
             else:
                 op.apply_graph(self.graph, qtx.ts)
@@ -240,7 +242,9 @@ class ShardServer:
         A paged-in image is the vertex's *committed* state, which may
         already include this very operation (it committed to the store
         before being forwarded here), so replays that find their effect
-        already present are skipped rather than rejected.
+        already present are skipped rather than rejected.  So is an op
+        whose vertex has no image: a later committed delete removed it
+        from the store, and absence is its committed state.
         """
         from ..errors import NoSuchEdge, NoSuchVertex
 
@@ -250,7 +254,7 @@ class ShardServer:
         except NoSuchVertex:
             (owner,) = op.touched()
             if not self.ensure_paged(owner):
-                raise
+                return
         except (NoSuchEdge, ValueError):
             # The vertex is resident and already reflects this op (it
             # arrived inside an earlier page-in image).
@@ -343,21 +347,26 @@ class ShardServer:
         self._view = (generation, stamp, view)
         return view
 
+    def resolve_batch(
+        self, view: SnapshotView, batch: Dict[str, Optional[VertexView]]
+    ) -> None:
+        """Fill one round's ``batch`` (``{handle: None}``) from ``view``,
+        one :meth:`snapshot` returned, paging evicted vertices in first
+        — so paging follows whoever hosts the program engine."""
+        self.stats.vertices_read += len(batch)
+        if self.pager is not None:
+            # Paging in loads one vertex's image and evicts nothing, so
+            # the whole batch can page in before it resolves.
+            for handle in batch:
+                self.ensure_paged(handle)
+        view.resolve_into(batch)
+
     # -- demand paging (section 6.1) --------------------------------------
-
-    def set_pager(self, loader: Callable[[str], Optional[tuple]]) -> None:
-        """Enable demand paging.
-
-        ``loader(handle)`` returns the vertex's committed image
-        (:func:`~repro.db.operations.vertex_image`), or None when the
-        vertex does not exist.
-        """
-        self._pager = loader
 
     def evict(self, handle: str) -> int:
         """Page a vertex out of memory (its durable copy remains in the
         backing store).  Returns versioned records released."""
-        if self._pager is None:
+        if self.pager is None:
             raise ClusterError("demand paging not enabled on this shard")
         released = self.graph.evict(handle)
         if released:
@@ -372,9 +381,9 @@ class ShardServer:
         before now; per-version history is traded for memory, exactly
         as with recovery from the backing store (section 4.3).
         """
-        if self._pager is None or self.graph.raw_vertex(handle) is not None:
+        if self.pager is None or self.graph.raw_vertex(handle) is not None:
             return self.graph.raw_vertex(handle) is not None
-        image = self._pager(handle)
+        image = self.pager(handle)
         if image is None:
             return False
         from ..db.operations import load_partition
@@ -384,6 +393,18 @@ class ShardServer:
         )
         self.stats.pages_in += 1
         return True
+
+    # -- migration (section 4.6) -----------------------------------------
+
+    def release_vertex(self, handle: str) -> Tuple[Vertex, list]:
+        """Detach a vertex with its full version history (paged in first
+        if evicted) for another shard's :meth:`adopt_vertex`."""
+        self.ensure_paged(handle)
+        return self.graph.release_vertex(handle)
+
+    def adopt_vertex(self, vertex: Vertex, archived: list) -> None:
+        """Install a vertex another shard's :meth:`release_vertex` gave."""
+        self.graph.adopt_vertex(vertex, archived)
 
     # -- garbage collection (section 4.5) --------------------------------
 

@@ -27,8 +27,8 @@ deployments differ — whether anything may wait:
   :class:`~repro.cluster.worker.ShardEndpoint`.
 * :class:`Weaver` (this module) — the deployment in one process: a
   ``LocalTransport`` over endpoints wrapping its live ``ShardServer``
-  list, and what genuinely needs in-process shards (the local snapshot
-  resolver, migration, read replicas, demand paging, crash drills).
+  list, and the drills that need in-process shards (migration,
+  eviction, crashes), each a call on a shard.
 * :class:`~repro.cluster.process.ProcessWeaver` — the same coordinator
   over a ``ProcessTransport`` to forked shard workers.
 
@@ -58,7 +58,7 @@ from ..cluster.worker import ShardEndpoint
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, NoSuchVertex, ProgramError
-from ..graph.partition import HashPartitioner, LdgPartitioner
+from ..graph import HashPartitioner, LdgPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
 from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.library import PROGRAM_REGISTRY
@@ -708,9 +708,6 @@ class Weaver(Coordinator):
         self.shards: List[ShardServer] = parts.shards
         for shard in self.shards:
             self._register_shard(shard)
-        # Demand paging's loader, once enabled (section 6.1).
-        self._pager: Optional[functools.partial] = None
-        self._replicas: list = []
 
     def _register_shard(self, shard: ShardServer) -> None:
         self.transport.register(shard.name, ShardEndpoint(shard).deliver)
@@ -736,8 +733,7 @@ class Weaver(Coordinator):
             if error is not None:
                 raise error
         resolver = ShardSnapshotResolver(
-            ts, self._shard_of, self.shards,
-            stats=self.executor.stats, page_in=True,
+            ts, self._shard_of, self.shards, stats=self.executor.stats,
         )
         return self.executor.execute(
             program, frontier, resolver, ts, query_id
@@ -763,12 +759,8 @@ class Weaver(Coordinator):
         if from_shard == to_shard:
             return False
         self.drain()
-        # A paged-out vertex must be resident before its record can move.
-        self.shards[from_shard].ensure_paged(handle)
-        vertex, archived = self.shards[from_shard].graph.release_vertex(
-            handle
-        )
-        self.shards[to_shard].graph.adopt_vertex(vertex, archived)
+        vertex, archived = self.shards[from_shard].release_vertex(handle)
+        self.shards[to_shard].adopt_vertex(vertex, archived)
         self.mapping.assign(handle, shard=to_shard)
         self._placement[handle] = to_shard
         return True
@@ -822,43 +814,14 @@ class Weaver(Coordinator):
                 cut += 1
         return cut, len(edges)
 
-    # -- read replicas (section 6.4) --------------------------------------
-
-    def add_read_replica(self, shard_index: int):
-        """Attach an eventually-consistent read replica to one shard.
-
-        Replica reads bypass the ordering machinery entirely (weaker
-        consistency, per section 6.4); call :meth:`refresh_replicas` to
-        advance them to the current committed state.
-        """
-        from ..cluster.replica import ReadReplica
-
-        if not 0 <= shard_index < len(self.shards):
-            raise ClusterError(f"no shard {shard_index}")
-        replica = ReadReplica(self.shards[shard_index])
-        self._replicas.append(replica)
-        replica.refresh(self.checkpoint())
-        self.drain()
-        return replica
-
-    def refresh_replicas(self) -> None:
-        """Advance every replica to a fresh consistent snapshot."""
-        if not self._replicas:
-            return
-        point = self.checkpoint()
-        self.drain()
-        for replica in self._replicas:
-            replica.refresh(point)
-
     # -- demand paging (section 6.1) -------------------------------------
 
     def enable_demand_paging(self) -> None:
         """Let shards evict vertices and reload them from the backing
         store on access — how the paper's CoinGraph deployment fit 900 GB
         of blockchain into 704 GB of cluster memory."""
-        self._pager = functools.partial(vertex_image, self.store)
         for shard in self.shards:
-            shard.set_pager(self._pager)
+            shard.pager = functools.partial(vertex_image, self.store)
 
     def evict_vertex(self, handle: str) -> int:
         """Page one vertex out of shard memory.
@@ -892,8 +855,6 @@ class Weaver(Coordinator):
         replacement.tracer = self.tracer
         self.shards[index] = replacement
         self._register_shard(replacement)
-        if self._pager is not None:
-            replacement.set_pager(self._pager)
         self._reset_channels()
         return replacement
 

@@ -23,7 +23,7 @@ from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..core.vclock import VectorTimestamp
 from ..errors import TransactionAborted
-from ..graph.mvgraph import MultiVersionGraph
+from ..graph import MultiVersionGraph
 from ..store.kvstore import StoreTransaction
 
 

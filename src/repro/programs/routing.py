@@ -2,8 +2,10 @@
 
 :class:`ShardSnapshotResolver` is the one resolver every deployment
 hands to :func:`~repro.programs.framework.run_round`: it groups each
-scatter-gather round's frontier by owning shard and resolves every
-shard's batch against the view that shard keeps for the query's stamp
+scatter-gather round's frontier by owning shard and hands every
+shard's batch to that shard
+(:meth:`~repro.cluster.shard.ShardServer.resolve_batch`), with the view
+the shard keeps for the query's stamp
 (:meth:`~repro.cluster.shard.ShardServer.snapshot`), asked for once per
 (query, shard) — one message per batch, not one per vertex, the paper's
 shard-to-shard batch propagation (section 4.1).  The shards are always
@@ -28,9 +30,7 @@ class ShardSnapshotResolver:
     by reference — deployments replace entries on recovery).  With
     ``shard_of`` None every vertex is the one shard's in ``shards`` (a
     shard worker's own): a round's handles resolve against its view with
-    no placement lookup or grouping per handle.  With ``page_in`` set,
-    evicted vertices are paged back before the visibility check (direct
-    mode's demand paging).
+    no placement lookup or grouping per handle.
     """
 
     def __init__(
@@ -39,13 +39,11 @@ class ShardSnapshotResolver:
         shard_of: Optional[Callable[[str], Optional[int]]],
         shards: Sequence,
         stats: Optional[ProgramStats] = None,
-        page_in: bool = False,
     ):
         self._ts = ts
         self._shard_of = shard_of
         self._shards = shards
         self._stats = stats if stats is not None else ProgramStats()
-        self._page_in = page_in
         self._views: Dict[int, SnapshotView] = {}
         # Per-query vertex-view cache: the snapshot is fixed, so a
         # handle's visibility never changes across rounds — cross-round
@@ -102,13 +100,7 @@ class ShardSnapshotResolver:
             fresh = view is None
             if fresh:
                 view = self._views[shard_index] = shard.snapshot(self._ts)
-            shard.stats.vertices_read += len(batch)
-            if self._page_in:
-                # Paging in loads one vertex's image and evicts nothing,
-                # so the whole batch can page in before it resolves.
-                for handle in batch:
-                    shard.ensure_paged(handle)
-            view.resolve_into(batch)
+            shard.resolve_batch(view, batch)
             out.update(batch)
             cache.update(batch)
             stats.shard_batches += 1

@@ -182,24 +182,3 @@ class TestCachingWithGc:
         )
         assert ComponentSize.size(fresh) == 1
 
-
-class TestReplicaPipelines:
-    def test_replicas_on_every_shard_serve_a_read_storm(self):
-        db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=2))
-        client = WeaverClient(db)
-        edges = graphs.social_graph(30, 3, seed=31)
-        graphs.load_into_weaver(client, edges)
-        replicas = [
-            db.add_read_replica(i) for i in range(len(db.shards))
-        ]
-        names = graphs.vertices_of(edges)
-        by_shard = {}
-        for name in names:
-            by_shard.setdefault(db.mapping.lookup(name), []).append(name)
-        served = 0
-        for index, replica in enumerate(replicas):
-            for name in by_shard.get(index, []):
-                node = replica.get_node(name)
-                assert node["handle"] == name
-                served += 1
-        assert served == len(names)

@@ -1,10 +1,13 @@
-"""Demand paging (section 6.1) and read-only replicas (section 6.4)."""
+"""Demand paging (section 6.1)."""
 
 import pytest
 
 from repro.db import Weaver, WeaverClient, WeaverConfig
+from repro.db import operations as ops
 from repro.db.operations import partition_image, vertex_image
-from repro.errors import ClusterError, NoSuchVertex
+from repro.errors import ClusterError, NoSuchVertex, ProgramError
+
+from .engine_rig import Engine
 
 
 @pytest.fixture
@@ -113,64 +116,41 @@ class TestDemandPaging:
         assert client.get_node("a")["properties"] == {"k": 1}
 
 
-class TestReadReplicas:
-    @pytest.fixture
-    def setup(self):
-        db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=2))
-        client = WeaverClient(db)
-        with client.transaction() as tx:
-            tx.create_vertex("a")
-            tx.set_property("a", "v", 1)
-        shard = db.mapping.lookup("a")
-        replica = db.add_read_replica(shard)
-        return db, client, replica
 
-    def test_replica_serves_committed_state(self, setup):
-        _, _, replica = setup
-        assert replica.get_node("a")["properties"] == {"v": 1}
+class TestDeletingAnEvictedVertex:
+    """A delete commits to the store before the shard applies it, so
+    paging the vertex in finds no image.  Absence is its committed
+    state: the shard skips the op, and a read of another vertex is not
+    held up by it."""
 
-    def test_replica_reads_are_stale_until_refresh(self, setup):
-        db, client, replica = setup
-        client.set_property("a", "v", 2)
-        # The primary sees the write; the replica still serves v=1.
-        assert client.get_node("a")["properties"]["v"] == 2
-        assert replica.get_node("a")["properties"]["v"] == 1
-        db.refresh_replicas()
-        assert replica.get_node("a")["properties"]["v"] == 2
+    def test_delete(self, paged):
+        db, client = paged
+        db.evict_vertex("a")
+        client.delete_vertex("a")
+        assert client.get_node("b")["handle"] == "b"
+        with pytest.raises(ProgramError, match="exactly one result, got 0"):
+            client.get_node("a")
 
-    def test_replica_counts_reads_and_refreshes(self, setup):
-        db, _, replica = setup
-        replica.get_node("a")
-        replica.count_edges("a")
-        db.refresh_replicas()
-        assert replica.reads_served == 2
-        assert replica.refreshes == 2  # initial + explicit
+    def test_write_then_delete(self, paged):
+        db, client = paged
+        db.evict_vertex("a")
+        client.set_property("a", "k", 2)
+        client.delete_vertex("a")
+        assert client.get_node("b")["handle"] == "b"
+        with pytest.raises(ProgramError, match="exactly one result, got 0"):
+            client.get_node("a")
 
-    def test_replica_edge_reads(self, setup):
-        db, client, replica = setup
-        client.create_vertex("b")
-        client.create_edge("a", "b", "ab")
-        db.refresh_replicas()
-        # The edge lives at a's shard; the replica mirrors it.
-        assert replica.count_edges("a") == 1
-        assert replica.get_edges("a")[0]["nbr"] == "b"
 
-    def test_unknown_shard_rejected(self, setup):
-        db, _, _ = setup
-        with pytest.raises(ClusterError):
-            db.add_read_replica(9)
-
-    def test_replica_never_blocks_on_ordering(self, setup):
-        """Replica reads touch neither gatekeepers nor the oracle."""
-        db, _, replica = setup
-        stamped_before = sum(
-            gk.stats.timestamps_issued for gk in db.gatekeepers
-        )
-        oracle_before = db.oracle_head().stats.messages
-        for _ in range(5):
-            replica.get_node("a")
-        assert (
-            sum(gk.stats.timestamps_issued for gk in db.gatekeepers)
-            == stamped_before
-        )
-        assert db.oracle_head().stats.messages == oracle_before
+def test_the_resident_engine_pages_in():
+    """Paging is the shard's: the engine a worker hosts reads an
+    evicted vertex back in, as ``Weaver`` does."""
+    engine = Engine()
+    engine.apply(ops.CreateVertex("v0"), ops.SetVertexProperty("v0", "k", 1))
+    engine.shard.pager = lambda handle: (
+        ({"v0": {"k": 1}}, {}) if handle == "v0" else None
+    )
+    assert engine.shard.evict("v0") > 0
+    later = engine.apply(ops.CreateVertex("v1"))
+    (node,) = engine.read(later, "get_node", "v0")
+    assert node["properties"] == {"k": 1}
+    assert engine.shard.stats.pages_in == 1

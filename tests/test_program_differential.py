@@ -72,7 +72,7 @@ def _run_both(db, make_program, start, point):
     batched = ProgramExecutor().execute(
         make_program(),
         list(start),
-        ShardSnapshotResolver(point, db._shard_of, db.shards, page_in=True),
+        ShardSnapshotResolver(point, db._shard_of, db.shards),
         point,
     )
     sequential = execute_sequential(
