@@ -154,3 +154,77 @@ def test_the_resident_engine_pages_in():
     (node,) = engine.read(later, "get_node", "v0")
     assert node["properties"] == {"k": 1}
     assert engine.shard.stats.pages_in == 1
+
+
+class TestShardResolveBatch:
+    """``ShardServer.resolve_batch`` is the one call a program round
+    makes per shard batch: it counts the reads, pages evicted vertices
+    in, and resolves the batch against the view."""
+
+    def test_counts_every_handle_and_resolves(self):
+        engine = Engine()
+        later = engine.apply(ops.CreateVertex("v0"))
+        shard = engine.shard
+        before = shard.stats.vertices_read
+        batch = {"v0": None, "ghost": None}
+        shard.resolve_batch(shard.snapshot(later), batch)
+        assert shard.stats.vertices_read == before + 2
+        assert batch["v0"] is not None and batch["ghost"] is None
+        assert shard.stats.pages_in == 0
+
+    def test_pages_evicted_handles_in_before_resolving(self):
+        engine = Engine()
+        engine.apply(
+            ops.CreateVertex("v0"), ops.SetVertexProperty("v0", "k", 1)
+        )
+        shard = engine.shard
+        shard.pager = lambda handle: (
+            ({"v0": {"k": 1}}, {}) if handle == "v0" else None
+        )
+        shard.evict("v0")
+        later = engine.apply(ops.CreateVertex("v1"))
+        batch = {"v0": None, "gone": None}
+        shard.resolve_batch(shard.snapshot(later), batch)
+        assert batch["v0"] is not None and batch["gone"] is None
+        assert shard.stats.pages_in == 1
+
+
+class TestPagerAcrossRecovery:
+    def test_replacement_shard_gets_the_same_loader(self, paged):
+        db, _ = paged
+        index = db.mapping.lookup("a")
+        pager = db.shards[index].pager
+        replacement = db.fail_shard(index)
+        assert replacement is db.shards[index]
+        assert replacement.pager is pager
+
+    def test_unpaged_shard_recovers_unpaged(self, db, client):
+        client.create_vertex("a")
+        index = db.mapping.lookup("a")
+        replacement = db.fail_shard(index)
+        assert replacement.pager is None
+        with pytest.raises(ClusterError):
+            replacement.evict("a")
+
+
+class TestMigratingAnEvictedVertex:
+    """``ShardServer.release_vertex`` pages the vertex in before it
+    detaches it, so an evicted vertex migrates with its committed
+    state."""
+
+    def test_moves_and_reads_back(self, paged):
+        db, client = paged
+        source = db.mapping.lookup("a")
+        target = (source + 1) % len(db.shards)
+        db.evict_vertex("a")
+        assert db.migrate_vertex("a", target)
+        assert db.paging_stats()["pages_in"] == 1
+        assert db.shards[target].graph.raw_vertex("a") is not None
+        assert db.shards[source].graph.raw_vertex("a") is None
+        assert client.get_node("a")["properties"] == {"k": 1}
+        assert client.get_edges("a")[0]["properties"] == {"w": 2}
+
+    def test_release_of_an_absent_vertex_raises(self, paged):
+        db, _ = paged
+        with pytest.raises(NoSuchVertex):
+            db.shards[0].release_vertex("never_existed")
