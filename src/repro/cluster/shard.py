@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.ordering import EarliestScheduler, RefinableOrdering
 from ..core.vclock import Ordering, VectorTimestamp
-from ..errors import ClusterError
+from ..errors import ClusterError, ProgramError
 from ..graph.elements import Vertex
 from ..graph.mvgraph import MultiVersionGraph, SnapshotView, VertexView
 from .messages import QueuedTransaction
@@ -279,14 +279,14 @@ class ShardServer:
             for h in heads
         )
 
-    def not_ready(self, prog_ts: VectorTimestamp) -> Optional[ClusterError]:
+    def not_ready(self, prog_ts: VectorTimestamp) -> Optional[ProgramError]:
         """The named error a program stamped ``prog_ts`` fails with
         instead of reading a stale snapshot; None when the shard may
         execute it.  Whoever takes a program snapshot here asks first —
         nobody upstream vouches for the shard."""
         if self.ready_for(prog_ts):
             return None
-        return ClusterError(
+        return ProgramError(
             f"{self.name} not ready for {prog_ts} despite heartbeats"
         )
 

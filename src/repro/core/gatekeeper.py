@@ -185,70 +185,23 @@ class Gatekeeper:
 
     def commit(
         self,
-        apply_writes: Callable[[StoreTransaction, VectorTimestamp], None],
+        apply_writes: Callable[[StoreTransaction], None],
         touched_vertices: Iterable[str],
-        timestamp: Optional[VectorTimestamp] = None,
         trace_id: Optional[int] = None,
     ) -> VectorTimestamp:
-        """Execute a transaction on the backing store.
-
-        ``apply_writes(tx, ts)`` performs the buffered operations against
-        a store transaction (validity checks included: e.g. deleting a
-        deleted vertex raises there).  ``touched_vertices`` is the set of
-        vertex handles the transaction writes; each carries a last-update
-        timestamp in the store used for the monotonicity check.
-
-        Raises :class:`TransactionAborted` on OCC conflict or timestamp
-        inversion; the client retries, obtaining a fresh higher stamp.
-        """
+        """Begin a store transaction, let ``apply_writes(tx)`` write the
+        buffered operations into it (validity errors raise there), and
+        commit it through :meth:`commit_prepared`."""
         if self.store is None:
             raise RuntimeError("gatekeeper has no backing store attached")
-        touched = list(touched_vertices)
         tx = self.store.begin()
-        ts = timestamp
         try:
-            # Read the last-update stamps before stamping: in geo mode
-            # the fresh stamp's deadline must clear the touched vertices'
-            # previous deadlines, and OCC on these reads guarantees a
-            # concurrent committer to the same vertex conflicts here.
-            lasts = [
-                (vertex, tx.get(_LAST_UPDATE_PREFIX + vertex))
-                for vertex in touched
-            ]
-            if ts is None:
-                ts = self.issue_timestamp(_deadline_floor(lasts))
-            self._emit(trace_id, "gatekeeper.stamp", ts=ts, gk=self.index)
-            for vertex, last in lasts:
-                if last is not None and ts.compare(last) is Ordering.BEFORE:
-                    raise TransactionAborted(
-                        f"timestamp inversion on {vertex!r}"
-                    )
-            apply_writes(tx, ts)
-            for vertex in touched:
-                tx.put(_LAST_UPDATE_PREFIX + vertex, ts)
-            version = tx.commit()
+            apply_writes(tx)
         except Exception:
-            # Every failure path — OCC conflict, timestamp inversion, or
-            # a validity error raised by apply_writes — must release the
-            # store transaction and count as an abort; a commit that
-            # raised has already closed it.
             self.stats.aborts += 1
-            if tx.is_open:
-                tx.abort()
-            if ts is not None:
-                self._emit(
-                    trace_id, "gatekeeper.abort", ts=ts, gk=self.index
-                )
+            tx.abort()
             raise
-        self.stats.commits += 1
-        # The store's commit version is the global serialization anchor
-        # (section 4.2); the span carries it so the referee can key the
-        # commit record without relying on span delivery order.
-        self._emit(
-            trace_id, "store.commit", ts=ts, gk=self.index,
-            commit_seq=version,
-        )
-        return ts
+        return self.commit_prepared(tx, touched_vertices, trace_id)
 
     def commit_prepared(
         self,
@@ -268,7 +221,7 @@ class Gatekeeper:
         touched = list(touched_vertices)
         ts = None
         try:
-            # Same read-before-stamp order as :meth:`commit`: the stamp's
+            # Read the last-update stamps before stamping: the stamp's
             # deadline (geo mode) must clear the previous updates of every
             # touched vertex, and these OCC reads make concurrent
             # committers to a shared vertex conflict at commit time.

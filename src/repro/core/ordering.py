@@ -224,9 +224,9 @@ class RefinableOrdering:
     def earliest(self, timestamps, prefer: Ordering = Ordering.BEFORE):
         """Pick the earliest of a non-empty collection of timestamps.
 
-        Used by shard event loops to select the next transaction to apply
-        across per-gatekeeper queues (Fig 6).  Concurrent pairs are settled
-        (and thereby committed) via :meth:`compare`.
+        The linear reference for :class:`EarliestScheduler`, which is
+        what shards use to pick the next queue head (Fig 6); only tests
+        call this.  Concurrent pairs are settled via :meth:`compare`.
         """
         timestamps = list(timestamps)
         if not timestamps:

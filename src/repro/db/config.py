@@ -25,10 +25,7 @@ class WeaverConfig:
             coordinator (section 4.6; disabled by default, as in the
             paper's evaluation; ablation A1).
         partitioner: vertex placement — "round_robin" (balanced,
-            locality-blind; the paper's evaluation setting), "hash", or
-            "ldg" (streaming greedy colocation, section 4.6).
-        drain_every: commits between background queue drains; bounds
-            shard queue memory in long write-only stretches.
+            locality-blind; the paper's evaluation setting) or "hash".
         store_nodes: 0 runs the backing store as a single transactional
             object; N >= 1 partitions it across N store nodes with
             Warp-style linear transactions and replication.
@@ -62,7 +59,6 @@ class WeaverConfig:
     oracle_chain_length: int = 1
     enable_program_cache: bool = False
     partitioner: str = "round_robin"
-    drain_every: int = 256
     store_nodes: int = 0
     store_replication: int = 2
     store_backend: str = "memory"
@@ -80,10 +76,8 @@ class WeaverConfig:
             raise ConfigError("announce_every must be >= 1")
         if self.oracle_chain_length < 1:
             raise ConfigError("oracle chain needs a replica")
-        if self.partitioner not in ("round_robin", "hash", "ldg"):
+        if self.partitioner not in ("round_robin", "hash"):
             raise ConfigError(f"unknown partitioner {self.partitioner!r}")
-        if self.drain_every < 1:
-            raise ConfigError("drain_every must be >= 1")
         if self.store_nodes < 0:
             raise ConfigError("store_nodes must be >= 0")
         if self.store_nodes and not (

@@ -58,7 +58,7 @@ from ..cluster.worker import ShardEndpoint
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, NoSuchVertex, ProgramError
-from ..graph import HashPartitioner, LdgPartitioner
+from ..graph import HashPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
 from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.library import PROGRAM_REGISTRY
@@ -69,6 +69,10 @@ from .operations import graph_state_from_store, vertex_image
 from .transactions import Transaction
 
 StartSpec = Union[str, Iterable[Tuple[str, Any]]]
+
+# Commits between background queue drains on a blocking coordinator;
+# bounds shard queue memory in long write-only stretches.
+DRAIN_EVERY = 256
 
 
 class WritePath:
@@ -111,7 +115,6 @@ class WritePath:
         self._channel_seqno: Dict[Tuple[int, int], int] = {}
         self._placement: Dict[str, int] = {}
         self._hash_partitioner = HashPartitioner(cfg.num_shards)
-        self._ldg_partitioner = LdgPartitioner(cfg.num_shards)
 
     @staticmethod
     def shard_name(index: int) -> str:
@@ -145,15 +148,11 @@ class WritePath:
     def _place_new_vertices(self, tx: Transaction) -> Dict[str, int]:
         """Install shard assignments for created vertices, atomically with
         the transaction itself (they share the store transaction)."""
-        partitioner = self.config.partitioner
+        hashed = self.config.partitioner == "hash"
         placed: Dict[str, int] = {}
         for vertex in tx.created_vertices:
-            if partitioner == "hash":
-                shard = self._hash_partitioner.assign(vertex)
-            elif partitioner == "ldg":
-                shard = self._ldg_partitioner.assign(vertex, ())
-            else:
-                shard = None  # the mapping's round-robin cursor
+            # None takes the mapping's round-robin cursor.
+            shard = self._hash_partitioner.assign(vertex) if hashed else None
             placed[vertex] = self.mapping.assign(
                 vertex, tx=tx.store_tx, shard=shard
             )
@@ -389,7 +388,7 @@ class Coordinator(WritePath):
         if self._commits % self.config.announce_every == 0:
             self._announce()
         self._commits_since_drain += 1
-        if self._commits_since_drain >= self.config.drain_every:
+        if self._commits_since_drain >= DRAIN_EVERY:
             self.drain()
         return ts
 

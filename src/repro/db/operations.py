@@ -5,9 +5,10 @@ operation knows how to do three things:
 
 * ``touched()`` — the vertex handles it writes, used for shard routing and
   for the gatekeeper's last-update timestamp check;
-* ``apply_store(tx, ts)`` — execute against the durable backing store,
+* ``apply_store(tx)`` — execute against the durable backing store,
   where validity is checked (deleting a deleted vertex aborts, exactly as
-  in section 4.2);
+  in section 4.2).  No stamp exists yet: the gatekeeper stamps at commit
+  and writes the only stamps the store holds (last-update records);
 * ``apply_graph(graph, ts)`` — replay onto a shard's in-memory
   multi-version graph after the backing store committed.
 
@@ -41,7 +42,7 @@ class Operation:
     def touched(self) -> FrozenSet[str]:
         raise NotImplementedError
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         raise NotImplementedError
 
     def apply_graph(
@@ -57,7 +58,7 @@ class CreateVertex(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.handle,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         key = vertex_key(self.handle)
         if tx.exists(key):
             raise TransactionAborted(f"vertex {self.handle!r} exists")
@@ -76,7 +77,7 @@ class DeleteVertex(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.handle,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         key = vertex_key(self.handle)
         if not tx.exists(key):
             raise TransactionAborted(f"vertex {self.handle!r} already gone")
@@ -100,7 +101,7 @@ class CreateEdge(Operation):
         # so the destination is read (not written) during apply_store.
         return frozenset((self.src,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         if not tx.exists(vertex_key(self.src)):
             raise TransactionAborted(f"source {self.src!r} missing")
         if not tx.exists(vertex_key(self.dst)):
@@ -124,7 +125,7 @@ class DeleteEdge(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.src,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         key = edge_key(self.src, self.handle)
         if not tx.exists(key):
             raise TransactionAborted(f"edge {self.handle!r} already gone")
@@ -145,7 +146,7 @@ class SetVertexProperty(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.handle,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         vkey = vertex_key(self.handle)
         record = tx.get(vkey)
         if record is None:
@@ -168,7 +169,7 @@ class DeleteVertexProperty(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.handle,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         vkey = vertex_key(self.handle)
         record = tx.get(vkey)
         if record is None:
@@ -193,7 +194,7 @@ class SetEdgeProperty(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.src,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         ekey = edge_key(self.src, self.handle)
         record = tx.get(ekey)
         if record is None:
@@ -221,7 +222,7 @@ class DeleteEdgeProperty(Operation):
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.src,))
 
-    def apply_store(self, tx: StoreTransaction, ts: VectorTimestamp) -> None:
+    def apply_store(self, tx: StoreTransaction) -> None:
         ekey = edge_key(self.src, self.handle)
         record = tx.get(ekey)
         if record is None:

@@ -85,7 +85,7 @@ class Transaction:
         self._check_open()
         # Applying immediately gives early validity errors and makes the
         # operation visible to this transaction's own later reads.
-        operation.apply_store(self.store_tx, None)
+        operation.apply_store(self.store_tx)
         self.operations.append(operation)
 
     def create_vertex(self, handle: Optional[str] = None) -> str:

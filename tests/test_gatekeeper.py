@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core.gatekeeper import Gatekeeper, sync_announce_all
-from repro.core.vclock import Ordering
+from repro.core.gatekeeper import (
+    DeadlineStamper,
+    Gatekeeper,
+    sync_announce_all,
+)
+from repro.core.vclock import Ordering, VectorTimestamp
 from repro.errors import TransactionAborted
 from repro.store.kvstore import TransactionalStore
 
@@ -58,35 +62,55 @@ class TestAnnounces:
 
 
 class TestCommit:
+    """One commit body, ``commit_prepared``; ``commit`` opens the store
+    transaction and hands it over."""
+
     def make_gk(self):
         store = TransactionalStore()
         return Gatekeeper(0, 2, store), store
 
-    def test_commit_writes_and_stamps(self):
+    @staticmethod
+    def prepared(store, value=1):
+        tx = store.begin()
+        tx.put("k", value)
+        return tx
+
+    def test_commit_prepared_writes_and_stamps(self):
         gk, store = self.make_gk()
-        ts = gk.commit(
-            lambda tx, t: tx.put("k", "v"), touched_vertices=["v1"]
-        )
+        ts = gk.commit_prepared(self.prepared(store), ["v1"])
+        assert store.get("k") == 1
+        assert store.get("__lastup__:v1") == ts
+        assert gk.stats.commits == 1
+
+    def test_commit_applies_then_commits_prepared(self):
+        gk, store = self.make_gk()
+        ts = gk.commit(lambda tx: tx.put("k", "v"), touched_vertices=["v1"])
         assert store.get("k") == "v"
         assert store.get("__lastup__:v1") == ts
         assert gk.stats.commits == 1
 
-    def test_commit_prepared_path(self):
+    def test_occ_conflict_on_last_update_aborts(self):
+        # Two committers to one vertex: the second read the last-update
+        # stamp the first overwrote, so the store refuses it.
         gk, store = self.make_gk()
-        tx = store.begin()
-        tx.put("k", 1)
-        ts = gk.commit_prepared(tx, ["v1"])
+        first, second = self.prepared(store), self.prepared(store, 2)
+        gk.commit_prepared(first, ["v1"])
+        with pytest.raises(TransactionAborted, match="conflict"):
+            gk.commit_prepared(second, ["v1"])
+        assert gk.stats.aborts == 1
         assert store.get("k") == 1
-        assert store.get("__lastup__:v1") == ts
 
     def test_timestamp_inversion_aborts(self):
         # A dominating last-update stamp on the vertex forces an abort;
         # the client retries with a fresh, higher stamp (section 4.2).
         gk, store = self.make_gk()
         store.transact(lambda t: t.put("__lastup__:v1", _stamp([99, 99])))
-        with pytest.raises(TransactionAborted):
-            gk.commit(lambda tx, t: tx.put("k", 1), ["v1"])
+        tx = self.prepared(store)
+        with pytest.raises(TransactionAborted, match="inversion"):
+            gk.commit_prepared(tx, ["v1"])
         assert gk.stats.aborts == 1
+        assert not tx.is_open
+        assert store.get("k") is None
 
     def test_concurrent_last_update_allowed(self):
         # Cross-gatekeeper concurrent stamps pass the check (the shards'
@@ -95,8 +119,21 @@ class TestCommit:
         other = Gatekeeper(1, 2, store)
         other_ts = other.issue_timestamp()
         store.transact(lambda t: t.put("__lastup__:v1", other_ts))
-        ts = gk.commit(lambda tx, t: tx.put("k", 1), ["v1"])
+        ts = gk.commit_prepared(self.prepared(store), ["v1"])
         assert ts.compare(other_ts) is Ordering.CONCURRENT
+
+    def test_deadline_clears_the_touched_vertex_last_deadline(self):
+        # Tiga's commit rule (geo): the touched vertex was last updated
+        # at a deadline ahead of this region's clock horizon, so the new
+        # commit's deadline must land past it.
+        gk, store = self.make_gk()
+        gk.deadline_stamper = DeadlineStamper(lambda: 0.0, horizon=1.0)
+        last = VectorTimestamp(0, (0, 5), 1, deadline=50.0)
+        store.transact(lambda t: t.put("__lastup__:v1", last))
+        ts = gk.commit_prepared(self.prepared(store), ["v1"])
+        assert ts.deadline > 50.0
+        untouched = gk.commit_prepared(self.prepared(store), ["v2"])
+        assert ts.deadline < untouched.deadline < 50.0 + 1.0
 
     def test_retry_after_abort_gets_higher_stamp(self):
         gk, store = self.make_gk()
@@ -107,14 +144,14 @@ class TestCommit:
     def test_commit_without_store_raises(self):
         gk = Gatekeeper(0, 1)
         with pytest.raises(RuntimeError):
-            gk.commit(lambda tx, t: None, [])
+            gk.commit(lambda tx: None, [])
 
-    def test_generic_failure_counts_abort_and_releases_tx(self):
-        # Any exception out of the commit path — not just an optimistic
-        # abort — must count as an abort and close the store tx.
+    def test_failed_apply_counts_abort_and_releases_tx(self):
+        # Any exception while writing the store transaction — not just
+        # an optimistic abort — must count as an abort and close it.
         gk, store = self.make_gk()
 
-        def boom(tx, t):
+        def boom(tx):
             tx.put("k", 1)
             raise ValueError("mutation bug")
 
@@ -123,19 +160,8 @@ class TestCommit:
         assert gk.stats.aborts == 1
         assert store.get("k") is None
         # The store is fully released: a retry commits cleanly.
-        gk.commit(lambda tx, t: tx.put("k", 2), ["v1"])
+        gk.commit(lambda tx: tx.put("k", 2), ["v1"])
         assert store.get("k") == 2
-
-    def test_commit_prepared_failure_releases_prepared_tx(self):
-        gk, store = self.make_gk()
-        store.transact(lambda t: t.put("__lastup__:v1", _stamp([99, 99])))
-        tx = store.begin()
-        tx.put("k", 1)
-        with pytest.raises(TransactionAborted):
-            gk.commit_prepared(tx, ["v1"])
-        assert gk.stats.aborts == 1
-        assert not tx.is_open
-        assert store.get("k") is None
 
 
 class TestEpochs:
@@ -149,6 +175,4 @@ class TestEpochs:
 
 
 def _stamp(clocks):
-    from repro.core.vclock import VectorTimestamp
-
     return VectorTimestamp(0, tuple(clocks), 0)

@@ -22,7 +22,7 @@ def clock():
 def apply_store(store, *operations):
     tx = store.begin()
     for op in operations:
-        op.apply_store(tx, None)
+        op.apply_store(tx)
     tx.commit()
 
 

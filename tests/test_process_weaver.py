@@ -266,7 +266,7 @@ class TestOneCoordinator:
             "programs_run": db.programs_run,
         }
 
-    @pytest.mark.parametrize("partitioner", ["round_robin", "hash", "ldg"])
+    @pytest.mark.parametrize("partitioner", ["round_robin", "hash"])
     def test_same_script_same_outcome(self, partitioner):
         def config():
             return WeaverConfig(
@@ -411,6 +411,19 @@ class TestOneWayReadiness:
                 match="shard[01] not ready for .* despite heartbeats",
             ):
                 db.run_program(GetNode(), "p0")
+
+    def test_weaver_refuses_an_unready_shard_by_the_same_name(self):
+        """The in-process shards refuse with the workers' error."""
+        from repro.errors import ProgramError
+
+        db = Weaver(WeaverConfig(num_shards=2, num_gatekeepers=2))
+        load_tree(db, n=6)
+        db._enqueue = lambda *args: None
+        with pytest.raises(
+            ProgramError,
+            match="shard[01] not ready for .* despite heartbeats",
+        ):
+            db.run_program(GetNode(), "p0")
 
     def test_flush_to_killed_worker_raises_transport_error(self):
         from repro.cluster.transport import TransportError

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Size of ``src/``: ``wc -l`` lines and code lines.
 
-ROADMAP item 2 counts ``wc -l``; a reduction is only real if the *code*
+``wc -l`` alone overstates a reduction: it is only real if the *code*
 went down too, so this prints both.  A code line carries at least one
 token that is not a comment and not part of a docstring; blank lines,
 comment-only lines and docstrings are not code.
