@@ -718,7 +718,8 @@ class ResidentEngine:
             if halted_at is not None:
                 halt_key = halted_at[2]
         except Exception as exc:  # noqa: BLE001 - reported upstream
-            error = str(exc)
+            # Never empty: a bare ``assert`` has no message of its own.
+            error = str(exc) or repr(exc)
         processed = len(entries) - already
         self.resident.entries_processed += processed
         sent: Dict[int, int] = {}
@@ -810,6 +811,8 @@ class ResidentEngine:
         self, conn, rid: int, ps: ProgramStart
     ) -> None:
         self.resident.programs_coordinated += 1
+        if ps.frontier and self._read_locally(conn, rid, ps):
+            return
         coord = _Coordination(conn, rid, ps)
         self.coordinated[ps.query_id] = coord
         if not ps.frontier:
@@ -833,6 +836,68 @@ class ResidentEngine:
         self._issue_round(coord, 0, {
             dst: (0 if dst == self.index else n) for dst, n in sent.items()
         })
+
+    def _read_locally(self, conn, rid: int, ps: ProgramStart) -> bool:
+        """Run a program that declares ``reads_only_start``, from start
+        vertices all here, in one pass and reply; else False, having
+        touched nothing.  Such a program ends at round 0, so it runs the
+        way ``ProgramExecutor.execute`` runs a round, with no
+        coordination, query record, round exchange or fragment; the
+        counters move as the general round moves them, but for
+        ``round_reports``.  A start vertex nobody placed counts as here,
+        as it does on the general round."""
+        cls = PROGRAM_REGISTRY.get(ps.program)
+        if cls is None or not cls.reads_only_start:
+            return False
+        owner_of, here = self.owner_of, self.index
+        for entry in ps.frontier:
+            if owner_of(entry[0]) not in (None, here):
+                return False
+        try:
+            program = cls(**(ps.init or {}))
+        except Exception:  # noqa: BLE001 - the general round names it
+            return False
+        # The client keys the frontier in order, so it runs as it came.
+        ctx = ProgramContext(ps.query_id, ps.ts)
+        ctx.visits_left = ps.max_visits
+        resolver = ShardSnapshotResolver(
+            ps.ts, None, [self.worker.shard], stats=self.prog_stats,
+        )
+        resident = self.resident
+        resident.programs_participated += 1
+        resident.rounds_executed += 1
+        if ps.trace_id is not None:
+            self.tracer.emit(
+                ps.trace_id, "program.round",
+                node=self.worker.shard.name, query_id=ps.query_id,
+                round=0, frontier=len(ps.frontier), shard=here,
+            )
+        delivered: list = []
+        error = None
+        try:
+            run_round(
+                program, ps.frontier, resolver.resolve_many, ctx,
+                self.prog_stats,
+                lambda entry, _node, _hops: delivered.append(entry),
+            )
+        except Exception as exc:  # noqa: BLE001 - this query only
+            error = str(exc) or repr(exc)
+        resident.entries_processed += len(delivered)
+        if error is not None:
+            self._reply(conn, rid, result={"error": error})
+            return True
+        read = ctx.read_set
+        self.prog_stats.executions += 1
+        self._reply(conn, rid, result={
+            "query_id": ps.query_id, "ts": ps.ts, "results": ctx.results,
+            "states": {
+                h: s for h, s in ctx.states.items() if h in read
+            } if program.returns_state else {},
+            "vertices_visited": ctx.vertices_visited, "hops": ctx.hops,
+            "halted": ctx.halted, "read_set": sorted(read),
+            "rounds": ctx.rounds,
+        })
+        return True
 
     def _issue_round(self, coord: _Coordination, round_no: int,
                      expect: Dict[int, int]) -> None:
@@ -867,7 +932,7 @@ class ResidentEngine:
         try:
             self.resident.round_reports += 1
             coord.awaiting.discard(worker)
-            if report["error"] and coord.error is None:
+            if report["error"] is not None and coord.error is None:
                 coord.error = report["error"]
             coord.processed_total += report["processed"]
             halt = report["halt"]

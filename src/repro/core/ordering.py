@@ -221,22 +221,6 @@ class RefinableOrdering:
             self._cache.put(a, b, decided)
         return decided
 
-    def earliest(self, timestamps, prefer: Ordering = Ordering.BEFORE):
-        """Pick the earliest of a non-empty collection of timestamps.
-
-        The linear reference for :class:`EarliestScheduler`, which is
-        what shards use to pick the next queue head (Fig 6); only tests
-        call this.  Concurrent pairs are settled via :meth:`compare`.
-        """
-        timestamps = list(timestamps)
-        if not timestamps:
-            raise ValueError("earliest() of no timestamps")
-        best = timestamps[0]
-        for candidate in timestamps[1:]:
-            if self.compare(candidate, best, prefer) is Ordering.BEFORE:
-                best = candidate
-        return best
-
 
 QueueEntry = Optional[Tuple[VectorTimestamp, int]]
 

@@ -279,7 +279,7 @@ class WritePath:
         """The coordinating shard's reply as the caller's result: its
         payload is a program context by field name, the read set sorted
         for the wire; a failed program raises by the shard's text."""
-        if payload.get("error"):
+        if payload.get("error") is not None:
             raise ProgramError(payload["error"])
         payload["read_set"] = set(payload["read_set"])
         return ProgramResult(SimpleNamespace(**payload))

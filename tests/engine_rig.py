@@ -2,8 +2,10 @@
 
 One shard, one gatekeeper, no peers: every way out but the reply is
 unused, so a program's round runs as its ``program_start`` frame is
-dispatched.  The shared-snapshot cases, the round-counter pins and the
-perf guard's call-event ceilings all drive this one rig.
+dispatched.  The shared-snapshot cases, the round-counter pins, the
+one-pass read cases and the perf guard's call-event ceilings all drive
+this one rig; :func:`matches_weaver` holds a reply to the in-process
+executor's result.
 """
 
 from repro.cluster.messages import ProgramStart, QueuedTransaction
@@ -84,3 +86,25 @@ def random_graph(vertices=400, degree=6, seed=7):
         for j, dst in enumerate(rng.sample(range(vertices), degree)):
             writes.append(ops.CreateEdge(f"e{i}.{j}", f"v{i}", f"v{dst}"))
     return tuple(writes)
+
+
+def matches_weaver(payload, writes, program, start, start_params=None,
+                   then=()):
+    """The engine's reply equals ``Weaver.run_program``'s result on a
+    one-shard ``Weaver`` that committed ``writes`` (and then ``then``),
+    run from ``start`` (a handle, or (handle, params) pairs), field by
+    field."""
+    from repro.db import Weaver, WeaverConfig
+    from repro.db.database import WritePath
+
+    db = Weaver(WeaverConfig(num_shards=1))
+    for batch in (writes, then):
+        tx = db.begin_transaction()
+        for op in batch:
+            tx.record(op)
+        tx.commit()
+    expected = db.run_program(program, start, start_params)
+    got = WritePath._program_result(payload)
+    for field in ("results", "read_set", "vertices_visited", "hops",
+                  "halted", "rounds", "states"):
+        assert getattr(got, field) == getattr(expected, field), field

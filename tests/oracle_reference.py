@@ -15,7 +15,9 @@ exists for two reasons:
   a small configuration as a regression guard that records nothing.
 
 Both graphs answer every ``reaches`` query identically; only the work
-they do differs.
+they do differs.  :func:`earliest` is the same kind of reference for the
+shards' :class:`~repro.core.ordering.EarliestScheduler`: the linear scan
+its tournament replaces.
 """
 
 from __future__ import annotations
@@ -70,6 +72,21 @@ class ReferenceEventDependencyGraph(EventDependencyGraph):
 def reference_oracle() -> TimelineOracle:
     """A timeline oracle running on the unindexed reference graph."""
     return TimelineOracle(graph=ReferenceEventDependencyGraph())
+
+
+def earliest(ordering, timestamps, prefer: Ordering = Ordering.BEFORE):
+    """The earliest of a non-empty collection of timestamps under
+    ``ordering`` (a :class:`~repro.core.ordering.RefinableOrdering`),
+    by one linear scan; concurrent pairs are settled by its
+    ``compare``."""
+    timestamps = list(timestamps)
+    if not timestamps:
+        raise ValueError("earliest() of no timestamps")
+    best = timestamps[0]
+    for candidate in timestamps[1:]:
+        if ordering.compare(candidate, best, prefer) is Ordering.BEFORE:
+            best = candidate
+    return best
 
 
 # -- the ordering fast path, timed against the reference ---------------

@@ -11,6 +11,8 @@ from repro.core.ordering import (
 )
 from repro.core.vclock import Ordering, VectorTimestamp
 
+from .oracle_reference import earliest
+
 
 def ts(clocks, issuer=0, epoch=0):
     return VectorTimestamp(epoch, tuple(clocks), issuer)
@@ -110,23 +112,23 @@ class TestRefinableOrdering:
 
     def test_earliest_single(self):
         ordering = RefinableOrdering(TimelineOracle())
-        assert ordering.earliest([A]) is A
+        assert earliest(ordering, [A]) is A
 
     def test_earliest_of_chain(self):
         ordering = RefinableOrdering(TimelineOracle())
         later = ts([3, 0])
-        assert ordering.earliest([later, C, A]) is A
+        assert earliest(ordering, [later, C, A]) is A
 
     def test_earliest_concurrent_decides_and_sticks(self):
         ordering = RefinableOrdering(TimelineOracle())
-        first = ordering.earliest([A, B])
-        again = ordering.earliest([A, B])
+        first = earliest(ordering, [A, B])
+        again = earliest(ordering, [A, B])
         assert first is again
 
     def test_earliest_empty_raises(self):
         ordering = RefinableOrdering(TimelineOracle())
         with pytest.raises(ValueError):
-            ordering.earliest([])
+            earliest(ordering, [])
 
 
 class TestMakeOracle:
@@ -218,7 +220,7 @@ class TestEarliestScheduler:
                  (ts([0, 1, 0], issuer=1), 1),
                  (ts([0, 0, 1], issuer=2), 2)]
         picked = sched.select(heads)
-        linear = ordering.earliest([h[0] for h in heads])
+        linear = earliest(ordering, [h[0] for h in heads])
         assert heads[picked][0] is linear
 
     def test_unchanged_heads_save_compares(self):

@@ -8,19 +8,26 @@ apply — has the same shape in both deployments, i.e. trace ids survive
 the wire (the spans literally cross an OS process boundary and come
 back); (3) a Zipf-contended workload survives a SIGKILLed shard worker
 mid-run with a recovery, zero strict-serializability violations, and a
-clean history digest.
+clean history digest.  A read whose coordinating worker is SIGKILLed
+before it answers fails by the channel's name, and recovery serves it.
 """
 
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
 from repro.cluster.process import ProcessWeaver
 from repro.db import Weaver, WeaverConfig
+from repro.errors import ProgramError
 from repro.obs import assemble_chain
 from repro.verify.history import History, HistoryChecker, decided_order
 from repro.verify.online import OnlineChecker
 from repro.programs.library import (
+    Bfs,
     CollectReachable,
     CountEdges,
     GetNode,
@@ -178,6 +185,42 @@ class TestChaosKillAndRecover:
         digest = history.digest()
         assert len(digest) == 64
         assert digest == history.digest()  # stable over re-rendering
+
+
+class TestACoordinatorKilledWithAReadInFlight:
+    """The worker a read is sent to is stopped, so the request waits in
+    its socket, and SIGKILLed 0.3 s later: the read fails by the
+    channel's name well inside ``REPLY_DEADLINE``, and after
+    ``recover_shard`` the same read answers as before.  ``GetNode`` is
+    the one-pass read, ``Bfs`` the general round."""
+
+    @pytest.mark.parametrize("program, start_params", [
+        (GetNode(), None), (Bfs(), params(depth=0, max_depth=2)),
+    ], ids=["get_node", "traverse"])
+    def test_the_read_fails_by_name_and_recovery_answers(
+        self, program, start_params
+    ):
+        with ProcessWeaver(WeaverConfig(num_shards=2)) as db:
+            load_tree(db)
+            owner = db._shard_of("p0")
+            answer = db.run_program(program, "p0", start_params).results
+            pid = db._procs[owner].pid
+            os.kill(pid, signal.SIGSTOP)
+            killer = threading.Timer(0.3, os.kill, (pid, signal.SIGKILL))
+            killer.start()
+            began = time.monotonic()
+            try:
+                with pytest.raises(
+                    ProgramError, match=f"channel to 'shard{owner}' broke"
+                ):
+                    db.run_program(program, "p0", start_params)
+                assert time.monotonic() - began < 5
+            finally:
+                killer.join()
+            db.recover_shard(owner)
+            assert db.run_program(program, "p0", start_params).results == (
+                answer
+            )
 
 
 class TestShuffledSpanDelivery:
