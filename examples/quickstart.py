@@ -63,7 +63,11 @@ def main():
     print("after gatekeeper failover, alice ->", client.get_node("alice"))
 
     # -- How was everything ordered? --------------------------------------
-    print("ordering decisions:", db.ordering_stats())
+    snap = db.metrics.snapshot()
+    print("ordering decisions:", {
+        kind: snap[f"ordering.{kind}"]
+        for kind in ("proactive", "cached", "reactive")
+    })
 
 
 if __name__ == "__main__":

@@ -65,7 +65,11 @@ def _cmd_demo(args) -> int:
           client.find_path("alice", "carol", at=point))
     db.fail_shard(0)
     print("after shard failover:", client.traverse("alice"))
-    print("ordering decisions:", db.ordering_stats())
+    snap = db.metrics.snapshot()
+    print("ordering decisions:", {
+        kind: snap[f"ordering.{kind}"]
+        for kind in ("proactive", "cached", "reactive")
+    })
     return 0
 
 
@@ -128,26 +132,35 @@ def _cmd_stats(args) -> int:
     for start, _ in edges[:: max(1, len(edges) // 8)]:
         client.traverse(start)
 
+    snap = db.metrics.snapshot()
     if getattr(args, "json", False):
         import json
 
-        print(json.dumps(db.metrics.snapshot(), indent=2, sort_keys=True))
+        print(json.dumps(snap, indent=2, sort_keys=True))
         return 0
 
-    ordering = db.ordering_stats()
-    resolved = sum(ordering.values()) or 1
-    fastpath = db.fastpath_stats()
-    # How reads became ready: storms, reused stamps, and reuses that
-    # crossed a commit to a vertex the read does not see.
-    readiness = {
-        k: v for k, v in vars(db.executor.stats).items()
-        if k.startswith("readiness_")
-    }
+    ordering = [
+        (kind, snap[f"ordering.{kind}"])
+        for kind in ("cached", "proactive", "reactive")
+    ]
+    resolved = sum(count for _, count in ordering) or 1
+    # Work the fast paths saved, then how reads became ready: storms,
+    # reused stamps, and reuses that crossed a commit to a vertex the
+    # read does not see.
+    counters = [
+        "ordering.cache_hits", "ordering.heap_compares_saved",
+        "oracle.bfs_expansions", "oracle.bfs_pruned",
+        "oracle.reach_cache_hits", "ordering.snapshot_memo_hits",
+    ] + [name for name in snap if name.startswith("program.readiness_")]
     rows = (
-        [(k, v) for k, v in sorted(ordering.items())]
-        + [("reactive fraction", f"{ordering['reactive'] / resolved:.5f}")]
-        + [(k, v) for k, v in sorted(fastpath.items())]
-        + [(k, v) for k, v in sorted(readiness.items())]
+        ordering
+        + [("reactive fraction",
+            f"{snap['ordering.reactive'] / resolved:.5f}")]
+        + [
+            (name.removeprefix("ordering.").removeprefix("program.")
+             .replace(".", "_"), snap[name])
+            for name in counters
+        ]
     )
     print(format_table(
         "Ordering fast-path counters", ["counter", "value"], rows

@@ -72,10 +72,12 @@ def build_cluster(
 
     ``oracle`` overrides the locally constructed timeline oracle — the
     process deployment passes its :class:`~repro.cluster.worker.
-    OracleProxy` so ordering state lives in the oracle process while
-    the stats collector still reads it.  ``with_shards=False`` skips
-    local shard servers (they live in worker processes) and their
-    collectors.  ``network`` / ``transport_stats`` / ``extra`` add the
+    OracleProxy` so ordering state lives in the oracle process.
+    ``with_shards=False`` skips local shard servers (they live in worker
+    processes) and registers no shard, oracle or program collector: the
+    worker processes and the oracle process name those counters
+    themselves, and the deployment's ``extra`` absorbs their snapshots.
+    ``network`` / ``transport_stats`` / ``extra`` add the
     deployment-specific collectors under their existing dotted names.
     """
     cfg = config or WeaverConfig()
@@ -162,11 +164,11 @@ def build_cluster(
     )
     register_stats_collectors(
         metrics,
-        oracle=oracle,
+        oracle=oracle if with_shards else None,
         gatekeepers=lambda: parts.gatekeepers,
         shards=(lambda: parts.shards) if with_shards else None,
         network=network,
-        programs=lambda: parts.executor.stats,
+        programs=(lambda: parts.executor.stats) if with_shards else None,
         transport=transport_stats,
         store=lambda: parts.store.stats,
         regions=(lambda: parts.region_stats) if region_stats else None,

@@ -107,10 +107,10 @@ class ProcessWeaver(Coordinator):
             index: os.path.join(self._tmpdir, f"peer{index}.sock")
             for index in range(self.config.num_shards)
         }
-        #: Last absorbed worker-side metrics (dotted names, summed over
-        #: workers) — kept so `repro stats` after close() still reports
-        #: worker work (deployment-neutral program.* metrics).
+        #: Last absorbed counters of the shard workers (summed by name)
+        #: and of the oracle process, served after close() or a death.
         self._worker_metrics: Dict[str, float] = {}
+        self._oracle_metrics: Dict[str, float] = {}
         self._epoch = 0
         self.recoveries = 0
         self._closed = False
@@ -320,39 +320,40 @@ class ProcessWeaver(Coordinator):
 
     # -- statistics ------------------------------------------------------
 
-    def _absorb_worker_stats(self, replies: List[Dict[str, float]]) -> None:
-        """Sum the workers' flat metric snapshots by name into the
-        cached aggregate (wholesale: worker counters are cumulative
-        since worker start)."""
-        totals: Counter = Counter()
-        for snap in replies:
-            totals.update(snap)
-        self._worker_metrics = dict(totals)
+    def _absorb_remote_stats(self) -> None:
+        """Ask every worker and the oracle process for its own registry
+        snapshot (counters cumulative since that process started).  A
+        process that does not answer keeps its last absorbed counters."""
+        try:
+            totals: Counter = Counter()
+            for snap in self._request_all_shards("stats", None):
+                totals.update(snap)
+            self._worker_metrics = dict(totals)
+        except TransportError:
+            pass
+        try:
+            self._oracle_metrics = self.oracle._call("stats", None)
+        except TransportError:
+            pass
 
     def _process_metrics(self) -> Dict[str, float]:
-        """Aggregate worker-side counters over RPC; each worker names
-        its own through the same collectors the in-process deployments
-        register.
+        """The remote processes' counters, each named by that process
+        through the same collectors the in-process deployments register.
 
-        Registered *last* with the metrics registry, so the merged
-        ``program.*`` values emitted here (the client's readiness
-        counters + the workers' rounds) override the client-only
-        collector — program metrics stay deployment-neutral.  After
-        ``close()`` the last absorbed worker aggregate is served from
-        cache, so a final ``repro stats`` still sees worker-side work.
+        The client registers no shard, oracle or ``program.*`` collector
+        of its own: the ``program.*`` values here are the client's
+        readiness counters plus the workers' rounds, so program metrics
+        stay deployment-neutral.  After ``close()`` the last absorbed
+        counters are served from cache.
         """
+        if not self._closed:
+            self._absorb_remote_stats()
         out: Dict[str, float] = {
             "process.workers": len(self._live_shards()),
             "process.recoveries": self.recoveries,
         }
-        if not self._closed:
-            try:
-                self._absorb_worker_stats(
-                    self._request_all_shards("stats", None)
-                )
-            except TransportError:
-                pass
         out.update(self._worker_metrics)
+        out.update(self._oracle_metrics)
         for key, value in scalar_fields(self.executor.stats).items():
             name = f"program.{key}"
             out[name] = value + out.get(name, 0)
@@ -366,13 +367,11 @@ class ProcessWeaver(Coordinator):
             return
         try:
             self.transport.flush()
-            # Final stats absorb before the workers go away: merged
-            # program.* metrics survive into post-close snapshots.
-            self._absorb_worker_stats(
-                self._request_all_shards("stats", None)
-            )
         except TransportError:
             pass
+        # Final absorb before the processes go away: their counters
+        # survive into post-close snapshots.
+        self._absorb_remote_stats()
         self._closed = True
         for index in list(self._procs):
             name = self.shard_name(index)

@@ -144,9 +144,12 @@ class OracleProxy:
     """Client-side stub of the oracle process.
 
     Implements the ordering surface shards use
-    (:meth:`order`), the referee/GC surface the client uses
-    (:meth:`established_order`, :meth:`collect_below`), and the stats
-    attributes the metrics collector reads — each as one RPC.
+    (:meth:`order`) and the referee/GC surface the client uses
+    (:meth:`established_order`, :meth:`collect_below`), each as one
+    RPC.  The oracle process names its own counters: the client's
+    ``stats`` request gets its registry snapshot.  A channel that breaks
+    or stays silent for ``REPLY_DEADLINE`` fails the call with a
+    :class:`TransportError` on channel ``"oracle"``.
     """
 
     def __init__(self, path: str):
@@ -161,10 +164,16 @@ class OracleProxy:
     def _call(self, kind: str, payload: Any) -> Any:
         rid = self._next_id
         self._next_id += 1
-        wire.write_frame(self._sock, wire.encode(
-            {"k": "r", "id": rid, "kind": kind, "p": payload}
-        ))
-        envelope = wire.decode(wire.read_frame(self._sock))
+        frame = wire.encode({"k": "r", "id": rid, "kind": kind, "p": payload})
+        try:
+            wire.write_frame(self._sock, frame)
+            envelope = wire.decode(wire.read_frame(self._sock))
+        except (OSError, wire.WireError) as exc:
+            # A stream left mid-frame is never read again.
+            self.close()
+            raise TransportError(
+                f"channel to 'oracle' broke: {exc}", "oracle"
+            ) from exc
         if envelope.get("k") == "e":
             raise WeaverError(f"oracle worker failed: {envelope.get('e')}")
         return envelope.get("p")
@@ -187,29 +196,6 @@ class OracleProxy:
     def collect_below(self, watermark: VectorTimestamp) -> int:
         return self._call("collect", watermark)
 
-    # -- stats surface (what the metrics collector reads) ---------------
-
-    @property
-    def head(self) -> "OracleProxy":
-        return self
-
-    def _snapshot(self) -> dict:
-        return self._call("stats", None)
-
-    @property
-    def stats(self):
-        snap = self._snapshot()
-        view = _AttrView(snap["stats"])
-        return view
-
-    @property
-    def num_events(self) -> int:
-        return self._snapshot()["num_events"]
-
-    @property
-    def reach_cache_size(self) -> int:
-        return self._snapshot()["reach_cache_size"]
-
     def shutdown(self) -> None:
         try:
             self._call("shutdown", None)
@@ -221,16 +207,6 @@ class OracleProxy:
             self._sock.close()
         except OSError:
             pass
-
-
-class _AttrView:
-    """A dict exposed as plain attributes, so
-    :func:`repro.obs.collect.scalar_fields` reads it like a real
-    ``OracleStats`` (``messages`` included as a plain field)."""
-
-    def __init__(self, fields: dict):
-        for key, value in fields.items():
-            setattr(self, key, value)
 
 
 # -- the shard worker ----------------------------------------------------
@@ -1412,6 +1388,10 @@ def oracle_worker_main(listen_sock) -> None:
     point whose request count Fig 14 measures.
     """
     oracle = TimelineOracle()
+    # The ``stats`` reply: the oracle's counters under the names every
+    # deployment exports.
+    registry = MetricsRegistry()
+    register_stats_collectors(registry, oracle=oracle)
     sel = selectors.DefaultSelector()
     listen_sock.setblocking(True)
     sel.register(listen_sock, selectors.EVENT_READ, None)
@@ -1432,17 +1412,7 @@ def oracle_worker_main(listen_sock) -> None:
         if payload_kind == "collect":
             return oracle.collect_below(payload)
         if payload_kind == "stats":
-            fields = {
-                key: value
-                for key, value in vars(oracle.stats).items()
-                if isinstance(value, (int, float))
-            }
-            fields["messages"] = oracle.stats.messages
-            return {
-                "stats": fields,
-                "num_events": oracle.num_events,
-                "reach_cache_size": oracle.reach_cache_size,
-            }
+            return registry.snapshot()
         if payload_kind == "shutdown":
             running = False
             return True

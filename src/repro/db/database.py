@@ -834,12 +834,6 @@ class Weaver(Coordinator):
         self.drain()
         return self.shards[shard_index].evict(handle)
 
-    def paging_stats(self) -> Dict[str, int]:
-        return {
-            "pages_in": sum(s.stats.pages_in for s in self.shards),
-            "pages_out": sum(s.stats.pages_out for s in self.shards),
-        }
-
     # -- failure handling (section 4.3) -----------------------------------
 
     def fail_shard(self, index: int) -> ShardServer:
@@ -865,43 +859,3 @@ class Weaver(Coordinator):
         self.gatekeepers[index] = replacement
         self._reset_channels()
         return replacement
-
-    # -- statistics -----------------------------------------------------
-
-    def ordering_stats(self) -> Dict[str, int]:
-        """Aggregate proactive/cached/reactive comparison counts across
-        shards — the Fig 9 'reactively ordered' percentages."""
-        totals = {"proactive": 0, "cached": 0, "reactive": 0}
-        for shard in self.shards:
-            stats = shard.ordering.stats
-            totals["proactive"] += stats.proactive
-            totals["cached"] += stats.cached
-            totals["reactive"] += stats.reactive
-        return totals
-
-    def fastpath_stats(self) -> Dict[str, int]:
-        """Counters for work the ordering fast paths avoided entirely.
-
-        Kept separate from :meth:`ordering_stats` so the reactive-fraction
-        arithmetic the figures report stays on resolved comparisons only.
-        """
-        totals = {
-            "snapshot_memo_hits": 0,
-            "heap_compares_saved": 0,
-            "cache_hits": 0,
-        }
-        for shard in self.shards:
-            stats = shard.ordering.stats
-            totals["snapshot_memo_hits"] += stats.snapshot_memo_hits
-            totals["heap_compares_saved"] += stats.heap_compares_saved
-            if shard.ordering.cache is not None:
-                totals["cache_hits"] += shard.ordering.cache.hits
-        oracle_stats = self.oracle_head().stats
-        totals["oracle_bfs_expansions"] = oracle_stats.bfs_expansions
-        totals["oracle_bfs_pruned"] = oracle_stats.bfs_pruned
-        totals["oracle_reach_cache_hits"] = oracle_stats.reach_cache_hits
-        return totals
-
-    def oracle_head(self):
-        """The oracle state machine holding authoritative stats."""
-        return getattr(self.oracle, "head", self.oracle)

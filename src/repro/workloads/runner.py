@@ -39,8 +39,8 @@ def run_tao(client, workload: TaoWorkload, num_ops: int) -> RunReport:
     not raised — a real workload driver retries and moves on.
     """
     report = RunReport()
-    db = client.db
-    before = db.ordering_stats()
+    metrics = client.db.metrics
+    before = metrics.snapshot()
     for op in workload.stream(num_ops):
         report.operations += 1
         report.counts[op[0]] = report.counts.get(op[0], 0) + 1
@@ -48,8 +48,9 @@ def run_tao(client, workload: TaoWorkload, num_ops: int) -> RunReport:
             apply_to_weaver(client, op, workload)
         except (TransactionAborted, WeaverError):
             report.failures += 1
-    after = db.ordering_stats()
+    after = metrics.snapshot()
     report.ordering = {
-        key: after[key] - before.get(key, 0) for key in after
+        kind: after[f"ordering.{kind}"] - before[f"ordering.{kind}"]
+        for kind in ("proactive", "cached", "reactive")
     }
     return report

@@ -188,10 +188,10 @@ class TestGarbageCollection:
         for i in range(6):
             c2.set_property("a", "k", i)
         db2.drain()
-        assert db2.oracle_head().num_events > 0
+        assert db2.metrics.snapshot()["oracle.events"] > 0
         db2.collect_garbage()
         # Every event predates the idle-time watermark: all collected.
-        assert db2.oracle_head().num_events == 0
+        assert db2.metrics.snapshot()["oracle.events"] == 0
 
 
     def test_gc_reports_the_same_keys_on_both_deployments(self):
@@ -225,15 +225,22 @@ class TestGarbageCollection:
 
 
 class TestStats:
-    def test_ordering_stats_aggregate(self, db, client):
+    def test_ordering_counts_aggregate(self, db, client):
         client.create_vertex("a")
         client.get_node("a")
-        stats = db.ordering_stats()
-        assert stats["proactive"] > 0
+        assert db.metrics.snapshot()["ordering.proactive"] > 0
 
-    def test_oracle_head_unreplicated(self, db):
-        assert db.oracle_head() is db.oracle
+    def test_oracle_counters_come_from_the_chain_head(self):
+        from repro.db import WeaverClient
 
-    def test_oracle_head_replicated(self):
-        db = Weaver(WeaverConfig(oracle_chain_length=3))
-        assert db.oracle_head() is db.oracle.head
+        db = Weaver(WeaverConfig(num_gatekeepers=2, oracle_chain_length=3,
+                                 announce_every=10))
+        client = WeaverClient(db)
+        client.create_vertex("a")
+        for i in range(6):
+            client.set_property("a", "k", i)
+        db.drain()
+        snap = db.metrics.snapshot()
+        assert snap["oracle.events"] == db.oracle.head.num_events > 0
+        assert snap["oracle.messages"] == db.oracle.head.stats.messages
+        assert snap["oracle.update_messages"] == db.oracle.update_messages

@@ -78,7 +78,7 @@ class TestPagingUnderPressure:
         for name in names:
             db.evict_vertex(name)
         assert set(client.traverse(start)) == expected
-        assert db.paging_stats()["pages_in"] >= len(expected)
+        assert db.metrics.snapshot()["shard.pages_in"] >= len(expected)
 
     def test_paging_with_writes_between_evictions(self):
         db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=2))

@@ -32,8 +32,8 @@ class TestDemandPaging:
         node = client.get_node("a")
         assert node["properties"] == {"k": 1}
         assert node["out_degree"] == 1
-        stats = db.paging_stats()
-        assert stats == {"pages_in": 1, "pages_out": 1}
+        snap = db.metrics.snapshot()
+        assert snap["shard.pages_in"] == snap["shard.pages_out"] == 1
 
     def test_paged_in_edges_keep_properties(self, paged):
         db, client = paged
@@ -218,7 +218,7 @@ class TestMigratingAnEvictedVertex:
         target = (source + 1) % len(db.shards)
         db.evict_vertex("a")
         assert db.migrate_vertex("a", target)
-        assert db.paging_stats()["pages_in"] == 1
+        assert db.metrics.snapshot()["shard.pages_in"] == 1
         assert db.shards[target].graph.raw_vertex("a") is not None
         assert db.shards[source].graph.raw_vertex("a") is None
         assert client.get_node("a")["properties"] == {"k": 1}

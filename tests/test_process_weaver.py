@@ -477,3 +477,46 @@ class TestOneWayReadiness:
             db.kill_shard_worker(1)
             with pytest.raises(TransportError):
                 db.run_program(GetNode(), "p0")
+
+
+class TestTheOracleProcessKilled:
+    """The client side of an oracle death (ROADMAP 2): each client
+    request to the oracle fails by the channel's name, and a snapshot
+    still serves the oracle's last counters.  The shard workers' side is
+    ROADMAP 15."""
+
+    def test_oracle_requests_fail_by_name_and_counters_stay(self):
+        from repro.cluster.transport import REPLY_DEADLINE, TransportError
+        from repro.core.vclock import VectorTimestamp
+        from repro.db import WeaverClient
+
+        config = WeaverConfig(
+            num_gatekeepers=2, num_shards=2, announce_every=10
+        )
+        with ProcessWeaver(config) as db:
+            client = WeaverClient(db)
+            client.create_vertex("a")
+            for i in range(6):
+                client.set_property("a", "k", i)
+            db.drain()
+            before = db.metrics.snapshot()
+            assert before["oracle.events"] > 0
+            db._oracle_proc.kill()
+            db._oracle_proc.join(timeout=10)
+            started = time.monotonic()
+            with pytest.raises(TransportError) as gc_failed:
+                db.collect_garbage()
+            a = VectorTimestamp(0, (1, 0), 0)
+            b = VectorTimestamp(0, (0, 1), 1)
+            with pytest.raises(TransportError) as referee_failed:
+                decided_order(db.oracle)(a, b)
+            assert time.monotonic() - started < REPLY_DEADLINE
+            assert gc_failed.value.channel == "oracle"
+            assert referee_failed.value.channel == "oracle"
+            after = db.metrics.snapshot()
+            oracle = [name for name in before if name.startswith("oracle.")]
+            assert len(oracle) == 13
+            assert {n: after[n] for n in oracle} == {
+                n: before[n] for n in oracle
+            }
+            assert client.get_node("a")["properties"] == {"k": 5}

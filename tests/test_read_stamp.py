@@ -288,7 +288,7 @@ def lazy_db(request):
 
 
 def oracle_messages(db):
-    return db.oracle.stats.messages
+    return db.metrics.snapshot()["oracle.messages"]
 
 
 class TestAFreshStampFollowsEveryWrite:

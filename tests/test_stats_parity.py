@@ -198,6 +198,28 @@ GOLDEN_DIRECT_METRICS = frozenset({
 })
 
 
+# The names a `ProcessWeaver` snapshot carries: the direct surface, the
+# worker processes' own and the client transport's.
+GOLDEN_PROCESS_METRICS = GOLDEN_DIRECT_METRICS | frozenset(
+    [f"process.{name}" for name in (
+        "recoveries", "stragglers_dropped", "workers",
+    )]
+    + [f"program.resident.{name}" for name in (
+        "entries_processed", "forwards_received", "forwards_sent",
+        "hops_forwarded", "hops_received", "peer_reconnects",
+        "programs_coordinated", "programs_participated", "round_reports",
+        "rounds_executed", "stale_drops",
+    )]
+    + ["transport.queue_depth.shard0", "transport.queue_depth.shard1"]
+    + [f"transport.{side}{name}" for side in ("", "worker.") for name in (
+        "batched_messages", "batches_sent", "bytes_received",
+        "bytes_sent", "deserialize_seconds", "frames_received",
+        "frames_sent", "messages_received", "messages_sent", "requests",
+        "requests_pipelined", "serialize_seconds",
+    )]
+)
+
+
 class TestMetricSurface:
     @pytest.fixture(scope="class")
     def db(self):
@@ -302,3 +324,84 @@ class TestTwinMetricParity:
                      "program.resident.programs_coordinated",
                      "program.resident.rounds_executed"):
             assert snap[name] == 1, name
+
+
+def _three_vertices(db):
+    WeaverClient(db).transact(lambda t: (
+        t.create_vertex("a"),
+        t.create_vertex("b"),
+        t.create_edge("a", "b"),
+    ))
+
+
+class TestOneCounterSurface:
+    """Each process names its counters once, through
+    `register_stats_collectors`; the client reads them from its registry
+    and nowhere else."""
+
+    @pytest.fixture
+    def process_db(self):
+        from repro.cluster.process import ProcessWeaver
+
+        with ProcessWeaver(
+            WeaverConfig(num_gatekeepers=2, num_shards=2, announce_every=10)
+        ) as db:
+            yield db
+
+    @pytest.mark.parametrize("deployment", ["direct", "sim", "process"])
+    def test_no_name_comes_from_two_collectors(self, deployment):
+        from collections import Counter
+
+        from repro.cluster.process import ProcessWeaver
+        from repro.sim.deployment import SimulatedWeaver
+
+        config = WeaverConfig(num_gatekeepers=2, num_shards=2)
+        db = {"direct": Weaver, "sim": SimulatedWeaver,
+              "process": ProcessWeaver}[deployment](config)
+        try:
+            emitted = Counter()
+            for collector in db.metrics._collectors:
+                emitted.update(list(collector()))
+            assert [n for n, times in emitted.items() if times > 1] == []
+        finally:
+            if deployment == "process":
+                db.close()
+
+    def test_process_metric_names(self, process_db):
+        _three_vertices(process_db)
+        assert set(process_db.metrics.snapshot()) == GOLDEN_PROCESS_METRICS
+
+    def test_one_snapshot_asks_the_oracle_once(
+        self, process_db, monkeypatch
+    ):
+        from repro.cluster.worker import OracleProxy
+
+        calls = []
+        call = OracleProxy._call
+
+        def spy(self, kind, payload):
+            calls.append(kind)
+            return call(self, kind, payload)
+
+        monkeypatch.setattr(OracleProxy, "_call", spy)
+        process_db.metrics.snapshot()
+        assert calls == ["stats"]
+
+    def test_a_snapshot_after_close_serves_the_last_counters(
+        self, process_db
+    ):
+        client = WeaverClient(process_db)
+        client.create_vertex("a")
+        for i in range(6):
+            client.set_property("a", "k", i)
+        client.get_node("a")
+        process_db.drain()
+        last = process_db.metrics.snapshot()
+        process_db.close()
+        after = process_db.metrics.snapshot()
+        kept = [
+            name for name in last
+            if name.startswith(("program.", "oracle."))
+        ]
+        assert last["program.executions"] > 0 and last["oracle.events"] > 0
+        assert {n: after[n] for n in kept} == {n: last[n] for n in kept}
