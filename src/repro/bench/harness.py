@@ -939,7 +939,7 @@ def ablation_store_chains(
             (
                 k,
                 store.mean_chain_length,
-                store.chain_messages / store.commits,
+                store.chain_messages / store.stats.commits,
             )
         )
     return result

@@ -11,8 +11,8 @@ simulated deployment is the *deterministic twin* of the process
 deployment: same parts, same write path, different transport and clock.
 
 The parts object keeps **live lists**: deployments replace gatekeepers
-and shards in place on recovery, and the registered stats collectors
-follow the replacements because they close over the lists, not over the
+and shards in place on recovery, and the registry's collectors follow
+the replacements because they close over the lists, not over the
 initial elements.
 """
 
@@ -24,12 +24,12 @@ from typing import Any, Callable, List, Optional
 from ..core.gatekeeper import Gatekeeper
 from ..core.ordering import make_oracle
 from ..db.config import WeaverConfig
-from ..obs import MetricsRegistry, Tracer, register_stats_collectors
+from ..obs import MetricsRegistry, Tracer
 from ..programs.framework import ProgramExecutor
 from ..store.kvstore import TransactionalStore
 from ..store.mapping import ShardMapping
 from .manager import ClusterManager
-from .shard import ShardServer
+from .shard import ShardServer, absorb_shards
 
 
 @dataclass
@@ -64,8 +64,6 @@ def build_cluster(
     heartbeat_timeout: float = 1.0,
     tracer_clock: Optional[Callable[[], float]] = None,
     network: Any = None,
-    transport_stats: Any = None,
-    extra: Optional[Callable[[], dict]] = None,
     use_store_nodes: bool = True,
 ) -> ClusterParts:
     """Assemble one cluster's parts.
@@ -74,11 +72,10 @@ def build_cluster(
     process deployment passes its :class:`~repro.cluster.worker.
     OracleProxy` so ordering state lives in the oracle process.
     ``with_shards=False`` skips local shard servers (they live in worker
-    processes) and registers no shard, oracle or program collector: the
-    worker processes and the oracle process name those counters
-    themselves, and the deployment's ``extra`` absorbs their snapshots.
-    ``network`` / ``transport_stats`` / ``extra`` add the
-    deployment-specific collectors under their existing dotted names.
+    processes) and absorbs no shard, oracle or program counters: the
+    worker processes and the oracle process name those themselves, and
+    the deployment folds their snapshots into its own.  ``network`` is
+    the simulated network, whose counters are exported as ``network.*``.
     """
     cfg = config or WeaverConfig()
     if cfg.store_backend == "sqlite":
@@ -103,7 +100,9 @@ def build_cluster(
     region_clients: List[Any] = []
     region_of: dict = {}
     if cfg.num_regions > 1:
-        from ..core.oracle import RegionOracleClient, RegionStats
+        from ..core.oracle import (
+            RegionOracleClient, RegionStats, region_metrics,
+        )
 
         region_stats = [RegionStats() for _ in range(cfg.num_regions)]
         region_clients = [
@@ -141,7 +140,7 @@ def build_cluster(
         manager.register_shard(shard)
     executor = ProgramExecutor()
     metrics = MetricsRegistry()
-    tracer = Tracer(clock=tracer_clock, registry=metrics)
+    tracer = Tracer(clock=tracer_clock)
     oracle.tracer = tracer
     for gk in gatekeepers:
         gk.tracer = tracer
@@ -162,16 +161,17 @@ def build_cluster(
         region_clients=region_clients,
         region_of=region_of,
     )
-    register_stats_collectors(
-        metrics,
-        oracle=oracle if with_shards else None,
-        gatekeepers=lambda: parts.gatekeepers,
-        shards=(lambda: parts.shards) if with_shards else None,
-        network=network,
-        programs=(lambda: parts.executor.stats) if with_shards else None,
-        transport=transport_stats,
-        store=lambda: parts.store.stats,
-        regions=(lambda: parts.region_stats) if region_stats else None,
-        extra=extra,
-    )
+    metrics.absorb("gatekeeper", lambda: [g.stats for g in parts.gatekeepers])
+    metrics.absorb("store", lambda: parts.store.stats)
+    metrics.register_collector(tracer.counts)
+    if with_shards:
+        metrics.register_collector(oracle.metrics)
+        absorb_shards(metrics, lambda: parts.shards)
+        metrics.absorb("program", lambda: parts.executor.stats)
+    if network is not None:
+        metrics.register_collector(network.stats.metrics)
+    if region_stats:
+        metrics.register_collector(
+            lambda: region_metrics(parts.region_stats, network)
+        )
     return parts

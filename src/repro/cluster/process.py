@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import socket
 import tempfile
 from collections import Counter
@@ -91,12 +92,12 @@ class ProcessWeaver(Coordinator):
                 config,
                 oracle=OracleProxy(self._oracle_path),
                 with_shards=False,
-                transport_stats=transport.stats,
-                extra=self._process_metrics,
             ),
             transport,
         )
-        transport._registry = self.metrics
+        self.metrics.absorb("transport", lambda: transport.stats)
+        self.metrics.register_collector(transport.queue_depths)
+        self.metrics.register_collector(self._process_metrics)
         transport.register("client", self._on_worker_events)
 
         self._procs: Dict[int, Any] = {}
@@ -393,14 +394,8 @@ class ProcessWeaver(Coordinator):
         if self._oracle_proc.is_alive():
             self._oracle_proc.kill()
             self._oracle_proc.join(timeout=10)
-        try:
-            os.unlink(self._oracle_path)
-        except OSError:
-            pass
-        try:
-            os.rmdir(self._tmpdir)
-        except OSError:
-            pass
+        # The oracle and peer listeners' socket files go with it.
+        shutil.rmtree(self._tmpdir, ignore_errors=True)
         if hasattr(self.store, "close"):
             self.store.close()
 

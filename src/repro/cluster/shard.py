@@ -25,7 +25,9 @@ import heapq
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.ordering import EarliestScheduler, RefinableOrdering
+from ..core.ordering import (
+    EarliestScheduler, RefinableOrdering, cache_metrics,
+)
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, ProgramError
 from ..graph.elements import Vertex
@@ -54,9 +56,6 @@ class ShardStats:
         # forgot to rank, so cross-channel delivery skew can reorder
         # concurrent pairs — worth seeing in `repro stats`.
         self.local_tiebreaks = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class ShardServer:
@@ -426,3 +425,15 @@ class ShardServer:
         self.flush_all()
         self._queues = [[] for _ in range(self.num_gatekeepers)]
         self._expected_seqno = [None] * self.num_gatekeepers
+
+
+def absorb_shards(
+    registry, shards: Callable[[], List[ShardServer]]
+) -> None:
+    """Export the counters of ``shards()`` (followed across recovery),
+    summed: ``shard.*``, ``ordering.*`` and ``ordering.cache_*``."""
+    registry.absorb("shard", lambda: [s.stats for s in shards()])
+    registry.absorb("ordering", lambda: [s.ordering.stats for s in shards()])
+    registry.register_collector(
+        lambda: cache_metrics(s.ordering for s in shards())
+    )

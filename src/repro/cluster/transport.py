@@ -43,7 +43,7 @@ import itertools
 import socket
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import WeaverError
 from . import wire
@@ -88,9 +88,6 @@ class TransportStats:
         self.batched_messages = 0    # messages riding those frames
         self.serialize_seconds = 0.0
         self.deserialize_seconds = 0.0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class Transport:
@@ -247,9 +244,9 @@ class _Channel:
     """Client end of one worker connection."""
 
     __slots__ = ("name", "sock", "buffer", "pending", "replies",
-                 "next_id", "dead", "gauge")
+                 "next_id", "dead")
 
-    def __init__(self, name: str, sock, gauge=None) -> None:
+    def __init__(self, name: str, sock) -> None:
         self.name = name
         self.sock = sock
         self.buffer: List[Tuple[str, Any]] = []   # unsent one-way msgs
@@ -257,22 +254,18 @@ class _Channel:
         self.replies: Dict[int, dict] = {}
         self.next_id = 0
         self.dead = False
-        self.gauge = gauge                         # queue-depth Gauge
-
-    def update_gauge(self) -> None:
-        if self.gauge is not None:
-            self.gauge.set(len(self.buffer) + len(self.pending))
 
 
 class ProcessTransport(Transport):
     """Length-prefixed wire frames to worker processes over sockets."""
 
-    def __init__(self, registry=None, max_batch: int = 512,
+    def __init__(self, max_batch: int = 512,
                  timeout: float = REPLY_DEADLINE):
         self.stats = TransportStats()
         self._channels: Dict[str, _Channel] = {}
+        # Every channel name ever added: a removed one reports depth 0.
+        self._names: Set[str] = set()
         self._handlers: Dict[str, Handler] = {}
-        self._registry = registry
         self._max_batch = max_batch
         self._timeout = timeout
         self._closed = False
@@ -280,17 +273,11 @@ class ProcessTransport(Transport):
 
     # -- wiring ---------------------------------------------------------
 
-    def _queue_depth_gauge(self, name: str):
-        if self._registry is None:
-            return None
-        return self._registry.gauge(f"transport.queue_depth.{name}")
-
     def add_channel(self, name: str, sock) -> None:
         """Adopt the client end of a worker's socket."""
         sock.settimeout(self._timeout)
-        channel = _Channel(name, sock, self._queue_depth_gauge(name))
-        self._channels[name] = channel
-        channel.update_gauge()
+        self._channels[name] = _Channel(name, sock)
+        self._names.add(name)
 
     def remove_channel(self, name: str) -> None:
         """Drop a channel (dead worker); buffered messages are discarded
@@ -303,9 +290,6 @@ class ProcessTransport(Transport):
                 channel.sock.close()
             except OSError:
                 pass
-        gauge = self._queue_depth_gauge(name)
-        if gauge is not None:
-            gauge.set(0)
 
     def register(self, name: str, handler: Handler) -> None:
         """Delivery callback for worker-initiated traffic addressed to
@@ -314,6 +298,18 @@ class ProcessTransport(Transport):
 
     def channels(self) -> List[str]:
         return sorted(self._channels)
+
+    def queue_depths(self) -> Dict[str, int]:
+        """The collector of ``transport.queue_depth.<channel>``: messages
+        buffered plus requests in flight, per channel ever added."""
+        out = {}
+        for name in sorted(self._names):
+            channel = self._channels.get(name)
+            out[f"transport.queue_depth.{name}"] = (
+                len(channel.buffer) + len(channel.pending)
+                if channel is not None else 0
+            )
+        return out
 
     def _channel(self, dst: str) -> _Channel:
         channel = self._channels.get(dst)
@@ -375,7 +371,6 @@ class ProcessTransport(Transport):
         batch = self._take_buffer(channel)
         if batch:
             self._write(channel, {"k": "b", "m": batch})
-            channel.update_gauge()
 
     # -- one-way sends (buffered; FIFO per channel) ---------------------
 
@@ -385,8 +380,6 @@ class ProcessTransport(Transport):
         self.stats.messages_sent += 1
         if len(channel.buffer) >= self._max_batch:
             self._flush_channel(channel)
-        else:
-            channel.update_gauge()
 
     def flush(self, dst: Optional[str] = None) -> None:
         names = [dst] if dst is not None else list(self._channels)
@@ -424,7 +417,6 @@ class ProcessTransport(Transport):
             raise
         channel.pending.append(rid)
         self._in_flight += 1
-        channel.update_gauge()
         return (dst, rid)
 
     def collect(self, token: Tuple[str, int]) -> Any:
@@ -455,7 +447,6 @@ class ProcessTransport(Transport):
             if envelope["id"] in channel.pending:
                 channel.pending.remove(envelope["id"])
                 self._in_flight -= 1
-            channel.update_gauge()
         envelope = channel.replies.pop(rid)
         if envelope["k"] == "e":
             raise TransportError(

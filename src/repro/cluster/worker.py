@@ -32,19 +32,20 @@ coherent story across process boundaries.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import select
 import selectors
 import socket
 import time
 from collections import OrderedDict, deque
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.oracle import TimelineOracle
 from ..core.vclock import Ordering, VectorTimestamp
 from ..db.operations import load_partition, partition_image
 from ..errors import ProgramError, WeaverError
-from ..obs.collect import register_stats_collectors, scalar_fields
 from ..obs.metrics import MetricsRegistry
 from ..programs.framework import (
     VISIT_BUDGET_EXHAUSTED,
@@ -56,8 +57,19 @@ from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import ProgramContext
 from . import messages, wire
 from .messages import FrontierForward, ProgramStart
-from .shard import ShardServer
+from .shard import ShardServer, absorb_shards
 from .transport import REPLY_DEADLINE, ProcessTransport, TransportError
+
+
+def _orphan_check() -> Callable[[], bool]:
+    """True once the client that forked this process has died: a worker
+    of a SIGKILLed client is re-parented, and nobody is left to shut it
+    down.  (Its client socket need not read EOF: a later fork inherits
+    the client's end.)  Never true outside a forked child."""
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return lambda: False
+    return lambda: os.getppid() != parent.pid
 
 
 class BufferTracer:
@@ -1066,13 +1078,12 @@ class _ResidentEngine(ResidentEngine):
         self.transport.register("client", self._on_peer_spans)
         # The ``stats`` reply: this worker's counters under the names
         # every deployment exports; the client sums workers by name.
-        self.registry = MetricsRegistry()
-        register_stats_collectors(
-            self.registry,
-            shards=lambda: [worker.shard],
-            programs=lambda: self.prog_stats,
-            extra=self._worker_only_metrics,
-        )
+        self.registry = registry = MetricsRegistry()
+        absorb_shards(registry, lambda: [worker.shard])
+        registry.absorb("program", lambda: self.prog_stats)
+        registry.absorb("program.resident", lambda: self.resident)
+        registry.absorb("transport.worker", lambda: self.transport.stats)
+        registry.absorb("process", lambda: worker)  # stragglers_dropped
         self.buffers: Dict[Any, wire.FrameBuffer] = {}
         self.sel = selectors.DefaultSelector()
 
@@ -1085,8 +1096,10 @@ class _ResidentEngine(ResidentEngine):
         if self.listener is not None:
             self.listener.setblocking(True)
             self.sel.register(self.listener, selectors.EVENT_READ)
-        # The stall scan runs once a second whether or not traffic is
-        # flowing, so other queries' frames cannot starve it.
+        # The stall scan (and the orphan check) runs once a second whether
+        # or not traffic is flowing, so other queries' frames cannot
+        # starve it.
+        orphaned = _orphan_check()
         next_scan = time.monotonic() + 1.0
         while self.running:
             self.drain()
@@ -1095,6 +1108,8 @@ class _ResidentEngine(ResidentEngine):
             events = self.sel.select(timeout=1.0)
             now = time.monotonic()
             if now >= next_scan:
+                if orphaned():
+                    break
                 self._check_stalled()
                 next_scan = now + 1.0
             for key, _mask in events:
@@ -1301,19 +1316,6 @@ class _ResidentEngine(ResidentEngine):
             return self.registry.snapshot()
         return super()._handle_request(kind, payload)
 
-    def _worker_only_metrics(self) -> Dict[str, float]:
-        """What only a shard worker counts."""
-        out: Dict[str, float] = {
-            "process.stragglers_dropped": self.worker.stragglers_dropped,
-        }
-        for prefix, stats in (
-            ("program.resident", self.resident),
-            ("transport.worker", self.transport.stats),
-        ):
-            for key, value in scalar_fields(stats).items():
-                out[f"{prefix}.{key}"] = value
-        return out
-
 
 def shard_worker_main(
     sock,
@@ -1391,7 +1393,7 @@ def oracle_worker_main(listen_sock) -> None:
     # The ``stats`` reply: the oracle's counters under the names every
     # deployment exports.
     registry = MetricsRegistry()
-    register_stats_collectors(registry, oracle=oracle)
+    registry.register_collector(oracle.metrics)
     sel = selectors.DefaultSelector()
     listen_sock.setblocking(True)
     sel.register(listen_sock, selectors.EVENT_READ, None)
@@ -1419,8 +1421,14 @@ def oracle_worker_main(listen_sock) -> None:
         raise WeaverError(f"unknown oracle request {payload_kind!r}")
 
     buffers: Dict[Any, wire.FrameBuffer] = {}
+    orphaned = _orphan_check()
     while running:
-        for key, _mask in sel.select(timeout=1.0):
+        events = sel.select(timeout=1.0)
+        if not events and orphaned():
+            # Idle for a second with no client left: the shard workers
+            # of a dead client exit first, and nothing will say shutdown.
+            break
+        for key, _mask in events:
             conn = key.fileobj
             if conn is listen_sock:
                 client, _ = listen_sock.accept()

@@ -100,9 +100,6 @@ class GatekeeperStats:
         self.commits = 0
         self.aborts = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class Gatekeeper:
     """One member of the timeline coordinator's gatekeeper bank."""

@@ -29,6 +29,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import CycleError, OrderingError
+from ..obs.collect import scalar_fields
 from .vclock import Ordering, VectorTimestamp
 
 EventId = Tuple[int, int, int]
@@ -66,17 +67,6 @@ class OracleStats:
     def messages(self) -> int:
         """Total request messages the oracle served."""
         return self.queries + self.decisions + self.events_created
-
-    def reset(self) -> None:
-        self.queries = 0
-        self.decisions = 0
-        self.events_created = 0
-        self.events_collected = 0
-        self.bfs_expansions = 0
-        self.bfs_pruned = 0
-        self.reach_cache_hits = 0
-        self.reach_cache_evictions = 0
-        self.reach_cache_clears = 0
 
 
 class EventDependencyGraph:
@@ -322,6 +312,9 @@ class TimelineOracle:
         # reachability fast-path counters surface through ``oracle.stats``.
         self._graph = graph if graph is not None else EventDependencyGraph()
         self.stats = self._graph.stats
+        # What established_order's reachability work counts into while
+        # it runs: no client request pays for it.  Never read.
+        self._uncounted = OracleStats()
         # Optional repro.obs.Tracer; ordering decisions emit
         # ``oracle.decide`` spans (unattributed — one decision orders two
         # transactions; assemble_chain joins them via the a/b event ids).
@@ -339,6 +332,19 @@ class TimelineOracle:
     def reach_cache_size(self) -> int:
         return self._graph.reach_cache_size
 
+    def metrics(self) -> Dict[str, int]:
+        """The collector of ``oracle.*``: this replica's counters and
+        sizes.  A single oracle has no chain to fan updates out to."""
+        out = {
+            f"oracle.{key}": value
+            for key, value in scalar_fields(self.stats).items()
+        }
+        out["oracle.messages"] = self.stats.messages
+        out["oracle.events"] = self.num_events
+        out["oracle.reach_cache_size"] = self.reach_cache_size
+        out["oracle.update_messages"] = 0
+        return out
+
     def create_event(self, ts: VectorTimestamp) -> None:
         """Register a transaction as an event (idempotent)."""
         if self._graph.add_event(ts):
@@ -350,12 +356,25 @@ class TimelineOracle:
         """The pre-established order of (a, b), or None — no accounting.
 
         Consults vector clocks, explicit commitments, and their combined
-        transitive closure.  Never creates new commitments and never
-        bumps request counters; the counting entry points
-        (:meth:`query_order`, :meth:`order`) and the replicated chain
-        build on this so that one client request is counted exactly
-        once, at exactly one replica.
+        transitive closure.  Never creates new commitments and counts
+        nothing, not even its reachability work: region-local reads,
+        chain replica reads and the history referee use it, and no
+        client request of the head's pays for them.
         """
+        graph = self._graph
+        graph.stats = self._uncounted
+        try:
+            return self._established(a, b)
+        finally:
+            graph.stats = self.stats
+
+    def _established(
+        self, a: VectorTimestamp, b: VectorTimestamp
+    ) -> Optional[Ordering]:
+        """:meth:`established_order`, its reachability work counted in
+        ``stats``: the counting entry points (:meth:`query_order`,
+        :meth:`order`) build on this, so one client request is counted
+        exactly once, with the work it caused."""
         vc = a.compare(b)
         if vc is not Ordering.CONCURRENT:
             return vc
@@ -375,7 +394,7 @@ class TimelineOracle:
         One client request, one ``queries`` increment.
         """
         self.stats.queries += 1
-        return self.established_order(a, b)
+        return self._established(a, b)
 
     def order(
         self,
@@ -397,11 +416,11 @@ class TimelineOracle:
         the real request rate.)
 
         A decision makes two reachability searches, both inside
-        :meth:`established_order`: having found that neither event
+        :meth:`_established`: having found that neither event
         reaches the other, it links them without the cycle check
         :meth:`EventDependencyGraph.add_order` would repeat.
         """
-        existing = self.established_order(a, b)
+        existing = self._established(a, b)
         if existing is not None:
             self.stats.queries += 1
             return existing
@@ -498,6 +517,13 @@ class ReplicatedOracle:
     def head(self) -> TimelineOracle:
         return self._replicas[0]
 
+    def metrics(self) -> Dict[str, int]:
+        """The head's ``oracle.*`` plus the chain's update fan-out, kept
+        apart from the client-visible ``oracle.messages`` on purpose."""
+        out = self.head.metrics()
+        out["oracle.update_messages"] = self.update_messages
+        return out
+
     @property
     def tail(self) -> TimelineOracle:
         return self._replicas[-1]
@@ -579,9 +605,23 @@ class RegionStats:
     def oracle_messages(self) -> int:
         return self.local_queries + self.escalations
 
-    def reset(self) -> None:
-        self.local_queries = 0
-        self.escalations = 0
+
+def region_metrics(
+    region_stats: List[RegionStats], network=None
+) -> Dict[str, int]:
+    """The collector of ``region.<r>.*``: each region's counters, its
+    ``oracle_messages``, and the announces its servers sent (read from
+    the simulated network's per-region counts; 0 without one)."""
+    out: Dict[str, int] = {}
+    for r, stats in enumerate(region_stats):
+        for key, value in scalar_fields(stats).items():
+            out[f"region.{r}.{key}"] = value
+        out[f"region.{r}.oracle_messages"] = stats.oracle_messages
+        out[f"region.{r}.announce_messages"] = (
+            network.stats.region_count(r, "announce")
+            if network is not None else 0
+        )
+    return out
 
 
 class RegionOracleClient:

@@ -15,7 +15,7 @@ cache and the ablation benchmark A3 measures the oracle traffic it saves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .oracle import ReplicatedOracle, TimelineOracle
 from .vclock import Ordering, VectorTimestamp
@@ -94,6 +94,19 @@ class OrderingCache:
         self._decisions.clear()
 
 
+def cache_metrics(
+    orderings: Iterable["RefinableOrdering"],
+) -> Dict[str, int]:
+    """The collector of ``ordering.cache_*``: the decision caches of
+    several shards' orderings, summed."""
+    caches = [o.cache for o in orderings if o.cache is not None]
+    return {
+        "ordering.cache_hits": sum(c.hits for c in caches),
+        "ordering.cache_misses": sum(c.misses for c in caches),
+        "ordering.cache_entries": sum(len(c) for c in caches),
+    }
+
+
 class OrderingStats:
     """Counts of how comparisons were resolved (and avoided entirely)."""
 
@@ -122,15 +135,6 @@ class OrderingStats:
     @property
     def reactive_fraction(self) -> float:
         return self.reactive / self.total if self.total else 0.0
-
-    def reset(self) -> None:
-        self.proactive = 0
-        self.cached = 0
-        self.reactive = 0
-        self.snapshot_memo_hits = 0
-        self.heap_compares_saved = 0
-        self.deadline_fastpath = 0
-        self.deadline_fallback = 0
 
 
 class RefinableOrdering:

@@ -333,12 +333,7 @@ class Coordinator(WritePath):
         self.program_cache: Optional[ProgramCache] = None
         if self.config.enable_program_cache:
             self.program_cache = cache = ProgramCache(self.changes)
-            self.metrics.register_collector(lambda: {
-                "program.cache.hits": cache.hits,
-                "program.cache.misses": cache.misses,
-                "program.cache.invalidations": cache.invalidations,
-                "program.cache.entries": len(cache),
-            })
+            self.metrics.absorb("program.cache", lambda: cache)
 
     # -- shards, by name ------------------------------------------------
 

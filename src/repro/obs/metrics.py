@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: fixed-bucket histograms plus absorbed stats.
 
 Design constraints, in order:
 
@@ -7,14 +7,16 @@ Design constraints, in order:
   from bucket counts, so two identical runs produce identical snapshots
   (the golden-snapshot test in ``tests/test_stats_parity.py`` relies on
   this).
-* **Cheap on the hot path.**  A counter increment is one attribute add;
-  a histogram observation is one bisect plus three adds.  Nothing
+* **Free on the hot path.**  A counter is a public numeric field of a
+  component's stats object, bumped with one attribute add; the registry
+  reads it only at snapshot time (:meth:`MetricsRegistry.absorb`).  A
+  histogram observation is one bisect plus three adds.  Nothing
   allocates per event.
-* **Absorbing, not rewriting.**  The legacy per-server stats classes
-  keep their plain-attribute counters (dozens of call sites and tests
-  touch them directly); *collectors* registered on the registry read
-  them out under stable dotted names at snapshot time.  New metrics use
-  registry-native instruments directly.
+* **One way to count.**  Histograms are the only instrument the
+  registry owns.  Everything else reaches a snapshot through a
+  *collector*: ``absorb`` for the fields of a stats object, and a named
+  collector, written next to its component, for the few values that
+  are not fields (sizes, per-kind dicts, per-region names).
 
 Metric names are dotted paths (``oracle.messages``,
 ``latency.tx_commit.p99``).  Renaming one is an API change: the golden
@@ -24,7 +26,11 @@ test must be updated deliberately.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Union,
+)
+
+from .collect import summed_fields
 
 Number = Union[int, float]
 
@@ -32,40 +38,6 @@ Number = Union[int, float]
 #: Wide enough for simulated network latencies (100 µs hops) through
 #: whole chaos-run horizons, fine enough for meaningful p50/p95/p99.
 DEFAULT_BUCKETS = tuple(1e-6 * (2.0 ** k) for k in range(25))
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: Number = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only go up")
-        self.value += n
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class Gauge:
-    """A point-in-time value (queue depth, cache size, current τ)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Histogram:
@@ -171,87 +143,55 @@ Collector = Callable[[], Dict[str, Number]]
 
 
 class MetricsRegistry:
-    """One deployment's metric namespace.
-
-    Instruments are created on first use (``counter(name)`` is get-or-
-    create); requesting the same name as a different instrument type is
-    an error — dotted names are a single flat namespace.
-    """
+    """One deployment's metric namespace: histograms (get-or-create by
+    name) and the collectors that absorb every counter."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: List[Collector] = []
-
-    # -- instruments ----------------------------------------------------
-
-    def _claim(self, name: str, kind: dict) -> None:
-        for family in (self._counters, self._gauges, self._histograms):
-            if family is not kind and name in family:
-                raise ValueError(
-                    f"metric {name!r} already exists as another type"
-                )
-
-    def counter(self, name: str) -> Counter:
-        found = self._counters.get(name)
-        if found is None:
-            self._claim(name, self._counters)
-            found = self._counters[name] = Counter(name)
-        return found
-
-    def gauge(self, name: str) -> Gauge:
-        found = self._gauges.get(name)
-        if found is None:
-            self._claim(name, self._gauges)
-            found = self._gauges[name] = Gauge(name)
-        return found
 
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
         found = self._histograms.get(name)
         if found is None:
-            self._claim(name, self._histograms)
             found = self._histograms[name] = Histogram(name, buckets)
         return found
 
-    # -- collectors -----------------------------------------------------
-
     def register_collector(self, collector: Collector) -> None:
-        """Absorb an external stats source into snapshots.
-
-        ``collector()`` is called at snapshot time and must return a
-        ``{dotted-name: number}`` dict; this is how the legacy
-        ``*Stats`` classes surface without rewriting their call sites.
-        """
+        """Merge ``collector()``, a ``{dotted-name: number}`` dict, into
+        every snapshot."""
         self._collectors.append(collector)
 
-    # -- output ---------------------------------------------------------
+    def absorb(self, prefix: str, source: Callable[[], Any]) -> None:
+        """Export the public numeric fields of ``source()`` as
+        ``<prefix>.<field>``.
+
+        ``source()`` returns one stats object, or an iterable of them
+        summed by field.  It is called at every snapshot, so a
+        collector follows a component replaced on recovery.
+        """
+
+        def collect() -> Dict[str, Number]:
+            found = source()
+            objects = found if isinstance(found, Iterable) else (found,)
+            return {
+                f"{prefix}.{key}": value
+                for key, value in summed_fields(objects).items()
+            }
+
+        self._collectors.append(collect)
 
     def snapshot(self) -> Dict[str, Number]:
         """Every metric, flat, under sorted dotted names.
 
         Histograms expand to ``.count``/``.sum``/``.p50``/``.p95``/
-        ``.p99``/``.max``.  Collector output merges in last, so a
-        collector name colliding with an instrument is a bug made
-        visible by the golden-snapshot test rather than silently
-        shadowed.
+        ``.p99``/``.max``.
         """
         out: Dict[str, Number] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
         for name, histogram in self._histograms.items():
             for suffix, value in histogram.summary().items():
                 out[f"{name}.{suffix}"] = value
         for collector in self._collectors:
             out.update(collector())
         return dict(sorted(out.items()))
-
-    def reset(self) -> None:
-        """Reset owned instruments (collector sources reset themselves)."""
-        for family in (self._counters, self._gauges, self._histograms):
-            for instrument in family.values():
-                instrument.reset()

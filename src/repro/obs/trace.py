@@ -50,7 +50,6 @@ attributes — :func:`assemble_chain` stitches them in.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -124,7 +123,6 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         capacity: int = 1 << 16,
-        registry=None,
     ) -> None:
         if capacity < 1:
             raise ValueError("tracer needs a positive capacity")
@@ -134,14 +132,9 @@ class Tracer:
         self._ring: deque = deque()
         self._size = 0
         self._sinks: List[Callable[[Span], None]] = []
-        self._ids = itertools.count(1)
+        # Trace ids issued, and spans emitted (the next span's seq).
+        self._traces = 0
         self._seq = 0
-        self._spans_counter = (
-            registry.counter("trace.spans") if registry is not None else None
-        )
-        self._traces_counter = (
-            registry.counter("trace.traces") if registry is not None else None
-        )
 
     @property
     def capacity(self) -> int:
@@ -154,9 +147,13 @@ class Tracer:
 
     def next_trace_id(self) -> int:
         """A fresh trace id; called by the client at submission."""
-        if self._traces_counter is not None:
-            self._traces_counter.inc()
-        return next(self._ids)
+        self._traces += 1
+        return self._traces
+
+    def counts(self) -> Dict[str, int]:
+        """The collector of ``trace.spans`` and ``trace.traces``: spans
+        emitted and trace ids issued, evicted ones included."""
+        return {"trace.spans": self._seq, "trace.traces": self._traces}
 
     # -- emission -------------------------------------------------------
 
@@ -184,8 +181,6 @@ class Tracer:
         else:
             self._size += 1
             self._evict()
-        if self._spans_counter is not None:
-            self._spans_counter.inc()
         if self._sinks:
             span = _span(record)
             for sink in self._sinks:
@@ -207,8 +202,6 @@ class Tracer:
         self._size += count
         if self._size > self._capacity:
             self._evict()
-        if self._spans_counter is not None:
-            self._spans_counter.inc(count)
 
     def _evict(self) -> None:
         """Drop the oldest spans down to ``capacity``; an encoded record

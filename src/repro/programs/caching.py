@@ -95,9 +95,12 @@ class ProgramCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        # len(self), kept as a field so the registry absorbs it with
+        # the counters (``program.cache.entries``).
+        self.entries = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.entries
 
     @staticmethod
     def key(
@@ -123,6 +126,7 @@ class ProgramCache:
             return None
         if not self._tracker.unchanged(entry.observed):
             del self._entries[key]
+            self.entries -= 1
             self.invalidations += 1
             self.misses += 1
             return None
@@ -139,9 +143,11 @@ class ProgramCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
+        self.entries = len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
+        self.entries = 0
 
     @property
     def hit_rate(self) -> float:

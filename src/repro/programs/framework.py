@@ -104,12 +104,11 @@ class NodeProgram:
 class ProgramStats:
     """Counters for the scatter-gather execution pipeline.
 
-    Absorbed into the metrics registry under ``program.*`` (see
-    ``repro.obs.collect``).  The headline pair is ``snapshots_created``
-    vs ``snapshot_reuse_hits``: per query the batched path asks for
-    O(shards) snapshot views where the seed path built O(vertices
-    visited), and every resolution served by a view already asked for
-    counts as one reuse hit.
+    Absorbed into the metrics registry under ``program.*``.  The
+    headline pair is ``snapshots_created`` vs ``snapshot_reuse_hits``:
+    per query the batched path asks for O(shards) snapshot views where
+    the seed path built O(vertices visited), and every resolution served
+    by a view already asked for counts as one reuse hit.
     """
 
     def __init__(self) -> None:
@@ -128,9 +127,6 @@ class ProgramStats:
         # Fast-path hits that crossed a commit attempt: a program that
         # reads only its start vertices, none of them written since.
         self.readiness_reuses_across_commits = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 class ProgramResult:

@@ -55,7 +55,6 @@ from ..db.database import WritePath
 from ..db.operations import Operation
 from ..db.transactions import Transaction
 from ..errors import TransactionAborted
-from ..obs.collect import scalar_fields
 from ..programs.framework import NodeProgram, ProgramResult
 from .clock import USEC
 from .faults import FaultInjector, FaultPlan, GATEKEEPER
@@ -315,11 +314,17 @@ class SimulatedWeaver(WritePath):
             heartbeat_timeout=2.5 * heartbeat_period,
             tracer_clock=lambda: self.simulator.now,
             network=self.network,
-            transport_stats=transport.stats,
-            extra=self._sim_metrics,
             use_store_nodes=False,
         )
         super().__init__(parts, transport)
+        self.metrics.absorb("transport", lambda: transport.stats)
+        # The engines' counters, summed under the names the process
+        # deployment exports for its workers.
+        self.metrics.absorb(
+            "program.resident",
+            lambda: [e.resident for e in self._engines.values()],
+        )
+        self.metrics.register_collector(self._sim_metrics)
         self.shards: List[ShardServer] = parts.shards
         # Geo deployment (config.num_regions > 1): place every server in
         # its region, give each region one deadline stamper (it survives
@@ -907,20 +912,13 @@ class SimulatedWeaver(WritePath):
     # -- introspection --------------------------------------------------
 
     def _sim_metrics(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
+        return {
             "sim.committed": self.committed,
             "sim.aborted": self.aborted,
             "sim.recoveries": self.recoveries,
             "sim.stragglers_dropped": self.stragglers_dropped,
             "sim.tau": self.tau,
         }
-        # The engines' counters, summed under the names the process
-        # deployment exports for its workers.
-        for engine in self._engines.values():
-            for key, value in scalar_fields(engine.resident).items():
-                name = f"program.resident.{key}"
-                out[name] = out.get(name, 0) + value
-        return out
 
     @property
     def stragglers_dropped(self) -> int:

@@ -153,11 +153,18 @@ class NetworkStats:
     def total_faults(self) -> int:
         return sum(self.faults.values())
 
-    def reset(self) -> None:
-        self.sent.clear()
-        self.total = 0
-        self.faults.clear()
-        self.region_sent.clear()
+    def metrics(self) -> Dict[str, int]:
+        """The collector of ``network.*``: totals, and counts by message
+        kind and by fault kind."""
+        out = {
+            "network.messages_total": self.total,
+            "network.faults_total": self.total_faults(),
+        }
+        for kind, count in sorted(self.sent.items()):
+            out[f"network.sent.{kind}"] = count
+        for kind, count in sorted(self.faults.items()):
+            out[f"network.faults.{kind}"] = count
+        return out
 
 
 class Network:

@@ -189,15 +189,6 @@ class TransactionalStore:
         self._sleep: Callable[[float], None] = sleep or (lambda _s: None)
         self._rng: random.Random = rng or random.Random(0)
 
-    # ``commits``/``aborts`` pre-date StoreStats; kept as read-only aliases.
-    @property
-    def commits(self) -> int:
-        return self.stats.commits
-
-    @property
-    def aborts(self) -> int:
-        return self.stats.aborts
-
     @property
     def version(self) -> int:
         """The newest committed version."""

@@ -126,8 +126,6 @@ class TestNetworkRegionCharging:
         assert net.stats.region_count(0, "announce") == 2
         assert net.stats.region_count(1, "announce") == 1
         assert net.stats.region_count(1, "nop") == 0
-        net.stats.reset()
-        assert net.stats.region_count(0, "announce") == 0
 
 
 class TestDeadlineStamper:
@@ -336,3 +334,57 @@ class TestRecoveryReconcile:
         (result,) = results
         assert result is not None
         assert result.results[0]["properties"]["w"] == 99
+
+
+class TestOracleFastPathCounters:
+    """The head's reach-cache and BFS counters move only for requests
+    the head counts: region-local reads, chain replica reads and the
+    history referee use the oracle without a request, and count
+    nothing."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        """Geo seed 7, τ 200 µs, deadline fast path off: its deployment
+        and the history its referee checked."""
+        import repro.workloads.geo as geo
+
+        made = {}
+
+        class Sim(SimulatedWeaver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made["sim"] = self
+
+        class Recorded(geo.History):
+            def __init__(self):
+                super().__init__()
+                made["history"] = self
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "SimulatedWeaver", Sim)
+            patch.setattr(geo, "History", Recorded)
+            run_geo(7, tau=200 * USEC, fastpath=False)
+        return made["sim"], made["history"]
+
+    @staticmethod
+    def oracle_metrics(sim):
+        return {
+            name: value for name, value in sim.metrics.snapshot().items()
+            if name.startswith("oracle.")
+        }
+
+    def test_cache_hits_stay_within_head_requests(self, baseline):
+        sim, _history = baseline
+        oracle = self.oracle_metrics(sim)
+        assert oracle["oracle.decisions"] > 0
+        assert oracle["oracle.reach_cache_hits"] <= (
+            oracle["oracle.queries"] + oracle["oracle.decisions"]
+        )
+
+    def test_checking_a_history_counts_nothing(self, baseline):
+        from repro.verify.history import HistoryChecker, decided_order
+
+        sim, history = baseline
+        before = self.oracle_metrics(sim)
+        assert HistoryChecker(history, decided_order(sim.oracle)).check() == []
+        assert self.oracle_metrics(sim) == before

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import (
-    Counter,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -15,24 +14,6 @@ from repro.core.vclock import VectorTimestamp
 
 def ts(clocks, issuer=0, epoch=0):
     return VectorTimestamp(epoch, tuple(clocks), issuer)
-
-
-class TestCounterGauge:
-    def test_counter_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
-
-    def test_gauge_sets(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("depth")
-        g.set(7)
-        assert registry.snapshot()["depth"] == 7
 
 
 class TestHistogram:
@@ -119,21 +100,22 @@ class TestHistogram:
         assert h.count == 0 and h.summary()["max"] == 0.0
 
 
+class _Stats:
+    def __init__(self, hits=0, misses=0):
+        self.hits = hits
+        self.misses = misses
+        self._private = 7
+        self.label = "x"
+
+
 class TestRegistry:
     def test_get_or_create(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-
-    def test_type_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(ValueError):
-            registry.gauge("a")
+        assert registry.histogram("a") is registry.histogram("a")
 
     def test_snapshot_sorted_and_flat(self):
         registry = MetricsRegistry()
-        registry.counter("z.last").inc()
-        registry.counter("a.first").inc(2)
+        registry.register_collector(lambda: {"z.last": 1, "a.first": 2})
         registry.histogram("m.lat").observe(0.5)
         snap = registry.snapshot()
         assert list(snap) == sorted(snap)
@@ -145,11 +127,22 @@ class TestRegistry:
         registry.register_collector(lambda: {"ext.value": 9})
         assert registry.snapshot()["ext.value"] == 9
 
-    def test_reset_owned_instruments(self):
+    def test_absorb_reads_public_numeric_fields_at_snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc(5)
-        registry.reset()
-        assert registry.snapshot()["a"] == 0
+        stats = _Stats()
+        registry.absorb("cache", lambda: stats)
+        stats.hits += 3
+        assert registry.snapshot() == {"cache.hits": 3, "cache.misses": 0}
+
+    def test_absorb_sums_an_iterable_by_field(self):
+        registry = MetricsRegistry()
+        servers = [_Stats(1, 2), _Stats(10, 20)]
+        registry.absorb("shard", lambda: servers)
+        assert registry.snapshot() == {"shard.hits": 11, "shard.misses": 22}
+        # The source is asked again at every snapshot: a replaced
+        # server's counters go with it.
+        servers.pop()
+        assert registry.snapshot() == {"shard.hits": 1, "shard.misses": 2}
 
 
 class TestScalarFields:
@@ -206,13 +199,13 @@ class TestTracer:
         first, second = tracer.spans()
         assert second.at > first.at
 
-    def test_registry_counters(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry=registry)
-        tracer.next_trace_id()
+    def test_counts(self):
+        tracer = Tracer(capacity=1)
+        assert tracer.next_trace_id() == 1
         tracer.emit(1, "k")
-        snap = registry.snapshot()
-        assert snap["trace.traces"] == 1 and snap["trace.spans"] == 1
+        tracer.emit_encoded(2, lambda: [(1, "k", "", {})] * 2)
+        # Spans evicted from the ring still count.
+        assert tracer.counts() == {"trace.spans": 3, "trace.traces": 1}
 
     def test_trace_ids_sorted_distinct(self):
         tracer = Tracer()

@@ -211,11 +211,13 @@ class TestTimelineOracle:
         oracle.collect_below(ts([0, 2], issuer=1))  # collects nothing older
         assert oracle.query_order(A, C) == before
 
-    def test_stats_reset(self):
+    def test_one_request_moves_messages_by_one(self):
         oracle = TimelineOracle()
         oracle.order(A, B)
-        oracle.stats.reset()
-        assert oracle.stats.messages == 0
+        before = oracle.metrics()
+        oracle.order(A, B)
+        after = oracle.metrics()
+        assert after["oracle.messages"] - before["oracle.messages"] == 1
 
 
 class TestReplicatedOracle:

@@ -520,3 +520,84 @@ class TestTheOracleProcessKilled:
                 n: before[n] for n in oracle
             }
             assert client.get_node("a")["properties"] == {"k": 5}
+
+
+class TestLifecycleLeavesNothingBehind:
+    """What a deployment starts, its end stops: ``close()`` removes the
+    temp dir with every socket file in it, and a client that dies
+    without closing takes its worker processes with it."""
+
+    #: Workers check for a dead client once a second; the oracle, once
+    #: it has been idle for a second after they are gone.
+    ORPHAN_EXIT_BOUND = 10.0
+
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_close_removes_the_temp_dir(self, recover):
+        db = ProcessWeaver(WeaverConfig(num_gatekeepers=1, num_shards=2))
+        try:
+            load_tree(db, n=6)
+            assert os.path.exists(os.path.join(db._tmpdir, "peer0.sock"))
+            if recover:
+                db.kill_shard_worker(1)
+                db.recover_shard(1)
+        finally:
+            db.close()
+        assert not os.path.exists(db._tmpdir)
+
+    def test_client_death_ends_every_worker(self):
+        import json
+        import shutil
+        import subprocess
+        import sys
+
+        if not os.path.isdir("/proc"):
+            pytest.skip("reads process states from /proc")
+        script = (
+            "import json, sys, time\n"
+            "from repro.cluster.process import ProcessWeaver\n"
+            "from repro.db import WeaverConfig\n"
+            "db = ProcessWeaver(WeaverConfig(num_gatekeepers=1,"
+            " num_shards=2))\n"
+            "pids = [db._oracle_proc.pid]"
+            " + [p.pid for p in db._procs.values()]\n"
+            "print(json.dumps([db._tmpdir, pids]), flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        client = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            env=env, text=True,
+        )
+        tmpdir, pids = None, []
+        try:
+            tmpdir, pids = json.loads(client.stdout.readline())
+            assert len(pids) == 3
+            client.send_signal(signal.SIGKILL)
+            client.wait(timeout=10)
+            deadline = time.monotonic() + self.ORPHAN_EXIT_BOUND
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.1)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            client.kill()
+            client.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            # A killed client cannot remove its own temp dir.
+            if tmpdir is not None:
+                shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an orphan's reaper may be slow to reap)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"

@@ -335,9 +335,9 @@ def _three_vertices(db):
 
 
 class TestOneCounterSurface:
-    """Each process names its counters once, through
-    `register_stats_collectors`; the client reads them from its registry
-    and nowhere else."""
+    """Each process names its counters once, through its registry's
+    collectors; the client reads them from its registry and nowhere
+    else."""
 
     @pytest.fixture
     def process_db(self):

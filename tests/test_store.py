@@ -181,7 +181,7 @@ class TestTransactions:
         tx.put("unrelated", 1)
         with pytest.raises(TransactionAborted):
             tx.commit()
-        assert store.aborts == 1
+        assert store.stats.aborts == 1
 
     def test_write_write_conflict_aborts(self, store):
         tx = store.begin()

@@ -20,7 +20,7 @@ from repro.cluster.wire import WireError
 from repro.db import Weaver, WeaverConfig
 from repro.db import operations as ops
 from repro.errors import ProgramError
-from repro.obs import MetricsRegistry, trace
+from repro.obs import trace
 from repro.obs.trace import Tracer
 from repro.programs.library import CollectReachable, GetNode
 from repro.sim.clock import MSEC, USEC
@@ -104,7 +104,7 @@ def _run(name, sink=None):
         if sink is not None:
             db.tracer.add_sink(sink)
         script(db)
-        return db.tracer.spans(), db.metrics.counter("trace.spans").value
+        return db.tracer.spans(), db.tracer.counts()["trace.spans"]
     finally:
         if name == "process":
             db.close()
@@ -146,7 +146,7 @@ def test_ring_equals_sink(name, counted_spans):
         script(db)
         assert counted_spans == []
         lazy = db.tracer.spans()
-        lazy_count = db.metrics.counter("trace.spans").value
+        lazy_count = db.tracer.counts()["trace.spans"]
     finally:
         if name == "process":
             db.close()
@@ -216,10 +216,9 @@ class TestEncodedRecords:
         assert [s.kind for s in tracer.spans()] == ["a", "b", "c"]
 
     def test_trace_spans_counts_at_arrival(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry=registry)
+        tracer = Tracer()
         tracer.emit_encoded(3, lambda: _spans_of(["a", "b", "c"]))
-        assert registry.snapshot()["trace.spans"] == 3
+        assert tracer.counts()["trace.spans"] == 3
 
 
 class TestSpanRecordFormat:
@@ -309,7 +308,7 @@ def test_undecodable_spans_fail_spans_without_a_sink(monkeypatch):
     _corrupt_first_drain(monkeypatch)
     with ProcessWeaver(WeaverConfig(**CONFIG)) as db:
         assert _one_read(db).results
-        count = db.metrics.counter("trace.spans").value
+        count = db.tracer.counts()["trace.spans"]
         assert len(db.tracer) == count > 0
         with pytest.raises(WireError, match=r"spans from 'shard\d' do not"):
             db.tracer.spans()

@@ -197,8 +197,9 @@ def echo_worker(sock, received):
 
 @pytest.fixture
 def process_transport():
+    transport = ProcessTransport(timeout=30.0)
     registry = MetricsRegistry()
-    transport = ProcessTransport(registry=registry, timeout=30.0)
+    registry.register_collector(transport.queue_depths)
     workers = {}
 
     def add(name):
@@ -274,6 +275,15 @@ def test_process_queue_depth_gauges(process_transport):
     transport.send("gk0", "w0", "enqueue", 2)
     assert registry.snapshot()["transport.queue_depth.w0"] == 2
     transport.flush("w0")
+    assert registry.snapshot()["transport.queue_depth.w0"] == 0
+    # A request in flight counts until its reply is read.
+    token = transport.request_async("client", "w0", "ask", 1)
+    assert registry.snapshot()["transport.queue_depth.w0"] == 1
+    transport.collect(token)
+    assert registry.snapshot()["transport.queue_depth.w0"] == 0
+    # A removed channel keeps its name, at depth 0.
+    transport.send("gk0", "w0", "enqueue", 3)
+    transport.remove_channel("w0")
     assert registry.snapshot()["transport.queue_depth.w0"] == 0
 
 

@@ -5,15 +5,15 @@ The observability layer (``src/repro/obs``) exposes one process-wide
 snapshot; ad-hoc counter classes that never reach it are invisible to
 ``repro stats --json``, the bench harness, and the CI chaos smoke.  This
 check fails when a class named ``*Stats`` appears under ``src/`` that is
-neither wired into :func:`repro.obs.collect.register_stats_collectors`
+neither absorbed by :meth:`repro.obs.metrics.MetricsRegistry.absorb`
 nor explicitly exempted below.
 
 To add a new stats holder:
 
 1. Give its numeric fields plain public attributes (so
    :func:`repro.obs.collect.scalar_fields` can read them), and
-2. extend ``register_stats_collectors`` with a collector that exports
-   them under a stable dotted prefix, then
+2. call ``registry.absorb(prefix, source)`` where its owner's
+   deployment builds the registry, then
 3. add the class to ``ABSORBED`` here with that prefix.
 
 Exit status: 0 clean, 1 violations found.
@@ -79,8 +79,9 @@ def main() -> int:
         rel = path.relative_to(SRC.parent)
         print(
             f"{rel}:{lineno}: {name} is not absorbed by the metrics "
-            "registry — wire it into "
-            "src/repro/obs/collect.py:register_stats_collectors and add "
+            "registry — absorb it with MetricsRegistry.absorb(prefix, "
+            "source) where its deployment builds the registry (e.g. "
+            "src/repro/cluster/builder.py:build_cluster) and add "
             "it to ABSORBED in tools/check_stats_registry.py "
             "(or EXEMPT it with a reason)."
         )
