@@ -8,31 +8,33 @@ Three implementations of one interface:
   contract's reference implementation;
 * :class:`SimTransport` — :class:`~repro.sim.deployment.
   SimulatedWeaver`'s adapter over the deterministic
-  :class:`~repro.sim.network.Network` simulator: sends become scheduled
-  FIFO deliveries with latency and fault injection (the resident
-  engine's frames exactly once, whatever the fault plan duplicates),
-  requests pay a round trip before their reply callback fires;
+  :class:`~repro.sim.network.Network` simulator, which only sends: sends
+  become scheduled FIFO deliveries with latency and fault injection (the
+  resident engine's frames exactly once, whatever the fault plan
+  duplicates);
 * :class:`ProcessTransport` — the real thing: length-prefixed
   :mod:`~repro.cluster.wire` frames over UNIX sockets to worker
   processes, with **in-flight batching** (one-way messages buffer per
   channel and ride *inside* the next request frame on that channel,
   delivered before the request, preserving FIFO) and **request
   pipelining** (fan-outs write every request before reading any reply,
-  so worker processes crunch concurrently).
+  so worker processes crunch concurrently).  It also carries the shard
+  workers' peer channels and every link to the oracle process
+  (:class:`~repro.cluster.worker.OracleProxy`).
 
 The contract is intentionally small — ``register`` a delivery callback
 per node name, ``send`` one-way, ``request`` round-trip, ``request_all``
-fan-out, ``broadcast`` to many — because that is exactly what the
-client side needs: the write path every deployment shares
-(:class:`~repro.db.database.WritePath`) only sends — gatekeeper→shard
-enqueues, heartbeats, the simulator's ``program_start`` — and the
-blocking :class:`~repro.db.database.Coordinator` adds ``advance_to``
-and placement gossip (sends) and drains, GC and epoch barriers (fan-out
+fan-out — because that is exactly what the deployments call: the write
+path every deployment shares (:class:`~repro.db.database.WritePath`)
+only sends — gatekeeper→shard enqueues, heartbeats, the simulator's
+``program_start`` — and the blocking
+:class:`~repro.db.database.Coordinator` adds ``advance_to`` and
+placement gossip (sends) and drains, GC and epoch barriers (fan-out
 requests).
 
 Backpressure rules (process transport): one-way sends never block (they
 buffer); a buffer leaves when its channel issues a request (in the same
-frame), when it reaches ``max_batch`` messages, or on an explicit
+frame), when it reaches ``MAX_BATCH`` messages, or on an explicit
 ``flush()``.  Requests block the caller until the matching reply,
 bounding client-side outstanding work to one pipelined fan-out.
 """
@@ -55,6 +57,10 @@ Handler = Callable[[str, str, Any], Any]
 #: peer's wait for a reply, an oracle call — waits before the channel
 #: fails by name.
 REPLY_DEADLINE = 60.0
+
+#: One-way messages a process channel buffers before it writes them out
+#: as one frame without waiting for a request.
+MAX_BATCH = 512
 
 
 class TransportError(WeaverError):
@@ -93,19 +99,21 @@ class TransportStats:
 class Transport:
     """The deployment-neutral message-passing contract."""
 
+    def __init__(self) -> None:
+        self._handlers: Dict[str, Handler] = {}
+        self.stats = TransportStats()
+
     def register(self, name: str, handler: Handler) -> None:
-        """Install the delivery callback for node ``name``."""
-        raise NotImplementedError
+        """Install the delivery callback for node ``name`` (on a process
+        transport: for trace events riding reply frames)."""
+        self._handlers[name] = handler
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> None:
         """One-way message; delivery order is FIFO per (src, dst)."""
         raise NotImplementedError
 
-    def request(self, src: str, dst: str, kind: str, payload: Any,
-                on_reply: Optional[Callable[[Any], None]] = None) -> Any:
-        """Round trip.  Synchronous transports return the reply (and
-        also invoke ``on_reply``); the simulated transport delivers the
-        reply only through ``on_reply``, after two latency charges."""
+    def request(self, src: str, dst: str, kind: str, payload: Any) -> Any:
+        """Round trip: the reply."""
         raise NotImplementedError
 
     def request_all(
@@ -119,10 +127,6 @@ class Transport:
             for dst, kind, payload in calls
         ]
 
-    def broadcast(self, src: str, dsts, kind: str, payload: Any) -> None:
-        for dst in dsts:
-            self.send(src, dst, kind, payload)
-
     def flush(self, dst: Optional[str] = None) -> None:
         """Push out any buffered one-way messages (no-op unless the
         transport batches)."""
@@ -135,13 +139,6 @@ class LocalTransport(Transport):
     """Synchronous in-process delivery — the direct deployment's
     transport and the contract's reference implementation."""
 
-    def __init__(self) -> None:
-        self._handlers: Dict[str, Handler] = {}
-        self.stats = TransportStats()
-
-    def register(self, name: str, handler: Handler) -> None:
-        self._handlers[name] = handler
-
     def _deliver(self, src: str, dst: str, kind: str, payload: Any) -> Any:
         handler = self._handlers.get(dst)
         if handler is None:
@@ -153,13 +150,10 @@ class LocalTransport(Transport):
         self.stats.messages_sent += 1
         self._deliver(src, dst, kind, payload)
 
-    def request(self, src, dst, kind, payload, on_reply=None):
+    def request(self, src, dst, kind, payload):
         self.stats.messages_sent += 1
         self.stats.requests += 1
-        reply = self._deliver(src, dst, kind, payload)
-        if on_reply is not None:
-            on_reply(reply)
-        return reply
+        return self._deliver(src, dst, kind, payload)
 
 
 class SimTransport(Transport):
@@ -185,17 +179,13 @@ class SimTransport(Transport):
     })
 
     def __init__(self, network) -> None:
+        super().__init__()
         self.network = network
-        self._handlers: Dict[str, Handler] = {}
-        self.stats = TransportStats()
         self._send_ids = itertools.count()
         # Copies of one send arrive back to back on their channel, so
         # the last delivered send per (src, dst) is all there is to
         # remember.
         self._last_delivered: Dict[Tuple[str, str], int] = {}
-
-    def register(self, name: str, handler: Handler) -> None:
-        self._handlers[name] = handler
 
     def _dispatch(self, dst: str, src: str, kind: str, payload: Any,
                   send_id: Optional[int] = None) -> Any:
@@ -221,24 +211,6 @@ class SimTransport(Transport):
             next(self._send_ids), kind=named,
         )
 
-    def request(self, src, dst, kind, payload, on_reply=None):
-        """Deliver after one latency; schedule the reply back after
-        another.  Returns None — simulated requests are asynchronous."""
-        self.stats.messages_sent += 1
-        self.stats.requests += 1
-
-        def deliver_and_reply(dst_, src_, kind_, payload_) -> None:
-            reply = self._dispatch(dst_, src_, kind_, payload_)
-            if on_reply is not None:
-                self.network.send(
-                    dst_, src_, on_reply, reply, kind=f"{kind_}-reply"
-                )
-
-        self.network.send(
-            src, dst, deliver_and_reply, dst, src, kind, payload, kind=kind
-        )
-        return None
-
 
 class _Channel:
     """Client end of one worker connection."""
@@ -259,14 +231,11 @@ class _Channel:
 class ProcessTransport(Transport):
     """Length-prefixed wire frames to worker processes over sockets."""
 
-    def __init__(self, max_batch: int = 512,
-                 timeout: float = REPLY_DEADLINE):
-        self.stats = TransportStats()
+    def __init__(self, timeout: float = REPLY_DEADLINE):
+        super().__init__()
         self._channels: Dict[str, _Channel] = {}
         # Every channel name ever added: a removed one reports depth 0.
         self._names: Set[str] = set()
-        self._handlers: Dict[str, Handler] = {}
-        self._max_batch = max_batch
         self._timeout = timeout
         self._closed = False
         self._in_flight = 0     # requests awaiting a reply, all channels
@@ -290,11 +259,6 @@ class ProcessTransport(Transport):
                 channel.sock.close()
             except OSError:
                 pass
-
-    def register(self, name: str, handler: Handler) -> None:
-        """Delivery callback for worker-initiated traffic addressed to
-        ``name`` (trace events riding reply frames)."""
-        self._handlers[name] = handler
 
     def channels(self) -> List[str]:
         return sorted(self._channels)
@@ -378,7 +342,7 @@ class ProcessTransport(Transport):
         channel = self._channel(dst)
         channel.buffer.append((kind, payload))
         self.stats.messages_sent += 1
-        if len(channel.buffer) >= self._max_batch:
+        if len(channel.buffer) >= MAX_BATCH:
             self._flush_channel(channel)
 
     def flush(self, dst: Optional[str] = None) -> None:
@@ -454,11 +418,8 @@ class ProcessTransport(Transport):
             )
         return envelope.get("p")
 
-    def request(self, src, dst, kind, payload, on_reply=None):
-        reply = self.collect(self.request_async(src, dst, kind, payload))
-        if on_reply is not None:
-            on_reply(reply)
-        return reply
+    def request(self, src, dst, kind, payload):
+        return self.collect(self.request_async(src, dst, kind, payload))
 
     def request_all(
         self, src: str, calls: List[Tuple[str, str, Any]]

@@ -1,6 +1,7 @@
 """Worker processes for the real (multiprocess) deployment.
 
-Two worker mains live here, each speaking length-prefixed
+Two worker mains live here, each running one :class:`SocketHost` (the
+selector loop, frame reading and replies) over length-prefixed
 :mod:`~repro.cluster.wire` frames:
 
 * :func:`shard_worker_main` — one OS process per shard: owns a real
@@ -10,13 +11,12 @@ Two worker mains live here, each speaking length-prefixed
   deployments register in-process too — that enqueues gatekeeper-forwarded
   transactions and advances to program timestamps.  Node programs are
   shard-resident: the socket-free :class:`ResidentEngine` (the
-  protocol; four host methods are its only ways out), hosted on sockets
-  by the worker's event loop :class:`_ResidentEngine` and by the
-  simulator.
+  protocol; four host methods are its only ways out), hosted by the
+  worker's :class:`_ResidentEngine` and by the simulator.
 * :func:`oracle_worker_main` — the timeline oracle as its own process
   behind a UNIX listening socket; every shard worker (and the client,
-  for the referee and GC) connects and speaks the small RPC surface of
-  :class:`OracleProxy`.
+  for the referee and GC) reaches it through :class:`OracleProxy`, one
+  :class:`~repro.cluster.transport.ProcessTransport` channel each.
 
 Worker-side trace spans (``shard.enqueue``, ``shard.apply``,
 ``program.round``) are buffered by a :class:`BufferTracer` and leave on
@@ -153,42 +153,24 @@ def decode_spans(src: str, record: Tuple[int, bytes]) -> List[tuple]:
 
 
 class OracleProxy:
-    """Client-side stub of the oracle process.
-
-    Implements the ordering surface shards use
-    (:meth:`order`) and the referee/GC surface the client uses
-    (:meth:`established_order`, :meth:`collect_below`), each as one
-    RPC.  The oracle process names its own counters: the client's
-    ``stats`` request gets its registry snapshot.  A channel that breaks
-    or stays silent for ``REPLY_DEADLINE`` fails the call with a
-    :class:`TransportError` on channel ``"oracle"``.
+    """Client-side stub of the oracle process: the ordering surface
+    shards use (:meth:`order`) and the referee/GC surface the client
+    uses (:meth:`established_order`, :meth:`collect_below`, ``stats``),
+    each one request on a :class:`ProcessTransport` channel named
+    ``"oracle"``, which fails a call that breaks, stays silent for
+    ``REPLY_DEADLINE`` or is refused with a :class:`TransportError` on
+    that channel.
     """
 
     def __init__(self, path: str):
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.connect(path)
-        self._sock.settimeout(REPLY_DEADLINE)
-        self._next_id = 0
-        # Builder wiring assigns a tracer; decisions are traced in the
-        # oracle process, so the client-side attribute is inert.
-        self.tracer = None
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(path)
+        # Its own transport: none of the caller's counters move with it.
+        self._transport = ProcessTransport()
+        self._transport.add_channel("oracle", sock)
 
     def _call(self, kind: str, payload: Any) -> Any:
-        rid = self._next_id
-        self._next_id += 1
-        frame = wire.encode({"k": "r", "id": rid, "kind": kind, "p": payload})
-        try:
-            wire.write_frame(self._sock, frame)
-            envelope = wire.decode(wire.read_frame(self._sock))
-        except (OSError, wire.WireError) as exc:
-            # A stream left mid-frame is never read again.
-            self.close()
-            raise TransportError(
-                f"channel to 'oracle' broke: {exc}", "oracle"
-            ) from exc
-        if envelope.get("k") == "e":
-            raise WeaverError(f"oracle worker failed: {envelope.get('e')}")
-        return envelope.get("p")
+        return self._transport.request("client", "oracle", kind, payload)
 
     # -- ordering surface (what RefinableOrdering calls) ----------------
 
@@ -211,14 +193,11 @@ class OracleProxy:
     def shutdown(self) -> None:
         try:
             self._call("shutdown", None)
-        except (WeaverError, OSError):
+        except TransportError:
             pass
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._transport.close()
 
 
 # -- the shard worker ----------------------------------------------------
@@ -1003,6 +982,122 @@ class ResidentEngine:
         self._finish(coord, 0, b"", message)
 
 
+class SocketHost:
+    """The socket side of both worker processes: a selector loop that
+    accepts on ``listener``, reads frames into ``pending`` and writes
+    replies.  Losing ``client`` (the shard worker's stream from the
+    client) ends the process; any other connection that closes, breaks
+    or sends a frame that does not decode is dropped alone.  A subclass
+    supplies ``pending``, ``running``, a ``tracer`` whose spans ride
+    every reply, ``drain()`` (dispatch what was read) and :meth:`_tick`.
+    """
+
+    def __init__(self, listener, client=None):
+        self.listener = listener
+        self.client = client
+        self.buffers: Dict[Any, wire.FrameBuffer] = {}
+        self.sel = selectors.DefaultSelector()
+
+    def _tick(self) -> None:
+        """Runs once a second, with traffic flowing or not."""
+
+    def run(self) -> None:
+        if self.client is not None:
+            self.client.setblocking(True)
+            self.sel.register(self.client, selectors.EVENT_READ)
+            self.buffers[self.client] = wire.FrameBuffer()
+        if self.listener is not None:
+            self.listener.setblocking(True)
+            self.sel.register(self.listener, selectors.EVENT_READ)
+        # The tick (and the orphan check) runs once a second whether or
+        # not traffic is flowing, so no connection's frames can starve it.
+        orphaned = _orphan_check()
+        next_scan = time.monotonic() + 1.0
+        while self.running:
+            self.drain()
+            if not self.running:
+                break
+            events = self.sel.select(timeout=1.0)
+            now = time.monotonic()
+            if now >= next_scan:
+                if orphaned():
+                    break
+                self._tick()
+                next_scan = now + 1.0
+            for key, _mask in events:
+                conn = key.fileobj
+                if conn is self.listener:
+                    peer, _ = self.listener.accept()
+                    peer.setblocking(True)
+                    self.sel.register(peer, selectors.EVENT_READ)
+                    self.buffers[peer] = wire.FrameBuffer()
+                    continue
+                self._pump(conn)
+
+    def _pump(self, conn) -> None:
+        try:
+            chunk = conn.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            chunk = b""
+        buffer = self.buffers.get(conn)
+        if chunk and buffer is not None:
+            try:
+                for frame in buffer.feed(chunk):
+                    self.pending.append((conn, wire.decode(frame)))
+                return
+            except wire.WireError:
+                if conn is self.client:
+                    # What makes this shard ready, and every reply, ride
+                    # the client's stream: the worker ends, and the
+                    # client's read fails naming this shard.
+                    self.running = False
+                    raise
+                # Any other stream is unreadable from here on: drop that
+                # connection only.  Hops a peer's carried starve their
+                # round's go, which _check_stalled fails by name.
+        if conn is self.client:
+            self.running = False
+            return
+        try:
+            self.sel.unregister(conn)
+        except (KeyError, ValueError):
+            pass
+        self.buffers.pop(conn, None)
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        """Close the listener and every connection."""
+        for conn in {self.listener, self.client, *self.buffers} - {None}:
+            conn.close()
+
+    def _reply(self, conn, rid: int, result=None, error=None) -> None:
+        if error is not None:
+            reply = {"k": "e", "id": rid, "e": error}
+        else:
+            reply = {"k": "p", "id": rid, "p": result}
+        # Buffered spans ride every reply: the client records them, a
+        # peer carries them in its own next reply (_on_peer_spans).
+        reply["ev"] = self.tracer.drain()
+        try:
+            frame = wire.encode(reply)
+        except wire.WireError as exc:
+            # A result, fragment or declared state the wire refuses
+            # fails its request by name; this process keeps serving.
+            frame = wire.encode(
+                {"k": "e", "id": rid, "e": str(exc), "ev": reply["ev"]}
+            )
+        try:
+            wire.write_frame(conn, frame)
+        except OSError:
+            if conn is self.client:
+                self.running = False
+
+
 class _CoopSocket:
     """Peer-channel socket adapter that keeps pumping inbound traffic.
 
@@ -1050,13 +1145,13 @@ class _CoopSocket:
         self._sock.close()
 
 
-class _ResidentEngine(ResidentEngine):
-    """The shard worker's event loop: :class:`ResidentEngine` hosted on
-    sockets.  Everything with a file descriptor lives here — the
-    selector loop, worker↔worker channels (reconnected once when a peer
-    was replaced), the wall-clock hold — plus the two message kinds only
-    this host receives: the client's placement gossip (the ``owner_of``
-    the protocol routes by) and its ``stats`` request.
+class _ResidentEngine(SocketHost, ResidentEngine):
+    """The shard worker: :class:`ResidentEngine` on the
+    :class:`SocketHost`.  Here live worker↔worker channels (reconnected
+    once when a peer was replaced), the wall-clock hold and the stall
+    scan, plus the two message kinds only this host receives: the
+    client's placement gossip (the ``owner_of`` the protocol routes by)
+    and its ``stats`` request.
     """
 
     def __init__(
@@ -1068,11 +1163,10 @@ class _ResidentEngine(ResidentEngine):
         peer_paths: Optional[Dict[int, str]] = None,
         placement: Optional[Dict[str, int]] = None,
     ):
+        SocketHost.__init__(self, peer_listener, client_sock)
         self.placement: Dict[str, int] = dict(placement or {})
-        super().__init__(worker, index, self.placement.get)
+        ResidentEngine.__init__(self, worker, index, self.placement.get)
         self._handlers["placement"] = self.placement.update
-        self.client = client_sock
-        self.listener = peer_listener
         self.peer_paths = dict(peer_paths or {})
         self.transport = ProcessTransport()
         self.transport.register("client", self._on_peer_spans)
@@ -1084,79 +1178,6 @@ class _ResidentEngine(ResidentEngine):
         registry.absorb("program.resident", lambda: self.resident)
         registry.absorb("transport.worker", lambda: self.transport.stats)
         registry.absorb("process", lambda: worker)  # stragglers_dropped
-        self.buffers: Dict[Any, wire.FrameBuffer] = {}
-        self.sel = selectors.DefaultSelector()
-
-    # -- event loop -----------------------------------------------------
-
-    def run(self) -> None:
-        self.client.setblocking(True)
-        self.sel.register(self.client, selectors.EVENT_READ)
-        self.buffers[self.client] = wire.FrameBuffer()
-        if self.listener is not None:
-            self.listener.setblocking(True)
-            self.sel.register(self.listener, selectors.EVENT_READ)
-        # The stall scan (and the orphan check) runs once a second whether
-        # or not traffic is flowing, so other queries' frames cannot
-        # starve it.
-        orphaned = _orphan_check()
-        next_scan = time.monotonic() + 1.0
-        while self.running:
-            self.drain()
-            if not self.running:
-                break
-            events = self.sel.select(timeout=1.0)
-            now = time.monotonic()
-            if now >= next_scan:
-                if orphaned():
-                    break
-                self._check_stalled()
-                next_scan = now + 1.0
-            for key, _mask in events:
-                conn = key.fileobj
-                if conn is self.listener:
-                    peer, _ = self.listener.accept()
-                    peer.setblocking(True)
-                    self.sel.register(peer, selectors.EVENT_READ)
-                    self.buffers[peer] = wire.FrameBuffer()
-                    continue
-                self._pump(conn)
-
-    def _pump(self, conn) -> None:
-        try:
-            chunk = conn.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            chunk = b""
-        buffer = self.buffers.get(conn)
-        if chunk and buffer is not None:
-            try:
-                for frame in buffer.feed(chunk):
-                    self.pending.append((conn, wire.decode(frame)))
-                return
-            except wire.WireError:
-                if conn is self.client:
-                    # What makes this shard ready, and every reply, ride
-                    # the client's stream: the worker ends, and the
-                    # client's read fails naming this shard.
-                    self.running = False
-                    raise
-                # A peer's stream is unreadable from here on: drop that
-                # connection only.  Hops it carried starve their round's
-                # go, which _check_stalled fails by name.
-        if conn is self.client:
-            self.running = False
-            return
-        try:
-            self.sel.unregister(conn)
-        except (KeyError, ValueError):
-            pass
-        self.buffers.pop(conn, None)
-        try:
-            conn.close()
-        except OSError:
-            pass
 
     def _coop_wait(self, sock, writable: bool, deadline: float) -> None:
         """Wait for ``sock`` while pumping inbound connections (buffer
@@ -1205,6 +1226,8 @@ class _ResidentEngine(ResidentEngine):
                     break
             coord.last_activity = now
 
+    _tick = _check_stalled
+
     # -- the four ways out ----------------------------------------------
 
     def _hold(self, conn, envelope: dict, ts: VectorTimestamp) -> bool:
@@ -1234,28 +1257,6 @@ class _ResidentEngine(ResidentEngine):
                 self._pump(self.client)
         self.pending.append((conn, envelope))
         return True
-
-    def _reply(self, conn, rid: int, result=None, error=None) -> None:
-        if error is not None:
-            reply = {"k": "e", "id": rid, "e": error}
-        else:
-            reply = {"k": "p", "id": rid, "p": result}
-        # Buffered spans ride every reply: the client records them, a
-        # peer carries them in its own next reply (_on_peer_spans).
-        reply["ev"] = self.tracer.drain()
-        try:
-            frame = wire.encode(reply)
-        except wire.WireError as exc:
-            # A result, fragment or declared state the wire refuses
-            # fails its request by name; this worker keeps serving.
-            frame = wire.encode(
-                {"k": "e", "id": rid, "e": str(exc), "ev": reply["ev"]}
-            )
-        try:
-            wire.write_frame(conn, frame)
-        except OSError:
-            if conn is self.client:
-                self.running = False
 
     def _peer_channel(self, dst: int) -> str:
         name = f"peer{dst}"
@@ -1361,19 +1362,8 @@ def shard_worker_main(
     try:
         engine.run()
     finally:
-        try:
-            engine.transport.close()
-        except Exception:  # noqa: BLE001 - shutdown best-effort
-            pass
-        if peer_listener is not None:
-            try:
-                peer_listener.close()
-            except OSError:
-                pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+        engine.transport.close()
+        engine.close()
         if isinstance(oracle, OracleProxy):
             oracle.close()
 
@@ -1381,81 +1371,51 @@ def shard_worker_main(
 # -- the oracle worker ---------------------------------------------------
 
 
-def oracle_worker_main(listen_sock) -> None:
-    """Entry point of the timeline-oracle process.
+class _OracleHost(SocketHost):
+    """The oracle process: the :class:`SocketHost` over a request table
+    of one :class:`TimelineOracle`, single-threaded by design — it is
+    the serialization point whose request count Fig 14 measures."""
 
-    A selector loop over one UNIX listening socket: every shard worker
-    and the client hold their own connection.  Requests are tiny and
-    the oracle is single-threaded by design — it is the serialization
-    point whose request count Fig 14 measures.
-    """
-    oracle = TimelineOracle()
-    # The ``stats`` reply: the oracle's counters under the names every
-    # deployment exports.
-    registry = MetricsRegistry()
-    registry.register_collector(oracle.metrics)
-    sel = selectors.DefaultSelector()
-    listen_sock.setblocking(True)
-    sel.register(listen_sock, selectors.EVENT_READ, None)
-    running = True
+    def __init__(self, listener):
+        super().__init__(listener)
+        self.pending: deque = deque()
+        self.running = True
+        self.tracer = BufferTracer()  # nothing emits: every record is None
+        oracle = TimelineOracle()
+        # The ``stats`` reply: the oracle's counters under the names every
+        # deployment exports.
+        registry = MetricsRegistry()
+        registry.register_collector(oracle.metrics)
+        self._table: Dict[str, Callable[[Any], Any]] = {
+            "order": lambda p: oracle.order(*p),
+            "query": lambda p: oracle.query_order(*p),
+            "established": lambda p: oracle.established_order(*p),
+            "create": oracle.create_event,
+            "collect": oracle.collect_below,
+            "stats": lambda _p: registry.snapshot(),
+            "shutdown": lambda _p: True,
+        }
 
-    def handle(payload_kind: str, payload: Any) -> Any:
-        nonlocal running
-        if payload_kind == "order":
-            a, b, prefer = payload
-            return oracle.order(a, b, prefer)
-        if payload_kind == "query":
-            return oracle.query_order(*payload)
-        if payload_kind == "established":
-            return oracle.established_order(*payload)
-        if payload_kind == "create":
-            oracle.create_event(payload)
-            return None
-        if payload_kind == "collect":
-            return oracle.collect_below(payload)
-        if payload_kind == "stats":
-            return registry.snapshot()
-        if payload_kind == "shutdown":
-            running = False
-            return True
-        raise WeaverError(f"unknown oracle request {payload_kind!r}")
-
-    buffers: Dict[Any, wire.FrameBuffer] = {}
-    orphaned = _orphan_check()
-    while running:
-        events = sel.select(timeout=1.0)
-        if not events and orphaned():
-            # Idle for a second with no client left: the shard workers
-            # of a dead client exit first, and nothing will say shutdown.
-            break
-        for key, _mask in events:
-            conn = key.fileobj
-            if conn is listen_sock:
-                client, _ = listen_sock.accept()
-                sel.register(client, selectors.EVENT_READ, None)
-                buffers[client] = wire.FrameBuffer()
-                continue
+    def drain(self) -> None:
+        while self.pending and self.running:
+            conn, envelope = self.pending.popleft()
+            kind, rid = envelope.get("kind"), envelope.get("id")
             try:
-                chunk = conn.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                sel.unregister(conn)
-                buffers.pop(conn, None)
-                conn.close()
-                continue
-            for frame in buffers[conn].feed(chunk):
-                envelope = wire.decode(frame)
-                rid = envelope.get("id")
-                try:
-                    result = handle(envelope["kind"], envelope.get("p"))
-                    reply = {"k": "p", "id": rid, "p": result}
-                except Exception as exc:
-                    reply = {"k": "e", "id": rid, "e": repr(exc)}
-                try:
-                    wire.write_frame(conn, wire.encode(reply))
-                except OSError:
-                    pass
-    for conn in list(buffers):
-        conn.close()
-    listen_sock.close()
+                if kind not in self._table:
+                    raise WeaverError(f"unknown oracle request {kind!r}")
+                result = self._table[kind](envelope.get("p"))
+            except Exception as exc:  # noqa: BLE001 - report, keep serving
+                self._reply(conn, rid, error=repr(exc))
+            else:
+                self._reply(conn, rid, result=result)
+            if kind == "shutdown":
+                self.running = False
+
+
+def oracle_worker_main(listen_sock) -> None:
+    """Entry point of the timeline-oracle process."""
+    host = _OracleHost(listen_sock)
+    try:
+        host.run()
+    finally:
+        host.close()

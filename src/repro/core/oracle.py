@@ -180,19 +180,32 @@ class EventDependencyGraph:
 
     def reaches(self, a: VectorTimestamp, b: VectorTimestamp) -> bool:
         """True iff a path a -> ... -> b exists over explicit or implied
-        edges."""
+        edges; a path that takes a search to find is cached."""
+        known = self._known(a, b)
+        if known is None and self._search(a, b):
+            self._cache_reachable((a.id, b.id))
+            return True
+        return bool(known)
+
+    def reaches_read_only(
+        self, a: VectorTimestamp, b: VectorTimestamp
+    ) -> bool:
+        """:meth:`reaches`, leaving the cache as it is."""
+        known = self._known(a, b)
+        return self._search(a, b) if known is None else known
+
+    def _known(
+        self, a: VectorTimestamp, b: VectorTimestamp
+    ) -> Optional[bool]:
+        """``reaches(a, b)`` when it needs no search, else None."""
         if a.id not in self._events or b.id not in self._events:
             return False
         if a.happens_before(b):
             return True
-        key = (a.id, b.id)
-        if key in self._reach_cache:
+        if (a.id, b.id) in self._reach_cache:
             self.stats.reach_cache_hits += 1
             return True
-        if self._search(a, b):
-            self._cache_reachable(key)
-            return True
-        return False
+        return None
 
     @property
     def reach_cache_size(self) -> int:
@@ -356,33 +369,35 @@ class TimelineOracle:
         """The pre-established order of (a, b), or None — no accounting.
 
         Consults vector clocks, explicit commitments, and their combined
-        transitive closure.  Never creates new commitments and counts
-        nothing, not even its reachability work: region-local reads,
-        chain replica reads and the history referee use it, and no
-        client request of the head's pays for them.
+        transitive closure.  Never creates new commitments, counts
+        nothing, not even its reachability work, and leaves the
+        reachability cache as it is: region-local reads, chain replica
+        reads and the history referee use it, and no client request of
+        the head's pays for them.
         """
         graph = self._graph
         graph.stats = self._uncounted
         try:
-            return self._established(a, b)
+            return self._established(a, b, graph.reaches_read_only)
         finally:
             graph.stats = self.stats
 
     def _established(
-        self, a: VectorTimestamp, b: VectorTimestamp
+        self, a: VectorTimestamp, b: VectorTimestamp, reaches=None
     ) -> Optional[Ordering]:
         """:meth:`established_order`, its reachability work counted in
-        ``stats``: the counting entry points (:meth:`query_order`,
-        :meth:`order`) build on this, so one client request is counted
-        exactly once, with the work it caused."""
+        ``stats`` and cached: the counting entry points
+        (:meth:`query_order`, :meth:`order`) build on this, so one client
+        request is counted exactly once, with the work it caused."""
         vc = a.compare(b)
         if vc is not Ordering.CONCURRENT:
             return vc
         self._ensure(a)
         self._ensure(b)
-        if self._graph.reaches(a, b):
+        reaches = reaches or self._graph.reaches
+        if reaches(a, b):
             return Ordering.BEFORE
-        if self._graph.reaches(b, a):
+        if reaches(b, a):
             return Ordering.AFTER
         return None
 

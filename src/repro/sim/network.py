@@ -253,19 +253,3 @@ class Network:
         for _ in range(copies):
             self.simulator.schedule_at(deliver_at, handler, *args)
         return seqno
-
-    def broadcast(
-        self,
-        src: str,
-        destinations,
-        handler_for: Callable[[str], Callable],
-        *args,
-        kind: str = "message",
-    ) -> None:
-        """Send the same payload to many destinations.
-
-        ``handler_for(dst)`` returns the delivery callable for each
-        destination, so each target can bind its own receive method.
-        """
-        for dst in destinations:
-            self.send(src, dst, handler_for(dst), *args, kind=kind)

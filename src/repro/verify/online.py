@@ -41,6 +41,7 @@ digest identically on every prefix (``tests/test_online_checker.py``).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.vclock import Ordering, VectorTimestamp
@@ -55,7 +56,7 @@ from .history import (
 
 
 class EvidenceCache:
-    """Bounded, durable trail of pruned commits (tag -> identity).
+    """Bounded trail of pruned commits (tag -> identity).
 
     Watermark pruning deletes a retained commit's tag entry once no
     write window references it, which used to cost the checker its
@@ -63,47 +64,30 @@ class EvidenceCache:
     observed a pruned tag could no longer be told apart from a read of a
     tag nobody ever committed, so both were convicted as phantom reads.
     This cache keeps the evidence needed to tell them apart — the pruned
-    commit's tag, stamp id, and store commit seq — in a
-    :class:`~repro.store.durable.DurableStore` version chain (the
-    durable home the store layer already maintains for committed state),
-    bounded by ``capacity`` with insertion-order eviction.
+    commit's tag, stamp id, and store commit seq — in two maps (tags,
+    and in-flight seqs by stamp id), each bounded by ``capacity`` with
+    insertion-order eviction.
     """
-
-    PREFIX = "__evidence__:"
-    SEQ_PREFIX = "__seq__:"
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("evidence capacity must be >= 1")
-        from ..store.durable import DurableStore
-
-        self._store = DurableStore(":memory:")
         self._capacity = capacity
-        self._order: List[Any] = []  # tags, insertion order
-        self._seq_order: List[StampId] = []  # stamp ids, insertion order
+        self._tags: "OrderedDict[Any, Tuple[StampId, int]]" = OrderedDict()
+        self._seqs: "OrderedDict[StampId, List[int]]" = OrderedDict()
 
-    def _put(self, prefix: str, order: list, ident, merge) -> None:
-        """Write ``merge(existing)`` under ``ident``, then evict the
-        namespace's oldest entries down to capacity."""
-        tx = self._store.begin()
-        existing = tx.get(prefix + repr(ident))
-        if existing is None:
-            order.append(ident)
-        tx.put(prefix + repr(ident), merge(existing))
-        while len(order) > self._capacity:
-            tx.delete(prefix + repr(order.pop(0)))
-        tx.commit()
+    def _bound(self, entries: OrderedDict) -> None:
+        while len(entries) > self._capacity:
+            entries.popitem(last=False)
 
     def record(self, tag, stamp_id: StampId, commit_seq: int) -> None:
         """Retain one pruned commit's identity, evicting the oldest."""
-        self._put(
-            self.PREFIX, self._order, tag,
-            lambda _old: (stamp_id, commit_seq),
-        )
+        self._tags[tag] = (stamp_id, commit_seq)
+        self._bound(self._tags)
 
     def lookup(self, tag) -> Optional[Tuple[StampId, int]]:
         """The (stamp id, commit seq) evidence for ``tag``, or None."""
-        return self._store.get(self.PREFIX + repr(tag))
+        return self._tags.get(tag)
 
     def record_seqs(self, stamp_id: StampId, seqs: List[int]) -> None:
         """Retain store commit seqs whose ``txn.commit`` span is still
@@ -111,27 +95,17 @@ class EvidenceCache:
         deadline-delayed geo acks, where the client span trails the
         store span by up to the region's reach."""
         if seqs:
-            self._put(
-                self.SEQ_PREFIX, self._seq_order, stamp_id,
-                lambda old: list(old or ()) + list(seqs),
-            )
+            self._seqs.setdefault(stamp_id, []).extend(seqs)
+            self._bound(self._seqs)
 
     def take_seq(self, stamp_id: StampId) -> Optional[int]:
         """Pop the oldest retained seq for ``stamp_id``, or None."""
-        tx = self._store.begin()
-        key = self.SEQ_PREFIX + repr(stamp_id)
-        seqs = tx.get(key)
+        seqs = self._seqs.get(stamp_id)
         if not seqs:
-            tx.abort()
             return None
-        seq = seqs[0]
-        if len(seqs) > 1:
-            tx.put(key, seqs[1:])
-        else:
-            tx.delete(key)
-            self._seq_order.remove(stamp_id)
-        tx.commit()
-        return seq
+        if len(seqs) == 1:
+            del self._seqs[stamp_id]
+        return seqs.pop(0)
 
 
 def _store_order(commit: CommittedWrite):
@@ -155,10 +129,8 @@ class OnlineChecker(History):
         super().__init__()
         self.compare = compare
         # Pruned-commit evidence: lets reads settling below the pruning
-        # floor keep the fine-grained stale-vs-phantom verdict.  Created
-        # lazily (first prune), so checkers on runs that never prune pay
-        # nothing.
-        self._evidence: Optional[EvidenceCache] = None
+        # floor keep the fine-grained stale-vs-phantom verdict.
+        self._evidence = EvidenceCache()
         # Pending commits by vertex: a read settling now must still see
         # the same-vertex writes that have not settled yet.
         self._pending_by_vertex: Dict[str, List[CommittedWrite]] = {}
@@ -208,8 +180,6 @@ class OnlineChecker(History):
         # The store span may have been watermark-pruned while this
         # deadline-delayed ack was in flight; the evidence cache kept
         # its seq.
-        if self._evidence is None:
-            return None
         seq = self._evidence.take_seq(stamp_id)
         if seq is not None:
             self.stats.evidence_hits += 1
@@ -413,11 +383,7 @@ class OnlineChecker(History):
                     read, observed, repeat=True,
                 )
         elif observed_tag is not None:
-            evidence = (
-                self._evidence.lookup(observed_tag)
-                if self._evidence is not None
-                else None
-            )
+            evidence = self._evidence.lookup(observed_tag)
             if evidence is None:
                 placed = False
                 self._fire(
@@ -474,16 +440,11 @@ class OnlineChecker(History):
             # bounded evidence cache so a later-settling read of this
             # tag is judged stale (with the right seq floor), not
             # hallucinated (a phantom, PR 7's downgrade).
-            self._ensure_evidence().record(
+            self._evidence.record(
                 commit.tag, commit.ts.id, commit.commit_seq
             )
             self.stats.evidence_records += 1
             del self._tags[commit.tag]
-
-    def _ensure_evidence(self) -> EvidenceCache:
-        if self._evidence is None:
-            self._evidence = EvidenceCache()
-        return self._evidence
 
     def _prune(self, watermark: VectorTimestamp) -> None:
         for vertex in list(self._writes):
@@ -515,7 +476,7 @@ class OnlineChecker(History):
         # seq or the digest diverges from a referee that never prunes.
         for stamp_id, (ts, seqs) in list(self._store_seqs.items()):
             if self._covered(ts, watermark):
-                self._ensure_evidence().record_seqs(stamp_id, seqs)
+                self._evidence.record_seqs(stamp_id, seqs)
                 self.stats.evidence_records += 1
                 del self._store_seqs[stamp_id]
                 self.stats.pruned += 1

@@ -55,12 +55,29 @@ def _cross_check_pairs(indexed, reference, stamps, rng, samples):
         assert indexed.graph.reaches(a, b) == reference.graph.reaches(a, b)
 
 
+def _spy_reference(reference):
+    """The pairs the reference graph's own ``reaches`` was asked: a
+    concurrent pair's ``order`` or ``query_order`` must reach it, or the
+    comparison would check the index against itself."""
+    graph = reference.graph
+    own = graph.reaches
+    asked = []
+    graph.reaches = lambda a, b: asked.append((a, b)) or own(a, b)
+    return asked
+
+
+def _ran(asked, before, a, b):
+    """The reference search ran since ``before`` iff (a, b) needs it."""
+    return (len(asked) > before) == (a.compare(b) is Ordering.CONCURRENT)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 23, 91])
 def test_indexed_reaches_matches_reference(seed):
     rng = random.Random(seed)
     stamps = _issue_stamps(rng, num_gatekeepers=3, num_events=240)
     indexed = TimelineOracle()
     reference = reference_oracle()
+    asked = _spy_reference(reference)
 
     for ts in stamps:
         indexed.create_event(ts)
@@ -68,15 +85,18 @@ def test_indexed_reaches_matches_reference(seed):
 
     for step in range(420):
         roll = rng.random()
+        before = len(asked)
         if roll < 0.55:
             a, b = rng.sample(stamps, 2)
             prefer = Ordering.BEFORE if rng.random() < 0.5 else Ordering.AFTER
             decided_i = indexed.order(a, b, prefer)
             decided_r = reference.order(a, b, prefer)
             assert decided_i is decided_r, (a, b, prefer)
+            assert _ran(asked, before, a, b)
         elif roll < 0.72:
             a, b = rng.sample(stamps, 2)
             assert indexed.query_order(a, b) is reference.query_order(a, b)
+            assert _ran(asked, before, a, b)
         elif roll < 0.86:
             victim = rng.choice(stamps)
             indexed.graph.remove_event(victim)
@@ -103,12 +123,15 @@ def test_indexed_reaches_matches_reference_dense_single_epoch():
     stamps = _issue_stamps(rng, num_gatekeepers=2, num_events=120, max_epoch=0)
     indexed = TimelineOracle()
     reference = reference_oracle()
+    asked = _spy_reference(reference)
     for ts in stamps:
         indexed.create_event(ts)
         reference.create_event(ts)
     for _ in range(500):
         a, b = rng.sample(stamps, 2)
+        before = len(asked)
         assert indexed.order(a, b) is reference.order(a, b)
+        assert _ran(asked, before, a, b)
     _cross_check_pairs(indexed, reference, stamps, rng, samples=250)
 
 

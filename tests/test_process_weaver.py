@@ -522,6 +522,54 @@ class TestTheOracleProcessKilled:
             assert client.get_node("a")["properties"] == {"k": 5}
 
 
+class TestAMalformedFrameOnAnOracleConnection:
+    """ROADMAP 2's cell for the oracle process: a frame that does not
+    decode on one oracle connection drops that connection only, as it
+    does on a shard worker's peer connection; the oracle keeps serving
+    every other one."""
+
+    def test_the_oracle_drops_that_connection_and_keeps_serving(self):
+        import socket
+        import struct
+
+        from repro.db import WeaverClient
+
+        config = WeaverConfig(
+            num_gatekeepers=2, num_shards=2, announce_every=10
+        )
+        with ProcessWeaver(config) as db:
+            client = WeaverClient(db)
+            client.create_vertex("a")
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                raw.settimeout(10.0)
+                raw.connect(db._oracle_path)
+                raw.sendall(struct.pack(">I", 3) + b"\xff\x00\x01")
+                # No reply: the oracle closes this connection.
+                assert raw.recv(1) == b""
+            finally:
+                raw.close()
+            assert db._oracle_proc.is_alive()
+            for i in range(6):
+                client.set_property("a", "k", i)
+            assert client.get_node("a")["properties"] == {"k": 5}
+            db.drain()
+            assert db.metrics.snapshot()["oracle.events"] > 0
+            assert db.collect_garbage()["oracle"] > 0
+            snap = db.metrics.snapshot()
+            assert snap["oracle.events_collected"] > 0
+            assert db._oracle_proc.is_alive()
+
+
+def test_an_oracle_chain_is_refused_by_name():
+    """One oracle process is what this deployment runs: a chain length
+    above one is refused, not run unreplicated."""
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=r"ROADMAP 15\(b\)"):
+        ProcessWeaver(WeaverConfig(oracle_chain_length=3))
+
+
 class TestLifecycleLeavesNothingBehind:
     """What a deployment starts, its end stops: ``close()`` removes the
     temp dir with every socket file in it, and a client that dies

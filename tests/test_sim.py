@@ -183,18 +183,6 @@ class TestNetwork:
         assert net.stats.count("announce") == 2
         assert net.stats.total == 3
 
-    def test_broadcast(self):
-        sim = Simulator()
-        net = Network(sim)
-        got = []
-        net.broadcast(
-            "src",
-            ["d1", "d2"],
-            lambda dst: (lambda: got.append(dst)),
-        )
-        sim.run()
-        assert sorted(got) == ["d1", "d2"]
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             Network(Simulator(), latency=-1)

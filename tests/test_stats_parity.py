@@ -117,6 +117,42 @@ class TestReachCacheEviction:
         assert graph.stats.reach_cache_evictions == 2
         assert graph.reach_cache_size == 7  # 8 - 2 evicted + 1 inserted
 
+    def test_established_order_leaves_the_cache_alone(self):
+        # a -> b -> c -> d are explicit edges between concurrent stamps,
+        # so (a, d) and (b, d) are reachable only through them, and no
+        # search has cached either.
+        oracle = TimelineOracle()
+        graph = oracle.graph
+        graph._REACH_CACHE_LIMIT = 4
+        a, b, c, d = (
+            ts([int(i == j) for j in range(4)], i) for i in range(4)
+        )
+        oracle.order(a, b)
+        oracle.order(b, c)
+        oracle.order(c, d)
+        stats = oracle.stats
+
+        def cache():
+            return (graph.reach_cache_size, stats.reach_cache_evictions,
+                    stats.reach_cache_hits, stats.bfs_expansions)
+
+        before = cache()
+        assert before[:2] == (3, 0)
+        assert oracle.established_order(a, d) is Ordering.BEFORE
+        assert oracle.established_order(d, a) is Ordering.AFTER
+        assert cache() == before
+        # A full cache: a write there would evict its oldest entry.
+        oracle.order(a, c)  # found by a counted search, and cached
+        before = cache()
+        assert before[:2] == (4, 0)
+        assert oracle.established_order(b, d) is Ordering.BEFORE
+        assert cache() == before
+        assert (a.id, b.id) in graph._reach_cache
+        # The counted path still caches what it finds, evicting to fit.
+        assert oracle.query_order(b, d) is Ordering.BEFORE
+        assert stats.reach_cache_evictions == 1
+        assert (a.id, b.id) not in graph._reach_cache
+
     def test_gc_counts_a_clear(self):
         oracle = TimelineOracle()
         a, b = ts([1, 0], 0), ts([0, 1], 1)
