@@ -1,15 +1,15 @@
-"""Ablations A1-A4: the design choices DESIGN.md calls out.
+"""Ablations: the design choices DESIGN.md calls out.
 
-A1 — node-program memoization (section 4.6): hit rate and reads saved
-     under a read-mostly workload with periodic invalidating writes.
-A2 — streaming partitioning (section 4.6): edge cut of hash vs LDG vs
-     restreaming LDG.
-A3 — shard-side caching of oracle decisions (section 4.2): oracle
-     messages saved by the cache.
-A4 — NOP period (section 4.2): node-program delay vs heartbeat traffic.
+A1 — node-program memoization (section 4.6) on ``Weaver``: hit rate and
+     reads saved under a read-mostly workload with invalidating writes.
+A3 — shard-side caching of oracle decisions (section 4.2) on the twin's
+     Fig 9a run: the compares the cache answered.
+A4 — NOP period (section 4.2), a closed form: node-program delay vs
+     heartbeat traffic.
+A5-A9 — adaptive τ, OCC contention, freshness vs Kineograph's epochs,
+     distributed-store chains and live rebalancing; each test says what
+     it runs.
 """
-
-import pytest
 
 from repro.bench import harness
 from repro.sim.clock import MSEC, USEC
@@ -39,40 +39,29 @@ def test_a1_program_caching(benchmark, show):
     assert result.invalidations > 0  # writes really do invalidate
 
 
-def test_a2_partitioning(benchmark, show):
-    result = benchmark.pedantic(
-        lambda: harness.ablation_partitioning(num_vertices=800),
-        rounds=1,
-        iterations=1,
-    )
-    show(
-        "A2: streaming partitioners (8 partitions, power-law graph)",
-        ["partitioner", "edge cut", "balance (1.0 ideal)"],
-        [
-            (name, f"{cut:.1%}", round(bal, 3))
-            for name, cut, bal in result.rows()
-        ],
-    )
-    assert result.cut_of("ldg") < result.cut_of("hash")
-    assert result.cut_of("restream") <= result.cut_of("ldg")
-
-
 def test_a3_oracle_decision_cache(benchmark, show):
     result = benchmark.pedantic(
-        lambda: harness.ablation_oracle_cache(num_pairs=300, reuse=4),
+        lambda: harness.ablation_oracle_cache(total_ops=4_000),
         rounds=1,
         iterations=1,
     )
     show(
-        "A3: shard-side oracle-decision cache",
-        ["configuration", "oracle messages"],
+        "A3: shard-side oracle-decision cache (twin, Fig 9a mix, simulated)",
+        ["compares", "count"],
         [
-            ("cache enabled", result.with_cache_oracle_messages),
-            ("cache disabled", result.without_cache_oracle_messages),
+            ("proactive (vector clocks)", result.proactive),
+            ("cached (oracle not asked)", result.cached),
+            ("reactive", result.reactive),
+            ("oracle messages", result.oracle_messages),
         ],
-        lines=[f"messages saved: {result.messages_saved_fraction:.1%}"],
+        lines=[
+            "cache answered "
+            f"{result.concurrent_hit_fraction:.1%} of concurrent compares, "
+            f"{result.compare_hit_fraction:.1%} of all compares"
+        ],
     )
-    assert result.messages_saved_fraction > 0.5
+    assert result.cached > 0
+    assert result.oracle_messages == result.reactive
 
 
 def test_a5_adaptive_tau(benchmark, show):
@@ -132,14 +121,17 @@ def test_a7_freshness_vs_kineograph(benchmark, show):
     )
     show(
         "A7: update-visibility lag (s), Weaver vs Kineograph",
-        ["epoch interval", "Kineograph mean lag", "Weaver lag"],
+        [
+            "epoch interval",
+            "Kineograph mean lag (interval / 2)",
+            "Weaver lag",
+        ],
         [
             (interval, round(kg, 3), f"{weaver:.4f}")
             for interval, kg, weaver in result.rows()
         ],
     )
-    for interval, kg_lag, weaver_lag in result.rows():
-        assert kg_lag == pytest.approx(interval / 2, rel=0.25)
+    for _, kg_lag, weaver_lag in result.rows():
         assert weaver_lag < kg_lag / 50
 
 

@@ -3,7 +3,6 @@
 from .titan import TitanGraph, TitanStats
 from .graphlab import BfsProgram, GasProgram, GraphLab
 from .blockchain_info import RelationalExplorer
-from .kineograph import Kineograph
 
 __all__ = [
     "TitanGraph",
@@ -12,5 +11,4 @@ __all__ = [
     "GasProgram",
     "GraphLab",
     "RelationalExplorer",
-    "Kineograph",
 ]

@@ -4,15 +4,16 @@ Each ``experiment_*`` function returns a result object whose ``rows()``
 method (or fields) yield the same series the paper's figure plots.  The
 benchmark files under ``benchmarks/`` call these and print the tables.
 
-Weaver's series in Figs 7-13 and A7 are measured on the simulated twin:
+Weaver's series in Figs 7-13, A3 and A7 are measured on the simulated twin:
 a :class:`~repro.sim.deployment.SimulatedWeaver` with a
 :class:`~repro.bench.costmodel.CostParams` attached runs the real write
 path and shard engine on simulated time, driven by
 :class:`~repro.sim.workload.SimClients`; its throughput and
 ``obs`` latency histograms are the figure.  The baselines (Titan,
-GraphLab, Blockchain.info, Kineograph) are cost models on the
-simulator's ``Server`` and a ``LockTable``; Titan's Fig 9 run is driven
-by the same ``SimClients``.  Fig 9's reactively-ordered fraction is
+GraphLab, Blockchain.info) are cost models on the simulator's
+``Server`` and a ``LockTable``; Titan's Fig 9 run is driven by the same
+``SimClients``.  A7's epoch-snapshot lag is arithmetic (interval / 2),
+and A4 is a closed form.  Fig 9's reactively-ordered fraction is
 measured on the functional :class:`~repro.db.database.Weaver`.
 
 Scales default to laptop-sized datasets; every function takes explicit
@@ -37,13 +38,6 @@ from ..db.client import WeaverClient
 from ..db.config import WeaverConfig
 from ..db.database import Weaver
 from ..errors import NoSuchEdge, NoSuchVertex, TransactionAborted
-from ..graph.partition import (
-    HashPartitioner,
-    LdgPartitioner,
-    balance,
-    edge_cut,
-    restream,
-)
 from ..obs.metrics import Histogram
 from ..programs import library
 from ..sim.clock import MSEC, USEC
@@ -622,7 +616,7 @@ def experiment_fig14(
             gk = gatekeepers[rng.randrange(num_gatekeepers)]
             stamps.append(gk.issue_timestamp())
         oracle = TimelineOracle()
-        ordering = RefinableOrdering(oracle, use_cache=True)
+        ordering = RefinableOrdering(oracle)
         for i, (a, b) in enumerate(zip(stamps, stamps[1:])):
             ordering.compare(a, b)
             # Garbage-collect settled events (section 4.5): only the
@@ -643,7 +637,7 @@ def experiment_fig14(
 
 
 # ---------------------------------------------------------------------------
-# Ablations A1-A4
+# Ablations
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -711,99 +705,42 @@ def ablation_caching(
 
 
 @dataclass
-class PartitionAblationResult(Rows):
-    def cut_of(self, name: str) -> float:
-        for row_name, cut, _ in self.rows_data:
-            if row_name == name:
-                return cut
-        raise KeyError(name)
-
-
-def ablation_partitioning(
-    num_vertices: int = 1000,
-    num_partitions: int = 8,
-    seed: int = 31,
-) -> PartitionAblationResult:
-    """A2: edge cut of hash vs LDG vs restreaming LDG (section 4.6)."""
-    edges = graphs.social_graph(num_vertices, 6, seed)
-    adjacency = graphs.adjacency(edges)
-    stream = [(v, adjacency[v]) for v in adjacency]
-    result = PartitionAblationResult()
-    assignments = {
-        "hash": HashPartitioner(num_partitions).partition(stream),
-        "ldg": LdgPartitioner(num_partitions).partition(stream),
-        "restream": restream(stream, num_partitions, passes=3),
-    }
-    for name, assignment in assignments.items():
-        cut, total = edge_cut(assignment, edges)
-        result.rows_data.append(
-            (
-                name,
-                cut / total if total else 0.0,
-                balance(assignment, num_partitions),
-            )
-        )
-    return result
-
-
-@dataclass
 class OracleCacheAblationResult:
-    with_cache_oracle_messages: int
-    without_cache_oracle_messages: int
-    cache_hits: int
+    """How the twin's shards settled their compares on one run."""
+
+    cached: int
+    reactive: int
+    proactive: int
+    oracle_messages: int
 
     @property
-    def messages_saved_fraction(self) -> float:
-        if self.without_cache_oracle_messages <= 0:
-            return 0.0
-        return 1.0 - (
-            self.with_cache_oracle_messages
-            / self.without_cache_oracle_messages
-        )
+    def concurrent_hit_fraction(self) -> float:
+        """The share of concurrent compares the cache answered."""
+        concurrent = self.cached + self.reactive
+        return self.cached / concurrent if concurrent else 0.0
+
+    @property
+    def compare_hit_fraction(self) -> float:
+        """The share of all compares the cache answered."""
+        total = self.cached + self.reactive + self.proactive
+        return self.cached / total if total else 0.0
 
 
-def ablation_oracle_cache(
-    num_pairs: int = 400,
-    num_gatekeepers: int = 3,
-    reuse: int = 4,
-    seed: int = 41,
-) -> OracleCacheAblationResult:
-    """A3: oracle traffic saved by shard-side decision caching.
+def ablation_oracle_cache(total_ops: int = 4_000) -> OracleCacheAblationResult:
+    """A3: what the shard-side decision cache (section 4.2) answers on
+    the twin's Fig 9a run.
 
-    Generates concurrent timestamp pairs (no announces) and orders each
-    pair ``reuse`` times — the repeated comparisons shards make while
-    merging queues — with and without the cache.
+    Every compare the cache misses is one oracle request, so
+    ``oracle_messages`` equals ``reactive``; ``cached`` is what the
+    shards did not send.
     """
-    rng = random.Random(seed)
-
-    def make_pairs():
-        gatekeepers = [
-            Gatekeeper(i, num_gatekeepers) for i in range(num_gatekeepers)
-        ]
-        pairs = []
-        for _ in range(num_pairs):
-            a = gatekeepers[rng.randrange(num_gatekeepers)]
-            b = gatekeepers[rng.randrange(num_gatekeepers)]
-            while b is a:
-                b = gatekeepers[rng.randrange(num_gatekeepers)]
-            pairs.append((a.issue_timestamp(), b.issue_timestamp()))
-        return pairs
-
-    results = {}
-    hits = 0
-    for use_cache in (True, False):
-        oracle = TimelineOracle()
-        ordering = RefinableOrdering(oracle, use_cache=use_cache)
-        for a, b in make_pairs():
-            for _ in range(reuse):
-                ordering.compare(a, b)
-        results[use_cache] = oracle.stats.messages
-        if use_cache and ordering.cache is not None:
-            hits = ordering.cache.hits
+    run = experiment_fig9(total_ops=total_ops, measure_reactive=False)
+    snap = run.weaver_run.deployment.metrics.snapshot()
     return OracleCacheAblationResult(
-        with_cache_oracle_messages=results[True],
-        without_cache_oracle_messages=results[False],
-        cache_hits=hits,
+        cached=snap["ordering.cached"],
+        reactive=snap["ordering.reactive"],
+        proactive=snap["ordering.proactive"],
+        oracle_messages=snap["oracle.messages"],
     )
 
 
@@ -839,34 +776,23 @@ def ablation_contention(
 
 def ablation_freshness(
     epoch_intervals: Sequence[float] = (1.0, 5.0, 10.0),
-    num_updates: int = 200,
-    seed: int = 71,
 ) -> Rows:
-    """A7: update-visibility lag, Weaver vs a Kineograph-like system.
+    """A7: update-visibility lag, Weaver vs epoch snapshots (section 7).
 
-    Kineograph buffers updates until the epoch turns, so a write becomes
-    query-visible only at the next boundary (mean lag = interval / 2);
-    Weaver's refinable timestamps make it visible as soon as the commit
-    response returns: one commit's latency on the twin.  Rows: (epoch
-    interval, Kineograph mean lag, Weaver lag).
+    An epoch-snapshot store [15] buffers updates until the epoch turns,
+    so a write becomes query-visible at the next boundary: a mean lag of
+    interval / 2, by arithmetic.  Weaver's refinable timestamps make it
+    visible as soon as the commit response returns: one commit's
+    latency, measured on the twin.  Rows: (epoch interval, epoch-store
+    mean lag, Weaver lag).
     """
-    from ..baselines.kineograph import Kineograph
-
-    rng = random.Random(seed)
     commit = _closed_loop(
         _twin(3, 8, CostParams()), 1, [("tx", [ops.CreateVertex("v")])]
     )
     weaver_lag = commit.latencies.mean
     result = Rows()
     for interval in epoch_intervals:
-        kg = Kineograph(epoch_interval=interval)
-        lags = []
-        for _ in range(num_updates):
-            at = rng.uniform(0, interval * 20)
-            lags.append(kg.visibility_lag(at))
-        result.rows_data.append(
-            (interval, sum(lags) / len(lags), weaver_lag)
-        )
+        result.rows_data.append((interval, interval / 2, weaver_lag))
     return result
 
 

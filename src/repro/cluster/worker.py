@@ -245,10 +245,9 @@ class ShardEndpoint:
             # (graph records reclaimed, ordering-cache entries evicted):
             # the shard-local decision cache holds entries keyed on
             # collected events, so it is swept at the same watermark.
-            cache = shard.ordering.cache
             return (
                 shard.collect_below(payload),
-                cache.evict_below(payload) if cache is not None else 0,
+                shard.ordering.cache.evict_below(payload),
             )
         if kind == "advance_epoch":
             shard.advance_epoch(payload)
@@ -1045,7 +1044,10 @@ class SocketHost:
         if chunk and buffer is not None:
             try:
                 for frame in buffer.feed(chunk):
-                    self.pending.append((conn, wire.decode(frame)))
+                    envelope = wire.decode(frame)
+                    if not isinstance(envelope, dict):
+                        raise wire.WireError("frame is not an envelope")
+                    self.pending.append((conn, envelope))
                 return
             except wire.WireError:
                 if conn is self.client:

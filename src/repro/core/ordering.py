@@ -10,7 +10,7 @@ comparisons were settled proactively vs. reactively.
 
 Because oracle decisions are irreversible and monotonic, shard servers may
 cache them locally (section 4.2); :class:`OrderingCache` implements that
-cache and the ablation benchmark A3 measures the oracle traffic it saves.
+cache and ablation A3 counts what it answers on the twin's Fig 9a run.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def cache_metrics(
 ) -> Dict[str, int]:
     """The collector of ``ordering.cache_*``: the decision caches of
     several shards' orderings, summed."""
-    caches = [o.cache for o in orderings if o.cache is not None]
+    caches = [o.cache for o in orderings]
     return {
         "ordering.cache_hits": sum(c.hits for c in caches),
         "ordering.cache_misses": sum(c.misses for c in caches),
@@ -148,13 +148,10 @@ class RefinableOrdering:
     def __init__(
         self,
         oracle,
-        use_cache: bool = True,
         skew_bound: Optional[float] = None,
     ):
         self._oracle = oracle
-        self._cache: Optional[OrderingCache] = (
-            OrderingCache() if use_cache else None
-        )
+        self._cache = OrderingCache()
         self.stats = OrderingStats()
         # Clock-skew bound of the geo deadline fast path.  None disables
         # it; when set, concurrent deadline-carrying pairs separated by
@@ -169,7 +166,7 @@ class RefinableOrdering:
         return self._oracle
 
     @property
-    def cache(self) -> Optional[OrderingCache]:
+    def cache(self) -> OrderingCache:
         return self._cache
 
     @staticmethod
@@ -214,15 +211,13 @@ class RefinableOrdering:
                 if self._deadline_key(a) < self._deadline_key(b)
                 else Ordering.AFTER
             )
-        if self._cache is not None:
-            cached = self._cache.get(a, b)
-            if cached is not None:
-                self.stats.cached += 1
-                return cached
+        cached = self._cache.get(a, b)
+        if cached is not None:
+            self.stats.cached += 1
+            return cached
         decided = self._oracle.order(a, b, prefer)
         self.stats.reactive += 1
-        if self._cache is not None:
-            self._cache.put(a, b, decided)
+        self._cache.put(a, b, decided)
         return decided
 
 

@@ -765,9 +765,8 @@ class Weaver(Coordinator):
         For every vertex, count neighbours (both directions) per shard
         and migrate it to the plurality shard when that improves its
         colocated-neighbour count by at least ``min_gain``.  Returns the
-        number of migrations performed.  This is the online counterpart
-        of the offline LDG partitioner (ablation A2) and the mechanism
-        sketch of section 4.6.
+        number of migrations performed.  This is the mechanism sketch of
+        section 4.6, measured by ablation A9.
         """
         _, edges = graph_state_from_store(self.store.snapshot())
         neighbors: Dict[str, List[str]] = {}

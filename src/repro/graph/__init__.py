@@ -1,4 +1,4 @@
-"""The multi-version property graph and partitioning algorithms."""
+"""The multi-version property graph and vertex placement by hash."""
 
 from .properties import (
     Comparator,
@@ -9,13 +9,7 @@ from .properties import (
 )
 from .elements import Edge, Vertex
 from .mvgraph import EdgeView, MultiVersionGraph, SnapshotView, VertexView
-from .partition import (
-    HashPartitioner,
-    LdgPartitioner,
-    balance,
-    edge_cut,
-    restream,
-)
+from .partition import HashPartitioner
 
 __all__ = [
     "Comparator",
@@ -30,8 +24,4 @@ __all__ = [
     "SnapshotView",
     "VertexView",
     "HashPartitioner",
-    "LdgPartitioner",
-    "balance",
-    "edge_cut",
-    "restream",
 ]

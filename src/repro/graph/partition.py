@@ -1,28 +1,15 @@
-"""Streaming graph partitioning (section 4.6).
+"""Vertex placement by stable hash (section 4.6's static baseline).
 
-Weaver dynamically colocates vertices with the majority of their
-neighbours using streaming partitioning algorithms [58, 48] to cut
-communication during traversals.  The paper's evaluation disables this
-mechanism, so here it is an extension with its own ablation benchmark
-(A2): we implement the two families those citations describe —
-
-* :class:`HashPartitioner` — the baseline: placement by stable hash.
-* :class:`LdgPartitioner` — linear deterministic greedy [58]: place each
-  arriving vertex with the partition holding most of its already-placed
-  neighbours, weighted by a capacity penalty.
-* :func:`restream` — restreaming refinement [48]: re-run LDG over the
-  stream using the previous pass's full assignment for neighbour counts.
-
-All partitioners consume a stream of ``(vertex, neighbours)`` pairs, so
-they can run online as vertices arrive.
+Weaver's streaming partitioning, which colocates vertices with the
+majority of their neighbours [58, 48], is disabled in the paper's
+evaluation.  Here placement is a stable hash (``partitioner="hash"``)
+or round robin, and locality comes from the live rebalancer instead
+(:meth:`repro.db.database.Weaver.rebalance`, ablation A9).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-Stream = Iterable[Tuple[str, Sequence[str]]]
 
 
 def _stable_hash(value: str) -> int:
@@ -40,128 +27,5 @@ class HashPartitioner:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions
 
-    def assign(self, vertex: str, neighbors: Sequence[str] = ()) -> int:
+    def assign(self, vertex: str) -> int:
         return _stable_hash(vertex) % self.num_partitions
-
-    def partition(self, stream: Stream) -> Dict[str, int]:
-        return {vertex: self.assign(vertex) for vertex, _ in stream}
-
-
-class LdgPartitioner:
-    """Linear deterministic greedy streaming partitioning.
-
-    Scoring follows Stanton & Kliot: partition ``p`` scores
-    ``|neighbors already on p| * (1 - load(p) / capacity)``; ties break
-    toward the least-loaded partition, keeping balance tight.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        capacity: float = 0.0,
-    ):
-        if num_partitions <= 0:
-            raise ValueError("need at least one partition")
-        self.num_partitions = num_partitions
-        self._capacity = capacity  # 0 means "derive from stream length"
-        self._loads = [0] * num_partitions
-        self._assignment: Dict[str, int] = {}
-
-    @property
-    def assignment(self) -> Dict[str, int]:
-        return dict(self._assignment)
-
-    @property
-    def loads(self) -> List[int]:
-        return list(self._loads)
-
-    def assign(
-        self,
-        vertex: str,
-        neighbors: Sequence[str],
-        prior: Dict[str, int] = None,
-    ) -> int:
-        """Place one vertex given its neighbours.
-
-        ``prior`` supplies neighbour placements from a previous pass
-        (restreaming); the current pass's own placements always count too.
-        """
-        placed = prior or {}
-        counts = [0] * self.num_partitions
-        for nbr in neighbors:
-            target = self._assignment.get(nbr)
-            if target is None:
-                target = placed.get(nbr)
-            if target is not None:
-                counts[target] += 1
-        capacity = self._capacity or (
-            max(1.0, (len(self._assignment) + 1) * 1.1 / self.num_partitions)
-        )
-        best, best_score = 0, float("-inf")
-        for p in range(self.num_partitions):
-            penalty = 1.0 - self._loads[p] / capacity
-            score = counts[p] * penalty
-            if score > best_score or (
-                score == best_score and self._loads[p] < self._loads[best]
-            ):
-                best, best_score = p, score
-        self._assignment[vertex] = best
-        self._loads[best] += 1
-        return best
-
-    def partition(
-        self, stream: Stream, prior: Dict[str, int] = None
-    ) -> Dict[str, int]:
-        stream = list(stream)
-        if not self._capacity:
-            self._capacity = max(1.0, len(stream) * 1.1 / self.num_partitions)
-        for vertex, neighbors in stream:
-            self.assign(vertex, neighbors, prior)
-        return self.assignment
-
-
-def restream(
-    stream: Stream,
-    num_partitions: int,
-    passes: int = 3,
-    capacity: float = 0.0,
-) -> Dict[str, int]:
-    """Restreaming LDG [48]: repeated passes converge to a lower edge cut.
-
-    Each pass sees the previous pass's complete assignment, so neighbour
-    information is no longer limited to vertices earlier in the stream.
-    """
-    if passes < 1:
-        raise ValueError("need at least one pass")
-    stream = list(stream)
-    assignment: Dict[str, int] = {}
-    for _ in range(passes):
-        partitioner = LdgPartitioner(num_partitions, capacity)
-        assignment = partitioner.partition(stream, prior=assignment)
-    return assignment
-
-
-def edge_cut(
-    assignment: Dict[str, int], edges: Iterable[Tuple[str, str]]
-) -> Tuple[int, int]:
-    """Count cut edges: returns (cut, total) over edges with both ends
-    placed."""
-    cut = 0
-    total = 0
-    for src, dst in edges:
-        if src in assignment and dst in assignment:
-            total += 1
-            if assignment[src] != assignment[dst]:
-                cut += 1
-    return cut, total
-
-
-def balance(assignment: Dict[str, int], num_partitions: int) -> float:
-    """Max partition load over mean load (1.0 is perfect balance)."""
-    if not assignment:
-        return 1.0
-    loads = [0] * num_partitions
-    for partition in assignment.values():
-        loads[partition] += 1
-    mean = len(assignment) / num_partitions
-    return max(loads) / mean if mean else 1.0

@@ -43,9 +43,8 @@ class ShardMapping:
         """Pick (or honor) a shard for a new vertex and record it.
 
         Placement is round-robin by default — balanced load, the property
-        the evaluation needs; the streaming partitioners in
-        :mod:`repro.graph.partition` can compute better placements which
-        callers pass via ``shard``.
+        the evaluation needs; a caller that places by hash
+        (``partitioner="hash"``) or migrates a vertex passes ``shard``.
         """
         if shard is None:
             shard = self._next % self._num_shards
@@ -79,7 +78,7 @@ class ShardMapping:
             yield key[len(_PREFIX):], self._store.get(key)
 
     def load(self) -> Dict[int, int]:
-        """Vertices per shard — used by balance tests and partitioning."""
+        """Vertices per shard."""
         counts: Dict[int, int] = {i: 0 for i in range(self._num_shards)}
         for _, shard in self.items():
             counts[shard] = counts.get(shard, 0) + 1

@@ -21,7 +21,7 @@ class TestConfig:
             {"oracle_chain_length": 0},
             {"partitioner": "bogus"},
             # Placing at commit sees no neighbours, so LDG would place
-            # like round robin; LdgPartitioner serves ablation A2 only.
+            # like round robin.
             {"partitioner": "ldg"},
         ],
     )

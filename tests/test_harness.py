@@ -293,20 +293,14 @@ class TestAblations:
         assert result.reads_saved_fraction > 0.3
         assert result.invalidations > 0
 
-    def test_a2_partitioning_ldg_beats_hash(self):
-        result = harness.ablation_partitioning(num_vertices=400)
-        assert result.cut_of("ldg") < result.cut_of("hash")
-        assert result.cut_of("restream") <= result.cut_of("ldg")
-
-    def test_a3_oracle_cache_saves_messages(self):
-        result = harness.ablation_oracle_cache(num_pairs=100, reuse=4)
-        assert result.messages_saved_fraction > 0.5
-        assert result.cache_hits > 0
+    def test_a3_oracle_cache_answers_on_the_twin(self):
+        result = harness.ablation_oracle_cache(total_ops=1_000)
+        assert result.cached > 0
+        # Every compare the cache misses is one oracle request.
+        assert result.oracle_messages == result.reactive
 
     def test_a7_weaver_lag_is_one_twin_commit(self):
-        result = harness.ablation_freshness(
-            epoch_intervals=(1.0, 10.0), num_updates=50
-        )
+        result = harness.ablation_freshness(epoch_intervals=(1.0, 10.0))
         rows = result.rows()
         lags = {weaver for _, _, weaver in rows}
         assert len(lags) == 1

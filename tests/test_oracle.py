@@ -188,6 +188,16 @@ class TestTimelineOracle:
         assert oracle.stats.decisions == 1
         assert oracle.stats.messages >= 1
 
+    def test_a_repeated_order_is_a_query(self):
+        # One client request, one message: the first order decides, the
+        # second finds the order established.
+        oracle = TimelineOracle()
+        oracle.order(A, B)
+        oracle.order(A, B)
+        assert oracle.stats.decisions == 1
+        assert oracle.stats.queries == 1
+        assert oracle.stats.messages == 2
+
     def test_collect_below_drops_old_events(self):
         oracle = TimelineOracle()
         oracle.order(A, B)

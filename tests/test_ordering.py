@@ -74,18 +74,6 @@ class TestRefinableOrdering:
         assert ordering.stats.cached == 1
         assert ordering.stats.reactive == 1
 
-    def test_cache_disabled_always_asks_oracle(self):
-        oracle = TimelineOracle()
-        ordering = RefinableOrdering(oracle, use_cache=False)
-        ordering.compare(A, B)
-        ordering.compare(A, B)
-        assert ordering.stats.reactive == 2
-        # One client request, one message: the first compare decides,
-        # the second finds the order established (a query).
-        assert oracle.stats.decisions == 1
-        assert oracle.stats.queries == 1
-        assert oracle.stats.messages == 2
-
     def test_prefer_after(self):
         ordering = RefinableOrdering(TimelineOracle())
         assert ordering.compare(A, B, prefer=Ordering.AFTER) is Ordering.AFTER

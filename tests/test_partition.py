@@ -1,21 +1,8 @@
-"""Streaming graph partitioning: hash, LDG, restreaming."""
+"""Vertex placement by stable hash."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.graph.partition import (
-    HashPartitioner,
-    LdgPartitioner,
-    balance,
-    edge_cut,
-    restream,
-)
-from repro.workloads.graphs import adjacency, powerlaw_graph
-
-
-def stream_of(edges):
-    adj = adjacency(edges)
-    return [(v, adj[v]) for v in adj]
+from repro.graph.partition import HashPartitioner
 
 
 class TestHashPartitioner:
@@ -33,94 +20,11 @@ class TestHashPartitioner:
 
     def test_roughly_balanced(self):
         p = HashPartitioner(4)
-        assignment = {f"v{i}": p.assign(f"v{i}") for i in range(400)}
-        assert balance(assignment, 4) < 1.3
+        loads = [0] * 4
+        for i in range(400):
+            loads[p.assign(f"v{i}")] += 1
+        assert max(loads) / (400 / 4) < 1.3
 
     def test_zero_partitions_rejected(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
-
-
-class TestLdgPartitioner:
-    def test_places_every_vertex(self):
-        edges = powerlaw_graph(100, 3, seed=1)
-        stream = stream_of(edges)
-        assignment = LdgPartitioner(4).partition(stream)
-        assert len(assignment) == len(stream)
-
-    def test_respects_capacity_roughly(self):
-        edges = powerlaw_graph(200, 3, seed=2)
-        assignment = LdgPartitioner(4).partition(stream_of(edges))
-        assert balance(assignment, 4) <= 1.5
-
-    def test_colocates_a_clique(self):
-        # A tight clique streamed together should land on one partition.
-        members = [f"c{i}" for i in range(5)]
-        stream = [(m, [n for n in members if n != m]) for m in members]
-        # Pad with isolated vertices so capacity is not the constraint.
-        stream += [(f"x{i}", []) for i in range(20)]
-        assignment = LdgPartitioner(4, capacity=10).partition(stream)
-        clique_parts = {assignment[m] for m in members}
-        assert len(clique_parts) == 1
-
-    def test_beats_hash_on_edge_cut(self):
-        edges = powerlaw_graph(300, 4, seed=3)
-        stream = stream_of(edges)
-        hash_cut, total = edge_cut(
-            HashPartitioner(8).partition(stream), edges
-        )
-        ldg_cut, _ = edge_cut(LdgPartitioner(8).partition(stream), edges)
-        assert ldg_cut < hash_cut
-
-    def test_zero_partitions_rejected(self):
-        with pytest.raises(ValueError):
-            LdgPartitioner(0)
-
-
-class TestRestream:
-    def test_converges_to_no_worse_cut_than_single_pass(self):
-        edges = powerlaw_graph(300, 4, seed=4)
-        stream = stream_of(edges)
-        single, _ = edge_cut(LdgPartitioner(8).partition(stream), edges)
-        multi, _ = edge_cut(restream(stream, 8, passes=3), edges)
-        assert multi <= single
-
-    def test_single_pass_equivalent_to_ldg_shape(self):
-        edges = powerlaw_graph(100, 3, seed=5)
-        stream = stream_of(edges)
-        assignment = restream(stream, 4, passes=1)
-        assert len(assignment) == len(stream)
-
-    def test_zero_passes_rejected(self):
-        with pytest.raises(ValueError):
-            restream([], 4, passes=0)
-
-
-class TestMetrics:
-    def test_edge_cut_counts(self):
-        assignment = {"a": 0, "b": 0, "c": 1}
-        cut, total = edge_cut(assignment, [("a", "b"), ("a", "c")])
-        assert (cut, total) == (1, 2)
-
-    def test_edge_cut_skips_unplaced(self):
-        cut, total = edge_cut({"a": 0}, [("a", "b")])
-        assert total == 0
-
-    def test_balance_perfect(self):
-        assert balance({"a": 0, "b": 1}, 2) == 1.0
-
-    def test_balance_skewed(self):
-        assert balance({"a": 0, "b": 0}, 2) == 2.0
-
-    def test_balance_empty(self):
-        assert balance({}, 4) == 1.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.integers(10, 60), st.integers(0, 1000))
-def test_ldg_always_places_in_range(parts, n, seed):
-    edges = powerlaw_graph(n, 2, seed=seed)
-    stream = stream_of(edges)
-    assignment = LdgPartitioner(parts).partition(stream)
-    assert set(assignment) == {v for v, _ in stream}
-    assert all(0 <= p < parts for p in assignment.values())

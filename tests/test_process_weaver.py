@@ -15,11 +15,13 @@ before it answers fails by the channel's name, and recovery serves it.
 import os
 import random
 import signal
+import struct
 import threading
 import time
 
 import pytest
 
+from repro.cluster import wire
 from repro.cluster.process import ProcessWeaver
 from repro.db import Weaver, WeaverConfig
 from repro.errors import ProgramError
@@ -522,15 +524,29 @@ class TestTheOracleProcessKilled:
             assert client.get_node("a")["properties"] == {"k": 5}
 
 
+def _length_prefixed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
 class TestAMalformedFrameOnAnOracleConnection:
     """ROADMAP 2's cell for the oracle process: a frame that does not
-    decode on one oracle connection drops that connection only, as it
-    does on a shard worker's peer connection; the oracle keeps serving
-    every other one."""
+    decode, or decodes to a value that is not an envelope, on one oracle
+    connection drops that connection only, as it does on a shard
+    worker's peer connection; the oracle keeps serving every other one."""
 
-    def test_the_oracle_drops_that_connection_and_keeps_serving(self):
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param(
+                _length_prefixed(b"\xff\x00\x01"), id="garbage-body"
+            ),
+            pytest.param(
+                _length_prefixed(wire.encode(7)), id="not-an-envelope"
+            ),
+        ],
+    )
+    def test_the_oracle_drops_that_connection_and_keeps_serving(self, frame):
         import socket
-        import struct
 
         from repro.db import WeaverClient
 
@@ -544,7 +560,7 @@ class TestAMalformedFrameOnAnOracleConnection:
             try:
                 raw.settimeout(10.0)
                 raw.connect(db._oracle_path)
-                raw.sendall(struct.pack(">I", 3) + b"\xff\x00\x01")
+                raw.sendall(frame)
                 # No reply: the oracle closes this connection.
                 assert raw.recv(1) == b""
             finally:

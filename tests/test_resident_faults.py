@@ -9,8 +9,9 @@ by hand: no event loop, no second process.
   ``STALL_DEADLINE`` has passed without its report, and the query fails
   with "worker shard1 died mid-program" instead of waiting out the
   client's ``REPLY_DEADLINE``.
-* A peer frame that does not decode (a garbage body, or a length over
-  ``MAX_FRAME_BYTES``) closes that connection only: the worker keeps
+* A peer frame that does not decode (a garbage body, a length over
+  ``MAX_FRAME_BYTES``, or a value that is not an envelope) closes that
+  connection only: the worker keeps
   serving, and the round whose hops it carried fails by name once its
   go has waited ``STALL_DEADLINE``.  The same bytes on the client's
   connection end the worker, and the client's ``TransportError`` names
@@ -249,6 +250,10 @@ CORRUPT = [
     pytest.param(struct.pack(">I", 5) + b"\xff" * 5, id="garbage-body"),
     pytest.param(
         struct.pack(">I", wire.MAX_FRAME_BYTES + 1), id="over-max-length"
+    ),
+    pytest.param(
+        struct.pack(">I", len(wire.encode(7))) + wire.encode(7),
+        id="not-an-envelope",
     ),
 ]
 
