@@ -299,6 +299,25 @@ class TestAblations:
         # Every compare the cache misses is one oracle request.
         assert result.oracle_messages == result.reactive
 
+    @pytest.mark.parametrize(
+        "counts, concurrent, overall",
+        [
+            ((1, 3, 4, 3), 0.25, 0.125),
+            ((0, 5, 5, 5), 0.0, 0.0),
+            ((0, 0, 0, 0), 0.0, 0.0),
+        ],
+        ids=["some-hits", "no-hits", "idle"],
+    )
+    def test_a3_hit_fractions(self, counts, concurrent, overall):
+        result = harness.OracleCacheAblationResult(*counts)
+        assert result.concurrent_hit_fraction == pytest.approx(concurrent)
+        assert result.compare_hit_fraction == pytest.approx(overall)
+
+    def test_a7_epoch_lag_is_half_the_interval(self):
+        intervals = (10.0, 1.0, 4.0)
+        rows = harness.ablation_freshness(epoch_intervals=intervals).rows()
+        assert [(i, e) for i, e, _ in rows] == [(i, i / 2) for i in intervals]
+
     def test_a7_weaver_lag_is_one_twin_commit(self):
         result = harness.ablation_freshness(epoch_intervals=(1.0, 10.0))
         rows = result.rows()

@@ -84,6 +84,50 @@ class TestMigrationWithPaging:
         assert client.get_node("a")["properties"] == {"k": 1}
 
 
+class TestEdgeCut:
+    """``Weaver.edge_cut``: the locality metric the rebalancer reduces."""
+
+    @pytest.fixture
+    def placed(self):
+        # a and b on shard 0, c on shard 1; edges a->b and a->c.
+        db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=2))
+        client = WeaverClient(db)
+        with client.transaction() as tx:
+            for name in ("a", "b", "c"):
+                tx.create_vertex(name)
+        for name, shard in (("a", 0), ("b", 0), ("c", 1)):
+            db.migrate_vertex(name, shard)
+        with client.transaction() as tx:
+            tx.create_edge("a", "b", "ab")
+            tx.create_edge("a", "c", "ac")
+        return db, client
+
+    def test_counts_edges_whose_ends_differ_in_shard(self, placed):
+        db, _ = placed
+        assert db.edge_cut() == (1, 2)
+
+    def test_migrating_an_endpoint_moves_the_cut(self, placed):
+        db, _ = placed
+        assert db.migrate_vertex("c", 0)
+        assert db.edge_cut() == (0, 2)
+
+    def test_a_deleted_edge_leaves_cut_and_total(self, placed):
+        db, client = placed
+        client.delete_edge("a", "ac")
+        assert db.edge_cut() == (0, 1)
+
+    def test_empty_graph_has_no_cut(self):
+        db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=3))
+        assert db.edge_cut() == (0, 0)
+
+    def test_one_shard_cuts_nothing(self):
+        db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=1))
+        client = WeaverClient(db)
+        graphs.load_into_weaver(client, graphs.social_graph(40, 3, seed=5))
+        cut, total = db.edge_cut()
+        assert cut == 0 and total > 0
+
+
 class TestRebalance:
     def test_rebalance_reduces_edge_cut(self):
         db = Weaver(WeaverConfig(num_gatekeepers=2, num_shards=4))

@@ -7,6 +7,7 @@ from repro.core.ordering import (
     EarliestScheduler,
     OrderingCache,
     RefinableOrdering,
+    cache_metrics,
     make_oracle,
 )
 from repro.core.vclock import Ordering, VectorTimestamp
@@ -55,6 +56,28 @@ class TestOrderingCache:
         assert cache.get(A, B) is None
 
 
+class TestCacheMetrics:
+    def test_fresh_orderings_report_zero(self):
+        orderings = [RefinableOrdering(TimelineOracle()) for _ in range(2)]
+        assert cache_metrics(orderings) == {
+            "ordering.cache_hits": 0,
+            "ordering.cache_misses": 0,
+            "ordering.cache_entries": 0,
+        }
+
+    def test_sums_every_shards_cache(self):
+        oracle = TimelineOracle()
+        first, second = RefinableOrdering(oracle), RefinableOrdering(oracle)
+        first.compare(A, B)
+        first.compare(A, B)
+        second.compare(A, B)
+        assert cache_metrics([first, second]) == {
+            "ordering.cache_hits": 1,
+            "ordering.cache_misses": 2,
+            "ordering.cache_entries": 2,
+        }
+
+
 class TestRefinableOrdering:
     def test_vclock_comparable_is_proactive(self):
         ordering = RefinableOrdering(TimelineOracle())
@@ -71,6 +94,26 @@ class TestRefinableOrdering:
         ordering = RefinableOrdering(TimelineOracle())
         ordering.compare(A, B)
         ordering.compare(A, B)
+        assert ordering.stats.cached == 1
+        assert ordering.stats.reactive == 1
+
+    def test_every_ordering_starts_with_an_empty_cache(self):
+        ordering = RefinableOrdering(TimelineOracle())
+        assert isinstance(ordering.cache, OrderingCache)
+        assert len(ordering.cache) == 0
+
+    def test_a_cached_compare_sends_the_oracle_nothing(self):
+        oracle = TimelineOracle()
+        ordering = RefinableOrdering(oracle)
+        ordering.compare(A, B)
+        sent = oracle.stats.messages
+        ordering.compare(A, B)
+        assert oracle.stats.messages == sent
+
+    def test_the_reverse_compare_hits_the_cache_flipped(self):
+        ordering = RefinableOrdering(TimelineOracle())
+        assert ordering.compare(A, B) is Ordering.BEFORE
+        assert ordering.compare(B, A) is Ordering.AFTER
         assert ordering.stats.cached == 1
         assert ordering.stats.reactive == 1
 

@@ -1,8 +1,15 @@
 """Vertex placement by stable hash."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.partition import HashPartitioner
+
+NAMES = [f"v{i}" for i in range(50)]
 
 
 class TestHashPartitioner:
@@ -28,3 +35,36 @@ class TestHashPartitioner:
     def test_zero_partitions_rejected(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
+
+    def test_negative_partitions_rejected(self):
+        with pytest.raises(ValueError):
+            HashPartitioner(-2)
+
+    def test_one_partition_takes_every_vertex(self):
+        p = HashPartitioner(1)
+        assert {p.assign(name) for name in NAMES} == {0}
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_placement_does_not_follow_the_hash_seed(self, hash_seed):
+        # Worker processes place vertices on their own; they must agree
+        # with the client whatever each process's str hash is.
+        script = (
+            "from repro.graph.partition import HashPartitioner\n"
+            "p = HashPartitioner(7)\n"
+            f"print([p.assign(n) for n in {NAMES!r}])\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        p = HashPartitioner(7)
+        assert out.strip() == str([p.assign(n) for n in NAMES])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 16), st.lists(st.text(max_size=20), max_size=30))
+def test_hash_always_places_in_range(parts, names):
+    p = HashPartitioner(parts)
+    assert all(0 <= p.assign(name) < parts for name in names)

@@ -543,6 +543,10 @@ class TestAMalformedFrameOnAnOracleConnection:
             pytest.param(
                 _length_prefixed(wire.encode(7)), id="not-an-envelope"
             ),
+            pytest.param(
+                _length_prefixed(wire.encode(["order", None])),
+                id="a-list-not-an-envelope",
+            ),
         ],
     )
     def test_the_oracle_drops_that_connection_and_keeps_serving(self, frame):

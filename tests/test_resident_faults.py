@@ -255,6 +255,11 @@ CORRUPT = [
         struct.pack(">I", len(wire.encode(7))) + wire.encode(7),
         id="not-an-envelope",
     ),
+    pytest.param(
+        struct.pack(">I", len(wire.encode(["ping", None])))
+        + wire.encode(["ping", None]),
+        id="a-list-not-an-envelope",
+    ),
 ]
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.cluster.messages import QueuedTransaction
 from repro.cluster.shard import ShardServer
+from repro.cluster.worker import ShardEndpoint
 from repro.core.gatekeeper import Gatekeeper, sync_announce_all
 from repro.core.oracle import TimelineOracle
+from repro.core.vclock import VectorTimestamp
 from repro.db.operations import CreateVertex
 from repro.errors import ClusterError
 
@@ -198,3 +200,14 @@ class TestGC:
         shard.apply_available()
         ts = gks[0].issue_timestamp()
         assert shard.collect_below(ts) == 0  # nothing dead yet
+
+    def test_collect_below_message_also_sweeps_the_ordering_cache(
+        self, shard, gks
+    ):
+        a, b = gks[0].issue_timestamp(), gks[1].issue_timestamp()
+        shard.ordering.compare(a, b)
+        assert len(shard.ordering.cache) == 1
+        watermark = VectorTimestamp(a.epoch, (5, 5), 0)
+        endpoint = ShardEndpoint(shard)
+        assert endpoint.deliver(None, "collect_below", watermark) == (0, 1)
+        assert len(shard.ordering.cache) == 0
