@@ -46,7 +46,6 @@ class ClusterParts:
     executor: ProgramExecutor
     metrics: MetricsRegistry
     tracer: Tracer
-    extras: dict = field(default_factory=dict)
     # Geo deployments (config.num_regions > 1): one RegionStats and one
     # RegionOracleClient per region, plus each server's region index
     # keyed by server name ("gk0", "shard1", ...).  Empty lists / dict

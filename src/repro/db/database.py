@@ -6,24 +6,21 @@ deployments differ — whether anything may wait:
 
 * :class:`WritePath` — the clock-free part: place new vertices →
   gatekeeper stamp and backing-store commit → per-(gatekeeper, shard)
-  FIFO enqueue with sequence numbers and one global send rank; plus
-  the oracle + store tail every GC pass ends with and the two ends of
-  a shard-resident program (the ``program_start`` request, the reply
-  as a result).  It only ever calls ``transport.send``, so every
-  deployment inherits it.
+  FIFO enqueue with sequence numbers and one global send rank; the
+  clockless half of every read (cache, stamp choice, watermarks); the
+  two ends of a shard-resident program; and the oracle + store tail
+  every GC pass ends with.  It only ever calls ``transport.send``, so
+  every deployment inherits it.
 * :class:`Coordinator` (a ``WritePath``) — everything that blocks:
   ``begin_transaction``, announce / drain pacing by commit count, NOP
   heartbeats so every queue is non-empty → a one-way ``advance_to``
-  ahead of a node program, which the shard checks for itself — once
-  per change to what a read may read, not once per read: until a
-  commit is attempted (or, for a program that reads only its start
-  vertices, one writes them), programs run at the stamp the shards
-  were last made ready for; plus ``run_program`` with its program cache, drain,
-  checkpoint and the GC fan-out.  It reaches shards only through
-  the :class:`~repro.cluster.transport.Transport` contract (``send``
-  for enqueues, heartbeats and ``advance_to``; one ``request_all``
-  fan-out for ``drain`` / ``collect_below`` / ``advance_epoch``), and
-  every shard answers through the same
+  ahead of a node program's fresh stamp, which the shard checks for
+  itself; plus ``run_program``'s execution, drain, checkpoint and the
+  GC fan-out.  It reaches shards only through the
+  :class:`~repro.cluster.transport.Transport` contract (``send`` for
+  enqueues, heartbeats and ``advance_to``; one ``request_all`` fan-out
+  for ``drain`` / ``collect_below`` / ``advance_epoch``), and every
+  shard answers through the same
   :class:`~repro.cluster.worker.ShardEndpoint`.
 * :class:`Weaver` (this module) — the deployment in one process: a
   ``LocalTransport`` over endpoints wrapping its live ``ShardServer``
@@ -38,8 +35,8 @@ heartbeats are issued eagerly when a node program needs every queue
 non-empty and the last ones no longer serve (the paper's timers are
 background traffic, never a per-read cost).  The discrete-event
 :class:`~repro.sim.deployment.SimulatedWeaver` is a ``WritePath`` over
-a ``SimTransport``: the same commit, channel stamping and shard
-endpoint, fired by its own timers.
+a ``SimTransport``: the same commit, channel stamping, read decision
+and shard endpoint, with its own timers for readiness.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, NoSuchVertex, ProgramError
 from ..graph import HashPartitioner
-from ..programs.caching import ChangeTracker, ProgramCache
+from ..programs.caching import CacheKey, ChangeTracker, ProgramCache
 from ..programs.framework import NodeProgram, ProgramResult
 from ..programs.library import PROGRAM_REGISTRY
 from ..programs.routing import ShardSnapshotResolver
@@ -115,6 +112,21 @@ class WritePath:
         self._channel_seqno: Dict[Tuple[int, int], int] = {}
         self._placement: Dict[str, int] = {}
         self._hash_partitioner = HashPartitioner(cfg.num_shards)
+        # The read decision's state (sections 4.1 and 4.6): what every
+        # commit attempt writes, which the read-stamp rule and the
+        # program cache (off in the paper's evaluation) both read.
+        self.changes = ChangeTracker()
+        self.program_cache: Optional[ProgramCache] = None
+        if cfg.enable_program_cache:
+            self.program_cache = cache = ProgramCache(self.changes)
+            self.metrics.absorb("program.cache", lambda: cache)
+        self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
+        self.programs_run = 0
+        # The last fresh stamp and the commit attempts it was chosen
+        # after (None once retired); the attempts the last announce
+        # round covers.
+        self._read_stamp: Optional[VectorTimestamp] = None
+        self._read_attempt = self._announced_attempt = 0
 
     @staticmethod
     def shard_name(index: int) -> str:
@@ -132,6 +144,11 @@ class WritePath:
 
     # Transaction.commit() lands here.
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
+        # Before the gatekeeper stamps, whatever befalls the attempt (a
+        # forward may raise after the store committed): no later read of
+        # what it writes runs at an earlier stamp or is served from the
+        # cache.  An abort costs one spare stamp, the safe side.
+        self.changes.bump_all(tx.touched_vertices)
         gk = self.gatekeepers[tx.gatekeeper_index]
         placed = self._place_new_vertices(tx)
         ts = gk.commit_prepared(
@@ -284,6 +301,114 @@ class WritePath:
         payload["read_set"] = set(payload["read_set"])
         return ProgramResult(SimpleNamespace(**payload))
 
+    # -- the read decision (sections 4.1 and 4.6) --------------------------
+
+    def _lookup_program(
+        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
+        at: Optional[VectorTimestamp], use_cache: bool,
+        cache_key: Optional[Hashable],
+    ) -> Tuple[Optional[CacheKey], Optional[ProgramResult]]:
+        """A read's cache key — the program, every start handle,
+        ``cache_key`` or every start's params, and ``at``'s stamp — and
+        a valid cached result or None; ``(None, None)`` uncached."""
+        cache = self.program_cache
+        if not use_cache or cache is None:
+            return None, None
+        tail = cache_key if cache_key is not None else repr(
+            [entry[1] for entry in frontier]
+        )
+        key = ProgramCache.key(
+            program.name, vars(program), tuple(e[0] for e in frontier),
+            tail if at is None else (tail, at.id),
+        )
+        return key, cache.get(key)
+
+    def _stamp_program(
+        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
+        at: Optional[VectorTimestamp], cached: bool, gk: Gatekeeper,
+        trace_id: int, query_id: int,
+    ) -> VectorTimestamp:
+        """The stamp a read runs at — ``at``, the read stamp when
+        :meth:`_reuses_read_stamp` says so, or a fresh one from ``gk`` —
+        made ready for (:meth:`_make_shards_ready`) and held in the GC
+        watermarks.  A reuse past a commit attempt first runs the
+        announce round a fresh stamp would have begun with, unless one
+        covered that attempt: ordering cost, not correctness."""
+        reused = {}
+        if at is not None:
+            ts = self._make_shards_ready(at)
+        elif self._reuses_read_stamp(program, frontier, cached):
+            attempts = self.changes.attempts
+            if attempts != self._read_attempt:
+                self.executor.stats.readiness_reuses_across_commits += 1
+                if attempts != self._announced_attempt:
+                    self._announce()
+            ts = self._make_shards_ready(self._read_stamp)
+            reused = {"reused": True}
+        else:
+            attempt = self.changes.attempts
+            ts = self._make_shards_ready(None, gk)
+            self._read_stamp, self._read_attempt = ts, attempt
+        self.watermarks.start(query_id, ts)
+        self.tracer.emit(
+            trace_id, "program.stamp", node=f"gk{ts.issuer}",
+            ts=ts, query_id=query_id, **reused,
+        )
+        return ts
+
+    def _reuses_read_stamp(
+        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
+        cached: bool,
+    ) -> bool:
+        """Whether a current read runs at the read stamp: (i) the
+        deployment has not retired it — a coordinator does whenever the
+        readiness mark moves, the twin at every GC tick and recovery —
+        and (ii) no commit attempt since it was chosen wrote what the
+        program may read: none at all, or, for a ``reads_only_start``
+        program outside the cache, none that wrote a start vertex (what
+        it reads is then current, so it is linearizable anywhere in its
+        interval: section 4.6's validity argument)."""
+        if self._read_stamp is None:
+            return False
+        since, changes = self._read_attempt, self.changes
+        return changes.attempts == since or (
+            program.reads_only_start and not cached
+            and changes.unchanged_since([e[0] for e in frontier], since)
+        )
+
+    def _finish_program(
+        self, query_id: int, trace_id: int, key: Optional[CacheKey],
+        result: ProgramResult, attempt: Optional[int],
+    ) -> ProgramResult:
+        """Close a read: ``attempt`` is the commit attempt count its
+        stamp was chosen at (the cached result is valid from there; on
+        the twin commits land before the reply), None for a cache hit,
+        which is counted and traced like any run."""
+        if attempt is None:
+            flags = {"cache_hit": True}
+        else:
+            flags = {}
+            self.watermarks.finish(query_id)
+            if key is not None:
+                self.program_cache.put(key, result, result.read_set, attempt)
+        self.programs_run += 1
+        self.tracer.emit(
+            trace_id, "program.complete", node="client", query_id=query_id,
+            **flags,
+        )
+        return result
+
+    def _make_shards_ready(
+        self, ts: Optional[VectorTimestamp],
+        stamper: Optional[Gatekeeper] = None,
+    ) -> VectorTimestamp:
+        """``ts``, or a fresh stamp from ``stamper``; nothing is sent:
+        the program parks at its shards for the timers' heartbeats."""
+        return ts if ts is not None else stamper.issue_timestamp()
+
+    def _announce(self) -> None:
+        """Nothing to send: the twin's τ timers announce."""
+
     # -- garbage collection (section 4.5) -----------------------------------
 
     def _collect_oracle_and_store(
@@ -299,11 +424,11 @@ class WritePath:
 
 
 class Coordinator(WritePath):
-    """The blocking client-side protocol: the write path plus everything
-    that waits — announce/drain pacing, eager NOP heartbeats, node
-    programs with their readiness and memoization, drain, checkpoint and
-    the GC fan-out.  There is no time axis: spans are stamped with their
-    emission sequence number (still a total order).
+    """The blocking client-side protocol: the write path and read
+    decision plus everything that waits — announce/drain pacing, eager
+    NOP heartbeats, node programs' readiness and execution, drain,
+    checkpoint and the GC fan-out.  There is no time axis: spans are
+    stamped with their emission sequence number (still a total order).
 
     Subclasses choose the transport and own whatever depends on where
     the shards live (:meth:`_live_shards`, :meth:`_ship`,
@@ -312,28 +437,12 @@ class Coordinator(WritePath):
 
     def __init__(self, parts: ClusterParts, transport: Transport):
         super().__init__(parts, transport)
-        self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
         self._commits = 0
         self._commits_since_drain = 0
         # The timestamp every live shard was last advanced to, while
-        # that round's heartbeats are still queued behind it.
+        # that round's heartbeats are still queued behind it; whatever
+        # moves it retires the read stamp.
         self._advanced_to: Optional[VectorTimestamp] = None
-        # The last stamp _stamp_program issued itself, and the commit
-        # attempts it was issued after.  Reusable only while it is also
-        # the mark (_reuses_read_stamp).
-        self._read_stamp: Optional[VectorTimestamp] = None
-        self._read_attempt = 0
-        self.programs_run = 0
-        # What every commit attempt writes: the read-stamp rule and the
-        # section 4.6 memoization (off in the paper's evaluation) both
-        # read it.
-        self.changes = ChangeTracker()
-        # The commit attempts the last announce round covers.
-        self._announced_attempt = 0
-        self.program_cache: Optional[ProgramCache] = None
-        if self.config.enable_program_cache:
-            self.program_cache = cache = ProgramCache(self.changes)
-            self.metrics.absorb("program.cache", lambda: cache)
 
     # -- shards, by name ------------------------------------------------
 
@@ -370,13 +479,6 @@ class Coordinator(WritePath):
         return tx
 
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
-        # First, before the gatekeeper stamps: whatever happens to this
-        # attempt (a forward may raise after the store committed), no
-        # later program that reads what it writes runs at a stamp issued
-        # before it, and no cached result over what it writes is served.
-        # An aborted attempt costs one spare storm and invalidation, the
-        # safe side.
-        self.changes.bump_all(tx.touched_vertices)
         # Commit counts stand in for the τ timer and the apply loop.
         ts = super()._commit_transaction(tx)
         self._commits += 1
@@ -393,7 +495,7 @@ class Coordinator(WritePath):
         # reloaded from the store may hold writes no counter saw applied,
         # so no cached result taken before the barrier is served.
         self._channel_seqno.clear()
-        self._advanced_to = None
+        self._advanced_to = self._read_stamp = None
         if self.program_cache is not None:
             self.program_cache.clear()
 
@@ -413,12 +515,9 @@ class Coordinator(WritePath):
 
         A single announce round runs first; after it, each NOP is folded
         directly into the next gatekeeper's clock before that one ticks,
-        so the NOPs form a vector-clock chain instead of a mutually-
-        concurrent set — heartbeats then order proactively and never
-        burden the oracle, as in the real system where announces
-        (τ ~ tens of µs) interleave the NOP timers.  Chaining costs G-1
-        point-to-point folds instead of the seed's G full announce
-        rounds (O(G²) messages each).
+        so the NOPs form a vector-clock chain, not a concurrent set, and
+        never burden the oracle — G-1 point-to-point folds instead of G
+        full announce rounds (O(G²) messages each).
 
         With ``stamper``, that gatekeeper stamps a program between the
         leading announce and the first NOP, the chain starts from the
@@ -447,7 +546,7 @@ class Coordinator(WritePath):
         shard (one fan-out)."""
         self._send_nops()
         self._commits_since_drain = 0
-        self._advanced_to = None
+        self._advanced_to = self._read_stamp = None
         return sum(self._request_all_shards("drain", None))
 
     def checkpoint(self) -> VectorTimestamp:
@@ -480,10 +579,8 @@ class Coordinator(WritePath):
         ``start`` is a vertex handle or an iterable of (handle, params)
         pairs.  ``at`` runs a historical query at an earlier timestamp.
         With ``use_cache`` (requires ``enable_program_cache``), a valid
-        memoized result for (program, start, ``cache_key`` or the params)
-        is returned without stamping or sending anything.  An ``at=``
-        query reads another cut of the graph, so its stamp is part of
-        the key (section 4.6).
+        memoized result is returned without stamping or sending
+        anything (:meth:`_lookup_program`).
         """
         shipped = self._ship(program)
         frontier = (
@@ -495,38 +592,27 @@ class Coordinator(WritePath):
             trace_id, "program.submit", node="client",
             query_id=query_id, program=program.name,
         )
-        cache, entry, result = self.program_cache, None, None
-        if use_cache and cache is not None:
-            tail = cache_key if cache_key is not None else repr(params)
-            entry = ProgramCache.key(
-                program.name, vars(program),
-                frontier[0][0] if frontier else "",
-                tail if at is None else (tail, at.id),
-            )
-            result = cache.get(entry)
-        hit = result is not None
-        if not hit:
+        key, result = self._lookup_program(
+            program, frontier, at, use_cache, cache_key
+        )
+        attempt = None
+        if result is None:
+            # The round robin moves per program either way, so the next
+            # commit lands on the gatekeeper it always did.
+            gk = self.gatekeepers[self._pick_gatekeeper()]
             ts = self._stamp_program(
-                program, frontier, at, entry is not None, trace_id, query_id
+                program, frontier, at, key is not None, gk, trace_id,
+                query_id,
             )
-            self.watermarks.start(query_id, ts)
+            attempt = self.changes.attempts
             try:
                 result = self._execute(
                     shipped, frontier, ts, query_id, trace_id
                 )
-            finally:
+            except BaseException:
                 self.watermarks.finish(query_id)
-            if entry is not None:
-                cache.put(entry, result, result.read_set)
-        # A cache hit is still a client-observed run: count it and close
-        # its trace, so `repro stats`/`repro trace` agree with what
-        # clients saw.
-        self.programs_run += 1
-        self.tracer.emit(
-            trace_id, "program.complete", node="client", query_id=query_id,
-            **({"cache_hit": True} if hit else {}),
-        )
-        return result
+                raise
+        return self._finish_program(query_id, trace_id, key, result, attempt)
 
     def _ship(self, program: NodeProgram) -> Any:
         """``program`` as :meth:`_execute` takes it; a deployment whose
@@ -541,83 +627,6 @@ class Coordinator(WritePath):
         shard has been sent what it needs to be ready for."""
         raise NotImplementedError
 
-    def _stamp_program(
-        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
-        at: Optional[VectorTimestamp], cached: bool,
-        trace_id: int, query_id: int,
-    ) -> VectorTimestamp:
-        """The timestamp the program runs at — the historical ``at``,
-        the last stamp issued here when :meth:`_reuses_read_stamp` says
-        so, or a fresh one issued inside its storm — with every shard
-        sent what it needs to execute there.
-
-        A fresh stamp is issued after its storm's leading announce, so
-        every write acknowledged before it is ordered before it by
-        vector clock; every later write is stamped after the storm's
-        final announce, so after it.  A reuse sends and stamps nothing;
-        past a commit attempt it first runs the announce round the storm
-        would have begun with, if no round has covered that attempt
-        yet, so that later write stamps still dominate earlier ones and
-        the oracle is asked what it was asked before.  ``checkpoint()``
-        is how a caller asks for a stamp of its own.
-        """
-        # The round robin moves per program either way, so the next
-        # commit lands on the gatekeeper it always did.
-        gk = self.gatekeepers[self._pick_gatekeeper()]
-        reused = {}
-        if at is not None:
-            ts = self._make_shards_ready(at)
-        elif self._reuses_read_stamp(program, frontier, cached):
-            attempts = self.changes.attempts
-            if attempts != self._read_attempt:
-                self.executor.stats.readiness_reuses_across_commits += 1
-                if attempts != self._announced_attempt:
-                    self._announce()
-            ts = self._make_shards_ready(self._read_stamp)
-            reused = {"reused": True}
-        else:
-            self._read_attempt = self.changes.attempts
-            ts = self._read_stamp = self._make_shards_ready(None, gk)
-        self.tracer.emit(
-            trace_id, "program.stamp", node=f"gk{ts.issuer}",
-            ts=ts, query_id=query_id, **reused,
-        )
-        return ts
-
-    def _reuses_read_stamp(
-        self, program: NodeProgram, frontier: List[Tuple[str, Any]],
-        cached: bool,
-    ) -> bool:
-        """Whether a current read of ``program`` from ``frontier`` runs
-        at the last read stamp: the clockless half of
-        :meth:`_stamp_program`, over the program, its start vertices and
-        the change record since the stamp was issued.
-
-        (i) The stamp ``is`` still the readiness mark — a drain, an
-        epoch reset, a recovery or an ``at=`` read that advanced the
-        shards past it all move the mark, and an ``at=`` stamp never
-        becomes the read stamp; and (ii) no commit attempt since it was
-        issued wrote what the program may read: none at all, or, for a
-        program declaring ``reads_only_start`` outside the program
-        cache, none that wrote one of its start vertices.  Every attempt
-        is in the record before its gatekeeper stamps.  With no attempt
-        in between, a read at the stamp sees every acknowledged write
-        and nothing else; with attempts only on other vertices, every
-        vertex it reads is in its current committed state, so the read
-        is linearizable at any point of its interval (section 4.6's
-        validity argument).
-        """
-        stamp = self._read_stamp
-        if stamp is None or stamp is not self._advanced_to:
-            return False
-        since, changes = self._read_attempt, self.changes
-        return changes.attempts == since or (
-            program.reads_only_start and not cached
-            and changes.unchanged_since(
-                [entry[0] for entry in frontier], since
-            )
-        )
-
     def _make_shards_ready(
         self, ts: Optional[VectorTimestamp],
         stamper: Optional[Gatekeeper] = None,
@@ -625,23 +634,17 @@ class Coordinator(WritePath):
         """Send every live shard what makes it ready for ``ts`` — or,
         with ``ts`` None, for a stamp ``stamper`` issues inside the
         storm — ask nothing, and return the stamp (sections 4.1-4.2:
-        the program waits at the shard; the client negotiates no
-        readiness in rounds before it).
+        the program waits at the shard).  Announce, heartbeat so every
+        queue is non-empty with a NOP that dominates ``ts``, then a
+        one-way ``advance_to``; whoever snapshots at the shard verifies
+        ``ready_for(ts)`` there and fails by name.  A batching transport
+        carries this inside the next request frame on each channel; the
+        caller flushes the others.
 
-        Announce, heartbeat so every queue is non-empty with a NOP that
-        dominates ``ts``, then a one-way ``advance_to`` so the shard
-        applies all work ordered before ``ts``.  Whoever snapshots at
-        the shard verifies ``ready_for(ts)`` there and fails by name.  A
-        batching transport carries all of this inside the next request
-        frame on each channel; the caller flushes the channels it is
-        not about to make a request on.
-
-        Fast path: at or before the timestamp the shards were last
-        advanced to, everything ordered before ``ts`` is applied and
-        that round's heartbeats are still queued after it (a drain, an
-        epoch reset or a recovery forgets the mark) — nothing to send.
-        A reused read stamp (:meth:`_stamp_program`) *is* the mark, so
-        it always lands here; a fresh one is always a storm.
+        Fast path: at or before the mark the shards were last advanced
+        to (a drain, an epoch reset or a recovery forgets it), nothing to
+        send.  A storm moves the mark and retires the read stamp, so a
+        reused one is always the mark and lands here.
         """
         stats = self.executor.stats
         mark = self._advanced_to
@@ -659,7 +662,7 @@ class Coordinator(WritePath):
             self.transport.send(
                 "client", names[shard_index], "advance_to", ts
             )
-        self._advanced_to = ts
+        self._advanced_to, self._read_stamp = ts, None
         return ts
 
     # -- garbage collection (section 4.5) -----------------------------------

@@ -81,7 +81,7 @@ class NodeProgram:
     #: else: :meth:`run` returns no hops (:func:`run_round` fails the
     #: query if it does).  Off by default.  A current read of such a
     #: program needs only its start vertices unchanged since the last
-    #: read stamp to run there (``Coordinator._reuses_read_stamp``), and
+    #: read stamp to run there (``WritePath._reuses_read_stamp``), and
     #: it ends at round 0, so a shard that owns them all runs it in one
     #: pass (``ResidentEngine._read_locally``).
     reads_only_start = False

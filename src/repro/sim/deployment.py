@@ -17,11 +17,12 @@ network:
   (section 4.2's 10 µs default), keeping shard queues non-empty;
 * transactions travel client -> gatekeeper -> (store commit) -> shards
   on FIFO channels with sequence numbers;
-* node programs travel client -> gatekeeper (stamp) -> the start
-  vertex's shard, wait *there* until every queue head is ordered after
-  them — the wait is real simulated time, bounded by τ plus the NOP
-  period, which the tests verify — then propagate shard to shard and
-  reply shard -> client;
+* node programs take the coordinators' read decision (``WritePath``:
+  cache at submit, stamp choice at the gatekeeper after its service
+  time, finish at the reply); a program waits at its start vertex's
+  shard until every queue head is ordered after it — real simulated
+  time, bounded by τ plus the NOP period, which the tests verify —
+  then propagates shard to shard and replies shard -> client;
 * heartbeats flow to the cluster manager, whose failure detector runs
   on simulated time.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..cluster.builder import build_cluster
 from ..cluster.messages import AnnounceMessage, Heartbeat, QueuedTransaction
@@ -51,10 +52,11 @@ from ..cluster.worker import ResidentEngine, ShardEndpoint
 from ..core.gatekeeper import DeadlineStamper
 from ..core.vclock import VectorTimestamp
 from ..db.config import WeaverConfig
-from ..db.database import WritePath
+from ..db.database import StartSpec, WritePath
 from ..db.operations import Operation
 from ..db.transactions import Transaction
-from ..errors import TransactionAborted
+from ..errors import ProgramError, TransactionAborted
+from ..programs.caching import CacheKey
 from ..programs.framework import NodeProgram, ProgramResult
 from .clock import USEC
 from .faults import FaultInjector, FaultPlan, GATEKEEPER
@@ -135,16 +137,19 @@ class TauController:
 
 @dataclass
 class _SimProgram:
-    """One submitted node program, client side: what a gatekeeper needs
-    to stamp and launch it (again, after a recovery) and what the reply
+    """One submitted node program, client side: what the read decision
+    stamps (again, after a recovery), the shards run and the reply
     completes."""
 
-    program: Tuple[str, Optional[dict]]  # (name, init), as on the wire
+    program: NodeProgram
+    shipped: Tuple[str, Optional[dict]]  # (name, init), as on the wire
     frontier: List[Tuple[str, Any]]
+    at: Optional[VectorTimestamp]
+    key: Optional[CacheKey]  # the program cache's, when it is asked
     callback: Optional[Callable[[Optional[ProgramResult]], None]]
     submitted: float
     trace_id: int
-    ts: Optional[VectorTimestamp] = None  # the latest stamp
+    attempt: int = 0  # commit attempts when the stamp was chosen
 
 
 class _ShardHost(ResidentEngine):
@@ -383,7 +388,7 @@ class SimulatedWeaver(WritePath):
         self.latency_program = self.metrics.histogram("latency.program")
         # Node programs in flight, as data: on their way to a gatekeeper
         # (by the token the submission carries), then stamped and running
-        # at the shards (by query id, oldest stamp first).
+        # at the shards (by query id).
         self._submitted: Dict[int, _SimProgram] = {}
         self._stamped: Dict[int, _SimProgram] = {}
         self.committed = 0
@@ -571,23 +576,25 @@ class SimulatedWeaver(WritePath):
 
         The watermark is the oldest in-flight program, or — when idle — a
         clock snapshot; events and versions strictly below it can never
-        be read again.  Without this, the oracle's event DAG would grow
+        be read again, so the tick retires the read stamp (a reuse would
+        ask the oracle about collected events; a coordinator's drain
+        does the same).  Without this, the oracle's event DAG would grow
         with every concurrent heartbeat pair for the run's lifetime.
         """
-        if self._stamped:
-            watermark = next(iter(self._stamped.values())).ts
-        else:
-            watermark = self.gatekeepers[0].current_watermark()
+        self._read_stamp = None
+        watermark = self.watermarks.watermark(
+            self.gatekeepers[0].current_watermark()
+        )
         # Announce the watermark on the trace stream *before* collecting:
         # the online checker is a synchronous sink, so it settles and
         # prunes its windows while the decisions below the watermark are
         # still queryable (they vanish in collect_below right after).
         self.tracer.emit(None, "gc.watermark", node="gc", ts=watermark)
         # Oracle and store GC only: the oracle's uses pure vector-clock
-        # comparison, so the (non-unique) peeked watermark cannot mint
-        # new oracle decisions.  Graph GC goes through refinable
-        # comparison and needs a real stamped watermark; callers run it
-        # explicitly when they care.
+        # comparison, so the (non-unique) watermark cannot mint new
+        # oracle decisions.  Graph GC goes through refinable comparison
+        # and needs a real stamped watermark; callers run it explicitly
+        # when they care.
         self._collect_oracle_and_store(watermark)
         self.simulator.schedule(self.gc_period, self._gc_tick)
 
@@ -650,18 +657,22 @@ class SimulatedWeaver(WritePath):
         self.recoveries += 1
         # In-flight node programs die with the epoch: their snapshots
         # predate the recovery timestamp and would miss reloaded state.
-        # Every engine forgets them, and each is launched again with a
-        # fresh stamp (section 4.3), as the client library would on
-        # resubmission — under a fresh query id, so a pre-recovery frame
-        # can never be taken for the relaunch.
+        # Every engine forgets them, the read stamp and cache are retired
+        # (as at a coordinator's epoch reset), and each program is
+        # stamped again (section 4.3) under a fresh query id, so a
+        # pre-recovery frame can never be taken for the relaunch.
         for engine in self._engines.values():
             engine.reset()
+        self._read_stamp = None
+        if self.program_cache is not None:
+            self.program_cache.clear()
         live = [
             gk for gk in self.gatekeepers if gk.name not in self._crashed
         ]
         if live:
             stamped, self._stamped = self._stamped, {}
             for query_id, entry in stamped.items():
+                self.watermarks.finish(query_id)
                 self._launch_program(live[query_id % len(live)], entry)
         self.manager.heartbeat(name, self.simulator.now)
         self.simulator.schedule(
@@ -778,30 +789,43 @@ class SimulatedWeaver(WritePath):
     def submit_program(
         self,
         program: NodeProgram,
-        start: str,
+        start: StartSpec,
         params: Any = None,
         callback: Optional[Callable[[ProgramResult], None]] = None,
+        at: Optional[VectorTimestamp] = None,
+        use_cache: bool = False,
+        cache_key: Optional[Hashable] = None,
     ) -> int:
-        """Submit a node program: stamped at a gatekeeper, shipped to
-        the start vertex's shard, where it waits until the shard is
-        ready for its timestamp and then runs shard to shard.
-
-        Returns the trace id assigned to the submission (also the token
-        the submission travels under).  ``callback`` gets the result, or
-        None when the request died with its gatekeeper; a program the
-        shards cannot rebuild (:meth:`_wire_program`) raises
-        :class:`ProgramError` here, one that fails at the shards raises
-        it out of :meth:`run`.
-        """
+        """Submit a node program as ``run_program`` takes it: a cache
+        hit completes here; otherwise a gatekeeper stamps it, and it
+        waits at the start vertex's shard until ready, then runs shard
+        to shard.  Returns the trace id (also the submission's token).
+        ``callback`` gets the result, or None when the request died with
+        its gatekeeper; a program the shards cannot rebuild raises
+        :class:`ProgramError` here, one that fails there out of
+        :meth:`run`."""
         shipped = self._wire_program(program)
+        frontier = (
+            [(start, params)] if isinstance(start, str) else list(start)
+        )
         gk_index = self._pick_gatekeeper()
         trace_id = self.tracer.next_trace_id()
         self.tracer.emit(
             trace_id, "program.submit", node="client",
             program=program.name, gk=gk_index,
         )
+        key, result = self._lookup_program(
+            program, frontier, at, use_cache, cache_key
+        )
+        if result is not None:
+            query_id = next(self._query_counter)
+            self._finish_program(query_id, trace_id, key, result, None)
+            self.latency_program.observe(0.0)
+            if callback is not None:
+                self.simulator.schedule(0.0, callback, result)
+            return trace_id
         self._submitted[trace_id] = _SimProgram(
-            shipped, [(start, params)], callback,
+            program, shipped, frontier, at, key, callback,
             self.simulator.now, trace_id,
         )
         self.transport.send(
@@ -837,19 +861,19 @@ class SimulatedWeaver(WritePath):
         self._launch_program(gk, self._submitted.pop(token))
 
     def _launch_program(self, gk, entry: _SimProgram) -> None:
-        """Stamp ``entry`` at ``gk`` and send ``program_start`` to the
-        coordinating shard.  Crashes are silent, so the gatekeeper takes
-        every shard for live: a request to a dead one vanishes and the
-        recovery relaunches it."""
-        entry.ts = gk.issue_timestamp()
+        """Stamp ``entry`` at ``gk`` by the shared read decision and send
+        ``program_start`` to the coordinating shard.  Crashes are
+        silent, so the gatekeeper takes every shard for live: a request
+        to a dead one vanishes and the recovery relaunches it."""
         query_id = next(self._query_counter)
-        self.tracer.emit(
-            entry.trace_id, "program.stamp", node=gk.name,
-            ts=entry.ts, query_id=query_id,
+        ts = self._stamp_program(
+            entry.program, entry.frontier, entry.at, entry.key is not None,
+            gk, entry.trace_id, query_id,
         )
+        entry.attempt = self.changes.attempts
         self._stamped[query_id] = entry
         coordinator, ps = self._program_start(
-            entry.program, entry.frontier, entry.ts, query_id,
+            entry.shipped, entry.frontier, ts, query_id,
             entry.trace_id, self._all_shards,
         )
         self.transport.send(
@@ -861,9 +885,15 @@ class SimulatedWeaver(WritePath):
         entry = self._stamped.pop(query_id, None)
         if entry is None:
             return  # a pre-recovery launch; its relaunch has a fresh id
-        result = self._program_result(reply)
+        try:
+            result = self._program_result(reply)
+        except ProgramError:
+            self.watermarks.finish(query_id)
+            raise
         self.latency_program.observe(self.simulator.now - entry.submitted)
-        self.tracer.emit(entry.trace_id, "program.complete", node="client")
+        self._finish_program(
+            query_id, entry.trace_id, entry.key, result, entry.attempt
+        )
         if entry.callback is not None:
             entry.callback(result)
 

@@ -269,7 +269,7 @@ def test_real_time_read_convicted():
 
 def two_reads_on_one_stamp(m, write_between):
     """The span shape a reused read stamp leaves (db/database.py,
-    ``Coordinator._stamp_program``): a write, then two ``program.read``
+    ``WritePath._stamp_program``): a write, then two ``program.read``
     records carrying one timestamp object under two query ids.  With
     ``write_between`` a second write to the vertex is stamped after the
     read stamp and acknowledged between the reads, and the second read

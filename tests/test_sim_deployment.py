@@ -257,10 +257,15 @@ class TestOneWritePath:
     def test_inherits_nothing_it_cannot_run(self):
         sw = make()
         for blocking in ("drain", "checkpoint", "begin_transaction",
-                         "collect_garbage", "_make_shards_ready"):
+                         "collect_garbage", "_send_nops"):
             assert not hasattr(sw, blocking)
+        # The read decision is shared too; its readiness half here
+        # sends nothing (programs park at the shards for the timers).
         for inherited in ("_commit_transaction", "_enqueue",
-                          "_forward_to_shards", "_place_new_vertices"):
+                          "_forward_to_shards", "_place_new_vertices",
+                          "_lookup_program", "_stamp_program",
+                          "_reuses_read_stamp", "_finish_program",
+                          "_make_shards_ready", "_announce"):
             assert inherited not in vars(SimulatedWeaver)
             assert inherited in vars(WritePath)
 

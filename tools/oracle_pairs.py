@@ -1,0 +1,137 @@
+#!/usr/bin/env python
+"""The twin's ordering counters, and its oracle requests by the kinds
+of the two stamps compared.
+
+Every compare a shard sends to the oracle (``ordering.reactive``) is
+one head request.  This script labels each stamp by what issued it — a
+NOP heartbeat (``Gatekeeper.make_nop``), a transaction
+(``Gatekeeper.commit_prepared``) or a node program (any other
+``issue_timestamp``) — by wrapping those methods at run time, and counts
+the requests per unordered pair of kinds.  Each row also prints the
+fast-path counters of the measured twin's ``metrics.snapshot()``.
+Nothing under ``src/`` is edited; every number is simulated.
+
+    python tools/oracle_pairs.py               # Figs 9a, 9b, 12 and geo
+    python tools/oracle_pairs.py --ops 1000    # a quicker, smaller run
+
+``--ops`` sizes the figure runs; the geo rows are ``run_geo`` seed 7
+(3 regions, τ 200 µs) at its own length.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.bench import harness  # noqa: E402
+from repro.core.gatekeeper import Gatekeeper  # noqa: E402
+from repro.core.ordering import RefinableOrdering  # noqa: E402
+from repro.sim.clock import USEC  # noqa: E402
+from repro.sim.deployment import SimulatedWeaver  # noqa: E402
+from repro.workloads.geo import run_geo  # noqa: E402
+
+KINDS: dict = {}
+PAIRS: collections.Counter = collections.Counter()
+TWINS: list = []
+
+
+def _labelled(method, kind):
+    def wrapper(*args, **kwargs):
+        ts = method(*args, **kwargs)
+        KINDS[ts.id] = kind
+        return ts
+    return wrapper
+
+
+def _counted(compare):
+    def wrapper(self, a, b, *args, **kwargs):
+        before = self.stats.reactive
+        decided = compare(self, a, b, *args, **kwargs)
+        if self.stats.reactive != before:
+            pair = sorted((KINDS.get(a.id, "?"), KINDS.get(b.id, "?")))
+            PAIRS["–".join(pair)] += 1
+        return decided
+    return wrapper
+
+
+def install() -> None:
+    Gatekeeper.issue_timestamp = _labelled(
+        Gatekeeper.issue_timestamp, "program"
+    )
+    Gatekeeper.make_nop = _labelled(Gatekeeper.make_nop, "NOP")
+    Gatekeeper.commit_prepared = _labelled(
+        Gatekeeper.commit_prepared, "tx"
+    )
+    RefinableOrdering.compare = _counted(RefinableOrdering.compare)
+    built = SimulatedWeaver.__init__
+
+    def recorded(self, *args, **kwargs):
+        built(self, *args, **kwargs)
+        TWINS.append(self)
+    SimulatedWeaver.__init__ = recorded
+
+
+def rows(ops: int):
+    yield "Fig 9a", lambda: harness.experiment_fig9(
+        total_ops=ops, measure_reactive=False
+    )
+    yield "Fig 9b", lambda: harness.experiment_fig9(
+        read_fraction=0.75, total_ops=ops, measure_reactive=False
+    )
+    for count in (1, 3, 6):
+        yield f"Fig 12, G={count}", lambda count=count: (
+            harness.experiment_fig12(gatekeeper_counts=(count,), ops=ops)
+        )
+    for fastpath in (True, False):
+        name = "geo fast path" if fastpath else "geo baseline"
+        yield name, lambda fastpath=fastpath: run_geo(
+            7, tau=200 * USEC, fastpath=fastpath
+        )
+
+
+def counters(snap) -> str:
+    """ROADMAP 19's columns: compares, what the shard cache answered and
+    the tournament saved per compare, the reach cache per oracle
+    request, and the index's pruned candidates."""
+    compares = sum(snap[f"ordering.{kind}"] for kind in (
+        "proactive", "deadline_fastpath", "cached", "reactive"
+    ))
+    requests = snap["oracle.messages"]
+    hits = snap["oracle.reach_cache_hits"]
+    saved = snap["ordering.heap_compares_saved"]
+    return (
+        f"  compares {compares:,}"
+        f" ({snap['ordering.deadline_fastpath']:,} deadline);"
+        f" cached {100 * snap['ordering.cached'] / compares:.1f}%;"
+        f" heap saved {100 * saved / compares:.1f}%;"
+        f" reach hits {hits:,} / {requests:,} requests;"
+        f" bfs_pruned {snap['oracle.bfs_pruned']:,}"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ops", type=int, default=4_000)
+    args = parser.parse_args(argv)
+    install()
+    for name, run in rows(args.ops):
+        KINDS.clear()
+        PAIRS.clear()
+        TWINS.clear()
+        run()
+        total = sum(PAIRS.values())
+        fresh = sum(kind == "program" for kind in KINDS.values())
+        print(f"{name}: {total:,} oracle requests; {fresh:,} fresh"
+              " program stamps")
+        print(counters(TWINS[-1].metrics.snapshot()))
+        for pair, count in PAIRS.most_common():
+            print(f"  {pair:<16} {count:>8,}  {100 * count / total:5.1f}%")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
