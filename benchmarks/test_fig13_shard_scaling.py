@@ -11,12 +11,12 @@ shards, is the bottleneck (EXPERIMENTS.md, Known deviations: "Fig 13").
 """
 
 from repro.bench import harness
-from repro.bench.costmodel import CostParams
 
 SHARD_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 OPS = 1_000
-# Six gatekeepers, each serving one stamp per gatekeeper_service.
-GATEKEEPER_BOUND = 6 / CostParams().gatekeeper_service
+# At the gatekeeper bank's bound (8 and 9 shards) neighbouring points
+# tie within closed-loop rounding: 47,585 then 47,559 tx/s.
+TIE = 0.995
 
 
 def run_experiment():
@@ -35,10 +35,8 @@ def test_fig13_shard_scaling(benchmark, show):
     )
     assert all(run.completed == OPS for run in result.runs)
     throughputs = [t for _, t in result.rows()]
-    # Growth with every shard until the gatekeeper bank saturates; at
-    # its bound neighbouring points tie within closed-loop rounding.
     for previous, current in zip(throughputs, throughputs[1:]):
-        assert current >= previous or current >= 0.9 * GATEKEEPER_BOUND
+        assert current >= previous * TIE
     # The twin's band, not the paper's (Known deviations: "Fig 13"):
     # 9.1k -> 47.6k queries/s, 5.2x over 9 shards, linearity 0.58.
     assert 3.5 <= throughputs[-1] / throughputs[0] <= 6

@@ -303,6 +303,12 @@ class WritePath:
 
     # -- the read decision (sections 4.1 and 4.6) --------------------------
 
+    @staticmethod
+    def _frontier(start: StartSpec, params: Any) -> List[Tuple[str, Any]]:
+        """``run_program``'s ``start`` — a handle, or (handle, params)
+        pairs — as (handle, params) pairs."""
+        return [(start, params)] if isinstance(start, str) else list(start)
+
     def _lookup_program(
         self, program: NodeProgram, frontier: List[Tuple[str, Any]],
         at: Optional[VectorTimestamp], use_cache: bool,
@@ -583,9 +589,7 @@ class Coordinator(WritePath):
         anything (:meth:`_lookup_program`).
         """
         shipped = self._ship(program)
-        frontier = (
-            [(start, params)] if isinstance(start, str) else list(start)
-        )
+        frontier = self._frontier(start, params)
         query_id = next(self._query_counter)
         trace_id = self.tracer.next_trace_id()
         self.tracer.emit(
@@ -597,8 +601,8 @@ class Coordinator(WritePath):
         )
         attempt = None
         if result is None:
-            # The round robin moves per program either way, so the next
-            # commit lands on the gatekeeper it always did.
+            # A miss moves the round robin, fresh stamp or reused, so
+            # the next commit lands on the gatekeeper it always did.
             gk = self.gatekeepers[self._pick_gatekeeper()]
             ts = self._stamp_program(
                 program, frontier, at, key is not None, gk, trace_id,

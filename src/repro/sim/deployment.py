@@ -805,17 +805,16 @@ class SimulatedWeaver(WritePath):
         :class:`ProgramError` here, one that fails there out of
         :meth:`run`."""
         shipped = self._wire_program(program)
-        frontier = (
-            [(start, params)] if isinstance(start, str) else list(start)
-        )
-        gk_index = self._pick_gatekeeper()
+        frontier = self._frontier(start, params)
         trace_id = self.tracer.next_trace_id()
+        key, result = self._lookup_program(
+            program, frontier, at, use_cache, cache_key
+        )
+        # As in run_program, only a miss moves the round robin.
+        gk_index = None if result is not None else self._pick_gatekeeper()
         self.tracer.emit(
             trace_id, "program.submit", node="client",
             program=program.name, gk=gk_index,
-        )
-        key, result = self._lookup_program(
-            program, frontier, at, use_cache, cache_key
         )
         if result is not None:
             query_id = next(self._query_counter)

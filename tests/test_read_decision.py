@@ -7,7 +7,8 @@ readiness and the discrete-event ``SimulatedWeaver`` parks programs at
 its shards for the timers.  A seeded sequential script of commits,
 reads, cached reads and one historical read must give both the same
 results and the same decisions: fresh and reused stamps, reuses past a
-commit, and cache hits.
+commit, cache hits, and the gatekeeper each stamp came from (a cache hit
+moves no round robin).
 """
 
 import random
@@ -66,7 +67,7 @@ def run_on_weaver(steps):
             tx = db.begin_transaction()
             for operation in step[1]:
                 tx.record(operation)
-            tx.commit()
+            results.append(("tx", tx.commit().issuer))
             continue
         _, program, start, prog_params, use_cache, at_index = step
         at = stamps[at_index] if at_index is not None else None
@@ -92,10 +93,12 @@ def run_on_twin(steps):
         if step[0] == "tx":
             box = {}
             sw.submit_transaction(
-                step[1], callback=lambda ok, value: box.update(ok=ok)
+                step[1],
+                callback=lambda ok, value: box.update(ok=ok, ts=value),
             )
             sw.run(settle)
-            assert box == {"ok": True}
+            assert box["ok"]
+            results.append(("tx", box["ts"].issuer))
             continue
         _, program, start, prog_params, use_cache, at_index = step
         at = stamps[at_index] if at_index is not None else None
@@ -121,6 +124,7 @@ def decisions(db):
         "across_commits": snap["program.readiness_reuses_across_commits"],
         "cache_hits": snap["program.cache.hits"],
         "runs": db.programs_run,
+        "issuers": [span.node for span in stamps],
     }
 
 
