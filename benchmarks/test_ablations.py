@@ -2,8 +2,6 @@
 
 A1 — node-program memoization (section 4.6) on ``Weaver``: hit rate and
      reads saved under a read-mostly workload with invalidating writes.
-A3 — shard-side caching of oracle decisions (section 4.2) on the twin's
-     Fig 9a run: the compares the cache answered.
 A4 — NOP period (section 4.2), a closed form: node-program delay vs
      heartbeat traffic.
 A5-A9 — adaptive τ, OCC contention, freshness vs Kineograph's epochs,
@@ -37,31 +35,6 @@ def test_a1_program_caching(benchmark, show):
     assert result.hit_rate > 0.3
     assert result.reads_saved_fraction > 0.3
     assert result.invalidations > 0  # writes really do invalidate
-
-
-def test_a3_oracle_decision_cache(benchmark, show):
-    result = benchmark.pedantic(
-        lambda: harness.ablation_oracle_cache(total_ops=4_000),
-        rounds=1,
-        iterations=1,
-    )
-    show(
-        "A3: shard-side oracle-decision cache (twin, Fig 9a mix, simulated)",
-        ["compares", "count"],
-        [
-            ("proactive (vector clocks)", result.proactive),
-            ("cached (oracle not asked)", result.cached),
-            ("reactive", result.reactive),
-            ("oracle messages", result.oracle_messages),
-        ],
-        lines=[
-            "cache answered "
-            f"{result.concurrent_hit_fraction:.1%} of concurrent compares, "
-            f"{result.compare_hit_fraction:.1%} of all compares"
-        ],
-    )
-    assert result.cached > 0
-    assert result.oracle_messages == result.reactive
 
 
 def test_a5_adaptive_tau(benchmark, show):

@@ -435,7 +435,7 @@ def _compares(db):
     snap = db.metrics.snapshot()
     return sum(
         snap[f"ordering.{kind}"]
-        for kind in ("proactive", "cached", "reactive")
+        for kind in ("proactive", "reactive")
     )
 
 

@@ -66,7 +66,7 @@ def main():
     snap = db.metrics.snapshot()
     print("ordering decisions:", {
         kind: snap[f"ordering.{kind}"]
-        for kind in ("proactive", "cached", "reactive")
+        for kind in ("proactive", "reactive")
     })
 
 

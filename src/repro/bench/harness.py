@@ -4,7 +4,7 @@ Each ``experiment_*`` function returns a result object whose ``rows()``
 method (or fields) yield the same series the paper's figure plots.  The
 benchmark files under ``benchmarks/`` call these and print the tables.
 
-Weaver's series in Figs 7-13, A3 and A7 are measured on the simulated twin:
+Weaver's series in Figs 7-13 and A7 are measured on the simulated twin:
 a :class:`~repro.sim.deployment.SimulatedWeaver` with a
 :class:`~repro.bench.costmodel.CostParams` attached runs the real write
 path and shard engine on simulated time, driven by
@@ -701,46 +701,6 @@ def ablation_caching(
         cached_reads=reads_after - reads_before,
         hit_rate=cache.hit_rate,
         invalidations=cache.invalidations,
-    )
-
-
-@dataclass
-class OracleCacheAblationResult:
-    """How the twin's shards settled their compares on one run."""
-
-    cached: int
-    reactive: int
-    proactive: int
-    oracle_messages: int
-
-    @property
-    def concurrent_hit_fraction(self) -> float:
-        """The share of concurrent compares the cache answered."""
-        concurrent = self.cached + self.reactive
-        return self.cached / concurrent if concurrent else 0.0
-
-    @property
-    def compare_hit_fraction(self) -> float:
-        """The share of all compares the cache answered."""
-        total = self.cached + self.reactive + self.proactive
-        return self.cached / total if total else 0.0
-
-
-def ablation_oracle_cache(total_ops: int = 4_000) -> OracleCacheAblationResult:
-    """A3: what the shard-side decision cache (section 4.2) answers on
-    the twin's Fig 9a run.
-
-    Every compare the cache misses is one oracle request, so
-    ``oracle_messages`` equals ``reactive``; ``cached`` is what the
-    shards did not send.
-    """
-    run = experiment_fig9(total_ops=total_ops, measure_reactive=False)
-    snap = run.weaver_run.deployment.metrics.snapshot()
-    return OracleCacheAblationResult(
-        cached=snap["ordering.cached"],
-        reactive=snap["ordering.reactive"],
-        proactive=snap["ordering.proactive"],
-        oracle_messages=snap["oracle.messages"],
     )
 
 

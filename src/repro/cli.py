@@ -68,7 +68,7 @@ def _cmd_demo(args) -> int:
     snap = db.metrics.snapshot()
     print("ordering decisions:", {
         kind: snap[f"ordering.{kind}"]
-        for kind in ("proactive", "cached", "reactive")
+        for kind in ("proactive", "reactive")
     })
     return 0
 
@@ -141,14 +141,14 @@ def _cmd_stats(args) -> int:
 
     ordering = [
         (kind, snap[f"ordering.{kind}"])
-        for kind in ("cached", "proactive", "reactive")
+        for kind in ("proactive", "reactive")
     ]
     resolved = sum(count for _, count in ordering) or 1
     # Work the fast paths saved, then how reads became ready: storms,
     # reused stamps, and reuses that crossed a commit to a vertex the
     # read does not see.
     counters = [
-        "ordering.cache_hits", "ordering.heap_compares_saved",
+        "ordering.heap_compares_saved",
         "oracle.bfs_expansions", "oracle.bfs_pruned",
         "oracle.reach_cache_hits", "ordering.snapshot_memo_hits",
     ] + [name for name in snap if name.startswith("program.readiness_")]

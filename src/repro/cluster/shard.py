@@ -12,7 +12,6 @@ Fig 6).  The mechanics:
   across queues, consulting the timeline oracle for concurrent heads, and
   applies it;
 * FIFO per channel is validated with sequence numbers;
-* oracle decisions are cached locally (they are irreversible);
 * node programs wait until every queue head is ordered **after** the
   program's timestamp — unordered (transaction, program) pairs resolve
   transaction-first (section 4.1), so programs never miss committed
@@ -25,9 +24,7 @@ import heapq
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.ordering import (
-    EarliestScheduler, RefinableOrdering, cache_metrics,
-)
+from ..core.ordering import EarliestScheduler, RefinableOrdering
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, ProgramError
 from ..graph.elements import Vertex
@@ -431,9 +428,6 @@ def absorb_shards(
     registry, shards: Callable[[], List[ShardServer]]
 ) -> None:
     """Export the counters of ``shards()`` (followed across recovery),
-    summed: ``shard.*``, ``ordering.*`` and ``ordering.cache_*``."""
+    summed: ``shard.*`` and ``ordering.*``."""
     registry.absorb("shard", lambda: [s.stats for s in shards()])
     registry.absorb("ordering", lambda: [s.ordering.stats for s in shards()])
-    registry.register_collector(
-        lambda: cache_metrics(s.ordering for s in shards())
-    )

@@ -242,13 +242,7 @@ class ShardEndpoint:
         if kind == "drain":
             return shard.apply_available()
         if kind == "collect_below":
-            # (graph records reclaimed, ordering-cache entries evicted):
-            # the shard-local decision cache holds entries keyed on
-            # collected events, so it is swept at the same watermark.
-            return (
-                shard.collect_below(payload),
-                shard.ordering.cache.evict_below(payload),
-            )
+            return shard.collect_below(payload)
         if kind == "advance_epoch":
             shard.advance_epoch(payload)
             return True

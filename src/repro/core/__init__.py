@@ -12,7 +12,6 @@ from .oracle import (
     TimelineOracle,
 )
 from .ordering import (
-    OrderingCache,
     OrderingStats,
     RefinableOrdering,
     make_oracle,
@@ -27,7 +26,6 @@ __all__ = [
     "OracleStats",
     "ReplicatedOracle",
     "TimelineOracle",
-    "OrderingCache",
     "OrderingStats",
     "RefinableOrdering",
     "make_oracle",

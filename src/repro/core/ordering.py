@@ -8,111 +8,24 @@ for concurrent pairs (section 3.1).  The façade also keeps the statistics
 that the coordination-overhead experiment (Fig 14) reports: how many
 comparisons were settled proactively vs. reactively.
 
-Because oracle decisions are irreversible and monotonic, shard servers may
-cache them locally (section 4.2); :class:`OrderingCache` implements that
-cache and ablation A3 counts what it answers on the twin's Fig 9a run.
+Section 4.2 lets a shard cache oracle decisions, which are irreversible.
+No shard keeps one: the oracle answers a repeated pair from the order it
+already committed to, and measured traffic repeats almost no pair
+(ARCHITECTURE.md, "Ordering fast path").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .oracle import ReplicatedOracle, TimelineOracle
 from .vclock import Ordering, VectorTimestamp
-
-PairKey = Tuple[Tuple[int, int, int], Tuple[int, int, int]]
-
-
-class OrderingCache:
-    """A shard-local cache of oracle decisions.
-
-    Safe because the oracle never revokes a decision.  Entries are keyed on
-    the (smaller, larger) event-id pair so both query directions hit.
-    """
-
-    def __init__(self) -> None:
-        self._decisions: Dict[PairKey, Ordering] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._decisions)
-
-    @staticmethod
-    def _key(a: VectorTimestamp, b: VectorTimestamp) -> Tuple[PairKey, bool]:
-        if a.id <= b.id:
-            return (a.id, b.id), False
-        return (b.id, a.id), True
-
-    def get(
-        self, a: VectorTimestamp, b: VectorTimestamp
-    ) -> Optional[Ordering]:
-        key, flipped = self._key(a, b)
-        found = self._decisions.get(key)
-        if found is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return found.flipped() if flipped else found
-
-    def put(
-        self, a: VectorTimestamp, b: VectorTimestamp, order: Ordering
-    ) -> None:
-        key, flipped = self._key(a, b)
-        self._decisions[key] = order.flipped() if flipped else order
-
-    @staticmethod
-    def _dominated(event_id: Tuple[int, int, int],
-                   watermark: VectorTimestamp) -> bool:
-        """True when the watermark's vector covers the event.
-
-        Every live comparison against such an event is settled by vector
-        clocks alone, so its cached decisions can never be consulted again.
-        """
-        epoch, issuer, counter = event_id
-        if epoch != watermark.epoch:
-            return epoch < watermark.epoch
-        return counter <= watermark.clocks[issuer]
-
-    def evict_below(self, watermark: VectorTimestamp) -> int:
-        """Drop cached decisions whose both events the watermark dominates.
-
-        Comparing epochs alone would keep every same-epoch entry alive
-        forever; the per-issuer counter check bounds the cache within an
-        epoch too.
-        """
-        victims = [
-            key for key in self._decisions
-            if self._dominated(key[0], watermark)
-            and self._dominated(key[1], watermark)
-        ]
-        for key in victims:
-            del self._decisions[key]
-        return len(victims)
-
-    def clear(self) -> None:
-        self._decisions.clear()
-
-
-def cache_metrics(
-    orderings: Iterable["RefinableOrdering"],
-) -> Dict[str, int]:
-    """The collector of ``ordering.cache_*``: the decision caches of
-    several shards' orderings, summed."""
-    caches = [o.cache for o in orderings]
-    return {
-        "ordering.cache_hits": sum(c.hits for c in caches),
-        "ordering.cache_misses": sum(c.misses for c in caches),
-        "ordering.cache_entries": sum(len(c) for c in caches),
-    }
-
 
 class OrderingStats:
     """Counts of how comparisons were resolved (and avoided entirely)."""
 
     def __init__(self) -> None:
         self.proactive = 0   # settled by vector clocks alone
-        self.cached = 0      # settled by a cached oracle decision
         self.reactive = 0    # required an oracle round trip
         # Fast-path counters: comparisons that never reached compare() at
         # all.  Snapshot memo hits are visibility checks answered by a
@@ -123,14 +36,14 @@ class OrderingStats:
         # Geo deadline ordering (Tiga-style): concurrent pairs whose
         # deadlines are separated by more than the clock-skew bound are
         # decided without the oracle (deadline_fastpath); deadline pairs
-        # within the bound fall back to the cache/oracle with the
+        # within the bound fall back to the oracle with the
         # deadline total order as the tiebreak (deadline_fallback).
         self.deadline_fastpath = 0
         self.deadline_fallback = 0
 
     @property
     def total(self) -> int:
-        return self.proactive + self.cached + self.reactive
+        return self.proactive + self.reactive
 
     @property
     def reactive_fraction(self) -> float:
@@ -151,7 +64,6 @@ class RefinableOrdering:
         skew_bound: Optional[float] = None,
     ):
         self._oracle = oracle
-        self._cache = OrderingCache()
         self.stats = OrderingStats()
         # Clock-skew bound of the geo deadline fast path.  None disables
         # it; when set, concurrent deadline-carrying pairs separated by
@@ -164,10 +76,6 @@ class RefinableOrdering:
     @property
     def oracle(self):
         return self._oracle
-
-    @property
-    def cache(self) -> OrderingCache:
-        return self._cache
 
     @staticmethod
     def _deadline_key(ts: VectorTimestamp):
@@ -211,14 +119,8 @@ class RefinableOrdering:
                 if self._deadline_key(a) < self._deadline_key(b)
                 else Ordering.AFTER
             )
-        cached = self._cache.get(a, b)
-        if cached is not None:
-            self.stats.cached += 1
-            return cached
-        decided = self._oracle.order(a, b, prefer)
         self.stats.reactive += 1
-        self._cache.put(a, b, decided)
-        return decided
+        return self._oracle.order(a, b, prefer)
 
 
 QueueEntry = Optional[Tuple[VectorTimestamp, int]]

@@ -678,7 +678,7 @@ class Coordinator(WritePath):
         system is idle — a fresh clock snapshot that dominates every
         issued timestamp (everything old is reclaimable).
         """
-        reclaimed = {"graph": 0, "oracle": 0, "ordering_cache": 0, "store": 0}
+        reclaimed = {"graph": 0, "oracle": 0, "store": 0}
         self._announce()
         watermark = self.watermarks.watermark(
             self.gatekeepers[0].current_watermark()
@@ -689,11 +689,9 @@ class Coordinator(WritePath):
         # attached online checker settle those events against decisions
         # that the collect_below calls are about to discard.
         self.tracer.emit(None, "gc.watermark", node="gc", ts=watermark)
-        for graph, cache in self._request_all_shards(
-            "collect_below", watermark
-        ):
-            reclaimed["graph"] += graph
-            reclaimed["ordering_cache"] += cache
+        reclaimed["graph"] = sum(
+            self._request_all_shards("collect_below", watermark)
+        )
         reclaimed["oracle"], reclaimed["store"] = (
             self._collect_oracle_and_store(watermark)
         )

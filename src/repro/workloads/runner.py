@@ -51,6 +51,6 @@ def run_tao(client, workload: TaoWorkload, num_ops: int) -> RunReport:
     after = metrics.snapshot()
     report.ordering = {
         kind: after[f"ordering.{kind}"] - before[f"ordering.{kind}"]
-        for kind in ("proactive", "cached", "reactive")
+        for kind in ("proactive", "reactive")
     }
     return report

@@ -196,8 +196,7 @@ class TestGarbageCollection:
 
     def test_gc_reports_the_same_keys_on_both_deployments(self):
         # One collect_garbage flow: the shard endpoint's collect_below
-        # reply carries the ordering-cache eviction count, so neither
-        # deployment drops it.
+        # reply is the graph records it reclaimed, on either deployment.
         from repro.cluster.process import ProcessWeaver
         from repro.db import WeaverClient
 
@@ -217,8 +216,8 @@ class TestGarbageCollection:
         direct = reclaim(Weaver(config()))
         with ProcessWeaver(config()) as db:
             process = reclaim(db)
-        assert sorted(direct) == ["graph", "oracle", "ordering_cache", "store"]
-        assert direct["ordering_cache"] > 0
+        assert sorted(direct) == ["graph", "oracle", "store"]
+        assert direct["graph"] > 0
         assert process == direct
         # An idle second tick still answers with every key.
         assert sorted(Weaver(config()).collect_garbage()) == sorted(direct)

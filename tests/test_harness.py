@@ -293,26 +293,6 @@ class TestAblations:
         assert result.reads_saved_fraction > 0.3
         assert result.invalidations > 0
 
-    def test_a3_oracle_cache_answers_on_the_twin(self):
-        result = harness.ablation_oracle_cache(total_ops=1_000)
-        assert result.cached > 0
-        # Every compare the cache misses is one oracle request.
-        assert result.oracle_messages == result.reactive
-
-    @pytest.mark.parametrize(
-        "counts, concurrent, overall",
-        [
-            ((1, 3, 4, 3), 0.25, 0.125),
-            ((0, 5, 5, 5), 0.0, 0.0),
-            ((0, 0, 0, 0), 0.0, 0.0),
-        ],
-        ids=["some-hits", "no-hits", "idle"],
-    )
-    def test_a3_hit_fractions(self, counts, concurrent, overall):
-        result = harness.OracleCacheAblationResult(*counts)
-        assert result.concurrent_hit_fraction == pytest.approx(concurrent)
-        assert result.compare_hit_fraction == pytest.approx(overall)
-
     def test_a7_epoch_lag_is_half_the_interval(self):
         intervals = (10.0, 1.0, 4.0)
         rows = harness.ablation_freshness(epoch_intervals=intervals).rows()

@@ -1,13 +1,11 @@
-"""The refinable-ordering façade and the shard-side decision cache."""
+"""The refinable-ordering façade."""
 
 import pytest
 
 from repro.core.oracle import TimelineOracle
 from repro.core.ordering import (
     EarliestScheduler,
-    OrderingCache,
     RefinableOrdering,
-    cache_metrics,
     make_oracle,
 )
 from repro.core.vclock import Ordering, VectorTimestamp
@@ -24,60 +22,6 @@ B = ts([0, 1], issuer=1)
 C = ts([2, 0], issuer=0)
 
 
-class TestOrderingCache:
-    def test_miss_then_hit(self):
-        cache = OrderingCache()
-        assert cache.get(A, B) is None
-        cache.put(A, B, Ordering.BEFORE)
-        assert cache.get(A, B) is Ordering.BEFORE
-
-    def test_reverse_direction_hits_flipped(self):
-        cache = OrderingCache()
-        cache.put(A, B, Ordering.BEFORE)
-        assert cache.get(B, A) is Ordering.AFTER
-
-    def test_hit_miss_counters(self):
-        cache = OrderingCache()
-        cache.get(A, B)
-        cache.put(A, B, Ordering.BEFORE)
-        cache.get(A, B)
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_len(self):
-        cache = OrderingCache()
-        cache.put(A, B, Ordering.BEFORE)
-        cache.put(A, C, Ordering.BEFORE)
-        assert len(cache) == 2
-
-    def test_clear(self):
-        cache = OrderingCache()
-        cache.put(A, B, Ordering.BEFORE)
-        cache.clear()
-        assert cache.get(A, B) is None
-
-
-class TestCacheMetrics:
-    def test_fresh_orderings_report_zero(self):
-        orderings = [RefinableOrdering(TimelineOracle()) for _ in range(2)]
-        assert cache_metrics(orderings) == {
-            "ordering.cache_hits": 0,
-            "ordering.cache_misses": 0,
-            "ordering.cache_entries": 0,
-        }
-
-    def test_sums_every_shards_cache(self):
-        oracle = TimelineOracle()
-        first, second = RefinableOrdering(oracle), RefinableOrdering(oracle)
-        first.compare(A, B)
-        first.compare(A, B)
-        second.compare(A, B)
-        assert cache_metrics([first, second]) == {
-            "ordering.cache_hits": 1,
-            "ordering.cache_misses": 2,
-            "ordering.cache_entries": 2,
-        }
-
-
 class TestRefinableOrdering:
     def test_vclock_comparable_is_proactive(self):
         ordering = RefinableOrdering(TimelineOracle())
@@ -90,32 +34,22 @@ class TestRefinableOrdering:
         assert ordering.compare(A, B) is Ordering.BEFORE
         assert ordering.stats.reactive == 1
 
-    def test_repeat_concurrent_hits_cache(self):
-        ordering = RefinableOrdering(TimelineOracle())
-        ordering.compare(A, B)
-        ordering.compare(A, B)
-        assert ordering.stats.cached == 1
-        assert ordering.stats.reactive == 1
-
-    def test_every_ordering_starts_with_an_empty_cache(self):
-        ordering = RefinableOrdering(TimelineOracle())
-        assert isinstance(ordering.cache, OrderingCache)
-        assert len(ordering.cache) == 0
-
-    def test_a_cached_compare_sends_the_oracle_nothing(self):
+    def test_a_repeated_concurrent_compare_asks_the_oracle_again(self):
+        # No shard-side decision cache: the oracle answers the repeat
+        # from the order it already committed to.
         oracle = TimelineOracle()
         ordering = RefinableOrdering(oracle)
-        ordering.compare(A, B)
+        first = ordering.compare(A, B)
         sent = oracle.stats.messages
-        ordering.compare(A, B)
-        assert oracle.stats.messages == sent
+        assert ordering.compare(A, B, prefer=Ordering.AFTER) is first
+        assert oracle.stats.messages == sent + 1
+        assert ordering.stats.reactive == 2
 
-    def test_the_reverse_compare_hits_the_cache_flipped(self):
+    def test_the_reverse_compare_is_the_decision_flipped(self):
         ordering = RefinableOrdering(TimelineOracle())
         assert ordering.compare(A, B) is Ordering.BEFORE
         assert ordering.compare(B, A) is Ordering.AFTER
-        assert ordering.stats.cached == 1
-        assert ordering.stats.reactive == 1
+        assert ordering.stats.reactive == 2
 
     def test_prefer_after(self):
         ordering = RefinableOrdering(TimelineOracle())
@@ -170,43 +104,6 @@ class TestMakeOracle:
     def test_chain(self):
         oracle = make_oracle(3)
         assert oracle.chain_length == 3
-
-
-class TestEvictBelow:
-    def test_evicts_older_epoch_pairs(self):
-        cache = OrderingCache()
-        old_a = ts([1, 0], issuer=0, epoch=0)
-        old_b = ts([0, 1], issuer=1, epoch=0)
-        cache.put(old_a, old_b, Ordering.BEFORE)
-        watermark = ts([0, 0], issuer=0, epoch=1)
-        assert cache.evict_below(watermark) == 1
-        assert len(cache) == 0
-
-    def test_evicts_within_epoch_when_watermark_covers_both(self):
-        # The seed compared epochs only, so same-epoch entries lived
-        # forever; the per-issuer counter check reclaims them.
-        cache = OrderingCache()
-        cache.put(A, B, Ordering.BEFORE)  # ids (0,0,1) and (0,1,1)
-        watermark = ts([5, 5], issuer=0, epoch=0)
-        assert cache.evict_below(watermark) == 1
-        assert len(cache) == 0
-
-    def test_keeps_pairs_with_one_live_event(self):
-        cache = OrderingCache()
-        live = ts([9, 0], issuer=0)  # counter 9 > watermark's 5
-        cache.put(A, B, Ordering.BEFORE)
-        cache.put(live, B, Ordering.AFTER)
-        watermark = ts([5, 5], issuer=1, epoch=0)
-        assert cache.evict_below(watermark) == 1
-        assert cache.get(live, B) is Ordering.AFTER
-
-    def test_boundary_counter_is_evicted(self):
-        # counter == watermark component counts as dominated (<=): the
-        # watermark itself is the oldest in-flight stamp.
-        cache = OrderingCache()
-        cache.put(A, B, Ordering.BEFORE)
-        watermark = ts([1, 1], issuer=0, epoch=0)
-        assert cache.evict_below(watermark) == 1
 
 
 class TestEarliestScheduler:

@@ -322,9 +322,7 @@ class TestOneCoordinator:
         with ProcessWeaver(config()) as db:
             process = self.script(db)
         assert process == direct
-        assert direct["gc_keys"] == [
-            "graph", "oracle", "ordering_cache", "store",
-        ]
+        assert direct["gc_keys"] == ["graph", "oracle", "store"]
         assert direct["gc_graph"] > 0
         assert len(direct["then"]) == 12 and len(direct["now"]) < 12
         if partitioner == "hash":

@@ -7,8 +7,7 @@ from repro.cluster.shard import ShardServer
 from repro.cluster.worker import ShardEndpoint
 from repro.core.gatekeeper import Gatekeeper, sync_announce_all
 from repro.core.oracle import TimelineOracle
-from repro.core.vclock import VectorTimestamp
-from repro.db.operations import CreateVertex
+from repro.db.operations import CreateVertex, SetVertexProperty
 from repro.errors import ClusterError
 
 
@@ -201,13 +200,20 @@ class TestGC:
         ts = gks[0].issue_timestamp()
         assert shard.collect_below(ts) == 0  # nothing dead yet
 
-    def test_collect_below_message_also_sweeps_the_ordering_cache(
+    def test_collect_below_message_replies_the_graph_count(
         self, shard, gks
     ):
-        a, b = gks[0].issue_timestamp(), gks[1].issue_timestamp()
-        shard.ordering.compare(a, b)
-        assert len(shard.ordering.cache) == 1
-        watermark = VectorTimestamp(a.epoch, (5, 5), 0)
+        # Two versions of one property; the older is dead below a
+        # watermark that dominates both writes.
+        for value in (1, 2):
+            shard.enqueue(0, QueuedTransaction(
+                gks[0].issue_timestamp(),
+                (SetVertexProperty("a", "k", value),)
+                if value == 2 else
+                (CreateVertex("a"), SetVertexProperty("a", "k", value)),
+            ))
+            shard.enqueue(1, nop_for(gks[1]))
+            shard.apply_available()
+        watermark = gks[0].issue_timestamp()
         endpoint = ShardEndpoint(shard)
-        assert endpoint.deliver(None, "collect_below", watermark) == (0, 1)
-        assert len(shard.ordering.cache) == 0
+        assert endpoint.deliver(None, "collect_below", watermark) == 1

@@ -143,7 +143,7 @@ class TestGarbageCollectionBetweenTwoReads:
         ts = engine.apply(ops.SetVertexProperty("v", "color", "blue"))
         (first,) = engine.read(ts, "get_node", "v")
         before = view_at(engine.shard, ts)
-        reclaimed, _cache = engine.worker.deliver(None, "collect_below", ts)
+        reclaimed = engine.worker.deliver(None, "collect_below", ts)
         assert reclaimed == 1
         assert engine.read(ts, "get_node", "v") == [first]
         assert first["properties"] == {"color": "blue"}
@@ -273,7 +273,7 @@ def _compares(db):
     snap = db.metrics.snapshot()
     return sum(
         snap[f"ordering.{kind}"]
-        for kind in ("proactive", "cached", "reactive")
+        for kind in ("proactive", "reactive")
     )
 
 

@@ -188,10 +188,6 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "oracle.reach_cache_hits",
     "oracle.reach_cache_size",
     "oracle.update_messages",
-    "ordering.cache_entries",
-    "ordering.cache_hits",
-    "ordering.cache_misses",
-    "ordering.cached",
     "ordering.deadline_fallback",
     "ordering.deadline_fastpath",
     "ordering.heap_compares_saved",

@@ -94,11 +94,11 @@ def rows(ops: int):
 
 
 def counters(snap) -> str:
-    """ROADMAP 19's columns: compares, what the shard cache answered and
-    the tournament saved per compare, the reach cache per oracle
-    request, and the index's pruned candidates."""
+    """ROADMAP 19's columns: compares, what the tournament saved per
+    compare, the reach cache per oracle request, and the index's pruned
+    candidates."""
     compares = sum(snap[f"ordering.{kind}"] for kind in (
-        "proactive", "deadline_fastpath", "cached", "reactive"
+        "proactive", "deadline_fastpath", "reactive"
     ))
     requests = snap["oracle.messages"]
     hits = snap["oracle.reach_cache_hits"]
@@ -106,7 +106,6 @@ def counters(snap) -> str:
     return (
         f"  compares {compares:,}"
         f" ({snap['ordering.deadline_fastpath']:,} deadline);"
-        f" cached {100 * snap['ordering.cached'] / compares:.1f}%;"
         f" heap saved {100 * saved / compares:.1f}%;"
         f" reach hits {hits:,} / {requests:,} requests;"
         f" bfs_pruned {snap['oracle.bfs_pruned']:,}"
