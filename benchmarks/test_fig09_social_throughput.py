@@ -6,8 +6,8 @@ ordered; (b) on a 75%-read mix the gap narrows to 1.5x, with 1.7%
 reactively ordered; Titan's throughput is nearly flat (~2k tx/s) across
 mixes because it pessimistically locks everything either way.
 
-Weaver's throughput is measured on the simulated twin; the reactively
-ordered fraction is measured on the functional Weaver.
+Weaver's throughput and reactively ordered fraction are measured on the
+same simulated twin run.
 """
 
 from repro.bench import harness
@@ -20,14 +20,14 @@ OPS = 4_000
 def run_tao():
     return harness.experiment_fig9(
         0.998, clients_weaver=50, clients_titan=60,
-        total_ops=OPS, num_vertices=300, functional_ops=300,
+        total_ops=OPS, num_vertices=300,
     )
 
 
 def run_mixed():
     return harness.experiment_fig9(
         0.75, clients_weaver=45, clients_titan=50,
-        total_ops=OPS, num_vertices=300, functional_ops=300,
+        total_ops=OPS, num_vertices=300,
     )
 
 

@@ -13,8 +13,8 @@ path and shard engine on simulated time, driven by
 GraphLab, Blockchain.info) are cost models on the simulator's
 ``Server`` and a ``LockTable``; Titan's Fig 9 run is driven by the same
 ``SimClients``.  A7's epoch-snapshot lag is arithmetic (interval / 2),
-and A4 is a closed form.  Fig 9's reactively-ordered fraction is
-measured on the functional :class:`~repro.db.database.Weaver`.
+and A4 is a closed form.  Fig 9's reactively-ordered fraction is the
+share of the twin's shard compares that reached the oracle.
 
 Scales default to laptop-sized datasets; every function takes explicit
 size parameters so the suites can run fast under pytest while remaining
@@ -44,7 +44,6 @@ from ..sim.clock import MSEC, USEC
 from ..sim.deployment import SimulatedWeaver
 from ..sim.workload import SimClients, finite_stream
 from ..workloads import bitcoin, graphs
-from ..workloads.runner import run_tao
 from ..workloads.tao import TaoWorkload
 from .costmodel import CostParams
 
@@ -284,7 +283,13 @@ class SocialRunResult:
     clients_titan: int
     weaver_run: SimClients
     titan_run: SimClients
-    reactive_fraction: float
+
+    @property
+    def reactive_fraction(self) -> float:
+        """The share of the twin's compares the oracle ordered."""
+        snap = self.weaver_run.deployment.metrics.snapshot()
+        compares = snap["ordering.proactive"] + snap["ordering.reactive"]
+        return snap["ordering.reactive"] / compares if compares else 0.0
 
     @property
     def titan_throughput(self) -> float:
@@ -317,63 +322,22 @@ class SocialRunResult:
         return self.weaver_throughput / self.titan_throughput
 
 
-def _functional_reactive_fraction(
-    read_fraction: float,
-    num_vertices: int,
-    functional_ops: int,
-    seed: int,
-) -> float:
-    """Measure the reactively-ordered fraction on the live system."""
-    edges = graphs.social_graph(num_vertices, 5, seed)
-    # announce_every=4 models a finite τ: some same-window stamps stay
-    # concurrent and need the oracle, as in the paper's deployment.
-    db = Weaver(
-        WeaverConfig(num_gatekeepers=3, num_shards=4, announce_every=4)
-    )
-    client = WeaverClient(db)
-    handles = graphs.load_into_weaver(client, edges)
-    # Apply the load before counting, so the fraction is the mix's own
-    # and not the load's unannounced commits ordered by the first read.
-    db.drain()
-    pool = [
-        (key.split("->", 1)[0], handle) for key, handle in handles.items()
-    ]
-    workload = TaoWorkload(
-        graphs.vertices_of(edges),
-        edge_pool=pool,
-        read_fraction=read_fraction,
-        seed=seed,
-    )
-    report = run_tao(client, workload, functional_ops)
-    return report.reactive_fraction
-
-
 def experiment_fig9(
     read_fraction: float = 0.998,
     clients_weaver: int = 50,
     clients_titan: int = 60,
     total_ops: int = 20_000,
     num_vertices: int = 400,
-    functional_ops: int = 300,
     seed: int = 11,
     costs: Optional[CostParams] = None,
-    measure_reactive: bool = True,
 ) -> SocialRunResult:
     """Throughput on the TAO mix (Fig 9a at 99.8% reads; Fig 9b at 75%).
 
-    Runs the functional Weaver first to measure the reactive-ordering
-    fraction for this mix, then drives the twin (3 gatekeepers, 8
-    shards) and the Titan model (:class:`_TitanClients`) under closed
-    loops of the same operation stream.
+    Drives the twin (3 gatekeepers, 8 shards) and the Titan model
+    (:class:`_TitanClients`) under closed loops of the same operation
+    stream; the reactively-ordered fraction is the twin run's own.
     """
     costs = costs or CostParams()
-    reactive = (
-        _functional_reactive_fraction(
-            read_fraction, num_vertices, functional_ops, seed
-        )
-        if measure_reactive
-        else 0.0
-    )
     edges = graphs.social_graph(num_vertices, 5, seed)
     workload = TaoWorkload(
         graphs.vertices_of(edges), read_fraction=read_fraction, seed=seed
@@ -396,7 +360,6 @@ def experiment_fig9(
         clients_titan=clients_titan,
         weaver_run=weaver_run,
         titan_run=titan_run,
-        reactive_fraction=reactive,
     )
 
 
@@ -408,12 +371,10 @@ def experiment_fig10(
     """Latency CDFs for the two mixes (Fig 10) — reuses the Fig 9 runs."""
     return {
         0.998: experiment_fig9(
-            0.998, 50, 60, total_ops, seed=seed, costs=costs,
-            measure_reactive=False,
+            0.998, 50, 60, total_ops, seed=seed, costs=costs
         ),
         0.75: experiment_fig9(
-            0.75, 45, 50, total_ops, seed=seed, costs=costs,
-            measure_reactive=False,
+            0.75, 45, 50, total_ops, seed=seed, costs=costs
         ),
     }
 

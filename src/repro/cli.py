@@ -431,8 +431,7 @@ def _run_figure(harness, figure: str) -> None:
     elif figure == "fig9":
         for fraction, cw, ct in ((0.998, 50, 60), (0.75, 45, 50)):
             run = harness.experiment_fig9(
-                fraction, cw, ct, total_ops=2000,
-                num_vertices=200, functional_ops=200,
+                fraction, cw, ct, total_ops=2000, num_vertices=200
             )
             print(format_table(
                 f"Fig 9: throughput at {fraction:.1%} reads",

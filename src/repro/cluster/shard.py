@@ -10,7 +10,8 @@ Fig 6).  The mechanics:
 * the event loop runs only while **every** queue is non-empty (NOP
   heartbeats guarantee this under light load): it pops the earliest head
   across queues, consulting the timeline oracle for concurrent heads, and
-  applies it;
+  applies it; heartbeats chain (:meth:`Gatekeeper.make_nop`), so two NOPs
+  of one chain are never such a pair;
 * FIFO per channel is validated with sequence numbers;
 * node programs wait until every queue head is ordered **after** the
   program's timestamp — unordered (transaction, program) pairs resolve

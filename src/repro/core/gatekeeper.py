@@ -167,9 +167,25 @@ class Gatekeeper:
 
     # -- NOP heartbeats (section 4.2) ------------------------------------
 
-    def make_nop(self) -> VectorTimestamp:
+    def make_nop(
+        self, after: Optional[VectorTimestamp] = None
+    ) -> VectorTimestamp:
         """A NOP transaction keeping shard queues non-empty under light
-        load, bounding node-program delay."""
+        load, bounding node-program delay.
+
+        Heartbeats form one chain: ``after`` is the chain's previous
+        link, and its clocks are folded in before the tick, so this NOP
+        dominates it and no shard asks the oracle about the pair.  Not
+        folded are this gatekeeper's own stamp (its counter already
+        orders the two) and a stamp from another epoch, whose counters
+        restarted: folding them would fake happens-before edges.
+        """
+        if (
+            after is not None
+            and after.issuer != self.index
+            and after.epoch == self.clock.epoch
+        ):
+            self.clock.observe(after.clocks)
         self.stats.nops_sent += 1
         if self.deadline_stamper is not None:
             # NOPs carry deadlines too: every geo stamp lives in the one

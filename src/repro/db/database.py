@@ -519,8 +519,8 @@ class Coordinator(WritePath):
         """One NOP from every gatekeeper to every shard (section 4.2's
         heartbeat, issued eagerly instead of on a 10 µs timer).
 
-        A single announce round runs first; after it, each NOP is folded
-        directly into the next gatekeeper's clock before that one ticks,
+        A single announce round runs first; after it, each gatekeeper's
+        NOP is made after the previous one (:meth:`Gatekeeper.make_nop`),
         so the NOPs form a vector-clock chain, not a concurrent set, and
         never burden the oracle — G-1 point-to-point folds instead of G
         full announce rounds (O(G²) messages each).
@@ -537,12 +537,11 @@ class Coordinator(WritePath):
         )
         live = self._live_shards()
         for gk in self.gatekeepers:
-            if previous is not None and previous.issuer != gk.index:
-                gk.receive_announce(previous.clocks)
-            nop_ts = gk.make_nop()
-            previous = nop_ts
+            previous = gk.make_nop(after=previous)
             for shard_index in live:
-                self._enqueue(gk.index, shard_index, QueuedTransaction(nop_ts))
+                self._enqueue(
+                    gk.index, shard_index, QueuedTransaction(previous)
+                )
         # Announce the final NOP too, so every later stamp dominates it.
         self._announce()
         return stamp

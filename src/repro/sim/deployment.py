@@ -394,6 +394,9 @@ class SimulatedWeaver(WritePath):
         self.committed = 0
         self.aborted = 0
         self.recoveries = 0
+        # The last NOP of each region: the next one, from any of the
+        # region's gatekeepers, is made after it (one heartbeat chain).
+        self._last_nop: Dict[int, VectorTimestamp] = {}
         self._start_timers()
 
     # -- delivery callbacks (the transport contract) ----------------------
@@ -433,17 +436,19 @@ class SimulatedWeaver(WritePath):
 
     # -- timers -------------------------------------------------------------
 
+    def _region(self, name: str) -> int:
+        """The region of server ``name``; region 0 without geo."""
+        return self.topology.region_of(name) if self._geo else 0
+
     def _start_timers(self) -> None:
         # Stagger per-gatekeeper timers: real servers' clocks are not
-        # phase-aligned, and alignment would make every NOP round a set
-        # of mutually concurrent stamps no τ could ever order.  Announce
-        # phases stagger *within* each region (regions announce
-        # independently; without regions everyone is in region 0).
+        # phase-aligned, so one period's NOPs arrive spread over it, one
+        # chain link at a time.  Announce phases stagger *within* each
+        # region (regions announce independently).
         count = len(self.gatekeepers)
         regions: Dict[int, List[int]] = {}
         for gk in self.gatekeepers:
-            region = self.topology.region_of(gk.name) if self._geo else 0
-            regions.setdefault(region, []).append(gk.index)
+            regions.setdefault(self._region(gk.name), []).append(gk.index)
         announce_phase = {
             gk_index: (pos + 1) / len(members)
             for members in regions.values()
@@ -541,7 +546,10 @@ class SimulatedWeaver(WritePath):
         gk = self.gatekeepers[gk_index]
         if gk.name in self._crashed:
             return
-        nop = QueuedTransaction(gk.make_nop())
+        region = self._region(gk.name)
+        stamp = gk.make_nop(after=self._last_nop.get(region))
+        self._last_nop[region] = stamp
+        nop = QueuedTransaction(stamp)
         for shard in self.shards:
             self._enqueue(gk_index, shard.index, nop)
         self.simulator.schedule(self.nop_period, self._nop_tick, gk_index)
@@ -579,7 +587,7 @@ class SimulatedWeaver(WritePath):
         be read again, so the tick retires the read stamp (a reuse would
         ask the oracle about collected events; a coordinator's drain
         does the same).  Without this, the oracle's event DAG would grow
-        with every concurrent heartbeat pair for the run's lifetime.
+        with every concurrent pair it decided for the run's lifetime.
         """
         self._read_stamp = None
         watermark = self.watermarks.watermark(

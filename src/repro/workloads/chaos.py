@@ -305,9 +305,9 @@ def run_chaos(
     sim = SimulatedWeaver(
         config=config,
         tau=tau,
-        # A coarser NOP cadence than the production default keeps the
-        # oracle's event DAG small enough that reachability queries (both
-        # the scheduler's and the checker's) stay cheap over a whole run.
+        # A coarser NOP cadence than the production default keeps a
+        # whole run's simulated event count small.  (NOPs chain, so the
+        # cadence no longer sizes the oracle's event DAG.)
         nop_period=nop_period,
         heartbeat_period=heartbeat_period,
         # One GC pass well after the horizon: mid-run collection would

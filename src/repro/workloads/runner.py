@@ -3,9 +3,8 @@
 Runs an operation stream against a live :class:`~repro.db.client.
 WeaverClient`, recording per-op success and the protocol statistics the
 figures report (reactive-ordering fraction, abort counts).  Timing for
-the throughput/latency figures is measured on the simulated twin
-(:mod:`repro.bench.harness`); the only number Fig 9 takes from this
-driver is the reactively-ordered fraction.
+the throughput/latency figures, and Fig 9's reactively-ordered
+fraction, are measured on the simulated twin (:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations

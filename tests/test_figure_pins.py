@@ -56,9 +56,7 @@ def test_fig8_coingraph():
     ),
 ])
 def test_fig9_titan_and_twin(mix, titan, weaver):
-    run = harness.experiment_fig9(
-        *mix, total_ops=200, num_vertices=150, measure_reactive=False
-    )
+    run = harness.experiment_fig9(*mix, total_ops=200, num_vertices=150)
     for throughput, latencies, pinned in (
         (run.titan_throughput, run.titan_latencies, titan),
         (run.weaver_throughput, run.weaver_latencies, weaver),

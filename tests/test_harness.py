@@ -144,15 +144,13 @@ OPS = 400  # per Fig 9 mix: at least one write in the seeded stream
 
 @pytest.fixture(scope="module")
 def tao_run():
-    return harness.experiment_fig9(
-        0.998, total_ops=OPS, num_vertices=150, functional_ops=200
-    )
+    return harness.experiment_fig9(0.998, total_ops=OPS, num_vertices=150)
 
 
 @pytest.fixture(scope="module")
 def mixed_run():
     return harness.experiment_fig9(
-        0.75, 45, 50, total_ops=OPS, num_vertices=150, functional_ops=200
+        0.75, 45, 50, total_ops=OPS, num_vertices=150
     )
 
 
@@ -193,6 +191,14 @@ class TestFig9:
 
     def test_weaver_throughput_falls_with_writes(self, tao_run, mixed_run):
         assert mixed_run.weaver_throughput < tao_run.weaver_throughput
+
+    def test_reactive_fraction_is_the_twin_runs_own(self, mixed_run):
+        snap = mixed_run.weaver_run.deployment.metrics.snapshot()
+        reactive = snap["ordering.reactive"]
+        assert reactive > 0
+        assert mixed_run.reactive_fraction == pytest.approx(
+            reactive / (snap["ordering.proactive"] + reactive)
+        )
 
     def test_reactive_fraction_small_and_grows_with_writes(
         self, tao_run, mixed_run

@@ -1,0 +1,185 @@
+"""One heartbeat chain: ``Gatekeeper.make_nop(after=)`` and the NOP
+timers of the simulated twin.
+
+Each NOP is made after the previous heartbeat of its chain, so shards
+order NOP pairs by vector clocks and never ask the oracle about them.
+The product's ``Coordinator._send_nops`` chains one NOP per gatekeeper;
+the twin chains every NOP of a region (region 0 without geo).
+"""
+
+import pytest
+
+from repro.core.gatekeeper import DeadlineStamper, Gatekeeper
+from repro.core.vclock import Ordering, VectorTimestamp
+from repro.db import operations as ops
+from repro.db.config import WeaverConfig
+from repro.db.database import Weaver
+from repro.sim.clock import MSEC, USEC
+from repro.sim.deployment import SimulatedWeaver
+
+
+class TestMakeNopAfter:
+    def test_no_link_is_a_plain_tick(self):
+        gk = Gatekeeper(0, 2)
+        assert gk.make_nop().clocks == (1, 0)
+        assert gk.make_nop(after=None).clocks == (2, 0)
+        assert gk.stats.nops_sent == 2
+
+    def test_a_peer_link_is_folded_before_the_tick(self):
+        first, second = Gatekeeper(0, 2), Gatekeeper(1, 2)
+        link = first.make_nop()
+        nop = second.make_nop(after=link)
+        assert nop.clocks == (1, 1)
+        assert link.compare(nop) is Ordering.BEFORE
+
+    def test_its_own_stamp_is_not_folded(self):
+        gk = Gatekeeper(0, 2)
+        # A stamp of this issuer that claims more of the peer than the
+        # clock has seen: folding it would show up in the NOP.
+        own = VectorTimestamp(0, (1, 5), 0)
+        assert gk.make_nop(after=own).clocks == (1, 0)
+
+    @pytest.mark.parametrize("epoch", [0, 2], ids=["older", "newer"])
+    def test_another_epochs_stamp_is_not_folded(self, epoch):
+        gk = Gatekeeper(0, 2, epoch=1)
+        stale = VectorTimestamp(epoch, (0, 7), 1)
+        nop = gk.make_nop(after=stale)
+        assert (nop.epoch, nop.clocks) == (1, (1, 0))
+
+    def test_the_fold_is_not_counted_as_an_announce(self):
+        first, second = Gatekeeper(0, 2), Gatekeeper(1, 2)
+        second.make_nop(after=first.make_nop())
+        assert second.stats.announces_received == 0
+
+    def test_a_geo_nop_still_carries_a_deadline(self):
+        now = [0.0]
+        stamper = DeadlineStamper(lambda: now[0], horizon=1.0)
+        first, second = Gatekeeper(0, 2), Gatekeeper(1, 2)
+        first.deadline_stamper = second.deadline_stamper = stamper
+        link = first.make_nop()
+        nop = second.make_nop(after=link)
+        assert nop.deadline > link.deadline
+
+
+def twin(gks, regions=1, tau=5 * MSEC):
+    return SimulatedWeaver(
+        WeaverConfig(
+            num_gatekeepers=gks, num_shards=2, num_regions=regions
+        ),
+        tau=tau,
+        nop_period=100 * USEC,
+        heartbeat_period=5 * MSEC,
+    )
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every ``make_nop`` call, as (gatekeeper, after, nop)."""
+    calls = []
+    made = Gatekeeper.make_nop
+
+    def record(self, after=None):
+        nop = made(self, after=after)
+        calls.append((self, after, nop))
+        return nop
+
+    monkeypatch.setattr(Gatekeeper, "make_nop", record)
+    return calls
+
+
+class TestTheProductsChain:
+    def test_a_drain_chains_one_nop_per_gatekeeper(self, recorded):
+        db = Weaver(WeaverConfig(num_gatekeepers=4, num_shards=2))
+        start = len(recorded)
+        db.drain()
+        nops = [nop for _, _, nop in recorded[start:]]
+        assert [nop.issuer for nop in nops] == [0, 1, 2, 3]
+        for earlier, later in zip(nops, nops[1:]):
+            assert earlier.compare(later) is Ordering.BEFORE
+
+    def test_a_stamped_chain_starts_at_the_stamp(self, recorded):
+        db = Weaver(WeaverConfig(num_gatekeepers=3, num_shards=2))
+        start = len(recorded)
+        stamp = db._send_nops(db.gatekeepers[1])
+        calls = recorded[start:]
+        assert calls[0][1] is stamp
+        for _, _, nop in calls:
+            assert stamp.compare(nop) is Ordering.BEFORE
+
+    @pytest.mark.parametrize("gks", [2, 4])
+    def test_heartbeats_alone_never_ask_the_oracle(self, gks):
+        db = Weaver(WeaverConfig(num_gatekeepers=gks, num_shards=2))
+        for _ in range(20):
+            db.drain()
+        snap = db.metrics.snapshot()
+        # A drain applies the previous drain's NOPs on both shards.
+        assert snap["shard.nops_applied"] >= 19 * gks * 2
+        assert snap["oracle.messages"] == 0
+
+
+class TestTheTwinsChain:
+    @pytest.mark.parametrize("gks", [2, 3, 4])
+    def test_heartbeats_alone_never_ask_the_oracle(self, gks):
+        # τ is 50 NOP periods: announces order almost nothing, so any
+        # NOP pair left concurrent would reach the oracle.
+        sw = twin(gks)
+        sw.run(20 * MSEC)
+        snap = sw.metrics.snapshot()
+        assert snap["shard.nops_applied"] > 100 * gks
+        assert snap["oracle.messages"] == 0
+        assert snap["ordering.reactive"] == 0
+
+    def test_each_nop_dominates_the_last_one(self, recorded):
+        sw = twin(3)
+        sw.run(5 * MSEC)
+        nops = [nop for _, _, nop in recorded]
+        assert len(nops) > 100
+        for earlier, later in zip(nops, nops[1:]):
+            assert earlier.compare(later) is Ordering.BEFORE
+
+    def test_the_chain_stays_inside_a_region(self, recorded):
+        sw = twin(4, regions=2, tau=200 * USEC)
+        sw.run(5 * MSEC)
+        region = sw.topology.region_of
+        links = [(gk, after) for gk, after, _ in recorded if after]
+        assert {region(gk.name) for gk, _ in links} == {0, 1}
+        for gk, after in links:
+            assert region(f"gk{after.issuer}") == region(gk.name)
+
+    def test_across_regions_deadlines_order_the_heartbeats(self):
+        sw = twin(4, regions=2)
+        sw.run(20 * MSEC)
+        snap = sw.metrics.snapshot()
+        assert snap["shard.nops_applied"] > 400
+        assert snap["ordering.deadline_fastpath"] > 0
+        assert snap["oracle.messages"] == 0
+
+    def test_a_recovered_epoch_inherits_no_counter(self, monkeypatch):
+        # After a failover every clock restarts; a NOP folding the old
+        # epoch's last link would claim counters no gatekeeper issued
+        # in the new epoch, a happens-before edge that never happened.
+        # So no stamp may carry a peer's counter above the highest one
+        # that peer issued in the stamp's epoch so far.
+        stamps = []
+        for name in ("make_nop", "issue_timestamp"):
+            made = getattr(Gatekeeper, name)
+
+            def record(self, *args, made=made, **kwargs):
+                stamp = made(self, *args, **kwargs)
+                stamps.append(stamp)
+                return stamp
+
+            monkeypatch.setattr(Gatekeeper, name, record)
+        sw = twin(3, tau=200 * USEC)
+        sw.submit_transaction([ops.CreateVertex("a")])
+        sw.run(5 * MSEC)
+        sw.crash_gatekeeper(1)
+        sw.run(60 * MSEC)
+        assert sw.recoveries == 1
+        assert {stamp.epoch for stamp in stamps} == {0, 1}
+        top = {}
+        for stamp in stamps:
+            key = (stamp.epoch, stamp.issuer)
+            top[key] = max(top.get(key, 0), stamp.local_clock)
+            for peer, seen in enumerate(stamp.clocks):
+                assert seen <= top.get((stamp.epoch, peer), 0)

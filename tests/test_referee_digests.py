@@ -16,15 +16,15 @@ from repro.workloads.geo import run_geo
 
 @pytest.mark.parametrize("run,digest", [
     pytest.param(lambda: run_chaos(1, duration=20 * MSEC),
-                 "649d14510559f3e1", id="chaos-1"),
+                 "237778792f022bc5", id="chaos-1"),
     pytest.param(lambda: run_chaos(2, duration=20 * MSEC),
-                 "6706478808deb04f", id="chaos-2"),
+                 "fd85ae82a18408d0", id="chaos-2"),
     pytest.param(lambda: run_chaos(3, duration=20 * MSEC),
-                 "42ad0ef5724633bf", id="chaos-3"),
+                 "543af0806400bfa0", id="chaos-3"),
     pytest.param(lambda: run_chaos(7, duration=20 * MSEC),
-                 "6a2be676a5043e06", id="chaos-7"),
+                 "5d7db616280b6e65", id="chaos-7"),
     pytest.param(lambda: run_soak(1, chunks=3),
-                 "be72f3609a3799c5", id="soak-1x3"),
+                 "0e28e948baadcca5", id="soak-1x3"),
     pytest.param(lambda: run_geo(1), "299bc5faeab4eea0", id="geo-1"),
     pytest.param(lambda: run_geo(2), "35002bd8348b3498", id="geo-2"),
 ])

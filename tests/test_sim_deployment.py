@@ -160,18 +160,21 @@ class TestTimers:
         assert sw.manager.detect_failures(sw.simulator.now) == []
 
     def test_smaller_tau_means_fewer_oracle_messages(self):
-        # The Fig 14 tradeoff emerging from real timers: with announces
-        # much faster than NOPs, heartbeat stamps order proactively; with
-        # slow announces they stay concurrent and hit the oracle.
+        # The Fig 14 tradeoff emerging from real timers, on transactions
+        # (heartbeats chain and never reach the oracle): with fast
+        # announces more transaction pairs order proactively; with slow
+        # announces more stay concurrent and hit the oracle.  The
+        # script is Fig 14's event-driven cross-check.
         def oracle_traffic(tau):
-            sw = make(tau=tau, nop_period=200 * USEC)
-            commit(sw, [ops.CreateVertex("a")])
-            ask(sw, GetNode(), "a")
+            sw = make(tau=tau, nop_period=500 * USEC, gks=3)
+            for i in range(60):
+                sw.submit_transaction([ops.CreateVertex(f"v{i}")])
+                sw.run(500 * USEC)
             sw.run(5 * MSEC)
             return sw.oracle_messages()
 
-        fast = oracle_traffic(50 * USEC)
-        slow = oracle_traffic(2 * MSEC)
+        fast = oracle_traffic(100 * USEC)
+        slow = oracle_traffic(5 * MSEC)
         assert fast < slow
 
     def test_fifo_channels_hold_under_load(self):

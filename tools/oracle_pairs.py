@@ -76,11 +76,9 @@ def install() -> None:
 
 
 def rows(ops: int):
-    yield "Fig 9a", lambda: harness.experiment_fig9(
-        total_ops=ops, measure_reactive=False
-    )
+    yield "Fig 9a", lambda: harness.experiment_fig9(total_ops=ops)
     yield "Fig 9b", lambda: harness.experiment_fig9(
-        read_fraction=0.75, total_ops=ops, measure_reactive=False
+        read_fraction=0.75, total_ops=ops
     )
     for count in (1, 3, 6):
         yield f"Fig 12, G={count}", lambda count=count: (
