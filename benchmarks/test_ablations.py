@@ -2,8 +2,6 @@
 
 A1 — node-program memoization (section 4.6) on ``Weaver``: hit rate and
      reads saved under a read-mostly workload with invalidating writes.
-A4 — NOP period (section 4.2), a closed form: node-program delay vs
-     heartbeat traffic.
 A5-A9 — adaptive τ, OCC contention, freshness vs Kineograph's epochs,
      distributed-store chains and live rebalancing; each test says what
      it runs.
@@ -149,25 +147,3 @@ def test_a8_store_linear_transactions(benchmark, show):
     assert chains == sorted(chains)         # grows with keys touched
     assert chains[-1] <= 8                  # saturates at the node count
 
-
-def test_a4_nop_period(benchmark, show):
-    result = benchmark.pedantic(
-        lambda: harness.ablation_nop_period(
-            periods=(10 * USEC, 100 * USEC, 1 * MSEC, 10 * MSEC)
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    show(
-        "A4: NOP heartbeat period tradeoff",
-        ["period (s)", "expected program delay (s)", "heartbeats/s"],
-        [
-            (f"{p:g}", f"{d:.6f}", round(m))
-            for p, d, m in result.rows()
-        ],
-    )
-    rows = result.rows()
-    delays = [d for _, d, _ in rows]
-    messages = [m for _, _, m in rows]
-    assert delays == sorted(delays)
-    assert messages == sorted(messages, reverse=True)

@@ -69,7 +69,6 @@ def run_event_driven(taus=(100 * USEC, 1 * MSEC, 5 * MSEC)):
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=3, num_shards=2),
             tau=tau,
-            nop_period=500 * USEC,
         )
         n_txs = 60
         for i in range(n_txs):

@@ -12,9 +12,9 @@ path and shard engine on simulated time, driven by
 ``obs`` latency histograms are the figure.  The baselines (Titan,
 GraphLab, Blockchain.info) are cost models on the simulator's
 ``Server`` and a ``LockTable``; Titan's Fig 9 run is driven by the same
-``SimClients``.  A7's epoch-snapshot lag is arithmetic (interval / 2),
-and A4 is a closed form.  Fig 9's reactively-ordered fraction is the
-share of the twin's shard compares that reached the oracle.
+``SimClients``.  A7's epoch-snapshot lag is arithmetic (interval / 2).
+Fig 9's reactively-ordered fraction is the share of the twin's shard
+compares that reached the oracle.
 
 Scales default to laptop-sized datasets; every function takes explicit
 size parameters so the suites can run fast under pytest while remaining
@@ -47,11 +47,10 @@ from ..workloads import bitcoin, graphs
 from ..workloads.tao import TaoWorkload
 from .costmodel import CostParams
 
-# The twin's announce period τ and NOP heartbeat period in every figure:
-# the values the service-cost tests ran with before any figure's shape
-# was measured on the twin.
+# The twin's announce period τ in every figure: the value the
+# service-cost tests ran with before any figure's shape was measured on
+# the twin.  Heartbeats ride each fresh read stamp, so no NOP period.
 TWIN_TAU = 200 * USEC
-TWIN_NOP_PERIOD = 200 * USEC
 
 _TAO_READS = {
     "get_node": library.GetNode,
@@ -81,7 +80,6 @@ def _twin(
     twin = SimulatedWeaver(
         WeaverConfig(num_gatekeepers=num_gatekeepers, num_shards=num_shards),
         tau=TWIN_TAU,
-        nop_period=TWIN_NOP_PERIOD,
         latency=costs.net_latency,
         costs=costs,
     )
@@ -818,7 +816,6 @@ def ablation_adaptive_tau(
     controller = TauController(start_tau, bounds=bounds)
     sw = SimulatedWeaver(
         WeaverConfig(num_gatekeepers=3, num_shards=2),
-        nop_period=500 * USEC,
         tau_controller=controller,
         adapt_window=4 * MSEC,
     )
@@ -835,36 +832,3 @@ def ablation_adaptive_tau(
         trajectory=[tau for tau, _ in controller.adjustments],
     )
 
-
-def ablation_nop_period(
-    periods: Sequence[float] = (
-        10 * USEC, 100 * USEC, 1 * MSEC, 10 * MSEC
-    ),
-    num_gatekeepers: int = 3,
-    num_shards: int = 4,
-    seed: int = 53,
-) -> Rows:
-    """A4: NOP period vs node-program delay and heartbeat overhead.
-
-    Under light load a node program waits for the next NOP on every
-    gatekeeper queue: expected delay is period/2 (plus a network hop);
-    heartbeat traffic is gatekeepers x shards / period messages per
-    second.  The rows quantify that tradeoff (section 4.2 defaults the
-    period to 10 µs).
-    """
-    rng = random.Random(seed)
-    net = 100 * USEC
-    result = Rows()
-    for period in periods:
-        # Expected wait until the last of G independent uniformly-phased
-        # NOP timers fires: period * G/(G+1), estimated by sampling.
-        samples = [
-            max(rng.random() for _ in range(num_gatekeepers)) * period
-            for _ in range(2000)
-        ]
-        expected_delay = sum(samples) / len(samples) + net
-        messages_per_second = num_gatekeepers * num_shards / period
-        result.rows_data.append(
-            (period, expected_delay, messages_per_second)
-        )
-    return result

@@ -179,7 +179,6 @@ def _cmd_simulate(args) -> int:
     sw = SimulatedWeaver(
         WeaverConfig(num_gatekeepers=args.gatekeepers, num_shards=args.shards),
         tau=args.tau * USEC,
-        nop_period=200 * USEC,
         heartbeat_period=5 * MSEC,
     )
     for i in range(args.writes):

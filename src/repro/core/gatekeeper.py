@@ -167,6 +167,19 @@ class Gatekeeper:
 
     # -- NOP heartbeats (section 4.2) ------------------------------------
 
+    def follow(self, link: Optional[VectorTimestamp]) -> None:
+        """Fold ``link``, the previous link of a heartbeat chain, into
+        the clock, so the next stamp dominates it.  Not folded are this
+        gatekeeper's own stamp (its counter already orders the two) and
+        a stamp from another epoch, whose counters restarted: folding
+        them would fake happens-before edges."""
+        if (
+            link is not None
+            and link.issuer != self.index
+            and link.epoch == self.clock.epoch
+        ):
+            self.clock.observe(link.clocks)
+
     def make_nop(
         self, after: Optional[VectorTimestamp] = None
     ) -> VectorTimestamp:
@@ -174,18 +187,10 @@ class Gatekeeper:
         load, bounding node-program delay.
 
         Heartbeats form one chain: ``after`` is the chain's previous
-        link, and its clocks are folded in before the tick, so this NOP
-        dominates it and no shard asks the oracle about the pair.  Not
-        folded are this gatekeeper's own stamp (its counter already
-        orders the two) and a stamp from another epoch, whose counters
-        restarted: folding them would fake happens-before edges.
+        link, folded in (:meth:`follow`) before the tick, so this NOP
+        dominates it and no shard asks the oracle about the pair.
         """
-        if (
-            after is not None
-            and after.issuer != self.index
-            and after.epoch == self.clock.epoch
-        ):
-            self.clock.observe(after.clocks)
+        self.follow(after)
         self.stats.nops_sent += 1
         if self.deadline_stamper is not None:
             # NOPs carry deadlines too: every geo stamp lives in the one

@@ -6,16 +6,16 @@ deployments differ — whether anything may wait:
 
 * :class:`WritePath` — the clock-free part: place new vertices →
   gatekeeper stamp and backing-store commit → per-(gatekeeper, shard)
-  FIFO enqueue with sequence numbers and one global send rank; the
-  clockless half of every read (cache, stamp choice, watermarks); the
-  two ends of a shard-resident program; and the oracle + store tail
-  every GC pass ends with.  It only ever calls ``transport.send``, so
-  every deployment inherits it.
+  FIFO enqueue with sequence numbers and one global send rank; every
+  read's decision (cache, stamp choice, watermarks) and readiness rule
+  (one heartbeat round per fresh stamp: NOPs so every queue is
+  non-empty → a one-way ``advance_to``, which the shard checks for
+  itself); the two ends of a shard-resident program; and the oracle +
+  store tail every GC pass ends with.  It only ever calls
+  ``transport.send``, so every deployment inherits it.
 * :class:`Coordinator` (a ``WritePath``) — everything that blocks:
-  ``begin_transaction``, announce / drain pacing by commit count, NOP
-  heartbeats so every queue is non-empty → a one-way ``advance_to``
-  ahead of a node program's fresh stamp, which the shard checks for
-  itself; plus ``run_program``'s execution, drain, checkpoint and the
+  ``begin_transaction``, synchronous announces and drain pacing by
+  commit count, ``run_program``'s execution, drain, checkpoint and the
   GC fan-out.  It reaches shards only through the
   :class:`~repro.cluster.transport.Transport` contract (``send`` for
   enqueues, heartbeats and ``advance_to``; one ``request_all`` fan-out
@@ -30,13 +30,13 @@ deployments differ — whether anything may wait:
   over a ``ProcessTransport`` to forked shard workers.
 
 Both coordinators execute the protocol synchronously — announce rounds
-every ``announce_every`` commits play the role of the τ timer, and NOP
-heartbeats are issued eagerly when a node program needs every queue
-non-empty and the last ones no longer serve (the paper's timers are
-background traffic, never a per-read cost).  The discrete-event
+every ``announce_every`` commits play the role of the τ timer.  NOP
+heartbeats ride each fresh read stamp instead of the paper's 10 µs
+timer, on every deployment: a read at or before the last round's stamp
+sends nothing.  The discrete-event
 :class:`~repro.sim.deployment.SimulatedWeaver` is a ``WritePath`` over
-a ``SimTransport``: the same commit, channel stamping, read decision
-and shard endpoint, with its own timers for readiness.
+a ``SimTransport``: the same commit, channel stamping, read decision,
+readiness rule and shard endpoint; only how its NOPs travel is its own.
 """
 
 from __future__ import annotations
@@ -127,6 +127,10 @@ class WritePath:
         # round covers.
         self._read_stamp: Optional[VectorTimestamp] = None
         self._read_attempt = self._announced_attempt = 0
+        # The timestamp every live shard was last advanced to, while
+        # that round's heartbeats are still queued behind it; whatever
+        # moves it retires the read stamp.
+        self._advanced_to: Optional[VectorTimestamp] = None
 
     @staticmethod
     def shard_name(index: int) -> str:
@@ -408,9 +412,79 @@ class WritePath:
         self, ts: Optional[VectorTimestamp],
         stamper: Optional[Gatekeeper] = None,
     ) -> VectorTimestamp:
-        """``ts``, or a fresh stamp from ``stamper``; nothing is sent:
-        the program parks at its shards for the timers' heartbeats."""
-        return ts if ts is not None else stamper.issue_timestamp()
+        """Send every live shard what makes it ready for ``ts`` — or,
+        with ``ts`` None, for a stamp ``stamper`` issues inside the
+        round — ask nothing, and return the stamp (sections 4.1-4.2:
+        the program waits at the shard).  One heartbeat round: NOPs so
+        every queue is non-empty with a NOP that dominates ``ts``
+        (:meth:`_send_nops`), then a one-way ``advance_to``, up to
+        which the shard applies; whoever snapshots at the shard verifies
+        ``ready_for(ts)`` there and fails by name.  A batching transport
+        carries this inside the next request frame on each channel; the
+        caller flushes the others.
+
+        Fast path: at or before the mark the shards were last advanced
+        to (a drain, an epoch reset or a recovery forgets it), nothing to
+        send.  A round moves the mark and retires the read stamp, so a
+        reused one is always the mark and lands here.
+        """
+        stats = self.executor.stats
+        mark = self._advanced_to
+        if ts is not None and mark is not None and ts.compare(mark) in (
+            Ordering.BEFORE, Ordering.EQUAL
+        ):
+            stats.readiness_fastpath_hits += 1
+            return ts
+        stats.readiness_storms += 1
+        stamped = self._send_nops(stamper)
+        if ts is None:
+            ts = stamped
+        names = self._shard_names
+        for shard_index in self._live_shards():
+            self.transport.send(
+                "client", names[shard_index], "advance_to", ts
+            )
+        self._advanced_to, self._read_stamp = ts, None
+        return ts
+
+    def _live_shards(self) -> List[int]:
+        """Indices of the shards that can be reached right now: all of
+        them, unless the deployment can lose one."""
+        return self._all_shards
+
+    def _send_nops(
+        self, stamper: Optional[Gatekeeper] = None
+    ) -> Optional[VectorTimestamp]:
+        """One NOP from every gatekeeper to every shard (section 4.2's
+        heartbeat, issued per fresh stamp instead of on a 10 µs timer;
+        the twin overrides how they travel).
+
+        A single announce round runs first; after it, each gatekeeper's
+        NOP is made after the previous one (:meth:`Gatekeeper.make_nop`),
+        so the NOPs form a vector-clock chain, not a concurrent set, and
+        never burden the oracle — G-1 point-to-point folds instead of G
+        full announce rounds (O(G²) messages each).
+
+        With ``stamper``, that gatekeeper stamps a program between the
+        leading announce and the first NOP, the chain starts from the
+        stamp, and the stamp is returned: it dominates every write
+        stamped before the call and every NOP dominates it, so no shard
+        meets a transaction or heartbeat it must ask the oracle about.
+        """
+        self._announce()
+        previous = stamp = (
+            stamper.issue_timestamp() if stamper is not None else None
+        )
+        live = self._live_shards()
+        for gk in self.gatekeepers:
+            previous = gk.make_nop(after=previous)
+            for shard_index in live:
+                self._enqueue(
+                    gk.index, shard_index, QueuedTransaction(previous)
+                )
+        # Announce the final NOP too, so every later stamp dominates it.
+        self._announce()
+        return stamp
 
     def _announce(self) -> None:
         """Nothing to send: the twin's τ timers announce."""
@@ -431,9 +505,9 @@ class WritePath:
 
 class Coordinator(WritePath):
     """The blocking client-side protocol: the write path and read
-    decision plus everything that waits — announce/drain pacing, eager
-    NOP heartbeats, node programs' readiness and execution, drain,
-    checkpoint and the GC fan-out.  There is no time axis: spans are
+    decision plus everything that waits — synchronous announces,
+    drain pacing, node programs' execution, drain, checkpoint and the
+    GC fan-out.  There is no time axis: spans are
     stamped with their emission sequence number (still a total order).
 
     Subclasses choose the transport and own whatever depends on where
@@ -445,17 +519,8 @@ class Coordinator(WritePath):
         super().__init__(parts, transport)
         self._commits = 0
         self._commits_since_drain = 0
-        # The timestamp every live shard was last advanced to, while
-        # that round's heartbeats are still queued behind it; whatever
-        # moves it retires the read stamp.
-        self._advanced_to: Optional[VectorTimestamp] = None
 
     # -- shards, by name ------------------------------------------------
-
-    def _live_shards(self) -> List[int]:
-        """Indices of the shards that can be reached right now: all of
-        them, unless the deployment can lose one."""
-        return self._all_shards
 
     def _request_all_shards(self, kind: str, payload: Any) -> List[Any]:
         """One fan-out request to every live shard; replies in
@@ -512,39 +577,6 @@ class Coordinator(WritePath):
         attempted so far."""
         sync_announce_all(self.gatekeepers)
         self._announced_attempt = self.changes.attempts
-
-    def _send_nops(
-        self, stamper: Optional[Gatekeeper] = None
-    ) -> Optional[VectorTimestamp]:
-        """One NOP from every gatekeeper to every shard (section 4.2's
-        heartbeat, issued eagerly instead of on a 10 µs timer).
-
-        A single announce round runs first; after it, each gatekeeper's
-        NOP is made after the previous one (:meth:`Gatekeeper.make_nop`),
-        so the NOPs form a vector-clock chain, not a concurrent set, and
-        never burden the oracle — G-1 point-to-point folds instead of G
-        full announce rounds (O(G²) messages each).
-
-        With ``stamper``, that gatekeeper stamps a program between the
-        leading announce and the first NOP, the chain starts from the
-        stamp, and the stamp is returned: it dominates every write
-        stamped before the call and every NOP dominates it, so no shard
-        meets a transaction or heartbeat it must ask the oracle about.
-        """
-        self._announce()
-        previous = stamp = (
-            stamper.issue_timestamp() if stamper is not None else None
-        )
-        live = self._live_shards()
-        for gk in self.gatekeepers:
-            previous = gk.make_nop(after=previous)
-            for shard_index in live:
-                self._enqueue(
-                    gk.index, shard_index, QueuedTransaction(previous)
-                )
-        # Announce the final NOP too, so every later stamp dominates it.
-        self._announce()
-        return stamp
 
     def drain(self) -> int:
         """Announce, heartbeat, and apply everything applicable on every
@@ -629,44 +661,6 @@ class Coordinator(WritePath):
         """Run ``shipped`` from ``frontier`` at ``ts``, which every live
         shard has been sent what it needs to be ready for."""
         raise NotImplementedError
-
-    def _make_shards_ready(
-        self, ts: Optional[VectorTimestamp],
-        stamper: Optional[Gatekeeper] = None,
-    ) -> VectorTimestamp:
-        """Send every live shard what makes it ready for ``ts`` — or,
-        with ``ts`` None, for a stamp ``stamper`` issues inside the
-        storm — ask nothing, and return the stamp (sections 4.1-4.2:
-        the program waits at the shard).  Announce, heartbeat so every
-        queue is non-empty with a NOP that dominates ``ts``, then a
-        one-way ``advance_to``; whoever snapshots at the shard verifies
-        ``ready_for(ts)`` there and fails by name.  A batching transport
-        carries this inside the next request frame on each channel; the
-        caller flushes the others.
-
-        Fast path: at or before the mark the shards were last advanced
-        to (a drain, an epoch reset or a recovery forgets it), nothing to
-        send.  A storm moves the mark and retires the read stamp, so a
-        reused one is always the mark and lands here.
-        """
-        stats = self.executor.stats
-        mark = self._advanced_to
-        if ts is not None and mark is not None and ts.compare(mark) in (
-            Ordering.BEFORE, Ordering.EQUAL
-        ):
-            stats.readiness_fastpath_hits += 1
-            return ts
-        stats.readiness_storms += 1
-        stamped = self._send_nops(stamper)
-        if ts is None:
-            ts = stamped
-        names = self._shard_names
-        for shard_index in self._live_shards():
-            self.transport.send(
-                "client", names[shard_index], "advance_to", ts
-            )
-        self._advanced_to, self._read_stamp = ts, None
-        return ts
 
     # -- garbage collection (section 4.5) -----------------------------------
 

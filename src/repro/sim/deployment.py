@@ -13,25 +13,24 @@ network:
 
 * announce timers fire every ``tau`` simulated seconds per gatekeeper,
   and announce messages pay network latency like everything else;
-* NOP heartbeat timers fire every ``nop_period`` per gatekeeper
-  (section 4.2's 10 µs default), keeping shard queues non-empty;
 * transactions travel client -> gatekeeper -> (store commit) -> shards
   on FIFO channels with sequence numbers;
-* node programs take the coordinators' read decision (``WritePath``:
-  cache at submit, stamp choice at the gatekeeper after its service
-  time, finish at the reply); a program waits at its start vertex's
-  shard until every queue head is ordered after it — real simulated
-  time, bounded by τ plus the NOP period, which the tests verify —
-  then propagates shard to shard and replies shard -> client;
+* node programs take the coordinators' read decision and readiness
+  rule (``WritePath``: cache at submit, stamp choice at the gatekeeper
+  after its service time, one heartbeat round per fresh stamp, finish
+  at the reply); a program waits at its start vertex's shard until
+  every queue head is ordered after it — real simulated time, which the
+  tests bound — then propagates shard to shard and replies shard ->
+  client;
 * heartbeats flow to the cluster manager, whose failure detector runs
   on simulated time.
 
-The simulator's own is what fires on simulated time: the τ / NOP /
-heartbeat / detector / GC timers, service-time charging, fault hooks,
-:class:`TauController`, the deadline-delayed commit ack and the engine
-host's parked messages (the simulated clock's version of readiness: a
-program message waits at its shard for the timers, where the blocking
-:class:`~repro.db.database.Coordinator` heartbeats eagerly).
+The simulator's own is what fires on simulated time: the τ / heartbeat
+/ detector / GC timers, service-time charging, fault hooks,
+:class:`TauController`, the deadline-delayed commit ack, how a round's
+NOPs travel (:meth:`SimulatedWeaver._send_nops`) and the engine host's
+parked messages (a program message that outran its round's NOPs waits
+at its shard).
 
 This is the substrate for protocol-fidelity experiments: the Fig 14
 tradeoff emerges here from actual timers rather than from a modelling
@@ -49,7 +48,7 @@ from ..cluster.messages import AnnounceMessage, Heartbeat, QueuedTransaction
 from ..cluster.shard import ShardServer
 from ..cluster.transport import SimTransport, TransportError
 from ..cluster.worker import ResidentEngine, ShardEndpoint
-from ..core.gatekeeper import DeadlineStamper
+from ..core.gatekeeper import DeadlineStamper, Gatekeeper
 from ..core.vclock import VectorTimestamp
 from ..db.config import WeaverConfig
 from ..db.database import StartSpec, WritePath
@@ -64,7 +63,6 @@ from .network import Network, RegionTopology
 from .simulator import Server, Simulator
 
 DEFAULT_TAU = 100 * USEC
-DEFAULT_NOP_PERIOD = 10 * USEC  # the paper's default (section 4.2)
 DEFAULT_HEARTBEAT = 0.1
 # Clock-skew bound of the deadline fast path.  The simulator's clock is
 # perfectly synchronized, so any positive bound is sound; 5 µs models a
@@ -158,9 +156,10 @@ class _ShardHost(ResidentEngine):
 
     Peers and the client are reached through the deployment's
     ``SimTransport`` (latency, faults, service time); the wait for
-    readiness is a parked message the handler's pump retries after every
-    delivery — here the heartbeats that make a shard ready arrive on
-    their own timers, not ahead of the program on one socket.
+    readiness is a parked message the pump retries after every delivery
+    and at its deadline — here the heartbeats that make a shard ready
+    travel on their own channels, not ahead of the program on one
+    socket.
     """
 
     def __init__(self, db: "SimulatedWeaver", shard: ShardServer):
@@ -173,31 +172,37 @@ class _ShardHost(ResidentEngine):
         self._charged = (0, 0)
 
     def handle(self, src: str, kind: str, payload: Any) -> None:
-        """The transport handler: the crash check, the message into the
-        engine, and the pump a real shard's event loop would run —
-        whatever the delivery made applicable is applied, and every
-        parked message ``advance_to`` now admits (or whose deadline
-        passed) is dispatched again."""
-        shard = self.worker.shard
-        if shard.name in self.db._crashed:
-            return  # messages to a dead server vanish
+        """The transport handler: the message into the engine, then the
+        pump."""
         if kind == "program_start":
-            self._dispatch(src, {
+            envelope = {
                 "k": "r", "id": payload.query_id, "kind": kind, "p": payload,
-            })
+            }
         else:
-            self._dispatch(src, {"k": "b", "m": [(kind, payload)]})
+            envelope = {"k": "b", "m": [(kind, payload)]}
+        self._pump(src, envelope)
+
+    def _pump(self, conn=None, envelope: Optional[dict] = None) -> None:
+        """What a real shard's event loop runs on a delivery, and at a
+        parked message's deadline: the crash check, the message, then
+        every parked message ``advance_to`` now admits (or whose
+        deadline passed) is dispatched again.  Nothing else is applied:
+        a shard applies up to the ``advance_to`` it receives, so the
+        latest round's NOPs stay queued for the reads that reuse its
+        stamp."""
+        if self.worker.shard.name in self.db._crashed:
+            return  # messages to a dead server vanish
+        if envelope is not None:
+            self._dispatch(conn, envelope)
         self.drain()
         now = self.db.simulator.now
         parked, self.parked = self.parked, []
         for held in parked:
             ts, conn, envelope = held
-            if shard.advance_to(ts) or now >= envelope["until"]:
+            if self.worker.shard.advance_to(ts) or now >= envelope["until"]:
                 self._dispatch(conn, envelope)
             else:
                 self.parked.append(held)
-        if not self.parked:
-            shard.apply_available()
         self.drain()
 
     def reset(self) -> None:
@@ -210,7 +215,10 @@ class _ShardHost(ResidentEngine):
 
     def _hold(self, conn, envelope: dict, ts: VectorTimestamp) -> bool:
         now = self.db.simulator.now
-        if now >= envelope.setdefault("until", now + self.READY_DEADLINE):
+        if "until" not in envelope:
+            envelope["until"] = now + self.READY_DEADLINE
+            self.db.simulator.schedule_at(envelope["until"], self._pump)
+        elif now >= envelope["until"]:
             return False
         self.parked.append((ts, conn, envelope))
         return True
@@ -268,7 +276,6 @@ class SimulatedWeaver(WritePath):
         self,
         config: Optional[WeaverConfig] = None,
         tau: float = DEFAULT_TAU,
-        nop_period: float = DEFAULT_NOP_PERIOD,
         heartbeat_period: float = DEFAULT_HEARTBEAT,
         latency: float = 100 * USEC,
         gc_period: float = 0.01,
@@ -281,7 +288,6 @@ class SimulatedWeaver(WritePath):
     ):
         config = config or WeaverConfig()
         self.tau = tau_controller.tau if tau_controller is not None else tau
-        self.nop_period = nop_period
         self.heartbeat_period = heartbeat_period
         self.gc_period = gc_period
         self.tau_controller = tau_controller
@@ -394,8 +400,8 @@ class SimulatedWeaver(WritePath):
         self.committed = 0
         self.aborted = 0
         self.recoveries = 0
-        # The last NOP of each region: the next one, from any of the
-        # region's gatekeepers, is made after it (one heartbeat chain).
+        # The last NOP of each region: the next round's first link there
+        # is made after it (one heartbeat chain per region).
         self._last_nop: Dict[int, VectorTimestamp] = {}
         self._start_timers()
 
@@ -412,6 +418,8 @@ class SimulatedWeaver(WritePath):
                 self._gatekeeper_commit(index, *payload)
             elif kind == "prog-submit":
                 self._gatekeeper_stamp(index, payload)
+            elif kind == "nop-round":
+                self._chain_nops(index, payload)
 
         return handle
 
@@ -424,10 +432,12 @@ class SimulatedWeaver(WritePath):
         retired = self._engines.get(shard.index)
         engine = self._engines[shard.index] = _ShardHost(self, shard)
         if retired is not None:
-            # A replacement continues its predecessor's count.
+            # A replacement continues its predecessor's count; what the
+            # predecessor parked dies with it.
             engine.worker.stragglers_dropped = (
                 retired.worker.stragglers_dropped
             )
+            retired.reset()
         self.transport.register(shard.name, engine.handle)
 
     def _on_manager_message(self, src: str, kind: str, payload: Any) -> None:
@@ -440,12 +450,15 @@ class SimulatedWeaver(WritePath):
         """The region of server ``name``; region 0 without geo."""
         return self.topology.region_of(name) if self._geo else 0
 
+    def _live_gatekeepers(self) -> List[Gatekeeper]:
+        return [
+            gk for gk in self.gatekeepers if gk.name not in self._crashed
+        ]
+
     def _start_timers(self) -> None:
-        # Stagger per-gatekeeper timers: real servers' clocks are not
-        # phase-aligned, so one period's NOPs arrive spread over it, one
-        # chain link at a time.  Announce phases stagger *within* each
-        # region (regions announce independently).
-        count = len(self.gatekeepers)
+        # Stagger announce timers within each region: real servers'
+        # clocks are not phase-aligned, and regions announce
+        # independently.
         regions: Dict[int, List[int]] = {}
         for gk in self.gatekeepers:
             regions.setdefault(self._region(gk.name), []).append(gk.index)
@@ -455,13 +468,9 @@ class SimulatedWeaver(WritePath):
             for pos, gk_index in enumerate(members)
         }
         for gk in self.gatekeepers:
-            phase = (gk.index + 1) / count
             self.simulator.schedule(
                 self.tau * announce_phase[gk.index],
                 self._announce_tick, gk.index,
-            )
-            self.simulator.schedule(
-                self.nop_period * phase, self._nop_tick, gk.index
             )
             self.simulator.schedule(
                 self.heartbeat_period, self._heartbeat_tick, gk.name
@@ -542,17 +551,54 @@ class SimulatedWeaver(WritePath):
         if peer.deadline_stamper is not None:
             peer.deadline_stamper.observe(deadline)
 
-    def _nop_tick(self, gk_index: int) -> None:
-        gk = self.gatekeepers[gk_index]
+    # -- the heartbeat round (section 4.2) --------------------------------
+
+    def _send_nops(
+        self, stamper: Optional[Gatekeeper] = None
+    ) -> Optional[VectorTimestamp]:
+        """How a heartbeat round travels on simulated time: one chain
+        per region (:meth:`_chain_nops`).  The stamper folds its
+        region's last NOP before it stamps, so the round continues the
+        previous one, and its region chains from the stamp at once.
+        Every other region gets the stamp over the network, one message
+        to its first live gatekeeper.  With no stamper, every region
+        chains from its last NOP."""
+        home = stamp = None
+        if stamper is not None:
+            home = self._region(stamper.name)
+            stamper.follow(self._last_nop.get(home))
+            stamp = stamper.issue_timestamp()
+        heads: Dict[int, Gatekeeper] = {}
+        for gk in self._live_gatekeepers():
+            heads.setdefault(self._region(gk.name), gk)
+        for region, head in heads.items():
+            if stamp is None or region == home:
+                self._chain_nops(head.index, stamp)
+            else:
+                self.transport.send(
+                    stamper.name, head.name, "nop-round", stamp
+                )
+        return stamp
+
+    def _chain_nops(self, head: int, link: Optional[VectorTimestamp]):
+        """One NOP from each live gatekeeper of gatekeeper ``head``'s
+        region to every shard, each made after the previous link: the
+        first after ``link`` and the region's last NOP.  ``link``'s
+        deadline is observed first: the Lamport receive of a stamp
+        from another region."""
+        gk = self.gatekeepers[head]
         if gk.name in self._crashed:
             return
+        if link is not None and gk.deadline_stamper is not None:
+            gk.deadline_stamper.observe(link.deadline)
         region = self._region(gk.name)
-        stamp = gk.make_nop(after=self._last_nop.get(region))
-        self._last_nop[region] = stamp
-        nop = QueuedTransaction(stamp)
-        for shard in self.shards:
-            self._enqueue(gk_index, shard.index, nop)
-        self.simulator.schedule(self.nop_period, self._nop_tick, gk_index)
+        for member in self._live_gatekeepers():
+            if self._region(member.name) == region:
+                member.follow(self._last_nop.get(region))
+                link = self._last_nop[region] = member.make_nop(after=link)
+                nop = QueuedTransaction(link)
+                for shard_index in self._live_shards():
+                    self._enqueue(member.index, shard_index, nop)
 
     def _heartbeat_tick(self, name: str) -> None:
         if name in self._crashed:
@@ -584,12 +630,13 @@ class SimulatedWeaver(WritePath):
 
         The watermark is the oldest in-flight program, or — when idle — a
         clock snapshot; events and versions strictly below it can never
-        be read again, so the tick retires the read stamp (a reuse would
-        ask the oracle about collected events; a coordinator's drain
-        does the same).  Without this, the oracle's event DAG would grow
+        be read again.  Without this, the oracle's event DAG would grow
         with every concurrent pair it decided for the run's lifetime.
+        The tick ends with one heartbeat round from a live gatekeeper, as
+        a coordinator's drain does: writes no read followed still apply,
+        and the read stamp retires (a reuse would ask the oracle about
+        collected events).
         """
-        self._read_stamp = None
         watermark = self.watermarks.watermark(
             self.gatekeepers[0].current_watermark()
         )
@@ -604,6 +651,9 @@ class SimulatedWeaver(WritePath):
         # and needs a real stamped watermark; callers run it explicitly
         # when they care.
         self._collect_oracle_and_store(watermark)
+        live = self._live_gatekeepers()
+        if live:
+            self._make_shards_ready(None, live[0])
         self.simulator.schedule(self.gc_period, self._gc_tick)
 
     # -- failure injection (section 4.3, live) ---------------------------
@@ -671,12 +721,10 @@ class SimulatedWeaver(WritePath):
         # pre-recovery frame can never be taken for the relaunch.
         for engine in self._engines.values():
             engine.reset()
-        self._read_stamp = None
+        self._advanced_to = self._read_stamp = None
         if self.program_cache is not None:
             self.program_cache.clear()
-        live = [
-            gk for gk in self.gatekeepers if gk.name not in self._crashed
-        ]
+        live = self._live_gatekeepers()
         if live:
             stamped, self._stamped = self._stamped, {}
             for query_id, entry in stamped.items():
@@ -688,9 +736,6 @@ class SimulatedWeaver(WritePath):
         )
         if name.startswith("gk"):
             self.simulator.schedule(self.tau, self._announce_tick, index)
-            self.simulator.schedule(
-                self.nop_period, self._nop_tick, index
-            )
 
     # -- client operations ---------------------------------------------
 
@@ -927,9 +972,9 @@ class SimulatedWeaver(WritePath):
 
     @property
     def timer_period(self) -> float:
-        """The longer of the announce and NOP periods: the step at which
-        drivers check whether what they wait for has happened."""
-        return max(self.nop_period, self.tau)
+        """The announce period: the step at which drivers check whether
+        what they wait for has happened."""
+        return self.tau
 
     def run(self, duration: float) -> None:
         """Advance simulated time by ``duration`` seconds."""

@@ -287,7 +287,6 @@ def run_chaos(
     heartbeat_period: float = 2 * MSEC,
     drain: float = 80 * MSEC,
     tau: float = 100 * USEC,
-    nop_period: float = 100 * USEC,
 ) -> ChaosReport:
     """One seeded chaos run; returns the checked :class:`ChaosReport`.
 
@@ -305,10 +304,6 @@ def run_chaos(
     sim = SimulatedWeaver(
         config=config,
         tau=tau,
-        # A coarser NOP cadence than the production default keeps a
-        # whole run's simulated event count small.  (NOPs chain, so the
-        # cadence no longer sizes the oracle's event DAG.)
-        nop_period=nop_period,
         heartbeat_period=heartbeat_period,
         # One GC pass well after the horizon: mid-run collection would
         # only shrink what the checker can decide, not break it, but
@@ -506,7 +501,6 @@ def run_soak(
             sim = SimulatedWeaver(
                 config=config,
                 tau=100 * USEC,
-                nop_period=100 * USEC,
                 heartbeat_period=2 * MSEC,
                 # Live GC: the watermark advances twice per chunk, which
                 # is the whole point — the referee must keep up with it.

@@ -131,7 +131,6 @@ def run_geo(
     topology: Optional[RegionTopology] = None,
     plan: Optional[FaultPlan] = None,
     fastpath: bool = True,
-    nop_period: float = 200 * USEC,
     drain: float = 60 * MSEC,
     config: Optional[WeaverConfig] = None,
 ) -> GeoReport:
@@ -152,7 +151,6 @@ def run_geo(
     sim = SimulatedWeaver(
         config=config,
         tau=tau,
-        nop_period=nop_period,
         heartbeat_period=4 * MSEC,
         gc_period=10 * duration + drain,
         fault_plan=plan,
@@ -348,7 +346,6 @@ def run_geo_soak(
     sim = SimulatedWeaver(
         config=config,
         tau=100 * USEC,
-        nop_period=200 * USEC,
         heartbeat_period=4 * MSEC,
         gc_period=chunk_horizon / 2,
         fault_plan=plan,

@@ -81,7 +81,6 @@ class TestAdaptiveDeployment:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=3, num_shards=2),
-            nop_period=500 * USEC,
             tau_controller=controller,
             adapt_window=4 * MSEC,
         )
@@ -96,7 +95,6 @@ class TestAdaptiveDeployment:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=3, num_shards=2),
-            nop_period=2 * MSEC,
             tau_controller=controller,
             adapt_window=4 * MSEC,
         )

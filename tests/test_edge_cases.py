@@ -129,7 +129,6 @@ class TestDeploymentDriving:
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
             tau=200 * USEC,
-            nop_period=200 * USEC,
         )
         sw.submit_transaction([ops.CreateVertex("a")])
         sw.run(2 * MSEC)
@@ -148,7 +147,6 @@ class TestDeploymentDriving:
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
             tau=200 * USEC,
-            nop_period=200 * USEC,
         )
         box = {}
         sw.submit_program(

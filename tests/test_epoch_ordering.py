@@ -107,7 +107,6 @@ class TestRecoveryBarrier:
         return SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
             tau=200 * USEC,
-            nop_period=100 * USEC,
             heartbeat_period=5 * MSEC,
         )
 

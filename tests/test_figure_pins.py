@@ -19,8 +19,8 @@ def fig7_rows():
 
 def test_fig7_coingraph(fig7_rows):
     assert [(h, n, cg) for h, n, cg, _, _ in fig7_rows] == [
-        (1_000, 1, 0.002009999999999991),
-        (100_000, 33, 0.024409999999999935),
+        (1_000, 1, 0.0018299999999999983),
+        (100_000, 33, 0.024229999999999998),
     ]
 
 
@@ -36,8 +36,8 @@ def test_fig8_coingraph():
         base_heights=(1_000, 100_000), queries_per_point=16
     ).rows()
     assert rows == [
-        (1_000, 1993.769470404992, 3987.538940809984),
-        (100_000, 315.0846790074834, 10712.879086254434),
+        (1_000, 2297.200287150035, 4594.40057430007),
+        (100_000, 317.42882650530703, 10792.58010118044),
     ]
 
 
@@ -45,13 +45,13 @@ def test_fig8_coingraph():
     pytest.param(
         (0.998, 50, 60),
         (1991.7938095048385, 0.022114674556213024, 0.03025389349112428),
-        (16103.059581320567, 0.0017554285714285714, 0.004064492307692308),
+        (16103.059581320567, 0.0015185454545454545, 0.0038399999999999997),
         id="9a",
     ),
     pytest.param(
         (0.75, 45, 50),
         (1991.7938095048385, 0.02007325443786983, 0.025313065088757414),
-        (3275.466754012447, 0.0014187951807228916, 0.05141540740740745),
+        (3275.466754012447, 0.0014187951807228916, 0.051456888888888955),
         id="9b",
     ),
 ])
@@ -72,21 +72,21 @@ def test_fig11_graphlab_and_twin():
         result.graphlab_async.mean,
         result.graphlab_sync.mean,
         result.weaver.mean,
-    ) == (0.001397, 0.003245770833333336, 0.0012850833333333267)
+    ) == (0.001397, 0.003245770833333336, 0.0010372499999999954)
 
 
 def test_fig12_twin_point():
     rows = harness.experiment_fig12(
         gatekeeper_counts=(2,), ops=300, clients=64
     ).rows()
-    assert rows == [(2, 16291.951775822841)]
+    assert rows == [(2, 16380.910778639301)]
 
 
 def test_fig13_twin_point():
     rows = harness.experiment_fig13(
         shard_counts=(2,), ops=100, clients=48, num_vertices=100
     ).rows()
-    assert rows == [(2, 15957.44680851062)]
+    assert rows == [(2, 16542.597187758405)]
 
 
 def test_a7_kineograph_and_twin():

@@ -54,7 +54,7 @@ class TestAnnounces:
             assert gk.stats.announces_sent == 1
             assert gk.stats.announces_received == 2
 
-    def test_nop_ticks_clock(self):
+    def test_a_nop_advances_the_clock(self):
         gk = Gatekeeper(0, 1)
         nop = gk.make_nop()
         assert nop.local_clock == 1

@@ -168,7 +168,6 @@ class TestGeoDeployment:
         return SimulatedWeaver(
             config=config,
             tau=200 * USEC,
-            nop_period=200 * USEC,
             heartbeat_period=4 * MSEC,
             gc_period=1.0,
             topology=default_geo_topology(2, scale=0.25),
@@ -290,7 +289,6 @@ class TestRecoveryReconcile:
         return SimulatedWeaver(
             config=config,
             tau=200 * USEC,
-            nop_period=200 * USEC,
             heartbeat_period=2 * MSEC,
             gc_period=1.0,
             fault_plan=plan,

@@ -314,12 +314,3 @@ class TestAblations:
         assert CostParams().store_commit_service <= lag < 20 * MSEC
         for _, kineograph, weaver in rows:
             assert weaver < kineograph
-
-    def test_a4_nop_tradeoff(self):
-        result = harness.ablation_nop_period(
-            periods=(10 * USEC, 10 * MSEC)
-        )
-        rows = result.rows()
-        # Longer period: more delay, less heartbeat traffic.
-        assert rows[0][1] < rows[1][1]
-        assert rows[0][2] > rows[1][2]

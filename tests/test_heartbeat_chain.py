@@ -1,21 +1,25 @@
-"""One heartbeat chain: ``Gatekeeper.make_nop(after=)`` and the NOP
-timers of the simulated twin.
+"""One heartbeat chain: ``Gatekeeper.make_nop(after=)`` and the round
+each fresh read stamp sends (``WritePath._send_nops``).
 
 Each NOP is made after the previous heartbeat of its chain, so shards
 order NOP pairs by vector clocks and never ask the oracle about them.
-The product's ``Coordinator._send_nops`` chains one NOP per gatekeeper;
-the twin chains every NOP of a region (region 0 without geo).
+The product chains one NOP per gatekeeper from the stamp; the twin
+chains every region's NOPs, each round after the last, and another
+region's from the stamp once it arrives over the network.
 """
 
 import pytest
 
 from repro.core.gatekeeper import DeadlineStamper, Gatekeeper
+from repro.core.ordering import RefinableOrdering
 from repro.core.vclock import Ordering, VectorTimestamp
 from repro.db import operations as ops
 from repro.db.config import WeaverConfig
 from repro.db.database import Weaver
+from repro.programs import GetNode
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
+from repro.workloads.geo import default_geo_topology
 
 
 class TestMakeNopAfter:
@@ -46,6 +50,16 @@ class TestMakeNopAfter:
         nop = gk.make_nop(after=stale)
         assert (nop.epoch, nop.clocks) == (1, (1, 0))
 
+    def test_follow_folds_without_a_tick(self):
+        # The twin's stamper follows its region's last NOP, then stamps:
+        # the stamp dominates the link, and following issued nothing.
+        first, second = Gatekeeper(0, 2), Gatekeeper(1, 2)
+        link = first.make_nop()
+        second.follow(link)
+        assert second.stats.nops_sent == 0
+        assert second.stats.timestamps_issued == 0
+        assert link.compare(second.issue_timestamp()) is Ordering.BEFORE
+
     def test_the_fold_is_not_counted_as_an_announce(self):
         first, second = Gatekeeper(0, 2), Gatekeeper(1, 2)
         second.make_nop(after=first.make_nop())
@@ -67,7 +81,6 @@ def twin(gks, regions=1, tau=5 * MSEC):
             num_gatekeepers=gks, num_shards=2, num_regions=regions
         ),
         tau=tau,
-        nop_period=100 * USEC,
         heartbeat_period=5 * MSEC,
     )
 
@@ -117,42 +130,135 @@ class TestTheProductsChain:
         assert snap["oracle.messages"] == 0
 
 
-class TestTheTwinsChain:
+class TestTheTwinsRound:
     @pytest.mark.parametrize("gks", [2, 3, 4])
-    def test_heartbeats_alone_never_ask_the_oracle(self, gks):
-        # τ is 50 NOP periods: announces order almost nothing, so any
-        # NOP pair left concurrent would reach the oracle.
-        sw = twin(gks)
-        sw.run(20 * MSEC)
-        snap = sw.metrics.snapshot()
-        assert snap["shard.nops_applied"] > 100 * gks
-        assert snap["oracle.messages"] == 0
-        assert snap["ordering.reactive"] == 0
+    def test_fresh_stamps_send_no_nop_pair_to_the_oracle(
+        self, gks, recorded, monkeypatch
+    ):
+        # τ is 5 ms: announces order almost nothing, so a NOP pair left
+        # concurrent would reach the oracle.
+        asked = []
+        compare = RefinableOrdering.compare
 
-    def test_each_nop_dominates_the_last_one(self, recorded):
+        def counted(self, a, b, *args, **kwargs):
+            before = self.stats.reactive
+            decided = compare(self, a, b, *args, **kwargs)
+            if self.stats.reactive != before:
+                asked.append((a.id, b.id))
+            return decided
+
+        monkeypatch.setattr(RefinableOrdering, "compare", counted)
+        sw = twin(gks)
+        sw.submit_transaction([ops.CreateVertex("a")])
+        sw.run(MSEC)
+        for i in range(20):
+            # Each write to the start vertex makes the next read fresh.
+            sw.submit_transaction([ops.SetVertexProperty("a", "k", i)])
+            sw.run(MSEC)
+            sw.submit_program(GetNode(), "a")
+            sw.run(MSEC)
+        sw.run_until_quiet()
+        fresh = [
+            span for span in sw.tracer.spans(kind="program.stamp")
+            if span.attr("reused") is None
+        ]
+        assert len(fresh) == 20
+        assert sw.metrics.snapshot()["shard.nops_applied"] >= 19 * gks * 2
+        nops = {nop.id for _, _, nop in recorded}
+        assert not [pair for pair in asked if set(pair) <= nops]
+
+    def test_each_round_continues_the_last_one(self, monkeypatch):
+        made = []
+        for name in ("make_nop", "issue_timestamp"):
+            method = getattr(Gatekeeper, name)
+
+            def record(self, *args, method=method, **kwargs):
+                stamp = method(self, *args, **kwargs)
+                made.append(stamp)
+                return stamp
+
+            monkeypatch.setattr(Gatekeeper, name, record)
         sw = twin(3)
-        sw.run(5 * MSEC)
-        nops = [nop for _, _, nop in recorded]
-        assert len(nops) > 100
-        for earlier, later in zip(nops, nops[1:]):
+        sw.submit_transaction([ops.CreateVertex("a")])
+        for i in range(10):
+            sw.submit_transaction([ops.SetVertexProperty("a", "k", i)])
+            sw.run(MSEC)
+            sw.submit_program(GetNode(), "a")
+            sw.run(MSEC)
+        # One region: each round (a read's, or a GC tick's) is a stamp
+        # and three NOPs, its stamp after the last round's last link.
+        commits = {
+            span.attr("ts").id
+            for span in sw.tracer.spans(kind="gatekeeper.stamp")
+        }
+        chain = [stamp for stamp in made if stamp.id not in commits]
+        assert len(chain) >= 10 * 4
+        for earlier, later in zip(chain, chain[1:]):
             assert earlier.compare(later) is Ordering.BEFORE
 
+    def test_another_region_chains_after_the_stamp_arrives(
+        self, monkeypatch
+    ):
+        made = []
+        make_nop = Gatekeeper.make_nop
+
+        def record(self, after=None):
+            nop = make_nop(self, after=after)
+            made.append((self, after, nop, sw.simulator.now))
+            return nop
+
+        monkeypatch.setattr(Gatekeeper, "make_nop", record)
+        topology = default_geo_topology(2)
+        sw = SimulatedWeaver(
+            WeaverConfig(num_gatekeepers=4, num_shards=2, num_regions=2),
+            tau=200 * USEC, heartbeat_period=5 * MSEC, topology=topology,
+        )
+        stamped = {}
+        sw.submit_transaction([ops.CreateVertex("a")])
+        sw.run(20 * MSEC)
+        for i in range(4):
+            sw.submit_transaction([ops.SetVertexProperty("a", "k", i)])
+            sw.run(20 * MSEC)
+            sw.submit_program(GetNode(), "a")
+            sw.run(20 * MSEC)
+        for span in sw.tracer.spans(kind="program.stamp"):
+            stamped[span.attr("ts").id] = span.at
+        region = topology.region_of
+        remote = [
+            (after, nop, now) for gk, after, nop, now in made
+            if after is not None and after.id in stamped
+            and region(f"gk{after.issuer}") != region(gk.name)
+        ]
+        assert len(remote) >= 4
+        for after, nop, now in remote:
+            sent = region(f"gk{after.issuer}")
+            hop = topology.one_way(sent, 1 - sent)
+            assert now >= stamped[after.id] + hop
+            assert nop.deadline > after.deadline
+            assert after.compare(nop) is Ordering.BEFORE
+
     def test_the_chain_stays_inside_a_region(self, recorded):
+        # A NOP follows a NOP of its own region only; a link across
+        # regions is always a read stamp that travelled the network.
         sw = twin(4, regions=2, tau=200 * USEC)
+        sw.submit_transaction([ops.CreateVertex("a")])
         sw.run(5 * MSEC)
+        for i in range(4):
+            sw.submit_transaction([ops.SetVertexProperty("a", "k", i)])
+            sw.run(5 * MSEC)
+            sw.submit_program(GetNode(), "a")
+            sw.run(5 * MSEC)
         region = sw.topology.region_of
+        nops = {nop.id for _, _, nop in recorded}
         links = [(gk, after) for gk, after, _ in recorded if after]
         assert {region(gk.name) for gk, _ in links} == {0, 1}
+        crossed = 0
         for gk, after in links:
-            assert region(f"gk{after.issuer}") == region(gk.name)
-
-    def test_across_regions_deadlines_order_the_heartbeats(self):
-        sw = twin(4, regions=2)
-        sw.run(20 * MSEC)
-        snap = sw.metrics.snapshot()
-        assert snap["shard.nops_applied"] > 400
-        assert snap["ordering.deadline_fastpath"] > 0
-        assert snap["oracle.messages"] == 0
+            if region(f"gk{after.issuer}") == region(gk.name):
+                continue
+            assert after.id not in nops
+            crossed += 1
+        assert crossed >= 4
 
     def test_a_recovered_epoch_inherits_no_counter(self, monkeypatch):
         # After a failover every clock restarts; a NOP folding the old

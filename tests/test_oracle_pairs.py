@@ -1,0 +1,27 @@
+"""``tools/oracle_pairs.py`` as a shell pipeline runs it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "oracle_pairs.py"
+
+
+def test_a_closed_reader_is_not_an_error():
+    # `oracle_pairs.py | head -1`: the reader is gone before the tool
+    # writes, so every write meets a broken pipe.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, str(TOOL), "--ops", "300"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 0, result.stderr
+    assert "BrokenPipeError" not in result.stderr

@@ -74,9 +74,7 @@ class Hosts:
 
         self.weaver = Weaver(config())
         self.process = ProcessWeaver(config())
-        self.sim = SimulatedWeaver(
-            config(), tau=200 * USEC, nop_period=100 * USEC
-        )
+        self.sim = SimulatedWeaver(config(), tau=200 * USEC)
         self._commit([ops.CreateVertex(handle) for handle in handles])
 
     def link(self, edges):

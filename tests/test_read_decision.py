@@ -2,9 +2,10 @@
 
 The clockless half of a read — the program cache lookup, the stamp
 choice (``at=``, the reused read stamp, or a fresh one) and the finish —
-is one copy in ``WritePath``; the blocking ``Weaver`` storms for
-readiness and the discrete-event ``SimulatedWeaver`` parks programs at
-its shards for the timers.  A seeded sequential script of commits,
+is one copy in ``WritePath``, and so is the readiness rule (one
+heartbeat round per fresh stamp): the blocking ``Weaver`` delivers it
+at once, the discrete-event ``SimulatedWeaver`` parks programs at its
+shards until it arrives.  A seeded sequential script of commits,
 reads, cached reads and one historical read must give both the same
 results and the same decisions: fresh and reused stamps, reuses past a
 commit, cache hits, and the gatekeeper each stamp came from (a cache hit
@@ -81,8 +82,7 @@ def run_on_weaver(steps):
 
 def run_on_twin(steps):
     sw = SimulatedWeaver(
-        WeaverConfig(**CONFIG), tau=200 * USEC, nop_period=100 * USEC,
-        gc_period=1e6,  # no GC pass inside the script
+        WeaverConfig(**CONFIG), tau=200 * USEC,         gc_period=1e6,  # no GC pass inside the script
     )
     # Long enough for every gatekeeper's announce to land everywhere, so
     # a later commit's stamp dominates every earlier stamp, as a

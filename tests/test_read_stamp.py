@@ -516,8 +516,7 @@ class TestTheDeclarationIsEnforced:
     def test_a_hop_fails_the_query_on_the_twin(self, hopping):
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=G, num_shards=S),
-            tau=200 * USEC, nop_period=100 * USEC,
-        )
+            tau=200 * USEC,         )
         assert sim_commit(sw, [ops.CreateVertex("hot")])["ok"]
         sw.submit_program(hopping(), "hot")
         with pytest.raises(ProgramError, match=REFUSED):

@@ -16,17 +16,17 @@ from repro.workloads.geo import run_geo
 
 @pytest.mark.parametrize("run,digest", [
     pytest.param(lambda: run_chaos(1, duration=20 * MSEC),
-                 "237778792f022bc5", id="chaos-1"),
+                 "1e4fcc6294a0cafe", id="chaos-1"),
     pytest.param(lambda: run_chaos(2, duration=20 * MSEC),
-                 "fd85ae82a18408d0", id="chaos-2"),
+                 "ca8fc158dffdf4db", id="chaos-2"),
     pytest.param(lambda: run_chaos(3, duration=20 * MSEC),
-                 "543af0806400bfa0", id="chaos-3"),
+                 "c335621ec301b5d5", id="chaos-3"),
     pytest.param(lambda: run_chaos(7, duration=20 * MSEC),
-                 "5d7db616280b6e65", id="chaos-7"),
+                 "e0f816fd811e8d12", id="chaos-7"),
     pytest.param(lambda: run_soak(1, chunks=3),
-                 "0e28e948baadcca5", id="soak-1x3"),
-    pytest.param(lambda: run_geo(1), "299bc5faeab4eea0", id="geo-1"),
-    pytest.param(lambda: run_geo(2), "35002bd8348b3498", id="geo-2"),
+                 "7bc67357f9d95abc", id="soak-1x3"),
+    pytest.param(lambda: run_geo(1), "8ba3e72bc9158286", id="geo-1"),
+    pytest.param(lambda: run_geo(2), "2eba9ada1d395ad1", id="geo-2"),
 ])
 def test_referee_digest(run, digest):
     report = run()

@@ -17,7 +17,7 @@ from repro.core.gatekeeper import Gatekeeper
 from repro.core.oracle import TimelineOracle
 from repro.db import operations as ops
 from repro.db.config import WeaverConfig
-from repro.db.database import Weaver, WritePath
+from repro.db.database import Coordinator, Weaver, WritePath
 from repro.errors import ProgramError
 from repro.programs import Bfs, GetEdges, GetNode, Reachability, params
 from repro.programs.analytics import PushPageRank
@@ -36,11 +36,10 @@ from tests.test_program_resident import (
 from tests.wire_fixtures import order_key
 
 
-def make(tau=200 * USEC, nop_period=100 * USEC, gks=2, shards=2):
+def make(tau=200 * USEC, gks=2, shards=2):
     return SimulatedWeaver(
         WeaverConfig(num_gatekeepers=gks, num_shards=shards),
         tau=tau,
-        nop_period=nop_period,
     )
 
 
@@ -79,10 +78,13 @@ class TestTransactions:
         assert sw.aborted == 1
 
     def test_writes_reach_shards_in_memory(self):
+        # With no read after it, a write applies within one GC period:
+        # the GC tick's heartbeat round advances every shard.
         sw = make()
         commit(sw, [ops.CreateVertex("a")])
-        sw.run(2 * MSEC)
         shard = sw.shards[sw.mapping.lookup("a")]
+        assert "a" not in shard.graph
+        sw.run(sw.gc_period)
         assert "a" in shard.graph
 
 
@@ -102,13 +104,14 @@ class TestPrograms:
 
     def test_program_latency_bounded_by_timers(self):
         # The section 4.2 bound: a program waits at most ~tau (for the
-        # issuing gatekeeper's announce) + a NOP period + network hops.
-        tau, nop = 200 * USEC, 100 * USEC
-        sw = make(tau=tau, nop_period=nop)
+        # issuing gatekeeper's announce) + network hops; its heartbeat
+        # round leaves with its stamp, so no NOP period is added.
+        tau = 200 * USEC
+        sw = make(tau=tau)
         commit(sw, [ops.CreateVertex("a")])
         ask(sw, GetNode(), "a")
         assert sw.latency_program.count == 1
-        bound = tau + 2 * nop + 6 * 100 * USEC  # generous hop budget
+        bound = tau + 6 * 100 * USEC  # generous hop budget
         assert sw.latency_program.max <= bound
 
     def test_multi_hop_traversal(self):
@@ -150,9 +153,21 @@ class TestTimers:
         assert sw.announce_messages() > 0
 
     def test_nops_flow(self):
-        sw = make()
-        sw.run(2 * MSEC)
-        assert sw.nop_messages() > 0
+        # One heartbeat round per fresh stamp: a NOP from each of G
+        # gatekeepers to each of S shards.  A reused stamp sends none.
+        sw = SimulatedWeaver(
+            WeaverConfig(num_gatekeepers=2, num_shards=3),
+            tau=200 * USEC, gc_period=1.0,
+        )
+        commit(sw, [ops.CreateVertex("a")])
+        assert sw.nop_messages() == 0
+        ask(sw, GetNode(), "a")
+        assert sw.nop_messages() == 2 * 3
+        ask(sw, GetNode(), "a")
+        assert sw.nop_messages() == 2 * 3
+        reused = [span.attr("reused") for span in
+                  sw.tracer.spans(kind="program.stamp")]
+        assert reused == [None, True]
 
     def test_heartbeats_keep_servers_alive(self):
         sw = make()
@@ -166,7 +181,7 @@ class TestTimers:
         # announces more stay concurrent and hit the oracle.  The
         # script is Fig 14's event-driven cross-check.
         def oracle_traffic(tau):
-            sw = make(tau=tau, nop_period=500 * USEC, gks=3)
+            sw = make(tau=tau, gks=3)
             for i in range(60):
                 sw.submit_transaction([ops.CreateVertex(f"v{i}")])
                 sw.run(500 * USEC)
@@ -245,7 +260,7 @@ class TestOneWritePath:
             for v in SCRIPT_VERTICES for program in (GetNode(), GetEdges())
         ])
 
-        sw = SimulatedWeaver(config(), tau=200 * USEC, nop_period=100 * USEC)
+        sw = SimulatedWeaver(config(), tau=200 * USEC)
         for operations in SCRIPT:
             assert commit(sw, operations)["ok"]
         simulated = observed(sw, [
@@ -260,17 +275,23 @@ class TestOneWritePath:
     def test_inherits_nothing_it_cannot_run(self):
         sw = make()
         for blocking in ("drain", "checkpoint", "begin_transaction",
-                         "collect_garbage", "_send_nops"):
+                         "collect_garbage"):
             assert not hasattr(sw, blocking)
-        # The read decision is shared too; its readiness half here
-        # sends nothing (programs park at the shards for the timers).
+        # The read decision and the readiness rule are shared too.
         for inherited in ("_commit_transaction", "_enqueue",
                           "_forward_to_shards", "_place_new_vertices",
                           "_lookup_program", "_stamp_program",
                           "_reuses_read_stamp", "_finish_program",
-                          "_make_shards_ready", "_announce"):
+                          "_make_shards_ready", "_live_shards",
+                          "_announce"):
             assert inherited not in vars(SimulatedWeaver)
             assert inherited in vars(WritePath)
+        # The rule is defined once; the twin overrides only how its
+        # NOPs travel, and a coordinator only its synchronous announce.
+        for moved in ("_make_shards_ready", "_send_nops", "_live_shards"):
+            assert moved not in vars(Coordinator)
+        assert "_send_nops" in vars(SimulatedWeaver)
+        assert "_announce" in vars(Coordinator)
 
     def test_bare_create_commits_and_is_readable(self):
         sw = make()
@@ -296,7 +317,7 @@ class TestOneWritePath:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, nop_period=100 * USEC, fault_plan=plan,
+            tau=200 * USEC, fault_plan=plan,
         )
         for i in range(4):
             sw.submit_transaction([ops.CreateVertex(f"v{i}")])
@@ -383,7 +404,7 @@ def twin_graphs(request):
         for op in operations:
             tx.record(op)
         tx.commit()
-    sw = SimulatedWeaver(config(), tau=200 * USEC, nop_period=100 * USEC)
+    sw = SimulatedWeaver(config(), tau=200 * USEC)
     for operations in (creates, links, priced):
         assert commit(sw, operations)["ok"]
     return db, sw, handles
@@ -659,7 +680,7 @@ class TestKeysAndColumnsOnTheTwin:
             )
 
         db = Weaver(config())
-        sw = SimulatedWeaver(config(), tau=200 * USEC, nop_period=100 * USEC)
+        sw = SimulatedWeaver(config(), tau=200 * USEC)
         creates = [ops.CreateVertex(h) for h in POOL]
         assert commit(sw, creates)["ok"]
         edges, *roles = edges_for(sw.mapping.lookup)

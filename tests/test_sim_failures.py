@@ -20,7 +20,6 @@ def make():
     return SimulatedWeaver(
         WeaverConfig(num_gatekeepers=2, num_shards=2),
         tau=200 * USEC,
-        nop_period=100 * USEC,
         heartbeat_period=5 * MSEC,
     )
 
@@ -225,7 +224,7 @@ class TestParkedMessageDeadline:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, nop_period=100 * USEC, fault_plan=plan,
+            tau=200 * USEC, fault_plan=plan,
         )
         for engine in sw._engines.values():
             engine.READY_DEADLINE = 2 * MSEC
@@ -254,7 +253,7 @@ class TestDuplicatedMessages:
         plan = FaultPlan(seed=1).duplicate(1.0, kinds=frozenset(kinds))
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, nop_period=100 * USEC, fault_plan=plan,
+            tau=200 * USEC, fault_plan=plan,
         )
         txs = [f"t{i}" for i in range(5)]
         commit(sw, [ops.CreateVertex("block")] + [
@@ -286,7 +285,7 @@ class TestDuplicatedMessages:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, nop_period=100 * USEC, fault_plan=plan,
+            tau=200 * USEC, fault_plan=plan,
         )
         populate(sw)
         results = []

@@ -84,8 +84,7 @@ def _process():
 
 def _sim():
     return SimulatedWeaver(
-        WeaverConfig(**CONFIG), tau=200 * USEC, nop_period=100 * USEC,
-        gc_period=8 * MSEC,
+        WeaverConfig(**CONFIG), tau=200 * USEC,         gc_period=8 * MSEC,
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import os
 import sys
 from pathlib import Path
 
@@ -115,18 +116,27 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=4_000)
     args = parser.parse_args(argv)
     install()
-    for name, run in rows(args.ops):
-        KINDS.clear()
-        PAIRS.clear()
-        TWINS.clear()
-        run()
-        total = sum(PAIRS.values())
-        fresh = sum(kind == "program" for kind in KINDS.values())
-        print(f"{name}: {total:,} oracle requests; {fresh:,} fresh"
-              " program stamps")
-        print(counters(TWINS[-1].metrics.snapshot()))
-        for pair, count in PAIRS.most_common():
-            print(f"  {pair:<16} {count:>8,}  {100 * count / total:5.1f}%")
+    try:
+        for name, run in rows(args.ops):
+            KINDS.clear()
+            PAIRS.clear()
+            TWINS.clear()
+            run()
+            total = sum(PAIRS.values())
+            fresh = sum(kind == "program" for kind in KINDS.values())
+            print(f"{name}: {total:,} oracle requests; {fresh:,} fresh"
+                  " program stamps")
+            print(counters(TWINS[-1].metrics.snapshot()))
+            for pair, count in PAIRS.most_common():
+                print(f"  {pair:<16} {count:>8,}"
+                      f"  {100 * count / total:5.1f}%")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Output piped into a closed reader (e.g. `... | head -1`).
+        try:
+            os.close(sys.stdout.fileno())
+        except OSError:
+            pass
     return 0
 
 
