@@ -387,6 +387,56 @@ def test_a_traversal_at_a_served_stamp_reads_the_shared_view():
     assert events <= 0.75 * _PARENT_WARM_EVENTS_PER_ENTRY, events
 
 
+def test_a_traversal_after_a_write_works_out_only_what_changed(monkeypatch):
+    """Counts, not clocks: on a 2-shard ``Weaver``, a depth-2 ``Bfs``,
+    then ``create_edge`` from its root to a vertex it did not reach, then
+    the same ``Bfs`` at the fresh stamp.  The second read scans the
+    out-edges of the root (written) and of the new vertex (not reached
+    before) only; every other incarnation and out-edge list is the
+    first read's (``shard.answers_carried``).  A view that discards
+    its answers when the stamp moves scans all 5 and carries 0."""
+    from repro.db import Weaver, WeaverClient, WeaverConfig
+    from repro.graph.mvgraph import SnapshotView
+
+    db = Weaver(WeaverConfig(num_shards=2))
+    client = WeaverClient(db)
+    with client.transaction() as tx:
+        for op in random_graph(vertices=60, degree=3):
+            tx.record(op)
+    scanned = []
+    edges_of = SnapshotView.edges_of
+
+    def scanning(view, vertex):
+        if vertex not in view._edges and (
+            vertex.handle not in view._graph._current_edges
+        ):
+            scanned.append(vertex.handle)
+        return edges_of(view, vertex)
+
+    monkeypatch.setattr(SnapshotView, "edges_of", scanning)
+
+    def carried():
+        return db.metrics.snapshot()["shard.answers_carried"]
+
+    start = params(depth=0, max_depth=2)
+    first = db.run_program(Bfs(), "v0", start)
+    assert (len(first.results), len(scanned), carried()) == (13, 4, 0)
+    new = next(
+        f"v{i}" for i in range(60) if f"v{i}" not in first.results
+    )
+    assert new == "v1"
+    client.create_edge("v0", new)
+    scanned.clear()
+    second = db.run_program(Bfs(), "v0", start)
+    assert second.timestamp is not first.timestamp
+    assert set(first.results) < set(second.results)
+    assert len(second.results) == 16
+    assert sorted(scanned) == ["v0", "v1"]
+    # 12 incarnations (16 less v0, v1 and its 2 new neighbours) and the
+    # out-edges of the 3 other vertices at depth 1.
+    assert carried() == 15
+
+
 def test_page_cache_structural_counters():
     """The durable store's page cache must keep its structural wins:
     hot reads are served from memory, a budget smaller than the data

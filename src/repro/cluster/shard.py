@@ -43,6 +43,9 @@ class ShardStats:
         # Snapshot views built: a ``programs_started`` that found the
         # shard's view for its stamp built nothing.
         self.views_built = 0
+        # Incarnation and out-edge answers a view took from the graph's
+        # current answers instead of working them out (SnapshotView).
+        self.answers_carried = 0
         self.vertices_read = 0
         self.out_of_order_rejected = 0
         self.duplicates_discarded = 0
@@ -332,7 +335,14 @@ class ShardServer:
 
         One view is kept, the last built: reads share a stamp until a
         commit, so on the benchmark's workloads a second slot would hit
-        no more often (EXPERIMENTS.md).
+        no more often (EXPERIMENTS.md).  What outlives the view is the
+        graph's current answers: a view at a stamp after every stamp the
+        graph holds, whichever path installed it, takes each vertex's
+        incarnation and out-edges as the last such view worked them out,
+        unless a write under the vertex came since
+        (``MultiVersionGraph.follows_all``; ``answers_carried``).  A
+        historical ``at=`` stamp, or a stamp reused or concurrent past an
+        applied write, keeps only its own memo.
         """
         self.stats.programs_started += 1
         generation, stamp = self.graph.generation, prog_ts.id
@@ -340,7 +350,9 @@ class ShardServer:
         if kept is not None and kept[0] == generation and kept[1] == stamp:
             return kept[2]
         self.stats.views_built += 1
-        view = self.graph.at(prog_ts, memo_stats=self.ordering.stats)
+        view = self.graph.at(
+            prog_ts, memo_stats=self.ordering.stats, carry_stats=self.stats
+        )
         self._view = (generation, stamp, view)
         return view
 

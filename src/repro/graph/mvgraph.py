@@ -11,7 +11,7 @@ run on past versions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import NoSuchEdge, NoSuchVertex
@@ -30,8 +30,19 @@ class MultiVersionGraph:
         self._archive: Dict[str, List[Vertex]] = {}
         self._cmp = cmp
         #: Bumped by every mutation below, whoever calls it: a view built
-        #: at one generation answers for the graph while it stands.
+        #: at one generation answers for the graph while it stands, and
+        #: only a view built at the current one takes or gives the
+        #: current answers below.
         self.generation = 0
+        # The join of every stamp written here, as (epoch, clocks), and
+        # the last stamp joined (the ops of one transaction share it).
+        self._frontier: Optional[Tuple[int, Tuple[int, ...]]] = None
+        self._joined: Optional[VectorTimestamp] = None
+        # The current answers (see :meth:`follows_all`): each handle's
+        # visible incarnation (or None), and each vertex's visible
+        # out-edges.  A write drops only its own handle's.
+        self._current_vertex: Dict[str, Optional[Vertex]] = {}
+        self._current_edges: Dict[str, tuple] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -70,10 +81,26 @@ class MultiVersionGraph:
     def version_count(self) -> int:
         return sum(v.version_count() for v in self.vertices())
 
+    def follows_all(self, ts: VectorTimestamp) -> bool:
+        """True when every stamp written here is ordered before ``ts`` by
+        vector clock.  Then every record is visible at ``ts`` exactly
+        when its latest state says so, whatever the comparator: every
+        such stamp reads the same answers while the records stand."""
+        frontier = self._frontier
+        if frontier is None or frontier[0] < ts.epoch:
+            return True
+        epoch, joined = frontier
+        clocks = ts.clocks
+        return (
+            epoch == ts.epoch
+            and joined != clocks
+            and all(map(int.__le__, joined, clocks))
+        )
+
     # -- mutations (each stamped with the writer's timestamp) ---------------
 
     def create_vertex(self, handle: str, ts: VectorTimestamp) -> Vertex:
-        self.generation += 1
+        self._write(handle, ts)
         existing = self._vertices.get(handle)
         if existing is not None:
             if not existing.span.is_deleted:
@@ -85,7 +112,7 @@ class MultiVersionGraph:
         return vertex
 
     def delete_vertex(self, handle: str, ts: VectorTimestamp) -> None:
-        self.generation += 1
+        self._write(handle, ts)
         vertex = self._live_vertex(handle)
         for edge in vertex.edges.values():
             if not edge.span.is_deleted:
@@ -95,39 +122,39 @@ class MultiVersionGraph:
     def create_edge(
         self, handle: str, src: str, dst: str, ts: VectorTimestamp
     ) -> Edge:
-        self.generation += 1
+        self._write(src, ts)
         vertex = self._live_vertex(src)
         edge = Edge(handle, src, dst, ts)
         vertex.add_edge(edge)
         return edge
 
     def delete_edge(self, src: str, handle: str, ts: VectorTimestamp) -> None:
-        self.generation += 1
+        self._write(src, ts)
         edge = self._live_edge(src, handle)
         edge.span.delete(ts)
 
     def set_vertex_property(
         self, handle: str, key: str, value: Any, ts: VectorTimestamp
     ) -> None:
-        self.generation += 1
+        self._write(handle, ts)
         self._live_vertex(handle).properties.assign(key, value, ts)
 
     def delete_vertex_property(
         self, handle: str, key: str, ts: VectorTimestamp
     ) -> bool:
-        self.generation += 1
+        self._write(handle, ts)
         return self._live_vertex(handle).properties.remove(key, ts)
 
     def set_edge_property(
         self, src: str, handle: str, key: str, value: Any, ts: VectorTimestamp
     ) -> None:
-        self.generation += 1
+        self._write(src, ts)
         self._live_edge(src, handle).properties.assign(key, value, ts)
 
     def delete_edge_property(
         self, src: str, handle: str, key: str, ts: VectorTimestamp
     ) -> bool:
-        self.generation += 1
+        self._write(src, ts)
         return self._live_edge(src, handle).properties.remove(key, ts)
 
     # -- reads ----------------------------------------------------------
@@ -137,15 +164,23 @@ class MultiVersionGraph:
         ts: VectorTimestamp,
         cmp: Optional[Comparator] = None,
         memo_stats=None,
+        carry_stats=None,
     ) -> "SnapshotView":
         """A consistent read-only view of the graph at ``ts``.
 
         ``memo_stats`` (an ``OrderingStats``-like object) receives the
-        view's snapshot-memo hit counts, if given.
+        view's snapshot-memo hit counts, if given.  With ``carry_stats``
+        (a ``ShardStats``-like object) given and ``ts`` following every
+        stamp here (:meth:`follows_all`), the view takes the current
+        answers and keeps what it works out for later stamps, counting
+        each answer it takes in ``carry_stats.answers_carried``.
         """
-        return SnapshotView(
+        view = SnapshotView(
             self, ts, self._cmp if cmp is None else cmp, memo_stats
         )
+        if carry_stats is not None and self.follows_all(ts):
+            view._carry = (self.generation, carry_stats)
+        return view
 
     def release_vertex(self, handle: str):
         """Detach a vertex record (with its archived incarnations) for
@@ -156,6 +191,7 @@ class MultiVersionGraph:
         handle is unknown.
         """
         self.generation += 1
+        self._drop_answers(handle)
         vertex = self._vertices.pop(handle, None)
         if vertex is None:
             raise NoSuchVertex(handle)
@@ -166,9 +202,13 @@ class MultiVersionGraph:
         self.generation += 1
         if vertex.handle in self._vertices:
             raise ValueError(f"vertex {vertex.handle!r} already here")
+        self._drop_answers(vertex.handle)
         self._vertices[vertex.handle] = vertex
         if archived:
             self._archive[vertex.handle] = list(archived)
+        for record in (vertex, *(archived or ())):
+            for stamp in _stamps_of(record):
+                self._join(stamp)
 
     def evict(self, handle: str) -> int:
         """Drop a vertex record (all versions) from memory entirely.
@@ -179,6 +219,7 @@ class MultiVersionGraph:
         records released.
         """
         self.generation += 1
+        self._drop_answers(handle)
         vertex = self._vertices.pop(handle, None)
         released = vertex.version_count() if vertex is not None else 0
         for old in self._archive.pop(handle, ()):
@@ -213,21 +254,46 @@ class MultiVersionGraph:
             if vertex.span.dead_before(watermark, self._cmp):
                 reclaimed += vertex.version_count()
                 del self._vertices[handle]
+                self._drop_answers(handle)
                 continue
-            reclaimed += vertex.properties.collect_below(watermark, self._cmp)
-            reclaimed += vertex.collect_archived_below(watermark, self._cmp)
+            freed = vertex.properties.collect_below(watermark, self._cmp)
+            freed += vertex.collect_archived_below(watermark, self._cmp)
             for edge_handle in list(vertex.edges):
                 edge = vertex.edges[edge_handle]
                 if edge.span.dead_before(watermark, self._cmp):
-                    reclaimed += 1 + edge.properties.version_count()
+                    freed += 1 + edge.properties.version_count()
                     del vertex.edges[edge_handle]
                 else:
-                    reclaimed += edge.properties.collect_below(
+                    freed += edge.properties.collect_below(
                         watermark, self._cmp
                     )
+            if freed:
+                reclaimed += freed
+                self._drop_answers(handle)
         return reclaimed
 
     # -- internals ---------------------------------------------------------
+
+    def _write(self, handle: str, ts: VectorTimestamp) -> None:
+        """Note a write under ``handle`` stamped ``ts``."""
+        self.generation += 1
+        self._drop_answers(handle)
+        if ts is not self._joined:
+            self._join(ts)
+
+    def _join(self, ts: VectorTimestamp) -> None:
+        self._joined = ts
+        frontier = self._frontier
+        if frontier is None or ts.epoch > frontier[0]:
+            self._frontier = (ts.epoch, ts.clocks)
+        elif ts.epoch == frontier[0]:
+            joined = tuple(map(max, frontier[1], ts.clocks))
+            self._frontier = (ts.epoch, joined)
+
+    def _drop_answers(self, handle: str) -> None:
+        """Forget the current answers for ``handle``: its records changed."""
+        self._current_vertex.pop(handle, None)
+        self._current_edges.pop(handle, None)
 
     def _live_vertex(self, handle: str) -> Vertex:
         vertex = self._vertices.get(handle)
@@ -241,6 +307,15 @@ class MultiVersionGraph:
         if edge is None or edge.span.is_deleted:
             raise NoSuchEdge(handle)
         return edge
+
+
+def _stamps_of(vertex: Vertex) -> Iterator[VectorTimestamp]:
+    """Every stamp ``vertex``'s records carry, its edges' included."""
+    for element in (vertex, *vertex.edges.values(), *vertex.archived_edges):
+        for span in (element.span, *element.properties.spans()):
+            yield span.created_at
+            if span.deleted_at is not None:
+                yield span.deleted_at
 
 
 _UNSEEN = object()
@@ -335,6 +410,14 @@ class SnapshotView:
     answers hold while the graph's ``generation`` is the one the view
     was built at (:meth:`repro.cluster.shard.ShardServer.snapshot` says
     why).
+
+    A view that *carries* (``MultiVersionGraph.at`` with
+    ``carry_stats``, at a stamp that follows every stamp in the graph)
+    also takes the graph's current answers for incarnations and
+    out-edges, and gives it what it works out, while the graph stands
+    at its generation: at every such stamp a record reads as its latest
+    state, so an answer holds until a write under its handle drops it.
+    The out-edges it gives hold the graph's comparator, not its memo.
     """
 
     def __init__(
@@ -353,17 +436,37 @@ class SnapshotView:
         self._cmp = MemoizedComparator(cmp, ts, stats=memo_stats)
         self._visible: Dict[str, Optional[Vertex]] = {}
         self._edges: Dict[Vertex, tuple] = {}
+        # (graph generation, carry stats) when the view carries.
+        self._carry: Optional[tuple] = None
+
+    def _carrying(self):
+        """The stats that count carried answers while this view may take
+        and give the graph's current answers, else None."""
+        carry = self._carry
+        if carry is not None and carry[0] == self._graph.generation:
+            return carry[1]
+        return None
 
     def edges_of(self, vertex: Vertex) -> tuple:
-        """``vertex``'s visible out-edges, scanned once per view."""
+        """``vertex``'s visible out-edges, scanned once per view — and,
+        in views that carry, once per write under the vertex."""
         edges = self._edges.get(vertex)
         if edges is None:
+            carry = self._carrying()
+            if carry is not None:
+                current = self._graph._current_edges
+                edges = current.get(vertex.handle)
+                if edges is not None:
+                    carry.answers_carried += 1
+                    self._edges[vertex] = edges
+                    return edges
             # Inlined LifeSpan.visible_at, creation read from the memo
             # (as in resolve_into, and not through a helper: a call per
             # record is what dominated this scan); a load transaction
             # creates thousands of edges under one stamp.
             ts = self._ts
             cmp = self._cmp
+            kept = cmp if carry is None else cmp.wrapped
             decided = cmp.decided
             before = Ordering.BEFORE
             hits = 0
@@ -380,13 +483,15 @@ class SnapshotView:
                 deleted = span.deleted_at
                 if deleted is not None and cmp(deleted, ts) is before:
                     continue
-                visible.append(EdgeView(edge, ts, cmp))
+                visible.append(EdgeView(edge, ts, kept))
             if hits:
                 cmp.count_hits(hits)
             for edge in vertex.archived_edges:
                 if edge.visible_at(ts, cmp):
-                    visible.append(EdgeView(edge, ts, cmp))
+                    visible.append(EdgeView(edge, ts, kept))
             edges = self._edges[vertex] = tuple(visible)
+            if carry is not None:
+                current[vertex.handle] = edges
         return edges
 
     def has_vertex(self, handle: str) -> bool:
@@ -409,7 +514,8 @@ class SnapshotView:
         where the handle is invisible here: :meth:`try_vertex` for a
         round's worth of handles, with no call per handle.
 
-        A handle's first sight in this view checks its current
+        A handle's first sight in this view takes the graph's current
+        answer, in a view that carries one, or else checks its current
         incarnation's lifespan inline, creation read from the memo as
         :meth:`edges_of` does; only a handle whose current incarnation
         is missing or invisible walks the archived ones.
@@ -421,8 +527,16 @@ class SnapshotView:
         decided = cmp.decided
         before = Ordering.BEFORE
         hits = 0
+        carry = self._carrying()
+        current = None if carry is None else self._graph._current_vertex
+        carried = 0
         for handle in batch:
             vertex = known[handle] if handle in known else _UNSEEN
+            if vertex is _UNSEEN and current is not None and (
+                handle in current
+            ):
+                vertex = known[handle] = current[handle]
+                carried += 1
             if vertex is _UNSEEN:
                 vertex = records[handle] if handle in records else None
                 if vertex is not None:
@@ -441,9 +555,13 @@ class SnapshotView:
                 if vertex is None:
                     vertex = self._graph.visible_archived(handle, ts, cmp)
                 known[handle] = vertex
+                if current is not None:
+                    current[handle] = vertex
             batch[handle] = None if vertex is None else VertexView(vertex, self)
         if hits:
             cmp.count_hits(hits)
+        if carried:
+            carry.answers_carried += carried
 
     def vertices(self) -> Iterator[VertexView]:
         for vertex in self._graph.vertices():

@@ -12,7 +12,7 @@ under full refinable order (inside shard servers).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..core.vclock import Ordering, VectorTimestamp
 
@@ -228,6 +228,12 @@ class PropertyBag:
             else:
                 del self._records[key]
         return dropped
+
+    def spans(self) -> Iterator[LifeSpan]:
+        """The lifespan of every record, of every key."""
+        for records in self._records.values():
+            for record in records:
+                yield record.span
 
     def version_count(self) -> int:
         return sum(len(records) for records in self._records.values())

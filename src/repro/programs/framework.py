@@ -123,7 +123,9 @@ class ProgramStats:
         # Programs that sent no heartbeats: they ran at (a reused read
         # stamp) or before (a repeated ``at=``) the readiness mark.
         self.readiness_fastpath_hits = 0
-        self.readiness_storms = 0      # announce+NOP storms performed
+        # Announce + NOP storms performed; on the twin these include
+        # the heartbeat round that ends each GC tick.
+        self.readiness_storms = 0
         # Fast-path hits that crossed a commit attempt: a program that
         # reads only its start vertices, none of them written since.
         self.readiness_reuses_across_commits = 0

@@ -25,3 +25,22 @@ def test_a_closed_reader_is_not_an_error():
         os.close(write)
     assert result.returncode == 0, result.stderr
     assert "BrokenPipeError" not in result.stderr
+
+
+def test_gc_heartbeat_rounds_are_not_program_stamps():
+    # Fig 9a's twin issues 19 fresh read stamps (its non-reused
+    # `program.stamp` spans); the heartbeat round that ends each of its
+    # GC ticks is stamped too, and counted as a round, not a program.
+    result = subprocess.run(
+        [sys.executable, str(TOOL), "--ops", "4000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    first = result.stdout.splitlines()[0]
+    assert first.startswith("Fig 9a:") and first.endswith(
+        "; 19 fresh program stamps"
+    ), first
+    assert "round–tx" in result.stdout

@@ -1,5 +1,7 @@
 """A shard's snapshot view is shared by every read at its stamp, and it
-is sound: one view per (shard, stamp, graph generation).
+is sound: one view per (shard, stamp, graph generation).  What a view
+works out outlives it at every later stamp that follows all the shard
+holds, until a write under the vertex (``shard.answers_carried``).
 
 Each case reads at one stamp, changes the graph underneath by one of the
 paths that write to a shard's graph — apply, migration, eviction and
@@ -8,6 +10,13 @@ same stamp again.  The second read must give the answer a fresh view
 gives, and the shard must have built a new view for it
 (:meth:`~repro.cluster.shard.ShardServer.snapshot`).  Where the path
 exists on the hand-driven one-shard engine, the case runs there too.
+
+The carrying cases read at a current stamp, write through each of
+those paths, and read at a later current stamp: that read takes some
+answers the first one worked out, and answers as a fresh view does
+(``MultiVersionGraph.at`` without ``carry_stats``).  A reused stamp
+after an apply and an ``at=`` checkpoint behind a write carry nothing.
+``tests/test_carried_answers.py`` is the same check under random writes.
 
 The last cases pin what sharing must not do: keep a query's
 ``prog_state`` reachable after the query returns, or re-decide a
@@ -32,6 +41,31 @@ def view_at(shard, ts):
     """The view ``shard`` keeps for ``ts``, if any."""
     kept = shard._view
     return kept[2] if kept is not None and kept[1] == ts.id else None
+
+
+def answers(view, handles):
+    """What ``view`` says of each handle: None, or its properties and
+    its out-edges with theirs."""
+    batch = dict.fromkeys(handles)
+    view.resolve_into(batch)
+    return {
+        handle: None if node is None else (
+            node.properties(),
+            sorted(
+                (edge.handle, edge.nbr, sorted(edge.properties().items()))
+                for edge in node.neighbors
+            ),
+        )
+        for handle, node in batch.items()
+    }
+
+
+def carried_as_fresh(shard, ts, handles):
+    """The view ``shard`` reads ``ts`` through answers for ``handles``
+    as a fresh view with carrying bypassed does."""
+    assert answers(shard.snapshot(ts), handles) == answers(
+        shard.graph.at(ts), handles
+    )
 
 
 def red(client, handle):
@@ -204,6 +238,181 @@ class TestRecovery:
                 assert client.get_node(handle)["properties"] == {
                     "color": "blue"
                 }
+
+
+# -- answers carried across current stamps -----------------------------
+
+
+def carried(db):
+    return db.metrics.snapshot()["shard.answers_carried"]
+
+
+def read_at_a_fresh_point(db, handles):
+    """``GetNode`` of every handle at a fresh checkpoint (it follows
+    every committed write); the point."""
+    point = db.checkpoint()
+    for handle in handles:
+        db.run_program(GetNode(), handle, at=point)
+    return point
+
+
+def linked(client, *handles):
+    """Red vertices, each with an edge to the next (a ring)."""
+    with client.transaction() as tx:
+        for handle in handles:
+            tx.create_vertex(handle)
+            tx.set_property(handle, "color", "red")
+        for src, dst in zip(handles, handles[1:] + handles[:1]):
+            tx.create_edge(src, dst)
+    return handles
+
+
+class TestAnswersCarriedAcrossStamps:
+    """Read at a current stamp, write through one path, read at a later
+    current stamp: the second read takes answers the first worked out,
+    and every shard answers there as a fresh view does."""
+
+    def second_read_carries(self, db, handles, first):
+        before = carried(db)
+        point = read_at_a_fresh_point(db, handles)
+        assert point is not first
+        assert carried(db) > before
+        for shard in db.shards:
+            carried_as_fresh(shard, point, handles)
+        return point
+
+    def test_apply(self):
+        db = Weaver(WeaverConfig(num_shards=1))
+        client = WeaverClient(db)
+        handles = linked(client, "u", "v", "w")
+        first = read_at_a_fresh_point(db, handles)
+        client.set_property("v", "color", "blue")
+        client.create_edge("v", "u")
+        point = self.second_read_carries(db, handles, first)
+        (shard,) = db.shards
+        assert answers(shard.snapshot(point), ["v"])["v"][0] == {
+            "color": "blue"
+        }
+        assert len(answers(shard.snapshot(point), ["v"])["v"][1]) == 2
+
+    def test_engine_apply(self):
+        engine = Engine()
+        ts = engine.apply(*chain(4))
+        engine.read(ts, "bfs", "v0", params(depth=0))
+        shard = engine.shard
+        before = shard.stats.answers_carried
+        later = engine.apply(ops.CreateEdge("x", "v1", "v3"))
+        assert engine.read(later, "bfs", "v0", params(depth=0)) == [
+            "v0", "v1", "v2", "v3"
+        ]
+        assert shard.stats.answers_carried > before
+        carried_as_fresh(shard, later, [f"v{i}" for i in range(4)])
+
+    def test_migration(self):
+        db = Weaver(WeaverConfig(num_shards=2))
+        client = WeaverClient(db)
+        handles = linked(client, "a", "b", "c", "d")
+        there = db._shard_of("b")
+        a = next(h for h in handles if db._shard_of(h) != there)
+        first = read_at_a_fresh_point(db, handles)
+        assert db.migrate_vertex(a, there)
+        self.second_read_carries(db, handles, first)
+
+    def test_evict_then_page_in(self):
+        db = Weaver(WeaverConfig(num_shards=1))
+        db.enable_demand_paging()
+        client = WeaverClient(db)
+        handles = linked(client, "v", "w")
+        first = read_at_a_fresh_point(db, handles)
+        assert db.evict_vertex("v") > 0
+        self.second_read_carries(db, handles, first)
+        assert db.shards[0].stats.pages_in == 1
+
+    def test_garbage_collection(self):
+        db = Weaver(WeaverConfig(num_shards=1))
+        client = WeaverClient(db)
+        handles = linked(client, "v", "w")
+        client.set_property("v", "color", "blue")
+        first = read_at_a_fresh_point(db, handles)
+        assert db.collect_garbage()["graph"] >= 1       # the red record
+        self.second_read_carries(db, handles, first)
+
+    def test_reconcile(self):
+        """As TestRecovery's reconcile case: the survivor's patch comes
+        at the recovery stamp, in a new epoch."""
+        db = Weaver(WeaverConfig(num_shards=2))
+        client = WeaverClient(db)
+        handles = linked(client, "a", "b", "c", "d")
+        survivor = db.shards[db._shard_of("a")]
+        first = read_at_a_fresh_point(db, handles)
+        client.set_property("a", "color", "blue")
+        for queue in survivor._queues:
+            queue.clear()                       # the dropped forward
+        patched = db.manager.reconciled_records
+        db.fail_shard(1 - survivor.index)
+        assert db.manager.reconciled_records > patched
+        point = self.second_read_carries(db, handles, first)
+        assert answers(survivor.snapshot(point), ["a"])["a"][0] == {
+            "color": "blue"
+        }
+
+    def test_recovery(self):
+        """The replacement loads its partition at the recovery stamp, so
+        it carries from its first read on, to the one after a write."""
+        db = Weaver(WeaverConfig(num_shards=2))
+        client = WeaverClient(db)
+        handles = linked(client, "a", "b", "c", "d")
+        failed = db._shard_of("a")
+        first = read_at_a_fresh_point(db, handles)
+        db.fail_shard(failed)
+        point = read_at_a_fresh_point(db, handles)
+        for shard in db.shards:
+            carried_as_fresh(shard, point, handles)
+        client.set_property("a", "color", "blue")
+        replacement = db.shards[failed]
+        before = replacement.stats.answers_carried
+        self.second_read_carries(db, handles, first)
+        assert replacement.stats.answers_carried > before
+
+
+class TestNothingCarried:
+
+    def test_a_reused_stamp_after_an_apply(self):
+        """The engine reads again at a stamp a later apply follows: the
+        view keeps its own memo and still reads the stamp's state."""
+        engine = Engine()
+        ts = engine.apply(
+            ops.CreateVertex("v"), ops.SetVertexProperty("v", "color", "red")
+        )
+        (first,) = engine.read(ts, "get_node", "v")
+        shard = engine.shard
+        engine.apply(ops.SetVertexProperty("v", "color", "blue"))
+        before = shard.stats.answers_carried
+        assert engine.read(ts, "get_node", "v") == [first]
+        assert shard.stats.answers_carried == before
+        assert not shard.graph.follows_all(ts)
+        carried_as_fresh(shard, ts, ["v"])
+        (now,) = engine.read(engine.apply(), "get_node", "v")
+        assert now["properties"] == {"color": "blue"}
+
+    def test_an_at_checkpoint_behind_a_write(self):
+        db = Weaver(WeaverConfig(num_shards=1))
+        client = WeaverClient(db)
+        linked(client, "v", "w")
+        point = read_at_a_fresh_point(db, ["v", "w"])
+        client.set_property("v", "color", "blue")
+        client.create_edge("w", "v")
+        db.drain()
+        (shard,) = db.shards
+        before = shard.stats.answers_carried
+        assert color(db.run_program(GetNode(), "v", at=point)) == "red"
+        assert db.run_program(GetNode(), "w", at=point).results[0][
+            "out_degree"
+        ] == 1
+        assert shard.stats.answers_carried == before
+        carried_as_fresh(shard, point, ["v", "w"])
+        assert client.get_node("v")["properties"] == {"color": "blue"}
+        assert client.get_node("w")["out_degree"] == 2
 
 
 # -- what sharing must not do ------------------------------------------------

@@ -205,6 +205,7 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "program.snapshot_reuse_hits",
     "program.snapshots_created",
     "program.vertices_resolved",
+    "shard.answers_carried",
     "shard.duplicates_discarded",
     "shard.local_tiebreaks",
     "shard.nops_applied",

@@ -5,7 +5,9 @@ of the two stamps compared.
 Every compare a shard sends to the oracle (``ordering.reactive``) is
 one head request.  This script labels each stamp by what issued it — a
 NOP heartbeat (``Gatekeeper.make_nop``), a transaction
-(``Gatekeeper.commit_prepared``) or a node program (any other
+(``Gatekeeper.commit_prepared``), the stamp of the heartbeat round that
+ends the twin's GC tick (an ``issue_timestamp`` inside
+``SimulatedWeaver._gc_tick``) or a node program (any other
 ``issue_timestamp``) — by wrapping those methods at run time, and counts
 the requests per unordered pair of kinds.  Each row also prints the
 fast-path counters of the measured twin's ``metrics.snapshot()``.
@@ -38,13 +40,26 @@ from repro.workloads.geo import run_geo  # noqa: E402
 KINDS: dict = {}
 PAIRS: collections.Counter = collections.Counter()
 TWINS: list = []
+# What an ``issue_timestamp`` stamps: the last entry, "round" while the
+# twin's GC tick runs.
+ISSUED = ["program"]
 
 
-def _labelled(method, kind):
+def _labelled(method, kind=None):
     def wrapper(*args, **kwargs):
         ts = method(*args, **kwargs)
-        KINDS[ts.id] = kind
+        KINDS[ts.id] = kind or ISSUED[-1]
         return ts
+    return wrapper
+
+
+def _gc_round(tick):
+    def wrapper(self):
+        ISSUED.append("round")
+        try:
+            tick(self)
+        finally:
+            ISSUED.pop()
     return wrapper
 
 
@@ -60,9 +75,8 @@ def _counted(compare):
 
 
 def install() -> None:
-    Gatekeeper.issue_timestamp = _labelled(
-        Gatekeeper.issue_timestamp, "program"
-    )
+    Gatekeeper.issue_timestamp = _labelled(Gatekeeper.issue_timestamp)
+    SimulatedWeaver._gc_tick = _gc_round(SimulatedWeaver._gc_tick)
     Gatekeeper.make_nop = _labelled(Gatekeeper.make_nop, "NOP")
     Gatekeeper.commit_prepared = _labelled(
         Gatekeeper.commit_prepared, "tx"
