@@ -40,10 +40,6 @@ def test_indexed_oracle_speedup(show):
             ["speedup", f"{result['speedup']:.2f}x"],
             ["BFS expansions", result["indexed_counters"]["bfs_expansions"]],
             ["BFS pruned", result["indexed_counters"]["bfs_pruned"]],
-            [
-                "reach-cache hits",
-                result["indexed_counters"]["reach_cache_hits"],
-            ],
         ],
     )
     assert result["concurrent_fraction"] >= 0.30

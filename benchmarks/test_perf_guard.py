@@ -51,7 +51,6 @@ def test_index_actually_prunes():
     result = compare_fastpath(num_events=300, num_pairs=700, seed=11)
     counters = result["indexed_counters"]
     assert counters["bfs_pruned"] > counters["bfs_expansions"]
-    assert counters["reach_cache_hits"] > 0
 
 
 # -- batched scatter-gather node programs -------------------------------

@@ -148,9 +148,8 @@ def _cmd_stats(args) -> int:
     # reused stamps, and reuses that crossed a commit to a vertex the
     # read does not see.
     counters = [
-        "ordering.heap_compares_saved",
         "oracle.bfs_expansions", "oracle.bfs_pruned",
-        "oracle.reach_cache_hits", "ordering.snapshot_memo_hits",
+        "ordering.snapshot_memo_hits",
     ] + [name for name in snap if name.startswith("program.readiness_")]
     rows = (
         ordering

@@ -25,7 +25,7 @@ import heapq
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.ordering import EarliestScheduler, RefinableOrdering
+from ..core.ordering import RefinableOrdering
 from ..core.vclock import Ordering, VectorTimestamp
 from ..errors import ClusterError, ProgramError
 from ..graph.elements import Vertex
@@ -71,9 +71,6 @@ class ShardServer:
         self._queues: List[List[Tuple[Tuple[int, int], QueuedTransaction]]] = [
             [] for _ in range(num_gatekeepers)
         ]
-        # Tournament over queue heads: a pop replaces one head, so only
-        # that bracket path is re-compared (Fig 6 loop, log G per pop).
-        self._scheduler = EarliestScheduler(self.ordering, num_gatekeepers)
         self._expected_seqno = [0] * num_gatekeepers
         # Fallback tiebreak rank for transactions whose sender assigned
         # none (hand-built rigs; every deployment sender ranks in send
@@ -197,7 +194,7 @@ class ShardServer:
             heads = self._all_heads()
             if heads is None:
                 break
-            earliest = self._scheduler.select(
+            earliest = self.ordering.earliest(
                 [(h.ts, h.tiebreak) for h in heads]
             )
             qtx = heads[earliest]
@@ -306,7 +303,7 @@ class ShardServer:
         """
         applied = 0
         while True:
-            earliest = self._scheduler.select(
+            earliest = self.ordering.earliest(
                 [
                     (q[0][1].ts, q[0][1].tiebreak) if q else None
                     for q in self._queues

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import CycleError, OrderingError
@@ -51,17 +50,10 @@ class OracleStats:
         self.events_created = 0
         self.events_collected = 0
         # Reachability fast-path counters: BFS nodes actually expanded,
-        # candidate events skipped by the skyline index without a vector
-        # compare, and queries answered by the positive-reachability cache.
+        # and candidate events skipped by the skyline index without a
+        # vector compare.
         self.bfs_expansions = 0
         self.bfs_pruned = 0
-        self.reach_cache_hits = 0
-        # Cache churn: entries evicted by the bounded-overflow policy,
-        # and full clears forced by event GC (see _cache_reachable /
-        # remove_event).  Exported so a latency cliff from cache loss is
-        # visible in `repro stats` instead of silent.
-        self.reach_cache_evictions = 0
-        self.reach_cache_clears = 0
 
     @property
     def messages(self) -> int:
@@ -79,23 +71,19 @@ class EventDependencyGraph:
     commitment can never contradict either an earlier commitment or the
     vector clocks.
 
-    Two structures keep reachability off the O(events) scan the naive
-    union would need:
+    A decided pair is one explicit edge, and the graph is acyclic (a
+    commitment is made only when neither event reaches the other, and
+    :meth:`remove_event` bridges what it removes), so a re-asked pair is
+    answered by an edge lookup in either direction, with no search.
 
-    * a *skyline index* over the events with explicit out-edges, bucketed
-      by (epoch, issuer) and sorted by the issuer's counter.  One
-      gatekeeper's stamps within an epoch form a domination chain (each
-      later stamp dominates every earlier one), so "the implied successors
-      of ``current`` in this bucket" is a *suffix* of the bucket, found by
-      binary search instead of a full scan;
-    * a *positive-reachability cache*.  The DAG only grows and ordering
-      decisions are irreversible, so ``reaches(a, b) == True`` stays true
-      forever; only :meth:`remove_event` (GC) invalidates it, because a
-      collected event may later be re-registered with no memory of its
-      old edges.
+    A *skyline index* keeps the search off the O(events) scan the naive
+    union would need.  It holds the events with explicit out-edges,
+    bucketed by (epoch, issuer) and sorted by the issuer's counter.  One
+    gatekeeper's stamps within an epoch form a domination chain (each
+    later stamp dominates every earlier one), so "the implied successors
+    of ``current`` in this bucket" is a *suffix* of the bucket, found by
+    binary search instead of a full scan.
     """
-
-    _REACH_CACHE_LIMIT = 1 << 16
 
     def __init__(self, stats: Optional[OracleStats] = None) -> None:
         self.stats = stats if stats is not None else OracleStats()
@@ -110,7 +98,6 @@ class EventDependencyGraph:
         self._has_out: Set[EventId] = set()
         # Skyline index over _has_out: (epoch, issuer) -> sorted counters.
         self._out_index: Dict[Tuple[int, int], List[int]] = {}
-        self._reach_cache: Dict[Tuple[EventId, EventId], bool] = {}
 
     def __len__(self) -> int:
         return len(self._events)
@@ -154,10 +141,10 @@ class EventDependencyGraph:
             del self._out_index[event_id[:2]]
 
     def _implied_out_suffix(
-        self, current: VectorTimestamp, bucket_key: Tuple[int, int]
+        self, current: VectorTimestamp, bucket_key: Tuple[int, int], hi: int
     ) -> int:
-        """Index of the first event in ``bucket_key``'s counter list that
-        ``current`` happens-before.
+        """Index of the first event in ``bucket_key``'s counter list,
+        below ``hi``, that ``current`` happens-before; ``hi`` if none.
 
         Within a bucket the events form a domination chain, so the
         predicate "current happens-before event" is monotone along the
@@ -167,8 +154,7 @@ class EventDependencyGraph:
         counters = self._out_index[bucket_key]
         # Necessary condition: a dominating vector is at least current's
         # value in the bucket issuer's own component.
-        lo = bisect_left(counters, current.clocks[issuer])
-        hi = len(counters)
+        lo = bisect_left(counters, current.clocks[issuer], 0, hi)
         while lo < hi:
             mid = (lo + hi) // 2
             candidate = self._events[(epoch, issuer, counters[mid])]
@@ -180,17 +166,7 @@ class EventDependencyGraph:
 
     def reaches(self, a: VectorTimestamp, b: VectorTimestamp) -> bool:
         """True iff a path a -> ... -> b exists over explicit or implied
-        edges; a path that takes a search to find is cached."""
-        known = self._known(a, b)
-        if known is None and self._search(a, b):
-            self._cache_reachable((a.id, b.id))
-            return True
-        return bool(known)
-
-    def reaches_read_only(
-        self, a: VectorTimestamp, b: VectorTimestamp
-    ) -> bool:
-        """:meth:`reaches`, leaving the cache as it is."""
+        edges."""
         known = self._known(a, b)
         return self._search(a, b) if known is None else known
 
@@ -200,33 +176,17 @@ class EventDependencyGraph:
         """``reaches(a, b)`` when it needs no search, else None."""
         if a.id not in self._events or b.id not in self._events:
             return False
-        if a.happens_before(b):
+        if a.happens_before(b) or self.has_edge(a, b):
             return True
-        if (a.id, b.id) in self._reach_cache:
-            self.stats.reach_cache_hits += 1
-            return True
+        if self.has_edge(b, a):
+            return False
         return None
-
-    @property
-    def reach_cache_size(self) -> int:
-        return len(self._reach_cache)
-
-    def _cache_reachable(self, key: Tuple[EventId, EventId]) -> None:
-        if len(self._reach_cache) >= self._REACH_CACHE_LIMIT:
-            # Evict the oldest quarter (dict preserves insertion order)
-            # instead of dropping everything: a full clear forced every
-            # hot query to re-run its BFS at once, which showed up as a
-            # periodic latency cliff at the cache limit.
-            evict = self._REACH_CACHE_LIMIT // 4
-            for old_key in list(islice(self._reach_cache, evict)):
-                del self._reach_cache[old_key]
-            self.stats.reach_cache_evictions += evict
-        self._reach_cache[key] = True
 
     def _search(self, a: VectorTimestamp, b: VectorTimestamp) -> bool:
         stats = self.stats
         events = self._events
         seen: Set[EventId] = {a.id}
+        floors: Dict[Tuple[int, int], int] = {}
         frontier = deque([a.id])
         while frontier:
             current = events[frontier.popleft()]
@@ -243,19 +203,24 @@ class EventDependencyGraph:
             # matter (an implied hop ending the path was handled by the
             # happens_before(b) check above; implied-then-implied
             # collapses into one implied hop by transitivity).  Each
-            # bucket contributes a bisected suffix, not a full scan.
+            # bucket contributes a bisected suffix, not a full scan, and
+            # only the part below the suffix it already gave this search.
             current_epoch = current.epoch
             for bucket_key, counters in self._out_index.items():
                 if bucket_key[0] < current_epoch:
                     stats.bfs_pruned += len(counters)
                     continue
+                end = floors.get(bucket_key, len(counters))
                 if bucket_key[0] > current_epoch:
                     # A higher epoch is implied-after in its entirety.
                     start = 0
                 else:
-                    start = self._implied_out_suffix(current, bucket_key)
+                    start = self._implied_out_suffix(
+                        current, bucket_key, end
+                    )
                     stats.bfs_pruned += start
-                for counter in counters[start:]:
+                floors[bucket_key] = start
+                for counter in counters[start:end]:
                     other_id = (bucket_key[0], bucket_key[1], counter)
                     if other_id not in seen:
                         seen.add(other_id)
@@ -279,7 +244,6 @@ class EventDependencyGraph:
         self._succ[a.id].add(b.id)
         self._pred[b.id].add(a.id)
         self._add_out(a.id)
-        self._cache_reachable((a.id, b.id))
 
     def remove_event(self, ts: VectorTimestamp) -> None:
         """Garbage-collect one event, bridging its edges transitively.
@@ -305,11 +269,6 @@ class EventDependencyGraph:
                 self._drop_out(p)
         for s in succs:
             self._pred[s].discard(ts.id)
-        # A collected event that re-registers later starts with a clean
-        # slate, so positive reachability through it must be forgotten.
-        if self._reach_cache:
-            self._reach_cache.clear()
-            self.stats.reach_cache_clears += 1
 
 
 class TimelineOracle:
@@ -341,10 +300,6 @@ class TimelineOracle:
     def num_events(self) -> int:
         return len(self._graph)
 
-    @property
-    def reach_cache_size(self) -> int:
-        return self._graph.reach_cache_size
-
     def metrics(self) -> Dict[str, int]:
         """The collector of ``oracle.*``: this replica's counters and
         sizes.  A single oracle has no chain to fan updates out to."""
@@ -354,7 +309,6 @@ class TimelineOracle:
         }
         out["oracle.messages"] = self.stats.messages
         out["oracle.events"] = self.num_events
-        out["oracle.reach_cache_size"] = self.reach_cache_size
         out["oracle.update_messages"] = 0
         return out
 
@@ -369,35 +323,33 @@ class TimelineOracle:
         """The pre-established order of (a, b), or None — no accounting.
 
         Consults vector clocks, explicit commitments, and their combined
-        transitive closure.  Never creates new commitments, counts
-        nothing, not even its reachability work, and leaves the
-        reachability cache as it is: region-local reads, chain replica
-        reads and the history referee use it, and no client request of
-        the head's pays for them.
+        transitive closure.  Never creates new commitments and counts
+        nothing, not even its reachability work: region-local reads,
+        chain replica reads and the history referee use it, and no
+        client request of the head's pays for them.
         """
         graph = self._graph
         graph.stats = self._uncounted
         try:
-            return self._established(a, b, graph.reaches_read_only)
+            return self._established(a, b)
         finally:
             graph.stats = self.stats
 
     def _established(
-        self, a: VectorTimestamp, b: VectorTimestamp, reaches=None
+        self, a: VectorTimestamp, b: VectorTimestamp
     ) -> Optional[Ordering]:
         """:meth:`established_order`, its reachability work counted in
-        ``stats`` and cached: the counting entry points
-        (:meth:`query_order`, :meth:`order`) build on this, so one client
-        request is counted exactly once, with the work it caused."""
+        ``stats``: the counting entry points (:meth:`query_order`,
+        :meth:`order`) build on this, so one client request is counted
+        exactly once, with the work it caused."""
         vc = a.compare(b)
         if vc is not Ordering.CONCURRENT:
             return vc
         self._ensure(a)
         self._ensure(b)
-        reaches = reaches or self._graph.reaches
-        if reaches(a, b):
+        if self._graph.reaches(a, b):
             return Ordering.BEFORE
-        if reaches(b, a):
+        if self._graph.reaches(b, a):
             return Ordering.AFTER
         return None
 

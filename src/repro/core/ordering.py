@@ -9,14 +9,15 @@ that the coordination-overhead experiment (Fig 14) reports: how many
 comparisons were settled proactively vs. reactively.
 
 Section 4.2 lets a shard cache oracle decisions, which are irreversible.
-No shard keeps one: the oracle answers a repeated pair from the order it
-already committed to, and measured traffic repeats almost no pair
-(ARCHITECTURE.md, "Ordering fast path").
+No shard keeps one, and the shard's pick of the earliest queue head is
+a plain scan that re-asks pairs: the oracle answers a repeated pair from
+the edge it already committed to (ARCHITECTURE.md, "Ordering fast
+path").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .oracle import ReplicatedOracle, TimelineOracle
 from .vclock import Ordering, VectorTimestamp
@@ -27,12 +28,9 @@ class OrderingStats:
     def __init__(self) -> None:
         self.proactive = 0   # settled by vector clocks alone
         self.reactive = 0    # required an oracle round trip
-        # Fast-path counters: comparisons that never reached compare() at
-        # all.  Snapshot memo hits are visibility checks answered by a
-        # per-snapshot dict; heap_compares_saved counts the pairwise
-        # comparisons the tournament scheduler reused instead of redoing.
+        # Visibility checks answered by a per-snapshot dict, without
+        # reaching compare() at all.
         self.snapshot_memo_hits = 0
-        self.heap_compares_saved = 0
         # Geo deadline ordering (Tiga-style): concurrent pairs whose
         # deadlines are separated by more than the clock-skew bound are
         # decided without the oracle (deadline_fastpath); deadline pairs
@@ -122,126 +120,33 @@ class RefinableOrdering:
         self.stats.reactive += 1
         return self._oracle.order(a, b, prefer)
 
+    def earliest(
+        self, heads: Sequence[Optional[Tuple[VectorTimestamp, int]]]
+    ) -> Optional[int]:
+        """The index of the earliest queue head, or None if all are empty.
 
-QueueEntry = Optional[Tuple[VectorTimestamp, int]]
-
-
-class EarliestScheduler:
-    """A tournament tree selecting the earliest queue head under
-    refinable order.
-
-    Shard event loops pick the next transaction across one priority queue
-    per gatekeeper (Fig 6).  Doing that with ``min()`` costs G-1 refinable
-    comparisons per pop even though a pop replaces exactly one head; the
-    tournament re-plays only the bracket path of queues whose head
-    actually changed — ceil(log2 G) comparisons — and reuses every other
-    bracket.
-
-    Reuse is safe because every pairwise outcome is *stable*: vector-clock
-    comparisons are pure functions, oracle decisions are irreversible and
-    monotonic, and a timestamp's arrival number (the tiebreak preference
-    for concurrent pairs) never changes once assigned.
-
-    Entries are ``(timestamp, arrival)`` pairs, or ``None`` for an empty
-    queue (an empty queue loses every bracket, which lets
-    ``flush_all``-style drains share the tree).
-    """
-
-    def __init__(self, ordering: "RefinableOrdering", num_queues: int):
-        if num_queues < 1:
-            raise ValueError("need at least one queue")
-        self._ordering = ordering
-        self._n = num_queues
-        size = 1
-        while size < num_queues:
-            size <<= 1
-        self._size = size
-        # _tree[node] = queue index winning that bracket (None = empty);
-        # leaves live at [size, 2*size), internal nodes at [1, size).
-        self._tree: List[Optional[int]] = [None] * (2 * size)
-        self._entries: List[QueueEntry] = [None] * num_queues
-        self._keys: List[Optional[Tuple]] = [None] * num_queues
-        self._compares = 0
-
-    def select(self, entries: Sequence[QueueEntry]) -> Optional[int]:
-        """The queue index holding the earliest head, or None if all empty.
-
-        ``entries[i]`` is ``(head timestamp, arrival order)`` for queue
-        ``i``, or ``None`` when that queue is empty.  Only queues whose
-        entry changed since the previous call are re-seeded into the
-        bracket.
+        ``heads[i]`` is ``(timestamp, arrival)`` for queue ``i``, or None
+        when that queue is empty.  One scan, one compare per live head
+        after the first (Fig 6): concurrent heads are committed in
+        arrival order (section 3.4's oracle preference), and an equal
+        arrival keeps the lower queue index.  A repeated pair costs the
+        oracle one edge lookup, since its decisions are edges.
         """
-        if len(entries) != self._n:
-            raise ValueError(
-                f"expected {self._n} queue entries, got {len(entries)}"
+        best = None
+        for i, head in enumerate(heads):
+            if head is None:
+                continue
+            if best is None:
+                best = i
+                continue
+            best_ts, best_arrival = heads[best]
+            prefer = (
+                Ordering.BEFORE if best_arrival <= head[1]
+                else Ordering.AFTER
             )
-        dirty = []
-        for i, entry in enumerate(entries):
-            key = None if entry is None else (entry[0].id, entry[1])
-            if key != self._keys[i]:
-                self._keys[i] = key
-                self._entries[i] = entry
-                dirty.append(i)
-        if self._size == 1:
-            return 0 if self._entries[0] is not None else None
-        if dirty:
-            self._replay(dirty)
-        live = sum(1 for e in self._entries if e is not None)
-        if live > 1:
-            naive = live - 1  # what min() over the heads would cost
-            if naive > self._compares:
-                self._ordering.stats.heap_compares_saved += (
-                    naive - self._compares
-                )
-        self._compares = 0
-        return self._tree[1]
-
-    def _replay(self, dirty: List[int]) -> None:
-        # All leaves sit at one depth, so climbing level-synchronized
-        # recomputes each affected bracket exactly once.
-        nodes = {(self._size + i) >> 1 for i in dirty}
-        while nodes:
-            parents = set()
-            for node in nodes:
-                left = self._winner_of(2 * node)
-                right = self._winner_of(2 * node + 1)
-                if left is None:
-                    winner = right
-                elif right is None:
-                    winner = left
-                else:
-                    winner = left if self._beats(left, right) else right
-                self._tree[node] = winner
-                if node > 1:
-                    parents.add(node >> 1)
-            nodes = parents
-
-    def _winner_of(self, node: int) -> Optional[int]:
-        if node >= self._size:
-            queue = node - self._size
-            if queue < self._n and self._entries[queue] is not None:
-                return queue
-            return None
-        return self._tree[node]
-
-    def _beats(self, i: int, j: int) -> bool:
-        """True when queue ``i``'s head is ordered before queue ``j``'s.
-
-        Concurrent heads are committed in arrival order (section 3.4's
-        oracle preference), exactly as the linear scan this replaces did.
-        """
-        ts_i, arrival_i = self._entries[i]
-        ts_j, arrival_j = self._entries[j]
-        prefer = (
-            Ordering.BEFORE if arrival_i <= arrival_j else Ordering.AFTER
-        )
-        self._compares += 1
-        result = self._ordering.compare(ts_i, ts_j, prefer=prefer)
-        if result is Ordering.BEFORE:
-            return True
-        if result is Ordering.AFTER:
-            return False
-        return i < j  # EQUAL cannot cross queues; keep min()'s tiebreak
+            if self.compare(best_ts, head[0], prefer) is Ordering.AFTER:
+                best = i
+        return best
 
 
 def make_oracle(chain_length: int = 1):

@@ -15,9 +15,8 @@ exists for two reasons:
   a small configuration as a regression guard that records nothing.
 
 Both graphs answer every ``reaches`` query identically; only the work
-they do differs.  :func:`earliest` is the same kind of reference for the
-shards' :class:`~repro.core.ordering.EarliestScheduler`: the linear scan
-its tournament replaces.
+they do differs.  The reference searches even a pair that one explicit
+edge decides, which the indexed graph answers by lookup.
 """
 
 from __future__ import annotations
@@ -72,21 +71,6 @@ class ReferenceEventDependencyGraph(EventDependencyGraph):
 def reference_oracle() -> TimelineOracle:
     """A timeline oracle running on the unindexed reference graph."""
     return TimelineOracle(graph=ReferenceEventDependencyGraph())
-
-
-def earliest(ordering, timestamps, prefer: Ordering = Ordering.BEFORE):
-    """The earliest of a non-empty collection of timestamps under
-    ``ordering`` (a :class:`~repro.core.ordering.RefinableOrdering`),
-    by one linear scan; concurrent pairs are settled by its
-    ``compare``."""
-    timestamps = list(timestamps)
-    if not timestamps:
-        raise ValueError("earliest() of no timestamps")
-    best = timestamps[0]
-    for candidate in timestamps[1:]:
-        if ordering.compare(candidate, best, prefer) is Ordering.BEFORE:
-            best = candidate
-    return best
 
 
 # -- the ordering fast path, timed against the reference ---------------
@@ -180,7 +164,6 @@ def compare_fastpath(
         "indexed_counters": {
             "bfs_expansions": indexed.stats.bfs_expansions,
             "bfs_pruned": indexed.stats.bfs_pruned,
-            "reach_cache_hits": indexed.stats.reach_cache_hits,
             "decisions": indexed.stats.decisions,
         },
     }

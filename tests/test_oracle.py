@@ -110,6 +110,30 @@ class TestEventDependencyGraph:
         assert g.reaches(A, D)
         assert B not in g
 
+    def test_a_reverse_edge_answers_without_search(self):
+        g = EventDependencyGraph()
+        for event in (A, B):
+            g.add_event(event)
+        g.add_order(A, B)
+        expansions = g.stats.bfs_expansions
+        assert not g.reaches(B, A)
+        assert g.reaches(A, B)
+        assert g.stats.bfs_expansions == expansions
+
+    def test_a_bridged_edge_answers_without_search(self):
+        # The reverse-edge answer is sound only while removing an event
+        # keeps its neighbours' order as explicit edges.
+        g = EventDependencyGraph()
+        for event in (A, B, D):
+            g.add_event(event)
+        g.add_order(A, B)
+        g.add_order(B, D)
+        g.remove_event(B)
+        assert g.has_edge(A, D)
+        expansions = g.stats.bfs_expansions
+        assert not g.reaches(D, A)
+        assert g.stats.bfs_expansions == expansions
+
     def test_remove_missing_event_is_noop(self):
         g = EventDependencyGraph()
         g.remove_event(A)
@@ -170,6 +194,35 @@ class TestTimelineOracle:
         assert oracle.query_order(B, A) is Ordering.BEFORE
         with pytest.raises(CycleError):
             oracle.assign_order(A, B)
+
+    @pytest.mark.parametrize(
+        "make", [TimelineOracle, lambda: ReplicatedOracle(3)],
+        ids=["single", "chain"],
+    )
+    def test_a_decided_pair_is_an_edge_lookup(self, make, monkeypatch):
+        oracle = make()
+        oracle.order(C, D)      # an explicit edge, so searches expand
+        assert oracle.order(A, B) is Ordering.BEFORE
+        replicas = getattr(oracle, "_replicas", [oracle])
+        searched = []
+        for replica in replicas:
+            search = replica.graph._search
+
+            def counted(a, b, search=search):
+                searched.append((a.id, b.id))
+                return search(a, b)
+
+            monkeypatch.setattr(replica.graph, "_search", counted)
+        expansions = oracle.stats.bfs_expansions
+        # Re-asked either way round, a decided pair is an edge lookup:
+        # no search, not even the failing one for the other direction.
+        assert oracle.query_order(B, A) is Ordering.AFTER
+        assert oracle.order(B, A) is Ordering.AFTER
+        assert oracle.query_order(A, B) is Ordering.BEFORE
+        for replica in replicas:
+            assert replica.established_order(B, A) is Ordering.AFTER
+        assert oracle.stats.bfs_expansions == expansions
+        assert searched == []
 
     def test_prefer_equal_rejected(self):
         oracle = TimelineOracle()
@@ -258,6 +311,16 @@ class TestReplicatedOracle:
         assert chain.query_order(A, B) is Ordering.BEFORE
         chain.order(C, D)
         assert chain.query_order(C, D) is Ordering.BEFORE
+
+    def test_a_new_head_answers_the_reverse_by_edge(self):
+        chain = ReplicatedOracle(3)
+        chain.order(A, B)
+        chain.fail_replica(0)
+        before = [(r.stats.bfs_expansions, r.stats.decisions)
+                  for r in chain._replicas]
+        assert chain.order(B, A) is Ordering.AFTER
+        assert [(r.stats.bfs_expansions, r.stats.decisions)
+                for r in chain._replicas] == before
 
     def test_cannot_fail_last_replica(self):
         chain = ReplicatedOracle(1)

@@ -1,16 +1,11 @@
 """The refinable-ordering façade."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.oracle import TimelineOracle
-from repro.core.ordering import (
-    EarliestScheduler,
-    RefinableOrdering,
-    make_oracle,
-)
-from repro.core.vclock import Ordering, VectorTimestamp
-
-from .oracle_reference import earliest
+from repro.core.ordering import RefinableOrdering, make_oracle
+from repro.core.vclock import Ordering, VectorClock, VectorTimestamp
 
 
 def ts(clocks, issuer=0, epoch=0):
@@ -78,23 +73,27 @@ class TestRefinableOrdering:
 
     def test_earliest_single(self):
         ordering = RefinableOrdering(TimelineOracle())
-        assert earliest(ordering, [A]) is A
+        assert ordering.earliest([(A, 0)]) == 0
 
     def test_earliest_of_chain(self):
+        # Vector clocks order every pair: no oracle request.
         ordering = RefinableOrdering(TimelineOracle())
         later = ts([3, 0])
-        assert earliest(ordering, [later, C, A]) is A
+        assert ordering.earliest([(later, 0), (C, 1), (A, 2)]) == 2
+        assert ordering.stats.reactive == 0
 
     def test_earliest_concurrent_decides_and_sticks(self):
-        ordering = RefinableOrdering(TimelineOracle())
-        first = earliest(ordering, [A, B])
-        again = earliest(ordering, [A, B])
-        assert first is again
+        oracle = TimelineOracle()
+        ordering = RefinableOrdering(oracle)
+        first = ordering.earliest([(A, 0), (B, 1)])
+        # The arrivals now prefer B, but the decision already stands.
+        again = ordering.earliest([(A, 1), (B, 0)])
+        assert first == again == 0
+        assert oracle.stats.decisions == 1
 
-    def test_earliest_empty_raises(self):
+    def test_earliest_of_no_heads_is_none(self):
         ordering = RefinableOrdering(TimelineOracle())
-        with pytest.raises(ValueError):
-            earliest(ordering, [])
+        assert ordering.earliest([]) is None
 
 
 class TestMakeOracle:
@@ -106,90 +105,127 @@ class TestMakeOracle:
         assert oracle.chain_length == 3
 
 
-class TestEarliestScheduler:
-    def _make(self, num_queues=2):
-        ordering = RefinableOrdering(TimelineOracle())
-        return ordering, EarliestScheduler(ordering, num_queues)
+@st.composite
+def head_rounds(draw):
+    """Rounds of queue heads over 2-6 queues, one gatekeeper's stamps
+    per queue: each head is ``(stamp, arrival)`` or None (empty)."""
+    n = draw(st.integers(2, 6))
+    clocks = [VectorClock(n, i) for i in range(n)]
+    issued = [[] for _ in range(n)]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.none() | st.integers(0, n - 1)),
+        min_size=1, max_size=24,
+    ))
+    for actor, peer in steps:
+        if peer is not None:
+            clocks[actor].observe(clocks[peer].announce())
+        issued[actor].append(clocks[actor].tick())
+    heads = [
+        st.none() | st.tuples(st.sampled_from(stamps), st.integers(0, 3))
+        if stamps else st.none()
+        for stamps in issued
+    ]
+    return draw(st.lists(
+        st.tuples(*heads).map(list), min_size=1, max_size=4
+    ))
+
+
+class TestEarliest:
+    def _make(self):
+        oracle = TimelineOracle()
+        return oracle, RefinableOrdering(oracle)
 
     def test_single_queue(self):
-        _, sched = self._make(1)
-        assert sched.select([(A, 0)]) == 0
-        assert sched.select([None]) is None
+        _, ordering = self._make()
+        assert ordering.earliest([(A, 0)]) == 0
+        assert ordering.earliest([None]) is None
 
     def test_picks_vclock_earliest(self):
-        _, sched = self._make(2)
+        _, ordering = self._make()
         later = ts([3, 0])
-        assert sched.select([(later, 0), (A, 1)]) == 1
+        assert ordering.earliest([(later, 0), (A, 1)]) == 1
 
     def test_all_empty_returns_none(self):
-        _, sched = self._make(3)
-        assert sched.select([None, None, None]) is None
+        _, ordering = self._make()
+        assert ordering.earliest([None, None, None]) is None
 
-    def test_empty_queue_loses_bracket(self):
-        _, sched = self._make(3)
-        assert sched.select([None, (A, 0), None]) == 1
+    def test_empty_queue_is_skipped(self):
+        _, ordering = self._make()
+        assert ordering.earliest([None, (A, 0), None]) == 1
+        assert ordering.stats.total == 0
 
     def test_concurrent_heads_follow_arrival_order(self):
-        _, sched = self._make(2)
-        assert sched.select([(A, 5), (B, 2)]) == 1
+        _, ordering = self._make()
+        assert ordering.earliest([(A, 5), (B, 2)]) == 1
+
+    def test_equal_arrival_keeps_lower_queue(self):
+        _, ordering = self._make()
+        assert ordering.earliest([(B, 2), (A, 2)]) == 0
 
     def test_decision_sticks_across_calls(self):
-        ordering, sched = self._make(2)
-        first = sched.select([(A, 0), (B, 1)])
-        again = sched.select([(A, 0), (B, 1)])
+        _, ordering = self._make()
+        first = ordering.earliest([(A, 0), (B, 1)])
+        again = ordering.earliest([(A, 0), (B, 1)])
         assert first == again
 
-    def test_matches_linear_earliest(self):
-        # The tournament must agree with the seed's min() scan on a
-        # shared oracle, whatever the mix of ordered/concurrent heads.
-        oracle = TimelineOracle()
-        ordering = RefinableOrdering(oracle)
-        sched = EarliestScheduler(ordering, 3)
-        heads = [(ts([2, 0, 0], issuer=0), 3),
+    def test_one_compare_per_live_head(self):
+        _, ordering = self._make()
+        heads = [(ts([1, 0, 0], issuer=0), 3), None,
                  (ts([0, 1, 0], issuer=1), 1),
                  (ts([0, 0, 1], issuer=2), 2)]
-        picked = sched.select(heads)
-        linear = earliest(ordering, [h[0] for h in heads])
-        assert heads[picked][0] is linear
+        assert ordering.earliest(heads) == 2
+        assert ordering.stats.total == 2  # three live heads
 
-    def test_unchanged_heads_save_compares(self):
-        ordering, sched = self._make(4)
-        entries = [(ts([1, 0, 0, 0], issuer=0), 0),
-                   (ts([0, 1, 0, 0], issuer=1), 1),
-                   (ts([0, 0, 1, 0], issuer=2), 2),
-                   (ts([0, 0, 0, 1], issuer=3), 3)]
-        sched.select(entries)
-        saved_before = ordering.stats.heap_compares_saved
-        sched.select(entries)  # nothing changed: zero compares needed
-        assert ordering.stats.heap_compares_saved > saved_before
+    def test_a_repeated_pick_searches_nothing(self):
+        # The scan re-asks every pair it decided last time; each is
+        # answered by the edge the oracle committed, with no search.
+        oracle, ordering = self._make()
+        heads = [(ts([1, 0, 0], issuer=0), 3),
+                 (ts([0, 1, 0], issuer=1), 1),
+                 (ts([0, 0, 1], issuer=2), 2)]
+        picked = ordering.earliest(heads)
+        expansions = oracle.stats.bfs_expansions
+        decisions = oracle.stats.decisions
+        assert ordering.earliest(heads) == picked
+        assert oracle.stats.bfs_expansions == expansions
+        assert oracle.stats.decisions == decisions
 
-    def test_replacing_one_head_replays_one_path(self):
-        ordering, sched = self._make(4)
-        entries = [(ts([1, 0, 0, 0], issuer=0), 0),
-                   (ts([0, 1, 0, 0], issuer=1), 1),
-                   (ts([0, 0, 1, 0], issuer=2), 2),
-                   (ts([0, 0, 0, 1], issuer=3), 3)]
-        assert sched.select(entries) == 0
-        entries[0] = (ts([9, 0, 0, 0], issuer=0), 9)
-        picked = sched.select(entries)
-        assert picked != 0  # the new head is no longer earliest
-
-    def test_wrong_entry_count_raises(self):
-        _, sched = self._make(2)
-        with pytest.raises(ValueError):
-            sched.select([(A, 0)])
-
-    def test_zero_queues_rejected(self):
-        ordering = RefinableOrdering(TimelineOracle())
-        with pytest.raises(ValueError):
-            EarliestScheduler(ordering, 0)
+    @settings(max_examples=150, deadline=None)
+    @given(head_rounds())
+    @example([[(A, 0)], [None], []])  # one queue, then none
+    @example([[(ts([3, 0]), 0), (C, 1), (A, 2)]])  # the vector clocks decide
+    @example([[(A, 5), (B, 2)], [(A, 0), (B, 1)]])  # arrival decides, once
+    @example([[(A, 2), (B, 2)]])  # an equal arrival keeps the lower queue
+    def test_pick_is_before_every_live_head(self, rounds):
+        # One oracle across the rounds, so later rounds meet pairs that
+        # earlier ones decided.
+        oracle = TimelineOracle()
+        ordering = RefinableOrdering(oracle)
+        for number, heads in enumerate(rounds):
+            live = [i for i, head in enumerate(heads) if head is not None]
+            pick = ordering.earliest(heads)
+            if not live:
+                assert pick is None
+                continue
+            for i in live:
+                if i != pick:
+                    assert oracle.established_order(
+                        heads[pick][0], heads[i][0]
+                    ) is Ordering.BEFORE
+            stamps = [heads[i][0] for i in live]
+            if number == 0 and all(
+                x.compare(y) is Ordering.CONCURRENT
+                for x in stamps for y in stamps if x != y
+            ):
+                # Nothing decided yet: concurrent heads go in arrival
+                # order, and an equal arrival keeps the lower index.
+                assert pick == min(live, key=lambda i: (heads[i][1], i))
 
 
 class TestFastpathCounters:
     def test_new_counters_start_zero(self):
         stats = RefinableOrdering(TimelineOracle()).stats
         assert stats.snapshot_memo_hits == 0
-        assert stats.heap_compares_saved == 0
 
     def test_fastpath_counters_not_in_total(self):
         # total feeds reactive_fraction (Fig 9/14); avoided work must
@@ -197,5 +233,4 @@ class TestFastpathCounters:
         ordering = RefinableOrdering(TimelineOracle())
         ordering.compare(A, C)
         ordering.stats.snapshot_memo_hits = 100
-        ordering.stats.heap_compares_saved = 100
         assert ordering.stats.total == 1

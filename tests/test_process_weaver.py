@@ -515,7 +515,7 @@ class TestTheOracleProcessKilled:
             assert referee_failed.value.channel == "oracle"
             after = db.metrics.snapshot()
             oracle = [name for name in before if name.startswith("oracle.")]
-            assert len(oracle) == 13
+            assert len(oracle) == 9
             assert {n: after[n] for n in oracle} == {
                 n: before[n] for n in oracle
             }

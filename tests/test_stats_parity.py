@@ -4,14 +4,13 @@ Fig 14's oracle-message counts (and the τ controller that feeds on
 them) are only honest if ``OracleStats.messages`` moves by exactly one
 per client request — no double-charging a decision as a query, no
 per-replica fan-in on the chain.  These tests pin that contract, the
-single-vs-replicated parity it implies, the reach-cache eviction
-accounting, and the stable metric-name surface of the registry.
+single-vs-replicated parity it implies, and the stable metric-name
+surface of the registry.
 """
 
 import pytest
 
 from repro.core.oracle import (
-    EventDependencyGraph,
     Ordering,
     ReplicatedOracle,
     TimelineOracle,
@@ -98,70 +97,35 @@ class TestReplicatedParity:
         assert oracle.stats.decisions == 1
 
 
-class TestReachCacheEviction:
-    def test_fractional_eviction_not_full_clear(self):
-        graph = EventDependencyGraph()
-        graph._REACH_CACHE_LIMIT = 8
-        for i in range(20):
-            graph._cache_reachable(((i, 0, 0), (0, 1, 1)))
-        assert graph.reach_cache_size <= 8
-        assert graph.stats.reach_cache_evictions >= 12
-        assert graph.stats.reach_cache_clears == 0
-
-    def test_eviction_drops_oldest_quarter(self):
-        graph = EventDependencyGraph()
-        graph._REACH_CACHE_LIMIT = 8
-        for i in range(8):
-            graph._cache_reachable(((i, 0, 0), (0, 1, 1)))
-        graph._cache_reachable(((99, 0, 0), (0, 1, 1)))
-        assert graph.stats.reach_cache_evictions == 2
-        assert graph.reach_cache_size == 7  # 8 - 2 evicted + 1 inserted
-
-    def test_established_order_leaves_the_cache_alone(self):
+class TestDecidedPairsAsEdges:
+    def test_established_order_counts_nothing(self):
         # a -> b -> c -> d are explicit edges between concurrent stamps,
-        # so (a, d) and (b, d) are reachable only through them, and no
-        # search has cached either.
+        # so (a, d) is reachable only through them, by a search.
         oracle = TimelineOracle()
-        graph = oracle.graph
-        graph._REACH_CACHE_LIMIT = 4
         a, b, c, d = (
             ts([int(i == j) for j in range(4)], i) for i in range(4)
         )
         oracle.order(a, b)
         oracle.order(b, c)
         oracle.order(c, d)
-        stats = oracle.stats
-
-        def cache():
-            return (graph.reach_cache_size, stats.reach_cache_evictions,
-                    stats.reach_cache_hits, stats.bfs_expansions)
-
-        before = cache()
-        assert before[:2] == (3, 0)
+        before = oracle.metrics()
         assert oracle.established_order(a, d) is Ordering.BEFORE
         assert oracle.established_order(d, a) is Ordering.AFTER
-        assert cache() == before
-        # A full cache: a write there would evict its oldest entry.
-        oracle.order(a, c)  # found by a counted search, and cached
-        before = cache()
-        assert before[:2] == (4, 0)
-        assert oracle.established_order(b, d) is Ordering.BEFORE
-        assert cache() == before
-        assert (a.id, b.id) in graph._reach_cache
-        # The counted path still caches what it finds, evicting to fit.
-        assert oracle.query_order(b, d) is Ordering.BEFORE
-        assert stats.reach_cache_evictions == 1
-        assert (a.id, b.id) not in graph._reach_cache
+        assert oracle.metrics() == before
 
-    def test_gc_counts_a_clear(self):
+    def test_gc_keeps_a_decided_pair_an_edge(self):
+        # x is decided between a and b; collecting it bridges a -> b,
+        # so the re-ask is one counted query and no search.
         oracle = TimelineOracle()
-        a, b = ts([1, 0], 0), ts([0, 1], 1)
-        oracle.order(a, b)
-        oracle.query_order(a, b)  # populates the positive-reach cache
-        assert oracle.reach_cache_size > 0
-        oracle.collect_below(ts([5, 5], 0))
-        assert oracle.reach_cache_size == 0
-        assert oracle.stats.reach_cache_clears >= 1
+        a, b, x = ts([1, 0, 0], 0), ts([0, 1, 0], 1), ts([0, 0, 1], 2)
+        oracle.order(a, x)
+        oracle.order(x, b)
+        assert oracle.collect_below(ts([0, 0, 5], 2)) == 1
+        stats = oracle.stats
+        expansions, messages = stats.bfs_expansions, stats.messages
+        assert oracle.query_order(b, a) is Ordering.AFTER
+        assert stats.bfs_expansions == expansions
+        assert stats.messages == messages + 1
 
 
 # The stable metric-name surface of a direct-mode Weaver: dashboards,
@@ -183,14 +147,9 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "oracle.events_created",
     "oracle.messages",
     "oracle.queries",
-    "oracle.reach_cache_clears",
-    "oracle.reach_cache_evictions",
-    "oracle.reach_cache_hits",
-    "oracle.reach_cache_size",
     "oracle.update_messages",
     "ordering.deadline_fallback",
     "ordering.deadline_fastpath",
-    "ordering.heap_compares_saved",
     "ordering.proactive",
     "ordering.reactive",
     "ordering.snapshot_memo_hits",

@@ -107,20 +107,15 @@ def rows(ops: int):
 
 
 def counters(snap) -> str:
-    """ROADMAP 19's columns: compares, what the tournament saved per
-    compare, the reach cache per oracle request, and the index's pruned
-    candidates."""
+    """ROADMAP 19's columns: compares, oracle requests, and the skyline
+    index's pruned candidates."""
     compares = sum(snap[f"ordering.{kind}"] for kind in (
         "proactive", "deadline_fastpath", "reactive"
     ))
-    requests = snap["oracle.messages"]
-    hits = snap["oracle.reach_cache_hits"]
-    saved = snap["ordering.heap_compares_saved"]
     return (
         f"  compares {compares:,}"
         f" ({snap['ordering.deadline_fastpath']:,} deadline);"
-        f" heap saved {100 * saved / compares:.1f}%;"
-        f" reach hits {hits:,} / {requests:,} requests;"
+        f" {snap['oracle.messages']:,} requests;"
         f" bfs_pruned {snap['oracle.bfs_pruned']:,}"
     )
 
