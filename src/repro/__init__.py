@@ -37,7 +37,6 @@ from .core import (
     Gatekeeper,
     Ordering,
     RefinableOrdering,
-    ReplicatedOracle,
     TimelineOracle,
     VectorClock,
     VectorTimestamp,
@@ -62,7 +61,6 @@ __all__ = [
     "Gatekeeper",
     "Ordering",
     "RefinableOrdering",
-    "ReplicatedOracle",
     "TimelineOracle",
     "VectorClock",
     "VectorTimestamp",

@@ -40,7 +40,6 @@ def _cmd_info(args) -> int:
         ("default gatekeepers", config.num_gatekeepers),
         ("default shards", config.num_shards),
         ("default announce cadence", config.announce_every),
-        ("oracle chain length", config.oracle_chain_length),
     ]
     print(format_table("repro: Weaver reproduction", ["key", "value"], rows))
     return 0

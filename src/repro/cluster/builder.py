@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 from ..core.gatekeeper import Gatekeeper
-from ..core.ordering import make_oracle
+from ..core.oracle import TimelineOracle
 from ..db.config import WeaverConfig
 from ..obs import MetricsRegistry, Tracer
 from ..programs.framework import ProgramExecutor
@@ -46,12 +46,11 @@ class ClusterParts:
     executor: ProgramExecutor
     metrics: MetricsRegistry
     tracer: Tracer
-    # Geo deployments (config.num_regions > 1): one RegionStats and one
-    # RegionOracleClient per region, plus each server's region index
-    # keyed by server name ("gk0", "shard1", ...).  Empty lists / dict
-    # for the classic single-region shape.
+    # Geo deployments (config.num_regions > 1): one RegionStats per
+    # region, plus each server's region index keyed by server name
+    # ("gk0", "shard1", ...).  Empty list / dict for the classic
+    # single-region shape.
     region_stats: List[Any] = field(default_factory=list)
-    region_clients: List[Any] = field(default_factory=list)
     region_of: dict = field(default_factory=dict)
 
 
@@ -91,10 +90,10 @@ def build_cluster(
         store = TransactionalStore()
     mapping = ShardMapping(store, cfg.num_shards)
     if oracle is None:
-        oracle = make_oracle(cfg.oracle_chain_length)
+        oracle = TimelineOracle()
     # Geo shape: servers spread round-robin across regions, and each
-    # region's shards talk to the oracle through a region-local client
-    # (pure queries served by a pinned replica, escalations to the head).
+    # region's shards talk to the oracle through a region client (a pair
+    # already ordered is answered locally, a new decision escalates).
     region_stats: List[Any] = []
     region_clients: List[Any] = []
     region_of: dict = {}
@@ -157,7 +156,6 @@ def build_cluster(
         metrics=metrics,
         tracer=tracer,
         region_stats=region_stats,
-        region_clients=region_clients,
         region_of=region_of,
     )
     metrics.absorb("gatekeeper", lambda: [g.stats for g in parts.gatekeepers])

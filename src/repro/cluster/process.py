@@ -46,7 +46,7 @@ from ..db.config import WeaverConfig
 from ..db.database import Coordinator
 from ..db.operations import partition_image
 from ..db.transactions import Transaction
-from ..errors import ClusterError, ConfigError, ProgramError
+from ..errors import ClusterError, ProgramError
 from ..obs.collect import scalar_fields
 from ..programs.framework import ProgramResult
 from .builder import build_cluster
@@ -69,11 +69,6 @@ class ProcessWeaver(Coordinator):
 
     def __init__(self, config: Optional[WeaverConfig] = None):
         config = config or WeaverConfig()
-        if config.oracle_chain_length > 1:
-            raise ConfigError(
-                "oracle_chain_length > 1: the process deployment runs one "
-                "oracle process; a chain of them is ROADMAP 15(b)"
-            )
         try:
             self._mp = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX hosts

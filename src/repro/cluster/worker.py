@@ -178,14 +178,8 @@ class OracleProxy:
               prefer: Ordering = Ordering.BEFORE) -> Ordering:
         return self._call("order", (a, b, prefer))
 
-    def query_order(self, a, b) -> Optional[Ordering]:
-        return self._call("query", (a, b))
-
     def established_order(self, a, b) -> Optional[Ordering]:
         return self._call("established", (a, b))
-
-    def create_event(self, ts: VectorTimestamp) -> None:
-        self._call("create", ts)
 
     def collect_below(self, watermark: VectorTimestamp) -> int:
         return self._call("collect", watermark)
@@ -1384,9 +1378,7 @@ class _OracleHost(SocketHost):
         registry.register_collector(oracle.metrics)
         self._table: Dict[str, Callable[[Any], Any]] = {
             "order": lambda p: oracle.order(*p),
-            "query": lambda p: oracle.query_order(*p),
             "established": lambda p: oracle.established_order(*p),
-            "create": oracle.create_event,
             "collect": oracle.collect_below,
             "stats": lambda _p: registry.snapshot(),
             "shutdown": lambda _p: True,

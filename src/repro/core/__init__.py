@@ -8,13 +8,11 @@ from .vclock import Ordering, VectorClock, VectorTimestamp
 from .oracle import (
     EventDependencyGraph,
     OracleStats,
-    ReplicatedOracle,
     TimelineOracle,
 )
 from .ordering import (
     OrderingStats,
     RefinableOrdering,
-    make_oracle,
 )
 from .gatekeeper import Gatekeeper, GatekeeperStats
 
@@ -24,11 +22,9 @@ __all__ = [
     "VectorTimestamp",
     "EventDependencyGraph",
     "OracleStats",
-    "ReplicatedOracle",
     "TimelineOracle",
     "OrderingStats",
     "RefinableOrdering",
-    "make_oracle",
     "Gatekeeper",
     "GatekeeperStats",
 ]

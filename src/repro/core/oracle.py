@@ -3,7 +3,7 @@
 The oracle keeps a dependency graph whose vertices are *events* (one per
 transaction or node program, identified by its unique vector timestamp) and
 whose directed edges are happens-before commitments.  It answers two kinds
-of requests from shard servers:
+of requests (shard servers send only the second):
 
 * ``query_order(a, b)`` — return a pre-established order, if one exists.
   Pre-established orders include explicit commitments, their transitive
@@ -14,11 +14,6 @@ of requests from shard servers:
   exists, commit a new one.  Ordering decisions are irreversible and
   monotonic: once made they hold for every subsequent query from every
   shard.  The oracle refuses any request that would create a cycle.
-
-The production system chain-replicates the oracle for fault tolerance
-(Kronos [20]); :class:`ReplicatedOracle` models that: updates enter at the
-head and flow down the chain, reads may be served by any replica, and the
-chain survives the loss of any proper subset of replicas.
 """
 
 from __future__ import annotations
@@ -272,11 +267,13 @@ class EventDependencyGraph:
 
 
 class TimelineOracle:
-    """The event-ordering state machine (one replica).
+    """The event-ordering state machine.
 
     All mutating entry points are deterministic functions of their inputs
-    plus current state, which is what lets :class:`ReplicatedOracle` keep
-    replicas identical by forwarding the same operations down a chain.
+    plus current state, so a chain of replicas fed the same operations
+    would stay identical (section 3.4; ROADMAP 15(a)–(b)).  Shards reach
+    it only through ``order``; the coordinator calls ``collect_below``,
+    and the history referee ``established_order``.
     """
 
     def __init__(self, graph: Optional[EventDependencyGraph] = None) -> None:
@@ -301,15 +298,13 @@ class TimelineOracle:
         return len(self._graph)
 
     def metrics(self) -> Dict[str, int]:
-        """The collector of ``oracle.*``: this replica's counters and
-        sizes.  A single oracle has no chain to fan updates out to."""
+        """The collector of ``oracle.*``: the counters and sizes."""
         out = {
             f"oracle.{key}": value
             for key, value in scalar_fields(self.stats).items()
         }
         out["oracle.messages"] = self.stats.messages
         out["oracle.events"] = self.num_events
-        out["oracle.update_messages"] = 0
         return out
 
     def create_event(self, ts: VectorTimestamp) -> None:
@@ -324,9 +319,9 @@ class TimelineOracle:
 
         Consults vector clocks, explicit commitments, and their combined
         transitive closure.  Never creates new commitments and counts
-        nothing, not even its reachability work: region-local reads,
-        chain replica reads and the history referee use it, and no
-        client request of the head's pays for them.
+        nothing, not even its reachability work: region-local reads
+        and the history referee use it, and no client request pays for
+        them.
         """
         graph = self._graph
         graph.stats = self._uncounted
@@ -437,131 +432,17 @@ class TimelineOracle:
         self._graph.add_event(ts)
 
 
-class ReplicatedOracle:
-    """A chain-replicated timeline oracle (section 3.4, [62]).
-
-    Updates are applied at the head and propagated down the chain; queries
-    may be served by any replica (we round-robin to model read scaling).
-    ``fail_replica`` removes a replica; the chain keeps working as long as
-    one replica survives, because every replica holds the full state
-    machine and operations are deterministic.
-    """
-
-    def __init__(self, chain_length: int = 3):
-        if chain_length < 1:
-            raise ValueError("chain needs at least one replica")
-        self._replicas = [TimelineOracle() for _ in range(chain_length)]
-        self._next_read = 0
-        self.update_messages = 0
-
-    @property
-    def chain_length(self) -> int:
-        return len(self._replicas)
-
-    @property
-    def stats(self) -> OracleStats:
-        """Client-visible request accounting.
-
-        Counted at the chain head only: one client request is one
-        increment, regardless of chain length.  Intra-chain fan-out is
-        ``update_messages``.
-        """
-        return self.head.stats
-
-    @property
-    def tracer(self):
-        return self.head.tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        # Only the head emits decision spans — one span per client
-        # decision, not one per replica.
-        for replica in self._replicas:
-            replica.tracer = None
-        self.head.tracer = tracer
-
-    @property
-    def head(self) -> TimelineOracle:
-        return self._replicas[0]
-
-    def metrics(self) -> Dict[str, int]:
-        """The head's ``oracle.*`` plus the chain's update fan-out, kept
-        apart from the client-visible ``oracle.messages`` on purpose."""
-        out = self.head.metrics()
-        out["oracle.update_messages"] = self.update_messages
-        return out
-
-    @property
-    def tail(self) -> TimelineOracle:
-        return self._replicas[-1]
-
-    def _reader(self) -> TimelineOracle:
-        replica = self._replicas[self._next_read % len(self._replicas)]
-        self._next_read += 1
-        return replica
-
-    def _apply_all(self, method: str, *args) -> object:
-        result = None
-        for replica in self._replicas:
-            result = getattr(replica, method)(*args)
-            self.update_messages += 1
-        return result
-
-    def create_event(self, ts: VectorTimestamp) -> None:
-        self._apply_all("create_event", ts)
-
-    def query_order(
-        self, a: VectorTimestamp, b: VectorTimestamp
-    ) -> Optional[Ordering]:
-        # Queries that might *decide* must not race ahead of the chain;
-        # pure queries read any replica.  All replicas are kept identical
-        # synchronously here, so any replica is safe.  Accounting happens
-        # at the head (one client request, one increment) while the read
-        # itself is served by the round-robin replica's non-counting
-        # path, so per-replica read load never inflates client-visible
-        # counts.
-        self.head.stats.queries += 1
-        return self._reader().established_order(a, b)
-
-    def order(
-        self,
-        a: VectorTimestamp,
-        b: VectorTimestamp,
-        prefer: Ordering = Ordering.BEFORE,
-    ) -> Ordering:
-        return self._apply_all("order", a, b, prefer)  # type: ignore[return-value]
-
-    def assign_order(self, a: VectorTimestamp, b: VectorTimestamp) -> None:
-        self._apply_all("assign_order", a, b)
-
-    def collect_below(self, watermark: VectorTimestamp) -> int:
-        return self._apply_all("collect_below", watermark)  # type: ignore[return-value]
-
-    def fail_replica(self, index: int = 0) -> None:
-        """Remove one replica from the chain (crash model)."""
-        if len(self._replicas) == 1:
-            raise ValueError("cannot fail the last replica")
-        tracer = self.head.tracer
-        del self._replicas[index]
-        if index == 0 and tracer is not None:
-            # Decision spans follow the head role, not the dead process.
-            self.head.tracer = tracer
-
-    def replica(self, index: int) -> TimelineOracle:
-        """A stable read replica for region ``index`` (wraps around)."""
-        return self._replicas[index % len(self._replicas)]
-
-
 class RegionStats:
     """Per-region coordination counters (geo deployments).
 
-    ``local_queries`` are ordering requests a region answered from its
-    pinned oracle replica — real coordination traffic that is *invisible*
-    to the chain head's accounting (``established_order`` never counts).
-    ``escalations`` reached the head.  ``oracle_messages`` (exported per
-    region as ``region.<r>.oracle_messages``) is their sum, and the
-    quantity a per-region tau controller must be fed; feeding it head
-    stats alone undercounts by exactly ``local_queries``.
+    ``local_queries`` are ordering requests a region answered from an
+    order the oracle had already established — coordination traffic the
+    oracle's own accounting never sees (``established_order`` never
+    counts).  ``escalations`` reached the oracle as requests.
+    ``oracle_messages`` (exported per region as
+    ``region.<r>.oracle_messages``) is their sum, and the quantity a
+    per-region tau controller must be fed; feeding it the oracle's stats
+    alone undercounts by exactly ``local_queries``.
     """
 
     def __init__(self) -> None:
@@ -595,36 +476,17 @@ class RegionOracleClient:
     """A region's window onto the timeline oracle.
 
     Geo deployments give each region's shards one of these instead of the
-    raw oracle: pure ordering queries are served by a region-local chain
-    replica (cheap — no cross-region hop), and only requests that must
-    *establish* a new order escalate to the chain head.  The client keeps
-    the region's own request accounting in :class:`RegionStats`, because
-    locally-served reads never touch ``head.stats``.
+    raw oracle.  A pair the oracle has already ordered is answered
+    locally, and only a pair that needs a new decision escalates to
+    ``order``.  The client keeps the region's own request accounting in
+    :class:`RegionStats`, because locally-answered pairs never touch the
+    oracle's stats.
     """
 
     def __init__(self, oracle, region: int, stats: Optional[RegionStats] = None):
         self._oracle = oracle
         self.region = region
-        if hasattr(oracle, "replica"):
-            self._replica = oracle.replica(region)
-        else:
-            self._replica = oracle
         self.stats = stats if stats is not None else RegionStats()
-
-    @property
-    def oracle(self):
-        """The underlying (global) oracle."""
-        return self._oracle
-
-    def query_order(
-        self, a: VectorTimestamp, b: VectorTimestamp
-    ) -> Optional[Ordering]:
-        established = self._replica.established_order(a, b)
-        if established is not None:
-            self.stats.local_queries += 1
-            return established
-        self.stats.escalations += 1
-        return self._oracle.query_order(a, b)
 
     def order(
         self,
@@ -632,18 +494,9 @@ class RegionOracleClient:
         b: VectorTimestamp,
         prefer: Ordering = Ordering.BEFORE,
     ) -> Ordering:
-        established = self._replica.established_order(a, b)
+        established = self._oracle.established_order(a, b)
         if established is not None:
             self.stats.local_queries += 1
             return established
         self.stats.escalations += 1
         return self._oracle.order(a, b, prefer)
-
-    def create_event(self, ts: VectorTimestamp) -> None:
-        self._oracle.create_event(ts)
-
-    def assign_order(self, a: VectorTimestamp, b: VectorTimestamp) -> None:
-        self._oracle.assign_order(a, b)
-
-    def collect_below(self, watermark: VectorTimestamp) -> int:
-        return self._oracle.collect_below(watermark)

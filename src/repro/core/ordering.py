@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from .oracle import ReplicatedOracle, TimelineOracle
 from .vclock import Ordering, VectorTimestamp
 
 class OrderingStats:
@@ -51,9 +50,10 @@ class OrderingStats:
 class RefinableOrdering:
     """Order any two timestamps, cheaply when possible.
 
-    One instance per shard server.  ``oracle`` may be a plain
-    :class:`TimelineOracle` or a :class:`ReplicatedOracle`; both expose the
-    same ``order``/``query_order`` interface.
+    One instance per shard server.  ``oracle`` is anything with the
+    :class:`~repro.core.oracle.TimelineOracle` ``order`` call: the oracle
+    itself, a region's :class:`~repro.core.oracle.RegionOracleClient`, or
+    the process deployment's ``OracleProxy``.
     """
 
     def __init__(
@@ -148,9 +148,3 @@ class RefinableOrdering:
                 best = i
         return best
 
-
-def make_oracle(chain_length: int = 1):
-    """Build a timeline oracle; a chain when ``chain_length`` > 1."""
-    if chain_length <= 1:
-        return TimelineOracle()
-    return ReplicatedOracle(chain_length)

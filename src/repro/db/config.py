@@ -19,8 +19,6 @@ class WeaverConfig:
             clocks tight (almost everything orders proactively); larger
             values push more pairs to the timeline oracle, which is the
             tradeoff Fig 14 sweeps.
-        oracle_chain_length: replicas in the timeline oracle chain
-            (1 = unreplicated; 3 = the paper's fault-tolerant setup).
         enable_program_cache: memoize node-program results at the
             coordinator (section 4.6; disabled by default, as in the
             paper's evaluation; ablation A1).
@@ -56,7 +54,6 @@ class WeaverConfig:
     num_gatekeepers: int = 2
     num_shards: int = 2
     announce_every: int = 1
-    oracle_chain_length: int = 1
     enable_program_cache: bool = False
     partitioner: str = "round_robin"
     store_nodes: int = 0
@@ -74,8 +71,6 @@ class WeaverConfig:
             raise ConfigError("need at least one shard")
         if self.announce_every < 1:
             raise ConfigError("announce_every must be >= 1")
-        if self.oracle_chain_length < 1:
-            raise ConfigError("oracle chain needs a replica")
         if self.partitioner not in ("round_robin", "hash"):
             raise ConfigError(f"unknown partitioner {self.partitioner!r}")
         if self.store_nodes < 0:

@@ -1018,13 +1018,13 @@ class SimulatedWeaver(WritePath):
     def oracle_messages(self) -> int:
         """Client-visible oracle request count, *all* regions included.
 
-        The chain head counts one increment per request it serves — but
-        a geo deployment's region clients answer established-order reads
-        from their local replicas without ever touching the head, so the
-        head total alone undercounts coordination traffic by exactly the
-        regions' ``local_queries``.  The τ controller fed head-only
-        stats under-measures oracle pressure and pushes τ the wrong way
-        (see the regression test); aggregate before observe().
+        The oracle counts one increment per request it serves — but a
+        geo deployment's region clients answer already-ordered pairs
+        without sending it a request, so the oracle's total alone
+        undercounts coordination traffic by exactly the regions'
+        ``local_queries``.  The τ controller fed the oracle's stats alone
+        under-measures oracle pressure and pushes τ the wrong way (see
+        the regression test); aggregate before observe().
         """
         total = self.oracle.stats.messages
         for rstats in self.parts.region_stats:

@@ -56,8 +56,6 @@ def decided_order(oracle) -> DecidedOrder:
     never decides and never counts), so checking a history perturbs
     neither the ordering state nor the client-visible request counters.
     """
-    head = getattr(oracle, "head", oracle)
-
     def compare(
         a: VectorTimestamp, b: VectorTimestamp
     ) -> Optional[Ordering]:
@@ -66,7 +64,7 @@ def decided_order(oracle) -> DecidedOrder:
         order = a.compare(b)
         if order is not Ordering.CONCURRENT:
             return order
-        return head.established_order(a, b)
+        return oracle.established_order(a, b)
 
     return compare
 

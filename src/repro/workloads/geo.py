@@ -96,8 +96,9 @@ class GeoReport:
     reads_completed: int = 0
     reads_lost: int = 0
     # Coordination accounting: ``oracle_calls`` is the *aggregated*
-    # count (chain head + every region client's locally-served queries);
-    # ``oracle_calls_head`` is what the pre-fix accounting saw.
+    # count (the oracle's requests + every region client's locally
+    # answered pairs); ``oracle_calls_head`` is the oracle's requests
+    # alone, what the pre-fix accounting saw.
     oracle_calls: int = 0
     oracle_calls_head: int = 0
     announce_messages: int = 0

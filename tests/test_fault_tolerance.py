@@ -134,17 +134,3 @@ class TestClusterManager:
             assert gk.clock.epoch == epoch
         for shard in db.shards:
             assert shard.epoch == epoch
-
-
-class TestOracleChainFaultTolerance:
-    def test_replicated_oracle_survives_failure_end_to_end(self):
-        db, client = fresh(oracle_chain_length=3, announce_every=8)
-        populate(client)
-        # Force some reactive decisions so the chain holds state.
-        for i in range(5):
-            client.set_property("a", "k", i)
-        db.oracle.fail_replica(0)
-        # The system keeps answering queries and ordering transactions.
-        client.set_property("a", "k", 99)
-        assert client.get_node("a")["properties"]["k"] == 99
-        assert client.reachable("a", "c")

@@ -225,12 +225,12 @@ class TestCoordinationAccounting:
     def test_head_only_stats_pick_the_wrong_tau_direction(self):
         # One measurement window: 20 announces, 10 commits, and 32
         # ordering requests of which the region clients answered 30 from
-        # their local replicas — only 2 ever reached the chain head.
+        # orders already established — only 2 ever reached the oracle.
         head_fed = TauController(400 * USEC)
         aggregated = TauController(400 * USEC)
-        # Old accounting: the head saw 2 requests, so announces look
+        # Old accounting: the oracle saw 2 requests, so announces look
         # 10x the oracle load and τ backs off (grows) — exactly wrong
-        # while the regions are hammering their local replicas.
+        # while the regions are answering 30 pairs locally.
         assert head_fed.observe(2, 20, 10) > 400 * USEC
         # Fixed accounting: 32 > 20, reactive ordering rivals the
         # proactive machinery, τ tightens (shrinks).
@@ -238,7 +238,7 @@ class TestCoordinationAccounting:
 
     def test_deployment_aggregates_region_queries(self):
         # With the fast path off, geo reads resolve established orders
-        # at their region replicas; the chain head never sees those.
+        # at their region clients; the oracle's counters never see those.
         rep = run_geo(seed=11, num_regions=2, tau=200 * USEC,
                       duration=10 * MSEC, fastpath=False)
         assert rep.oracle_calls > rep.oracle_calls_head
@@ -335,10 +335,9 @@ class TestRecoveryReconcile:
 
 
 class TestOracleFastPathCounters:
-    """The head's BFS counters move only for requests
-    the head counts: region-local reads, chain replica reads and the
-    history referee use the oracle without a request, and count
-    nothing."""
+    """The oracle's BFS counters move only for requests it counts:
+    region-local reads and the history referee use the oracle without
+    a request, and count nothing."""
 
     @pytest.fixture(scope="class")
     def baseline(self):

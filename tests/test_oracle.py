@@ -1,12 +1,14 @@
-"""The timeline oracle: reactive ordering, DAG invariants, replication."""
+"""The timeline oracle: reactive ordering, DAG invariants, GC."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.oracle import (
     EventDependencyGraph,
-    ReplicatedOracle,
+    RegionOracleClient,
+    RegionStats,
     TimelineOracle,
+    region_metrics,
 )
 from repro.core.vclock import Ordering, VectorTimestamp
 from repro.errors import CycleError, OrderingError
@@ -195,32 +197,25 @@ class TestTimelineOracle:
         with pytest.raises(CycleError):
             oracle.assign_order(A, B)
 
-    @pytest.mark.parametrize(
-        "make", [TimelineOracle, lambda: ReplicatedOracle(3)],
-        ids=["single", "chain"],
-    )
-    def test_a_decided_pair_is_an_edge_lookup(self, make, monkeypatch):
-        oracle = make()
+    def test_a_decided_pair_is_an_edge_lookup(self, monkeypatch):
+        oracle = TimelineOracle()
         oracle.order(C, D)      # an explicit edge, so searches expand
         assert oracle.order(A, B) is Ordering.BEFORE
-        replicas = getattr(oracle, "_replicas", [oracle])
         searched = []
-        for replica in replicas:
-            search = replica.graph._search
+        search = oracle.graph._search
 
-            def counted(a, b, search=search):
-                searched.append((a.id, b.id))
-                return search(a, b)
+        def counted(a, b):
+            searched.append((a.id, b.id))
+            return search(a, b)
 
-            monkeypatch.setattr(replica.graph, "_search", counted)
+        monkeypatch.setattr(oracle.graph, "_search", counted)
         expansions = oracle.stats.bfs_expansions
         # Re-asked either way round, a decided pair is an edge lookup:
         # no search, not even the failing one for the other direction.
         assert oracle.query_order(B, A) is Ordering.AFTER
         assert oracle.order(B, A) is Ordering.AFTER
         assert oracle.query_order(A, B) is Ordering.BEFORE
-        for replica in replicas:
-            assert replica.established_order(B, A) is Ordering.AFTER
+        assert oracle.established_order(B, A) is Ordering.AFTER
         assert oracle.stats.bfs_expansions == expansions
         assert searched == []
 
@@ -282,62 +277,125 @@ class TestTimelineOracle:
         after = oracle.metrics()
         assert after["oracle.messages"] - before["oracle.messages"] == 1
 
+    def test_an_undecided_established_order_decides_nothing(self):
+        # The referee's question leaves the pair open: a later order
+        # still commits the caller's preference.
+        oracle = TimelineOracle()
+        assert oracle.established_order(A, B) is None
+        assert (oracle.stats.messages, oracle.stats.decisions) == (0, 0)
+        assert oracle.order(A, B, prefer=Ordering.AFTER) is Ordering.AFTER
+        assert oracle.stats.decisions == 1
 
-class TestReplicatedOracle:
-    def test_chain_length(self):
-        assert ReplicatedOracle(3).chain_length == 3
+    def test_assign_order_registers_both_events(self):
+        oracle = TimelineOracle()
+        oracle.assign_order(B, A)
+        assert oracle.num_events == 2
+        assert oracle.stats.events_created == 0
+        assert oracle.stats.decisions == 1
+        assert oracle.query_order(A, B) is Ordering.AFTER
 
-    def test_zero_chain_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicatedOracle(0)
+    def test_a_vector_clock_order_ignores_prefer(self):
+        # Vector clocks already order (A, C): one query, no decision,
+        # and no event enters the graph.
+        oracle = TimelineOracle()
+        assert oracle.order(A, C, prefer=Ordering.AFTER) is Ordering.BEFORE
+        assert (oracle.stats.queries, oracle.stats.decisions) == (1, 0)
+        assert oracle.num_events == 0
 
-    def test_replicas_agree(self):
-        chain = ReplicatedOracle(3)
-        chain.order(A, B)
-        for replica in chain._replicas:
-            assert replica.query_order(A, B) is Ordering.BEFORE
+    def test_metrics_name_every_counter_and_the_size(self):
+        oracle = TimelineOracle()
+        oracle.order(A, B)
+        assert oracle.metrics() == {
+            "oracle.queries": 0,
+            "oracle.decisions": 1,
+            "oracle.events_created": 0,
+            "oracle.events_collected": 0,
+            "oracle.bfs_expansions": oracle.stats.bfs_expansions,
+            "oracle.bfs_pruned": oracle.stats.bfs_pruned,
+            "oracle.messages": 1,
+            "oracle.events": 2,
+        }
 
-    def test_queries_round_robin(self):
-        chain = ReplicatedOracle(2)
-        chain.order(A, B)
-        assert chain.query_order(A, B) is Ordering.BEFORE
-        assert chain.query_order(A, B) is Ordering.BEFORE
+    def test_collect_below_counts_what_it_drops(self):
+        oracle = TimelineOracle()
+        oracle.order(A, B)
+        oracle.order(C, D)
+        assert oracle.collect_below(ts([2, 1], issuer=0)) == 2  # A and B
+        metrics = oracle.metrics()
+        assert metrics["oracle.events_collected"] == 2
+        assert metrics["oracle.events"] == 2
+        # A collection is not a request.
+        assert metrics["oracle.messages"] == 2
+        assert oracle.query_order(C, D) is Ordering.BEFORE
 
-    def test_survives_replica_failure(self):
-        chain = ReplicatedOracle(3)
-        chain.order(A, B)
-        chain.fail_replica(0)
-        assert chain.chain_length == 2
-        assert chain.query_order(A, B) is Ordering.BEFORE
-        chain.order(C, D)
-        assert chain.query_order(C, D) is Ordering.BEFORE
 
-    def test_a_new_head_answers_the_reverse_by_edge(self):
-        chain = ReplicatedOracle(3)
-        chain.order(A, B)
-        chain.fail_replica(0)
-        before = [(r.stats.bfs_expansions, r.stats.decisions)
-                  for r in chain._replicas]
-        assert chain.order(B, A) is Ordering.AFTER
-        assert [(r.stats.bfs_expansions, r.stats.decisions)
-                for r in chain._replicas] == before
+class TestRegionOracleClient:
+    """A region's client answers a pair the oracle already ordered
+    without a request, and sends the oracle only what needs deciding."""
 
-    def test_cannot_fail_last_replica(self):
-        chain = ReplicatedOracle(1)
-        with pytest.raises(ValueError):
-            chain.fail_replica(0)
+    def test_an_established_pair_is_local_and_uncounted(self):
+        oracle = TimelineOracle()
+        oracle.order(A, B)
+        client = RegionOracleClient(oracle, 0)
+        before = oracle.metrics()
+        assert client.order(B, A) is Ordering.AFTER
+        assert client.order(A, C) is Ordering.BEFORE  # vector clocks
+        assert (client.stats.local_queries, client.stats.escalations) == (
+            2, 0
+        )
+        assert oracle.metrics() == before
 
-    def test_update_messages_counted(self):
-        chain = ReplicatedOracle(3)
-        chain.order(A, B)
-        assert chain.update_messages == 3
+    def test_an_undecided_pair_escalates_once_then_is_local_elsewhere(self):
+        oracle = TimelineOracle()
+        east = RegionOracleClient(oracle, 0)
+        west = RegionOracleClient(oracle, 1)
+        assert east.order(A, B, prefer=Ordering.AFTER) is Ordering.AFTER
+        assert (east.stats.local_queries, east.stats.escalations) == (0, 1)
+        assert oracle.stats.decisions == 1
+        assert oracle.stats.messages == 1
+        assert west.order(A, B) is Ordering.AFTER
+        assert (west.stats.local_queries, west.stats.escalations) == (1, 0)
+        assert oracle.stats.messages == 1
+        for client in (east, west):
+            stats = client.stats
+            assert stats.oracle_messages == (
+                stats.local_queries + stats.escalations
+            ) == 1
 
-    def test_collect_below_applies_to_all(self):
-        chain = ReplicatedOracle(2)
-        chain.order(A, B)
-        chain.collect_below(ts([5, 5]))
-        for replica in chain._replicas:
-            assert replica.num_events == 0
+    def test_clients_of_one_region_share_its_stats(self):
+        oracle = TimelineOracle()
+        stats = RegionStats()
+        first = RegionOracleClient(oracle, 0, stats)
+        second = RegionOracleClient(oracle, 0, stats)
+        first.order(A, B)
+        second.order(B, A)
+        second.order(A, C)
+        assert (stats.local_queries, stats.escalations) == (2, 1)
+        assert stats.oracle_messages == 3
+
+    def test_a_refused_escalation_decides_nothing(self):
+        oracle = TimelineOracle()
+        client = RegionOracleClient(oracle, 0)
+        with pytest.raises(OrderingError):
+            client.order(A, B, prefer=Ordering.EQUAL)
+        assert oracle.stats.decisions == 0
+        assert oracle.established_order(A, B) is None
+        assert client.order(A, B, prefer=Ordering.AFTER) is Ordering.AFTER
+
+    def test_region_metrics_name_each_region(self):
+        east, west = RegionStats(), RegionStats()
+        east.local_queries, east.escalations = 3, 1
+        west.escalations = 2
+        assert region_metrics([east, west]) == {
+            "region.0.local_queries": 3,
+            "region.0.escalations": 1,
+            "region.0.oracle_messages": 4,
+            "region.0.announce_messages": 0,
+            "region.1.local_queries": 0,
+            "region.1.escalations": 2,
+            "region.1.oracle_messages": 2,
+            "region.1.announce_messages": 0,
+        }
 
 
 # -- property-based: the oracle always yields a consistent total order ------

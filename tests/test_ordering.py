@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.oracle import TimelineOracle
-from repro.core.ordering import RefinableOrdering, make_oracle
+from repro.core.ordering import RefinableOrdering
 from repro.core.vclock import Ordering, VectorClock, VectorTimestamp
 
 
@@ -94,15 +94,6 @@ class TestRefinableOrdering:
     def test_earliest_of_no_heads_is_none(self):
         ordering = RefinableOrdering(TimelineOracle())
         assert ordering.earliest([]) is None
-
-
-class TestMakeOracle:
-    def test_single(self):
-        assert isinstance(make_oracle(1), TimelineOracle)
-
-    def test_chain(self):
-        oracle = make_oracle(3)
-        assert oracle.chain_length == 3
 
 
 @st.composite

@@ -23,6 +23,7 @@ import pytest
 
 from repro.cluster import wire
 from repro.cluster.process import ProcessWeaver
+from repro.core.vclock import Ordering, VectorTimestamp
 from repro.db import Weaver, WeaverConfig
 from repro.errors import ProgramError
 from repro.obs import assemble_chain
@@ -515,7 +516,7 @@ class TestTheOracleProcessKilled:
             assert referee_failed.value.channel == "oracle"
             after = db.metrics.snapshot()
             oracle = [name for name in before if name.startswith("oracle.")]
-            assert len(oracle) == 9
+            assert len(oracle) == 8
             assert {n: after[n] for n in oracle} == {
                 n: before[n] for n in oracle
             }
@@ -579,13 +580,105 @@ class TestAMalformedFrameOnAnOracleConnection:
             assert db._oracle_proc.is_alive()
 
 
-def test_an_oracle_chain_is_refused_by_name():
-    """One oracle process is what this deployment runs: a chain length
-    above one is refused, not run unreplicated."""
-    from repro.errors import ConfigError
+class TestAnOracleRequestRefused:
+    """ROADMAP 2's cell for a request the oracle refuses: a kind its
+    table does not hold, or an ``order`` it cannot decide, fails with a
+    ``TransportError`` on the ``oracle`` channel naming the refusal, and
+    the oracle answers the next GC and the next referee call."""
 
-    with pytest.raises(ConfigError, match=r"ROADMAP 15\(b\)"):
-        ProcessWeaver(WeaverConfig(oracle_chain_length=3))
+    # Concurrent, and in an epoch no gatekeeper reaches: no order is
+    # established between them, so ``order`` gets as far as ``prefer``.
+    A = VectorTimestamp(9, (1000, 0), 0)
+    B = VectorTimestamp(9, (0, 1000), 1)
+
+    @pytest.mark.parametrize(
+        "send, refusal",
+        [
+            pytest.param(
+                lambda oracle, a, b: oracle._call("query", (a, b)),
+                "unknown oracle request 'query'",
+                id="a-removed-kind",
+            ),
+            pytest.param(
+                lambda oracle, a, b: oracle.order(
+                    a, b, prefer=Ordering.EQUAL
+                ),
+                "OrderingError",
+                id="order-prefer-equal",
+            ),
+        ],
+    )
+    def test_it_fails_by_name_and_the_oracle_serves_on(self, send, refusal):
+        from repro.cluster.transport import TransportError
+        from repro.db import WeaverClient
+
+        config = WeaverConfig(
+            num_gatekeepers=2, num_shards=2, announce_every=10
+        )
+        with ProcessWeaver(config) as db:
+            client = WeaverClient(db)
+            client.create_vertex("a")
+            for i in range(6):
+                client.set_property("a", "k", i)
+            db.drain()
+            with pytest.raises(TransportError, match=refusal) as refused:
+                send(db.oracle, self.A, self.B)
+            assert refused.value.channel == "oracle"
+            assert db._oracle_proc.is_alive()
+            assert db.collect_garbage()["oracle"] > 0
+            assert decided_order(db.oracle)(self.A, self.B) is None
+            assert client.get_node("a")["properties"] == {"k": 5}
+
+
+class TestTheOracleProcessAnswersAsInProcess:
+    """Each kind the oracle process serves answers as a
+    :class:`TimelineOracle` fed the same requests, and its ``oracle.*``
+    counters move as that oracle's do."""
+
+    A = VectorTimestamp(0, (1, 0), 0)
+    B = VectorTimestamp(0, (0, 1), 1)
+    C = VectorTimestamp(0, (2, 0), 0)
+    D = VectorTimestamp(0, (0, 2), 1)
+
+    SCRIPTS = {
+        "a-decision": [("order", "AB")],
+        "prefer-after": [("order", "AB", Ordering.AFTER)],
+        "a-decided-pair-is-a-query": [("order", "AB"), ("order", "BA")],
+        "vector-clocks-decide": [("order", "AC", Ordering.AFTER)],
+        "transitive-through-a-decision": [("order", "BA"), ("order", "BC")],
+        "the-referee-counts-nothing": [
+            ("order", "AB"), ("established", "BA"), ("established", "CD"),
+        ],
+        "collect-below": [
+            ("order", "AB"), ("order", "CD"), ("collect", None),
+        ],
+    }
+
+    @pytest.mark.parametrize("script", list(SCRIPTS), ids=list(SCRIPTS))
+    def test_same_answers_same_counters(self, script):
+        from repro.core.oracle import TimelineOracle
+
+        local = TimelineOracle()
+        watermark = VectorTimestamp(0, (2, 1), 0)
+        with ProcessWeaver(WeaverConfig(num_gatekeepers=2)) as db:
+            before = db.metrics.snapshot()
+            for kind, pair, *prefer in self.SCRIPTS[script]:
+                if kind == "collect":
+                    answers = [o.collect_below(watermark)
+                               for o in (db.oracle, local)]
+                else:
+                    a, b = (getattr(self, name) for name in pair)
+                    method = {"order": "order",
+                              "established": "established_order"}[kind]
+                    answers = [getattr(o, method)(a, b, *prefer)
+                               for o in (db.oracle, local)]
+                assert answers[0] == answers[1]
+            after = db.metrics.snapshot()
+        moved = {
+            name: after[name] - before[name]
+            for name in before if name.startswith("oracle.")
+        }
+        assert moved == local.metrics()
 
 
 class TestLifecycleLeavesNothingBehind:

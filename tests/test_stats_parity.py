@@ -2,19 +2,14 @@
 
 Fig 14's oracle-message counts (and the τ controller that feeds on
 them) are only honest if ``OracleStats.messages`` moves by exactly one
-per client request — no double-charging a decision as a query, no
-per-replica fan-in on the chain.  These tests pin that contract, the
-single-vs-replicated parity it implies, and the stable metric-name
-surface of the registry.
+per client request — no double-charging a decision as a query.  These
+tests pin that contract and the stable metric-name surface of the
+registry.
 """
 
 import pytest
 
-from repro.core.oracle import (
-    Ordering,
-    ReplicatedOracle,
-    TimelineOracle,
-)
+from repro.core.oracle import Ordering, RegionOracleClient, TimelineOracle
 from repro.core.vclock import VectorTimestamp
 from repro.db import Weaver, WeaverClient, WeaverConfig
 from repro.obs import assemble_chain
@@ -66,35 +61,17 @@ class TestOneRequestOneMessage:
         assert stats.queries == 2
         assert stats.messages == 7
 
-
-class TestReplicatedParity:
-    def test_client_visible_stats_match_single(self):
-        single = drive(TimelineOracle())
-        chained = drive(ReplicatedOracle(chain_length=3))
-        for field in ("queries", "decisions", "events_created", "messages"):
-            assert getattr(chained, field) == getattr(single, field), field
-
-    def test_update_fanout_tracked_separately(self):
-        oracle = ReplicatedOracle(chain_length=3)
-        drive(oracle)
-        # Six potentially-mutating requests (3 creates + 3 order calls —
-        # order always walks the chain since it may decide) fan out to
-        # all three replicas; the pure query_order read is served by one
-        # reader and fans out to none.
-        assert oracle.update_messages == 6 * 3
-        assert oracle.stats.messages == 7
-
-    def test_parity_survives_head_failure(self):
-        oracle = ReplicatedOracle(chain_length=3)
-        a, b = ts([1, 0], 0), ts([0, 1], 1)
-        oracle.create_event(a)
-        oracle.create_event(b)
-        oracle.order(a, b)
-        oracle.fail_replica(0)
-        assert oracle.order(a, b) is Ordering.BEFORE
-        # The new head inherited identical state: the re-ask is a query.
-        assert oracle.stats.queries == 1
-        assert oracle.stats.decisions == 1
+    def test_a_region_client_counts_what_the_oracle_would(self):
+        # Fed the same order requests, a region's local answers plus
+        # escalations equal the messages a bare oracle counts: the sum
+        # a per-region tau controller reads is one per request too.
+        a, b, c, d = ts([1, 0], 0), ts([0, 1], 1), ts([2, 0], 0), ts([0, 2], 1)
+        script = [(a, b), (b, a), (a, c), (c, d), (d, c), (b, c)]
+        bare = TimelineOracle()
+        client = RegionOracleClient(TimelineOracle(), 0)
+        for x, y in script:
+            assert client.order(x, y) is bare.order(x, y)
+        assert client.stats.oracle_messages == bare.stats.messages == 6
 
 
 class TestDecidedPairsAsEdges:
@@ -147,7 +124,6 @@ GOLDEN_DIRECT_METRICS = frozenset({
     "oracle.events_created",
     "oracle.messages",
     "oracle.queries",
-    "oracle.update_messages",
     "ordering.deadline_fallback",
     "ordering.deadline_fastpath",
     "ordering.proactive",
@@ -280,7 +256,7 @@ class TestTraceChainUnderChaos:
         assert 0 < report.tx_latency["p50"] <= report.tx_latency["p99"]
 
     def test_tau_controller_feeds_on_head_stats(self, report):
-        # oracle_messages() must read the replicated head, not a replica
+        # oracle_messages() must read the oracle's own stats, not an
         # object that double- or under-counts (the TauController call
         # site regression).
         assert report.metrics["oracle.messages"] > 0
