@@ -14,7 +14,8 @@ GraphLab, Blockchain.info) are cost models on the simulator's
 ``Server`` and a ``LockTable``; Titan's Fig 9 run is driven by the same
 ``SimClients``.  A7's epoch-snapshot lag is arithmetic (interval / 2).
 Fig 9's reactively-ordered fraction is the share of the twin's shard
-compares that reached the oracle.
+compares that reached the oracle.  Fig 14 and A5 count the messages of
+an uncosted twin.
 
 Scales default to laptop-sized datasets; every function takes explicit
 size parameters so the suites can run fast under pytest while remaining
@@ -30,9 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.graphlab import GraphLab
 from ..baselines.titan import TitanGraph
-from ..core.gatekeeper import Gatekeeper, sync_announce_all
-from ..core.ordering import RefinableOrdering
-from ..core.oracle import TimelineOracle
 from ..db import operations as ops
 from ..db.client import WeaverClient
 from ..db.config import WeaverConfig
@@ -41,16 +39,12 @@ from ..errors import NoSuchEdge, NoSuchVertex, TransactionAborted
 from ..obs.metrics import Histogram
 from ..programs import library
 from ..sim.clock import MSEC, USEC
-from ..sim.deployment import SimulatedWeaver
+from ..sim.deployment import SimulatedWeaver, TauController
+from ..sim.faults import FaultPlan
 from ..sim.workload import SimClients, finite_stream
 from ..workloads import bitcoin, graphs
 from ..workloads.tao import TaoWorkload
 from .costmodel import CostParams
-
-# The twin's announce period τ in every figure: the value the
-# service-cost tests ran with before any figure's shape was measured on
-# the twin.  Heartbeats ride each fresh read stamp, so no NOP period.
-TWIN_TAU = 200 * USEC
 
 _TAO_READS = {
     "get_node": library.GetNode,
@@ -79,7 +73,6 @@ def _twin(
     commit latencies are cleared."""
     twin = SimulatedWeaver(
         WeaverConfig(num_gatekeepers=num_gatekeepers, num_shards=num_shards),
-        tau=TWIN_TAU,
         latency=costs.net_latency,
         costs=costs,
     )
@@ -536,61 +529,53 @@ def experiment_fig13(
 
 
 # ---------------------------------------------------------------------------
-# Figure 14: coordination overhead vs announce period tau
+# Figure 14: coordination overhead vs announce cadence
 # ---------------------------------------------------------------------------
 
-def experiment_fig14(
-    taus: Sequence[float] = (
-        10 * USEC, 100 * USEC, 1 * MSEC, 10 * MSEC, 100 * MSEC, 1.0
-    ),
+def fig14_point(
+    announce_every: int,
     num_gatekeepers: int = 3,
-    num_txs: int = 2_000,
-    arrival_rate: float = 10_000.0,
-    seed: int = 3,
-) -> Rows:
-    """Announce vs oracle messages per query as τ sweeps (Fig 14).
+    num_txs: int = 300,
+    gap: float = 500 * USEC,
+    fault_plan: Optional[FaultPlan] = None,
+) -> Tuple[int, float, float]:
+    """One Fig 14 point on the twin: ``num_txs`` single-vertex creates,
+    one every ``gap`` simulated seconds, with an announce round every
+    ``announce_every`` commits; returns (cadence, announce messages per
+    transaction, oracle messages per transaction).  Shards order their
+    queue heads before they apply, so oracle messages are whatever the
+    oracle had to serve."""
+    twin = SimulatedWeaver(
+        WeaverConfig(
+            num_gatekeepers=num_gatekeepers, num_shards=2,
+            announce_every=announce_every,
+        ),
+        fault_plan=fault_plan,
+    )
+    for i in range(num_txs):
+        twin.submit_transaction([ops.CreateVertex(f"v{i}")])
+        twin.run(gap)
+    twin.run(5 * MSEC)
+    return (
+        announce_every,
+        twin.announce_messages() / num_txs,
+        twin.oracle_messages() / num_txs,
+    )
 
-    Fully functional: transactions arrive Poisson at the gatekeeper
-    bank, clocks announce every τ simulated seconds, and consecutive
-    transaction pairs (the conservative same-shard rule of section 3.4)
-    are ordered through a real RefinableOrdering — oracle messages are
-    whatever the oracle actually had to serve.
-    """
+
+def experiment_fig14(
+    cadences: Sequence[int] = (1, 2, 4, 8, 16, 64),
+    num_gatekeepers: int = 3,
+    num_txs: int = 300,
+    gap: float = 500 * USEC,
+) -> Rows:
+    """Announce vs oracle messages per transaction as the announce
+    cadence sweeps (Fig 14), on the twin; the last row's cadence is one
+    larger than the run, so it never announces."""
     result = Rows()
-    rng = random.Random(seed)
-    for tau in taus:
-        gatekeepers = [
-            Gatekeeper(i, num_gatekeepers) for i in range(num_gatekeepers)
-        ]
-        announces = 0
-        now = 0.0
-        next_announce = tau
-        stamps = []
-        for _ in range(num_txs):
-            now += rng.expovariate(arrival_rate)
-            while now >= next_announce:
-                sync_announce_all(gatekeepers)
-                announces += num_gatekeepers * (num_gatekeepers - 1)
-                next_announce += tau
-            gk = gatekeepers[rng.randrange(num_gatekeepers)]
-            stamps.append(gk.issue_timestamp())
-        oracle = TimelineOracle()
-        ordering = RefinableOrdering(oracle)
-        for i, (a, b) in enumerate(zip(stamps, stamps[1:])):
-            ordering.compare(a, b)
-            # Garbage-collect settled events (section 4.5): only the
-            # recent window can still be queried (the workload orders
-            # adjacent arrivals), so older events leave the DAG exactly
-            # as Weaver's watermark GC would retire them.
-            if i % 200 == 199:
-                for old in stamps[max(0, i - 399):i - 199]:
-                    oracle.graph.remove_event(old)
+    for announce_every in tuple(cadences) + (num_txs + 1,):
         result.rows_data.append(
-            (
-                tau,
-                announces / num_txs,
-                oracle.stats.messages / num_txs,
-            )
+            fig14_point(announce_every, num_gatekeepers, num_txs, gap)
         )
     return result
 
@@ -792,28 +777,25 @@ def ablation_store_chains(
 
 @dataclass
 class AdaptiveTauResult:
-    start_tau: float
-    final_tau: float
-    trajectory: List[float] = field(default_factory=list)
+    start: int
+    final: int
+    trajectory: List[int] = field(default_factory=list)
 
 
 def ablation_adaptive_tau(
-    start_tau: float,
-    bounds: Tuple[float, float] = (50 * USEC, 8 * MSEC),
+    start: int,
+    bounds: Tuple[int, int] = (1, 64),
     windows: int = 24,
     txs_per_window: int = 20,
 ) -> AdaptiveTauResult:
     """A5: the section 3.5 dynamic-τ controller, end to end.
 
-    Runs the event-driven deployment under a steady write load with the
-    feedback controller enabled; records the τ trajectory from the given
-    starting point.  Started at either extreme it should move toward the
-    Fig 14 crossover region.
+    Runs the twin under a steady write load with the feedback
+    controller moving its announce cadence (commits per round); records
+    the cadence trajectory from the given starting point.  Started at
+    either extreme it should move toward the Fig 14 minimum.
     """
-    from ..db import operations as ops
-    from ..sim.deployment import SimulatedWeaver, TauController
-
-    controller = TauController(start_tau, bounds=bounds)
+    controller = TauController(start, bounds=bounds)
     sw = SimulatedWeaver(
         WeaverConfig(num_gatekeepers=3, num_shards=2),
         tau_controller=controller,
@@ -827,8 +809,7 @@ def ablation_adaptive_tau(
             sw.submit_transaction([ops.CreateVertex(handle)])
         sw.run(sw.adapt_window)
     return AdaptiveTauResult(
-        start_tau=start_tau,
-        final_tau=sw.tau,
-        trajectory=[tau for tau, _ in controller.adjustments],
+        start=start,
+        final=sw.announce_every,
+        trajectory=[int(k) for k, _ in controller.adjustments],
     )
-

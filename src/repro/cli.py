@@ -175,8 +175,10 @@ def _cmd_simulate(args) -> int:
     from .sim.deployment import SimulatedWeaver
 
     sw = SimulatedWeaver(
-        WeaverConfig(num_gatekeepers=args.gatekeepers, num_shards=args.shards),
-        tau=args.tau * USEC,
+        WeaverConfig(
+            num_gatekeepers=args.gatekeepers, num_shards=args.shards,
+            announce_every=args.announce,
+        ),
         heartbeat_period=5 * MSEC,
     )
     for i in range(args.writes):
@@ -298,17 +300,17 @@ def _cmd_soak(args) -> int:
 
 
 def _cmd_geo(args) -> int:
-    """Geo sweep: deadline fast path vs oracle-only baseline per tau."""
+    """Geo sweep: deadline fast path vs oracle-only baseline per announce
+    cadence."""
     import json
     import pathlib
 
-    from .sim.clock import MSEC, USEC
+    from .sim.clock import MSEC
     from .workloads.geo import geo_sweep
 
-    taus = [t * USEC for t in args.taus] if args.taus else None
     result = geo_sweep(
         seed=args.seed,
-        taus=taus,
+        cadences=args.announce or None,
         num_regions=args.regions,
         duration=args.duration * MSEC,
     )
@@ -316,7 +318,7 @@ def _cmd_geo(args) -> int:
     for point in result["points"]:
         fast, base = point["fastpath"], point["baseline"]
         rows.append((
-            f"{point['tau'] * 1e6:g}",
+            point["announce_every"],
             base["oracle_calls"],
             fast["oracle_calls"],
             f"{point['oracle_reduction']:.1f}x",
@@ -327,7 +329,7 @@ def _cmd_geo(args) -> int:
     print(format_table(
         f"Geo sweep: {args.regions} regions, seed {result['seed']} "
         "(oracle calls, baseline vs deadline fast path)",
-        ["tau (us)", "oracle base", "oracle fast", "reduction",
+        ["commits/announce", "oracle base", "oracle fast", "reduction",
          "fastpath wins", "p99 base (ms)", "p99 fast (ms)"],
         rows,
     ))
@@ -486,10 +488,9 @@ def _run_figure(harness, figure: str) -> None:
     elif figure == "fig14":
         result = harness.experiment_fig14()
         print(format_table(
-            "Fig 14: coordination overhead vs tau",
-            ["tau (s)", "announce/query", "oracle/query"],
-            [(f"{tau:g}", round(a, 4), round(o, 4))
-             for tau, a, o in result.rows()],
+            "Fig 14: coordination overhead vs announce cadence (twin)",
+            ["commits/announce", "announce/tx", "oracle/tx"],
+            [(k, round(a, 4), round(o, 4)) for k, a, o in result.rows()],
         ))
     else:
         raise ValueError(f"unknown figure {figure!r}")
@@ -593,10 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="regions = gatekeepers = shards (2 or 3)")
     geo.add_argument("--duration", type=float, default=40.0,
                      help="simulated horizon per run, milliseconds")
-    geo.add_argument("--taus", type=float, nargs="*", default=None,
-                     metavar="USEC",
-                     help="tau values in microseconds "
-                          "(default: 50 200 800)")
+    geo.add_argument("--announce", type=int, nargs="*", default=None,
+                     metavar="COMMITS",
+                     help="commits per announce round, one run pair "
+                          "each (default: 1 4 16)")
     geo.add_argument("--output", default=None,
                      help="write the JSON-ready sweep here "
                           "(e.g. BENCH_geo.json)")
@@ -614,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--gatekeepers", type=int, default=2)
     simulate.add_argument("--shards", type=int, default=2)
-    simulate.add_argument("--tau", type=float, default=200,
-                          help="announce period in microseconds")
+    simulate.add_argument("--announce", type=int, default=1,
+                          help="commits per announce round")
     simulate.add_argument("--writes", type=int, default=20)
     simulate.set_defaults(func=_cmd_simulate)
     return parser

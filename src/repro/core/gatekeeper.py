@@ -13,9 +13,9 @@ A gatekeeper does three things:
    transaction touches, and our stamp does not dominate it, the commit
    aborts and the client retries (picking up a fresh, higher stamp).
 
-The gatekeeper is transport-agnostic: the database layer wires announces
-through the simulated network (and schedules them every τ), or exchanges
-them synchronously in direct mode.
+The gatekeeper is transport-agnostic: the database layer runs an
+announce round every ``announce_every`` commits, through the simulated
+network on the twin, synchronously on a coordinator.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def _deadline_floor(lasts) -> Optional[float]:
 def sync_announce_all(gatekeepers) -> None:
     """Synchronously exchange announces among all gatekeepers.
 
-    The direct-mode equivalent of one τ round: after this call every
+    A coordinator's announce round: after this call every
     gatekeeper's vector dominates every timestamp issued before the call,
     so all earlier stamps order proactively against all later ones.
     """

@@ -440,9 +440,10 @@ class RegionStats:
     oracle's own accounting never sees (``established_order`` never
     counts).  ``escalations`` reached the oracle as requests.
     ``oracle_messages`` (exported per region as
-    ``region.<r>.oracle_messages``) is their sum, and the quantity a
-    per-region tau controller must be fed; feeding it the oracle's stats
-    alone undercounts by exactly ``local_queries``.
+    ``region.<r>.oracle_messages``) is their sum; the twin's one
+    :class:`~repro.sim.deployment.TauController` is fed the oracle's
+    count plus every region's ``local_queries``, because the oracle's
+    stats alone undercount by exactly those.
     """
 
     def __init__(self) -> None:

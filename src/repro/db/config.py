@@ -14,8 +14,8 @@ class WeaverConfig:
     Attributes:
         num_gatekeepers: size of the gatekeeper bank (Fig 12's axis).
         num_shards: number of graph partitions (Fig 13's axis).
-        announce_every: commits between synchronous vector-clock announce
-            rounds — the direct-mode analogue of the paper's τ.  1 keeps
+        announce_every: commits between vector-clock announce rounds,
+            on every deployment — this reproduction's τ.  1 keeps
             clocks tight (almost everything orders proactively); larger
             values push more pairs to the timeline oracle, which is the
             tradeoff Fig 14 sweeps.
@@ -46,8 +46,8 @@ class WeaverConfig:
         num_regions: geo-distributed regions.  1 (the default) is the
             classic single-cluster deployment; >1 spreads the gatekeeper
             bank round-robin across regions and (in the simulator)
-            enables region-aware announce phases, per-region tau
-            controllers, and Tiga-style deadline stamping.  Cannot
+            enables per-region heartbeat chains, region coordination
+            counters, and Tiga-style deadline stamping.  Cannot
             exceed num_gatekeepers (every region needs a gatekeeper).
     """
 

@@ -6,15 +6,16 @@ deployments differ — whether anything may wait:
 
 * :class:`WritePath` — the clock-free part: place new vertices →
   gatekeeper stamp and backing-store commit → per-(gatekeeper, shard)
-  FIFO enqueue with sequence numbers and one global send rank; every
-  read's decision (cache, stamp choice, watermarks) and readiness rule
+  FIFO enqueue with sequence numbers and one global send rank; one
+  announce round every ``announce_every`` commits; every read's
+  decision (cache, stamp choice, watermarks) and readiness rule
   (one heartbeat round per fresh stamp: NOPs so every queue is
   non-empty → a one-way ``advance_to``, which the shard checks for
   itself); the two ends of a shard-resident program; and the oracle +
   store tail every GC pass ends with.  It only ever calls
   ``transport.send``, so every deployment inherits it.
 * :class:`Coordinator` (a ``WritePath``) — everything that blocks:
-  ``begin_transaction``, synchronous announces and drain pacing by
+  ``begin_transaction``, synchronous announce rounds, drain pacing by
   commit count, ``run_program``'s execution, drain, checkpoint and the
   GC fan-out.  It reaches shards only through the
   :class:`~repro.cluster.transport.Transport` contract (``send`` for
@@ -29,14 +30,14 @@ deployments differ — whether anything may wait:
 * :class:`~repro.cluster.process.ProcessWeaver` — the same coordinator
   over a ``ProcessTransport`` to forked shard workers.
 
-Both coordinators execute the protocol synchronously — announce rounds
-every ``announce_every`` commits play the role of the τ timer.  NOP
-heartbeats ride each fresh read stamp instead of the paper's 10 µs
-timer, on every deployment: a read at or before the last round's stamp
-sends nothing.  The discrete-event
+On every deployment an announce round every ``announce_every`` commits
+plays the role of the τ timer, and NOP heartbeats ride each fresh read
+stamp instead of the paper's 10 µs timer: a read at or before the last
+round's stamp sends nothing.  The discrete-event
 :class:`~repro.sim.deployment.SimulatedWeaver` is a ``WritePath`` over
-a ``SimTransport``: the same commit, channel stamping, read decision,
-readiness rule and shard endpoint; only how its NOPs travel is its own.
+a ``SimTransport``: the same commit, announce cadence, channel
+stamping, read decision, readiness rule and shard endpoint; only how
+its announce rounds and NOPs travel is its own.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class WritePath:
     """The clock-free write path of section 4.2: gatekeeper stamp →
     backing-store commit → per-(gatekeeper, shard) FIFO enqueue.
 
-    Nothing here blocks, waits for a reply or decides *when* gatekeepers
-    announce, so the blocking :class:`Coordinator` and the discrete-event
-    :class:`~repro.sim.deployment.SimulatedWeaver` both inherit it.
+    Nothing here blocks or waits for a reply, so the blocking
+    :class:`Coordinator` and the discrete-event
+    :class:`~repro.sim.deployment.SimulatedWeaver` both inherit it; each
+    says only how an announce round travels (:meth:`_announce`).
     """
 
     def __init__(self, parts: ClusterParts, transport: Transport):
@@ -122,6 +124,10 @@ class WritePath:
             self.metrics.absorb("program.cache", lambda: cache)
         self.watermarks = WatermarkRegistry(cmp=lambda a, b: a.compare(b))
         self.programs_run = 0
+        # Commits between announce rounds (the twin's τ controller may
+        # move it), and the commits so far.
+        self.announce_every = cfg.announce_every
+        self._commits = 0
         # The last fresh stamp and the commit attempts it was chosen
         # after (None once retired); the attempts the last announce
         # round covers.
@@ -160,6 +166,10 @@ class WritePath:
         )
         self._forward_to_shards(gk.index, ts, tx)
         self._on_commit(tx, placed)
+        # Commit counts stand in for the τ timer.
+        self._commits += 1
+        if self._commits % self.announce_every == 0:
+            self._announce()
         return ts
 
     def _on_commit(self, tx: Transaction, placed: Dict[str, int]) -> None:
@@ -487,7 +497,10 @@ class WritePath:
         return stamp
 
     def _announce(self) -> None:
-        """Nothing to send: the twin's τ timers announce."""
+        """One announce round from every gatekeeper to every peer,
+        covering every commit attempted so far; each deployment says how
+        it travels."""
+        raise NotImplementedError
 
     # -- garbage collection (section 4.5) -----------------------------------
 
@@ -517,7 +530,6 @@ class Coordinator(WritePath):
 
     def __init__(self, parts: ClusterParts, transport: Transport):
         super().__init__(parts, transport)
-        self._commits = 0
         self._commits_since_drain = 0
 
     # -- shards, by name ------------------------------------------------
@@ -550,11 +562,8 @@ class Coordinator(WritePath):
         return tx
 
     def _commit_transaction(self, tx: Transaction) -> VectorTimestamp:
-        # Commit counts stand in for the τ timer and the apply loop.
+        # Commit counts stand in for the apply loop.
         ts = super()._commit_transaction(tx)
-        self._commits += 1
-        if self._commits % self.config.announce_every == 0:
-            self._announce()
         self._commits_since_drain += 1
         if self._commits_since_drain >= DRAIN_EVERY:
             self.drain()
@@ -573,8 +582,7 @@ class Coordinator(WritePath):
     # -- queue pumping -----------------------------------------------------
 
     def _announce(self) -> None:
-        """One synchronous announce round, covering every commit
-        attempted so far."""
+        """One synchronous announce round."""
         sync_announce_all(self.gatekeepers)
         self._announced_attempt = self.changes.attempts
 

@@ -1,18 +1,17 @@
 """An event-driven Weaver deployment on the discrete-event simulator.
 
-The direct-mode :class:`~repro.db.database.Weaver` executes the protocol
-synchronously (announce rounds stand in for the τ timer).  This module
-runs the *same server objects* — gatekeepers, shard servers, the
+This module runs the *same server objects* as the direct-mode
+:class:`~repro.db.database.Weaver` — gatekeepers, shard servers, the
 timeline oracle, the backing store — and the *same write path*
 (:class:`~repro.db.database.WritePath`: place, commit, stamp the FIFO
-channels; shards receive through
-:class:`~repro.cluster.worker.ShardEndpoint`) and the *same program
-engine* (:class:`~repro.cluster.worker.ResidentEngine`, one per shard,
-hosted by :class:`_ShardHost`) asynchronously over the simulated
+channels, announce every ``announce_every`` commits; shards receive
+through :class:`~repro.cluster.worker.ShardEndpoint`) and the *same
+program engine* (:class:`~repro.cluster.worker.ResidentEngine`, one per
+shard, hosted by :class:`_ShardHost`) asynchronously over the simulated
 network:
 
-* announce timers fire every ``tau`` simulated seconds per gatekeeper,
-  and announce messages pay network latency like everything else;
+* an announce round is one message from every live gatekeeper to every
+  live peer, and pays network latency like everything else;
 * transactions travel client -> gatekeeper -> (store commit) -> shards
   on FIFO channels with sequence numbers;
 * node programs take the coordinators' read decision and readiness
@@ -25,16 +24,17 @@ network:
 * heartbeats flow to the cluster manager, whose failure detector runs
   on simulated time.
 
-The simulator's own is what fires on simulated time: the τ / heartbeat
-/ detector / GC timers, service-time charging, fault hooks,
-:class:`TauController`, the deadline-delayed commit ack, how a round's
-NOPs travel (:meth:`SimulatedWeaver._send_nops`) and the engine host's
-parked messages (a program message that outran its round's NOPs waits
-at its shard).
+The simulator's own is what fires on simulated time: the heartbeat /
+detector / GC timers, service-time charging, fault hooks,
+:class:`TauController`, the deadline-delayed commit ack, how an
+announce round and a heartbeat round's NOPs travel
+(:meth:`SimulatedWeaver._announce`, :meth:`SimulatedWeaver._send_nops`)
+and the engine host's parked messages (a program message that outran
+its round's NOPs waits at its shard).
 
 This is the substrate for protocol-fidelity experiments: the Fig 14
-tradeoff emerges here from actual timers rather than from a modelling
-shortcut.
+tradeoff emerges here from announce rounds that travel, not from a
+modelling shortcut.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .faults import FaultInjector, FaultPlan, GATEKEEPER
 from .network import Network, RegionTopology
 from .simulator import Server, Simulator
 
-DEFAULT_TAU = 100 * USEC
 DEFAULT_HEARTBEAT = 0.1
 # Clock-skew bound of the deadline fast path.  The simulator's clock is
 # perfectly synchronized, so any positive bound is sound; 5 µs models a
@@ -84,7 +83,9 @@ class TauController:
     proactively); when announces exceed oracle traffic by more than
     ``balance_ratio``, τ grows (the oracle is nearly idle; stop paying
     for announces).  Adjustments are multiplicative within ``bounds``,
-    seeking Fig 14's crossover region.
+    seeking Fig 14's crossover region.  τ has whatever unit the caller
+    gives it: the twin feeds it its ``announce_every``, commits per
+    round.
     """
 
     def __init__(
@@ -275,7 +276,6 @@ class SimulatedWeaver(WritePath):
     def __init__(
         self,
         config: Optional[WeaverConfig] = None,
-        tau: float = DEFAULT_TAU,
         heartbeat_period: float = DEFAULT_HEARTBEAT,
         latency: float = 100 * USEC,
         gc_period: float = 0.01,
@@ -287,7 +287,8 @@ class SimulatedWeaver(WritePath):
         rng=None,
     ):
         config = config or WeaverConfig()
-        self.tau = tau_controller.tau if tau_controller is not None else tau
+        if tau_controller is not None and tau_controller.bounds[0] < 1:
+            raise ValueError("an announce round covers at least one commit")
         self.heartbeat_period = heartbeat_period
         self.gc_period = gc_period
         self.tau_controller = tau_controller
@@ -328,6 +329,8 @@ class SimulatedWeaver(WritePath):
             use_store_nodes=False,
         )
         super().__init__(parts, transport)
+        if tau_controller is not None:
+            self.announce_every = int(tau_controller.tau)
         self.metrics.absorb("transport", lambda: transport.stats)
         # The engines' counters, summed under the names the process
         # deployment exports for its workers.
@@ -456,22 +459,7 @@ class SimulatedWeaver(WritePath):
         ]
 
     def _start_timers(self) -> None:
-        # Stagger announce timers within each region: real servers'
-        # clocks are not phase-aligned, and regions announce
-        # independently.
-        regions: Dict[int, List[int]] = {}
         for gk in self.gatekeepers:
-            regions.setdefault(self._region(gk.name), []).append(gk.index)
-        announce_phase = {
-            gk_index: (pos + 1) / len(members)
-            for members in regions.values()
-            for pos, gk_index in enumerate(members)
-        }
-        for gk in self.gatekeepers:
-            self.simulator.schedule(
-                self.tau * announce_phase[gk.index],
-                self._announce_tick, gk.index,
-            )
             self.simulator.schedule(
                 self.heartbeat_period, self._heartbeat_tick, gk.name
             )
@@ -496,41 +484,42 @@ class SimulatedWeaver(WritePath):
             self.simulator.schedule(self.adapt_window, self._adapt_tick)
 
     def _adapt_tick(self) -> None:
-        """One feedback-control window of the adaptive τ (section 3.5)."""
+        """One feedback-control window of the adaptive τ (section 3.5):
+        the controller's τ is the announce cadence."""
         oracle_now = self.oracle_messages()
         announce_now = self.announce_messages()
         committed_now = self.committed
         base_oracle, base_announce, base_committed = self._window_base
-        self.tau = self.tau_controller.observe(
+        self.announce_every = int(self.tau_controller.observe(
             oracle_now - base_oracle,
             announce_now - base_announce,
             committed_now - base_committed,
-        )
+        ))
         self._window_base = (oracle_now, announce_now, committed_now)
         self.simulator.schedule(self.adapt_window, self._adapt_tick)
 
-    def _announce_tick(self, gk_index: int) -> None:
-        gk = self.gatekeepers[gk_index]
-        if gk.name in self._crashed:
-            return  # dead servers announce nothing; timer lapses
-        vector = gk.make_announce()
-        epoch = gk.clock.epoch
-        announce = AnnounceMessage(gk_index, vector)
-        # Geo: piggyback the announcer's latest deadline, the Lamport
-        # carrier that keeps deadlines increasing along happens-before
-        # edges (every vector-clock edge is announce-mediated here).
-        deadline = (
-            gk.deadline_stamper.last
-            if gk.deadline_stamper is not None
-            else None
-        )
-        for peer in self.gatekeepers:
-            if peer.index == gk_index or peer.name in self._crashed:
-                continue
-            self.transport.send(
-                gk.name, peer.name, "announce", (announce, epoch, deadline)
+    def _announce(self) -> None:
+        """How an announce round travels on simulated time: one
+        ``announce`` message from every live gatekeeper to every live
+        peer, covering every commit attempted so far.  Geo: each carries
+        its sender's latest deadline, the Lamport carrier that keeps
+        deadlines increasing along happens-before edges (every
+        vector-clock edge is announce-mediated here)."""
+        live = self._live_gatekeepers()
+        for gk in live:
+            announce = AnnounceMessage(gk.index, gk.make_announce())
+            deadline = (
+                gk.deadline_stamper.last
+                if gk.deadline_stamper is not None
+                else None
             )
-        self.simulator.schedule(self.tau, self._announce_tick, gk_index)
+            for peer in live:
+                if peer is not gk:
+                    self.transport.send(
+                        gk.name, peer.name, "announce",
+                        (announce, gk.clock.epoch, deadline),
+                    )
+        self._announced_attempt = self.changes.attempts
 
     def _deliver_announce(
         self, peer_index: int, epoch: int, vector, deadline=None
@@ -734,8 +723,6 @@ class SimulatedWeaver(WritePath):
         self.simulator.schedule(
             self.heartbeat_period, self._heartbeat_tick, name
         )
-        if name.startswith("gk"):
-            self.simulator.schedule(self.tau, self._announce_tick, index)
 
     # -- client operations ---------------------------------------------
 
@@ -970,11 +957,9 @@ class SimulatedWeaver(WritePath):
 
     # -- driving -------------------------------------------------------
 
-    @property
-    def timer_period(self) -> float:
-        """The announce period: the step at which drivers check whether
-        what they wait for has happened."""
-        return self.tau
+    #: The step at which drivers check whether what they wait for has
+    #: happened.
+    timer_period = 200 * USEC
 
     def run(self, duration: float) -> None:
         """Advance simulated time by ``duration`` seconds."""
@@ -999,7 +984,7 @@ class SimulatedWeaver(WritePath):
             "sim.aborted": self.aborted,
             "sim.recoveries": self.recoveries,
             "sim.stragglers_dropped": self.stragglers_dropped,
-            "sim.tau": self.tau,
+            "sim.announce_every": self.announce_every,
         }
 
     @property

@@ -128,7 +128,7 @@ class NetworkStats:
         # even though it is delivered after a retransmit delay.
         self.faults: Dict[str, int] = defaultdict(int)
         # Per-(src region, kind) counts — populated only when the network
-        # has a RegionTopology, and read by the per-region TauControllers.
+        # has a RegionTopology, and read by region.<r>.announce_messages.
         self.region_sent: Dict[Tuple[int, str], int] = defaultdict(int)
 
     def record(self, kind: str) -> None:

@@ -286,7 +286,6 @@ def run_chaos(
     plan: Optional[FaultPlan] = None,
     heartbeat_period: float = 2 * MSEC,
     drain: float = 80 * MSEC,
-    tau: float = 100 * USEC,
 ) -> ChaosReport:
     """One seeded chaos run; returns the checked :class:`ChaosReport`.
 
@@ -303,7 +302,6 @@ def run_chaos(
         )
     sim = SimulatedWeaver(
         config=config,
-        tau=tau,
         heartbeat_period=heartbeat_period,
         # One GC pass well after the horizon: mid-run collection would
         # only shrink what the checker can decide, not break it, but
@@ -500,7 +498,6 @@ def run_soak(
             )
             sim = SimulatedWeaver(
                 config=config,
-                tau=100 * USEC,
                 heartbeat_period=2 * MSEC,
                 # Live GC: the watermark advances twice per chunk, which
                 # is the whole point — the referee must keep up with it.

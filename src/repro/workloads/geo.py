@@ -6,14 +6,14 @@ Zipf write/read mix whose multi-vertex transactions routinely straddle
 regions, and measures what the paper's Fig 14 measures — coordination
 per transaction — in the geo shape: how often ordering had to call the
 timeline oracle, and what the commit latency looked like, as functions
-of the announce period tau.
+of the announce cadence (commits per announce round).
 
 The deadline fast path (Tiga-style: every geo stamp carries a future
 deadline synthesized from the synchronized clock plus the issuing
 region's measured one-way reach, and concurrent stamps whose deadlines
 differ by more than the clock-skew bound order without any oracle call)
 can be switched off per run, so :func:`geo_sweep` produces matched
-fastpath/oracle-only pairs at equal tau — the comparison recorded in
+fastpath/oracle-only pairs at equal cadence — the comparison recorded in
 ``BENCH_geo.json``.
 
 Every run is refereed the way the chaos runs are: the same
@@ -88,7 +88,7 @@ class GeoReport:
 
     seed: int
     num_regions: int
-    tau: float
+    announce_every: int
     fastpath: bool
     duration: float
     committed: int = 0
@@ -123,7 +123,6 @@ class GeoReport:
 def run_geo(
     seed: int,
     num_regions: int = 3,
-    tau: float = 100 * USEC,
     duration: float = 40 * MSEC,
     num_vertices: int = 12,
     skew: float = 0.8,
@@ -137,7 +136,7 @@ def run_geo(
 ) -> GeoReport:
     """One seeded geo run; returns the checked :class:`GeoReport`.
 
-    ``fastpath=False`` is the oracle-only baseline at equal tau: the
+    ``fastpath=False`` is the oracle-only baseline at equal cadence: the
     deployment is identical (same topology, same deadline stamps, same
     deadline-delayed commit acks), but every shard's ordering runs with
     ``skew_bound=None`` so concurrent comparisons go to the vector
@@ -151,7 +150,6 @@ def run_geo(
     topology = topology or default_geo_topology(num_regions)
     sim = SimulatedWeaver(
         config=config,
-        tau=tau,
         heartbeat_period=4 * MSEC,
         gc_period=10 * duration + drain,
         fault_plan=plan,
@@ -164,8 +162,9 @@ def run_geo(
     history = History()
     history.attach(sim.tracer)
     report = GeoReport(
-        seed=seed, num_regions=num_regions, tau=tau,
-        fastpath=fastpath, duration=duration,
+        seed=seed, num_regions=num_regions,
+        announce_every=config.announce_every, fastpath=fastpath,
+        duration=duration,
     )
     client = SimClient(sim, report, num_vertices, skew, seed)
 
@@ -198,30 +197,35 @@ def run_geo(
 
 def geo_sweep(
     seed: int = 7,
-    taus: Optional[List[float]] = None,
+    cadences: Optional[List[int]] = None,
     num_regions: int = 3,
     duration: float = 40 * MSEC,
     **kwargs,
 ) -> dict:
-    """Matched fastpath/oracle-only runs per tau — ``BENCH_geo.json``.
+    """Matched fastpath/oracle-only runs per announce cadence —
+    ``BENCH_geo.json``.
 
-    Each tau gets two runs differing only in the ordering's deadline
-    fast path.  The returned dict is JSON-ready; ``consistent`` must be
-    True on every point (the referee's verdict), and the acceptance
-    claim lives in ``oracle_reduction`` (baseline calls / fastpath
-    calls, per tau).
+    Each cadence gets two runs differing only in the ordering's
+    deadline fast path.  The returned dict is JSON-ready; ``consistent``
+    must be True on every point (the referee's verdict), and the
+    acceptance claim lives in ``oracle_reduction`` (baseline calls /
+    fastpath calls, per cadence).
     """
-    taus = taus or [50 * USEC, 200 * USEC, 800 * USEC]
+    cadences = cadences or [1, 4, 16]
     points = []
-    for tau in taus:
+    for announce_every in cadences:
+        config = WeaverConfig(
+            num_gatekeepers=num_regions, num_shards=num_regions,
+            num_regions=num_regions, announce_every=announce_every,
+        )
         pair = {}
         for fastpath in (True, False):
             rep = run_geo(
-                seed, num_regions=num_regions, tau=tau,
-                duration=duration, fastpath=fastpath, **kwargs,
+                seed, num_regions=num_regions, duration=duration,
+                fastpath=fastpath, config=config, **kwargs,
             )
             pair["fastpath" if fastpath else "baseline"] = {
-                "tau": tau,
+                "announce_every": announce_every,
                 "committed": rep.committed,
                 "aborted": rep.aborted,
                 "reads_completed": rep.reads_completed,
@@ -239,14 +243,14 @@ def geo_sweep(
             }
         base = pair["baseline"]["oracle_calls"]
         fast = pair["fastpath"]["oracle_calls"]
-        pair["tau"] = tau
+        pair["announce_every"] = announce_every
         pair["oracle_reduction"] = (base / fast) if fast else float(base)
         points.append(pair)
     return {
         "seed": seed,
         "num_regions": num_regions,
         "duration": duration,
-        "taus": taus,
+        "cadences": cadences,
         "points": points,
         "all_consistent": all(
             p[mode]["consistent"]
@@ -346,7 +350,6 @@ def run_geo_soak(
     )
     sim = SimulatedWeaver(
         config=config,
-        tau=100 * USEC,
         heartbeat_period=4 * MSEC,
         gc_period=chunk_horizon / 2,
         fault_plan=plan,

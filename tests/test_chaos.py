@@ -10,8 +10,9 @@ debugging session depends on).
 
 import pytest
 
+from repro.db.config import WeaverConfig
 from repro.sim.clock import MSEC
-from repro.workloads.chaos import run_chaos
+from repro.workloads.chaos import default_fault_plan, run_chaos
 
 SEEDS = (1, 2, 3)
 HORIZON = 30 * MSEC
@@ -59,3 +60,34 @@ class TestDeterminism:
     def test_different_seeds_different_histories(self):
         digests = {chaos(seed).digest for seed in SEEDS}
         assert len(digests) == len(SEEDS)
+
+
+class TestEveryAnnounceLost:
+    """The default plan plus every ``announce`` dropped: vector clocks
+    then order only what one gatekeeper stamped or a heartbeat chain
+    links, and the oracle orders the rest.  Nothing is lost for it."""
+
+    @pytest.fixture(scope="class")
+    def silent(self):
+        config = WeaverConfig()
+        return {
+            seed: run_chaos(seed, duration=HORIZON, plan=default_fault_plan(
+                seed, HORIZON, config.num_gatekeepers, config.num_shards,
+            ).drop(1.0, kinds=("announce",)))
+            for seed in SEEDS
+        }
+
+    def test_the_referee_is_clean(self, silent):
+        for report in silent.values():
+            assert report.violations == []
+            assert report.committed > 0
+
+    def test_no_read_is_lost_for_it(self, silent):
+        for seed, report in silent.items():
+            assert report.reads_lost == chaos(seed).reads_lost
+
+    def test_the_oracle_orders_what_announces_would_have(self, silent):
+        def oracle(reports):
+            return sum(r.metrics["oracle.messages"] for r in reports)
+
+        assert oracle(silent.values()) >= 5 * oracle(map(chaos, SEEDS))

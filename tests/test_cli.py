@@ -47,7 +47,7 @@ class TestCommands:
     def test_bench_fig14(self, capsys):
         assert main(["bench", "--figure", "fig14"]) == 0
         out = capsys.readouterr().out
-        assert "oracle/query" in out
+        assert "oracle/tx" in out
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
@@ -69,7 +69,7 @@ class TestCommands:
         # referee digests is tests/test_referee_digests.py.
         assert main(["chaos", "--seed", "1", "--duration", "20"]) == 0
         out = capsys.readouterr().out
-        assert "history digest | 1e4fcc6294a0cafe" in out
+        assert "history digest | 6294b677f2fbc83e" in out
         assert "violations |                0" in out
         assert main(["soak", "--seed", "1", "--chunks", "3"]) == 0
         rows = dict(
@@ -77,10 +77,10 @@ class TestCommands:
             for line in capsys.readouterr().out.splitlines()
             if line.count("|") == 1
         )
-        assert rows["history digest"] == "7bc67357f9d95abc"
+        assert rows["history digest"] == "288351d98c9b84da"
         assert rows["watermarks"] == "7"
-        assert rows["records pruned"] == "214"
-        assert (rows["window peak"], rows["window final"]) == ("32", "18")
+        assert rows["records pruned"] == "211"
+        assert (rows["window peak"], rows["window final"]) == ("31", "18")
         assert rows["violations"] == "0"
         # The price of "always on" is on the report.
         assert int(rows["referee events"]) > int(rows["committed"])

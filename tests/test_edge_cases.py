@@ -7,7 +7,7 @@ from repro.baselines.titan import TitanGraph
 from repro.bench.costmodel import CostParams
 from repro.core.vclock import Ordering, VectorTimestamp
 from repro.db import Weaver, WeaverClient, WeaverConfig
-from repro.sim.clock import MSEC, USEC
+from repro.sim.clock import MSEC
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 
@@ -128,7 +128,6 @@ class TestDeploymentDriving:
 
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC,
         )
         sw.submit_transaction([ops.CreateVertex("a")])
         sw.run(2 * MSEC)
@@ -146,7 +145,6 @@ class TestDeploymentDriving:
 
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC,
         )
         box = {}
         sw.submit_program(

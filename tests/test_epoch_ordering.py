@@ -16,7 +16,7 @@ from repro.core.vclock import Ordering
 from repro.db import operations as ops
 from repro.db.config import WeaverConfig
 from repro.programs import GetNode
-from repro.sim.clock import MSEC, USEC
+from repro.sim.clock import MSEC
 from repro.sim.deployment import SimulatedWeaver
 
 
@@ -106,7 +106,6 @@ class TestRecoveryBarrier:
     def make(self):
         return SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC,
             heartbeat_period=5 * MSEC,
         )
 

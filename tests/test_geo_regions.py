@@ -167,7 +167,6 @@ class TestGeoDeployment:
         )
         return SimulatedWeaver(
             config=config,
-            tau=200 * USEC,
             heartbeat_period=4 * MSEC,
             gc_period=1.0,
             topology=default_geo_topology(2, scale=0.25),
@@ -200,8 +199,7 @@ class TestGeoDeployment:
         assert snap["region.0.announce_messages"] > 0
 
     def test_fastpath_orders_without_oracle(self):
-        rep = run_geo(seed=11, num_regions=2, tau=200 * USEC,
-                      duration=10 * MSEC)
+        rep = run_geo(seed=11, num_regions=2, duration=10 * MSEC)
         assert rep.consistent, rep.violations
         assert rep.committed > 0
         assert rep.reads_completed > 0
@@ -209,10 +207,9 @@ class TestGeoDeployment:
         assert rep.oracle_calls == 0
 
     def test_oracle_only_baseline_pays_for_the_same_traffic(self):
-        fast = run_geo(seed=11, num_regions=2, tau=200 * USEC,
-                       duration=10 * MSEC)
-        base = run_geo(seed=11, num_regions=2, tau=200 * USEC,
-                       duration=10 * MSEC, fastpath=False)
+        fast = run_geo(seed=11, num_regions=2, duration=10 * MSEC)
+        base = run_geo(seed=11, num_regions=2, duration=10 * MSEC,
+                       fastpath=False)
         assert base.consistent, base.violations
         assert base.committed == fast.committed
         assert base.oracle_calls > fast.oracle_calls
@@ -239,8 +236,8 @@ class TestCoordinationAccounting:
     def test_deployment_aggregates_region_queries(self):
         # With the fast path off, geo reads resolve established orders
         # at their region clients; the oracle's counters never see those.
-        rep = run_geo(seed=11, num_regions=2, tau=200 * USEC,
-                      duration=10 * MSEC, fastpath=False)
+        rep = run_geo(seed=11, num_regions=2, duration=10 * MSEC,
+                      fastpath=False)
         assert rep.oracle_calls > rep.oracle_calls_head
         local = sum(
             value for key, value in rep.region_metrics.items()
@@ -288,7 +285,6 @@ class TestRecoveryReconcile:
         config = WeaverConfig(num_gatekeepers=1, num_shards=2)
         return SimulatedWeaver(
             config=config,
-            tau=200 * USEC,
             heartbeat_period=2 * MSEC,
             gc_period=1.0,
             fault_plan=plan,
@@ -360,7 +356,7 @@ class TestOracleFastPathCounters:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geo, "SimulatedWeaver", Sim)
             patch.setattr(geo, "History", Recorded)
-            run_geo(7, tau=200 * USEC, fastpath=False)
+            run_geo(7, fastpath=False)
         return made["sim"], made["history"]
 
     @staticmethod

@@ -11,6 +11,7 @@ from repro.errors import NoSuchVertex
 from repro.programs import library
 from repro.sim.clock import MSEC, USEC
 from repro.sim.deployment import SimulatedWeaver
+from repro.sim.faults import FaultPlan
 
 
 class TestFig7:
@@ -276,18 +277,23 @@ class TestScaling:
 
 class TestFig14:
     def test_coordination_tradeoff(self):
-        result = harness.experiment_fig14(
-            taus=(10 * USEC, 1 * MSEC, 100 * MSEC),
-            num_txs=800,
-        )
-        rows = result.rows()
+        # On the twin, cadences 1 … 64 and one the run never reaches.
+        rows = harness.experiment_fig14().rows()
         announces = [a for _, a, _ in rows]
         oracle = [o for _, _, o in rows]
-        # Announce overhead falls with tau; oracle traffic rises.
-        assert announces[0] > announces[-1]
-        assert oracle[0] < oracle[-1]
-        # At the fast-announce extreme the oracle is nearly idle.
+        # Announce overhead falls with the cadence; oracle traffic rises
+        # from nearly idle to the ceiling of a run whose every announce
+        # is lost.
+        assert announces == sorted(announces, reverse=True)
+        assert announces[-1] == 0
         assert oracle[0] < 0.2
+        assert oracle == sorted(oracle)
+        lost = FaultPlan(seed=1).drop(1.0, kinds=("announce",))
+        assert oracle[-1] == harness.fig14_point(1, fault_plan=lost)[2]
+        # The minimum of the sum is interior.
+        combined = [a + o for _, a, o in rows]
+        assert min(combined) < combined[0]
+        assert min(combined) < combined[-1]
 
 
 class TestAblations:

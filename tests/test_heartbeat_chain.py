@@ -17,7 +17,7 @@ from repro.db import operations as ops
 from repro.db.config import WeaverConfig
 from repro.db.database import Weaver
 from repro.programs import GetNode
-from repro.sim.clock import MSEC, USEC
+from repro.sim.clock import MSEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.workloads.geo import default_geo_topology
 
@@ -75,12 +75,12 @@ class TestMakeNopAfter:
         assert nop.deadline > link.deadline
 
 
-def twin(gks, regions=1, tau=5 * MSEC):
+def twin(gks, regions=1, announce_every=1000):
     return SimulatedWeaver(
         WeaverConfig(
-            num_gatekeepers=gks, num_shards=2, num_regions=regions
+            num_gatekeepers=gks, num_shards=2, num_regions=regions,
+            announce_every=announce_every,
         ),
-        tau=tau,
         heartbeat_period=5 * MSEC,
     )
 
@@ -135,8 +135,8 @@ class TestTheTwinsRound:
     def test_fresh_stamps_send_no_nop_pair_to_the_oracle(
         self, gks, recorded, monkeypatch
     ):
-        # τ is 5 ms: announces order almost nothing, so a NOP pair left
-        # concurrent would reach the oracle.
+        # No script here commits often enough to announce, so a NOP
+        # pair left concurrent would reach the oracle.
         asked = []
         compare = RefinableOrdering.compare
 
@@ -211,7 +211,7 @@ class TestTheTwinsRound:
         topology = default_geo_topology(2)
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=4, num_shards=2, num_regions=2),
-            tau=200 * USEC, heartbeat_period=5 * MSEC, topology=topology,
+            heartbeat_period=5 * MSEC, topology=topology,
         )
         stamped = {}
         sw.submit_transaction([ops.CreateVertex("a")])
@@ -240,7 +240,7 @@ class TestTheTwinsRound:
     def test_the_chain_stays_inside_a_region(self, recorded):
         # A NOP follows a NOP of its own region only; a link across
         # regions is always a read stamp that travelled the network.
-        sw = twin(4, regions=2, tau=200 * USEC)
+        sw = twin(4, regions=2, announce_every=1)
         sw.submit_transaction([ops.CreateVertex("a")])
         sw.run(5 * MSEC)
         for i in range(4):
@@ -276,7 +276,7 @@ class TestTheTwinsRound:
                 return stamp
 
             monkeypatch.setattr(Gatekeeper, name, record)
-        sw = twin(3, tau=200 * USEC)
+        sw = twin(3, announce_every=1)
         sw.submit_transaction([ops.CreateVertex("a")])
         sw.run(5 * MSEC)
         sw.crash_gatekeeper(1)

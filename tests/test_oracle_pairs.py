@@ -40,7 +40,6 @@ def test_gc_heartbeat_rounds_are_not_program_stamps():
     )
     assert result.returncode == 0, result.stderr
     first = result.stdout.splitlines()[0]
-    assert first.startswith("Fig 9a:") and first.endswith(
-        "; 19 fresh program stamps"
-    ), first
-    assert "round–tx" in result.stdout
+    assert first.startswith("Fig 9a:"), first
+    assert "; 19 fresh program stamps; " in first, first
+    assert int(first.split("; ")[-1].removesuffix(" GC rounds")) > 0

@@ -41,7 +41,6 @@ from repro.programs.library import (
     Reachability,
     params,
 )
-from repro.sim.clock import USEC
 from repro.sim.deployment import SimulatedWeaver
 from tests.test_program_resident import (
     POOL,
@@ -74,7 +73,7 @@ class Hosts:
 
         self.weaver = Weaver(config())
         self.process = ProcessWeaver(config())
-        self.sim = SimulatedWeaver(config(), tau=200 * USEC)
+        self.sim = SimulatedWeaver(config())
         self._commit([ops.CreateVertex(handle) for handle in handles])
 
     def link(self, edges):

@@ -82,11 +82,12 @@ def run_on_weaver(steps):
 
 def run_on_twin(steps):
     sw = SimulatedWeaver(
-        WeaverConfig(**CONFIG), tau=200 * USEC,         gc_period=1e6,  # no GC pass inside the script
+        WeaverConfig(**CONFIG),
+        gc_period=1e6,  # no GC pass inside the script
     )
-    # Long enough for every gatekeeper's announce to land everywhere, so
-    # a later commit's stamp dominates every earlier stamp, as a
-    # blocking coordinator's announce rounds make it.
+    # Long enough for the commit's announce round to land everywhere,
+    # so a later commit's stamp dominates every earlier stamp, as a
+    # blocking coordinator's synchronous rounds make it.
     settle = 3 * sw.timer_period + 100 * USEC
     stamps, results = [], []
     for step in steps:

@@ -43,7 +43,7 @@ from repro.programs.library import (
     PROGRAM_REGISTRY, Bfs, CountEdges, GetEdges, GetNode, params,
 )
 from repro.programs.caching import ChangeTracker
-from repro.sim.clock import MSEC, USEC
+from repro.sim.clock import MSEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.verify.history import History, HistoryChecker, decided_order
 from repro.workloads.chaos import (
@@ -514,9 +514,7 @@ class TestTheDeclarationIsEnforced:
                 db.close()
 
     def test_a_hop_fails_the_query_on_the_twin(self, hopping):
-        sw = SimulatedWeaver(
-            WeaverConfig(num_gatekeepers=G, num_shards=S),
-            tau=200 * USEC,         )
+        sw = SimulatedWeaver(WeaverConfig(num_gatekeepers=G, num_shards=S))
         assert sim_commit(sw, [ops.CreateVertex("hot")])["ok"]
         sw.submit_program(hopping(), "hot")
         with pytest.raises(ProgramError, match=REFUSED):

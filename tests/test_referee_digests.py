@@ -16,17 +16,17 @@ from repro.workloads.geo import run_geo
 
 @pytest.mark.parametrize("run,digest", [
     pytest.param(lambda: run_chaos(1, duration=20 * MSEC),
-                 "1e4fcc6294a0cafe", id="chaos-1"),
+                 "6294b677f2fbc83e", id="chaos-1"),
     pytest.param(lambda: run_chaos(2, duration=20 * MSEC),
-                 "ca8fc158dffdf4db", id="chaos-2"),
+                 "ccc94af17dbb0103", id="chaos-2"),
     pytest.param(lambda: run_chaos(3, duration=20 * MSEC),
-                 "c335621ec301b5d5", id="chaos-3"),
+                 "02fd13739579c1be", id="chaos-3"),
     pytest.param(lambda: run_chaos(7, duration=20 * MSEC),
-                 "e0f816fd811e8d12", id="chaos-7"),
+                 "c10cca7c79625404", id="chaos-7"),
     pytest.param(lambda: run_soak(1, chunks=3),
-                 "7bc67357f9d95abc", id="soak-1x3"),
-    pytest.param(lambda: run_geo(1), "8ba3e72bc9158286", id="geo-1"),
-    pytest.param(lambda: run_geo(2), "2eba9ada1d395ad1", id="geo-2"),
+                 "288351d98c9b84da", id="soak-1x3"),
+    pytest.param(lambda: run_geo(1), "1607d99ec6e9fc2b", id="geo-1"),
+    pytest.param(lambda: run_geo(2), "1bb266fabae80800", id="geo-2"),
 ])
 def test_referee_digest(run, digest):
     report = run()

@@ -36,10 +36,12 @@ from tests.test_program_resident import (
 from tests.wire_fixtures import order_key
 
 
-def make(tau=200 * USEC, gks=2, shards=2):
+def make(gks=2, shards=2, announce_every=1):
     return SimulatedWeaver(
-        WeaverConfig(num_gatekeepers=gks, num_shards=shards),
-        tau=tau,
+        WeaverConfig(
+            num_gatekeepers=gks, num_shards=shards,
+            announce_every=announce_every,
+        ),
     )
 
 
@@ -102,16 +104,15 @@ class TestPrograms:
         result = ask(sw, Reachability(), "a", params(target="b"))
         assert result.results == [True]
 
-    def test_program_latency_bounded_by_timers(self):
-        # The section 4.2 bound: a program waits at most ~tau (for the
-        # issuing gatekeeper's announce) + network hops; its heartbeat
-        # round leaves with its stamp, so no NOP period is added.
-        tau = 200 * USEC
-        sw = make(tau=tau)
+    def test_program_latency_bounded_by_hops(self):
+        # The section 4.2 bound: a program waits only network hops; the
+        # commit's announce round has landed, and its heartbeat round
+        # leaves with its stamp, so no timer period is added.
+        sw = make()
         commit(sw, [ops.CreateVertex("a")])
         ask(sw, GetNode(), "a")
         assert sw.latency_program.count == 1
-        bound = tau + 6 * 100 * USEC  # generous hop budget
+        bound = 6 * 100 * USEC  # generous hop budget
         assert sw.latency_program.max <= bound
 
     def test_multi_hop_traversal(self):
@@ -148,16 +149,22 @@ class TestPrograms:
 
 class TestTimers:
     def test_announces_flow(self):
-        sw = make()
+        # One commit sends one round, G·(G−1) announces; an idle twin
+        # sends none.
+        sw = make(gks=3)
         sw.run(2 * MSEC)
-        assert sw.announce_messages() > 0
+        assert sw.announce_messages() == 0
+        commit(sw, [ops.CreateVertex("a")])
+        assert sw.announce_messages() == 3 * 2
+        sw.run(2 * MSEC)
+        assert sw.announce_messages() == 3 * 2
 
     def test_nops_flow(self):
         # One heartbeat round per fresh stamp: a NOP from each of G
         # gatekeepers to each of S shards.  A reused stamp sends none.
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=3),
-            tau=200 * USEC, gc_period=1.0,
+            gc_period=1.0,
         )
         commit(sw, [ops.CreateVertex("a")])
         assert sw.nop_messages() == 0
@@ -174,23 +181,20 @@ class TestTimers:
         sw.run(0.5)
         assert sw.manager.detect_failures(sw.simulator.now) == []
 
-    def test_smaller_tau_means_fewer_oracle_messages(self):
-        # The Fig 14 tradeoff emerging from real timers, on transactions
-        # (heartbeats chain and never reach the oracle): with fast
-        # announces more transaction pairs order proactively; with slow
-        # announces more stay concurrent and hit the oracle.  The
-        # script is Fig 14's event-driven cross-check.
-        def oracle_traffic(tau):
-            sw = make(tau=tau, gks=3)
+    def test_smaller_cadence_means_fewer_oracle_messages(self):
+        # The Fig 14 tradeoff, on transactions (heartbeats chain and
+        # never reach the oracle): with frequent announces more
+        # transaction pairs order proactively; with rare announces more
+        # stay concurrent and hit the oracle.
+        def oracle_traffic(announce_every):
+            sw = make(gks=3, announce_every=announce_every)
             for i in range(60):
                 sw.submit_transaction([ops.CreateVertex(f"v{i}")])
                 sw.run(500 * USEC)
             sw.run(5 * MSEC)
             return sw.oracle_messages()
 
-        fast = oracle_traffic(100 * USEC)
-        slow = oracle_traffic(5 * MSEC)
-        assert fast < slow
+        assert oracle_traffic(1) < oracle_traffic(16)
 
     def test_fifo_channels_hold_under_load(self):
         sw = make()
@@ -242,6 +246,34 @@ def observed(db, answers):
 class TestOneWritePath:
     """The sim is held to the coordinator, not to itself."""
 
+    @pytest.mark.parametrize("cadence", [1, 3, 7])
+    def test_one_announce_rule(self, cadence, monkeypatch):
+        # A write-only script of 20 commits at G = 3: both deployments
+        # run one announce round every `announce_every` commits.
+        from repro.db import database
+
+        cfg = WeaverConfig(
+            num_gatekeepers=3, num_shards=2, announce_every=cadence
+        )
+        rounds = []
+        real = database.sync_announce_all
+
+        def counted(gatekeepers):
+            rounds.append(len(gatekeepers))
+            return real(gatekeepers)
+
+        monkeypatch.setattr(database, "sync_announce_all", counted)
+        db = Weaver(cfg)
+        for i in range(20):
+            tx = db.begin_transaction()
+            tx.create_vertex(f"v{i}")
+            tx.commit()
+        sw = SimulatedWeaver(cfg)
+        for i in range(20):
+            assert commit(sw, [ops.CreateVertex(f"v{i}")])["ok"]
+        assert len(rounds) == 20 // cadence
+        assert sw.announce_messages() / (3 * 2) == 20 // cadence
+
     @pytest.mark.parametrize("partitioner", ["round_robin", "hash"])
     def test_same_script_same_state_as_weaver(self, partitioner):
         def config():
@@ -260,7 +292,7 @@ class TestOneWritePath:
             for v in SCRIPT_VERTICES for program in (GetNode(), GetEdges())
         ])
 
-        sw = SimulatedWeaver(config(), tau=200 * USEC)
+        sw = SimulatedWeaver(config())
         for operations in SCRIPT:
             assert commit(sw, operations)["ok"]
         simulated = observed(sw, [
@@ -282,15 +314,17 @@ class TestOneWritePath:
                           "_forward_to_shards", "_place_new_vertices",
                           "_lookup_program", "_stamp_program",
                           "_reuses_read_stamp", "_finish_program",
-                          "_make_shards_ready", "_live_shards",
-                          "_announce"):
+                          "_make_shards_ready", "_live_shards"):
             assert inherited not in vars(SimulatedWeaver)
             assert inherited in vars(WritePath)
-        # The rule is defined once; the twin overrides only how its
-        # NOPs travel, and a coordinator only its synchronous announce.
+        # The rules are defined once, the announce cadence with the
+        # commit; the twin overrides only how an announce round and a
+        # heartbeat round's NOPs travel, a coordinator only its
+        # synchronous announce round.
         for moved in ("_make_shards_ready", "_send_nops", "_live_shards"):
             assert moved not in vars(Coordinator)
-        assert "_send_nops" in vars(SimulatedWeaver)
+        for travels in ("_announce", "_send_nops"):
+            assert travels in vars(SimulatedWeaver)
         assert "_announce" in vars(Coordinator)
 
     def test_bare_create_commits_and_is_readable(self):
@@ -317,7 +351,7 @@ class TestOneWritePath:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, fault_plan=plan,
+            fault_plan=plan,
         )
         for i in range(4):
             sw.submit_transaction([ops.CreateVertex(f"v{i}")])
@@ -404,7 +438,7 @@ def twin_graphs(request):
         for op in operations:
             tx.record(op)
         tx.commit()
-    sw = SimulatedWeaver(config(), tau=200 * USEC)
+    sw = SimulatedWeaver(config())
     for operations in (creates, links, priced):
         assert commit(sw, operations)["ok"]
     return db, sw, handles
@@ -680,7 +714,7 @@ class TestKeysAndColumnsOnTheTwin:
             )
 
         db = Weaver(config())
-        sw = SimulatedWeaver(config(), tau=200 * USEC)
+        sw = SimulatedWeaver(config())
         creates = [ops.CreateVertex(h) for h in POOL]
         assert commit(sw, creates)["ok"]
         edges, *roles = edges_for(sw.mapping.lookup)

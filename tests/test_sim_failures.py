@@ -19,7 +19,6 @@ from repro.sim.faults import FaultPlan
 def make():
     return SimulatedWeaver(
         WeaverConfig(num_gatekeepers=2, num_shards=2),
-        tau=200 * USEC,
         heartbeat_period=5 * MSEC,
     )
 
@@ -224,7 +223,7 @@ class TestParkedMessageDeadline:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, fault_plan=plan,
+            fault_plan=plan,
         )
         for engine in sw._engines.values():
             engine.READY_DEADLINE = 2 * MSEC
@@ -253,7 +252,7 @@ class TestDuplicatedMessages:
         plan = FaultPlan(seed=1).duplicate(1.0, kinds=frozenset(kinds))
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, fault_plan=plan,
+            fault_plan=plan,
         )
         txs = [f"t{i}" for i in range(5)]
         commit(sw, [ops.CreateVertex("block")] + [
@@ -285,7 +284,7 @@ class TestDuplicatedMessages:
         )
         sw = SimulatedWeaver(
             WeaverConfig(num_gatekeepers=2, num_shards=2),
-            tau=200 * USEC, fault_plan=plan,
+            fault_plan=plan,
         )
         populate(sw)
         results = []

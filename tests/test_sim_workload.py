@@ -16,7 +16,6 @@ from repro.sim.workload import SimClients, finite_stream
 def make(gks=2, shards=2, with_costs=True, store_nodes=4, **costs):
     return SimulatedWeaver(
         WeaverConfig(num_gatekeepers=gks, num_shards=shards),
-        tau=200 * USEC,
         costs=(
             CostParams(store_nodes=store_nodes, **costs)
             if with_costs else None
@@ -229,7 +228,6 @@ class TestCostAccounting:
         def fan_out(shards):
             sw = SimulatedWeaver(
                 WeaverConfig(num_gatekeepers=1, num_shards=shards),
-                tau=200 * USEC,
                 costs=CostParams(vertex_read_service=20 * USEC),
             )
             leaves = [f"l{i}" for i in range(64)]

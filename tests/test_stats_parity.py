@@ -64,7 +64,7 @@ class TestOneRequestOneMessage:
     def test_a_region_client_counts_what_the_oracle_would(self):
         # Fed the same order requests, a region's local answers plus
         # escalations equal the messages a bare oracle counts: the sum
-        # a per-region tau controller reads is one per request too.
+        # the tau controller reads is one per request too.
         a, b, c, d = ts([1, 0], 0), ts([0, 1], 1), ts([2, 0], 0), ts([0, 2], 1)
         script = [(a, b), (b, a), (a, c), (c, d), (d, c), (b, c)]
         bare = TimelineOracle()

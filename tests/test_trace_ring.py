@@ -23,7 +23,7 @@ from repro.errors import ProgramError
 from repro.obs import trace
 from repro.obs.trace import Tracer
 from repro.programs.library import CollectReachable, GetNode
-from repro.sim.clock import MSEC, USEC
+from repro.sim.clock import MSEC
 from repro.sim.deployment import SimulatedWeaver
 from repro.workloads.chaos import run_chaos
 
@@ -83,9 +83,7 @@ def _process():
 
 
 def _sim():
-    return SimulatedWeaver(
-        WeaverConfig(**CONFIG), tau=200 * USEC,         gc_period=8 * MSEC,
-    )
+    return SimulatedWeaver(WeaverConfig(**CONFIG), gc_period=8 * MSEC)
 
 
 DEPLOYMENTS = {

@@ -17,7 +17,8 @@ Nothing under ``src/`` is edited; every number is simulated.
     python tools/oracle_pairs.py --ops 1000    # a quicker, smaller run
 
 ``--ops`` sizes the figure runs; the geo rows are ``run_geo`` seed 7
-(3 regions, τ 200 µs) at its own length.
+(3 regions, an announce round every commit) at its own length.  The
+first line of each row also counts the GC rounds' stamps.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench import harness  # noqa: E402
 from repro.core.gatekeeper import Gatekeeper  # noqa: E402
 from repro.core.ordering import RefinableOrdering  # noqa: E402
-from repro.sim.clock import USEC  # noqa: E402
 from repro.sim.deployment import SimulatedWeaver  # noqa: E402
 from repro.workloads.geo import run_geo  # noqa: E402
 
@@ -101,9 +101,7 @@ def rows(ops: int):
         )
     for fastpath in (True, False):
         name = "geo fast path" if fastpath else "geo baseline"
-        yield name, lambda fastpath=fastpath: run_geo(
-            7, tau=200 * USEC, fastpath=fastpath
-        )
+        yield name, lambda fastpath=fastpath: run_geo(7, fastpath=fastpath)
 
 
 def counters(snap) -> str:
@@ -132,9 +130,9 @@ def main(argv=None) -> int:
             TWINS.clear()
             run()
             total = sum(PAIRS.values())
-            fresh = sum(kind == "program" for kind in KINDS.values())
-            print(f"{name}: {total:,} oracle requests; {fresh:,} fresh"
-                  " program stamps")
+            kinds = collections.Counter(KINDS.values())
+            print(f"{name}: {total:,} oracle requests; {kinds['program']:,}"
+                  f" fresh program stamps; {kinds['round']:,} GC rounds")
             print(counters(TWINS[-1].metrics.snapshot()))
             for pair, count in PAIRS.most_common():
                 print(f"  {pair:<16} {count:>8,}"
